@@ -16,7 +16,7 @@ use rnic::{SendWr, ShmBuf, WorkRequest};
 use sim::sync::oneshot;
 
 use crate::broker::BrokerInner;
-use crate::data::Partition;
+use crate::data::{DeferredAck, Partition};
 use crate::rdma_consume::{self, SlotRef};
 use crate::rdma_net::send_ack;
 use crate::rdma_produce::Grant;
@@ -1272,18 +1272,16 @@ fn finish_rdma_ack(
                 send_ack(b, qpn, ErrorCode::None, span.next_offset);
             }
         }
-        _ => {
-            if p.replication_factor() > 1 {
-                let b2 = Rc::clone(b);
-                let p2 = Rc::clone(p);
-                sim::spawn(async move {
-                    p2.wait_committed(span.next_offset).await;
-                    deliver_ack(&b2, route, ErrorCode::None, span.base_offset);
-                });
-            } else {
-                deliver_ack(b, route, ErrorCode::None, span.base_offset);
-            }
+        // Replicated leader: the ack leaves from `on_hw_advanced`, once the
+        // followers have the span.
+        _ if p.replication_factor() > 1 && p.log.high_watermark() < span.next_offset => {
+            p.deferred_acks.borrow_mut().push_back(DeferredAck {
+                next_offset: span.next_offset,
+                base_offset: span.base_offset,
+                route,
+            });
         }
+        _ => deliver_ack(b, route, ErrorCode::None, span.base_offset),
     }
 }
 
@@ -1743,9 +1741,20 @@ async fn handle_consume_access(
 }
 
 /// High-watermark side effects: refresh every RDMA-readable metadata slot
-/// attached to the partition (§4.4.2).
+/// attached to the partition (§4.4.2), then release the produce acks the
+/// new watermark covers, oldest first.
 pub fn on_hw_advanced(b: &Rc<BrokerInner>, p: &Rc<Partition>) {
     rdma_consume::update_partition_slots(p, &b.consume_module, &b.metrics);
+    let hw = p.log.high_watermark();
+    loop {
+        let mut acks = p.deferred_acks.borrow_mut();
+        if acks.front().is_none_or(|ack| ack.next_offset > hw) {
+            return;
+        }
+        let ack = acks.pop_front().unwrap();
+        drop(acks);
+        deliver_ack(b, ack.route, ErrorCode::None, ack.base_offset);
+    }
 }
 
 /// Sends a batch on the broker's loopback QP — used by `self_faa`.

@@ -1,7 +1,7 @@
 //! Broker assembly: wires the network modules, worker pool, RDMA modules,
 //! and data management together (paper Fig 2) and exposes the public handle.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -10,6 +10,7 @@ use netsim::profile::Profile;
 use netsim::NodeHandle;
 use rnic::{CompletionQueue, QpOptions, QueuePair, RNic, ShmBuf};
 use sim::sync::mpmc::WorkQueue;
+use sim::sync::DueQueue;
 
 use crate::busy::ServicePool;
 use crate::config::{BrokerConfig, ConnMode, Transport};
@@ -52,6 +53,10 @@ pub struct BrokerInner {
     pub telem: BrokerTelem,
     pub store: PartitionStore,
     pub queue: WorkQueue<WorkItem>,
+    /// Commits in their queue transfer to the API workers, keyed by arrival
+    /// time at `queue`; set (and its hand-off stage started) by the RDMA
+    /// network module.
+    pub handoff: OnceCell<Rc<DueQueue<WorkItem>>>,
     pub net_pool: ServicePool,
     /// Every broker of the cluster, sorted by node id; `peers[0]` acts as
     /// the controller.
@@ -249,6 +254,7 @@ impl Broker {
             telem,
             store: PartitionStore::default(),
             queue: WorkQueue::new(config.request_queue_depth),
+            handoff: OnceCell::new(),
             net_pool,
             peers,
             peer_clients: RefCell::new(HashMap::new()),

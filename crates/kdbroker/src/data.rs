@@ -1,7 +1,7 @@
 //! Data management: partitions, leadership, the high watermark.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use kdstorage::{Log, LogConfig, TopicPartition};
@@ -52,6 +52,15 @@ impl Chain {
     }
 }
 
+/// A produce ack held back until the high watermark covers its records
+/// (RDMA produce into a replicated partition acks on full replication).
+pub struct DeferredAck {
+    /// The ack is due once `high_watermark >= next_offset`.
+    pub next_offset: u64,
+    pub base_offset: u64,
+    pub route: crate::requests::AckRoute,
+}
+
 /// One topic partition hosted by this broker (leader or follower replica).
 pub struct Partition {
     pub tp: TopicPartition,
@@ -74,6 +83,10 @@ pub struct Partition {
     pub hw_tx: watch::Sender<u64>,
     /// Per-follower acknowledged log-end offsets.
     follower_leo: RefCell<HashMap<u32, u64>>,
+    /// RDMA produce acks waiting for the high watermark, in commit (hence
+    /// offset) order; drained by `api::on_hw_advanced`. They die with the
+    /// partition if the watermark never gets there (crash, lost leadership).
+    pub deferred_acks: RefCell<VecDeque<DeferredAck>>,
     /// Active RDMA produce grant, if any (managed by `rdma_produce`).
     pub grant: RefCell<Option<Rc<crate::rdma_produce::Grant>>>,
     /// Registered-for-read segments (managed by `rdma_consume`).
@@ -120,6 +133,7 @@ impl Partition {
             leo_tx,
             hw_tx,
             follower_leo: RefCell::new(HashMap::new()),
+            deferred_acks: RefCell::new(VecDeque::new()),
             grant: RefCell::new(None),
             read_regs: RefCell::new(HashMap::new()),
             slot_refs: RefCell::new(Vec::new()),

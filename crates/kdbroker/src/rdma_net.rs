@@ -22,6 +22,7 @@ pub const CONSUME_PORT_OFF: u16 = 2;
 pub const POLL_COST: Duration = Duration::from_nanos(500);
 
 pub fn start(b: &Rc<BrokerInner>) {
+    start_handoff_stage(b);
     start_produce_listener(b);
     start_consume_listener(b);
     // CQEs taken per drain, across all pollers of this broker (the
@@ -275,7 +276,7 @@ fn hand_off_staged(b: &Rc<BrokerInner>, staged: &mut Vec<WorkItem>) {
             }
             other => {
                 flush_run(b, run_file, &mut run);
-                spawn_handoff(b, other);
+                hand_off(b, other);
             }
         }
     }
@@ -305,16 +306,31 @@ fn flush_run(b: &Rc<BrokerInner>, file_id: u16, run: &mut Vec<CommitItem>) {
             items: std::mem::take(run),
         }
     };
-    spawn_handoff(b, item);
+    hand_off(b, item);
 }
 
-/// The 11 µs queue transfer to the API workers, overlapped across requests.
-fn spawn_handoff(b: &Rc<BrokerInner>, item: WorkItem) {
-    let handoff = b.profile.cpu.handoff;
-    let b2 = Rc::clone(b);
+/// The 11 µs queue transfer to the API workers, overlapped across requests:
+/// the item reaches the shared request queue `cpu.handoff` from now.
+fn hand_off(b: &Rc<BrokerInner>, item: WorkItem) {
+    let handoff = b.handoff.get().expect("RDMA network module started");
+    handoff.push(sim::now() + b.profile.cpu.handoff, item);
+}
+
+/// One long-lived stage per broker moves commits from the pollers to the
+/// request queue as their transfer time elapses. The transfer time is a
+/// constant, so due order is hand-off order; a full queue back-pressures
+/// the stage, and with it every later commit, in that same order. The
+/// stage holds only the two queues: once the broker crashes (`queue`
+/// closed), items still in transfer are dropped as they come due.
+fn start_handoff_stage(b: &Rc<BrokerInner>) {
+    let handoff = Rc::new(sim::sync::DueQueue::new());
+    assert!(b.handoff.set(Rc::clone(&handoff)).is_ok(), "RDMA network module started twice");
+    let queue = b.queue.clone();
     sim::spawn_detached(async move {
-        sim::time::sleep(handoff).await;
-        let _ = b2.queue.send(item).await;
+        loop {
+            let item = handoff.next().await;
+            let _ = queue.send(item).await;
+        }
     });
 }
 
@@ -386,7 +402,7 @@ pub fn enqueue_in_order(
     seq: u64,
     item: WorkItem,
 ) {
-    grant.stage_enqueue(seq, item, &mut |item| spawn_handoff(b, item));
+    grant.stage_enqueue(seq, item, &mut |item| hand_off(b, item));
 }
 
 /// Sends a batch's success acks, chaining same-QP acks into one

@@ -81,7 +81,7 @@ async fn pull_loop(b: Rc<BrokerInner>, p: Rc<Partition>) {
             );
         }
         p.follower_set_hw(resp.high_watermark);
-        crate::rdma_consume::update_partition_slots(&p, &b.consume_module, &b.metrics);
+        crate::api::on_hw_advanced(&b, &p);
         // No data → the leader long-polled already; loop immediately.
     }
 }

@@ -66,7 +66,7 @@ impl CompletionQueue {
         self.inner.overflows.inc();
         let attached: Vec<_> = self.inner.attached.borrow().clone();
         for qp in attached.into_iter().filter_map(|w| w.upgrade()) {
-            QpShared::fail(&qp, crate::verbs::CqStatus::FlushError);
+            QpShared::fail(&qp);
         }
         self.inner.notify.notify_waiters();
     }
@@ -144,7 +144,10 @@ impl CompletionQueue {
 
     /// Waits (virtual time) for the next completion.
     ///
-    /// Returns `None` if the CQ has overflowed (fatal).
+    /// An overflow loses completions pushed *after* it; those queued before
+    /// are still served here and by [`poll`](Self::poll) /
+    /// [`drain_into`](Self::drain_into). `None` — the CQ is dead — comes
+    /// only once an overflowed queue is empty.
     pub async fn next(&self) -> Option<Cqe> {
         loop {
             if let Some(cqe) = self.poll() {

@@ -26,6 +26,7 @@
 
 pub mod cm;
 pub mod cq;
+mod engine;
 pub mod mr;
 pub mod qp;
 pub mod srq;

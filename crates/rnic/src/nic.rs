@@ -10,7 +10,9 @@ use netsim::profile::NetProfile;
 use netsim::{Fabric, NodeHandle, NodeId};
 
 use crate::cq::CompletionQueue;
+use crate::engine::Engine;
 use crate::mr::{Access, MemoryRegion, MrInner, ShmBuf};
+use crate::verbs::RecvWr;
 
 /// Modeled NIC memory held by one posted receive WQE, beyond its data
 /// buffer (the WQE itself plus scatter-gather bookkeeping). Used for the
@@ -19,11 +21,14 @@ use crate::mr::{Access, MemoryRegion, MrInner, ShmBuf};
 /// costs `srq_depth × (WQE_BYTES + buf)` regardless of client count.
 pub const WQE_BYTES: u64 = 128;
 
-/// Fabric-global RDMA state: device lookup (for resolving remote memory) and
-/// the connection-manager rendezvous table. Stored as a [`Fabric`] extension.
+/// Fabric-global RDMA state: the connection-manager rendezvous table, the
+/// work-request engine and the id allocators. Stored as a [`Fabric`]
+/// extension.
 pub(crate) struct Registry {
-    pub(crate) nics: RefCell<HashMap<NodeId, Weak<NicInner>>>,
     pub(crate) cm_listeners: RefCell<HashMap<(NodeId, u16), crate::cm::ListenerSlot>>,
+    /// The fabric's work-request engine. Weak: the engine's task owns it, so
+    /// it (and every WR in flight) goes away with the runtime.
+    engine: RefCell<Weak<Engine>>,
     next_vaddr: Cell<u64>,
     next_rkey: Cell<u32>,
     next_qpn: Cell<u32>,
@@ -32,8 +37,8 @@ pub(crate) struct Registry {
 impl Registry {
     fn new() -> Self {
         Registry {
-            nics: RefCell::new(HashMap::new()),
             cm_listeners: RefCell::new(HashMap::new()),
+            engine: RefCell::new(Weak::new()),
             // Start virtual addresses well away from zero so accidental
             // "offset used as address" bugs fault loudly.
             next_vaddr: Cell::new(0x0000_7f00_0000_0000),
@@ -44,6 +49,16 @@ impl Registry {
 
     pub(crate) fn get(fabric: &Fabric) -> Rc<Registry> {
         fabric.extension(Registry::new)
+    }
+
+    /// The fabric's engine, started on first use.
+    pub(crate) fn engine(&self) -> Rc<Engine> {
+        let mut slot = self.engine.borrow_mut();
+        slot.upgrade().unwrap_or_else(|| {
+            let engine = Engine::spawn();
+            *slot = Rc::downgrade(&engine);
+            engine
+        })
     }
 
     pub(crate) fn alloc_vaddr(&self, len: u64) -> u64 {
@@ -64,11 +79,6 @@ impl Registry {
         let q = self.next_qpn.get();
         self.next_qpn.set(q + 1);
         q
-    }
-
-    #[allow(dead_code)] // registry lookup kept for cross-crate debugging tools
-    pub(crate) fn nic(&self, node: NodeId) -> Option<Rc<NicInner>> {
-        self.nics.borrow().get(&node).and_then(Weak::upgrade)
     }
 }
 
@@ -130,17 +140,22 @@ impl NicInner {
         self.qp_contexts.set(self.qp_contexts.get().saturating_sub(n));
     }
 
-    pub(crate) fn recv_buf_add(&self, bytes: u64) {
-        let v = self.recv_wr_bytes.get() + bytes;
+    /// NIC memory one posted receive holds: its WQE plus its data buffer.
+    fn recv_footprint(wr: &RecvWr) -> u64 {
+        WQE_BYTES + wr.buf.as_ref().map_or(0, |b| b.len() as u64)
+    }
+
+    pub(crate) fn recv_buf_add(&self, wr: &RecvWr) {
+        let v = self.recv_wr_bytes.get() + Self::recv_footprint(wr);
         self.recv_wr_bytes.set(v);
         if v > self.recv_wr_bytes_peak.get() {
             self.recv_wr_bytes_peak.set(v);
         }
     }
 
-    pub(crate) fn recv_buf_sub(&self, bytes: u64) {
+    pub(crate) fn recv_buf_sub(&self, wr: &RecvWr) {
         self.recv_wr_bytes
-            .set(self.recv_wr_bytes.get().saturating_sub(bytes));
+            .set(self.recv_wr_bytes.get().saturating_sub(Self::recv_footprint(wr)));
     }
 
     /// Fraction of this device's ops that miss the QP-context cache:
@@ -213,10 +228,6 @@ impl RNic {
             recv_wr_bytes_peak: Cell::new(0),
             telem,
         });
-        registry
-            .nics
-            .borrow_mut()
-            .insert(node.id, Rc::downgrade(&inner));
         RNic { inner }
     }
 

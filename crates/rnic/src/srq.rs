@@ -12,25 +12,24 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-use sim::sync::Notify;
-
-use crate::nic::{NicInner, RNic, WQE_BYTES};
+use crate::nic::{NicInner, RNic};
+use crate::qp::QpShared;
 use crate::verbs::{PostError, RecvWr};
 
 pub(crate) struct SrqInner {
     queue: RefCell<VecDeque<RecvWr>>,
     max_wr: usize,
-    /// One stored permit / FIFO wakeup per posted WR: each may satisfy a
-    /// distinct RNR waiter, exactly like a QP's `recv_posted`.
-    pub(crate) posted_notify: Notify,
+    /// Attached endpoints with a sender parked (RNR) on the dry queue, in
+    /// arrival order; a post retries them all, first come first served.
+    parked: RefCell<Vec<Weak<QpShared>>>,
     /// Device the SRQ's buffers are accounted against.
     nic: Rc<NicInner>,
     // Registry-backed telemetry (`rnic srq.*`).
     posted: kdtelem::Counter,
     stolen: kdtelem::Counter,
-    pub(crate) rnr_dry: kdtelem::Counter,
+    rnr_dry: kdtelem::Counter,
     depth: kdtelem::Gauge,
 }
 
@@ -60,7 +59,7 @@ impl RNic {
             inner: Rc::new(SrqInner {
                 queue: RefCell::new(VecDeque::new()),
                 max_wr,
-                posted_notify: Notify::new(),
+                parked: RefCell::new(Vec::new()),
                 nic: Rc::clone(&self.inner),
                 posted: telem.counter("rnic", "srq.posted"),
                 stolen: telem.counter("rnic", "srq.stolen_by_qp"),
@@ -94,19 +93,24 @@ impl Srq {
                     "shared receive queue overflow (max_wr={})",
                     inner.max_wr
                 );
-                inner
-                    .nic
-                    .recv_buf_add(WQE_BYTES + wr.buf.as_ref().map_or(0, |b| b.len() as u64));
+                inner.nic.recv_buf_add(&wr);
                 q.push_back(wr);
                 posted += 1;
             }
         }
         inner.posted.add(posted as u64);
         inner.depth.add(posted as u64);
-        for _ in 0..posted {
-            inner.posted_notify.notify_one();
+        let parked = std::mem::take(&mut *inner.parked.borrow_mut());
+        for qp in parked.iter().filter_map(Weak::upgrade) {
+            qp.retry_rnr_waiter();
         }
         Ok(())
+    }
+
+    /// Remembers that `qp`'s peer has a sender waiting on this (dry) queue.
+    pub(crate) fn park(&self, qp: &Rc<QpShared>) {
+        self.inner.rnr_dry.inc();
+        self.inner.parked.borrow_mut().push(Rc::downgrade(qp));
     }
 
     /// Pops the head receive for a consuming QP. `None` when dry (the
@@ -114,9 +118,7 @@ impl Srq {
     pub(crate) fn pop(&self) -> Option<RecvWr> {
         let wr = self.inner.queue.borrow_mut().pop_front();
         if let Some(wr) = &wr {
-            self.inner
-                .nic
-                .recv_buf_sub(WQE_BYTES + wr.buf.as_ref().map_or(0, |b| b.len() as u64));
+            self.inner.nic.recv_buf_sub(wr);
             self.inner.stolen.inc();
             self.inner.depth.sub(1);
         }
@@ -144,6 +146,7 @@ mod tests {
     use crate::cm::RdmaListener;
     use crate::cq::CompletionQueue;
     use crate::mr::ShmBuf;
+    use crate::nic::WQE_BYTES;
     use crate::qp::{QpOptions, QueuePair};
     use crate::verbs::{SendWr, WorkRequest};
     use netsim::profile::Profile;

@@ -210,6 +210,21 @@ impl Cqe {
     pub fn ok(&self) -> bool {
         self.status.is_ok()
     }
+
+    /// A completion that moved no bytes and carries no immediate, atomic
+    /// result or trace context.
+    pub(crate) fn bare(wr_id: u64, qpn: u32, status: CqStatus, opcode: CqOpcode) -> Cqe {
+        Cqe {
+            wr_id,
+            qpn,
+            status,
+            opcode,
+            byte_len: 0,
+            imm: None,
+            atomic_old: None,
+            trace: None,
+        }
+    }
 }
 
 /// Error returned by `post_send`/`post_recv` on a broken QP.

@@ -17,6 +17,7 @@ struct Pair {
     qp_b: QueuePair,
     a_send: CompletionQueue,
     a_recv: CompletionQueue,
+    b_send: CompletionQueue,
     b_recv: CompletionQueue,
 }
 
@@ -32,9 +33,10 @@ async fn setup_with(profile: Profile, opts: QpOptions, recv_cq_cap: usize) -> Pa
     let nic_b2 = nic_b.clone();
     let b_recv2 = b_recv.clone();
     let opts2 = opts.clone();
+    let b_send2 = b_send.clone();
     let accept = sim::spawn(async move {
         let inc = listener.accept().await.unwrap();
-        inc.accept(&nic_b2, b_send, b_recv2, opts2)
+        inc.accept(&nic_b2, b_send2, b_recv2, opts2)
     });
     let a_send = nic_a.create_cq(1024);
     let a_recv = nic_a.create_cq(1024);
@@ -50,6 +52,7 @@ async fn setup_with(profile: Profile, opts: QpOptions, recv_cq_cap: usize) -> Pa
         qp_b,
         a_send,
         a_recv,
+        b_send,
         b_recv,
     }
 }
@@ -541,4 +544,359 @@ fn recv_flush_on_error() {
         // a_recv had nothing posted; its CQ stays quiet.
         assert!(p.a_recv.poll().is_none());
     });
+}
+
+// ---------------------------------------------------------------------------
+// Work-request engine contracts: list/single equivalence, RNR head-of-line,
+// flush order, and the executor-poll budget.
+// ---------------------------------------------------------------------------
+
+/// `(wr_id, status, virtual time the CQE was seen)` per completion, logged by
+/// a task that does nothing but drain `cq`.
+type CqeLog = std::rc::Rc<std::cell::RefCell<Vec<(u64, CqStatus, u64)>>>;
+
+fn log_cq(cq: &CompletionQueue) -> CqeLog {
+    let log = CqeLog::default();
+    let (cq, log2) = (cq.clone(), log.clone());
+    sim::spawn(async move {
+        while let Some(cqe) = cq.next().await {
+            log2.borrow_mut().push((cqe.wr_id, cqe.status, sim::now().as_nanos()));
+        }
+    });
+    log
+}
+
+fn write(wr_id: u64, signaled: bool, local: &ShmBuf, remote_addr: u64, rkey: u32) -> SendWr {
+    SendWr {
+        wr_id,
+        op: WorkRequest::Write {
+            local: local.as_slice(),
+            remote_addr,
+            rkey,
+        },
+        signaled,
+        trace: None,
+    }
+}
+
+fn write_imm(wr_id: u64, signaled: bool, local: &ShmBuf, remote_addr: u64, rkey: u32) -> SendWr {
+    SendWr {
+        wr_id,
+        op: WorkRequest::WriteImm {
+            local: local.as_slice(),
+            remote_addr,
+            rkey,
+            imm: wr_id as u32,
+        },
+        signaled,
+        trace: None,
+    }
+}
+
+#[test]
+fn list_differs_from_singles_by_exactly_the_doorbell_term() {
+    // With the wire and the per-op gap out of the picture, WR `i` of a list
+    // is `i` doorbells behind the same WR posted on its own.
+    fn cqe_times(as_list: bool) -> Vec<u64> {
+        let rt = sim::Runtime::new();
+        rt.block_on(async move {
+            let mut profile = Profile::testbed();
+            profile.net.rdma_min_op_gap = Duration::ZERO;
+            profile.net.link_bandwidth = 1e18;
+            let p = setup_with(profile, QpOptions::default(), 1024).await;
+            let mr = p.nic_b.reg_mr(ShmBuf::zeroed(1024), Access::all());
+            let src = ShmBuf::from_vec(vec![7; 16]);
+            let log = log_cq(&p.a_send);
+            let t0 = sim::now().as_nanos();
+            let wrs = (0..8u64).map(|i| write(i, true, &src, mr.addr() + i * 16, mr.rkey()));
+            if as_list {
+                p.qp_a.post_send_list(wrs).unwrap();
+            } else {
+                for wr in wrs {
+                    p.qp_a.post_send(wr).unwrap();
+                }
+            }
+            sim::time::sleep(Duration::from_micros(100)).await;
+            let log = log.borrow();
+            assert!(log.iter().all(|&(_, status, _)| status == CqStatus::Success));
+            assert_eq!(log.iter().map(|c| c.0).collect::<Vec<_>>(), (0..8).collect::<Vec<_>>());
+            log.iter().map(|c| c.2 - t0).collect()
+        })
+    }
+    let doorbell = Profile::testbed().net.doorbell_overhead.as_nanos() as u64;
+    assert!(doorbell > 0);
+    let (singles, list) = (cqe_times(false), cqe_times(true));
+    for (i, (s, l)) in singles.iter().zip(&list).enumerate() {
+        assert_eq!(l - s, i as u64 * doorbell, "WR {i}");
+    }
+}
+
+/// A WriteImm that finds no receive stalls the plain Write posted behind it
+/// until a receive shows up; `post` is how the test supplies one at 50 µs.
+async fn rnr_blocks_successors(p: &Pair, post: impl FnOnce(RecvWr)) {
+    let target = ShmBuf::zeroed(64);
+    let mr = p.nic_b.reg_mr(target.clone(), Access::all());
+    let (first, second) = (ShmBuf::from_vec(vec![1; 8]), ShmBuf::from_vec(vec![2; 8]));
+    let sends = log_cq(&p.a_send);
+    let t0 = sim::now().as_nanos();
+    p.qp_a.post_send(write_imm(0, true, &first, mr.addr(), mr.rkey())).unwrap();
+    p.qp_a.post_send(write(1, true, &second, mr.addr() + 8, mr.rkey())).unwrap();
+    sim::time::sleep(Duration::from_micros(50)).await;
+    assert!(p.b_recv.is_empty() && sends.borrow().is_empty());
+    assert_eq!(target.read_at(8, 8), vec![0; 8], "Write overtook the stalled WriteImm");
+    post(RecvWr { wr_id: 77, buf: None });
+    let rc = p.b_recv.next().await.unwrap();
+    let unblocked = sim::now().as_nanos() - t0;
+    assert_eq!((rc.wr_id, rc.imm, unblocked), (77, Some(0), 50_000));
+    sim::time::sleep(Duration::from_micros(10)).await;
+    assert_eq!(target.read_at(0, 16), [[1u8; 8], [2u8; 8]].concat());
+    // Both CQEs were long due: they surface the instant the stall clears.
+    let want = vec![(0, CqStatus::Success, t0 + 50_000), (1, CqStatus::Success, t0 + 50_000)];
+    assert_eq!(*sends.borrow(), want);
+}
+
+#[test]
+fn rnr_is_head_of_line_on_a_per_qp_receive_queue() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let p = setup().await;
+        rnr_blocks_successors(&p, |wr| p.qp_b.post_recv(wr).unwrap()).await;
+    });
+}
+
+#[test]
+fn rnr_is_head_of_line_on_a_shared_receive_queue() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        // Only the accepting side (`b`) consumes from the SRQ.
+        let f = Fabric::new(Profile::testbed());
+        let (na, nb) = (f.add_node("a"), f.add_node("b"));
+        let (nic_a, nic_b) = (RNic::new(&na), RNic::new(&nb));
+        let srq = nic_b.create_srq(16);
+        let mut listener = RdmaListener::bind(&nic_b, 1);
+        let (b_send, b_recv) = (nic_b.create_cq(64), nic_b.create_cq(64));
+        let (nic_b2, b_send2, b_recv2) = (nic_b.clone(), b_send.clone(), b_recv.clone());
+        let opts = QpOptions {
+            srq: Some(srq.clone()),
+            ..QpOptions::default()
+        };
+        let accept = sim::spawn(async move {
+            let inc = listener.accept().await.unwrap();
+            inc.accept(&nic_b2, b_send2, b_recv2, opts)
+        });
+        let (a_send, a_recv) = (nic_a.create_cq(64), nic_a.create_cq(64));
+        let qp_a = nic_a
+            .connect(nb.id, 1, a_send.clone(), a_recv.clone(), QpOptions::default())
+            .await
+            .unwrap();
+        let qp_b = accept.await.unwrap();
+        let p = Pair {
+            nic_a,
+            nic_b,
+            qp_a,
+            qp_b,
+            a_send,
+            a_recv,
+            b_send,
+            b_recv,
+        };
+        rnr_blocks_successors(&p, |wr| srq.post_recv(wr).unwrap()).await;
+    });
+}
+
+#[test]
+fn rnr_timeout_and_storm_fail_at_the_retry_deadline() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let timeout = Duration::from_micros(50);
+        let opts = QpOptions {
+            rnr_timeout: Some(timeout),
+            ..QpOptions::default()
+        };
+        // Reference: how long a Send takes to reach a ready receiver.
+        let one_way = {
+            let p = setup_with(Profile::testbed(), opts.clone(), 64).await;
+            p.qp_b.post_recv(RecvWr { wr_id: 0, buf: None }).unwrap();
+            let t0 = sim::now();
+            p.qp_a
+                .post_send(SendWr::new(0, WorkRequest::Send { local: ShmBuf::zeroed(0).as_slice() }))
+                .unwrap();
+            p.b_recv.next().await.unwrap();
+            sim::now() - t0
+        };
+        for storm in [false, true] {
+            let p = setup_with(Profile::testbed(), opts.clone(), 64).await;
+            if storm {
+                // A receive is posted, but the storm outlasts the retries.
+                p.qp_b.post_recv(RecvWr { wr_id: 0, buf: None }).unwrap();
+                p.qp_b.inject_rnr_storm(Duration::from_millis(1));
+            }
+            let t0 = sim::now();
+            p.qp_a
+                .post_send(SendWr::new(0, WorkRequest::Send { local: ShmBuf::zeroed(0).as_slice() }))
+                .unwrap();
+            let cqe = p.a_send.next().await.unwrap();
+            assert_eq!(cqe.status, CqStatus::RnrRetryExceeded);
+            assert_eq!(sim::now() - t0, one_way + timeout, "storm={storm}");
+            assert!(!p.qp_a.is_alive() && !p.qp_b.is_alive());
+        }
+        // A storm shorter than the retry budget only delays delivery.
+        let p = setup_with(Profile::testbed(), opts, 64).await;
+        p.qp_b.post_recv(RecvWr { wr_id: 0, buf: None }).unwrap();
+        p.qp_b.inject_rnr_storm(Duration::from_micros(20));
+        let t0 = sim::now();
+        p.qp_a
+            .post_send(SendWr::new(0, WorkRequest::Send { local: ShmBuf::zeroed(0).as_slice() }))
+            .unwrap();
+        assert!(p.b_recv.next().await.unwrap().ok());
+        assert_eq!(sim::now() - t0, Duration::from_micros(20));
+    });
+}
+
+/// Posts a window of 64 KiB writes (signaled: 0, 3, 5; unsignaled: the
+/// rest), lets the first two land, kills the QP through `kill`, and returns
+/// the send CQEs with the kill time.
+fn flush_window(kill: impl FnOnce(&Pair) + 'static) -> (Vec<(u64, CqStatus, u64)>, u64) {
+    let rt = sim::Runtime::new();
+    rt.block_on(async move {
+        let p = setup().await;
+        let mr = p.nic_b.reg_mr(ShmBuf::zeroed(64 << 10), Access::all());
+        let src = ShmBuf::zeroed(64 << 10);
+        let log = log_cq(&p.a_send);
+        for i in 0..8u64 {
+            p.qp_a
+                .post_send(write(i, [0, 3, 5].contains(&i), &src, mr.addr(), mr.rkey()))
+                .unwrap();
+        }
+        // ~10.4 µs per write on the wire: 11 µs after write 0 completes,
+        // write 1 has landed, 2 is in flight, 3.. are queued behind it.
+        while log.borrow().is_empty() {
+            sim::time::sleep(Duration::from_micros(1)).await;
+        }
+        sim::time::sleep(Duration::from_micros(11)).await;
+        let killed = sim::now().as_nanos();
+        kill(&p);
+        assert!(p.qp_a.post_send(write(9, true, &src, mr.addr(), mr.rkey())).is_err());
+        sim::time::sleep(Duration::from_millis(1)).await;
+        let log = log.borrow().clone();
+        (log, killed)
+    })
+}
+
+#[test]
+fn dead_qp_flushes_a_mixed_window_in_ticket_order() {
+    let closed = flush_window(|p| p.qp_b.close());
+    let overflowed = flush_window(|p| p.a_recv.inject_overflow());
+    assert_eq!(closed, overflowed, "close and CQ overflow tear down alike");
+    let (log, killed) = closed;
+    // Write 0 completed (signaled), write 1 completed silently; every WR
+    // still owed anything — signaled or not — flushes, in post order.
+    let ids: Vec<u64> = log.iter().map(|c| c.0).collect();
+    assert_eq!(ids, vec![0, 2, 3, 4, 5, 6, 7], "{log:?} killed at {killed}");
+    assert_eq!(log[0].1, CqStatus::Success);
+    assert!(log[0].2 < killed);
+    assert!(log[1..].iter().all(|c| c.1 == CqStatus::FlushError));
+    // The write in flight fails when it would have completed; the rest never
+    // launched and flush right behind it, not at their own reserved times.
+    let in_flight = log[1].2;
+    assert!(in_flight > killed && in_flight < killed + 12_000);
+    assert!(log[2..].iter().all(|c| c.2 == in_flight));
+}
+
+#[test]
+fn breaking_wr_keeps_its_status_and_both_directions_flush() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let p = setup().await;
+        let mr = p.nic_b.reg_mr(ShmBuf::zeroed(64), Access::all());
+        let mr_a = p.nic_a.reg_mr(ShmBuf::zeroed(64), Access::all());
+        let src = ShmBuf::zeroed(8);
+        let (a_log, b_log) = (log_cq(&p.a_send), log_cq(&p.b_send));
+        p.qp_a.post_send(write(0, false, &src, mr.addr(), mr.rkey())).unwrap();
+        p.qp_a.post_send(write(1, false, &src, mr.addr() + 60, mr.rkey())).unwrap(); // out of bounds
+        p.qp_a.post_send(write(2, false, &src, mr.addr(), mr.rkey())).unwrap();
+        p.qp_a.post_send(write(3, true, &src, mr.addr(), mr.rkey())).unwrap();
+        // The other direction gets work in flight before the bad write lands.
+        sim::time::sleep(Duration::from_nanos(500)).await;
+        assert!(p.qp_b.is_alive());
+        p.qp_b.post_send(write(10, false, &src, mr_a.addr(), mr_a.rkey())).unwrap();
+        p.qp_b.post_send(write(11, false, &src, mr_a.addr(), mr_a.rkey())).unwrap();
+        sim::time::sleep(Duration::from_micros(100)).await;
+        let statuses = |log: &CqeLog| log.borrow().iter().map(|c| (c.0, c.1)).collect::<Vec<_>>();
+        let want = [
+            (1, CqStatus::RemoteAccessError),
+            (2, CqStatus::FlushError),
+            (3, CqStatus::FlushError),
+        ];
+        assert_eq!(statuses(&a_log), want);
+        assert_eq!(statuses(&b_log), [(10, CqStatus::FlushError), (11, CqStatus::FlushError)]);
+        assert!(!p.qp_a.is_alive() && !p.qp_b.is_alive());
+    });
+}
+
+#[test]
+fn overflowed_cq_still_serves_what_it_queued() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let p = setup_with(Profile::testbed(), QpOptions::default(), 4).await;
+        let mr = p.nic_b.reg_mr(ShmBuf::zeroed(64), Access::all());
+        for i in 0..8 {
+            p.qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+        }
+        let src = ShmBuf::zeroed(4);
+        for i in 0..8 {
+            let _ = p.qp_a.post_send(write_imm(i, false, &src, mr.addr(), mr.rkey()));
+        }
+        sim::time::sleep(Duration::from_millis(1)).await;
+        assert!(p.b_recv.overflowed());
+        // The four CQEs that fit are still there, through every accessor;
+        // `next()` reports the overflow only once they are gone.
+        assert_eq!(p.b_recv.len(), 4);
+        assert_eq!(p.b_recv.poll().unwrap().imm, Some(0));
+        let mut out = Vec::new();
+        assert_eq!(p.b_recv.drain_into(&mut out, 2), 2);
+        assert_eq!(out.iter().map(|c| c.imm).collect::<Vec<_>>(), vec![Some(1), Some(2)]);
+        assert_eq!(p.b_recv.next().await.unwrap().imm, Some(3));
+        assert!(p.b_recv.next().await.is_none());
+    });
+}
+
+#[test]
+fn poll_budget_two_polls_per_small_write() {
+    // 10 000 × 64 B WriteImm, one signaled per 32, receiver re-posting every
+    // consumed receive. The engine spends one poll per delivery and one per
+    // signaled completion; the receiver one per CQE; the poster one per
+    // window. The per-WR-task model needed 4.03 here.
+    const N: u64 = 10_000;
+    const WINDOW: u64 = 32;
+    let rt = sim::Runtime::new();
+    let p = rt.block_on(async {
+        let p = setup_with(Profile::testbed(), QpOptions::default(), 1024).await;
+        for i in 0..256 {
+            p.qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+        }
+        let (qp_b, b_recv) = (p.qp_b.clone(), p.b_recv.clone());
+        sim::spawn(async move {
+            while let Some(cqe) = b_recv.next().await {
+                let _ = qp_b.post_recv(RecvWr { wr_id: cqe.wr_id, buf: None });
+            }
+        });
+        p
+    });
+    let before = rt.poll_count();
+    rt.block_on(async move {
+        let mr = p.nic_b.reg_mr(ShmBuf::zeroed(4096), Access::all());
+        let src = ShmBuf::zeroed(64);
+        for i in 0..N {
+            let signaled = (i + 1) % WINDOW == 0;
+            p.qp_a
+                .post_send(write_imm(i, signaled, &src, mr.addr() + (i % 64) * 64, mr.rkey()))
+                .unwrap();
+            if signaled {
+                assert!(p.a_send.next().await.unwrap().ok());
+            }
+        }
+    });
+    let per_wr = (rt.poll_count() - before) as f64 / N as f64;
+    assert!(per_wr <= 2.0 + 2.0 / WINDOW as f64 + 0.01, "{per_wr} polls per WR");
 }

@@ -12,8 +12,8 @@
 //!   refcount bump instead of a fresh `Arc` per poll;
 //! * spawned futures are placed in a size-class **task arena**: completing a
 //!   task returns its memory to a free list keyed by rounded future size, so
-//!   a steady-state workload (e.g. one NIC work-request task per record)
-//!   re-uses the same allocations instead of boxing each future.
+//!   a steady-state workload (e.g. one RPC task per request) re-uses the
+//!   same allocations instead of boxing each future.
 
 use std::alloc::{alloc, dealloc, Layout};
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -509,8 +509,8 @@ where
 }
 
 /// Spawns a task with no [`JoinHandle`]: no completion channel is allocated.
-/// The hot-path choice for fire-and-forget tasks (NIC work requests, queue
-/// handoffs) whose handle would be dropped anyway.
+/// The choice for fire-and-forget tasks whose handle would be dropped
+/// anyway.
 pub(crate) fn spawn_detached<F>(future: F)
 where
     F: Future<Output = ()> + 'static,

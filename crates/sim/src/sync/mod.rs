@@ -4,6 +4,7 @@
 //! thread and interleave only at `.await` points, so interior mutability via
 //! `RefCell` is sound and cheap. The APIs mirror tokio's where practical.
 
+pub mod due_queue;
 pub mod mpmc;
 pub mod mpsc;
 pub mod mutex;
@@ -12,6 +13,7 @@ pub mod oneshot;
 pub mod semaphore;
 pub mod watch;
 
+pub use due_queue::DueQueue;
 pub use mutex::{Mutex, MutexGuard};
 pub use notify::Notify;
 pub use semaphore::{AcquireError, Semaphore, SemaphorePermit};

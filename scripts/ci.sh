@@ -46,6 +46,17 @@ cargo test -q --offline --test shard_equivalence
 # because the fan-in smoke below is only meaningful if this gate holds.
 cargo test -q --offline --test conn_scaling
 
+# Work-request engine gates: the NIC model must not grow a per-WR task
+# again — no spawn on the post path of qp.rs (connection-manager and test
+# spawns live elsewhere) — and its executor-poll budget must hold: 10 000
+# small WriteImms, one signaled per 32, receiver re-posting, at most
+# 2 + 2/32 polls per WR (the per-WR-task model needed 4.03).
+if grep -n "spawn" crates/rnic/src/qp.rs; then
+    echo "ci: crates/rnic/src/qp.rs spawns on the post path" >&2
+    exit 1
+fi
+cargo test -q --offline -p rnic --test verbs_semantics poll_budget
+
 # Timer-wheel property tests: exact (deadline, insertion-seq) expiry order
 # under arbitrary interleavings of inserts, bounded probes, and pops — both
 # on the raw wheel and for timers scheduled from cross-shard mailbox
@@ -64,11 +75,12 @@ cargo run -q --release --offline --example quickstart -- --durable
 # Perf smoke: wall-clock harness over the fig10/11 produce workload with a
 # counting global allocator and an executor-poll counter. Writes
 # BENCH_<TAG>.json (+ results/PERF_<TAG>.md; TAG from --tag/KD_BENCH_TAG,
-# default PR10) and exits non-zero if the steady-state exclusive-RDMA
+# default PR12) and exits non-zero if the steady-state exclusive-RDMA
 # produce path — over the in-memory store OR the file-backed hot tier —
 # exceeds its allocation budget (allocs/record <= 2) or its scheduling
-# budget (polls/record <= 12 — the pre-batching loop needed ~20.8, so this
-# pins the CQ-batching win), if a warm 1 MiB TCP send stops being O(1)
+# budget (polls/record <= 3.2, measured 2.95 — the pre-batching loop needed
+# ~20.8 and the task-per-work-request NIC model 3.2, so this pins both
+# wins), if a warm 1 MiB TCP send stops being O(1)
 # allocations, or if running with the telemetry sampler on costs more than
 # 3% of records/s — measured both on the single-runtime baseline and in
 # parallel mode (every group sampling at the largest sweep shard count;

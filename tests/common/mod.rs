@@ -61,6 +61,26 @@ impl Outcome {
     // this shared module see it as dead code.
     #[allow(dead_code)]
     pub fn digest(&self) -> u64 {
+        self.fold_digest(self.events.iter().map(|e| (e.ts_ns, e.trace_id, e.span_id)))
+    }
+
+    /// The same digest over the events sorted by `(ts_ns, trace_id,
+    /// span_id)`: blind to the order in which same-instant events were
+    /// recorded, sensitive to everything else. A change that only
+    /// re-shuffles tasks inside an instant (a different task topology)
+    /// moves [`digest`](Self::digest) and leaves this one alone.
+    #[allow(dead_code)]
+    pub fn sorted_digest(&self) -> u64 {
+        let mut keys: Vec<_> = self
+            .events
+            .iter()
+            .map(|e| (e.ts_ns, e.trace_id, e.span_id))
+            .collect();
+        keys.sort_unstable();
+        self.fold_digest(keys.into_iter())
+    }
+
+    fn fold_digest(&self, events: impl Iterator<Item = (u64, u64, u64)>) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut fold = |v: u64| {
             for b in v.to_le_bytes() {
@@ -69,10 +89,10 @@ impl Outcome {
             }
         };
         fold(self.events.len() as u64);
-        for e in &self.events {
-            fold(e.trace_id);
-            fold(e.span_id);
-            fold(e.ts_ns);
+        for (ts_ns, trace_id, span_id) in events {
+            fold(trace_id);
+            fold(span_id);
+            fold(ts_ns);
         }
         fold(self.end_ns);
         fold(self.acked.len() as u64);

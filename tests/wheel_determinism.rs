@@ -7,10 +7,17 @@
 //! reordering the wheel introduces (even among same-timestamp events) fails
 //! the comparison.
 //!
+//! Each line also carries `sorted=`, the same digest over the events sorted
+//! by `(ts_ns, trace_id, span_id)`. It separates the two reasons the ordered
+//! digest can move: a change of task topology re-shuffles events *inside*
+//! an instant (ordered digest moves, `events=`, `end_ns=` and `sorted=` do
+//! not); a change of virtual-time behaviour moves `sorted=` too.
+//!
 //! Re-record with `KD_RECORD_GOLDEN=1 cargo test --test wheel_determinism`
-//! — only legitimate when a change *intentionally* alters virtual-time
-//! behaviour (new sleeps, different task topology), never to paper over an
-//! unexplained divergence.
+//! — `digest=` alone when a change intentionally alters the task topology
+//! (and `sorted=` proves nothing else moved), the whole line only when a
+//! change *intentionally* alters virtual-time behaviour (new sleeps), never
+//! to paper over an unexplained divergence.
 //!
 //! Runs pin `cq_batch = 1`: the batched CQ-drain poller is specified to
 //! degenerate to the pre-batching loop bit for bit at batch size 1, and
@@ -26,6 +33,17 @@ fn run_golden_seed(seed: u64) -> common::Outcome {
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+fn golden_line(seed: u64, o: &common::Outcome) -> String {
+    format!(
+        "seed={} events={} end_ns={} digest={:016x} sorted={:016x}",
+        seed,
+        o.events.len(),
+        o.end_ns,
+        o.digest(),
+        o.sorted_digest()
+    )
+}
+
 fn golden_path() -> PathBuf {
     // The owning package is crates/core; the golden lives beside the tests.
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/chaos_trace_digests.txt")
@@ -37,16 +55,7 @@ fn chaos_trace_digests_match_prewheel_golden() {
     if std::env::var("KD_RECORD_GOLDEN").is_ok() {
         let mut out = String::new();
         for &seed in &common::SEEDS {
-            let o = run_golden_seed(seed);
-            writeln!(
-                out,
-                "seed={} events={} end_ns={} digest={:016x}",
-                seed,
-                o.events.len(),
-                o.end_ns,
-                o.digest()
-            )
-            .unwrap();
+            writeln!(out, "{}", golden_line(seed, &run_golden_seed(seed))).unwrap();
         }
         std::fs::write(&path, out).expect("write golden");
         return;
@@ -55,16 +64,9 @@ fn chaos_trace_digests_match_prewheel_golden() {
     let golden = std::fs::read_to_string(&path)
         .expect("tests/golden/chaos_trace_digests.txt missing; record with KD_RECORD_GOLDEN=1");
     for (line, &seed) in golden.lines().zip(&common::SEEDS) {
-        let o = run_golden_seed(seed);
-        let got = format!(
-            "seed={} events={} end_ns={} digest={:016x}",
-            seed,
-            o.events.len(),
-            o.end_ns,
-            o.digest()
-        );
         assert_eq!(
-            got, line,
+            golden_line(seed, &run_golden_seed(seed)),
+            line,
             "seed {seed}: trace replay diverged from pre-wheel golden"
         );
     }
