@@ -25,14 +25,14 @@
 //!
 //! Output: a JSON report plus a human-readable summary. Both default paths
 //! derive from one PR tag — `BENCH_<TAG>.json` and `results/PERF_<TAG>.md`,
-//! where `<TAG>` comes from `--tag` or `KD_BENCH_TAG` (default `PR12`);
+//! where `<TAG>` comes from `--tag` or `KD_BENCH_TAG` (default `PR13`);
 //! explicit `--out`/`--summary` still override. Exit status is non-zero if
 //! a steady-state budget is exceeded:
 //!
 //! * exclusive RDMA produce — memory **and** tiered — must stay at
 //!   **<= 2 allocs/record**;
-//! * exclusive RDMA produce — memory, SRQ **and** tiered — must stay at
-//!   **<= 3.2 executor polls/record** (measured 2.95 on all three; the PR 4
+//! * exclusive RDMA produce — memory **and** tiered — must stay at
+//!   **<= 3.2 executor polls/record** (measured 2.95 on both; the PR 4
 //!   loop needed ~21, the per-WR-task NIC model 3.2);
 //! * the warm 1 MiB TCP send must stay under one alloc per MSS packet;
 //! * running the virtual-time telemetry sampler must cost **<= 3%** of
@@ -182,7 +182,7 @@ impl Config {
             shards: vec![1, 2, 4],
             fanin_min: 10,
             fanin_max: 100_000,
-            tag: std::env::var("KD_BENCH_TAG").unwrap_or_else(|_| "PR12".to_string()),
+            tag: std::env::var("KD_BENCH_TAG").unwrap_or_else(|_| "PR13".to_string()),
             out: String::new(),
             summary: String::new(),
         };
@@ -312,14 +312,12 @@ fn run_produce(
     mode: ProducerMode,
     cfg: &Config,
     storage: Option<kdstorage::StorageConfig>,
-    conn_mode: Option<kafkadirect::ConnMode>,
     sampler_us: Option<u64>,
 ) -> PathResult {
     let mut opts = ProduceOpts::new(system, mode, cfg.record_size);
     opts.records = cfg.records;
     opts.window = cfg.window;
     opts.storage = storage;
-    opts.conn_mode = conn_mode;
     // Private registry: the brokers' `cqe_batch` histogram lands here.
     let registry = kdtelem::Registry::new();
     let _telem = kdtelem::enter(&registry);
@@ -583,9 +581,8 @@ fn run_cold_fetch() -> ColdFetchResult {
 /// Partitions the fan-in producers spread over (shared mode serialises FAAs
 /// per partition at the paper's 2.68 Mops/s — one word would cap the sweep).
 const FANIN_PARTITIONS: u32 = 16;
-/// Per-QP receives in `PerQp` mode. Small on purpose: broker recv memory is
-/// `clients x depth x WQE`, and the sweep's point is how that term scales.
-const FANIN_RECV_DEPTH: usize = 16;
+/// NIC contexts of the `srq_mux` arm's lending pool (DCT-style).
+const FANIN_MUX_POOL: usize = 8;
 /// Ack receive buffers per simulated client (window is 1; 512 would pin
 /// ~800 MiB of host memory at 100k clients for no modelling gain).
 const FANIN_ACK_DEPTH: usize = 4;
@@ -651,11 +648,12 @@ fn fanin_points(min: usize, max: usize) -> Vec<usize> {
     pts
 }
 
-/// One fan-in point: a 1-broker KafkaDirect cluster in the given connection
-/// mode, `clients` shared-mode RDMA producers (one node + NIC + QP each)
-/// spread over [`FANIN_PARTITIONS`] partitions. Every client connects first;
-/// the measured span covers only the produce phase.
-fn run_fanin_point(conn: kafkadirect::ConnMode, clients: usize) -> FaninPoint {
+/// One fan-in point: a 1-broker KafkaDirect cluster whose accepted QPs
+/// multiplex over `mux_pool` NIC contexts (0 = one context each), `clients`
+/// shared-mode RDMA producers (one node + NIC + QP each) spread over
+/// [`FANIN_PARTITIONS`] partitions. Every client connects first; the
+/// measured span covers only the produce phase.
+fn run_fanin_point(mux_pool: usize, clients: usize) -> FaninPoint {
     let registry = kdtelem::Registry::new();
     let _telem = kdtelem::enter(&registry);
     let rt = sim::Runtime::new();
@@ -666,8 +664,7 @@ fn run_fanin_point(conn: kafkadirect::ConnMode, clients: usize) -> FaninPoint {
             SystemKind::KafkaDirect,
             1,
             ClusterOptions {
-                conn_mode: Some(conn),
-                recv_depth: Some(FANIN_RECV_DEPTH),
+                mux_pool: Some(mux_pool),
                 ..Default::default()
             },
         );
@@ -745,17 +742,15 @@ fn run_fanin_point(conn: kafkadirect::ConnMode, clients: usize) -> FaninPoint {
 }
 
 fn run_fanin_sweep(cfg: &Config) -> FaninSweep {
-    const MODES: [(&str, kafkadirect::ConnMode); 3] = [
-        ("per_qp", kafkadirect::ConnMode::PerQp),
-        ("srq", kafkadirect::ConnMode::Srq),
-        ("srq_mux", kafkadirect::ConnMode::SrqMux),
-    ];
+    // The two sizings of the one receive layer: dedicated NIC contexts
+    // (the default) and a multiplexed lending pool.
+    const MODES: [(&str, usize); 2] = [("srq", 0), ("srq_mux", FANIN_MUX_POOL)];
     let counts = fanin_points(cfg.fanin_min, cfg.fanin_max);
     let mut modes = Vec::new();
-    for (label, conn) in MODES {
+    for (label, mux_pool) in MODES {
         let mut points = Vec::new();
         for &clients in &counts {
-            let p = run_fanin_point(conn, clients);
+            let p = run_fanin_point(mux_pool, clients);
             println!(
                 "  {:<16} {label:>7} {:>7} clients: {:>9.0} rec/s (virtual)  recv {:>7} KiB  \
                  contexts {:>7}  miss {:>5.1}%  ({} ms wall)",
@@ -787,7 +782,7 @@ fn run_fanin_sweep(cfg: &Config) -> FaninSweep {
             .rfind(|p| p.clients <= (cap as usize).min(1000))
     }
 
-    // 1. SRQ modes: broker posted-receive memory is O(1) in client count.
+    // 1. Broker posted-receive memory is O(1) in client count.
     for label in ["srq", "srq_mux"] {
         let m = by(label);
         let lo = m.points.iter().map(|p| p.recv_buf_peak).min().unwrap_or(0);
@@ -799,34 +794,10 @@ fn run_fanin_sweep(cfg: &Config) -> FaninSweep {
             ));
         }
     }
-    // 2. Per-QP mode: posted-receive memory is O(clients) — the baseline the
-    //    SRQ exists to fix. (Checked whenever the range spans >= 10x.)
-    let per_qp = by("per_qp");
-    if let (Some(first), Some(last)) = (per_qp.points.first(), per_qp.points.last()) {
-        if last.clients >= first.clients * 10 && last.recv_buf_peak < first.recv_buf_peak * 10 {
-            failures.push(format!(
-                "per_qp: broker recv-buffer peak is not O(clients) \
-                 ({} bytes at {} clients vs {} bytes at {} clients)",
-                first.recv_buf_peak, first.clients, last.recv_buf_peak, last.clients
-            ));
-        }
-    }
-    // 3. Past the knee, per-QP throughput degrades (QP-context cache
-    //    thrashing) while SRQ+mux retains >= 80% of its reference.
-    if let Some(worst) = per_qp.points.last().filter(|p| p.clients > cap as usize) {
-        if let Some(base) = reference(per_qp, cap) {
-            let ratio = worst.records_per_sec() / base.records_per_sec();
-            if ratio >= FANIN_RETENTION_MIN {
-                failures.push(format!(
-                    "per_qp: expected cache-knee degradation past {cap} QPs, but \
-                     {} clients still run at {:.0}% of the {}-client rate",
-                    worst.clients,
-                    ratio * 100.0,
-                    base.clients
-                ));
-            }
-        }
-        let mux = by("srq_mux");
+    // 2. Past the knee, SRQ+mux retains >= 80% of its reference (dedicated
+    //    contexts thrash the QP-context cache; the table shows by how much).
+    let mux = by("srq_mux");
+    if mux.points.last().is_some_and(|p| p.clients > cap as usize) {
         if let Some(base) = reference(mux, cap) {
             for p in mux.points.iter().filter(|p| p.clients >= 10_000) {
                 let ratio = p.records_per_sec() / base.records_per_sec();
@@ -900,7 +871,6 @@ fn json_fanin(s: &FaninSweep) -> String {
             "{{\n",
             "    \"clients\": \"{}..{}\",\n",
             "    \"partitions\": {},\n",
-            "    \"recv_depth\": {},\n",
             "    \"srq_depth\": {},\n",
             "    \"nic_cache_qps\": {},\n",
             "    \"retention_floor\": {:.2},\n",
@@ -912,7 +882,6 @@ fn json_fanin(s: &FaninSweep) -> String {
         s.min,
         s.max,
         FANIN_PARTITIONS,
-        FANIN_RECV_DEPTH,
         s.srq_depth,
         s.nic_cache_qps,
         FANIN_RETENTION_MIN,
@@ -1350,7 +1319,6 @@ fn json_cold_fetch(cold: &ColdFetchResult) -> String {
 fn write_json(
     cfg: &Config,
     rdma: &PathResult,
-    srq: &PathResult,
     tiered: &PathResult,
     tcp: &PathResult,
     tcp_1mib: &TcpSendCheck,
@@ -1373,7 +1341,6 @@ fn write_json(
             "  }},\n",
             "  \"datapaths\": {{\n",
             "    \"rdma_exclusive\": {},\n",
-            "    \"rdma_srq\": {},\n",
             "    \"rdma_tiered\": {},\n",
             "    \"tcp\": {}\n",
             "  }},\n",
@@ -1411,7 +1378,6 @@ fn write_json(
         cfg.window,
         cfg.record_size,
         json_path(rdma),
-        json_path(srq),
         json_path(tiered),
         json_path(tcp),
         tcp_1mib.payload_bytes,
@@ -1455,7 +1421,6 @@ fn summary_row(r: &PathResult) -> String {
 fn write_summary(
     cfg: &Config,
     rdma: &PathResult,
-    srq: &PathResult,
     tiered: &PathResult,
     tcp: &PathResult,
     tcp_1mib: &TcpSendCheck,
@@ -1475,13 +1440,10 @@ fn write_summary(
     md.push_str("| datapath | records | records/s (wall) | ns/record (wall) | polls/record | allocs/record |\n");
     md.push_str("|---|---|---|---|---|---|\n");
     md.push_str(&summary_row(rdma));
-    md.push_str(&summary_row(srq));
     md.push_str(&summary_row(tiered));
     md.push_str(&summary_row(tcp));
     md.push_str(
-        "\n`rdma_srq` is the identical exclusive-RDMA loop with the broker's \
-         shared receive queue enabled (DESIGN.md §13) — held to the same \
-         budgets. `rdma_tiered` is the same loop over the file-backed \
+        "\n`rdma_tiered` is the exclusive-RDMA loop over the file-backed \
          tiered store (EveryMs(5) flushing): the hot tier shares the memory \
          path's allocation and scheduling budgets.\n",
     );
@@ -1515,15 +1477,16 @@ fn write_summary(
     md.push_str(&format!(
         "\nFan-in connection scaling (DESIGN.md §13): {}..{} shared-mode \
          RDMA producers (one QP each) over {} partitions against one broker, \
-         NIC QP-context cache capacity {} (knee), SRQ depth {}, per-QP \
-         recv depth {}. Throughput is **virtual-time** records/s over the \
-         produce phase:\n\n",
+         NIC QP-context cache capacity {} (knee), SRQ depth {}; `srq` pins \
+         one NIC context per connection, `srq_mux` multiplexes them over {}. \
+         Throughput is **virtual-time** records/s over the produce \
+         phase:\n\n",
         fanin.min,
         fanin.max,
         FANIN_PARTITIONS,
         fanin.nic_cache_qps,
         fanin.srq_depth,
-        FANIN_RECV_DEPTH,
+        FANIN_MUX_POOL,
     ));
     md.push_str(
         "| mode | clients | records/s (virtual) | broker recv KiB (peak) | QP contexts (peak) | NIC cache miss |\n|---|---|---|---|---|---|\n",
@@ -1543,10 +1506,9 @@ fn write_summary(
     }
     if fanin.failures.is_empty() {
         md.push_str(&format!(
-            "\nScaling contract: SRQ recv memory O(1) in clients, per-QP \
-             recv memory O(clients), per-QP throughput degrades past the \
-             knee, SRQ+mux retains >= {:.0}% of its below-knee rate at \
-             >= 10k clients — **PASS**.\n",
+            "\nScaling contract: broker recv memory O(1) in clients, SRQ+mux \
+             retains >= {:.0}% of its below-knee rate at >= 10k clients — \
+             **PASS**.\n",
             FANIN_RETENTION_MIN * 100.0
         ));
     } else {
@@ -1702,23 +1664,8 @@ fn main() {
         &cfg,
         None,
         None,
-        None,
     );
     print_path(&rdma);
-
-    // The same exclusive-RDMA loop with the broker's shared receive queue
-    // enabled: below the NIC cache knee the SRQ datapath must match the
-    // per-QP schedule, so it is held to the identical alloc/poll budgets.
-    let srq = run_produce(
-        "rdma_srq",
-        SystemKind::KafkaDirect,
-        ProducerMode::RdmaExclusive,
-        &cfg,
-        None,
-        Some(kafkadirect::ConnMode::Srq),
-        None,
-    );
-    print_path(&srq);
 
     // The same loop over the durable tier: the active segment stays
     // MR-registered in memory, so RDMA produce must not get slower per
@@ -1735,12 +1682,11 @@ fn main() {
         &cfg,
         Some(tiered_storage),
         None,
-        None,
     );
     std::fs::remove_dir_all(&tiered_dir).ok();
     print_path(&tiered);
 
-    let tcp = run_produce("tcp", SystemKind::Kafka, ProducerMode::Rpc, &cfg, None, None, None);
+    let tcp = run_produce("tcp", SystemKind::Kafka, ProducerMode::Rpc, &cfg, None, None);
     print_path(&tcp);
     let tcp_1mib = run_tcp_1mib();
     println!(
@@ -1821,7 +1767,6 @@ fn main() {
             ProducerMode::RdmaExclusive,
             &scfg,
             None,
-            None,
             Some(if sampled { 100 } else { 3_600_000_000 }),
         )
     };
@@ -1879,8 +1824,8 @@ fn main() {
         sampler_alloc_allowance,
     );
 
-    // Fan-in connection-scaling sweep: the three receive-provisioning modes
-    // across log-spaced client counts (virtual-time throughput + broker
+    // Fan-in connection-scaling sweep: the two connection sizings across
+    // log-spaced client counts (virtual-time throughput + broker
     // receive-memory + modeled NIC cache pressure). Runs LAST on purpose:
     // its 10k–100k-client points churn hundreds of MiB of heap, and the
     // wall-clock sampler comparisons above are sensitive to allocator state
@@ -1889,8 +1834,6 @@ fn main() {
 
     let rdma_ok = rdma.allocs_per_record() <= RDMA_ALLOC_BUDGET;
     let polls_ok = rdma.polls_per_record() <= RDMA_POLLS_BUDGET;
-    let srq_alloc_ok = srq.allocs_per_record() <= RDMA_ALLOC_BUDGET;
-    let srq_polls_ok = srq.polls_per_record() <= RDMA_POLLS_BUDGET;
     let tiered_alloc_ok = tiered.allocs_per_record() <= RDMA_ALLOC_BUDGET;
     let tiered_polls_ok = tiered.polls_per_record() <= RDMA_POLLS_BUDGET;
     let tcp_send_ok = tcp_1mib.allocs < tcp_1mib.packets;
@@ -1908,8 +1851,6 @@ fn main() {
     let fanin_ok = fanin.failures.is_empty();
     let pass = rdma_ok
         && polls_ok
-        && srq_alloc_ok
-        && srq_polls_ok
         && tiered_alloc_ok
         && tiered_polls_ok
         && tcp_send_ok
@@ -1919,10 +1860,10 @@ fn main() {
         && fanin_ok;
 
     write_json(
-        &cfg, &rdma, &srq, &tiered, &tcp, &tcp_1mib, &cold, &sampler, &sweep, &fanin, pass,
+        &cfg, &rdma, &tiered, &tcp, &tcp_1mib, &cold, &sampler, &sweep, &fanin, pass,
     );
     write_summary(
-        &cfg, &rdma, &srq, &tiered, &tcp, &tcp_1mib, &cold, &sampler, &sweep, &fanin, pass,
+        &cfg, &rdma, &tiered, &tcp, &tcp_1mib, &cold, &sampler, &sweep, &fanin, pass,
     );
     println!("# wrote {} and {}", cfg.out, cfg.summary);
 
@@ -1948,14 +1889,6 @@ fn main() {
         eprintln!(
             "kdperf: FAIL — tiered RDMA produce needs {:.2} executor polls/record (budget {RDMA_POLLS_BUDGET})",
             tiered.polls_per_record()
-        );
-    }
-    if !srq_alloc_ok || !srq_polls_ok {
-        eprintln!(
-            "kdperf: FAIL — SRQ-enabled RDMA produce at {:.3} allocs/record / {:.2} polls/record \
-             (budgets {RDMA_ALLOC_BUDGET} / {RDMA_POLLS_BUDGET})",
-            srq.allocs_per_record(),
-            srq.polls_per_record()
         );
     }
     if !tcp_send_ok {

@@ -42,8 +42,6 @@ pub struct ProduceOpts {
     pub segment_size: u32,
     /// Storage backend; `None` = the in-memory default.
     pub storage: Option<kdstorage::StorageConfig>,
-    /// Produce-connection receive provisioning; `None` = per-QP default.
-    pub conn_mode: Option<kafkadirect::ConnMode>,
 }
 
 impl ProduceOpts {
@@ -61,7 +59,6 @@ impl ProduceOpts {
             api_workers: None,
             segment_size: 32 * 1024 * 1024,
             storage: None,
-            conn_mode: None,
         }
     }
 }
@@ -74,7 +71,6 @@ fn cluster_options(opts: &ProduceOpts) -> ClusterOptions {
         },
         api_workers: opts.api_workers,
         storage: opts.storage.clone(),
-        conn_mode: opts.conn_mode,
         ..Default::default()
     }
 }

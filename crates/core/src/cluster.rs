@@ -49,19 +49,15 @@ pub struct ClusterOptions {
     pub api_workers: Option<usize>,
     /// Overrides the RDMA completion-poller thread count.
     pub rdma_pollers: Option<usize>,
-    /// Overrides the CQ drain batch size (`1` reproduces the
-    /// one-completion-per-wakeup loop bit for bit).
+    /// Overrides the CQ drain batch size (`1` is the
+    /// one-completion-per-wakeup loop).
     pub cq_batch: Option<usize>,
-    /// Overrides the produce-connection receive provisioning (per-QP
-    /// queues, a shared receive queue, or SRQ + QP multiplexing —
-    /// DESIGN.md §13).
-    pub conn_mode: Option<kdbroker::ConnMode>,
-    /// Overrides the SRQ depth (SRQ modes only).
+    /// Overrides the depth of the brokers' shared produce receive queue
+    /// (DESIGN.md §13).
     pub srq_depth: Option<usize>,
-    /// Overrides the multiplexed lending-pool size (`SrqMux` only).
+    /// Overrides the multiplexed lending-pool size (`0`, the default:
+    /// every accepted produce QP pins its own NIC context).
     pub mux_pool: Option<usize>,
-    /// Overrides the per-QP receive depth (`PerQp` mode only).
-    pub recv_depth: Option<usize>,
     /// Continuous telemetry for every broker (virtual-time sampler + health
     /// watchdog); `None` (default) runs brokers exactly as before.
     pub observe: Option<kdbroker::ObserveConfig>,
@@ -89,10 +85,8 @@ impl Default for ClusterOptions {
             api_workers: None,
             rdma_pollers: None,
             cq_batch: None,
-            conn_mode: None,
             srq_depth: None,
             mux_pool: None,
-            recv_depth: None,
             observe: None,
             storage: None,
             placement: None,
@@ -140,17 +134,11 @@ impl SimCluster {
         if let Some(b) = opts.cq_batch {
             config = config.with_cq_batch(b);
         }
-        if let Some(m) = opts.conn_mode {
-            config = config.with_conn_mode(m);
-        }
         if let Some(d) = opts.srq_depth {
             config = config.with_srq_depth(d);
         }
         if let Some(p) = opts.mux_pool {
             config = config.with_mux_pool(p);
-        }
-        if let Some(d) = opts.recv_depth {
-            config = config.with_recv_depth(d);
         }
         if let Some(o) = opts.observe.clone() {
             config = config.with_observe(o);

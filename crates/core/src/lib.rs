@@ -40,7 +40,7 @@ pub use shardsim::{run_sharded_groups, GroupCtx, GroupOutcome, ShardedRun};
 pub use systems::SystemKind;
 
 // Re-export the component crates under one roof.
-pub use kdbroker::{Broker, BrokerConfig, ConnMode, ObserveConfig, RdmaToggles, Transport};
+pub use kdbroker::{Broker, BrokerConfig, ObserveConfig, RdmaToggles, Transport};
 pub use kdclient::{
     Admin, ClientTransport, MultiRdmaConsumer, RdmaConsumer, RdmaProducer, TcpConsumer,
     TcpProducer,

@@ -18,9 +18,9 @@ use sim::sync::oneshot;
 use crate::broker::BrokerInner;
 use crate::data::{DeferredAck, Partition};
 use crate::rdma_consume::{self, SlotRef};
-use crate::rdma_net::send_ack;
+use crate::rdma_net::{send_acks, Ack};
 use crate::rdma_produce::Grant;
-use crate::requests::{AckRoute, CommitItem, WorkItem};
+use crate::requests::{AckRoute, CommitItem, CommitRun, WorkItem};
 
 /// Cost of trivial control-plane requests (metadata, offsets, grants).
 const CONTROL_COST: Duration = Duration::from_micros(3);
@@ -34,6 +34,7 @@ pub async fn charge_worker(b: &Rc<BrokerInner>, cost: Duration) {
 
 /// One API worker thread.
 pub async fn worker_loop(b: Rc<BrokerInner>) {
+    let mut scratch = CommitScratch::default();
     loop {
         let item = match b.queue.try_recv() {
             Some(i) => i,
@@ -49,11 +50,11 @@ pub async fn worker_loop(b: Rc<BrokerInner>) {
         if !b.alive.get() {
             return; // crashed: the item dies unanswered
         }
-        dispatch(&b, item).await;
+        dispatch(&b, item, &mut scratch).await;
     }
 }
 
-async fn dispatch(b: &Rc<BrokerInner>, item: WorkItem) {
+async fn dispatch(b: &Rc<BrokerInner>, item: WorkItem, scratch: &mut CommitScratch) {
     let start = sim::now();
     match item {
         WorkItem::Rpc {
@@ -89,35 +90,8 @@ async fn dispatch(b: &Rc<BrokerInner>, item: WorkItem) {
                 s.end();
             }
         }
-        WorkItem::RdmaCommit {
-            file_id,
-            order,
-            byte_len,
-            seq,
-            ack,
-            trace,
-        } => {
-            let tspan = trace.map(|ctx| b.telem.registry.trace_span("broker.rdma_commit", Some(ctx)));
-            let span = if tspan.is_none() {
-                Some(b.telem.registry.span("broker.rdma_commit"))
-            } else {
-                None
-            };
-            let ctx = tspan.as_ref().map(|s| s.ctx());
-            handle_rdma_commit(b, file_id, order, byte_len, seq, ack, ctx).await;
-            b.telem.rdma_commit_ns.record_since(start);
-            if let Some(s) = tspan {
-                s.end();
-            }
-            if let Some(s) = span {
-                s.end();
-            }
-        }
-        WorkItem::RdmaCommitBatch { file_id, items } => {
-            let span = b.telem.registry.span("broker.rdma_commit_batch");
-            handle_rdma_commit_batch(b, file_id, items).await;
-            b.telem.rdma_commit_ns.record_since(start);
-            span.end();
+        WorkItem::RdmaCommit { file_id, seq, run } => {
+            commit_run(b, file_id, seq, run, scratch).await
         }
     }
 }
@@ -983,11 +957,9 @@ async fn produce_via_shared(
     // Join the completion-ordered commit stream at the current sequence.
     let seq = g.next_seq.get();
     g.next_seq.set(seq + 1);
-    let item = WorkItem::RdmaCommit {
-        file_id: g.file_id,
+    let item = CommitItem {
         order: w.order,
         byte_len: len as u32,
-        seq,
         ack: AckRoute::Rpc(reply),
         trace: ctx,
     };
@@ -1004,160 +976,102 @@ struct SpanInfo {
     next_offset: u64,
 }
 
-async fn handle_rdma_commit(
+/// Worker-owned scratch of [`commit_run`]; capacity is retained, so a run
+/// of one allocates nothing.
+#[derive(Default)]
+pub struct CommitScratch {
+    /// Per-lifeline commit spans of the run's traced items.
+    traced: Vec<kdtelem::TraceSpan>,
+    /// The spans the run makes committable, in commit order.
+    spans: Vec<CommitItem>,
+    results: Vec<Result<SpanInfo, ErrorCode>>,
+    acks: Vec<Ack>,
+}
+
+/// Commits a run of n ≥ 1 consecutive-sequence completions on one file in a
+/// single worker pass, under one `broker.rdma_commit` span per traced
+/// lifeline (untraced runs keep the classic duration-only span).
+async fn commit_run(
     b: &Rc<BrokerInner>,
     file_id: u16,
-    order: u16,
-    byte_len: u32,
     seq: u64,
-    ack: AckRoute,
-    ctx: Option<kdtelem::TraceCtx>,
+    mut run: CommitRun,
+    scratch: &mut CommitScratch,
 ) {
+    let start = sim::now();
+    for item in run.iter_mut() {
+        if let Some(ctx) = item.trace {
+            let span = b.telem.registry.trace_span("broker.rdma_commit", Some(ctx));
+            // The commit continues the producer's lifeline in a child span.
+            item.trace = Some(span.ctx());
+            scratch.traced.push(span);
+        }
+    }
+    let span = scratch
+        .traced
+        .is_empty()
+        .then(|| b.telem.registry.span("broker.rdma_commit"));
+    commit_spans(b, file_id, seq, run, scratch).await;
+    b.telem.rdma_commit_ns.record_since(start);
+    scratch.traced.drain(..).for_each(kdtelem::TraceSpan::end);
+    drop(span);
+}
+
+/// The one commit path (§4.2.2): the per-file chain is claimed once for the
+/// whole run (its sequences are consecutive, so passing the first ticket
+/// owns them all), shared-mode completions pass through the Fig 5 reorder
+/// buffer, the write lock is taken once, the verify CPU charged as one
+/// summed sleep, every committable span committed in order, and the acks
+/// leave in commit order — same-QP acks on one doorbell.
+async fn commit_spans(
+    b: &Rc<BrokerInner>,
+    file_id: u16,
+    seq: u64,
+    run: CommitRun,
+    scratch: &mut CommitScratch,
+) {
+    let CommitScratch { spans, results, acks, .. } = scratch;
+    let next_seq = seq + run.len() as u64;
     let Some((tp, grant)) = b.produce_module.lookup(file_id) else {
-        ack_error(b, ack, ErrorCode::AccessDenied);
+        run.into_iter()
+            .for_each(|it| deliver_ack(b, it.ack, ErrorCode::AccessDenied, 0));
         return;
     };
     // Enforce completion-order processing per file (§4.2.2).
     grant.chain.wait_turn(seq).await;
     let p = b.store.get(&tp).expect("grant partition exists");
     if grant.closed.get() {
-        grant.chain.advance(seq);
-        ack_error(b, ack, ErrorCode::OutOfSpace);
+        grant.chain.advance_to(next_seq);
+        run.into_iter()
+            .for_each(|it| deliver_ack(b, it.ack, ErrorCode::OutOfSpace, 0));
         return;
     }
-    let ready = match grant.mode {
-        // Shared-mode fast path: an in-order completion with no parked
-        // successors commits inline exactly like an exclusive one — no
-        // `ready` vector, no reorder bookkeeping.
-        ProduceMode::Shared if !grant.shared_fast_path(order) => {
-            grant.on_shared_arrival(order, byte_len, ack, ctx)
-        }
-        _ => {
-            // Exclusive/replication/in-order-shared fast path: exactly one
-            // span per completion and no reorder buffer, so commit inline
-            // without building the intermediate vectors. Same sequence of
-            // awaits and side effects as the general path below.
-            let res = {
-                let _guard = p.write_lock.lock().await;
-                if grant.closed.get() {
-                    Err(ErrorCode::OutOfSpace)
-                } else {
-                    charge_worker(
-                        b,
-                        b.profile.cpu.api_produce_base
-                            + copy_time(u64::from(byte_len), b.profile.cpu.crc_bandwidth),
-                    )
-                    .await;
-                    commit_span(b, &p, &grant, byte_len)
-                }
-            };
-            grant.chain.advance(seq);
-            match res {
-                Ok(span) => {
-                    b.metrics.add(&b.metrics.rdma_commits, 1);
-                    b.metrics.add(&b.metrics.rdma_commit_bytes, u64::from(byte_len));
-                    trace_commit(b, ctx, &tp, span.base_offset, span.next_offset);
-                    finish_rdma_ack(b, &p, &grant, span, ack);
-                    after_local_commit(b, &p);
-                    charge_storage(b, &p).await;
-                }
-                Err(code) => ack_error(b, ack, code),
+    for item in run {
+        if grant.shared.is_none() {
+            spans.push(item);
+        } else {
+            let order = item.order;
+            if !grant.on_shared_arrival(item, spans) {
+                // Parked out-of-order: arm the hole timeout (§4.2.2).
+                arm_order_timeout(b, &p, &grant, order);
             }
-            return;
         }
-    };
-    if ready.is_empty() {
-        // Parked out-of-order: arm the hole timeout (§4.2.2).
-        arm_order_timeout(b, &p, &grant, order);
-        grant.chain.advance(seq);
+    }
+    if spans.is_empty() {
+        grant.chain.advance_to(next_seq);
         return;
     }
-    let mut results = Vec::with_capacity(ready.len());
     {
         let _guard = p.write_lock.lock().await;
-        for (len, route, trace) in ready {
-            if grant.closed.get() {
-                results.push((Err(ErrorCode::OutOfSpace), route, trace, len));
-                continue;
-            }
+        if !grant.closed.get() {
             // Verify in place: CRC over bytes already in the file; no copy.
-            charge_worker(
-                b,
-                b.profile.cpu.api_produce_base
-                    + copy_time(u64::from(len), b.profile.cpu.crc_bandwidth),
-            )
-            .await;
-            let res = commit_span(b, &p, &grant, len);
-            results.push((res, route, trace, len));
+            let cpu = &b.profile.cpu;
+            let verify = |it: &CommitItem| {
+                cpu.api_produce_base + copy_time(u64::from(it.byte_len), cpu.crc_bandwidth)
+            };
+            charge_worker(b, spans.iter().map(verify).sum()).await;
         }
-    }
-    grant.chain.advance(seq);
-    let mut committed = false;
-    for (res, route, trace, len) in results {
-        match res {
-            Ok(span) => {
-                committed = true;
-                b.metrics.add(&b.metrics.rdma_commits, 1);
-                b.metrics.add(&b.metrics.rdma_commit_bytes, u64::from(len));
-                trace_commit(b, trace, &tp, span.base_offset, span.next_offset);
-                finish_rdma_ack(b, &p, &grant, span, route);
-            }
-            Err(code) => ack_error(b, route, code),
-        }
-    }
-    if committed {
-        after_local_commit(b, &p);
-        charge_storage(b, &p).await;
-    }
-}
-
-/// Commits a run of consecutive-sequence completions on one non-shared
-/// file in a single worker pass: the per-file chain is claimed once for the
-/// whole run, the write lock taken once, the verify CPU charged as one
-/// amortised sleep, and the resulting same-QP acks ride one doorbell
-/// through `send_ack_chained`. Per-commit semantics — span accounting,
-/// closed/out-of-space handling, revocation on corruption, replication
-/// deferral — match the per-item path; only the park/wake and doorbell
-/// bookkeeping is amortised. Shared-mode grants never reach here (the
-/// poller keeps them per-item for the Fig 5 reorder machinery).
-async fn handle_rdma_commit_batch(b: &Rc<BrokerInner>, file_id: u16, items: Vec<CommitItem>) {
-    let Some((tp, grant)) = b.produce_module.lookup(file_id) else {
-        for it in items {
-            ack_error(b, it.ack, ErrorCode::AccessDenied);
-        }
-        return;
-    };
-    let first_seq = items[0].seq;
-    let last_seq = items[items.len() - 1].seq;
-    // Claim the whole run on the completion-order chain (§4.2.2): the run's
-    // sequences are consecutive, so passing the first ticket owns them all.
-    grant.chain.wait_turn(first_seq).await;
-    let p = b.store.get(&tp).expect("grant partition exists");
-    if grant.closed.get() {
-        grant.chain.advance_to(last_seq + 1);
-        for it in items {
-            ack_error(b, it.ack, ErrorCode::OutOfSpace);
-        }
-        return;
-    }
-    // Each producer's lifeline gets its own commit span over the batch.
-    let spans: Vec<_> = items
-        .iter()
-        .map(|it| {
-            it.trace
-                .map(|ctx| b.telem.registry.trace_span("broker.rdma_commit", Some(ctx)))
-        })
-        .collect();
-    let mut results = Vec::with_capacity(items.len());
-    {
-        let _guard = p.write_lock.lock().await;
-        let mut cost = Duration::ZERO;
-        for it in &items {
-            cost += b.profile.cpu.api_produce_base
-                + copy_time(u64::from(it.byte_len), b.profile.cpu.crc_bandwidth);
-        }
-        charge_worker(b, cost).await;
-        for it in &items {
+        for it in spans.iter() {
             results.push(if grant.closed.get() {
                 Err(ErrorCode::OutOfSpace)
             } else {
@@ -1165,12 +1079,9 @@ async fn handle_rdma_commit_batch(b: &Rc<BrokerInner>, file_id: u16, items: Vec<
             });
         }
     }
-    grant.chain.advance_to(last_seq + 1);
+    grant.chain.advance_to(next_seq);
     let mut committed = false;
-    // Immediate success acks, coalesced into one doorbell per QP below.
-    let mut chained: Vec<(u32, u64)> = Vec::with_capacity(results.len());
-    let single_replica = p.replication_factor() <= 1;
-    for (it, res) in items.into_iter().zip(results) {
+    for (it, res) in spans.drain(..).zip(results.drain(..)) {
         match res {
             Ok(span) => {
                 committed = true;
@@ -1178,37 +1089,16 @@ async fn handle_rdma_commit_batch(b: &Rc<BrokerInner>, file_id: u16, items: Vec<
                 b.metrics
                     .add(&b.metrics.rdma_commit_bytes, u64::from(it.byte_len));
                 trace_commit(b, it.trace, &tp, span.base_offset, span.next_offset);
-                match grant.mode {
-                    ProduceMode::Replication => {
-                        // Follower side of push replication (§4.3.2): the
-                        // credit returns on the chained doorbell.
-                        p.follower_set_hw(p.log.next_offset());
-                        on_hw_advanced(b, &p);
-                        if let AckRoute::Qp(qpn) = it.ack {
-                            chained.push((qpn, span.next_offset));
-                        }
-                    }
-                    _ if single_replica => match it.ack {
-                        AckRoute::Qp(qpn) => chained.push((qpn, span.base_offset)),
-                        route => deliver_ack(b, route, ErrorCode::None, span.base_offset),
-                    },
-                    // Replicated leader: the ack waits off-worker for the
-                    // high watermark, exactly as per-item commits do.
-                    _ => finish_rdma_ack(b, &p, &grant, span, it.ack),
-                }
+                finish_rdma_ack(b, &p, &grant, span, it.ack, acks);
             }
-            Err(code) => ack_error(b, it.ack, code),
+            Err(code) => queue_ack(b, acks, it.ack, code, 0),
         }
     }
-    if !chained.is_empty() {
-        crate::rdma_net::send_ack_chained(b, &mut chained);
-    }
+    send_acks(b, acks);
+    acks.clear();
     if committed {
         after_local_commit(b, &p);
         charge_storage(b, &p).await;
-    }
-    for s in spans.into_iter().flatten() {
-        s.end();
     }
 }
 
@@ -1253,14 +1143,15 @@ fn commit_span(
     })
 }
 
-/// Sends the produce result to its origin, deferring until full replication
-/// where required.
+/// Routes a committed span's result to its origin: a replication credit, a
+/// deferral until full replication, or the produce ack.
 fn finish_rdma_ack(
     b: &Rc<BrokerInner>,
     p: &Rc<Partition>,
     grant: &Rc<Grant>,
     span: SpanInfo,
     route: AckRoute,
+    acks: &mut Vec<Ack>,
 ) {
     match grant.mode {
         ProduceMode::Replication => {
@@ -1268,9 +1159,7 @@ fn finish_rdma_ack(
             // return a credit to the leader (§4.3.2).
             p.follower_set_hw(p.log.next_offset());
             on_hw_advanced(b, p);
-            if let AckRoute::Qp(qpn) = route {
-                send_ack(b, qpn, ErrorCode::None, span.next_offset);
-            }
+            queue_ack(b, acks, route, ErrorCode::None, span.next_offset);
         }
         // Replicated leader: the ack leaves from `on_hw_advanced`, once the
         // followers have the span.
@@ -1281,13 +1170,23 @@ fn finish_rdma_ack(
                 route,
             });
         }
-        _ => deliver_ack(b, route, ErrorCode::None, span.base_offset),
+        _ => queue_ack(b, acks, route, ErrorCode::None, span.base_offset),
+    }
+}
+
+/// A commit result on its way out: QP acks collect in `acks` — the caller
+/// posts them together, in order, through [`send_acks`] — anything else is
+/// delivered now.
+fn queue_ack(b: &Rc<BrokerInner>, acks: &mut Vec<Ack>, route: AckRoute, error: ErrorCode, base_offset: u64) {
+    match route {
+        AckRoute::Qp(qpn) => acks.push((qpn, error, base_offset)),
+        route => deliver_ack(b, route, error, base_offset),
     }
 }
 
 fn deliver_ack(b: &Rc<BrokerInner>, route: AckRoute, error: ErrorCode, base_offset: u64) {
     match route {
-        AckRoute::Qp(qpn) => send_ack(b, qpn, error, base_offset),
+        AckRoute::Qp(qpn) => send_acks(b, &[(qpn, error, base_offset)]),
         AckRoute::Rpc(reply) => send(
             reply,
             Response::Produce {
@@ -1297,10 +1196,6 @@ fn deliver_ack(b: &Rc<BrokerInner>, route: AckRoute, error: ErrorCode, base_offs
         ),
         AckRoute::None => {}
     }
-}
-
-fn ack_error(b: &Rc<BrokerInner>, route: AckRoute, error: ErrorCode) {
-    deliver_ack(b, route, error, 0);
 }
 
 /// Arms the §4.2.2 hole watchdog: if `order` is still parked when the
@@ -1329,7 +1224,7 @@ fn arm_order_timeout(b: &Rc<BrokerInner>, p: &Rc<Partition>, grant: &Rc<Grant>, 
 pub fn revoke_grant(b: &Rc<BrokerInner>, p: &Rc<Partition>, grant: &Rc<Grant>, error: ErrorCode) {
     let failed = b.produce_module.revoke(&b.nic, grant);
     for route in failed {
-        ack_error(b, route, error);
+        deliver_ack(b, route, error, 0);
     }
     if let Some(seg) = p.log.segment(grant.segment) {
         if !seg.is_sealed() {

@@ -13,7 +13,7 @@ use sim::sync::mpmc::WorkQueue;
 use sim::sync::DueQueue;
 
 use crate::busy::ServicePool;
-use crate::config::{BrokerConfig, ConnMode, Transport};
+use crate::config::{BrokerConfig, Transport};
 use crate::data::PartitionStore;
 use crate::metrics::{BrokerTelem, Metrics, MetricsSnapshot};
 use crate::rdma_consume::ConsumeModule;
@@ -73,14 +73,6 @@ pub struct BrokerInner {
     pub consume_qps: RefCell<Vec<QueuePair>>,
     /// Shared receive CQ of the RDMA produce module (§4.1).
     pub recv_cq: CompletionQueue,
-    /// Shared receive queue of the produce module; `Some` in
-    /// [`ConnMode::Srq`]/[`ConnMode::SrqMux`], where every accepted
-    /// produce QP consumes from it instead of a per-QP receive queue
-    /// (DESIGN.md §13).
-    pub srq: Option<rnic::Srq>,
-    /// DCT-style lending pool; `Some` only in [`ConnMode::SrqMux`].
-    /// Accepted produce connections hold a lease for their lifetime.
-    pub mux_pool: Option<rnic::MuxPool>,
     /// Send CQ for (unsignaled) acks.
     pub ack_send_cq: CompletionQueue,
     /// Round-robin ring of pre-allocated 9-byte ack buffers (error byte +
@@ -193,25 +185,6 @@ impl Broker {
         let nic = RNic::new(node);
         let recv_cq = nic.create_cq(config.cq_capacity);
         let ack_send_cq = nic.create_cq(config.cq_capacity);
-        // Connection-scaling provisioning (DESIGN.md §13): SRQ modes post
-        // the broker's entire produce receive depth once, up front —
-        // accepted QPs consume from this pool instead of carrying
-        // `recv_depth` receives each.
-        let (srq, mux_pool) = match config.conn_mode {
-            ConnMode::PerQp => (None, None),
-            mode => {
-                let srq = nic.create_srq(config.srq_depth);
-                srq.post_recv_list((0..config.srq_depth).map(|i| rnic::RecvWr {
-                    wr_id: i as u64,
-                    buf: None,
-                }))
-                .expect("fresh SRQ accepts its initial posting");
-                let pool = mode
-                    .multiplexed()
-                    .then(|| rnic::MuxPool::new(&nic, config.mux_pool));
-                (Some(srq), pool)
-            }
-        };
         let metrics = Metrics::default();
         let net_pool = ServicePool::with_counter(
             config.net_threads,
@@ -263,8 +236,6 @@ impl Broker {
             produce_qps: RefCell::new(HashMap::new()),
             consume_qps: RefCell::new(Vec::new()),
             recv_cq,
-            srq,
-            mux_pool,
             ack_send_cq,
             ack_ring: (0..ACK_RING_DEPTH).map(|_| ShmBuf::zeroed(9)).collect(),
             ack_ring_next: Cell::new(0),

@@ -48,35 +48,6 @@ impl RdmaToggles {
     }
 }
 
-/// How the broker's RDMA produce module provisions receive state for its
-/// client connections — the connection-scaling axis (DESIGN.md §13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConnMode {
-    /// One receive queue per accepted QP, `recv_depth` buffers each:
-    /// broker recv memory is O(clients × recv_depth) and every client
-    /// pins a NIC QP context (the paper's 12-node configuration).
-    #[default]
-    PerQp,
-    /// One shared receive queue feeds every accepted produce QP:
-    /// `srq_depth` buffers total, O(1) in client count. QPs still pin
-    /// NIC contexts.
-    Srq,
-    /// SRQ plus DCT-style QP multiplexing: accepted connections borrow a
-    /// small lent QP pool (`mux_pool` contexts pinned once) instead of
-    /// pinning a context each — NIC cache footprint stays O(pool).
-    SrqMux,
-}
-
-impl ConnMode {
-    pub fn uses_srq(self) -> bool {
-        matches!(self, ConnMode::Srq | ConnMode::SrqMux)
-    }
-
-    pub fn multiplexed(self) -> bool {
-        self == ConnMode::SrqMux
-    }
-}
-
 /// Continuous-observability switches. `None` (the default) runs the broker
 /// exactly as before — no sampler task, no watchdog task, bit-identical
 /// schedules. When set, the broker starts a [`kdtelem::Sampler`] and a
@@ -141,19 +112,17 @@ pub struct BrokerConfig {
     /// Receive-CQ capacity of the RDMA produce module.
     pub cq_capacity: usize,
     /// Maximum completions one poller takes per CQ drain (`ibv_poll_cq`
-    /// batch size). `1` reproduces the pre-batching one-completion-per-
-    /// wakeup loop exactly (bit-identical schedules); larger values
-    /// amortise the wakeup and poll charges across the batch.
+    /// batch size). `1` is the one-completion-per-wakeup loop; larger
+    /// values amortise the wakeup and poll charges across the batch and
+    /// let same-file commits of one drain share a worker pass.
     pub cq_batch: usize,
-    /// Receives pre-posted per accepted produce QP.
-    pub recv_depth: usize,
-    /// Receive-state provisioning for produce connections (per-QP queues,
-    /// a shared receive queue, or SRQ + QP multiplexing).
-    pub conn_mode: ConnMode,
-    /// Buffers posted on the produce SRQ (SRQ modes only): the broker's
-    /// *total* produce receive depth, independent of client count.
+    /// Buffers posted on the shared receive queue every produce/replication
+    /// QP consumes from: the broker's *total* produce receive depth,
+    /// independent of client count (DESIGN.md §13).
     pub srq_depth: usize,
-    /// Lending QPs in the multiplexed pool (`SrqMux` only).
+    /// NIC contexts of the DCT-style lending pool accepted produce QPs
+    /// multiplex over. `0` (the paper's configuration) has every accepted
+    /// QP pin its own context instead.
     pub mux_pool: usize,
     /// Metadata slots per consumer (Fig 9 region size).
     pub slots_per_consumer: usize,
@@ -188,10 +157,8 @@ impl Default for BrokerConfig {
             shared_order_timeout: Duration::from_millis(2),
             cq_capacity: 8192,
             cq_batch: 16,
-            recv_depth: 256,
-            conn_mode: ConnMode::PerQp,
             srq_depth: 4096,
-            mux_pool: 8,
+            mux_pool: 0,
             slots_per_consumer: 64,
             osu_recv_buf: 1200 * 1024,
             osu_recv_depth: 8,
@@ -246,11 +213,6 @@ impl BrokerConfig {
         self
     }
 
-    pub fn with_conn_mode(mut self, conn_mode: ConnMode) -> Self {
-        self.conn_mode = conn_mode;
-        self
-    }
-
     pub fn with_srq_depth(mut self, srq_depth: usize) -> Self {
         assert!(srq_depth >= 1);
         self.srq_depth = srq_depth;
@@ -258,14 +220,7 @@ impl BrokerConfig {
     }
 
     pub fn with_mux_pool(mut self, mux_pool: usize) -> Self {
-        assert!(mux_pool >= 1);
         self.mux_pool = mux_pool;
-        self
-    }
-
-    pub fn with_recv_depth(mut self, recv_depth: usize) -> Self {
-        assert!(recv_depth >= 1);
-        self.recv_depth = recv_depth;
         self
     }
 

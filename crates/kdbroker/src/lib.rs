@@ -34,5 +34,5 @@ pub mod server_osu;
 pub mod server_tcp;
 
 pub use broker::Broker;
-pub use config::{BrokerConfig, ConnMode, ObserveConfig, RdmaToggles, Transport};
+pub use config::{BrokerConfig, ObserveConfig, RdmaToggles, Transport};
 pub use metrics::MetricsSnapshot;

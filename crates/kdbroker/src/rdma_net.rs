@@ -6,10 +6,11 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use rnic::{CqOpcode, Cqe, QpOptions, RdmaListener, RecvWr, SendWr, WorkRequest};
+use rnic::{CqOpcode, Cqe, MuxPool, QpOptions, RdmaListener, RecvWr, SendWr, Srq, WorkRequest};
 
 use crate::broker::BrokerInner;
-use crate::requests::{AckRoute, CommitItem, WorkItem};
+use crate::rdma_produce::Grant;
+use crate::requests::{AckRoute, CommitItem, CommitRun, WorkItem};
 
 /// Port offsets on top of `config.rdma_port`.
 pub const PRODUCE_PORT_OFF: u16 = 0;
@@ -23,25 +24,37 @@ pub const POLL_COST: Duration = Duration::from_nanos(500);
 
 pub fn start(b: &Rc<BrokerInner>) {
     start_handoff_stage(b);
-    start_produce_listener(b);
+    // Connection provisioning (DESIGN.md §13): the broker's entire produce
+    // receive depth is posted once, up front, on one shared receive queue;
+    // accepted QPs consume from it and the pollers return what they drain.
+    let srq = b.nic.create_srq(b.config.srq_depth);
+    srq.post_recv_list((0..b.config.srq_depth).map(|i| RecvWr {
+        wr_id: i as u64,
+        buf: None,
+    }))
+    .expect("fresh SRQ accepts its initial posting");
+    start_produce_listener(b, srq.clone());
     start_consume_listener(b);
     // CQEs taken per drain, across all pollers of this broker (the
     // amortisation signal gated by kdperf).
     let batch_hist = kdtelem::current().histogram("kdbroker", "cq.batch");
     for _ in 0..b.config.rdma_pollers {
         let b = Rc::clone(b);
-        let hist = batch_hist.clone();
-        sim::spawn(async move { poller_loop(b, hist).await });
+        let (srq, hist) = (srq.clone(), batch_hist.clone());
+        sim::spawn(async move { poller_loop(b, srq, hist).await });
     }
     // Drain the ack send CQ (acks are unsignaled; only errors complete).
     let ack_cq = b.ack_send_cq.clone();
     sim::spawn(async move { while ack_cq.next().await.is_some() {} });
 }
 
-/// Accepts produce/replication QPs: they share the broker receive CQ and get
-/// zero-length receives replenished by the pollers.
-fn start_produce_listener(b: &Rc<BrokerInner>) {
+/// Accepts produce/replication QPs: they share the broker receive CQ and
+/// the zero-length receives of `srq`.
+fn start_produce_listener(b: &Rc<BrokerInner>, srq: Srq) {
     let mut listener = RdmaListener::bind(&b.nic, b.config.rdma_port + PRODUCE_PORT_OFF);
+    // `mux_pool > 0`: accepted QPs time-share a lent pool of that many NIC
+    // contexts, pinned once here, instead of pinning one each.
+    let mux_pool = (b.config.mux_pool > 0).then(|| MuxPool::new(&b.nic, b.config.mux_pool));
     let b = Rc::clone(b);
     sim::spawn(async move {
         while let Some(inc) = listener.accept().await {
@@ -51,26 +64,14 @@ fn start_produce_listener(b: &Rc<BrokerInner>) {
                 b.ack_send_cq.clone(),
                 b.recv_cq.clone(),
                 QpOptions {
-                    srq: b.srq.clone(),
-                    multiplexed: b.config.conn_mode.multiplexed(),
+                    srq: Some(srq.clone()),
+                    multiplexed: mux_pool.is_some(),
                     ..QpOptions::default()
                 },
             );
-            if b.srq.is_none() {
-                // Per-QP mode: every connection gets its own pre-posted
-                // receive queue. SRQ modes posted the shared pool once in
-                // `Broker::start`.
-                for i in 0..b.config.recv_depth {
-                    let _ = qp.post_recv(RecvWr {
-                        wr_id: i as u64,
-                        buf: None,
-                    });
-                }
-            }
-            // A multiplexed connection time-shares the lent QP pool; the
-            // lease lives exactly as long as the connection (held by the
-            // disconnect watcher below).
-            let lease = b.mux_pool.as_ref().map(|pool| pool.lease());
+            // The lease lives exactly as long as the connection (held by
+            // the disconnect watcher below).
+            let lease = mux_pool.as_ref().map(|pool| pool.lease());
             let qpn = qp.qpn();
             b.produce_qps.borrow_mut().insert(qpn, qp.clone());
             // Watch for client failure: revoke produce grants held by that
@@ -109,20 +110,18 @@ fn start_consume_listener(b: &Rc<BrokerInner>) {
 /// `ibv_poll_cq` batch size): the whole batch is sequenced in one
 /// synchronous step, the wakeup is paid once, `POLL_COST` covers the first
 /// completion and `cqe_batch_marginal` each additional one, consumed
-/// receives are replenished with one chained `post_recv_list` per QP, and
-/// same-QP error acks ride one doorbell. With `cq_batch == 1` every step
-/// degenerates to the one-completion-per-iteration loop, bit for bit.
-async fn poller_loop(b: Rc<BrokerInner>, batch_hist: kdtelem::Histogram) {
+/// receives return to the SRQ in one chained post, consecutive same-file
+/// commits ship as one work item and same-QP error acks ride one doorbell.
+/// A batch of one degenerates to the one-completion-per-iteration loop.
+async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogram) {
     let wakeup = b.profile.cpu.wakeup;
     let marginal = b.profile.net.cqe_batch_marginal;
     let max_batch = b.config.cq_batch.max(1);
+    let produced = |cqe: &Cqe| cqe.ok() && cqe.opcode == CqOpcode::RecvRdmaWithImm;
     // Pooled per-poller scratch: steady-state batches allocate nothing.
     let mut batch: Vec<Cqe> = Vec::with_capacity(max_batch);
     let mut seqs: Vec<Option<u64>> = Vec::with_capacity(max_batch);
-    let mut replenish: Vec<(u32, u64)> = Vec::with_capacity(max_batch);
-    let mut err_acks: Vec<u32> = Vec::new();
-    let mut ack_wrs: Vec<SendWr> = Vec::new();
-    let mut staged: Vec<WorkItem> = Vec::with_capacity(max_batch);
+    let mut err_acks: Vec<Ack> = Vec::new();
     loop {
         if !b.alive.get() {
             return; // broker crashed
@@ -142,7 +141,7 @@ async fn poller_loop(b: Rc<BrokerInner>, batch_hist: kdtelem::Histogram) {
         // and the end of this loop.
         seqs.clear();
         for cqe in &batch {
-            let seq = if cqe.ok() && cqe.opcode == CqOpcode::RecvRdmaWithImm {
+            let seq = if produced(cqe) {
                 let (file_id, _) = kdwire::unpack_imm(cqe.imm.unwrap_or(0));
                 b.produce_module.lookup(file_id).map(|(_, grant)| {
                     let s = grant.next_seq.get();
@@ -161,152 +160,82 @@ async fn poller_loop(b: Rc<BrokerInner>, batch_hist: kdtelem::Histogram) {
             sim::time::sleep(wakeup).await;
         }
         sim::time::sleep(POLL_COST + marginal * (batch.len() as u32 - 1)).await;
-        // Replenish the consumed receives: one chained post per QP, or —
-        // in SRQ modes — one chained post back onto the shared queue
-        // (buffers return to the pool regardless of which QP consumed
-        // them, so a dead client never leaks receive state).
-        replenish.clear();
-        for cqe in &batch {
-            if cqe.ok() && cqe.opcode == CqOpcode::RecvRdmaWithImm {
-                replenish.push((cqe.qpn, cqe.wr_id));
-            }
-        }
-        if let Some(srq) = &b.srq {
-            if !replenish.is_empty() {
-                let _ = srq.post_recv_list(
-                    replenish
-                        .iter()
-                        .map(|&(_, wr_id)| RecvWr { wr_id, buf: None }),
-                );
-            }
-        } else {
-            replenish.sort_unstable();
-            let mut i = 0;
-            while i < replenish.len() {
-                let qpn = replenish[i].0;
-                let j = replenish[i..].partition_point(|&(q, _)| q == qpn) + i;
-                let qp = b.produce_qps.borrow().get(&qpn).cloned();
-                if let Some(qp) = qp {
-                    let _ = qp.post_recv_list(replenish[i..j].iter().map(|&(_, wr_id)| RecvWr {
-                        wr_id,
-                        buf: None,
-                    }));
-                }
-                i = j;
-            }
+        // Return the consumed receives to the shared queue in one chained
+        // post — whichever QP consumed them, so a dead client never leaks
+        // receive state.
+        let mut consumed = batch
+            .iter()
+            .filter(|cqe| produced(cqe))
+            .map(|cqe| RecvWr {
+                wr_id: cqe.wr_id,
+                buf: None,
+            })
+            .peekable();
+        if consumed.peek().is_some() {
+            let _ = srq.post_recv_list(consumed);
         }
         // Route each completion, still in drained order.
         err_acks.clear();
-        staged.clear();
+        let mut open = None;
         for (cqe, seq) in batch.iter().zip(&seqs) {
-            if !cqe.ok() || cqe.opcode != CqOpcode::RecvRdmaWithImm {
+            if !produced(cqe) {
                 continue; // flushed recv of a dead QP
             }
             let (file_id, order) = kdwire::unpack_imm(cqe.imm.unwrap_or(0));
             let Some(seq) = *seq else {
                 // Unknown file: answer with an error ack (coalesced below).
-                err_acks.push(cqe.qpn);
+                err_acks.push((cqe.qpn, kdwire::ErrorCode::AccessDenied, 0));
                 continue;
             };
-            let item = WorkItem::RdmaCommit {
-                file_id,
+            let item = CommitItem {
                 order,
                 byte_len: cqe.byte_len,
-                seq,
                 ack: AckRoute::Qp(cqe.qpn),
                 // The producer's lifeline rode in on the WriteImm's WR
                 // context.
                 trace: cqe.trace,
             };
             let (_, grant) = b.produce_module.lookup(file_id).expect("seq implies grant");
-            if max_batch == 1 {
-                // The one-CQE loop ships each commit through its own
-                // handoff task, exactly as before batching existed.
-                enqueue_in_order(&b, &grant, seq, item);
-            } else {
-                // Collect the in-order emission and group it below: a run
-                // of same-file commits becomes one work item.
-                grant.stage_enqueue(seq, item, &mut |item| staged.push(item));
-            }
+            grant.stage_enqueue(seq, item, &mut |seq, item| {
+                extend_or_hand_off(&b, &mut open, &grant, seq, item)
+            });
         }
-        if !staged.is_empty() {
-            hand_off_staged(&b, &mut staged);
+        if let Some(item) = open {
+            hand_off(&b, item);
         }
-        if !err_acks.is_empty() {
-            send_error_acks(&b, &mut err_acks, &mut ack_wrs);
-        }
+        send_acks(&b, &err_acks);
     }
 }
 
-/// Ships the batch's staged commits to the API workers, merging each run of
-/// same-file commits into one [`WorkItem::RdmaCommitBatch`] (one queue
-/// handoff, one lock/charge at the worker, one ack doorbell per QP).
-/// Shared-mode grants keep per-item work items: their reorder machinery
-/// (Fig 5) is driven per completion. Emission order — which is sequence
-/// order per grant — is preserved, so the shared request queue stays sorted
-/// and a lone worker never stalls behind a later commit.
-fn hand_off_staged(b: &Rc<BrokerInner>, staged: &mut Vec<WorkItem>) {
-    let mut run: Vec<CommitItem> = Vec::new();
-    let mut run_file: u16 = 0;
-    for item in staged.drain(..) {
-        match item {
-            WorkItem::RdmaCommit {
-                file_id,
-                order,
-                byte_len,
-                seq,
-                ack,
-                trace,
-            } if b
-                .produce_module
-                .lookup(file_id)
-                .is_none_or(|(_, g)| g.shared.is_none()) =>
-            {
-                if !run.is_empty() && run_file != file_id {
-                    flush_run(b, run_file, &mut run);
-                }
-                run_file = file_id;
-                run.push(CommitItem {
-                    order,
-                    byte_len,
-                    seq,
-                    ack,
-                    trace,
-                });
-            }
-            other => {
-                flush_run(b, run_file, &mut run);
-                hand_off(b, other);
+/// Appends a commit emitted in sequence order to the `open` work item when
+/// it continues that item's run (same file; emission order makes the
+/// sequences consecutive), else hands `open` off and opens a new one. One
+/// work item is one queue handoff, one lock/charge at the worker and one
+/// ack doorbell per QP. Shared-mode commits always ship alone: their
+/// reorder machinery (Fig 5) is driven per completion. Emission order —
+/// which is sequence order per grant — is preserved, so the shared request
+/// queue stays sorted and a lone worker never stalls behind a later commit.
+fn extend_or_hand_off(
+    b: &Rc<BrokerInner>,
+    open: &mut Option<WorkItem>,
+    grant: &Grant,
+    seq: u64,
+    item: CommitItem,
+) {
+    match open {
+        Some(WorkItem::RdmaCommit { file_id, run, .. })
+            if *file_id == grant.file_id && grant.shared.is_none() =>
+        {
+            run.push(item)
+        }
+        _ => {
+            let run = CommitRun::one(item);
+            let next = WorkItem::RdmaCommit { file_id: grant.file_id, seq, run };
+            if let Some(done) = open.replace(next) {
+                hand_off(b, done);
             }
         }
     }
-    flush_run(b, run_file, &mut run);
-}
-
-/// Hands one same-file run to the workers: a lone commit ships as the plain
-/// per-item work item (identical to the unbatched path), a longer run as
-/// one batch item.
-fn flush_run(b: &Rc<BrokerInner>, file_id: u16, run: &mut Vec<CommitItem>) {
-    if run.is_empty() {
-        return;
-    }
-    let item = if run.len() == 1 {
-        let it = run.pop().unwrap();
-        WorkItem::RdmaCommit {
-            file_id,
-            order: it.order,
-            byte_len: it.byte_len,
-            seq: it.seq,
-            ack: it.ack,
-            trace: it.trace,
-        }
-    } else {
-        WorkItem::RdmaCommitBatch {
-            file_id,
-            items: std::mem::take(run),
-        }
-    };
-    hand_off(b, item);
 }
 
 /// The 11 µs queue transfer to the API workers, overlapped across requests:
@@ -357,135 +286,49 @@ pub(crate) async fn drain_or_wait(
     Some(true)
 }
 
-/// Posts `AccessDenied` acks for the batch's unknown-file completions,
-/// chaining same-QP acks into one `post_send_list` (one doorbell per QP
-/// instead of one per ack).
-fn send_error_acks(b: &Rc<BrokerInner>, qpns: &mut [u32], wrs: &mut Vec<SendWr>) {
-    qpns.sort_unstable();
-    let mut i = 0;
-    while i < qpns.len() {
-        let qpn = qpns[i];
-        let j = qpns[i..].partition_point(|&q| q == qpn) + i;
-        let qp = b.produce_qps.borrow().get(&qpn).cloned();
-        if let Some(qp) = qp {
-            wrs.clear();
-            for _ in i..j {
-                let idx = b.ack_ring_next.get();
-                b.ack_ring_next.set((idx + 1) % b.ack_ring.len());
-                let buf = &b.ack_ring[idx];
-                buf.with_mut(|s| {
-                    s[0] = kdwire::ErrorCode::AccessDenied as u8;
-                    s[1..9].copy_from_slice(&0u64.to_le_bytes());
-                });
-                wrs.push(SendWr::unsignaled(
-                    0,
-                    WorkRequest::Send {
-                        local: buf.as_slice(),
-                    },
-                ));
-            }
-            let n = wrs.len();
-            let _ = qp.post_send_list(wrs.drain(..));
-            b.metrics.add(&b.metrics.acks_sent, n as u64);
-        }
-        i = j;
-    }
-}
-
-/// Stages `item` and hands any now-consecutive run to the API workers (the
-/// 11 µs queue transfer, overlapped across requests). Keeping the shared
-/// queue in sequence order is what lets a lone API worker make progress:
-/// a worker never waits on a commit that is still queued behind it.
-pub fn enqueue_in_order(
-    b: &Rc<BrokerInner>,
-    grant: &Rc<crate::rdma_produce::Grant>,
-    seq: u64,
-    item: WorkItem,
-) {
-    grant.stage_enqueue(seq, item, &mut |item| hand_off(b, item));
-}
-
-/// Sends a batch's success acks, chaining same-QP acks into one
-/// `post_send_list` (one doorbell per QP). `acks` is `(qpn, base_offset)`
-/// in commit order; the stable sort keeps per-QP ack order, which producers
-/// rely on (acks correlate FIFO per QP). Drains `acks`.
-pub fn send_ack_chained(b: &Rc<BrokerInner>, acks: &mut Vec<(u32, u64)>) {
-    acks.sort_by_key(|&(qpn, _)| qpn);
-    let mut wrs: Vec<SendWr> = Vec::with_capacity(acks.len());
-    let mut i = 0;
-    while i < acks.len() {
-        let qpn = acks[i].0;
-        let j = acks[i..].partition_point(|&(q, _)| q == qpn) + i;
-        let qp = b.produce_qps.borrow().get(&qpn).cloned();
-        if let Some(qp) = qp {
-            wrs.clear();
-            for &(_, base_offset) in &acks[i..j] {
-                let idx = b.ack_ring_next.get();
-                b.ack_ring_next.set((idx + 1) % b.ack_ring.len());
-                let buf = &b.ack_ring[idx];
-                buf.with_mut(|s| {
-                    s[0] = kdwire::ErrorCode::None as u8;
-                    s[1..9].copy_from_slice(&base_offset.to_le_bytes());
-                });
-                wrs.push(SendWr::unsignaled(
-                    0,
-                    WorkRequest::Send {
-                        local: buf.as_slice(),
-                    },
-                ));
-            }
-            let n = wrs.len();
-            let _ = qp.post_send_list(wrs.drain(..));
-            b.metrics.add(&b.metrics.acks_sent, n as u64);
-        }
-        i = j;
-    }
-    acks.clear();
-}
-
-/// Sends a produce acknowledgment (or replication credit return) on a
-/// client QP: `[error u8][base_offset u64]`, unsignaled.
-pub fn send_ack(b: &Rc<BrokerInner>, qpn: u32, error: kdwire::ErrorCode, base_offset: u64) {
-    let qp = match b.produce_qps.borrow().get(&qpn) {
-        Some(qp) => qp.clone(),
-        None => return,
-    };
-    // Acks are written through a pre-allocated round-robin ring: the WR has
-    // executed long before the ring wraps, so the slot is free to reuse.
-    let idx = b.ack_ring_next.get();
-    b.ack_ring_next.set((idx + 1) % b.ack_ring.len());
-    let buf = &b.ack_ring[idx];
-    buf.with_mut(|s| {
-        s[0] = error as u8;
-        s[1..9].copy_from_slice(&base_offset.to_le_bytes());
+/// Stages the commit with sequence `seq` and hands any now-consecutive run
+/// to the API workers, one work item per commit (the 11 µs queue transfer,
+/// overlapped across requests). Keeping the shared queue in sequence order
+/// is what lets a lone API worker make progress: a worker never waits on a
+/// commit that is still queued behind it.
+pub fn enqueue_in_order(b: &Rc<BrokerInner>, grant: &Grant, seq: u64, item: CommitItem) {
+    grant.stage_enqueue(seq, item, &mut |seq, item| {
+        let run = CommitRun::one(item);
+        hand_off(b, WorkItem::RdmaCommit { file_id: grant.file_id, seq, run })
     });
-    let _ = qp.post_send(SendWr::unsignaled(
-        0,
-        WorkRequest::Send {
-            local: buf.as_slice(),
-        },
-    ));
-    b.metrics.add(&b.metrics.acks_sent, 1);
 }
 
-/// Decodes an ack payload on the client side.
-pub fn decode_ack(bytes: &[u8]) -> (kdwire::ErrorCode, u64) {
-    let error = match bytes.first() {
-        Some(0) => kdwire::ErrorCode::None,
-        Some(1) => kdwire::ErrorCode::UnknownTopicOrPartition,
-        Some(2) => kdwire::ErrorCode::NotLeader,
-        Some(3) => kdwire::ErrorCode::CorruptBatch,
-        Some(4) => kdwire::ErrorCode::AccessDenied,
-        Some(5) => kdwire::ErrorCode::OutOfSpace,
-        Some(6) => kdwire::ErrorCode::InvalidRequest,
-        Some(7) => kdwire::ErrorCode::AlreadyExists,
-        Some(8) => kdwire::ErrorCode::OrderTimeout,
-        Some(10) => kdwire::ErrorCode::FencedEpoch,
-        _ => kdwire::ErrorCode::Internal,
-    };
-    let base_offset = bytes
-        .get(1..9)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        .unwrap_or(0);
-    (error, base_offset)
+/// `(qpn, error, base_offset)` of one ack owed on a produce QP.
+pub type Ack = (u32, kdwire::ErrorCode, u64);
+
+/// Sends produce acknowledgments, error acks and replication credit
+/// returns on their client QPs: each a small unsignaled Send of
+/// [`kdwire::encode_ack`] bytes. Consecutive acks of one QP chain into one
+/// `post_send_list` (one doorbell); `acks` order — commit order — is post
+/// order, which producers rely on (acks correlate FIFO per QP).
+pub fn send_acks(b: &Rc<BrokerInner>, acks: &[Ack]) {
+    let mut rest = acks;
+    while let Some(&(qpn, ..)) = rest.first() {
+        let (chain, tail) = rest.split_at(rest.iter().take_while(|a| a.0 == qpn).count());
+        rest = tail;
+        let Some(qp) = b.produce_qps.borrow().get(&qpn).cloned() else {
+            continue;
+        };
+        // Acks are written through a pre-allocated round-robin ring: a WR
+        // has executed long before the ring wraps, so its slot is free to
+        // reuse.
+        let _ = qp.post_send_list(chain.iter().map(|&(_, error, base_offset)| {
+            let idx = b.ack_ring_next.get();
+            b.ack_ring_next.set((idx + 1) % b.ack_ring.len());
+            let buf = &b.ack_ring[idx];
+            buf.with_mut(|s| kdwire::encode_ack(error, base_offset, s));
+            SendWr::unsignaled(
+                0,
+                WorkRequest::Send {
+                    local: buf.as_slice(),
+                },
+            )
+        }));
+        b.metrics.add(&b.metrics.acks_sent, chain.len() as u64);
+    }
 }

@@ -14,7 +14,7 @@ use netsim::NodeId;
 use rnic::{Access, MemoryRegion, RNic, ShmBuf};
 
 use crate::data::Chain;
-use crate::requests::{AckRoute, WorkItem};
+use crate::requests::{AckRoute, CommitItem};
 
 /// Shared-mode coordination state.
 pub struct SharedState {
@@ -26,16 +26,9 @@ pub struct SharedState {
     pub expected_order: Cell<u16>,
     /// Out-of-order arrivals parked until their predecessors commit,
     /// keyed by order number.
-    pub pending: RefCell<HashMap<u16, PendingShared>>,
+    pub pending: RefCell<HashMap<u16, CommitItem>>,
     /// Bumped on abort so stale timeout watchers do nothing.
     pub generation: Cell<u64>,
-}
-
-/// A parked out-of-order produce completion.
-pub struct PendingShared {
-    pub byte_len: u32,
-    pub ack: AckRoute,
-    pub trace: Option<kdtelem::TraceCtx>,
 }
 
 /// An active produce grant on one head file.
@@ -57,73 +50,55 @@ pub struct Grant {
     /// Reorder stage: commit items enter the shared request queue strictly
     /// in sequence order, even when several poller threads interleave.
     enqueue_next: Cell<u64>,
-    enqueue_buf: RefCell<HashMap<u64, WorkItem>>,
+    enqueue_buf: RefCell<HashMap<u64, CommitItem>>,
     pub shared: Option<SharedState>,
 }
 
 impl Grant {
-    /// Stages a commit item for enqueueing and emits the consecutive run now
-    /// ready, in sequence order. A poller that finishes handling a later
-    /// completion first parks its item here until its predecessors flush.
-    pub fn stage_enqueue(&self, seq: u64, item: WorkItem, emit: &mut dyn FnMut(WorkItem)) {
+    /// Stages the commit with sequence `seq` for enqueueing and emits the
+    /// consecutive run now ready, in sequence order. A poller that finishes
+    /// handling a later completion first parks its commit here until its
+    /// predecessors flush.
+    pub fn stage_enqueue(&self, seq: u64, item: CommitItem, emit: &mut dyn FnMut(u64, CommitItem)) {
         // In-order fast path: nothing parked, this is the next sequence —
         // skip the reorder map entirely (no allocation on the hot path).
         if seq == self.enqueue_next.get() && self.enqueue_buf.borrow().is_empty() {
             self.enqueue_next.set(seq + 1);
-            emit(item);
+            emit(seq, item);
             return;
         }
         self.enqueue_buf.borrow_mut().insert(seq, item);
         let mut next = self.enqueue_next.get();
         while let Some(item) = self.enqueue_buf.borrow_mut().remove(&next) {
-            emit(item);
+            emit(next, item);
             next += 1;
         }
         self.enqueue_next.set(next);
     }
 
-    /// Shared-mode in-order fast path: when this completion carries the
-    /// expected order and nothing is parked, claims the order (bumping
-    /// `expected_order`) and returns `true` — the caller commits inline,
-    /// exactly like an exclusive grant, with no `ready` vector. Mirrors
-    /// the [`stage_enqueue`](Self::stage_enqueue) fast path one level up.
-    pub fn shared_fast_path(&self, order: u16) -> bool {
+    /// Feeds an arriving shared-mode completion through the Fig 5 reorder
+    /// buffer. When it carries the expected order, it and every parked
+    /// successor it unblocks are appended to `ready`, in order; otherwise
+    /// it is parked and `false` returned. In order with nothing parked —
+    /// the common case — this is one push: no map, no allocation.
+    pub fn on_shared_arrival(&self, item: CommitItem, ready: &mut Vec<CommitItem>) -> bool {
         let shared = self.shared.as_ref().expect("shared grant");
-        if order == shared.expected_order.get() && shared.pending.borrow().is_empty() {
-            shared.expected_order.set(order.wrapping_add(1));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Outcome of an arriving completion in shared mode: which spans are
-    /// now committable, in order.
-    pub fn on_shared_arrival(
-        &self,
-        order: u16,
-        byte_len: u32,
-        ack: AckRoute,
-        trace: Option<kdtelem::TraceCtx>,
-    ) -> Vec<(u32, AckRoute, Option<kdtelem::TraceCtx>)> {
-        let shared = self.shared.as_ref().expect("shared grant");
-        let expected = shared.expected_order.get();
-        if order != expected {
+        let mut pending = shared.pending.borrow_mut();
+        let mut next = shared.expected_order.get();
+        if item.order != next {
             // Duplicate / ancient orders are protocol errors; park the rest.
-            shared
-                .pending
-                .borrow_mut()
-                .insert(order, PendingShared { byte_len, ack, trace });
-            return Vec::new();
+            pending.insert(item.order, item);
+            return false;
         }
-        let mut ready = vec![(byte_len, ack, trace)];
-        let mut next = expected.wrapping_add(1);
-        while let Some(p) = shared.pending.borrow_mut().remove(&next) {
-            ready.push((p.byte_len, p.ack, p.trace));
+        ready.push(item);
+        next = next.wrapping_add(1);
+        while !pending.is_empty() {
+            let Some(item) = pending.remove(&next) else { break };
+            ready.push(item);
             next = next.wrapping_add(1);
         }
         shared.expected_order.set(next);
-        ready
+        true
     }
 
     /// True if `order` is still parked (used by timeout watchers).
@@ -235,6 +210,15 @@ mod tests {
         (RNic::new(&node), ProduceModule::default(), TopicPartition::new("t", 0))
     }
 
+    fn item(order: u16, byte_len: u32) -> CommitItem {
+        CommitItem {
+            order,
+            byte_len,
+            ack: AckRoute::None,
+            trace: None,
+        }
+    }
+
     fn seg_buf() -> std::rc::Rc<std::cell::RefCell<Vec<u8>>> {
         std::rc::Rc::new(std::cell::RefCell::new(vec![0u8; 4096]))
     }
@@ -259,10 +243,12 @@ mod tests {
             let (nic, m, tp) = setup();
             let g = m.create_grant(&nic, &tp, 0, seg_buf(), ProduceMode::Shared, NodeId(5));
             // Orders 1 and 2 arrive before 0.
-            assert!(g.on_shared_arrival(1, 10, AckRoute::None, None).is_empty());
-            assert!(g.on_shared_arrival(2, 20, AckRoute::None, None).is_empty());
-            let ready = g.on_shared_arrival(0, 5, AckRoute::None, None);
-            let lens: Vec<u32> = ready.iter().map(|(l, _, _)| *l).collect();
+            let mut ready = Vec::new();
+            assert!(!g.on_shared_arrival(item(1, 10), &mut ready));
+            assert!(!g.on_shared_arrival(item(2, 20), &mut ready));
+            assert!(ready.is_empty());
+            assert!(g.on_shared_arrival(item(0, 5), &mut ready));
+            let lens: Vec<u32> = ready.iter().map(|it| it.byte_len).collect();
             assert_eq!(lens, vec![5, 10, 20]);
             assert_eq!(g.shared.as_ref().unwrap().expected_order.get(), 3);
         });
@@ -276,8 +262,9 @@ mod tests {
             let g = m.create_grant(&nic, &tp, 0, seg_buf(), ProduceMode::Shared, NodeId(5));
             let s = g.shared.as_ref().unwrap();
             s.expected_order.set(0xffff);
-            assert!(g.on_shared_arrival(0, 8, AckRoute::None, None).is_empty());
-            let ready = g.on_shared_arrival(0xffff, 4, AckRoute::None, None);
+            let mut ready = Vec::new();
+            assert!(!g.on_shared_arrival(item(0, 8), &mut ready));
+            assert!(g.on_shared_arrival(item(0xffff, 4), &mut ready));
             assert_eq!(ready.len(), 2);
             assert_eq!(s.expected_order.get(), 1);
         });
@@ -289,7 +276,7 @@ mod tests {
         rt.block_on(async {
             let (nic, m, tp) = setup();
             let g = m.create_grant(&nic, &tp, 0, seg_buf(), ProduceMode::Shared, NodeId(5));
-            g.on_shared_arrival(3, 10, AckRoute::None, None);
+            assert!(!g.on_shared_arrival(item(3, 10), &mut Vec::new()));
             assert!(g.is_pending(3, 0));
             let failed = m.revoke(&nic, &g);
             assert_eq!(failed.len(), 1);
@@ -314,5 +301,156 @@ mod tests {
             );
             assert_eq!(s.word_buf.read_u64(0) & ((1 << 48) - 1), 64);
         });
+    }
+
+    /// What a delivery of `k` commits leaves behind: the acks the producer
+    /// QP received, in order; the commit counters; the log.
+    #[derive(Debug, PartialEq)]
+    struct Delivered {
+        acks: Vec<(kdwire::ErrorCode, u64)>,
+        rdma_commits: u64,
+        rdma_commit_bytes: u64,
+        next_offset: u64,
+        committed: Vec<u8>,
+        revoked: bool,
+    }
+
+    /// Starts a broker with one exclusively granted partition, writes five
+    /// single-record batches into the granted file (batch `corrupt`, if
+    /// any, garbled), delivers their commits to the API workers grouped as
+    /// `runs` says, and collects the outcome. `revoke_parked` revokes the
+    /// grant while the commits are parked on the write lock.
+    fn deliver(runs: &[usize], corrupt: Option<usize>, revoke_parked: bool) -> Delivered {
+        use crate::requests::{CommitRun, WorkItem};
+        use kdstorage::record::{single_record_batch, Record};
+        use rnic::{QpOptions, RecvWr};
+
+        assert_eq!(runs.iter().sum::<usize>(), 5);
+        let runs = runs.to_vec();
+        sim::Runtime::new().block_on(async move {
+            let f = Fabric::new(Profile::fast_test());
+            let (bnode, cnode) = (f.add_node("broker"), f.add_node("client"));
+            let config = crate::BrokerConfig::kafkadirect(crate::RdmaToggles::all());
+            let me = kdwire::BrokerAddr {
+                node: bnode.id.0,
+                port: config.tcp_port,
+                rdma_port: config.rdma_port,
+            };
+            let broker = crate::Broker::start(&bnode, config.clone(), vec![me]);
+            let b = broker.inner();
+            crate::api::apply_add_partition(b, "t", 0, 0, me, Vec::new());
+            let tp = TopicPartition::new("t", 0);
+            let p = b.store.get(&tp).unwrap();
+            let head = p.log.head();
+            let grant = b.produce_module.create_grant(
+                &b.nic,
+                &tp,
+                p.log.head_index(),
+                head.shared_buf(),
+                ProduceMode::Exclusive,
+                cnode.id,
+            );
+            *p.grant.borrow_mut() = Some(Rc::clone(&grant));
+
+            // The producer's QP, with receives posted for the acks.
+            let nic = RNic::new(&cnode);
+            let acks_cq = nic.create_cq(16);
+            let qp = nic
+                .connect(bnode.id, config.rdma_port, nic.create_cq(16), acks_cq.clone(), QpOptions::default())
+                .await
+                .unwrap();
+            let ack_bufs: Vec<ShmBuf> = (0..5).map(|_| ShmBuf::zeroed(16)).collect();
+            qp.post_recv_list(ack_bufs.iter().enumerate().map(|(i, buf)| RecvWr {
+                wr_id: i as u64,
+                buf: Some(buf.as_slice()),
+            }))
+            .unwrap();
+            while b.produce_qps.borrow().is_empty() {
+                sim::time::sleep(std::time::Duration::from_nanos(10)).await;
+            }
+            let qpn = *b.produce_qps.borrow().keys().next().unwrap();
+
+            // What five WriteWithImms would have left in the file.
+            let mut items = Vec::new();
+            let mut pos = head.committed_pos();
+            for i in 0..5 {
+                let mut batch = single_record_batch(7, &Record::value(vec![i as u8; 40 + i]));
+                if corrupt == Some(i) {
+                    let last = batch.len() - 1;
+                    batch[last] ^= 0xff;
+                }
+                head.write_at(pos, &batch);
+                pos += batch.len() as u32;
+                items.push(CommitItem {
+                    order: 0,
+                    byte_len: batch.len() as u32,
+                    ack: AckRoute::Qp(qpn),
+                    trace: None,
+                });
+            }
+
+            let lock = if revoke_parked { Some(p.write_lock.lock().await) } else { None };
+            let mut items = items.into_iter();
+            let mut seq = 0;
+            for n in runs {
+                let mut run = CommitRun::one(items.next().unwrap());
+                items.by_ref().take(n - 1).for_each(|it| run.push(it));
+                let item = WorkItem::RdmaCommit { file_id: grant.file_id, seq, run };
+                assert!(b.queue.send(item).await.is_ok());
+                seq += n as u64;
+            }
+            if let Some(lock) = lock {
+                sim::time::sleep(std::time::Duration::from_micros(100)).await;
+                crate::api::revoke_grant(b, &p, &grant, kdwire::ErrorCode::AccessDenied);
+                drop(lock);
+            }
+
+            let mut acks = Vec::new();
+            for _ in 0..5 {
+                let cqe = acks_cq.next().await.unwrap();
+                assert!(cqe.ok());
+                let payload = ack_bufs[cqe.wr_id as usize].read_at(0, cqe.byte_len as usize);
+                acks.push(kdwire::decode_ack(&payload));
+            }
+            let m = broker.metrics();
+            let committed = head.shared_buf().borrow()[..head.committed_pos() as usize].to_vec();
+            Delivered {
+                acks,
+                rdma_commits: m.rdma_commits,
+                rdma_commit_bytes: m.rdma_commit_bytes,
+                next_offset: p.log.next_offset(),
+                committed,
+                revoked: grant.closed.get(),
+            }
+        })
+    }
+
+    #[test]
+    fn one_run_of_k_equals_k_runs_of_one() {
+        use kdwire::ErrorCode::{CorruptBatch, None as Ok, OutOfSpace};
+
+        let clean = deliver(&[5], None, false);
+        assert_eq!(clean.acks, (0..5).map(|i| (Ok, i)).collect::<Vec<_>>());
+        assert_eq!((clean.rdma_commits, clean.next_offset, clean.revoked), (5, 5, false));
+        assert_eq!(deliver(&[1, 1, 1, 1, 1], None, false), clean);
+        assert_eq!(deliver(&[2, 3], None, false), clean);
+
+        // A corrupt span revokes the grant mid-run: the spans before it
+        // commit, it answers CorruptBatch, the ones behind it OutOfSpace.
+        let corrupt = deliver(&[5], Some(2), false);
+        assert_eq!(
+            corrupt.acks,
+            [(Ok, 0), (Ok, 1), (CorruptBatch, 0), (OutOfSpace, 0), (OutOfSpace, 0)]
+        );
+        assert_eq!((corrupt.rdma_commits, corrupt.next_offset, corrupt.revoked), (2, 2, true));
+        assert_eq!(deliver(&[1, 1, 1, 1, 1], Some(2), false), corrupt);
+        assert_eq!(deliver(&[1, 3, 1], Some(2), false), corrupt);
+
+        // A grant closed while its commits wait for the write lock commits
+        // nothing, however the commits were grouped.
+        let closed = deliver(&[5], None, true);
+        assert_eq!(closed.acks, vec![(OutOfSpace, 0); 5]);
+        assert_eq!((closed.rdma_commits, closed.committed.len()), (0, 0));
+        assert_eq!(deliver(&[1, 1, 1, 1, 1], None, true), closed);
     }
 }

@@ -27,36 +27,63 @@ pub enum WorkItem {
         /// Caller's lifeline, carried in by the frame header.
         trace: Option<kdtelem::TraceCtx>,
     },
-    /// A WriteWithImm completion from the RDMA produce module: records were
+    /// WriteWithImm completions from the RDMA produce module: records were
     /// already written into a TP file; verify and commit them (§4.2.2).
+    /// `run` holds n ≥ 1 commits on one file with consecutive sequences
+    /// `seq..seq + n`, assigned by the poller in completion order; workers
+    /// must process the commits of one file in that order.
     RdmaCommit {
         file_id: u16,
-        order: u16,
-        byte_len: u32,
-        /// Sequence assigned by the poller in completion order; workers
-        /// must process commits of one file in this order.
         seq: u64,
-        ack: AckRoute,
-        /// Producer's lifeline, carried in by the WriteImm's WR context.
-        trace: Option<kdtelem::TraceCtx>,
-    },
-    /// A run of consecutive-sequence commits on one (non-shared) file,
-    /// drained from the CQ in a single poll batch: the worker takes the
-    /// write lock once, charges the verify cost once, commits every span in
-    /// sequence order, and rides same-QP acks on one doorbell. Only built
-    /// when `cq_batch > 1`; a single-completion drain always ships the
-    /// plain [`RdmaCommit`](Self::RdmaCommit).
-    RdmaCommitBatch {
-        file_id: u16,
-        items: Vec<CommitItem>,
+        run: CommitRun,
     },
 }
 
-/// One commit of an [`WorkItem::RdmaCommitBatch`] run.
+/// One produce completion awaiting commit.
 pub struct CommitItem {
+    /// Producer order from the immediate (shared mode; 0 otherwise).
     pub order: u16,
     pub byte_len: u32,
-    pub seq: u64,
     pub ack: AckRoute,
+    /// Producer's lifeline, carried in by the WriteImm's WR context.
     pub trace: Option<kdtelem::TraceCtx>,
+}
+
+/// The commits of one [`WorkItem::RdmaCommit`], in sequence order. The
+/// first is stored inline: a run of one — the common case — allocates
+/// nothing.
+pub struct CommitRun {
+    first: CommitItem,
+    rest: Vec<CommitItem>,
+}
+
+impl CommitRun {
+    pub fn one(first: CommitItem) -> Self {
+        CommitRun {
+            first,
+            rest: Vec::new(),
+        }
+    }
+
+    pub fn push(&mut self, item: CommitItem) {
+        self.rest.push(item);
+    }
+
+    #[allow(clippy::len_without_is_empty)] // never empty
+    pub fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut CommitItem> {
+        std::iter::once(&mut self.first).chain(&mut self.rest)
+    }
+}
+
+impl IntoIterator for CommitRun {
+    type Item = CommitItem;
+    type IntoIter = std::iter::Chain<std::iter::Once<CommitItem>, std::vec::IntoIter<CommitItem>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(self.first).chain(self.rest)
+    }
 }

@@ -222,7 +222,7 @@ impl RdmaProducer {
                         let mut payload = [0u8; ACK_BUF];
                         bufs[cqe.wr_id as usize].read_into(0, &mut payload[..n]);
                         let _ = recycle.push(cqe.wr_id);
-                        let (error, base_offset) = kdbroker_ack_decode(&payload[..n]);
+                        let (error, base_offset) = kdwire::decode_ack(&payload[..n]);
                         if let Some((waiter, staged)) = pending.borrow_mut().pop_front() {
                             // The acked write has consumed its staging
                             // buffer; recycle it for a future produce.
@@ -731,26 +731,4 @@ fn empty_grant() -> ProduceAccessResp {
         shared_word: None,
         credits: 0,
     }
-}
-
-/// Decodes the broker's 9-byte ack payload.
-fn kdbroker_ack_decode(bytes: &[u8]) -> (ErrorCode, u64) {
-    let error = match bytes.first().copied().unwrap_or(9) {
-        0 => ErrorCode::None,
-        1 => ErrorCode::UnknownTopicOrPartition,
-        2 => ErrorCode::NotLeader,
-        3 => ErrorCode::CorruptBatch,
-        4 => ErrorCode::AccessDenied,
-        5 => ErrorCode::OutOfSpace,
-        6 => ErrorCode::InvalidRequest,
-        7 => ErrorCode::AlreadyExists,
-        8 => ErrorCode::OrderTimeout,
-        10 => ErrorCode::FencedEpoch,
-        _ => ErrorCode::Internal,
-    };
-    let base_offset = bytes
-        .get(1..9)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        .unwrap_or(0);
-    (error, base_offset)
 }

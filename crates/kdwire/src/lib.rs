@@ -12,8 +12,8 @@
 //!   pipelining RPC client,
 //! * [`slots`] — the shared binary layouts both ends must agree on without
 //!   an RPC: the 32-bit immediate value (Fig 4), the 64-bit shared
-//!   order/offset word (Fig 5), and the RDMA-readable metadata slot
-//!   (§4.4.2).
+//!   order/offset word (Fig 5), the 9-byte produce ack (Fig 3), and the
+//!   RDMA-readable metadata slot (§4.4.2).
 
 pub mod frame;
 pub mod messages;
@@ -25,5 +25,6 @@ pub use messages::{
     ProduceMode, RemoteRegion, Request, Response, SlotGrant, TopicMeta,
 };
 pub use slots::{
-    pack_imm, pack_shared_word, unpack_imm, unpack_shared_word, SharedWord, SlotView, SLOT_SIZE,
+    decode_ack, encode_ack, pack_imm, pack_shared_word, unpack_imm, unpack_shared_word, SharedWord,
+    SlotView, ACK_SIZE, SLOT_SIZE,
 };

@@ -69,7 +69,7 @@ impl ErrorCode {
         self == ErrorCode::None
     }
 
-    fn from_u8(v: u8) -> Result<ErrorCode, WireError> {
+    pub(crate) fn from_u8(v: u8) -> Result<ErrorCode, WireError> {
         Ok(match v {
             0 => ErrorCode::None,
             1 => ErrorCode::UnknownTopicOrPartition,

@@ -2,6 +2,8 @@
 //! values read or written with one-sided RDMA, where both ends must agree on
 //! bytes with no request to negotiate them.
 
+use crate::messages::ErrorCode;
+
 /// Packs the 32-bit immediate value of a WriteWithImm produce request
 /// (paper Fig 4): high 16 bits identify the target file, low 16 bits carry
 /// the producer order (shared mode; 0 in exclusive mode).
@@ -45,6 +47,26 @@ pub fn unpack_shared_word(v: u64) -> SharedWord {
         order: (v >> ORDER_SHIFT) as u16,
         offset: v & OFFSET_MASK,
     }
+}
+
+/// Size of a produce acknowledgment or replication credit return — the small
+/// Send a broker answers a WriteWithImm with (paper Fig 3).
+pub const ACK_SIZE: usize = 9;
+
+/// Writes an ack into `out[..ACK_SIZE]`: `[error u8][base_offset u64 LE]`.
+pub fn encode_ack(error: ErrorCode, base_offset: u64, out: &mut [u8]) {
+    out[0] = error as u8;
+    out[1..ACK_SIZE].copy_from_slice(&base_offset.to_le_bytes());
+}
+
+/// Inverse of [`encode_ack`]. An unknown error byte (or none at all) reads as
+/// `Internal`, a short payload as offset 0.
+pub fn decode_ack(bytes: &[u8]) -> (ErrorCode, u64) {
+    let error = bytes.first().and_then(|&b| ErrorCode::from_u8(b).ok());
+    let base_offset = bytes
+        .get(1..ACK_SIZE)
+        .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
+    (error.unwrap_or(ErrorCode::Internal), base_offset)
 }
 
 /// Size of one RDMA-readable metadata slot (§4.4.2). A consumer fetches the
@@ -95,6 +117,26 @@ impl SlotView {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ack_round_trips_every_error_code() {
+        let mut known = 0;
+        for byte in 0..=u8::MAX {
+            let mut wire = [byte; ACK_SIZE];
+            match ErrorCode::from_u8(byte) {
+                Ok(code) => {
+                    known += 1;
+                    encode_ack(code, 0x0102_0304_0506_0708, &mut wire);
+                    assert_eq!(wire[0], byte);
+                    assert_eq!(decode_ack(&wire), (code, 0x0102_0304_0506_0708));
+                }
+                Err(_) => assert_eq!(decode_ack(&wire).0, ErrorCode::Internal),
+            }
+        }
+        assert_eq!(known, 13, "every ErrorCode variant decodes as itself");
+        assert_eq!(decode_ack(&[]), (ErrorCode::Internal, 0));
+        assert_eq!(decode_ack(&[0, 1, 2]), (ErrorCode::None, 0));
+    }
 
     #[test]
     fn imm_round_trip() {

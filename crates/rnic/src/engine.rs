@@ -384,7 +384,7 @@ impl Engine {
         let peer = &wr.peer;
         let storm = peer.rnr_storm_until.get().filter(|&until| now < until);
         if storm.is_none() {
-            if let Some(recv) = peer.pop_recv() {
+            if let Some(recv) = peer.rq().pop() {
                 return Ok(recv);
             }
         }
@@ -397,9 +397,7 @@ impl Engine {
         match storm {
             Some(until) => self.arm(qp, wr.ticket, deadline.map_or(until, |d| d.min(until))),
             None if peer.rnr_waiter.replace(Some(wr.ticket)).is_none() => {
-                if let Some(srq) = &peer.opts.srq {
-                    srq.park(peer);
-                }
+                peer.rq().park(peer);
                 if let Some(deadline) = deadline {
                     self.arm(qp, wr.ticket, deadline);
                 }

@@ -10,7 +10,6 @@
 //! linked WRs pay `doorbell_overhead` instead of a full doorbell each.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
@@ -21,7 +20,7 @@ use sim::SimTime;
 use crate::cq::CompletionQueue;
 use crate::engine::Fifo;
 use crate::nic::NicInner;
-use crate::srq::Srq;
+use crate::srq::{RecvQueue, Srq};
 use crate::verbs::{CqOpcode, CqStatus, Cqe, PostError, RecvWr, SendWr, WorkRequest};
 
 /// QP configuration.
@@ -35,10 +34,10 @@ pub struct QpOptions {
     /// program bug in the simulation, not a runtime condition).
     pub max_recv_wr: usize,
     /// Attach this endpoint to a shared receive queue: incoming
-    /// Send/WriteWithImm consume the SRQ's buffers instead of a per-QP
-    /// receive queue (posting per-QP receives on such an endpoint is a
-    /// bug and panics). Completions still land in this QP's receive CQ
-    /// with this QP's number.
+    /// Send/WriteWithImm consume the SRQ's buffers instead of the QP's own
+    /// (posting receives on such an endpoint is a bug and panics).
+    /// Completions still land in this QP's receive CQ with this QP's
+    /// number.
     pub srq: Option<Srq>,
     /// DCT-style multiplexed endpoint: this logical connection borrows a
     /// QP from a small lent pool instead of pinning its own NIC context,
@@ -67,7 +66,9 @@ pub(crate) struct QpShared {
     alive: Cell<bool>,
     pub(crate) send_cq: CompletionQueue,
     pub(crate) recv_cq: CompletionQueue,
-    recv_queue: RefCell<VecDeque<RecvWr>>,
+    /// This endpoint's private receive queue; stays empty when
+    /// `opts.srq` attaches a shared one.
+    own_rq: RecvQueue,
     pub(crate) opts: QpOptions,
     next_ticket: Cell<u64>,
     /// Posted WRs whose remote effect is still owed, in post order (links
@@ -100,12 +101,12 @@ impl QpShared {
         }
         let qp = Rc::new(QpShared {
             qpn,
+            own_rq: RecvQueue::new(Rc::clone(&nic), opts.max_recv_wr, None),
             nic,
             peer: RefCell::new(Weak::new()),
             alive: Cell::new(true),
             send_cq: send_cq.clone(),
             recv_cq: recv_cq.clone(),
-            recv_queue: RefCell::new(VecDeque::new()),
             opts,
             next_ticket: Cell::new(0),
             sendq: Cell::new(Fifo::EMPTY),
@@ -143,7 +144,7 @@ impl QpShared {
         // Only this QP's own queue: buffers on an attached SRQ belong to
         // the SRQ and stay available to every other attached QP — an error
         // flush must not strand them.
-        while let Some(wr) = qp.pop_own_recv() {
+        while let Some(wr) = qp.own_rq.pop() {
             qp.recv_cq
                 .push(Cqe::bare(wr.wr_id, qp.qpn, CqStatus::FlushError, CqOpcode::Recv));
         }
@@ -156,18 +157,12 @@ impl QpShared {
         }
     }
 
-    fn pop_own_recv(&self) -> Option<RecvWr> {
-        let wr = self.recv_queue.borrow_mut().pop_front()?;
-        self.nic.recv_buf_sub(&wr);
-        Some(wr)
-    }
-
-    /// Takes the receive an incoming Send/WriteWithImm consumes: the
-    /// attached SRQ's head, or this QP's own.
-    pub(crate) fn pop_recv(&self) -> Option<RecvWr> {
+    /// The queue an incoming Send/WriteWithImm consumes from: the attached
+    /// SRQ, or this QP's own.
+    pub(crate) fn rq(&self) -> &RecvQueue {
         match &self.opts.srq {
-            Some(srq) => srq.pop(),
-            None => self.pop_own_recv(),
+            Some(srq) => &srq.inner,
+            None => &self.own_rq,
         }
     }
 
@@ -265,9 +260,9 @@ impl QueuePair {
     }
 
     /// Posts a list of receive work requests (`ibv_post_recv` with a chained
-    /// WR list): one receive-queue lock for the whole chain. Receives carry
-    /// no initiator timing, so that amortised bookkeeping is the only
-    /// difference from posting them one by one.
+    /// WR list) on this QP's own queue. Receives carry no initiator timing,
+    /// so the amortised bookkeeping is the only difference from posting
+    /// them one by one.
     pub fn post_recv_list(&self, wrs: impl IntoIterator<Item = RecvWr>) -> Result<(), PostError> {
         let qp = &self.shared;
         if !qp.is_alive() {
@@ -277,19 +272,7 @@ impl QueuePair {
             qp.opts.srq.is_none(),
             "post_recv on an SRQ-attached QP: post to the SRQ instead"
         );
-        {
-            let mut q = qp.recv_queue.borrow_mut();
-            for wr in wrs {
-                assert!(
-                    q.len() < qp.opts.max_recv_wr,
-                    "receive queue overflow (max_recv_wr={})",
-                    qp.opts.max_recv_wr
-                );
-                qp.nic.recv_buf_add(&wr);
-                q.push_back(wr);
-            }
-        }
-        qp.retry_rnr_waiter();
+        qp.own_rq.post_list(wrs);
         Ok(())
     }
 

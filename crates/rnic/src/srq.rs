@@ -1,14 +1,14 @@
-//! Shared receive queues.
+//! Receive queues.
 //!
-//! A single pool of receive WRs that many QPs attach to (`ibv_create_srq`):
-//! an incoming Send/WriteWithImm on *any* attached QP consumes the SRQ's
-//! head buffer instead of a per-QP `recv_queue` entry, so the receiver's
-//! posted-buffer memory is O(1) in connection count instead of
-//! O(connections × recv_depth). Completions still land in the consuming
-//! QP's receive CQ and carry that QP's number — demultiplexing is
-//! unchanged. When the SRQ runs dry the sender sees ordinary RNR
-//! semantics (parks until a buffer is posted, or fails with
-//! `RnrRetryExceeded` under a bounded `rnr_timeout`).
+//! [`RecvQueue`] holds every posted receive WR: a depth-bounded FIFO with
+//! buffer accounting and RNR parking. A QP's private queue is the
+//! single-attachee case, embedded in the endpoint; a shared receive queue
+//! ([`Srq`], `ibv_create_srq`) is the same queue behind an `Rc`, consumed
+//! by every attached QP, so posted-buffer memory is O(1) in connection
+//! count instead of O(connections × depth). Completions land in the
+//! consuming QP's receive CQ with that QP's number either way. A dry queue
+//! gives the sender ordinary RNR semantics (parked until a buffer is
+//! posted, or `RnrRetryExceeded` under a bounded `rnr_timeout`).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -18,26 +18,89 @@ use crate::nic::{NicInner, RNic};
 use crate::qp::QpShared;
 use crate::verbs::{PostError, RecvWr};
 
-pub(crate) struct SrqInner {
-    queue: RefCell<VecDeque<RecvWr>>,
-    max_wr: usize,
-    /// Attached endpoints with a sender parked (RNR) on the dry queue, in
-    /// arrival order; a post retries them all, first come first served.
-    parked: RefCell<Vec<Weak<QpShared>>>,
-    /// Device the SRQ's buffers are accounted against.
-    nic: Rc<NicInner>,
-    // Registry-backed telemetry (`rnic srq.*`).
+/// Registry-backed telemetry of a shared queue (`rnic srq.*`).
+pub(crate) struct SrqTelem {
     posted: kdtelem::Counter,
     stolen: kdtelem::Counter,
     rnr_dry: kdtelem::Counter,
     depth: kdtelem::Gauge,
 }
 
+pub(crate) struct RecvQueue {
+    queue: RefCell<VecDeque<RecvWr>>,
+    max_wr: usize,
+    /// Endpoints with a sender parked (RNR) on the dry queue, in arrival
+    /// order; a post retries them all, first come first served.
+    parked: RefCell<Vec<Weak<QpShared>>>,
+    /// Device the queue's buffers are accounted against.
+    nic: Rc<NicInner>,
+    /// `Some` on shared queues only: a private queue counts nothing.
+    telem: Option<SrqTelem>,
+}
+
+impl RecvQueue {
+    /// A queue accounted against `nic`; `telem` is `None` for a QP's
+    /// private queue.
+    pub(crate) fn new(nic: Rc<NicInner>, max_wr: usize, telem: Option<SrqTelem>) -> RecvQueue {
+        let (queue, parked) = Default::default();
+        RecvQueue { queue, max_wr, parked, nic, telem }
+    }
+
+    /// Posts a chained receive list — one queue lock for the whole chain —
+    /// and retries every sender parked on the queue. Overflowing `max_wr`
+    /// is a simulation program bug, not a runtime condition, and panics.
+    pub(crate) fn post_list(&self, wrs: impl IntoIterator<Item = RecvWr>) {
+        let mut posted = 0u64;
+        {
+            let mut q = self.queue.borrow_mut();
+            for wr in wrs {
+                let (kind, bound) = match self.telem {
+                    Some(_) => ("shared receive", "max_wr"),
+                    None => ("receive", "max_recv_wr"),
+                };
+                assert!(q.len() < self.max_wr, "{kind} queue overflow ({bound}={})", self.max_wr);
+                self.nic.recv_buf_add(&wr);
+                q.push_back(wr);
+                posted += 1;
+            }
+        }
+        if let Some(t) = &self.telem {
+            t.posted.add(posted);
+            t.depth.add(posted);
+        }
+        // A retry only arms an engine event, so nothing parks while the
+        // list is borrowed; draining in place keeps its capacity.
+        for qp in self.parked.borrow_mut().drain(..).filter_map(|qp| qp.upgrade()) {
+            qp.retry_rnr_waiter();
+        }
+    }
+
+    /// Remembers that `qp`'s peer has a sender waiting on this (dry) queue.
+    pub(crate) fn park(&self, qp: &Rc<QpShared>) {
+        if let Some(t) = &self.telem {
+            t.rnr_dry.inc();
+        }
+        self.parked.borrow_mut().push(Rc::downgrade(qp));
+    }
+
+    /// Pops the head receive for a consuming QP. `None` when dry (the
+    /// caller parks on RNR semantics).
+    pub(crate) fn pop(&self) -> Option<RecvWr> {
+        let wr = self.queue.borrow_mut().pop_front()?;
+        self.nic.recv_buf_sub(&wr);
+        if let Some(t) = &self.telem {
+            t.stolen.inc();
+            t.depth.sub(1);
+        }
+        Some(wr)
+    }
+}
+
 /// A shared receive queue. Cheap to clone; attach to QPs via
 /// [`QpOptions::srq`](crate::QpOptions).
 #[derive(Clone)]
 pub struct Srq {
-    pub(crate) inner: Rc<SrqInner>,
+    pub(crate) inner: Rc<RecvQueue>,
 }
 
 impl std::fmt::Debug for Srq {
@@ -55,74 +118,29 @@ impl RNic {
     pub fn create_srq(&self, max_wr: usize) -> Srq {
         assert!(max_wr > 0);
         let telem = kdtelem::current();
-        Srq {
-            inner: Rc::new(SrqInner {
-                queue: RefCell::new(VecDeque::new()),
-                max_wr,
-                parked: RefCell::new(Vec::new()),
-                nic: Rc::clone(&self.inner),
-                posted: telem.counter("rnic", "srq.posted"),
-                stolen: telem.counter("rnic", "srq.stolen_by_qp"),
-                rnr_dry: telem.counter("rnic", "srq.rnr_dry"),
-                depth: telem.gauge("rnic", "srq.depth"),
-            }),
-        }
+        let telem = SrqTelem {
+            posted: telem.counter("rnic", "srq.posted"),
+            stolen: telem.counter("rnic", "srq.stolen_by_qp"),
+            rnr_dry: telem.counter("rnic", "srq.rnr_dry"),
+            depth: telem.gauge("rnic", "srq.depth"),
+        };
+        let inner = Rc::new(RecvQueue::new(Rc::clone(&self.inner), max_wr, Some(telem)));
+        Srq { inner }
     }
 }
 
 impl Srq {
-    /// Posts one receive (`ibv_post_srq_recv`). Overflowing `max_wr`
-    /// panics, same contract as [`QueuePair::post_recv`]
-    /// (crate::QueuePair::post_recv): a simulation program bug, not a
-    /// runtime condition.
+    /// Posts one receive (`ibv_post_srq_recv`): a one-element list.
     pub fn post_recv(&self, wr: RecvWr) -> Result<(), PostError> {
-        self.post_recv_list(std::iter::once(wr))
+        self.post_recv_list([wr])
     }
 
-    /// Posts a chained receive list: one queue lock for the whole chain,
-    /// the doorbell-batched replenish path brokers use. Every WR is held
-    /// to the same `max_wr` bound as a single post.
+    /// Posts a chained receive list, the doorbell-batched replenish path
+    /// brokers use. Overflowing `max_wr` panics, same contract as
+    /// [`QueuePair::post_recv_list`](crate::QueuePair::post_recv_list).
     pub fn post_recv_list(&self, wrs: impl IntoIterator<Item = RecvWr>) -> Result<(), PostError> {
-        let inner = &self.inner;
-        let mut posted = 0usize;
-        {
-            let mut q = inner.queue.borrow_mut();
-            for wr in wrs {
-                assert!(
-                    q.len() < inner.max_wr,
-                    "shared receive queue overflow (max_wr={})",
-                    inner.max_wr
-                );
-                inner.nic.recv_buf_add(&wr);
-                q.push_back(wr);
-                posted += 1;
-            }
-        }
-        inner.posted.add(posted as u64);
-        inner.depth.add(posted as u64);
-        let parked = std::mem::take(&mut *inner.parked.borrow_mut());
-        for qp in parked.iter().filter_map(Weak::upgrade) {
-            qp.retry_rnr_waiter();
-        }
+        self.inner.post_list(wrs);
         Ok(())
-    }
-
-    /// Remembers that `qp`'s peer has a sender waiting on this (dry) queue.
-    pub(crate) fn park(&self, qp: &Rc<QpShared>) {
-        self.inner.rnr_dry.inc();
-        self.inner.parked.borrow_mut().push(Rc::downgrade(qp));
-    }
-
-    /// Pops the head receive for a consuming QP. `None` when dry (the
-    /// caller parks on RNR semantics).
-    pub(crate) fn pop(&self) -> Option<RecvWr> {
-        let wr = self.inner.queue.borrow_mut().pop_front();
-        if let Some(wr) = &wr {
-            self.inner.nic.recv_buf_sub(wr);
-            self.inner.stolen.inc();
-            self.inner.depth.sub(1);
-        }
-        wr
     }
 
     /// Posted receives currently waiting.
@@ -151,6 +169,12 @@ mod tests {
     use crate::verbs::{SendWr, WorkRequest};
     use netsim::profile::Profile;
     use netsim::Fabric;
+
+    impl Srq {
+        fn pop(&self) -> Option<RecvWr> {
+            self.inner.pop()
+        }
+    }
 
     /// Two initiator nodes connected to one receiver node whose accepted
     /// QPs share a recv CQ and (optionally) an SRQ.

@@ -321,9 +321,8 @@ impl Inner {
         self.ready.with(|q| !q.is_empty())
     }
 
-    /// Polls ready tasks until the queue is empty or `stop()` turns true.
-    /// Mirrors the drain phase of [`Runtime::block_on`], including the
-    /// immediate return the moment the root future completes.
+    /// Polls ready tasks until the queue is empty or `stop()` turns true
+    /// (checked after every poll: the root future completed).
     pub(crate) fn drain_ready(self: &Rc<Self>, stop: &mut dyn FnMut() -> bool) -> bool {
         while let Some(id) = self.ready.pop() {
             self.poll_task(id);
@@ -336,8 +335,8 @@ impl Inner {
 
     /// Executes every event with virtual time strictly below `bound`: drains
     /// the ready queue, then repeatedly advances the clock to the nearest
-    /// timer deadline `< bound` and fires it, exactly as `block_on` would.
-    /// The clock only ever advances to *fired* deadlines — never to `bound`
+    /// timer deadline `< bound` and fires it. This is the one poll loop:
+    /// [`Runtime::block_on`] is the unbounded window. The clock only ever advances to *fired* deadlines — never to `bound`
     /// itself — so a shard's `now` always names its last executed event.
     ///
     /// Returns true if `stop()` ended the window early (root completed).
@@ -346,6 +345,8 @@ impl Inner {
             if self.drain_ready(stop) {
                 return true;
             }
+            // Bound first: a `borrow_mut` in the scrutinee would live across
+            // the arms and collide with `fire_due_timers`.
             let next = self
                 .timers
                 .borrow_mut()
@@ -526,8 +527,8 @@ pub(crate) fn current_task_id() -> u64 {
 }
 
 /// Handle to a runtime's root task, installed by [`Runtime::spawn_root`].
-/// The sharded window loop polls [`RootTask::is_done`] after every task poll,
-/// mirroring `block_on`'s immediate return on root completion.
+/// The window loop polls [`RootTask::is_done`] after every task poll and
+/// returns the moment the root completes.
 pub(crate) struct RootTask<T> {
     result: Rc<RefCell<Option<T>>>,
 }
@@ -593,9 +594,7 @@ impl Runtime {
         &self.inner
     }
 
-    /// Installs `future` as this runtime's root task without driving it,
-    /// exactly as the prelude of [`Runtime::block_on`] does (same task-id and
-    /// allocation pattern, so `shards=1` stays bit-identical to `block_on`).
+    /// Installs `future` as this runtime's root task without driving it.
     pub(crate) fn spawn_root<F>(&self, future: F) -> RootTask<F::Output>
     where
         F: Future + 'static,
@@ -622,46 +621,20 @@ impl Runtime {
         F: Future + 'static,
         F::Output: 'static,
     {
-        let _guard = EnterGuard::new(Rc::clone(&self.inner));
-        let result: Rc<RefCell<Option<F::Output>>> = Rc::new(RefCell::new(None));
-        let result2 = Rc::clone(&result);
-        let root_id = self.inner.insert_task(async move {
-            let out = future.await;
-            *result2.borrow_mut() = Some(out);
-        });
-        self.inner.schedule(root_id);
-
-        loop {
-            // Drain the ready queue.
-            while let Some(id) = self.inner.ready.pop() {
-                self.inner.poll_task(id);
-                if result.borrow().is_some() {
-                    // Root future finished; remaining tasks are detached and
-                    // dropped with the runtime state.
-                    return result.borrow_mut().take().unwrap();
-                }
-            }
-
-            // Nothing runnable: advance the clock to the next timer. (Bind
-            // first: a `borrow_mut` in the scrutinee would live across the
-            // arms and collide with `fire_due_timers`.)
-            let next_deadline = self.inner.timers.borrow_mut().next_deadline();
-            match next_deadline {
-                Some(deadline) => {
-                    debug_assert!(deadline >= self.inner.now.get());
-                    self.inner.now.set(deadline.max(self.inner.now.get()));
-                    self.inner.fire_due_timers();
-                }
-                None => {
-                    panic!(
-                        "sim: deadlock — root future pending, no runnable tasks, \
-                         no timers ({} live tasks, t={}ns)",
-                        self.inner.live_tasks.get(),
-                        self.inner.now.get()
-                    );
-                }
-            }
-        }
+        let _guard = self.enter();
+        let root = self.spawn_root(future);
+        // Unbounded window: returns the moment the root future finishes —
+        // remaining tasks are detached and dropped with the runtime state —
+        // or once nothing is runnable and no timer is registered.
+        self.inner.run_window(u64::MAX, &mut || root.is_done());
+        root.take().unwrap_or_else(|| {
+            panic!(
+                "sim: deadlock — root future pending, no runnable tasks, \
+                 no timers ({} live tasks, t={}ns)",
+                self.inner.live_tasks.get(),
+                self.inner.now.get()
+            )
+        })
     }
 }
 

@@ -123,23 +123,13 @@ impl<T> Wheel<T> {
         self.scratch = batch;
     }
 
-    /// The earliest pending deadline. Cascades coarse slots down as a side
-    /// effect; the cursor advances but never past the returned deadline.
-    ///
-    /// Only safe to call when the virtual clock is about to jump to the
-    /// result: the cursor may run ahead of the *current* time, so any timer
-    /// registered in between would be misfiled (see [`Wheel::pop_due`]).
-    pub fn next_deadline(&mut self) -> Option<u64> {
-        self.next_deadline_bounded(u64::MAX)
-    }
-
     /// The earliest pending deadline, **without** touching the cursor.
     ///
     /// Used by the sharded executor to compute a shard's next-event time
     /// between lookahead windows: advancing the cursor there would misfile
     /// timers registered later for nearer deadlines (mailbox deliveries land
     /// *after* this query but may precede the wheel's current minimum), so
-    /// the destructive [`Wheel::next_deadline`] walk cannot be used.
+    /// the destructive [`Wheel::next_deadline_bounded`] walk cannot be used.
     ///
     /// Correctness leans on the level invariant (module docs): an entry at
     /// level `L` matches the cursor in every digit above `L` and exceeds it
@@ -164,8 +154,13 @@ impl<T> Wheel<T> {
             .min()
     }
 
-    /// Like [`Wheel::next_deadline`], but never advances the cursor past
-    /// `bound`; returns `None` when the minimum deadline exceeds `bound`.
+    /// The earliest pending deadline, or `None` when it exceeds `bound`.
+    /// Cascades coarse slots down as a side effect; the cursor advances but
+    /// never past the returned deadline nor past `bound`.
+    ///
+    /// Only safe to call when the virtual clock is about to jump to the
+    /// result: the cursor may run ahead of the *current* time, so any timer
+    /// registered in between would be misfiled (see [`Wheel::pop_due`]).
     pub fn next_deadline_bounded(&mut self, bound: u64) -> Option<u64> {
         if self.len == 0 {
             return None;
@@ -223,6 +218,12 @@ impl<T> Wheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> Wheel<T> {
+        fn next_deadline(&mut self) -> Option<u64> {
+            self.next_deadline_bounded(u64::MAX)
+        }
+    }
 
     fn drain(w: &mut Wheel<u64>, now: u64) -> Vec<(u64, u64)> {
         let mut out = Vec::new();

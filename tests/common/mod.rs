@@ -131,17 +131,17 @@ pub fn run_seed_with(seed: u64, rdma_pollers: Option<usize>, cq_batch: Option<us
     )
 }
 
-/// Runs one seeded fault plan with an explicit produce-connection mode
-/// (per-QP receive queues, a shared receive queue, or SRQ + QP
-/// multiplexing). Used by `tests/conn_scaling.rs`: below the NIC cache
-/// knee all three modes must be *bit-identical*, so the full digest — not
-/// just the acked set — is comparable across modes.
+/// Runs one seeded fault plan with the brokers' accepted produce QPs
+/// multiplexed over `mux_pool` NIC contexts (`0` = the default: one context
+/// each). Used by `tests/conn_scaling.rs`: below the NIC cache knee the
+/// sizing must not reach the schedule, so the full digest — not just the
+/// acked set — is comparable across pool sizes.
 #[allow(dead_code)]
-pub fn run_seed_conn(seed: u64, conn_mode: kafkadirect::ConnMode) -> Outcome {
+pub fn run_seed_mux(seed: u64, mux_pool: usize) -> Outcome {
     run_seed_opts(
         seed,
         kafkadirect::ClusterOptions {
-            conn_mode: Some(conn_mode),
+            mux_pool: Some(mux_pool),
             ..Default::default()
         },
         false,
