@@ -6,24 +6,23 @@ use std::time::Duration;
 
 use kdstorage::{AppendError, TopicPartition};
 use kdwire::messages::{ProduceMode, Request, Response};
-use kdwire::slots::{pack_shared_word, shared_word_addend, unpack_shared_word, SharedWord};
-use kdwire::{
-    ConsumeAccessResp, ErrorCode, FetchResp, ProduceAccessResp, RemoteRegion, SlotGrant,
-};
+use kdwire::slots::{shared_word_addend, unpack_shared_word};
+use kdwire::{ConsumeAccessResp, ErrorCode, FetchResp, RemoteRegion, SlotGrant};
 use netsim::profile::copy_time;
 use netsim::NodeId;
 use rnic::{SendWr, ShmBuf, WorkRequest};
 use sim::sync::oneshot;
 
 use crate::broker::BrokerInner;
-use crate::data::{DeferredAck, Partition};
+use crate::data::Partition;
 use crate::rdma_consume::{self, SlotRef};
-use crate::rdma_net::{send_acks, Ack};
-use crate::rdma_produce::Grant;
-use crate::requests::{AckRoute, CommitItem, CommitRun, WorkItem};
+use crate::rdma_produce::{
+    commit_run, deliver_ack, handle_produce_access, revoke_grant, CommitScratch, Grant,
+};
+use crate::requests::{AckRoute, CommitItem, WorkItem};
 
 /// Cost of trivial control-plane requests (metadata, offsets, grants).
-const CONTROL_COST: Duration = Duration::from_micros(3);
+pub(crate) const CONTROL_COST: Duration = Duration::from_micros(3);
 
 /// Sleeps `cost` of worker time and accounts it as CPU load.
 pub async fn charge_worker(b: &Rc<BrokerInner>, cost: Duration) {
@@ -96,7 +95,7 @@ async fn dispatch(b: &Rc<BrokerInner>, item: WorkItem, scratch: &mut CommitScrat
     }
 }
 
-fn send(reply: oneshot::Sender<Response>, resp: Response) {
+pub(crate) fn send(reply: oneshot::Sender<Response>, resp: Response) {
     let _ = reply.send(resp);
 }
 
@@ -728,7 +727,7 @@ fn trace_tcp_copies(b: &Rc<BrokerInner>, ctx: Option<kdtelem::TraceCtx>, len: u6
 }
 
 /// Trace a commit of `[base, next)` on the producer's lifeline.
-fn trace_commit(
+pub(crate) fn trace_commit(
     b: &Rc<BrokerInner>,
     ctx: Option<kdtelem::TraceCtx>,
     tp: &TopicPartition,
@@ -824,7 +823,7 @@ async fn handle_produce(
 }
 
 /// Post-commit bookkeeping shared by every produce path.
-fn after_local_commit(b: &Rc<BrokerInner>, p: &Rc<Partition>) {
+pub(crate) fn after_local_commit(b: &Rc<BrokerInner>, p: &Rc<Partition>) {
     p.announce_leo();
     if p.replication_factor() == 1 {
         p.recompute_hw();
@@ -966,424 +965,12 @@ async fn produce_via_shared(
     crate::rdma_net::enqueue_in_order(b, g, seq, item);
 }
 
-// ---------------------------------------------------------------------------
-// RDMA produce commits (§4.2.2).
-// ---------------------------------------------------------------------------
-
-/// Outcome of committing one produce span.
-struct SpanInfo {
-    base_offset: u64,
-    next_offset: u64,
-}
-
-/// Worker-owned scratch of [`commit_run`]; capacity is retained, so a run
-/// of one allocates nothing.
-#[derive(Default)]
-pub struct CommitScratch {
-    /// Per-lifeline commit spans of the run's traced items.
-    traced: Vec<kdtelem::TraceSpan>,
-    /// The spans the run makes committable, in commit order.
-    spans: Vec<CommitItem>,
-    results: Vec<Result<SpanInfo, ErrorCode>>,
-    acks: Vec<Ack>,
-}
-
-/// Commits a run of n ≥ 1 consecutive-sequence completions on one file in a
-/// single worker pass, under one `broker.rdma_commit` span per traced
-/// lifeline (untraced runs keep the classic duration-only span).
-async fn commit_run(
-    b: &Rc<BrokerInner>,
-    file_id: u16,
-    seq: u64,
-    mut run: CommitRun,
-    scratch: &mut CommitScratch,
-) {
-    let start = sim::now();
-    for item in run.iter_mut() {
-        if let Some(ctx) = item.trace {
-            let span = b.telem.registry.trace_span("broker.rdma_commit", Some(ctx));
-            // The commit continues the producer's lifeline in a child span.
-            item.trace = Some(span.ctx());
-            scratch.traced.push(span);
-        }
-    }
-    let span = scratch
-        .traced
-        .is_empty()
-        .then(|| b.telem.registry.span("broker.rdma_commit"));
-    commit_spans(b, file_id, seq, run, scratch).await;
-    b.telem.rdma_commit_ns.record_since(start);
-    scratch.traced.drain(..).for_each(kdtelem::TraceSpan::end);
-    drop(span);
-}
-
-/// The one commit path (§4.2.2): the per-file chain is claimed once for the
-/// whole run (its sequences are consecutive, so passing the first ticket
-/// owns them all), shared-mode completions pass through the Fig 5 reorder
-/// buffer, the write lock is taken once, the verify CPU charged as one
-/// summed sleep, every committable span committed in order, and the acks
-/// leave in commit order — same-QP acks on one doorbell.
-async fn commit_spans(
-    b: &Rc<BrokerInner>,
-    file_id: u16,
-    seq: u64,
-    run: CommitRun,
-    scratch: &mut CommitScratch,
-) {
-    let CommitScratch { spans, results, acks, .. } = scratch;
-    let next_seq = seq + run.len() as u64;
-    let Some((tp, grant)) = b.produce_module.lookup(file_id) else {
-        run.into_iter()
-            .for_each(|it| deliver_ack(b, it.ack, ErrorCode::AccessDenied, 0));
-        return;
-    };
-    // Enforce completion-order processing per file (§4.2.2).
-    grant.chain.wait_turn(seq).await;
-    let p = b.store.get(&tp).expect("grant partition exists");
-    if grant.closed.get() {
-        grant.chain.advance_to(next_seq);
-        run.into_iter()
-            .for_each(|it| deliver_ack(b, it.ack, ErrorCode::OutOfSpace, 0));
-        return;
-    }
-    for item in run {
-        if grant.shared.is_none() {
-            spans.push(item);
-        } else {
-            let order = item.order;
-            if !grant.on_shared_arrival(item, spans) {
-                // Parked out-of-order: arm the hole timeout (§4.2.2).
-                arm_order_timeout(b, &p, &grant, order);
-            }
-        }
-    }
-    if spans.is_empty() {
-        grant.chain.advance_to(next_seq);
-        return;
-    }
-    {
-        let _guard = p.write_lock.lock().await;
-        if !grant.closed.get() {
-            // Verify in place: CRC over bytes already in the file; no copy.
-            let cpu = &b.profile.cpu;
-            let verify = |it: &CommitItem| {
-                cpu.api_produce_base + copy_time(u64::from(it.byte_len), cpu.crc_bandwidth)
-            };
-            charge_worker(b, spans.iter().map(verify).sum()).await;
-        }
-        for it in spans.iter() {
-            results.push(if grant.closed.get() {
-                Err(ErrorCode::OutOfSpace)
-            } else {
-                commit_span(b, &p, &grant, it.byte_len)
-            });
-        }
-    }
-    grant.chain.advance_to(next_seq);
-    let mut committed = false;
-    for (it, res) in spans.drain(..).zip(results.drain(..)) {
-        match res {
-            Ok(span) => {
-                committed = true;
-                b.metrics.add(&b.metrics.rdma_commits, 1);
-                b.metrics
-                    .add(&b.metrics.rdma_commit_bytes, u64::from(it.byte_len));
-                trace_commit(b, it.trace, &tp, span.base_offset, span.next_offset);
-                finish_rdma_ack(b, &p, &grant, span, it.ack, acks);
-            }
-            Err(code) => queue_ack(b, acks, it.ack, code, 0),
-        }
-    }
-    send_acks(b, acks);
-    acks.clear();
-    if committed {
-        after_local_commit(b, &p);
-        charge_storage(b, &p).await;
-    }
-}
-
-/// Verifies and commits `len` bytes sitting at the committed frontier of
-/// the grant's file. May contain several batches (push replication merges
-/// contiguous writes, §4.3.2).
-fn commit_span(
-    b: &Rc<BrokerInner>,
-    p: &Rc<Partition>,
-    grant: &Rc<Grant>,
-    len: u32,
-) -> Result<SpanInfo, ErrorCode> {
-    if grant.segment != p.log.head_index() {
-        return Err(ErrorCode::OutOfSpace);
-    }
-    let head = p.log.head();
-    let start = head.committed_pos();
-    if u64::from(start) + u64::from(len) > u64::from(head.capacity()) {
-        return Err(ErrorCode::OutOfSpace);
-    }
-    head.advance_write_pos(start + len);
-    let mut base_offset = None;
-    let mut next_offset = p.log.next_offset();
-    while head.committed_pos() < start + len {
-        match p.log.commit_in_place(head.committed_pos()) {
-            Ok(info) => {
-                base_offset.get_or_insert(info.base_offset);
-                next_offset = info.base_offset + u64::from(info.record_count);
-            }
-            Err(_) => {
-                // Corrupt bytes inside the span: drop the uncommitted tail
-                // and kill the session (clients must re-request access).
-                head.truncate_to_committed();
-                revoke_grant(b, p, grant, ErrorCode::CorruptBatch);
-                return Err(ErrorCode::CorruptBatch);
-            }
-        }
-    }
-    Ok(SpanInfo {
-        base_offset: base_offset.unwrap_or(next_offset),
-        next_offset,
-    })
-}
-
-/// Routes a committed span's result to its origin: a replication credit, a
-/// deferral until full replication, or the produce ack.
-fn finish_rdma_ack(
-    b: &Rc<BrokerInner>,
-    p: &Rc<Partition>,
-    grant: &Rc<Grant>,
-    span: SpanInfo,
-    route: AckRoute,
-    acks: &mut Vec<Ack>,
-) {
-    match grant.mode {
-        ProduceMode::Replication => {
-            // Follower side of push replication: track our own progress and
-            // return a credit to the leader (§4.3.2).
-            p.follower_set_hw(p.log.next_offset());
-            on_hw_advanced(b, p);
-            queue_ack(b, acks, route, ErrorCode::None, span.next_offset);
-        }
-        // Replicated leader: the ack leaves from `on_hw_advanced`, once the
-        // followers have the span.
-        _ if p.replication_factor() > 1 && p.log.high_watermark() < span.next_offset => {
-            p.deferred_acks.borrow_mut().push_back(DeferredAck {
-                next_offset: span.next_offset,
-                base_offset: span.base_offset,
-                route,
-            });
-        }
-        _ => queue_ack(b, acks, route, ErrorCode::None, span.base_offset),
-    }
-}
-
-/// A commit result on its way out: QP acks collect in `acks` — the caller
-/// posts them together, in order, through [`send_acks`] — anything else is
-/// delivered now.
-fn queue_ack(b: &Rc<BrokerInner>, acks: &mut Vec<Ack>, route: AckRoute, error: ErrorCode, base_offset: u64) {
-    match route {
-        AckRoute::Qp(qpn) => acks.push((qpn, error, base_offset)),
-        route => deliver_ack(b, route, error, base_offset),
-    }
-}
-
-fn deliver_ack(b: &Rc<BrokerInner>, route: AckRoute, error: ErrorCode, base_offset: u64) {
-    match route {
-        AckRoute::Qp(qpn) => send_acks(b, &[(qpn, error, base_offset)]),
-        AckRoute::Rpc(reply) => send(
-            reply,
-            Response::Produce {
-                error,
-                base_offset,
-            },
-        ),
-        AckRoute::None => {}
-    }
-}
-
-/// Arms the §4.2.2 hole watchdog: if `order` is still parked when the
-/// timeout fires, the whole shared session is aborted and access revoked.
-fn arm_order_timeout(b: &Rc<BrokerInner>, p: &Rc<Partition>, grant: &Rc<Grant>, order: u16) {
-    let generation = grant
-        .shared
-        .as_ref()
-        .map(|s| s.generation.get())
-        .unwrap_or(0);
-    let timeout = b.config.shared_order_timeout;
-    let b = Rc::clone(b);
-    let p = Rc::clone(p);
-    let grant = Rc::clone(grant);
-    sim::spawn(async move {
-        sim::time::sleep(timeout).await;
-        if grant.is_pending(order, generation) {
-            b.metrics.add(&b.metrics.produce_aborts, 1);
-            revoke_grant(&b, &p, &grant, ErrorCode::OrderTimeout);
-        }
-    });
-}
-
-/// Revokes a grant: deregisters memory (in-flight writes fault), fails
-/// parked completions, discards reserved-but-uncommitted bytes.
-pub fn revoke_grant(b: &Rc<BrokerInner>, p: &Rc<Partition>, grant: &Rc<Grant>, error: ErrorCode) {
-    let failed = b.produce_module.revoke(&b.nic, grant);
-    for route in failed {
-        deliver_ack(b, route, error, 0);
-    }
-    if let Some(seg) = p.log.segment(grant.segment) {
-        if !seg.is_sealed() {
-            seg.truncate_to_committed();
-        }
-        b.metrics
-            .registered_bytes
-            .set(b.metrics.registered_bytes.get().saturating_sub(u64::from(seg.capacity())));
-    }
-    let mut cell = p.grant.borrow_mut();
-    if cell.as_ref().is_some_and(|g| Rc::ptr_eq(g, grant)) {
-        *cell = None;
-    }
-    b.metrics.add(&b.metrics.grants_revoked, 1);
-}
-
-/// Revokes exclusive/replication grants owned by a disconnected node
-/// (§4.2.2: "If the RDMA producer fails, its exclusive RDMA access will be
-/// revoked").
-pub fn revoke_grants_of_node(b: &Rc<BrokerInner>, node: NodeId) {
-    for p in b.store.local_partitions() {
-        let grant = p.grant.borrow().clone();
-        if let Some(g) = grant {
-            if g.owner == node && g.mode != ProduceMode::Shared && !g.closed.get() {
-                revoke_grant(b, &p, &g, ErrorCode::AccessDenied);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Produce access grants (§4.2.2 "Getting RDMA access").
-// ---------------------------------------------------------------------------
-
-fn roll_head(b: &Rc<BrokerInner>, p: &Rc<Partition>) {
+pub(crate) fn roll_head(b: &Rc<BrokerInner>, p: &Rc<Partition>) {
     let sealed = p.log.head_index();
     p.log.roll();
     // The old head just became immutable: let consumers know (§4.4.2).
     on_hw_advanced(b, p);
     maybe_evict(b, p, sealed);
-}
-
-async fn handle_produce_access(
-    b: &Rc<BrokerInner>,
-    peer: NodeId,
-    tp: &TopicPartition,
-    mode: ProduceMode,
-    min_bytes: u32,
-    reply: oneshot::Sender<Response>,
-) {
-    charge_worker(b, CONTROL_COST).await;
-    let fail = |error: ErrorCode| {
-        Response::ProduceAccess(ProduceAccessResp {
-            error,
-            file_id: 0,
-            segment: 0,
-            region: RemoteRegion {
-                addr: 0,
-                rkey: 0,
-                len: 0,
-            },
-            write_pos: 0,
-            next_offset: 0,
-            shared_word: None,
-            credits: 0,
-        })
-    };
-    let Some(p) = b.store.get(tp) else {
-        send(reply, fail(ErrorCode::UnknownTopicOrPartition));
-        return;
-    };
-    let allowed = match mode {
-        ProduceMode::Replication => {
-            if b.config.rdma.replicate && peer.0 != p.leader().node {
-                // A pusher that is not the current leader lost a leadership
-                // election it has not heard about yet: fence it.
-                send(reply, fail(ErrorCode::FencedEpoch));
-                return;
-            }
-            b.config.rdma.replicate && !p.is_leader()
-        }
-        _ => b.config.rdma.produce && p.is_leader(),
-    };
-    if !allowed {
-        let code = if p.is_leader() || mode == ProduceMode::Replication {
-            ErrorCode::AccessDenied
-        } else {
-            ErrorCode::NotLeader
-        };
-        send(reply, fail(code));
-        return;
-    }
-
-    let existing = p.grant.borrow().clone().filter(|g| !g.closed.get());
-    if let Some(g) = existing {
-        let needs_roll =
-            g.segment != p.log.head_index() || p.log.head().remaining() < min_bytes;
-        let compatible = g.mode == mode
-            && (mode == ProduceMode::Shared || g.owner == peer);
-        if !compatible {
-            send(reply, fail(ErrorCode::AccessDenied));
-            return;
-        }
-        if !needs_roll {
-            send(reply, grant_response(b, &p, &g));
-            return;
-        }
-        // Roll: retire the old session, seal the file, open a new head.
-        revoke_grant(b, &p, &g, ErrorCode::OutOfSpace);
-        roll_head(b, &p);
-    } else if p.log.head().remaining() < min_bytes {
-        roll_head(b, &p);
-    }
-
-    let head = p.log.head();
-    head.truncate_to_committed();
-    let grant = b.produce_module.create_grant(
-        &b.nic,
-        tp,
-        p.log.head_index(),
-        head.shared_buf(),
-        mode,
-        peer,
-    );
-    if let Some(shared) = &grant.shared {
-        shared.word_buf.write_u64(
-            0,
-            pack_shared_word(SharedWord {
-                order: 0,
-                offset: u64::from(head.committed_pos()),
-            }),
-        );
-    }
-    b.metrics
-        .add(&b.metrics.registered_bytes, u64::from(head.capacity()));
-    *p.grant.borrow_mut() = Some(Rc::clone(&grant));
-    send(reply, grant_response(b, &p, &grant));
-}
-
-fn grant_response(b: &Rc<BrokerInner>, p: &Rc<Partition>, g: &Rc<Grant>) -> Response {
-    let head = p.log.segment(g.segment).expect("grant segment");
-    Response::ProduceAccess(ProduceAccessResp {
-        error: ErrorCode::None,
-        file_id: g.file_id,
-        segment: g.segment,
-        region: RemoteRegion {
-            addr: g.mr.addr(),
-            rkey: g.mr.rkey(),
-            len: g.mr.len() as u64,
-        },
-        write_pos: head.committed_pos(),
-        next_offset: p.log.next_offset(),
-        shared_word: g.shared.as_ref().map(|s| RemoteRegion {
-            addr: s.word_mr.addr(),
-            rkey: s.word_mr.rkey(),
-            len: 8,
-        }),
-        credits: b.config.replication_credits,
-    })
 }
 
 // ---------------------------------------------------------------------------

@@ -360,7 +360,7 @@ impl Broker {
         for p in b.store.local_partitions() {
             let grant = p.grant.borrow().clone();
             if let Some(g) = grant.filter(|g| !g.closed.get()) {
-                crate::api::revoke_grant(b, &p, &g, kdwire::ErrorCode::Internal);
+                crate::rdma_produce::revoke_grant(b, &p, &g, kdwire::ErrorCode::Internal);
             }
             p.announce_leo();
         }

@@ -81,7 +81,7 @@ fn start_produce_listener(b: &Rc<BrokerInner>, srq: Srq) {
                 qp.disconnected().await;
                 drop(lease);
                 b2.produce_qps.borrow_mut().remove(&qpn);
-                crate::api::revoke_grants_of_node(&b2, from);
+                crate::rdma_produce::revoke_grants_of_node(&b2, from);
             });
         }
     });
