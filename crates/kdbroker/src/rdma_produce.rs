@@ -249,14 +249,11 @@ pub(crate) async fn commit_run(
             scratch.traced.push(span);
         }
     }
-    let span = scratch
-        .traced
-        .is_empty()
-        .then(|| b.telem.registry.span("broker.rdma_commit"));
+    let untraced = scratch.traced.is_empty();
+    let _span = untraced.then(|| b.telem.registry.span("broker.rdma_commit"));
     commit_spans(b, file_id, seq, run, scratch).await;
     b.telem.rdma_commit_ns.record_since(start);
     scratch.traced.drain(..).for_each(kdtelem::TraceSpan::end);
-    drop(span);
 }
 
 /// The one commit path (§4.2.2): the per-file chain is claimed once for the

@@ -36,15 +36,26 @@ cargo test -q --offline --test durable
 cargo test -q --offline --test shard_equivalence
 
 # Connection-scaling equivalence gate (DESIGN.md §13): below the NIC cache
-# knee the three produce-connection modes — per-QP receive queues, shared
-# receive queue, SRQ + QP multiplexing — must be *bit-identical* (same
-# acked/consumed sets AND the same order-sensitive trace digest), and the
-# full 8-seed chaos soak must stay green with the SRQ enabled (a broker
-# crash flushing error CQEs through SRQ-attached QPs must not strand or
-# double-free shared receive buffers). Runs in `cargo test` above too —
-# kept explicit so a connection-mode regression is named in CI output, and
-# because the fan-in smoke below is only meaningful if this gate holds.
+# knee the two sizings of the broker's one receive layer — a NIC context
+# per accepted QP, or QPs multiplexed over an 8-context pool — must be
+# *bit-identical* (same acked/consumed sets AND the same order-sensitive
+# trace digest), the full 8-seed chaos soak must stay green multiplexed (a
+# broker crash flushing error CQEs through SRQ-attached QPs must not strand
+# or double-free shared receive buffers), and a depth-4 SRQ under 64
+# producers must run dry without losing a record. Runs in `cargo test`
+# above too — kept explicit so a connection-layer regression is named in CI
+# output, and because the fan-in smoke below is only meaningful if this
+# gate holds.
 cargo test -q --offline --test conn_scaling
+
+# Re-fork guard: the produce plane is one path from CQE to ack. The mode
+# enum, the second commit work item and the private per-QP receive queue
+# were deleted because the gates above proved them redundant; they must not
+# come back under crates/*/src.
+if grep -rnE "ConnMode|RdmaCommitBatch|recv_queue" crates/*/src; then
+    echo "ci: a deleted produce-plane fork reappeared (see DESIGN.md §10, §13)" >&2
+    exit 1
+fi
 
 # Work-request engine gates: the NIC model must not grow a per-WR task
 # again — no spawn on the post path of qp.rs (connection-manager and test
@@ -75,7 +86,7 @@ cargo run -q --release --offline --example quickstart -- --durable
 # Perf smoke: wall-clock harness over the fig10/11 produce workload with a
 # counting global allocator and an executor-poll counter. Writes
 # BENCH_<TAG>.json (+ results/PERF_<TAG>.md; TAG from --tag/KD_BENCH_TAG,
-# default PR12) and exits non-zero if the steady-state exclusive-RDMA
+# default PR13) and exits non-zero if the steady-state exclusive-RDMA
 # produce path — over the in-memory store OR the file-backed hot tier —
 # exceeds its allocation budget (allocs/record <= 2) or its scheduling
 # budget (polls/record <= 3.2, measured 2.95 — the pre-batching loop needed
@@ -93,10 +104,16 @@ cargo run -q --release --offline --example quickstart -- --durable
 #
 # --smoke also clamps the connection fan-in sweep to 10..100 clients (vs
 # the full 10..100000 decade ladder): below the NIC cache knee it checks
-# the memory contracts — broker receive-buffer bytes O(1) in client count
-# for SRQ/SrqMux, O(clients) for per-QP — and the kdperf run fails if the
-# new SRQ-enabled produce datapath (rdma_srq) blows the same allocs/record
-# and polls/record budgets as the per-QP path. This smoke only means
-# anything if the conn_scaling equivalence gate above passed, hence the
-# ordering.
+# the memory contract — broker receive-buffer bytes O(1) in client count
+# on both sizings. This smoke only means anything if the conn_scaling
+# equivalence gate above passed, hence the ordering.
 cargo run -q --release --offline -p kdbench --bin kdperf -- --smoke
+
+# kdmark (BENCHMARK.json): its own unit tests, then every workload at 1/20
+# size, traced run included — the benchmark must keep building and
+# verifying against the crates as they are.
+(cd benchmark && cargo test -q --offline)
+bash benchmark/smoke.sh
+
+# Net non-test lines of code per crate (the number CHANGES.md reports).
+bash scripts/loc.sh
