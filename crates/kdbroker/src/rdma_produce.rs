@@ -416,7 +416,13 @@ fn finish_rdma_ack(
 /// A commit result on its way out: QP acks collect in `acks` — the caller
 /// posts them together, in order, through [`send_acks`] — anything else is
 /// delivered now.
-fn queue_ack(b: &Rc<BrokerInner>, acks: &mut Vec<Ack>, route: AckRoute, error: ErrorCode, base_offset: u64) {
+fn queue_ack(
+    b: &Rc<BrokerInner>,
+    acks: &mut Vec<Ack>,
+    route: AckRoute,
+    error: ErrorCode,
+    base_offset: u64,
+) {
     match route {
         AckRoute::Qp(qpn) => acks.push((qpn, error, base_offset)),
         route => deliver_ack(b, route, error, base_offset),

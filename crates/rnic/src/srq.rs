@@ -50,14 +50,14 @@ impl RecvQueue {
     /// and retries every sender parked on the queue. Overflowing `max_wr`
     /// is a simulation program bug, not a runtime condition, and panics.
     pub(crate) fn post_list(&self, wrs: impl IntoIterator<Item = RecvWr>) {
+        let (kind, bound) = match self.telem {
+            Some(_) => ("shared receive", "max_wr"),
+            None => ("receive", "max_recv_wr"),
+        };
         let mut posted = 0u64;
         {
             let mut q = self.queue.borrow_mut();
             for wr in wrs {
-                let (kind, bound) = match self.telem {
-                    Some(_) => ("shared receive", "max_wr"),
-                    None => ("receive", "max_recv_wr"),
-                };
                 assert!(q.len() < self.max_wr, "{kind} queue overflow ({bound}={})", self.max_wr);
                 self.nic.recv_buf_add(&wr);
                 q.push_back(wr);
