@@ -25,7 +25,7 @@
 //!
 //! Output: a JSON report plus a human-readable summary. Both default paths
 //! derive from one PR tag — `BENCH_<TAG>.json` and `results/PERF_<TAG>.md`,
-//! where `<TAG>` comes from `--tag` or `KD_BENCH_TAG` (default `PR13`);
+//! where `<TAG>` comes from `--tag` or `KD_BENCH_TAG` (default `PR14`);
 //! explicit `--out`/`--summary` still override. Exit status is non-zero if
 //! a steady-state budget is exceeded:
 //!
@@ -34,6 +34,9 @@
 //! * exclusive RDMA produce — memory **and** tiered — must stay at
 //!   **<= 3.2 executor polls/record** (measured 2.95 on both; the PR 4
 //!   loop needed ~21, the per-WR-task NIC model 3.2);
+//! * Kafka/TCP produce RPCs (the `tcp` datapath) must stay at **<= 14.5
+//!   executor polls/record** and **<= 4.5 allocs/record** (measured 14.0 /
+//!   4.0; the task-per-hop RPC plane needed 21.0 / 10.0);
 //! * the warm 1 MiB TCP send must stay under one alloc per MSS packet;
 //! * running the virtual-time telemetry sampler must cost **<= 3%** of
 //!   exclusive-RDMA records/s (best-of-3 interleaved pairs; the wall-clock
@@ -182,7 +185,7 @@ impl Config {
             shards: vec![1, 2, 4],
             fanin_min: 10,
             fanin_max: 100_000,
-            tag: std::env::var("KD_BENCH_TAG").unwrap_or_else(|_| "PR13".to_string()),
+            tag: std::env::var("KD_BENCH_TAG").unwrap_or_else(|_| "PR14".to_string()),
             out: String::new(),
             summary: String::new(),
         };
@@ -901,6 +904,12 @@ const RDMA_ALLOC_BUDGET: f64 = 2.0;
 /// for the smoke run's short measurement. The PR 4 one-completion-per-wakeup
 /// loop needed ~20.8, batched CQ draining with a task per work request 3.2.
 const RDMA_POLLS_BUDGET: f64 = 3.2;
+/// Executor polls and allocations per Kafka/TCP produce RPC at steady
+/// state (the `tcp` datapath): measured 14.01 / 4.02 on a full run, 14.06 /
+/// 4.23 on the smoke run, plus slack. The task-per-hop RPC plane needed
+/// 21.0 / 10.0 (DESIGN.md §10 names every remaining poll).
+const TCP_POLLS_BUDGET: f64 = 14.5;
+const TCP_ALLOC_BUDGET: f64 = 4.5;
 /// Max wall-clock throughput cost of running the virtual-time sampler, in
 /// percent of unsampled exclusive-RDMA records/s. Override with
 /// `KDPERF_SAMPLER_BUDGET=<pct>` (useful on noisy shared hosts).
@@ -1366,6 +1375,8 @@ fn write_json(
             "  \"budget\": {{\n",
             "    \"rdma_exclusive_allocs_per_record_max\": {:.1},\n",
             "    \"rdma_exclusive_polls_per_record_max\": {:.1},\n",
+            "    \"tcp_polls_per_record_max\": {:.1},\n",
+            "    \"tcp_allocs_per_record_max\": {:.1},\n",
             "    \"tcp_1mib_send_allocs_max\": {},\n",
             "    \"sampler_overhead_pct_max\": {:.1},\n",
             "    \"fanin_retention_min\": {:.2},\n",
@@ -1397,6 +1408,8 @@ fn write_json(
         sampler.alloc_allowance(),
         RDMA_ALLOC_BUDGET,
         RDMA_POLLS_BUDGET,
+        TCP_POLLS_BUDGET,
+        TCP_ALLOC_BUDGET,
         tcp_1mib.packets,
         sampler_budget_pct(),
         FANIN_RETENTION_MIN,
@@ -1610,8 +1623,9 @@ fn write_summary(
     md.push_str(&format!(
         "\nBudgets: exclusive RDMA produce (memory and tiered) <= \
          {RDMA_ALLOC_BUDGET} allocs/record, <= {RDMA_POLLS_BUDGET} executor \
-         polls/record, and sampler overhead <= {:.1}% at steady state — \
-         **{}**.\n",
+         polls/record, Kafka/TCP produce <= {TCP_ALLOC_BUDGET} allocs/record, \
+         <= {TCP_POLLS_BUDGET} polls/record, and sampler overhead <= {:.1}% \
+         at steady state — **{}**.\n",
         sampler_budget_pct(),
         if pass { "PASS" } else { "FAIL" }
     ));
@@ -1836,6 +1850,8 @@ fn main() {
     let polls_ok = rdma.polls_per_record() <= RDMA_POLLS_BUDGET;
     let tiered_alloc_ok = tiered.allocs_per_record() <= RDMA_ALLOC_BUDGET;
     let tiered_polls_ok = tiered.polls_per_record() <= RDMA_POLLS_BUDGET;
+    let tcp_polls_ok = tcp.polls_per_record() <= TCP_POLLS_BUDGET;
+    let tcp_alloc_ok = tcp.allocs_per_record() <= TCP_ALLOC_BUDGET;
     let tcp_send_ok = tcp_1mib.allocs < tcp_1mib.packets;
     let sampler_ok = !sampler_gated || sampler.overhead_pct() <= sampler_budget_pct();
     let sampler_allocs_ok = sampler_extra_allocs <= sampler_alloc_allowance;
@@ -1853,6 +1869,8 @@ fn main() {
         && polls_ok
         && tiered_alloc_ok
         && tiered_polls_ok
+        && tcp_polls_ok
+        && tcp_alloc_ok
         && tcp_send_ok
         && sampler_ok
         && sampler_allocs_ok
@@ -1889,6 +1907,18 @@ fn main() {
         eprintln!(
             "kdperf: FAIL — tiered RDMA produce needs {:.2} executor polls/record (budget {RDMA_POLLS_BUDGET})",
             tiered.polls_per_record()
+        );
+    }
+    if !tcp_polls_ok {
+        eprintln!(
+            "kdperf: FAIL — Kafka/TCP produce needs {:.2} executor polls/record (budget {TCP_POLLS_BUDGET})",
+            tcp.polls_per_record()
+        );
+    }
+    if !tcp_alloc_ok {
+        eprintln!(
+            "kdperf: FAIL — Kafka/TCP produce allocates {:.3}/record (budget {TCP_ALLOC_BUDGET})",
+            tcp.allocs_per_record()
         );
     }
     if !tcp_send_ok {

@@ -11,7 +11,6 @@ use kdwire::{ConsumeAccessResp, ErrorCode, FetchResp, RemoteRegion, SlotGrant};
 use netsim::profile::copy_time;
 use netsim::NodeId;
 use rnic::{SendWr, ShmBuf, WorkRequest};
-use sim::sync::oneshot;
 
 use crate::broker::BrokerInner;
 use crate::data::Partition;
@@ -19,7 +18,7 @@ use crate::rdma_consume::{self, SlotRef};
 use crate::rdma_produce::{
     commit_run, deliver_ack, handle_produce_access, revoke_grant, CommitScratch, Grant,
 };
-use crate::requests::{AckRoute, CommitItem, WorkItem};
+use crate::requests::{AckRoute, CommitItem, Reply, WorkItem};
 
 /// Cost of trivial control-plane requests (metadata, offsets, grants).
 pub(crate) const CONTROL_COST: Duration = Duration::from_micros(3);
@@ -95,15 +94,11 @@ async fn dispatch(b: &Rc<BrokerInner>, item: WorkItem, scratch: &mut CommitScrat
     }
 }
 
-pub(crate) fn send(reply: oneshot::Sender<Response>, resp: Response) {
-    let _ = reply.send(resp);
-}
-
 async fn handle_rpc(
     b: &Rc<BrokerInner>,
     peer: NodeId,
     request: Request,
-    reply: oneshot::Sender<Response>,
+    reply: Reply,
     ctx: Option<kdtelem::TraceCtx>,
 ) {
     match request {
@@ -117,14 +112,11 @@ async fn handle_rpc(
                     .filter_map(|t| b.store.topic_meta(t))
                     .collect()
             };
-            send(
-                reply,
-                Response::Metadata {
-                    error: ErrorCode::None,
-                    brokers: b.peers.clone(),
-                    topics: metas,
-                },
-            );
+            reply.send(Response::Metadata {
+                error: ErrorCode::None,
+                brokers: b.peers.clone(),
+                topics: metas,
+            });
         }
         Request::CreateTopic {
             topic,
@@ -136,7 +128,7 @@ async fn handle_rpc(
             let b2 = Rc::clone(b);
             sim::spawn(async move {
                 let error = create_topic(&b2, &topic, partitions, replication).await;
-                send(reply, Response::CreateTopic { error });
+                reply.send(Response::CreateTopic { error });
             });
         }
         Request::InternalAddPartition {
@@ -148,7 +140,7 @@ async fn handle_rpc(
         } => {
             charge_worker(b, CONTROL_COST).await;
             let error = apply_add_partition(b, &topic, partition, epoch, leader, replicas);
-            send(reply, Response::InternalAddPartition { error });
+            reply.send(Response::InternalAddPartition { error });
         }
         Request::Produce {
             topic,
@@ -203,7 +195,7 @@ async fn handle_rpc(
                     latest: 0,
                 },
             };
-            send(reply, resp);
+            reply.send(resp);
         }
         Request::OffsetCommit {
             group,
@@ -215,12 +207,9 @@ async fn handle_rpc(
             b.offsets
                 .borrow_mut()
                 .insert((group, topic, partition), offset);
-            send(
-                reply,
-                Response::OffsetCommit {
-                    error: ErrorCode::None,
-                },
-            );
+            reply.send(Response::OffsetCommit {
+                error: ErrorCode::None,
+            });
         }
         Request::OffsetFetch {
             group,
@@ -243,13 +232,10 @@ async fn handle_rpc(
                 (t, u64::MAX) => t,
                 (t, s) => t.max(s),
             };
-            send(
-                reply,
-                Response::OffsetFetch {
-                    error: ErrorCode::None,
-                    offset,
-                },
-            );
+            reply.send(Response::OffsetFetch {
+                error: ErrorCode::None,
+                offset,
+            });
         }
         Request::OffsetSlotAccess {
             group,
@@ -258,13 +244,10 @@ async fn handle_rpc(
         } => {
             charge_worker(b, CONTROL_COST).await;
             if !b.config.rdma.consume {
-                send(
-                    reply,
-                    Response::OffsetSlotAccess {
-                        error: ErrorCode::InvalidRequest,
-                        region: RemoteRegion { addr: 0, rkey: 0, len: 0 },
-                    },
-                );
+                reply.send(Response::OffsetSlotAccess {
+                    error: ErrorCode::InvalidRequest,
+                    region: RemoteRegion { addr: 0, rkey: 0, len: 0 },
+                });
                 return;
             }
             let key = (group, topic, partition);
@@ -285,13 +268,10 @@ async fn handle_rpc(
                     len: 8,
                 }
             };
-            send(
-                reply,
-                Response::OffsetSlotAccess {
-                    error: ErrorCode::None,
-                    region,
-                },
-            );
+            reply.send(Response::OffsetSlotAccess {
+                error: ErrorCode::None,
+                region,
+            });
         }
         Request::ProduceAccess {
             topic,
@@ -319,12 +299,9 @@ async fn handle_rpc(
                     }
                 }
             }
-            send(
-                reply,
-                Response::ProduceRelease {
-                    error: ErrorCode::None,
-                },
-            );
+            reply.send(Response::ProduceRelease {
+                error: ErrorCode::None,
+            });
         }
         Request::ConsumeAccess {
             topic,
@@ -344,13 +321,10 @@ async fn handle_rpc(
         Request::Telemetry => {
             charge_worker(b, CONTROL_COST).await;
             let json = b.telem.registry.snapshot().to_json_lines();
-            send(
-                reply,
-                Response::Telemetry {
-                    error: ErrorCode::None,
-                    json,
-                },
-            );
+            reply.send(Response::Telemetry {
+                error: ErrorCode::None,
+                json,
+            });
         }
         Request::Series => {
             charge_worker(b, CONTROL_COST).await;
@@ -358,7 +332,7 @@ async fn handle_rpc(
                 Some(s) => (ErrorCode::None, s.dump().to_json_lines()),
                 None => (ErrorCode::NotSupported, String::new()),
             };
-            send(reply, Response::Series { error, json });
+            reply.send(Response::Series { error, json });
         }
         Request::Health => {
             charge_worker(b, CONTROL_COST).await;
@@ -369,7 +343,7 @@ async fn handle_rpc(
                 ),
                 None => (ErrorCode::NotSupported, String::new()),
             };
-            send(reply, Response::Health { error, json });
+            reply.send(Response::Health { error, json });
         }
         Request::ConsumeRelease {
             topic,
@@ -387,12 +361,9 @@ async fn handle_rpc(
                 // Last reader gone: the sealed segment may spill back out.
                 maybe_evict(b, &p, segment);
             }
-            send(
-                reply,
-                Response::ConsumeRelease {
-                    error: ErrorCode::None,
-                },
-            );
+            reply.send(Response::ConsumeRelease {
+                error: ErrorCode::None,
+            });
         }
     }
 }
@@ -751,7 +722,7 @@ async fn handle_produce(
     tp: &TopicPartition,
     acks: u8,
     batch: Vec<u8>,
-    reply: oneshot::Sender<Response>,
+    reply: Reply,
     ctx: Option<kdtelem::TraceCtx>,
 ) {
     b.metrics.add(&b.metrics.produce_requests, 1);
@@ -762,17 +733,14 @@ async fn handle_produce(
         } else {
             ErrorCode::UnknownTopicOrPartition
         };
-        send(reply, Response::Produce { error, base_offset: 0 });
+        reply.send(Response::Produce { error, base_offset: 0 });
         return;
     };
     if !p.is_leader() {
-        send(
-            reply,
-            Response::Produce {
-                error: ErrorCode::NotLeader,
-                base_offset: 0,
-            },
-        );
+        reply.send(Response::Produce {
+            error: ErrorCode::NotLeader,
+            base_offset: 0,
+        });
         return;
     }
     // A TCP produce into an RDMA-shared file must reserve through the same
@@ -812,13 +780,10 @@ async fn handle_produce(
             charge_storage(b, &p).await;
             finish_produce_rpc(b, &p, acks, info.base_offset, info.record_count, reply);
         }
-        Err(e) => send(
-            reply,
-            Response::Produce {
-                error: map_append_error(e),
-                base_offset: 0,
-            },
-        ),
+        Err(e) => reply.send(Response::Produce {
+            error: map_append_error(e),
+            base_offset: 0,
+        }),
     }
 }
 
@@ -838,7 +803,7 @@ fn finish_produce_rpc(
     acks: u8,
     base_offset: u64,
     record_count: u32,
-    reply: oneshot::Sender<Response>,
+    reply: Reply,
 ) {
     let needs_full_commit = acks >= 2 && p.replication_factor() > 1;
     if needs_full_commit {
@@ -846,22 +811,16 @@ fn finish_produce_rpc(
         let _ = b;
         sim::spawn(async move {
             p.wait_committed(base_offset + u64::from(record_count)).await;
-            send(
-                reply,
-                Response::Produce {
-                    error: ErrorCode::None,
-                    base_offset,
-                },
-            );
-        });
-    } else {
-        send(
-            reply,
-            Response::Produce {
+            reply.send(Response::Produce {
                 error: ErrorCode::None,
                 base_offset,
-            },
-        );
+            });
+        });
+    } else {
+        reply.send(Response::Produce {
+            error: ErrorCode::None,
+            base_offset,
+        });
     }
 }
 
@@ -883,7 +842,7 @@ async fn produce_via_shared(
     p: &Rc<Partition>,
     g: &Rc<Grant>,
     batch: Vec<u8>,
-    reply: oneshot::Sender<Response>,
+    reply: Reply,
     ctx: Option<kdtelem::TraceCtx>,
 ) {
     let shared = g.shared.as_ref().expect("shared grant");
@@ -894,13 +853,10 @@ async fn produce_via_shared(
     };
     let len = batch.len() as u64;
     let Some(old) = b.self_faa(word_region, shared_word_addend(len)).await else {
-        send(
-            reply,
-            Response::Produce {
-                error: ErrorCode::Internal,
-                base_offset: 0,
-            },
-        );
+        reply.send(Response::Produce {
+            error: ErrorCode::Internal,
+            base_offset: 0,
+        });
         return;
     };
     let w = unpack_shared_word(old);
@@ -935,13 +891,10 @@ async fn produce_via_shared(
                 charge_storage(b, p).await;
                 finish_produce_rpc(b, p, 2, info.base_offset, info.record_count, reply);
             }
-            Err(e) => send(
-                reply,
-                Response::Produce {
-                    error: map_append_error(e),
-                    base_offset: 0,
-                },
-            ),
+            Err(e) => reply.send(Response::Produce {
+                error: map_append_error(e),
+                base_offset: 0,
+            }),
         }
         return;
     }
@@ -983,7 +936,7 @@ async fn handle_fetch(
     offset: u64,
     max_bytes: u32,
     replica_id: u32,
-    reply: oneshot::Sender<Response>,
+    reply: Reply,
     ctx: Option<kdtelem::TraceCtx>,
 ) {
     let fail = |error: ErrorCode| {
@@ -997,11 +950,11 @@ async fn handle_fetch(
         })
     };
     let Some(p) = b.store.get(tp) else {
-        send(reply, fail(ErrorCode::UnknownTopicOrPartition));
+        reply.send(fail(ErrorCode::UnknownTopicOrPartition));
         return;
     };
     if !p.is_leader() {
-        send(reply, fail(ErrorCode::NotLeader));
+        reply.send(fail(ErrorCode::NotLeader));
         return;
     }
     let is_replica = replica_id != u32::MAX;
@@ -1014,7 +967,7 @@ async fn handle_fetch(
             on_hw_advanced(b, &p);
         }
         if offset < p.log.start_offset() {
-            send(reply, fail(ErrorCode::OffsetOutOfRange));
+            reply.send(fail(ErrorCode::OffsetOutOfRange));
             return;
         }
         let f = p.log.read_from(offset, max_bytes, false);
@@ -1037,18 +990,18 @@ async fn handle_fetch(
                 let f = p2.log.read_from(offset, max_bytes, false);
                 charge_storage(&b2, &p2).await;
                 b2.metrics.add(&b2.metrics.fetch_bytes, f.bytes.len() as u64);
-                send(reply, fetch_response(&p2, f));
+                reply.send(fetch_response(&p2, f));
             });
             return;
         }
         b.metrics.add(&b.metrics.fetch_bytes, f.bytes.len() as u64);
-        send(reply, fetch_response(&p, f));
+        reply.send(fetch_response(&p, f));
     } else {
         b.metrics.add(&b.metrics.fetch_requests, 1);
         // Below the retention floor: the typed out-of-range error, not an
         // empty read (the data is gone, not merely unwritten).
         if offset < p.log.start_offset() {
-            send(reply, fail(ErrorCode::OffsetOutOfRange));
+            reply.send(fail(ErrorCode::OffsetOutOfRange));
             return;
         }
         if b.config.storage.mode == kdstorage::StorageMode::Tiered {
@@ -1077,7 +1030,7 @@ async fn handle_fetch(
                 },
             );
         }
-        send(reply, fetch_response(&p, f));
+        reply.send(fetch_response(&p, f));
     }
 }
 
@@ -1101,7 +1054,7 @@ async fn handle_consume_access(
     tp: &TopicPartition,
     offset: u64,
     consumer_id: u64,
-    reply: oneshot::Sender<Response>,
+    reply: Reply,
 ) {
     charge_worker(b, CONTROL_COST).await;
     let fail = |error: ErrorCode| {
@@ -1122,28 +1075,28 @@ async fn handle_consume_access(
         })
     };
     if !b.config.rdma.consume {
-        send(reply, fail(ErrorCode::InvalidRequest));
+        reply.send(fail(ErrorCode::InvalidRequest));
         return;
     }
     let Some(p) = b.store.get(tp) else {
-        send(reply, fail(ErrorCode::UnknownTopicOrPartition));
+        reply.send(fail(ErrorCode::UnknownTopicOrPartition));
         return;
     };
     if !p.is_leader() {
-        send(reply, fail(ErrorCode::NotLeader));
+        reply.send(fail(ErrorCode::NotLeader));
         return;
     }
     let hw = p.log.high_watermark();
     let hwp = p.log.high_watermark_position();
     if offset < p.log.start_offset() {
-        send(reply, fail(ErrorCode::OffsetOutOfRange));
+        reply.send(fail(ErrorCode::OffsetOutOfRange));
         return;
     }
     let (segment, start_pos, start_offset) = if offset < hw {
         match p.log.locate(offset) {
             Some((seg, entry)) => (seg, entry.pos, entry.base_offset),
             None => {
-                send(reply, fail(ErrorCode::InvalidRequest));
+                reply.send(fail(ErrorCode::InvalidRequest));
                 return;
             }
         }
@@ -1158,7 +1111,7 @@ async fn handle_consume_access(
         } else {
             b.metrics.add(&b.metrics.storage_hot_misses, 1);
             if !p.log.restore_segment(segment) {
-                send(reply, fail(ErrorCode::OffsetOutOfRange));
+                reply.send(fail(ErrorCode::OffsetOutOfRange));
                 return;
             }
             charge_storage(b, &p).await;
@@ -1195,31 +1148,28 @@ async fn handle_consume_access(
             }
             None => {
                 rdma_consume::release_read(&b.nic, &b.metrics, &p, segment);
-                send(reply, fail(ErrorCode::AccessDenied));
+                reply.send(fail(ErrorCode::AccessDenied));
                 return;
             }
         }
     } else {
         None
     };
-    send(
-        reply,
-        Response::ConsumeAccess(ConsumeAccessResp {
-            error: ErrorCode::None,
-            segment,
-            region: RemoteRegion {
-                addr: mr.addr(),
-                rkey: mr.rkey(),
-                len: mr.len() as u64,
-            },
-            start_pos,
-            start_offset,
-            last_readable: view.last_readable,
-            mutable: view.mutable,
-            slot,
-            high_watermark: hw,
-        }),
-    );
+    reply.send(Response::ConsumeAccess(ConsumeAccessResp {
+        error: ErrorCode::None,
+        segment,
+        region: RemoteRegion {
+            addr: mr.addr(),
+            rkey: mr.rkey(),
+            len: mr.len() as u64,
+        },
+        start_pos,
+        start_offset,
+        last_readable: view.last_readable,
+        mutable: view.mutable,
+        slot,
+        high_watermark: hw,
+    }));
 }
 
 /// High-watermark side effects: refresh every RDMA-readable metadata slot

@@ -1,7 +1,7 @@
 //! Broker assembly: wires the network modules, worker pool, RDMA modules,
 //! and data management together (paper Fig 2) and exposes the public handle.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -53,10 +53,9 @@ pub struct BrokerInner {
     pub telem: BrokerTelem,
     pub store: PartitionStore,
     pub queue: WorkQueue<WorkItem>,
-    /// Commits in their queue transfer to the API workers, keyed by arrival
-    /// time at `queue`; set (and its hand-off stage started) by the RDMA
-    /// network module.
-    pub handoff: OnceCell<Rc<DueQueue<WorkItem>>>,
+    /// Work items in their queue transfer from a network module to the API
+    /// workers, keyed by arrival time at `queue`.
+    pub handoff: Rc<DueQueue<WorkItem>>,
     pub net_pool: ServicePool,
     /// Every broker of the cluster, sorted by node id; `peers[0]` acts as
     /// the controller.
@@ -101,6 +100,13 @@ pub struct BrokerInner {
 }
 
 impl BrokerInner {
+    /// The 11 µs queue transfer to the API workers, overlapped across
+    /// requests: `item` reaches the shared request queue `cpu.handoff` from
+    /// now.
+    pub fn hand_off(&self, item: WorkItem) {
+        self.handoff.push(sim::now() + self.profile.cpu.handoff, item);
+    }
+
     /// Lazily connects (and caches) an RPC client to a peer broker.
     pub async fn peer_client(&self, addr: BrokerAddr) -> Option<RpcClient> {
         if let Some(c) = self.peer_clients.borrow().get(&addr.node) {
@@ -161,6 +167,21 @@ impl BrokerInner {
         }
         Some(slot.clone().unwrap())
     }
+}
+
+/// One long-lived stage per broker moves work items from the network
+/// modules to the request queue as their transfer time elapses. The
+/// transfer time is a constant, so due order is hand-off order; a full queue
+/// back-pressures the stage, and with it every later item, in that same
+/// order. The stage holds only the two queues: once the broker crashes
+/// (`queue` closed), items still in transfer are dropped as they come due.
+fn start_handoff_stage(b: &BrokerInner) {
+    let (handoff, queue) = (Rc::clone(&b.handoff), b.queue.clone());
+    sim::spawn_detached(async move {
+        while let Some(item) = handoff.next().await {
+            let _ = queue.send(item).await;
+        }
+    });
 }
 
 /// A running broker.
@@ -227,7 +248,7 @@ impl Broker {
             telem,
             store: PartitionStore::default(),
             queue: WorkQueue::new(config.request_queue_depth),
-            handoff: OnceCell::new(),
+            handoff: Rc::new(DueQueue::new()),
             net_pool,
             peers,
             peer_clients: RefCell::new(HashMap::new()),
@@ -255,6 +276,7 @@ impl Broker {
         if inner.config.transport == Transport::RdmaSendRecv {
             crate::server_osu::start(&inner);
         }
+        start_handoff_stage(&inner);
         if inner.config.rdma.any() || inner.config.transport == Transport::RdmaSendRecv {
             crate::rdma_net::start(&inner);
         }

@@ -97,14 +97,6 @@ impl ServicePool {
         &self.threads[i]
     }
 
-    pub fn len(&self) -> usize {
-        self.threads.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.threads.is_empty()
-    }
-
     pub fn busy_ns(&self) -> u64 {
         self.threads.iter().map(ServiceQueue::busy_ns).sum()
     }

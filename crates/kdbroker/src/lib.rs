@@ -31,6 +31,7 @@ pub mod rdma_produce;
 pub mod repl;
 pub mod requests;
 pub mod server_osu;
+mod server_rpc;
 pub mod server_tcp;
 
 pub use broker::Broker;

@@ -23,7 +23,6 @@ pub const CONSUME_PORT_OFF: u16 = 2;
 pub const POLL_COST: Duration = Duration::from_nanos(500);
 
 pub fn start(b: &Rc<BrokerInner>) {
-    start_handoff_stage(b);
     // Connection provisioning (DESIGN.md §13): the broker's entire produce
     // receive depth is posted once, up front, on one shared receive queue;
     // accepted QPs consume from it and the pollers return what they drain.
@@ -201,7 +200,7 @@ async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogra
             });
         }
         if let Some(item) = open {
-            hand_off(&b, item);
+            b.hand_off(item);
         }
         send_acks(&b, &err_acks);
     }
@@ -232,35 +231,10 @@ fn extend_or_hand_off(
             let run = CommitRun::one(item);
             let next = WorkItem::RdmaCommit { file_id: grant.file_id, seq, run };
             if let Some(done) = open.replace(next) {
-                hand_off(b, done);
+                b.hand_off(done);
             }
         }
     }
-}
-
-/// The 11 µs queue transfer to the API workers, overlapped across requests:
-/// the item reaches the shared request queue `cpu.handoff` from now.
-fn hand_off(b: &Rc<BrokerInner>, item: WorkItem) {
-    let handoff = b.handoff.get().expect("RDMA network module started");
-    handoff.push(sim::now() + b.profile.cpu.handoff, item);
-}
-
-/// One long-lived stage per broker moves commits from the pollers to the
-/// request queue as their transfer time elapses. The transfer time is a
-/// constant, so due order is hand-off order; a full queue back-pressures
-/// the stage, and with it every later commit, in that same order. The
-/// stage holds only the two queues: once the broker crashes (`queue`
-/// closed), items still in transfer are dropped as they come due.
-fn start_handoff_stage(b: &Rc<BrokerInner>) {
-    let handoff = Rc::new(sim::sync::DueQueue::new());
-    assert!(b.handoff.set(Rc::clone(&handoff)).is_ok(), "RDMA network module started twice");
-    let queue = b.queue.clone();
-    sim::spawn_detached(async move {
-        loop {
-            let item = handoff.next().await;
-            let _ = queue.send(item).await;
-        }
-    });
 }
 
 /// Drains up to `max` completions into `out` (cleared first): non-blocking
@@ -294,7 +268,7 @@ pub(crate) async fn drain_or_wait(
 pub fn enqueue_in_order(b: &Rc<BrokerInner>, grant: &Grant, seq: u64, item: CommitItem) {
     grant.stage_enqueue(seq, item, &mut |seq, item| {
         let run = CommitRun::one(item);
-        hand_off(b, WorkItem::RdmaCommit { file_id: grant.file_id, seq, run })
+        b.hand_off(WorkItem::RdmaCommit { file_id: grant.file_id, seq, run })
     });
 }
 

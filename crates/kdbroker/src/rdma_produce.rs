@@ -16,16 +16,15 @@ use kdwire::{ErrorCode, ProduceAccessResp, RemoteRegion};
 use netsim::profile::copy_time;
 use netsim::NodeId;
 use rnic::{Access, MemoryRegion, RNic, ShmBuf};
-use sim::sync::oneshot;
 
 use crate::api::{
-    after_local_commit, charge_storage, charge_worker, on_hw_advanced, roll_head, send,
+    after_local_commit, charge_storage, charge_worker, on_hw_advanced, roll_head,
     trace_commit, CONTROL_COST,
 };
 use crate::broker::BrokerInner;
 use crate::data::{Chain, DeferredAck, Partition};
 use crate::rdma_net::{send_acks, Ack};
-use crate::requests::{AckRoute, CommitItem, CommitRun};
+use crate::requests::{AckRoute, CommitItem, CommitRun, Reply};
 
 /// Shared-mode coordination state.
 pub struct SharedState {
@@ -432,13 +431,10 @@ fn queue_ack(
 pub(crate) fn deliver_ack(b: &Rc<BrokerInner>, route: AckRoute, error: ErrorCode, base_offset: u64) {
     match route {
         AckRoute::Qp(qpn) => send_acks(b, &[(qpn, error, base_offset)]),
-        AckRoute::Rpc(reply) => send(
-            reply,
-            Response::Produce {
-                error,
-                base_offset,
-            },
-        ),
+        AckRoute::Rpc(reply) => reply.send(Response::Produce {
+            error,
+            base_offset,
+        }),
         AckRoute::None => {}
     }
 }
@@ -510,7 +506,7 @@ pub(crate) async fn handle_produce_access(
     tp: &TopicPartition,
     mode: ProduceMode,
     min_bytes: u32,
-    reply: oneshot::Sender<Response>,
+    reply: Reply,
 ) {
     charge_worker(b, CONTROL_COST).await;
     let fail = |error: ErrorCode| {
@@ -530,7 +526,7 @@ pub(crate) async fn handle_produce_access(
         })
     };
     let Some(p) = b.store.get(tp) else {
-        send(reply, fail(ErrorCode::UnknownTopicOrPartition));
+        reply.send(fail(ErrorCode::UnknownTopicOrPartition));
         return;
     };
     let allowed = match mode {
@@ -538,7 +534,7 @@ pub(crate) async fn handle_produce_access(
             if b.config.rdma.replicate && peer.0 != p.leader().node {
                 // A pusher that is not the current leader lost a leadership
                 // election it has not heard about yet: fence it.
-                send(reply, fail(ErrorCode::FencedEpoch));
+                reply.send(fail(ErrorCode::FencedEpoch));
                 return;
             }
             b.config.rdma.replicate && !p.is_leader()
@@ -551,7 +547,7 @@ pub(crate) async fn handle_produce_access(
         } else {
             ErrorCode::NotLeader
         };
-        send(reply, fail(code));
+        reply.send(fail(code));
         return;
     }
 
@@ -562,11 +558,11 @@ pub(crate) async fn handle_produce_access(
         let compatible = g.mode == mode
             && (mode == ProduceMode::Shared || g.owner == peer);
         if !compatible {
-            send(reply, fail(ErrorCode::AccessDenied));
+            reply.send(fail(ErrorCode::AccessDenied));
             return;
         }
         if !needs_roll {
-            send(reply, grant_response(b, &p, &g));
+            reply.send(grant_response(b, &p, &g));
             return;
         }
         // Roll: retire the old session, seal the file, open a new head.
@@ -598,7 +594,7 @@ pub(crate) async fn handle_produce_access(
     b.metrics
         .add(&b.metrics.registered_bytes, u64::from(head.capacity()));
     *p.grant.borrow_mut() = Some(Rc::clone(&grant));
-    send(reply, grant_response(b, &p, &grant));
+    reply.send(grant_response(b, &p, &grant));
 }
 
 fn grant_response(b: &Rc<BrokerInner>, p: &Rc<Partition>, g: &Rc<Grant>) -> Response {

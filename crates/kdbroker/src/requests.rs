@@ -1,8 +1,34 @@
 //! Work items flowing through the shared request queue (paper Fig 2 ➊➋➌).
 
+use std::rc::Rc;
+use std::time::Duration;
+
 use kdwire::{Request, Response};
 use netsim::NodeId;
-use sim::sync::oneshot;
+use sim::sync::DueQueue;
+
+/// One RPC connection's responses on their way from the API workers back
+/// to its network thread, keyed by the instant the transfer completes. The
+/// connection's writer consumes it; closing it ends the writer.
+pub type ReplyStage = DueQueue<(u64, Response)>;
+
+/// Where the response to one RPC goes: its connection's [`ReplyStage`] and
+/// the request's correlation id. Dropping it answers nothing (the client
+/// sees silence or, after a crash, the connection drop).
+pub struct Reply {
+    pub(crate) stage: Rc<ReplyStage>,
+    pub(crate) corr: u64,
+    /// Worker → network thread transfer time (`cpu.handoff`).
+    pub(crate) handoff: Duration,
+}
+
+impl Reply {
+    /// Hands `resp` to the connection's writer, which has it `handoff` from
+    /// now. A response for a connection that has closed is dropped.
+    pub fn send(self, resp: Response) {
+        self.stage.push(sim::now() + self.handoff, (self.corr, resp));
+    }
+}
 
 /// How the result of a produce commit reaches the producer.
 pub enum AckRoute {
@@ -11,7 +37,7 @@ pub enum AckRoute {
     Qp(u32),
     /// TCP producers writing into an RDMA-shared file (§4.2.2 "Shared
     /// RDMA/TCP access"): the RPC response channel.
-    Rpc(oneshot::Sender<Response>),
+    Rpc(Reply),
     /// Push replication: no ack message; the leader observes the RDMA write
     /// completion instead (§4.3.2).
     None,
@@ -23,7 +49,7 @@ pub enum WorkItem {
     Rpc {
         peer: NodeId,
         request: Request,
-        reply: oneshot::Sender<Response>,
+        reply: Reply,
         /// Caller's lifeline, carried in by the frame header.
         trace: Option<kdtelem::TraceCtx>,
     },

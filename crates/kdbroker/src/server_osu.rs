@@ -3,18 +3,19 @@
 //! still copied out of (and responses into) intermediate network buffers and
 //! flow through the same request queue — "its performance is still
 //! obstructed by the need to copy messages from and to network buffers of
-//! the multipurpose request processing module".
+//! the multipurpose request processing module". Frames are `u64 LE
+//! correlation id | payload`; past the framing it is the shared RPC front
+//! ([`crate::server_rpc`]).
 
 use std::rc::Rc;
 use std::time::Duration;
 
 use netsim::profile::copy_time;
 use rnic::{CqOpcode, QpOptions, QueuePair, RdmaListener, RecvWr, SendWr, ShmBuf, WorkRequest};
-use sim::sync::{mpsc, oneshot};
-use sim::SimTime;
+use sim::future::{race, Either};
 
 use crate::broker::BrokerInner;
-use crate::requests::WorkItem;
+use crate::server_rpc::Conn;
 
 /// Per-message processing cost of the OSU network module: no kernel stack,
 /// but still parse/serialize on a network thread.
@@ -29,10 +30,7 @@ pub fn start(b: &Rc<BrokerInner>) {
             let send_cq = b.nic.create_cq(1024);
             let recv_cq = b.nic.create_cq(1024);
             let qp = inc.accept(&b.nic, send_cq.clone(), recv_cq.clone(), QpOptions::default());
-            let b2 = Rc::clone(&b);
-            sim::spawn(async move {
-                serve_connection(b2, qp, recv_cq, from).await;
-            });
+            sim::spawn(serve_connection(Rc::clone(&b), qp, recv_cq, from));
             // Drain send completions (responses are unsignaled; errors only).
             sim::spawn(async move { while send_cq.next().await.is_some() {} });
         }
@@ -45,7 +43,7 @@ async fn serve_connection(
     recv_cq: rnic::CompletionQueue,
     peer: netsim::NodeId,
 ) {
-    let net_idx = b.net_pool.assign();
+    let kcopy = b.profile.net.kernel_copy_bandwidth;
     // Pre-post the request receive buffers (the "network buffers" whose
     // copies define this baseline).
     let bufs: Vec<ShmBuf> = (0..b.config.osu_recv_depth)
@@ -57,108 +55,54 @@ async fn serve_connection(
             buf: Some(buf.as_slice()),
         });
     }
-
+    // Either way a message is parsed or serialised and copied through its
+    // network buffer on the network thread.
+    let cost = move |len| OSU_REQUEST_COST + copy_time(len as u64, kcopy);
     // Response path: copy into a send buffer, post a Send.
-    let (reply_tx, mut reply_rx) = mpsc::unbounded::<(u64, SimTime, kdwire::Response)>();
-    let bw = Rc::clone(&b);
     let qp_resp = qp.clone();
-    sim::spawn(async move {
-        let kcopy = bw.profile.net.kernel_copy_bandwidth;
-        while let Some((corr, ready_at, resp)) = reply_rx.recv().await {
-            sim::time::sleep_until(ready_at).await;
-            let body = resp.encode();
-            // Serialize + copy into the send buffer on a network thread.
-            bw.net_pool
-                .thread(net_idx)
-                .run(OSU_REQUEST_COST + copy_time(body.len() as u64, kcopy))
-                .await;
-            let mut frame = Vec::with_capacity(8 + body.len());
-            frame.extend_from_slice(&corr.to_le_bytes());
-            frame.extend_from_slice(&body);
-            let buf = ShmBuf::from_vec(frame);
-            if qp_resp
-                .post_send(SendWr::unsignaled(
-                    0,
-                    WorkRequest::Send {
-                        local: buf.as_slice(),
-                    },
-                ))
-                .is_err()
-            {
-                break;
-            }
-        }
+    let conn = Conn::open(&b, peer, cost, async move |corr, body: &[u8]| {
+        let buf = ShmBuf::from_vec([&corr.to_le_bytes(), body].concat());
+        let send = WorkRequest::Send {
+            local: buf.as_slice(),
+        };
+        qp_resp.post_send(SendWr::unsignaled(0, send)).is_ok()
     });
 
     // Request path: drain the CQ in batches (pooled, like the produce
     // pollers) and recycle the consumed buffers with one chained
-    // `post_recv_list` per batch instead of one doorbell per message.
+    // `post_recv_list` per batch instead of one doorbell per message. A
+    // broker crash races the wait, as on the TCP front.
     let max_batch = b.config.cq_batch.max(1);
     let mut batch: Vec<rnic::Cqe> = Vec::with_capacity(max_batch);
     let mut recycle: Vec<u64> = Vec::with_capacity(max_batch);
-    'conn: loop {
-        if crate::rdma_net::drain_or_wait(&recv_cq, &mut batch, max_batch)
-            .await
-            .is_none()
-        {
+    let mut frame = Vec::new();
+    'conn: while b.alive.get() {
+        let drained = crate::rdma_net::drain_or_wait(&recv_cq, &mut batch, max_batch);
+        let Either::Left(Some(_)) = race(drained, b.shutdown.notified()).await else {
             break;
-        }
-        recycle.clear();
+        };
         for cqe in &batch {
-            if !cqe.ok() || cqe.opcode != CqOpcode::Recv {
+            if !cqe.ok() || cqe.opcode != CqOpcode::Recv || cqe.byte_len < 8 || !b.alive.get() {
                 break 'conn;
             }
-            let buf = &bufs[cqe.wr_id as usize];
-            let frame = buf.read_at(0, cqe.byte_len as usize);
-            // The copy out of the network receive buffer, charged on the
-            // network thread.
-            b.net_pool
-                .thread(net_idx)
-                .run(
-                    OSU_REQUEST_COST
-                        + copy_time(frame.len() as u64, b.profile.net.kernel_copy_bandwidth),
-                )
-                .await;
+            // The copy out of the network receive buffer.
+            frame.clear();
+            bufs[cqe.wr_id as usize].with(|buf| frame.extend_from_slice(&buf[..cqe.byte_len as usize]));
             recycle.push(cqe.wr_id);
-            if frame.len() < 8 {
+            let (corr, payload) = frame.split_at(8);
+            let corr = u64::from_le_bytes(corr.try_into().expect("split at 8"));
+            // OSU requests arrive as verbs Sends; the WR context (if any)
+            // rode in on the receive completion.
+            if !conn.route(corr, cqe.trace, payload, cost(frame.len())).await {
                 break 'conn;
             }
-            let corr = u64::from_le_bytes(frame[..8].try_into().unwrap());
-            let Ok(request) = kdwire::Request::decode(&frame[8..]) else {
-                break 'conn;
-            };
-            let (tx, rx) = oneshot::channel();
-            let reply_tx2 = reply_tx.clone();
-            let handoff = b.profile.cpu.handoff;
-            sim::spawn(async move {
-                if let Ok(resp) = rx.await {
-                    let ready_at = sim::now() + handoff;
-                    let _ = reply_tx2.try_send((corr, ready_at, resp));
-                }
-            });
-            let item = WorkItem::Rpc {
-                peer,
-                request,
-                reply: tx,
-                // OSU requests arrive as verbs Sends; the WR context (if
-                // any) rode in on the receive completion.
-                trace: cqe.trace,
-            };
-            let b2 = Rc::clone(&b);
-            sim::spawn(async move {
-                sim::time::sleep(b2.profile.cpu.handoff).await;
-                let _ = b2.queue.send(item).await;
-            });
         }
         let _ = qp.post_recv_list(recycle.drain(..).map(|wr_id| RecvWr {
             wr_id,
             buf: Some(bufs[wr_id as usize].as_slice()),
         }));
     }
-    // Recvs consumed by a batch that broke the loop still go back: the QP
-    // may outlive this serving task.
-    let _ = qp.post_recv_list(recycle.drain(..).map(|wr_id| RecvWr {
-        wr_id,
-        buf: Some(bufs[wr_id as usize].as_slice()),
-    }));
+    // A served-out connection is torn down (the analogue of dropping the
+    // TCP halves): the peer sees its QP break instead of silence.
+    qp.close();
 }

@@ -1,102 +1,45 @@
 //! The TCP network module (paper Fig 2 ➊): the unmodified-Kafka front end,
-//! fully reused by KafkaDirect for its control plane (§4.1).
+//! fully reused by KafkaDirect for its control plane (§4.1). Framed requests
+//! over `netsim::tcp`; past the framing it is the shared RPC front
+//! ([`crate::server_rpc`]).
 
 use std::rc::Rc;
 
-use netsim::tcp::TcpListener;
-use sim::sync::{mpsc, oneshot};
-use sim::SimTime;
+use netsim::tcp::{TcpListener, TcpStream};
+use sim::future::{race, Either};
 
 use crate::broker::BrokerInner;
-use crate::requests::WorkItem;
+use crate::server_rpc::Conn;
 
 pub fn start(b: &Rc<BrokerInner>) {
     let mut listener = TcpListener::bind(&b.node, b.config.tcp_port);
     let b = Rc::clone(b);
     sim::spawn(async move {
         while let Some(stream) = listener.accept().await {
-            let b = Rc::clone(&b);
-            sim::spawn(async move { serve_connection(b, stream).await });
+            sim::spawn(serve_connection(Rc::clone(&b), stream));
         }
     });
 }
 
-async fn serve_connection(b: Rc<BrokerInner>, stream: netsim::tcp::TcpStream) {
+async fn serve_connection(b: Rc<BrokerInner>, stream: TcpStream) {
+    // A message either way occupies the network thread to parse or
+    // serialise it.
+    let cost = b.profile.cpu.net_request_cost;
     let peer = stream.peer();
-    let net_idx = b.net_pool.assign();
     let (mut read, mut write) = stream.into_split();
-    let (reply_tx, mut reply_rx) = mpsc::unbounded::<(u64, SimTime, kdwire::Response)>();
-
-    // Response writer: waits out the worker→net handoff per message, then
-    // occupies the network thread to serialise + send.
-    let bw = Rc::clone(&b);
-    sim::spawn(async move {
-        let cost = bw.profile.cpu.net_request_cost;
-        let mut body = Vec::new();
-        while let Some((corr, ready_at, resp)) = reply_rx.recv().await {
-            sim::time::sleep_until(ready_at).await;
-            bw.net_pool.thread(net_idx).run(cost).await;
-            body.clear();
-            resp.encode_into(&mut body);
-            if kdwire::write_frame(&mut write, corr, None, &body)
-                .await
-                .is_err()
-            {
-                break;
-            }
-        }
+    let conn = Conn::open(&b, peer, move |_len| cost, async move |corr, body: &[u8]| {
+        kdwire::write_frame(&mut write, corr, None, body).await.is_ok()
     });
-
-    // Request reader loop (the processor thread's receive side). A broker
-    // crash races the read: the shutdown broadcast wins, the loop breaks,
-    // and dropping the stream halves is what makes the peer see the
-    // connection die.
+    // The processor thread's receive side. A broker crash races the read:
+    // the shutdown broadcast wins and the loop breaks.
     let mut payload = Vec::new();
-    loop {
-        if !b.alive.get() {
+    while b.alive.get() {
+        let frame = kdwire::read_frame_into(&mut read, &mut payload);
+        let Either::Left(Ok((corr, trace))) = race(frame, b.shutdown.notified()).await else {
+            break; // connection closed or broker crashed
+        };
+        if !b.alive.get() || !conn.route(corr, trace, &payload, cost).await {
             break;
         }
-        let (corr, trace) = match sim::future::race(
-            kdwire::read_frame_into(&mut read, &mut payload),
-            b.shutdown.notified(),
-        )
-        .await
-        {
-            sim::future::Either::Left(Ok(f)) => f,
-            _ => break, // connection closed or broker crashed
-        };
-        if !b.alive.get() {
-            break;
-        }
-        b.net_pool
-            .thread(net_idx)
-            .run(b.profile.cpu.net_request_cost)
-            .await;
-        let Ok(request) = kdwire::Request::decode(&payload) else {
-            break; // protocol error: drop the connection
-        };
-        let (tx, rx) = oneshot::channel();
-        // Route the eventual response back through this connection.
-        let reply_tx2 = reply_tx.clone();
-        let handoff = b.profile.cpu.handoff;
-        sim::spawn(async move {
-            if let Ok(resp) = rx.await {
-                // Worker → network thread handoff.
-                let ready_at = sim::now() + handoff;
-                let _ = reply_tx2.try_send((corr, ready_at, resp));
-            }
-        });
-        // Network thread → API worker handoff (➊→queue), overlapped.
-        let item = WorkItem::Rpc {
-            peer,
-            request,
-            reply: tx,
-            trace,
-        };
-        let b2 = Rc::clone(&b);
-        sim::spawn(async move {
-            sim::time::sleep(b2.profile.cpu.handoff).await;
-            let _ = b2.queue.send(item).await;
-        });
     }
 }

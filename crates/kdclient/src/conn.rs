@@ -60,9 +60,19 @@ impl Conn {
         req: &Request,
         trace: Option<kdtelem::TraceCtx>,
     ) -> Result<Response, ClientError> {
+        self.call_with(|body| req.encode_into(body), trace).await
+    }
+
+    /// As [`call_traced`](Self::call_traced) for a request `encode` appends
+    /// to the transport's scratch buffer.
+    pub async fn call_with(
+        &self,
+        encode: impl FnOnce(&mut Vec<u8>),
+        trace: Option<kdtelem::TraceCtx>,
+    ) -> Result<Response, ClientError> {
         match self {
-            Conn::Tcp(c) => c.call_traced(req, trace).await.map_err(ClientError::from),
-            Conn::Osu(c) => c.call_traced(req, trace).await,
+            Conn::Tcp(c) => c.call_with(encode, trace).await.map_err(ClientError::from),
+            Conn::Osu(c) => c.call_with(encode, trace).await,
         }
     }
 }
@@ -170,13 +180,21 @@ impl OsuConn {
         req: &Request,
         trace: Option<kdtelem::TraceCtx>,
     ) -> Result<Response, ClientError> {
+        self.call_with(|body| req.encode_into(body), trace).await
+    }
+
+    pub async fn call_with(
+        &self,
+        encode: impl FnOnce(&mut Vec<u8>),
+        trace: Option<kdtelem::TraceCtx>,
+    ) -> Result<Response, ClientError> {
         if self.dead.get() {
             return Err(ClientError::Disconnected);
         }
         let corr = self.next_corr.get();
         self.next_corr.set(corr + 1);
         let mut body = kdbuf::scratch();
-        req.encode_into(&mut body);
+        encode(&mut body);
         // Copy into the send buffer.
         let kcopy = self.node.profile().net.kernel_copy_bandwidth;
         sim::time::sleep(copy_time(body.len() as u64, kcopy)).await;

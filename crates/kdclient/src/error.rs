@@ -9,7 +9,7 @@ pub enum ClientError {
     Disconnected,
     /// The broker answered with an error code.
     Broker(ErrorCode),
-    /// An unexpected response type (protocol bug).
+    /// An unexpected or undecodable response (protocol bug).
     Protocol,
     /// Records failed client-side integrity checks.
     Corrupt,
@@ -32,8 +32,11 @@ impl std::fmt::Display for ClientError {
 impl std::error::Error for ClientError {}
 
 impl From<RpcError> for ClientError {
-    fn from(_: RpcError) -> Self {
-        ClientError::Disconnected
+    fn from(e: RpcError) -> Self {
+        match e {
+            RpcError::Closed => ClientError::Disconnected,
+            RpcError::Protocol => ClientError::Protocol,
+        }
     }
 }
 

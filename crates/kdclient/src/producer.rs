@@ -37,38 +37,87 @@ impl Acks {
 
 /// A TCP (or OSU) producer bound to one topic partition.
 pub struct TcpProducer {
+    inner: Rc<Inner>,
+    pub acks: Acks,
+}
+
+/// Everything a send uses once it is under way: pipelined sends run as
+/// tasks that outlive the `&self` borrow that started them.
+struct Inner {
     node: NodeHandle,
     conn: Conn,
     topic: String,
     partition: u32,
     producer_id: u64,
-    pub acks: Acks,
     telem: kdtelem::Registry,
     /// End-to-end produce latency (same instrument name as the RDMA
     /// producer's, so reports compare the two transports directly).
     e2e_ns: kdtelem::Histogram,
     /// Recycled batch builders and encoded-batch buffers: a steady-state
-    /// producer encodes every batch into capacity it already owns. Shared
-    /// (`Rc`) so pipelined send tasks draw from the same pool.
-    builder_pool: Rc<RefCell<Vec<BatchBuilder>>>,
-    batch_pool: Rc<RefCell<Vec<Vec<u8>>>>,
+    /// producer encodes every batch into capacity it already owns.
+    builder_pool: RefCell<Vec<BatchBuilder>>,
+    batch_pool: RefCell<Vec<Vec<u8>>>,
 }
 
-/// Takes a builder from the pool (fresh if empty), reset and ready.
-fn take_builder(pool: &Rc<RefCell<Vec<BatchBuilder>>>, producer_id: u64) -> BatchBuilder {
-    let mut b = pool
-        .borrow_mut()
-        .pop()
-        .unwrap_or_else(|| BatchBuilder::new(producer_id));
-    b.reset();
-    b
+impl Inner {
+    /// Encodes `records` as one batch, with a pooled builder into a pooled
+    /// buffer.
+    fn build(&self, records: &[Record]) -> Result<Vec<u8>, ClientError> {
+        let builder = self.builder_pool.borrow_mut().pop();
+        let mut builder = builder.unwrap_or_else(|| BatchBuilder::new(self.producer_id));
+        builder.reset();
+        for r in records {
+            builder.append(r);
+        }
+        let mut batch = self.batch_pool.borrow_mut().pop().unwrap_or_default();
+        batch.clear();
+        let built = builder.build_into(&mut batch);
+        self.builder_pool.borrow_mut().push(builder);
+        if built.is_err() {
+            self.batch_pool.borrow_mut().push(batch);
+            return Err(ClientError::Corrupt);
+        }
+        Ok(batch)
+    }
+
+    /// One produce RPC: the client-side cost of preparing the request — the
+    /// defensive copy plus the Java producer pipeline (accumulator, sender
+    /// thread, selector — §5.1) — then the call. The request is encoded
+    /// straight from the borrowed topic and batch.
+    async fn produce(
+        &self,
+        batch: Vec<u8>,
+        acks: Acks,
+        trace: kdtelem::TraceCtx,
+    ) -> Result<Response, ClientError> {
+        let cpu = &self.node.profile().cpu;
+        sim::time::sleep(
+            cpu.producer_copy_base
+                + copy_time(batch.len() as u64, cpu.memcpy_bandwidth)
+                + cpu.tcp_client_extra
+                + cpu.handoff,
+        )
+        .await;
+        let encode = |out: &mut Vec<u8>| {
+            Request::encode_produce_into(out, &self.topic, self.partition, acks.wire(), &batch)
+        };
+        let resp = self.conn.call_with(encode, Some(trace)).await;
+        // The encoded bytes were copied into the frame; reclaim the buffer
+        // before surfacing any RPC error.
+        self.batch_pool.borrow_mut().push(batch);
+        resp
+    }
 }
 
-/// Takes an encoded-batch buffer from the pool (fresh if empty), cleared.
-fn take_batch_buf(pool: &Rc<RefCell<Vec<Vec<u8>>>>) -> Vec<u8> {
-    let mut v = pool.borrow_mut().pop().unwrap_or_default();
-    v.clear();
-    v
+/// The offset a produce response assigned.
+fn assigned_offset(resp: Response) -> Result<u64, ClientError> {
+    match resp {
+        Response::Produce { error, base_offset } => {
+            check(error)?;
+            Ok(base_offset)
+        }
+        _ => Err(ClientError::Protocol),
+    }
 }
 
 impl TcpProducer {
@@ -82,32 +131,21 @@ impl TcpProducer {
         let conn = Conn::connect(node, broker, transport).await?;
         let telem = kdtelem::current();
         let e2e_ns = telem.histogram("kdclient", "produce.e2e_ns");
-        Ok(TcpProducer {
+        let inner = Inner {
             node: node.clone(),
             conn,
             topic: topic.to_string(),
             partition,
             producer_id: sim::rng::range_u64(1..u64::MAX),
-            acks: Acks::All,
             telem,
             e2e_ns,
-            builder_pool: Rc::new(RefCell::new(Vec::new())),
-            batch_pool: Rc::new(RefCell::new(Vec::new())),
+            builder_pool: RefCell::new(Vec::new()),
+            batch_pool: RefCell::new(Vec::new()),
+        };
+        Ok(TcpProducer {
+            inner: Rc::new(inner),
+            acks: Acks::All,
         })
-    }
-
-    /// Client-side cost of preparing one produce request: the defensive
-    /// copy plus the Java producer pipeline (accumulator, sender thread,
-    /// selector — §5.1).
-    async fn charge_send_path(&self, bytes: u64) {
-        let cpu = &self.node.profile().cpu;
-        sim::time::sleep(
-            cpu.producer_copy_base
-                + copy_time(bytes, cpu.memcpy_bandwidth)
-                + cpu.tcp_client_extra
-                + cpu.handoff,
-        )
-        .await;
     }
 
     /// Builds a single-record batch and produces it, waiting for the ack.
@@ -118,102 +156,32 @@ impl TcpProducer {
 
     /// Produces several records as one batch (base offset returned).
     pub async fn send_many(&self, records: &[Record]) -> Result<u64, ClientError> {
+        let p = &self.inner;
         let start = sim::now();
         // Root of this produce's lifeline; the ctx crosses to the broker in
         // the RPC frame header.
-        let span = self.telem.trace_span("client.produce", None);
-        // Pooled builder + batch buffer: encoding reuses capacity from
-        // earlier sends instead of allocating per batch.
-        let mut builder = take_builder(&self.builder_pool, self.producer_id);
-        for r in records {
-            builder.append(r);
-        }
-        let mut batch = take_batch_buf(&self.batch_pool);
-        let built = builder.build_into(&mut batch);
-        self.builder_pool.borrow_mut().push(builder);
-        if built.is_err() {
-            self.batch_pool.borrow_mut().push(batch);
-            return Err(ClientError::Corrupt);
-        }
-        self.charge_send_path(batch.len() as u64).await;
-        let request = Request::Produce {
-            topic: self.topic.clone(),
-            partition: self.partition,
-            acks: self.acks.wire(),
-            batch,
-        };
-        let resp = self.conn.call_traced(&request, Some(span.ctx())).await;
-        // The encoded bytes were copied into the frame; reclaim the buffer
-        // before surfacing any RPC error.
-        if let Request::Produce { batch, .. } = request {
-            self.batch_pool.borrow_mut().push(batch);
-        }
-        let resp = resp?;
+        let span = p.telem.trace_span("client.produce", None);
+        let resp = p.produce(p.build(records)?, self.acks, span.ctx()).await?;
         // Response dispatch back to the caller thread.
-        sim::time::sleep(self.node.profile().cpu.wakeup).await;
-        self.e2e_ns.record_since(start);
+        sim::time::sleep(p.node.profile().cpu.wakeup).await;
+        p.e2e_ns.record_since(start);
         span.end();
-        match resp {
-            Response::Produce { error, base_offset } => {
-                check(error)?;
-                Ok(base_offset)
-            }
-            _ => Err(ClientError::Protocol),
-        }
+        assigned_offset(resp)
     }
 
     /// Fires a produce without waiting; the returned handle resolves with
     /// the assigned offset. Used to pipeline requests ("the producer
     /// dispatches as many requests as possible", §5.1).
     pub fn send_pipelined(&self, record: &Record) -> sim::JoinHandle<Result<u64, ClientError>> {
-        let conn = self.conn.clone();
-        let node = self.node.clone();
-        let topic = self.topic.clone();
-        let partition = self.partition;
-        let acks = self.acks.wire();
-        let producer_id = self.producer_id;
-        let record = record.clone();
-        let telem = self.telem.clone();
-        let builder_pool = Rc::clone(&self.builder_pool);
-        let batch_pool = Rc::clone(&self.batch_pool);
+        // Encoded here, while `record` is borrowed: the task owns only the
+        // pooled batch.
+        let batch = self.inner.build(std::slice::from_ref(record));
+        let (p, acks) = (Rc::clone(&self.inner), self.acks);
         sim::spawn(async move {
-            let span = telem.trace_span("client.produce", None);
-            let mut builder = take_builder(&builder_pool, producer_id);
-            builder.append(&record);
-            let mut batch = take_batch_buf(&batch_pool);
-            let built = builder.build_into(&mut batch);
-            builder_pool.borrow_mut().push(builder);
-            if built.is_err() {
-                batch_pool.borrow_mut().push(batch);
-                return Err(ClientError::Corrupt);
-            }
-            let cpu = Rc::clone(&node.profile());
-            sim::time::sleep(
-                cpu.cpu.producer_copy_base
-                    + copy_time(batch.len() as u64, cpu.cpu.memcpy_bandwidth)
-                    + cpu.cpu.tcp_client_extra
-                    + cpu.cpu.handoff,
-            )
-            .await;
-            let request = Request::Produce {
-                topic,
-                partition,
-                acks,
-                batch,
-            };
-            let resp = conn.call_traced(&request, Some(span.ctx())).await;
-            if let Request::Produce { batch, .. } = request {
-                batch_pool.borrow_mut().push(batch);
-            }
-            let resp = resp?;
+            let span = p.telem.trace_span("client.produce", None);
+            let resp = p.produce(batch?, acks, span.ctx()).await?;
             span.end();
-            match resp {
-                Response::Produce { error, base_offset } => {
-                    check(error)?;
-                    Ok(base_offset)
-                }
-                _ => Err(ClientError::Protocol),
-            }
+            assigned_offset(resp)
         })
     }
 }

@@ -178,10 +178,7 @@ impl RpcClient {
             while let Ok((correlation, _trace)) = read_frame_into(&mut read, &mut payload).await {
                 let waiter = shared2.pending.borrow_mut().remove(&correlation);
                 if let Some(slot) = waiter {
-                    match Response::decode(&payload) {
-                        Ok(resp) => slot.fulfill(Ok(resp)),
-                        Err(_) => slot.fulfill(Err(RpcError::Closed)),
-                    }
+                    slot.fulfill(Response::decode(&payload).map_err(|_| RpcError::Protocol));
                 }
             }
             // Connection gone: fail everything pending.
@@ -214,6 +211,17 @@ impl RpcClient {
         request: &Request,
         trace: Option<kdtelem::TraceCtx>,
     ) -> Result<Response, RpcError> {
+        self.call_with(|body| request.encode_into(body), trace).await
+    }
+
+    /// As [`call_traced`](Self::call_traced) for a request `encode` appends
+    /// to a scratch buffer (e.g. [`Request::encode_produce_into`] over
+    /// borrowed parts); the buffer is released once the frame is written.
+    pub async fn call_with(
+        &self,
+        encode: impl FnOnce(&mut Vec<u8>),
+        trace: Option<kdtelem::TraceCtx>,
+    ) -> Result<Response, RpcError> {
         if self.shared.dead.get() {
             return Err(RpcError::Closed);
         }
@@ -226,7 +234,7 @@ impl RpcClient {
             .insert(correlation, Rc::clone(&slot));
         {
             let mut body = kdbuf::scratch();
-            request.encode_into(&mut body);
+            encode(&mut body);
             let mut w = self.write.lock().await;
             if write_frame(&mut w, correlation, trace, &body)
                 .await
@@ -372,6 +380,37 @@ mod tests {
                 .err();
             assert_eq!(err, Some(RpcError::Closed));
             assert!(client.is_dead());
+        });
+    }
+
+    #[test]
+    fn undecodable_response_is_a_protocol_error_not_a_close() {
+        let rt = sim::Runtime::new();
+        rt.block_on(async {
+            let f = Fabric::new(Profile::fast_test());
+            let a = f.add_node("a");
+            let b = f.add_node("b");
+            let mut l = TcpListener::bind(&b, 1);
+            sim::spawn(async move {
+                let s = l.accept().await.unwrap();
+                let (mut r, mut w) = s.into_split();
+                // First answer: a well-framed payload that is no Response.
+                let (corr, ..) = read_frame(&mut r).await.unwrap();
+                write_frame(&mut w, corr, None, &[200, 1, 2, 3]).await.unwrap();
+                let (corr, ..) = read_frame(&mut r).await.unwrap();
+                let ok = Response::CreateTopic {
+                    error: ErrorCode::None,
+                };
+                write_frame(&mut w, corr, None, &ok.encode()).await.unwrap();
+                let _ = read_frame(&mut r).await; // hold the stream open
+            });
+            let s = netsim::tcp::connect(&a, b.id, 1).await.unwrap();
+            let client = RpcClient::new(s);
+            let req = Request::Metadata { topics: vec![] };
+            assert_eq!(client.call(&req).await.err(), Some(RpcError::Protocol));
+            // Framing was intact: the connection lives on.
+            assert!(!client.is_dead());
+            assert!(client.call(&req).await.is_ok());
         });
     }
 }

@@ -373,7 +373,24 @@ fn get_bytes_field(r: &mut Reader) -> Result<Vec<u8>, WireError> {
     Ok(r.take(len)?.to_vec())
 }
 
+fn put_produce(w: &mut Writer, topic: &str, partition: u32, acks: u8, batch: &[u8]) {
+    w.put_u8(2);
+    w.put_string(topic);
+    w.put_u32(partition);
+    w.put_u8(acks);
+    put_bytes_field(w, batch);
+}
+
 impl Request {
+    /// Appends the encoding of a [`Request::Produce`] built from borrowed
+    /// parts: a producer's send path owns neither a `String` nor the batch
+    /// per request.
+    pub fn encode_produce_into(out: &mut Vec<u8>, topic: &str, partition: u32, acks: u8, batch: &[u8]) {
+        let mut w = Writer::from_vec(std::mem::take(out));
+        put_produce(&mut w, topic, partition, acks, batch);
+        *out = w.into_vec();
+    }
+
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_into(&mut out);
@@ -407,13 +424,7 @@ impl Request {
                 partition,
                 acks,
                 batch,
-            } => {
-                w.put_u8(2);
-                w.put_string(topic);
-                w.put_u32(*partition);
-                w.put_u8(*acks);
-                put_bytes_field(&mut w, batch);
-            }
+            } => put_produce(&mut w, topic, *partition, *acks, batch),
             Request::Fetch {
                 topic,
                 partition,

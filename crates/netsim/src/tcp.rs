@@ -14,8 +14,12 @@
 //! The interface is a byte stream (`read_exact` / `write_all`), so protocol
 //! code must do its own framing exactly as it would over real sockets.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::rc::Rc;
+use std::task::{Poll, Waker};
+use std::time::Duration;
 
 use sim::sync::mpsc;
 use sim::sync::Semaphore;
@@ -56,6 +60,18 @@ struct Chunk {
     data: kdbuf::Buf,
 }
 
+/// One direction of a connection: the chunks sent and not yet read, in send
+/// order (a late chunk holds back the ones behind it, as in TCP).
+struct Pipe {
+    chunks: VecDeque<Chunk>,
+    /// The reader's waker while it is parked on an empty pipe. The push
+    /// that ends the wait arms it for the instant the chunk is readable, so
+    /// a parked reader is polled once per chunk.
+    reader: Option<Waker>,
+    writer_gone: bool,
+    reader_gone: bool,
+}
+
 /// A bound port's accept channel, stamped with the bind generation so a
 /// stale [`TcpListener`]'s `Drop` (e.g. a crashed broker's accept loop
 /// winding down after the port was force-unbound and rebound) cannot evict
@@ -79,7 +95,7 @@ pub struct WriteHalf {
     fabric: Fabric,
     src: NodeId,
     dst: NodeId,
-    tx: mpsc::Sender<Chunk>,
+    pipe: Rc<RefCell<Pipe>>,
     window: Semaphore,
     /// Trace context applied to wire reservations of subsequent writes, so a
     /// framing layer can attribute link traversals to one message's lifeline.
@@ -89,7 +105,7 @@ pub struct WriteHalf {
 /// The read side of one direction of a connection.
 pub struct ReadHalf {
     fabric: Fabric,
-    rx: mpsc::Receiver<Chunk>,
+    pipe: Rc<RefCell<Pipe>>,
     window: Semaphore,
     buffer: VecDeque<u8>,
     eof: bool,
@@ -104,20 +120,25 @@ pub struct TcpStream {
 }
 
 fn pipe(fabric: &Fabric, src: NodeId, dst: NodeId) -> (WriteHalf, ReadHalf) {
-    let (tx, rx) = mpsc::unbounded();
+    let pipe = Rc::new(RefCell::new(Pipe {
+        chunks: VecDeque::new(),
+        reader: None,
+        writer_gone: false,
+        reader_gone: false,
+    }));
     let window = Semaphore::new(fabric.profile().net.socket_buffer as usize);
     (
         WriteHalf {
             fabric: fabric.clone(),
             src,
             dst,
-            tx,
+            pipe: Rc::clone(&pipe),
             window: window.clone(),
             trace: None,
         },
         ReadHalf {
             fabric: fabric.clone(),
-            rx,
+            pipe,
             window,
             buffer: VecDeque::new(),
             eof: false,
@@ -258,26 +279,41 @@ impl WriteHalf {
         let profile = self.fabric.profile();
         let net = &profile.net;
         if data.is_empty() {
-            return if self.tx.is_closed() { Err(Closed) } else { Ok(()) };
+            return if self.is_closed() { Err(Closed) } else { Ok(()) };
         }
-        sim::time::sleep(net.tcp_syscall).await;
+        let copy = |len: usize| copy_time(len as u64, net.kernel_copy_bandwidth);
+        let mss = net.tcp_mss as usize;
+        // The syscall and the first chunk's copy are one stretch of CPU
+        // time, hence one timer, when nothing can come between them: the
+        // path is up and the socket buffer has room now — and this half is
+        // the pipe's only writer, so room now is room then.
+        let first = data.len().min(mss);
+        let mut granted = None;
+        if !self.fabric.path_blocked(self.src, self.dst) {
+            granted = self.window.try_acquire(first);
+        }
+        let first_copy = if granted.is_some() { copy(first) } else { Duration::ZERO };
+        sim::time::sleep(net.tcp_syscall + first_copy).await;
         // Injected-fault handling: a blocked path (partition / link down)
         // resets the connection; a drop costs one retransmission timeout
         // per dropped attempt.
-        let rto = net.tcp_connect.max(std::time::Duration::from_micros(200));
-        for chunk in data.chunks(net.tcp_mss as usize) {
+        let rto = net.tcp_connect.max(Duration::from_micros(200));
+        for chunk in data.chunks(mss) {
             if self.fabric.path_blocked(self.src, self.dst) {
                 return Err(Closed);
             }
-            let permit = self
-                .window
-                .acquire(chunk.len())
-                .await
-                .map_err(|_| Closed)?;
-            permit.forget(); // returned by the reader once consumed
-            // The user→kernel copy really happens (into a pooled MSS-sized
-            // packet buffer) and is charged at kernel copy bandwidth.
-            sim::time::sleep(copy_time(chunk.len() as u64, net.kernel_copy_bandwidth)).await;
+            // The permit is returned by the reader once the chunk is
+            // consumed. The user→kernel copy really happens (into a pooled
+            // MSS-sized packet buffer) and is charged at kernel copy
+            // bandwidth.
+            match granted.take() {
+                Some(permit) => permit.forget(),
+                None => {
+                    let permit = self.window.acquire(chunk.len()).await;
+                    permit.map_err(|_| Closed)?.forget();
+                    sim::time::sleep(copy(chunk.len())).await;
+                }
+            }
             let (fault_delay, retransmits) = self
                 .fabric
                 .node(self.src)
@@ -291,19 +327,26 @@ impl WriteHalf {
                     .reserve_tcp_path(sim::now(), self.src, self.dst, chunk.len() as u64)
             };
             let arrival = wire_arrival + net.tcp_stack_oneway + fault_delay + rto * retransmits;
-            self.tx
-                .try_send(Chunk {
-                    arrival,
-                    data: self.fabric.packet_pool().copy_in(chunk),
-                })
-                .map_err(|_| Closed)?;
+            let mut pipe = self.pipe.borrow_mut();
+            if pipe.reader_gone {
+                return Err(Closed);
+            }
+            if let Some(reader) = pipe.reader.take() {
+                // Parked since before `arrival`: readable after the
+                // kernel→user copy, which is when the reader runs next.
+                sim::time::wake_at(arrival + copy(chunk.len()), &reader);
+            }
+            pipe.chunks.push_back(Chunk {
+                arrival,
+                data: self.fabric.packet_pool().copy_in(chunk),
+            });
         }
         Ok(())
     }
 
     /// True once the peer's read half is gone.
     pub fn is_closed(&self) -> bool {
-        self.tx.is_closed()
+        self.pipe.borrow().reader_gone
     }
 
     /// Sets (or clears) the trace context attributed to subsequent writes.
@@ -312,26 +355,59 @@ impl WriteHalf {
     }
 }
 
+impl Drop for WriteHalf {
+    /// The reader drains what was sent, then sees EOF.
+    fn drop(&mut self) {
+        let mut pipe = self.pipe.borrow_mut();
+        pipe.writer_gone = true;
+        if let Some(reader) = pipe.reader.take() {
+            reader.wake();
+        }
+    }
+}
+
+impl Drop for ReadHalf {
+    fn drop(&mut self) {
+        let mut pipe = self.pipe.borrow_mut();
+        pipe.reader_gone = true;
+        pipe.chunks.clear();
+    }
+}
+
 impl ReadHalf {
+    /// Moves the next chunk into the user buffer. It is readable at
+    /// `max(instant this read began waiting, arrival)` plus the kernel→user
+    /// copy; one timer covers the whole wait.
     async fn fill(&mut self) -> bool {
         if self.eof {
             return false;
         }
-        match self.rx.recv().await {
-            None => {
-                self.eof = true;
-                false
+        let began = sim::now();
+        let bw = self.fabric.profile().net.kernel_copy_bandwidth;
+        let ready = std::future::poll_fn(|cx| {
+            let mut pipe = self.pipe.borrow_mut();
+            if let Some(chunk) = pipe.chunks.front() {
+                let copy = copy_time(chunk.data.len() as u64, bw);
+                return Poll::Ready(Some(began.max(chunk.arrival) + copy));
             }
-            Some(chunk) => {
-                sim::time::sleep_until(chunk.arrival).await;
-                // Kernel→user copy on delivery.
-                let bw = self.fabric.profile().net.kernel_copy_bandwidth;
-                sim::time::sleep(copy_time(chunk.data.len() as u64, bw)).await;
-                self.window.add_permits(chunk.data.len());
-                chunk.data.with(|s| self.buffer.extend(s));
-                true
+            if pipe.writer_gone {
+                return Poll::Ready(None);
             }
-        }
+            pipe.reader = Some(cx.waker().clone());
+            Poll::Pending
+        })
+        .await;
+        let Some(ready) = ready else {
+            self.eof = true;
+            return false;
+        };
+        // Already there for a reader the writer's push armed.
+        sim::time::sleep_until(ready).await;
+        let chunk = self.pipe.borrow_mut().chunks.pop_front();
+        let chunk = chunk.expect("one reader per pipe");
+        self.window.add_permits(chunk.data.len());
+        chunk.data.with(|s| self.buffer.extend(s));
+        true
     }
 
     /// Reads exactly `n` bytes; `Err(Closed)` on EOF before `n` bytes.
@@ -652,5 +728,132 @@ mod tests {
             writer.await.unwrap();
             assert_eq!(got, vec![0, 1, 2]);
         });
+    }
+
+    /// The timeline of one transfer as the simulated stack defined it when
+    /// every step was its own sleep: the writer pays the syscall, then per
+    /// MSS chunk waits for socket-buffer room and copies it in; chunk `i`
+    /// is on the wire from the end of its copy; the reader, from `read_at`
+    /// on, takes each chunk at `max(began waiting, arrival) + copy`, and a
+    /// consumed chunk frees its room. Wire times come from reserving the
+    /// same sends on `twin`, an idle fabric of the same profile. Returns
+    /// the instants `write_all` and `read_exact(len)` return.
+    fn reference_timeline(twin: &Fabric, a: NodeId, b: NodeId, t0: u64, len: usize, read_at: u64) -> (u64, u64) {
+        let profile = twin.profile();
+        let net = &profile.net;
+        let copy = |n: usize| copy_time(n as u64, net.kernel_copy_bandwidth).as_nanos() as u64;
+        let mut room = net.socket_buffer as usize;
+        let mut consumed = VecDeque::new(); // (ready, len) of chunks sent, not yet read
+        let mut t = t0 + net.tcp_syscall.as_nanos() as u64;
+        let mut began = read_at;
+        for n in vec![0u8; len].chunks(net.tcp_mss as usize).map(<[u8]>::len) {
+            while room < n {
+                let (ready, freed): (u64, usize) = consumed.pop_front().unwrap();
+                t = t.max(ready);
+                room += freed;
+            }
+            while consumed.front().is_some_and(|&(ready, _)| ready <= t) {
+                room += consumed.pop_front().unwrap().1;
+            }
+            room -= n;
+            t += copy(n);
+            let wire = twin.reserve_tcp_path(SimTime::from_nanos(t), a, b, n as u64);
+            let arrival = (wire + net.tcp_stack_oneway).as_nanos();
+            began = began.max(arrival) + copy(n);
+            consumed.push_back((began, n));
+        }
+        (t, began)
+    }
+
+    #[test]
+    fn read_and_write_instants_equal_the_per_step_timeline() {
+        const MSS: usize = 16 * 1024;
+        const MIB_AND_3_MSS: usize = 1024 * 1024 + 3 * MSS;
+        // (case, bytes, when the reader starts: `None` = parked before the
+        // write, `Some(k)` = k first-chunk copy times after the first
+        // chunk's arrival)
+        let cases: [(&str, usize, Option<f64>); 7] = [
+            ("parked reader", 512, None),
+            ("reader arrives during the copy window", 512, Some(0.5)),
+            ("reader arrives after arrival + copy", 512, Some(40.0)),
+            ("parked reader, three chunks", 3 * MSS, None),
+            ("late reader, three chunks and a tail", 3 * MSS + 100, Some(3.0)),
+            ("reader waiting since just before arrival, three chunks", 3 * MSS, Some(-2.0)),
+            ("writer blocked on the socket buffer", MIB_AND_3_MSS, Some(2_000.0)),
+        ];
+        for (case, len, reader) in cases {
+            let rt = sim::Runtime::new();
+            let (got, want) = rt.block_on(async move {
+                let (_f, a, b) = fabric2();
+                let (twin, ta, tb) = fabric2();
+                let mut listener = TcpListener::bind(&b, 9092);
+                let mut c = connect(&a, b.id, 9092).await.unwrap();
+                let mut s = listener.accept().await.unwrap();
+                // Away from t = 0 and off any round number.
+                sim::time::sleep(Duration::from_nanos(12_345)).await;
+                let t0 = sim::now().as_nanos();
+                let read_at = reader.map_or(t0, |k| {
+                    // Where the first chunk arrives on an idle fabric.
+                    let (probe, pa, pb) = fabric2();
+                    let net = &probe.profile().net;
+                    let first = len.min(MSS) as u64;
+                    let copy = copy_time(first, net.kernel_copy_bandwidth);
+                    let sent = SimTime::from_nanos(t0) + net.tcp_syscall + copy;
+                    let wire = probe.reserve_tcp_path(sent, pa.id, pb.id, first);
+                    let arrival = (wire + net.tcp_stack_oneway).as_nanos() as f64;
+                    (arrival + k * copy.as_nanos() as f64) as u64
+                });
+                let want = reference_timeline(&twin, ta.id, tb.id, t0, len, read_at);
+                let reader = sim::spawn(async move {
+                    sim::time::sleep_until(SimTime::from_nanos(read_at)).await;
+                    s.read_exact(len).await.unwrap();
+                    (sim::now().as_nanos(), s)
+                });
+                sim::time::yield_now().await; // a `None` reader is parked now
+                c.write_all(&vec![7u8; len]).await.unwrap();
+                let wrote = sim::now().as_nanos();
+                let (read, _s) = reader.await.unwrap();
+                ((wrote, read), want)
+            });
+            assert_eq!(got, want, "{case}: (write_all, read_exact) return instants");
+        }
+    }
+
+    #[test]
+    fn a_warm_transfer_costs_one_poll_per_chunk_on_each_side() {
+        const CHUNKS: u64 = 64;
+        const CHUNK: usize = 1024;
+        let rt = sim::Runtime::new();
+        let (mut c, mut s) = rt.block_on(async {
+            let (_f, a, b) = fabric2();
+            let mut listener = TcpListener::bind(&b, 9092);
+            let mut c = connect(&a, b.id, 9092).await.unwrap();
+            let mut s = listener.accept().await.unwrap();
+            // Warm: pools, the reader's buffer and the wheel have capacity.
+            c.write_all(&[1u8; 4096]).await.unwrap();
+            s.read_exact(4096).await.unwrap();
+            (c, s)
+        });
+        let before = rt.poll_count();
+        rt.block_on(async move {
+            let reader = sim::spawn(async move {
+                s.read_exact(CHUNKS as usize * CHUNK).await.unwrap();
+                s
+            });
+            // One write per chunk: each pays the syscall, so the reader
+            // outruns the writer and parks for every chunk.
+            let writer = sim::spawn(async move {
+                for _ in 0..CHUNKS {
+                    c.write_all(&[7u8; CHUNK]).await.unwrap();
+                }
+                c
+            });
+            let _halves = (reader.await.unwrap(), writer.await.unwrap());
+        });
+        let polls = rt.poll_count() - before;
+        // Reader and writer: their first poll, then one per chunk (the
+        // per-step stack took three and two). Root: its first poll and one
+        // per join.
+        assert!(polls <= 2 * (1 + CHUNKS) + 3, "{polls} polls for {CHUNKS} chunks");
     }
 }

@@ -175,8 +175,9 @@ impl Engine {
         });
         let task = Rc::clone(&engine);
         sim::spawn_detached(async move {
-            loop {
-                match task.events.next().await {
+            // Never closed: the loop ends when the runtime drops the task.
+            while let Some(event) = task.events.next().await {
+                match event {
                     Event::Deliver { qp, ticket } => {
                         let head = task.wrs.borrow_mut().front_mut(&qp.sendq).map(|w| w.ticket);
                         if head == Some(ticket) {

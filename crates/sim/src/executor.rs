@@ -658,6 +658,13 @@ mod tests {
     use crate::time::sleep;
     use std::time::Duration;
 
+    impl Inner {
+        /// Timers registered and not yet fired.
+        pub(crate) fn pending_timers(&self) -> usize {
+            self.timers.borrow().len()
+        }
+    }
+
     #[test]
     fn block_on_returns_value() {
         let rt = Runtime::new();

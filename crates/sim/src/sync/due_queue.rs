@@ -2,40 +2,58 @@
 //! virtual clock reaches their due instant.
 //!
 //! This is the substrate for long-lived *stages* that replace "one task per
-//! delayed item" — the NIC model's work-request engine and the broker's
-//! request hand-off. A producer calls [`DueQueue::push`] from synchronous
-//! code; the consumer task loops on [`DueQueue::next`]. The queue arms wheel
-//! timers for the consumer's stored waker itself, so pushing into a parked
-//! consumer costs no "arm" poll, and the consumer drains everything due at
-//! an instant in one poll (each `next().await` that finds a due item
-//! returns without yielding).
+//! delayed item" — the NIC model's work-request engine, the broker's request
+//! hand-off and each RPC connection's reply writer. A producer calls
+//! [`DueQueue::push`] from synchronous code; the consumer task loops on
+//! [`DueQueue::next`]. The queue arms wheel timers for the consumer's stored
+//! waker itself, so pushing into a parked consumer costs no "arm" poll, and
+//! the consumer drains everything due at an instant in one poll (each
+//! `next().await` that finds a due item returns without yielding).
 //!
 //! Items with equal due times come out in push order.
 //!
-//! # Timer discipline
+//! # Consumer contract
 //!
-//! Every push registers its wheel timer *at push time*, exactly when a task
-//! spawned for the item would have started its sleep. Among the timers of
-//! one instant the wheel fires in registration order, so the stage keeps
-//! the place in that instant's schedule the per-item task had: replacing
-//! tasks by a stage does not re-order same-instant events elsewhere in the
-//! simulation. A burst of consecutive pushes for one instant shares a timer
-//! (one poll for the burst); a push for an instant that already has a timer
-//! from before an intervening push arms a second one, and the consumer's
-//! second poll at that instant finds nothing — wasted, harmless, and rare
-//! outside zero-cost test profiles.
+//! One task consumes. It may do anything between two `next()` calls,
+//! including sleep: the queue only ever wakes a consumer that is *parked in
+//! `next()`*.
+//!
+//! * A push that finds the consumer parked registers the item's wheel timer
+//!   right then — exactly when a task spawned for the item would have
+//!   started its sleep. Among the timers of one instant the wheel fires in
+//!   registration order, so the stage keeps the place in that instant's
+//!   schedule the per-item task had: replacing tasks by a stage does not
+//!   re-order same-instant events elsewhere in the simulation. Consecutive
+//!   pushes for one instant share a timer (one poll for the burst).
+//! * A push that finds the consumer busy registers nothing. When the
+//!   consumer comes back it takes what is due without yielding, and if
+//!   nothing is, parks and arms the earliest item. So a consumer that sleeps
+//!   between `next()` calls (a writer occupying a network thread) is never
+//!   polled on behalf of the queue while it does, however many items pile
+//!   up; the price is that an item pushed at a busy consumer takes its place
+//!   among an instant's timers when the consumer parks, not when it was
+//!   pushed.
+//! * [`close`](DueQueue::close) ends the stage: queued items are dropped,
+//!   later pushes are ignored, `next()` returns `None` (waking the consumer
+//!   if it is parked).
+//!
+//! Timers cannot be cancelled, so a consumer that was armed and then went
+//! off to work is polled once for nothing when the timer fires.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::future::Future;
+use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
 
-use crate::executor::with_current;
-use crate::time::SimTime;
+use crate::time::{now, wake_at, SimTime};
 
 struct Entry<T> {
-    due: u64,
+    due: SimTime,
     seq: u64,
+    /// A wheel timer for `due` was registered on this entry's behalf.
+    armed: bool,
     item: T,
 }
 
@@ -61,21 +79,20 @@ impl<T> Ord for Entry<T> {
 struct State<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
-    /// The consumer's waker, kept across polls (`clone_from` is a no-op
-    /// while the same task keeps consuming). `None` until its first park.
-    waker: Option<Waker>,
+    /// The consumer's waker while it is parked in `next()`.
+    parked: Option<Waker>,
     /// Deadline of the most recent timer, while it is still pending: a
     /// burst of pushes for one instant arms one timer.
-    last_armed: Option<u64>,
+    last_armed: Option<SimTime>,
+    closed: bool,
 }
 
 impl<T> State<T> {
-    fn arm(&mut self, due: u64) {
-        if self.last_armed == Some(due) {
-            return;
-        }
-        if let Some(waker) = &self.waker {
-            with_current(|rt| rt.register_timer(due, waker.clone()));
+    /// Registers a timer for `due` unless the previous one was for the same
+    /// instant. Only called with a parked consumer.
+    fn arm(&mut self, due: SimTime) {
+        if self.last_armed != Some(due) {
+            wake_at(due, self.parked.as_ref().expect("consumer is parked"));
             self.last_armed = Some(due);
         }
     }
@@ -98,50 +115,77 @@ impl<T> DueQueue<T> {
             state: RefCell::new(State {
                 heap: BinaryHeap::new(),
                 next_seq: 0,
-                waker: None,
+                parked: None,
                 last_armed: None,
+                closed: false,
             }),
         }
     }
 
     /// Queues `item` to be handed to the consumer at `due` (immediately, in
-    /// the consumer's next poll, if `due` is not in the future).
+    /// the consumer's next poll, if `due` is not in the future). Dropped if
+    /// the queue is closed.
     pub fn push(&self, due: SimTime, item: T) {
         let mut s = self.state.borrow_mut();
-        let (due, seq) = (due.as_nanos(), s.next_seq);
+        if s.closed {
+            return;
+        }
+        let armed = s.parked.is_some();
+        if armed {
+            s.arm(due);
+        }
+        let seq = s.next_seq;
         s.next_seq += 1;
-        s.heap.push(Entry { due, seq, item });
-        s.arm(due);
+        s.heap.push(Entry { due, seq, armed, item });
     }
 
     /// Pops the earliest item if it is due; otherwise parks the consumer
-    /// until the earliest due instant.
-    pub fn poll_next(&self, cx: &mut Context<'_>) -> Poll<T> {
+    /// until the earliest due instant. `None` once the queue is closed.
+    pub fn poll_next(&self, cx: &mut Context<'_>) -> Poll<Option<T>> {
         let mut s = self.state.borrow_mut();
-        let now = with_current(|rt| rt.now_nanos());
+        if s.closed {
+            return Poll::Ready(None);
+        }
+        let now = now();
         if s.last_armed.is_some_and(|due| due <= now) {
             s.last_armed = None;
         }
         if s.heap.peek().is_some_and(|e| e.due <= now) {
-            return Poll::Ready(s.heap.pop().unwrap().item);
+            s.parked = None;
+            return Poll::Ready(s.heap.pop().map(|e| e.item));
         }
-        match &mut s.waker {
+        match &mut s.parked {
             Some(w) => w.clone_from(cx.waker()),
-            None => {
-                // First park: arm what was pushed before there was a waker.
-                for e in s.heap.iter() {
-                    with_current(|rt| rt.register_timer(e.due, cx.waker().clone()));
-                }
-                s.waker = Some(cx.waker().clone());
-            }
+            None => s.parked = Some(cx.waker().clone()),
+        }
+        // What was pushed while the consumer was away has no timer yet.
+        let unarmed = s.heap.peek().filter(|e| !e.armed).map(|e| e.due);
+        if let Some(due) = unarmed {
+            s.arm(due);
+            s.heap.peek_mut().expect("peeked above").armed = true;
         }
         Poll::Pending
     }
 
-    /// Waits for the next due item. Single consumer: the timers wake whichever
-    /// task parked here last.
-    pub async fn next(&self) -> T {
-        std::future::poll_fn(|cx| self.poll_next(cx)).await
+    /// Waits for the next due item; `None` once the queue is closed. Single
+    /// consumer: the timers wake whichever task parked here last.
+    pub fn next(&self) -> Next<'_, T> {
+        Next { queue: self }
+    }
+
+    /// Ends the stage: drops what is queued, ignores later pushes and makes
+    /// `next()` return `None`, waking the consumer if it is parked.
+    pub fn close(&self) {
+        let mut s = self.state.borrow_mut();
+        s.closed = true;
+        let dropped = std::mem::take(&mut s.heap);
+        let parked = s.parked.take();
+        // Item destructors and the wake run without the queue borrowed.
+        drop(s);
+        drop(dropped);
+        if let Some(w) = parked {
+            w.wake();
+        }
     }
 
     /// Items queued, due or not.
@@ -151,6 +195,26 @@ impl<T> DueQueue<T> {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Future returned by [`DueQueue::next`].
+pub struct Next<'a, T> {
+    queue: &'a DueQueue<T>,
+}
+
+impl<T> Future for Next<'_, T> {
+    type Output = Option<T>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
+        self.queue.poll_next(cx)
+    }
+}
+
+impl<T> Drop for Next<'_, T> {
+    /// A consumer that gives up waiting (lost a race) is not parked.
+    fn drop(&mut self) {
+        self.queue.state.borrow_mut().parked = None;
     }
 }
 
@@ -170,8 +234,7 @@ mod tests {
         let log = Rc::new(RefCell::new(Vec::new()));
         let (q, log2) = (Rc::clone(q), Rc::clone(&log));
         crate::spawn_detached(async move {
-            loop {
-                let item = q.next().await;
+            while let Some(item) = q.next().await {
                 log2.borrow_mut().push((crate::now().as_nanos(), item));
             }
         });
@@ -240,8 +303,7 @@ mod tests {
             let log = Rc::new(RefCell::new(Vec::new()));
             let (q2, log2) = (Rc::clone(&q), Rc::clone(&log));
             crate::spawn_detached(async move {
-                loop {
-                    let item = q2.next().await;
+                while let Some(item) = q2.next().await {
                     // A slow stage: not parked on the queue while it works.
                     crate::time::sleep(Duration::from_nanos(150)).await;
                     log2.borrow_mut().push((crate::now().as_nanos(), item));
@@ -253,6 +315,87 @@ mod tests {
             q.push(at(400), 3);
             crate::time::sleep(Duration::from_micros(1)).await;
             assert_eq!(*log.borrow(), vec![(250, 1), (400, 2), (550, 3)]);
+        });
+    }
+
+    #[test]
+    fn a_busy_consumer_is_not_polled_for_pushes() {
+        let rt = Runtime::new();
+        let q: Rc<DueQueue<u32>> = Rc::new(DueQueue::new());
+        let q2 = Rc::clone(&q);
+        let log = rt.block_on(async move {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let (q3, log2) = (Rc::clone(&q2), Rc::clone(&log));
+            crate::spawn_detached(async move {
+                while let Some(item) = q3.next().await {
+                    crate::time::sleep(Duration::from_micros(10)).await;
+                    log2.borrow_mut().push((crate::now().as_nanos(), item));
+                }
+            });
+            q2.push(at(0), 0);
+            crate::time::yield_now().await; // consumer takes item 0, sleeps to 10 us
+            log
+        });
+        let before = rt.poll_count();
+        let q2 = Rc::clone(&q);
+        rt.block_on(async move {
+            // Nine items fall due, at nine instants, while the consumer works.
+            for i in 1..10 {
+                q2.push(at(i * 1_000), i as u32);
+            }
+            crate::time::sleep(Duration::from_micros(200)).await;
+        });
+        let served: Vec<u64> = log.borrow().iter().map(|&(t, _)| t).collect();
+        assert_eq!(served, (1..=10).map(|i| i * 10_000).collect::<Vec<_>>());
+        // Root 2, consumer one per item it finishes: no poll per push.
+        assert_eq!(rt.poll_count() - before, 2 + 10);
+    }
+
+    #[test]
+    fn items_pushed_at_a_busy_consumer_are_armed_when_it_parks() {
+        let rt = Runtime::new();
+        rt.block_on(async {
+            let q: Rc<DueQueue<u32>> = Rc::new(DueQueue::new());
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let (q2, log2) = (Rc::clone(&q), Rc::clone(&log));
+            crate::spawn_detached(async move {
+                while let Some(item) = q2.next().await {
+                    crate::time::sleep(Duration::from_nanos(100)).await;
+                    log2.borrow_mut().push((crate::now().as_nanos(), item));
+                }
+            });
+            q.push(at(0), 0);
+            crate::time::yield_now().await;
+            q.push(at(900), 2); // consumer busy until 100
+            q.push(at(500), 1);
+            crate::time::sleep(Duration::from_micros(2)).await;
+            assert_eq!(*log.borrow(), vec![(100, 0), (600, 1), (1_000, 2)]);
+        });
+    }
+
+    #[test]
+    fn close_ends_a_parked_consumer_and_drops_the_rest() {
+        let rt = Runtime::new();
+        rt.block_on(async {
+            let q: Rc<DueQueue<Rc<()>>> = Rc::new(DueQueue::new());
+            let q2 = Rc::clone(&q);
+            let consumer = crate::spawn(async move {
+                let mut n = 0;
+                while q2.next().await.is_some() {
+                    n += 1;
+                }
+                n
+            });
+            let witness = Rc::new(());
+            q.push(at(100), Rc::clone(&witness));
+            q.push(at(10_000), Rc::clone(&witness));
+            crate::time::sleep(Duration::from_nanos(200)).await;
+            q.close();
+            assert_eq!(Rc::strong_count(&witness), 1, "queued item dropped at close");
+            q.push(at(300), Rc::clone(&witness));
+            assert!(q.is_empty(), "pushes after close are ignored");
+            assert_eq!(consumer.await.unwrap(), 1);
+            assert_eq!(crate::now().as_nanos(), 200, "woken by close, not by a timer");
         });
     }
 }

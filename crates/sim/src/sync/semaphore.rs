@@ -58,23 +58,19 @@ impl Semaphore {
     /// *transferred* to woken waiters immediately so a concurrent
     /// `try_acquire` cannot steal them before the waiter polls.
     pub fn add_permits(&self, n: usize) {
-        let mut s = self.state.borrow_mut();
-        s.permits += n;
-        let mut to_wake = Vec::new();
+        self.state.borrow_mut().permits += n;
         // Wake the longest FIFO prefix that can now be satisfied; holding to
-        // strict FIFO avoids starving large acquisitions.
-        while let Some((_, want, _)) = s.waiters.front() {
-            if *want <= s.permits {
-                s.permits -= *want;
-                let (_, _, w) = s.waiters.pop_front().unwrap();
-                to_wake.push(w);
-            } else {
-                break;
-            }
-        }
-        drop(s);
-        for w in to_wake {
-            w.wake();
+        // strict FIFO avoids starving large acquisitions. Each waker runs
+        // with the state released.
+        loop {
+            let mut s = self.state.borrow_mut();
+            let Some(want) = s.waiters.front().map(|w| w.1).filter(|&want| want <= s.permits) else {
+                return;
+            };
+            s.permits -= want;
+            let (_, _, waker) = s.waiters.pop_front().expect("peeked above");
+            drop(s);
+            waker.wake();
         }
     }
 

@@ -4,7 +4,7 @@ use std::fmt;
 use std::future::Future;
 use std::ops::{Add, AddAssign, Sub};
 use std::pin::Pin;
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use crate::executor::{try_with_current, with_current};
@@ -93,9 +93,24 @@ pub fn try_now() -> Option<SimTime> {
     try_with_current(|inner| SimTime::from_nanos(inner.now_nanos()))
 }
 
+/// Wakes `waker` once the virtual clock reaches `deadline` (at the next
+/// scheduling point if it already has). The timer cannot be cancelled: a
+/// task that stopped waiting gets one spurious poll. This is how a
+/// synchronous producer arms a parked consumer for the instant its input
+/// becomes usable — [`DueQueue`](crate::sync::DueQueue) and the simulated
+/// TCP pipe do — instead of waking it now only to have it go to sleep.
+pub fn wake_at(deadline: SimTime, waker: &Waker) {
+    with_current(|inner| inner.register_timer(deadline.as_nanos(), waker.clone()));
+}
+
 /// Future returned by [`sleep`] / [`sleep_until`].
 pub struct Sleep {
     deadline: SimTime,
+    /// The waker the wheel timer was registered for. A pending `Sleep` owns
+    /// exactly one timer: re-polls by the same task (spurious wakes) do not
+    /// register another, which would each come back as one more spurious
+    /// wake.
+    armed: Option<Waker>,
 }
 
 impl Sleep {
@@ -107,28 +122,29 @@ impl Sleep {
 impl Future for Sleep {
     type Output = ();
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        with_current(|inner| {
-            if inner.now_nanos() >= self.deadline.as_nanos() {
-                Poll::Ready(())
-            } else {
-                inner.register_timer(self.deadline.as_nanos(), cx.waker().clone());
-                Poll::Pending
-            }
-        })
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if now() >= self.deadline {
+            return Poll::Ready(());
+        }
+        if !self.armed.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
+            wake_at(self.deadline, cx.waker());
+            self.armed = Some(cx.waker().clone());
+        }
+        Poll::Pending
     }
 }
 
 /// Sleeps for `duration` of virtual time.
 pub fn sleep(duration: Duration) -> Sleep {
-    Sleep {
-        deadline: now() + duration,
-    }
+    sleep_until(now() + duration)
 }
 
 /// Sleeps until the given virtual instant (returns immediately if past).
 pub fn sleep_until(deadline: SimTime) -> Sleep {
-    Sleep { deadline }
+    Sleep {
+        deadline,
+        armed: None,
+    }
 }
 
 /// Yields once, letting every other currently-runnable task make progress
@@ -272,6 +288,43 @@ mod tests {
             .await;
             assert_eq!(slow, Err(Elapsed));
         });
+    }
+
+    #[test]
+    fn spurious_wakes_of_a_sleeper_cost_one_poll_each_and_no_timer() {
+        const N: u64 = 50;
+        let rt = Runtime::new();
+        let waker = rt.block_on(async {
+            let slot = std::rc::Rc::new(std::cell::RefCell::new(None));
+            let slot2 = std::rc::Rc::clone(&slot);
+            crate::spawn_detached(async move {
+                let mut first = std::pin::pin!(sleep(Duration::from_millis(1)));
+                std::future::poll_fn(|cx| {
+                    *slot2.borrow_mut() = Some(cx.waker().clone());
+                    first.as_mut().poll(cx)
+                })
+                .await;
+                sleep(Duration::from_millis(1)).await;
+            });
+            yield_now().await; // the sleeper parks in its first sleep
+            let waker: Waker = slot.borrow_mut().take().unwrap();
+            waker
+        });
+        let before = rt.poll_count();
+        let timers = rt.block_on(async move {
+            for _ in 0..N {
+                waker.wake_by_ref();
+            }
+            yield_now().await;
+            with_current(|inner| inner.pending_timers())
+        });
+        assert_eq!(timers, 1, "a pending Sleep owns exactly one timer");
+        assert_eq!(rt.poll_count() - before, 2 + N, "root 2 + one per spurious wake");
+        // No timer is left behind to come back as a wake of the next sleep:
+        // the sleeper is polled once per deadline.
+        let before = rt.poll_count();
+        rt.block_on(async { sleep(Duration::from_millis(3)).await });
+        assert_eq!(rt.poll_count() - before, 2 + 2);
     }
 
     #[test]

@@ -57,6 +57,25 @@ if grep -rnE "ConnMode|RdmaCommitBatch|recv_queue" crates/*/src; then
     exit 1
 fi
 
+# Same for the RPC plane (DESIGN.md §10): a request is two pushes into
+# due-time stages — the broker's hand-off and its connection's reply stage.
+# No reply channel may come back in the front-end files, and nothing may be
+# spawned per request: requests.rs spawns nothing, server_tcp.rs and
+# server_osu.rs only in `start` (listener, one serving task per connection,
+# OSU's send-CQ drain), the shared front (server_rpc.rs) only in
+# `Conn::open` (one reply writer per connection).
+front=crates/kdbroker/src
+if grep -nE "oneshot|mpsc" $front/server_*.rs $front/requests.rs ||
+    grep -n "spawn" $front/requests.rs ||
+    awk 'FNR == 1 { skip = 0 }
+         /#\[cfg\(test\)\]/ { nextfile }
+         /^pub fn start|^    pub\(crate\) fn open/ { skip = 1 }
+         !skip { print FILENAME ":" FNR ": " $0 }
+         /^}|^    }/ { skip = 0 }' $front/server_*.rs | grep "spawn"; then
+    echo "ci: the RPC front grew a per-request task or reply channel again (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # Work-request engine gates: the NIC model must not grow a per-WR task
 # again — no spawn on the post path of qp.rs (connection-manager and test
 # spawns live elsewhere) — and its executor-poll budget must hold: 10 000
@@ -86,12 +105,14 @@ cargo run -q --release --offline --example quickstart -- --durable
 # Perf smoke: wall-clock harness over the fig10/11 produce workload with a
 # counting global allocator and an executor-poll counter. Writes
 # BENCH_<TAG>.json (+ results/PERF_<TAG>.md; TAG from --tag/KD_BENCH_TAG,
-# default PR13) and exits non-zero if the steady-state exclusive-RDMA
+# default PR14) and exits non-zero if the steady-state exclusive-RDMA
 # produce path — over the in-memory store OR the file-backed hot tier —
 # exceeds its allocation budget (allocs/record <= 2) or its scheduling
 # budget (polls/record <= 3.2, measured 2.95 — the pre-batching loop needed
 # ~20.8 and the task-per-work-request NIC model 3.2, so this pins both
-# wins), if a warm 1 MiB TCP send stops being O(1)
+# wins), if the Kafka/TCP produce RPC path exceeds its own (polls/record <=
+# 14.5, allocs/record <= 4.5; measured 14.0 / 4.0, the task-per-hop RPC
+# plane needed 21.0 / 10.0), if a warm 1 MiB TCP send stops being O(1)
 # allocations, or if running with the telemetry sampler on costs more than
 # 3% of records/s — measured both on the single-runtime baseline and in
 # parallel mode (every group sampling at the largest sweep shard count;
