@@ -126,7 +126,9 @@ fn ab_fetch_size() {
 fn ab_slot_span() {
     println!();
     println!("# Ablation — Fig 9 slot layout: per-subscription slot reads (naive)");
-    println!("# vs ONE read of the contiguous per-consumer region (MultiRdmaConsumer).");
+    println!(
+        "# vs ONE read of the contiguous per-consumer region (one consumer, n subscriptions)."
+    );
     let mut table = Table::new(&[
         "partitions",
         "naive_reads",
@@ -160,12 +162,13 @@ fn ab_slot_span() {
             let naive_us = (sim::now() - t0).as_nanos() as f64 / 1000.0;
 
             // Fig 9: one consumer id, one contiguous slot region, one read.
-            let mut mc = kdclient::MultiRdmaConsumer::connect(&cnode, cluster.bootstrap())
+            let mut mc = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
                 .await
                 .unwrap();
-            for p in 0..parts {
-                mc.subscribe("t", p, 0).await.unwrap();
+            for p in 1..parts {
+                mc.subscribe("t", p, 0);
             }
+            mc.check_new_data().await.unwrap(); // access grants
             let before = mc.stats.slot_reads;
             let t1 = sim::now();
             let _ = mc.poll().await.unwrap();

@@ -41,10 +41,7 @@ pub use systems::SystemKind;
 
 // Re-export the component crates under one roof.
 pub use kdbroker::{Broker, BrokerConfig, ObserveConfig, RdmaToggles, Transport};
-pub use kdclient::{
-    Admin, ClientTransport, MultiRdmaConsumer, RdmaConsumer, RdmaProducer, TcpConsumer,
-    TcpProducer,
-};
+pub use kdclient::{Admin, ClientTransport, RdmaConsumer, RdmaProducer, TcpConsumer, TcpProducer};
 pub use kdstorage::{Record, RecordView};
 pub use netsim::profile::Profile;
 pub use netsim::{Fabric, NodeHandle};

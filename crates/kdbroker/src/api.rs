@@ -23,6 +23,9 @@ use crate::requests::{AckRoute, CommitItem, Reply, WorkItem};
 /// Cost of trivial control-plane requests (metadata, offsets, grants).
 pub(crate) const CONTROL_COST: Duration = Duration::from_micros(3);
 
+/// Replica long-poll wait when no data is available (§4.3.1 pull).
+const REPLICA_FETCH_WAIT: Duration = Duration::from_millis(500);
+
 /// Sleeps `cost` of worker time and accounts it as CPU load.
 pub async fn charge_worker(b: &Rc<BrokerInner>, cost: Duration) {
     b.metrics
@@ -751,6 +754,19 @@ async fn handle_produce(
         return;
     }
 
+    append_and_ack(b, &p, acks, &batch, reply, ctx).await;
+}
+
+/// The original produce (§4.2.1): verify the batch, copy it from the
+/// receive buffer into the head file, commit, and ack per `acks`.
+async fn append_and_ack(
+    b: &Rc<BrokerInner>,
+    p: &Rc<Partition>,
+    acks: u8,
+    batch: &[u8],
+    reply: Reply,
+    ctx: Option<kdtelem::TraceCtx>,
+) {
     let cpu = &b.profile.cpu;
     let len = batch.len() as u64;
     let guard = p.write_lock.lock().await;
@@ -765,20 +781,20 @@ async fn handle_produce(
     .await;
     b.metrics.add(&b.metrics.heap_copied_bytes, len);
     trace_tcp_copies(b, ctx, len);
-    let res = p.log.append_batch(&batch);
+    let res = p.log.append_batch(batch);
     drop(guard);
     match res {
         Ok(info) => {
             trace_commit(
                 b,
                 ctx,
-                tp,
+                &p.tp,
                 info.base_offset,
                 info.base_offset + u64::from(info.record_count),
             );
-            after_local_commit(b, &p);
-            charge_storage(b, &p).await;
-            finish_produce_rpc(b, &p, acks, info.base_offset, info.record_count, reply);
+            after_local_commit(b, p);
+            charge_storage(b, p).await;
+            finish_produce_rpc(p, acks, info.base_offset, info.record_count, reply);
         }
         Err(e) => reply.send(Response::Produce {
             error: map_append_error(e),
@@ -798,7 +814,6 @@ pub(crate) fn after_local_commit(b: &Rc<BrokerInner>, p: &Rc<Partition>) {
 
 /// Completes a TCP produce according to its `acks` mode.
 fn finish_produce_rpc(
-    b: &Rc<BrokerInner>,
     p: &Rc<Partition>,
     acks: u8,
     base_offset: u64,
@@ -808,7 +823,6 @@ fn finish_produce_rpc(
     let needs_full_commit = acks >= 2 && p.replication_factor() > 1;
     if needs_full_commit {
         let p = Rc::clone(p);
-        let _ = b;
         sim::spawn(async move {
             p.wait_committed(base_offset + u64::from(record_count)).await;
             reply.send(Response::Produce {
@@ -866,36 +880,7 @@ async fn produce_via_shared(
         // append on the fresh head file.
         revoke_grant(b, p, g, ErrorCode::OutOfSpace);
         roll_head(b, p);
-        let cpu = &b.profile.cpu;
-        let guard = p.write_lock.lock().await;
-        charge_worker(
-            b,
-            cpu.api_produce_base
-                + copy_time(len, cpu.crc_bandwidth)
-                + copy_time(len, cpu.heap_copy_bandwidth),
-        )
-        .await;
-        trace_tcp_copies(b, ctx, len);
-        let res = p.log.append_batch(&batch);
-        drop(guard);
-        match res {
-            Ok(info) => {
-                trace_commit(
-                    b,
-                    ctx,
-                    &p.tp,
-                    info.base_offset,
-                    info.base_offset + u64::from(info.record_count),
-                );
-                after_local_commit(b, p);
-                charge_storage(b, p).await;
-                finish_produce_rpc(b, p, 2, info.base_offset, info.record_count, reply);
-            }
-            Err(e) => reply.send(Response::Produce {
-                error: map_append_error(e),
-                base_offset: 0,
-            }),
-        }
+        append_and_ack(b, p, 2, &batch, reply, ctx).await;
         return;
     }
     // Copy the records into the reserved region (this path still copies —
@@ -977,9 +962,8 @@ async fn handle_fetch(
             // purgatory).
             let b2 = Rc::clone(b);
             let p2 = Rc::clone(&p);
-            let wait = b.config.replica_fetch_wait;
             sim::spawn(async move {
-                let deadline = sim::now() + wait;
+                let deadline = sim::now() + REPLICA_FETCH_WAIT;
                 let mut rx = p2.leo_tx.subscribe();
                 while p2.log.next_offset() <= offset && sim::now() < deadline {
                     let remaining = deadline.saturating_since(sim::now());
@@ -1205,4 +1189,69 @@ pub(crate) fn post_self(
             add,
         },
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kdstorage::record::{single_record_batch, Record};
+    use kdwire::slots::{pack_shared_word, SharedWord};
+    use netsim::profile::Profile;
+    use netsim::Fabric;
+
+    use crate::requests::ReplyStage;
+    use crate::{Broker, BrokerConfig, RdmaToggles};
+
+    /// A TCP produce that no longer fits the RDMA-shared head file falls
+    /// back to the plain append on a fresh file — and that append is the
+    /// same two copies as any other TCP produce.
+    #[test]
+    fn shared_file_fallback_is_a_plain_append() {
+        sim::Runtime::new().block_on(async {
+            let node = Fabric::new(Profile::fast_test()).add_node("broker");
+            let config = BrokerConfig::kafkadirect(RdmaToggles::all());
+            let me = kdwire::BrokerAddr {
+                node: node.id.0,
+                port: config.tcp_port,
+                rdma_port: config.rdma_port,
+            };
+            let broker = Broker::start(&node, config, vec![me]);
+            let b = broker.inner();
+            apply_add_partition(b, "t", 0, 0, me, Vec::new());
+            let tp = TopicPartition::new("t", 0);
+            let p = b.store.get(&tp).unwrap();
+            let head = p.log.head();
+            let g = b.produce_module.create_grant(
+                &b.nic,
+                &tp,
+                p.log.head_index(),
+                head.shared_buf(),
+                ProduceMode::Shared,
+                NodeId(99),
+            );
+            *p.grant.borrow_mut() = Some(Rc::clone(&g));
+            // Remote producers have reserved all but ten bytes of the file.
+            let word = SharedWord {
+                order: 0,
+                offset: u64::from(head.capacity()) - 10,
+            };
+            g.shared.as_ref().unwrap().word_buf.write_u64(0, pack_shared_word(word));
+            let stage = Rc::new(ReplyStage::new());
+            let reply = Reply {
+                stage: Rc::clone(&stage),
+                corr: 1,
+                handoff: Duration::ZERO,
+            };
+            let batch = single_record_batch(1, &Record::value(vec![7u8; 100]));
+            handle_produce(b, &tp, 1, batch.clone(), reply, None).await;
+            let (_, resp) = stage.next().await.unwrap();
+            assert!(matches!(
+                resp,
+                Response::Produce { error: ErrorCode::None, base_offset: 0 }
+            ));
+            assert!(g.closed.get(), "the shared session was aborted");
+            assert_eq!(p.log.head_index(), 1, "and the record went to a fresh file");
+            assert_eq!(broker.metrics().heap_copied_bytes, batch.len() as u64);
+        });
+    }
 }

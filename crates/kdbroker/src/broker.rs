@@ -26,6 +26,10 @@ pub type OffsetSlot = (rnic::ShmBuf, rnic::MemoryRegion);
 /// Depth of the pre-allocated ack-buffer ring. Must exceed the number of
 /// ack WRs that can be in flight at once, which is bounded by CQ capacity.
 const ACK_RING_DEPTH: usize = 1024;
+/// Capacity of the produce module's receive CQ and of the ack send CQ.
+const CQ_CAPACITY: usize = 8192;
+/// Shared request queue depth (Kafka `queued.max.requests`).
+const REQUEST_QUEUE_DEPTH: usize = 500;
 
 /// One partition's raw segment images as `(base_offset, bytes)` — the
 /// "disk" that survives a broker crash (see [`Broker::durable_state`]). In
@@ -204,8 +208,8 @@ impl Broker {
         assert_eq!(me.port, config.tcp_port, "peer list port mismatch");
         let profile = node.profile();
         let nic = RNic::new(node);
-        let recv_cq = nic.create_cq(config.cq_capacity);
-        let ack_send_cq = nic.create_cq(config.cq_capacity);
+        let recv_cq = nic.create_cq(CQ_CAPACITY);
+        let ack_send_cq = nic.create_cq(CQ_CAPACITY);
         let metrics = Metrics::default();
         let net_pool = ServicePool::with_counter(
             config.net_threads,
@@ -247,7 +251,7 @@ impl Broker {
             metrics,
             telem,
             store: PartitionStore::default(),
-            queue: WorkQueue::new(config.request_queue_depth),
+            queue: WorkQueue::new(REQUEST_QUEUE_DEPTH),
             handoff: Rc::new(DueQueue::new()),
             net_pool,
             peers,
@@ -261,7 +265,7 @@ impl Broker {
             ack_ring: (0..ACK_RING_DEPTH).map(|_| ShmBuf::zeroed(9)).collect(),
             ack_ring_next: Cell::new(0),
             produce_module: ProduceModule::default(),
-            consume_module: ConsumeModule::new(config.slots_per_consumer),
+            consume_module: ConsumeModule::default(),
             self_rdma: RefCell::new(None),
             alive: Cell::new(true),
             shutdown: sim::sync::Notify::new(),

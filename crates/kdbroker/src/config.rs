@@ -94,23 +94,15 @@ pub struct BrokerConfig {
     pub api_workers: usize,
     /// RDMA completion pollers (threads of the RDMA network module ➋).
     pub rdma_pollers: usize,
-    /// Shared request queue depth (Kafka `queued.max.requests`).
-    pub request_queue_depth: usize,
     pub log: LogConfig,
     /// Credits a follower grants a push-replication leader (§4.3.2).
     pub replication_credits: u32,
     /// Maximum bytes merged into one push-replication RDMA Write. The paper
     /// selects 1 KiB from the Fig 8 sweep.
     pub replication_max_batch: u32,
-    /// Replica long-poll wait when no data is available (§4.3.1 pull).
-    pub replica_fetch_wait: Duration,
-    /// Replica fetch size cap.
-    pub replica_fetch_max_bytes: u32,
     /// Shared-mode hole timeout: how long a produce completion may wait for
     /// its predecessors before the session is aborted (§4.2.2).
     pub shared_order_timeout: Duration,
-    /// Receive-CQ capacity of the RDMA produce module.
-    pub cq_capacity: usize,
     /// Maximum completions one poller takes per CQ drain (`ibv_poll_cq`
     /// batch size). `1` is the one-completion-per-wakeup loop; larger
     /// values amortise the wakeup and poll charges across the batch and
@@ -124,13 +116,6 @@ pub struct BrokerConfig {
     /// multiplex over. `0` (the paper's configuration) has every accepted
     /// QP pin its own context instead.
     pub mux_pool: usize,
-    /// Metadata slots per consumer (Fig 9 region size).
-    pub slots_per_consumer: usize,
-    /// OSU transport: request receive buffer size (must fit the largest
-    /// produce request).
-    pub osu_recv_buf: usize,
-    /// OSU transport: pre-posted request buffers per connection.
-    pub osu_recv_depth: usize,
     /// Continuous telemetry (sampler + watchdog); `None` = off (default).
     pub observe: Option<ObserveConfig>,
     /// Storage backend selection: in-memory (default) or tiered
@@ -148,20 +133,13 @@ impl Default for BrokerConfig {
             net_threads: 3,
             api_workers: 8,
             rdma_pollers: 2,
-            request_queue_depth: 500,
             log: LogConfig::default(),
             replication_credits: 16,
             replication_max_batch: 1024,
-            replica_fetch_wait: Duration::from_millis(500),
-            replica_fetch_max_bytes: 1024 * 1024,
             shared_order_timeout: Duration::from_millis(2),
-            cq_capacity: 8192,
             cq_batch: 16,
             srq_depth: 4096,
             mux_pool: 0,
-            slots_per_consumer: 64,
-            osu_recv_buf: 1200 * 1024,
-            osu_recv_depth: 8,
             observe: None,
             storage: StorageConfig::default(),
         }

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use kdstorage::TopicPartition;
-use kdwire::slots::{SlotView, SLOT_SIZE};
+use kdwire::slots::{SlotView, SLOTS_PER_CONSUMER, SLOT_SIZE};
 use rnic::{Access, MemoryRegion, RNic, ShmBuf};
 
 use crate::data::Partition;
@@ -49,31 +49,24 @@ impl ConsumerSlots {
 }
 
 /// The consume module: consumer slot regions.
+#[derive(Default)]
 pub struct ConsumeModule {
     consumers: RefCell<HashMap<u64, Rc<ConsumerSlots>>>,
-    slots_per_consumer: usize,
 }
 
 impl ConsumeModule {
-    pub fn new(slots_per_consumer: usize) -> Self {
-        ConsumeModule {
-            consumers: RefCell::new(HashMap::new()),
-            slots_per_consumer,
-        }
-    }
-
     /// Gets (or creates + registers) a consumer's slot region.
     pub fn consumer(&self, nic: &RNic, metrics: &Metrics, consumer_id: u64) -> Rc<ConsumerSlots> {
         if let Some(c) = self.consumers.borrow().get(&consumer_id) {
             return Rc::clone(c);
         }
-        let buf = ShmBuf::zeroed(self.slots_per_consumer * SLOT_SIZE);
+        let buf = ShmBuf::zeroed(SLOTS_PER_CONSUMER * SLOT_SIZE);
         let mr = nic.reg_mr(buf.clone(), Access::REMOTE_READ);
         metrics.add(&metrics.registered_bytes, buf.len() as u64);
         let c = Rc::new(ConsumerSlots {
             buf,
             mr,
-            assigns: RefCell::new(vec![None; self.slots_per_consumer]),
+            assigns: RefCell::new(vec![None; SLOTS_PER_CONSUMER]),
         });
         self.consumers
             .borrow_mut()
@@ -253,7 +246,7 @@ mod tests {
         let rt = sim::Runtime::new();
         rt.block_on(async {
             let (nic, m, _p) = setup();
-            let module = ConsumeModule::new(4);
+            let module = ConsumeModule::default();
             let tp = TopicPartition::new("t", 0);
             let (c, i0) = module.alloc_slot(&nic, &m, 9, &tp, 0).unwrap();
             let (_, i1) = module.alloc_slot(&nic, &m, 9, &tp, 1).unwrap();
@@ -275,11 +268,13 @@ mod tests {
         let rt = sim::Runtime::new();
         rt.block_on(async {
             let (nic, m, _p) = setup();
-            let module = ConsumeModule::new(2);
+            let module = ConsumeModule::default();
             let tp = TopicPartition::new("t", 0);
-            assert!(module.alloc_slot(&nic, &m, 9, &tp, 0).is_some());
-            assert!(module.alloc_slot(&nic, &m, 9, &tp, 1).is_some());
-            assert!(module.alloc_slot(&nic, &m, 9, &tp, 2).is_none());
+            for segment in 0..SLOTS_PER_CONSUMER as u32 {
+                assert!(module.alloc_slot(&nic, &m, 9, &tp, segment).is_some());
+            }
+            let beyond = SLOTS_PER_CONSUMER as u32;
+            assert!(module.alloc_slot(&nic, &m, 9, &tp, beyond).is_none());
         });
     }
 
@@ -338,7 +333,7 @@ mod tests {
         rt.block_on(async {
             let (nic, m, p) = setup();
             append(&p, 1, 64);
-            let module = ConsumeModule::new(4);
+            let module = ConsumeModule::default();
             let (c, idx) = module.alloc_slot(&nic, &m, 7, &p.tp, 0).unwrap();
             p.slot_refs.borrow_mut().push(SlotRef {
                 consumer_id: 7,

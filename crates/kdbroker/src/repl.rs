@@ -25,6 +25,9 @@ use sim::sync::Semaphore;
 use crate::broker::BrokerInner;
 use crate::data::Partition;
 
+/// Replica fetch size cap.
+const REPLICA_FETCH_MAX_BYTES: u32 = 1024 * 1024;
+
 /// Starts the pull fetcher for a follower replica (original Kafka).
 pub fn start_pull_fetcher(b: &Rc<BrokerInner>, p: &Rc<Partition>) {
     let b = Rc::clone(b);
@@ -52,7 +55,7 @@ async fn pull_loop(b: Rc<BrokerInner>, p: Rc<Partition>) {
             topic: p.tp.topic.as_str().to_string(),
             partition: p.tp.partition,
             offset: p.log.next_offset(),
-            max_bytes: b.config.replica_fetch_max_bytes,
+            max_bytes: REPLICA_FETCH_MAX_BYTES,
             replica_id: b.me.node,
         };
         let fetch_start = sim::now();

@@ -21,6 +21,11 @@ use crate::server_rpc::Conn;
 /// but still parse/serialize on a network thread.
 pub const OSU_REQUEST_COST: Duration = Duration::from_micros(5);
 
+/// Request receive buffer size (must fit the largest produce request).
+const RECV_BUF: usize = 1200 * 1024;
+/// Pre-posted request buffers per connection.
+const RECV_DEPTH: usize = 8;
+
 pub fn start(b: &Rc<BrokerInner>) {
     let mut listener = RdmaListener::bind(&b.nic, b.config.rdma_port + crate::rdma_net::OSU_PORT_OFF);
     let b = Rc::clone(b);
@@ -46,9 +51,7 @@ async fn serve_connection(
     let kcopy = b.profile.net.kernel_copy_bandwidth;
     // Pre-post the request receive buffers (the "network buffers" whose
     // copies define this baseline).
-    let bufs: Vec<ShmBuf> = (0..b.config.osu_recv_depth)
-        .map(|_| ShmBuf::zeroed(b.config.osu_recv_buf))
-        .collect();
+    let bufs: Vec<ShmBuf> = (0..RECV_DEPTH).map(|_| ShmBuf::zeroed(RECV_BUF)).collect();
     for (i, buf) in bufs.iter().enumerate() {
         let _ = qp.post_recv(RecvWr {
             wr_id: i as u64,

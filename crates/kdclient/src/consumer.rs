@@ -1,13 +1,44 @@
 //! The original Kafka consumer (§4.4.1): periodic fetch requests,
 //! regardless of data availability — the CPU burden §5.3 quantifies.
 
-use kdstorage::record::{decode_batch, peek_total_len, RecordView};
+use kdstorage::record::{decode_batch, peek_total_len, RecordView, LENGTH_PREFIX_LEN};
 use kdwire::{BrokerAddr, Request, Response};
 use netsim::profile::copy_time;
 use netsim::NodeHandle;
 
 use crate::conn::{ClientTransport, Conn};
 use crate::error::{check, ClientError};
+
+/// Decodes the complete batches at the front of `bytes` — the one batch-drain
+/// loop of both consumers. Records at or after `*next_offset` go to `deliver`
+/// and advance it; `on_batch` sees each decoded batch's length. Returns the
+/// bytes consumed: what follows is an incomplete batch, which the RDMA
+/// consumer keeps for its next read and the fetch consumer rejects. Lengths
+/// come from the wire, so none is trusted past the end of `bytes`.
+pub(crate) fn drain_batches(
+    bytes: &[u8],
+    next_offset: &mut u64,
+    mut on_batch: impl FnMut(usize),
+    mut deliver: impl FnMut(RecordView),
+) -> Result<usize, ClientError> {
+    let mut at = 0usize;
+    while bytes.len() - at >= LENGTH_PREFIX_LEN {
+        let total = peek_total_len(&bytes[at..]).map_err(|_| ClientError::Corrupt)?;
+        if bytes.len() - at < total {
+            break;
+        }
+        on_batch(total);
+        let records = decode_batch(&bytes[at..at + total]).map_err(|_| ClientError::Corrupt)?;
+        for rv in records {
+            if rv.offset >= *next_offset {
+                *next_offset = rv.offset + 1;
+                deliver(rv);
+            }
+        }
+        at += total;
+    }
+    Ok(at)
+}
 
 /// A fetch-polling consumer bound to one topic partition.
 pub struct TcpConsumer {
@@ -92,22 +123,14 @@ impl TcpConsumer {
                 + copy_time(f.bytes.len() as u64, cpu.memcpy_bandwidth),
         )
         .await;
+        // A fetch response carries whole batches only; bytes left over were
+        // cut short or mis-framed on the way.
         let mut out = Vec::new();
-        let mut at = 0usize;
-        while at < f.bytes.len() {
-            let total = peek_total_len(&f.bytes[at..]).map_err(|_| ClientError::Corrupt)?;
-            let records =
-                decode_batch(&f.bytes[at..at + total]).map_err(|_| ClientError::Corrupt)?;
-            for rv in records {
-                if rv.offset >= self.offset {
-                    out.push(rv);
-                }
-            }
-            at += total;
+        let used = drain_batches(&f.bytes, &mut self.offset, |_| {}, |rv| out.push(rv))?;
+        if used != f.bytes.len() {
+            return Err(ClientError::Corrupt);
         }
-        if let Some(last) = out.last() {
-            self.offset = last.offset + 1;
-        } else {
+        if out.is_empty() {
             self.offset = f.next_offset.max(self.offset);
         }
         self.fetch_e2e_ns.record_since(start);
@@ -123,5 +146,77 @@ impl TcpConsumer {
                 return Ok(records);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kdstorage::record::single_record_batch;
+    use kdstorage::Record;
+
+    /// Three single-record batches at offsets 0..3, as they lie in a file.
+    fn three_batches() -> (Vec<u8>, usize) {
+        let mut bytes = Vec::new();
+        let mut first_len = 0;
+        for i in 0..3u8 {
+            let mut batch = single_record_batch(1, &Record::value(vec![i; 40]));
+            kdstorage::record::assign_base_offset(&mut batch, u64::from(i));
+            first_len = batch.len();
+            bytes.extend_from_slice(&batch);
+        }
+        (bytes, first_len)
+    }
+
+    fn drain(bytes: &[u8]) -> Result<(usize, Vec<u64>, Vec<usize>), ClientError> {
+        let (mut next, mut offsets, mut lens) = (0, Vec::new(), Vec::new());
+        let used = drain_batches(
+            bytes,
+            &mut next,
+            |n| lens.push(n),
+            |rv| offsets.push(rv.offset),
+        )?;
+        assert_eq!(next, offsets.last().map_or(0, |o| o + 1));
+        Ok((used, offsets, lens))
+    }
+
+    #[test]
+    fn drains_whole_batches_and_leaves_an_incomplete_tail() {
+        let (bytes, len) = three_batches();
+        assert_eq!(drain(&bytes), Ok((3 * len, vec![0, 1, 2], vec![len; 3])));
+        // Cut inside the third batch — in its body, in its length prefix —
+        // or right behind the second: two batches, the rest stays.
+        for cut in [
+            3 * len - 1,
+            2 * len + LENGTH_PREFIX_LEN,
+            2 * len + 5,
+            2 * len,
+        ] {
+            assert_eq!(
+                drain(&bytes[..cut]),
+                Ok((2 * len, vec![0, 1], vec![len; 2]))
+            );
+        }
+        assert_eq!(drain(&[]), Ok((0, vec![], vec![])));
+    }
+
+    #[test]
+    fn a_length_field_past_the_end_is_not_followed() {
+        let (mut bytes, len) = three_batches();
+        let at = len + LENGTH_PREFIX_LEN - 4;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(drain(&bytes), Ok((len, vec![0], vec![len])));
+        // One that cuts its batch short is a batch that does not verify.
+        let short = (len - LENGTH_PREFIX_LEN - 8) as u32;
+        bytes[at..at + 4].copy_from_slice(&short.to_le_bytes());
+        assert_eq!(drain(&bytes), Err(ClientError::Corrupt));
+    }
+
+    #[test]
+    fn records_below_the_next_offset_are_skipped() {
+        let (bytes, _) = three_batches();
+        let (mut next, mut offsets) = (2, Vec::new());
+        drain_batches(&bytes, &mut next, |_| {}, |rv| offsets.push(rv.offset)).unwrap();
+        assert_eq!((next, offsets), (3, vec![2]));
     }
 }

@@ -10,12 +10,10 @@
 //!   modes, with out-of-space detection and head-file re-requests.
 //! * [`consumer::TcpConsumer`] — the original fetch-request poll consumer
 //!   (§4.4.1).
-//! * [`rdma_consumer::RdmaConsumer`] — the KafkaDirect consumer (§4.4.2):
-//!   RDMA Reads of file bytes, single-read metadata-slot refresh, partial
-//!   batch reassembly, file rolling, access release.
-//! * [`multi_consumer::MultiRdmaConsumer`] — the multi-subscription variant
-//!   of Fig 9: one consumer id, one contiguous slot region, all
-//!   subscriptions refreshed with a single RDMA Read per poll.
+//! * [`rdma_consumer::RdmaConsumer`] — the KafkaDirect consumer (§4.4.2,
+//!   Fig 9): n ≥ 1 subscriptions under one consumer id, RDMA Reads of file
+//!   bytes, one read of the contiguous slot region refreshing all of them,
+//!   partial batch reassembly, file rolling, access release.
 //! * [`conn`] — RPC transports: framed TCP and the OSU-Kafka two-sided
 //!   RDMA Send/Recv transport.
 //! * [`admin`] — topic creation and metadata discovery.
@@ -24,7 +22,6 @@ pub mod admin;
 pub mod conn;
 pub mod consumer;
 pub mod error;
-pub mod multi_consumer;
 pub mod producer;
 pub mod rdma_consumer;
 pub mod rdma_producer;
@@ -33,7 +30,6 @@ pub use admin::Admin;
 pub use conn::{ClientTransport, Conn};
 pub use consumer::TcpConsumer;
 pub use error::ClientError;
-pub use multi_consumer::MultiRdmaConsumer;
 pub use producer::TcpProducer;
 pub use rdma_consumer::RdmaConsumer;
 pub use rdma_producer::RdmaProducer;

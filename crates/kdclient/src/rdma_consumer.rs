@@ -1,25 +1,35 @@
-//! The KafkaDirect RDMA consumer (§4.4.2): fetches records with one-sided
-//! RDMA Reads — the broker's CPU is never involved.
+//! The KafkaDirect RDMA consumer (§4.4.2, Fig 9): fetches records with
+//! one-sided RDMA Reads — the broker's CPU is never involved.
+//!
+//! One consumer holds n ≥ 1 subscriptions to partitions of one broker under
+//! one consumer id, over one QP. [`RdmaConsumer::connect`] makes the first;
+//! [`RdmaConsumer::subscribe`] adds more.
 //!
 //! Mechanics reproduced from the paper:
 //! * **Getting access**: a TCP request returns the file's region, its last
 //!   readable byte, and whether it is mutable.
-//! * **Metadata slots**: for mutable files the consumer polls an
-//!   RDMA-readable slot (one read covers all of its active slots) to learn
-//!   about new records without broker involvement.
+//! * **Metadata slots**: "for each RDMA consumer, KafkaDirect brokers
+//!   allocate a contiguous RDMA-accessible region that is used for storing
+//!   metadata slots of all mutable files requested by the consumer", so a
+//!   single RDMA Read refreshes every subscription. It is issued only when
+//!   some subscription has nothing left to read.
 //! * **Fetch size**: RDMA Reads fetch a configurable number of bytes
 //!   (default 2 KiB); partially fetched batches are kept until complete.
 //! * **File roll**: when a slot reports the file immutable and fully read,
 //!   the consumer releases it and requests access to the next file.
 
-use kdstorage::record::{decode_batch, peek_total_len, RecordView, LENGTH_PREFIX_LEN};
-use kdwire::slots::{SlotView, SLOT_SIZE};
-use kdwire::{BrokerAddr, ConsumeAccessResp, Request, Response};
+use std::collections::VecDeque;
+
+use kdstorage::record::{peek_total_len, RecordView, LENGTH_PREFIX_LEN};
+use kdstorage::TopicPartition;
+use kdwire::slots::{SlotView, SLOTS_PER_CONSUMER, SLOT_SIZE};
+use kdwire::{BrokerAddr, ConsumeAccessResp, RemoteRegion, Request, Response};
 use netsim::profile::copy_time;
 use netsim::NodeHandle;
 use rnic::{CompletionQueue, QpOptions, QueuePair, RNic, SendWr, ShmBuf, WorkRequest};
 
 use crate::conn::{ClientTransport, Conn};
+use crate::consumer::drain_batches;
 use crate::error::{check, ClientError};
 
 /// Default fetch size: "2 KiB as it provides a good trade-off between
@@ -46,35 +56,51 @@ struct FileState {
     mutable: bool,
 }
 
-/// The RDMA consumer.
-pub struct RdmaConsumer {
-    node: NodeHandle,
-    ctrl: Conn,
-    #[allow(dead_code)]
-    nic: RNic,
-    qp: QueuePair,
-    send_cq: CompletionQueue,
-    topic: String,
-    partition: u32,
-    consumer_id: u64,
+/// One subscribed topic partition.
+struct Subscription {
+    tp: TopicPartition,
     /// Next record offset to deliver to the application.
-    pub offset: u64,
-    pub fetch_size: u32,
+    offset: u64,
+    /// The file being read; `None` until the first poll requests access.
     file: Option<FileState>,
     /// Partially fetched batch bytes (§4.4.2 "the partially read records
     /// are kept until all their bytes are fetched").
     partial: Vec<u8>,
-    ready: std::collections::VecDeque<RecordView>,
-    fetch_buf: ShmBuf,
-    slot_buf: ShmBuf,
-    /// EXTENSION (§4.4.2 alternative): size RDMA Reads from the parsed batch
-    /// headers instead of a fixed fetch size.
-    pub adaptive_fetch: bool,
     /// EWMA of recent batch sizes (adaptive mode).
     avg_batch: f64,
     /// EXTENSION (§5.4 future work): RDMA-writable offset slot for one-sided
     /// offset commits.
-    offset_slot: Option<kdwire::RemoteRegion>,
+    offset_slot: Option<RemoteRegion>,
+}
+
+impl Subscription {
+    /// Whether every readable byte of the current file has been fetched.
+    fn exhausted(&self) -> bool {
+        self.file
+            .as_ref()
+            .is_none_or(|f| f.read_pos >= f.last_readable)
+    }
+}
+
+/// The RDMA consumer.
+pub struct RdmaConsumer {
+    node: NodeHandle,
+    ctrl: Conn,
+    #[allow(dead_code)] // owns the registrations backing the QP
+    nic: RNic,
+    qp: QueuePair,
+    send_cq: CompletionQueue,
+    consumer_id: u64,
+    subs: Vec<Subscription>,
+    pub fetch_size: u32,
+    /// Parsed records, tagged with their subscription's index.
+    ready: VecDeque<(usize, RecordView)>,
+    fetch_buf: ShmBuf,
+    /// Local copy of the broker's slot region for this consumer id.
+    slot_buf: ShmBuf,
+    /// EXTENSION (§4.4.2 alternative): size RDMA Reads from the parsed batch
+    /// headers instead of a fixed fetch size.
+    pub adaptive_fetch: bool,
     commit_buf: ShmBuf,
     pub stats: ConsumerStats,
     telem: kdtelem::Registry,
@@ -83,6 +109,8 @@ pub struct RdmaConsumer {
 }
 
 impl RdmaConsumer {
+    /// Connects to `broker` and subscribes to `topic`/`partition` from
+    /// `offset`.
     pub async fn connect(
         node: &NodeHandle,
         broker: BrokerAddr,
@@ -106,73 +134,85 @@ impl RdmaConsumer {
             .map_err(|_| ClientError::Disconnected)?;
         let telem = kdtelem::current();
         let fetch_e2e_ns = telem.histogram("kdclient", "fetch.e2e_ns");
-        Ok(RdmaConsumer {
+        let mut consumer = RdmaConsumer {
             node: node.clone(),
             ctrl,
             nic,
             qp,
             send_cq,
-            topic: topic.to_string(),
-            partition,
             consumer_id: sim::rng::range_u64(1..u64::MAX),
-            offset,
+            subs: Vec::new(),
             fetch_size: DEFAULT_FETCH_SIZE,
-            file: None,
-            partial: Vec::new(),
-            ready: std::collections::VecDeque::new(),
+            ready: VecDeque::new(),
             fetch_buf: ShmBuf::zeroed(DEFAULT_FETCH_SIZE as usize),
-            slot_buf: ShmBuf::zeroed(64 * SLOT_SIZE),
+            slot_buf: ShmBuf::zeroed(SLOTS_PER_CONSUMER * SLOT_SIZE),
             adaptive_fetch: false,
-            avg_batch: f64::from(DEFAULT_FETCH_SIZE),
-            offset_slot: None,
             commit_buf: ShmBuf::zeroed(8),
             stats: ConsumerStats::default(),
             telem,
             fetch_e2e_ns,
-        })
+        };
+        consumer.subscribe(topic, partition, offset);
+        Ok(consumer)
     }
 
-    /// One RDMA Read into `local`, awaiting its completion.
-    async fn rdma_read(
-        &mut self,
-        local: rnic::BufSlice,
-        remote_addr: u64,
-        rkey: u32,
-        trace: Option<kdtelem::TraceCtx>,
-    ) -> Result<(), ClientError> {
+    /// Adds a subscription to another partition of the same broker, starting
+    /// at `offset`. Access to its file is requested by the next poll.
+    pub fn subscribe(&mut self, topic: &str, partition: u32, offset: u64) {
+        self.subs.push(Subscription {
+            tp: TopicPartition::new(topic, partition),
+            offset,
+            file: None,
+            partial: Vec::new(),
+            avg_batch: f64::from(DEFAULT_FETCH_SIZE),
+            offset_slot: None,
+        });
+    }
+
+    /// Next record offset of the first subscription.
+    pub fn offset(&self) -> u64 {
+        self.subs[0].offset
+    }
+
+    /// Posts one signaled work request and awaits its completion (the QP
+    /// never has two in flight).
+    async fn execute(&self, wr: SendWr) -> Result<(), ClientError> {
         self.qp
-            .post_send(
-                SendWr::new(
-                    7,
-                    WorkRequest::Read {
-                        local,
-                        remote_addr,
-                        rkey,
-                    },
-                )
-                .with_trace(trace),
-            )
+            .post_send(wr)
             .map_err(|_| ClientError::Disconnected)?;
-        let cqe = self
-            .send_cq
-            .next()
-            .await
-            .ok_or(ClientError::Disconnected)?;
+        let cqe = self.send_cq.next().await.ok_or(ClientError::Disconnected)?;
         if !cqe.ok() {
             return Err(ClientError::Disconnected);
         }
         Ok(())
     }
 
-    /// Requests RDMA access to the file containing the consumer's offset.
-    async fn acquire_file(&mut self) -> Result<(), ClientError> {
+    /// One RDMA Read into `local`, awaiting its completion.
+    async fn rdma_read(
+        &self,
+        local: rnic::BufSlice,
+        remote_addr: u64,
+        rkey: u32,
+        trace: Option<kdtelem::TraceCtx>,
+    ) -> Result<(), ClientError> {
+        let read = WorkRequest::Read {
+            local,
+            remote_addr,
+            rkey,
+        };
+        self.execute(SendWr::new(7, read).with_trace(trace)).await
+    }
+
+    /// Requests RDMA access to the file containing subscription `i`'s offset.
+    async fn acquire_file(&mut self, i: usize) -> Result<(), ClientError> {
         self.stats.access_requests += 1;
+        let sub = &mut self.subs[i];
         let resp = self
             .ctrl
             .call(&Request::ConsumeAccess {
-                topic: self.topic.clone(),
-                partition: self.partition,
-                offset: self.offset,
+                topic: sub.tp.topic.as_str().to_string(),
+                partition: sub.tp.partition,
+                offset: sub.offset,
                 consumer_id: self.consumer_id,
             })
             .await?;
@@ -181,8 +221,8 @@ impl RdmaConsumer {
             _ => return Err(ClientError::Protocol),
         };
         check(grant.error)?;
-        self.partial.clear();
-        self.file = Some(FileState {
+        sub.partial.clear();
+        sub.file = Some(FileState {
             read_pos: grant.start_pos,
             last_readable: grant.last_readable,
             mutable: grant.mutable,
@@ -191,17 +231,29 @@ impl RdmaConsumer {
         Ok(())
     }
 
-    /// Releases a fully-consumed file so the broker can unregister it.
-    async fn release_file(&mut self) -> Result<(), ClientError> {
-        let Some(f) = self.file.take() else {
+    /// Requests access for every subscription that has no file yet.
+    async fn acquire_missing(&mut self) -> Result<(), ClientError> {
+        for i in 0..self.subs.len() {
+            if self.subs[i].file.is_none() {
+                self.acquire_file(i).await?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Releases subscription `i`'s fully-consumed file so the broker can
+    /// unregister it.
+    async fn release_file(&mut self, i: usize) -> Result<(), ClientError> {
+        let sub = &mut self.subs[i];
+        let Some(f) = sub.file.take() else {
             return Ok(());
         };
         self.stats.releases += 1;
         let _ = self
             .ctrl
             .call(&Request::ConsumeRelease {
-                topic: self.topic.clone(),
-                partition: self.partition,
+                topic: sub.tp.topic.as_str().to_string(),
+                partition: sub.tp.partition,
                 consumer_id: self.consumer_id,
                 segment: f.grant.segment,
             })
@@ -209,77 +261,129 @@ impl RdmaConsumer {
         Ok(())
     }
 
-    /// Refreshes `last_readable`/`mutable` by reading the metadata slot
-    /// region with a single RDMA Read (§4.4.2, Fig 9).
+    /// Refreshes `last_readable`/`mutable` of every subscription with a
+    /// single RDMA Read of the slot region (§4.4.2, Fig 9).
     async fn refresh_metadata(&mut self) -> Result<(), ClientError> {
-        let Some(slot) = self.file.as_ref().and_then(|f| f.grant.slot) else {
-            return Ok(());
+        // Every grant names the same region; read the smallest contiguous
+        // prefix containing all active slots.
+        let mut region = None;
+        let mut span_slots = 0u32;
+        for slot in self.subs.iter().filter_map(|s| s.file.as_ref()?.grant.slot) {
+            region = Some(slot.region);
+            span_slots = span_slots
+                .max(slot.active_span)
+                .max(slot.index.saturating_add(1));
+        }
+        let Some(region) = region else {
+            return Ok(()); // only immutable files right now
         };
-        // Read the smallest contiguous region containing all active slots.
-        let span = (slot.active_span.max(slot.index + 1) as usize) * SLOT_SIZE;
-        let span = span.min(self.slot_buf.len());
+        let span = (span_slots as usize * SLOT_SIZE).min(self.slot_buf.len());
         self.stats.slot_reads += 1;
         let local = self.slot_buf.slice(0, span);
-        self.rdma_read(local, slot.region.addr, slot.region.rkey, None)
+        self.rdma_read(local, region.addr, region.rkey, None)
             .await?;
-        let view = SlotView::decode(
-            &self
-                .slot_buf
-                .read_at(slot.index as usize * SLOT_SIZE, SLOT_SIZE),
-        );
-        let f = self.file.as_mut().expect("file present");
-        f.last_readable = view.last_readable;
-        f.mutable = view.mutable;
+        for f in self.subs.iter_mut().filter_map(|s| s.file.as_mut()) {
+            // A slot outside what was read keeps its last known state.
+            let at = f.grant.slot.map(|slot| slot.index as usize * SLOT_SIZE);
+            if let Some(at) = at.filter(|at| at + SLOT_SIZE <= span) {
+                let view = SlotView::decode(&self.slot_buf.read_at(at, SLOT_SIZE));
+                f.last_readable = view.last_readable;
+                f.mutable = view.mutable;
+            }
+        }
         Ok(())
     }
 
-    /// One fetch iteration. Returns any records that became ready; an empty
-    /// result means no new committed data was visible.
+    /// One fetch iteration over every subscription. Returns any records that
+    /// became ready; an empty result means no new committed data was
+    /// visible.
     pub async fn poll(&mut self) -> Result<Vec<RecordView>, ClientError> {
+        self.poll_round().await?;
+        Ok(self.ready.drain(..).map(|(_, rv)| rv).collect())
+    }
+
+    /// As [`poll`](Self::poll), with every record tagged with the partition
+    /// it came from.
+    pub async fn poll_tagged(&mut self) -> Result<Vec<(TopicPartition, RecordView)>, ClientError> {
+        self.poll_round().await?;
+        let subs = &self.subs;
+        Ok(self
+            .ready
+            .drain(..)
+            .map(|(i, rv)| (subs[i].tp.clone(), rv))
+            .collect())
+    }
+
+    /// Fills `ready`: rolls fully read files, or else refreshes the slots if
+    /// some subscription has run dry and reads from every subscription that
+    /// has bytes.
+    async fn poll_round(&mut self) -> Result<(), ClientError> {
         let start = sim::now();
         if !self.ready.is_empty() {
-            return Ok(self.drain_ready());
+            return Ok(());
         }
-        if self.file.is_none() {
-            self.acquire_file().await?;
-        }
-        // Exhausted the readable part?
-        let (read_pos, last_readable, mutable) = {
-            let f = self.file.as_ref().unwrap();
-            (f.read_pos, f.last_readable, f.mutable)
-        };
-        if read_pos >= last_readable {
-            if !mutable {
-                // Fully read an immutable file: move to the next one.
-                self.release_file().await?;
-                self.acquire_file().await?;
-                return Ok(Vec::new());
+        self.acquire_missing().await?;
+        let mut rolled = false;
+        for i in 0..self.subs.len() {
+            let sub = &self.subs[i];
+            if sub.exhausted() && sub.file.as_ref().is_some_and(|f| !f.mutable) {
+                // Fully read an immutable file: move to the next one. It
+                // ended on a batch boundary, so leftover bytes never were a
+                // batch.
+                if !sub.partial.is_empty() {
+                    return Err(ClientError::Corrupt);
+                }
+                self.release_file(i).await?;
+                self.acquire_file(i).await?;
+                rolled = true;
             }
+        }
+        if rolled {
+            return Ok(());
+        }
+        if self.subs.iter().any(Subscription::exhausted) {
             self.refresh_metadata().await?;
-            let f = self.file.as_ref().unwrap();
-            if f.read_pos >= f.last_readable {
-                return Ok(Vec::new()); // nothing new yet
+        }
+        let mut fetched = false;
+        for i in 0..self.subs.len() {
+            if !self.subs[i].exhausted() {
+                self.fetch(i).await?;
+                fetched = true;
             }
         }
+        // A data-carrying poll is one end-to-end fetch (empty metadata-only
+        // polls are deliberately excluded — they're "empty fetches", §5.3).
+        if fetched {
+            self.fetch_e2e_ns.record_since(start);
+        }
+        Ok(())
+    }
+
+    /// One data read for subscription `i`, which has readable bytes.
+    async fn fetch(&mut self, i: usize) -> Result<(), ClientError> {
+        let sub = &self.subs[i];
         // Fetch up to fetch_size readable bytes; in adaptive mode, size the
         // read from what we already know: the partial batch's own header if
         // fetched, otherwise a moving estimate of recent batch sizes
         // (§4.4.2's two suggested dynamic-tuning strategies).
         let want = if self.adaptive_fetch {
-            let from_header = if self.partial.len() >= LENGTH_PREFIX_LEN {
-                peek_total_len(&self.partial)
+            let from_header = if sub.partial.len() >= LENGTH_PREFIX_LEN {
+                peek_total_len(&sub.partial)
                     .ok()
-                    .map(|total| total.saturating_sub(self.partial.len()) as u32)
+                    .map(|total| total.saturating_sub(sub.partial.len()) as u32)
             } else {
                 None
             };
             from_header
-                .unwrap_or(self.avg_batch as u32 + LENGTH_PREFIX_LEN as u32)
+                .unwrap_or(sub.avg_batch as u32 + LENGTH_PREFIX_LEN as u32)
                 .clamp(256, 1024 * 1024)
         } else {
             self.fetch_size
         };
-        let f = self.file.as_ref().unwrap();
+        let f = sub
+            .file
+            .as_ref()
+            .expect("a subscription with bytes has a file");
         let n = (f.last_readable - f.read_pos).min(want) as usize;
         let addr = f.grant.region.addr + u64::from(f.read_pos);
         let rkey = f.grant.region.rkey;
@@ -295,8 +399,9 @@ impl RdmaConsumer {
         let ctx = tspan.ctx();
         let local = self.fetch_buf.slice(0, n);
         self.rdma_read(local, addr, rkey, Some(ctx)).await?;
-        self.partial.extend_from_slice(&self.fetch_buf.read_at(0, n));
-        self.file.as_mut().unwrap().read_pos += n as u32;
+        let sub = &mut self.subs[i];
+        sub.partial.extend_from_slice(&self.fetch_buf.read_at(0, n));
+        sub.file.as_mut().expect("checked above").read_pos += n as u32;
         // Client-side integrity check + copy into "native" buffers — the
         // 2 µs overhead §5.3 attributes to the consumer API.
         let cpu = &self.node.profile().cpu;
@@ -304,53 +409,29 @@ impl RdmaConsumer {
             copy_time(n as u64, cpu.crc_bandwidth) + copy_time(n as u64, cpu.memcpy_bandwidth),
         )
         .await;
-        let first_offset = self.offset;
-        self.parse_partial()?;
-        if self.offset > first_offset {
+        // Complete batches are delivered; an incomplete tail stays for the
+        // next read.
+        let first_offset = sub.offset;
+        let used = drain_batches(
+            &sub.partial,
+            &mut sub.offset,
+            |total| sub.avg_batch = 0.8 * sub.avg_batch + 0.2 * total as f64,
+            |rv| self.ready.push_back((i, rv)),
+        )?;
+        sub.partial.drain(..used);
+        if sub.offset > first_offset {
             self.telem.trace_event_now(
                 ctx,
                 kdtelem::EventKind::FetchServed {
-                    stream: kdtelem::stream_key(self.topic.as_str(), self.partition),
+                    stream: kdtelem::stream_key(sub.tp.topic.as_str(), sub.tp.partition),
                     start_offset: first_offset,
-                    next_offset: self.offset,
+                    next_offset: sub.offset,
                     bytes: n as u64,
                 },
             );
         }
-        // A data-carrying poll is one end-to-end fetch (empty metadata-only
-        // polls are deliberately excluded — they're "empty fetches", §5.3).
-        self.fetch_e2e_ns.record_since(start);
         tspan.end();
-        Ok(self.drain_ready())
-    }
-
-    /// Parses complete batches out of the partial buffer; incomplete tails
-    /// stay for the next read.
-    fn parse_partial(&mut self) -> Result<(), ClientError> {
-        let mut at = 0usize;
-        while self.partial.len() - at >= LENGTH_PREFIX_LEN {
-            let total =
-                peek_total_len(&self.partial[at..]).map_err(|_| ClientError::Corrupt)?;
-            if self.partial.len() - at < total {
-                break;
-            }
-            self.avg_batch = 0.8 * self.avg_batch + 0.2 * total as f64;
-            let records = decode_batch(&self.partial[at..at + total])
-                .map_err(|_| ClientError::Corrupt)?;
-            for rv in records {
-                if rv.offset >= self.offset {
-                    self.offset = rv.offset + 1;
-                    self.ready.push_back(rv);
-                }
-            }
-            at += total;
-        }
-        self.partial.drain(..at);
         Ok(())
-    }
-
-    fn drain_ready(&mut self) -> Vec<RecordView> {
-        self.ready.drain(..).collect()
     }
 
     /// Polls until at least one record is available.
@@ -365,77 +446,72 @@ impl RdmaConsumer {
 
     /// Checks for new records with a single metadata-slot read — the "empty
     /// fetch" of §5.3, fully offloaded to the NICs. Returns the last
-    /// readable byte currently visible.
+    /// readable byte currently visible to the first subscription.
     pub async fn check_new_data(&mut self) -> Result<u32, ClientError> {
-        if self.file.is_none() {
-            self.acquire_file().await?;
-        }
+        self.acquire_missing().await?;
         self.refresh_metadata().await?;
-        Ok(self.file.as_ref().unwrap().last_readable)
+        let f = self.subs[0].file.as_ref().expect("acquired above");
+        Ok(f.last_readable)
     }
 
     /// EXTENSION (§5.4 future work): acquires an RDMA-writable offset slot
-    /// so [`commit_offset_rdma`](Self::commit_offset_rdma) can commit with a
-    /// single one-sided write — no broker CPU, no TCP round trip.
+    /// per subscription so [`commit_offset_rdma`](Self::commit_offset_rdma)
+    /// can commit with one-sided writes — no broker CPU, no TCP round trip.
     pub async fn enable_rdma_offset_commit(&mut self, group: &str) -> Result<(), ClientError> {
-        let resp = self
-            .ctrl
-            .call(&Request::OffsetSlotAccess {
-                group: group.to_string(),
-                topic: self.topic.clone(),
-                partition: self.partition,
-            })
-            .await?;
-        match resp {
-            Response::OffsetSlotAccess { error, region } => {
-                check(error)?;
-                self.offset_slot = Some(region);
-                Ok(())
+        for sub in &mut self.subs {
+            let resp = self
+                .ctrl
+                .call(&Request::OffsetSlotAccess {
+                    group: group.to_string(),
+                    topic: sub.tp.topic.as_str().to_string(),
+                    partition: sub.tp.partition,
+                })
+                .await?;
+            match resp {
+                Response::OffsetSlotAccess { error, region } => {
+                    check(error)?;
+                    sub.offset_slot = Some(region);
+                }
+                _ => return Err(ClientError::Protocol),
             }
-            _ => Err(ClientError::Protocol),
         }
-    }
-
-    /// Commits the current offset with one RDMA Write into the offset slot.
-    pub async fn commit_offset_rdma(&mut self) -> Result<(), ClientError> {
-        let slot = self.offset_slot.ok_or(ClientError::Protocol)?;
-        self.commit_buf.write_u64(0, self.offset);
-        self.qp
-            .post_send(SendWr::new(
-                8,
-                WorkRequest::Write {
-                    local: self.commit_buf.as_slice(),
-                    remote_addr: slot.addr,
-                    rkey: slot.rkey,
-                },
-            ))
-            .map_err(|_| ClientError::Disconnected)?;
-        let cqe = self
-            .send_cq
-            .next()
-            .await
-            .ok_or(ClientError::Disconnected)?;
-        if !cqe.ok() {
-            return Err(ClientError::Disconnected);
-        }
-        self.stats.rdma_offset_commits += 1;
         Ok(())
     }
 
-    /// Commits this consumer's offset for `group` over TCP (§5.4).
-    pub async fn commit_offset(&self, group: &str) -> Result<(), ClientError> {
-        let resp = self
-            .ctrl
-            .call(&Request::OffsetCommit {
-                group: group.to_string(),
-                topic: self.topic.clone(),
-                partition: self.partition,
-                offset: self.offset,
-            })
-            .await?;
-        match resp {
-            Response::OffsetCommit { error } => check(error),
-            _ => Err(ClientError::Protocol),
+    /// Commits every subscription's offset with one RDMA Write into its
+    /// offset slot.
+    pub async fn commit_offset_rdma(&mut self) -> Result<(), ClientError> {
+        for sub in &self.subs {
+            let slot = sub.offset_slot.ok_or(ClientError::Protocol)?;
+            self.commit_buf.write_u64(0, sub.offset);
+            let write = WorkRequest::Write {
+                local: self.commit_buf.as_slice(),
+                remote_addr: slot.addr,
+                rkey: slot.rkey,
+            };
+            self.execute(SendWr::new(8, write)).await?;
+            self.stats.rdma_offset_commits += 1;
         }
+        Ok(())
+    }
+
+    /// Commits every subscription's offset for `group` over TCP (§5.4).
+    pub async fn commit_offset(&self, group: &str) -> Result<(), ClientError> {
+        for sub in &self.subs {
+            let resp = self
+                .ctrl
+                .call(&Request::OffsetCommit {
+                    group: group.to_string(),
+                    topic: sub.tp.topic.as_str().to_string(),
+                    partition: sub.tp.partition,
+                    offset: sub.offset,
+                })
+                .await?;
+            match resp {
+                Response::OffsetCommit { error } => check(error)?,
+                _ => return Err(ClientError::Protocol),
+            }
+        }
+        Ok(())
     }
 }

@@ -49,6 +49,10 @@ type AckWaiter = (oneshot::Sender<(ErrorCode, u64)>, Option<ShmBuf>);
 /// Free staging buffers, shared between the producer and its ack reader.
 type StagePool = Rc<RefCell<Vec<ShmBuf>>>;
 
+/// A record ready to post: its encoded batch in a staging buffer and the
+/// span rooting its lifeline.
+type Staged = (ShmBuf, kdtelem::TraceSpan);
+
 /// The RDMA producer.
 pub struct RdmaProducer {
     node: NodeHandle,
@@ -64,17 +68,17 @@ pub struct RdmaProducer {
     partition: u32,
     mode: ProduceMode,
     grant: ProduceAccessResp,
-    /// Exclusive mode: next write position (producer-tracked).
+    /// Exclusive mode: next write position (producer-tracked). Shared mode
+    /// never reads it.
     write_pos: u32,
     pending: Rc<RefCell<VecDeque<AckWaiter>>>,
     /// Recycled staging buffers (see [`RdmaProducer::stage`]).
     stage_pool: StagePool,
     /// Reusable batch encoder; reset per record.
     builder: BatchBuilder,
-    /// Chain-path scratch (staged records, work requests): recycled across
+    /// Chain-path scratch (the staged run): recycled across
     /// `send_pipelined_chain` calls so posting a chain allocates nothing.
-    chain_staged: Vec<(ShmBuf, kdtelem::TraceSpan)>,
-    chain_wrs: Vec<SendWr>,
+    chain: Vec<Staged>,
     faa_result: ShmBuf,
     /// Ack receive buffers posted per data-plane QP (see `ACK_DEPTH`).
     ack_depth: usize,
@@ -149,8 +153,7 @@ impl RdmaProducer {
             pending,
             stage_pool,
             builder: BatchBuilder::new(producer_id),
-            chain_staged: Vec::new(),
-            chain_wrs: Vec::new(),
+            chain: Vec::new(),
             faa_result: ShmBuf::zeroed(8),
             ack_depth,
             dead,
@@ -269,14 +272,15 @@ impl RdmaProducer {
         Ok(())
     }
 
-    /// Encodes `record` into a batch in a (registered) staging buffer —
-    /// the producer's defensive copy of user data (§5.1). Staging buffers
-    /// are recycled through [`StagePool`] as acks retire them, so the
-    /// steady-state produce path allocates nothing here.
-    /// Encodes `record` into a pooled staging buffer without charging the
-    /// copy cost (the caller owes `producer_copy_base` + `copy_time` for
-    /// the returned length).
-    fn stage_bytes(&mut self, record: &Record) -> Result<ShmBuf, ClientError> {
+    /// Roots one produce's lifeline and encodes `record` into a batch in a
+    /// (registered) staging buffer — the producer's defensive copy of user
+    /// data (§5.1). The span's ctx rides the data-plane WRs (FAA, WriteImm)
+    /// to the broker, so the whole commit chain is stitched to it. Staging
+    /// buffers are recycled through [`StagePool`] as acks retire them, so
+    /// the steady-state produce path allocates nothing here. The copy is
+    /// charged by [`charge_copies`](Self::charge_copies).
+    fn stage(&mut self, record: &Record) -> Result<Staged, ClientError> {
+        let span = self.telem.trace_span("client.produce", None);
         self.builder.reset();
         self.builder.append(record);
         let staged = self
@@ -292,27 +296,71 @@ impl RdmaProducer {
                 .build_into(&mut v)
                 .map_err(|_| ClientError::Corrupt)?;
         }
-        Ok(staged)
+        Ok((staged, span))
     }
 
-    async fn stage(&mut self, record: &Record) -> Result<ShmBuf, ClientError> {
-        let staged = self.stage_bytes(record)?;
+    /// Charges the defensive copies of a staged run. They run back to back:
+    /// one per-record base charge each, but a single timer suspension. Only
+    /// the copy occupies the caller; the API→network thread handoff is
+    /// pipeline latency and is charged on the ack path.
+    async fn charge_copies(&self, run: &[Staged]) {
         let cpu = &self.node.profile().cpu;
-        // Only the defensive copy occupies the caller; the API→network
-        // thread handoff is pipeline latency and is charged on the ack path.
         sim::time::sleep(
-            cpu.producer_copy_base + copy_time(staged.len() as u64, cpu.memcpy_bandwidth),
+            cpu.producer_copy_base * run.len() as u32
+                + copy_time(run_len(run), cpu.memcpy_bandwidth),
         )
         .await;
-        Ok(staged)
+    }
+
+    /// Posts a staged run of n ≥ 1 records as one linked WR list (an
+    /// `ibv_post_send` postlist: every WriteWithImm rides a single
+    /// doorbell), written contiguously from file position `at`; the
+    /// immediate data carries the file ID and `order` (Fig 4). All or
+    /// nothing: `NeedAccess` if the file cannot take the run or the QP
+    /// refuses the post. Each record's ack receiver goes to `acks`, in
+    /// record order. Returns the file position after the run.
+    fn post_run(
+        &self,
+        run: &[Staged],
+        at: u64,
+        order: u16,
+        mut acks: impl FnMut(oneshot::Receiver<(ErrorCode, u64)>),
+    ) -> Result<u64, NeedAccess> {
+        let end = at + run_len(run);
+        if end > self.grant.region.len {
+            return Err(NeedAccess);
+        }
+        let mut pos = at;
+        let wrs = run.iter().map(|(buf, span)| {
+            let remote_addr = self.grant.region.addr + pos;
+            pos += buf.len() as u64;
+            SendWr::unsignaled(
+                0,
+                WorkRequest::WriteImm {
+                    local: buf.as_slice(),
+                    remote_addr,
+                    rkey: self.grant.region.rkey,
+                    imm: kdwire::pack_imm(self.grant.file_id, order),
+                },
+            )
+            .with_trace(Some(span.ctx()))
+        });
+        self.qp.post_send_list(wrs).map_err(|_| NeedAccess)?;
+        // Acks arrive in write order: one waiter per record, holding the
+        // staging buffer its write reads from.
+        let mut pending = self.pending.borrow_mut();
+        for (buf, _) in run {
+            let (tx, rx) = oneshot::channel();
+            pending.push_back((tx, Some(buf.clone())));
+            acks(rx);
+        }
+        Ok(end)
     }
 
     /// Produces one record, waiting for the broker acknowledgment; returns
     /// the assigned base offset.
     pub async fn send(&mut self, record: &Record) -> Result<u64, ClientError> {
         let start = sim::now();
-        // The produce span itself is opened by `send_pipelined` (it roots
-        // the trace lifeline there, where the WRs are posted).
         let ack = self.send_pipelined(record).await?;
         let (error, offset) = ack.await.map_err(|_| ClientError::Disconnected)?;
         // Dispatch chain: API→net handoff on send + CQ poller→API handoff +
@@ -330,229 +378,112 @@ impl RdmaProducer {
         &mut self,
         record: &Record,
     ) -> Result<oneshot::Receiver<(ErrorCode, u64)>, ClientError> {
-        // Root of this produce's lifeline: the ctx rides the data-plane WRs
-        // (FAA + WriteImm) to the broker, so the whole commit chain is
-        // stitched to this client span.
-        let span = self.telem.trace_span("client.produce", None);
-        let ctx = Some(span.ctx());
-        let staged = self.stage(record).await?;
-        let len = staged.len() as u32;
-        for attempt in 0..4 {
+        let run = [self.stage(record)?];
+        self.charge_copies(&run).await;
+        let len = run_len(&run) as u32;
+        for _ in 0..4 {
             if self.dead.get() && self.reconnect_data_plane().await.is_err() {
                 // The broker itself is gone (crash or failover): full
                 // reconnect through the bootstrap broker.
                 self.reconnect().await?;
             }
-            let result = match self.mode {
-                ProduceMode::Shared => self.try_send_shared(&staged, len, ctx).await,
-                _ => self.try_send_exclusive(&staged, len, ctx).await,
+            // Exclusive mode writes at the producer-tracked position; shared
+            // mode first reserves a region and an order number.
+            let slot = match self.mode {
+                ProduceMode::Shared => self.reserve_shared(len, run[0].1.ctx()).await,
+                _ => Ok((u64::from(self.write_pos), 0)),
             };
-            match result {
-                Ok(rx) => return Ok(rx),
-                Err(NeedAccess) => {
-                    // Out of space (or revoked): wait out our own pipeline,
-                    // then re-request the head file (§4.2.2).
-                    self.drain_pending().await;
-                    match self.acquire_access(len).await {
-                        Ok(()) => {}
-                        // Leadership moved (epoch fenced us out) or the
-                        // broker died under us: re-resolve and redial.
-                        Err(ClientError::Disconnected)
-                        | Err(ClientError::Broker(ErrorCode::FencedEpoch))
-                        | Err(ClientError::Broker(ErrorCode::NotLeader)) => {
-                            self.reconnect().await?;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                    let _ = attempt;
+            let mut ack = None;
+            let posted =
+                slot.and_then(|(at, order)| self.post_run(&run, at, order, |rx| ack = Some(rx)));
+            if let Ok(end) = posted {
+                self.write_pos = end as u32;
+                return Ok(ack.expect("a posted record has a waiter"));
+            }
+            // Out of space (or revoked): wait out our own pipeline, then
+            // re-request the head file (§4.2.2).
+            self.drain_pending().await;
+            match self.acquire_access(len).await {
+                Ok(()) => {}
+                // Leadership moved (epoch fenced us out) or the broker died
+                // under us: re-resolve and redial.
+                Err(ClientError::Disconnected)
+                | Err(ClientError::Broker(ErrorCode::FencedEpoch))
+                | Err(ClientError::Broker(ErrorCode::NotLeader)) => {
+                    self.reconnect().await?;
                 }
+                Err(e) => return Err(e),
             }
         }
         Err(ClientError::RetriesExhausted)
     }
 
-    /// Posts a run of records as one linked WR chain (an `ibv_post_send`
-    /// postlist): every record is staged first, then all WriteImm WRs ride
-    /// a single doorbell. Ack receivers are appended to `out` in record
-    /// order. Shared mode falls back to per-record posting — a shared write
-    /// cannot post before its FAA reservation returns — as do single
-    /// records and any run the head file cannot take whole.
+    /// Posts a run of records as one linked WR chain: every record is staged
+    /// first, then all WriteImm WRs ride a single doorbell. Ack receivers are
+    /// appended to `out` in record order. Shared mode posts per record — a
+    /// shared write cannot post before its FAA reservation returns — as do
+    /// single records and any run the head file cannot take whole.
     pub async fn send_pipelined_chain(
         &mut self,
         records: &[Record],
         out: &mut Vec<oneshot::Receiver<(ErrorCode, u64)>>,
     ) -> Result<(), ClientError> {
-        if records.len() <= 1 || self.mode == ProduceMode::Shared || self.dead.get() {
-            for r in records {
-                out.push(self.send_pipelined(r).await?);
+        if records.len() > 1 && self.mode != ProduceMode::Shared && !self.dead.get() {
+            let posted = self.post_chain(records, out).await;
+            // Buffers staged but not posted go back to the pool.
+            let unposted = self.chain.drain(..).map(|(buf, _)| buf);
+            self.stage_pool.borrow_mut().extend(unposted);
+            if posted? {
+                return Ok(());
             }
-            return Ok(());
         }
-        // Stage every record (the per-record defensive copy), rooting each
-        // produce's lifeline exactly as `send_pipelined` does. The staging
-        // list is producer-owned scratch, recycled across chains.
-        let mut staged = std::mem::take(&mut self.chain_staged);
-        staged.clear();
-        let mut total = 0u64;
+        // Record by record, re-requesting access or reconnecting where
+        // needed.
         for r in records {
-            let span = self.telem.trace_span("client.produce", None);
-            let buf = match self.stage_bytes(r) {
-                Ok(buf) => buf,
-                Err(e) => {
-                    let mut pool = self.stage_pool.borrow_mut();
-                    for (buf, _) in staged.drain(..) {
-                        pool.push(buf);
-                    }
-                    drop(pool);
-                    self.chain_staged = staged;
-                    return Err(e);
-                }
-            };
-            total += buf.len() as u64;
-            staged.push((buf, span));
+            out.push(self.send_pipelined(r).await?);
         }
-        // The defensive copies run back to back: one per-record base charge
-        // each, but a single timer suspension for the whole chain.
-        {
-            let cpu = &self.node.profile().cpu;
-            sim::time::sleep(
-                cpu.producer_copy_base * records.len() as u32
-                    + copy_time(total, cpu.memcpy_bandwidth),
-            )
-            .await;
-        }
-        // All-or-nothing: if the head file cannot take the whole chain (or
-        // the QP died while staging), recycle the buffers and let the
-        // per-record path re-request access where it needs to.
-        if self.dead.get() || u64::from(self.write_pos) + total > self.grant.region.len {
-            {
-                let mut pool = self.stage_pool.borrow_mut();
-                for (buf, _) in staged.drain(..) {
-                    pool.push(buf);
-                }
-            }
-            self.chain_staged = staged;
-            for r in records {
-                out.push(self.send_pipelined(r).await?);
-            }
-            return Ok(());
-        }
-        let first = out.len();
-        let pos0 = self.write_pos;
-        let mut wrs = std::mem::take(&mut self.chain_wrs);
-        wrs.clear();
-        for (buf, span) in &staged {
-            let len = buf.len() as u32;
-            let (tx, rx) = oneshot::channel();
-            self.pending.borrow_mut().push_back((tx, Some(buf.clone())));
-            wrs.push(
-                SendWr::unsignaled(
-                    0,
-                    WorkRequest::WriteImm {
-                        local: buf.as_slice(),
-                        remote_addr: self.grant.region.addr + u64::from(self.write_pos),
-                        rkey: self.grant.region.rkey,
-                        imm: kdwire::pack_imm(self.grant.file_id, 0),
-                    },
-                )
-                .with_trace(Some(span.ctx())),
-            );
-            self.write_pos += len;
-            out.push(rx);
-        }
-        let posted = self.qp.post_send_list(wrs.drain(..));
-        self.chain_wrs = wrs;
-        if posted.is_err() {
-            // Nothing was posted (the post fails whole): unwind the waiters
-            // and retry record by record, which reconnects as needed.
-            self.write_pos = pos0;
-            out.truncate(first);
-            {
-                let mut pending = self.pending.borrow_mut();
-                let mut pool = self.stage_pool.borrow_mut();
-                for (buf, _) in staged.drain(..) {
-                    pending.pop_back();
-                    pool.push(buf);
-                }
-            }
-            self.chain_staged = staged;
-            for r in records {
-                out.push(self.send_pipelined(r).await?);
-            }
-            return Ok(());
-        }
-        staged.clear();
-        self.chain_staged = staged;
         Ok(())
     }
 
-    /// Exclusive produce: one WriteWithImm at the producer-tracked position.
-    async fn try_send_exclusive(
+    /// Stages, charges and posts `records` as one run. All or nothing:
+    /// `Ok(false)` if the head file cannot take the whole run or the QP died
+    /// under it.
+    async fn post_chain(
         &mut self,
-        staged: &ShmBuf,
-        len: u32,
-        trace: Option<kdtelem::TraceCtx>,
-    ) -> Result<oneshot::Receiver<(ErrorCode, u64)>, NeedAccess> {
-        if u64::from(self.write_pos) + u64::from(len) > self.grant.region.len {
-            return Err(NeedAccess);
+        records: &[Record],
+        out: &mut Vec<oneshot::Receiver<(ErrorCode, u64)>>,
+    ) -> Result<bool, ClientError> {
+        for r in records {
+            let staged = self.stage(r)?;
+            self.chain.push(staged);
         }
-        let (tx, rx) = oneshot::channel();
-        self.pending
-            .borrow_mut()
-            .push_back((tx, Some(staged.clone())));
-        let wr = SendWr::unsignaled(
-            0,
-            WorkRequest::WriteImm {
-                local: staged.as_slice(),
-                remote_addr: self.grant.region.addr + u64::from(self.write_pos),
-                rkey: self.grant.region.rkey,
-                imm: kdwire::pack_imm(self.grant.file_id, 0),
-            },
-        )
-        .with_trace(trace);
-        if self.qp.post_send(wr).is_err() {
-            self.pending.borrow_mut().pop_back();
-            return Err(NeedAccess);
+        self.charge_copies(&self.chain).await;
+        if self.dead.get() {
+            return Ok(false);
         }
-        self.write_pos += len;
-        Ok(rx)
+        let at = u64::from(self.write_pos);
+        let Ok(end) = self.post_run(&self.chain, at, 0, |rx| out.push(rx)) else {
+            return Ok(false);
+        };
+        self.write_pos = end as u32;
+        self.chain.clear();
+        Ok(true)
     }
 
-    /// Shared produce: FAA the order/offset word, then WriteWithImm into the
-    /// reserved region with the order in the immediate data.
-    async fn try_send_shared(
-        &mut self,
-        staged: &ShmBuf,
+    /// Shared produce: FAA the order/offset word to reserve `len` bytes;
+    /// returns the reserved file position and the order for the immediate
+    /// data.
+    async fn reserve_shared(
+        &self,
         len: u32,
-        trace: Option<kdtelem::TraceCtx>,
-    ) -> Result<oneshot::Receiver<(ErrorCode, u64)>, NeedAccess> {
+        trace: kdtelem::TraceCtx,
+    ) -> Result<(u64, u16), NeedAccess> {
         let word = self.grant.shared_word.ok_or(NeedAccess)?;
         // Reserve: FAA always succeeds (§4.2.2); overflow shows in the
         // returned offset.
-        let old = self.faa(word.addr, word.rkey, len, trace).await?;
+        let old = self.faa(word.addr, word.rkey, len, Some(trace)).await?;
         let w = unpack_shared_word(old);
-        if w.offset + u64::from(len) > self.grant.region.len {
-            return Err(NeedAccess);
-        }
-        let (tx, rx) = oneshot::channel();
-        self.pending
-            .borrow_mut()
-            .push_back((tx, Some(staged.clone())));
-        let wr = SendWr::unsignaled(
-            0,
-            WorkRequest::WriteImm {
-                local: staged.as_slice(),
-                remote_addr: self.grant.region.addr + w.offset,
-                rkey: self.grant.region.rkey,
-                imm: kdwire::pack_imm(self.grant.file_id, w.order),
-            },
-        )
-        .with_trace(trace);
-        if self.qp.post_send(wr).is_err() {
-            self.pending.borrow_mut().pop_back();
-            return Err(NeedAccess);
-        }
-        Ok(rx)
+        Ok((w.offset, w.order))
     }
 
     async fn faa(
@@ -652,38 +583,31 @@ impl RdmaProducer {
         } else {
             Conn::connect(&self.node, leader, ClientTransport::Tcp).await?
         };
-        self.pending.borrow_mut().clear();
-        let (qp, send_cq) = Self::setup_data_plane(
-            &self.node,
-            &self.nic,
-            leader,
-            Rc::clone(&self.pending),
-            Rc::clone(&self.stage_pool),
-            Rc::clone(&self.dead),
-            self.ack_depth,
-        )
-        .await?;
+        self.install_data_plane(leader).await?;
         self.ctrl = ctrl;
-        self.broker = leader;
-        self.qp = qp;
-        self.qp_send_cq = send_cq;
-        self.dead.set(false);
         self.acquire_access(0).await
     }
 
     async fn reconnect_data_plane(&mut self) -> Result<(), ClientError> {
+        self.install_data_plane(self.broker).await
+    }
+
+    /// Dials a fresh data-plane QP (and ack reader) to `broker` and makes it
+    /// this producer's.
+    async fn install_data_plane(&mut self, broker: BrokerAddr) -> Result<(), ClientError> {
         // The old reader already failed anything pending.
         self.pending.borrow_mut().clear();
         let (qp, send_cq) = Self::setup_data_plane(
             &self.node,
             &self.nic,
-            self.broker,
+            broker,
             Rc::clone(&self.pending),
             Rc::clone(&self.stage_pool),
             Rc::clone(&self.dead),
             self.ack_depth,
         )
         .await?;
+        self.broker = broker;
         self.qp = qp;
         self.qp_send_cq = send_cq;
         self.dead.set(false);
@@ -716,6 +640,11 @@ impl RdmaProducer {
 /// Internal marker: the producer must (re)acquire access.
 struct NeedAccess;
 
+/// Bytes of a staged run.
+fn run_len(run: &[Staged]) -> u64 {
+    run.iter().map(|(buf, _)| buf.len() as u64).sum()
+}
+
 fn empty_grant() -> ProduceAccessResp {
     ProduceAccessResp {
         error: ErrorCode::None,
@@ -730,5 +659,212 @@ fn empty_grant() -> ProduceAccessResp {
         next_offset: 0,
         shared_word: None,
         credits: 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::future::Future;
+
+    use kdbroker::{Broker, BrokerConfig, RdmaToggles};
+    use kdstorage::{LogConfig, TopicPartition};
+    use netsim::profile::Profile;
+    use netsim::Fabric;
+
+    type Acks = Vec<oneshot::Receiver<(ErrorCode, u64)>>;
+
+    /// What one scenario left behind.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        /// `(error, offset, virtual instant)` of every ack, in send order.
+        acks: Vec<(ErrorCode, u64, u64)>,
+        end_ns: u64,
+        /// Instants at which produce WriteImms were posted, one per WR.
+        posts: Vec<u64>,
+        /// Committed bytes of the first file, and how many files there are.
+        log: Vec<u8>,
+        files: u32,
+    }
+
+    /// Runs `send` against a fresh broker with `segment_size`-byte files and
+    /// awaits every ack it returns.
+    fn run<F, Fut>(segment_size: u32, send: F) -> Outcome
+    where
+        F: FnOnce(RdmaProducer) -> Fut + 'static,
+        Fut: Future<Output = (RdmaProducer, Acks)>,
+    {
+        let registry = kdtelem::Registry::new();
+        let _scope = kdtelem::enter(&registry);
+        let (acks, end_ns, log, files) = sim::Runtime::new().block_on(async move {
+            let fabric = Fabric::new(Profile::testbed());
+            let (bnode, cnode) = (fabric.add_node("broker"), fabric.add_node("client"));
+            let log = LogConfig {
+                segment_size,
+                max_batch_size: segment_size / 2,
+            };
+            let config = BrokerConfig::kafkadirect(RdmaToggles::all()).with_log(log);
+            let addr = BrokerAddr {
+                node: bnode.id.0,
+                port: config.tcp_port,
+                rdma_port: config.rdma_port,
+            };
+            let broker = Broker::start(&bnode, config, vec![addr]);
+            let admin = crate::Admin::connect(&cnode, addr).await.unwrap();
+            admin.create_topic("t", 1, 1).await.unwrap();
+            let producer = RdmaProducer::connect(&cnode, addr, "t", 0, false)
+                .await
+                .unwrap();
+            let (producer, rxs) = send(producer).await;
+            let mut acks = Vec::new();
+            for rx in rxs {
+                let (error, offset) = rx.await.expect("every waiter is answered");
+                acks.push((error, offset, sim::now().as_nanos()));
+            }
+            // Nothing is left waiting, staged or half-posted; acked writes
+            // gave their staging buffers back.
+            assert!(producer.pending.borrow().is_empty());
+            assert!(producer.chain.is_empty());
+            assert!(!producer.stage_pool.borrow().is_empty());
+            let p = broker
+                .inner()
+                .store
+                .get(&TopicPartition::new("t", 0))
+                .unwrap();
+            let first = p.log.segment(0).unwrap();
+            let log = first.read(0, first.committed_pos());
+            (acks, sim::now().as_nanos(), log, p.log.head_index() + 1)
+        });
+        let events = registry.drain_trace_events();
+        let produces: Vec<u64> = events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    kdtelem::EventKind::SpanBegin {
+                        name: "client.produce",
+                        ..
+                    }
+                )
+            })
+            .map(|e| e.trace_id)
+            .collect();
+        let posts = events
+            .iter()
+            .filter(|e| matches!(e.kind, kdtelem::EventKind::WqePosted { .. }))
+            .filter(|e| produces.contains(&e.trace_id))
+            .map(|e| e.ts_ns)
+            .collect();
+        Outcome {
+            acks,
+            end_ns,
+            posts,
+            log,
+            files,
+        }
+    }
+
+    /// The acked offsets; every ack must be a success.
+    fn offsets(o: &Outcome) -> Vec<u64> {
+        let ok = |&(error, offset, _): &(ErrorCode, u64, u64)| {
+            assert_eq!(error, ErrorCode::None);
+            offset
+        };
+        o.acks.iter().map(ok).collect()
+    }
+
+    fn records(n: u8, len: usize) -> Vec<Record> {
+        (0..n).map(|i| Record::value(vec![i; len])).collect()
+    }
+
+    async fn singles(mut p: RdmaProducer, records: Vec<Record>) -> (RdmaProducer, Acks) {
+        let mut acks = Vec::new();
+        for r in &records {
+            acks.push(p.send_pipelined(r).await.unwrap());
+        }
+        (p, acks)
+    }
+
+    /// One `send_pipelined_chain` call per element of `runs`.
+    async fn chains(mut p: RdmaProducer, runs: Vec<Vec<Record>>) -> (RdmaProducer, Acks) {
+        let mut acks = Vec::new();
+        for run in &runs {
+            p.send_pipelined_chain(run, &mut acks).await.unwrap();
+        }
+        (p, acks)
+    }
+
+    #[test]
+    fn a_chain_of_one_is_send_pipelined() {
+        let one_by_one = run(1 << 20, |p| singles(p, records(3, 200)));
+        let chained = run(1 << 20, |p| {
+            chains(p, records(3, 200).into_iter().map(|r| vec![r]).collect())
+        });
+        assert_eq!(chained, one_by_one);
+        assert_eq!(chained.posts.len(), 3);
+    }
+
+    #[test]
+    fn a_run_of_k_commits_what_k_singles_commit_on_one_doorbell() {
+        let one_by_one = run(1 << 20, |p| singles(p, records(6, 200)));
+        let chained = run(1 << 20, |p| chains(p, vec![records(6, 200)]));
+        assert_eq!(offsets(&chained), (0..6).collect::<Vec<_>>());
+        assert_eq!(offsets(&one_by_one), offsets(&chained));
+        assert_eq!(chained.log, one_by_one.log);
+        // Six WRs either way; the chain posts them in one call.
+        assert_eq!((one_by_one.posts.len(), chained.posts.len()), (6, 6));
+        assert!(chained.posts.iter().all(|&t| t == chained.posts[0]));
+        assert!(one_by_one.posts.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn a_run_the_head_file_cannot_take_falls_back_and_rolls() {
+        // Ten ~570-byte batches into 4 KiB files: the run does not fit, so it
+        // is sent record by record, which rolls where it has to; the next
+        // run fits the fresh head file and posts whole.
+        let chained = run(4096, |p| chains(p, vec![records(10, 500), records(3, 500)]));
+        let one_by_one = run(4096, |p| singles(p, records(10, 500)));
+        assert_eq!(offsets(&chained), (0..13).collect::<Vec<_>>());
+        assert!(chained.files >= 2);
+        assert_eq!(chained.log, one_by_one.log);
+        assert_eq!(chained.posts.len(), 13);
+        assert!(chained.posts[10..].iter().all(|&t| t == chained.posts[10]));
+    }
+
+    #[test]
+    fn a_failed_post_leaves_no_waiter_and_no_staged_buffer_behind() {
+        // The QP breaks at the instant the run's copies are done, before the
+        // ack reader has noticed: the post itself is refused. The run goes
+        // out record by record over a fresh QP instead; the broker revokes
+        // the broken session's grant, so those acks may be errors — but each
+        // record has exactly one waiter (`run` awaits them all and finds
+        // nothing pending or staged), and acks still pair up with writes
+        // afterwards.
+        let outcome = run(1 << 20, |mut p| async move {
+            let records = records(4, 200);
+            let staged: u64 = records
+                .iter()
+                .map(|r| kdstorage::record::single_record_batch(1, r).len() as u64)
+                .sum();
+            let cpu = p.node.profile().cpu.clone();
+            let copies = cpu.producer_copy_base * 4 + copy_time(staged, cpu.memcpy_bandwidth);
+            let qp = p.qp.clone();
+            sim::spawn(async move {
+                sim::time::sleep(copies).await;
+                qp.close();
+            });
+            let mut acks = Vec::new();
+            p.send_pipelined_chain(&records, &mut acks).await.unwrap();
+            assert_eq!(acks.len(), 4);
+            // An error ack is the caller's cue to reconnect.
+            p.reconnect().await.unwrap();
+            let next = p.send(&records[0]).await.unwrap();
+            assert_eq!(p.send(&records[1]).await, Ok(next + 1));
+            (p, acks)
+        });
+        assert!(
+            outcome.posts.len() <= 4 + 2,
+            "the refused post put nothing on the wire"
+        );
     }
 }

@@ -156,3 +156,115 @@ fn rdma_disabled_broker_rejects_produce_access() {
         ));
     });
 }
+
+/// A stand-in broker that answers every fetch with `bytes`.
+fn fetch_server(node: &NodeHandle, port: u16, bytes: Vec<u8>) {
+    let mut listener = netsim::tcp::TcpListener::bind(node, port);
+    sim::spawn(async move {
+        let (mut r, mut w) = listener.accept().await.unwrap().into_split();
+        while let Ok((corr, _, _request)) = kdwire::frame::read_frame(&mut r).await {
+            let resp = kdwire::Response::Fetch(kdwire::FetchResp {
+                error: kdwire::ErrorCode::None,
+                high_watermark: 2,
+                log_end: 2,
+                start_offset: 0,
+                next_offset: 2,
+                bytes: bytes.clone(),
+            });
+            if kdwire::frame::write_frame(&mut w, corr, None, &resp.encode()).await.is_err() {
+                break;
+            }
+        }
+    });
+}
+
+/// Fetch responses are peer-controlled bytes: one cut inside a batch, or
+/// whose length field points past its end, is an error — not a slice out of
+/// bounds.
+#[test]
+fn tcp_consumer_rejects_a_mis_framed_fetch_response() {
+    use kdstorage::record::{single_record_batch, LENGTH_PREFIX_LEN};
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let fabric = Fabric::new(Profile::testbed());
+        let (server, client) = (fabric.add_node("server"), fabric.add_node("client"));
+        let batch = single_record_batch(1, &Record::value(vec![7; 64]));
+        let mut whole = batch.clone();
+        whole.extend_from_slice(&batch);
+        kdstorage::record::assign_base_offset(&mut whole[batch.len()..], 1);
+        let mut cut = whole.clone();
+        cut.truncate(batch.len() + batch.len() / 2);
+        let mut cut_in_prefix = whole.clone();
+        cut_in_prefix.truncate(batch.len() + 5);
+        let mut oversized = whole.clone();
+        let at = batch.len() + LENGTH_PREFIX_LEN - 4;
+        oversized[at..at + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        let cases = [(whole, Ok(2)), (cut, Err(())), (cut_in_prefix, Err(())), (oversized, Err(()))];
+        for (i, (bytes, want)) in cases.into_iter().enumerate() {
+            let port = 9000 + i as u16;
+            fetch_server(&server, port, bytes);
+            let addr = BrokerAddr { node: server.id.0, port, rdma_port: 0 };
+            let mut c = TcpConsumer::connect(&client, addr, ClientTransport::Tcp, "t", 0, 0)
+                .await
+                .unwrap();
+            let got = c.poll().await;
+            match want {
+                Ok(n) => assert_eq!(got.unwrap().len(), n),
+                Err(()) => assert_eq!(got.unwrap_err(), kdclient::ClientError::Corrupt, "case {i}"),
+            }
+        }
+    });
+}
+
+/// The RDMA consumer reads file bytes no broker CPU has looked at since the
+/// commit. A length field that points past the end of the file is waited on
+/// while the file may still grow, and is corruption once the file is sealed
+/// — never a read or a slice past the end, never a silent skip to the next
+/// file.
+#[test]
+fn rdma_consumer_rejects_a_batch_that_outgrows_its_file() {
+    use kdstorage::record::LENGTH_PREFIX_LEN;
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let fabric = Fabric::new(Profile::testbed());
+        let log = kdstorage::LogConfig {
+            segment_size: 4096,
+            max_batch_size: 2048,
+        };
+        let config = BrokerConfig::kafkadirect(RdmaToggles::all()).with_log(log);
+        let (b, addr, client) = broker(&fabric, config).await;
+        let mut p = RdmaProducer::connect(&client, addr, "t", 0, false)
+            .await
+            .unwrap();
+        for i in 0..3u8 {
+            p.send(&Record::value(vec![i; 500])).await.unwrap();
+        }
+        // Garble the third batch's length field in the file itself.
+        let tp = kdstorage::TopicPartition::new("t", 0);
+        let part = b.inner().store.get(&tp).unwrap();
+        let file = part.log.segment(0).unwrap();
+        let third = file.batch_at(2).unwrap();
+        file.write_at(third.pos + LENGTH_PREFIX_LEN as u32 - 4, &(1u32 << 20).to_le_bytes());
+
+        let mut c = kdclient::RdmaConsumer::connect(&client, addr, "t", 0, 0)
+            .await
+            .unwrap();
+        c.fetch_size = 4096;
+        assert_eq!(c.poll().await.unwrap().len(), 2, "the batches in front are fine");
+        for _ in 0..3 {
+            assert!(c.poll().await.unwrap().is_empty(), "the tail waits for its bytes");
+        }
+        // More records seal the file: the tail can no longer complete.
+        for i in 3..9u8 {
+            p.send(&Record::value(vec![i; 500])).await.unwrap();
+        }
+        assert!(part.log.head_index() >= 1);
+        let err = loop {
+            match c.poll().await {
+                Ok(records) => assert!(records.is_empty()),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err, kdclient::ClientError::Corrupt);
+    });
+}

@@ -74,6 +74,11 @@ pub fn decode_ack(bytes: &[u8]) -> (ErrorCode, u64) {
 /// `n * SLOT_SIZE` bytes.
 pub const SLOT_SIZE: usize = 16;
 
+/// Slots in one consumer's contiguous region (Fig 9): the broker registers
+/// this many per consumer id and the consumer's local copy holds as many, so
+/// every slot index a grant can name lies inside what one read covers.
+pub const SLOTS_PER_CONSUMER: usize = 64;
+
 /// Decoded view of a metadata slot.
 ///
 /// Layout (little-endian):

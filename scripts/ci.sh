@@ -57,6 +57,14 @@ if grep -rnE "ConnMode|RdmaCommitBatch|recv_queue" crates/*/src; then
     exit 1
 fi
 
+# Same for the client datapath: one RDMA consumer of n ≥ 1 subscriptions, one
+# WriteImm-posting routine for a run of n ≥ 1 records, and the slot-region
+# size a constant both ends share (DESIGN.md §7).
+if grep -rnE "MultiRdmaConsumer|multi_consumer|try_send_exclusive|slots_per_consumer" crates/*/src; then
+    echo "ci: a deleted client fork or the slot-count knob reappeared (see DESIGN.md §7)" >&2
+    exit 1
+fi
+
 # Same for the RPC plane (DESIGN.md §10): a request is two pushes into
 # due-time stages — the broker's hand-off and its connection's reply stage.
 # No reply channel may come back in the front-end files, and nothing may be

@@ -39,7 +39,7 @@ fn rdma_offset_commit_round_trip() {
             .unwrap();
         assert_eq!(
             admin.fetch_offset("g", "t", 0).await.unwrap(),
-            Some(consumer.offset)
+            Some(consumer.offset())
         );
     });
 }
@@ -73,7 +73,7 @@ fn rdma_and_tcp_commits_merge() {
             seen += consumer.next_records().await.unwrap().len();
         }
         consumer.commit_offset_rdma().await.unwrap();
-        let rdma_committed = consumer.offset; // batch-granular: >= 7
+        let rdma_committed = consumer.offset(); // batch-granular: >= 7
         assert!(rdma_committed >= 7);
         assert_eq!(
             admin.fetch_offset("g", "t", 0).await.unwrap(),
@@ -190,6 +190,18 @@ fn adaptive_fetch_handles_small_records() {
     });
 }
 
+/// Polls until some subscription delivers.
+async fn next_tagged(
+    consumer: &mut RdmaConsumer,
+) -> Vec<(kdstorage::TopicPartition, kdstorage::RecordView)> {
+    loop {
+        let records = consumer.poll_tagged().await.unwrap();
+        if !records.is_empty() {
+            return records;
+        }
+    }
+}
+
 /// The Fig 9 multi-subscription consumer: N partitions, ONE slot read per
 /// poll, all data delivered correctly.
 #[test]
@@ -212,16 +224,16 @@ fn multi_consumer_single_slot_read() {
                     .unwrap();
             }
         }
-        let mut consumer = kdclient::MultiRdmaConsumer::connect(&cnode, cluster.bootstrap())
+        let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
             .await
             .unwrap();
-        for p in 0..parts {
-            consumer.subscribe("t", p, 0).await.unwrap();
+        for p in 1..parts {
+            consumer.subscribe("t", p, 0);
         }
         let mut per_part = vec![Vec::new(); parts as usize];
         let mut total = 0;
         while total < (parts * 10) as usize {
-            for (tp, rv) in consumer.next_records().await.unwrap() {
+            for (tp, rv) in next_tagged(&mut consumer).await {
                 per_part[tp.partition as usize].push(rv);
                 total += 1;
             }
@@ -278,16 +290,16 @@ fn multi_consumer_live_stream_with_rolls() {
                 }
             });
         }
-        let mut consumer = kdclient::MultiRdmaConsumer::connect(&cnode, cluster.bootstrap())
+        let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
             .await
             .unwrap();
         consumer.fetch_size = 4096;
-        for p in 0..3 {
-            consumer.subscribe("t", p, 0).await.unwrap();
+        for p in 1..3 {
+            consumer.subscribe("t", p, 0);
         }
         let mut counts = [0usize; 3];
         while counts.iter().sum::<usize>() < (3 * n_per) as usize {
-            for (tp, rv) in consumer.next_records().await.unwrap() {
+            for (tp, rv) in next_tagged(&mut consumer).await {
                 let p = tp.partition;
                 assert_eq!(
                     rv.record.value,

@@ -278,7 +278,7 @@ fn offset_commit_and_restore() {
             seen += consumer.next_records().await.unwrap().len();
         }
         consumer.commit_offset("g1").await.unwrap();
-        let committed = consumer.offset;
+        let committed = consumer.offset();
 
         let admin = kdclient::Admin::connect(&cnode, cluster.bootstrap())
             .await
@@ -408,3 +408,94 @@ fn pipelined_variable_size_produce_orders_correctly() {
         assert_eq!(cluster.broker(0).metrics().grants_revoked, 0);
     });
 }
+
+/// The n = 1 consumer schedule, frozen: the RPCs, Reads and CPU charges of a
+/// single-subscription `RdmaConsumer` over a catch-up across file rolls and
+/// a tailing phase with empty polls. The constants were recorded on the
+/// commit *before* the multi-subscription consumer was merged into this
+/// type, so a change to any of them is a change to what every figure runs.
+#[test]
+fn single_subscription_schedule_is_pinned() {
+    let rt = sim::Runtime::with_seed(7);
+    rt.block_on(async {
+        let opts = kafkadirect::ClusterOptions {
+            log: kdstorage::LogConfig {
+                segment_size: 8 * 1024,
+                max_batch_size: 4 * 1024,
+            },
+            ..Default::default()
+        };
+        let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
+        cluster.create_topic("t", 1, 1).await;
+        let pnode = cluster.add_client_node("p");
+        let cnode = cluster.add_client_node("c");
+        let mut producer = RdmaProducer::connect(&pnode, cluster.bootstrap(), "t", 0, false)
+            .await
+            .unwrap();
+        for i in 0..30u8 {
+            producer.send(&Record::value(vec![i; 700])).await.unwrap();
+        }
+        let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
+            .await
+            .unwrap();
+        consumer.fetch_size = 4096;
+        // Tailing phase: ten more records, spaced so the consumer polls empty
+        // in between.
+        let tail = sim::spawn(async move {
+            sim::time::sleep(std::time::Duration::from_micros(400)).await;
+            for i in 30..40u8 {
+                producer.send(&Record::value(vec![i; 700])).await.unwrap();
+                sim::time::sleep(std::time::Duration::from_micros(25)).await;
+            }
+        });
+        let (mut offsets, mut polls, mut empty) = (Vec::new(), 0u32, 0u32);
+        // (poll index, records delivered) of every data-carrying poll.
+        let mut deliveries = Vec::new();
+        while offsets.len() < 40 {
+            let got = consumer.poll().await.unwrap();
+            polls += 1;
+            if got.is_empty() {
+                empty += 1;
+            } else {
+                deliveries.push((polls, got.len()));
+            }
+            offsets.extend(got.iter().map(|rv| rv.offset));
+        }
+        tail.await.unwrap();
+        assert_eq!(offsets, (0..40).collect::<Vec<u64>>());
+        let s = consumer.stats;
+        assert_eq!(
+            (
+                s.data_reads,
+                s.data_bytes,
+                s.slot_reads,
+                s.access_requests,
+                s.releases
+            ),
+            PINNED_STATS
+        );
+        assert_eq!((polls, empty), PINNED_POLLS);
+        assert_eq!(deliveries, PINNED_DELIVERIES);
+        assert_eq!(sim::now().as_nanos(), PINNED_END_NS);
+    });
+}
+
+/// data_reads, data_bytes, slot_reads, access_requests, releases.
+const PINNED_STATS: (u64, u64, u64, u64, u64) = (12, 30160, 132, 4, 3);
+/// polls, of which empty.
+const PINNED_POLLS: (u32, u32) = (142, 130);
+const PINNED_DELIVERIES: &[(u32, usize)] = &[
+    (1, 5),
+    (2, 5),
+    (4, 5),
+    (5, 5),
+    (7, 5),
+    (8, 5),
+    (10, 5),
+    (11, 1),
+    (28, 1),
+    (66, 1),
+    (104, 1),
+    (142, 1),
+];
+const PINNED_END_NS: u64 = 5_806_742;

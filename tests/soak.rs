@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 
 use kafkadirect::{ClusterOptions, SimCluster, SystemKind};
-use kdclient::{ClientTransport, MultiRdmaConsumer, RdmaConsumer, RdmaProducer, TcpProducer};
+use kdclient::{ClientTransport, RdmaConsumer, RdmaProducer, TcpProducer};
 use kdstorage::Record;
 
 /// Encodes (actor, seq) into the record payload for end-of-run accounting.
@@ -140,20 +140,19 @@ fn mixed_workload_soak() {
             }
         }
 
-        // "excl": both partitions through one multi-consumer. The leaders
-        // differ per partition; subscribe to the partitions led by the
-        // bootstrap's... consumers read leaders, so use one consumer per
-        // leader broker through MultiRdmaConsumer where possible.
+        // "excl": the leaders differ per partition and a consumer reads its
+        // partition's leader, so one consumer per partition.
         for part in 0..2u32 {
             let leader = cluster.leader_of("excl", part).await;
-            let mut mc = MultiRdmaConsumer::connect(&cnode, leader).await.unwrap();
-            mc.subscribe("excl", part, 0).await.unwrap();
+            let mut mc = RdmaConsumer::connect(&cnode, leader, "excl", part, 0)
+                .await
+                .unwrap();
             // ListOffsets must go to the partition's leader.
             let leader_admin = kdclient::Admin::connect(&cnode, leader).await.unwrap();
             let (_, hw) = leader_admin.list_offsets("excl", part).await.unwrap();
             let mut n = 0;
             while n < hw {
-                for (_tp, rv) in mc.next_records().await.unwrap() {
+                for rv in mc.next_records().await.unwrap() {
                     let (actor, seq) = decode(&rv.record.value);
                     let tail = (actor as usize + seq as usize) % 251;
                     assert!(rv.record.value[5..].iter().all(|&b| b == tail as u8));

@@ -141,6 +141,84 @@ fn rdma_lifeline_passes_checker_with_zero_copies() {
     );
 }
 
+/// Four subscriptions on one consumer — two partitions with sealed files
+/// behind a mutable head, two with a head file only: every round with a
+/// dry subscription costs ONE slot read whatever the subscription count, and
+/// every data read roots a lifeline whose `FetchServed` names its own
+/// partition's stream and continues that stream's offsets.
+#[test]
+fn four_subscriptions_one_slot_read_and_a_lifeline_per_data_read() {
+    const COUNTS: [u64; 4] = [25, 25, 3, 3];
+    let data_reads = std::cell::Cell::new(0);
+    let events = trace_run(|| {
+        let rt = sim::Runtime::new();
+        data_reads.set(rt.block_on(async {
+            let opts = kafkadirect::ClusterOptions {
+                log: kdstorage::LogConfig {
+                    segment_size: 8 * 1024,
+                    max_batch_size: 4 * 1024,
+                },
+                ..Default::default()
+            };
+            let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
+            cluster.create_topic("t", 4, 1).await;
+            let cnode = cluster.add_client_node("c");
+            for (p, n) in COUNTS.iter().enumerate() {
+                let mut producer =
+                    RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", p as u32, false)
+                        .await
+                        .unwrap();
+                for i in 0..*n {
+                    producer.send(&Record::value(vec![i as u8; 700])).await.unwrap();
+                }
+            }
+            let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
+                .await
+                .unwrap();
+            for p in 1..4 {
+                consumer.subscribe("t", p, 0);
+            }
+            // Larger than a batch: every data read completes at least one.
+            consumer.fetch_size = 4096;
+            let mut next = [0u64; 4];
+            let mut tailing = 0;
+            while tailing < 5 {
+                let before = consumer.stats;
+                let got = consumer.poll_tagged().await.unwrap();
+                for (tp, rv) in &got {
+                    assert_eq!(rv.offset, next[tp.partition as usize]);
+                    next[tp.partition as usize] += 1;
+                }
+                let slot_reads = consumer.stats.slot_reads - before.slot_reads;
+                assert!(slot_reads <= 1, "{slot_reads} slot reads in one round");
+                if next == COUNTS && got.is_empty() {
+                    // Caught up on all four: the whole round is one read.
+                    assert_eq!(slot_reads, 1);
+                    assert_eq!(consumer.stats.data_reads, before.data_reads);
+                    tailing += 1;
+                }
+            }
+            assert!(consumer.stats.releases >= 4, "partitions 0 and 1 rolled");
+            consumer.stats.data_reads
+        }));
+    });
+
+    let report = check(&events);
+    assert!(report.ok(), "invariant violations: {:?}", report.violations);
+    let mut served = [0u64; 4];
+    let mut lifelines = std::collections::HashSet::new();
+    for e in &events {
+        if let EventKind::FetchServed { stream, start_offset, next_offset, .. } = e.kind {
+            let p = (0..4).find(|&p| kdtelem::stream_key("t", p) == stream).unwrap();
+            assert_eq!(start_offset, served[p as usize], "partition {p}");
+            served[p as usize] = next_offset;
+            assert!(lifelines.insert(e.trace_id), "two reads on one lifeline");
+        }
+    }
+    assert_eq!(served, COUNTS);
+    assert_eq!(lifelines.len() as u64, data_reads.get());
+}
+
 /// The drained log exports to Chrome trace-event JSON that the in-tree
 /// parser round-trips: same event count, span begin/end pairing intact.
 #[test]
