@@ -15,19 +15,12 @@
 //! packet pool is warm, and a fifth measures cold-tier fetch throughput
 //! (sparse-index file reads of evicted segments) across read sizes.
 //!
-//! A sixth section sweeps the **sharded parallel simulator** (DESIGN.md
-//! §12): 8 independent broker groups × 8 exclusive-RDMA producers each
-//! (8 brokers, 64 producer clients) run through
-//! `kafkadirect::run_sharded_groups` at each `--shards` count, recording
-//! wall-clock, events/s/shard, and per-shard barrier-wait attribution.
-//! Speedup over `shards=1` requires as many hardware threads as shards;
-//! the report records `hw_threads` so single-core runs are interpretable.
-//!
 //! Output: a JSON report plus a human-readable summary. Both default paths
 //! derive from one PR tag — `BENCH_<TAG>.json` and `results/PERF_<TAG>.md`,
-//! where `<TAG>` comes from `--tag` or `KD_BENCH_TAG` (default `PR14`);
-//! explicit `--out`/`--summary` still override. Exit status is non-zero if
-//! a steady-state budget is exceeded:
+//! where `<TAG>` comes from `--tag` or `KD_BENCH_TAG` (default `PR14`); a
+//! `--smoke` run writes both under `target/` instead, so it never replaces
+//! a recorded full-size run; explicit `--out`/`--summary` still override.
+//! Exit status is non-zero if a steady-state budget is exceeded:
 //!
 //! * exclusive RDMA produce — memory **and** tiered — must stay at
 //!   **<= 2 allocs/record**;
@@ -51,7 +44,7 @@
 //! completion batching the workload achieved.
 //!
 //! Usage: `kdperf [--smoke] [--records N] [--warmup N] [--window W]
-//! [--size BYTES] [--shards LIST] [--tag TAG] [--out PATH] [--summary PATH]`
+//! [--size BYTES] [--tag TAG] [--out PATH] [--summary PATH]`
 //!
 //! `KDPERF_ATTRIB=<class>[:<nth>]` attributes allocations by power-of-two
 //! size class: every allocation in size class `<class>` (i.e. sizes in
@@ -63,7 +56,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
-use kafkadirect::shardsim::{run_sharded_groups, scoped, GroupCtx, LocalFuture};
 use kafkadirect::{ClusterOptions, Record, SimCluster, SystemKind};
 use kdbench::harness::{setup, AnyProducer, ProduceOpts, ProducerMode};
 use kdclient::RdmaProducer;
@@ -164,8 +156,6 @@ struct Config {
     warmup: usize,
     window: usize,
     record_size: usize,
-    /// Shard counts for the parallel-simulation sweep.
-    shards: Vec<usize>,
     /// Fan-in sweep client-count range (log-spaced points, inclusive).
     fanin_min: usize,
     fanin_max: usize,
@@ -182,13 +172,13 @@ impl Config {
             warmup: 500,
             window: 32,
             record_size: 512,
-            shards: vec![1, 2, 4],
             fanin_min: 10,
             fanin_max: 100_000,
             tag: std::env::var("KD_BENCH_TAG").unwrap_or_else(|_| "PR14".to_string()),
             out: String::new(),
             summary: String::new(),
         };
+        let mut smoke = false;
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             let mut take = |name: &str| {
@@ -197,6 +187,7 @@ impl Config {
             };
             match arg.as_str() {
                 "--smoke" => {
+                    smoke = true;
                     cfg.records = 600;
                     cfg.warmup = 150;
                     // A tiny fan-in smoke: every mode boots and the O(1)
@@ -210,12 +201,6 @@ impl Config {
                 "--warmup" => cfg.warmup = take("--warmup").parse().expect("--warmup"),
                 "--window" => cfg.window = take("--window").parse().expect("--window"),
                 "--size" => cfg.record_size = take("--size").parse().expect("--size"),
-                "--shards" => {
-                    cfg.shards = take("--shards")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("--shards takes n1,n2,..."))
-                        .collect();
-                }
                 "--fanin" => {
                     let v = take("--fanin");
                     let (lo, hi) = v
@@ -235,12 +220,15 @@ impl Config {
             }
         }
         // Artifact naming convention (EXPERIMENTS.md): both defaults derive
-        // from the one tag; explicit paths override.
+        // from the one tag — under `target/` for a smoke run, whose numbers
+        // must not replace a checked-in full-size report; explicit paths
+        // override.
+        let (json_dir, md_dir) = if smoke { ("target/", "target/") } else { ("", "results/") };
         if cfg.out.is_empty() {
-            cfg.out = format!("BENCH_{}.json", cfg.tag);
+            cfg.out = format!("{json_dir}BENCH_{}.json", cfg.tag);
         }
         if cfg.summary.is_empty() {
-            cfg.summary = format!("results/PERF_{}.md", cfg.tag);
+            cfg.summary = format!("{md_dir}PERF_{}.md", cfg.tag);
         }
         cfg
     }
@@ -1006,296 +994,6 @@ fn json_path(r: &PathResult) -> String {
     )
 }
 
-// ---------------------------------------------------------------------------
-// Sharded parallel-simulation sweep (DESIGN.md §12).
-// ---------------------------------------------------------------------------
-
-/// Groups in the sweep topology: each is a complete 1-broker KafkaDirect
-/// cluster with its own client machines, placed on shard `g % shards`.
-const SWEEP_GROUPS: usize = 8;
-/// Exclusive-RDMA producers per group, one per partition — 64 clients total.
-const SWEEP_PRODUCERS: usize = 8;
-const SWEEP_SEED: u64 = 42;
-
-struct SweepPoint {
-    shards: usize,
-    wall_ns: u64,
-    records: u64,
-    /// Executor polls summed over every shard.
-    polls: u64,
-    stats: Vec<sim::shard::ShardStats>,
-}
-
-impl SweepPoint {
-    fn records_per_sec(&self) -> f64 {
-        self.records as f64 * 1e9 / self.wall_ns.max(1) as f64
-    }
-
-    /// Simulation-event throughput each worker sustained — the number that
-    /// should stay flat as shards scale (given enough cores).
-    fn events_per_sec_per_shard(&self) -> f64 {
-        self.polls as f64 * 1e9 / self.wall_ns.max(1) as f64 / self.shards as f64
-    }
-
-    /// Share of the run's wall-clock this shard spent blocked on the
-    /// window barrier — the conservative protocol's synchronization cost.
-    fn barrier_pct(&self, s: &sim::shard::ShardStats) -> f64 {
-        s.barrier_wait_ns as f64 * 100.0 / self.wall_ns.max(1) as f64
-    }
-}
-
-struct ShardSweep {
-    records_per_producer: usize,
-    window: usize,
-    hw_threads: usize,
-    lookahead_ns: u64,
-    points: Vec<SweepPoint>,
-    /// Parallel-mode sampler gate: best-of-2 each way at the largest shard
-    /// count, with a 100 µs virtual-time sampler running in every group.
-    sampler_shards: usize,
-    sampler: SamplerOverhead,
-}
-
-impl ShardSweep {
-    fn speedup(&self, p: &SweepPoint) -> f64 {
-        match self.points.iter().find(|q| q.shards == 1) {
-            Some(base) => base.wall_ns as f64 / p.wall_ns.max(1) as f64,
-            None => 0.0,
-        }
-    }
-}
-
-/// One sweep group: a 1-broker cluster, an 8-partition topic, and one
-/// exclusive one-sided producer per partition pushing windowed records.
-/// Returns `(records acked, series samples taken)`.
-fn sweep_group(
-    ctx: &GroupCtx,
-    records_per_producer: usize,
-    window: usize,
-    record_size: usize,
-    sampled: bool,
-) -> LocalFuture<(u64, u64)> {
-    let opts = ctx.opts.clone();
-    let registry = ctx.registry.clone();
-    let injector = ctx.injector.clone();
-    Box::pin(async move {
-        let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
-        cluster
-            .create_topic("bench", SWEEP_PRODUCERS as u32, 1)
-            .await;
-        // Per-group sampler into the group's own registry: the series ring
-        // is shard-local by construction (Rc state on the owning thread),
-        // merged with the rest of the group's telemetry at drain.
-        let series = sampled.then(|| {
-            kdtelem::Sampler::start(
-                &registry,
-                kdtelem::SeriesOptions {
-                    interval: std::time::Duration::from_micros(100),
-                    capacity: 1 << 16,
-                },
-            )
-        });
-        let mut handles = Vec::new();
-        for p in 0..SWEEP_PRODUCERS as u32 {
-            let node = cluster.add_client_node(&format!("bench-p{p}"));
-            let leader = cluster.leader_of("bench", p).await;
-            // Producer tasks construct clients, so each must poll with the
-            // group's registry/injector ambient (see shardsim::scoped).
-            let fut = scoped(&registry, &injector, async move {
-                let mut prod = AnyProducer::connect(
-                    SystemKind::KafkaDirect,
-                    &node,
-                    leader,
-                    "bench",
-                    p,
-                    ProducerMode::RdmaExclusive,
-                )
-                .await;
-                let rec = Record::value(vec![0x5a; record_size]);
-                prod.send_windowed(&rec, records_per_producer, window).await;
-                records_per_producer as u64
-            });
-            handles.push(sim::spawn(fut));
-        }
-        let mut total = 0u64;
-        for h in handles {
-            total += h.await.expect("sweep producer");
-        }
-        let samples = series.map(|s| {
-            s.stop();
-            s.samples()
-        });
-        (total, samples.unwrap_or(0))
-    })
-}
-
-fn run_shard_sweep(cfg: &Config) -> ShardSweep {
-    let records_per_producer = (cfg.records / SWEEP_PRODUCERS).max(50);
-    let opts = ClusterOptions::default();
-    // (wall_ns, records, samples, polls, stats)
-    let run_once = |shards: usize, sampled: bool| {
-        let t0 = Instant::now();
-        let run = run_sharded_groups(shards, SWEEP_GROUPS, SWEEP_SEED, &opts, |ctx: &GroupCtx| {
-            sweep_group(ctx, records_per_producer, cfg.window, cfg.record_size, sampled)
-        });
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let records: u64 = run.groups.iter().map(|g| g.result.0).sum();
-        let samples: u64 = run.groups.iter().map(|g| g.result.1).sum();
-        let polls: u64 = run.stats.iter().map(|s| s.polls).sum();
-        (wall_ns, records, samples, polls, run.stats)
-    };
-    let mut points: Vec<SweepPoint> = Vec::new();
-    for &shards in &cfg.shards {
-        let (wall_ns, records, _, polls, stats) = run_once(shards, false);
-        points.push(SweepPoint {
-            shards,
-            wall_ns,
-            records,
-            polls,
-            stats,
-        });
-    }
-    // Every shard count must have simulated the identical workload.
-    assert!(
-        points.windows(2).all(|w| w[0].records == w[1].records),
-        "sharded sweep: record totals diverged across shard counts"
-    );
-
-    // Sampler-overhead gate in parallel mode: the ≤3% telemetry budget must
-    // hold with every group sampling concurrently at the largest shard
-    // count. Best-of-2 each way, like the single-runtime gate.
-    let gate_shards = cfg.shards.iter().copied().max().unwrap_or(1);
-    let rps = |wall_ns: u64, records: u64| records as f64 * 1e9 / wall_ns.max(1) as f64;
-    let base_point = points
-        .iter()
-        .find(|p| p.shards == gate_shards)
-        .map(|p| rps(p.wall_ns, p.records))
-        .unwrap_or(0.0);
-    let base2 = run_once(gate_shards, false);
-    let s1 = run_once(gate_shards, true);
-    let s2 = run_once(gate_shards, true);
-    let (sampled_best, samples) = if rps(s1.0, s1.1) >= rps(s2.0, s2.1) {
-        (rps(s1.0, s1.1), s1.2)
-    } else {
-        (rps(s2.0, s2.1), s2.2)
-    };
-    let sampler = SamplerOverhead {
-        base_rps: base_point.max(rps(base2.0, base2.1)),
-        sampled_rps: sampled_best,
-        samples,
-        // The parallel-mode comparison gates on cores >= shards instead of
-        // a measured noise floor, and its per-shard allocator deltas are
-        // not tracked; these fields belong to the single-runtime gate.
-        noise_floor_pct: 0.0,
-        extra_allocs: 0,
-    };
-
-    ShardSweep {
-        records_per_producer,
-        window: cfg.window,
-        hw_threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        lookahead_ns: opts.profile.lookahead().as_nanos() as u64,
-        points,
-        sampler_shards: gate_shards,
-        sampler,
-    }
-}
-
-fn json_sweep(s: &ShardSweep) -> String {
-    let pts: Vec<String> = s
-        .points
-        .iter()
-        .map(|p| {
-            let shard_rows: Vec<String> = p
-                .stats
-                .iter()
-                .map(|st| {
-                    format!(
-                        concat!(
-                            "{{ \"shard\": {}, \"windows\": {}, \"polls\": {}, ",
-                            "\"sent\": {}, \"received\": {}, ",
-                            "\"barrier_wait_ns\": {}, \"barrier_wait_pct\": {:.1} }}"
-                        ),
-                        st.shard,
-                        st.windows,
-                        st.polls,
-                        st.sent,
-                        st.received,
-                        st.barrier_wait_ns,
-                        p.barrier_pct(st),
-                    )
-                })
-                .collect();
-            format!(
-                concat!(
-                    "{{\n",
-                    "        \"shards\": {},\n",
-                    "        \"wall_ns\": {},\n",
-                    "        \"records\": {},\n",
-                    "        \"records_per_sec\": {:.0},\n",
-                    "        \"executor_polls\": {},\n",
-                    "        \"events_per_sec_per_shard\": {:.0},\n",
-                    "        \"speedup_vs_1shard\": {:.2},\n",
-                    "        \"shard_stats\": [\n          {}\n        ]\n",
-                    "      }}"
-                ),
-                p.shards,
-                p.wall_ns,
-                p.records,
-                p.records_per_sec(),
-                p.polls,
-                p.events_per_sec_per_shard(),
-                s.speedup(p),
-                shard_rows.join(",\n          "),
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n",
-            "    \"topology\": {{\n",
-            "      \"groups\": {},\n",
-            "      \"brokers\": {},\n",
-            "      \"producer_clients\": {},\n",
-            "      \"partitions_per_group\": {},\n",
-            "      \"records_per_producer\": {},\n",
-            "      \"window\": {}\n",
-            "    }},\n",
-            "    \"hw_threads\": {},\n",
-            "    \"lookahead_ns\": {},\n",
-            "    \"configs\": [\n      {}\n    ],\n",
-            "    \"sampler_overhead\": {{\n",
-            "      \"shards\": {},\n",
-            "      \"base_records_per_sec\": {:.0},\n",
-            "      \"sampled_records_per_sec\": {:.0},\n",
-            "      \"overhead_pct\": {:.2},\n",
-            "      \"budget_pct\": {:.1},\n",
-            "      \"gated\": {},\n",
-            "      \"samples\": {}\n",
-            "    }}\n",
-            "  }}"
-        ),
-        SWEEP_GROUPS,
-        SWEEP_GROUPS,
-        SWEEP_GROUPS * SWEEP_PRODUCERS,
-        SWEEP_PRODUCERS,
-        s.records_per_producer,
-        s.window,
-        s.hw_threads,
-        s.lookahead_ns,
-        pts.join(",\n      "),
-        s.sampler_shards,
-        s.sampler.base_rps,
-        s.sampler.sampled_rps,
-        s.sampler.overhead_pct(),
-        sampler_budget_pct(),
-        s.hw_threads >= s.sampler_shards,
-        s.sampler.samples,
-    )
-}
-
 fn json_cold_fetch(cold: &ColdFetchResult) -> String {
     let points: Vec<String> = cold
         .series
@@ -1333,7 +1031,6 @@ fn write_json(
     tcp_1mib: &TcpSendCheck,
     cold: &ColdFetchResult,
     sampler: &SamplerOverhead,
-    sweep: &ShardSweep,
     fanin: &FaninSweep,
     pass: bool,
 ) {
@@ -1360,7 +1057,6 @@ fn write_json(
             "  }},\n",
             "  \"cold_fetch\": {},\n",
             "  \"fanin_sweep\": {},\n",
-            "  \"sharded_sweep\": {},\n",
             "  \"sampler_overhead\": {{\n",
             "    \"base_records_per_sec\": {:.0},\n",
             "    \"sampled_records_per_sec\": {:.0},\n",
@@ -1396,7 +1092,6 @@ fn write_json(
         tcp_1mib.allocs,
         json_cold_fetch(cold),
         json_fanin(fanin),
-        json_sweep(sweep),
         sampler.base_rps,
         sampler.sampled_rps,
         sampler.overhead_pct(),
@@ -1415,7 +1110,18 @@ fn write_json(
         FANIN_RETENTION_MIN,
         pass,
     );
-    std::fs::write(&cfg.out, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", cfg.out));
+    write_artifact(&cfg.out, &json);
+}
+
+/// Writes one report file, creating its directory first (`results/`, or
+/// `target/` for a smoke run built with `CARGO_TARGET_DIR` elsewhere).
+fn write_artifact(path: &str, contents: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        if !dir.as_os_str().is_empty() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+    }
+    std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }
 
 fn summary_row(r: &PathResult) -> String {
@@ -1439,7 +1145,6 @@ fn write_summary(
     tcp_1mib: &TcpSendCheck,
     cold: &ColdFetchResult,
     sampler: &SamplerOverhead,
-    sweep: &ShardSweep,
     fanin: &FaninSweep,
     pass: bool,
 ) {
@@ -1531,63 +1236,6 @@ fn write_summary(
         }
     }
     md.push_str(&format!(
-        "\nSharded parallel simulation (DESIGN.md §12): {} groups × \
-         (1 broker + {} exclusive-RDMA producers) = {} brokers / {} \
-         producer clients, {} records/producer, lookahead {} ns, on a \
-         {}-hardware-thread host:\n\n",
-        SWEEP_GROUPS,
-        SWEEP_PRODUCERS,
-        SWEEP_GROUPS,
-        SWEEP_GROUPS * SWEEP_PRODUCERS,
-        sweep.records_per_producer,
-        sweep.lookahead_ns,
-        sweep.hw_threads,
-    ));
-    md.push_str(
-        "| shards | wall ms | records/s | events/s/shard | speedup vs 1 | max barrier wait |\n|---|---|---|---|---|---|\n",
-    );
-    for p in &sweep.points {
-        let max_barrier = p
-            .stats
-            .iter()
-            .map(|st| p.barrier_pct(st))
-            .fold(0.0f64, f64::max);
-        md.push_str(&format!(
-            "| {} | {:.0} | {:.0} | {:.0} | {:.2}× | {:.1}% |\n",
-            p.shards,
-            p.wall_ns as f64 / 1e6,
-            p.records_per_sec(),
-            p.events_per_sec_per_shard(),
-            sweep.speedup(p),
-            max_barrier,
-        ));
-    }
-    md.push_str(
-        "\nWall-clock speedup needs at least as many hardware threads as \
-         shards; on fewer cores the sweep measures barrier/windowing \
-         overhead only (threads time-slice one core). Equivalence of the \
-         simulated history across shard counts is asserted separately by \
-         `tests/shard_equivalence.rs`.\n",
-    );
-    md.push_str(&format!(
-        "\nParallel-mode sampler (every group sampling at 100 µs virtual \
-         time, {} shards, best-of-2 each way): {:.0} records/s unsampled vs \
-         {:.0} records/s sampled ({} samples) — **{:.2}%** of throughput \
-         (budget {:.1}%{}).\n",
-        sweep.sampler_shards,
-        sweep.sampler.base_rps,
-        sweep.sampler.sampled_rps,
-        sweep.sampler.samples,
-        sweep.sampler.overhead_pct(),
-        sampler_budget_pct(),
-        if sweep.hw_threads >= sweep.sampler_shards {
-            ""
-        } else {
-            "; ungated — fewer cores than shards, the wall-clock delta \
-             measures OS time-slicing noise rather than sampling cost"
-        },
-    ));
-    md.push_str(&format!(
         "\nSampler overhead (exclusive RDMA, best-of-3 interleaved pairs, \
          measured-records floor 5000): {:.0} records/s unsampled vs {:.0} \
          records/s with the 100 µs virtual-time sampler ({} samples) — \
@@ -1633,13 +1281,7 @@ fn write_summary(
         "\nWall-clock numbers vary with the host; only the allocation counts \
          are asserted. Regenerate with `cargo run --release -p kdbench --bin kdperf`.\n",
     );
-    if let Some(dir) = std::path::Path::new(&cfg.summary).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    std::fs::write(&cfg.summary, md)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", cfg.summary));
+    write_artifact(&cfg.summary, &md);
 }
 
 fn print_path(r: &PathResult) {
@@ -1718,46 +1360,6 @@ fn main() {
             cold.bytes >> 20
         );
     }
-
-    // Sharded parallel-simulation sweep: the identical grouped topology at
-    // each shard count, wall-clock + barrier-wait attribution per shard.
-    let sweep = run_shard_sweep(&cfg);
-    for p in &sweep.points {
-        let max_barrier = p
-            .stats
-            .iter()
-            .map(|st| p.barrier_pct(st))
-            .fold(0.0f64, f64::max);
-        println!(
-            "  {:<16} {} shard(s): {:>6.0} ms wall  {:>9.0} rec/s  {:>9.0} events/s/shard  {:.2}x vs 1  max barrier {:.1}%",
-            "sharded_sweep",
-            p.shards,
-            p.wall_ns as f64 / 1e6,
-            p.records_per_sec(),
-            p.events_per_sec_per_shard(),
-            sweep.speedup(p),
-            max_barrier,
-        );
-    }
-    if sweep.hw_threads < sweep.points.iter().map(|p| p.shards).max().unwrap_or(1) {
-        println!(
-            "  {:<16} note: {} hardware thread(s) — speedup >1 needs cores >= shards",
-            "sharded_sweep", sweep.hw_threads
-        );
-    }
-    println!(
-        "  {:<16} sampler at {} shards: {:.2}% of base throughput ({} samples; budget {:.1}%{})",
-        "sharded_sweep",
-        sweep.sampler_shards,
-        sweep.sampler.overhead_pct(),
-        sweep.sampler.samples,
-        sampler_budget_pct(),
-        if sweep.hw_threads < sweep.sampler_shards {
-            ", ungated: cores < shards"
-        } else {
-            ""
-        },
-    );
 
     // Sampler-overhead gate: best-of-3 unsampled vs best-of-3 sampled runs
     // of the exclusive-RDMA loop. Continuous telemetry must be cheap enough
@@ -1855,15 +1457,6 @@ fn main() {
     let tcp_send_ok = tcp_1mib.allocs < tcp_1mib.packets;
     let sampler_ok = !sampler_gated || sampler.overhead_pct() <= sampler_budget_pct();
     let sampler_allocs_ok = sampler_extra_allocs <= sampler_alloc_allowance;
-    // The parallel-mode sampler comparison is a wall-clock measurement of a
-    // `gate_shards`-thread sweep: with fewer hardware threads than shards
-    // the threads time-slice one core and the best-of-2 delta measures OS
-    // scheduling noise, not sampling cost (the same honesty note as the
-    // sweep's speedup numbers). Gate only when the host can actually run
-    // the shards in parallel; always report the measured number.
-    let psampler_gated = sweep.hw_threads >= sweep.sampler_shards;
-    let psampler_ok =
-        !psampler_gated || sweep.sampler.overhead_pct() <= sampler_budget_pct();
     let fanin_ok = fanin.failures.is_empty();
     let pass = rdma_ok
         && polls_ok
@@ -1874,14 +1467,13 @@ fn main() {
         && tcp_send_ok
         && sampler_ok
         && sampler_allocs_ok
-        && psampler_ok
         && fanin_ok;
 
     write_json(
-        &cfg, &rdma, &tiered, &tcp, &tcp_1mib, &cold, &sampler, &sweep, &fanin, pass,
+        &cfg, &rdma, &tiered, &tcp, &tcp_1mib, &cold, &sampler, &fanin, pass,
     );
     write_summary(
-        &cfg, &rdma, &tiered, &tcp, &tcp_1mib, &cold, &sampler, &sweep, &fanin, pass,
+        &cfg, &rdma, &tiered, &tcp, &tcp_1mib, &cold, &sampler, &fanin, pass,
     );
     println!("# wrote {} and {}", cfg.out, cfg.summary);
 
@@ -1943,14 +1535,6 @@ fn main() {
         eprintln!(
             "kdperf: FAIL — sampler ticks allocated: +{} allocs vs the unsampled twin (allowance {})",
             sampler_extra_allocs, sampler_alloc_allowance
-        );
-    }
-    if !psampler_ok {
-        eprintln!(
-            "kdperf: FAIL — parallel-mode sampler ({} shards) costs {:.2}% of sweep records/s (budget {:.1}%)",
-            sweep.sampler_shards,
-            sweep.sampler.overhead_pct(),
-            sampler_budget_pct()
         );
     }
     if !pass {

@@ -13,33 +13,6 @@ use netsim::{Fabric, NodeHandle};
 
 use crate::systems::SystemKind;
 
-/// Where a cluster's nodes live in a sharded parallel run (see
-/// [`crate::shardsim`]): the partition group it forms and the worker shard
-/// that owns every one of its nodes. A cluster never spans shards — the
-/// fabric is single-threaded by construction — so placement is
-/// per-cluster, and cross-group traffic goes through the shard mailboxes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
-    /// Group index in the sharded topology; namespaces node names so
-    /// merged telemetry from many groups stays attributable.
-    pub group: usize,
-    /// Worker shard that owns this cluster's nodes.
-    pub shard: usize,
-    /// Total shard count of the run.
-    pub shards: usize,
-}
-
-impl Placement {
-    /// The canonical group→shard assignment: round-robin.
-    pub fn of_group(group: usize, shards: usize) -> Placement {
-        Placement {
-            group,
-            shard: group % shards.max(1),
-            shards: shards.max(1),
-        }
-    }
-}
-
 /// Harness options.
 #[derive(Debug, Clone)]
 pub struct ClusterOptions {
@@ -66,10 +39,6 @@ pub struct ClusterOptions {
     /// segments to real files under the config's directory, one
     /// `node<N>/<topic>-<partition>` subtree per broker partition.
     pub storage: Option<kdstorage::StorageConfig>,
-    /// Node→shard placement for sharded parallel runs; `None` (default) is
-    /// a legacy single-runtime cluster. When set, node names carry a
-    /// `g<group>.` prefix.
-    pub placement: Option<Placement>,
 }
 
 impl Default for ClusterOptions {
@@ -89,7 +58,6 @@ impl Default for ClusterOptions {
             mux_pool: None,
             observe: None,
             storage: None,
-            placement: None,
         }
     }
 }
@@ -106,7 +74,6 @@ pub struct SimCluster {
     telemetry: kdtelem::Registry,
     config: kdbroker::BrokerConfig,
     peers: Vec<BrokerAddr>,
-    placement: Option<Placement>,
 }
 
 impl SimCluster {
@@ -146,12 +113,8 @@ impl SimCluster {
         if let Some(st) = opts.storage.clone() {
             config = config.with_storage(st);
         }
-        let prefix = match opts.placement {
-            Some(p) => format!("g{}.", p.group),
-            None => String::new(),
-        };
         for i in 0..n {
-            let node = fabric.add_node(&format!("{prefix}broker{i}"));
+            let node = fabric.add_node(&format!("broker{i}"));
             peers.push(BrokerAddr {
                 node: node.id.0,
                 port: config.tcp_port,
@@ -163,7 +126,7 @@ impl SimCluster {
             .iter()
             .map(|node| Broker::start(node, config.clone(), peers.clone()))
             .collect();
-        let admin_node = fabric.add_node(&format!("{prefix}admin"));
+        let admin_node = fabric.add_node("admin");
         SimCluster {
             fabric,
             system,
@@ -173,14 +136,7 @@ impl SimCluster {
             telemetry,
             config,
             peers,
-            placement: opts.placement,
         }
-    }
-
-    /// This cluster's shard placement, if it runs inside a sharded parallel
-    /// simulation.
-    pub fn placement(&self) -> Option<Placement> {
-        self.placement
     }
 
     /// Address of the bootstrap (controller) broker.
@@ -206,13 +162,9 @@ impl SimCluster {
         &self.broker_nodes[i]
     }
 
-    /// Adds a client machine to the fabric (named under the cluster's
-    /// group prefix when the cluster is placed on a shard).
+    /// Adds a client machine to the fabric.
     pub fn add_client_node(&self, name: &str) -> NodeHandle {
-        match self.placement {
-            Some(p) => self.fabric.add_node(&format!("g{}.{name}", p.group)),
-            None => self.fabric.add_node(name),
-        }
+        self.fabric.add_node(name)
     }
 
     /// Creates a topic through the controller and waits until its leaders

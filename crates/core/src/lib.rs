@@ -32,11 +32,9 @@
 pub mod chaos;
 pub mod cluster;
 pub mod events;
-pub mod shardsim;
 pub mod systems;
 
-pub use cluster::{ClusterOptions, Placement, SimCluster};
-pub use shardsim::{run_sharded_groups, GroupCtx, GroupOutcome, ShardedRun};
+pub use cluster::{ClusterOptions, SimCluster};
 pub use systems::SystemKind;
 
 // Re-export the component crates under one roof.

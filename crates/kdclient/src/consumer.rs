@@ -213,6 +213,24 @@ mod tests {
     }
 
     #[test]
+    fn a_header_count_past_the_record_body_is_not_reserved_for() {
+        // A CRC-valid batch the broker accepts (it never parses a record
+        // body): the value's length prefix is shortened so that its tail, a
+        // 9-byte uvarint for 2^62, is read as the record's header count.
+        let mut value = vec![7u8; 30];
+        value.extend_from_slice(&[0x80; 8]);
+        value.push(0x40);
+        let mut batch = single_record_batch(1, &Record::value(value));
+        let at = kdstorage::record::BATCH_HEADER_LEN + 3;
+        assert_eq!(batch[at], 40);
+        batch[at] = 31;
+        let crc = kdstorage::crc32c::crc32c(&batch[19..]);
+        batch[15..19].copy_from_slice(&crc.to_le_bytes());
+        assert!(kdstorage::record::verify_batch(&batch).is_ok());
+        assert_eq!(drain(&batch), Err(ClientError::Corrupt));
+    }
+
+    #[test]
     fn records_below_the_next_offset_are_skipped() {
         let (bytes, _) = three_batches();
         let (mut next, mut offsets) = (2, Vec::new());

@@ -348,6 +348,11 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<RecordView>, BatchError> {
         let key = b.get_opt_bytes()?.map(<[u8]>::to_vec);
         let value = b.get_opt_bytes()?.unwrap_or_default().to_vec();
         let header_count = b.get_uvarint()?;
+        // A header is at least two bytes: a count the body cannot hold is
+        // corrupt, and must not size the reservation below.
+        if header_count > (b.remaining() / 2) as u64 {
+            return Err(BatchError::Corrupt(WireError::BadLength));
+        }
         let mut headers = Vec::with_capacity(header_count as usize);
         for _ in 0..header_count {
             let k = b.get_string()?;
@@ -461,6 +466,28 @@ mod tests {
             parse_header(&bytes),
             Err(BatchError::Corrupt(WireError::BadValue))
         ));
+    }
+
+    #[test]
+    fn a_header_count_the_body_cannot_hold_is_corrupt() {
+        // Shorten the value's length prefix so its tail — a 9-byte uvarint
+        // for 2^62 — is read as the header count, and re-seal the CRC. The
+        // record length still adds up, so the broker's check passes.
+        let mut value = vec![7u8; 30];
+        value.extend_from_slice(&[0x80; 8]);
+        value.push(0x40);
+        let mut bytes = build(&[Record::value(value)]);
+        // length | ts_delta | key (0 = none) | value length + 1 | value
+        let at = BATCH_HEADER_LEN + 3;
+        assert_eq!(bytes[at], 40);
+        bytes[at] = 31;
+        let crc = crc32c(&bytes[CRC_COVER_FROM..]);
+        bytes[CRC_FIELD_AT..CRC_COVER_FROM].copy_from_slice(&crc.to_le_bytes());
+        assert!(verify_batch(&bytes).is_ok());
+        assert_eq!(
+            decode_batch(&bytes),
+            Err(BatchError::Corrupt(WireError::BadLength))
+        );
     }
 
     #[test]

@@ -42,25 +42,6 @@
 //! detection, failover MTTR, typed health events). Metric names follow a
 //! `component` + `subsystem.metric` schema (e.g. `kdbroker` /
 //! `rdma.commits`); the full inventory is tabled in DESIGN.md.
-//!
-//! # Sharded simulation (DESIGN.md §12)
-//!
-//! Under the parallel executor (`sim::shard`), every instrument stays
-//! **shard-local without hot-path synchronization or allocation**: a
-//! [`Registry`] is `Rc` state owned by one worker thread, the trace/span
-//! rings are bounded `VecDeque`s that drop (and count) overflow instead of
-//! growing, and the [`series`] sampler writes into its own registry's rings
-//! on virtual-time ticks. The group harness
-//! (`kafkadirect::run_sharded_groups`) gives each partition group a private
-//! registry, makes it ambient around every poll of that group's tasks, and
-//! **merges rings only at drain time** — per-group event streams are
-//! collected after the run and ordered canonically. Raw `trace_id`s come
-//! from a per-thread allocator interleaved across co-resident groups, so
-//! cross-layout comparison goes through [`canonical_trace_digest`], which
-//! renumbers lifelines by first appearance before folding full event
-//! content. Nothing in this crate takes a lock on the datapath; the only
-//! process-global state is the trace-id counter (thread-local) and the
-//! ambient-registry stack (thread-local).
 
 pub mod check;
 pub mod chrome;

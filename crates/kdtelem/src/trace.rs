@@ -117,18 +117,17 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// Placement-independent digest of a drained trace-event stream.
+/// Digest of a drained trace-event stream, independent of raw id allocation.
 ///
-/// Two runs of the *same* workload on *different* shard layouts allocate
-/// different raw trace ids (the thread-local id counter interleaves with
-/// whatever else shares the thread), so raw ids cannot be compared across
-/// configurations. This digest renumbers trace and span ids by first
-/// appearance in the stream — the canonical lifeline numbering — and then
-/// folds every event's full content (canonical ids, virtual timestamp, and
-/// all [`EventKind`] payload fields). Equal digests mean the two streams
-/// describe identical lifelines doing identical things at identical virtual
-/// times; any divergence in event order, timing, or payload changes the
-/// digest.
+/// Two runs of the *same* workload allocate different raw trace ids whenever
+/// something else drew from the thread-local id counter first (an earlier
+/// run on the thread, a warm-up phase), so raw ids cannot be compared across
+/// runs. This digest renumbers trace and span ids by first appearance in the
+/// stream — the canonical lifeline numbering — and then folds every event's
+/// full content (canonical ids, virtual timestamp, and all [`EventKind`]
+/// payload fields). Equal digests mean the two streams describe identical
+/// lifelines doing identical things at identical virtual times; any
+/// divergence in event order, timing, or payload changes the digest.
 pub fn canonical_trace_digest(events: &[TraceEvent]) -> u64 {
     let mut ids: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
     let mut next = 1u64;
@@ -340,6 +339,90 @@ mod tests {
             assert_eq!(current_ctx(), Some(outer));
         }
         assert_eq!(current_ctx(), None);
+    }
+
+    /// A produce lifeline with a broker child span beside a fetch lifeline
+    /// whose child names a parent span (11) before that span's own event.
+    fn sample_stream() -> Vec<TraceEvent> {
+        use EventKind::*;
+        let ev = |trace_id, span_id, ts_ns, kind| TraceEvent {
+            trace_id,
+            span_id,
+            ts_ns,
+            kind,
+        };
+        vec![
+            ev(5, 5, 100, SpanBegin { name: "client.produce", parent: 0 }),
+            ev(5, 5, 110, WqePosted { qpn: 3, ticket: 0 }),
+            ev(5, 9, 120, SpanBegin { name: "broker.commit", parent: 5 }),
+            ev(8, 8, 120, SpanBegin { name: "client.fetch", parent: 0 }),
+            ev(8, 12, 125, SpanBegin { name: "client.read", parent: 11 }),
+            ev(8, 11, 126, SpanBegin { name: "client.round", parent: 8 }),
+            ev(5, 9, 130, Commit { stream: 77, base_offset: 0, next_offset: 1 }),
+            ev(5, 9, 140, SpanEnd { name: "broker.commit" }),
+            ev(8, 8, 150, FetchServed { stream: 77, start_offset: 0, next_offset: 1, bytes: 64 }),
+            ev(5, 5, 160, Completion { qpn: 3, ticket: 0, opcode: "write_imm", ok: true }),
+        ]
+    }
+
+    /// `events` with every raw trace, span and parent id passed through `f`
+    /// (0, the "no parent" sentinel, stays 0).
+    fn renumbered(events: &[TraceEvent], f: impl Fn(u64) -> u64) -> Vec<TraceEvent> {
+        events
+            .iter()
+            .map(|e| TraceEvent {
+                trace_id: f(e.trace_id),
+                span_id: f(e.span_id),
+                ts_ns: e.ts_ns,
+                kind: match e.kind {
+                    EventKind::SpanBegin { name, parent } if parent != 0 => {
+                        EventKind::SpanBegin { name, parent: f(parent) }
+                    }
+                    kind => kind,
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn canonical_digest_ignores_an_injective_renumbering_of_raw_ids() {
+        let events = sample_stream();
+        let base = canonical_trace_digest(&events);
+        let maps: [fn(u64) -> u64; 3] = [
+            |id| id + 1_000,
+            |id| 1_000_000 - id, // reverses the raw order
+            |id| id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ];
+        for f in maps {
+            assert_eq!(canonical_trace_digest(&renumbered(&events, f)), base);
+        }
+        // Not injective — two lifelines merged into one — is a different run.
+        let merged = renumbered(&events, |id| if id == 8 { 5 } else { id });
+        assert_ne!(canonical_trace_digest(&merged), base);
+    }
+
+    #[test]
+    fn canonical_digest_moves_with_time_payload_parent_and_order() {
+        type Mutation = fn(&mut [TraceEvent]);
+        let mutations: [(&str, Mutation); 4] = [
+            ("one timestamp", |e| e[6].ts_ns += 1),
+            ("one payload field", |e| {
+                e[6].kind = EventKind::Commit { stream: 77, base_offset: 0, next_offset: 2 }
+            }),
+            ("one parent link", |e| {
+                e[2].kind = EventKind::SpanBegin { name: "broker.commit", parent: 8 }
+            }),
+            ("the order of two same-instant events", |e| e.swap(2, 3)),
+        ];
+        let base = canonical_trace_digest(&sample_stream());
+        let mut seen = vec![base];
+        for (what, mutate) in mutations {
+            let mut events = sample_stream();
+            mutate(&mut events);
+            let d = canonical_trace_digest(&events);
+            assert!(!seen.contains(&d), "{what} changed, digest did not");
+            seen.push(d);
+        }
     }
 
     #[test]

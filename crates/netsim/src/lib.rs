@@ -20,7 +20,6 @@ pub mod fabric;
 pub mod link;
 pub mod profile;
 pub mod tcp;
-pub mod xshard;
 
 pub use fabric::{Fabric, NodeHandle, NodeId};
 pub use link::Link;

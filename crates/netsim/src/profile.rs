@@ -190,12 +190,6 @@ impl Profile {
         }
     }
 
-    /// Conservative lookahead for sharded parallel simulation of this
-    /// profile's topology; see [`NetProfile::min_link_latency`].
-    pub fn lookahead(&self) -> Duration {
-        self.net.min_link_latency()
-    }
-
     /// A profile with (almost) all costs zeroed: logic/unit tests use this
     /// so protocol behaviour can be asserted without timing arithmetic.
     /// Minimal non-zero gaps are kept where code relies on time advancing
@@ -246,16 +240,6 @@ impl Profile {
 }
 
 impl NetProfile {
-    /// Minimum cross-node delivery latency of the fabric: the floor of any
-    /// packet's flight time between two nodes. Every path charges at least
-    /// the one-way propagation delay (wire time, stack costs, and queueing
-    /// only add to it), so this is the conservative lookahead a sharded
-    /// simulation may use — no event executed at time `t` on one shard can
-    /// affect another shard before `t + min_link_latency()`.
-    pub fn min_link_latency(&self) -> Duration {
-        self.propagation
-    }
-
     /// Time for `bytes` on the wire at full link goodput (headers included).
     pub fn wire_time(&self, bytes: u64) -> Duration {
         let total = bytes + self.header_bytes;

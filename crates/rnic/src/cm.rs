@@ -178,11 +178,10 @@ impl IncomingConnection {
 /// leave the fresh slot alone.
 pub(crate) type ListenerSlot = (u64, sim::sync::mpsc::Sender<ConnRequest>);
 
-// Thread-local, not process-global: under the sharded executor
-// (DESIGN.md §12) each worker thread numbers its own bind generations.
-// Values are only ever compared within one rendezvous table (per-fabric,
-// hence shard-local) and never enter traces, so cross-group interleaving
-// of the counter cannot leak into the determinism contract.
+// Thread-local, not process-global: `cargo test` runs simulations on
+// parallel threads, and each numbers its own bind generations. Values are
+// only ever compared within one rendezvous table (per-fabric, hence
+// thread-local) and never enter traces.
 thread_local! {
     static NEXT_BIND_GEN: std::cell::Cell<u64> = const { std::cell::Cell::new(1) };
 }

@@ -306,58 +306,28 @@ impl Inner {
         true
     }
 
-    /// Earliest pending timer deadline, without perturbing the wheel cursor.
-    ///
-    /// The sharded executor calls this between lookahead windows to report
-    /// the shard's next event time; the cursor must not advance because
-    /// mailbox deliveries registered *after* this query may target nearer
-    /// deadlines (a cursor run ahead would misfile them).
-    pub(crate) fn peek_next_deadline(&self) -> Option<u64> {
-        self.timers.borrow().peek_min_deadline()
-    }
-
-    /// True when tasks are queued for polling.
-    pub(crate) fn has_ready(&self) -> bool {
-        self.ready.with(|q| !q.is_empty())
-    }
-
-    /// Polls ready tasks until the queue is empty or `stop()` turns true
-    /// (checked after every poll: the root future completed).
-    pub(crate) fn drain_ready(self: &Rc<Self>, stop: &mut dyn FnMut() -> bool) -> bool {
-        while let Some(id) = self.ready.pop() {
-            self.poll_task(id);
-            if stop() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Executes every event with virtual time strictly below `bound`: drains
-    /// the ready queue, then repeatedly advances the clock to the nearest
-    /// timer deadline `< bound` and fires it. This is the one poll loop:
-    /// [`Runtime::block_on`] is the unbounded window. The clock only ever advances to *fired* deadlines — never to `bound`
-    /// itself — so a shard's `now` always names its last executed event.
-    ///
-    /// Returns true if `stop()` ended the window early (root completed).
-    pub(crate) fn run_window(self: &Rc<Self>, bound: u64, stop: &mut dyn FnMut() -> bool) -> bool {
+    /// The poll loop: drains the ready queue, then advances the clock to the
+    /// nearest timer deadline and fires it, until `done()` turns true (checked
+    /// after every poll) or nothing is runnable and no timer is registered.
+    /// The clock only ever advances to *fired* deadlines.
+    fn run(self: &Rc<Self>, done: &dyn Fn() -> bool) {
         loop {
-            if self.drain_ready(stop) {
-                return true;
+            while let Some(id) = self.ready.pop() {
+                self.poll_task(id);
+                if done() {
+                    return;
+                }
             }
             // Bound first: a `borrow_mut` in the scrutinee would live across
             // the arms and collide with `fire_due_timers`.
-            let next = self
-                .timers
-                .borrow_mut()
-                .next_deadline_bounded(bound.saturating_sub(1));
+            let next = self.timers.borrow_mut().next_deadline_bounded(u64::MAX);
             match next {
                 Some(deadline) => {
                     debug_assert!(deadline >= self.now.get());
                     self.now.set(deadline.max(self.now.get()));
                     self.fire_due_timers();
                 }
-                None => return false,
+                None => return,
             }
         }
     }
@@ -433,7 +403,7 @@ pub(crate) fn try_with_current<T>(f: impl FnOnce(&Rc<Inner>) -> T) -> Option<T> 
     })
 }
 
-pub(crate) struct EnterGuard;
+struct EnterGuard;
 
 impl EnterGuard {
     fn new(inner: Rc<Inner>) -> Self {
@@ -526,23 +496,6 @@ pub(crate) fn current_task_id() -> u64 {
     with_current(|inner| inner.current_task.get() as u64)
 }
 
-/// Handle to a runtime's root task, installed by [`Runtime::spawn_root`].
-/// The window loop polls [`RootTask::is_done`] after every task poll and
-/// returns the moment the root completes.
-pub(crate) struct RootTask<T> {
-    result: Rc<RefCell<Option<T>>>,
-}
-
-impl<T> RootTask<T> {
-    pub(crate) fn is_done(&self) -> bool {
-        self.result.borrow().is_some()
-    }
-
-    pub(crate) fn take(&self) -> Option<T> {
-        self.result.borrow_mut().take()
-    }
-}
-
 /// A deterministic, single-threaded async runtime with a virtual clock.
 ///
 /// See the [crate docs](crate) for semantics. Runtimes may be nested (a
@@ -583,33 +536,6 @@ impl Runtime {
         self.inner.polls.get()
     }
 
-    /// Makes this runtime the ambient runtime on the current thread until
-    /// the guard drops. Used by the sharded executor, whose window loop
-    /// interleaves execution with barrier waits instead of one `block_on`.
-    pub(crate) fn enter(&self) -> EnterGuard {
-        EnterGuard::new(Rc::clone(&self.inner))
-    }
-
-    pub(crate) fn inner(&self) -> &Rc<Inner> {
-        &self.inner
-    }
-
-    /// Installs `future` as this runtime's root task without driving it.
-    pub(crate) fn spawn_root<F>(&self, future: F) -> RootTask<F::Output>
-    where
-        F: Future + 'static,
-        F::Output: 'static,
-    {
-        let result: Rc<RefCell<Option<F::Output>>> = Rc::new(RefCell::new(None));
-        let result2 = Rc::clone(&result);
-        let root_id = self.inner.insert_task(async move {
-            let out = future.await;
-            *result2.borrow_mut() = Some(out);
-        });
-        self.inner.schedule(root_id);
-        RootTask { result }
-    }
-
     /// Runs `future` to completion, driving all spawned tasks and the virtual
     /// clock.
     ///
@@ -621,13 +547,21 @@ impl Runtime {
         F: Future + 'static,
         F::Output: 'static,
     {
-        let _guard = self.enter();
-        let root = self.spawn_root(future);
-        // Unbounded window: returns the moment the root future finishes —
-        // remaining tasks are detached and dropped with the runtime state —
-        // or once nothing is runnable and no timer is registered.
-        self.inner.run_window(u64::MAX, &mut || root.is_done());
-        root.take().unwrap_or_else(|| {
+        let _guard = EnterGuard::new(Rc::clone(&self.inner));
+        // The root future is an ordinary task (the first `block_on` of a
+        // runtime makes it task 0) scheduled through the ready queue.
+        let result: Rc<RefCell<Option<F::Output>>> = Rc::new(RefCell::new(None));
+        let result2 = Rc::clone(&result);
+        let root_id = self.inner.insert_task(async move {
+            let out = future.await;
+            *result2.borrow_mut() = Some(out);
+        });
+        self.inner.schedule(root_id);
+        // Returns the moment the root future finishes — remaining tasks are
+        // detached and dropped with the runtime state.
+        self.inner.run(&|| result.borrow().is_some());
+        let out = result.borrow_mut().take();
+        out.unwrap_or_else(|| {
             panic!(
                 "sim: deadlock — root future pending, no runnable tasks, \
                  no timers ({} live tasks, t={}ns)",

@@ -45,7 +45,6 @@
 mod executor;
 pub mod future;
 pub mod rng;
-pub mod shard;
 pub mod sync;
 pub mod time;
 mod wheel;

@@ -123,37 +123,6 @@ impl<T> Wheel<T> {
         self.scratch = batch;
     }
 
-    /// The earliest pending deadline, **without** touching the cursor.
-    ///
-    /// Used by the sharded executor to compute a shard's next-event time
-    /// between lookahead windows: advancing the cursor there would misfile
-    /// timers registered later for nearer deadlines (mailbox deliveries land
-    /// *after* this query but may precede the wheel's current minimum), so
-    /// the destructive [`Wheel::next_deadline_bounded`] walk cannot be used.
-    ///
-    /// Correctness leans on the level invariant (module docs): an entry at
-    /// level `L` matches the cursor in every digit above `L` and exceeds it
-    /// at digit `L`, so entries at lower levels are strictly nearer than
-    /// entries at higher ones — the minimum lives in the lowest occupied
-    /// level, in its lowest occupied slot.
-    pub fn peek_min_deadline(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let level = (0..LEVELS).find(|&l| self.occupied[l] != 0)?;
-        let slot = self.occupied[level].trailing_zeros() as usize;
-        if level == 0 {
-            // Level-0 slots hold exactly one deadline each.
-            return Some((self.cursor & !SLOT_MASK) | slot as u64);
-        }
-        // A higher-level slot mixes deadlines that share digits >= `level`;
-        // scan the vec for the true minimum.
-        self.slots[level * SLOTS + slot]
-            .iter()
-            .map(|&(d, _, _)| d)
-            .min()
-    }
-
     /// The earliest pending deadline, or `None` when it exceeds `bound`.
     /// Cascades coarse slots down as a side effect; the cursor advances but
     /// never past the returned deadline nor past `bound`.
@@ -340,15 +309,14 @@ mod tests {
         assert_eq!(drain(&mut w, 100), vec![(100, 1)]);
     }
 
-    /// Property: under arbitrary interleavings of inserts, non-mutating
-    /// peeks, bounded cursor walks (the sharded executor's window probes),
-    /// and pops, the wheel expires entries in exact `(deadline, seq)` order
-    /// and `peek_min_deadline` always equals the true pending minimum.
+    /// Property: under arbitrary interleavings of inserts, bounded cursor
+    /// walks that stop short of the minimum (`pop_due`'s final probe), and
+    /// pops, the wheel expires entries in exact `(deadline, seq)` order.
     ///
     /// Insert deadlines stay at/above a watermark covering every time and
-    /// bound handed to the wheel so far — the same guarantee the sharded
-    /// executor provides (mailbox deliveries land at `>= bound`, and
-    /// `run_window` probes with `bound - 1`), so the cursor never clamps.
+    /// bound handed to the wheel so far — the executor's guarantee (the
+    /// clock never runs ahead of a registration) — so the cursor never
+    /// clamps; `prop_timer_order` covers late registrations end to end.
     #[test]
     fn prop_interleaved_inserts_preserve_deadline_seq_order() {
         let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -384,7 +352,7 @@ mod tests {
                         }
                     }
                     2 => {
-                        // Window probe below the minimum: must not disturb
+                        // Bounded probe below the minimum: must not disturb
                         // expiry order even though the cursor may advance.
                         if let Some(min) = model.iter().map(|&(d, _)| d).min() {
                             if min > watermark {
@@ -412,11 +380,6 @@ mod tests {
                         watermark = watermark.max(t);
                     }
                 }
-                assert_eq!(
-                    w.peek_min_deadline(),
-                    model.iter().map(|&(d, _)| d).min(),
-                    "peek_min_deadline diverged from model minimum"
-                );
                 assert_eq!(w.len(), model.len());
             }
         }

@@ -24,17 +24,6 @@ cargo test -q --offline --test chaos
 # in CI output.
 cargo test -q --offline --test durable
 
-# Parallel-simulation equivalence gate (DESIGN.md §12): the full chaos
-# workload must be bit-identical between the legacy block_on executor and
-# the sharded executor at shards=1 (order-sensitive trace digest), and a
-# 4-group chaos topology — seeded fault plans, crash/restart/failover —
-# must produce identical acked/consumed record sets and identical
-# canonically-ordered trace digests at shards=1 vs shards=4 across the
-# seed set. Runs in `cargo test` above too — kept explicit so a
-# parallel-determinism regression is named in CI output. std threads only,
-# fully offline.
-cargo test -q --offline --test shard_equivalence
-
 # Connection-scaling equivalence gate (DESIGN.md §13): below the NIC cache
 # knee the two sizings of the broker's one receive layer — a NIC context
 # per accepted QP, or QPs multiplexed over an 8-context pool — must be
@@ -62,6 +51,15 @@ fi
 # size a constant both ends share (DESIGN.md §7).
 if grep -rnE "MultiRdmaConsumer|multi_consumer|try_send_exclusive|slots_per_consumer" crates/*/src; then
     echo "ci: a deleted client fork or the slot-count knob reappeared (see DESIGN.md §7)" >&2
+    exit 1
+fi
+
+# Same for the executor (DESIGN.md §12): `Runtime::block_on` is the one
+# driver of the poll loop. The windowed parallel executor measured <= 1.03x
+# in five BENCH files and was deleted with its mailbox router, group
+# harness, placement option and wheel peek.
+if grep -rnE "sim::shard|run_sharded|xshard|shardsim|Placement|peek_min_deadline" crates/*/src tests/; then
+    echo "ci: a piece of the deleted parallel executor reappeared (see DESIGN.md §12)" >&2
     exit 1
 fi
 
@@ -97,10 +95,10 @@ cargo test -q --offline -p rnic --test verbs_semantics poll_budget
 
 # Timer-wheel property tests: exact (deadline, insertion-seq) expiry order
 # under arbitrary interleavings of inserts, bounded probes, and pops — both
-# on the raw wheel and for timers scheduled from cross-shard mailbox
-# deliveries.
+# on the raw wheel and, through `Runtime::block_on`, for timers registered
+# at different instants (late ones included).
 cargo test -q --offline -p sim wheel
-cargo test -q --offline -p sim --test prop_shard_wheel
+cargo test -q --offline -p sim --test prop_timer_order
 
 # Smoke-run the quickstart example end to end. It runs the broker under the
 # continuous-telemetry sampler and health watchdog and exits non-zero on any
@@ -112,9 +110,10 @@ cargo run -q --release --offline --example quickstart -- --durable
 
 # Perf smoke: wall-clock harness over the fig10/11 produce workload with a
 # counting global allocator and an executor-poll counter. Writes
-# BENCH_<TAG>.json (+ results/PERF_<TAG>.md; TAG from --tag/KD_BENCH_TAG,
-# default PR14) and exits non-zero if the steady-state exclusive-RDMA
-# produce path — over the in-memory store OR the file-backed hot tier —
+# target/BENCH_<TAG>.json (+ target/PERF_<TAG>.md; TAG from
+# --tag/KD_BENCH_TAG, default PR14 — a smoke run never touches the
+# checked-in full-size reports) and exits non-zero if the steady-state
+# exclusive-RDMA produce path — over the in-memory store OR the file-backed hot tier —
 # exceeds its allocation budget (allocs/record <= 2) or its scheduling
 # budget (polls/record <= 3.2, measured 2.95 — the pre-batching loop needed
 # ~20.8 and the task-per-work-request NIC model 3.2, so this pins both
@@ -122,14 +121,8 @@ cargo run -q --release --offline --example quickstart -- --durable
 # 14.5, allocs/record <= 4.5; measured 14.0 / 4.0, the task-per-hop RPC
 # plane needed 21.0 / 10.0), if a warm 1 MiB TCP send stops being O(1)
 # allocations, or if running with the telemetry sampler on costs more than
-# 3% of records/s — measured both on the single-runtime baseline and in
-# parallel mode (every group sampling at the largest sweep shard count;
-# the parallel-mode budget is enforced only when the host has at least
-# as many cores as shards — with fewer, the wall-clock delta measures OS
-# time-slicing noise, and the number is reported ungated).
-# Wall-clock throughput (including the cold-tier fetch series and the
-# sharded-simulation --shards sweep) is reported, not gated: sweep speedup
-# depends on host cores, so the JSON records hw_threads alongside it.
+# 3% of records/s. Wall-clock throughput (including the cold-tier fetch
+# series) is reported, not gated.
 #
 # --smoke also clamps the connection fan-in sweep to 10..100 clients (vs
 # the full 10..100000 decade ladder): below the NIC cache knee it checks

@@ -179,27 +179,7 @@ fn run_seed_opts(seed: u64, opts: kafkadirect::ClusterOptions, torn_writes: bool
     // the same seed produce bit-identical event logs.
     kdtelem::reset_trace_ids();
     let rt = sim::Runtime::with_seed(seed);
-    rt.block_on(chaos_workload(seed, opts, torn_writes))
-}
-
-/// Runs the identical chaos workload through the sharded parallel executor
-/// at `shards = 1`. Shard 0 keeps the caller's seed unchanged and runs on a
-/// fresh thread whose trace-id counter starts at 1, so the outcome must be
-/// bit-identical to [`run_seed`] — `tests/shard_equivalence.rs` pins that.
-#[allow(dead_code)]
-pub fn run_seed_sharded(seed: u64) -> Outcome {
-    let opts = kafkadirect::ClusterOptions::default();
-    let sopts = sim::shard::ShardOptions::new(1, opts.profile.lookahead(), seed);
-    let mut run = sim::shard::run_sharded::<(), Outcome, _>(&sopts, |ctx| {
-        ctx.run(chaos_workload(seed, opts.clone(), false))
-    });
-    run.results.pop().unwrap()
-}
-
-/// The chaos run body as a plain future, so the legacy `block_on` path and
-/// the sharded executor replay the exact same workload.
-async fn chaos_workload(seed: u64, opts: kafkadirect::ClusterOptions, torn_writes: bool) -> Outcome {
-    {
+    rt.block_on(async move {
         // Fresh telemetry + injector per run so drained traces and fault
         // counters are exactly this run's.
         let registry = kdtelem::Registry::new();
@@ -302,5 +282,5 @@ async fn chaos_workload(seed: u64, opts: kafkadirect::ClusterOptions, torn_write
             events,
             violations,
         }
-    }
+    })
 }
