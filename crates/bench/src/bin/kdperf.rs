@@ -25,10 +25,10 @@
 //! * exclusive RDMA produce — memory **and** tiered — must stay at
 //!   **<= 2 allocs/record**;
 //! * exclusive RDMA produce — memory **and** tiered — must stay at
-//!   **<= 3.2 executor polls/record** (measured 2.95 on both; the PR 4
-//!   loop needed ~21, the per-WR-task NIC model 3.2);
-//! * Kafka/TCP produce RPCs (the `tcp` datapath) must stay at **<= 14.5
-//!   executor polls/record** and **<= 4.5 allocs/record** (measured 14.0 /
+//!   **<= 2.75 executor polls/record** (measured 2.63 on both; the PR 4
+//!   loop needed ~21, the three-piece request hand-off 2.95);
+//! * Kafka/TCP produce RPCs (the `tcp` datapath) must stay at **<= 12.5
+//!   executor polls/record** and **<= 4.5 allocs/record** (measured 12.0 /
 //!   4.0; the task-per-hop RPC plane needed 21.0 / 10.0);
 //! * the warm 1 MiB TCP send must stay under one alloc per MSS packet;
 //! * running the virtual-time telemetry sampler must cost **<= 3%** of
@@ -888,15 +888,15 @@ fn json_fanin(s: &FaninSweep) -> String {
 
 const RDMA_ALLOC_BUDGET: f64 = 2.0;
 /// Executor polls per exclusive-RDMA record at steady state, for each
-/// gated datapath (memory, SRQ, tiered): measured 2.94–2.96, plus slack
-/// for the smoke run's short measurement. The PR 4 one-completion-per-wakeup
-/// loop needed ~20.8, batched CQ draining with a task per work request 3.2.
-const RDMA_POLLS_BUDGET: f64 = 3.2;
+/// gated datapath (memory, tiered): measured 2.63 on a full run, 2.64 on
+/// the smoke run, plus 0.1. The PR 4 one-completion-per-wakeup loop needed
+/// ~20.8, a task per work request 3.2, the three-piece hand-off 2.95.
+const RDMA_POLLS_BUDGET: f64 = 2.75;
 /// Executor polls and allocations per Kafka/TCP produce RPC at steady
-/// state (the `tcp` datapath): measured 14.01 / 4.02 on a full run, 14.06 /
+/// state (the `tcp` datapath): measured 12.01 / 4.02 on a full run, 12.06 /
 /// 4.23 on the smoke run, plus slack. The task-per-hop RPC plane needed
-/// 21.0 / 10.0 (DESIGN.md §10 names every remaining poll).
-const TCP_POLLS_BUDGET: f64 = 14.5;
+/// 21.0 / 10.0, the three-piece hand-off 14.0 (DESIGN.md §10).
+const TCP_POLLS_BUDGET: f64 = 12.5;
 const TCP_ALLOC_BUDGET: f64 = 4.5;
 /// Max wall-clock throughput cost of running the virtual-time sampler, in
 /// percent of unsampled exclusive-RDMA records/s. Override with

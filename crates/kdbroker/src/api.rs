@@ -33,24 +33,11 @@ pub async fn charge_worker(b: &Rc<BrokerInner>, cost: Duration) {
     sim::time::sleep(cost).await;
 }
 
-/// One API worker thread.
+/// One API worker thread. The queue charges a parked worker its wake-up
+/// (§5.1); `None` is the crash, with every queued item dead unanswered.
 pub async fn worker_loop(b: Rc<BrokerInner>) {
     let mut scratch = CommitScratch::default();
-    loop {
-        let item = match b.queue.try_recv() {
-            Some(i) => i,
-            None => {
-                let Some(i) = b.queue.recv().await else {
-                    return;
-                };
-                // The worker was parked; waking it costs (§5.1).
-                sim::time::sleep(b.profile.cpu.wakeup).await;
-                i
-            }
-        };
-        if !b.alive.get() {
-            return; // crashed: the item dies unanswered
-        }
+    while let Some(item) = b.requests.recv().await {
         dispatch(&b, item, &mut scratch).await;
     }
 }

@@ -9,8 +9,7 @@ use kdwire::{BrokerAddr, RemoteRegion, RpcClient};
 use netsim::profile::Profile;
 use netsim::NodeHandle;
 use rnic::{CompletionQueue, QpOptions, QueuePair, RNic, ShmBuf};
-use sim::sync::mpmc::WorkQueue;
-use sim::sync::DueQueue;
+use sim::sync::HandoffQueue;
 
 use crate::busy::ServicePool;
 use crate::config::{BrokerConfig, Transport};
@@ -28,8 +27,6 @@ pub type OffsetSlot = (rnic::ShmBuf, rnic::MemoryRegion);
 const ACK_RING_DEPTH: usize = 1024;
 /// Capacity of the produce module's receive CQ and of the ack send CQ.
 const CQ_CAPACITY: usize = 8192;
-/// Shared request queue depth (Kafka `queued.max.requests`).
-const REQUEST_QUEUE_DEPTH: usize = 500;
 
 /// One partition's raw segment images as `(base_offset, bytes)` — the
 /// "disk" that survives a broker crash (see [`Broker::durable_state`]). In
@@ -56,10 +53,9 @@ pub struct BrokerInner {
     pub metrics: Metrics,
     pub telem: BrokerTelem,
     pub store: PartitionStore,
-    pub queue: WorkQueue<WorkItem>,
-    /// Work items in their queue transfer from a network module to the API
-    /// workers, keyed by arrival time at `queue`.
-    pub handoff: Rc<DueQueue<WorkItem>>,
+    /// The shared request queue: work items on their way from a network
+    /// module to the API workers, and the workers parked for them.
+    pub requests: HandoffQueue<WorkItem>,
     pub net_pool: ServicePool,
     /// Every broker of the cluster, sorted by node id; `peers[0]` acts as
     /// the controller.
@@ -105,10 +101,9 @@ pub struct BrokerInner {
 
 impl BrokerInner {
     /// The 11 µs queue transfer to the API workers, overlapped across
-    /// requests: `item` reaches the shared request queue `cpu.handoff` from
-    /// now.
+    /// requests: the workers see `item` `cpu.handoff` from now.
     pub fn hand_off(&self, item: WorkItem) {
-        self.handoff.push(sim::now() + self.profile.cpu.handoff, item);
+        self.requests.push(sim::now() + self.profile.cpu.handoff, item);
     }
 
     /// Lazily connects (and caches) an RPC client to a peer broker.
@@ -171,21 +166,6 @@ impl BrokerInner {
         }
         Some(slot.clone().unwrap())
     }
-}
-
-/// One long-lived stage per broker moves work items from the network
-/// modules to the request queue as their transfer time elapses. The
-/// transfer time is a constant, so due order is hand-off order; a full queue
-/// back-pressures the stage, and with it every later item, in that same
-/// order. The stage holds only the two queues: once the broker crashes
-/// (`queue` closed), items still in transfer are dropped as they come due.
-fn start_handoff_stage(b: &BrokerInner) {
-    let (handoff, queue) = (Rc::clone(&b.handoff), b.queue.clone());
-    sim::spawn_detached(async move {
-        while let Some(item) = handoff.next().await {
-            let _ = queue.send(item).await;
-        }
-    });
 }
 
 /// A running broker.
@@ -251,8 +231,7 @@ impl Broker {
             metrics,
             telem,
             store: PartitionStore::default(),
-            queue: WorkQueue::new(REQUEST_QUEUE_DEPTH),
-            handoff: Rc::new(DueQueue::new()),
+            requests: HandoffQueue::new(profile.cpu.wakeup),
             net_pool,
             peers,
             peer_clients: RefCell::new(HashMap::new()),
@@ -280,7 +259,6 @@ impl Broker {
         if inner.config.transport == Transport::RdmaSendRecv {
             crate::server_osu::start(&inner);
         }
-        start_handoff_stage(&inner);
         if inner.config.rdma.any() || inner.config.transport == Transport::RdmaSendRecv {
             crate::rdma_net::start(&inner);
         }
@@ -368,7 +346,7 @@ impl Broker {
         }
         // Kill the worker pool; queued requests die unanswered (clients see
         // the connection drop, never a fabricated reply).
-        b.queue.close();
+        b.requests.close();
         for (_, qp) in b.produce_qps.borrow_mut().drain() {
             qp.close();
         }

@@ -153,12 +153,11 @@ async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogra
             seqs.push(seq);
         }
         batch_hist.record(batch.len() as u64);
-        // Costs: blocking-poll wakeup (when idle, once per batch) + the
-        // first completion's poll charge + the marginal per-CQE charge.
-        if was_idle {
-            sim::time::sleep(wakeup).await;
-        }
-        sim::time::sleep(POLL_COST + marginal * (batch.len() as u32 - 1)).await;
+        // Costs, in one timer: blocking-poll wakeup (when idle, once per
+        // batch) + the first completion's poll charge + the marginal
+        // per-CQE charge.
+        let woke = if was_idle { wakeup } else { Duration::ZERO };
+        sim::time::sleep(woke + POLL_COST + marginal * (batch.len() as u32 - 1)).await;
         // Return the consumed receives to the shared queue in one chained
         // post — whichever QP consumed them, so a dead client never leaks
         // receive state.

@@ -127,10 +127,31 @@ pub fn maybe_start_push(b: &Rc<BrokerInner>, p: &Rc<Partition>) {
     }
 }
 
+/// What one follower's push loop shares with the collectors of every
+/// session it establishes.
+struct PushState {
+    /// Follower log end acknowledged so far (write completions).
+    acked: Cell<u64>,
+    /// Replication lag for this (partition, follower): records the leader
+    /// has pushed but the follower has not yet acked. Each pusher holds a
+    /// private cell under the shared name, so a registry snapshot reports
+    /// total outstanding lag across the cluster (peak = worst instant).
+    lag: kdtelem::Gauge,
+    /// Post times of in-flight writes (wr_id = follower LEO when acked),
+    /// consumed by the collector to measure push replication latency.
+    inflight: RefCell<VecDeque<(u64, sim::SimTime)>>,
+}
+
+/// One established session, shared by the push loop and its collectors.
 struct PushSession {
     qp: QueuePair,
     grant: ProduceAccessResp,
+    /// Closed by a collector that saw the QP die: a push loop parked on it
+    /// wakes up and re-establishes.
     credits: Semaphore,
+    /// Receive buffers of the follower's credit-return acks.
+    ack_buf: ShmBuf,
+    state: Rc<PushState>,
 }
 
 /// Leader-side push loop for one follower.
@@ -144,17 +165,12 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
     // True when the cursor just advanced past a sealed file: the follower
     // must roll its head (which mirrors our sealed file) on re-establish.
     let mut just_rolled = false;
-    let mut session: Option<PushSession> = None;
-    let acked = Rc::new(Cell::new(0u64));
-    // Replication lag for this (partition, follower): records the leader
-    // has pushed but the follower has not yet acked. Each pusher holds a
-    // private cell under the shared name, so a registry snapshot reports
-    // total outstanding lag across the cluster (peak = worst instant).
-    let lag = b.telem.registry.gauge("kdbroker", "repl.lag");
-    // Post times of in-flight writes (wr_id = follower LEO when acked),
-    // consumed by the collector to measure push replication latency.
-    let inflight: Rc<RefCell<VecDeque<(u64, sim::SimTime)>>> =
-        Rc::new(RefCell::new(VecDeque::new()));
+    let mut session: Option<Rc<PushSession>> = None;
+    let state = Rc::new(PushState {
+        acked: Cell::new(0),
+        lag: b.telem.registry.gauge("kdbroker", "repl.lag"),
+        inflight: RefCell::new(VecDeque::new()),
+    });
 
     loop {
         // A crashed broker or a leadership change retires this pusher.
@@ -188,16 +204,7 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         // Establish the session lazily: "get RDMA produce address" on the
         // follower (§4.3.2), then an RC QP.
         if session.is_none() {
-            session = establish(
-                &b,
-                &p,
-                follower,
-                just_rolled,
-                Rc::clone(&acked),
-                Rc::clone(&inflight),
-                lag.clone(),
-            )
-            .await;
+            session = establish(&b, &p, follower, just_rolled, &state).await;
             if session.is_none() {
                 sim::time::sleep(Duration::from_millis(1)).await;
                 continue;
@@ -261,6 +268,14 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         // The replication worker pays a per-post cost (the reason batching
         // matters for floods of small records, §4.3.2 / Fig 17).
         sim::time::sleep(b.profile.cpu.repl_post_cost).await;
+        // Each push write is its own lifeline: the context crosses to the
+        // follower in the WR (its commit lands on this trace) and comes back
+        // on the leader's send CQE (the ack edge). It is rooted here, before
+        // the credit wait, so that a write a dead session never posts takes
+        // its trace id whether the loop learns of the death from the closed
+        // semaphore or from the failed post (lifelines are numbered in
+        // allocation order, and the golden chaos digests pin the numbering).
+        let trace = kdtelem::TraceCtx::root();
         // Flow control: one credit per outstanding replicate request.
         let Ok(permit) = s.credits.acquire(1).await else {
             session = None;
@@ -270,9 +285,6 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
 
         let len = end - cursor_pos;
         let local = ShmBuf::from_shared(seg.shared_buf()).slice(cursor_pos as usize, len as usize);
-        // Each push write is its own lifeline: the context crosses to the
-        // follower in the WR (its commit lands on this trace) and comes back
-        // on the leader's send CQE (the ack edge).
         let wr = SendWr::new(
             last_offset, // wr_id doubles as "follower LEO when acked"
             WorkRequest::WriteImm {
@@ -282,13 +294,13 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
                 imm: kdwire::pack_imm(s.grant.file_id, 0),
             },
         )
-        .with_trace(Some(kdtelem::TraceCtx::root()));
+        .with_trace(Some(trace));
         if s.qp.post_send(wr).is_err() {
             session = None;
             continue;
         }
-        inflight.borrow_mut().push_back((last_offset, sim::now()));
-        lag.set(last_offset.saturating_sub(acked.get()));
+        state.inflight.borrow_mut().push_back((last_offset, sim::now()));
+        state.lag.set(last_offset.saturating_sub(state.acked.get()));
         b.metrics.add(&b.metrics.push_writes, 1);
         b.metrics.add(&b.metrics.push_bytes, u64::from(len));
         cursor_pos = end;
@@ -313,17 +325,14 @@ fn batch_index_at(p: &Rc<Partition>, seg_idx: u32, pos: u32) -> usize {
 }
 
 /// Gets produce access on the follower and connects the push QP; spawns the
-/// completion collector.
-#[allow(clippy::too_many_arguments)]
+/// completion collectors.
 async fn establish(
     b: &Rc<BrokerInner>,
     p: &Rc<Partition>,
     follower: kdwire::BrokerAddr,
     just_rolled: bool,
-    acked: Rc<Cell<u64>>,
-    inflight: Rc<RefCell<VecDeque<(u64, sim::SimTime)>>>,
-    lag: kdtelem::Gauge,
-) -> Option<PushSession> {
+    state: &Rc<PushState>,
+) -> Option<Rc<PushSession>> {
     let client = b.peer_client(follower).await?;
     // (Re)attach wherever the follower's head is — except right after our
     // file sealed, when the follower must roll (its old head mirrors our
@@ -377,40 +386,23 @@ async fn establish(
     if p.log.high_watermark() != before {
         crate::api::on_hw_advanced(b, p);
     }
-    let credits = Semaphore::new(grant.credits as usize);
     // Writes of a dead session never complete; drop their post times.
-    inflight.borrow_mut().clear();
-    spawn_collector(
-        b,
-        p,
-        follower.node,
-        qp.clone(),
-        send_cq,
-        recv_cq,
-        credits.clone(),
-        ack_buf,
-        acked,
-        lag,
-        inflight,
-    );
-    Some(PushSession { qp, grant, credits })
+    state.inflight.borrow_mut().clear();
+    let credits = Semaphore::new(grant.credits as usize);
+    let session = Rc::new(PushSession { qp, grant, credits, ack_buf, state: Rc::clone(state) });
+    spawn_collector(b, p, follower.node, &session, send_cq, recv_cq);
+    Some(session)
 }
 
 /// Collects completions of one push session: write acks advance the high
 /// watermark; credit-return receives replenish the leader's credits.
-#[allow(clippy::too_many_arguments)]
 fn spawn_collector(
     b: &Rc<BrokerInner>,
     p: &Rc<Partition>,
     follower_node: u32,
-    qp: QueuePair,
+    session: &Rc<PushSession>,
     send_cq: CompletionQueue,
     recv_cq: CompletionQueue,
-    credits: Semaphore,
-    ack_buf: ShmBuf,
-    acked: Rc<Cell<u64>>,
-    lag: kdtelem::Gauge,
-    inflight: Rc<RefCell<VecDeque<(u64, sim::SimTime)>>>,
 ) {
     // Write acks: the record "is fully replicated" once the RDMA write is
     // acknowledged by the follower's NIC.
@@ -418,7 +410,9 @@ fn spawn_collector(
     let p2 = Rc::clone(p);
     let stream = kdtelem::stream_key(p.tp.topic.as_str(), p.tp.partition);
     let max_batch = b.config.cq_batch.max(1);
+    let s = Rc::clone(session);
     sim::spawn(async move {
+        let PushState { acked, lag, inflight } = &*s.state;
         let mut batch: Vec<rnic::Cqe> = Vec::with_capacity(max_batch);
         'collect: loop {
             if crate::rdma_net::drain_or_wait(&send_cq, &mut batch, max_batch)
@@ -464,9 +458,11 @@ fn spawn_collector(
                 }
             }
         }
+        s.credits.close();
     });
     // Credit returns: a drained batch replenishes all its permits and
     // reposts its recvs through one chained post.
+    let s = Rc::clone(session);
     sim::spawn(async move {
         let mut batch: Vec<rnic::Cqe> = Vec::with_capacity(max_batch);
         'collect: loop {
@@ -484,15 +480,16 @@ fn spawn_collector(
                 ok += 1;
             }
             if ok > 0 {
-                credits.add_permits(ok);
-                let _ = qp.post_recv_list(batch[..ok].iter().map(|cqe| RecvWr {
+                s.credits.add_permits(ok);
+                let _ = s.qp.post_recv_list(batch[..ok].iter().map(|cqe| RecvWr {
                     wr_id: cqe.wr_id,
-                    buf: Some(ack_buf.slice(cqe.wr_id as usize * 16, 16)),
+                    buf: Some(s.ack_buf.slice(cqe.wr_id as usize * 16, 16)),
                 }));
             }
             if ok < batch.len() {
                 break 'collect;
             }
         }
+        s.credits.close();
     });
 }

@@ -1,13 +1,13 @@
 //! The RPC front shared by the network modules (paper Fig 2 ➊): what the
 //! TCP processor threads and the OSU Send/Recv transport do with a request
 //! once it is off the wire, and with its response until it is back on. A
-//! request is decoded and pushed into the broker's hand-off stage, which
-//! delivers it to the API workers' queue `cpu.handoff` later; its response
-//! comes back through the request's [`Reply`] into the connection's
-//! [`ReplyStage`], due `cpu.handoff` after the worker sent it, and the
-//! connection's one writer task takes responses from there in due order.
-//! Nothing runs per request: it is two pushes into due-time stages, so each
-//! hop costs one executor event (DESIGN.md §10).
+//! request is decoded and pushed into the broker's request queue, where the
+//! API workers see it `cpu.handoff` later; its response comes back through
+//! the request's [`Reply`] into the connection's [`ReplyStage`], due
+//! `cpu.handoff` after the worker sent it, and the connection's one writer
+//! task takes responses from there in due order. Nothing runs per request:
+//! it is two pushes into due-time queues, so each hop costs one executor
+//! event (DESIGN.md §10).
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -231,9 +231,10 @@ mod tests {
         }
     }
 
-    /// Sleeps until a decoded request sits in the broker's hand-off stage.
+    /// Sleeps until a decoded request sits in the broker's request queue,
+    /// on its way to a worker.
     async fn until_in_handoff(b: &BrokerInner) {
-        while b.handoff.is_empty() {
+        while b.requests.is_empty() {
             sim::time::sleep(Duration::from_nanos(500)).await;
         }
     }
@@ -262,7 +263,7 @@ mod tests {
             until_in_handoff(b).await;
             doomed.close();
             sim::time::sleep(Duration::from_millis(1)).await;
-            assert!(b.handoff.is_empty());
+            assert!(b.requests.is_empty());
             conn.send(10).await;
             assert_eq!(conn.recv().await, Some(10));
 
@@ -274,7 +275,7 @@ mod tests {
             let end = sim::time::timeout(Duration::from_millis(10), conn.recv()).await;
             assert_eq!(end, Ok(None), "peer reads EOF");
             sim::time::sleep(Duration::from_millis(1)).await;
-            assert!(b.handoff.is_empty(), "the stage dropped the orphan");
+            assert!(b.requests.is_empty(), "the queue dropped the orphan");
         });
     }
 

@@ -208,10 +208,10 @@ impl RdmaProducer {
                 'conn: loop {
                     batch.clear();
                     if recv_cq.poll_batch(&mut batch) == 0 {
-                        let Some(c) = recv_cq.next().await else { break };
                         // Blocking-poll wakeup (§5.1 client overheads).
-                        sim::time::sleep(wakeup).await;
-                        let _ = batch.push(c);
+                        if !recv_cq.wait(wakeup).await {
+                            break;
+                        }
                         recv_cq.poll_batch(&mut batch);
                     }
                     recycle.clear();

@@ -10,6 +10,8 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
+use std::task::{Poll, Waker};
+use std::time::Duration;
 
 use sim::sync::Notify;
 
@@ -20,6 +22,10 @@ pub(crate) struct CqInner {
     queue: RefCell<VecDeque<Cqe>>,
     capacity: usize,
     notify: Notify,
+    /// The thread blocked in [`CompletionQueue::wait`] and its wake-up
+    /// latency, until a push arms it for `wake_due`.
+    sleeper: RefCell<Option<(Waker, Duration)>>,
+    wake_due: Cell<sim::SimTime>,
     overflowed: Cell<bool>,
     attached: RefCell<Vec<Weak<QpShared>>>,
     completions_total: Cell<u64>,
@@ -45,6 +51,8 @@ impl CompletionQueue {
                 queue: RefCell::new(VecDeque::new()),
                 capacity,
                 notify: Notify::new(),
+                sleeper: RefCell::new(None),
+                wake_due: Cell::new(sim::SimTime::ZERO),
                 overflowed: Cell::new(false),
                 attached: RefCell::new(Vec::new()),
                 completions_total: Cell::new(0),
@@ -69,6 +77,9 @@ impl CompletionQueue {
             QpShared::fail(&qp);
         }
         self.inner.notify.notify_waiters();
+        if let Some((waker, _)) = self.inner.sleeper.take() {
+            waker.wake();
+        }
     }
 
     /// Fault injection: overflows this CQ now, regardless of occupancy —
@@ -100,7 +111,14 @@ impl CompletionQueue {
             self.inner.cqes.inc();
             self.inner.depth.add(1);
         }
-        self.inner.notify.notify_one();
+        match self.inner.sleeper.take() {
+            Some((waker, wakeup)) => {
+                let due = sim::now() + wakeup;
+                self.inner.wake_due.set(due);
+                sim::time::wake_at(due, &waker);
+            }
+            None => self.inner.notify.notify_one(),
+        }
     }
 
     /// Non-blocking poll, like `ibv_poll_cq`.
@@ -158,6 +176,26 @@ impl CompletionQueue {
             }
             self.inner.notify.notified().await;
         }
+    }
+
+    /// Blocks like a thread in `ibv_get_cq_event`: returns `wakeup` after
+    /// the completion that ends the wait was pushed, with that completion
+    /// and whatever arrived behind it still queued — the push arms the
+    /// caller's timer, so the wait costs no poll at the arrival instant. At
+    /// once if the CQ is not empty. For a CQ with one consumer. `false`: the
+    /// CQ is dead (overflowed and drained).
+    pub async fn wait(&self, wakeup: Duration) -> bool {
+        std::future::poll_fn(|cx| {
+            if sim::now() < self.inner.wake_due.get() {
+                return Poll::Pending; // armed: only that timer ends the wait
+            }
+            if !self.is_empty() || self.inner.overflowed.get() {
+                return Poll::Ready(!self.is_empty());
+            }
+            *self.inner.sleeper.borrow_mut() = Some((cx.waker().clone(), wakeup));
+            Poll::Pending
+        })
+        .await
     }
 
     pub fn len(&self) -> usize {

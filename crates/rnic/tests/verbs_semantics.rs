@@ -861,6 +861,64 @@ fn overflowed_cq_still_serves_what_it_queued() {
     });
 }
 
+/// A blocked consumer's batches, `(instant, immediates)`: three bursts of
+/// WriteImms (2, 3 and 1, the second landing inside the first's wake-up, the
+/// third long after), then the CQ is overflowed. `blocking` waits in
+/// `wait(wakeup)`; otherwise the reference: `next()`, then sleep `wakeup`.
+fn blocked_consumer_batches(blocking: bool) -> (Vec<(u64, Vec<u32>)>, u64) {
+    const WAKEUP: Duration = Duration::from_micros(10);
+    let rt = sim::Runtime::new();
+    let p = rt.block_on(setup_with(Profile::testbed(), QpOptions::default(), 64));
+    let before = rt.poll_count();
+    let log = rt.block_on(async move {
+        let mr = p.nic_b.reg_mr(ShmBuf::zeroed(64), Access::all());
+        for i in 0..8 {
+            p.qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+        }
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let (cq, log2) = (p.b_recv.clone(), log.clone());
+        let consumer = sim::spawn(async move {
+            loop {
+                let mut batch: kdbuf::ArrayVec<rnic::Cqe, 8> = kdbuf::ArrayVec::new();
+                if blocking {
+                    if !cq.wait(WAKEUP).await {
+                        break;
+                    }
+                } else {
+                    let Some(first) = cq.next().await else { break };
+                    sim::time::sleep(WAKEUP).await;
+                    let _ = batch.push(first);
+                }
+                cq.poll_batch(&mut batch);
+                let imms = batch.as_slice().iter().map(|c| c.imm.unwrap()).collect();
+                log2.borrow_mut().push((sim::now().as_nanos(), imms));
+            }
+        });
+        let src = ShmBuf::zeroed(4);
+        for (burst, gap_us) in [(0..2, 4), (2..5, 100), (5..6, 100)] {
+            for i in burst {
+                p.qp_a.post_send(write_imm(i, false, &src, mr.addr(), mr.rkey())).unwrap();
+            }
+            sim::time::sleep(Duration::from_micros(gap_us)).await;
+        }
+        p.b_recv.inject_overflow();
+        consumer.await.unwrap();
+        log.take()
+    });
+    (log, rt.poll_count() - before)
+}
+
+#[test]
+fn a_blocked_cq_consumer_wakes_once_per_batch_at_arrival_plus_wakeup() {
+    let (batches, polls) = blocked_consumer_batches(true);
+    let (reference, reference_polls) = blocked_consumer_batches(false);
+    assert_eq!(batches, reference);
+    let imms: Vec<_> = batches.iter().map(|b| b.1.clone()).collect();
+    assert_eq!(imms, [vec![0, 1, 2, 3, 4], vec![5]]);
+    // The reference is woken at each batch's first arrival only to sleep.
+    assert_eq!(reference_polls - polls, 2);
+}
+
 #[test]
 fn poll_budget_two_polls_per_small_write() {
     // 10 000 × 64 B WriteImm, one signaled per 32, receiver re-posting every

@@ -5,7 +5,7 @@
 //! `RefCell` is sound and cheap. The APIs mirror tokio's where practical.
 
 pub mod due_queue;
-pub mod mpmc;
+pub mod handoff;
 pub mod mpsc;
 pub mod mutex;
 pub mod notify;
@@ -14,6 +14,7 @@ pub mod semaphore;
 pub mod watch;
 
 pub use due_queue::DueQueue;
+pub use handoff::HandoffQueue;
 pub use mutex::{Mutex, MutexGuard};
 pub use notify::Notify;
 pub use semaphore::{AcquireError, Semaphore, SemaphorePermit};

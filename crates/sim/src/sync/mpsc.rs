@@ -1,7 +1,7 @@
 //! Multi-producer single-consumer channels (bounded and unbounded).
 //!
-//! The broker's shared request queue (paper Fig 2 ➊➋➌) is a bounded mpsc;
-//! most control-plane plumbing uses unbounded channels.
+//! Most control-plane plumbing uses unbounded channels. (The broker's
+//! shared request queue is [`HandoffQueue`](super::HandoffQueue).)
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

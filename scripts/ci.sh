@@ -82,6 +82,14 @@ if grep -nE "oneshot|mpsc" $front/server_*.rs $front/requests.rs ||
     exit 1
 fi
 
+# Same for the broker's request hand-off (DESIGN.md §10): one queue
+# (`sim::sync::HandoffQueue`) from the network modules to the API workers —
+# no stage task in front of it, no permit FIFO behind it.
+if grep -rnE "WorkQueue|sync::mpmc|start_handoff_stage" crates/*/src; then
+    echo "ci: a piece of the three-piece request hand-off reappeared (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # Work-request engine gates: the NIC model must not grow a per-WR task
 # again — no spawn on the post path of qp.rs (connection-manager and test
 # spawns live elsewhere) — and its executor-poll budget must hold: 10 000
@@ -115,11 +123,12 @@ cargo run -q --release --offline --example quickstart -- --durable
 # checked-in full-size reports) and exits non-zero if the steady-state
 # exclusive-RDMA produce path — over the in-memory store OR the file-backed hot tier —
 # exceeds its allocation budget (allocs/record <= 2) or its scheduling
-# budget (polls/record <= 3.2, measured 2.95 — the pre-batching loop needed
-# ~20.8 and the task-per-work-request NIC model 3.2, so this pins both
-# wins), if the Kafka/TCP produce RPC path exceeds its own (polls/record <=
-# 14.5, allocs/record <= 4.5; measured 14.0 / 4.0, the task-per-hop RPC
-# plane needed 21.0 / 10.0), if a warm 1 MiB TCP send stops being O(1)
+# budget (polls/record <= 2.75, measured 2.63 — the pre-batching loop needed
+# ~20.8, the task-per-work-request NIC model 3.2 and the three-piece request
+# hand-off 2.95, so this pins all three wins), if the Kafka/TCP produce RPC
+# path exceeds its own (polls/record <= 12.5, allocs/record <= 4.5; measured
+# 12.0 / 4.0, the task-per-hop RPC plane needed 21.0 / 10.0, the three-piece
+# hand-off 14.0), if a warm 1 MiB TCP send stops being O(1)
 # allocations, or if running with the telemetry sampler on costs more than
 # 3% of records/s. Wall-clock throughput (including the cold-tier fetch
 # series) is reported, not gated.

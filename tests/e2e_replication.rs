@@ -233,6 +233,47 @@ fn consumers_never_see_uncommitted_records() {
     });
 }
 
+/// Two KafkaDirect brokers built directly, the follower granting its push
+/// leader a single credit, with topic `t` (one partition, RF 2) created.
+struct OneCreditPair {
+    fabric: netsim::Fabric,
+    cfg: kdbroker::BrokerConfig,
+    peers: Vec<kdwire::BrokerAddr>,
+    nodes: Vec<netsim::NodeHandle>,
+    brokers: Vec<kafkadirect::Broker>,
+    leader: kdwire::BrokerAddr,
+}
+
+async fn one_credit_pair() -> OneCreditPair {
+    let mut cfg = SystemKind::KafkaDirect.broker_config();
+    cfg.replication_credits = 1;
+    cfg.log = kdstorage::LogConfig {
+        segment_size: 1 << 20,
+        max_batch_size: 64 * 1024,
+    };
+    let fabric = netsim::Fabric::new(netsim::profile::Profile::testbed());
+    let mut peers = Vec::new();
+    let mut nodes = Vec::new();
+    for i in 0..2 {
+        let node = fabric.add_node(&format!("b{i}"));
+        peers.push(kdwire::BrokerAddr {
+            node: node.id.0,
+            port: cfg.tcp_port,
+            rdma_port: cfg.rdma_port,
+        });
+        nodes.push(node);
+    }
+    let brokers: Vec<_> = nodes
+        .iter()
+        .map(|n| kafkadirect::Broker::start(n, cfg.clone(), peers.clone()))
+        .collect();
+    let admin_node = fabric.add_node("admin");
+    let admin = kdclient::Admin::connect(&admin_node, peers[0]).await.unwrap();
+    admin.create_topic("t", 1, 2).await.unwrap();
+    let leader = admin.leader_of("t", 0).await.unwrap();
+    OneCreditPair { fabric, cfg, peers, nodes, brokers, leader }
+}
+
 /// Push replication remains correct with the minimum credit window: the
 /// leader strictly alternates write → credit-return (§4.3.2 flow control at
 /// its tightest).
@@ -240,33 +281,8 @@ fn consumers_never_see_uncommitted_records() {
 fn push_replication_with_one_credit() {
     let rt = sim::Runtime::new();
     rt.block_on(async {
-        let mut cfg = SystemKind::KafkaDirect.broker_config();
-        cfg.replication_credits = 1;
-        cfg.log = kdstorage::LogConfig {
-            segment_size: 1 << 20,
-            max_batch_size: 64 * 1024,
-        };
-        let fabric = netsim::Fabric::new(netsim::profile::Profile::testbed());
-        let mut peers = Vec::new();
-        let mut nodes = Vec::new();
-        for i in 0..2 {
-            let node = fabric.add_node(&format!("b{i}"));
-            peers.push(kdwire::BrokerAddr {
-                node: node.id.0,
-                port: cfg.tcp_port,
-                rdma_port: cfg.rdma_port,
-            });
-            nodes.push(node);
-        }
-        let brokers: Vec<_> = nodes
-            .iter()
-            .map(|n| kafkadirect::Broker::start(n, cfg.clone(), peers.clone()))
-            .collect();
-        let admin_node = fabric.add_node("admin");
-        let admin = kdclient::Admin::connect(&admin_node, peers[0]).await.unwrap();
-        admin.create_topic("t", 1, 2).await.unwrap();
+        let OneCreditPair { fabric, brokers, leader, .. } = one_credit_pair().await;
         let cnode = fabric.add_node("client");
-        let leader = admin.leader_of("t", 0).await.unwrap();
         let mut producer = RdmaProducer::connect(&cnode, leader, "t", 0, false)
             .await
             .unwrap();
@@ -288,5 +304,65 @@ fn push_replication_with_one_credit() {
         }
         let leader_broker = brokers.iter().find(|b| b.addr().node == leader.node).unwrap();
         assert!(leader_broker.metrics().push_writes >= 40);
+    });
+}
+
+/// A follower that dies while the leader's push loop is parked on the
+/// credit semaphore (its one credit is out with the write in flight) must
+/// not strand that loop: the session's collectors close the semaphore when
+/// they see the QP die, the loop re-establishes once the follower is back,
+/// and the acks=all produces parked on the high watermark complete.
+#[test]
+fn push_loop_parked_on_credits_survives_a_follower_restart() {
+    use std::time::Duration;
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let OneCreditPair { fabric, cfg, peers, nodes, brokers, leader } = one_credit_pair().await;
+        let li = brokers.iter().position(|b| b.addr().node == leader.node).unwrap();
+        let fi = 1 - li;
+        let cnode = fabric.add_node("client");
+        let mut producer = RdmaProducer::connect(&cnode, leader, "t", 0, false)
+            .await
+            .unwrap();
+        // One replicated record first, so the push session exists.
+        assert_eq!(producer.send(&Record::value(vec![0; 700])).await.unwrap(), 0);
+        let pushed = brokers[li].metrics().push_writes;
+        // Two pipelined produces, too large to share one push write: pushing
+        // the first takes the only credit, the second parks the push loop on
+        // the semaphore. The follower dies as the first write is posted.
+        let first = producer.send_pipelined(&Record::value(vec![1; 700])).await.unwrap();
+        let second = producer.send_pipelined(&Record::value(vec![2; 700])).await.unwrap();
+        while brokers[li].metrics().push_writes == pushed {
+            sim::time::sleep(Duration::from_nanos(100)).await;
+        }
+        brokers[fi].crash();
+        sim::time::sleep(Duration::from_millis(5)).await;
+
+        // The follower comes back on its node with what its "disk" kept,
+        // under the metadata the leader still holds.
+        let fresh = kafkadirect::Broker::start(&nodes[fi], cfg, peers);
+        let topic = brokers[li].inner().store.topic_meta("t").unwrap();
+        let pm = &topic.partitions[0];
+        for (tp, bufs) in brokers[fi].durable_state() {
+            fresh.install_recovered(
+                tp.topic.as_str(),
+                tp.partition,
+                pm.epoch,
+                pm.leader,
+                pm.replicas.clone(),
+                bufs,
+            );
+        }
+
+        for (ack, offset) in [(first, 1), (second, 2)] {
+            let ack = sim::time::timeout(Duration::from_millis(500), ack).await;
+            let ack = ack.expect("the produce is acknowledged once re-replicated");
+            assert_eq!(ack.unwrap(), (kdwire::ErrorCode::None, offset));
+        }
+        // The leader counts a write replicated at its NIC-level completion;
+        // the follower's own commit of it trails by a worker hop.
+        sim::time::sleep(Duration::from_millis(1)).await;
+        let tp = kdstorage::TopicPartition::new("t", 0);
+        assert_eq!(fresh.inner().store.get(&tp).unwrap().log.next_offset(), 3);
     });
 }
