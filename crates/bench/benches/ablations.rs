@@ -10,6 +10,7 @@
 use std::time::Duration;
 
 use kafkadirect::{Record, SimCluster, SystemKind};
+use kdbench::harness::AnyProducer;
 use kdbench::stats::{fmt, size_label, Table};
 use kdclient::{RdmaConsumer, RdmaProducer};
 
@@ -48,22 +49,15 @@ fn ab_credit_window() {
             let admin = kdclient::Admin::connect(&admin_node, peers[0]).await.unwrap();
             admin.create_topic("bench", 1, 2).await.unwrap();
             let cnode = fabric.add_node("client");
-            let mut producer = RdmaProducer::connect(&cnode, peers[0], "bench", 0, false)
-                .await
-                .unwrap();
+            let mut producer = AnyProducer::Rdma(
+                RdmaProducer::connect(&cnode, peers[0], "bench", 0, false)
+                    .await
+                    .unwrap(),
+            );
             let record = Record::value(vec![7u8; 4096]);
             let count = 1500usize;
             let t0 = sim::now();
-            let mut inflight = std::collections::VecDeque::new();
-            for _ in 0..count {
-                if inflight.len() >= 32 {
-                    let _ = inflight.pop_front().unwrap().await;
-                }
-                inflight.push_back(producer.send_pipelined(&record).await.unwrap());
-            }
-            while let Some(rx) = inflight.pop_front() {
-                let _ = rx.await;
-            }
+            producer.send_burst(std::iter::repeat_n(&record, count), 32).await;
             (count * 4096) as f64 / (sim::now() - t0).as_secs_f64() / (1024.0 * 1024.0)
         });
         table.row(vec![credits.to_string(), fmt(mibps)]);
@@ -83,21 +77,14 @@ fn ab_fetch_size() {
             let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
             cluster.create_topic("t", 1, 1).await;
             let cnode = cluster.add_client_node("c");
-            let mut producer = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, false)
-                .await
-                .unwrap();
+            let mut producer = AnyProducer::Rdma(
+                RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, false)
+                    .await
+                    .unwrap(),
+            );
             let count = 3000usize;
             let record = Record::value(vec![9u8; 1024]);
-            let mut inflight = std::collections::VecDeque::new();
-            for _ in 0..count {
-                if inflight.len() >= 32 {
-                    let _ = inflight.pop_front().unwrap().await;
-                }
-                inflight.push_back(producer.send_pipelined(&record).await.unwrap());
-            }
-            while let Some(rx) = inflight.pop_front() {
-                let _ = rx.await;
-            }
+            producer.send_burst(std::iter::repeat_n(&record, count), 32).await;
             let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
                 .await
                 .unwrap();

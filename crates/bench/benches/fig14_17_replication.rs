@@ -7,7 +7,9 @@
 //! Run with `cargo bench --bench fig14_17_replication`.
 
 use kafkadirect::{RdmaToggles, SystemKind};
-use kdbench::harness::{produce_bandwidth_mibps, produce_latency_us, ProduceOpts, ProducerMode};
+use kdbench::harness::{
+    produce_bandwidth_mibps, produce_latency_us, AnyProducer, ProduceOpts, ProducerMode,
+};
 use kdbench::stats::{fmt, size_label, Table};
 
 fn kd(produce: bool, replicate: bool) -> SystemKind {
@@ -139,24 +141,16 @@ fn fig17() {
                 let admin = kdclient::Admin::connect(&admin_node, peers[0]).await.unwrap();
                 admin.create_topic("bench", 1, rf).await.unwrap();
                 let cnode = fabric.add_node("client");
-                let mut producer =
+                let mut producer = AnyProducer::Rdma(
                     kdclient::RdmaProducer::connect(&cnode, peers[0], "bench", 0, false)
                         .await
-                        .unwrap();
+                        .unwrap(),
+                );
                 let record = kdstorage::Record::value(vec![7u8; 32]);
                 // Windowed pipelined produce of unbatched 32-byte records.
                 let count = 4000;
                 let t0 = sim::now();
-                let mut inflight = std::collections::VecDeque::new();
-                for _ in 0..count {
-                    if inflight.len() >= 32 {
-                        let _ = inflight.pop_front().unwrap().await;
-                    }
-                    inflight.push_back(producer.send_pipelined(&record).await.unwrap());
-                }
-                while let Some(rx) = inflight.pop_front() {
-                    let _ = rx.await;
-                }
+                producer.send_burst(std::iter::repeat_n(&record, count), 32).await;
                 (count * 32) as f64 / (sim::now() - t0).as_secs_f64() / (1024.0 * 1024.0)
             })
         };

@@ -125,36 +125,38 @@ impl AnyProducer {
         }
     }
 
-    /// Produces a heterogeneous burst of records with up to `window` in
-    /// flight.
-    pub async fn send_burst(&mut self, records: &[Record], window: usize) {
+    /// Produces `records`, one post each, with up to `window` in flight;
+    /// returns once every ack arrived. A failed post or an error ack panics:
+    /// a figure computed from `count × size` must not count a lost record.
+    pub async fn send_burst<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = &'a Record>,
+        window: usize,
+    ) {
         match self {
             AnyProducer::Rpc(p) => {
                 let mut inflight: VecDeque<sim::JoinHandle<Result<u64, kdclient::ClientError>>> =
                     VecDeque::new();
                 for r in records {
                     if inflight.len() >= window {
-                        let _ = inflight.pop_front().unwrap().await.unwrap();
+                        inflight.pop_front().unwrap().await.unwrap().expect("produce");
                     }
                     inflight.push_back(p.send_pipelined(r));
                 }
                 while let Some(h) = inflight.pop_front() {
-                    let _ = h.await.unwrap();
+                    h.await.unwrap().expect("produce");
                 }
             }
             AnyProducer::Rdma(p) => {
-                let mut inflight: VecDeque<sim::sync::oneshot::Receiver<(kdwire::ErrorCode, u64)>> =
-                    VecDeque::new();
+                let mut inflight: VecDeque<AckReceiver> = VecDeque::new();
                 for r in records {
                     if inflight.len() >= window {
-                        let _ = inflight.pop_front().unwrap().await;
+                        check_ack(inflight.pop_front().unwrap().await);
                     }
-                    if let Ok(rx) = p.send_pipelined(r).await {
-                        inflight.push_back(rx);
-                    }
+                    inflight.push_back(p.send_pipelined(r).await.expect("post"));
                 }
                 while let Some(rx) = inflight.pop_front() {
-                    let _ = rx.await;
+                    check_ack(rx.await);
                 }
             }
         }
@@ -163,62 +165,51 @@ impl AnyProducer {
     /// Produces `count` records keeping up to `window` in flight; returns
     /// once every ack arrived.
     pub async fn send_windowed(&mut self, record: &Record, count: usize, window: usize) {
-        match self {
-            AnyProducer::Rpc(p) => {
-                let mut inflight: VecDeque<sim::JoinHandle<Result<u64, kdclient::ClientError>>> =
-                    VecDeque::new();
-                for _ in 0..count {
-                    if inflight.len() >= window {
-                        inflight.pop_front().unwrap().await.unwrap().expect("produce");
-                    }
-                    inflight.push_back(p.send_pipelined(record));
+        let AnyProducer::Rdma(p) = self else {
+            // RPCs do not chain: one pipelined request per record.
+            return self.send_burst(std::iter::repeat_n(record, count), window).await;
+        };
+        // Freed window slots refill as one linked WR chain: when the awaited
+        // ack returns, every ack that landed behind it (acks are FIFO per
+        // QP) retires too, and the whole freed run is posted with a single
+        // doorbell.
+        let max_chain = window.min(count).max(1);
+        let chunk: Vec<Record> = vec![record.clone(); max_chain];
+        let mut inflight: VecDeque<AckReceiver> = VecDeque::new();
+        let mut rxs: Vec<AckReceiver> = Vec::new();
+        let mut sent = 0usize;
+        while sent < count {
+            if inflight.len() >= window {
+                // Retire acks until half the window is free: slots freed in
+                // a burst refill as one long chain instead of dribbling out
+                // one doorbell per ack.
+                while inflight.len() > window / 2 {
+                    check_ack(inflight.pop_front().unwrap().await);
                 }
-                while let Some(h) = inflight.pop_front() {
-                    h.await.unwrap().expect("produce");
-                }
-            }
-            AnyProducer::Rdma(p) => {
-                // Freed window slots refill as one linked WR chain: when the
-                // awaited ack returns, every ack that landed behind it (acks
-                // are FIFO per QP) retires too, and the whole freed run is
-                // posted with a single doorbell.
-                let max_chain = window.min(count).max(1);
-                let chunk: Vec<Record> = vec![record.clone(); max_chain];
-                let mut inflight: VecDeque<sim::sync::oneshot::Receiver<(kdwire::ErrorCode, u64)>> =
-                    VecDeque::new();
-                let mut rxs: Vec<sim::sync::oneshot::Receiver<(kdwire::ErrorCode, u64)>> =
-                    Vec::new();
-                let mut sent = 0usize;
-                while sent < count {
-                    if inflight.len() >= window {
-                        // Retire acks until half the window is free: slots
-                        // freed in a burst refill as one long chain instead
-                        // of dribbling out one doorbell per ack.
-                        while inflight.len() > window / 2 {
-                            let (err, _) = inflight.pop_front().unwrap().await.expect("ack");
-                            assert!(err.is_ok(), "produce failed: {err:?}");
-                        }
-                        while let Some(rx) = inflight.front_mut() {
-                            let Some(ack) = rx.try_recv() else { break };
-                            let (err, _) = ack.expect("ack");
-                            assert!(err.is_ok(), "produce failed: {err:?}");
-                            inflight.pop_front();
-                        }
-                    }
-                    let free = (window - inflight.len()).min(count - sent).max(1);
-                    p.send_pipelined_chain(&chunk[..free], &mut rxs)
-                        .await
-                        .expect("post");
-                    sent += free;
-                    inflight.extend(rxs.drain(..));
-                }
-                while let Some(rx) = inflight.pop_front() {
-                    let (err, _) = rx.await.expect("ack");
-                    assert!(err.is_ok(), "produce failed: {err:?}");
+                while let Some(ack) = inflight.front_mut().and_then(|rx| rx.try_recv()) {
+                    check_ack(ack);
+                    inflight.pop_front();
                 }
             }
+            let free = (window - inflight.len()).min(count - sent).max(1);
+            p.send_pipelined_chain(&chunk[..free], &mut rxs)
+                .await
+                .expect("post");
+            sent += free;
+            inflight.extend(rxs.drain(..));
+        }
+        while let Some(rx) = inflight.pop_front() {
+            check_ack(rx.await);
         }
     }
+}
+
+/// The receiving end of one RDMA produce acknowledgment.
+type AckReceiver = sim::sync::oneshot::Receiver<(kdwire::ErrorCode, u64)>;
+
+fn check_ack(ack: Result<(kdwire::ErrorCode, u64), sim::sync::oneshot::RecvError>) {
+    let (err, _) = ack.expect("ack");
+    assert!(err.is_ok(), "produce failed: {err:?}");
 }
 
 /// Boots a cluster + topic for a produce experiment.

@@ -35,7 +35,7 @@ pub fn start(b: &Rc<BrokerInner>) {
     start_produce_listener(b, srq.clone());
     start_consume_listener(b);
     // CQEs taken per drain, across all pollers of this broker (the
-    // amortisation signal gated by kdperf).
+    // amortisation signal kdmark reports as `kdbroker.cq_batch_mean`).
     let batch_hist = kdtelem::current().histogram("kdbroker", "cq.batch");
     for _ in 0..b.config.rdma_pollers {
         let b = Rc::clone(b);

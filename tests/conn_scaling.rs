@@ -22,6 +22,11 @@
 //! matched, un-re-recorded, by the shared-queue broker
 //! (`tests/wheel_determinism.rs`): that file is the frozen
 //! PerQp ≡ SRQ reference.
+//!
+//! The fan-in ladder at the end is the *resource* half of the contract, in
+//! exact counters and pinned virtual time: broker receive memory is O(1) in
+//! client count, the two sizings take the same virtual time below the knee,
+//! and past it only the multiplexed one keeps its throughput.
 
 mod common;
 
@@ -180,4 +185,163 @@ fn dry_srq_parks_senders_and_loses_nothing() {
         let violations = kdtelem::check::check(&registry.drain_trace_events()).violations;
         assert!(violations.is_empty(), "trace invariants violated: {violations:?}");
     });
+}
+
+// ---------------------------------------------------------------------------
+// Fan-in ladder (DESIGN.md §13): `clients` shared-mode RDMA producers, one
+// node + NIC + QP each, against one broker.
+// ---------------------------------------------------------------------------
+
+/// Partitions the producers spread over (shared mode serialises FAAs per
+/// partition at the paper's 2.68 Mops/s — one word would cap the ladder).
+const FANIN_PARTITIONS: u32 = 16;
+/// Ack receive buffers per client (the window is 1; the default 512 would
+/// pin ~800 MiB of host memory at 100k clients for no modelling gain).
+const ACK_DEPTH: usize = 4;
+/// Records per point, spread over the clients (each sends at least one).
+const FANIN_RECORDS: usize = 8192;
+/// Below-knee reference the rungs past the knee are judged against: the
+/// 1000-client point, which `fanin_memory_is_flat_and_sizings_agree_below_knee`
+/// pins for both sizings.
+const FANIN_REFERENCE: FaninPoint = FaninPoint {
+    records: 8000,
+    virtual_ns: 5_702_427,
+};
+
+struct FaninPoint {
+    records: u64,
+    /// Virtual time of the produce phase (every client connects first).
+    virtual_ns: u64,
+}
+
+impl FaninPoint {
+    fn records_per_sec(&self) -> f64 {
+        self.records as f64 * 1e9 / self.virtual_ns as f64
+    }
+}
+
+/// Runs one point and checks its memory contract: the broker NIC's
+/// posted-receive high-water mark is the SRQ and nothing else, and it pins a
+/// NIC context per client (`mux_pool == 0`) or `mux_pool` of them.
+fn fanin_point(mux_pool: usize, clients: usize) -> FaninPoint {
+    use kafkadirect::{BrokerConfig, ClusterOptions, SimCluster, SystemKind};
+    use kdclient::RdmaProducer;
+    use kdstorage::Record;
+
+    let per_client = (FANIN_RECORDS / clients).max(1);
+    let (virtual_ns, recv_peak, contexts_peak) = sim::Runtime::new().block_on(async move {
+        let cluster = SimCluster::start_with(
+            SystemKind::KafkaDirect,
+            1,
+            ClusterOptions {
+                mux_pool: Some(mux_pool),
+                ..Default::default()
+            },
+        );
+        cluster.create_topic("fanin", FANIN_PARTITIONS, 1).await;
+        let mut leaders = Vec::new();
+        for p in 0..FANIN_PARTITIONS {
+            leaders.push(cluster.leader_of("fanin", p).await);
+        }
+        let connects: Vec<_> = (0..clients)
+            .map(|i| {
+                let node = cluster.add_client_node(&format!("f{i}"));
+                let p = i as u32 % FANIN_PARTITIONS;
+                let leader = leaders[p as usize];
+                sim::spawn(async move {
+                    let (shared, depth) = (true, ACK_DEPTH);
+                    RdmaProducer::connect_with_ack_depth(&node, leader, "fanin", p, shared, depth)
+                        .await
+                        .expect("connect")
+                })
+            })
+            .collect();
+        let mut producers = Vec::with_capacity(clients);
+        for c in connects {
+            producers.push(c.await.expect("connect task"));
+        }
+        let t0 = sim::now();
+        let sends: Vec<_> = producers
+            .into_iter()
+            .map(|mut producer| {
+                sim::spawn(async move {
+                    let record = Record::value(vec![0x6b; 128]);
+                    for _ in 0..per_client {
+                        producer.send(&record).await.expect("send");
+                    }
+                    producer
+                })
+            })
+            .collect();
+        // Producers stay connected until the last one is done, then drop
+        // inside the runtime (disconnects talk to the fabric).
+        let mut producers = Vec::with_capacity(clients);
+        for s in sends {
+            producers.push(s.await.expect("send task"));
+        }
+        let virtual_ns = (sim::now() - t0).as_nanos() as u64;
+        let nic = cluster.broker(0).inner().nic.clone();
+        (virtual_ns, nic.recv_buffer_bytes_peak(), nic.qp_contexts_peak())
+    });
+
+    let what = format!("{clients} clients, mux_pool {mux_pool}");
+    let srq_bytes = BrokerConfig::default().srq_depth as u64 * rnic::WQE_BYTES;
+    assert_eq!(recv_peak, srq_bytes, "{what}: broker receive memory is not the SRQ's");
+    let contexts = if mux_pool == 0 { clients } else { mux_pool };
+    assert_eq!(contexts_peak, contexts as u64, "{what}: NIC contexts pinned");
+    FaninPoint {
+        records: (clients * per_client) as u64,
+        virtual_ns,
+    }
+}
+
+/// Below the knee (`nic_cache_qps` = 1024 contexts) connection sizing costs
+/// nothing: both sizings take the same virtual time at every rung — these
+/// three instants have not moved since the shared receive queue landed.
+#[test]
+fn fanin_memory_is_flat_and_sizings_agree_below_knee() {
+    let reference = FANIN_REFERENCE.virtual_ns;
+    for (clients, virtual_ns) in [(10, 70_801_990), (100, 7_220_244), (1000, reference)] {
+        for mux_pool in [0, MUX_POOL] {
+            let p = fanin_point(mux_pool, clients);
+            assert_eq!(p.virtual_ns, virtual_ns, "{clients} clients, mux_pool {mux_pool}");
+        }
+    }
+}
+
+/// Past the knee a context per client thrashes the NIC's QP-context cache;
+/// the lending pool does not. `dedicated_ns`/`muxed_ns` pin both.
+fn fanin_past_knee(clients: usize, dedicated_ns: u64, muxed_ns: u64) {
+    let dedicated = fanin_point(0, clients);
+    let muxed = fanin_point(MUX_POOL, clients);
+    assert_eq!(dedicated.virtual_ns, dedicated_ns, "{clients} clients, a context each");
+    assert_eq!(muxed.virtual_ns, muxed_ns, "{clients} clients, multiplexed");
+    let retention = muxed.records_per_sec() / FANIN_REFERENCE.records_per_sec();
+    assert!(
+        retention >= 0.80,
+        "{clients} multiplexed clients retain {:.0} % of the 1000-client rate (floor 80 %)",
+        retention * 100.0
+    );
+    let ratio = dedicated.records_per_sec() / muxed.records_per_sec();
+    assert!(
+        ratio < 0.5,
+        "{clients} clients with a context each run at {:.0} % of the multiplexed rate: \
+         the cache knee is gone",
+        ratio * 100.0
+    );
+}
+
+/// Retention 88 %. Release build: 3–11 s, ~1 GiB resident.
+#[test]
+#[ignore = "10k clients: run with --release (scripts/ci.sh does)"]
+fn fanin_10k_clients_multiplexed_retains_throughput() {
+    fanin_past_knee(10_000, 24_023_720, 8_086_101);
+}
+
+/// Retention 89 %. Release build: ~3 min and ~11 GiB resident (100k nodes,
+/// NICs and QPs) — not for a shared host.
+#[test]
+#[ignore = "100k clients: minutes and ~11 GiB even with --release"]
+fn fanin_100k_clients_multiplexed_retains_throughput() {
+    fanin_past_knee(100_000, 261_483_830, 80_072_878);
 }
