@@ -17,7 +17,7 @@ use crate::data::PartitionStore;
 use crate::metrics::{BrokerTelem, Metrics, MetricsSnapshot};
 use crate::rdma_consume::ConsumeModule;
 use crate::rdma_produce::ProduceModule;
-use crate::requests::WorkItem;
+use crate::requests::{CommitItem, WorkItem};
 
 /// An RDMA-writable consumer-offset slot (buffer + its registration).
 pub type OffsetSlot = (rnic::ShmBuf, rnic::MemoryRegion);
@@ -74,12 +74,15 @@ pub struct BrokerInner {
     pub recv_cq: CompletionQueue,
     /// Send CQ for (unsignaled) acks.
     pub ack_send_cq: CompletionQueue,
-    /// Round-robin ring of pre-allocated 9-byte ack buffers (error byte +
-    /// base offset). An ack is a tiny unsignaled Send; by the time the ring
-    /// wraps, the earlier WR has long since executed, so slots can be
-    /// reused without tracking completions.
+    /// Round-robin ring of pre-allocated ack buffers
+    /// ([`kdwire::encode_ack`]'s bytes). An ack is a tiny unsignaled Send; by
+    /// the time the ring wraps, the earlier WR has long since executed, so
+    /// slots can be reused without tracking completions.
     pub ack_ring: Vec<ShmBuf>,
     pub ack_ring_next: Cell<usize>,
+    /// Emptied [`CommitRun`](crate::requests::CommitRun) vectors: a worker
+    /// hands back what a poller took for a run of two or more.
+    pub run_pool: RefCell<Vec<Vec<CommitItem>>>,
     pub produce_module: ProduceModule,
     pub consume_module: ConsumeModule,
     self_rdma: RefCell<Option<Rc<SelfRdma>>>,
@@ -241,8 +244,9 @@ impl Broker {
             consume_qps: RefCell::new(Vec::new()),
             recv_cq,
             ack_send_cq,
-            ack_ring: (0..ACK_RING_DEPTH).map(|_| ShmBuf::zeroed(9)).collect(),
+            ack_ring: (0..ACK_RING_DEPTH).map(|_| ShmBuf::zeroed(kdwire::ACK_SIZE)).collect(),
             ack_ring_next: Cell::new(0),
+            run_pool: RefCell::new(Vec::new()),
             produce_module: ProduceModule::default(),
             consume_module: ConsumeModule::default(),
             self_rdma: RefCell::new(None),

@@ -28,6 +28,8 @@ pub struct Metrics {
     pub heap_copied_bytes: Counter,
     /// Virtual nanoseconds API workers spent processing.
     pub worker_busy_ns: Counter,
+    /// RDMA writes answered (acks, error acks, credit returns) — not Sends:
+    /// one counted ack answers up to `cq_batch` of them.
     pub acks_sent: Counter,
     pub slot_updates: Counter,
     /// Bytes currently pinned for RDMA (registered segments + slot regions).

@@ -105,13 +105,15 @@ fn start_consume_listener(b: &Rc<BrokerInner>) {
 /// One RDMA-module poller thread: completion → (file id, order) → shared
 /// request queue. Sequence numbers are assigned here, in completion order.
 ///
-/// The loop drains the CQ in batches of up to `config.cq_batch` (the
-/// `ibv_poll_cq` batch size): the whole batch is sequenced in one
-/// synchronous step, the wakeup is paid once, `POLL_COST` covers the first
-/// completion and `cqe_batch_marginal` each additional one, consumed
-/// receives return to the SRQ in one chained post, consecutive same-file
-/// commits ship as one work item and same-QP error acks ride one doorbell.
-/// A batch of one degenerates to the one-completion-per-iteration loop.
+/// The thread blocks like one in `ibv_get_cq_event` and drains, like
+/// `ibv_poll_cq`, only once it is awake: whatever piled up during its
+/// wake-up — a producer's whole chain — is one batch of up to
+/// `config.cq_batch`. The batch is sequenced in one synchronous step,
+/// `POLL_COST` covers its first completion and `cqe_batch_marginal` each
+/// additional one, consumed receives return to the SRQ in one chained post,
+/// consecutive same-file commits ship as one work item and same-QP error acks
+/// ride one doorbell. A batch of one degenerates to the
+/// one-completion-per-iteration loop.
 async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogram) {
     let wakeup = b.profile.cpu.wakeup;
     let marginal = b.profile.net.cqe_batch_marginal;
@@ -125,11 +127,15 @@ async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogra
         if !b.alive.get() {
             return; // broker crashed
         }
-        // CQ overflow (`None`) means the produce module is dead. Real
-        // brokers would tear down; benches never reach this.
-        let Some(was_idle) = drain_or_wait(&b.recv_cq, &mut batch, max_batch).await else {
+        // The wake-up is paid in here, before the drain; a poller that comes
+        // back to a CQ that is not empty pays none. CQ overflow (`false`)
+        // means the produce module is dead. Real brokers would tear down;
+        // benches never reach this.
+        if !b.recv_cq.wait(wakeup).await {
             return;
-        };
+        }
+        batch.clear();
+        b.recv_cq.drain_into(&mut batch, max_batch);
         // Assign every commit sequence in one synchronous step, in drained
         // (completion) order: with several poller threads, interleaving a
         // sleep between pop and sequencing could invert the completion
@@ -153,11 +159,9 @@ async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogra
             seqs.push(seq);
         }
         batch_hist.record(batch.len() as u64);
-        // Costs, in one timer: blocking-poll wakeup (when idle, once per
-        // batch) + the first completion's poll charge + the marginal
-        // per-CQE charge.
-        let woke = if was_idle { wakeup } else { Duration::ZERO };
-        sim::time::sleep(woke + POLL_COST + marginal * (batch.len() as u32 - 1)).await;
+        // Costs, in one timer: the first completion's poll charge + the
+        // marginal per-CQE charge.
+        sim::time::sleep(POLL_COST + marginal * (batch.len() as u32 - 1)).await;
         // Return the consumed receives to the shared queue in one chained
         // post — whichever QP consumed them, so a dead client never leaks
         // receive state.
@@ -182,7 +186,7 @@ async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogra
             let (file_id, order) = kdwire::unpack_imm(cqe.imm.unwrap_or(0));
             let Some(seq) = *seq else {
                 // Unknown file: answer with an error ack (coalesced below).
-                err_acks.push((cqe.qpn, kdwire::ErrorCode::AccessDenied, 0));
+                err_acks.push(Ack::one(cqe.qpn, kdwire::ErrorCode::AccessDenied, 0));
                 continue;
             };
             let item = CommitItem {
@@ -207,12 +211,14 @@ async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogra
 
 /// Appends a commit emitted in sequence order to the `open` work item when
 /// it continues that item's run (same file; emission order makes the
-/// sequences consecutive), else hands `open` off and opens a new one. One
-/// work item is one queue handoff, one lock/charge at the worker and one
-/// ack doorbell per QP. Shared-mode commits always ship alone: their
-/// reorder machinery (Fig 5) is driven per completion. Emission order —
-/// which is sequence order per grant — is preserved, so the shared request
-/// queue stays sorted and a lone worker never stalls behind a later commit.
+/// sequences consecutive) and the run is shorter than `cq_batch` — the
+/// reorder stage may release more than one drain at once, and a run is never
+/// longer than a drain — else hands `open` off and opens a new one. One work
+/// item is one queue handoff, one lock at the worker and one ack per QP.
+/// Shared-mode commits always ship alone: their reorder machinery (Fig 5) is
+/// driven per completion. Emission order — which is sequence order per grant
+/// — is preserved, so the shared request queue stays sorted and a lone worker
+/// never stalls behind a later commit.
 fn extend_or_hand_off(
     b: &Rc<BrokerInner>,
     open: &mut Option<WorkItem>,
@@ -220,11 +226,15 @@ fn extend_or_hand_off(
     seq: u64,
     item: CommitItem,
 ) {
+    let max_run = b.config.cq_batch.max(1);
     match open {
         Some(WorkItem::RdmaCommit { file_id, run, .. })
-            if *file_id == grant.file_id && grant.shared.is_none() =>
+            if *file_id == grant.file_id && grant.shared.is_none() && run.len() < max_run =>
         {
-            run.push(item)
+            run.push(item, || {
+                let pooled = b.run_pool.borrow_mut().pop();
+                pooled.unwrap_or_else(|| Vec::with_capacity(max_run - 1))
+            })
         }
         _ => {
             let run = CommitRun::one(item);
@@ -237,26 +247,23 @@ fn extend_or_hand_off(
 }
 
 /// Drains up to `max` completions into `out` (cleared first): non-blocking
-/// drain, then — if the CQ was empty — one blocking wait plus a sweep of
-/// whatever piled up behind the completion we slept on. Returns
-/// `Some(was_idle)` (`true` when the blocking wait was taken, so the caller
-/// charges the wakeup), or `None` once the CQ has overflowed. With
-/// `max == 1` this is exactly `cq.next().await`.
-pub(crate) async fn drain_or_wait(
-    cq: &rnic::CompletionQueue,
-    out: &mut Vec<Cqe>,
-    max: usize,
-) -> Option<bool> {
+/// drain, then — if the CQ was empty — one wait for the next completion plus
+/// a sweep of whatever piled up behind it. For the OSU front and the
+/// replication collectors, which charge no wake-up. `false` once the CQ has
+/// overflowed. With `max == 1` this is exactly `cq.next().await`.
+pub(crate) async fn drain_or_wait(cq: &rnic::CompletionQueue, out: &mut Vec<Cqe>, max: usize) -> bool {
     out.clear();
     if cq.drain_into(out, max) > 0 {
-        return Some(false);
+        return true;
     }
-    let cqe = cq.next().await?;
+    let Some(cqe) = cq.next().await else {
+        return false;
+    };
     out.push(cqe);
     if max > 1 {
         cq.drain_into(out, max - 1);
     }
-    Some(true)
+    true
 }
 
 /// Stages the commit with sequence `seq` and hands any now-consecutive run
@@ -271,8 +278,22 @@ pub fn enqueue_in_order(b: &Rc<BrokerInner>, grant: &Grant, seq: u64, item: Comm
     });
 }
 
-/// `(qpn, error, base_offset)` of one ack owed on a produce QP.
-pub type Ack = (u32, kdwire::ErrorCode, u64);
+/// One ack Send owed on a produce QP: [`kdwire::encode_ack`]'s arguments.
+#[derive(Clone, Copy)]
+pub struct Ack {
+    pub qpn: u32,
+    pub error: kdwire::ErrorCode,
+    pub base_offset: u64,
+    /// Consecutive writes of this QP it answers (1 unless `error` is `None`).
+    pub count: u32,
+}
+
+impl Ack {
+    /// The answer to one write of `qpn`.
+    pub fn one(qpn: u32, error: kdwire::ErrorCode, base_offset: u64) -> Ack {
+        Ack { qpn, error, base_offset, count: 1 }
+    }
+}
 
 /// Sends produce acknowledgments, error acks and replication credit
 /// returns on their client QPs: each a small unsignaled Send of
@@ -281,8 +302,8 @@ pub type Ack = (u32, kdwire::ErrorCode, u64);
 /// order, which producers rely on (acks correlate FIFO per QP).
 pub fn send_acks(b: &Rc<BrokerInner>, acks: &[Ack]) {
     let mut rest = acks;
-    while let Some(&(qpn, ..)) = rest.first() {
-        let (chain, tail) = rest.split_at(rest.iter().take_while(|a| a.0 == qpn).count());
+    while let Some(&Ack { qpn, .. }) = rest.first() {
+        let (chain, tail) = rest.split_at(rest.iter().take_while(|a| a.qpn == qpn).count());
         rest = tail;
         let Some(qp) = b.produce_qps.borrow().get(&qpn).cloned() else {
             continue;
@@ -290,11 +311,11 @@ pub fn send_acks(b: &Rc<BrokerInner>, acks: &[Ack]) {
         // Acks are written through a pre-allocated round-robin ring: a WR
         // has executed long before the ring wraps, so its slot is free to
         // reuse.
-        let _ = qp.post_send_list(chain.iter().map(|&(_, error, base_offset)| {
+        let _ = qp.post_send_list(chain.iter().map(|ack| {
             let idx = b.ack_ring_next.get();
             b.ack_ring_next.set((idx + 1) % b.ack_ring.len());
             let buf = &b.ack_ring[idx];
-            buf.with_mut(|s| kdwire::encode_ack(error, base_offset, s));
+            buf.with_mut(|s| kdwire::encode_ack(ack.error, ack.base_offset, ack.count, s));
             SendWr::unsignaled(
                 0,
                 WorkRequest::Send {
@@ -302,6 +323,7 @@ pub fn send_acks(b: &Rc<BrokerInner>, acks: &[Ack]) {
                 },
             )
         }));
-        b.metrics.add(&b.metrics.acks_sent, chain.len() as u64);
+        let answered = chain.iter().map(|a| u64::from(a.count)).sum();
+        b.metrics.add(&b.metrics.acks_sent, answered);
     }
 }

@@ -218,20 +218,20 @@ struct SpanInfo {
 }
 
 /// Worker-owned scratch of [`commit_run`]; capacity is retained, so a run
-/// of one allocates nothing.
+/// allocates nothing.
 #[derive(Default)]
 pub struct CommitScratch {
     /// Per-lifeline commit spans of the run's traced items.
     traced: Vec<kdtelem::TraceSpan>,
     /// The spans the run makes committable, in commit order.
     spans: Vec<CommitItem>,
-    results: Vec<Result<SpanInfo, ErrorCode>>,
-    acks: Vec<Ack>,
 }
 
 /// Commits a run of n ≥ 1 consecutive-sequence completions on one file in a
 /// single worker pass, under one `broker.rdma_commit` span per traced
-/// lifeline (untraced runs keep the classic duration-only span).
+/// lifeline (untraced runs keep the classic duration-only span): a lifeline's
+/// `Commit` event is its own instant, its span ends with the run — when the
+/// ack that answers it leaves.
 pub(crate) async fn commit_run(
     b: &Rc<BrokerInner>,
     file_id: u16,
@@ -250,29 +250,38 @@ pub(crate) async fn commit_run(
     }
     let untraced = scratch.traced.is_empty();
     let _span = untraced.then(|| b.telem.registry.span("broker.rdma_commit"));
-    commit_spans(b, file_id, seq, run, scratch).await;
+    let next_seq = seq + run.len() as u64;
+    let (first, mut rest) = run.into_parts();
+    let items = std::iter::once(first).chain(rest.drain(..));
+    commit_spans(b, file_id, seq, next_seq, items, scratch).await;
+    if rest.capacity() > 0 {
+        b.run_pool.borrow_mut().push(rest);
+    }
     b.telem.rdma_commit_ns.record_since(start);
     scratch.traced.drain(..).for_each(kdtelem::TraceSpan::end);
 }
 
 /// The one commit path (§4.2.2): the per-file chain is claimed once for the
-/// whole run (its sequences are consecutive, so passing the first ticket
-/// owns them all), shared-mode completions pass through the Fig 5 reorder
-/// buffer, the write lock is taken once, the verify CPU charged as one
-/// summed sleep, every committable span committed in order, and the acks
-/// leave in commit order — same-QP acks on one doorbell.
+/// whole run `seq..next_seq` (its sequences are consecutive, so passing the
+/// first ticket owns them all), shared-mode completions pass through the
+/// Fig 5 reorder buffer and the write lock is taken once. Under it every
+/// committable span is charged, committed, traced and announced in order,
+/// each when its *own* verification is paid: span i of a run commits exactly
+/// when the i-th of as many runs of one would. What a run changes is how its
+/// results travel: errors and replication credits leave at their span's
+/// instant, the successes owed to a producer QP when the run ends, as one
+/// counted ack.
 async fn commit_spans(
     b: &Rc<BrokerInner>,
     file_id: u16,
     seq: u64,
-    run: CommitRun,
+    next_seq: u64,
+    run: impl Iterator<Item = CommitItem>,
     scratch: &mut CommitScratch,
 ) {
-    let CommitScratch { spans, results, acks, .. } = scratch;
-    let next_seq = seq + run.len() as u64;
+    let spans = &mut scratch.spans;
     let Some((tp, grant)) = b.produce_module.lookup(file_id) else {
-        run.into_iter()
-            .for_each(|it| deliver_ack(b, it.ack, ErrorCode::AccessDenied, 0));
+        run.for_each(|it| deliver_ack(b, it.ack, ErrorCode::AccessDenied, 0));
         return;
     };
     // Enforce completion-order processing per file (§4.2.2).
@@ -280,8 +289,7 @@ async fn commit_spans(
     let p = b.store.get(&tp).expect("grant partition exists");
     if grant.closed.get() {
         grant.chain.advance_to(next_seq);
-        run.into_iter()
-            .for_each(|it| deliver_ack(b, it.ack, ErrorCode::OutOfSpace, 0));
+        run.for_each(|it| deliver_ack(b, it.ack, ErrorCode::OutOfSpace, 0));
         return;
     }
     for item in run {
@@ -299,43 +307,39 @@ async fn commit_spans(
         grant.chain.advance_to(next_seq);
         return;
     }
+    let mut owed = None;
+    let mut committed = false;
     {
         let _guard = p.write_lock.lock().await;
-        if !grant.closed.get() {
-            // Verify in place: CRC over bytes already in the file; no copy.
-            let cpu = &b.profile.cpu;
-            let verify = |it: &CommitItem| {
-                cpu.api_produce_base + copy_time(u64::from(it.byte_len), cpu.crc_bandwidth)
-            };
-            charge_worker(b, spans.iter().map(verify).sum()).await;
-        }
-        for it in spans.iter() {
-            results.push(if grant.closed.get() {
+        let cpu = &b.profile.cpu;
+        for it in spans.drain(..) {
+            if !grant.closed.get() {
+                // Verify in place: CRC over bytes already in the file; no copy.
+                let crc = copy_time(u64::from(it.byte_len), cpu.crc_bandwidth);
+                charge_worker(b, cpu.api_produce_base + crc).await;
+            }
+            let res = if grant.closed.get() {
                 Err(ErrorCode::OutOfSpace)
             } else {
                 commit_span(b, &p, &grant, it.byte_len)
-            });
+            };
+            match res {
+                Ok(span) => {
+                    committed = true;
+                    b.metrics.add(&b.metrics.rdma_commits, 1);
+                    b.metrics
+                        .add(&b.metrics.rdma_commit_bytes, u64::from(it.byte_len));
+                    trace_commit(b, it.trace, &tp, span.base_offset, span.next_offset);
+                    finish_rdma_ack(b, &p, &grant, span, it.ack, &mut owed);
+                    after_local_commit(b, &p);
+                }
+                Err(code) => ack_now(b, &mut owed, it.ack, code, 0),
+            }
         }
     }
     grant.chain.advance_to(next_seq);
-    let mut committed = false;
-    for (it, res) in spans.drain(..).zip(results.drain(..)) {
-        match res {
-            Ok(span) => {
-                committed = true;
-                b.metrics.add(&b.metrics.rdma_commits, 1);
-                b.metrics
-                    .add(&b.metrics.rdma_commit_bytes, u64::from(it.byte_len));
-                trace_commit(b, it.trace, &tp, span.base_offset, span.next_offset);
-                finish_rdma_ack(b, &p, &grant, span, it.ack, acks);
-            }
-            Err(code) => queue_ack(b, acks, it.ack, code, 0),
-        }
-    }
-    send_acks(b, acks);
-    acks.clear();
+    send_owed(b, &mut owed);
     if committed {
-        after_local_commit(b, &p);
         charge_storage(b, &p).await;
     }
 }
@@ -389,15 +393,16 @@ fn finish_rdma_ack(
     grant: &Rc<Grant>,
     span: SpanInfo,
     route: AckRoute,
-    acks: &mut Vec<Ack>,
+    owed: &mut Option<Ack>,
 ) {
     match grant.mode {
         ProduceMode::Replication => {
             // Follower side of push replication: track our own progress and
-            // return a credit to the leader (§4.3.2).
+            // return a credit to the leader (§4.3.2) — now, a Send of its
+            // own: the leader counts credits in receive completions.
             p.follower_set_hw(p.log.next_offset());
             on_hw_advanced(b, p);
-            queue_ack(b, acks, route, ErrorCode::None, span.next_offset);
+            ack_now(b, owed, route, ErrorCode::None, span.next_offset);
         }
         // Replicated leader: the ack leaves from `on_hw_advanced`, once the
         // followers have the span.
@@ -408,29 +413,51 @@ fn finish_rdma_ack(
                 route,
             });
         }
-        _ => queue_ack(b, acks, route, ErrorCode::None, span.base_offset),
+        _ => owe_ack(b, owed, route, span.base_offset),
     }
 }
 
-/// A commit result on its way out: QP acks collect in `acks` — the caller
-/// posts them together, in order, through [`send_acks`] — anything else is
-/// delivered now.
-fn queue_ack(
+/// A success on its way out. One owed to a producer QP waits in `owed` for
+/// its run to end, and joins the ack already there when it continues that
+/// ack — same QP, next offset; any other route is answered now.
+fn owe_ack(b: &Rc<BrokerInner>, owed: &mut Option<Ack>, route: AckRoute, base_offset: u64) {
+    let AckRoute::Qp(qpn) = route else {
+        return deliver_ack(b, route, ErrorCode::None, base_offset);
+    };
+    match owed {
+        Some(ack) if ack.qpn == qpn && ack.base_offset + u64::from(ack.count) == base_offset => {
+            ack.count += 1
+        }
+        _ => {
+            send_owed(b, owed);
+            *owed = Some(Ack::one(qpn, ErrorCode::None, base_offset));
+        }
+    }
+}
+
+/// Sends the ack a run still owes, if any.
+fn send_owed(b: &Rc<BrokerInner>, owed: &mut Option<Ack>) {
+    if let Some(ack) = owed.take() {
+        send_acks(b, &[ack]);
+    }
+}
+
+/// An error or a replication credit: it leaves now, behind what its run
+/// still owes — commit order is ack order.
+fn ack_now(
     b: &Rc<BrokerInner>,
-    acks: &mut Vec<Ack>,
+    owed: &mut Option<Ack>,
     route: AckRoute,
     error: ErrorCode,
     base_offset: u64,
 ) {
-    match route {
-        AckRoute::Qp(qpn) => acks.push((qpn, error, base_offset)),
-        route => deliver_ack(b, route, error, base_offset),
-    }
+    send_owed(b, owed);
+    deliver_ack(b, route, error, base_offset);
 }
 
 pub(crate) fn deliver_ack(b: &Rc<BrokerInner>, route: AckRoute, error: ErrorCode, base_offset: u64) {
     match route {
-        AckRoute::Qp(qpn) => send_acks(b, &[(qpn, error, base_offset)]),
+        AckRoute::Qp(qpn) => send_acks(b, &[Ack::one(qpn, error, base_offset)]),
         AckRoute::Rpc(reply) => reply.send(Response::Produce {
             error,
             base_offset,
@@ -725,32 +752,57 @@ mod tests {
         });
     }
 
-    /// What a delivery of `k` commits leaves behind: the acks the producer
-    /// QP received, in order; the commit counters; the log.
+    /// What a delivery of `k` commits leaves behind, however they were
+    /// grouped into runs: the answer each write got, in order; when each
+    /// span committed; the commit counters; the log.
     #[derive(Debug, PartialEq)]
     struct Delivered {
         acks: Vec<(kdwire::ErrorCode, u64)>,
+        /// `(base offset, ns since the hand-off)` of every `Commit` event.
+        commits: Vec<(u64, u64)>,
         rdma_commits: u64,
         rdma_commit_bytes: u64,
+        /// `produce.acks_sent`: writes answered, however many Sends it took.
+        acks_sent: u64,
         next_offset: u64,
         committed: Vec<u8>,
         revoked: bool,
     }
 
-    /// Starts a broker with one exclusively granted partition, writes five
-    /// single-record batches into the granted file (batch `corrupt`, if
-    /// any, garbled), delivers their commits to the API workers grouped as
-    /// `runs` says, and collects the outcome. `revoke_parked` revokes the
-    /// grant while the commits are parked on the write lock.
-    fn deliver(runs: &[usize], corrupt: Option<usize>, revoke_parked: bool) -> Delivered {
-        use crate::requests::{CommitRun, WorkItem};
+    /// Batch `i` of the five [`deliver`] writes, and what verifying it costs
+    /// a worker.
+    fn batch(i: usize) -> Vec<u8> {
         use kdstorage::record::{single_record_batch, Record};
+        single_record_batch(7, &Record::value(vec![i as u8; 40 + 100 * i]))
+    }
+
+    fn verify_ns(i: usize) -> u64 {
+        let cpu = Profile::testbed().cpu;
+        let crc = copy_time(batch(i).len() as u64, cpu.crc_bandwidth);
+        (cpu.api_produce_base + crc).as_nanos() as u64
+    }
+
+    /// Starts a testbed broker with one partition granted in `mode`, writes
+    /// five single-record batches into the granted file (batch `corrupt`, if
+    /// any, garbled), delivers their commits to the API workers grouped as
+    /// `runs` says, and collects the outcome and when each ack Send arrived
+    /// (ns since the hand-off). `revoke_parked` revokes the grant while the
+    /// commits are parked on the write lock.
+    fn deliver(
+        mode: ProduceMode,
+        runs: &[usize],
+        corrupt: Option<usize>,
+        revoke_parked: bool,
+    ) -> (Delivered, Vec<u64>) {
+        use crate::requests::{CommitRun, WorkItem};
         use rnic::{QpOptions, RecvWr};
 
         assert_eq!(runs.iter().sum::<usize>(), 5);
         let runs = runs.to_vec();
-        sim::Runtime::new().block_on(async move {
-            let f = Fabric::new(Profile::fast_test());
+        let registry = kdtelem::Registry::new();
+        let _scope = kdtelem::enter(&registry);
+        let (mut delivered, t0, acks_at) = sim::Runtime::new().block_on(async move {
+            let f = Fabric::new(Profile::testbed());
             let (bnode, cnode) = (f.add_node("broker"), f.add_node("client"));
             let config = crate::BrokerConfig::kafkadirect(crate::RdmaToggles::all());
             let me = kdwire::BrokerAddr {
@@ -769,7 +821,7 @@ mod tests {
                 &tp,
                 p.log.head_index(),
                 head.shared_buf(),
-                ProduceMode::Exclusive,
+                mode,
                 cnode.id,
             );
             *p.grant.borrow_mut() = Some(Rc::clone(&grant));
@@ -792,11 +844,12 @@ mod tests {
             }
             let qpn = *b.produce_qps.borrow().keys().next().unwrap();
 
-            // What five WriteWithImms would have left in the file.
+            // What five WriteWithImms would have left in the file, each on
+            // a lifeline of its own.
             let mut items = Vec::new();
             let mut pos = head.committed_pos();
             for i in 0..5 {
-                let mut batch = single_record_batch(7, &Record::value(vec![i as u8; 40 + i]));
+                let mut batch = batch(i);
                 if corrupt == Some(i) {
                     let last = batch.len() - 1;
                     batch[last] ^= 0xff;
@@ -807,16 +860,17 @@ mod tests {
                     order: 0,
                     byte_len: batch.len() as u32,
                     ack: AckRoute::Qp(qpn),
-                    trace: None,
+                    trace: Some(kdtelem::TraceCtx::root()),
                 });
             }
 
             let lock = if revoke_parked { Some(p.write_lock.lock().await) } else { None };
+            let t0 = sim::now();
             let mut items = items.into_iter();
             let mut seq = 0;
             for n in runs {
                 let mut run = CommitRun::one(items.next().unwrap());
-                items.by_ref().take(n - 1).for_each(|it| run.push(it));
+                items.by_ref().take(n - 1).for_each(|it| run.push(it, Vec::new));
                 let item = WorkItem::RdmaCommit { file_id: grant.file_id, seq, run };
                 b.hand_off(item);
                 seq += n as u64;
@@ -827,52 +881,100 @@ mod tests {
                 drop(lock);
             }
 
-            let mut acks = Vec::new();
-            for _ in 0..5 {
+            // One Send may answer several writes.
+            let (mut acks, mut acks_at) = (Vec::new(), Vec::new());
+            while acks.len() < 5 {
                 let cqe = acks_cq.next().await.unwrap();
                 assert!(cqe.ok());
+                acks_at.push((sim::now() - t0).as_nanos() as u64);
                 let payload = ack_bufs[cqe.wr_id as usize].read_at(0, cqe.byte_len as usize);
-                acks.push(kdwire::decode_ack(&payload));
+                let (error, base_offset, count) = kdwire::decode_ack(&payload);
+                acks.extend((0..u64::from(count)).map(|i| (error, base_offset + i)));
             }
             let m = broker.metrics();
             let committed = head.shared_buf().borrow()[..head.committed_pos() as usize].to_vec();
-            Delivered {
+            let delivered = Delivered {
                 acks,
+                commits: Vec::new(),
                 rdma_commits: m.rdma_commits,
                 rdma_commit_bytes: m.rdma_commit_bytes,
+                acks_sent: m.acks_sent,
                 next_offset: p.log.next_offset(),
                 committed,
                 revoked: grant.closed.get(),
+            };
+            (delivered, t0.as_nanos(), acks_at)
+        });
+        for e in registry.drain_trace_events() {
+            if let kdtelem::EventKind::Commit { base_offset, .. } = e.kind {
+                delivered.commits.push((base_offset, e.ts_ns - t0));
             }
-        })
+        }
+        (delivered, acks_at)
     }
 
     #[test]
     fn one_run_of_k_equals_k_runs_of_one() {
         use kdwire::ErrorCode::{CorruptBatch, None as Ok, OutOfSpace};
 
-        let clean = deliver(&[5], None, false);
+        // A parked worker starts on what it is handed after the queue
+        // transfer and its wake-up; from there span i commits once the
+        // verifications up to its own are paid — the i-th of k runs of one
+        // does, each on a worker woken at that same start, and so must the
+        // i-th span of one run of k.
+        let cpu = Profile::testbed().cpu;
+        let start = (cpu.handoff + cpu.wakeup).as_nanos() as u64;
+        let commit_at = |i: usize| start + (0..=i).map(verify_ns).sum::<u64>();
+        assert!(verify_ns(0) < verify_ns(4), "the spans differ in cost");
+
+        let exclusive = |runs: &[usize], corrupt, revoke_parked| {
+            let (d, acks_at) = deliver(ProduceMode::Exclusive, runs, corrupt, revoke_parked);
+            (d, acks_at.len())
+        };
+        let (clean, sends) = exclusive(&[5], None, false);
         assert_eq!(clean.acks, (0..5).map(|i| (Ok, i)).collect::<Vec<_>>());
+        assert_eq!(clean.commits, (0..5).map(|i| (i as u64, commit_at(i))).collect::<Vec<_>>());
         assert_eq!((clean.rdma_commits, clean.next_offset, clean.revoked), (5, 5, false));
-        assert_eq!(deliver(&[1, 1, 1, 1, 1], None, false), clean);
-        assert_eq!(deliver(&[2, 3], None, false), clean);
+        assert_eq!(clean.acks_sent, 5, "the metric counts writes answered, not Sends");
+        assert_eq!(sends, 1, "a run's successes to one QP are one Send");
+        // Mid-sized runs, the kind a poller forms, too: same answers, commit
+        // instants, counters and log, one Send per run.
+        let (mixed, sends) = exclusive(&[2, 3], None, false);
+        assert_eq!((&mixed, sends), (&clean, 2));
+        assert_eq!(exclusive(&[1, 1, 1, 1, 1], None, false), (clean, 5));
 
         // A corrupt span revokes the grant mid-run: the spans before it
-        // commit, it answers CorruptBatch, the ones behind it OutOfSpace.
-        let corrupt = deliver(&[5], Some(2), false);
+        // commit — and are answered before it is — it answers CorruptBatch,
+        // the ones behind it OutOfSpace.
+        let (corrupt, sends) = exclusive(&[5], Some(2), false);
         assert_eq!(
             corrupt.acks,
             [(Ok, 0), (Ok, 1), (CorruptBatch, 0), (OutOfSpace, 0), (OutOfSpace, 0)]
         );
+        assert_eq!(corrupt.commits, [(0, commit_at(0)), (1, commit_at(1))]);
         assert_eq!((corrupt.rdma_commits, corrupt.next_offset, corrupt.revoked), (2, 2, true));
-        assert_eq!(deliver(&[1, 1, 1, 1, 1], Some(2), false), corrupt);
-        assert_eq!(deliver(&[1, 3, 1], Some(2), false), corrupt);
+        assert_eq!(sends, 4);
+        let (mixed, sends) = exclusive(&[1, 3, 1], Some(2), false);
+        assert_eq!((&mixed, sends), (&corrupt, 5));
+        assert_eq!(exclusive(&[1, 1, 1, 1, 1], Some(2), false), (corrupt, 5));
 
         // A grant closed while its commits wait for the write lock commits
         // nothing, however the commits were grouped.
-        let closed = deliver(&[5], None, true);
+        let (closed, sends) = exclusive(&[5], None, true);
         assert_eq!(closed.acks, vec![(OutOfSpace, 0); 5]);
         assert_eq!((closed.rdma_commits, closed.committed.len()), (0, 0));
-        assert_eq!(deliver(&[1, 1, 1, 1, 1], None, true), closed);
+        assert!(closed.commits.is_empty());
+        let (mixed, mixed_sends) = exclusive(&[2, 3], None, true);
+        assert_eq!((&mixed, mixed_sends), (&closed, sends));
+        assert_eq!(exclusive(&[1, 1, 1, 1, 1], None, true), (closed, sends));
+
+        // A follower answers a push-replication write with a credit, not an
+        // ack: each leaves when its span commits, a Send of its own — the
+        // run does not hold it, so they arrive when k runs of one send them.
+        let (pushed, credits_at) = deliver(ProduceMode::Replication, &[5], None, false);
+        assert_eq!(pushed.acks, (1..=5).map(|next| (Ok, next)).collect::<Vec<_>>());
+        assert_eq!(pushed.commits, (0..5).map(|i| (i as u64, commit_at(i))).collect::<Vec<_>>());
+        assert!(credits_at[0] > commit_at(0) && credits_at[0] < commit_at(1));
+        assert_eq!(deliver(ProduceMode::Replication, &[1, 1, 1, 1, 1], None, false), (pushed, credits_at));
     }
 }

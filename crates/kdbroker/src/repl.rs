@@ -415,10 +415,7 @@ fn spawn_collector(
         let PushState { acked, lag, inflight } = &*s.state;
         let mut batch: Vec<rnic::Cqe> = Vec::with_capacity(max_batch);
         'collect: loop {
-            if crate::rdma_net::drain_or_wait(&send_cq, &mut batch, max_batch)
-                .await
-                .is_none()
-            {
+            if !crate::rdma_net::drain_or_wait(&send_cq, &mut batch, max_batch).await {
                 break;
             }
             for cqe in &batch {
@@ -466,10 +463,7 @@ fn spawn_collector(
     sim::spawn(async move {
         let mut batch: Vec<rnic::Cqe> = Vec::with_capacity(max_batch);
         'collect: loop {
-            if crate::rdma_net::drain_or_wait(&recv_cq, &mut batch, max_batch)
-                .await
-                .is_none()
-            {
+            if !crate::rdma_net::drain_or_wait(&recv_cq, &mut batch, max_batch).await {
                 break;
             }
             let mut ok = 0;

@@ -76,8 +76,9 @@ pub struct CommitItem {
 }
 
 /// The commits of one [`WorkItem::RdmaCommit`], in sequence order. The
-/// first is stored inline: a run of one — the common case — allocates
-/// nothing.
+/// first is stored inline and the vector behind it is recycled through
+/// [`BrokerInner::run_pool`](crate::broker::BrokerInner::run_pool): a run
+/// allocates nothing, whatever its length.
 pub struct CommitRun {
     first: CommitItem,
     rest: Vec<CommitItem>,
@@ -91,7 +92,11 @@ impl CommitRun {
         }
     }
 
-    pub fn push(&mut self, item: CommitItem) {
+    /// Appends `item`; `pooled` supplies the vector on the first extension.
+    pub fn push(&mut self, item: CommitItem, pooled: impl FnOnce() -> Vec<CommitItem>) {
+        if self.rest.capacity() == 0 {
+            self.rest = pooled();
+        }
         self.rest.push(item);
     }
 
@@ -103,13 +108,10 @@ impl CommitRun {
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut CommitItem> {
         std::iter::once(&mut self.first).chain(&mut self.rest)
     }
-}
 
-impl IntoIterator for CommitRun {
-    type Item = CommitItem;
-    type IntoIter = std::iter::Chain<std::iter::Once<CommitItem>, std::vec::IntoIter<CommitItem>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        std::iter::once(self.first).chain(self.rest)
+    /// The first commit and the vector of those behind it — to drain, then
+    /// hand back to the pool.
+    pub fn into_parts(self) -> (CommitItem, Vec<CommitItem>) {
+        (self.first, self.rest)
     }
 }

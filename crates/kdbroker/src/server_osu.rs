@@ -81,7 +81,7 @@ async fn serve_connection(
     let mut frame = Vec::new();
     'conn: while b.alive.get() {
         let drained = crate::rdma_net::drain_or_wait(&recv_cq, &mut batch, max_batch);
-        let Either::Left(Some(_)) = race(drained, b.shutdown.notified()).await else {
+        let Either::Left(true) = race(drained, b.shutdown.notified()).await else {
             break;
         };
         for cqe in &batch {

@@ -9,7 +9,8 @@
 //!   trigger a head-file re-request.
 //!
 //! Acks arrive as small Sends from the broker, strictly in write order per
-//! QP, so a FIFO of pending completions suffices for correlation.
+//! QP, so a FIFO of pending completions suffices for correlation; one ack
+//! may answer several consecutive writes (`kdwire::encode_ack`'s count).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -225,15 +226,7 @@ impl RdmaProducer {
                         let mut payload = [0u8; ACK_BUF];
                         bufs[cqe.wr_id as usize].read_into(0, &mut payload[..n]);
                         let _ = recycle.push(cqe.wr_id);
-                        let (error, base_offset) = kdwire::decode_ack(&payload[..n]);
-                        if let Some((waiter, staged)) = pending.borrow_mut().pop_front() {
-                            // The acked write has consumed its staging
-                            // buffer; recycle it for a future produce.
-                            if let Some(buf) = staged {
-                                stage_pool.borrow_mut().push(buf);
-                            }
-                            let _ = waiter.send((error, base_offset));
-                        }
+                        resolve_ack(&payload[..n], &pending, &stage_pool);
                     }
                     let _ = qp.post_recv_list(recycle.drain().map(|wr_id| RecvWr {
                         wr_id,
@@ -637,6 +630,24 @@ impl RdmaProducer {
     }
 }
 
+/// Resolves the waiters one ack answers: the oldest `count` pending writes,
+/// the i-th with offset `base_offset + i`; returns how many there were. The
+/// count is the peer's word, so the loop ends with the queue, not with the
+/// count — an ack for more writes than are in flight answers those that are.
+fn resolve_ack(payload: &[u8], pending: &RefCell<VecDeque<AckWaiter>>, pool: &StagePool) -> u32 {
+    let (error, base_offset, count) = kdwire::decode_ack(payload);
+    for i in 0..count {
+        let Some((waiter, staged)) = pending.borrow_mut().pop_front() else {
+            return i;
+        };
+        // The acked write has consumed its staging buffer; recycle it for a
+        // future produce.
+        pool.borrow_mut().extend(staged);
+        let _ = waiter.send((error, base_offset.wrapping_add(u64::from(i))));
+    }
+    count
+}
+
 /// Internal marker: the producer must (re)acquire access.
 struct NeedAccess;
 
@@ -792,6 +803,50 @@ mod tests {
             p.send_pipelined_chain(run, &mut acks).await.unwrap();
         }
         (p, acks)
+    }
+
+    /// Ack bytes are the peer's. A seeded loop feeds the reader's decode
+    /// valid acks and mutations of them — flipped bits, every length, the
+    /// largest count, noise — with zero to five writes in flight. Whatever
+    /// arrives, the oldest waiters get one typed answer each, nobody else
+    /// gets any, and the work is bounded by the writes in flight, not by the
+    /// count on the wire (a loop over a count of `u32::MAX` would not finish
+    /// one of these rounds).
+    #[test]
+    fn hostile_ack_bytes_resolve_only_what_is_in_flight() {
+        let mut rng = sim::rng::SimRng::seed_from_u64(0xacc);
+        let pending = RefCell::new(VecDeque::new());
+        let pool: StagePool = Rc::new(RefCell::new(Vec::new()));
+        for round in 0..20_000 {
+            let in_flight = rng.below(6) as u32;
+            let mut rxs = Vec::new();
+            for _ in 0..in_flight {
+                let (tx, rx) = oneshot::channel();
+                pending.borrow_mut().push_back((tx, Some(ShmBuf::zeroed(1))));
+                rxs.push(rx);
+            }
+            let mut wire = [0u8; ACK_BUF];
+            kdwire::encode_ack(ErrorCode::None, rng.next_u64(), rng.below(8) as u32, &mut wire);
+            let mut len = kdwire::ACK_SIZE;
+            match rng.below(5) {
+                0 => {}
+                1 => (0..=rng.below(4)).for_each(|_| wire[rng.below(16) as usize] ^= 1 << rng.below(8)),
+                2 => len = rng.below(ACK_BUF as u64 + 1) as usize,
+                3 => wire[9..13].fill(0xff),
+                _ => rng.fill(&mut wire),
+            }
+            let (error, base_offset, count) = kdwire::decode_ack(&wire[..len]);
+            let resolved = resolve_ack(&wire[..len], &pending, &pool);
+            assert_eq!(resolved, count.min(in_flight), "round {round}: {:?}", &wire[..len]);
+            for (i, rx) in rxs.iter_mut().enumerate() {
+                let answer = (i < resolved as usize).then(|| (error, base_offset.wrapping_add(i as u64)));
+                assert_eq!(rx.try_recv().map(|got| got.ok()), answer.map(Some), "round {round}");
+            }
+            assert_eq!(pending.borrow().len() as u32, in_flight - resolved);
+            assert_eq!(pool.borrow().len() as u32, resolved, "acked writes return their buffers");
+            pending.borrow_mut().clear();
+            pool.borrow_mut().clear();
+        }
     }
 
     #[test]

@@ -50,23 +50,35 @@ pub fn unpack_shared_word(v: u64) -> SharedWord {
 }
 
 /// Size of a produce acknowledgment or replication credit return — the small
-/// Send a broker answers a WriteWithImm with (paper Fig 3).
-pub const ACK_SIZE: usize = 9;
+/// Send a broker answers WriteWithImms with (paper Fig 3, plus a count).
+pub const ACK_SIZE: usize = 13;
 
-/// Writes an ack into `out[..ACK_SIZE]`: `[error u8][base_offset u64 LE]`.
-pub fn encode_ack(error: ErrorCode, base_offset: u64, out: &mut [u8]) {
+/// Where the count starts: the end of Fig 3's `[error][base_offset]`.
+const ACK_COUNT_AT: usize = 9;
+
+/// Writes an ack into `out[..ACK_SIZE]`: `[error u8][base_offset u64 LE]
+/// [count u32 LE]`. It answers the sender's next `count` unacknowledged
+/// writes, in write order: the i-th committed at `base_offset + i`. An error
+/// answers one.
+pub fn encode_ack(error: ErrorCode, base_offset: u64, count: u32, out: &mut [u8]) {
     out[0] = error as u8;
-    out[1..ACK_SIZE].copy_from_slice(&base_offset.to_le_bytes());
+    out[1..ACK_COUNT_AT].copy_from_slice(&base_offset.to_le_bytes());
+    out[ACK_COUNT_AT..ACK_SIZE].copy_from_slice(&count.to_le_bytes());
 }
 
-/// Inverse of [`encode_ack`]. An unknown error byte (or none at all) reads as
-/// `Internal`, a short payload as offset 0.
-pub fn decode_ack(bytes: &[u8]) -> (ErrorCode, u64) {
+/// Inverse of [`encode_ack`], total over peer bytes: an unknown error byte
+/// (or none at all) reads as `Internal`, a payload that ends inside the
+/// offset as offset 0, one that ends before or inside the count — Fig 3's
+/// nine bytes — or counts zero as an ack of one write.
+pub fn decode_ack(bytes: &[u8]) -> (ErrorCode, u64, u32) {
     let error = bytes.first().and_then(|&b| ErrorCode::from_u8(b).ok());
     let base_offset = bytes
-        .get(1..ACK_SIZE)
+        .get(1..ACK_COUNT_AT)
         .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
-    (error.unwrap_or(ErrorCode::Internal), base_offset)
+    let count = bytes
+        .get(ACK_COUNT_AT..ACK_SIZE)
+        .map_or(1, |b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
+    (error.unwrap_or(ErrorCode::Internal), base_offset, count.max(1))
 }
 
 /// Size of one RDMA-readable metadata slot (§4.4.2). A consumer fetches the
@@ -131,16 +143,34 @@ mod tests {
             match ErrorCode::from_u8(byte) {
                 Ok(code) => {
                     known += 1;
-                    encode_ack(code, 0x0102_0304_0506_0708, &mut wire);
+                    let count = u32::from(byte) + 1;
+                    encode_ack(code, 0x0102_0304_0506_0708, count, &mut wire);
                     assert_eq!(wire[0], byte);
-                    assert_eq!(decode_ack(&wire), (code, 0x0102_0304_0506_0708));
+                    assert_eq!(decode_ack(&wire), (code, 0x0102_0304_0506_0708, count));
                 }
                 Err(_) => assert_eq!(decode_ack(&wire).0, ErrorCode::Internal),
             }
         }
         assert_eq!(known, 13, "every ErrorCode variant decodes as itself");
-        assert_eq!(decode_ack(&[]), (ErrorCode::Internal, 0));
-        assert_eq!(decode_ack(&[0, 1, 2]), (ErrorCode::None, 0));
+    }
+
+    #[test]
+    fn short_zero_and_huge_acks_decode_to_at_least_one_write() {
+        let mut wire = [0u8; ACK_SIZE];
+        encode_ack(ErrorCode::None, 77, 5, &mut wire);
+        // Every prefix decodes; the count only once all of it arrived.
+        assert_eq!(decode_ack(&[]), (ErrorCode::Internal, 0, 1));
+        assert_eq!(decode_ack(&wire[..3]), (ErrorCode::None, 0, 1));
+        for len in 9..ACK_SIZE {
+            assert_eq!(decode_ack(&wire[..len]), (ErrorCode::None, 77, 1), "{len} bytes");
+        }
+        assert_eq!(decode_ack(&wire), (ErrorCode::None, 77, 5));
+        // What follows the count is not the codec's.
+        assert_eq!(decode_ack(&[&wire[..], &[0xff; 3]].concat()), (ErrorCode::None, 77, 5));
+        encode_ack(ErrorCode::None, 77, 0, &mut wire);
+        assert_eq!(decode_ack(&wire), (ErrorCode::None, 77, 1));
+        encode_ack(ErrorCode::OutOfSpace, u64::MAX, u32::MAX, &mut wire);
+        assert_eq!(decode_ack(&wire), (ErrorCode::OutOfSpace, u64::MAX, u32::MAX));
     }
 
     #[test]

@@ -9,23 +9,86 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::task::{Poll, Waker};
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use sim::sync::Notify;
+use sim::SimTime;
 
 use crate::qp::QpShared;
 use crate::verbs::Cqe;
+
+/// A thread blocked in [`CompletionQueue::wait`].
+struct Waiter {
+    ticket: u64,
+    waker: Waker,
+    /// Its wake-up latency.
+    wakeup: Duration,
+    /// The instant its timer is registered for, once a push has armed it.
+    due: Option<SimTime>,
+}
+
+/// The threads blocked in [`CompletionQueue::wait`], longest parked first.
+/// The first is held inline: a CQ with one consumer — every client's ack CQ
+/// — never allocates for it.
+#[derive(Default)]
+struct Waiters {
+    first: Option<Waiter>,
+    /// Those behind `first`; empty while it is.
+    rest: Vec<Waiter>,
+    next_ticket: u64,
+}
+
+impl Waiters {
+    fn park(&mut self, waker: Waker, wakeup: Duration) -> u64 {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        let waiter = Waiter { ticket, waker, wakeup, due: None };
+        match self.first {
+            None => self.first = Some(waiter),
+            Some(_) => self.rest.push(waiter),
+        }
+        ticket
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Waiter> {
+        self.first.iter_mut().chain(&mut self.rest)
+    }
+
+    fn get_mut(&mut self, ticket: u64) -> Option<&mut Waiter> {
+        self.iter_mut().find(|w| w.ticket == ticket)
+    }
+
+    fn remove(&mut self, ticket: u64) -> Option<Waiter> {
+        if self.first.as_ref().is_some_and(|w| w.ticket == ticket) {
+            let next = (!self.rest.is_empty()).then(|| self.rest.remove(0));
+            return std::mem::replace(&mut self.first, next);
+        }
+        let at = self.rest.iter().position(|w| w.ticket == ticket)?;
+        Some(self.rest.remove(at))
+    }
+
+    /// Arms the longest-parked waiter no push has armed yet: it runs its
+    /// wake-up latency from now. `false` if there is none.
+    fn arm_next(&mut self) -> bool {
+        let Some(w) = self.iter_mut().find(|w| w.due.is_none()) else {
+            return false;
+        };
+        let due = sim::now() + w.wakeup;
+        w.due = Some(due);
+        sim::time::wake_at(due, &w.waker);
+        true
+    }
+}
 
 pub(crate) struct CqInner {
     queue: RefCell<VecDeque<Cqe>>,
     capacity: usize,
     notify: Notify,
-    /// The thread blocked in [`CompletionQueue::wait`] and its wake-up
-    /// latency, until a push arms it for `wake_due`.
-    sleeper: RefCell<Option<(Waker, Duration)>>,
-    wake_due: Cell<sim::SimTime>,
+    waiters: RefCell<Waiters>,
     overflowed: Cell<bool>,
     attached: RefCell<Vec<Weak<QpShared>>>,
     completions_total: Cell<u64>,
@@ -51,8 +114,7 @@ impl CompletionQueue {
                 queue: RefCell::new(VecDeque::new()),
                 capacity,
                 notify: Notify::new(),
-                sleeper: RefCell::new(None),
-                wake_due: Cell::new(sim::SimTime::ZERO),
+                waiters: RefCell::new(Waiters::default()),
                 overflowed: Cell::new(false),
                 attached: RefCell::new(Vec::new()),
                 completions_total: Cell::new(0),
@@ -77,9 +139,9 @@ impl CompletionQueue {
             QpShared::fail(&qp);
         }
         self.inner.notify.notify_waiters();
-        if let Some((waker, _)) = self.inner.sleeper.take() {
-            waker.wake();
-        }
+        // An armed waiter still returns at its instant, the others now.
+        let mut waiters = self.inner.waiters.borrow_mut();
+        waiters.iter_mut().for_each(|w| w.waker.wake_by_ref());
     }
 
     /// Fault injection: overflows this CQ now, regardless of occupancy —
@@ -111,13 +173,8 @@ impl CompletionQueue {
             self.inner.cqes.inc();
             self.inner.depth.add(1);
         }
-        match self.inner.sleeper.take() {
-            Some((waker, wakeup)) => {
-                let due = sim::now() + wakeup;
-                self.inner.wake_due.set(due);
-                sim::time::wake_at(due, &waker);
-            }
-            None => self.inner.notify.notify_one(),
+        if !self.inner.waiters.borrow_mut().arm_next() {
+            self.inner.notify.notify_one();
         }
     }
 
@@ -182,20 +239,19 @@ impl CompletionQueue {
     /// the completion that ends the wait was pushed, with that completion
     /// and whatever arrived behind it still queued — the push arms the
     /// caller's timer, so the wait costs no poll at the arrival instant. At
-    /// once if the CQ is not empty. For a CQ with one consumer. `false`: the
-    /// CQ is dead (overflowed and drained).
-    pub async fn wait(&self, wakeup: Duration) -> bool {
-        std::future::poll_fn(|cx| {
-            if sim::now() < self.inner.wake_due.get() {
-                return Poll::Pending; // armed: only that timer ends the wait
-            }
-            if !self.is_empty() || self.inner.overflowed.get() {
-                return Poll::Ready(!self.is_empty());
-            }
-            *self.inner.sleeper.borrow_mut() = Some((cx.waker().clone(), wakeup));
-            Poll::Pending
-        })
-        .await
+    /// once if the CQ is not empty. `false`: the CQ is dead (overflowed and
+    /// drained).
+    ///
+    /// Any number of consumers may block here. Each push arms the
+    /// longest-parked one that no earlier push armed; one that wakes to a
+    /// queue somebody else has emptied in the meantime is parked again, in
+    /// place and at no charge.
+    pub fn wait(&self, wakeup: Duration) -> Wait<'_> {
+        Wait {
+            cq: self,
+            wakeup,
+            ticket: None,
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -218,5 +274,57 @@ impl CompletionQueue {
     /// Total completions ever delivered (telemetry).
     pub fn completions_total(&self) -> u64 {
         self.inner.completions_total.get()
+    }
+}
+
+/// Future returned by [`CompletionQueue::wait`].
+pub struct Wait<'a> {
+    cq: &'a CompletionQueue,
+    wakeup: Duration,
+    /// Identifies this consumer among the parked ones while it is.
+    ticket: Option<u64>,
+}
+
+impl Future for Wait<'_> {
+    type Output = bool;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
+        let cq = self.cq;
+        let dead = cq.inner.overflowed.get();
+        let mut waiters = cq.inner.waiters.borrow_mut();
+        let Some(ticket) = self.ticket else {
+            if !cq.is_empty() || dead {
+                return Poll::Ready(!cq.is_empty());
+            }
+            self.ticket = Some(waiters.park(cx.waker().clone(), self.wakeup));
+            return Poll::Pending;
+        };
+        let w = waiters.get_mut(ticket).expect("a parked waiter is listed");
+        // Armed: only that timer ends the wait. Not armed: only poisoning.
+        let woken = w.due.map_or(dead, |due| due <= sim::now());
+        if !woken || (cq.is_empty() && !dead) {
+            if woken {
+                w.due = None;
+            }
+            w.waker.clone_from(cx.waker());
+            return Poll::Pending;
+        }
+        waiters.remove(ticket);
+        self.ticket = None;
+        Poll::Ready(!cq.is_empty())
+    }
+}
+
+impl Drop for Wait<'_> {
+    /// A consumer that stops waiting leaves the list; the wake a push armed
+    /// it with passes to the next in line (to nobody if the runtime itself
+    /// is being torn down).
+    fn drop(&mut self) {
+        let Some(ticket) = self.ticket else { return };
+        let mut waiters = self.cq.inner.waiters.borrow_mut();
+        let armed = waiters.remove(ticket).is_some_and(|w| w.due.is_some());
+        if armed && !self.cq.is_empty() && sim::time::try_now().is_some() {
+            waiters.arm_next();
+        }
     }
 }

@@ -919,6 +919,129 @@ fn a_blocked_cq_consumer_wakes_once_per_batch_at_arrival_plus_wakeup() {
     assert_eq!(reference_polls - polls, 2);
 }
 
+/// What `consumers` tasks blocked in `wait` on one CQ take between them —
+/// `(instant, consumer, immediates)` per batch — from bursts of WriteImms of
+/// the given sizes, 100 µs apart. They park in index order; none does
+/// anything between a drain and its next wait. At the end the CQ is
+/// overflowed, which must end every one of them.
+fn shared_cq_batches(consumers: usize, bursts: &[u32]) -> Vec<(u64, usize, Vec<u32>)> {
+    const WAKEUP: Duration = Duration::from_micros(10);
+    let bursts = bursts.to_vec();
+    sim::Runtime::new().block_on(async move {
+        let p = setup_with(Profile::testbed(), QpOptions::default(), 64).await;
+        let mr = p.nic_b.reg_mr(ShmBuf::zeroed(64), Access::all());
+        for i in 0..u64::from(bursts.iter().sum::<u32>()) {
+            p.qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+        }
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let tasks: Vec<_> = (0..consumers)
+            .map(|id| {
+                let (cq, log) = (p.b_recv.clone(), log.clone());
+                sim::spawn(async move {
+                    while cq.wait(WAKEUP).await {
+                        let mut batch: kdbuf::ArrayVec<rnic::Cqe, 8> = kdbuf::ArrayVec::new();
+                        cq.poll_batch(&mut batch);
+                        let imms = batch.as_slice().iter().map(|c| c.imm.unwrap()).collect();
+                        log.borrow_mut().push((sim::now().as_nanos(), id, imms));
+                    }
+                })
+            })
+            .collect();
+        let src = ShmBuf::zeroed(4);
+        let mut next = 0;
+        for burst in bursts {
+            sim::time::sleep(Duration::from_micros(100)).await;
+            for i in next..next + burst {
+                let wr = write_imm(u64::from(i), false, &src, mr.addr(), mr.rkey());
+                p.qp_a.post_send(wr).unwrap();
+            }
+            next += burst;
+        }
+        sim::time::sleep(Duration::from_micros(100)).await;
+        p.b_recv.inject_overflow();
+        for task in tasks {
+            task.await.unwrap();
+        }
+        log.take()
+    })
+}
+
+#[test]
+fn blocked_cq_consumers_take_turns_and_wake_to_nothing_for_free() {
+    let bursts = [3, 1, 2, 1, 4, 1, 1, 2];
+    let one = shared_cq_batches(1, &bursts);
+    let two = shared_cq_batches(2, &bursts);
+    // Every burst lands inside the wake-up of the consumer its first push
+    // armed: that consumer wakes once, with the whole burst queued.
+    let sizes: Vec<u32> = one.iter().map(|b| b.2.len() as u32).collect();
+    assert_eq!(sizes, bursts);
+    // The burst's second push armed the second consumer, which wakes to an
+    // empty queue and is parked again at no charge: between them the two
+    // take exactly the batches one takes, at the instants it takes them.
+    let unnamed = |log: &[(u64, usize, Vec<u32>)]| -> Vec<(u64, Vec<u32>)> {
+        log.iter().map(|(at, _, imms)| (*at, imms.clone())).collect()
+    };
+    assert_eq!(unnamed(&two), unnamed(&one));
+    // Longest parked first — and waking to nothing does not cost the turn.
+    let turns: Vec<usize> = two.iter().map(|b| b.1).collect();
+    assert_eq!(turns, [0, 1, 0, 1, 0, 1, 0, 1]);
+}
+
+#[test]
+fn a_cq_consumer_that_stops_waiting_never_swallows_a_wake() {
+    use sim::future::{race, Either};
+    const WAKEUP: Duration = Duration::from_micros(10);
+    sim::Runtime::new().block_on(async {
+        let p = setup_with(Profile::testbed(), QpOptions::default(), 64).await;
+        let mr = p.nic_b.reg_mr(ShmBuf::zeroed(64), Access::all());
+        for i in 0..2 {
+            p.qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+        }
+        let src = ShmBuf::zeroed(4);
+        let t0 = sim::now();
+        let at = move |us| t0 + Duration::from_micros(us);
+        // Blocks in `wait` from `from_us` and gives up at `until_us`.
+        let impatient = |from_us, until_us| {
+            let cq = p.b_recv.clone();
+            sim::spawn(async move {
+                sim::time::sleep_until(at(from_us)).await;
+                race(cq.wait(WAKEUP), sim::time::sleep_until(at(until_us))).await
+            })
+        };
+        // Never gives up; busy for 40 µs with each completion it takes.
+        let cq = p.b_recv.clone();
+        let (first, second) = (impatient(0, 5), impatient(50, 70));
+        let patient = sim::spawn(async move {
+            let mut taken = Vec::new();
+            while cq.wait(WAKEUP).await {
+                taken.push((sim::now(), cq.poll().unwrap().imm.unwrap()));
+                sim::time::sleep(Duration::from_micros(40)).await;
+            }
+            taken
+        });
+
+        // The first gives up before any push: it has left the list, and the
+        // push arms the patient one behind it.
+        assert_eq!(first.await.unwrap(), Either::Right(()));
+        sim::time::sleep_until(at(6)).await;
+        p.qp_a.post_send(write_imm(0, false, &src, mr.addr(), mr.rkey())).unwrap();
+        // The second parks while the patient one is busy, so it is ahead of
+        // it when the next push arms it — and gives up inside its wake-up,
+        // with the completion still queued: the wake passes on, and the
+        // patient one runs its own wake-up from that instant.
+        sim::time::sleep_until(at(60)).await;
+        p.qp_a.post_send(write_imm(1, false, &src, mr.addr(), mr.rkey())).unwrap();
+        assert_eq!(second.await.unwrap(), Either::Right(()));
+        sim::time::sleep_until(at(200)).await;
+        p.b_recv.inject_overflow();
+
+        let taken = patient.await.unwrap();
+        assert_eq!(taken.iter().map(|t| t.1).collect::<Vec<_>>(), [0, 1]);
+        assert!(at(16) < taken[0].0 && taken[0].0 < at(18), "armed by the push: {taken:?}");
+        assert_eq!(taken[1].0, at(70 + 10), "armed by the one that gave up: {taken:?}");
+    });
+}
+
 #[test]
 fn poll_budget_two_polls_per_small_write() {
     // 10 000 × 64 B WriteImm, one signaled per 32, receiver re-posting every

@@ -90,6 +90,19 @@ if grep -rnE "WorkQueue|sync::mpmc|start_handoff_stage" crates/*/src; then
     exit 1
 fi
 
+# Same for the batched produce plane's timing (DESIGN.md §10 "Batching"): a
+# batch may remove executor events, never move a commit. A poller pays its
+# wake-up inside `CompletionQueue::wait`, before it drains — no `was_idle`
+# charge after the pop — and a worker charges every span's verification on
+# its own and answers as it goes: no summed charge and no per-run vector of
+# results above rdma_produce.rs's tests.
+if grep -rn "was_idle" crates/kdbroker/src ||
+    awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+        crates/kdbroker/src/rdma_produce.rs | grep -E "\.sum\(|Vec<Result<"; then
+    echo "ci: the produce plane charges a batch as a whole again (see DESIGN.md §10 \"Batching\")" >&2
+    exit 1
+fi
+
 # Work-request engine gates: the NIC model must not grow a per-WR task
 # again — no spawn on the post path of qp.rs (connection-manager and test
 # spawns live elsewhere) — and its executor-poll budget must hold: 10 000
@@ -138,6 +151,20 @@ fi
 # verifying against the crates as they are.
 (cd benchmark && cargo test -q --offline)
 bash benchmark/smoke.sh
+
+# Figure ledger: every paper figure and ablation is virtual time, so what
+# `scripts/figures.sh` prints at a commit is a fact about that commit.
+# Regenerate it into a temp dir and fail unless it is byte-identical to the
+# checked-in `results/figures-latest.txt`; a PR that moves a figure runs
+# `scripts/figures.sh` itself, commits the file and re-judges the rows
+# `git diff results/` names in EXPERIMENTS.md.
+figures="$(mktemp -d)"
+trap 'rm -rf "$figures"' EXIT
+bash scripts/figures.sh "$figures" "$figures/ledger.txt"
+if ! diff results/figures-latest.txt "$figures/ledger.txt" >&2; then
+    echo "ci: a figure moved: results/figures-latest.txt is not what scripts/figures.sh prints" >&2
+    exit 1
+fi
 
 # Net non-test lines of code per crate (the number CHANGES.md reports).
 bash scripts/loc.sh
