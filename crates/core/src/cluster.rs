@@ -2,7 +2,6 @@
 //! mirroring the paper's 12-node InfiniBand testbed (§5 "Settings").
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
 use kdbroker::Broker;
 use kdclient::Admin;
@@ -304,7 +303,7 @@ impl SimCluster {
         &self,
         tp: &TopicPartition,
         leader: BrokerAddr,
-        bufs: &[(u64, Rc<RefCell<Vec<u8>>>)],
+        bufs: &[(u64, rnic::ShmBuf)],
     ) {
         let Some(lb) = self
             .brokers
@@ -327,25 +326,21 @@ impl SimCluster {
             match matched {
                 Some((k, ls)) => {
                     // Evicted leader segments compare against file bytes.
-                    let lbytes = if ls.is_resident() {
-                        ls.shared_buf().borrow().clone()
-                    } else {
-                        lp.log.store().load(k).unwrap_or_default()
+                    let common = |lbytes: &[u8]| {
+                        let lim = (ls.committed_pos() as usize).min(lbytes.len());
+                        let same = |fseg: &[u8]| {
+                            lbytes[..lim].iter().zip(fseg).take_while(|(a, b)| a == b).count()
+                        };
+                        buf.with(same)
                     };
-                    let mut fseg = buf.borrow_mut();
-                    let lim = (ls.committed_pos() as usize)
-                        .min(lbytes.len())
-                        .min(fseg.len());
-                    let n = lbytes[..lim]
-                        .iter()
-                        .zip(fseg.iter())
-                        .take_while(|(a, b)| a == b)
-                        .count();
-                    for byte in fseg.iter_mut().skip(n) {
-                        *byte = 0;
-                    }
+                    let n = if ls.is_resident() {
+                        ls.shared_buf().with(common)
+                    } else {
+                        common(&lp.log.store().load(k).unwrap_or_default())
+                    };
+                    buf.zero_from(n);
                 }
-                None => buf.borrow_mut().iter_mut().for_each(|b| *b = 0),
+                None => buf.zero_from(0),
             }
         }
     }

@@ -32,7 +32,7 @@ const CQ_CAPACITY: usize = 8192;
 /// "disk" that survives a broker crash (see [`Broker::durable_state`]). In
 /// memory mode these are the live shared buffers; in tiered mode they are
 /// read back from the segment files, so only synced bytes survive.
-pub type SegmentBuffers = Vec<(u64, Rc<RefCell<Vec<u8>>>)>;
+pub type SegmentBuffers = Vec<(u64, ShmBuf)>;
 
 /// Lazily-created loopback QP the broker uses to issue atomics to itself
 /// (§4.2.2: a TCP produce into a shared file "needs to reserve a memory
@@ -395,7 +395,7 @@ impl Broker {
                 let bufs = match p.log.store().durable_snapshot() {
                     Some(parts) => parts
                         .into_iter()
-                        .map(|(base, bytes)| (base, Rc::new(RefCell::new(bytes))))
+                        .map(|(base, bytes)| (base, ShmBuf::from_vec(bytes)))
                         .collect(),
                     None => (0..=p.log.head_index())
                         .filter_map(|i| {

@@ -339,11 +339,9 @@ mod tests {
                 0,
             );
             // Leader commits 10 records locally.
-            let mut b = kdstorage::BatchBuilder::new(1);
-            for _ in 0..10 {
-                b.append(&kdstorage::Record::value(b"x".to_vec()));
-            }
-            p.log.append_batch(&b.build().unwrap()).unwrap();
+            let records = vec![kdstorage::Record::value(b"x".to_vec()); 10];
+            let batch = kdstorage::record::encode_batch(1, &records).unwrap();
+            p.log.append_batch(&batch).unwrap();
             assert_eq!(p.recompute_hw(), 0, "no follower acks yet");
             p.follower_ack(1, 10);
             assert_eq!(p.log.high_watermark(), 0, "second follower still behind");

@@ -166,7 +166,7 @@ pub fn register_read(
         return r.mr.clone();
     }
     let seg = p.log.segment(segment).expect("segment exists");
-    let mr = nic.reg_mr(ShmBuf::from_shared(seg.shared_buf()), Access::REMOTE_READ);
+    let mr = nic.reg_mr(seg.shared_buf(), Access::REMOTE_READ);
     metrics.add(&metrics.registered_bytes, seg.capacity() as u64);
     regs.insert(
         segment,
@@ -233,11 +233,9 @@ mod tests {
     }
 
     fn append(p: &Partition, n: usize, size: usize) {
-        let mut b = kdstorage::BatchBuilder::new(1);
-        for _ in 0..n {
-            b.append(&kdstorage::Record::value(vec![7u8; size]));
-        }
-        p.log.append_batch(&b.build().unwrap()).unwrap();
+        let records = vec![kdstorage::Record::value(vec![7u8; size]); n];
+        let batch = kdstorage::record::encode_batch(1, &records).unwrap();
+        p.log.append_batch(&batch).unwrap();
         p.recompute_hw();
     }
 

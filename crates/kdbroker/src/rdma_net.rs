@@ -315,7 +315,9 @@ pub fn send_acks(b: &Rc<BrokerInner>, acks: &[Ack]) {
             let idx = b.ack_ring_next.get();
             b.ack_ring_next.set((idx + 1) % b.ack_ring.len());
             let buf = &b.ack_ring[idx];
-            buf.with_mut(|s| kdwire::encode_ack(ack.error, ack.base_offset, ack.count, s));
+            buf.with_mut(0, buf.len(), |s| {
+                kdwire::encode_ack(ack.error, ack.base_offset, ack.count, s)
+            });
             SendWr::unsignaled(
                 0,
                 WorkRequest::Send {

@@ -147,12 +147,12 @@ impl ProduceModule {
         nic: &RNic,
         tp: &TopicPartition,
         segment: u32,
-        seg_buf: std::rc::Rc<std::cell::RefCell<Vec<u8>>>,
+        seg_buf: ShmBuf,
         mode: ProduceMode,
         owner: NodeId,
     ) -> Rc<Grant> {
         let access = Access::REMOTE_WRITE | Access::REMOTE_READ;
-        let mr = nic.reg_mr(ShmBuf::from_shared(seg_buf), access);
+        let mr = nic.reg_mr(seg_buf, access);
         let shared = match mode {
             ProduceMode::Shared => {
                 let word_buf = ShmBuf::zeroed(8);
@@ -668,8 +668,8 @@ mod tests {
         }
     }
 
-    fn seg_buf() -> std::rc::Rc<std::cell::RefCell<Vec<u8>>> {
-        std::rc::Rc::new(std::cell::RefCell::new(vec![0u8; 4096]))
+    fn seg_buf() -> ShmBuf {
+        ShmBuf::zeroed(4096)
     }
 
     #[test]
@@ -892,7 +892,7 @@ mod tests {
                 acks.extend((0..u64::from(count)).map(|i| (error, base_offset + i)));
             }
             let m = broker.metrics();
-            let committed = head.shared_buf().borrow()[..head.committed_pos() as usize].to_vec();
+            let committed = head.read(0, head.committed_pos());
             let delivered = Delivered {
                 acks,
                 commits: Vec::new(),

@@ -284,7 +284,7 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         permit.forget(); // returned by the collector on the follower's ack
 
         let len = end - cursor_pos;
-        let local = ShmBuf::from_shared(seg.shared_buf()).slice(cursor_pos as usize, len as usize);
+        let local = seg.shared_buf().slice(cursor_pos as usize, len as usize);
         let wr = SendWr::new(
             last_offset, // wr_id doubles as "follower LEO when acked"
             WorkRequest::WriteImm {

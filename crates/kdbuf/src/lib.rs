@@ -1,8 +1,11 @@
 //! Pooled byte buffers for the simulator's hot datapath.
 //!
-//! Two primitives, both zero-dependency and single-threaded (the simulator
+//! Three primitives, all zero-dependency and single-threaded (the simulator
 //! runs one thread; everything here is `Rc`/thread-local based):
 //!
+//! * [`ShmBuf`] / [`BufSlice`] — registered memory: a shared fixed-size
+//!   buffer that tracks how much of itself was written and is recycled, its
+//!   pages still mapped, when its last owner drops it (see [`shm`]).
 //! * [`Pool`] / [`Buf`] — a slab of fixed-size chunks handed out as cheaply
 //!   sliceable, reference-counted views (a minimal `Bytes`). Dropping the
 //!   last view of a chunk returns it — *including its `Rc` allocation* — to
@@ -12,9 +15,13 @@
 //!   for transient encode/snapshot work (frame building, read staging).
 //!   Dropping a `Scratch` clears the vector but keeps its capacity.
 //!
-//! Neither primitive affects virtual time: pooling replaces real allocator
+//! None of them affects virtual time: pooling replaces real allocator
 //! calls with free-list pushes, and every simulated cost (kernel copy time,
 //! wire time) is charged by the caller exactly as before.
+
+pub mod shm;
+
+pub use shm::{BufSlice, ShmBuf};
 
 use std::cell::{Cell, RefCell};
 use std::mem::MaybeUninit;

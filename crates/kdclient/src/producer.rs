@@ -53,27 +53,22 @@ struct Inner {
     /// End-to-end produce latency (same instrument name as the RDMA
     /// producer's, so reports compare the two transports directly).
     e2e_ns: kdtelem::Histogram,
-    /// Recycled batch builders and encoded-batch buffers: a steady-state
-    /// producer encodes every batch into capacity it already owns.
-    builder_pool: RefCell<Vec<BatchBuilder>>,
+    /// Recycled encoded-batch buffers: a steady-state producer encodes
+    /// every batch into capacity it already owns.
     batch_pool: RefCell<Vec<Vec<u8>>>,
 }
 
 impl Inner {
-    /// Encodes `records` as one batch, with a pooled builder into a pooled
-    /// buffer.
+    /// Encodes `records` as one batch, in place in a pooled buffer — the
+    /// one copy of each value the client makes.
     fn build(&self, records: &[Record]) -> Result<Vec<u8>, ClientError> {
-        let builder = self.builder_pool.borrow_mut().pop();
-        let mut builder = builder.unwrap_or_else(|| BatchBuilder::new(self.producer_id));
-        builder.reset();
+        let mut batch = self.batch_pool.borrow_mut().pop().unwrap_or_default();
+        batch.clear();
+        let mut builder = BatchBuilder::begin(self.producer_id, &mut batch);
         for r in records {
             builder.append(r);
         }
-        let mut batch = self.batch_pool.borrow_mut().pop().unwrap_or_default();
-        batch.clear();
-        let built = builder.build_into(&mut batch);
-        self.builder_pool.borrow_mut().push(builder);
-        if built.is_err() {
+        if builder.finish().is_err() {
             self.batch_pool.borrow_mut().push(batch);
             return Err(ClientError::Corrupt);
         }
@@ -139,7 +134,6 @@ impl TcpProducer {
             producer_id: sim::rng::range_u64(1..u64::MAX),
             telem,
             e2e_ns,
-            builder_pool: RefCell::new(Vec::new()),
             batch_pool: RefCell::new(Vec::new()),
         };
         Ok(TcpProducer {

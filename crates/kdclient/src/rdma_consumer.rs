@@ -286,7 +286,9 @@ impl RdmaConsumer {
             // A slot outside what was read keeps its last known state.
             let at = f.grant.slot.map(|slot| slot.index as usize * SLOT_SIZE);
             if let Some(at) = at.filter(|at| at + SLOT_SIZE <= span) {
-                let view = SlotView::decode(&self.slot_buf.read_at(at, SLOT_SIZE));
+                let mut slot = [0u8; SLOT_SIZE];
+                self.slot_buf.read_into(at, &mut slot);
+                let view = SlotView::decode(&slot);
                 f.last_readable = view.last_readable;
                 f.mutable = view.mutable;
             }
@@ -400,7 +402,7 @@ impl RdmaConsumer {
         let local = self.fetch_buf.slice(0, n);
         self.rdma_read(local, addr, rkey, Some(ctx)).await?;
         let sub = &mut self.subs[i];
-        sub.partial.extend_from_slice(&self.fetch_buf.read_at(0, n));
+        self.fetch_buf.with(|b| sub.partial.extend_from_slice(&b[..n]));
         sub.file.as_mut().expect("checked above").read_pos += n as u32;
         // Client-side integrity check + copy into "native" buffers — the
         // 2 µs overhead §5.3 attributes to the consumer API.

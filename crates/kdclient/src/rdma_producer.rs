@@ -75,8 +75,7 @@ pub struct RdmaProducer {
     pending: Rc<RefCell<VecDeque<AckWaiter>>>,
     /// Recycled staging buffers (see [`RdmaProducer::stage`]).
     stage_pool: StagePool,
-    /// Reusable batch encoder; reset per record.
-    builder: BatchBuilder,
+    producer_id: u64,
     /// Chain-path scratch (the staged run): recycled across
     /// `send_pipelined_chain` calls so posting a chain allocates nothing.
     chain: Vec<Staged>,
@@ -153,7 +152,7 @@ impl RdmaProducer {
             write_pos: 0,
             pending,
             stage_pool,
-            builder: BatchBuilder::new(producer_id),
+            producer_id,
             chain: Vec::new(),
             faa_result: ShmBuf::zeroed(8),
             ack_depth,
@@ -274,21 +273,19 @@ impl RdmaProducer {
     /// charged by [`charge_copies`](Self::charge_copies).
     fn stage(&mut self, record: &Record) -> Result<Staged, ClientError> {
         let span = self.telem.trace_span("client.produce", None);
-        self.builder.reset();
-        self.builder.append(record);
         let staged = self
             .stage_pool
             .borrow_mut()
             .pop()
             .unwrap_or_else(|| ShmBuf::from_vec(Vec::new()));
-        {
-            let shared = staged.shared();
-            let mut v = shared.borrow_mut();
-            v.clear();
-            self.builder
-                .build_into(&mut v)
-                .map_err(|_| ClientError::Corrupt)?;
-        }
+        staged
+            .with_vec(|v| {
+                v.clear();
+                let mut builder = BatchBuilder::begin(self.producer_id, v);
+                builder.append(record);
+                builder.finish()
+            })
+            .map_err(|_| ClientError::Corrupt)?;
         Ok((staged, span))
     }
 

@@ -137,6 +137,11 @@ impl Writer {
     }
 }
 
+/// Bytes [`Writer::put_uvarint`] takes for `v`.
+pub fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 pub fn zigzag_encode(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -327,6 +332,7 @@ mod proptests {
             };
             let mut w = Writer::new();
             w.put_uvarint(v);
+            assert_eq!(uvarint_len(v), w.len(), "uvarint_len({v})");
             let mut r = Reader::new(w.as_slice());
             assert_eq!(r.get_uvarint().unwrap(), v);
             assert_eq!(r.remaining(), 0);

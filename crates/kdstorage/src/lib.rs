@@ -8,9 +8,9 @@
 //! assigns dense per-TP offsets at commit time.
 //!
 //! Layering notes:
-//! * Segment memory is `Rc<RefCell<Vec<u8>>>`, shareable with
-//!   `rnic::ShmBuf::from_shared` so an RDMA write lands bytes directly in
-//!   the log — the zero-copy property everything else builds on.
+//! * Segment memory is a `kdbuf::ShmBuf`, the handle the NIC model
+//!   registers, so an RDMA write lands bytes directly in the log — the
+//!   zero-copy property everything else builds on.
 //! * This crate is runtime-agnostic (no `sim` dependency): it is plain data
 //!   structure code, unit-testable without a runtime.
 

@@ -11,6 +11,8 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use kdbuf::ShmBuf;
+
 use crate::record::{self, BatchError};
 use crate::segment::{BatchIndexEntry, Segment};
 use crate::store::{IoCharge, MemStore, RetentionConfig, SegmentStore};
@@ -173,7 +175,7 @@ impl Log {
     /// every segment but the last is re-sealed. The high watermark restarts
     /// at zero — it is volatile state that replication (or the single-
     /// replica commit rule) re-advances.
-    pub fn recover(config: LogConfig, buffers: Vec<Rc<RefCell<Vec<u8>>>>) -> Log {
+    pub fn recover(config: LogConfig, buffers: Vec<ShmBuf>) -> Log {
         let parts = buffers.into_iter().map(|b| (0, b)).collect();
         Log::recover_with_store(config, Rc::new(MemStore), parts)
     }
@@ -187,7 +189,7 @@ impl Log {
     pub fn recover_with_store(
         config: LogConfig,
         store: Rc<dyn SegmentStore>,
-        parts: Vec<(u64, Rc<RefCell<Vec<u8>>>)>,
+        parts: Vec<(u64, ShmBuf)>,
     ) -> Log {
         let mut segments: Vec<Rc<Segment>> = Vec::with_capacity(parts.len().max(1));
         let mut next = parts.first().map_or(0, |(base, _)| *base);
@@ -715,14 +717,11 @@ impl Log {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{single_record_batch, BatchBuilder, Record};
+    use crate::record::{encode_batch, single_record_batch, Record};
 
     fn batch(n: usize, size: usize) -> Vec<u8> {
-        let mut b = BatchBuilder::new(1);
-        for i in 0..n {
-            b.append(&Record::value(vec![i as u8; size]));
-        }
-        b.build().unwrap()
+        let records: Vec<Record> = (0..n).map(|i| Record::value(vec![i as u8; size])).collect();
+        encode_batch(1, &records).unwrap()
     }
 
     fn small_log() -> Log {
@@ -951,7 +950,7 @@ mod tests {
     }
 
     /// The raw buffers of every segment, i.e. what "survives" a crash.
-    fn surviving_buffers(log: &Log) -> Vec<std::rc::Rc<std::cell::RefCell<Vec<u8>>>> {
+    fn surviving_buffers(log: &Log) -> Vec<ShmBuf> {
         (0..log.segment_count())
             .map(|i| log.segment(i).unwrap().shared_buf())
             .collect()

@@ -24,7 +24,7 @@
 //! Record: `length uvarint | timestamp_delta varint | key opt_bytes |
 //! value opt_bytes | header_count uvarint | (key string, value opt_bytes)*`.
 
-use crate::codec::{Reader, WireError, Writer};
+use crate::codec::{uvarint_len, zigzag_encode, Reader, WireError, Writer};
 use crate::crc32c::crc32c;
 
 /// Fixed bytes before the records section.
@@ -133,113 +133,114 @@ impl BatchHeader {
     }
 }
 
-/// Builds a record batch.
-pub struct BatchBuilder {
+/// Encodes a record batch in place, at the end of a caller's buffer: the
+/// header's 47 bytes are reserved by [`begin`](Self::begin), every record is
+/// written once, straight behind them, and [`finish`](Self::finish) patches
+/// length, count, timestamps and CRC. A producer that hands in its staging
+/// buffer copies a value exactly once — the defensive copy of §5.1.
+pub struct BatchBuilder<'a> {
+    out: &'a mut Vec<u8>,
+    /// Where the batch starts in `out`.
+    start: usize,
     producer_id: u64,
-    records: Writer,
     record_count: u32,
     base_timestamp: Option<i64>,
     max_timestamp: i64,
-    attributes: u16,
 }
 
-impl BatchBuilder {
-    pub fn new(producer_id: u64) -> Self {
+fn opt_bytes_len(v: Option<&[u8]>) -> usize {
+    v.map_or(1, |b| uvarint_len(b.len() as u64 + 1) + b.len())
+}
+
+impl<'a> BatchBuilder<'a> {
+    /// Starts a batch behind whatever `out` already holds.
+    pub fn begin(producer_id: u64, out: &'a mut Vec<u8>) -> Self {
+        let start = out.len();
+        out.resize(start + BATCH_HEADER_LEN, 0);
         BatchBuilder {
+            out,
+            start,
             producer_id,
-            records: Writer::new(),
             record_count: 0,
             base_timestamp: None,
             max_timestamp: 0,
-            attributes: 0,
         }
     }
 
-    pub fn record_count(&self) -> u32 {
-        self.record_count
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.record_count == 0
-    }
-
-    /// Current encoded size if built now.
+    /// Encoded size of the batch if finished now.
     pub fn encoded_len(&self) -> usize {
-        BATCH_HEADER_LEN + self.records.len()
+        self.out.len() - self.start
     }
 
     pub fn append(&mut self, record: &Record) {
         let base = *self.base_timestamp.get_or_insert(record.timestamp);
         self.max_timestamp = self.max_timestamp.max(record.timestamp);
-        // The record body goes through a recycled scratch buffer (the
-        // uvarint length prefix must precede it), so steady-state appends
-        // do not allocate.
-        let mut scratch = kdbuf::scratch();
-        let mut body = Writer::from_vec(std::mem::take(&mut *scratch));
-        body.put_varint(record.timestamp - base);
-        body.put_opt_bytes(record.key.as_deref());
-        body.put_opt_bytes(Some(&record.value));
-        body.put_uvarint(record.headers.len() as u64);
+        let ts_delta = zigzag_encode(record.timestamp - base);
+        // The uvarint length prefix precedes the body, so the body's length
+        // is computed, not measured.
+        let body_len = uvarint_len(ts_delta)
+            + opt_bytes_len(record.key.as_deref())
+            + opt_bytes_len(Some(&record.value))
+            + uvarint_len(record.headers.len() as u64)
+            + record
+                .headers
+                .iter()
+                .map(|(k, v)| uvarint_len(k.len() as u64) + k.len() + opt_bytes_len(Some(v)))
+                .sum::<usize>();
+        let mut w = Writer::from_vec(std::mem::take(self.out));
+        w.put_uvarint(body_len as u64);
+        let body_at = w.len();
+        w.put_uvarint(ts_delta);
+        w.put_opt_bytes(record.key.as_deref());
+        w.put_opt_bytes(Some(&record.value));
+        w.put_uvarint(record.headers.len() as u64);
         for (k, v) in &record.headers {
-            body.put_string(k);
-            body.put_opt_bytes(Some(v));
+            w.put_string(k);
+            w.put_opt_bytes(Some(v));
         }
-        self.records.put_uvarint(body.len() as u64);
-        self.records.put_bytes(body.as_slice());
-        *scratch = body.into_vec();
+        assert_eq!(w.len() - body_at, body_len, "record length prefix");
+        *self.out = w.into_vec();
         self.record_count += 1;
     }
 
-    /// Clears the builder for reuse, keeping buffer capacity. Lets a
-    /// producer keep one builder per connection instead of allocating per
-    /// batch.
-    pub fn reset(&mut self) {
-        self.records.clear();
-        self.record_count = 0;
-        self.base_timestamp = None;
-        self.max_timestamp = 0;
-        self.attributes = 0;
-    }
-
-    /// Serialises the batch (base offset 0; the broker assigns the real one
-    /// at commit).
-    pub fn build(self) -> Result<Vec<u8>, BatchError> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.build_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// As [`build`](Self::build), appending the batch to `out` instead of
-    /// allocating — the builder stays usable (call [`reset`](Self::reset)
-    /// before the next batch).
-    pub fn build_into(&self, out: &mut Vec<u8>) -> Result<(), BatchError> {
+    /// Patches the header (base offset 0; the broker assigns the real one at
+    /// commit). An empty batch is an error and leaves `out` as `begin` found
+    /// it.
+    pub fn finish(self) -> Result<(), BatchError> {
         if self.record_count == 0 {
+            self.out.truncate(self.start);
             return Err(BatchError::Empty);
         }
-        let start = out.len();
-        let mut w = Writer::from_vec(std::mem::take(out));
-        w.put_u64(0); // base_offset
-        w.put_u32((BATCH_HEADER_LEN - LENGTH_FIELD_AT - 4 + self.records.len()) as u32);
-        w.put_u8(MAGIC);
-        w.put_u16(self.attributes);
-        w.put_u32(0); // crc patched below
-        w.put_u64(self.producer_id);
-        w.put_i64(self.base_timestamp.unwrap_or(0));
-        w.put_i64(self.max_timestamp);
-        w.put_u32(self.record_count);
-        w.put_bytes(self.records.as_slice());
-        let crc = crc32c(&w.as_slice()[start + CRC_COVER_FROM..]);
-        w.patch_u32(start + CRC_FIELD_AT, crc);
-        *out = w.into_vec();
+        // Base offset, attributes and the CRC's own bytes stay as `begin`
+        // zeroed them.
+        let batch = &mut self.out[self.start..];
+        let batch_length = (batch.len() - LENGTH_PREFIX_LEN) as u32;
+        batch[LENGTH_FIELD_AT..12].copy_from_slice(&batch_length.to_le_bytes());
+        batch[12] = MAGIC;
+        batch[CRC_COVER_FROM..27].copy_from_slice(&self.producer_id.to_le_bytes());
+        batch[27..35].copy_from_slice(&self.base_timestamp.unwrap_or(0).to_le_bytes());
+        batch[35..43].copy_from_slice(&self.max_timestamp.to_le_bytes());
+        batch[43..BATCH_HEADER_LEN].copy_from_slice(&self.record_count.to_le_bytes());
+        let crc = crc32c(&batch[CRC_COVER_FROM..]);
+        batch[CRC_FIELD_AT..CRC_COVER_FROM].copy_from_slice(&crc.to_le_bytes());
         Ok(())
     }
 }
 
+/// Convenience: `records` as one freshly allocated batch.
+pub fn encode_batch(producer_id: u64, records: &[Record]) -> Result<Vec<u8>, BatchError> {
+    let mut out = Vec::new();
+    let mut b = BatchBuilder::begin(producer_id, &mut out);
+    for r in records {
+        b.append(r);
+    }
+    b.finish()?;
+    Ok(out)
+}
+
 /// Convenience: a single-record batch.
 pub fn single_record_batch(producer_id: u64, record: &Record) -> Vec<u8> {
-    let mut b = BatchBuilder::new(producer_id);
-    b.append(record);
-    b.build().expect("non-empty")
+    encode_batch(producer_id, std::slice::from_ref(record)).expect("non-empty")
 }
 
 /// Parses a batch header from the front of `bytes` (which may contain more
@@ -389,11 +390,7 @@ mod tests {
     }
 
     fn build(records: &[Record]) -> Vec<u8> {
-        let mut b = BatchBuilder::new(42);
-        for r in records {
-            b.append(r);
-        }
-        b.build().unwrap()
+        encode_batch(42, records).unwrap()
     }
 
     #[test]
@@ -455,7 +452,7 @@ mod tests {
 
     #[test]
     fn empty_batch_rejected() {
-        assert_eq!(BatchBuilder::new(1).build().err(), Some(BatchError::Empty));
+        assert_eq!(encode_batch(1, &[]).err(), Some(BatchError::Empty));
     }
 
     #[test]
@@ -504,6 +501,110 @@ mod tests {
     }
 }
 
+/// The in-place encoder writes the bytes the two-hop encoder it replaced
+/// wrote (`append`: value → scratch → records; `build_into`: records → out).
+/// The vectors were captured from that encoder on the commit before the
+/// rewrite, producer id 42.
+#[cfg(test)]
+mod golden {
+    use super::*;
+    use crate::crc32c::crc32c_reference;
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn no_key() -> Record {
+        Record::value(b"v0".to_vec()).with_timestamp(1000)
+    }
+
+    fn key() -> Record {
+        Record::value(b"v1".to_vec()).with_key(b"k1".to_vec()).with_timestamp(1005)
+    }
+
+    fn headers() -> Record {
+        Record::value(b"hv".to_vec())
+            .with_header("trace", b"abc".to_vec())
+            .with_header("h2", Vec::new())
+            .with_timestamp(7)
+    }
+
+    fn empty_value() -> Record {
+        Record::value(Vec::new()).with_timestamp(-5)
+    }
+
+    #[test]
+    fn fixed_records_encode_byte_identically() {
+        let cases: [(&str, Vec<Record>, &str); 5] = [
+            ("no key", vec![no_key()], "00000000000000002a0000000200000f5a1bcd2a00000000000000e803000000000000e8030000000000000100000006000003763000"),
+            ("key", vec![key()], "00000000000000002c000000020000014c38fc2a00000000000000ed03000000000000ed03000000000000010000000800036b3103763100"),
+            ("headers", vec![headers()], "0000000000000000380000000200003c281d082a000000000000000700000000000000070000000000000001000000140000036876020574726163650461626302683201"),
+            ("empty value", vec![empty_value()], "000000000000000028000000020000acf5aeff2a00000000000000fbffffffffffffff0000000000000000010000000400000100"),
+            ("multi-record", vec![no_key(), key(), headers(), empty_value()], "00000000000000004f0000000200009ac3820b2a00000000000000e803000000000000ed030000000000000400000006000003763000080a036b310376310015c10f0003687602057472616365046162630268320105d90f000100"),
+        ];
+        for (name, records, want) in cases {
+            assert_eq!(hex(&encode_batch(42, &records).unwrap()), want, "{name}");
+        }
+        // A value long enough for a three-byte length prefix.
+        let long = encode_batch(42, &[Record::value(vec![0xA5u8; 40_000]).with_timestamp(1)]).unwrap();
+        assert_eq!((long.len(), crc32c_reference(&long)), (40_056, 0xb0a8_c3a7));
+    }
+
+    #[test]
+    fn seeded_batches_encode_byte_identically() {
+        let mut all = Vec::new();
+        for case in 0..64u64 {
+            let mut rng = sim::rng::SimRng::seed_from_u64(0x4EC_0003 ^ case);
+            let n = rng.random_range(1usize..12);
+            let records: Vec<Record> = (0..n).map(|_| proptests::arb_record(&mut rng)).collect();
+            // Batches share one buffer, each behind the last.
+            let mut b = BatchBuilder::begin(42, &mut all);
+            for r in &records {
+                b.append(r);
+            }
+            b.finish().unwrap();
+        }
+        assert_eq!((all.len(), crc32c_reference(&all)), (56_461, 0x1890_0049));
+    }
+
+    #[test]
+    fn encoded_len_is_exact_before_finish() {
+        let mut out = vec![0xEE; 13]; // a batch may start anywhere in `out`
+        let mut b = BatchBuilder::begin(42, &mut out);
+        assert_eq!(b.encoded_len(), BATCH_HEADER_LEN);
+        let mut want = BATCH_HEADER_LEN;
+        for r in [no_key(), key(), headers(), empty_value()] {
+            // At one timestamp, a record's bytes are the batch it makes
+            // alone, less the header.
+            let r = r.with_timestamp(1000);
+            b.append(&r);
+            want += single_record_batch(42, &r).len() - BATCH_HEADER_LEN;
+            assert_eq!(b.encoded_len(), want);
+        }
+        b.finish().unwrap();
+        assert_eq!(out.len(), 13 + want);
+        assert_eq!(verify_batch(&out[13..]).unwrap().total_len(), want);
+    }
+
+    #[test]
+    fn a_reused_staging_buffer_keeps_no_stale_tail() {
+        let mut staging = Vec::new();
+        for records in [vec![headers(), key(), no_key()], vec![empty_value()]] {
+            staging.clear();
+            let mut b = BatchBuilder::begin(42, &mut staging);
+            for r in &records {
+                b.append(r);
+            }
+            b.finish().unwrap();
+            assert_eq!(staging, encode_batch(42, &records).unwrap());
+        }
+        // An empty batch gives back what `begin` reserved.
+        let b = BatchBuilder::begin(42, &mut staging);
+        assert_eq!(b.finish(), Err(BatchError::Empty));
+        assert_eq!(staging, encode_batch(42, &[empty_value()]).unwrap());
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;
@@ -516,7 +617,7 @@ mod proptests {
         v
     }
 
-    fn arb_record(rng: &mut SimRng) -> Record {
+    pub(super) fn arb_record(rng: &mut SimRng) -> Record {
         let key = if rng.random_bool(0.5) {
             Some(rand_bytes(rng, 32))
         } else {
@@ -549,11 +650,7 @@ mod proptests {
             let n = rng.random_range(1usize..12);
             let records: Vec<Record> = (0..n).map(|_| arb_record(&mut rng)).collect();
             let offset: u32 = rng.random_range(0u32..=u32::MAX);
-            let mut b = BatchBuilder::new(7);
-            for r in &records {
-                b.append(r);
-            }
-            let mut bytes = b.build().unwrap();
+            let mut bytes = encode_batch(7, &records).unwrap();
             assign_base_offset(&mut bytes, u64::from(offset));
             let decoded = decode_batch(&bytes).unwrap();
             assert_eq!(decoded.len(), records.len(), "case {case}");

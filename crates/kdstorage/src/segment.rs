@@ -10,6 +10,8 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use kdbuf::ShmBuf;
+
 use crate::record;
 
 /// Index entry for one committed batch.
@@ -38,7 +40,7 @@ impl BatchIndexEntry {
 /// A preallocated, fixed-size segment file.
 pub struct Segment {
     base_offset: u64,
-    buf: Rc<RefCell<Vec<u8>>>,
+    buf: ShmBuf,
     /// Preallocated size. Stored separately from the buffer because an
     /// evicted (cold-tier) segment's buffer is emptied to reclaim memory.
     capacity: u32,
@@ -64,10 +66,15 @@ impl Segment {
     /// Preallocates a segment of `capacity` bytes whose first record will
     /// have offset `base_offset`.
     pub fn new(base_offset: u64, capacity: u32) -> Rc<Segment> {
+        Segment::on(base_offset, ShmBuf::zeroed(capacity as usize))
+    }
+
+    /// An empty index over `buf`.
+    fn on(base_offset: u64, buf: ShmBuf) -> Rc<Segment> {
         Rc::new(Segment {
             base_offset,
-            buf: Rc::new(RefCell::new(vec![0u8; capacity as usize])),
-            capacity,
+            capacity: buf.len() as u32,
+            buf,
             write_pos: Cell::new(0),
             committed_pos: Cell::new(0),
             sealed: Cell::new(false),
@@ -87,21 +94,8 @@ impl Segment {
     /// `base_offset` (the offset field sits outside CRC coverage), so
     /// batches that were fully written but never offset-assigned — a crash
     /// between the one-sided RDMA write and the commit — recover too.
-    pub fn recover(base_offset: u64, buf: Rc<RefCell<Vec<u8>>>) -> Rc<Segment> {
-        let capacity = buf.borrow().len() as u32;
-        let seg = Rc::new(Segment {
-            base_offset,
-            buf,
-            capacity,
-            write_pos: Cell::new(0),
-            committed_pos: Cell::new(0),
-            sealed: Cell::new(false),
-            resident: Cell::new(true),
-            reclaimed: Cell::new(false),
-            frozen_next: Cell::new(0),
-            sealed_at_ns: Cell::new(0),
-            batches: RefCell::new(Vec::new()),
-        });
+    pub fn recover(base_offset: u64, buf: ShmBuf) -> Rc<Segment> {
+        let seg = Segment::on(base_offset, buf);
         // Structural pre-scan (no CRC): counts batches so the index is
         // sized in one allocation and the replay loop below never
         // reallocates — recovery cost per surviving batch is pure CPU.
@@ -202,14 +196,16 @@ impl Segment {
     }
 
     /// Drops the in-memory bytes of a sealed segment (cold-tier spill).
-    /// The shared buffer is emptied **in place** so existing `Rc` clones
-    /// (and any re-registration through them) observe the eviction rather
-    /// than keeping a stale copy alive.
+    /// The shared buffer is emptied **in place** so existing handles (and
+    /// any re-registration through them) observe the eviction rather than
+    /// keeping a stale copy alive — and the memory goes back to the
+    /// allocator now, not to the free list of whole segments.
     pub fn evict(&self) {
         assert!(self.sealed.get(), "only sealed segments evict");
-        let mut buf = self.buf.borrow_mut();
-        buf.clear();
-        buf.shrink_to_fit();
+        self.buf.with_vec(|buf| {
+            buf.clear();
+            buf.shrink_to_fit();
+        });
         self.resident.set(false);
     }
 
@@ -218,9 +214,10 @@ impl Segment {
     pub fn restore(&self, bytes: &[u8]) {
         assert!(!self.reclaimed.get(), "reclaimed segments cannot restore");
         assert_eq!(bytes.len(), self.capacity as usize, "full segment image");
-        let mut buf = self.buf.borrow_mut();
-        buf.clear();
-        buf.extend_from_slice(bytes);
+        self.buf.with_vec(|buf| {
+            buf.clear();
+            buf.extend_from_slice(bytes);
+        });
         self.resident.set(true);
     }
 
@@ -231,18 +228,15 @@ impl Segment {
         assert!(self.sealed.get(), "only sealed segments reclaim");
         self.frozen_next.set(self.next_offset());
         self.reclaimed.set(true);
-        let mut buf = self.buf.borrow_mut();
-        buf.clear();
-        buf.shrink_to_fit();
-        self.resident.set(false);
+        self.evict();
         self.batches.borrow_mut().clear();
         self.batches.borrow_mut().shrink_to_fit();
     }
 
-    /// The raw storage, shareable with `rnic::ShmBuf::from_shared` for RDMA
-    /// registration.
-    pub fn shared_buf(&self) -> Rc<RefCell<Vec<u8>>> {
-        Rc::clone(&self.buf)
+    /// The raw storage: registering it with the NIC gives RDMA peers direct
+    /// access to the segment's memory — the zero-copy seam of the paper.
+    pub fn shared_buf(&self) -> ShmBuf {
+        self.buf.clone()
     }
 
     /// Marks the segment immutable.
@@ -294,35 +288,31 @@ impl Segment {
     /// bytes already).
     pub fn write_at(&self, pos: u32, data: &[u8]) {
         assert!(!self.sealed.get(), "cannot write a sealed segment");
-        let pos = pos as usize;
-        self.buf.borrow_mut()[pos..pos + data.len()].copy_from_slice(data);
+        self.buf.write_at(pos as usize, data);
     }
 
     /// Copies `len` bytes out of the segment.
     pub fn read(&self, pos: u32, len: u32) -> Vec<u8> {
-        let pos = pos as usize;
-        self.buf.borrow()[pos..pos + len as usize].to_vec()
+        self.with_slice(pos, len, <[u8]>::to_vec)
     }
 
     /// Appends `len` bytes at `pos` to `out` — the allocation-free variant
     /// of [`read`](Self::read) for callers that recycle a fetch buffer
     /// (e.g. `Log::read_from_into`).
     pub fn read_into(&self, pos: u32, len: u32, out: &mut Vec<u8>) {
-        let pos = pos as usize;
-        out.extend_from_slice(&self.buf.borrow()[pos..pos + len as usize]);
+        self.with_slice(pos, len, |bytes| out.extend_from_slice(bytes));
     }
 
     /// Runs `f` over the segment bytes at `[pos, pos+len)` without copying.
     pub fn with_slice<R>(&self, pos: u32, len: u32, f: impl FnOnce(&[u8]) -> R) -> R {
         let pos = pos as usize;
-        f(&self.buf.borrow()[pos..pos + len as usize])
+        self.buf.with(|buf| f(&buf[pos..pos + len as usize]))
     }
 
     /// Mutates the segment bytes at `[pos, pos+len)` in place (offset
     /// assignment).
     pub fn with_slice_mut<R>(&self, pos: u32, len: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let pos = pos as usize;
-        f(&mut self.buf.borrow_mut()[pos..pos + len as usize])
+        self.buf.with_mut(pos as usize, len as usize, f)
     }
 
     /// Records a committed batch. Commits must be contiguous: `entry.pos`
@@ -457,5 +447,63 @@ mod tests {
         s.truncate_to_committed();
         assert_eq!(s.write_pos(), 32);
         assert_eq!(s.committed_pos(), 32);
+    }
+
+    /// Segment memory outlives its segment (`kdbuf::shm`): a buffer whose
+    /// previous life was full of CRC-valid batches must read as a fresh
+    /// preallocation, or a crash before the first commit would recover the
+    /// previous owner's records.
+    #[test]
+    fn a_recycled_buffer_is_indistinguishable_from_a_fresh_one() {
+        const CAPACITY: u32 = 256 * 1024 + 3 * 4096; // no other test's size
+        let batch = record::single_record_batch(1, &record::Record::value(vec![0xAB; 1000]));
+        let parked = kdbuf::shm::parked_bytes();
+        let old = Segment::new(0, CAPACITY);
+        while let Some(pos) = old.reserve(batch.len() as u32) {
+            old.write_at(pos, &batch);
+            let base_offset = old.next_offset();
+            old.with_slice_mut(pos, 8, |b| record::assign_base_offset(b, base_offset));
+            old.push_committed(BatchIndexEntry {
+                base_offset,
+                pos,
+                len: batch.len() as u32,
+                record_count: 1,
+            });
+        }
+        let (buf, filled) = (old.shared_buf(), old.batch_count());
+        assert!(filled > 200 && old.remaining() < batch.len() as u32);
+        drop(old);
+        let addr = buf.with(|b| b.as_ptr() as usize);
+        assert_eq!(Segment::recover(0, buf).batch_count(), filled, "the bytes were live");
+        assert_eq!(kdbuf::shm::parked_bytes(), parked + CAPACITY as usize);
+
+        let fresh = Segment::new(500, CAPACITY);
+        assert_eq!(kdbuf::shm::parked_bytes(), parked, "taken from the free list");
+        fresh.with_slice(0, CAPACITY, |b| {
+            assert_eq!(b.as_ptr() as usize, addr, "the same memory");
+            assert!(b.iter().all(|&x| x == 0), "reads all-zero");
+        });
+        let recovered = Segment::recover(500, fresh.shared_buf());
+        assert_eq!((recovered.batch_count(), recovered.committed_pos()), (0, 0));
+        assert_eq!(recovered.next_offset(), 500);
+    }
+
+    /// Eviction exists to return memory: an evicted segment's buffer goes
+    /// back to the allocator when emptied, not to the free list when dropped.
+    #[test]
+    fn an_evicted_segment_is_not_parked() {
+        const CAPACITY: u32 = 256 * 1024 + 5 * 4096;
+        let parked = kdbuf::shm::parked_bytes();
+        let s = Segment::new(0, CAPACITY);
+        s.write_at(0, &[1; 64]);
+        let image = s.read(0, CAPACITY);
+        s.seal();
+        s.evict();
+        assert_eq!(s.shared_buf().len(), 0);
+        s.restore(&image);
+        assert_eq!(s.read(0, 64), [1; 64]);
+        s.evict();
+        drop(s);
+        assert_eq!(kdbuf::shm::parked_bytes(), parked);
     }
 }

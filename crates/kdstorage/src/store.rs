@@ -10,7 +10,7 @@
 //!
 //! Two implementations:
 //! * [`MemStore`] — the status quo: segments live only in their
-//!   `Rc<RefCell<Vec<u8>>>` buffers. Every hook is a no-op and every charge
+//!   `kdbuf::ShmBuf` buffers. Every hook is a no-op and every charge
 //!   is zero, so memory-mode behaviour (and the chaos replay digests) are
 //!   bit-identical to a build without this module.
 //! * [`FileStore`] — the durable tier: one preallocated, length-prefixed
@@ -743,18 +743,15 @@ mod tests {
     use super::*;
     use std::rc::Rc;
     use crate::log::{Log, LogConfig};
-    use crate::record::{BatchBuilder, Record};
+    use crate::record::{encode_batch, Record};
 
     fn temp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("kdstore-{}-{}", tag, std::process::id()))
     }
 
     fn batch(n: usize, size: usize) -> Vec<u8> {
-        let mut b = BatchBuilder::new(1);
-        for i in 0..n {
-            b.append(&Record::value(vec![(i % 251) as u8; size]));
-        }
-        b.build().unwrap()
+        let records: Vec<Record> = (0..n).map(|i| Record::value(vec![(i % 251) as u8; size])).collect();
+        encode_batch(1, &records).unwrap()
     }
 
     fn tiered_log(tag: &str, sync: SyncMode) -> (Log, PathBuf) {
@@ -806,7 +803,7 @@ mod tests {
         assert_eq!(parts.len(), 1);
         let bufs = parts
             .into_iter()
-            .map(|(b, v)| (b, Rc::new(RefCell::new(v))))
+            .map(|(b, v)| (b, kdbuf::ShmBuf::from_vec(v)))
             .collect();
         let recovered = Log::recover_with_store(
             log.config().clone(),
@@ -850,19 +847,16 @@ mod tests {
         for _ in 0..8 {
             log.append_batch(&payload).unwrap();
         }
-        let before = log.segment(0).unwrap().shared_buf().borrow().clone();
+        let before = log.segment(0).unwrap().shared_buf().as_slice().to_vec();
         assert!(log.evict_segment(0));
-        assert_eq!(log.segment(0).unwrap().shared_buf().borrow().len(), 0);
+        assert_eq!(log.segment(0).unwrap().shared_buf().len(), 0);
         assert!(log.restore_segment(0));
         let seg = log.segment(0).unwrap();
         assert!(seg.is_resident());
         // The committed prefix round-trips exactly; RDMA consumers read
         // through the same shared RefCell they registered.
         let committed = seg.committed_pos() as usize;
-        assert_eq!(
-            &seg.shared_buf().borrow()[..committed],
-            &before[..committed]
-        );
+        assert_eq!(seg.read(0, committed as u32), &before[..committed]);
         std::fs::remove_dir_all(dir).ok();
     }
 

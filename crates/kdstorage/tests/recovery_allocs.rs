@@ -8,11 +8,10 @@
 //! allocation-free.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use kdstorage::{BatchBuilder, Log, LogConfig, Record};
+use kdstorage::record::single_record_batch;
+use kdstorage::{Log, LogConfig, Record};
 
 struct CountingAlloc;
 
@@ -49,14 +48,13 @@ fn filled_log(batches: usize) -> Log {
     };
     let log = Log::new(config);
     for i in 0..batches {
-        let mut b = BatchBuilder::new(7);
-        b.append(&Record::value(vec![(i % 251) as u8; 32]));
-        log.append_batch(&b.build().unwrap()).unwrap();
+        let batch = single_record_batch(7, &Record::value(vec![(i % 251) as u8; 32]));
+        log.append_batch(&batch).unwrap();
     }
     log
 }
 
-fn surviving_buffers(log: &Log) -> Vec<Rc<RefCell<Vec<u8>>>> {
+fn surviving_buffers(log: &Log) -> Vec<kdbuf::ShmBuf> {
     (0..log.segment_count())
         .map(|i| log.segment(i).unwrap().shared_buf())
         .collect()

@@ -10,7 +10,6 @@
 //! * every reclaimed offset fails with the typed out-of-retention error;
 //! * the sparse-index sidecars of sealed segments parse and are monotonic.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use kdstorage::record::{decode_batch, BatchBuilder, Record};
@@ -26,7 +25,8 @@ fn temp_dir(seed: u64) -> std::path::PathBuf {
 fn random_batch(rng: &mut SimRng, tag: &mut u64) -> (Vec<u8>, u32) {
     let records = 1 + rng.below(5) as u32;
     let size = 16 + rng.below(220) as usize;
-    let mut b = BatchBuilder::new(7);
+    let mut out = Vec::new();
+    let mut b = BatchBuilder::begin(7, &mut out);
     for _ in 0..records {
         // Tag every record with a global sequence number so reads can be
         // checked for order and identity, not just count.
@@ -35,7 +35,8 @@ fn random_batch(rng: &mut SimRng, tag: &mut u64) -> (Vec<u8>, u32) {
         *tag += 1;
         b.append(&Record::value(v));
     }
-    (b.build().unwrap(), records)
+    b.finish().unwrap();
+    (out, records)
 }
 
 fn check_seed(seed: u64) {
@@ -194,7 +195,7 @@ fn recovery_round_trips_durable_snapshot() {
             .durable_snapshot()
             .unwrap()
             .into_iter()
-            .map(|(b, v)| (b, Rc::new(RefCell::new(v))))
+            .map(|(b, v)| (b, kdbuf::ShmBuf::from_vec(v)))
             .collect();
         let dir2 = dir.with_extension("recovered");
         std::fs::remove_dir_all(&dir2).ok();

@@ -1,190 +1,17 @@
-//! Shared memory buffers and memory regions.
+//! Memory regions.
 //!
-//! [`ShmBuf`] is the unit of "physical" memory in the simulation: the broker
-//! allocates a segment as a `ShmBuf`, registers it ([`MemoryRegion`]), and
-//! hands the `(addr, rkey, len)` triple ([`RemoteMr`]) to clients over the
-//! control plane — exactly the mmap + `ibv_reg_mr` flow of §4.2.2.
+//! [`ShmBuf`] (`kdbuf::shm`) is the unit of "physical" memory in the
+//! simulation: the broker allocates a segment as a `ShmBuf`, registers it
+//! ([`MemoryRegion`]), and hands the `(addr, rkey, len)` triple
+//! ([`RemoteMr`]) to clients over the control plane — exactly the mmap +
+//! `ibv_reg_mr` flow of §4.2.2.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
+pub use kdbuf::{BufSlice, ShmBuf};
 use netsim::NodeId;
-
-/// A shared, heap-backed buffer. Cloning shares the storage.
-///
-/// All the interior mutability is transient (no borrow is held across an
-/// `.await`), so `RefCell` is sufficient on the single-threaded runtime.
-#[derive(Clone)]
-pub struct ShmBuf {
-    data: Rc<RefCell<Vec<u8>>>,
-}
-
-impl ShmBuf {
-    /// Allocates a zeroed buffer of `len` bytes.
-    pub fn zeroed(len: usize) -> Self {
-        ShmBuf {
-            data: Rc::new(RefCell::new(vec![0; len])),
-        }
-    }
-
-    /// Wraps an existing vector.
-    pub fn from_vec(v: Vec<u8>) -> Self {
-        ShmBuf {
-            data: Rc::new(RefCell::new(v)),
-        }
-    }
-
-    /// Wraps storage shared with another subsystem (e.g. a `kdstorage`
-    /// segment): registering the returned buffer gives RDMA peers direct
-    /// access to that subsystem's memory — the zero-copy seam of the paper.
-    pub fn from_shared(data: Rc<RefCell<Vec<u8>>>) -> Self {
-        ShmBuf { data }
-    }
-
-    /// The underlying shared storage.
-    pub fn shared(&self) -> Rc<RefCell<Vec<u8>>> {
-        Rc::clone(&self.data)
-    }
-
-    pub fn len(&self) -> usize {
-        self.data.borrow().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copies `src` into the buffer at `offset`.
-    ///
-    /// # Panics
-    /// Panics on out-of-bounds; callers (the NIC engine) validate first.
-    pub fn write_at(&self, offset: usize, src: &[u8]) {
-        self.data.borrow_mut()[offset..offset + src.len()].copy_from_slice(src);
-    }
-
-    /// Copies `len` bytes starting at `offset` out of the buffer.
-    pub fn read_at(&self, offset: usize, len: usize) -> Vec<u8> {
-        self.data.borrow()[offset..offset + len].to_vec()
-    }
-
-    /// Copies bytes into a caller-provided slice.
-    pub fn read_into(&self, offset: usize, dst: &mut [u8]) {
-        dst.copy_from_slice(&self.data.borrow()[offset..offset + dst.len()]);
-    }
-
-    /// Runs `f` over an immutable view of the whole buffer (no `.await`
-    /// while inside).
-    pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.data.borrow())
-    }
-
-    /// Runs `f` over a mutable view of the whole buffer.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.data.borrow_mut())
-    }
-
-    /// Reads a little-endian u64 at `offset` (8-aligned not required for
-    /// local access).
-    pub fn read_u64(&self, offset: usize) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_into(offset, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Writes a little-endian u64 at `offset`.
-    pub fn write_u64(&self, offset: usize, v: u64) {
-        self.write_at(offset, &v.to_le_bytes());
-    }
-
-    /// A slice view `[offset, offset+len)` of this buffer.
-    pub fn slice(&self, offset: usize, len: usize) -> BufSlice {
-        assert!(offset + len <= self.len(), "ShmBuf::slice out of bounds");
-        BufSlice {
-            buf: self.clone(),
-            offset,
-            len,
-        }
-    }
-
-    /// Whole-buffer slice.
-    pub fn as_slice(&self) -> BufSlice {
-        self.slice(0, self.len())
-    }
-
-    /// True if both handles refer to the same storage.
-    pub fn same_buffer(&self, other: &ShmBuf) -> bool {
-        Rc::ptr_eq(&self.data, &other.data)
-    }
-}
-
-impl fmt::Debug for ShmBuf {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShmBuf(len={})", self.len())
-    }
-}
-
-/// A view into a [`ShmBuf`]; the local-buffer argument of work requests.
-#[derive(Clone, Debug)]
-pub struct BufSlice {
-    pub(crate) buf: ShmBuf,
-    pub(crate) offset: usize,
-    pub(crate) len: usize,
-}
-
-impl BufSlice {
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.buf.read_at(self.offset, self.len)
-    }
-
-    /// Runs `f` over the slice's bytes without copying (no `.await` while
-    /// inside).
-    pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        self.buf.with(|s| f(&s[self.offset..self.offset + self.len]))
-    }
-
-    pub fn copy_from(&self, src: &[u8]) {
-        assert!(src.len() <= self.len, "BufSlice::copy_from overflow");
-        self.buf.write_at(self.offset, src);
-    }
-
-    /// Copies this slice's bytes into `dst` without an intermediate
-    /// allocation. Alias-safe: when both views share storage (a loopback
-    /// RDMA op), the copy goes through a single mutable borrow via
-    /// `copy_within`.
-    pub fn copy_to(&self, dst: &BufSlice) {
-        assert!(self.len <= dst.len, "BufSlice::copy_to overflow");
-        if self.buf.same_buffer(&dst.buf) {
-            self.buf
-                .with_mut(|d| d.copy_within(self.offset..self.offset + self.len, dst.offset));
-        } else {
-            self.with(|s| dst.buf.write_at(dst.offset, s));
-        }
-    }
-
-    /// Narrows the slice.
-    pub fn sub(&self, offset: usize, len: usize) -> BufSlice {
-        assert!(offset + len <= self.len, "BufSlice::sub out of bounds");
-        BufSlice {
-            buf: self.buf.clone(),
-            offset: self.offset + offset,
-            len,
-        }
-    }
-
-    pub fn read_u64(&self) -> u64 {
-        assert!(self.len >= 8);
-        self.buf.read_u64(self.offset)
-    }
-}
 
 /// Access permissions of a memory region, mirroring `ibv_access_flags`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -103,6 +103,40 @@ if grep -rn "was_idle" crates/kdbroker/src ||
     exit 1
 fi
 
+# Host cost of a byte (DESIGN.md §10): one checksum kernel per machine, one
+# staging copy, segment memory that is recycled. The hardware and the table
+# CRC32C must agree at every length, alignment and streaming split — named
+# here because the table kernel runs nowhere else on a machine with SSE4.2.
+cargo test -q --offline -p kdstorage --lib crc32c::differential
+
+# `unsafe` lives in four files; each block in the CRC kernel says why it is
+# sound.
+unsafe_ok="crates/kdbuf/src/lib.rs crates/sim/src/executor.rs crates/sim/src/sync/mutex.rs crates/kdstorage/src/crc32c.rs"
+for f in $(grep -rl "unsafe" crates/*/src); do
+    case " $unsafe_ok " in
+    *" $f "*) ;;
+    *)
+        echo "ci: $f uses unsafe and is not on the allow-list in scripts/ci.sh" >&2
+        exit 1
+        ;;
+    esac
+done
+if [ "$(grep -c "unsafe {" crates/kdstorage/src/crc32c.rs)" != "$(grep -c "// SAFETY:" crates/kdstorage/src/crc32c.rs)" ]; then
+    echo "ci: an unsafe block in crates/kdstorage/src/crc32c.rs has no // SAFETY: line" >&2
+    exit 1
+fi
+
+# Re-fork guard: a segment's bytes come from `kdbuf::ShmBuf::zeroed` (which
+# recycles) and nothing copies a registered buffer out through
+# `ShmBuf::read_at` (a `to_vec`) outside tests.
+if grep -n "vec!\[0u8; capacity" crates/kdstorage/src/segment.rs ||
+    for f in $(grep -rl "\.read_at(" crates/*/src); do
+        awk '/#\[cfg\(test\)\]/ { exit } /\.read_at\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done | grep .; then
+    echo "ci: a segment allocates its own bytes or non-test code calls ShmBuf::read_at (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # Work-request engine gates: the NIC model must not grow a per-WR task
 # again — no spawn on the post path of qp.rs (connection-manager and test
 # spawns live elsewhere) — and its executor-poll budget must hold: 10 000

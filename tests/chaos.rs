@@ -22,6 +22,7 @@ use std::time::Duration;
 use common::{run_seed, seeds_under_test, Outcome, SEEDS};
 use kafkadirect::{SimCluster, SystemKind};
 use kdclient::{Admin, RdmaConsumer, RdmaProducer};
+use kdstorage::record::single_record_batch;
 use kdstorage::Record;
 use kdwire::messages::{ProduceMode, Request, Response};
 use rnic::{QpOptions, RNic, SendWr, ShmBuf, WorkRequest};
@@ -210,9 +211,7 @@ fn stale_epoch_producer_write_is_fenced() {
             .unwrap();
 
         // One committed record under the old epoch.
-        let mut builder = kdstorage::record::BatchBuilder::new(7);
-        builder.append(&Record::value(vec![1u8; 64]));
-        let good = ShmBuf::from_vec(builder.build().unwrap());
+        let good = ShmBuf::from_vec(single_record_batch(7, &Record::value(vec![1u8; 64])));
         let good_len = good.len() as u64;
         qp.post_send(SendWr::new(
             1,
@@ -235,9 +234,7 @@ fn stale_epoch_producer_write_is_fenced() {
 
         // The stale producer keeps writing with the old grant: the NIC
         // rejects the rkey and the send completes with an error.
-        let mut builder = kdstorage::record::BatchBuilder::new(7);
-        builder.append(&Record::value(vec![0xEE; 64]));
-        let stale = ShmBuf::from_vec(builder.build().unwrap());
+        let stale = ShmBuf::from_vec(single_record_batch(7, &Record::value(vec![0xEE; 64])));
         qp.post_send(SendWr::new(
             2,
             WorkRequest::WriteImm {

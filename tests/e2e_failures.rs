@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use kafkadirect::{SimCluster, SystemKind};
 use kdclient::{RdmaConsumer, RdmaProducer};
-use kdstorage::record::BatchBuilder;
+use kdstorage::record::single_record_batch;
 use kdstorage::Record;
 use kdwire::messages::{ProduceMode, Request, Response};
 use rnic::{QpOptions, RNic, SendWr, ShmBuf, WorkRequest};
@@ -184,9 +184,7 @@ fn corrupt_rdma_write_rejected() {
             buf: Some(ack_buf.as_slice()),
         })
         .unwrap();
-        let mut builder = BatchBuilder::new(1);
-        builder.append(&Record::value(vec![9u8; 64]));
-        let mut batch = builder.build().unwrap();
+        let mut batch = single_record_batch(1, &Record::value(vec![9u8; 64]));
         let last = batch.len() - 1;
         batch[last] ^= 0xff; // break the CRC
         let staged = ShmBuf::from_vec(batch);
