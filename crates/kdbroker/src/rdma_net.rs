@@ -6,7 +6,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use rnic::{CqOpcode, Cqe, MuxPool, QpOptions, RdmaListener, RecvWr, SendWr, Srq, WorkRequest};
+use rnic::{CqOpcode, Cqe, MuxPool, QpOptions, QueuePair, RdmaListener, RecvWr, SendWr, Srq, WorkRequest};
 
 use crate::broker::BrokerInner;
 use crate::rdma_produce::Grant;
@@ -76,7 +76,7 @@ fn start_produce_listener(b: &Rc<BrokerInner>, srq: Srq) {
             // Watch for client failure: revoke produce grants held by that
             // node (§4.2.2 failure handling).
             let b2 = Rc::clone(&b);
-            sim::spawn(async move {
+            sim::spawn_detached(async move {
                 qp.disconnected().await;
                 drop(lease);
                 b2.produce_qps.borrow_mut().remove(&qpn);
@@ -97,7 +97,13 @@ fn start_consume_listener(b: &Rc<BrokerInner>) {
             let send_cq = b.nic.create_cq(64);
             let recv_cq = b.nic.create_cq(64);
             let qp = inc.accept(&b.nic, send_cq, recv_cq, QpOptions::default());
-            b.consume_qps.borrow_mut().push(qp);
+            // Nobody watches these for disconnects: the ends of consumers
+            // that left go whenever the list would otherwise grow.
+            let mut qps = b.consume_qps.borrow_mut();
+            if qps.len() == qps.capacity() {
+                qps.retain(QueuePair::is_alive);
+            }
+            qps.push(qp);
         }
     });
 }

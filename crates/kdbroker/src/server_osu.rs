@@ -35,9 +35,9 @@ pub fn start(b: &Rc<BrokerInner>) {
             let send_cq = b.nic.create_cq(1024);
             let recv_cq = b.nic.create_cq(1024);
             let qp = inc.accept(&b.nic, send_cq.clone(), recv_cq.clone(), QpOptions::default());
-            sim::spawn(serve_connection(Rc::clone(&b), qp, recv_cq, from));
+            sim::spawn_detached(serve_connection(Rc::clone(&b), qp, recv_cq, from));
             // Drain send completions (responses are unsignaled; errors only).
-            sim::spawn(async move { while send_cq.next().await.is_some() {} });
+            sim::spawn_detached(async move { while send_cq.next().await.is_some() {} });
         }
     });
 }

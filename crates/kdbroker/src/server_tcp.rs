@@ -16,7 +16,7 @@ pub fn start(b: &Rc<BrokerInner>) {
     let b = Rc::clone(b);
     sim::spawn(async move {
         while let Some(stream) = listener.accept().await {
-            sim::spawn(serve_connection(Rc::clone(&b), stream));
+            sim::spawn_detached(serve_connection(Rc::clone(&b), stream));
         }
     });
 }

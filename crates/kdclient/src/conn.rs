@@ -125,7 +125,7 @@ impl OsuConn {
         let dead2 = Rc::clone(&dead);
         let qp2 = qp.clone();
         let node2 = node.clone();
-        sim::spawn(async move {
+        sim::spawn_detached(async move {
             loop {
                 let Some(cqe) = recv_cq.next().await else { break };
                 if !cqe.ok() || cqe.opcode != CqOpcode::Recv {
@@ -160,7 +160,7 @@ impl OsuConn {
             pending2.borrow_mut().clear();
         });
         // Drain the send CQ (sends are unsignaled; errors only).
-        sim::spawn(async move { while send_cq.next().await.is_some() {} });
+        sim::spawn_detached(async move { while send_cq.next().await.is_some() {} });
 
         Ok(OsuConn {
             node: node.clone(),

@@ -108,6 +108,16 @@ pub struct RdmaConsumer {
     fetch_e2e_ns: kdtelem::Histogram,
 }
 
+impl Drop for RdmaConsumer {
+    /// A consumer that goes away disconnects, so the broker's end of the QP
+    /// stops occupying a context on its NIC (see `RdmaProducer`'s `Drop`).
+    fn drop(&mut self) {
+        if sim::try_now().is_some() {
+            self.qp.close();
+        }
+    }
+}
+
 impl RdmaConsumer {
     /// Connects to `broker` and subscribes to `topic`/`partition` from
     /// `offset`.

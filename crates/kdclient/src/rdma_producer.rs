@@ -34,6 +34,8 @@ const ACK_BUF: usize = 16;
 /// simulated producers shrink this via [`RdmaProducer::connect_with_ack_depth`]
 /// — each pre-posted ack buffer costs real host memory per client.
 const ACK_DEPTH: usize = 512;
+/// Bound on the ack reader's task frame, in bytes.
+const ACK_READER_FRAME: usize = 256;
 
 /// Bounded reconnect policy: attempts are spaced by exponential backoff so
 /// a producer rides out a broker restart without hammering the fabric, and
@@ -187,58 +189,16 @@ impl RdmaProducer {
             )
             .await
             .map_err(|_| ClientError::Disconnected)?;
-        // Ack receive buffers + reader task: acks resolve pending waiters
-        // strictly FIFO (RC ordering guarantees this matches write order).
-        let bufs: Vec<ShmBuf> = (0..ack_depth).map(|_| ShmBuf::zeroed(ACK_BUF)).collect();
-        for (i, buf) in bufs.iter().enumerate() {
-            let _ = qp.post_recv(RecvWr {
-                wr_id: i as u64,
-                buf: Some(buf.as_slice()),
-            });
-        }
-        {
-            let qp = qp.clone();
-            let wakeup = node.profile().cpu.wakeup;
-            sim::spawn(async move {
-                // Acks drain in stack-space batches (`ibv_poll_cq` style):
-                // one wakeup retires every ack that piled up, and the
-                // consumed recvs go back through one chained post.
-                let mut batch: kdbuf::ArrayVec<rnic::Cqe, 64> = kdbuf::ArrayVec::new();
-                let mut recycle: kdbuf::ArrayVec<u64, 64> = kdbuf::ArrayVec::new();
-                'conn: loop {
-                    batch.clear();
-                    if recv_cq.poll_batch(&mut batch) == 0 {
-                        // Blocking-poll wakeup (§5.1 client overheads).
-                        if !recv_cq.wait(wakeup).await {
-                            break;
-                        }
-                        recv_cq.poll_batch(&mut batch);
-                    }
-                    recycle.clear();
-                    for cqe in batch.as_slice() {
-                        if !cqe.ok() || cqe.opcode != CqOpcode::Recv {
-                            break 'conn;
-                        }
-                        // Decode through a stack buffer: the ack path
-                        // allocates nothing at steady state.
-                        let n = (cqe.byte_len as usize).min(ACK_BUF);
-                        let mut payload = [0u8; ACK_BUF];
-                        bufs[cqe.wr_id as usize].read_into(0, &mut payload[..n]);
-                        let _ = recycle.push(cqe.wr_id);
-                        resolve_ack(&payload[..n], &pending, &stage_pool);
-                    }
-                    let _ = qp.post_recv_list(recycle.drain().map(|wr_id| RecvWr {
-                        wr_id,
-                        buf: Some(bufs[wr_id as usize].as_slice()),
-                    }));
-                }
-                dead.set(true);
-                // Fail anything still pending.
-                for (w, _) in pending.borrow_mut().drain(..) {
-                    let _ = w.send((ErrorCode::Internal, 0));
-                }
-            });
-        }
+        // Ack receive buffers — one registered region, a slice per receive —
+        // and the reader task: acks resolve pending waiters strictly FIFO
+        // (RC ordering guarantees this matches write order).
+        let bufs = ShmBuf::zeroed(ack_depth * ACK_BUF);
+        let _ = qp.post_recv_list((0..ack_depth).map(|i| ack_recv(&bufs, i as u64)));
+        let wakeup = node.profile().cpu.wakeup;
+        let reader = ack_reader(qp.clone(), recv_cq, bufs, wakeup, pending, stage_pool, dead);
+        // One of these is parked per connected producer.
+        assert!(std::mem::size_of_val(&reader) <= ACK_READER_FRAME);
+        sim::spawn_detached(reader);
         Ok((qp, send_cq))
     }
 
@@ -625,6 +585,82 @@ impl RdmaProducer {
             let _ = self.faa(word.addr, word.rkey, len, None).await;
         }
     }
+}
+
+impl Drop for RdmaProducer {
+    /// A producer that goes away disconnects: its ack reader holds the QP
+    /// too, so without this the connection — and with it the broker-side
+    /// grant, exclusive ones included — would outlive the producer for good.
+    /// Outside a runtime there is no instant for the peer to observe it at.
+    fn drop(&mut self) {
+        if sim::try_now().is_some() {
+            self.qp.close();
+        }
+    }
+}
+
+/// The receive of ack buffer `wr_id`: its slice of the connection's region.
+fn ack_recv(bufs: &ShmBuf, wr_id: u64) -> RecvWr {
+    RecvWr {
+        wr_id,
+        buf: Some(bufs.slice(wr_id as usize * ACK_BUF, ACK_BUF)),
+    }
+}
+
+/// The ack reader of one data-plane QP: blocks on the receive CQ, retires
+/// what piled up, and fails whatever is still pending once the QP breaks.
+async fn ack_reader(
+    qp: QueuePair,
+    recv_cq: rnic::CompletionQueue,
+    bufs: ShmBuf,
+    wakeup: Duration,
+    pending: Rc<RefCell<VecDeque<AckWaiter>>>,
+    stage_pool: StagePool,
+    dead: Rc<std::cell::Cell<bool>>,
+) {
+    loop {
+        // Blocking-poll wakeup (§5.1 client overheads) when the CQ is dry.
+        if recv_cq.is_empty() && !recv_cq.wait(wakeup).await {
+            break;
+        }
+        if !drain_acks(&qp, &recv_cq, &bufs, &pending, &stage_pool) {
+            break;
+        }
+    }
+    dead.set(true);
+    // Fail anything still pending.
+    for (w, _) in pending.borrow_mut().drain(..) {
+        let _ = w.send((ErrorCode::Internal, 0));
+    }
+}
+
+/// Retires one stack-space batch of acks (`ibv_poll_cq` style) and puts the
+/// consumed receives back through one chained post. Not part of the reader's
+/// future, so a parked reader holds no batch. `false`: the connection broke.
+fn drain_acks(
+    qp: &QueuePair,
+    recv_cq: &rnic::CompletionQueue,
+    bufs: &ShmBuf,
+    pending: &RefCell<VecDeque<AckWaiter>>,
+    stage_pool: &StagePool,
+) -> bool {
+    let mut batch: kdbuf::ArrayVec<rnic::Cqe, 64> = kdbuf::ArrayVec::new();
+    let mut recycle: kdbuf::ArrayVec<u64, 64> = kdbuf::ArrayVec::new();
+    recv_cq.poll_batch(&mut batch);
+    for cqe in batch.as_slice() {
+        if !cqe.ok() || cqe.opcode != CqOpcode::Recv {
+            return false;
+        }
+        // Decode through a stack buffer: the ack path allocates nothing at
+        // steady state.
+        let n = (cqe.byte_len as usize).min(ACK_BUF);
+        let mut payload = [0u8; ACK_BUF];
+        bufs.read_into(cqe.wr_id as usize * ACK_BUF, &mut payload[..n]);
+        let _ = recycle.push(cqe.wr_id);
+        resolve_ack(&payload[..n], pending, stage_pool);
+    }
+    let _ = qp.post_recv_list(recycle.drain().map(|wr_id| ack_recv(bufs, wr_id)));
+    true
 }
 
 /// Resolves the waiters one ack answers: the oldest `count` pending writes,

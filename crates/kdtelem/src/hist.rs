@@ -107,8 +107,8 @@ impl HistData {
 
 /// A shareable, mergeable log-linear histogram handle.
 ///
-/// Clones share the same underlying buckets; the registry hands out fresh
-/// instances per call and merges same-named ones at snapshot time.
+/// Clones share the same underlying buckets; the registry keeps one instance
+/// per `(component, name)` and hands out clones of it.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     inner: Rc<RefCell<HistData>>,

@@ -1,12 +1,22 @@
 //! The stats registry: named counters, gauges, histograms, and a bounded
 //! span ring, grouped by component.
 //!
-//! Instruments are *handles*: every `counter()`/`gauge()`/`histogram()` call
-//! creates a fresh cell owned by the caller and remembered by the registry
-//! under its `(component, name)` key. Snapshots aggregate same-named
-//! instruments (counters/gauge values sum, gauge peaks max, histograms
-//! merge), so each broker or NIC keeps private cells it can read exactly
-//! while the cluster-wide report still rolls everything up.
+//! Instruments are *handles*, and a cell belongs to whoever reads it.
+//!
+//! * `counter()` / `gauge()` create a fresh cell owned by the caller and
+//!   remembered by the registry under its `(component, name)` key: a broker
+//!   or a NIC keeps private cells it can read back exactly, and snapshots
+//!   aggregate same-named cells (counters and gauge values sum, gauge peaks
+//!   max). An object there is one of per *connection* — a CQ, a link, a
+//!   client NIC — reads none of its cells, so it registers none: it clones
+//!   the handles of its owner (the fabric, the device), which keeps the
+//!   registry's vectors O(names x owners) however many connections come and
+//!   go. Only `add`/`sub` gauges are shared that way (the shared cell is the
+//!   true aggregate, with its true peak); a `set` gauge stays per owner.
+//! * `histogram()` hands out clones of the one cell of its key. Histograms
+//!   are write-only handles — nothing reads a distribution back except
+//!   through the registry, which merged by name anyway — and a cell is
+//!   ~7.6 KiB.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -212,13 +222,15 @@ impl Registry {
         g
     }
 
-    /// Creates and registers a fresh histogram under `(component, name)`.
+    /// A handle to the histogram cell of `(component, name)`, created and
+    /// registered on first use: every caller records into the same cell.
     pub fn histogram(&self, component: &'static str, name: &'static str) -> Histogram {
+        let mut histograms = self.inner.histograms.borrow_mut();
+        if let Some((_, h)) = histograms.iter().find(|(k, _)| *k == (component, name)) {
+            return h.clone();
+        }
         let h = Histogram::new();
-        self.inner
-            .histograms
-            .borrow_mut()
-            .push(((component, name), h.clone()));
+        histograms.push(((component, name), h.clone()));
         h
     }
 
@@ -368,29 +380,25 @@ impl Registry {
         }
     }
 
-    /// Bucket-level snapshots of every registered histogram, merged per
-    /// `(component, name)` key and sorted. The time-series sampler diffs
-    /// successive calls to get exact per-interval distributions
+    /// Bucket-level snapshots of every registered histogram, sorted by
+    /// `(component, name)` key. The time-series sampler diffs successive
+    /// calls to get exact per-interval distributions
     /// ([`crate::hist::HistSnapshot::delta_since`]).
     pub fn merged_histograms(&self) -> Vec<(Key, crate::hist::HistSnapshot)> {
-        let mut merged: Vec<(Key, crate::hist::HistSnapshot)> = Vec::new();
-        for ((component, name), h) in self.inner.histograms.borrow().iter() {
-            let snap = h.snapshot_data();
-            match merged
-                .iter_mut()
-                .find(|(k, _)| k.0 == *component && k.1 == *name)
-            {
-                Some((_, acc)) => acc.merge_from(&snap),
-                None => merged.push(((component, name), snap)),
-            }
-        }
+        let mut merged: Vec<(Key, crate::hist::HistSnapshot)> = self
+            .inner
+            .histograms
+            .borrow()
+            .iter()
+            .map(|(key, h)| (*key, h.snapshot_data()))
+            .collect();
         merged.sort_by_key(|(k, _)| *k);
         merged
     }
 
     /// Aggregated point-in-time report: counters summed, gauge values summed
-    /// and peaks maxed, histograms merged — per `(component, name)` key,
-    /// sorted for stable output.
+    /// and peaks maxed per `(component, name)` key, one row per histogram
+    /// cell; sorted for stable output.
     pub fn snapshot(&self) -> TelemetryReport {
         let mut counters: Vec<CounterRow> = Vec::new();
         for ((component, name), c) in self.inner.counters.borrow().iter() {
@@ -424,22 +432,11 @@ impl Registry {
                 }),
             }
         }
-        let mut merged: Vec<(Key, Histogram)> = Vec::new();
-        for ((component, name), h) in self.inner.histograms.borrow().iter() {
-            match merged
-                .iter_mut()
-                .find(|(k, _)| k.0 == *component && k.1 == *name)
-            {
-                Some((_, acc)) => acc.merge_from(h),
-                None => {
-                    let acc = Histogram::new();
-                    acc.merge_from(h);
-                    merged.push(((component, name), acc));
-                }
-            }
-        }
-        let mut histograms: Vec<HistRow> = merged
-            .into_iter()
+        let mut histograms: Vec<HistRow> = self
+            .inner
+            .histograms
+            .borrow()
+            .iter()
             .map(|((component, name), h)| HistRow {
                 component,
                 name,
@@ -653,6 +650,85 @@ mod tests {
         let row = snap.histogram("client", "produce_ns").unwrap();
         assert_eq!(row.stats.count, 200);
         assert_eq!(row.stats.max, 199);
+    }
+
+    /// Two handles of one name are one cell, and what the registry reports
+    /// for it — the snapshot row and the sampled series — is what merging
+    /// two private cells gave while each handle had its own.
+    #[test]
+    fn histogram_handles_of_one_name_share_one_cell() {
+        use crate::series::{HistPoint, SeriesLog, SeriesOptions};
+
+        let r = Registry::new();
+        let h1 = r.histogram("netsim", "link.queue_delay_ns");
+        let h2 = r.histogram("netsim", "link.queue_delay_ns");
+        r.histogram("rnic", "qp.post_to_comp_ns").record(1);
+        let mut cells = 0;
+        r.fold_histograms(|_, _| cells += 1);
+        assert_eq!(cells, 2, "one cell per (component, name)");
+
+        // The reference: a private cell per handle, merged by the reader.
+        let (a, b) = (Histogram::new(), Histogram::new());
+        let merged = || {
+            let mut snap = a.snapshot_data();
+            snap.merge_from(&b.snapshot_data());
+            snap
+        };
+        let series = SeriesLog::new(SeriesOptions::default());
+        let mut last = merged();
+        let mut expected = Vec::new();
+        let mut v = 7u64;
+        for tick in 0..6u64 {
+            // A quiet tick, then growing bursts split unevenly over the two.
+            for i in 0..tick * 37 {
+                v = v.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let ns = (v >> 40) % 5_000_000;
+                let (shared, private) = if i % 3 == 0 { (&h1, &a) } else { (&h2, &b) };
+                shared.record(ns);
+                private.record(ns);
+            }
+            series.sample_now(&r);
+            let cur = merged();
+            expected.push(HistPoint {
+                ts_ns: 0,
+                count: cur.count() - last.count(),
+                sum: cur.sum() - last.sum(),
+                p50: cur.delta_quantile(&last, 0.50),
+                p99: cur.delta_quantile(&last, 0.99),
+            });
+            last = cur;
+        }
+        assert_eq!(h1.count(), a.count() + b.count(), "both handles record into one cell");
+
+        let snap = r.snapshot();
+        let row = snap.histogram("netsim", "link.queue_delay_ns").unwrap();
+        let reference = Histogram::new();
+        reference.merge_from(&a);
+        reference.merge_from(&b);
+        assert_eq!(row.stats, reference.stats());
+        let dump = series.dump();
+        let points = &dump.histogram("netsim", "link.queue_delay_ns").unwrap().points;
+        assert_eq!(points, &expected);
+    }
+
+    /// A gauge shared by `add`/`sub` users is their aggregate: its value is
+    /// the sum of what they hold and its peak the most they ever held at
+    /// once — which no maximum over per-user peaks can recover.
+    #[test]
+    fn shared_gauge_reports_the_aggregate_and_its_true_peak() {
+        let r = Registry::new();
+        let depth = r.gauge("rnic", "cq.depth");
+        let (cq_a, cq_b) = (depth.clone(), depth.clone());
+        cq_a.add(3);
+        cq_b.add(4);
+        cq_a.sub(3);
+        cq_b.add(1);
+        let snap = r.snapshot();
+        let row = snap.gauge("rnic", "cq.depth").unwrap();
+        assert_eq!((row.value, row.peak), (5, 7));
+        let mut cells = 0;
+        r.fold_gauges(|_, _, _| cells += 1);
+        assert_eq!(cells, 1, "clones register nothing");
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl RpcClient {
             dead: std::cell::Cell::new(false),
         });
         let shared2 = Rc::clone(&shared);
-        sim::spawn(async move {
+        sim::spawn_detached(async move {
             let mut payload = Vec::new();
             while let Ok((correlation, _trace)) = read_frame_into(&mut read, &mut payload).await {
                 let waiter = shared2.pending.borrow_mut().remove(&correlation);

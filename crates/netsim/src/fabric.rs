@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use sim::SimTime;
 
-use crate::link::Link;
+use crate::link::{Link, LinkTelem};
 use crate::profile::Profile;
 
 /// Identifies a node on a fabric.
@@ -52,6 +52,8 @@ pub(crate) struct FabricInner {
     pub(crate) atomic_ops: kdtelem::Counter,
     pub(crate) atomic_stalls: kdtelem::Counter,
     pub(crate) atomic_stall_ns: kdtelem::Histogram,
+    /// The cells every port of this fabric records into.
+    link_telem: LinkTelem,
     /// Registry captured at construction; per-link trace events (enqueue /
     /// deliver with queueing attribution) for transfers carrying an ambient
     /// [`kdtelem::TraceCtx`] go here.
@@ -82,6 +84,7 @@ impl Fabric {
                 atomic_ops: telem.counter("netsim", "atomic.ops"),
                 atomic_stalls: telem.counter("netsim", "atomic.stalls"),
                 atomic_stall_ns: telem.histogram("netsim", "atomic.stall_ns"),
+                link_telem: LinkTelem::register(&telem),
                 telem,
                 pkt_pool,
             }),
@@ -92,6 +95,12 @@ impl Fabric {
         Rc::clone(&self.inner.profile)
     }
 
+    /// The telemetry registry that was ambient when the fabric was built;
+    /// fabric-wide state of higher layers registers its cells here.
+    pub fn telemetry(&self) -> &kdtelem::Registry {
+        &self.inner.telem
+    }
+
     /// The shared MSS-sized packet buffer pool used by TCP segmentation.
     pub fn packet_pool(&self) -> &kdbuf::Pool {
         &self.inner.pkt_pool
@@ -100,10 +109,11 @@ impl Fabric {
     /// Adds a machine to the fabric.
     pub fn add_node(&self, name: &str) -> NodeHandle {
         let bw = self.inner.profile.net.link_bandwidth;
+        let link = || Link::with_telem(bw, self.inner.link_telem.clone(), &self.inner.telem);
         let node = Rc::new(Node {
             name: name.to_string(),
-            egress: Link::new(bw),
-            ingress: Link::new(bw),
+            egress: link(),
+            ingress: link(),
             atomic_busy: RefCell::new(HashMap::new()),
         });
         let mut nodes = self.inner.nodes.borrow_mut();

@@ -37,16 +37,35 @@ pub struct Link {
     /// Drop/delay fault state; `None` on healthy links (the common case
     /// never allocates an RNG).
     faults: RefCell<Option<LinkFaults>>,
-    // Telemetry handles from the ambient registry (shared names: every link
-    // on a fabric aggregates into the same rows at snapshot time).
-    queue_delay_ns: kdtelem::Histogram,
-    busy_ns: kdtelem::Counter,
-    bytes_counter: kdtelem::Counter,
-    drops: kdtelem::Counter,
+    /// Time occupied by reservations; what `busy_time` reads back.
+    busy_ns: Cell<u64>,
+    telem: LinkTelem,
     /// Instantaneous backlog (ns of queued serialisation work) observed at
     /// each reservation; the time-series sampler reads the current value and
-    /// the per-sample peak, making link congestion visible in `kdtop`.
+    /// the per-sample peak, making link congestion visible in `kdtop`. A
+    /// `set` gauge, so this link's own.
     backlog_ns: kdtelem::Gauge,
+}
+
+/// The `netsim link.*` cells no link reads back. Whoever makes the links
+/// (the fabric) registers them once; every link records into clones.
+#[derive(Clone)]
+pub(crate) struct LinkTelem {
+    queue_delay_ns: kdtelem::Histogram,
+    busy_ns: kdtelem::Counter,
+    bytes: kdtelem::Counter,
+    drops: kdtelem::Counter,
+}
+
+impl LinkTelem {
+    pub(crate) fn register(telem: &kdtelem::Registry) -> LinkTelem {
+        LinkTelem {
+            queue_delay_ns: telem.histogram("netsim", "link.queue_delay_ns"),
+            busy_ns: telem.counter("netsim", "link.busy_ns"),
+            bytes: telem.counter("netsim", "link.bytes"),
+            drops: telem.counter("netsim", "link.drops"),
+        }
+    }
 }
 
 /// Outcome of a [`Link::reserve`]: when the message starts and finishes
@@ -58,9 +77,20 @@ pub struct Reservation {
 }
 
 impl Link {
+    /// A link of its own, counted in the ambient registry.
     pub fn new(bandwidth: f64) -> Self {
-        assert!(bandwidth > 0.0);
         let telem = kdtelem::current();
+        Link::with_telem(bandwidth, LinkTelem::register(&telem), &telem)
+    }
+
+    /// A link recording into `telem`'s cells; its backlog gauge is
+    /// registered with `registry`.
+    pub(crate) fn with_telem(
+        bandwidth: f64,
+        telem: LinkTelem,
+        registry: &kdtelem::Registry,
+    ) -> Self {
+        assert!(bandwidth > 0.0);
         Link {
             bandwidth,
             busy_until: Cell::new(0),
@@ -68,11 +98,9 @@ impl Link {
             messages: Cell::new(0),
             down: Cell::new(false),
             faults: RefCell::new(None),
-            queue_delay_ns: telem.histogram("netsim", "link.queue_delay_ns"),
-            busy_ns: telem.counter("netsim", "link.busy_ns"),
-            bytes_counter: telem.counter("netsim", "link.bytes"),
-            drops: telem.counter("netsim", "link.drops"),
-            backlog_ns: telem.gauge("netsim", "link.backlog_ns"),
+            busy_ns: Cell::new(0),
+            telem,
+            backlog_ns: registry.gauge("netsim", "link.backlog_ns"),
         }
     }
 
@@ -137,7 +165,7 @@ impl Link {
         let mut retries = 0u32;
         while f.drop_p > 0.0 && f.rng.random_bool(f.drop_p) {
             retries += 1;
-            self.drops.add(1);
+            self.telem.drops.add(1);
             if retries > MAX_RETRANSMITS {
                 return None;
             }
@@ -177,9 +205,10 @@ impl Link {
         self.busy_until.set(end_ns);
         self.bytes_carried.set(self.bytes_carried.get() + bytes);
         self.messages.set(self.messages.get() + 1);
-        self.queue_delay_ns.record(start_ns - now.as_nanos());
-        self.busy_ns.add(end_ns - start_ns);
-        self.bytes_counter.add(bytes);
+        self.busy_ns.set(self.busy_ns.get() + (end_ns - start_ns));
+        self.telem.queue_delay_ns.record(start_ns - now.as_nanos());
+        self.telem.busy_ns.add(end_ns - start_ns);
+        self.telem.bytes.add(bytes);
         self.backlog_ns.set(end_ns - now.as_nanos());
         Reservation {
             start: SimTime::from_nanos(start_ns),

@@ -18,6 +18,7 @@ use std::time::Duration;
 use sim::sync::Notify;
 use sim::SimTime;
 
+use crate::nic::Registry;
 use crate::qp::QpShared;
 use crate::verbs::Cqe;
 
@@ -92,11 +93,8 @@ pub(crate) struct CqInner {
     overflowed: Cell<bool>,
     attached: RefCell<Vec<Weak<QpShared>>>,
     completions_total: Cell<u64>,
-    // Registry-backed telemetry: current/peak occupancy across all CQs and
-    // total CQEs delivered (the overflow-risk signal of §4.3.2).
-    depth: kdtelem::Gauge,
-    cqes: kdtelem::Counter,
-    overflows: kdtelem::Counter,
+    /// Holds the `rnic cq.*` cells every CQ of the fabric records into.
+    fabric: Rc<Registry>,
 }
 
 /// A completion queue shared by one or more QPs.
@@ -106,9 +104,8 @@ pub struct CompletionQueue {
 }
 
 impl CompletionQueue {
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize, fabric: Rc<Registry>) -> Self {
         assert!(capacity > 0);
-        let telem = kdtelem::current();
         CompletionQueue {
             inner: Rc::new(CqInner {
                 queue: RefCell::new(VecDeque::new()),
@@ -118,9 +115,7 @@ impl CompletionQueue {
                 overflowed: Cell::new(false),
                 attached: RefCell::new(Vec::new()),
                 completions_total: Cell::new(0),
-                depth: telem.gauge("rnic", "cq.depth"),
-                cqes: telem.counter("rnic", "cq.cqes"),
-                overflows: telem.counter("rnic", "cq.overflows"),
+                fabric,
             }),
         }
     }
@@ -133,7 +128,7 @@ impl CompletionQueue {
     /// transitions to the error state and further completions are lost.
     fn poison(&self) {
         self.inner.overflowed.set(true);
-        self.inner.overflows.inc();
+        self.inner.fabric.telem.cq_overflows.inc();
         let attached: Vec<_> = self.inner.attached.borrow().clone();
         for qp in attached.into_iter().filter_map(|w| w.upgrade()) {
             QpShared::fail(&qp);
@@ -170,8 +165,8 @@ impl CompletionQueue {
             self.inner
                 .completions_total
                 .set(self.inner.completions_total.get() + 1);
-            self.inner.cqes.inc();
-            self.inner.depth.add(1);
+            self.inner.fabric.telem.cq_cqes.inc();
+            self.inner.fabric.telem.cq_depth.add(1);
         }
         if !self.inner.waiters.borrow_mut().arm_next() {
             self.inner.notify.notify_one();
@@ -182,7 +177,7 @@ impl CompletionQueue {
     pub fn poll(&self) -> Option<Cqe> {
         let cqe = self.inner.queue.borrow_mut().pop_front();
         if cqe.is_some() {
-            self.inner.depth.sub(1);
+            self.inner.fabric.telem.cq_depth.sub(1);
         }
         cqe
     }
@@ -195,7 +190,7 @@ impl CompletionQueue {
         let mut taken = 0;
         while !out.is_full() {
             let Some(cqe) = q.pop_front() else { break };
-            self.inner.depth.sub(1);
+            self.inner.fabric.telem.cq_depth.sub(1);
             let _ = out.push(cqe);
             taken += 1;
         }
@@ -210,7 +205,7 @@ impl CompletionQueue {
         let mut taken = 0;
         while taken < max {
             let Some(cqe) = q.pop_front() else { break };
-            self.inner.depth.sub(1);
+            self.inner.fabric.telem.cq_depth.sub(1);
             out.push(cqe);
             taken += 1;
         }

@@ -352,7 +352,7 @@ impl Engine {
                 // Snapshot at request arrival; the initiator sees it at `comp`.
                 let offset = (*remote_addr - mr.addr) as usize;
                 peer.nic.reads_served.set(peer.nic.reads_served.get() + 1);
-                peer.nic.one_sided_in.inc();
+                peer.nic.registry.telem.one_sided_in.inc();
                 mr.buf.slice(offset, local.len()).copy_to(local);
                 Ok(None)
             }
@@ -413,11 +413,13 @@ impl Engine {
 fn emit(qp: &QpShared, wr: InFlight) {
     if wr.status.is_ok() {
         qp.nic
+            .registry
+            .telem
             .post_to_comp_ns
             .record(wr.t.comp.saturating_since(wr.t.posted).as_nanos() as u64);
     }
     if let Some(ctx) = wr.wr.trace {
-        qp.nic.telem.trace_event_now(
+        qp.nic.node.fabric.telemetry().trace_event_now(
             ctx,
             kdtelem::EventKind::Completion {
                 qpn: qp.qpn,
@@ -445,7 +447,7 @@ fn write_region(peer: &QpShared, rkey: u32, remote_addr: u64, local: &BufSlice) 
     // source slice lives in the same ShmBuf (loopback writes).
     local.copy_to(&mr.buf.slice(offset, local.len()));
     peer.nic.writes_in.set(peer.nic.writes_in.get() + 1);
-    peer.nic.one_sided_in.inc();
+    peer.nic.registry.telem.one_sided_in.inc();
     Ok(())
 }
 
@@ -468,7 +470,7 @@ fn atomic(
         mr.buf.write_u64(offset, new);
     }
     peer.nic.atomics_served.set(peer.nic.atomics_served.get() + 1);
-    peer.nic.one_sided_in.inc();
+    peer.nic.registry.telem.one_sided_in.inc();
     local.copy_from(&old.to_le_bytes());
     Ok(old)
 }

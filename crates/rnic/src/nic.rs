@@ -21,10 +21,48 @@ use crate::verbs::RecvWr;
 /// costs `srq_depth × (WQE_BYTES + buf)` regardless of client count.
 pub const WQE_BYTES: u64 = 128;
 
+/// The `rnic *` cells of one fabric. No device, CQ or SRQ reads one back, so
+/// they are registered once here and every such object records into these —
+/// the registry does not grow with connections, and `cq.depth` / `srq.depth`
+/// are the occupancy of all queues together, with that aggregate's peak.
+pub(crate) struct Telem {
+    // Work-request post rate and post→completion latency across every QP.
+    pub(crate) qp_posts: kdtelem::Counter,
+    pub(crate) one_sided_in: kdtelem::Counter,
+    pub(crate) post_to_comp_ns: kdtelem::Histogram,
+    // CQ occupancy and total CQEs delivered (the overflow-risk signal of
+    // §4.3.2).
+    pub(crate) cq_depth: kdtelem::Gauge,
+    pub(crate) cq_cqes: kdtelem::Counter,
+    pub(crate) cq_overflows: kdtelem::Counter,
+    pub(crate) srq_posted: kdtelem::Counter,
+    pub(crate) srq_stolen: kdtelem::Counter,
+    pub(crate) srq_rnr_dry: kdtelem::Counter,
+    pub(crate) srq_depth: kdtelem::Gauge,
+}
+
+impl Telem {
+    fn register(telem: &kdtelem::Registry) -> Telem {
+        Telem {
+            qp_posts: telem.counter("rnic", "qp.posts"),
+            one_sided_in: telem.counter("rnic", "qp.one_sided_in"),
+            post_to_comp_ns: telem.histogram("rnic", "qp.post_to_comp_ns"),
+            cq_depth: telem.gauge("rnic", "cq.depth"),
+            cq_cqes: telem.counter("rnic", "cq.cqes"),
+            cq_overflows: telem.counter("rnic", "cq.overflows"),
+            srq_posted: telem.counter("rnic", "srq.posted"),
+            srq_stolen: telem.counter("rnic", "srq.stolen_by_qp"),
+            srq_rnr_dry: telem.counter("rnic", "srq.rnr_dry"),
+            srq_depth: telem.gauge("rnic", "srq.depth"),
+        }
+    }
+}
+
 /// Fabric-global RDMA state: the connection-manager rendezvous table, the
-/// work-request engine and the id allocators. Stored as a [`Fabric`]
-/// extension.
+/// work-request engine, the id allocators and the telemetry cells. Stored as
+/// a [`Fabric`] extension.
 pub(crate) struct Registry {
+    pub(crate) telem: Telem,
     pub(crate) cm_listeners: RefCell<HashMap<(NodeId, u16), crate::cm::ListenerSlot>>,
     /// The fabric's work-request engine. Weak: the engine's task owns it, so
     /// it (and every WR in flight) goes away with the runtime.
@@ -35,8 +73,9 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
-    fn new() -> Self {
+    fn new(fabric: &Fabric) -> Self {
         Registry {
+            telem: Telem::register(fabric.telemetry()),
             cm_listeners: RefCell::new(HashMap::new()),
             engine: RefCell::new(Weak::new()),
             // Start virtual addresses well away from zero so accidental
@@ -48,7 +87,7 @@ impl Registry {
     }
 
     pub(crate) fn get(fabric: &Fabric) -> Rc<Registry> {
-        fabric.extension(Registry::new)
+        fabric.extension(|| Registry::new(fabric))
     }
 
     /// The fabric's engine, started on first use.
@@ -93,11 +132,6 @@ pub(crate) struct NicInner {
     pub(crate) reads_served: Cell<u64>,
     pub(crate) atomics_served: Cell<u64>,
     pub(crate) sends_in: Cell<u64>,
-    // Registry-backed telemetry: work-request post rate and post→completion
-    // latency across every QP on this device.
-    pub(crate) qp_posts: kdtelem::Counter,
-    pub(crate) one_sided_in: kdtelem::Counter,
-    pub(crate) post_to_comp_ns: kdtelem::Histogram,
     /// Resident QP contexts on this device: connected QPs that occupy a
     /// slot in the NIC's on-chip context cache. Multiplexed (DCT-style
     /// lent) QPs do not count — their pinned pool is charged once via
@@ -110,9 +144,6 @@ pub(crate) struct NicInner {
     /// asserts is O(1) in client count under an SRQ.
     pub(crate) recv_wr_bytes: Cell<u64>,
     pub(crate) recv_wr_bytes_peak: Cell<u64>,
-    /// Registry captured at construction; trace events (WqePosted,
-    /// Completion) for WRs carrying a [`kdtelem::TraceCtx`] go here.
-    pub(crate) telem: kdtelem::Registry,
 }
 
 impl NicInner {
@@ -209,24 +240,18 @@ impl RNic {
     /// Attaches an RNIC to `node`. One device per node is the usual setup
     /// (the testbed has a single ConnectX-4 per machine).
     pub fn new(node: &NodeHandle) -> RNic {
-        let registry = Registry::get(&node.fabric);
-        let telem = kdtelem::current();
         let inner = Rc::new(NicInner {
             node: node.clone(),
-            registry: Rc::clone(&registry),
+            registry: Registry::get(&node.fabric),
             mrs: RefCell::new(HashMap::new()),
             writes_in: Cell::new(0),
             reads_served: Cell::new(0),
             atomics_served: Cell::new(0),
             sends_in: Cell::new(0),
-            qp_posts: telem.counter("rnic", "qp.posts"),
-            one_sided_in: telem.counter("rnic", "qp.one_sided_in"),
-            post_to_comp_ns: telem.histogram("rnic", "qp.post_to_comp_ns"),
             qp_contexts: Cell::new(0),
             qp_contexts_peak: Cell::new(0),
             recv_wr_bytes: Cell::new(0),
             recv_wr_bytes_peak: Cell::new(0),
-            telem,
         });
         RNic { inner }
     }
@@ -263,7 +288,7 @@ impl RNic {
 
     /// Creates a completion queue of the given capacity.
     pub fn create_cq(&self, capacity: usize) -> CompletionQueue {
-        CompletionQueue::with_capacity(capacity)
+        CompletionQueue::with_capacity(capacity, Rc::clone(&self.inner.registry))
     }
 
     /// Resident QP contexts on this device right now (multiplexed QPs

@@ -101,7 +101,7 @@ impl QpShared {
         }
         let qp = Rc::new(QpShared {
             qpn,
-            own_rq: RecvQueue::new(Rc::clone(&nic), opts.max_recv_wr, None),
+            own_rq: RecvQueue::new(Rc::clone(&nic), opts.max_recv_wr, false),
             nic,
             peer: RefCell::new(Weak::new()),
             alive: Cell::new(true),
@@ -313,10 +313,10 @@ impl QueuePair {
         let qp = &self.shared;
         let ticket = qp.next_ticket.get();
         qp.next_ticket.set(ticket + 1);
-        qp.nic.qp_posts.inc();
+        qp.nic.registry.telem.qp_posts.inc();
         let posted = sim::now();
         if let Some(ctx) = wr.trace {
-            qp.nic.telem.record_trace_event(
+            qp.nic.node.fabric.telemetry().record_trace_event(
                 ctx,
                 posted.as_nanos(),
                 kdtelem::EventKind::WqePosted {

@@ -14,17 +14,9 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-use crate::nic::{NicInner, RNic};
+use crate::nic::{NicInner, RNic, Telem};
 use crate::qp::QpShared;
 use crate::verbs::{PostError, RecvWr};
-
-/// Registry-backed telemetry of a shared queue (`rnic srq.*`).
-pub(crate) struct SrqTelem {
-    posted: kdtelem::Counter,
-    stolen: kdtelem::Counter,
-    rnr_dry: kdtelem::Counter,
-    depth: kdtelem::Gauge,
-}
 
 pub(crate) struct RecvQueue {
     queue: RefCell<VecDeque<RecvWr>>,
@@ -34,25 +26,32 @@ pub(crate) struct RecvQueue {
     parked: RefCell<Vec<Weak<QpShared>>>,
     /// Device the queue's buffers are accounted against.
     nic: Rc<NicInner>,
-    /// `Some` on shared queues only: a private queue counts nothing.
-    telem: Option<SrqTelem>,
+    /// Shared queues count into `rnic srq.*`; a private queue counts
+    /// nothing.
+    shared: bool,
 }
 
 impl RecvQueue {
-    /// A queue accounted against `nic`; `telem` is `None` for a QP's
+    /// A queue accounted against `nic`; `shared` is `false` for a QP's
     /// private queue.
-    pub(crate) fn new(nic: Rc<NicInner>, max_wr: usize, telem: Option<SrqTelem>) -> RecvQueue {
+    pub(crate) fn new(nic: Rc<NicInner>, max_wr: usize, shared: bool) -> RecvQueue {
         let (queue, parked) = Default::default();
-        RecvQueue { queue, max_wr, parked, nic, telem }
+        RecvQueue { queue, max_wr, parked, nic, shared }
+    }
+
+    /// The `rnic srq.*` cells, on a shared queue.
+    fn telem(&self) -> Option<&Telem> {
+        self.shared.then(|| &self.nic.registry.telem)
     }
 
     /// Posts a chained receive list — one queue lock for the whole chain —
     /// and retries every sender parked on the queue. Overflowing `max_wr`
     /// is a simulation program bug, not a runtime condition, and panics.
     pub(crate) fn post_list(&self, wrs: impl IntoIterator<Item = RecvWr>) {
-        let (kind, bound) = match self.telem {
-            Some(_) => ("shared receive", "max_wr"),
-            None => ("receive", "max_recv_wr"),
+        let (kind, bound) = if self.shared {
+            ("shared receive", "max_wr")
+        } else {
+            ("receive", "max_recv_wr")
         };
         let mut posted = 0u64;
         {
@@ -64,9 +63,9 @@ impl RecvQueue {
                 posted += 1;
             }
         }
-        if let Some(t) = &self.telem {
-            t.posted.add(posted);
-            t.depth.add(posted);
+        if let Some(t) = self.telem() {
+            t.srq_posted.add(posted);
+            t.srq_depth.add(posted);
         }
         // A retry only arms an engine event, so nothing parks while the
         // list is borrowed; draining in place keeps its capacity.
@@ -77,8 +76,8 @@ impl RecvQueue {
 
     /// Remembers that `qp`'s peer has a sender waiting on this (dry) queue.
     pub(crate) fn park(&self, qp: &Rc<QpShared>) {
-        if let Some(t) = &self.telem {
-            t.rnr_dry.inc();
+        if let Some(t) = self.telem() {
+            t.srq_rnr_dry.inc();
         }
         self.parked.borrow_mut().push(Rc::downgrade(qp));
     }
@@ -88,9 +87,9 @@ impl RecvQueue {
     pub(crate) fn pop(&self) -> Option<RecvWr> {
         let wr = self.queue.borrow_mut().pop_front()?;
         self.nic.recv_buf_sub(&wr);
-        if let Some(t) = &self.telem {
-            t.stolen.inc();
-            t.depth.sub(1);
+        if let Some(t) = self.telem() {
+            t.srq_stolen.inc();
+            t.srq_depth.sub(1);
         }
         Some(wr)
     }
@@ -117,14 +116,7 @@ impl RNic {
     /// `max_wr` posted receives.
     pub fn create_srq(&self, max_wr: usize) -> Srq {
         assert!(max_wr > 0);
-        let telem = kdtelem::current();
-        let telem = SrqTelem {
-            posted: telem.counter("rnic", "srq.posted"),
-            stolen: telem.counter("rnic", "srq.stolen_by_qp"),
-            rnr_dry: telem.counter("rnic", "srq.rnr_dry"),
-            depth: telem.gauge("rnic", "srq.depth"),
-        };
-        let inner = Rc::new(RecvQueue::new(Rc::clone(&self.inner), max_wr, Some(telem)));
+        let inner = Rc::new(RecvQueue::new(Rc::clone(&self.inner), max_wr, true));
         Srq { inner }
     }
 }

@@ -167,8 +167,14 @@ cargo run -q --release --offline --example quickstart -- --durable
 # allocations and virtual ns per record of the fig10/11 produce loop on the
 # three datapaths, a warm 1 MiB TCP send, sampler ticks, consume catch-up and
 # replicated produce — exact counters, so the same in release as in the debug
-# run `cargo test` above already did; then the first fan-in rung past the
-# NIC cache knee, which is too slow for a debug build and `#[ignore]`d there.
+# run `cargo test` above already did. Two of them budget what a connection
+# holds rather than what a record costs (DESIGN.md §13):
+# `parked_client_footprint`, the live heap of a parked fan-in client, and
+# `registry_does_not_grow_per_connection`, the registry's instrument vectors
+# across connects, reconnects and drops. Then the first fan-in rung past the
+# NIC cache knee, which is too slow for a debug build and `#[ignore]`d there;
+# alone in its process, it ends by reading its own `VmHWM` and fails above
+# 500 MiB.
 cargo test -q --offline --release -p kdbench --test budgets
 cargo test -q --offline --release --test conn_scaling -- --ignored fanin_10k
 

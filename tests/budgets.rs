@@ -31,6 +31,9 @@ thread_local! {
     // `sim::Runtime` never leaves the thread that drives it, so a test reads
     // exactly its own allocations however many tests run beside it.
     static ALLOCS: [Cell<u64>; CLASSES] = const { [const { Cell::new(0) }; CLASSES] };
+    // What this thread allocated and has not freed: (blocks, bytes) by the
+    // size class of the block.
+    static LIVE: [Cell<(i64, i64)>; CLASSES] = const { [const { Cell::new((0, 0)) }; CLASSES] };
 }
 
 /// This thread's allocations so far, by size class.
@@ -38,21 +41,39 @@ fn allocs_by_class() -> [u64; CLASSES] {
     ALLOCS.with(|c| std::array::from_fn(|i| c[i].get()))
 }
 
+/// This thread's live heap, `(blocks, bytes)` by size class. Signed: a block
+/// freed here may have been allocated before the thread's locals existed.
+fn live_by_class() -> [(i64, i64); CLASSES] {
+    LIVE.with(|c| std::array::from_fn(|i| c[i].get()))
+}
+
 /// Wraps the system allocator and counts every allocation (and realloc —
-/// growth is a cost even when the block does not move). Deallocations are
-/// free and uncounted.
+/// growth is a cost even when the block does not move). Deallocations cost
+/// nothing and are counted only against the live heap.
 struct CountingAlloc;
+
+fn class_of(size: usize) -> usize {
+    (size.max(1).ilog2() as usize).min(CLASSES - 1)
+}
 
 fn count(size: usize) {
     // `try_with`: the allocator also runs while a thread's locals are being
     // torn down, when there is no test left to count for.
-    let class = (size.max(1).ilog2() as usize).min(CLASSES - 1);
+    let class = class_of(size);
     let _ = ALLOCS.try_with(|c| c[class].set(c[class].get() + 1));
+    live(class, 1, size as i64);
+}
+
+fn live(class: usize, blocks: i64, bytes: i64) {
+    let _ = LIVE.try_with(|c| {
+        let (n, b) = c[class].get();
+        c[class].set((n + blocks, b + bytes));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; `count` only touches thread-local
-// `Cell`s and never allocates.
+// upholds the `GlobalAlloc` contract; `count` and `live` only touch
+// thread-local `Cell`s and never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -67,12 +88,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        live(class_of(layout.size()), -1, -(layout.size() as i64));
         count(new_size);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(class_of(layout.size()), -1, -(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -518,4 +541,135 @@ fn replicated_rdma_produce_polls_per_record() {
     assert!(pushed >= 2 * RECORDS, "every record was pushed to both followers");
     r.check_polls("replicated rdma produce", 32.5);
     r.check_allocs("replicated rdma produce", 2.18);
+}
+
+// ---------------------------------------------------------------------------
+// What a connection holds (DESIGN.md §13).
+// ---------------------------------------------------------------------------
+
+const FANIN_PARTITIONS: u32 = 16;
+/// Ack receive buffers per fan-in client (the window is 1), as on the ladder
+/// in `tests/conn_scaling.rs` and in kdmark's `fanin_2k`.
+const FANIN_ACK_DEPTH: usize = 4;
+
+/// A one-broker cluster with the fan-in topic, and its partition leaders. The
+/// rings of `registry` are capped and then filled by one client's records,
+/// so telemetry of later clients displaces what is there instead of growing.
+async fn fanin_cluster(registry: &kdtelem::Registry) -> (SimCluster, Vec<kdwire::BrokerAddr>) {
+    registry.set_event_capacity(256);
+    let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+    cluster.create_topic("fanin", FANIN_PARTITIONS, 1).await;
+    let mut leaders = Vec::new();
+    for p in 0..FANIN_PARTITIONS {
+        leaders.push(cluster.leader_of("fanin", p).await);
+    }
+    let mut warm = fanin_client(&cluster, &leaders, 0).await;
+    for _ in 0..64 {
+        warm.send(&Record::value(vec![0x6b; 128])).await.expect("warm-up send");
+    }
+    (cluster, leaders)
+}
+
+/// Client `i` of the fan-in ladder: a node, a NIC and a shared-mode producer
+/// of its own.
+async fn fanin_client(cluster: &SimCluster, leaders: &[kdwire::BrokerAddr], i: usize) -> RdmaProducer {
+    let node = cluster.add_client_node(&format!("f{i}"));
+    let p = i as u32 % FANIN_PARTITIONS;
+    let leader = leaders[p as usize];
+    RdmaProducer::connect_with_ack_depth(&node, leader, "fanin", p, true, FANIN_ACK_DEPTH)
+        .await
+        .expect("connect")
+}
+
+/// The heap a parked client pins, everything counted: its node and links,
+/// NIC, control connection and data-plane QP with their tasks, the producer
+/// itself, and what the broker keeps for the two connections. 1000 fan-in
+/// clients connect one after the other, send one record each and stay.
+/// Measured 9 613 B per client in some 60 blocks, 2 944 B of them the five
+/// task frames (DESIGN.md §13 has the table by owner). It was 60 741 B while
+/// every client owned four 7.6 KiB histogram cells (two links, NIC, producer)
+/// nobody read through its handle, an ack reader whose frame held two
+/// 64-entry batches across its wait (10.5 KiB, a 16 KiB arena block) and
+/// `spawn` wrappers that doubled the frames of tasks nobody joins. The heap is
+/// byte-exact and the same in debug and release (a future's layout is fixed
+/// before optimisation), so the budget sits 3 % above the measurement.
+#[test]
+fn parked_client_footprint() {
+    const CLIENTS: usize = 1000;
+    const BUDGET: i64 = 9_900;
+    let registry = kdtelem::Registry::with_span_capacity(256);
+    let _telem = kdtelem::enter(&registry);
+    sim::Runtime::new().block_on(async move {
+        let (cluster, leaders) = fanin_cluster(&registry).await;
+        let mut parked = Vec::with_capacity(CLIENTS);
+        let before = live_by_class();
+        for i in 1..=CLIENTS {
+            let mut producer = fanin_client(&cluster, &leaders, i).await;
+            producer.send(&Record::value(vec![0x6b; 128])).await.expect("send");
+            parked.push(producer);
+        }
+        let after = live_by_class();
+        let held: Vec<(usize, i64, i64)> = (0..CLASSES)
+            .map(|c| (c, after[c].0 - before[c].0, after[c].1 - before[c].1))
+            .filter(|&(_, blocks, bytes)| blocks != 0 || bytes != 0)
+            .collect();
+        let per_client = held.iter().map(|&(_, _, bytes)| bytes).sum::<i64>() / CLIENTS as i64;
+        let rows: Vec<String> = held
+            .iter()
+            .map(|(c, blocks, bytes)| format!("[2^{c}, 2^{}) B: {blocks} blocks, {bytes} B", c + 1))
+            .collect();
+        assert!(
+            per_client <= BUDGET,
+            "a parked fan-in client holds {per_client} B of heap, budget {BUDGET}; live heap of \
+             {CLIENTS} clients by size class: {}",
+            rows.join("; ")
+        );
+        drop(parked);
+    });
+}
+
+/// The registry's instrument vectors are O(names x owners), not
+/// O(connections ever made): a connection's CQs, NIC and producer record
+/// into cells their fabric or an earlier handle of the name registered, so
+/// connecting, reconnecting and going away register nothing. Before, every
+/// `setup_data_plane` appended six cells that outlived its CQs — a leak on
+/// each reconnect, and a per-tick cost for the series sampler.
+#[test]
+fn registry_does_not_grow_per_connection() {
+    let registry = kdtelem::Registry::new();
+    let _telem = kdtelem::enter(&registry);
+    let cells = {
+        let registry = registry.clone();
+        move || {
+            let (mut counters, mut gauges, mut histograms) = (0, 0, 0);
+            registry.fold_counters(|_, _| counters += 1);
+            registry.fold_gauges(|_, _, _| gauges += 1);
+            registry.fold_histograms(|_, _| histograms += 1);
+            (counters, gauges, histograms)
+        }
+    };
+    sim::Runtime::new().block_on(async move {
+        let (cluster, leaders) = fanin_cluster(&registry).await;
+        let node = cluster.add_client_node("client");
+        let record = Record::value(vec![0x6b; 128]);
+        let connect = || RdmaProducer::connect(&node, leaders[0], "fanin", 0, true);
+
+        let mut after_one = None;
+        for cycle in 0..100 {
+            let mut producer = connect().await.expect("connect");
+            producer.send(&record).await.expect("send");
+            drop(producer);
+            let after_one = *after_one.get_or_insert_with(&cells);
+            assert_eq!(cells(), after_one, "connect/send/drop cycle {cycle} registered cells");
+        }
+
+        // A crashed data plane is redialled by the next send.
+        let mut producer = connect().await.expect("connect");
+        let before = cells();
+        for _ in 0..20 {
+            producer.crash();
+            producer.send(&record).await.expect("send over a fresh data plane");
+        }
+        assert_eq!(cells(), before, "reconnecting the data plane registered cells");
+    });
 }

@@ -46,6 +46,62 @@ fn exclusive_grant_revoked_on_disconnect() {
     });
 }
 
+/// A producer that merely goes out of scope disconnects too: its exclusive
+/// grant is revoked and a producer on another node takes the partition over.
+/// Without `Drop` the ack reader's QP handle kept the connection — and the
+/// grant — alive for good, and the second producer was denied indefinitely.
+#[test]
+fn dropped_exclusive_producer_releases_its_grant() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+        cluster.create_topic("t", 1, 1).await;
+        let cnode = cluster.add_client_node("c1");
+        let mut p1 = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, false)
+            .await
+            .unwrap();
+        p1.send(&Record::value(vec![1u8; 32])).await.unwrap();
+        drop(p1);
+        sim::time::sleep(Duration::from_millis(1)).await;
+        assert!(cluster.broker(0).metrics().grants_revoked >= 1);
+
+        let cnode2 = cluster.add_client_node("c2");
+        let mut p2 = RdmaProducer::connect(&cnode2, cluster.bootstrap(), "t", 0, false)
+            .await
+            .expect("the dropped producer's grant is gone");
+        let off = p2.send(&Record::value(vec![2u8; 32])).await.unwrap();
+        assert_eq!(off, 1);
+    });
+}
+
+/// Consumers that go out of scope disconnect: the broker's ends of their QPs
+/// stop occupying contexts on its NIC (the cache knee counts those) and are
+/// let go of, instead of accumulating for as long as the broker lives.
+#[test]
+fn dropped_consumers_unpin_their_broker_contexts() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+        cluster.create_topic("t", 1, 1).await;
+        let cnode = cluster.add_client_node("c");
+        let broker = cluster.broker(0);
+        let broker = broker.inner();
+        let idle = broker.nic.qp_contexts();
+        for round in 0..3 {
+            let mut consumers = Vec::new();
+            for _ in 0..8 {
+                let c = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0).await;
+                consumers.push(c.unwrap());
+            }
+            assert_eq!(broker.nic.qp_contexts(), idle + 8, "round {round}");
+            drop(consumers);
+            assert_eq!(broker.nic.qp_contexts(), idle, "round {round}");
+        }
+        let kept = broker.consume_qps.borrow().len();
+        assert!(kept <= 16, "the broker still holds {kept} consumer QPs, 24 of 24 dead");
+    });
+}
+
 /// A hole in a shared file (reservation whose write never arrives) aborts
 /// the session after the order timeout; other producers recover by
 /// re-requesting access — and no hole ever becomes visible to consumers.
