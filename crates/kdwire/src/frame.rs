@@ -90,15 +90,16 @@ pub async fn read_frame_into(
 ) -> Result<(u64, Option<kdtelem::TraceCtx>), Closed> {
     let mut head = kdbuf::scratch();
     r.read_exact_into(4, &mut head).await?;
-    let total = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
+    let total = head.first_chunk().map_or(0, |b| u32::from_le_bytes(*b)) as usize;
     if !(24..=MAX_FRAME).contains(&total) {
         return Err(Closed);
     }
     head.clear();
     r.read_exact_into(24, &mut head).await?;
-    let correlation = u64::from_le_bytes(head[..8].try_into().unwrap());
-    let trace_id = u64::from_le_bytes(head[8..16].try_into().unwrap());
-    let span_id = u64::from_le_bytes(head[16..24].try_into().unwrap());
+    let (&[correlation, trace_id, span_id], []) = head.as_chunks() else {
+        return Err(Closed);
+    };
+    let [correlation, trace_id, span_id] = [correlation, trace_id, span_id].map(u64::from_le_bytes);
     out.clear();
     r.read_exact_into(total - 24, out).await?;
     let trace = (trace_id != 0).then_some(kdtelem::TraceCtx { trace_id, span_id });
@@ -299,6 +300,43 @@ mod tests {
             assert_eq!(corr, 42);
             assert_eq!(trace, None);
             assert_eq!(echoed, b"hello");
+        });
+    }
+
+    /// Peer bytes on the stream: a frame with flipped header bits, cut
+    /// short, or given a random length. The reader either delivers frames
+    /// that are exactly what was sent at their place in the stream, or ends
+    /// with `Closed`. It never panics.
+    #[test]
+    fn hostile_frames_deliver_only_what_was_sent() {
+        let rt = sim::Runtime::new();
+        rt.block_on(async {
+            let f = Fabric::new(Profile::fast_test());
+            let a = f.add_node("a");
+            let b = f.add_node("b");
+            let mut l = TcpListener::bind(&b, 1);
+            let mut rng = sim::rng::SimRng::seed_from_u64(0xf4a3e);
+            for round in 0..20_000 {
+                let total = 24 + rng.below(64) as u32;
+                let mut wire = vec![0u8; 4 + total as usize];
+                rng.fill(&mut wire);
+                wire[..4].copy_from_slice(&total.to_le_bytes());
+                match rng.below(3) {
+                    0 => wire[rng.below(28) as usize] ^= 1 << rng.below(8),
+                    1 => wire.truncate(rng.below(wire.len() as u64) as usize),
+                    _ => wire[..4].copy_from_slice(&rng.next_u32().to_le_bytes()),
+                }
+                let (_, mut w) = netsim::tcp::connect(&a, b.id, 1).await.unwrap().into_split();
+                w.write_all(&wire).await.unwrap();
+                drop(w);
+                let (mut r, _w) = l.accept().await.unwrap().into_split();
+                let (mut at, mut payload) = (0, Vec::new());
+                while let Ok((correlation, _)) = read_frame_into(&mut r, &mut payload).await {
+                    assert_eq!(wire[at + 4..at + 12], correlation.to_le_bytes(), "round {round}");
+                    assert_eq!(wire[at + 28..at + 28 + payload.len()], payload, "round {round}");
+                    at += 28 + payload.len();
+                }
+            }
         });
     }
 

@@ -7,7 +7,9 @@
 //! payloads produced by `kdstorage`.
 //!
 //! Three modules:
-//! * [`messages`] — typed requests/responses with hand-rolled binary codec,
+//! * [`messages`] — typed requests/responses, each described once in a
+//!   table whose encode, decode, size bound and generator are derived
+//!   ([`Wire`]),
 //! * [`frame`] — length-prefixed framing over `netsim::tcp`, plus a
 //!   pipelining RPC client,
 //! * [`slots`] — the shared binary layouts both ends must agree on without
@@ -22,7 +24,7 @@ pub mod slots;
 pub use frame::{read_frame, read_frame_into, write_frame, RpcClient, RpcError};
 pub use messages::{
     BrokerAddr, ConsumeAccessResp, ErrorCode, FetchResp, PartitionMeta, ProduceAccessResp,
-    ProduceMode, RemoteRegion, Request, Response, SlotGrant, TopicMeta,
+    ProduceMode, RemoteRegion, Request, Response, SlotGrant, TopicMeta, Wire,
 };
 pub use slots::{
     decode_ack, encode_ack, pack_imm, pack_shared_word, unpack_imm, unpack_shared_word, SharedWord,

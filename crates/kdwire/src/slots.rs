@@ -71,13 +71,15 @@ pub fn encode_ack(error: ErrorCode, base_offset: u64, count: u32, out: &mut [u8]
 /// offset as offset 0, one that ends before or inside the count — Fig 3's
 /// nine bytes — or counts zero as an ack of one write.
 pub fn decode_ack(bytes: &[u8]) -> (ErrorCode, u64, u32) {
-    let error = bytes.first().and_then(|&b| ErrorCode::from_u8(b).ok());
+    let error = bytes.first().and_then(|&b| ErrorCode::try_from(b).ok());
     let base_offset = bytes
-        .get(1..ACK_COUNT_AT)
-        .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
+        .get(1..)
+        .and_then(<[u8]>::first_chunk)
+        .map_or(0, |b| u64::from_le_bytes(*b));
     let count = bytes
-        .get(ACK_COUNT_AT..ACK_SIZE)
-        .map_or(1, |b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
+        .get(ACK_COUNT_AT..)
+        .and_then(<[u8]>::first_chunk)
+        .map_or(1, |b| u32::from_le_bytes(*b));
     (error.unwrap_or(ErrorCode::Internal), base_offset, count.max(1))
 }
 
@@ -121,12 +123,16 @@ impl SlotView {
         b
     }
 
+    /// Decodes the first [`SLOT_SIZE`] bytes of `b`, which callers size
+    /// themselves (a slot of their own local copy); panics if `b` is shorter.
     pub fn decode(b: &[u8]) -> SlotView {
-        assert!(b.len() >= SLOT_SIZE);
+        let Some(&[r0, r1, r2, r3, flags, _, _, _, ref high_watermark @ ..]) = b.first_chunk::<SLOT_SIZE>() else {
+            panic!("a slot is {SLOT_SIZE} bytes, got {}", b.len());
+        };
         SlotView {
-            last_readable: u32::from_le_bytes(b[0..4].try_into().unwrap()),
-            mutable: b[4] & 1 != 0,
-            high_watermark: u64::from_le_bytes(b[8..16].try_into().unwrap()),
+            last_readable: u32::from_le_bytes([r0, r1, r2, r3]),
+            mutable: flags & 1 != 0,
+            high_watermark: u64::from_le_bytes(*high_watermark),
         }
     }
 }
@@ -140,7 +146,7 @@ mod tests {
         let mut known = 0;
         for byte in 0..=u8::MAX {
             let mut wire = [byte; ACK_SIZE];
-            match ErrorCode::from_u8(byte) {
+            match ErrorCode::try_from(byte) {
                 Ok(code) => {
                     known += 1;
                     let count = u32::from(byte) + 1;

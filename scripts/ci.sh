@@ -137,6 +137,18 @@ if grep -n "vec!\[0u8; capacity" crates/kdstorage/src/segment.rs ||
     exit 1
 fi
 
+# Hostile bytes (DESIGN.md §9): Request/Response decode over two count
+# amplification payloads and 20 000 generated + mutated messages per
+# direction — typed error or a round-tripping value, allocation within
+# 32 × input + 64. Then the re-fork guard: every message is one line of the
+# `wire_enum!` table, from which encode, decode and the generator are
+# derived; no hand-written tag dispatch or per-type helper comes back.
+cargo test -q --offline -p kdwire --test hostile_bytes
+if grep -rnE "match tag|get_broker|put_region|get_bytes_field|put_produce" crates/kdwire/src; then
+    echo "ci: a hand-written codec path reappeared in kdwire (see DESIGN.md §2, §9)" >&2
+    exit 1
+fi
+
 # Work-request engine gates: the NIC model must not grow a per-WR task
 # again — no spawn on the post path of qp.rs (connection-manager and test
 # spawns live elsewhere) — and its executor-poll budget must hold: 10 000
