@@ -318,11 +318,9 @@ impl SimCluster {
             return;
         };
         for (base, buf) in bufs.iter() {
-            // Match leader segments by base offset, not index: a tiered
-            // leader may have reclaimed its oldest files, shifting indices.
             let matched = (0..lp.log.segment_count())
                 .filter_map(|k| lp.log.segment(k).map(|s| (k, s)))
-                .find(|(_, s)| !s.is_reclaimed() && s.base_offset() == *base);
+                .find(|(_, s)| s.base_offset() == *base);
             match matched {
                 Some((k, ls)) => {
                     // Evicted leader segments compare against file bytes.
@@ -336,7 +334,7 @@ impl SimCluster {
                     let n = if ls.is_resident() {
                         ls.shared_buf().with(common)
                     } else {
-                        common(&lp.log.store().load(k).unwrap_or_default())
+                        common(&lp.log.store().and_then(|s| s.load(k)).unwrap_or_default())
                     };
                     buf.zero_from(n);
                 }

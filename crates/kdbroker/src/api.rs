@@ -349,7 +349,7 @@ async fn handle_rpc(
                     .borrow_mut()
                     .retain(|r| !(r.consumer_id == consumer_id && r.segment == segment));
                 // Last reader gone: the sealed segment may spill back out.
-                maybe_evict(b, &p, segment);
+                maybe_evict(&p, segment);
             }
             reply.send(Response::ConsumeRelease {
                 error: ErrorCode::None,
@@ -481,14 +481,7 @@ pub fn install_recovered_partition(
     );
     let tp = TopicPartition::new(topic, partition);
     let is_leader = leader.node == b.me.node;
-    let store: Rc<dyn kdstorage::SegmentStore> = match tiered_store(b, &tp) {
-        Some(store) => store,
-        None => Rc::new(kdstorage::MemStore),
-    };
-    let log = kdstorage::Log::recover_with_store(b.config.log.clone(), store, buffers);
-    if b.config.storage.mode == kdstorage::StorageMode::Tiered {
-        log.set_clock(Box::new(|| sim::now().as_nanos()));
-    }
+    let log = kdstorage::Log::recover(b.config.log.clone(), tiered_store(b, &tp), buffers);
     let p = Partition::with_log(tp, log, leader, followers, is_leader, epoch);
     b.store.insert(Rc::clone(&p));
     if is_leader {
@@ -512,31 +505,19 @@ pub fn install_recovered_partition(
 /// file store under `<storage.dir>/node<N>/<topic>-<partition>`. Memory
 /// mode returns `None`.
 fn tiered_store(b: &Rc<BrokerInner>, tp: &TopicPartition) -> Option<Rc<kdstorage::FileStore>> {
-    if b.config.storage.mode != kdstorage::StorageMode::Tiered {
-        return None;
-    }
-    let root = b
-        .config
-        .storage
+    let storage = b.config.storage.as_ref()?;
+    let dir = storage
         .dir
-        .as_ref()
-        .expect("tiered storage requires a directory");
-    let dir = root
         .join(format!("node{}", b.me.node))
         .join(format!("{}-{}", tp.topic.as_str(), tp.partition));
-    let store =
-        kdstorage::FileStore::create(&dir, &b.config.storage).expect("create segment file store");
+    let store = kdstorage::FileStore::create(&dir, storage).expect("create segment file store");
     Some(Rc::new(store))
 }
 
-/// Builds a fresh partition log on the configured storage backend.
+/// Builds a fresh partition log, with a file tier when one is configured.
 fn partition_log(b: &Rc<BrokerInner>, tp: &TopicPartition) -> kdstorage::Log {
     match tiered_store(b, tp) {
-        Some(store) => {
-            let log = kdstorage::Log::with_store(b.config.log.clone(), store);
-            log.set_clock(Box::new(|| sim::now().as_nanos()));
-            log
-        }
+        Some(store) => kdstorage::Log::with_store(b.config.log.clone(), store),
         None => kdstorage::Log::new(b.config.log.clone()),
     }
 }
@@ -554,7 +535,6 @@ pub async fn charge_storage(b: &Rc<BrokerInner>, p: &Partition) {
     m.add(&m.storage_bytes_flushed, io.flushed_bytes);
     m.add(&m.storage_fsyncs, io.fsyncs);
     m.add(&m.storage_segments_rotated, io.rotated);
-    m.add(&m.storage_segments_reclaimed, io.reclaimed);
     m.add(&m.storage_cold_read_bytes, io.cold_read_bytes);
     if io.fsyncs > 0 {
         b.telem.storage_fsync_ns.record(io.ns);
@@ -578,36 +558,13 @@ pub async fn flusher_loop(b: Rc<BrokerInner>, every_ms: u64) {
     }
 }
 
-/// Background retention sweep: reclaims sealed segments past the size/age
-/// budget and re-spills sealed segments left resident (e.g. paged in for a
-/// consumer that has since disconnected).
-pub async fn retention_loop(b: Rc<BrokerInner>) {
-    let cfg = b.config.storage.retention;
-    let period = Duration::from_millis(cfg.check_every_ms.max(1));
-    loop {
-        sim::time::sleep(period).await;
-        if !b.alive.get() {
-            return;
-        }
-        for p in b.store.local_partitions() {
-            p.log.apply_retention(sim::now().as_nanos(), &cfg);
-            for i in 0..p.log.head_index() {
-                maybe_evict(&b, &p, i);
-            }
-            charge_storage(&b, &p).await;
-        }
-    }
-}
-
 /// Tiered mode: spill a sealed segment's bytes out of broker memory once
 /// nothing pins the buffer — no open produce grant and no consumer read
 /// registration (zero-copy access always wins over memory reclaim).
-/// `Log::evict_segment` additionally refuses head/unsealed/unsynced/
-/// reclaimed segments, so the call is safe to make speculatively.
-fn maybe_evict(b: &Rc<BrokerInner>, p: &Rc<Partition>, segment: u32) {
-    if b.config.storage.mode != kdstorage::StorageMode::Tiered {
-        return;
-    }
+/// `Log::evict_segment` additionally refuses head/unsealed/unsynced
+/// segments and logs without a file tier, so the call is safe to make
+/// speculatively.
+fn maybe_evict(p: &Rc<Partition>, segment: u32) {
     if p.read_regs.borrow().contains_key(&segment) {
         return;
     }
@@ -895,7 +852,7 @@ pub(crate) fn roll_head(b: &Rc<BrokerInner>, p: &Rc<Partition>) {
     p.log.roll();
     // The old head just became immutable: let consumers know (§4.4.2).
     on_hw_advanced(b, p);
-    maybe_evict(b, p, sealed);
+    maybe_evict(p, sealed);
 }
 
 // ---------------------------------------------------------------------------
@@ -938,10 +895,6 @@ async fn handle_fetch(
         if p.log.high_watermark() != before {
             on_hw_advanced(b, &p);
         }
-        if offset < p.log.start_offset() {
-            reply.send(fail(ErrorCode::OffsetOutOfRange));
-            return;
-        }
         let f = p.log.read_from(offset, max_bytes, false);
         charge_storage(b, &p).await;
         if f.bytes.is_empty() {
@@ -969,13 +922,7 @@ async fn handle_fetch(
         reply.send(fetch_response(&p, f));
     } else {
         b.metrics.add(&b.metrics.fetch_requests, 1);
-        // Below the retention floor: the typed out-of-range error, not an
-        // empty read (the data is gone, not merely unwritten).
-        if offset < p.log.start_offset() {
-            reply.send(fail(ErrorCode::OffsetOutOfRange));
-            return;
-        }
-        if b.config.storage.mode == kdstorage::StorageMode::Tiered {
+        if b.config.storage.is_some() {
             match p.log.is_offset_resident(offset) {
                 Some(true) => b.metrics.add(&b.metrics.storage_hot_hits, 1),
                 Some(false) => b.metrics.add(&b.metrics.storage_hot_misses, 1),
@@ -1059,10 +1006,6 @@ async fn handle_consume_access(
     }
     let hw = p.log.high_watermark();
     let hwp = p.log.high_watermark_position();
-    if offset < p.log.start_offset() {
-        reply.send(fail(ErrorCode::OffsetOutOfRange));
-        return;
-    }
     let (segment, start_pos, start_offset) = if offset < hw {
         match p.log.locate(offset) {
             Some((seg, entry)) => (seg, entry.pos, entry.base_offset),
@@ -1076,7 +1019,7 @@ async fn handle_consume_access(
     };
     // Tiered: page a spilled segment back into memory before registering
     // it — the zero-copy read region must expose real bytes.
-    if b.config.storage.mode == kdstorage::StorageMode::Tiered {
+    if b.config.storage.is_some() {
         if p.log.segment(segment).is_some_and(|s| s.is_resident()) {
             b.metrics.add(&b.metrics.storage_hot_hits, 1);
         } else {

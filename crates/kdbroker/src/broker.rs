@@ -271,18 +271,12 @@ impl Broker {
             let b = Rc::clone(&inner);
             sim::spawn(async move { crate::api::worker_loop(b).await });
         }
-        // Durable-tier background tasks: the every-N-ms flusher and the
-        // retention sweep. Memory mode spawns neither — schedules stay
-        // bit-identical to the pre-durability broker.
-        if inner.config.storage.mode == kdstorage::StorageMode::Tiered {
-            if let kdstorage::SyncMode::EveryMs(ms) = inner.config.storage.sync {
-                let b = Rc::clone(&inner);
-                sim::spawn(async move { crate::api::flusher_loop(b, ms).await });
-            }
-            if inner.config.storage.retention.is_enabled() {
-                let b = Rc::clone(&inner);
-                sim::spawn(async move { crate::api::retention_loop(b).await });
-            }
+        // The file tier's every-N-ms flusher. Memory mode has none —
+        // schedules stay bit-identical to the pre-durability broker.
+        let sync = inner.config.storage.as_ref().map(|s| s.sync);
+        if let Some(kdstorage::SyncMode::EveryMs(ms)) = sync {
+            let b = Rc::clone(&inner);
+            sim::spawn(async move { crate::api::flusher_loop(b, ms).await });
         }
         Broker { inner }
     }
@@ -392,8 +386,9 @@ impl Broker {
             .local_partitions()
             .into_iter()
             .map(|p| {
-                let bufs = match p.log.store().durable_snapshot() {
-                    Some(parts) => parts
+                let bufs = match p.log.store() {
+                    Some(store) => store
+                        .durable_snapshot()
                         .into_iter()
                         .map(|(base, bytes)| (base, ShmBuf::from_vec(bytes)))
                         .collect(),

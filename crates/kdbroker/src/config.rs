@@ -118,9 +118,9 @@ pub struct BrokerConfig {
     pub mux_pool: usize,
     /// Continuous telemetry (sampler + watchdog); `None` = off (default).
     pub observe: Option<ObserveConfig>,
-    /// Storage backend selection: in-memory (default) or tiered
-    /// file-backed with a zero-copy hot tier.
-    pub storage: StorageConfig,
+    /// The file tier: `None` (default) keeps logs in memory only; `Some`
+    /// spills sealed segments to files behind a zero-copy hot tier.
+    pub storage: Option<StorageConfig>,
 }
 
 impl Default for BrokerConfig {
@@ -141,7 +141,7 @@ impl Default for BrokerConfig {
             srq_depth: 4096,
             mux_pool: 0,
             observe: None,
-            storage: StorageConfig::default(),
+            storage: None,
         }
     }
 }
@@ -208,7 +208,7 @@ impl BrokerConfig {
     }
 
     pub fn with_storage(mut self, storage: StorageConfig) -> Self {
-        self.storage = storage;
+        self.storage = Some(storage);
         self
     }
 }

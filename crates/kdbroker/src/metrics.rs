@@ -45,8 +45,6 @@ pub struct Metrics {
     pub storage_fsyncs: Counter,
     /// Segments sealed (rotated to a new head file).
     pub storage_segments_rotated: Counter,
-    /// Segments reclaimed by retention.
-    pub storage_segments_reclaimed: Counter,
     /// Reads served from the in-memory (hot) tier.
     pub storage_hot_hits: Counter,
     /// Reads that had to go to the file (cold) tier.
@@ -89,7 +87,6 @@ impl Metrics {
             storage_bytes_flushed: c("storage.bytes_flushed"),
             storage_fsyncs: c("storage.fsyncs"),
             storage_segments_rotated: c("storage.segments_rotated"),
-            storage_segments_reclaimed: c("storage.segments_reclaimed"),
             storage_hot_hits: c("storage.hot_hits"),
             storage_hot_misses: c("storage.hot_misses"),
             storage_cold_read_bytes: c("storage.cold_read_bytes"),
@@ -123,7 +120,6 @@ impl Metrics {
             storage_bytes_flushed: self.storage_bytes_flushed.get(),
             storage_fsyncs: self.storage_fsyncs.get(),
             storage_segments_rotated: self.storage_segments_rotated.get(),
-            storage_segments_reclaimed: self.storage_segments_reclaimed.get(),
             storage_hot_hits: self.storage_hot_hits.get(),
             storage_hot_misses: self.storage_hot_misses.get(),
             storage_cold_read_bytes: self.storage_cold_read_bytes.get(),
@@ -199,7 +195,6 @@ pub struct MetricsSnapshot {
     pub storage_bytes_flushed: u64,
     pub storage_fsyncs: u64,
     pub storage_segments_rotated: u64,
-    pub storage_segments_reclaimed: u64,
     pub storage_hot_hits: u64,
     pub storage_hot_misses: u64,
     pub storage_cold_read_bytes: u64,

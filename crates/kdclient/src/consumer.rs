@@ -31,7 +31,7 @@ pub(crate) fn drain_batches(
         let records = decode_batch(&bytes[at..at + total]).map_err(|_| ClientError::Corrupt)?;
         for rv in records {
             if rv.offset >= *next_offset {
-                *next_offset = rv.offset + 1;
+                *next_offset = rv.offset.saturating_add(1);
                 deliver(rv);
             }
         }
@@ -152,6 +152,7 @@ impl TcpConsumer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use super::batches;
     use kdstorage::record::single_record_batch;
     use kdstorage::Record;
 
@@ -214,9 +215,9 @@ mod tests {
 
     #[test]
     fn a_header_count_past_the_record_body_is_not_reserved_for() {
-        // A CRC-valid batch the broker accepts (it never parses a record
-        // body): the value's length prefix is shortened so that its tail, a
-        // 9-byte uvarint for 2^62, is read as the record's header count.
+        // A CRC-valid batch whose value's length prefix is shortened so that
+        // its tail, a 9-byte uvarint for 2^62, is read as the record's header
+        // count. The broker refuses it now, but a consumer may still meet it.
         let mut value = vec![7u8; 30];
         value.extend_from_slice(&[0x80; 8]);
         value.push(0x40);
@@ -226,8 +227,43 @@ mod tests {
         batch[at] = 31;
         let crc = kdstorage::crc32c::crc32c(&batch[19..]);
         batch[15..19].copy_from_slice(&crc.to_le_bytes());
-        assert!(kdstorage::record::verify_batch(&batch).is_ok());
+        assert!(kdstorage::record::verify_batch(&batch).is_err());
         assert_eq!(drain(&batch), Err(ClientError::Corrupt));
+    }
+
+    /// 20 000 mutated batches, CRC re-sealed as a peer could: a complete
+    /// batch at the front drains exactly when the broker's check passes it,
+    /// and nothing panics. What `drain_batches` allocates is `decode_batch`'s,
+    /// which `kdstorage`'s `hostile_batches` test bounds.
+    #[test]
+    fn mutated_batches_drain_exactly_when_they_verify() {
+        let mut rng = sim::rng::SimRng::seed_from_u64(0x27BA_0003);
+        let mut previous = batches::arb_batch(&mut rng);
+        for round in 0..20_000 {
+            let valid = batches::arb_batch(&mut rng);
+            let hostile = batches::mutate(&mut rng, &valid, &previous);
+            previous = valid;
+            let drain = |bytes: &[u8]| {
+                let (mut next, mut delivered) = (0, 0u32);
+                let used = drain_batches(bytes, &mut next, |_| {}, |_| delivered += 1);
+                (used, delivered)
+            };
+            let (whole, _) = drain(&hostile);
+            let Some(total) = peek_total_len(&hostile).ok().filter(|&t| t <= hostile.len()) else {
+                assert_eq!(whole, Ok(0), "round {round}: an incomplete batch waits");
+                continue;
+            };
+            match kdstorage::record::verify_batch(&hostile[..total]) {
+                Ok(h) => {
+                    let (used, delivered) = drain(&hostile[..total]);
+                    assert_eq!(used, Ok(total), "round {round}");
+                    if h.base_offset.checked_add(u64::from(h.record_count)).is_some() {
+                        assert_eq!(delivered, h.record_count, "round {round}");
+                    }
+                }
+                Err(_) => assert_eq!(whole, Err(ClientError::Corrupt), "round {round}"),
+            }
+        }
     }
 
     #[test]
@@ -238,3 +274,7 @@ mod tests {
         assert_eq!((next, offsets), (3, vec![2]));
     }
 }
+
+#[cfg(test)]
+#[path = "../../kdstorage/tests/common/batches.rs"]
+mod batches;

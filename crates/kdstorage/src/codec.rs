@@ -151,6 +151,7 @@ pub fn zigzag_decode(v: u64) -> i64 {
 }
 
 /// Cursor over a byte slice with typed take methods.
+#[derive(Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -178,24 +179,33 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (&bytes, _) = self.buf[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or(WireError::UnexpectedEof)?;
+        self.pos += N;
+        Ok(bytes)
+    }
+
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
     pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.take_array().map(u16::from_le_bytes)
     }
 
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.take_array().map(u32::from_le_bytes)
     }
 
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.take_array().map(u64::from_le_bytes)
     }
 
     pub fn get_i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.take_array().map(i64::from_le_bytes)
     }
 
     pub fn get_uvarint(&mut self) -> Result<u64, WireError> {
@@ -229,10 +239,14 @@ impl<'a> Reader<'a> {
         Ok(Some(self.take(len as usize - 1)?))
     }
 
-    pub fn get_string(&mut self) -> Result<String, WireError> {
+    /// Length-prefixed UTF-8, borrowed from the input.
+    pub fn get_str(&mut self) -> Result<&'a str, WireError> {
         let len = self.get_uvarint()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadValue)
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::BadValue)
+    }
+
+    pub fn get_string(&mut self) -> Result<String, WireError> {
+        self.get_str().map(str::to_owned)
     }
 }
 

@@ -119,10 +119,6 @@ mod hw {
         )
     }
 
-    fn le64(chunk: &[u8]) -> u64 {
-        u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
-    }
-
     /// Three streams of `block` bytes each off the front of `data`, while
     /// it holds that many.
     #[target_feature(enable = "sse4.2")]
@@ -137,10 +133,10 @@ mod hw {
             let (b, rest) = rest.split_at(block);
             let (c, rest) = rest.split_at(block);
             let (mut crc_b, mut crc_c) = (0, 0);
-            for ((a, b), c) in a.chunks_exact(8).zip(b.chunks_exact(8)).zip(c.chunks_exact(8)) {
-                crc = _mm_crc32_u64(crc, le64(a));
-                crc_b = _mm_crc32_u64(crc_b, le64(b));
-                crc_c = _mm_crc32_u64(crc_c, le64(c));
+            for ((a, b), c) in a.as_chunks().0.iter().zip(b.as_chunks().0).zip(c.as_chunks().0) {
+                crc = _mm_crc32_u64(crc, u64::from_le_bytes(*a));
+                crc_b = _mm_crc32_u64(crc_b, u64::from_le_bytes(*b));
+                crc_c = _mm_crc32_u64(crc_c, u64::from_le_bytes(*c));
             }
             crc = shift(t, shift(t, crc) ^ crc_b) ^ crc_c;
             data = rest;
@@ -154,10 +150,9 @@ mod hw {
         let s = shifts();
         let (crc, data) = interleaved(u64::from(crc), data, LONG, &s.long);
         let (mut crc, data) = interleaved(crc, data, SHORT, &s.short);
-        let words = data.chunks_exact(8);
-        let tail = words.remainder();
+        let (words, tail) = data.as_chunks();
         for w in words {
-            crc = _mm_crc32_u64(crc, le64(w));
+            crc = _mm_crc32_u64(crc, u64::from_le_bytes(*w));
         }
         let mut crc = crc as u32;
         for &b in tail {

@@ -11,6 +11,8 @@
 //! * Segment memory is a `kdbuf::ShmBuf`, the handle the NIC model
 //!   registers, so an RDMA write lands bytes directly in the log — the
 //!   zero-copy property everything else builds on.
+//! * A log is in memory only, or also has a file tier ([`FileStore`]) that
+//!   sealed segments spill to; there is no third kind.
 //! * This crate is runtime-agnostic (no `sim` dependency): it is plain data
 //!   structure code, unit-testable without a runtime.
 
@@ -23,11 +25,8 @@ pub mod store;
 pub mod topics;
 
 pub use codec::{Reader, WireError, Writer};
-pub use log::{AppendError, AppendInfo, Log, LogConfig, LogPosition, ReadError};
-pub use store::{
-    ColdRead, FileStore, IoCharge, IoCostModel, MemStore, RetentionConfig, SegmentStore,
-    StorageConfig, StorageMode, SyncMode,
-};
+pub use log::{AppendError, AppendInfo, Log, LogConfig, LogPosition};
+pub use store::{FileStore, IoCharge, StorageConfig, SyncMode};
 pub use record::{
     assign_base_offset, parse_header, verify_batch, BatchBuilder, BatchError, BatchHeader, Record,
     RecordView, BATCH_HEADER_LEN,

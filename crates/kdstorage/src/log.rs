@@ -13,9 +13,10 @@ use std::rc::Rc;
 
 use kdbuf::ShmBuf;
 
+use crate::codec::WireError;
 use crate::record::{self, BatchError};
 use crate::segment::{BatchIndexEntry, Segment};
-use crate::store::{IoCharge, MemStore, RetentionConfig, SegmentStore};
+use crate::store::{FileStore, IoCharge};
 
 /// Log configuration.
 #[derive(Debug, Clone)]
@@ -94,26 +95,6 @@ impl std::fmt::Display for AppendError {
 
 impl std::error::Error for AppendError {}
 
-/// Errors from checked reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadError {
-    /// The requested offset precedes the retention floor: its segment was
-    /// reclaimed and its bytes no longer exist on any tier.
-    OutOfRetention { requested: u64, start: u64 },
-}
-
-impl std::fmt::Display for ReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadError::OutOfRetention { requested, start } => {
-                write!(f, "offset {requested} below retention floor {start}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ReadError {}
-
 impl From<BatchError> for AppendError {
     fn from(e: BatchError) -> Self {
         AppendError::Batch(e)
@@ -135,65 +116,56 @@ pub struct FetchSlice {
 /// A topic-partition log.
 pub struct Log {
     config: LogConfig,
-    /// Storage backend notified at segment lifecycle points; the in-memory
-    /// backend makes every notification a no-op.
-    store: Rc<dyn SegmentStore>,
+    /// The file tier, notified at segment lifecycle points; `None` keeps
+    /// the log in memory only.
+    store: Option<Rc<FileStore>>,
     segments: RefCell<Vec<Rc<Segment>>>,
     /// First offset not yet replicated to the configured in-sync replicas;
     /// consumers may not read at or past this (§4.4.2).
     high_watermark: Cell<u64>,
     /// Byte position equivalent of `high_watermark`.
     hw_position: Cell<LogPosition>,
-    /// Virtual-time source for segment seal stamps (age-based retention).
-    /// Unset (0) outside a runtime; the broker installs `sim::now`.
-    clock: RefCell<Option<Box<dyn Fn() -> u64>>>,
 }
 
 impl Log {
+    /// A fresh log in memory only.
     pub fn new(config: LogConfig) -> Log {
-        Log::with_store(config, Rc::new(MemStore))
+        let head = Segment::new(0, config.segment_size);
+        Log::on(config, None, vec![head])
     }
 
-    /// A fresh log on an explicit storage backend.
-    pub fn with_store(config: LogConfig, store: Rc<dyn SegmentStore>) -> Log {
+    /// A fresh log whose segments are also written to `store`'s files.
+    pub fn with_store(config: LogConfig, store: Rc<FileStore>) -> Log {
         let head = Segment::new(0, config.segment_size);
         store.on_create(0, 0, config.segment_size);
-        Log {
-            config,
-            store,
-            segments: RefCell::new(vec![head]),
-            high_watermark: Cell::new(0),
-            hw_position: Cell::new(LogPosition { segment: 0, pos: 0 }),
-            clock: RefCell::new(None),
-        }
+        Log::on(config, Some(store), vec![head])
     }
 
-    /// Rebuilds a log from the raw segment buffers that survived a crash
-    /// (the buffers are the partition's "files"; in the simulation they are
-    /// the durable medium). Each buffer is scanned with
-    /// [`Segment::recover`], re-chaining base offsets densely from zero;
-    /// every segment but the last is re-sealed. The high watermark restarts
-    /// at zero — it is volatile state that replication (or the single-
-    /// replica commit rule) re-advances.
-    pub fn recover(config: LogConfig, buffers: Vec<ShmBuf>) -> Log {
-        let parts = buffers.into_iter().map(|b| (0, b)).collect();
-        Log::recover_with_store(config, Rc::new(MemStore), parts)
-    }
-
-    /// As [`recover`](Self::recover), onto an explicit backend. Each part
-    /// is `(base_offset, bytes)`; offsets re-chain densely from the first
-    /// part's base (non-zero after retention reclaimed a prefix). Every
-    /// recovered segment is adopted by the store — the file tier rewrites
-    /// its files from the recovered committed prefix, so the disk image and
-    /// the memory image agree from the first commit after restart.
-    pub fn recover_with_store(
+    /// Rebuilds a log from the segment images that survived a crash: the
+    /// live buffers of a memory log, or what a file tier's
+    /// [`durable_snapshot`](FileStore::durable_snapshot) read back. Each
+    /// part is `(base_offset, bytes)` and is scanned with
+    /// [`Segment::recover`], re-chaining offsets densely from the first
+    /// part's base. Recovery stops at a part whose base is not the offset
+    /// the parts before it recovered to (a segment came back shorter than
+    /// it was sealed), so what survives is a prefix of what was committed.
+    /// Every segment but the last is re-sealed. The high watermark restarts at
+    /// zero: it is volatile state that replication (or the single-replica
+    /// commit rule) re-advances. With a `store`, every recovered segment is
+    /// adopted: the file tier rewrites its files from the recovered
+    /// committed prefix, so the disk image and the memory image agree from
+    /// the first commit after restart.
+    pub fn recover(
         config: LogConfig,
-        store: Rc<dyn SegmentStore>,
+        store: Option<Rc<FileStore>>,
         parts: Vec<(u64, ShmBuf)>,
     ) -> Log {
         let mut segments: Vec<Rc<Segment>> = Vec::with_capacity(parts.len().max(1));
         let mut next = parts.first().map_or(0, |(base, _)| *base);
-        for (_, buf) in parts {
+        for (base, buf) in parts {
+            if base != next {
+                break;
+            }
             let seg = Segment::recover(next, buf);
             next = seg.next_offset();
             segments.push(seg);
@@ -204,16 +176,22 @@ impl Log {
         for s in &segments[..segments.len() - 1] {
             s.seal();
         }
-        for (i, s) in segments.iter().enumerate() {
-            store.adopt(i as u32, s);
+        if let Some(store) = &store {
+            for (i, s) in segments.iter().enumerate() {
+                store.adopt(i as u32, s);
+            }
         }
+        Log::on(config, store, segments)
+    }
+
+    /// A log over `segments`, the last of which is the head.
+    fn on(config: LogConfig, store: Option<Rc<FileStore>>, segments: Vec<Rc<Segment>>) -> Log {
         Log {
             config,
             store,
             segments: RefCell::new(segments),
             high_watermark: Cell::new(0),
             hw_position: Cell::new(LogPosition { segment: 0, pos: 0 }),
-            clock: RefCell::new(None),
         }
     }
 
@@ -221,28 +199,20 @@ impl Log {
         &self.config
     }
 
-    /// The storage backend.
-    pub fn store(&self) -> &Rc<dyn SegmentStore> {
-        &self.store
+    /// The file tier, if the log has one.
+    pub fn store(&self) -> Option<&Rc<FileStore>> {
+        self.store.as_ref()
     }
 
-    /// Installs the virtual-time source used to stamp segment seals.
-    pub fn set_clock(&self, clock: Box<dyn Fn() -> u64>) {
-        *self.clock.borrow_mut() = Some(clock);
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.clock.borrow().as_ref().map_or(0, |c| c())
-    }
-
-    /// Drains the backend's accumulated I/O cost and counters. Always zero
-    /// in memory mode — callers skip charging entirely then.
+    /// Drains the file tier's accumulated I/O cost and counters. Always
+    /// zero in memory mode — callers skip charging entirely then.
     pub fn take_io(&self) -> IoCharge {
-        self.store.take_charge()
+        self.store.as_ref().map_or_else(IoCharge::default, |s| s.take_charge())
     }
 
     /// The mutable head file.
     pub fn head(&self) -> Rc<Segment> {
+        // Every constructor leaves at least one segment and none removes one.
         Rc::clone(self.segments.borrow().last().expect("log has a head"))
     }
 
@@ -277,43 +247,39 @@ impl Log {
     /// Seals the head and opens a new preallocated head file.
     pub fn roll(&self) -> Rc<Segment> {
         let next_offset = self.next_offset();
-        let (old, old_idx, head) = {
-            let mut segments = self.segments.borrow_mut();
-            let old = Rc::clone(segments.last().unwrap());
-            old.seal();
-            old.set_sealed_at_ns(self.now_ns());
-            let head = Segment::new(next_offset, self.config.segment_size);
-            segments.push(Rc::clone(&head));
-            (old, segments.len() as u32 - 2, Rc::clone(&head))
-        };
-        self.store.on_seal(old_idx, &old);
-        self.store
-            .on_create(old_idx + 1, next_offset, self.config.segment_size);
+        let old = self.head();
+        old.seal();
+        let old_idx = self.head_index();
+        let head = Segment::new(next_offset, self.config.segment_size);
+        self.segments.borrow_mut().push(Rc::clone(&head));
+        if let Some(store) = &self.store {
+            store.on_seal(old_idx, &old);
+            store.on_create(old_idx + 1, next_offset, self.config.segment_size);
+        }
         head
     }
 
-    /// First offset still readable (the retention floor). Zero until
-    /// retention reclaims a segment.
+    /// First offset the log holds: the first segment's base.
     pub fn start_offset(&self) -> u64 {
-        let segments = self.segments.borrow();
-        segments
-            .iter()
-            .find(|s| !s.is_reclaimed())
-            .map_or_else(|| segments.last().unwrap().next_offset(), |s| s.base_offset())
+        self.segments.borrow()[0].base_offset()
     }
 
     /// Flushes the head segment's dirty suffix to the file tier (the
     /// every-N-ms flusher and explicit sync points).
     pub fn sync_all(&self) {
-        let head = self.head();
-        self.store.flush(self.head_index(), &head);
+        if let Some(store) = &self.store {
+            store.flush(self.head_index(), &self.head());
+        }
     }
 
     /// Evicts a sealed, fully durable segment's bytes from memory (cold
-    /// spill). Returns false when the segment is the head, not sealed, not
-    /// fully synced, already evicted, or reclaimed — the caller is
-    /// responsible for checking RDMA registrations pin nothing on it.
+    /// spill). Returns false in memory mode and when the segment is the
+    /// head, not sealed, not fully synced, or already evicted — the caller
+    /// is responsible for checking RDMA registrations pin nothing on it.
     pub fn evict_segment(&self, index: u32) -> bool {
+        let Some(store) = &self.store else {
+            return false;
+        };
         if index >= self.head_index() {
             return false;
         }
@@ -321,9 +287,8 @@ impl Log {
             return false;
         };
         if !seg.is_sealed()
-            || seg.is_reclaimed()
             || !seg.is_resident()
-            || self.store.synced_pos(index) < seg.committed_pos()
+            || store.synced_pos(index) < seg.committed_pos()
         {
             return false;
         }
@@ -337,57 +302,14 @@ impl Log {
         let Some(seg) = self.segment(index) else {
             return false;
         };
-        if seg.is_resident() || seg.is_reclaimed() {
+        if seg.is_resident() {
             return false;
         }
-        let Some(bytes) = self.store.load(index) else {
+        let Some(bytes) = self.store.as_ref().and_then(|s| s.load(index)) else {
             return false;
         };
         seg.restore(&bytes);
         true
-    }
-
-    /// Applies size/time-based retention: reclaims sealed segments strictly
-    /// below the high-watermark segment, oldest first, while the live
-    /// segment count exceeds `max_segments` or the segment's seal age
-    /// exceeds `max_age_ms`. Returns the number reclaimed. Reclaimed
-    /// segments stay in the chain as tombstones so segment indices held by
-    /// grants, read registrations, and `LogPosition`s stay valid.
-    pub fn apply_retention(&self, now_ns: u64, cfg: &RetentionConfig) -> u32 {
-        if !cfg.is_enabled() {
-            return 0;
-        }
-        let hw_segment = self.hw_position.get().segment;
-        let (live, first_live) = {
-            let segments = self.segments.borrow();
-            let live = segments.iter().filter(|s| !s.is_reclaimed()).count() as u32;
-            let first_live = segments.iter().position(|s| !s.is_reclaimed());
-            (live, first_live)
-        };
-        let Some(first_live) = first_live else {
-            return 0;
-        };
-        let mut live = live;
-        let mut reclaimed = 0u32;
-        for index in first_live as u32..hw_segment {
-            let seg = self.segment(index).expect("segment below hw exists");
-            if seg.is_reclaimed() {
-                continue;
-            }
-            debug_assert!(seg.is_sealed(), "segments below the hw segment are sealed");
-            let too_many = cfg.max_segments.is_some_and(|max| live > max);
-            let too_old = cfg.max_age_ms.is_some_and(|max_ms| {
-                now_ns.saturating_sub(seg.sealed_at_ns()) > max_ms * 1_000_000
-            });
-            if !too_many && !too_old {
-                break; // older segments reclaim first; stop at the first keeper
-            }
-            seg.reclaim();
-            self.store.on_reclaim(index);
-            live -= 1;
-            reclaimed += 1;
-        }
-        reclaimed
     }
 
     fn check_size(&self, len: usize) -> Result<(), AppendError> {
@@ -408,20 +330,7 @@ impl Log {
     pub fn append_batch(&self, bytes: &[u8]) -> Result<AppendInfo, AppendError> {
         self.check_size(bytes.len())?;
         let header = record::verify_batch(bytes)?;
-        let total = header.total_len() as u32;
-        let mut rolled = false;
-        let mut head = self.head();
-        let pos = match head.reserve(total) {
-            Some(pos) => pos,
-            None => {
-                head = self.roll();
-                rolled = true;
-                head.reserve(total).expect("fresh segment fits max batch")
-            }
-        };
-        head.write_at(pos, bytes);
-        let info = self.commit_at_unchecked(&head, pos, header.record_count, total)?;
-        Ok(AppendInfo { rolled, ..info })
+        Ok(self.append_verified(bytes, &header))
     }
 
     /// Appends a batch replicated from the leader (pull replication ➏):
@@ -436,6 +345,14 @@ impl Log {
                 got: header.base_offset,
             });
         }
+        Ok(self.append_verified(bytes, &header))
+    }
+
+    /// Copies a verified batch into the head, rolling first if it does not
+    /// fit, and commits it at the log end.
+    fn append_verified(&self, bytes: &[u8], header: &record::BatchHeader) -> AppendInfo {
+        // Verification read `total_len()` bytes of `bytes`, whose length
+        // `check_size` bounded by a `u32`.
         let total = header.total_len() as u32;
         let mut rolled = false;
         let mut head = self.head();
@@ -444,27 +361,13 @@ impl Log {
             None => {
                 head = self.roll();
                 rolled = true;
+                // `check_size` bounded the batch by the segment size.
                 head.reserve(total).expect("fresh segment fits max batch")
             }
         };
         head.write_at(pos, bytes);
-        head.push_committed(crate::segment::BatchIndexEntry {
-            base_offset: header.base_offset,
-            pos,
-            len: total,
-            record_count: header.record_count,
-        });
-        self.store.on_commit(self.head_index(), &head);
-        Ok(AppendInfo {
-            base_offset: header.base_offset,
-            record_count: header.record_count,
-            position: LogPosition {
-                segment: self.head_index(),
-                pos,
-            },
-            total_len: total,
-            rolled,
-        })
+        let info = self.commit_at_unchecked(&head, pos, header.record_count, total);
+        AppendInfo { rolled, ..info }
     }
 
     /// Commits a batch whose bytes are **already in** the head file at
@@ -482,19 +385,14 @@ impl Log {
         // Parse the length prefix, then verify the full batch in place.
         let avail = head.capacity() - pos;
         let prefix_len = (record::LENGTH_PREFIX_LEN as u32).min(avail);
-        let total = head
-            .with_slice(pos, prefix_len, record::peek_total_len)
-            .map_err(AppendError::from)? as u32;
-        self.check_size(total as usize)?;
-        if pos + total > head.capacity() {
-            return Err(AppendError::Batch(BatchError::Corrupt(
-                crate::codec::WireError::BadLength,
-            )));
-        }
-        let header = head
-            .with_slice(pos, total, record::verify_batch)
-            .map_err(AppendError::from)?;
-        self.commit_at_unchecked(&head, pos, header.record_count, total)
+        let total = head.with_slice(pos, prefix_len, record::peek_total_len)?;
+        self.check_size(total)?;
+        let total = match u32::try_from(total) {
+            Ok(total) if total <= avail => total,
+            _ => return Err(AppendError::Batch(BatchError::Corrupt(WireError::BadLength))),
+        };
+        let header = head.with_slice(pos, total, record::verify_batch)?;
+        Ok(self.commit_at_unchecked(&head, pos, header.record_count, total))
     }
 
     /// Shared tail of both commit paths: assign the base offset in place
@@ -505,7 +403,7 @@ impl Log {
         pos: u32,
         record_count: u32,
         total: u32,
-    ) -> Result<AppendInfo, AppendError> {
+    ) -> AppendInfo {
         let base_offset = head.next_offset();
         head.with_slice_mut(pos, total, |bytes| {
             record::assign_base_offset(bytes, base_offset);
@@ -516,8 +414,10 @@ impl Log {
             len: total,
             record_count,
         });
-        self.store.on_commit(self.head_index(), head);
-        Ok(AppendInfo {
+        if let Some(store) = &self.store {
+            store.on_commit(self.head_index(), head);
+        }
+        AppendInfo {
             base_offset,
             record_count,
             position: LogPosition {
@@ -526,7 +426,7 @@ impl Log {
             },
             total_len: total,
             rolled: false,
-        })
+        }
     }
 
     /// Advances the high watermark to `offset` (must land on a batch
@@ -547,11 +447,10 @@ impl Log {
         let seg_idx = segments
             .partition_point(|s| s.base_offset() <= last)
             .saturating_sub(1);
-        let seg = &segments[seg_idx];
-        let i = seg
-            .batch_index_of(last)
+        // `current < offset <= next_offset()`: `last` is a committed offset.
+        let b = segments[seg_idx]
+            .find_batch(last)
             .expect("high watermark inside committed region");
-        let b = seg.batch_at(i).unwrap();
         // Replication normally acknowledges whole batches; if an ack lands
         // mid-batch, round the watermark down to the batch start (a record
         // is visible only when its whole batch is replicated).
@@ -613,14 +512,15 @@ impl Log {
         let mut start_offset = None;
         let mut next_offset = offset;
         'outer: for (idx, seg) in segments.iter().enumerate().skip(seg_idx) {
-            if seg.is_reclaimed() {
-                continue;
-            }
             if !seg.is_resident() {
                 // Cold segment: serve whole batches from the file tier
                 // through the sparse index (offsets in the file are already
-                // assigned — flushes cover only committed bytes).
-                let r = self.store.read_cold(
+                // assigned — flushes cover only committed bytes). Only a
+                // log with a file tier evicts.
+                let Some(store) = &self.store else {
+                    continue;
+                };
+                let r = store.read_cold(
                     idx as u32,
                     next_offset.max(seg.base_offset()),
                     limit,
@@ -658,26 +558,6 @@ impl Log {
         (start_offset.unwrap_or(offset), next_offset)
     }
 
-    /// As [`read_from_into`](Self::read_from_into), but reads below the
-    /// retention floor fail with a typed error instead of silently starting
-    /// at the next surviving batch.
-    pub fn read_from_checked(
-        &self,
-        offset: u64,
-        max_bytes: u32,
-        committed_only: bool,
-        out: &mut Vec<u8>,
-    ) -> Result<(u64, u64), ReadError> {
-        let start = self.start_offset();
-        if offset < start {
-            return Err(ReadError::OutOfRetention {
-                requested: offset,
-                start,
-            });
-        }
-        Ok(self.read_from_into(offset, max_bytes, committed_only, out))
-    }
-
     /// Finds the committed batch containing `offset` and its segment index.
     pub fn locate(&self, offset: u64) -> Option<(u32, BatchIndexEntry)> {
         let segments = self.segments.borrow();
@@ -699,9 +579,9 @@ impl Log {
 
     /// Fault hook: garble the last `k` durable bytes of the active segment
     /// file (torn-write injection against real file bytes). Returns bytes
-    /// garbled — zero on the in-memory backend.
+    /// garbled — zero in memory mode.
     pub fn garble_active_tail(&self, k: u32) -> u64 {
-        self.store.garble_active_tail(k)
+        self.store.as_ref().map_or(0, |s| s.garble_active_tail(k))
     }
 
     /// Total committed bytes across all segments (telemetry).
@@ -950,9 +830,10 @@ mod tests {
     }
 
     /// The raw buffers of every segment, i.e. what "survives" a crash.
-    fn surviving_buffers(log: &Log) -> Vec<ShmBuf> {
+    fn surviving_buffers(log: &Log) -> Vec<(u64, ShmBuf)> {
         (0..log.segment_count())
-            .map(|i| log.segment(i).unwrap().shared_buf())
+            .map(|i| log.segment(i).unwrap())
+            .map(|s| (s.base_offset(), s.shared_buf()))
             .collect()
     }
 
@@ -966,7 +847,7 @@ mod tests {
         assert!(log.segment_count() >= 2, "test must span segments");
         let end = log.next_offset();
 
-        let recovered = Log::recover(log.config().clone(), surviving_buffers(&log));
+        let recovered = Log::recover(log.config().clone(), None, surviving_buffers(&log));
         assert_eq!(recovered.next_offset(), end);
         assert_eq!(recovered.segment_count(), log.segment_count());
         recovered.set_high_watermark(end);
@@ -999,7 +880,7 @@ mod tests {
         head.write_at(head.committed_pos(), &torn[..torn.len() / 2]);
         head.advance_write_pos(head.committed_pos() + torn.len() as u32 / 2);
 
-        let recovered = Log::recover(log.config().clone(), surviving_buffers(&log));
+        let recovered = Log::recover(log.config().clone(), None, surviving_buffers(&log));
         assert_eq!(recovered.next_offset(), 5, "torn record dropped");
         assert_eq!(recovered.head().batch_count(), 2);
         // The torn region is writable again: the next append lands there.
@@ -1020,7 +901,7 @@ mod tests {
         head.write_at(head.committed_pos(), &bad);
         head.advance_write_pos(head.committed_pos() + bad.len() as u32);
 
-        let recovered = Log::recover(log.config().clone(), surviving_buffers(&log));
+        let recovered = Log::recover(log.config().clone(), None, surviving_buffers(&log));
         assert_eq!(recovered.next_offset(), 2, "corrupt tail truncated");
         assert_eq!(recovered.head().batch_count(), 1);
     }
@@ -1038,7 +919,7 @@ mod tests {
         head.write_at(head.committed_pos(), &landed);
         head.advance_write_pos(head.committed_pos() + landed.len() as u32);
 
-        let recovered = Log::recover(log.config().clone(), surviving_buffers(&log));
+        let recovered = Log::recover(log.config().clone(), None, surviving_buffers(&log));
         assert_eq!(recovered.next_offset(), 6);
         recovered.set_high_watermark(6);
         let f = recovered.read_from(4, 4096, true);
@@ -1049,7 +930,7 @@ mod tests {
 
     #[test]
     fn recovery_of_empty_buffers_yields_fresh_log() {
-        let recovered = Log::recover(LogConfig::default(), Vec::new());
+        let recovered = Log::recover(LogConfig::default(), None, Vec::new());
         assert_eq!(recovered.next_offset(), 0);
         assert_eq!(recovered.segment_count(), 1);
     }

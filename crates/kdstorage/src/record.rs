@@ -240,6 +240,7 @@ pub fn encode_batch(producer_id: u64, records: &[Record]) -> Result<Vec<u8>, Bat
 
 /// Convenience: a single-record batch.
 pub fn single_record_batch(producer_id: u64, record: &Record) -> Vec<u8> {
+    // `finish` fails only on a batch of no records.
     encode_batch(producer_id, std::slice::from_ref(record)).expect("non-empty")
 }
 
@@ -293,9 +294,89 @@ pub fn peek_total_len(bytes: &[u8]) -> Result<usize, BatchError> {
     Ok(LENGTH_FIELD_AT + 4 + batch_length as usize)
 }
 
-/// Fully validates the batch at the front of `bytes`: structure + CRC.
-/// Returns the header. This is the API worker's §4.2.2 integrity check.
-pub fn verify_batch(bytes: &[u8]) -> Result<BatchHeader, BatchError> {
+/// The smallest record: a one-byte length prefix and a body of four
+/// one-byte fields (timestamp delta, absent key, absent value, no headers).
+const MIN_RECORD_LEN: usize = 5;
+
+/// One record body, borrowed from its batch and already checked: whatever
+/// [`decode_batch`] reads from it is there.
+struct RecordRef<'a> {
+    ts_delta: i64,
+    key: Option<&'a [u8]>,
+    value: Option<&'a [u8]>,
+    /// Positioned at the first of `header_count` well-formed headers.
+    headers: Reader<'a>,
+    header_count: usize,
+}
+
+impl RecordRef<'_> {
+    fn to_view(&self, offset: u64, base_timestamp: i64) -> Result<RecordView, WireError> {
+        let mut r = self.headers.clone();
+        let mut headers = Vec::with_capacity(self.header_count);
+        for _ in 0..self.header_count {
+            let k = r.get_str()?.to_owned();
+            headers.push((k, r.get_opt_bytes()?.unwrap_or_default().to_vec()));
+        }
+        Ok(RecordView {
+            offset,
+            record: Record {
+                key: self.key.map(<[u8]>::to_vec),
+                value: self.value.unwrap_or_default().to_vec(),
+                headers,
+                timestamp: base_timestamp.wrapping_add(self.ts_delta),
+            },
+        })
+    }
+}
+
+/// Parses one record body without allocating.
+fn parse_record(body: &[u8]) -> Result<RecordRef<'_>, WireError> {
+    let mut b = Reader::new(body);
+    let ts_delta = b.get_varint()?;
+    let key = b.get_opt_bytes()?;
+    let value = b.get_opt_bytes()?;
+    let header_count = b.get_uvarint()?;
+    // A header is at least two bytes: a count the body cannot hold is
+    // corrupt, and must not size a reservation.
+    if header_count > (b.remaining() / 2) as u64 {
+        return Err(WireError::BadLength);
+    }
+    let headers = b.clone();
+    for _ in 0..header_count {
+        b.get_str()?;
+        b.get_opt_bytes()?;
+    }
+    Ok(RecordRef {
+        ts_delta,
+        key,
+        value,
+        headers,
+        header_count: header_count as usize,
+    })
+}
+
+/// Walks a records section — each record's length prefix and body — and
+/// hands every record to `each`. Returns the number of records. The broker's
+/// check and the consumer's decode both go through here, so a batch commits
+/// exactly when a consumer can decode it.
+fn walk_records<'a>(
+    section: &'a [u8],
+    mut each: impl FnMut(RecordRef<'a>) -> Result<(), WireError>,
+) -> Result<u32, WireError> {
+    let mut r = Reader::new(section);
+    let mut count = 0u32;
+    while r.remaining() > 0 {
+        let len = r.get_uvarint()? as usize;
+        each(parse_record(r.take(len)?)?)?;
+        // A record takes at least `MIN_RECORD_LEN` bytes of a section
+        // whose length came from a `u32`.
+        count += 1;
+    }
+    Ok(count)
+}
+
+/// Header and CRC check: the header and the records section it covers.
+fn check_crc(bytes: &[u8]) -> Result<(BatchHeader, &[u8]), BatchError> {
     let header = parse_header(bytes)?;
     let total = header.total_len();
     if bytes.len() < total {
@@ -308,17 +389,22 @@ pub fn verify_batch(bytes: &[u8]) -> Result<BatchHeader, BatchError> {
             computed,
         });
     }
-    // Walk the records to validate structure.
-    let mut count = 0u32;
-    let mut r = Reader::new(&bytes[BATCH_HEADER_LEN..total]);
-    while r.remaining() > 0 {
-        let len = r.get_uvarint()? as usize;
-        r.take(len)?;
-        count += 1;
-    }
-    if count != header.record_count {
+    Ok((header, &bytes[BATCH_HEADER_LEN..total]))
+}
+
+fn check_count(header: &BatchHeader, walked: u32) -> Result<(), BatchError> {
+    if walked != header.record_count {
         return Err(BatchError::Corrupt(WireError::BadLength));
     }
+    Ok(())
+}
+
+/// Fully validates the batch at the front of `bytes`: structure, CRC and
+/// every record body. Returns the header. This is the API worker's §4.2.2
+/// integrity check.
+pub fn verify_batch(bytes: &[u8]) -> Result<BatchHeader, BatchError> {
+    let (header, section) = check_crc(bytes)?;
+    check_count(&header, walk_records(section, |_| Ok(()))?)?;
     Ok(header)
 }
 
@@ -334,43 +420,20 @@ pub struct RecordView {
     pub record: Record,
 }
 
-/// Decodes every record of the batch at the front of `bytes`.
+/// Decodes every record of the batch at the front of `bytes`. Succeeds
+/// exactly when [`verify_batch`] does.
 pub fn decode_batch(bytes: &[u8]) -> Result<Vec<RecordView>, BatchError> {
-    let header = verify_batch(bytes)?;
-    let total = header.total_len();
-    let mut out = Vec::with_capacity(header.record_count as usize);
-    let mut r = Reader::new(&bytes[BATCH_HEADER_LEN..total]);
-    let mut i = 0u64;
-    while r.remaining() > 0 {
-        let len = r.get_uvarint()? as usize;
-        let body = r.take(len)?;
-        let mut b = Reader::new(body);
-        let ts_delta = b.get_varint()?;
-        let key = b.get_opt_bytes()?.map(<[u8]>::to_vec);
-        let value = b.get_opt_bytes()?.unwrap_or_default().to_vec();
-        let header_count = b.get_uvarint()?;
-        // A header is at least two bytes: a count the body cannot hold is
-        // corrupt, and must not size the reservation below.
-        if header_count > (b.remaining() / 2) as u64 {
-            return Err(BatchError::Corrupt(WireError::BadLength));
-        }
-        let mut headers = Vec::with_capacity(header_count as usize);
-        for _ in 0..header_count {
-            let k = b.get_string()?;
-            let v = b.get_opt_bytes()?.unwrap_or_default().to_vec();
-            headers.push((k, v));
-        }
-        out.push(RecordView {
-            offset: header.base_offset + i,
-            record: Record {
-                key,
-                value,
-                headers,
-                timestamp: header.base_timestamp + ts_delta,
-            },
-        });
-        i += 1;
-    }
+    let (header, section) = check_crc(bytes)?;
+    // The capacity rule: no more records than the section could hold.
+    let records = (header.record_count as usize).min(section.len() / MIN_RECORD_LEN);
+    let mut out = Vec::with_capacity(records);
+    let mut offset = header.base_offset;
+    let walked = walk_records(section, |r| {
+        out.push(r.to_view(offset, header.base_timestamp)?);
+        offset = offset.wrapping_add(1);
+        Ok(())
+    })?;
+    check_count(&header, walked)?;
     Ok(out)
 }
 
@@ -469,7 +532,8 @@ mod tests {
     fn a_header_count_the_body_cannot_hold_is_corrupt() {
         // Shorten the value's length prefix so its tail — a 9-byte uvarint
         // for 2^62 — is read as the header count, and re-seal the CRC. The
-        // record length still adds up, so the broker's check passes.
+        // record length still adds up; the broker's check reads the body
+        // too, so it fails the same way the decoder does.
         let mut value = vec![7u8; 30];
         value.extend_from_slice(&[0x80; 8]);
         value.push(0x40);
@@ -480,11 +544,9 @@ mod tests {
         bytes[at] = 31;
         let crc = crc32c(&bytes[CRC_COVER_FROM..]);
         bytes[CRC_FIELD_AT..CRC_COVER_FROM].copy_from_slice(&crc.to_le_bytes());
-        assert!(verify_batch(&bytes).is_ok());
-        assert_eq!(
-            decode_batch(&bytes),
-            Err(BatchError::Corrupt(WireError::BadLength))
-        );
+        let corrupt = Err(BatchError::Corrupt(WireError::BadLength));
+        assert_eq!(verify_batch(&bytes).map(|_| ()), corrupt);
+        assert_eq!(decode_batch(&bytes).map(|_| ()), corrupt);
     }
 
     #[test]

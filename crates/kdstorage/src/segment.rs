@@ -51,14 +51,6 @@ pub struct Segment {
     sealed: Cell<bool>,
     /// False when the bytes live only in the file tier (buffer evicted).
     resident: Cell<bool>,
-    /// Set when retention reclaimed the segment: bytes and index are gone,
-    /// only the offset range survives as a tombstone.
-    reclaimed: Cell<bool>,
-    /// `next_offset` frozen at reclaim time (the batch index is cleared).
-    frozen_next: Cell<u64>,
-    /// Virtual time the segment sealed (0 when unknown); age-based
-    /// retention measures from here.
-    sealed_at_ns: Cell<u64>,
     batches: RefCell<Vec<BatchIndexEntry>>,
 }
 
@@ -79,9 +71,6 @@ impl Segment {
             committed_pos: Cell::new(0),
             sealed: Cell::new(false),
             resident: Cell::new(true),
-            reclaimed: Cell::new(false),
-            frozen_next: Cell::new(0),
-            sealed_at_ns: Cell::new(0),
             batches: RefCell::new(Vec::new()),
         })
     }
@@ -102,19 +91,10 @@ impl Segment {
         {
             let mut count = 0usize;
             let mut pos = 0u32;
-            loop {
-                let avail = seg.capacity() - pos;
-                let prefix = (record::LENGTH_PREFIX_LEN as u32).min(avail);
-                let Ok(total) = seg.with_slice(pos, prefix, record::peek_total_len) else {
-                    break;
-                };
-                let total = total as u32;
-                if u64::from(pos) + u64::from(total) > u64::from(seg.capacity()) {
-                    break;
-                }
-                // Header parse (magic, bounds) without the CRC pass: stops
-                // the count at zeroed/garbage tails the same way the real
-                // scan will, while staying O(1) per batch.
+            // Header parse (magic, bounds) without the CRC pass: stops the
+            // count at zeroed/garbage tails the same way the real scan
+            // will, while staying O(1) per batch.
+            while let Some(total) = seg.batch_len_at(pos) {
                 let head = (record::BATCH_HEADER_LEN as u32).min(total);
                 if seg.with_slice(pos, head, record::parse_header).is_err() {
                     break;
@@ -126,15 +106,9 @@ impl Segment {
         }
         loop {
             let pos = seg.committed_pos.get();
-            let avail = seg.capacity() - pos;
-            let prefix = (record::LENGTH_PREFIX_LEN as u32).min(avail);
-            let Ok(total) = seg.with_slice(pos, prefix, record::peek_total_len) else {
+            let Some(total) = seg.batch_len_at(pos) else {
                 break;
             };
-            let total = total as u32;
-            if u64::from(pos) + u64::from(total) > u64::from(seg.capacity()) {
-                break;
-            }
             let Ok(header) = seg.with_slice(pos, total, record::verify_batch) else {
                 break;
             };
@@ -148,6 +122,16 @@ impl Segment {
             });
         }
         seg
+    }
+
+    /// Total length of the batch whose length prefix is at `pos`, read
+    /// from the segment's own bytes: `None` unless the prefix is there
+    /// and the batch it describes fits in the segment.
+    fn batch_len_at(&self, pos: u32) -> Option<u32> {
+        let avail = self.capacity - pos;
+        let prefix = (record::LENGTH_PREFIX_LEN as u32).min(avail);
+        let total = self.with_slice(pos, prefix, record::peek_total_len).ok()?;
+        u32::try_from(total).ok().filter(|&total| total <= avail)
     }
 
     pub fn base_offset(&self) -> u64 {
@@ -176,9 +160,6 @@ impl Segment {
 
     /// Offset after the last committed record, if any batch is committed.
     pub fn next_offset(&self) -> u64 {
-        if self.reclaimed.get() {
-            return self.frozen_next.get();
-        }
         self.batches
             .borrow()
             .last()
@@ -188,11 +169,6 @@ impl Segment {
     /// True while the segment's bytes are in memory (hot tier).
     pub fn is_resident(&self) -> bool {
         self.resident.get()
-    }
-
-    /// True once retention reclaimed the segment (tombstone).
-    pub fn is_reclaimed(&self) -> bool {
-        self.reclaimed.get()
     }
 
     /// Drops the in-memory bytes of a sealed segment (cold-tier spill).
@@ -212,25 +188,12 @@ impl Segment {
     /// Restores evicted bytes from the file tier into the same shared
     /// buffer (page-in for RDMA consumers of cold segments).
     pub fn restore(&self, bytes: &[u8]) {
-        assert!(!self.reclaimed.get(), "reclaimed segments cannot restore");
         assert_eq!(bytes.len(), self.capacity as usize, "full segment image");
         self.buf.with_vec(|buf| {
             buf.clear();
             buf.extend_from_slice(bytes);
         });
         self.resident.set(true);
-    }
-
-    /// Turns the segment into a retention tombstone: bytes and batch index
-    /// are discarded; only `[base_offset, next_offset)` survives so the
-    /// segment chain keeps its shape (indices into it stay valid).
-    pub fn reclaim(&self) {
-        assert!(self.sealed.get(), "only sealed segments reclaim");
-        self.frozen_next.set(self.next_offset());
-        self.reclaimed.set(true);
-        self.evict();
-        self.batches.borrow_mut().clear();
-        self.batches.borrow_mut().shrink_to_fit();
     }
 
     /// The raw storage: registering it with the NIC gives RDMA peers direct
@@ -242,16 +205,6 @@ impl Segment {
     /// Marks the segment immutable.
     pub fn seal(&self) {
         self.sealed.set(true);
-    }
-
-    /// Virtual time the segment sealed (0 when unknown).
-    pub fn sealed_at_ns(&self) -> u64 {
-        self.sealed_at_ns.get()
-    }
-
-    /// Records the seal time (set by `Log::roll` from its clock).
-    pub fn set_sealed_at_ns(&self, ns: u64) {
-        self.sealed_at_ns.set(ns);
     }
 
     /// Reserves `len` bytes at the current append point (local/exclusive

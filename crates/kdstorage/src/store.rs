@@ -1,30 +1,30 @@
-//! Pluggable segment storage backends: the in-memory tier and the
-//! file-backed durable tier.
+//! The file tier: preallocated segment files behind a [`Log`].
 //!
 //! The paper runs Kafka's logs on tmpfs-backed, preallocated segment files
-//! (§4.2.2, Fig 1); this module supplies the "file" half that the in-memory
-//! reproduction elided. A [`SegmentStore`] hangs off every [`Log`] and is
-//! notified at the storage-relevant points of the log lifecycle — segment
-//! creation, batch commit, seal, reclaim — so the log code stays a pure
-//! data structure while the backend decides what (if anything) hits disk.
+//! (§4.2.2, Fig 1). A tiered [`Log`] holds a [`FileStore`] and notifies it
+//! at the storage-relevant points of its lifecycle — segment creation, batch
+//! commit, seal — so the log stays a data structure while the store decides
+//! what reaches a file. A log without a store is memory mode: nothing
+//! touches a file and nothing is charged.
 //!
-//! Two implementations:
-//! * [`MemStore`] — the status quo: segments live only in their
-//!   `kdbuf::ShmBuf` buffers. Every hook is a no-op and every charge
-//!   is zero, so memory-mode behaviour (and the chaos replay digests) are
-//!   bit-identical to a build without this module.
-//! * [`FileStore`] — the durable tier: one preallocated, length-prefixed
-//!   segment file per log segment plus a sparse offset index sidecar.
-//!   Batches are written to the file only at sync points, so the file
-//!   content *is* the durable prefix — a machine crash simply never sees
-//!   the unsynced suffix. Fsync and write latency are charged through a
-//!   virtual-time I/O cost model ([`IoCostModel`]) that the broker drains
-//!   into `sim::time::sleep`, keeping deterministic replay intact.
+//! One preallocated segment file per log segment plus a sparse offset index
+//! sidecar written at seal. Batches are written to the file only at sync
+//! points, so the file content *is* the durable prefix — a machine crash
+//! simply never sees the unsynced suffix. Fsync and write latency are
+//! modeled, not measured: real file operations complete synchronously, and
+//! the accumulated [`IoCharge`] is drained by the broker into
+//! `sim::time::sleep`, keeping deterministic replay intact.
 //!
 //! A write CQE is not an fsync ("the completion fallacy"): sync policy is
 //! explicit via [`SyncMode`] and observable through the accumulated
 //! [`IoCharge`] (fsync count, flushed bytes) that feeds the `storage.*`
 //! metrics.
+//!
+//! I/O on the store's own files ends in `expect`: the store created and
+//! sized every file under a directory it wiped itself, so a failing call
+//! means the host is broken, not that a peer sent bad bytes, and the
+//! simulation has no story for a half-broken disk. Bytes read back from a
+//! file are parsed like any other input.
 
 use std::cell::{Cell, RefCell};
 use std::fs::File;
@@ -49,138 +49,45 @@ pub enum SyncMode {
     PerCommit,
 }
 
-/// Virtual-time cost model for file I/O. All latencies are *modeled*: real
-/// file operations complete synchronously, then the accumulated
-/// nanoseconds are slept on the simulated clock by the broker.
-#[derive(Debug, Clone, Copy)]
-pub struct IoCostModel {
-    /// Base cost of one fsync (device flush latency).
-    pub fsync_ns: u64,
-    /// Sequential write throughput, as nanoseconds per KiB.
-    pub write_ns_per_kib: u64,
-    /// Sequential read throughput, as nanoseconds per KiB.
-    pub read_ns_per_kib: u64,
+/// Modeled latency of one fsync (device flush), also charged for creating
+/// and extending a segment file. With the two throughputs below, roughly an
+/// NVMe device: 50 µs flush, ~3.4 GiB/s write, ~5 GiB/s read.
+const FSYNC_NS: u64 = 50_000;
+const WRITE_NS_PER_KIB: u64 = 300;
+const READ_NS_PER_KIB: u64 = 200;
+
+/// Sparse-index density: one entry every this many committed batches.
+const INDEX_INTERVAL: usize = 4;
+
+fn write_cost(bytes: u64) -> u64 {
+    bytes * WRITE_NS_PER_KIB / 1024
 }
 
-impl Default for IoCostModel {
-    fn default() -> Self {
-        // Roughly an NVMe device: 50 µs flush, ~3.4 GiB/s write, ~5 GiB/s
-        // read.
-        IoCostModel {
-            fsync_ns: 50_000,
-            write_ns_per_kib: 300,
-            read_ns_per_kib: 200,
-        }
-    }
+fn read_cost(bytes: u64) -> u64 {
+    bytes * READ_NS_PER_KIB / 1024
 }
 
-impl IoCostModel {
-    fn write_cost(&self, bytes: u64) -> u64 {
-        bytes * self.write_ns_per_kib / 1024
-    }
-
-    fn read_cost(&self, bytes: u64) -> u64 {
-        bytes * self.read_ns_per_kib / 1024
-    }
-}
-
-/// Size/time-based retention for sealed segments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RetentionConfig {
-    /// Keep at most this many live (non-reclaimed) segments; oldest sealed
-    /// segments below the high watermark are reclaimed first.
-    pub max_segments: Option<u32>,
-    /// Reclaim sealed segments older than this (measured from seal time).
-    pub max_age_ms: Option<u64>,
-    /// How often the broker's retention sweep runs.
-    pub check_every_ms: u64,
-}
-
-impl RetentionConfig {
-    /// Retention disabled: segments live forever.
-    pub fn none() -> Self {
-        RetentionConfig {
-            max_segments: None,
-            max_age_ms: None,
-            check_every_ms: 1_000,
-        }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.max_segments.is_some() || self.max_age_ms.is_some()
-    }
-}
-
-/// Which backend a broker's logs use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageMode {
-    /// In-memory only (the pre-durability status quo).
-    Memory,
-    /// Tiered: the active segment stays in an MR-registered in-memory
-    /// region (RDMA produce remains zero-copy), sealed segments spill to
-    /// preallocated files and can be evicted from memory; cold fetches go
-    /// through the file tier.
-    Tiered,
-}
-
-/// Storage selection + tuning, carried by `BrokerConfig`/`ClusterOptions`.
+/// Where a broker's segment files live and when they are synced. A broker
+/// with one is tiered; a broker without one keeps its logs in memory.
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
-    pub mode: StorageMode,
-    /// Base directory for segment files (tiered mode). Each broker nests
+    /// Base directory for segment files. Each broker nests
     /// `node<N>/<topic>-<partition>/` under it.
-    pub dir: Option<PathBuf>,
+    pub dir: PathBuf,
     pub sync: SyncMode,
-    pub cost: IoCostModel,
-    pub retention: RetentionConfig,
-    /// Sparse-index density: one index entry every N committed batches.
-    pub index_interval: u32,
-    /// Issue real `fdatasync` calls at flush points. The *modeled* fsync
-    /// latency always flows through the virtual clock regardless; the
-    /// physical call only protects against host-OS crashes (which the
-    /// simulator never experiences in-process) and blocks the simulation
-    /// thread for ~0.5-1ms per flush, so it defaults to off.
-    pub physical_fsync: bool,
-}
-
-impl Default for StorageConfig {
-    fn default() -> Self {
-        StorageConfig {
-            mode: StorageMode::Memory,
-            dir: None,
-            sync: SyncMode::EveryMs(5),
-            cost: IoCostModel::default(),
-            retention: RetentionConfig::none(),
-            index_interval: 4,
-            physical_fsync: false,
-        }
-    }
 }
 
 impl StorageConfig {
-    /// Tiered (file-backed) storage rooted at `dir`.
+    /// Tiered (file-backed) storage rooted at `dir`, synced every 5 ms.
     pub fn tiered(dir: impl Into<PathBuf>) -> Self {
         StorageConfig {
-            mode: StorageMode::Tiered,
-            dir: Some(dir.into()),
-            ..StorageConfig::default()
+            dir: dir.into(),
+            sync: SyncMode::EveryMs(5),
         }
     }
 
     pub fn with_sync(mut self, sync: SyncMode) -> Self {
         self.sync = sync;
-        self
-    }
-
-    pub fn with_retention(mut self, retention: RetentionConfig) -> Self {
-        self.retention = retention;
-        self
-    }
-
-    /// Opt back in to physical `fdatasync` at flush points (see
-    /// [`StorageConfig::physical_fsync`]).
-    pub fn with_physical_fsync(mut self, on: bool) -> Self {
-        self.physical_fsync = on;
         self
     }
 }
@@ -197,8 +104,6 @@ pub struct IoCharge {
     pub fsyncs: u64,
     /// Segments sealed (rotated) since the last drain.
     pub rotated: u64,
-    /// Segments reclaimed by retention since the last drain.
-    pub reclaimed: u64,
     /// Bytes served from the cold (file) tier.
     pub cold_read_bytes: u64,
 }
@@ -211,7 +116,7 @@ impl IoCharge {
 
 /// Outcome of a cold (file-tier) batch-range read.
 #[derive(Debug, Clone, Copy)]
-pub struct ColdRead {
+pub(crate) struct ColdRead {
     /// Base offset of the first batch copied out, if any.
     pub start_offset: Option<u64>,
     /// Offset after the last batch copied out.
@@ -219,123 +124,6 @@ pub struct ColdRead {
     /// True when the read hit the offset limit or byte cap — the caller
     /// stops scanning further segments.
     pub done: bool,
-}
-
-/// Backend notifications from the log lifecycle. All hooks are infallible
-/// from the log's perspective: file errors panic (the simulation has no
-/// story for a half-broken disk), costs accumulate into an internal
-/// [`IoCharge`] drained with [`take_charge`](SegmentStore::take_charge).
-pub trait SegmentStore {
-    fn storage_mode(&self) -> StorageMode;
-
-    /// A new segment `index` was opened with `base_offset`/`capacity`.
-    fn on_create(&self, index: u32, base_offset: u64, capacity: u32);
-
-    /// A batch was committed into segment `index` (the new committed
-    /// frontier is `seg.committed_pos()`).
-    fn on_commit(&self, index: u32, seg: &Segment);
-
-    /// Write the dirty suffix `[synced, committed)` of segment `index` to
-    /// its file and fsync.
-    fn flush(&self, index: u32, seg: &Segment);
-
-    /// Segment `index` sealed (the log rolled): final flush + persist the
-    /// sparse-index sidecar.
-    fn on_seal(&self, index: u32, seg: &Segment);
-
-    /// Segment `index` was reclaimed by retention: delete its files.
-    fn on_reclaim(&self, index: u32);
-
-    /// Read back the full durable image of segment `index` (page-in for
-    /// RDMA consumers of cold segments). `None` when there is no file.
-    fn load(&self, index: u32) -> Option<Vec<u8>>;
-
-    /// Serve whole batches from the file tier starting at the batch
-    /// containing `offset`, stopping at `limit` (exclusive offset) or when
-    /// `out` reaches `max_bytes`.
-    fn read_cold(
-        &self,
-        index: u32,
-        offset: u64,
-        limit: u64,
-        max_bytes: u32,
-        out: &mut Vec<u8>,
-    ) -> ColdRead;
-
-    /// Byte position up to which segment `index` is durable.
-    fn synced_pos(&self, index: u32) -> u32;
-
-    /// Adopt a recovered segment: (re)create its file from the in-memory
-    /// image's committed prefix and rebuild the sparse index.
-    fn adopt(&self, index: u32, seg: &Segment);
-
-    /// Fault hook: garble the last `k` durable bytes of the active
-    /// (highest-index live) segment file. Returns bytes garbled.
-    fn garble_active_tail(&self, k: u32) -> u64;
-
-    /// The durable image of every live segment as `(base_offset, bytes)`,
-    /// read back from the files. `None` for backends with no durable tier.
-    fn durable_snapshot(&self) -> Option<Vec<(u64, Vec<u8>)>>;
-
-    /// Drain accumulated I/O cost and counters.
-    fn take_charge(&self) -> IoCharge;
-}
-
-/// The in-memory backend: every hook is a no-op, every charge zero.
-#[derive(Default)]
-pub struct MemStore;
-
-impl SegmentStore for MemStore {
-    fn storage_mode(&self) -> StorageMode {
-        StorageMode::Memory
-    }
-
-    fn on_create(&self, _index: u32, _base_offset: u64, _capacity: u32) {}
-
-    fn on_commit(&self, _index: u32, _seg: &Segment) {}
-
-    fn flush(&self, _index: u32, _seg: &Segment) {}
-
-    fn on_seal(&self, _index: u32, _seg: &Segment) {}
-
-    fn on_reclaim(&self, _index: u32) {}
-
-    fn load(&self, _index: u32) -> Option<Vec<u8>> {
-        None
-    }
-
-    fn read_cold(
-        &self,
-        _index: u32,
-        offset: u64,
-        _limit: u64,
-        _max_bytes: u32,
-        _out: &mut Vec<u8>,
-    ) -> ColdRead {
-        ColdRead {
-            start_offset: None,
-            next_offset: offset,
-            done: false,
-        }
-    }
-
-    fn synced_pos(&self, _index: u32) -> u32 {
-        0
-    }
-
-    fn adopt(&self, _index: u32, _seg: &Segment) {}
-
-    fn garble_active_tail(&self, _k: u32) -> u64 {
-        0
-    }
-
-    fn durable_snapshot(&self) -> Option<Vec<(u64, Vec<u8>)>> {
-        None
-    }
-
-    fn take_charge(&self) -> IoCharge {
-        IoCharge::default()
-    }
 }
 
 /// Per-segment durable state.
@@ -348,10 +136,8 @@ struct SegState {
     /// Committed batches already considered for the sparse index.
     indexed: Cell<usize>,
     /// Sparse offset index: `(base_offset, byte position)` of every
-    /// `index_interval`-th committed batch. Entry 0 is always present.
+    /// `INDEX_INTERVAL`-th committed batch. Entry 0 is always present.
     sparse: RefCell<Vec<(u64, u32)>>,
-    /// Set when retention deleted the files.
-    dead: Cell<bool>,
 }
 
 /// The file-backed tier: one preallocated segment file (plus a sparse-index
@@ -359,9 +145,6 @@ struct SegState {
 pub struct FileStore {
     dir: PathBuf,
     sync: SyncMode,
-    cost: IoCostModel,
-    index_interval: u32,
-    physical_fsync: bool,
     states: RefCell<Vec<SegState>>,
     charge: Cell<IoCharge>,
 }
@@ -378,20 +161,9 @@ impl FileStore {
         Ok(FileStore {
             dir,
             sync: cfg.sync,
-            cost: cfg.cost,
-            index_interval: cfg.index_interval.max(1),
-            physical_fsync: cfg.physical_fsync,
             states: RefCell::new(Vec::new()),
             charge: Cell::new(IoCharge::default()),
         })
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    pub fn sync_mode(&self) -> SyncMode {
-        self.sync
     }
 
     fn segment_path(&self, index: u32) -> PathBuf {
@@ -408,7 +180,10 @@ impl FileStore {
         self.charge.set(c);
     }
 
-    fn create_file(&self, index: u32, capacity: u32) -> File {
+    /// Opens segment `index`'s file, preallocated to the segment's full
+    /// extent (§4.2.2): unsynced bytes read back as zeros, which the
+    /// recovery scan treats as an absent batch.
+    fn new_state(&self, index: u32, base_offset: u64, capacity: u32) -> SegState {
         let file = File::options()
             .read(true)
             .write(true)
@@ -416,29 +191,34 @@ impl FileStore {
             .truncate(true)
             .open(self.segment_path(index))
             .expect("create segment file");
-        // Preallocate full-size up front (§4.2.2): the durable image always
-        // has the segment's full extent; unsynced bytes read back as zeros,
-        // which the recovery scan treats as an absent batch.
         file.set_len(u64::from(capacity)).expect("preallocate");
-        file
+        SegState {
+            file,
+            base_offset,
+            capacity,
+            synced: Cell::new(0),
+            indexed: Cell::new(0),
+            sparse: RefCell::new(Vec::new()),
+        }
     }
 
     /// Advances the sparse index over newly committed batches.
     fn index_new_batches(&self, st: &SegState, seg: &Segment) {
         let total = seg.batch_count();
-        let mut i = st.indexed.get();
         let mut sparse = st.sparse.borrow_mut();
-        while i < total {
-            if (i as u32).is_multiple_of(self.index_interval) {
+        for i in st.indexed.get()..total {
+            if i.is_multiple_of(INDEX_INTERVAL) {
+                // `i < batch_count()`.
                 let b = seg.batch_at(i).expect("indexed batch exists");
                 sparse.push((b.base_offset, b.pos));
             }
-            i += 1;
         }
         st.indexed.set(total);
     }
 
     /// Writes `[synced, committed)` of `seg` to the file, fsyncs, charges.
+    /// The fsync is modeled only: in-process crash recovery reads the
+    /// page-cache-backed file bytes either way.
     fn flush_state(&self, st: &SegState, seg: &Segment) {
         let committed = seg.committed_pos();
         let synced = st.synced.get();
@@ -451,20 +231,12 @@ impl FileStore {
             });
             st.synced.set(committed);
             self.add_charge(|c| {
-                c.ns += self.cost.write_cost(u64::from(len));
+                c.ns += write_cost(u64::from(len));
                 c.flushed_bytes += u64::from(len);
             });
         }
-        // The modeled fsync cost always flows through virtual time; the
-        // *physical* fdatasync only matters if the host OS dies mid-run
-        // (in-process crash recovery reads page-cache-backed file bytes
-        // either way) and stalls the simulation thread ~0.5-1ms per call,
-        // so it is opt-in.
-        if self.physical_fsync {
-            st.file.sync_data().expect("segment fsync");
-        }
         self.add_charge(|c| {
-            c.ns += self.cost.fsync_ns;
+            c.ns += FSYNC_NS;
             c.fsyncs += 1;
         });
         self.index_new_batches(st, seg);
@@ -472,7 +244,9 @@ impl FileStore {
 
     /// Persists the sparse index sidecar (`segment-N.index`): a flat list
     /// of big-endian `(u64 offset, u32 pos)` pairs prefixed by the
-    /// segment's base offset.
+    /// segment's base offset. Nothing reads it back but
+    /// [`read_index_sidecar`](Self::read_index_sidecar): recovery rebuilds
+    /// the index from the segment bytes.
     fn write_index_sidecar(&self, index: u32, st: &SegState) {
         let sparse = st.sparse.borrow();
         let mut bytes = Vec::with_capacity(8 + sparse.len() * 12);
@@ -483,7 +257,7 @@ impl FileStore {
         }
         std::fs::write(self.index_path(index), &bytes).expect("write index sidecar");
         self.add_charge(|c| {
-            c.ns += self.cost.write_cost(bytes.len() as u64);
+            c.ns += write_cost(bytes.len() as u64);
             c.flushed_bytes += bytes.len() as u64;
         });
     }
@@ -492,102 +266,72 @@ impl FileStore {
     /// aid): `(base_offset, entries)`.
     pub fn read_index_sidecar(path: &Path) -> io::Result<(u64, Vec<(u64, u32)>)> {
         let bytes = std::fs::read(path)?;
-        if bytes.len() < 8 || (bytes.len() - 8) % 12 != 0 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad sidecar"));
-        }
-        let base = u64::from_be_bytes(bytes[..8].try_into().unwrap());
-        let entries = bytes[8..]
-            .chunks_exact(12)
-            .map(|c| {
+        let bad = || io::Error::new(io::ErrorKind::InvalidData, "bad sidecar");
+        let (base, rest) = bytes.split_first_chunk::<8>().ok_or_else(bad)?;
+        let (entries, []) = rest.as_chunks::<12>() else {
+            return Err(bad());
+        };
+        let entries = entries
+            .iter()
+            .map(|&[o0, o1, o2, o3, o4, o5, o6, o7, p0, p1, p2, p3]| {
                 (
-                    u64::from_be_bytes(c[..8].try_into().unwrap()),
-                    u32::from_be_bytes(c[8..].try_into().unwrap()),
+                    u64::from_be_bytes([o0, o1, o2, o3, o4, o5, o6, o7]),
+                    u32::from_be_bytes([p0, p1, p2, p3]),
                 )
             })
             .collect();
-        Ok((base, entries))
-    }
-}
-
-impl SegmentStore for FileStore {
-    fn storage_mode(&self) -> StorageMode {
-        StorageMode::Tiered
+        Ok((u64::from_be_bytes(*base), entries))
     }
 
-    fn on_create(&self, index: u32, base_offset: u64, capacity: u32) {
+    /// A new segment `index` was opened with `base_offset`/`capacity`.
+    pub(crate) fn on_create(&self, index: u32, base_offset: u64, capacity: u32) {
         let states = &mut *self.states.borrow_mut();
         assert_eq!(states.len(), index as usize, "segments created in order");
-        let file = self.create_file(index, capacity);
-        self.add_charge(|c| c.ns += self.cost.fsync_ns); // allocate+extend
-        states.push(SegState {
-            file,
-            base_offset,
-            capacity,
-            synced: Cell::new(0),
-            indexed: Cell::new(0),
-            sparse: RefCell::new(Vec::new()),
-            dead: Cell::new(false),
-        });
+        states.push(self.new_state(index, base_offset, capacity));
+        self.add_charge(|c| c.ns += FSYNC_NS); // allocate+extend
     }
 
-    fn on_commit(&self, index: u32, seg: &Segment) {
+    /// A batch was committed into segment `index`.
+    pub(crate) fn on_commit(&self, index: u32, seg: &Segment) {
         if matches!(self.sync, SyncMode::PerCommit) {
             self.flush(index, seg);
         }
     }
 
-    fn flush(&self, index: u32, seg: &Segment) {
-        let states = self.states.borrow();
-        let st = &states[index as usize];
-        if st.dead.get() {
-            return;
-        }
-        self.flush_state(st, seg);
+    /// Writes the dirty suffix `[synced, committed)` of segment `index` to
+    /// its file and fsyncs.
+    pub(crate) fn flush(&self, index: u32, seg: &Segment) {
+        self.flush_state(&self.states.borrow()[index as usize], seg);
     }
 
-    fn on_seal(&self, index: u32, seg: &Segment) {
-        {
-            let states = self.states.borrow();
-            let st = &states[index as usize];
-            if !st.dead.get() {
-                self.flush_state(st, seg);
-                self.write_index_sidecar(index, st);
-            }
-        }
+    /// Segment `index` sealed (the log rolled): final flush + persist the
+    /// sparse-index sidecar.
+    pub(crate) fn on_seal(&self, index: u32, seg: &Segment) {
+        let states = self.states.borrow();
+        let st = &states[index as usize];
+        self.flush_state(st, seg);
+        self.write_index_sidecar(index, st);
         self.add_charge(|c| c.rotated += 1);
     }
 
-    fn on_reclaim(&self, index: u32) {
-        let states = self.states.borrow();
-        let st = &states[index as usize];
-        if st.dead.get() {
-            return;
-        }
-        st.dead.set(true);
-        let _ = std::fs::remove_file(self.segment_path(index));
-        let _ = std::fs::remove_file(self.index_path(index));
-        self.add_charge(|c| {
-            c.ns += self.cost.fsync_ns; // directory metadata update
-            c.reclaimed += 1;
-        });
-    }
-
-    fn load(&self, index: u32) -> Option<Vec<u8>> {
+    /// Reads back the full durable image of segment `index` (page-in for
+    /// RDMA consumers of cold segments). `None` when there is no file.
+    pub fn load(&self, index: u32) -> Option<Vec<u8>> {
         let states = self.states.borrow();
         let st = states.get(index as usize)?;
-        if st.dead.get() {
-            return None;
-        }
         let mut bytes = vec![0u8; st.capacity as usize];
         st.file.read_exact_at(&mut bytes, 0).expect("segment read");
         self.add_charge(|c| {
-            c.ns += self.cost.read_cost(bytes.len() as u64);
+            c.ns += read_cost(bytes.len() as u64);
             c.cold_read_bytes += bytes.len() as u64;
         });
         Some(bytes)
     }
 
-    fn read_cold(
+    /// Serves whole batches from the file tier starting at the batch
+    /// containing `offset`, stopping at `limit` (exclusive offset) or when
+    /// `out` reaches `max_bytes`.
+    pub(crate) fn read_cold(
         &self,
         index: u32,
         offset: u64,
@@ -604,9 +348,6 @@ impl SegmentStore for FileStore {
         let Some(st) = states.get(index as usize) else {
             return res;
         };
-        if st.dead.get() {
-            return res;
-        }
         let synced = st.synced.get();
         // Sparse-index seek: start at the last indexed batch at or before
         // `offset`, then walk length prefixes.
@@ -627,10 +368,13 @@ impl SegmentStore for FileStore {
                 .read_exact_at(&mut hdr, u64::from(pos))
                 .expect("header read");
             read_bytes += record::BATCH_HEADER_LEN as u64;
+            // A zeroed or garbled region ends the durable batches.
             let Ok(h) = record::parse_header(&hdr) else {
-                break; // zeroed / garbled region: end of durable batches
+                break;
             };
-            let total = h.total_len() as u32;
+            let Ok(total) = u32::try_from(h.total_len()) else {
+                break;
+            };
             if u64::from(pos) + u64::from(total) > u64::from(synced) {
                 break;
             }
@@ -663,40 +407,36 @@ impl SegmentStore for FileStore {
         }
         if read_bytes > 0 {
             self.add_charge(|c| {
-                c.ns += self.cost.read_cost(read_bytes);
+                c.ns += read_cost(read_bytes);
                 c.cold_read_bytes += read_bytes;
             });
         }
         res
     }
 
-    fn synced_pos(&self, index: u32) -> u32 {
-        let states = self.states.borrow();
-        states
+    /// Byte position up to which segment `index` is durable.
+    pub fn synced_pos(&self, index: u32) -> u32 {
+        self.states
+            .borrow()
             .get(index as usize)
-            .map_or(0, |st| if st.dead.get() { 0 } else { st.synced.get() })
+            .map_or(0, |st| st.synced.get())
     }
 
-    fn adopt(&self, index: u32, seg: &Segment) {
+    /// Adopts a recovered segment: (re)creates its file from the in-memory
+    /// image's committed prefix and rebuilds the sparse index.
+    pub(crate) fn adopt(&self, index: u32, seg: &Segment) {
         let states = &mut *self.states.borrow_mut();
         assert_eq!(states.len(), index as usize, "segments adopted in order");
-        let file = self.create_file(index, seg.capacity());
-        let st = SegState {
-            file,
-            base_offset: seg.base_offset(),
-            capacity: seg.capacity(),
-            synced: Cell::new(0),
-            indexed: Cell::new(0),
-            sparse: RefCell::new(Vec::new()),
-            dead: Cell::new(false),
-        };
+        let st = self.new_state(index, seg.base_offset(), seg.capacity());
         self.flush_state(&st, seg);
         states.push(st);
     }
 
-    fn garble_active_tail(&self, k: u32) -> u64 {
+    /// Fault hook: garbles the last `k` durable bytes of the active
+    /// (highest-index) segment file. Returns bytes garbled.
+    pub(crate) fn garble_active_tail(&self, k: u32) -> u64 {
         let states = self.states.borrow();
-        let Some(st) = states.iter().rev().find(|st| !st.dead.get()) else {
+        let Some(st) = states.last() else {
             return 0;
         };
         let synced = st.synced.get();
@@ -719,25 +459,25 @@ impl SegmentStore for FileStore {
         u64::from(k)
     }
 
-    fn durable_snapshot(&self) -> Option<Vec<(u64, Vec<u8>)>> {
-        let states = self.states.borrow();
-        let mut out = Vec::new();
-        for st in states.iter() {
-            if st.dead.get() {
-                continue;
-            }
-            let mut bytes = vec![0u8; st.capacity as usize];
-            st.file.read_exact_at(&mut bytes, 0).expect("segment read");
-            out.push((st.base_offset, bytes));
-        }
-        Some(out)
+    /// The durable image of every segment as `(base_offset, bytes)`, read
+    /// back from the files.
+    pub fn durable_snapshot(&self) -> Vec<(u64, Vec<u8>)> {
+        self.states
+            .borrow()
+            .iter()
+            .map(|st| {
+                let mut bytes = vec![0u8; st.capacity as usize];
+                st.file.read_exact_at(&mut bytes, 0).expect("segment read");
+                (st.base_offset, bytes)
+            })
+            .collect()
     }
 
-    fn take_charge(&self) -> IoCharge {
+    /// Drains accumulated I/O cost and counters.
+    pub(crate) fn take_charge(&self) -> IoCharge {
         self.charge.replace(IoCharge::default())
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -768,13 +508,17 @@ mod tests {
         (log, dir)
     }
 
+    fn files(log: &Log) -> &FileStore {
+        log.store().expect("a tiered log")
+    }
+
     #[test]
     fn per_commit_sync_makes_every_commit_durable() {
         let (log, dir) = tiered_log("percommit", SyncMode::PerCommit);
         log.append_batch(&batch(3, 40)).unwrap();
         log.append_batch(&batch(2, 40)).unwrap();
         let head = log.head();
-        assert_eq!(log.store().synced_pos(0), head.committed_pos());
+        assert_eq!(files(&log).synced_pos(0), head.committed_pos());
         let charge = log.take_io();
         assert_eq!(charge.fsyncs, 2, "one per commit");
         assert!(charge.flushed_bytes > 0);
@@ -786,10 +530,10 @@ mod tests {
     fn never_sync_leaves_active_segment_volatile() {
         let (log, dir) = tiered_log("never", SyncMode::Never);
         log.append_batch(&batch(3, 40)).unwrap();
-        assert_eq!(log.store().synced_pos(0), 0);
+        assert_eq!(files(&log).synced_pos(0), 0);
         // Sealing forces the flush.
         log.roll();
-        assert_eq!(log.store().synced_pos(0), log.segment(0).unwrap().committed_pos());
+        assert_eq!(files(&log).synced_pos(0), log.segment(0).unwrap().committed_pos());
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -799,17 +543,13 @@ mod tests {
         log.append_batch(&batch(2, 50)).unwrap();
         log.sync_all();
         log.append_batch(&batch(4, 50)).unwrap(); // never synced
-        let parts = log.store().durable_snapshot().unwrap();
+        let parts = files(&log).durable_snapshot();
         assert_eq!(parts.len(), 1);
         let bufs = parts
             .into_iter()
             .map(|(b, v)| (b, kdbuf::ShmBuf::from_vec(v)))
             .collect();
-        let recovered = Log::recover_with_store(
-            log.config().clone(),
-            Rc::new(MemStore),
-            bufs,
-        );
+        let recovered = Log::recover(log.config().clone(), None, bufs);
         assert_eq!(recovered.next_offset(), 2, "unsynced suffix lost");
         std::fs::remove_dir_all(dir).ok();
     }
@@ -884,10 +624,10 @@ mod tests {
     fn garble_tail_corrupts_only_last_k_durable_bytes() {
         let (log, dir) = tiered_log("garble", SyncMode::PerCommit);
         log.append_batch(&batch(2, 100)).unwrap();
-        let synced = log.store().synced_pos(0);
-        let garbled = log.store().garble_active_tail(16);
+        let synced = files(&log).synced_pos(0);
+        let garbled = log.garble_active_tail(16);
         assert_eq!(garbled, 16);
-        let parts = log.store().durable_snapshot().unwrap();
+        let parts = files(&log).durable_snapshot();
         let (_, bytes) = &parts[0];
         let clean = log.head().read(0, synced - 16);
         assert_eq!(&bytes[..(synced - 16) as usize], &clean[..]);
@@ -895,42 +635,6 @@ mod tests {
             &bytes[(synced - 16) as usize..synced as usize],
             &log.head().read(synced - 16, 16)[..]
         );
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn retention_reclaims_old_segments_and_deletes_files() {
-        let (log, dir) = tiered_log("retain", SyncMode::PerCommit);
-        let payload = batch(1, 600);
-        for _ in 0..20 {
-            log.append_batch(&payload).unwrap();
-        }
-        log.set_high_watermark(log.next_offset());
-        assert!(log.segment_count() >= 4);
-        let retention = RetentionConfig {
-            max_segments: Some(2),
-            max_age_ms: None,
-            check_every_ms: 100,
-        };
-        let reclaimed = log.apply_retention(0, &retention);
-        assert!(reclaimed >= 1);
-        assert!(log.start_offset() > 0);
-        assert!(!dir.join("segment-00000.log").exists(), "file deleted");
-        // Reads below the retention floor fail with the typed error.
-        let mut out = Vec::new();
-        let err = log
-            .read_from_checked(0, 4096, true, &mut out)
-            .unwrap_err();
-        match err {
-            crate::log::ReadError::OutOfRetention { requested, start } => {
-                assert_eq!(requested, 0);
-                assert_eq!(start, log.start_offset());
-            }
-        }
-        // Surviving offsets still read fine.
-        let f = log.read_from(log.start_offset(), 1 << 20, true);
-        assert_eq!(f.start_offset, log.start_offset());
-        assert_eq!(f.next_offset, log.next_offset());
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -54,9 +54,10 @@ fn filled_log(batches: usize) -> Log {
     log
 }
 
-fn surviving_buffers(log: &Log) -> Vec<kdbuf::ShmBuf> {
+fn surviving_buffers(log: &Log) -> Vec<(u64, kdbuf::ShmBuf)> {
     (0..log.segment_count())
-        .map(|i| log.segment(i).unwrap().shared_buf())
+        .map(|i| log.segment(i).unwrap())
+        .map(|s| (s.base_offset(), s.shared_buf()))
         .collect()
 }
 
@@ -66,7 +67,7 @@ fn measure_recovery(batches: usize) -> (Log, u64) {
     let buffers = surviving_buffers(&log);
     drop(log);
     let before = allocs();
-    let recovered = Log::recover(config, buffers);
+    let recovered = Log::recover(config, None, buffers);
     let after = allocs();
     assert_eq!(recovered.next_offset(), batches as u64, "replay complete");
     (recovered, after - before)

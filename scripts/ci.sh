@@ -149,6 +149,21 @@ if grep -rnE "match tag|get_broker|put_region|get_bytes_field|put_produce" crate
     exit 1
 fi
 
+# Hostile bytes in kdstorage (DESIGN.md §9): 20 000 mutated record batches
+# through the broker's check, the decoder and an in-place commit (a batch
+# commits exactly when it decodes), the same through the consumers' drain
+# loop, and 20 000 mutated segment images through crash recovery. Then the
+# re-fork guard (DESIGN.md §11): a log has one optional file tier, called
+# directly — no store trait, no do-nothing store, no mode enum, and no
+# retention sweep that nothing turned on.
+cargo test -q --offline -p kdstorage --test hostile_batches --test hostile_segments
+cargo test -q --offline -p kdclient --lib consumer::tests::mutated_batches_drain_exactly_when_they_verify
+if grep -rnE "SegmentStore|MemStore|StorageMode|RetentionConfig|physical_fsync|apply_retention" \
+    crates/ tests/ examples/; then
+    echo "ci: a deleted storage fork or the retention sweep reappeared (see DESIGN.md §11)" >&2
+    exit 1
+fi
+
 # Work-request engine gates: the NIC model must not grow a per-WR task
 # again — no spawn on the post path of qp.rs (connection-manager and test
 # spawns live elsewhere) — and its executor-poll budget must hold: 10 000
