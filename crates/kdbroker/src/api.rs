@@ -60,20 +60,10 @@ async fn dispatch(b: &Rc<BrokerInner>, item: WorkItem, scratch: &mut CommitScrat
                 _ => (&b.telem.api_control_ns, "broker.api.control"),
             };
             let hist = hist.clone();
-            // A traced RPC continues the caller's lifeline in a child span;
-            // untraced ones keep the classic duration-only span.
-            let tspan = trace.map(|ctx| b.telem.registry.trace_span(span_name, Some(ctx)));
-            let span = if tspan.is_none() {
-                Some(b.telem.registry.span(span_name))
-            } else {
-                None
-            };
-            let ctx = tspan.as_ref().map(|s| s.ctx());
-            handle_rpc(b, peer, request, reply, ctx).await;
+            // A traced RPC continues the caller's lifeline in a child span.
+            let span = trace.map(|ctx| b.telem.registry.trace_span(span_name, Some(ctx)));
+            handle_rpc(b, peer, request, reply, span.as_ref().map(|s| s.ctx())).await;
             hist.record_since(start);
-            if let Some(s) = tspan {
-                s.end();
-            }
             if let Some(s) = span {
                 s.end();
             }

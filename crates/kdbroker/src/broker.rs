@@ -211,17 +211,10 @@ impl Broker {
                     &telem.registry,
                     kdtelem::SeriesOptions {
                         interval: o.sample_interval,
-                        capacity: o.series_capacity,
+                        ..Default::default()
                     },
                 );
-                let watchdog = kdtelem::Watchdog::start(
-                    &telem.registry,
-                    kdtelem::WatchdogOptions {
-                        poll: o.watchdog_poll,
-                        budget: o.watchdog_budget,
-                        ..kdtelem::WatchdogOptions::default()
-                    },
-                );
+                let watchdog = kdtelem::Watchdog::start(&telem.registry, Default::default());
                 (Some(series), Some(watchdog))
             }
             None => (None, None),

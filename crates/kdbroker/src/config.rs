@@ -50,28 +50,20 @@ impl RdmaToggles {
 
 /// Continuous-observability switches. `None` (the default) runs the broker
 /// exactly as before — no sampler task, no watchdog task, bit-identical
-/// schedules. When set, the broker starts a [`kdtelem::Sampler`] and a
-/// [`kdtelem::Watchdog`] on its registry and serves their dumps over the
-/// admin path (`Request::Series` / `Request::Health`).
+/// schedules. When set, the broker starts a [`kdtelem::Sampler`] (default
+/// ring capacity) and a [`kdtelem::Watchdog`] (default poll and budget) on
+/// its registry and serves their dumps over the admin path
+/// (`Request::Series` / `Request::Health`).
 #[derive(Debug, Clone)]
 pub struct ObserveConfig {
     /// Virtual-time sampling interval for the time-series recorder.
     pub sample_interval: Duration,
-    /// Ring capacity per instrument series.
-    pub series_capacity: usize,
-    /// Watchdog poll period.
-    pub watchdog_poll: Duration,
-    /// Virtual time without datapath progress before a stall is declared.
-    pub watchdog_budget: Duration,
 }
 
 impl Default for ObserveConfig {
     fn default() -> Self {
         ObserveConfig {
             sample_interval: Duration::from_millis(1),
-            series_capacity: 4096,
-            watchdog_poll: Duration::from_micros(500),
-            watchdog_budget: Duration::from_millis(5),
         }
     }
 }

@@ -127,13 +127,13 @@ impl Metrics {
     }
 }
 
-/// Latency histograms and span plumbing for one broker, registered with the
-/// ambient [`kdtelem::Registry`]. Histograms record per-API *service*
-/// latency: time an API worker spends on a request (excluding deferred
-/// replication waits), in virtual nanoseconds.
+/// Latency histograms for one broker, registered with the ambient
+/// [`kdtelem::Registry`]. Histograms record per-API *service* latency: time
+/// an API worker spends on a request (excluding deferred replication
+/// waits), in virtual nanoseconds.
 pub struct BrokerTelem {
     /// The registry this broker reports into; also serves the admin
-    /// `Telemetry` request (JSON-lines snapshot) and collects spans.
+    /// `Telemetry` request (JSON-lines snapshot) and records trace spans.
     pub registry: kdtelem::Registry,
     pub api_produce_ns: kdtelem::Histogram,
     pub api_fetch_ns: kdtelem::Histogram,

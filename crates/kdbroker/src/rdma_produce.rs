@@ -229,9 +229,9 @@ pub struct CommitScratch {
 
 /// Commits a run of n ≥ 1 consecutive-sequence completions on one file in a
 /// single worker pass, under one `broker.rdma_commit` span per traced
-/// lifeline (untraced runs keep the classic duration-only span): a lifeline's
-/// `Commit` event is its own instant, its span ends with the run — when the
-/// ack that answers it leaves.
+/// lifeline: a lifeline's `Commit` event is its own instant, its span ends
+/// with the run — when the ack that answers it leaves. The run's duration is
+/// a `rdma.commit_ns` sample.
 pub(crate) async fn commit_run(
     b: &Rc<BrokerInner>,
     file_id: u16,
@@ -248,8 +248,6 @@ pub(crate) async fn commit_run(
             scratch.traced.push(span);
         }
     }
-    let untraced = scratch.traced.is_empty();
-    let _span = untraced.then(|| b.telem.registry.span("broker.rdma_commit"));
     let next_seq = seq + run.len() as u64;
     let (first, mut rest) = run.into_parts();
     let items = std::iter::once(first).chain(rest.drain(..));

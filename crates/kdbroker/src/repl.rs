@@ -20,7 +20,8 @@ use kdwire::messages::{ProduceMode, Request, Response};
 use kdwire::ProduceAccessResp;
 use netsim::profile::copy_time;
 use rnic::{CompletionQueue, CqOpcode, QpOptions, QueuePair, RecvWr, SendWr, ShmBuf, WorkRequest};
-use sim::sync::Semaphore;
+use sim::future::{race, Either};
+use sim::sync::{Notify, Semaphore};
 
 use crate::broker::BrokerInner;
 use crate::data::Partition;
@@ -77,11 +78,6 @@ async fn pull_loop(b: Rc<BrokerInner>, p: Rc<Partition>) {
             // Replication latency, pull flavour: fetch issued → batches
             // applied locally. Empty long-polls are not latency samples.
             b.telem.replicate_ns.record_since(fetch_start);
-            b.telem.registry.record_span(
-                "broker.replicate.pull",
-                fetch_start.as_nanos(),
-                sim::now().as_nanos(),
-            );
         }
         p.follower_set_hw(resp.high_watermark);
         crate::api::on_hw_advanced(&b, &p);
@@ -140,6 +136,9 @@ struct PushState {
     /// Post times of in-flight writes (wr_id = follower LEO when acked),
     /// consumed by the collector to measure push replication latency.
     inflight: RefCell<VecDeque<(u64, sim::SimTime)>>,
+    /// Wakes a push loop waiting for new bytes when a collector closes its
+    /// session's credits.
+    died: Notify,
 }
 
 /// One established session, shared by the push loop and its collectors.
@@ -166,10 +165,14 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
     // must roll its head (which mirrors our sealed file) on re-establish.
     let mut just_rolled = false;
     let mut session: Option<Rc<PushSession>> = None;
+    // The session died with writes unacknowledged: re-establish before
+    // waiting for new bytes, whether or not any come.
+    let mut resync = false;
     let state = Rc::new(PushState {
         acked: Cell::new(0),
         lag: b.telem.registry.gauge("kdbroker", "repl.lag"),
         inflight: RefCell::new(VecDeque::new()),
+        died: Notify::new(),
     });
 
     loop {
@@ -193,7 +196,16 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
                 session = None;
                 continue;
             }
-            if leo_rx.changed().await.is_err() {
+            // Waiting on bytes alone would strand writes a dead session
+            // never acknowledges until the next produce: the new grant
+            // rewinds the cursor to what the follower holds.
+            let dead = session.as_ref().is_some_and(|s| s.credits.is_closed());
+            resync |= dead && !state.inflight.borrow().is_empty();
+            if resync {
+                session = None;
+                break;
+            }
+            if let Either::Left(Err(())) = race(leo_rx.changed(), state.died.notified()).await {
                 return;
             }
             if !b.alive.get() || !p.is_leader() || p.epoch() != my_epoch {
@@ -210,6 +222,7 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
                 continue;
             }
             just_rolled = false;
+            resync = false;
             // Re-sync the cursor to the follower's actual frontier: a
             // restarted follower can be behind it (recovery truncated its
             // torn tail) or still on an earlier file. Follower files mirror
@@ -394,6 +407,15 @@ async fn establish(
     Some(session)
 }
 
+impl PushSession {
+    /// Marks the session dead: a push loop parked on its credits or waiting
+    /// for new bytes wakes up.
+    fn close(&self) {
+        self.credits.close();
+        self.state.died.notify_waiters();
+    }
+}
+
 /// Collects completions of one push session: write acks advance the high
 /// watermark; credit-return receives replenish the leader's credits.
 fn spawn_collector(
@@ -412,7 +434,7 @@ fn spawn_collector(
     let max_batch = b.config.cq_batch.max(1);
     let s = Rc::clone(session);
     sim::spawn(async move {
-        let PushState { acked, lag, inflight } = &*s.state;
+        let PushState { acked, lag, inflight, .. } = &*s.state;
         let mut batch: Vec<rnic::Cqe> = Vec::with_capacity(max_batch);
         'collect: loop {
             if !crate::rdma_net::drain_or_wait(&send_cq, &mut batch, max_batch).await {
@@ -438,16 +460,10 @@ fn spawn_collector(
                     // Replication latency, push flavour: write posted →
                     // follower NIC ack (a cumulative ack covers all earlier
                     // writes).
-                    let now = sim::now();
                     let mut q = inflight.borrow_mut();
                     while q.front().is_some_and(|(off, _)| *off <= cqe.wr_id) {
                         let (_, posted) = q.pop_front().unwrap();
                         b2.telem.replicate_ns.record_since(posted);
-                        b2.telem.registry.record_span(
-                            "broker.replicate.push",
-                            posted.as_nanos(),
-                            now.as_nanos(),
-                        );
                     }
                     drop(q);
                     p2.follower_ack(follower_node, cqe.wr_id);
@@ -455,7 +471,7 @@ fn spawn_collector(
                 }
             }
         }
-        s.credits.close();
+        s.close();
     });
     // Credit returns: a drained batch replenishes all its permits and
     // reposts its recvs through one chained post.
@@ -484,6 +500,6 @@ fn spawn_collector(
                 break 'collect;
             }
         }
-        s.credits.close();
+        s.close();
     });
 }

@@ -13,120 +13,52 @@
 //! Timestamps are microseconds (the trace-event unit) with nanosecond
 //! fractions preserved as decimals.
 //!
-//! [`parse_chrome_json`] is the matching in-tree reader used by tests to
-//! prove the emitted JSON round-trips; it is a minimal brace-matching
-//! scanner, not a general JSON parser.
+//! [`parse_chrome_json`] is the matching reader used by tests to prove the
+//! emitted JSON round-trips: the crate's one object reader, run over the
+//! array.
 
-use crate::report::{json_field_f64, json_field_str, json_field_u64, json_str};
-use crate::trace::{EventKind, TraceEvent};
+use crate::json::{Fields, Obj};
+use crate::trace::{Field, Phase, TraceEvent};
 
 /// Virtual pid under which all simulated nodes are grouped.
 const PID: u64 = 1;
-
-fn ts_us(ts_ns: u64) -> String {
-    format!("{}.{:03}", ts_ns / 1_000, ts_ns % 1_000)
-}
-
-fn push_args(out: &mut String, kind: &EventKind) {
-    match kind {
-        EventKind::SpanBegin { parent, .. } => {
-            out.push_str(&format!("{{\"parent\":{parent}}}"));
-        }
-        EventKind::SpanEnd { .. } => out.push_str("{}"),
-        EventKind::WqePosted { qpn, ticket } => {
-            out.push_str(&format!("{{\"qpn\":{qpn},\"ticket\":{ticket}}}"));
-        }
-        EventKind::PacketEnqueued {
-            node,
-            egress,
-            bytes,
-            queue_ns,
-        } => {
-            out.push_str(&format!(
-                "{{\"node\":{node},\"egress\":{egress},\"bytes\":{bytes},\"queue_ns\":{queue_ns}}}"
-            ));
-        }
-        EventKind::PacketDelivered {
-            node,
-            egress,
-            bytes,
-        } => {
-            out.push_str(&format!(
-                "{{\"node\":{node},\"egress\":{egress},\"bytes\":{bytes}}}"
-            ));
-        }
-        EventKind::Completion {
-            qpn,
-            ticket,
-            opcode,
-            ok,
-        } => {
-            out.push_str(&format!(
-                "{{\"qpn\":{qpn},\"ticket\":{ticket},\"opcode\":{},\"ok\":{ok}}}",
-                json_str(opcode)
-            ));
-        }
-        EventKind::CpuCopy { site, bytes } => {
-            out.push_str(&format!(
-                "{{\"site\":{},\"bytes\":{bytes}}}",
-                json_str(site)
-            ));
-        }
-        EventKind::Commit {
-            stream,
-            base_offset,
-            next_offset,
-        } => {
-            out.push_str(&format!(
-                "{{\"stream\":{stream},\"base_offset\":{base_offset},\"next_offset\":{next_offset}}}"
-            ));
-        }
-        EventKind::ReplAck { stream, offset } => {
-            out.push_str(&format!("{{\"stream\":{stream},\"offset\":{offset}}}"));
-        }
-        EventKind::FetchServed {
-            stream,
-            start_offset,
-            next_offset,
-            bytes,
-        } => {
-            out.push_str(&format!(
-                "{{\"stream\":{stream},\"start_offset\":{start_offset},\"next_offset\":{next_offset},\"bytes\":{bytes}}}"
-            ));
-        }
-    }
-}
 
 /// Serialises a drained event log as one Chrome trace-event JSON document.
 pub fn to_chrome_json(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 128 + 256);
     out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-    out.push_str(&format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\"args\":{{\"name\":\"kafkadirect-sim\"}}}}"
-    ));
+    Obj::new(&mut out)
+        .str("name", "process_name")
+        .str("ph", "M")
+        .num("pid", PID)
+        .num("tid", 0)
+        .obj("args", |o| o.str("name", "kafkadirect-sim"))
+        .end();
     for e in events {
         out.push_str(",\n");
-        let (ph, id) = match e.kind {
-            EventKind::SpanBegin { .. } => ("b", Some(e.span_id)),
-            EventKind::SpanEnd { .. } => ("e", Some(e.span_id)),
-            _ => ("i", None),
-        };
-        out.push_str(&format!(
-            "{{\"name\":{},\"cat\":\"kd\",\"ph\":\"{ph}\",",
-            json_str(e.kind.name())
-        ));
-        if let Some(id) = id {
-            out.push_str(&format!("\"id\":\"0x{id:x}\","));
-        } else {
-            out.push_str("\"s\":\"t\",");
-        }
-        out.push_str(&format!(
-            "\"ts\":{},\"pid\":{PID},\"tid\":{},\"args\":",
-            ts_us(e.ts_ns),
-            e.trace_id
-        ));
-        push_args(&mut out, &e.kind);
-        out.push('}');
+        e.kind.with_row(|(_, name, phase, fields)| {
+            let o = Obj::new(&mut out).str("name", name).str("cat", "kd");
+            let id = || format!("0x{:x}", e.span_id);
+            let o = match phase {
+                Phase::Begin => o.str("ph", "b").str("id", &id()),
+                Phase::End => o.str("ph", "e").str("id", &id()),
+                Phase::Instant => o.str("ph", "i").str("s", "t"),
+            };
+            o.num("ts", format_args!("{}.{:03}", e.ts_ns / 1_000, e.ts_ns % 1_000))
+                .num("pid", PID)
+                .num("tid", e.trace_id)
+                .obj("args", |mut args| {
+                    for &(key, field) in fields {
+                        args = match field {
+                            Field::Num(v) | Field::Parent(v) => args.num(key, v),
+                            Field::Flag(b) => args.num(key, b),
+                            Field::Text(s) => args.str(key, s),
+                        };
+                    }
+                    args
+                })
+                .end();
+        });
     }
     out.push_str("\n]}\n");
     out
@@ -147,61 +79,33 @@ pub struct ChromeEvent {
 /// records included). Returns `None` on structurally invalid input.
 pub fn parse_chrome_json(text: &str) -> Option<Vec<ChromeEvent>> {
     let start = text.find("\"traceEvents\"")?;
-    let array_start = text[start..].find('[')? + start;
-    // Scan top-level objects of the array by brace depth, string-aware.
+    let mut rest = text[start..].split_once('[')?.1.trim_start();
     let mut events = Vec::new();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut obj_start = None;
-    for (i, c) in text[array_start..].char_indices() {
-        let pos = array_start + i;
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => {
-                if depth == 0 {
-                    obj_start = Some(pos);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.checked_sub(1)?;
-                if depth == 0 {
-                    let obj = &text[obj_start?..=pos];
-                    events.push(ChromeEvent {
-                        name: json_field_str(obj, "name")?,
-                        ph: json_field_str(obj, "ph")?,
-                        ts_ns: json_field_f64(obj, "ts")
-                            .map(|us| (us * 1_000.0).round() as u64)
-                            .unwrap_or(0),
-                        pid: json_field_u64(obj, "pid")?,
-                        tid: json_field_u64(obj, "tid")?,
-                        id: json_field_str(obj, "id"),
-                    });
-                    obj_start = None;
-                }
-            }
-            ']' if depth == 0 => return Some(events),
-            _ => {}
+    if rest.starts_with(']') {
+        return Some(events);
+    }
+    loop {
+        let (f, after) = Fields::read(rest)?;
+        events.push(ChromeEvent {
+            name: f.str("name")?,
+            ph: f.str("ph")?,
+            ts_ns: f.f64("ts").map_or(0, |us| (us * 1_000.0).round() as u64),
+            pid: f.u64("pid")?,
+            tid: f.u64("tid")?,
+            id: f.str("id"),
+        });
+        let after = after.trim_start();
+        match after.strip_prefix(',') {
+            Some(next) => rest = next,
+            None => return after.starts_with(']').then_some(events),
         }
     }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceCtx;
+    use crate::trace::{EventKind, TraceCtx};
 
     fn sample_events() -> Vec<TraceEvent> {
         let ctx = TraceCtx::root();

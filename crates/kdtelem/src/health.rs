@@ -1,13 +1,12 @@
 //! Live health watchdog: stall detection and failover MTTR on virtual time.
 //!
-//! A [`Watchdog`] polls the registry on the timer wheel and watches a set of
-//! *progress* counters (by default the broker's commit counters). If the sum
-//! stops increasing for longer than a virtual-time budget it emits a typed
+//! A [`Watchdog`] polls the registry on the timer wheel and watches the
+//! broker's commit counters as *progress*. If their sum stops increasing for
+//! longer than a virtual-time budget it emits a typed
 //! [`HealthEvent::Stall`]; the first subsequent increase emits `Recovered`.
-//! It also watches *crash* counters (by default kdfault's broker-crash
-//! injections): the interval from a crash to the first post-crash progress
-//! is reported as `Mttr` — the failover mean-time-to-recovery the chaos
-//! soak asserts on.
+//! It also watches kdfault's broker-crash injections: the interval from a
+//! crash to the first post-crash progress is reported as `Mttr` — the
+//! failover mean-time-to-recovery the chaos soak asserts on.
 //!
 //! Resolution is the poll period: the watchdog sees counters only at poll
 //! ticks, so stall onsets and MTTR endpoints are quantised to it. Events are
@@ -19,8 +18,8 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
-use crate::registry::{Counter, Registry};
-use crate::report::{json_field_str, json_field_u64, json_str};
+use crate::json::{self, Obj};
+use crate::registry::{counter_total, Counter, Key, Registry};
 
 /// What happened, stamped with the poll tick that observed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,28 +43,24 @@ pub struct HealthEvent {
 pub fn to_json_lines(events: &[HealthEvent]) -> String {
     let mut out = String::new();
     for e in events {
+        let o = Obj::new(&mut out);
         match e.kind {
-            HealthKind::Stall { since_ns, budget_ns } => out.push_str(&format!(
-                "{{\"kind\":{},\"ts_ns\":{},\"since_ns\":{},\"budget_ns\":{}}}\n",
-                json_str("stall"),
-                e.ts_ns,
-                since_ns,
-                budget_ns
-            )),
-            HealthKind::Recovered { stalled_ns } => out.push_str(&format!(
-                "{{\"kind\":{},\"ts_ns\":{},\"stalled_ns\":{}}}\n",
-                json_str("recovered"),
-                e.ts_ns,
-                stalled_ns
-            )),
-            HealthKind::Mttr { crash_ns, mttr_ns } => out.push_str(&format!(
-                "{{\"kind\":{},\"ts_ns\":{},\"crash_ns\":{},\"mttr_ns\":{}}}\n",
-                json_str("mttr"),
-                e.ts_ns,
-                crash_ns,
-                mttr_ns
-            )),
+            HealthKind::Stall { since_ns, budget_ns } => o
+                .str("kind", "stall")
+                .num("ts_ns", e.ts_ns)
+                .num("since_ns", since_ns)
+                .num("budget_ns", budget_ns),
+            HealthKind::Recovered { stalled_ns } => o
+                .str("kind", "recovered")
+                .num("ts_ns", e.ts_ns)
+                .num("stalled_ns", stalled_ns),
+            HealthKind::Mttr { crash_ns, mttr_ns } => o
+                .str("kind", "mttr")
+                .num("ts_ns", e.ts_ns)
+                .num("crash_ns", crash_ns)
+                .num("mttr_ns", mttr_ns),
         }
+        .line();
     }
     out
 }
@@ -73,23 +68,20 @@ pub fn to_json_lines(events: &[HealthEvent]) -> String {
 /// Parses the output of [`to_json_lines`] (empty input → empty vec).
 pub fn from_json_lines(text: &str) -> Option<Vec<HealthEvent>> {
     let mut events = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let ts_ns = json_field_u64(line, "ts_ns")?;
-        let kind = match json_field_str(line, "kind")?.as_str() {
+    for f in json::lines(text) {
+        let f = f?;
+        let ts_ns = f.u64("ts_ns")?;
+        let kind = match f.str("kind")?.as_str() {
             "stall" => HealthKind::Stall {
-                since_ns: json_field_u64(line, "since_ns")?,
-                budget_ns: json_field_u64(line, "budget_ns")?,
+                since_ns: f.u64("since_ns")?,
+                budget_ns: f.u64("budget_ns")?,
             },
             "recovered" => HealthKind::Recovered {
-                stalled_ns: json_field_u64(line, "stalled_ns")?,
+                stalled_ns: f.u64("stalled_ns")?,
             },
             "mttr" => HealthKind::Mttr {
-                crash_ns: json_field_u64(line, "crash_ns")?,
-                mttr_ns: json_field_u64(line, "mttr_ns")?,
+                crash_ns: f.u64("crash_ns")?,
+                mttr_ns: f.u64("mttr_ns")?,
             },
             _ => return None,
         };
@@ -99,18 +91,12 @@ pub fn from_json_lines(text: &str) -> Option<Vec<HealthEvent>> {
 }
 
 /// Watchdog configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct WatchdogOptions {
     /// Virtual-time poll period (also the measurement resolution).
     pub poll: Duration,
     /// No-progress budget before a stall fires.
     pub budget: Duration,
-    /// Health events retained before the oldest are dropped.
-    pub capacity: usize,
-    /// Counters whose summed increase counts as progress.
-    pub progress_keys: Vec<(&'static str, &'static str)>,
-    /// Counters whose increase marks a crash (for MTTR measurement).
-    pub crash_keys: Vec<(&'static str, &'static str)>,
 }
 
 impl Default for WatchdogOptions {
@@ -118,18 +104,21 @@ impl Default for WatchdogOptions {
         WatchdogOptions {
             poll: Duration::from_micros(500),
             budget: Duration::from_millis(5),
-            capacity: 1024,
-            progress_keys: vec![
-                ("kdbroker", "rdma.commits"),
-                ("kdbroker", "produce.requests"),
-            ],
-            crash_keys: vec![("kdfault", "inject.broker_crashes")],
         }
     }
 }
 
+/// Health events retained before the oldest are dropped.
+const EVENT_CAPACITY: usize = 1024;
+
+/// Counters whose summed increase counts as progress: the broker's commits.
+const PROGRESS: [Key; 2] = [("kdbroker", "rdma.commits"), ("kdbroker", "produce.requests")];
+
+/// Counters whose increase marks a crash, for MTTR: kdfault's broker crashes.
+const CRASHES: [Key; 1] = [("kdfault", "inject.broker_crashes")];
+
 struct WatchInner {
-    opts: WatchdogOptions,
+    budget: Duration,
     armed: bool,
     last_progress: u64,
     last_progress_ts: u64,
@@ -158,7 +147,7 @@ impl Watchdog {
     pub fn new(registry: &Registry, opts: WatchdogOptions) -> Watchdog {
         Watchdog {
             inner: Rc::new(RefCell::new(WatchInner {
-                opts,
+                budget: opts.budget,
                 armed: false,
                 last_progress: 0,
                 last_progress_ts: 0,
@@ -210,20 +199,15 @@ impl Watchdog {
     /// One watchdog evaluation at the current virtual time.
     pub fn poll_now(&self) {
         let now = sim::try_now().map(|t| t.as_nanos()).unwrap_or(0);
-        let report = self.registry.snapshot();
+        let (progress, crashes) = {
+            let entries = self.registry.entries();
+            let total = |keys: &[Key]| -> u64 {
+                let watched = entries.counters.iter().filter(|(key, _)| keys.contains(key));
+                watched.map(|(_, cells)| counter_total(cells)).sum()
+            };
+            (total(&PROGRESS), total(&CRASHES))
+        };
         let mut inner = self.inner.borrow_mut();
-        let progress: u64 = inner
-            .opts
-            .progress_keys
-            .iter()
-            .filter_map(|(c, n)| report.counter(c, n))
-            .sum();
-        let crashes: u64 = inner
-            .opts
-            .crash_keys
-            .iter()
-            .filter_map(|(c, n)| report.counter(c, n))
-            .sum();
         if progress > inner.last_progress {
             if let Some(since) = inner.stalled_since.take() {
                 self.recoveries.inc();
@@ -255,7 +239,7 @@ impl Watchdog {
             inner.last_progress = progress;
             inner.last_progress_ts = now;
         } else if inner.armed && inner.stalled_since.is_none() {
-            let budget_ns = inner.opts.budget.as_nanos() as u64;
+            let budget_ns = inner.budget.as_nanos() as u64;
             let since_ns = inner.last_progress_ts;
             if now.saturating_sub(since_ns) >= budget_ns {
                 inner.stalled_since = Some(since_ns);
@@ -313,7 +297,7 @@ impl Watchdog {
 }
 
 fn push_event(inner: &mut WatchInner, e: HealthEvent) {
-    if inner.events.len() >= inner.opts.capacity.max(1) {
+    if inner.events.len() >= EVENT_CAPACITY {
         inner.events.pop_front();
         inner.dropped += 1;
     }
@@ -328,9 +312,6 @@ mod tests {
         WatchdogOptions {
             poll: Duration::from_micros(poll_us),
             budget: Duration::from_micros(budget_us),
-            capacity: 16,
-            progress_keys: vec![("kdbroker", "rdma.commits")],
-            crash_keys: vec![("kdfault", "inject.broker_crashes")],
         }
     }
 
@@ -462,21 +443,21 @@ mod tests {
         let commits = r.counter("kdbroker", "rdma.commits");
         let rt = sim::Runtime::new();
         rt.block_on(async move {
-            let mut o = opts(100, 0); // zero budget: every quiet poll stalls
-            o.capacity = 4;
-            let dog = Watchdog::new(&r, o);
+            // Zero budget: every quiet poll stalls.
+            let dog = Watchdog::new(&r, opts(100, 0));
             commits.inc();
             dog.poll_now(); // arm
-            for _ in 0..6 {
+            let rounds = EVENT_CAPACITY / 2 + 3;
+            for _ in 0..rounds {
                 sim::time::sleep(Duration::from_micros(100)).await;
                 dog.poll_now(); // stall
                 commits.inc();
                 sim::time::sleep(Duration::from_micros(100)).await;
                 dog.poll_now(); // recover
             }
-            assert_eq!(dog.stall_count(), 6);
-            assert_eq!(dog.events().len(), 4, "ring bounded at capacity");
-            assert_eq!(dog.dropped(), 8);
+            assert_eq!(dog.stall_count(), rounds as u64);
+            assert_eq!(dog.events().len(), EVENT_CAPACITY, "ring bounded at capacity");
+            assert_eq!(dog.dropped(), 6);
         });
     }
 }

@@ -8,7 +8,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Duration;
 
 const SUB_BITS: u32 = 4;
 const SUB: usize = 1 << SUB_BITS; // 16 sub-buckets per power of two
@@ -39,102 +38,48 @@ fn bucket_high(i: usize) -> u64 {
     low + ((1u64 << shift) - 1)
 }
 
+/// A shareable, mergeable log-linear histogram handle: one bucket array
+/// ([`HistSnapshot`]) plus the true min and max, which the buckets only
+/// bound. Clones share the cell; the registry keeps one per
+/// `(component, name)` and hands out clones of it.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram {
+    inner: Rc<RefCell<Live>>,
+}
+
 #[derive(Debug)]
-pub(crate) struct HistData {
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
+struct Live {
+    data: HistSnapshot,
     min: u64,
     max: u64,
-    /// One past the highest populated bucket — scans stop here, so walks
-    /// cost O(populated range) instead of O(976) (the sampler ticks every
-    /// histogram every interval).
-    hi: usize,
 }
 
-impl HistData {
-    fn new() -> Self {
-        HistData {
-            counts: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
+impl Default for Live {
+    fn default() -> Self {
+        Live {
+            data: HistSnapshot::empty(),
             min: u64::MAX,
             max: 0,
-            hi: 0,
         }
-    }
-
-    fn record(&mut self, v: u64) {
-        let i = bucket_index(v);
-        self.counts[i] += 1;
-        self.hi = self.hi.max(i + 1);
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn merge_from(&mut self, other: &HistData) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts[..other.hi]) {
-            *a += b;
-        }
-        self.hi = self.hi.max(other.hi);
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Value at quantile `q` in `[0, 1]`: the highest value of the bucket
-    /// containing the `ceil(q * count)`-th recorded sample. `0` when empty.
-    fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Cap by the true max so sparse tails stay tight.
-                return bucket_high(i).min(self.max);
-            }
-        }
-        self.max
-    }
-}
-
-/// A shareable, mergeable log-linear histogram handle.
-///
-/// Clones share the same underlying buckets; the registry keeps one instance
-/// per `(component, name)` and hands out clones of it.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    inner: Rc<RefCell<HistData>>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 impl Histogram {
     pub fn new() -> Histogram {
-        Histogram {
-            inner: Rc::new(RefCell::new(HistData::new())),
-        }
+        Histogram::default()
     }
 
     /// Records one observation.
     pub fn record(&self, v: u64) {
-        self.inner.borrow_mut().record(v);
-    }
-
-    /// Records a duration as nanoseconds.
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos() as u64);
+        let mut h = self.inner.borrow_mut();
+        let i = bucket_index(v);
+        let d = &mut h.data;
+        d.counts[i] += 1;
+        d.hi = d.hi.max(i + 1);
+        d.count += 1;
+        d.sum = d.sum.saturating_add(v);
+        h.min = h.min.min(v);
+        h.max = h.max.max(v);
     }
 
     /// Records elapsed virtual time since `start` (no-op outside a runtime).
@@ -149,97 +94,40 @@ impl Histogram {
         if Rc::ptr_eq(&self.inner, &other.inner) {
             return;
         }
-        self.inner.borrow_mut().merge_from(&other.inner.borrow());
+        let o = other.inner.borrow();
+        let mut h = self.inner.borrow_mut();
+        h.data.merge_from(&o.data);
+        h.min = h.min.min(o.min);
+        h.max = h.max.max(o.max);
     }
 
     pub fn count(&self) -> u64 {
-        self.inner.borrow().count
+        self.inner.borrow().data.count
     }
 
-    pub fn sum(&self) -> u64 {
-        self.inner.borrow().sum
-    }
-
-    pub fn min(&self) -> u64 {
-        let d = self.inner.borrow();
-        if d.count == 0 {
-            0
-        } else {
-            d.min
-        }
-    }
-
-    pub fn max(&self) -> u64 {
-        self.inner.borrow().max
-    }
-
-    pub fn mean(&self) -> f64 {
-        let d = self.inner.borrow();
-        if d.count == 0 {
-            0.0
-        } else {
-            d.sum as f64 / d.count as f64
-        }
-    }
-
-    /// Quantile query; `q` in `[0, 1]`.
+    /// Value at quantile `q` in `[0, 1]`: the highest value of the bucket
+    /// holding the `ceil(q * count)`-th sample, capped by the true max so
+    /// sparse tails stay tight. `0` when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        self.inner.borrow().quantile(q)
+        let h = self.inner.borrow();
+        h.data.quantile(q).min(h.max)
     }
 
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// Immutable summary for reports.
+    /// Immutable summary for reports: true min and max, capped quantiles.
     pub fn stats(&self) -> HistStats {
-        let d = self.inner.borrow();
-        HistStats {
-            count: d.count,
-            sum: d.sum,
-            min: if d.count == 0 { 0 } else { d.min },
-            max: d.max,
-            mean: if d.count == 0 {
-                0.0
-            } else {
-                d.sum as f64 / d.count as f64
-            },
-            p50: d.quantile(0.50),
-            p90: d.quantile(0.90),
-            p99: d.quantile(0.99),
-        }
+        let h = self.inner.borrow();
+        let min = if h.data.count == 0 { 0 } else { h.min };
+        h.data.stats_within(min, h.max)
     }
 
-    /// Full bucket-level snapshot: the basis for interval deltas
-    /// ([`HistSnapshot::delta_since`]) in the time-series sampler.
-    pub fn snapshot_data(&self) -> HistSnapshot {
-        let d = self.inner.borrow();
-        HistSnapshot {
-            counts: d.counts.clone(),
-            count: d.count,
-            sum: d.sum,
-            hi: d.hi,
-        }
+    /// The bucket array as it is now.
+    pub(crate) fn snapshot(&self) -> HistSnapshot {
+        self.inner.borrow().data.clone()
     }
 
-    /// Adds this histogram's buckets into an existing snapshot without
-    /// allocating — the sampler's per-tick accumulation path.
-    pub fn merge_into(&self, out: &mut HistSnapshot) {
-        let d = self.inner.borrow();
-        for (a, b) in out.counts.iter_mut().zip(&d.counts[..d.hi]) {
-            *a = a.saturating_add(*b);
-        }
-        out.hi = out.hi.max(d.hi);
-        out.count = out.count.saturating_add(d.count);
-        out.sum = out.sum.saturating_add(d.sum);
+    /// Runs `f` on the bucket array without copying it.
+    pub(crate) fn with_data<R>(&self, f: impl FnOnce(&HistSnapshot) -> R) -> R {
+        f(&self.inner.borrow().data)
     }
 }
 
@@ -256,7 +144,8 @@ pub struct HistSnapshot {
     count: u64,
     sum: u64,
     /// One past the highest possibly-populated bucket (an upper bound, not
-    /// exact after deltas). Excluded from equality — it is a scan bound.
+    /// exact after deltas): scans stop here, so walks cost O(populated
+    /// range) instead of O(976). Excluded from equality.
     hi: usize,
 }
 
@@ -274,22 +163,28 @@ impl Default for HistSnapshot {
     }
 }
 
+/// The baseline of a whole-run quantile: no buckets, so nothing to subtract.
+const NOTHING: HistSnapshot = HistSnapshot {
+    counts: Vec::new(),
+    count: 0,
+    sum: 0,
+    hi: 0,
+};
+
 impl HistSnapshot {
-    /// A snapshot with no samples — the identity for [`merge_from`]
-    /// (`HistSnapshot::merge_from`) and the baseline for a sampler's first
-    /// interval.
+    /// A snapshot with no samples — the identity for
+    /// [`merge_from`](HistSnapshot::merge_from) and the baseline for a
+    /// sampler's first interval.
     pub fn empty() -> HistSnapshot {
         HistSnapshot {
             counts: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
-            hi: 0,
+            ..NOTHING
         }
     }
 
     /// Resets to empty in place, keeping the bucket allocation (the sampler
-    /// reuses one scratch snapshot per instrument per tick).
-    pub fn clear(&mut self) {
+    /// reuses one baseline per histogram).
+    pub(crate) fn clear(&mut self) {
         self.counts[..self.hi].fill(0);
         self.count = 0;
         self.sum = 0;
@@ -323,23 +218,32 @@ impl HistSnapshot {
 
     /// Quantile of the interval histogram `self - earlier`, computed bucket
     /// by bucket without materialising the delta — the sampler calls this
-    /// twice per histogram per tick, so it must not allocate.
+    /// twice per histogram per tick, so it must not allocate. This is the
+    /// one bucket walk: [`quantile`](HistSnapshot::quantile) is it against
+    /// an empty baseline.
     pub fn delta_quantile(&self, earlier: &HistSnapshot, q: f64) -> u64 {
         let count = self.count.saturating_sub(earlier.count);
         if count == 0 {
             return 0;
         }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
+        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
         let hi = self.hi.max(earlier.hi);
-        for (i, (&a, &b)) in self.counts[..hi].iter().zip(&earlier.counts[..hi]).enumerate() {
+        let before = earlier.counts.iter().chain(std::iter::repeat(&0));
+        let mut seen = 0u64;
+        for (i, (&a, &b)) in self.counts[..hi].iter().zip(before).enumerate() {
             seen += a.saturating_sub(b);
             if seen >= rank {
                 return bucket_high(i);
             }
         }
         0
+    }
+
+    /// Value at quantile `q` in `[0, 1]` over the snapshot's buckets. Unlike
+    /// the live histogram there is no true max, so the bucket high value is
+    /// reported as-is (~6% overstatement worst case).
+    pub fn quantile(&self, q: f64) -> u64 {
+        self.delta_quantile(&NOTHING, q)
     }
 
     /// Adds another snapshot's buckets into this one (interval re-summing).
@@ -352,59 +256,31 @@ impl HistSnapshot {
         self.sum = self.sum.saturating_add(other.sum);
     }
 
-    /// Value at quantile `q` in `[0, 1]` over the snapshot's buckets. Unlike
-    /// the live histogram there is no true per-interval max, so the bucket
-    /// high value is reported as-is (~6% overstatement worst case).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_high(i);
-            }
-        }
-        0
-    }
-
-    /// Lowest bucket-high value with any sample (interval-min surrogate).
-    pub fn low(&self) -> u64 {
-        self.counts
-            .iter()
-            .position(|&c| c > 0)
-            .map(bucket_high)
-            .unwrap_or(0)
-    }
-
-    /// Highest bucket-high value with any sample (interval-max surrogate).
-    pub fn high(&self) -> u64 {
-        self.counts
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(bucket_high)
-            .unwrap_or(0)
-    }
-
-    /// Summary stats over the snapshot's buckets; min/max are the bucket
-    /// surrogates from [`low`](HistSnapshot::low) / [`high`](HistSnapshot::high).
+    /// Summary stats over the snapshot's buckets; min and max are the high
+    /// values of the lowest and highest populated buckets.
     pub fn stats(&self) -> HistStats {
+        let counts = &self.counts[..self.hi];
+        let min = counts.iter().position(|&c| c > 0).map_or(0, bucket_high);
+        let max = counts.iter().rposition(|&c| c > 0).map_or(0, bucket_high);
+        self.stats_within(min, max)
+    }
+
+    /// Summary stats with the given min and max; quantiles are capped by
+    /// `max`.
+    fn stats_within(&self, min: u64, max: u64) -> HistStats {
         HistStats {
             count: self.count,
             sum: self.sum,
-            min: self.low(),
-            max: self.high(),
+            min,
+            max,
             mean: if self.count == 0 {
                 0.0
             } else {
                 self.sum as f64 / self.count as f64
             },
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
+            p50: self.quantile(0.50).min(max),
+            p90: self.quantile(0.90).min(max),
+            p99: self.quantile(0.99).min(max),
         }
     }
 }
@@ -467,12 +343,12 @@ mod tests {
         }
         assert_eq!(h.count(), 1000);
         // p50 of 1..=1000 is 500; log-linear error at 500 is < 500/16 = 32.
-        let p50 = h.p50();
+        let p50 = h.quantile(0.50);
         assert!((500..=532).contains(&p50), "p50={p50}");
-        let p99 = h.p99();
+        let p99 = h.quantile(0.99);
         assert!((990..=1000 + 63).contains(&p99), "p99={p99}");
-        assert_eq!(h.max(), 1000);
-        assert_eq!(h.min(), 1);
+        assert_eq!(h.stats().max, 1000);
+        assert_eq!(h.stats().min, 1);
         assert_eq!(h.quantile(0.0), 1);
         // quantile(1.0) is the max's bucket, capped at max.
         assert_eq!(h.quantile(1.0), 1000);
@@ -482,20 +358,20 @@ mod tests {
     fn single_value_percentiles() {
         let h = Histogram::new();
         h.record(777);
-        assert_eq!(h.p50(), 777.min(bucket_high(bucket_index(777))));
-        assert_eq!(h.p99(), h.p50());
-        assert_eq!(h.mean(), 777.0);
+        assert_eq!(h.quantile(0.50), 777.min(bucket_high(bucket_index(777))));
+        assert_eq!(h.quantile(0.99), h.quantile(0.50));
+        assert_eq!(h.stats().mean, 777.0);
     }
 
     #[test]
     fn empty_histogram_is_zeroes() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.p99(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.quantile(0.50), 0);
+        assert_eq!(h.quantile(0.99), 0);
+        assert_eq!(h.stats().max, 0);
+        assert_eq!(h.stats().min, 0);
+        assert_eq!(h.stats().mean, 0.0);
     }
 
     #[test]
@@ -621,7 +497,7 @@ mod tests {
                     h.record(x >> 40);
                 }
             }
-            let now = h.snapshot_data();
+            let now = h.snapshot();
             let delta = now.delta_since(&last);
             if interval == 3 || interval == 7 {
                 assert_eq!(delta.count(), 0, "empty interval must yield empty delta");
@@ -630,16 +506,16 @@ mod tests {
             resummed.merge_from(&delta);
             last = now;
         }
-        assert_eq!(resummed, h.snapshot_data(), "interval re-sum diverged");
+        assert_eq!(resummed, h.snapshot(), "interval re-sum diverged");
         assert_eq!(resummed.count(), 400);
-        assert_eq!(resummed.sum(), h.sum());
+        assert_eq!(resummed.sum(), h.stats().sum);
     }
 
     #[test]
     fn snapshot_delta_saturates_instead_of_wrapping() {
         let a = Histogram::new();
         a.record(100);
-        let early = a.snapshot_data();
+        let early = a.snapshot();
         // A snapshot pair taken in the wrong order (or across a reset)
         // saturates to the empty delta.
         let wrong = HistSnapshot::empty().delta_since(&early);
@@ -650,7 +526,7 @@ mod tests {
         let h = Histogram::new();
         h.record(u64::MAX);
         h.record(u64::MAX); // sum saturates at u64::MAX
-        let snap = h.snapshot_data();
+        let snap = h.snapshot();
         assert_eq!(snap.sum(), u64::MAX);
         let d = snap.delta_since(&HistSnapshot::empty());
         assert_eq!(d.count(), 2);
@@ -663,7 +539,7 @@ mod tests {
         for v in 1..=1000u64 {
             h.record(v);
         }
-        let s = h.snapshot_data().stats();
+        let s = h.snapshot().stats();
         assert_eq!(s.count, 1000);
         // Snapshot p50 has no true-max cap but the same bucket resolution.
         assert!((500..=532).contains(&s.p50), "p50={}", s.p50);

@@ -1,29 +1,32 @@
-//! The stats registry: named counters, gauges, histograms, and a bounded
-//! span ring, grouped by component.
+//! The stats registry: named counters, gauges and histograms grouped by
+//! component, and a bounded ring of trace events.
 //!
-//! Instruments are *handles*, and a cell belongs to whoever reads it.
+//! The registry holds one entry per `(component, name)` with that entry's
+//! cells, and a cell belongs to whoever reads it.
 //!
-//! * `counter()` / `gauge()` create a fresh cell owned by the caller and
-//!   remembered by the registry under its `(component, name)` key: a broker
-//!   or a NIC keeps private cells it can read back exactly, and snapshots
-//!   aggregate same-named cells (counters and gauge values sum, gauge peaks
-//!   max). An object there is one of per *connection* — a CQ, a link, a
-//!   client NIC — reads none of its cells, so it registers none: it clones
-//!   the handles of its owner (the fabric, the device), which keeps the
-//!   registry's vectors O(names x owners) however many connections come and
-//!   go. Only `add`/`sub` gauges are shared that way (the shared cell is the
-//!   true aggregate, with its true peak); a `set` gauge stays per owner.
-//! * `histogram()` hands out clones of the one cell of its key. Histograms
-//!   are write-only handles — nothing reads a distribution back except
-//!   through the registry, which merged by name anyway — and a cell is
-//!   ~7.6 KiB.
+//! * `counter()` / `gauge()` add a fresh cell owned by the caller to its
+//!   entry: a broker or a NIC keeps private cells it can read back exactly,
+//!   and whoever reads the registry aggregates an entry's cells (counters
+//!   and gauge values sum, gauge peaks max). An object there is one of per
+//!   *connection* — a CQ, a link, a client NIC — reads none of its cells, so
+//!   it registers none: it clones the handles of its owner (the fabric, the
+//!   device), which keeps the registry O(names x owners) however many
+//!   connections come and go. Only `add`/`sub` gauges are shared that way
+//!   (the shared cell is the true aggregate, with its true peak); a `set`
+//!   gauge stays per owner.
+//! * `histogram()` hands out clones of the entry's one cell. Histograms are
+//!   write-only handles — nothing reads a distribution back except through
+//!   the registry — and a cell is ~7.6 KiB.
+//!
+//! Entries are only ever appended, so entry *i* stays entry *i*: the series
+//! sampler keeps its slot *i* beside it.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::hist::Histogram;
-use crate::report::{CounterRow, GaugeRow, HistRow, SpanRow, TelemetryReport};
+use crate::hist::{HistSnapshot, Histogram};
+use crate::report::{CounterRow, GaugeRow, HistRow, TelemetryReport};
 use crate::trace::{EventKind, TraceCtx, TraceEvent};
 
 /// A monotonically increasing (or explicitly reset) `u64` cell.
@@ -53,10 +56,6 @@ impl Counter {
     /// (e.g. deregistering producer memory grants).
     pub fn set(&self, v: u64) {
         self.cell.set(v);
-    }
-
-    pub fn sub_saturating(&self, v: u64) {
-        self.cell.set(self.cell.get().saturating_sub(v));
     }
 }
 
@@ -102,70 +101,70 @@ impl Gauge {
     }
 }
 
-/// One completed span on the produce → replicate → consume critical path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
-    pub name: &'static str,
-    pub start_ns: u64,
-    pub end_ns: u64,
+/// The sum of an entry's counter cells.
+pub(crate) fn counter_total(cells: &[Counter]) -> u64 {
+    cells.iter().map(Counter::get).sum()
 }
 
-impl SpanRecord {
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
+/// An entry's gauge cells as `(value, peak)`: values sum, peaks max.
+pub(crate) fn gauge_level(cells: &[Gauge]) -> (u64, u64) {
+    cells.iter().fold((0, 0), |(v, p), g| (v + g.get(), p.max(g.peak())))
 }
 
-/// Default capacity of the per-registry span ring; oldest spans are dropped
-/// (and counted) once it fills, bounding memory on long soaks. Override per
-/// registry with [`Registry::with_span_capacity`].
-pub const SPAN_RING_CAPACITY: usize = 4096;
+pub(crate) type Key = (&'static str, &'static str);
 
-/// Default capacity of the per-registry trace-event ring. Trace events are
-/// much denser than spans (one produce emits ~a dozen), so the default is
-/// correspondingly larger. Override with [`Registry::set_event_capacity`].
-pub const EVENT_RING_CAPACITY: usize = 1 << 16;
-
-#[derive(Debug, Default)]
-struct SpanRing {
-    ring: VecDeque<SpanRecord>,
-    dropped: u64,
+/// A registry's entries of each kind, in registration order.
+#[derive(Default)]
+pub(crate) struct Entries {
+    pub counters: Vec<(Key, Vec<Counter>)>,
+    pub gauges: Vec<(Key, Vec<Gauge>)>,
+    pub histograms: Vec<(Key, Histogram)>,
 }
 
-#[derive(Debug, Default)]
+/// The value of `key` in `list`, appended by `new` if it is not there.
+fn entry<T>(list: &mut Vec<(Key, T)>, key: Key, new: impl FnOnce() -> T) -> &mut T {
+    let i = match list.iter().position(|(k, _)| *k == key) {
+        Some(i) => i,
+        None => {
+            list.push((key, new()));
+            list.len() - 1
+        }
+    };
+    &mut list[i].1
+}
+
+/// `list` in `(component, name)` order, for stable output.
+fn sorted<T>(list: &[(Key, T)]) -> Vec<&(Key, T)> {
+    let mut v: Vec<_> = list.iter().collect();
+    v.sort_by_key(|(k, _)| *k);
+    v
+}
+
+/// Capacity of a registry's trace-event ring until
+/// [`Registry::set_event_capacity`] changes it; once full, the oldest event
+/// is dropped and counted.
+const EVENT_RING_CAPACITY: usize = 1 << 16;
+
 struct EventRing {
     ring: VecDeque<TraceEvent>,
     dropped: u64,
+    capacity: usize,
 }
 
-type Key = (&'static str, &'static str);
-
-struct RegistryInner {
-    counters: RefCell<Vec<(Key, Counter)>>,
-    gauges: RefCell<Vec<(Key, Gauge)>>,
-    histograms: RefCell<Vec<(Key, Histogram)>>,
-    spans: RefCell<SpanRing>,
-    span_capacity: Cell<usize>,
-    /// Per-name span duration distributions, fed on every `record_span` so
-    /// summaries survive ring overflow and the admin wire path.
-    span_stats: RefCell<Vec<(&'static str, Histogram)>>,
-    events: RefCell<EventRing>,
-    event_capacity: Cell<usize>,
-}
-
-impl Default for RegistryInner {
+impl Default for EventRing {
     fn default() -> Self {
-        RegistryInner {
-            counters: RefCell::new(Vec::new()),
-            gauges: RefCell::new(Vec::new()),
-            histograms: RefCell::new(Vec::new()),
-            spans: RefCell::new(SpanRing::default()),
-            span_capacity: Cell::new(SPAN_RING_CAPACITY),
-            span_stats: RefCell::new(Vec::new()),
-            events: RefCell::new(EventRing::default()),
-            event_capacity: Cell::new(EVENT_RING_CAPACITY),
+        EventRing {
+            ring: VecDeque::new(),
+            dropped: 0,
+            capacity: EVENT_RING_CAPACITY,
         }
     }
+}
+
+#[derive(Default)]
+struct RegistryInner {
+    entries: RefCell<Entries>,
+    events: RefCell<EventRing>,
 }
 
 /// Cloneable handle to a telemetry registry. See the module docs for the
@@ -180,93 +179,49 @@ impl Registry {
         Registry::default()
     }
 
-    /// A registry whose span ring holds `capacity` spans before dropping the
-    /// oldest. Long soak runs that must keep every critical-path span for
-    /// the trace checker size this explicitly instead of relying on
-    /// [`SPAN_RING_CAPACITY`].
-    pub fn with_span_capacity(capacity: usize) -> Registry {
-        let r = Registry::default();
-        r.inner.span_capacity.set(capacity.max(1));
-        r
-    }
-
     /// Resizes the trace-event ring (existing buffered events are kept up to
     /// the new capacity; the oldest are dropped and counted).
     pub fn set_event_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        self.inner.event_capacity.set(capacity);
         let mut events = self.inner.events.borrow_mut();
-        while events.ring.len() > capacity {
+        events.capacity = capacity.max(1);
+        while events.ring.len() > events.capacity {
             events.ring.pop_front();
             events.dropped += 1;
         }
     }
 
-    /// Creates and registers a fresh counter under `(component, name)`.
+    /// Creates a counter and adds its cell to the entry of `(component, name)`.
     pub fn counter(&self, component: &'static str, name: &'static str) -> Counter {
         let c = Counter::new();
-        self.inner
-            .counters
-            .borrow_mut()
-            .push(((component, name), c.clone()));
+        let mut entries = self.inner.entries.borrow_mut();
+        entry(&mut entries.counters, (component, name), Vec::new).push(c.clone());
         c
     }
 
-    /// Creates and registers a fresh gauge under `(component, name)`.
+    /// Creates a gauge and adds its cell to the entry of `(component, name)`.
     pub fn gauge(&self, component: &'static str, name: &'static str) -> Gauge {
         let g = Gauge::new();
-        self.inner
-            .gauges
-            .borrow_mut()
-            .push(((component, name), g.clone()));
+        let mut entries = self.inner.entries.borrow_mut();
+        entry(&mut entries.gauges, (component, name), Vec::new).push(g.clone());
         g
     }
 
-    /// A handle to the histogram cell of `(component, name)`, created and
-    /// registered on first use: every caller records into the same cell.
+    /// A handle to the histogram cell of `(component, name)`, created on
+    /// first use: every caller records into the same cell.
     pub fn histogram(&self, component: &'static str, name: &'static str) -> Histogram {
-        let mut histograms = self.inner.histograms.borrow_mut();
-        if let Some((_, h)) = histograms.iter().find(|(k, _)| *k == (component, name)) {
-            return h.clone();
-        }
-        let h = Histogram::new();
-        histograms.push(((component, name), h.clone()));
-        h
+        let mut entries = self.inner.entries.borrow_mut();
+        entry(&mut entries.histograms, (component, name), Histogram::new).clone()
     }
 
-    /// Records a completed span. `start`/`end` are virtual-time nanoseconds.
-    pub fn record_span(&self, name: &'static str, start_ns: u64, end_ns: u64) {
-        {
-            let mut stats = self.inner.span_stats.borrow_mut();
-            let h = match stats.iter().find(|(n, _)| *n == name) {
-                Some((_, h)) => h.clone(),
-                None => {
-                    let h = Histogram::new();
-                    stats.push((name, h.clone()));
-                    h
-                }
-            };
-            h.record(end_ns.saturating_sub(start_ns));
-        }
-        let cap = self.inner.span_capacity.get();
-        let mut spans = self.inner.spans.borrow_mut();
-        if spans.ring.len() >= cap {
-            spans.ring.pop_front();
-            spans.dropped += 1;
-        }
-        spans.ring.push_back(SpanRecord {
-            name,
-            start_ns,
-            end_ns,
-        });
+    pub(crate) fn entries(&self) -> Ref<'_, Entries> {
+        self.inner.entries.borrow()
     }
 
     /// Records one trace event at an explicit virtual-time `ts_ns` (which
     /// may be in the future: link reservations are computed at post time).
     pub fn record_trace_event(&self, ctx: TraceCtx, ts_ns: u64, kind: EventKind) {
-        let cap = self.inner.event_capacity.get();
         let mut events = self.inner.events.borrow_mut();
-        if events.ring.len() >= cap {
+        if events.ring.len() >= events.capacity {
             events.ring.pop_front();
             events.dropped += 1;
         }
@@ -290,7 +245,8 @@ impl Registry {
     /// trace (or a fresh trace when `parent` is `None`), records a
     /// `SpanBegin` event now, and returns a guard whose [`TraceSpan::ctx`]
     /// is the context to propagate to children. On end/drop it records the
-    /// `SpanEnd` event plus a classic `(name, start, end)` span record.
+    /// `SpanEnd` event. A span is its two events only: a duration worth
+    /// keeping is a histogram's.
     pub fn trace_span(&self, name: &'static str, parent: Option<TraceCtx>) -> TraceSpan {
         let ctx = match parent {
             Some(p) => TraceCtx {
@@ -299,23 +255,19 @@ impl Registry {
             },
             None => TraceCtx::root(),
         };
-        let start_ns = sim::try_now().map(|t| t.as_nanos());
-        if let Some(ts) = start_ns {
-            self.record_trace_event(
-                ctx,
-                ts,
-                EventKind::SpanBegin {
-                    name,
-                    parent: parent.map_or(0, |p| p.span_id),
-                },
-            );
-        }
+        let open = sim::try_now().is_some();
+        self.trace_event_now(
+            ctx,
+            EventKind::SpanBegin {
+                name,
+                parent: parent.map_or(0, |p| p.span_id),
+            },
+        );
         TraceSpan {
             registry: self.clone(),
             name,
             ctx,
-            start_ns,
-            done: false,
+            open,
         }
     }
 
@@ -329,204 +281,89 @@ impl Registry {
         self.inner.events.borrow().dropped
     }
 
-    /// Starts a span at the current virtual time; finish it with
-    /// [`SpanGuard::end`] (or let it drop). No-op outside a runtime.
-    pub fn span(&self, name: &'static str) -> SpanGuard {
-        SpanGuard {
-            registry: self.clone(),
-            name,
-            start_ns: sim::try_now().map(|t| t.as_nanos()),
-            done: false,
-        }
-    }
-
-    /// Removes and returns all buffered spans (oldest first).
-    pub fn drain_spans(&self) -> Vec<SpanRecord> {
-        self.inner.spans.borrow_mut().ring.drain(..).collect()
-    }
-
-    /// Spans lost to ring overflow since the registry was created.
-    pub fn spans_dropped(&self) -> u64 {
-        self.inner.spans.borrow().dropped
-    }
-
-    /// Identity of the underlying shared registry state: clones compare
-    /// equal, distinct registries differ. The sampler uses this to notice a
-    /// registry swap and drop its per-cell index caches.
-    pub fn id(&self) -> usize {
-        Rc::as_ptr(&self.inner) as usize
-    }
-
-    /// Visits every registered counter cell (not aggregated — same-named
-    /// cells repeat). Allocation-free; the time-series sampler folds these
-    /// into its own per-key accumulators each tick.
+    /// Visits every registered counter cell (not aggregated: the cells of
+    /// one entry repeat its key).
     pub fn fold_counters(&self, mut f: impl FnMut(Key, u64)) {
-        for (key, c) in self.inner.counters.borrow().iter() {
-            f(*key, c.get());
+        for (key, cells) in &self.entries().counters {
+            cells.iter().for_each(|c| f(*key, c.get()));
         }
     }
 
     /// Visits every registered gauge cell as `(key, value, peak)`.
     pub fn fold_gauges(&self, mut f: impl FnMut(Key, u64, u64)) {
-        for (key, g) in self.inner.gauges.borrow().iter() {
-            f(*key, g.get(), g.peak());
+        for (key, cells) in &self.entries().gauges {
+            cells.iter().for_each(|g| f(*key, g.get(), g.peak()));
         }
     }
 
     /// Visits every registered histogram cell by reference.
     pub fn fold_histograms(&self, mut f: impl FnMut(Key, &Histogram)) {
-        for (key, h) in self.inner.histograms.borrow().iter() {
+        for (key, h) in &self.entries().histograms {
             f(*key, h);
         }
     }
 
     /// Bucket-level snapshots of every registered histogram, sorted by
-    /// `(component, name)` key. The time-series sampler diffs successive
-    /// calls to get exact per-interval distributions
-    /// ([`crate::hist::HistSnapshot::delta_since`]).
-    pub fn merged_histograms(&self) -> Vec<(Key, crate::hist::HistSnapshot)> {
-        let mut merged: Vec<(Key, crate::hist::HistSnapshot)> = self
-            .inner
-            .histograms
-            .borrow()
-            .iter()
-            .map(|(key, h)| (*key, h.snapshot_data()))
-            .collect();
-        merged.sort_by_key(|(k, _)| *k);
-        merged
+    /// `(component, name)` key; diff two calls for an interval's
+    /// distribution ([`HistSnapshot::delta_since`]).
+    pub fn merged_histograms(&self) -> Vec<(Key, HistSnapshot)> {
+        let entries = self.entries();
+        sorted(&entries.histograms).into_iter().map(|(key, h)| (*key, h.snapshot())).collect()
     }
 
-    /// Aggregated point-in-time report: counters summed, gauge values summed
-    /// and peaks maxed per `(component, name)` key, one row per histogram
-    /// cell; sorted for stable output.
+    /// Aggregated point-in-time report, one row per entry (see the module
+    /// docs), sorted for stable output.
     pub fn snapshot(&self) -> TelemetryReport {
-        let mut counters: Vec<CounterRow> = Vec::new();
-        for ((component, name), c) in self.inner.counters.borrow().iter() {
-            match counters
-                .iter_mut()
-                .find(|r| r.component == *component && r.name == *name)
-            {
-                Some(row) => row.value += c.get(),
-                None => counters.push(CounterRow {
-                    component,
-                    name,
-                    value: c.get(),
-                }),
-            }
-        }
-        let mut gauges: Vec<GaugeRow> = Vec::new();
-        for ((component, name), g) in self.inner.gauges.borrow().iter() {
-            match gauges
-                .iter_mut()
-                .find(|r| r.component == *component && r.name == *name)
-            {
-                Some(row) => {
-                    row.value += g.get();
-                    row.peak = row.peak.max(g.peak());
-                }
-                None => gauges.push(GaugeRow {
-                    component,
-                    name,
-                    value: g.get(),
-                    peak: g.peak(),
-                }),
-            }
-        }
-        let mut histograms: Vec<HistRow> = self
-            .inner
-            .histograms
-            .borrow()
-            .iter()
-            .map(|((component, name), h)| HistRow {
-                component,
-                name,
-                stats: h.stats(),
-            })
-            .collect();
-
-        counters.sort_by_key(|r| (r.component, r.name));
-        gauges.sort_by_key(|r| (r.component, r.name));
-        histograms.sort_by_key(|r| (r.component, r.name));
-
-        let mut spans: Vec<SpanRow> = self
-            .inner
-            .span_stats
-            .borrow()
-            .iter()
-            .map(|(name, h)| SpanRow {
-                name,
-                count: h.count(),
-                p50_ns: h.p50(),
-                p99_ns: h.p99(),
-            })
-            .collect();
-        spans.sort_by_key(|r| r.name);
-
-        let ring = self.inner.spans.borrow();
+        let entries = self.entries();
+        let names = |(component, name): &Key| (component.to_string(), name.to_string());
         TelemetryReport {
-            counters,
-            gauges,
-            histograms,
-            spans,
-            spans_buffered: ring.ring.len() as u64,
-            spans_dropped: ring.dropped,
+            counters: sorted(&entries.counters)
+                .into_iter()
+                .map(|(key, cells)| {
+                    let (component, name) = names(key);
+                    CounterRow { component, name, value: counter_total(cells) }
+                })
+                .collect(),
+            gauges: sorted(&entries.gauges)
+                .into_iter()
+                .map(|(key, cells)| {
+                    let (component, name) = names(key);
+                    let (value, peak) = gauge_level(cells);
+                    GaugeRow { component, name, value, peak }
+                })
+                .collect(),
+            histograms: sorted(&entries.histograms)
+                .into_iter()
+                .map(|(key, h)| {
+                    let (component, name) = names(key);
+                    HistRow { component, name, stats: h.stats() }
+                })
+                .collect(),
         }
     }
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let entries = self.entries();
         f.debug_struct("Registry")
-            .field("counters", &self.inner.counters.borrow().len())
-            .field("gauges", &self.inner.gauges.borrow().len())
-            .field("histograms", &self.inner.histograms.borrow().len())
-            .field("spans", &self.inner.spans.borrow().ring.len())
+            .field("counters", &entries.counters.len())
+            .field("gauges", &entries.gauges.len())
+            .field("histograms", &entries.histograms.len())
+            .field("events", &self.inner.events.borrow().ring.len())
             .finish()
-    }
-}
-
-/// In-flight span; records itself into the registry when ended or dropped.
-/// Records nothing if no runtime was active when it started.
-#[must_use = "a span measures until it is ended or dropped"]
-pub struct SpanGuard {
-    registry: Registry,
-    name: &'static str,
-    start_ns: Option<u64>,
-    done: bool,
-}
-
-impl SpanGuard {
-    /// Ends the span now (virtual time).
-    pub fn end(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        if let (Some(start), Some(now)) = (self.start_ns, sim::try_now()) {
-            self.registry.record_span(self.name, start, now.as_nanos());
-        }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        self.finish();
     }
 }
 
 /// An in-flight identified trace span (see [`Registry::trace_span`]).
 /// Carries the [`TraceCtx`] to hand to children / propagate over the wire.
-#[must_use = "a trace span measures until it is ended or dropped"]
+#[must_use = "a trace span lasts until it is ended or dropped"]
 pub struct TraceSpan {
     registry: Registry,
     name: &'static str,
     ctx: TraceCtx,
-    start_ns: Option<u64>,
-    done: bool,
+    /// Its `SpanBegin` was recorded and its `SpanEnd` is not yet.
+    open: bool,
 }
 
 impl TraceSpan {
@@ -541,15 +378,9 @@ impl TraceSpan {
     }
 
     fn finish(&mut self) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        if let (Some(start), Some(now)) = (self.start_ns, sim::try_now()) {
-            let end = now.as_nanos();
-            self.registry
-                .record_trace_event(self.ctx, end, EventKind::SpanEnd { name: self.name });
-            self.registry.record_span(self.name, start, end);
+        if std::mem::take(&mut self.open) {
+            let end = EventKind::SpanEnd { name: self.name };
+            self.registry.trace_event_now(self.ctx, end);
         }
     }
 }
@@ -670,8 +501,8 @@ mod tests {
         // The reference: a private cell per handle, merged by the reader.
         let (a, b) = (Histogram::new(), Histogram::new());
         let merged = || {
-            let mut snap = a.snapshot_data();
-            snap.merge_from(&b.snapshot_data());
+            let mut snap = a.snapshot();
+            snap.merge_from(&b.snapshot());
             snap
         };
         let series = SeriesLog::new(SeriesOptions::default());
@@ -731,63 +562,30 @@ mod tests {
         assert_eq!(cells, 1, "clones register nothing");
     }
 
-    #[test]
-    fn span_ring_bounded_drops_oldest() {
-        let r = Registry::new();
-        for i in 0..(SPAN_RING_CAPACITY as u64 + 10) {
-            r.record_span("s", i, i + 1);
-        }
-        assert_eq!(r.spans_dropped(), 10);
-        let spans = r.drain_spans();
-        assert_eq!(spans.len(), SPAN_RING_CAPACITY);
-        assert_eq!(spans[0].start_ns, 10);
-        assert!(r.drain_spans().is_empty());
-    }
-
+    /// The guard `trace_span` returns stamps its begin and end events with
+    /// virtual time: a span's duration is the distance between them.
     #[test]
     fn span_guard_records_virtual_time() {
         let r = Registry::new();
         let r2 = r.clone();
         let rt = sim::Runtime::new();
         rt.block_on(async move {
-            let span = r2.span("produce");
+            let span = r2.trace_span("produce", None);
             sim::time::sleep(std::time::Duration::from_micros(5)).await;
             span.end();
         });
-        let spans = r.drain_spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "produce");
-        assert_eq!(spans[0].duration_ns(), 5_000);
+        let ev = r.drain_trace_events();
+        assert_eq!(ev.len(), 2);
+        assert_eq!(ev[0].kind, EventKind::SpanBegin { name: "produce", parent: 0 });
+        assert_eq!(ev[1].kind, EventKind::SpanEnd { name: "produce" });
+        assert_eq!(ev[1].ts_ns - ev[0].ts_ns, 5_000);
     }
 
     #[test]
     fn span_guard_outside_runtime_is_noop() {
         let r = Registry::new();
-        drop(r.span("x"));
-        assert!(r.drain_spans().is_empty());
-    }
-
-    #[test]
-    fn span_capacity_is_configurable() {
-        let r = Registry::with_span_capacity(8);
-        for i in 0..10u64 {
-            r.record_span("s", i, i + 1);
-        }
-        assert_eq!(r.spans_dropped(), 2);
-        assert_eq!(r.drain_spans().len(), 8);
-    }
-
-    #[test]
-    fn span_summaries_survive_ring_overflow() {
-        let r = Registry::with_span_capacity(4);
-        for i in 0..100u64 {
-            r.record_span("s", 0, 1_000 * (i + 1));
-        }
-        let snap = r.snapshot();
-        let row = snap.span("s").expect("summary row");
-        assert_eq!(row.count, 100);
-        assert!(row.p50_ns > 0);
-        assert!(row.p99_ns >= row.p50_ns);
+        drop(r.trace_span("x", None));
+        assert!(r.drain_trace_events().is_empty());
     }
 
     #[test]
@@ -830,9 +628,8 @@ mod tests {
             ref k => panic!("expected child SpanBegin, got {k:?}"),
         }
         assert!(ev.iter().all(|e| e.trace_id == ev[0].trace_id));
-        let spans = r.drain_spans();
-        assert_eq!(spans.len(), 2);
-        assert!(spans.iter().any(|s| s.name == "broker.commit" && s.duration_ns() == 3_000));
+        assert_eq!(ev[2].kind, EventKind::SpanEnd { name: "broker.commit" });
+        assert_eq!(ev[2].ts_ns - ev[1].ts_ns, 3_000);
     }
 
     #[test]

@@ -3,38 +3,28 @@
 //! metric per line) with no external dependencies.
 
 use crate::hist::HistStats;
+use crate::json::{self, Obj};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterRow {
-    pub component: &'static str,
-    pub name: &'static str,
+    pub component: String,
+    pub name: String,
     pub value: u64,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GaugeRow {
-    pub component: &'static str,
-    pub name: &'static str,
+    pub component: String,
+    pub name: String,
     pub value: u64,
     pub peak: u64,
 }
 
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistRow {
-    pub component: &'static str,
-    pub name: &'static str,
+    pub component: String,
+    pub name: String,
     pub stats: HistStats,
-}
-
-/// Per-name span summary: spans are recorded into a bounded ring, but their
-/// duration distribution is kept separately so the summary survives ring
-/// overflow and the `Request::Telemetry` admin wire path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRow {
-    pub name: &'static str,
-    pub count: u64,
-    pub p50_ns: u64,
-    pub p99_ns: u64,
 }
 
 /// Aggregated snapshot of a [`crate::Registry`]. Rows are sorted by
@@ -44,9 +34,6 @@ pub struct TelemetryReport {
     pub counters: Vec<CounterRow>,
     pub gauges: Vec<GaugeRow>,
     pub histograms: Vec<HistRow>,
-    pub spans: Vec<SpanRow>,
-    pub spans_buffered: u64,
-    pub spans_dropped: u64,
 }
 
 impl TelemetryReport {
@@ -72,192 +59,104 @@ impl TelemetryReport {
             .find(|r| r.component == component && r.name == name)
     }
 
-    /// Looks up a span summary row by span name.
-    pub fn span(&self, name: &str) -> Option<&SpanRow> {
-        self.spans.iter().find(|r| r.name == name)
-    }
-
     /// Renders an aligned, human-readable table. Histogram values are shown
     /// in microseconds since every latency instrument records nanoseconds.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("== counters ==\n");
-            let w = self
-                .counters
-                .iter()
-                .map(|r| r.component.len() + r.name.len() + 1)
-                .max()
-                .unwrap_or(0);
-            for r in &self.counters {
-                let key = format!("{}.{}", r.component, r.name);
-                out.push_str(&format!("{key:w$}  {}\n", r.value));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("== gauges ==\n");
-            let w = self
-                .gauges
-                .iter()
-                .map(|r| r.component.len() + r.name.len() + 1)
-                .max()
-                .unwrap_or(0);
-            for r in &self.gauges {
-                let key = format!("{}.{}", r.component, r.name);
-                out.push_str(&format!("{key:w$}  {} (peak {})\n", r.value, r.peak));
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("== histograms (us) ==\n");
-            let w = self
-                .histograms
-                .iter()
-                .map(|r| r.component.len() + r.name.len() + 1)
-                .max()
-                .unwrap_or(0);
-            out.push_str(&format!(
-                "{:w$}  {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-                "", "count", "mean", "p50", "p90", "p99", "max"
-            ));
-            for r in &self.histograms {
-                let key = format!("{}.{}", r.component, r.name);
-                let s = &r.stats;
-                out.push_str(&format!(
-                    "{key:w$}  {:>10} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}\n",
-                    s.count,
-                    s.mean / 1_000.0,
-                    s.p50 as f64 / 1_000.0,
-                    s.p90 as f64 / 1_000.0,
-                    s.p99 as f64 / 1_000.0,
-                    s.max as f64 / 1_000.0,
-                ));
-            }
-        }
-        if !self.spans.is_empty() {
-            out.push_str("== spans (us) ==\n");
-            let w = self.spans.iter().map(|r| r.name.len()).max().unwrap_or(0);
-            out.push_str(&format!(
-                "{:w$}  {:>10} {:>10} {:>10}\n",
-                "", "count", "p50", "p99"
-            ));
-            for r in &self.spans {
-                out.push_str(&format!(
-                    "{:w$}  {:>10} {:>10.2} {:>10.2}\n",
-                    r.name,
-                    r.count,
-                    r.p50_ns as f64 / 1_000.0,
-                    r.p99_ns as f64 / 1_000.0,
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "spans: {} buffered, {} dropped\n",
-            self.spans_buffered, self.spans_dropped
-        ));
+        let counters = self.counters.iter().map(|r| (&r.component, &r.name, r.value.to_string()));
+        section(&mut out, "counters", None, counters);
+        let gauges = self.gauges.iter().map(|r| {
+            (&r.component, &r.name, format!("{} (peak {})", r.value, r.peak))
+        });
+        section(&mut out, "gauges", None, gauges);
+        let us = |ns: u64| ns as f64 / 1_000.0;
+        let histograms = self.histograms.iter().map(|r| {
+            let s = &r.stats;
+            let text = format!(
+                "{:>10} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
+                s.count,
+                s.mean / 1_000.0,
+                us(s.p50),
+                us(s.p90),
+                us(s.p99),
+                us(s.max)
+            );
+            (&r.component, &r.name, text)
+        });
+        let header = format!(
+            "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+            "count", "mean", "p50", "p90", "p99", "max"
+        );
+        section(&mut out, "histograms (us)", Some(&header), histograms);
         out
     }
 
-    /// Serialises the report as JSON lines: one object per metric, a final
-    /// object for span accounting. Keys are fixed, values numeric — trivially
-    /// parseable by any JSON reader and safe to `>>` into `results/`.
+    /// Serialises the report as JSON lines, one object per metric — safe to
+    /// `>>` into `results/` and read with any JSON reader.
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         for r in &self.counters {
-            out.push_str(&format!(
-                "{{\"kind\":\"counter\",\"component\":{},\"name\":{},\"value\":{}}}\n",
-                json_str(r.component),
-                json_str(r.name),
-                r.value
-            ));
+            metric(&mut out, "counter", &r.component, &r.name)
+                .num("value", r.value)
+                .line();
         }
         for r in &self.gauges {
-            out.push_str(&format!(
-                "{{\"kind\":\"gauge\",\"component\":{},\"name\":{},\"value\":{},\"peak\":{}}}\n",
-                json_str(r.component),
-                json_str(r.name),
-                r.value,
-                r.peak
-            ));
+            metric(&mut out, "gauge", &r.component, &r.name)
+                .num("value", r.value)
+                .num("peak", r.peak)
+                .line();
         }
         for r in &self.histograms {
             let s = &r.stats;
-            out.push_str(&format!(
-                "{{\"kind\":\"histogram\",\"component\":{},\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{}}}\n",
-                json_str(r.component),
-                json_str(r.name),
-                s.count,
-                s.sum,
-                s.min,
-                s.max,
-                s.mean,
-                s.p50,
-                s.p90,
-                s.p99
-            ));
+            metric(&mut out, "histogram", &r.component, &r.name)
+                .num("count", s.count)
+                .num("sum", s.sum)
+                .num("min", s.min)
+                .num("max", s.max)
+                .num("mean", format_args!("{:.3}", s.mean))
+                .num("p50", s.p50)
+                .num("p90", s.p90)
+                .num("p99", s.p99)
+                .line();
         }
-        for r in &self.spans {
-            out.push_str(&format!(
-                "{{\"kind\":\"span\",\"name\":{},\"count\":{},\"p50_ns\":{},\"p99_ns\":{}}}\n",
-                json_str(r.name),
-                r.count,
-                r.p50_ns,
-                r.p99_ns
-            ));
-        }
-        out.push_str(&format!(
-            "{{\"kind\":\"spans\",\"buffered\":{},\"dropped\":{}}}\n",
-            self.spans_buffered, self.spans_dropped
-        ));
         out
     }
 
-    /// Parses the output of [`to_json_lines`] back into a report (histograms
-    /// come back as summary stats only). Used by the admin path: a broker
-    /// ships its report over the wire as JSON lines.
+    /// Parses the output of [`to_json_lines`](TelemetryReport::to_json_lines)
+    /// back into a report (histograms come back as summary stats only). Used
+    /// by the admin path: a broker ships its report over the wire as JSON
+    /// lines.
     pub fn from_json_lines(text: &str) -> Option<TelemetryReport> {
         let mut report = TelemetryReport::default();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let kind = json_field_str(line, "kind")?;
-            match kind.as_str() {
+        for f in json::lines(text) {
+            let f = f?;
+            let (component, name) = (f.str("component")?, f.str("name")?);
+            match f.str("kind")?.as_str() {
                 "counter" => report.counters.push(CounterRow {
-                    component: leak(json_field_str(line, "component")?),
-                    name: leak(json_field_str(line, "name")?),
-                    value: json_field_u64(line, "value")?,
+                    component,
+                    name,
+                    value: f.u64("value")?,
                 }),
                 "gauge" => report.gauges.push(GaugeRow {
-                    component: leak(json_field_str(line, "component")?),
-                    name: leak(json_field_str(line, "name")?),
-                    value: json_field_u64(line, "value")?,
-                    peak: json_field_u64(line, "peak")?,
+                    component,
+                    name,
+                    value: f.u64("value")?,
+                    peak: f.u64("peak")?,
                 }),
                 "histogram" => report.histograms.push(HistRow {
-                    component: leak(json_field_str(line, "component")?),
-                    name: leak(json_field_str(line, "name")?),
+                    component,
+                    name,
                     stats: HistStats {
-                        count: json_field_u64(line, "count")?,
-                        sum: json_field_u64(line, "sum")?,
-                        min: json_field_u64(line, "min")?,
-                        max: json_field_u64(line, "max")?,
-                        mean: json_field_f64(line, "mean")?,
-                        p50: json_field_u64(line, "p50")?,
-                        p90: json_field_u64(line, "p90")?,
-                        p99: json_field_u64(line, "p99")?,
+                        count: f.u64("count")?,
+                        sum: f.u64("sum")?,
+                        min: f.u64("min")?,
+                        max: f.u64("max")?,
+                        mean: f.f64("mean")?,
+                        p50: f.u64("p50")?,
+                        p90: f.u64("p90")?,
+                        p99: f.u64("p99")?,
                     },
                 }),
-                "span" => report.spans.push(SpanRow {
-                    name: leak(json_field_str(line, "name")?),
-                    count: json_field_u64(line, "count")?,
-                    p50_ns: json_field_u64(line, "p50_ns")?,
-                    p99_ns: json_field_u64(line, "p99_ns")?,
-                }),
-                "spans" => {
-                    report.spans_buffered = json_field_u64(line, "buffered")?;
-                    report.spans_dropped = json_field_u64(line, "dropped")?;
-                }
                 _ => return None,
             }
         }
@@ -265,77 +164,31 @@ impl TelemetryReport {
     }
 }
 
-/// Metric names are static interned strings on the producing side; parsing a
-/// wire report re-interns them. Reports cross the wire a handful of times per
-/// run, so the leak is bounded and keeps the row types allocation-free on the
-/// hot recording path.
-fn leak(s: String) -> &'static str {
-    Box::leak(s.into_boxed_str())
+/// A metric's line, up to its values.
+fn metric<'a>(out: &'a mut String, kind: &str, component: &str, name: &str) -> Obj<'a> {
+    Obj::new(out).str("kind", kind).str("component", component).str("name", name)
 }
 
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// One table section: its title, an optional column header, and a
+/// `component.name  text` line per row with the keys padded to the widest.
+fn section<'a>(
+    out: &mut String,
+    title: &str,
+    header: Option<&str>,
+    rows: impl Iterator<Item = (&'a String, &'a String, String)>,
+) {
+    let rows: Vec<(String, String)> = rows.map(|(c, n, text)| (format!("{c}.{n}"), text)).collect();
+    if rows.is_empty() {
+        return;
     }
-    out.push('"');
-    out
-}
-
-pub(crate) fn json_field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .char_indices()
-        .find(|&(i, c)| {
-            if rest.starts_with('"') {
-                i > 0 && c == '"' && !rest[..i].ends_with('\\')
-            } else {
-                c == ',' || c == '}'
-            }
-        })
-        .map(|(i, _)| if rest.starts_with('"') { i + 1 } else { i })?;
-    Some(&rest[..end])
-}
-
-pub(crate) fn json_field_str(line: &str, key: &str) -> Option<String> {
-    let raw = json_field_raw(line, key)?;
-    let raw = raw.strip_prefix('"')?.strip_suffix('"')?;
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'u' => {
-                    let code: String = (&mut chars).take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&code, 16).ok()?)?);
-                }
-                _ => return None,
-            }
-        } else {
-            out.push(c);
-        }
+    let w = rows.iter().map(|(key, _)| key.len()).max().unwrap_or(0);
+    out.push_str(&format!("== {title} ==\n"));
+    if let Some(header) = header {
+        out.push_str(&format!("{:w$}  {header}\n", ""));
     }
-    Some(out)
-}
-
-pub(crate) fn json_field_u64(line: &str, key: &str) -> Option<u64> {
-    json_field_raw(line, key)?.parse().ok()
-}
-
-pub(crate) fn json_field_f64(line: &str, key: &str) -> Option<f64> {
-    json_field_raw(line, key)?.parse().ok()
+    for (key, text) in rows {
+        out.push_str(&format!("{key:w$}  {text}\n"));
+    }
 }
 
 #[cfg(test)]
@@ -354,7 +207,6 @@ mod tests {
         for v in [1_000u64, 2_000, 4_000, 8_000, 100_000] {
             h.record(v);
         }
-        r.record_span("produce", 0, 10);
         r.snapshot()
     }
 
@@ -365,7 +217,6 @@ mod tests {
         assert!(t.contains("rnic.cq.depth"));
         assert!(t.contains("kdclient.produce.e2e_ns"));
         assert!(t.contains("p99"));
-        assert!(t.contains("spans: 1 buffered, 0 dropped"));
     }
 
     #[test]
@@ -383,26 +234,15 @@ mod tests {
         let h = back.histogram("kdclient", "produce.e2e_ns").unwrap();
         assert_eq!(h.stats.count, 5);
         assert_eq!(h.stats.min, 1_000);
-        assert_eq!(back.spans_buffered, 1);
-        // Span summaries survive the wire round-trip.
-        let s = back.span("produce").expect("span summary row");
-        assert_eq!(s.count, 1);
-        assert_eq!(s.p50_ns, 10);
-        assert!(s.p99_ns >= s.p50_ns);
-    }
-
-    #[test]
-    fn table_renders_span_summaries() {
-        let t = sample_report().to_table();
-        assert!(t.contains("== spans (us) =="));
-        assert!(t.contains("produce"));
     }
 
     #[test]
     fn json_escaping_survives_quotes() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        let line = format!("{{\"kind\":\"counter\",\"component\":{},\"name\":{},\"value\":3}}", json_str("a\"b"), json_str("n"));
-        assert_eq!(json_field_str(&line, "component").as_deref(), Some("a\"b"));
+        let mut line = String::new();
+        Obj::new(&mut line).str("kind", "counter").str("component", "a\"b\\c\nd").line();
+        assert_eq!(line, "{\"kind\":\"counter\",\"component\":\"a\\\"b\\\\c\\nd\"}\n");
+        let f = json::lines(&line).next().flatten().unwrap();
+        assert_eq!(f.str("component").as_deref(), Some("a\"b\\c\nd"));
     }
 
     #[test]

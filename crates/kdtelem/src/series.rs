@@ -1,12 +1,18 @@
 //! Virtual-time time-series: a sampler task driven by the sim timer wheel
-//! periodically snapshots every registered counter/gauge/histogram into
-//! bounded per-metric rings.
+//! periodically cuts one point per registry entry into bounded per-metric
+//! rings.
 //!
 //! Counters become `(value, delta)` points (delta = increase since the last
 //! sample → windowed rates), gauges `(value, peak)`, histograms exact
-//! per-interval distributions via [`HistSnapshot::delta_since`] (p50/p99 of
-//! just that interval's samples). Rings are bounded: once full the oldest
-//! point is dropped and counted, so month-long soaks stay O(capacity).
+//! per-interval distributions (p50/p99 of just that interval's samples, by
+//! [`HistSnapshot::delta_quantile`] against the previous tick's buckets).
+//! Rings are bounded: once full the oldest point is dropped and counted, so
+//! month-long soaks stay O(capacity).
+//!
+//! A log samples one registry, and its slot *i* of a kind is that
+//! registry's entry *i* of the kind (entries are only appended), so a tick
+//! is a walk over both in step: no lookup and, past a slot's first tick, no
+//! allocation beyond ring growth.
 //!
 //! The sampler is a detached task; it records no trace events and never
 //! delays the workload's completion, so deterministic-replay digests (which
@@ -19,8 +25,8 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use crate::hist::HistSnapshot;
-use crate::registry::Registry;
-use crate::report::{json_field_str, json_field_u64, json_str};
+use crate::json::{self, Fields, Obj};
+use crate::registry::{counter_total, gauge_level, Key, Registry};
 
 /// Sampler configuration.
 #[derive(Debug, Clone, Copy)]
@@ -66,60 +72,94 @@ pub struct HistPoint {
     pub p99: u64,
 }
 
-type Key = (&'static str, &'static str);
-
-#[derive(Debug)]
-struct Ring<P> {
-    points: VecDeque<P>,
+/// A kind of point, as one JSON line of a dump.
+pub(crate) trait Point: Copy {
+    /// The line's `kind`.
+    const KIND: &'static str;
+    fn write<'a>(&self, o: Obj<'a>) -> Obj<'a>;
+    fn read(f: &Fields) -> Option<Self>;
 }
 
-impl<P> Ring<P> {
-    fn new() -> Self {
-        Ring {
-            points: VecDeque::new(),
-        }
+impl Point for CounterPoint {
+    const KIND: &'static str = "cpoint";
+
+    fn write<'a>(&self, o: Obj<'a>) -> Obj<'a> {
+        o.num("ts_ns", self.ts_ns).num("value", self.value).num("delta", self.delta)
     }
 
-    fn push(&mut self, cap: usize, p: P) -> bool {
-        let dropped = self.points.len() >= cap.max(1);
-        if dropped {
+    fn read(f: &Fields) -> Option<Self> {
+        let (ts_ns, value, delta) = (f.u64("ts_ns")?, f.u64("value")?, f.u64("delta")?);
+        Some(CounterPoint { ts_ns, value, delta })
+    }
+}
+
+impl Point for GaugePoint {
+    const KIND: &'static str = "gpoint";
+
+    fn write<'a>(&self, o: Obj<'a>) -> Obj<'a> {
+        o.num("ts_ns", self.ts_ns).num("value", self.value).num("peak", self.peak)
+    }
+
+    fn read(f: &Fields) -> Option<Self> {
+        let (ts_ns, value, peak) = (f.u64("ts_ns")?, f.u64("value")?, f.u64("peak")?);
+        Some(GaugePoint { ts_ns, value, peak })
+    }
+}
+
+impl Point for HistPoint {
+    const KIND: &'static str = "hpoint";
+
+    fn write<'a>(&self, o: Obj<'a>) -> Obj<'a> {
+        o.num("ts_ns", self.ts_ns)
+            .num("count", self.count)
+            .num("sum", self.sum)
+            .num("p50", self.p50)
+            .num("p99", self.p99)
+    }
+
+    fn read(f: &Fields) -> Option<Self> {
+        Some(HistPoint {
+            ts_ns: f.u64("ts_ns")?,
+            count: f.u64("count")?,
+            sum: f.u64("sum")?,
+            p50: f.u64("p50")?,
+            p99: f.u64("p99")?,
+        })
+    }
+}
+
+/// A registry entry's series as it records: its ring of points and what
+/// the next point is cut against (`L`).
+struct Slot<P, L> {
+    key: Key,
+    points: VecDeque<P>,
+    last: L,
+}
+
+/// Slot `i`, for entry `i` of `key`: created on first sight.
+fn slot<P, L>(
+    slots: &mut Vec<Slot<P, L>>,
+    i: usize,
+    key: Key,
+    last: impl FnOnce() -> L,
+) -> &mut Slot<P, L> {
+    if i == slots.len() {
+        slots.push(Slot { key, points: VecDeque::new(), last: last() });
+    }
+    debug_assert_eq!(slots[i].key, key, "a series log samples one registry");
+    &mut slots[i]
+}
+
+impl<P, L> Slot<P, L> {
+    /// Appends `p`; returns 1 if the ring was full and dropped its oldest.
+    fn push(&mut self, cap: usize, p: P) -> u64 {
+        let full = self.points.len() >= cap.max(1);
+        if full {
             self.points.pop_front();
         }
         self.points.push_back(p);
-        dropped
+        full as u64
     }
-}
-
-struct CounterSlot {
-    key: Key,
-    /// Aggregated value at the previous sample (delta baseline).
-    last: u64,
-    /// Per-tick accumulator: same-named cells sum here before the point is
-    /// cut. Zeroed at the start of every sample.
-    acc: u64,
-    ring: Ring<CounterPoint>,
-}
-
-struct GaugeSlot {
-    key: Key,
-    acc_value: u64,
-    acc_peak: u64,
-    ring: Ring<GaugePoint>,
-}
-
-struct HistSlot {
-    key: Key,
-    /// Aggregated buckets at the previous sample.
-    last: HistSnapshot,
-    /// Reusable per-tick scratch: cleared, re-accumulated from the live
-    /// cells, then swapped into `last`. No allocation in steady state.
-    cur: HistSnapshot,
-    /// Aggregated recording count seen this tick (phase 1); bucket work is
-    /// skipped entirely when it matches `last` — quiet histograms cost two
-    /// integer reads per tick, not a 976-bucket merge.
-    pending_count: u64,
-    active: bool,
-    ring: Ring<HistPoint>,
 }
 
 struct SeriesInner {
@@ -127,17 +167,11 @@ struct SeriesInner {
     samples: u64,
     dropped: u64,
     stopped: bool,
-    /// `Registry::id` the index maps below were built against; a different
-    /// registry invalidates them (cell order is per-registry).
-    registry_id: Option<usize>,
-    /// Registry cell index → slot index. Registry vecs are append-only, so
-    /// these stay valid and turn per-cell keyed searches into array reads.
-    counter_map: Vec<usize>,
-    gauge_map: Vec<usize>,
-    hist_map: Vec<usize>,
-    counters: Vec<CounterSlot>,
-    gauges: Vec<GaugeSlot>,
-    hists: Vec<HistSlot>,
+    /// Counter slots and each one's value at the previous sample.
+    counters: Vec<Slot<CounterPoint, u64>>,
+    gauges: Vec<Slot<GaugePoint, ()>>,
+    /// Histogram slots and each one's buckets at the previous sample.
+    histograms: Vec<Slot<HistPoint, HistSnapshot>>,
 }
 
 /// Handle to a recording time-series; cheap to clone. Create one directly
@@ -156,208 +190,57 @@ impl SeriesLog {
                 samples: 0,
                 dropped: 0,
                 stopped: false,
-                registry_id: None,
-                counter_map: Vec::new(),
-                gauge_map: Vec::new(),
-                hist_map: Vec::new(),
                 counters: Vec::new(),
                 gauges: Vec::new(),
-                hists: Vec::new(),
+                histograms: Vec::new(),
             })),
         }
     }
 
-    /// Takes one sample of every instrument in `registry` at the current
-    /// virtual time (timestamp 0 outside a runtime — tests sampling by hand).
-    ///
-    /// This is the per-tick hot path: it folds the live cells into reusable
-    /// per-key slots and allocates only on first sight of an instrument
-    /// (ring growth aside), so continuous sampling costs arithmetic, not
-    /// heap churn.
+    /// Takes one sample of every entry of `registry` — always the same
+    /// registry for one log — at the current virtual time (timestamp 0
+    /// outside a runtime: tests sampling by hand).
     pub fn sample_now(&self, registry: &Registry) {
         let ts_ns = sim::try_now().map(|t| t.as_nanos()).unwrap_or(0);
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         let cap = inner.opts.capacity;
         inner.samples += 1;
-        let mut dropped = 0u64;
-
-        // Cell order is per-registry; a swap invalidates the index caches.
-        if inner.registry_id != Some(registry.id()) {
-            inner.registry_id = Some(registry.id());
-            inner.counter_map.clear();
-            inner.gauge_map.clear();
-            inner.hist_map.clear();
+        let entries = registry.entries();
+        for (i, (key, cells)) in entries.counters.iter().enumerate() {
+            let value = counter_total(cells);
+            let s = slot(&mut inner.counters, i, *key, || 0);
+            let delta = value.saturating_sub(s.last);
+            s.last = value;
+            inner.dropped += s.push(cap, CounterPoint { ts_ns, value, delta });
         }
-
-        for s in inner.counters.iter_mut() {
-            s.acc = 0;
+        for (i, (key, cells)) in entries.gauges.iter().enumerate() {
+            let (value, peak) = gauge_level(cells);
+            let s = slot(&mut inner.gauges, i, *key, || ());
+            inner.dropped += s.push(cap, GaugePoint { ts_ns, value, peak });
         }
-        {
-            let counters = &mut inner.counters;
-            let map = &mut inner.counter_map;
-            let mut i = 0usize;
-            registry.fold_counters(|key, v| {
-                if i >= map.len() {
-                    // New cell since last tick: find or create its slot once.
-                    let slot = match counters.iter().position(|s| s.key == key) {
-                        Some(p) => p,
-                        None => {
-                            counters.push(CounterSlot {
-                                key,
-                                last: 0,
-                                acc: 0,
-                                ring: Ring::new(),
-                            });
-                            counters.len() - 1
-                        }
-                    };
-                    map.push(slot);
+        for (i, (key, h)) in entries.histograms.iter().enumerate() {
+            let s = slot(&mut inner.histograms, i, *key, HistSnapshot::empty);
+            let point = h.with_data(|now| {
+                let last = &mut s.last;
+                // An unchanged count means no recordings this interval: the
+                // point is empty without a walk of the buckets.
+                if now.count() == last.count() {
+                    return HistPoint { ts_ns, count: 0, sum: 0, p50: 0, p99: 0 };
                 }
-                counters[map[i]].acc += v;
-                i += 1;
-            });
-        }
-        for s in inner.counters.iter_mut() {
-            let delta = s.acc.saturating_sub(s.last);
-            s.last = s.acc;
-            if s.ring.push(
-                cap,
-                CounterPoint {
+                let point = HistPoint {
                     ts_ns,
-                    value: s.acc,
-                    delta,
-                },
-            ) {
-                dropped += 1;
-            }
-        }
-
-        for s in inner.gauges.iter_mut() {
-            s.acc_value = 0;
-            s.acc_peak = 0;
-        }
-        {
-            let gauges = &mut inner.gauges;
-            let map = &mut inner.gauge_map;
-            let mut i = 0usize;
-            registry.fold_gauges(|key, value, peak| {
-                if i >= map.len() {
-                    let slot = match gauges.iter().position(|s| s.key == key) {
-                        Some(p) => p,
-                        None => {
-                            gauges.push(GaugeSlot {
-                                key,
-                                acc_value: 0,
-                                acc_peak: 0,
-                                ring: Ring::new(),
-                            });
-                            gauges.len() - 1
-                        }
-                    };
-                    map.push(slot);
-                }
-                let s = &mut gauges[map[i]];
-                s.acc_value += value;
-                s.acc_peak = s.acc_peak.max(peak);
-                i += 1;
+                    count: now.count().saturating_sub(last.count()),
+                    sum: now.sum().saturating_sub(last.sum()),
+                    p50: now.delta_quantile(last, 0.50),
+                    p99: now.delta_quantile(last, 0.99),
+                };
+                last.clear();
+                last.merge_from(now);
+                point
             });
+            inner.dropped += s.push(cap, point);
         }
-        for s in inner.gauges.iter_mut() {
-            if s.ring.push(
-                cap,
-                GaugePoint {
-                    ts_ns,
-                    value: s.acc_value,
-                    peak: s.acc_peak,
-                },
-            ) {
-                dropped += 1;
-            }
-        }
-
-        // Histograms in three passes. Phase 1: aggregate recording counts
-        // (two integer reads per cell). A slot whose count is unchanged had
-        // no recordings this interval — its point is empty by construction
-        // and the bucket merge is skipped.
-        for s in inner.hists.iter_mut() {
-            s.pending_count = 0;
-        }
-        {
-            let hists = &mut inner.hists;
-            let map = &mut inner.hist_map;
-            let mut i = 0usize;
-            registry.fold_histograms(|key, h| {
-                if i >= map.len() {
-                    let slot = match hists.iter().position(|s| s.key == key) {
-                        Some(p) => p,
-                        None => {
-                            hists.push(HistSlot {
-                                key,
-                                last: HistSnapshot::empty(),
-                                cur: HistSnapshot::empty(),
-                                pending_count: 0,
-                                active: false,
-                                ring: Ring::new(),
-                            });
-                            hists.len() - 1
-                        }
-                    };
-                    map.push(slot);
-                }
-                hists[map[i]].pending_count += h.count();
-                i += 1;
-            });
-        }
-        for s in inner.hists.iter_mut() {
-            s.active = s.pending_count != s.last.count();
-            if s.active {
-                s.cur.clear();
-            }
-        }
-        // Phase 2: merge buckets for active slots only.
-        {
-            let hists = &mut inner.hists;
-            let map = &inner.hist_map;
-            let mut i = 0usize;
-            registry.fold_histograms(|_, h| {
-                let s = &mut hists[map[i]];
-                if s.active {
-                    h.merge_into(&mut s.cur);
-                }
-                i += 1;
-            });
-        }
-        // Phase 3: cut the interval point and roll `cur` into `last`.
-        for s in inner.hists.iter_mut() {
-            let (count, sum, p50, p99) = if s.active {
-                (
-                    s.cur.count().saturating_sub(s.last.count()),
-                    s.cur.sum().saturating_sub(s.last.sum()),
-                    s.cur.delta_quantile(&s.last, 0.50),
-                    s.cur.delta_quantile(&s.last, 0.99),
-                )
-            } else {
-                (0, 0, 0, 0)
-            };
-            if s.ring.push(
-                cap,
-                HistPoint {
-                    ts_ns,
-                    count,
-                    sum,
-                    p50,
-                    p99,
-                },
-            ) {
-                dropped += 1;
-            }
-            if s.active {
-                std::mem::swap(&mut s.last, &mut s.cur);
-            }
-        }
-
-        inner.dropped += dropped;
     }
 
     /// Stops the driving sampler task at its next tick.
@@ -380,48 +263,31 @@ impl SeriesLog {
     }
 
     /// Owned copy of everything recorded so far, sorted by key for stable
-    /// output (slots accumulate in first-seen order).
+    /// output.
     pub fn dump(&self) -> SeriesDump {
         let inner = self.inner.borrow();
-        let mut counters: Vec<CounterSeries> = inner
-            .counters
-            .iter()
-            .map(|s| CounterSeries {
-                component: s.key.0.to_string(),
-                name: s.key.1.to_string(),
-                points: s.ring.points.iter().copied().collect(),
-            })
-            .collect();
-        let mut gauges: Vec<GaugeSeries> = inner
-            .gauges
-            .iter()
-            .map(|s| GaugeSeries {
-                component: s.key.0.to_string(),
-                name: s.key.1.to_string(),
-                points: s.ring.points.iter().copied().collect(),
-            })
-            .collect();
-        let mut histograms: Vec<HistSeries> = inner
-            .hists
-            .iter()
-            .map(|s| HistSeries {
-                component: s.key.0.to_string(),
-                name: s.key.1.to_string(),
-                points: s.ring.points.iter().copied().collect(),
-            })
-            .collect();
-        counters.sort_by(|a, b| (&a.component, &a.name).cmp(&(&b.component, &b.name)));
-        gauges.sort_by(|a, b| (&a.component, &a.name).cmp(&(&b.component, &b.name)));
-        histograms.sort_by(|a, b| (&a.component, &a.name).cmp(&(&b.component, &b.name)));
         SeriesDump {
             interval_ns: inner.opts.interval.as_nanos() as u64,
             samples: inner.samples,
             dropped: inner.dropped,
-            counters,
-            gauges,
-            histograms,
+            counters: series(&inner.counters),
+            gauges: series(&inner.gauges),
+            histograms: series(&inner.histograms),
         }
     }
+}
+
+fn series<P: Copy, L>(slots: &[Slot<P, L>]) -> Vec<Series<P>> {
+    let mut slots: Vec<_> = slots.iter().collect();
+    slots.sort_by_key(|s| s.key);
+    slots
+        .into_iter()
+        .map(|s| Series {
+            component: s.key.0.to_string(),
+            name: s.key.1.to_string(),
+            points: s.points.iter().copied().collect(),
+        })
+        .collect()
 }
 
 /// Spawns the sampling task. Must be called inside `block_on`.
@@ -449,35 +315,23 @@ impl Sampler {
     }
 }
 
-/// One counter's recorded points.
+/// One instrument's recorded points.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterSeries {
+pub struct Series<P> {
     pub component: String,
     pub name: String,
-    pub points: Vec<CounterPoint>,
+    pub points: Vec<P>,
 }
+
+pub type CounterSeries = Series<CounterPoint>;
+pub type GaugeSeries = Series<GaugePoint>;
+pub type HistSeries = Series<HistPoint>;
 
 impl CounterSeries {
     /// Per-interval increases, oldest first.
     pub fn deltas(&self) -> Vec<u64> {
         self.points.iter().map(|p| p.delta).collect()
     }
-}
-
-/// One gauge's recorded points.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GaugeSeries {
-    pub component: String,
-    pub name: String,
-    pub points: Vec<GaugePoint>,
-}
-
-/// One histogram's recorded interval points.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistSeries {
-    pub component: String,
-    pub name: String,
-    pub points: Vec<HistPoint>,
 }
 
 /// An owned, exportable time-series dump (the wire/file format of a
@@ -492,165 +346,80 @@ pub struct SeriesDump {
     pub histograms: Vec<HistSeries>,
 }
 
+fn find<'a, P>(list: &'a [Series<P>], component: &str, name: &str) -> Option<&'a Series<P>> {
+    list.iter().find(|s| s.component == component && s.name == name)
+}
+
 impl SeriesDump {
     pub fn counter(&self, component: &str, name: &str) -> Option<&CounterSeries> {
-        self.counters
-            .iter()
-            .find(|s| s.component == component && s.name == name)
+        find(&self.counters, component, name)
     }
 
     pub fn gauge(&self, component: &str, name: &str) -> Option<&GaugeSeries> {
-        self.gauges
-            .iter()
-            .find(|s| s.component == component && s.name == name)
+        find(&self.gauges, component, name)
     }
 
     pub fn histogram(&self, component: &str, name: &str) -> Option<&HistSeries> {
-        self.histograms
-            .iter()
-            .find(|s| s.component == component && s.name == name)
+        find(&self.histograms, component, name)
     }
 
     /// Serialises as JSON lines: one `series` header object, then one object
     /// per point. Safe to `>` into `results/` and parse with any JSON reader.
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"kind\":\"series\",\"interval_ns\":{},\"samples\":{},\"dropped\":{}}}\n",
-            self.interval_ns, self.samples, self.dropped
-        ));
-        for s in &self.counters {
-            for p in &s.points {
-                out.push_str(&format!(
-                    "{{\"kind\":\"cpoint\",\"component\":{},\"name\":{},\"ts_ns\":{},\"value\":{},\"delta\":{}}}\n",
-                    json_str(&s.component),
-                    json_str(&s.name),
-                    p.ts_ns,
-                    p.value,
-                    p.delta
-                ));
-            }
-        }
-        for s in &self.gauges {
-            for p in &s.points {
-                out.push_str(&format!(
-                    "{{\"kind\":\"gpoint\",\"component\":{},\"name\":{},\"ts_ns\":{},\"value\":{},\"peak\":{}}}\n",
-                    json_str(&s.component),
-                    json_str(&s.name),
-                    p.ts_ns,
-                    p.value,
-                    p.peak
-                ));
-            }
-        }
-        for s in &self.histograms {
-            for p in &s.points {
-                out.push_str(&format!(
-                    "{{\"kind\":\"hpoint\",\"component\":{},\"name\":{},\"ts_ns\":{},\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{}}}\n",
-                    json_str(&s.component),
-                    json_str(&s.name),
-                    p.ts_ns,
-                    p.count,
-                    p.sum,
-                    p.p50,
-                    p.p99
-                ));
-            }
-        }
+        Obj::new(&mut out)
+            .str("kind", "series")
+            .num("interval_ns", self.interval_ns)
+            .num("samples", self.samples)
+            .num("dropped", self.dropped)
+            .line();
+        write_points(&mut out, &self.counters);
+        write_points(&mut out, &self.gauges);
+        write_points(&mut out, &self.histograms);
         out
     }
 
-    /// Parses the output of [`to_json_lines`]. Series keep first-seen order.
+    /// Parses the output of [`to_json_lines`](SeriesDump::to_json_lines).
+    /// Series keep first-seen order.
     pub fn from_json_lines(text: &str) -> Option<SeriesDump> {
         let mut dump = SeriesDump::default();
         let mut saw_header = false;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let kind = json_field_str(line, "kind")?;
-            match kind.as_str() {
+        for f in json::lines(text) {
+            let f = f?;
+            match f.str("kind")?.as_str() {
                 "series" => {
                     saw_header = true;
-                    dump.interval_ns = json_field_u64(line, "interval_ns")?;
-                    dump.samples = json_field_u64(line, "samples")?;
-                    dump.dropped = json_field_u64(line, "dropped")?;
+                    dump.interval_ns = f.u64("interval_ns")?;
+                    dump.samples = f.u64("samples")?;
+                    dump.dropped = f.u64("dropped")?;
                 }
-                "cpoint" => {
-                    let component = json_field_str(line, "component")?;
-                    let name = json_field_str(line, "name")?;
-                    let point = CounterPoint {
-                        ts_ns: json_field_u64(line, "ts_ns")?,
-                        value: json_field_u64(line, "value")?,
-                        delta: json_field_u64(line, "delta")?,
-                    };
-                    match dump
-                        .counters
-                        .iter_mut()
-                        .find(|s| s.component == component && s.name == name)
-                    {
-                        Some(s) => s.points.push(point),
-                        None => dump.counters.push(CounterSeries {
-                            component,
-                            name,
-                            points: vec![point],
-                        }),
-                    }
-                }
-                "gpoint" => {
-                    let component = json_field_str(line, "component")?;
-                    let name = json_field_str(line, "name")?;
-                    let point = GaugePoint {
-                        ts_ns: json_field_u64(line, "ts_ns")?,
-                        value: json_field_u64(line, "value")?,
-                        peak: json_field_u64(line, "peak")?,
-                    };
-                    match dump
-                        .gauges
-                        .iter_mut()
-                        .find(|s| s.component == component && s.name == name)
-                    {
-                        Some(s) => s.points.push(point),
-                        None => dump.gauges.push(GaugeSeries {
-                            component,
-                            name,
-                            points: vec![point],
-                        }),
-                    }
-                }
-                "hpoint" => {
-                    let component = json_field_str(line, "component")?;
-                    let name = json_field_str(line, "name")?;
-                    let point = HistPoint {
-                        ts_ns: json_field_u64(line, "ts_ns")?,
-                        count: json_field_u64(line, "count")?,
-                        sum: json_field_u64(line, "sum")?,
-                        p50: json_field_u64(line, "p50")?,
-                        p99: json_field_u64(line, "p99")?,
-                    };
-                    match dump
-                        .histograms
-                        .iter_mut()
-                        .find(|s| s.component == component && s.name == name)
-                    {
-                        Some(s) => s.points.push(point),
-                        None => dump.histograms.push(HistSeries {
-                            component,
-                            name,
-                            points: vec![point],
-                        }),
-                    }
-                }
+                CounterPoint::KIND => read_point(&mut dump.counters, &f)?,
+                GaugePoint::KIND => read_point(&mut dump.gauges, &f)?,
+                HistPoint::KIND => read_point(&mut dump.histograms, &f)?,
                 _ => return None,
             }
         }
-        if saw_header {
-            Some(dump)
-        } else {
-            None
+        saw_header.then_some(dump)
+    }
+}
+
+fn write_points<P: Point>(out: &mut String, list: &[Series<P>]) {
+    for s in list {
+        for p in &s.points {
+            let o = Obj::new(out).str("kind", P::KIND).str("component", &s.component);
+            p.write(o.str("name", &s.name)).line();
         }
     }
+}
+
+fn read_point<P: Point>(list: &mut Vec<Series<P>>, f: &Fields) -> Option<()> {
+    let (component, name) = (f.str("component")?, f.str("name")?);
+    let point = P::read(f)?;
+    match list.iter_mut().find(|s| s.component == component && s.name == name) {
+        Some(s) => s.points.push(point),
+        None => list.push(Series { component, name, points: vec![point] }),
+    }
+    Some(())
 }
 
 #[cfg(test)]

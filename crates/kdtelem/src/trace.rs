@@ -91,20 +91,80 @@ pub enum EventKind {
     },
 }
 
+/// How an event shows in a Chrome trace: a span's begin or end, or an
+/// instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    Begin,
+    End,
+    Instant,
+}
+
+/// One payload field of an event, as the digest folds it and the Chrome
+/// export writes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Field {
+    Num(u64),
+    Flag(bool),
+    Text(&'static str),
+    /// A parent span id: canonicalised by the digest like the event's own.
+    Parent(u64),
+}
+
+/// One row of [`EventKind`]'s variant table: digest tag, name (the span's,
+/// for spans), phase, and payload fields in digest and export order.
+pub(crate) type Row<'a> = (u64, &'static str, Phase, &'a [(&'static str, Field)]);
+
 impl EventKind {
-    /// Short display name used by the Chrome exporter.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::SpanBegin { name, .. } | EventKind::SpanEnd { name } => name,
-            EventKind::WqePosted { .. } => "WqePosted",
-            EventKind::PacketEnqueued { .. } => "PacketEnqueued",
-            EventKind::PacketDelivered { .. } => "PacketDelivered",
-            EventKind::Completion { .. } => "Completion",
-            EventKind::CpuCopy { .. } => "CpuCopy",
-            EventKind::Commit { .. } => "Commit",
-            EventKind::ReplAck { .. } => "ReplAck",
-            EventKind::FetchServed { .. } => "FetchServed",
-        }
+    /// Hands `f` this kind's row of the one table of variants.
+    pub(crate) fn with_row<R>(&self, f: impl FnOnce(Row<'_>) -> R) -> R {
+        use EventKind::*;
+        use Field::{Flag, Num, Parent, Text};
+        use Phase::{Begin, End, Instant};
+        let row: Row<'_> = match *self {
+            SpanBegin { name, parent } => (1, name, Begin, &[("parent", Parent(parent))]),
+            SpanEnd { name } => (2, name, End, &[]),
+            WqePosted { qpn, ticket } => {
+                (3, "WqePosted", Instant, &[("qpn", Num(qpn.into())), ("ticket", Num(ticket))])
+            }
+            PacketEnqueued { node, egress, bytes, queue_ns } => (4, "PacketEnqueued", Instant, &[
+                ("node", Num(node.into())),
+                ("egress", Flag(egress)),
+                ("bytes", Num(bytes)),
+                ("queue_ns", Num(queue_ns)),
+            ]),
+            PacketDelivered { node, egress, bytes } => (5, "PacketDelivered", Instant, &[
+                ("node", Num(node.into())),
+                ("egress", Flag(egress)),
+                ("bytes", Num(bytes)),
+            ]),
+            Completion { qpn, ticket, opcode, ok } => (6, "Completion", Instant, &[
+                ("qpn", Num(qpn.into())),
+                ("ticket", Num(ticket)),
+                ("opcode", Text(opcode)),
+                ("ok", Flag(ok)),
+            ]),
+            CpuCopy { site, bytes } => {
+                (7, "CpuCopy", Instant, &[("site", Text(site)), ("bytes", Num(bytes))])
+            }
+            Commit { stream, base_offset, next_offset } => (8, "Commit", Instant, &[
+                ("stream", Num(stream)),
+                ("base_offset", Num(base_offset)),
+                ("next_offset", Num(next_offset)),
+            ]),
+            ReplAck { stream, offset } => {
+                (9, "ReplAck", Instant, &[("stream", Num(stream)), ("offset", Num(offset))])
+            }
+            FetchServed { stream, start_offset, next_offset, bytes } => {
+                (10, "FetchServed", Instant, &[
+                    ("stream", Num(stream)),
+                    ("start_offset", Num(start_offset)),
+                    ("next_offset", Num(next_offset)),
+                    ("bytes", Num(bytes)),
+                ])
+            }
+        };
+        f(row)
     }
 }
 
@@ -129,125 +189,62 @@ pub struct TraceEvent {
 /// lifelines doing identical things at identical virtual times; any
 /// divergence in event order, timing, or payload changes the digest.
 pub fn canonical_trace_digest(events: &[TraceEvent]) -> u64 {
-    let mut ids: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    let mut next = 1u64;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let fold = |h: &mut u64, v: u64| {
-        for b in v.to_le_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    let mut ids = std::collections::HashMap::new();
+    let mut canon = |raw: u64| {
+        let next = ids.len() as u64 + 1;
+        *ids.entry(raw).or_insert(next)
     };
-    let fold_str = |h: &mut u64, s: &str| {
-        for &b in s.as_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        *h ^= 0xff;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    fold(&mut h, events.len() as u64);
+    let mut h = Fnv::new();
+    h.u64(events.len() as u64);
     for e in events {
-        for raw in [e.trace_id, e.span_id] {
-            let canon = *ids.entry(raw).or_insert_with(|| {
-                let id = next;
-                next += 1;
-                id
-            });
-            fold(&mut h, canon);
-        }
-        fold(&mut h, e.ts_ns);
-        match e.kind {
-            EventKind::SpanBegin { name, parent } => {
-                fold(&mut h, 1);
-                fold_str(&mut h, name);
-                // Parent span ids are canonicalized through the same map so
-                // parent/child structure survives renumbering (0 = root).
-                let p = if parent == 0 {
-                    0
-                } else {
-                    *ids.entry(parent).or_insert_with(|| {
-                        let id = next;
-                        next += 1;
-                        id
-                    })
-                };
-                fold(&mut h, p);
+        h.u64(canon(e.trace_id));
+        h.u64(canon(e.span_id));
+        h.u64(e.ts_ns);
+        e.kind.with_row(|(tag, name, phase, fields)| {
+            h.u64(tag);
+            if phase != Phase::Instant {
+                h.str(name);
             }
-            EventKind::SpanEnd { name } => {
-                fold(&mut h, 2);
-                fold_str(&mut h, name);
+            for &(_, field) in fields {
+                match field {
+                    Field::Num(v) => h.u64(v),
+                    Field::Flag(b) => h.u64(b as u64),
+                    Field::Text(s) => h.str(s),
+                    // Parents go through the same renumbering (0 = a root).
+                    Field::Parent(p) => h.u64(if p == 0 { 0 } else { canon(p) }),
+                }
             }
-            EventKind::WqePosted { qpn, ticket } => {
-                fold(&mut h, 3);
-                fold(&mut h, qpn as u64);
-                fold(&mut h, ticket);
-            }
-            EventKind::PacketEnqueued {
-                node,
-                egress,
-                bytes,
-                queue_ns,
-            } => {
-                fold(&mut h, 4);
-                fold(&mut h, node as u64);
-                fold(&mut h, egress as u64);
-                fold(&mut h, bytes);
-                fold(&mut h, queue_ns);
-            }
-            EventKind::PacketDelivered { node, egress, bytes } => {
-                fold(&mut h, 5);
-                fold(&mut h, node as u64);
-                fold(&mut h, egress as u64);
-                fold(&mut h, bytes);
-            }
-            EventKind::Completion {
-                qpn,
-                ticket,
-                opcode,
-                ok,
-            } => {
-                fold(&mut h, 6);
-                fold(&mut h, qpn as u64);
-                fold(&mut h, ticket);
-                fold_str(&mut h, opcode);
-                fold(&mut h, ok as u64);
-            }
-            EventKind::CpuCopy { site, bytes } => {
-                fold(&mut h, 7);
-                fold_str(&mut h, site);
-                fold(&mut h, bytes);
-            }
-            EventKind::Commit {
-                stream,
-                base_offset,
-                next_offset,
-            } => {
-                fold(&mut h, 8);
-                fold(&mut h, stream);
-                fold(&mut h, base_offset);
-                fold(&mut h, next_offset);
-            }
-            EventKind::ReplAck { stream, offset } => {
-                fold(&mut h, 9);
-                fold(&mut h, stream);
-                fold(&mut h, offset);
-            }
-            EventKind::FetchServed {
-                stream,
-                start_offset,
-                next_offset,
-                bytes,
-            } => {
-                fold(&mut h, 10);
-                fold(&mut h, stream);
-                fold(&mut h, start_offset);
-                fold(&mut h, next_offset);
-                fold(&mut h, bytes);
-            }
+        });
+    }
+    h.0
+}
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a, a byte at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
-    h
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A string and a terminator, so adjacent strings cannot run together.
+    fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+        self.bytes(&[0xff]);
+    }
 }
 
 /// Stable identifier for one partition's record stream, used to correlate
@@ -255,13 +252,9 @@ pub fn canonical_trace_digest(events: &[TraceEvent]) -> u64 {
 /// consumer's fetch is a different trace than the producer's commit).
 /// FNV-1a over the topic bytes mixed with the partition index.
 pub fn stream_key(topic: &str, partition: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in topic.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^= partition as u64;
-    h.wrapping_mul(0x0000_0100_0000_01b3)
+    let mut h = Fnv::new();
+    h.bytes(topic.as_bytes());
+    (h.0 ^ partition as u64).wrapping_mul(FNV_PRIME)
 }
 
 thread_local! {

@@ -164,6 +164,20 @@ if grep -rnE "SegmentStore|MemStore|StorageMode|RetentionConfig|physical_fsync|a
     exit 1
 fi
 
+# kdtelem says each thing once (DESIGN.md §8): every dump reads back through
+# one JSON codec — hostile names round-trip, 20 000 mutated dumps read as
+# themselves or not at all, within an allocation bound — and the metric
+# inventory table is what a run registers. Then the re-fork guard: a span is
+# its trace events and its duration a histogram (no span ring or guard), a
+# histogram is one bucket array, and a parsed name is owned, not leaked.
+cargo test -q --offline -p kdtelem --test hostile_json
+cargo test -q --offline --test telemetry metric_inventory_matches_design
+if grep -rnE "SpanGuard|drain_spans|record_span|with_span_capacity|struct HistData|Box::leak" \
+    crates/ tests/ examples/; then
+    echo "ci: a deleted kdtelem fork (classic spans, HistData, a leaked name) reappeared (see DESIGN.md §8)" >&2
+    exit 1
+fi
+
 # Work-request engine gates: the NIC model must not grow a per-WR task
 # again — no spawn on the post path of qp.rs (connection-manager and test
 # spawns live elsewhere) — and its executor-poll budget must hold: 10 000

@@ -597,7 +597,7 @@ async fn fanin_client(cluster: &SimCluster, leaders: &[kdwire::BrokerAddr], i: u
 fn parked_client_footprint() {
     const CLIENTS: usize = 1000;
     const BUDGET: i64 = 9_900;
-    let registry = kdtelem::Registry::with_span_capacity(256);
+    let registry = kdtelem::Registry::new();
     let _telem = kdtelem::enter(&registry);
     sim::Runtime::new().block_on(async move {
         let (cluster, leaders) = fanin_cluster(&registry).await;

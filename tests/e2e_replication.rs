@@ -274,6 +274,37 @@ async fn one_credit_pair() -> OneCreditPair {
     OneCreditPair { fabric, cfg, peers, nodes, brokers, leader }
 }
 
+impl OneCreditPair {
+    fn leader_broker(&self) -> &kafkadirect::Broker {
+        &self.brokers[1 - self.follower()]
+    }
+
+    fn follower(&self) -> usize {
+        self.brokers.iter().position(|b| b.addr().node != self.leader.node).unwrap()
+    }
+
+    /// Starts the crashed follower again on its node with what its "disk"
+    /// kept, under the metadata the leader still holds.
+    fn restart_follower(&self) -> kafkadirect::Broker {
+        let fi = self.follower();
+        let (cfg, peers) = (self.cfg.clone(), self.peers.clone());
+        let fresh = kafkadirect::Broker::start(&self.nodes[fi], cfg, peers);
+        let topic = self.leader_broker().inner().store.topic_meta("t").unwrap();
+        let pm = &topic.partitions[0];
+        for (tp, bufs) in self.brokers[fi].durable_state() {
+            fresh.install_recovered(
+                tp.topic.as_str(),
+                tp.partition,
+                pm.epoch,
+                pm.leader,
+                pm.replicas.clone(),
+                bufs,
+            );
+        }
+        fresh
+    }
+}
+
 /// Push replication remains correct with the minimum credit window: the
 /// leader strictly alternates write → credit-return (§4.3.2 flow control at
 /// its tightest).
@@ -317,42 +348,27 @@ fn push_loop_parked_on_credits_survives_a_follower_restart() {
     use std::time::Duration;
     let rt = sim::Runtime::new();
     rt.block_on(async {
-        let OneCreditPair { fabric, cfg, peers, nodes, brokers, leader } = one_credit_pair().await;
-        let li = brokers.iter().position(|b| b.addr().node == leader.node).unwrap();
-        let fi = 1 - li;
-        let cnode = fabric.add_node("client");
-        let mut producer = RdmaProducer::connect(&cnode, leader, "t", 0, false)
+        let pair = one_credit_pair().await;
+        let (leader, follower) = (pair.leader_broker(), &pair.brokers[pair.follower()]);
+        let cnode = pair.fabric.add_node("client");
+        let mut producer = RdmaProducer::connect(&cnode, pair.leader, "t", 0, false)
             .await
             .unwrap();
         // One replicated record first, so the push session exists.
         assert_eq!(producer.send(&Record::value(vec![0; 700])).await.unwrap(), 0);
-        let pushed = brokers[li].metrics().push_writes;
+        let pushed = leader.metrics().push_writes;
         // Two pipelined produces, too large to share one push write: pushing
         // the first takes the only credit, the second parks the push loop on
         // the semaphore. The follower dies as the first write is posted.
         let first = producer.send_pipelined(&Record::value(vec![1; 700])).await.unwrap();
         let second = producer.send_pipelined(&Record::value(vec![2; 700])).await.unwrap();
-        while brokers[li].metrics().push_writes == pushed {
+        while leader.metrics().push_writes == pushed {
             sim::time::sleep(Duration::from_nanos(100)).await;
         }
-        brokers[fi].crash();
+        follower.crash();
         sim::time::sleep(Duration::from_millis(5)).await;
 
-        // The follower comes back on its node with what its "disk" kept,
-        // under the metadata the leader still holds.
-        let fresh = kafkadirect::Broker::start(&nodes[fi], cfg, peers);
-        let topic = brokers[li].inner().store.topic_meta("t").unwrap();
-        let pm = &topic.partitions[0];
-        for (tp, bufs) in brokers[fi].durable_state() {
-            fresh.install_recovered(
-                tp.topic.as_str(),
-                tp.partition,
-                pm.epoch,
-                pm.leader,
-                pm.replicas.clone(),
-                bufs,
-            );
-        }
+        let fresh = pair.restart_follower();
 
         for (ack, offset) in [(first, 1), (second, 2)] {
             let ack = sim::time::timeout(Duration::from_millis(500), ack).await;
@@ -364,5 +380,44 @@ fn push_loop_parked_on_credits_survives_a_follower_restart() {
         sim::time::sleep(Duration::from_millis(1)).await;
         let tp = kdstorage::TopicPartition::new("t", 0);
         assert_eq!(fresh.inner().store.get(&tp).unwrap().log.next_offset(), 3);
+    });
+}
+
+/// A follower that dies while the leader's push loop waits for new bytes —
+/// everything committed is posted, and that last write is in flight — must
+/// not strand the loop until the next produce: a session that dies with a
+/// write unacknowledged is re-established at once, the grant of the
+/// restarted follower rewinds the cursor to what it kept, and the acks=all
+/// produce parked on the high watermark completes.
+#[test]
+fn push_loop_parked_on_bytes_survives_a_follower_restart() {
+    use std::time::Duration;
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let pair = one_credit_pair().await;
+        let (leader, follower) = (pair.leader_broker(), &pair.brokers[pair.follower()]);
+        let cnode = pair.fabric.add_node("client");
+        let mut producer = RdmaProducer::connect(&cnode, pair.leader, "t", 0, false)
+            .await
+            .unwrap();
+        assert_eq!(producer.send(&Record::value(vec![0; 700])).await.unwrap(), 0);
+        let pushed = leader.metrics().push_writes;
+        // One pipelined produce and nothing after it: once its push write is
+        // posted the loop has no bytes left to push. The follower dies as
+        // that write is posted.
+        let ack = producer.send_pipelined(&Record::value(vec![1; 700])).await.unwrap();
+        while leader.metrics().push_writes == pushed {
+            sim::time::sleep(Duration::from_nanos(100)).await;
+        }
+        follower.crash();
+        sim::time::sleep(Duration::from_millis(5)).await;
+        let fresh = pair.restart_follower();
+
+        let ack = sim::time::timeout(Duration::from_millis(500), ack).await;
+        let ack = ack.expect("the produce is acknowledged once re-replicated");
+        assert_eq!(ack.unwrap(), (kdwire::ErrorCode::None, 1));
+        sim::time::sleep(Duration::from_millis(1)).await;
+        let tp = kdstorage::TopicPartition::new("t", 0);
+        assert_eq!(fresh.inner().store.get(&tp).unwrap().log.next_offset(), 2);
     });
 }

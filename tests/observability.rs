@@ -45,7 +45,6 @@ fn crash_soak_series_shows_dip_recovery_and_finite_mttr() {
             WatchdogOptions {
                 poll: Duration::from_micros(50),
                 budget: Duration::from_micros(150),
-                ..Default::default()
             },
         );
 
@@ -235,7 +234,6 @@ fn observe_rpc_round_trips_series_health_and_repl_lag() {
             ClusterOptions {
                 observe: Some(ObserveConfig {
                     sample_interval: Duration::from_micros(100),
-                    ..Default::default()
                 }),
                 ..Default::default()
             },

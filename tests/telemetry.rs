@@ -7,9 +7,12 @@
 //!   broker-CPU copy (`heap_copied_bytes == 0`), while the TCP path does.
 //! * The report survives the admin wire path (`Request::Telemetry`) as
 //!   JSON lines.
+//! * DESIGN.md §8's metric inventory is exactly what a run registers.
 
-use kafkadirect::{SimCluster, SystemKind};
-use kdclient::{ClientTransport, RdmaConsumer, RdmaProducer, TcpProducer};
+use std::collections::BTreeSet;
+
+use kafkadirect::{ClusterOptions, ObserveConfig, RdmaToggles, SimCluster, SystemKind};
+use kdclient::{ClientTransport, RdmaConsumer, RdmaProducer, TcpConsumer, TcpProducer};
 use kdstorage::Record;
 
 /// Runs `f` under a private telemetry registry and returns that registry.
@@ -75,17 +78,33 @@ fn e2e_run_exports_critical_path_percentiles() {
     assert!(commit.stats.count > 0);
     assert!(commit.stats.mean < e2e.stats.mean, "service >= e2e latency");
 
-    // Spans of every stage landed in the ring.
-    let spans = registry.drain_spans();
-    for want in ["client.produce", "broker.rdma_commit", "broker.replicate.push", "client.fetch"] {
-        assert!(
-            spans.iter().any(|s| s.name == want),
-            "span {want} missing (got {:?})",
-            spans.iter().map(|s| s.name).collect::<std::collections::BTreeSet<_>>()
-        );
+    // Every stage left its lifeline events in the trace: a span for the
+    // produce, the commit and the fetch, and a replication ack for the push
+    // write (a lifeline of its own, rooted without a span) ...
+    let events = registry.drain_trace_events();
+    let begun: std::collections::BTreeSet<&str> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            kdtelem::EventKind::SpanBegin { name, .. } => Some(name),
+            _ => None,
+        })
+        .collect();
+    for want in ["client.produce", "broker.rdma_commit", "client.fetch"] {
+        assert!(begun.contains(want), "span {want} missing (got {begun:?})");
     }
-    // Spans carry real virtual-time intervals.
-    assert!(spans.iter().all(|s| s.end_ns >= s.start_ns));
+    assert!(
+        events.iter().any(|e| matches!(e.kind, kdtelem::EventKind::ReplAck { .. })),
+        "no replication ack in the trace"
+    );
+    // ... and its duration in its histogram.
+    for (component, name) in [
+        ("kdclient", "produce.e2e_ns"),
+        ("kdbroker", "rdma.commit_ns"),
+        ("kdbroker", "repl.replicate_ns"),
+        ("kdclient", "fetch.e2e_ns"),
+    ] {
+        assert!(report.histogram(component, name).unwrap().stats.count > 0, "{component}.{name}");
+    }
 }
 
 /// §4.2.2: the RDMA produce path is zero-copy on the broker — asserted via
@@ -201,4 +220,104 @@ fn net_busy_time_is_accounted() {
         });
     });
     assert!(registry.snapshot().counter("kdbroker", "cpu.net_busy_ns").unwrap() > 0);
+}
+
+/// One `(component, name, kind)` of the metric inventory.
+type Metric = (String, String, &'static str);
+
+/// DESIGN §8's inventory table: the backticked names of each row, by the
+/// column they sit in.
+fn documented_inventory() -> BTreeSet<Metric> {
+    let design = include_str!("../DESIGN.md");
+    let section = design.split("### Metric inventory").nth(1).expect("DESIGN §8 inventory");
+    let table = section.lines().skip_while(|l| !l.starts_with('|'));
+    let rows = table.take_while(|l| l.starts_with('|'));
+    let ticked = |cell: &str| -> Vec<String> {
+        cell.split('`').skip(1).step_by(2).map(str::to_string).collect()
+    };
+    let mut inventory = BTreeSet::new();
+    // The header row and its rule name nothing.
+    for row in rows.skip(2) {
+        let cells: Vec<&str> = row.split('|').collect();
+        let [component] = ticked(cells[1]).try_into().expect("one component per row");
+        for (cell, kind) in cells[2..5].iter().zip(["counter", "gauge", "histogram"]) {
+            for name in ticked(cell) {
+                inventory.insert((component.clone(), name, kind));
+            }
+        }
+    }
+    inventory
+}
+
+/// Exclusive and shared RDMA produce, TCP produce, and an RDMA and a TCP
+/// consumer, over a topic of RF 2 — one partition per producer.
+async fn every_client(cluster: &SimCluster) {
+    cluster.create_topic("t", 3, 2).await;
+    let node = cluster.add_client_node("c");
+    let record = Record::value(vec![7; 64]);
+    for (partition, shared) in [(0, false), (1, true)] {
+        let leader = cluster.leader_of("t", partition).await;
+        let mut producer = RdmaProducer::connect(&node, leader, "t", partition, shared)
+            .await
+            .unwrap();
+        producer.send(&record).await.unwrap();
+    }
+    let leader = cluster.leader_of("t", 2).await;
+    let tcp = ClientTransport::Tcp;
+    let producer = TcpProducer::connect(&node, leader, tcp, "t", 2).await.unwrap();
+    producer.send(&record).await.unwrap();
+    let mut consumer = TcpConsumer::connect(&node, leader, tcp, "t", 2, 0).await.unwrap();
+    while consumer.next_records().await.unwrap().is_empty() {}
+    let leader = cluster.leader_of("t", 0).await;
+    let mut consumer = RdmaConsumer::connect(&node, leader, "t", 0, 0).await.unwrap();
+    while consumer.next_records().await.unwrap().is_empty() {}
+}
+
+/// The metric inventory in DESIGN §8 is checked, not kept by hand: a run
+/// that reaches every registering site — every client datapath, push and
+/// pull replication, the file tier, a lending pool of 8, a fault injector
+/// and the broker watchdog — registers exactly the instruments the table
+/// names, under the kind whose column names them.
+#[test]
+fn metric_inventory_matches_design() {
+    let dir = std::env::temp_dir().join(format!("kd-inventory-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let storage = kdstorage::StorageConfig::tiered(&dir);
+    let registry = with_registry(|| {
+        sim::Runtime::new().block_on(async {
+            let injector = kdfault::Injector::new();
+            let _faults = kdfault::enter(&injector);
+            let opts = ClusterOptions {
+                mux_pool: Some(8),
+                observe: Some(ObserveConfig::default()),
+                storage: Some(storage),
+                ..Default::default()
+            };
+            every_client(&SimCluster::start_with(SystemKind::KafkaDirect, 2, opts)).await;
+            // Pull replication is a cluster-wide mode: a second cluster runs it.
+            let pull = RdmaToggles { replicate: false, ..RdmaToggles::all() };
+            every_client(&SimCluster::start(SystemKind::KafkaDirectWith(pull), 2)).await;
+        })
+    });
+    std::fs::remove_dir_all(&dir).ok();
+
+    let report = registry.snapshot();
+    let mut registered = BTreeSet::<Metric>::new();
+    for r in &report.counters {
+        registered.insert((r.component.clone(), r.name.clone(), "counter"));
+    }
+    for r in &report.gauges {
+        registered.insert((r.component.clone(), r.name.clone(), "gauge"));
+    }
+    for r in &report.histograms {
+        registered.insert((r.component.clone(), r.name.clone(), "histogram"));
+    }
+    let documented = documented_inventory();
+    let unlisted: Vec<_> = registered.difference(&documented).collect();
+    let unregistered: Vec<_> = documented.difference(&registered).collect();
+    assert!(
+        unlisted.is_empty() && unregistered.is_empty(),
+        "registered but not in DESIGN §8: {unlisted:?}; \
+         in DESIGN §8 but not registered: {unregistered:?}"
+    );
 }
