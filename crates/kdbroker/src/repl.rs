@@ -182,6 +182,9 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         }
         // Wait for new committed-to-leader bytes at the cursor.
         loop {
+            // The cursor always names a segment of this log: it starts at 0,
+            // moves only past a sealed one (the roll that sealed it made the
+            // next), and adopts a follower's only once `aligned` found it.
             let seg = p.log.segment(cursor_seg).expect("cursor segment");
             if seg.committed_pos() > cursor_pos {
                 break;
@@ -256,6 +259,7 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         // Opportunistic batching: merge contiguous committed batches up to
         // the configured cap (the paper settles on 1 KiB, Fig 8/17), but
         // always at batch granularity and at least one batch.
+        // A segment of this log, as at the wait above.
         let seg = p.log.segment(cursor_seg).expect("cursor segment");
         let mut end = cursor_pos;
         let mut last_offset = 0u64;

@@ -12,87 +12,44 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 use std::time::Duration;
 
-use sim::sync::Notify;
+use sim::sync::WaitList;
 use sim::SimTime;
 
 use crate::nic::Registry;
 use crate::qp::QpShared;
 use crate::verbs::Cqe;
 
-/// A thread blocked in [`CompletionQueue::wait`].
-struct Waiter {
-    ticket: u64,
-    waker: Waker,
-    /// Its wake-up latency.
-    wakeup: Duration,
-    /// The instant its timer is registered for, once a push has armed it.
-    due: Option<SimTime>,
-}
+/// A consumer parked on a CQ: the wake-up latency of a thread blocked in
+/// [`CompletionQueue::wait`] (`None`: a task in [`CompletionQueue::next`],
+/// which a push wakes directly), and the instant a push armed it for.
+type Parked = (Option<Duration>, Option<SimTime>);
 
-/// The threads blocked in [`CompletionQueue::wait`], longest parked first.
-/// The first is held inline: a CQ with one consumer — every client's ack CQ
-/// — never allocates for it.
-#[derive(Default)]
-struct Waiters {
-    first: Option<Waiter>,
-    /// Those behind `first`; empty while it is.
-    rest: Vec<Waiter>,
-    next_ticket: u64,
-}
-
-impl Waiters {
-    fn park(&mut self, waker: Waker, wakeup: Duration) -> u64 {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        let waiter = Waiter { ticket, waker, wakeup, due: None };
-        match self.first {
-            None => self.first = Some(waiter),
-            Some(_) => self.rest.push(waiter),
-        }
-        ticket
+/// Arms the longest-parked unarmed consumer of one kind — blocked in `wait`
+/// (its wake-up runs from now, on a timer) or not (woken now) — recording
+/// the instant. `false` if there is none.
+fn arm(waiters: &mut WaitList<Parked>, blocked: bool) -> bool {
+    let Some((waker, (wakeup, due))) = waiters.arm(|p| p.0.is_some() == blocked && p.1.is_none())
+    else {
+        return false;
+    };
+    let at = sim::now() + wakeup.unwrap_or_default();
+    *due = Some(at);
+    match wakeup {
+        Some(_) => sim::time::wake_at(at, waker),
+        None => waker.wake_by_ref(),
     }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Waiter> {
-        self.first.iter_mut().chain(&mut self.rest)
-    }
-
-    fn get_mut(&mut self, ticket: u64) -> Option<&mut Waiter> {
-        self.iter_mut().find(|w| w.ticket == ticket)
-    }
-
-    fn remove(&mut self, ticket: u64) -> Option<Waiter> {
-        if self.first.as_ref().is_some_and(|w| w.ticket == ticket) {
-            let next = (!self.rest.is_empty()).then(|| self.rest.remove(0));
-            return std::mem::replace(&mut self.first, next);
-        }
-        let at = self.rest.iter().position(|w| w.ticket == ticket)?;
-        Some(self.rest.remove(at))
-    }
-
-    /// Arms the longest-parked waiter no push has armed yet: it runs its
-    /// wake-up latency from now. `false` if there is none.
-    fn arm_next(&mut self) -> bool {
-        let Some(w) = self.iter_mut().find(|w| w.due.is_none()) else {
-            return false;
-        };
-        let due = sim::now() + w.wakeup;
-        w.due = Some(due);
-        sim::time::wake_at(due, &w.waker);
-        true
-    }
+    true
 }
 
 pub(crate) struct CqInner {
     queue: RefCell<VecDeque<Cqe>>,
     capacity: usize,
-    notify: Notify,
-    waiters: RefCell<Waiters>,
+    waiters: RefCell<WaitList<Parked>>,
     overflowed: Cell<bool>,
     attached: RefCell<Vec<Weak<QpShared>>>,
-    completions_total: Cell<u64>,
     /// Holds the `rnic cq.*` cells every CQ of the fabric records into.
     fabric: Rc<Registry>,
 }
@@ -110,11 +67,9 @@ impl CompletionQueue {
             inner: Rc::new(CqInner {
                 queue: RefCell::new(VecDeque::new()),
                 capacity,
-                notify: Notify::new(),
-                waiters: RefCell::new(Waiters::default()),
+                waiters: RefCell::new(WaitList::default()),
                 overflowed: Cell::new(false),
                 attached: RefCell::new(Vec::new()),
-                completions_total: Cell::new(0),
                 fabric,
             }),
         }
@@ -133,10 +88,11 @@ impl CompletionQueue {
         for qp in attached.into_iter().filter_map(|w| w.upgrade()) {
             QpShared::fail(&qp);
         }
-        self.inner.notify.notify_waiters();
-        // An armed waiter still returns at its instant, the others now.
-        let mut waiters = self.inner.waiters.borrow_mut();
-        waiters.iter_mut().for_each(|w| w.waker.wake_by_ref());
+        // `next()` consumers not yet woken first, then every blocked one: an
+        // armed one still returns at its instant, the others now.
+        let waiters = self.inner.waiters.borrow();
+        waiters.wake_in_place(|p| p.0.is_none() && p.1.is_none());
+        waiters.wake_in_place(|p| p.0.is_some());
     }
 
     /// Fault injection: overflows this CQ now, regardless of occupancy —
@@ -162,14 +118,14 @@ impl CompletionQueue {
                 return;
             }
             q.push_back(cqe);
-            self.inner
-                .completions_total
-                .set(self.inner.completions_total.get() + 1);
             self.inner.fabric.telem.cq_cqes.inc();
             self.inner.fabric.telem.cq_depth.add(1);
         }
-        if !self.inner.waiters.borrow_mut().arm_next() {
-            self.inner.notify.notify_one();
+        // A blocked consumer first; a `next()` one only once every blocked
+        // one is armed.
+        let mut waiters = self.inner.waiters.borrow_mut();
+        if !arm(&mut waiters, true) {
+            arm(&mut waiters, false);
         }
     }
 
@@ -186,30 +142,25 @@ impl CompletionQueue {
     /// the free capacity of `out` in completion order. Returns how many were
     /// taken. Never allocates — the destination is stack space.
     pub fn poll_batch<const N: usize>(&self, out: &mut kdbuf::ArrayVec<Cqe, N>) -> usize {
-        let mut q = self.inner.queue.borrow_mut();
-        let mut taken = 0;
-        while !out.is_full() {
-            let Some(cqe) = q.pop_front() else { break };
-            self.inner.fabric.telem.cq_depth.sub(1);
+        self.take(N - out.len(), |cqe| {
             let _ = out.push(cqe);
-            taken += 1;
-        }
-        taken
+        })
     }
 
     /// As [`poll_batch`](Self::poll_batch) but into a caller-pooled `Vec`
     /// (appends; retained capacity makes steady-state drains allocation-free)
     /// bounded by `max`. Returns how many were taken.
     pub fn drain_into(&self, out: &mut Vec<Cqe>, max: usize) -> usize {
+        self.take(max, |cqe| out.push(cqe))
+    }
+
+    /// Pops up to `max` completions into `put`, in completion order.
+    fn take(&self, max: usize, put: impl FnMut(Cqe)) -> usize {
         let mut q = self.inner.queue.borrow_mut();
-        let mut taken = 0;
-        while taken < max {
-            let Some(cqe) = q.pop_front() else { break };
-            self.inner.fabric.telem.cq_depth.sub(1);
-            out.push(cqe);
-            taken += 1;
-        }
-        taken
+        let n = max.min(q.len());
+        q.drain(..n).for_each(put);
+        self.inner.fabric.telem.cq_depth.sub(n as u64);
+        n
     }
 
     /// Waits (virtual time) for the next completion.
@@ -218,16 +169,12 @@ impl CompletionQueue {
     /// are still served here and by [`poll`](Self::poll) /
     /// [`drain_into`](Self::drain_into). `None` — the CQ is dead — comes
     /// only once an overflowed queue is empty.
+    ///
+    /// Parks like [`wait`](Self::wait) with no wake-up, behind the blocked
+    /// consumers: a push wakes it directly once every one of them is armed.
     pub async fn next(&self) -> Option<Cqe> {
-        loop {
-            if let Some(cqe) = self.poll() {
-                return Some(cqe);
-            }
-            if self.inner.overflowed.get() {
-                return None;
-            }
-            self.inner.notify.notified().await;
-        }
+        self.park(None).await;
+        self.poll()
     }
 
     /// Blocks like a thread in `ibv_get_cq_event`: returns `wakeup` after
@@ -242,6 +189,10 @@ impl CompletionQueue {
     /// queue somebody else has emptied in the meantime is parked again, in
     /// place and at no charge.
     pub fn wait(&self, wakeup: Duration) -> Wait<'_> {
+        self.park(Some(wakeup))
+    }
+
+    fn park(&self, wakeup: Option<Duration>) -> Wait<'_> {
         Wait {
             cq: self,
             wakeup,
@@ -257,25 +208,16 @@ impl CompletionQueue {
         self.len() == 0
     }
 
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
     /// True once an overflow has poisoned this CQ.
     pub fn overflowed(&self) -> bool {
         self.inner.overflowed.get()
-    }
-
-    /// Total completions ever delivered (telemetry).
-    pub fn completions_total(&self) -> u64 {
-        self.inner.completions_total.get()
     }
 }
 
 /// Future returned by [`CompletionQueue::wait`].
 pub struct Wait<'a> {
     cq: &'a CompletionQueue,
-    wakeup: Duration,
+    wakeup: Option<Duration>,
     /// Identifies this consumer among the parked ones while it is.
     ticket: Option<u64>,
 }
@@ -287,39 +229,39 @@ impl Future for Wait<'_> {
         let cq = self.cq;
         let dead = cq.inner.overflowed.get();
         let mut waiters = cq.inner.waiters.borrow_mut();
-        let Some(ticket) = self.ticket else {
+        // A parked consumer is listed until it returns or is dropped.
+        let Some((_, due)) = self.ticket.and_then(|t| waiters.repark(t, cx.waker())) else {
             if !cq.is_empty() || dead {
                 return Poll::Ready(!cq.is_empty());
             }
-            self.ticket = Some(waiters.park(cx.waker().clone(), self.wakeup));
+            self.ticket = Some(waiters.park(cx.waker(), (self.wakeup, None)));
             return Poll::Pending;
         };
-        let w = waiters.get_mut(ticket).expect("a parked waiter is listed");
-        // Armed: only that timer ends the wait. Not armed: only poisoning.
-        let woken = w.due.map_or(dead, |due| due <= sim::now());
+        // Armed: only that instant ends the wait. Not armed: only poisoning.
+        let woken = due.map_or(dead, |due| due <= sim::now());
         if !woken || (cq.is_empty() && !dead) {
             if woken {
-                w.due = None;
+                *due = None;
             }
-            w.waker.clone_from(cx.waker());
             return Poll::Pending;
         }
-        waiters.remove(ticket);
-        self.ticket = None;
+        if let Some(ticket) = self.ticket.take() {
+            waiters.remove(ticket);
+        }
         Poll::Ready(!cq.is_empty())
     }
 }
 
 impl Drop for Wait<'_> {
     /// A consumer that stops waiting leaves the list; the wake a push armed
-    /// it with passes to the next in line (to nobody if the runtime itself
-    /// is being torn down).
+    /// a blocked one with passes to the next blocked one in line (to nobody
+    /// if the runtime itself is being torn down).
     fn drop(&mut self) {
         let Some(ticket) = self.ticket else { return };
         let mut waiters = self.cq.inner.waiters.borrow_mut();
-        let armed = waiters.remove(ticket).is_some_and(|w| w.due.is_some());
+        let armed = waiters.remove(ticket).is_some_and(|p| p.0.is_some() && p.1.is_some());
         if armed && !self.cq.is_empty() && sim::time::try_now().is_some() {
-            waiters.arm_next();
+            arm(&mut waiters, true);
         }
     }
 }

@@ -15,7 +15,7 @@
 //!   a steady-state workload (e.g. one RPC task per request) re-uses the
 //!   same allocations instead of boxing each future.
 
-use std::alloc::{alloc, dealloc, Layout};
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::fmt;
@@ -112,6 +112,13 @@ unsafe fn drop_raw<F>(ptr: *mut u8) {
     unsafe { std::ptr::drop_in_place(ptr.cast::<F>()) }
 }
 
+/// The allocation of size class `class`.
+fn class_layout(class: usize) -> Layout {
+    let bytes = 1usize << (MIN_CLASS_SHIFT + class as u32);
+    // A power of two of at most 64 KiB at 16-byte alignment.
+    Layout::from_size_align(bytes, TASK_ALIGN).expect("size classes are valid layouts")
+}
+
 /// Free lists of recycled task allocations, one per size class.
 struct TaskArena {
     free: [Vec<NonNull<u8>>; NUM_CLASSES],
@@ -131,15 +138,16 @@ impl TaskArena {
         {
             let class = (size.next_power_of_two().trailing_zeros().max(MIN_CLASS_SHIFT)
                 - MIN_CLASS_SHIFT) as usize;
-            let bytes = 1usize << (MIN_CLASS_SHIFT + class as u32);
-            (class, Layout::from_size_align(bytes, TASK_ALIGN).unwrap())
+            (class, class_layout(class))
         } else {
             (UNPOOLED, Layout::new::<F>())
         };
         let ptr = match (class != UNPOOLED).then(|| self.free[class].pop()).flatten() {
             Some(p) => p,
             // SAFETY: layout has non-zero size (size >= 1, rounded up).
-            None => NonNull::new(unsafe { alloc(layout) }).expect("sim: task allocation failed"),
+            None => {
+                NonNull::new(unsafe { alloc(layout) }).unwrap_or_else(|| handle_alloc_error(layout))
+            }
         };
         // SAFETY: `ptr` is valid for `layout` which covers `F`'s size/align.
         unsafe { ptr.as_ptr().cast::<F>().write(future) };
@@ -168,9 +176,7 @@ impl TaskArena {
 impl Drop for TaskArena {
     fn drop(&mut self) {
         for (class, list) in self.free.iter_mut().enumerate() {
-            let layout =
-                Layout::from_size_align(1usize << (MIN_CLASS_SHIFT + class as u32), TASK_ALIGN)
-                    .unwrap();
+            let layout = class_layout(class);
             for ptr in list.drain(..) {
                 // SAFETY: free-listed pointers were allocated with their
                 // class layout and hold no live future.
@@ -291,7 +297,8 @@ impl Inner {
         let prev = self.current_task.get();
         self.current_task.set(id);
         self.polls.set(self.polls.get() + 1);
-        let poll = guard.task.as_mut().unwrap().poll(&mut cx);
+        let task = guard.task.as_mut().expect("the guard holds the task until it retires");
+        let poll = task.poll(&mut cx);
         self.current_task.set(prev);
         match poll {
             Poll::Ready(()) => {
@@ -387,6 +394,7 @@ thread_local! {
 pub(crate) fn with_current<T>(f: impl FnOnce(&Rc<Inner>) -> T) -> T {
     CURRENT.with(|c| {
         let stack = c.borrow();
+        // Every sim call runs inside `Runtime::block_on` (documented panic).
         let inner = stack
             .last()
             .expect("sim: no runtime is active on this thread; use Runtime::block_on");

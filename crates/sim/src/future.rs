@@ -74,13 +74,14 @@ mod tests {
         let rt = Runtime::new();
         rt.block_on(async {
             let n = crate::sync::Notify::new();
-            let fut = n.notified();
-            let r = race(fut, async { 7u32 }).await;
+            let r = race(n.notified(), async { 7u32 }).await;
             assert_eq!(r, Either::Right(7));
-            // The dropped `notified` must have deregistered its waiter:
-            // a stored notify_one permit must survive for the next waiter.
-            n.notify_one();
-            n.notified().await;
+            // The dropped `notified` must have deregistered its waiter: the
+            // broadcast wakes nobody, so the root is polled once more, when
+            // its sleep ends.
+            n.notify_waiters();
+            crate::time::sleep(Duration::from_micros(1)).await;
         });
+        assert_eq!(rt.poll_count(), 2);
     }
 }

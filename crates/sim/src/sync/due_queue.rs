@@ -88,13 +88,15 @@ struct State<T> {
 }
 
 impl<T> State<T> {
-    /// Registers a timer for `due` unless the previous one was for the same
-    /// instant. Only called with a parked consumer.
-    fn arm(&mut self, due: SimTime) {
+    /// Registers a timer for `due` if the consumer is parked, unless the
+    /// previous one was for the same instant. Whether it is parked.
+    fn arm(&mut self, due: SimTime) -> bool {
+        let Some(waker) = &self.parked else { return false };
         if self.last_armed != Some(due) {
-            wake_at(due, self.parked.as_ref().expect("consumer is parked"));
+            wake_at(due, waker);
             self.last_armed = Some(due);
         }
+        true
     }
 }
 
@@ -130,10 +132,7 @@ impl<T> DueQueue<T> {
         if s.closed {
             return;
         }
-        let armed = s.parked.is_some();
-        if armed {
-            s.arm(due);
-        }
+        let armed = s.arm(due);
         let seq = s.next_seq;
         s.next_seq += 1;
         s.heap.push(Entry { due, seq, armed, item });
@@ -159,10 +158,12 @@ impl<T> DueQueue<T> {
             None => s.parked = Some(cx.waker().clone()),
         }
         // What was pushed while the consumer was away has no timer yet.
-        let unarmed = s.heap.peek().filter(|e| !e.armed).map(|e| e.due);
+        let unarmed = s.heap.peek_mut().filter(|e| !e.armed).map(|mut e| {
+            e.armed = true;
+            e.due
+        });
         if let Some(due) = unarmed {
             s.arm(due);
-            s.heap.peek_mut().expect("peeked above").armed = true;
         }
         Poll::Pending
     }

@@ -20,25 +20,19 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::mem::take;
 use std::pin::Pin;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 use std::time::Duration;
 
+use super::WaitList;
 use crate::time::{now, try_now, wake_at, SimTime};
-
-struct Parked<T> {
-    ticket: u64,
-    waker: Waker,
-    /// The item this worker starts on, and when: its timer is registered.
-    promise: Option<(SimTime, T)>,
-}
 
 struct State<T> {
     /// Items nobody has claimed, in due order.
     items: VecDeque<(SimTime, T)>,
-    /// Parked workers, longest parked first.
-    parked: Vec<Parked<T>>,
+    /// Parked workers, each with the item it starts on and when, once it is
+    /// promised one (its timer is registered then).
+    parked: WaitList<Option<(SimTime, T)>>,
     wakeup: Duration,
-    next_ticket: u64,
     closed: bool,
 }
 
@@ -46,21 +40,17 @@ impl<T> State<T> {
     /// Promises `item` to the longest-parked worker without one, arming its
     /// timer; queues it if there is none.
     fn offer(&mut self, due: SimTime, item: T) {
-        match self.parked.iter_mut().find(|w| w.promise.is_none()) {
-            Some(w) => {
+        match self.parked.arm(Option::is_none) {
+            Some((waker, promise)) => {
                 let start = due.max(now()) + self.wakeup;
-                wake_at(start, &w.waker);
-                w.promise = Some((start, item));
+                wake_at(start, waker);
+                *promise = Some((start, item));
             }
             None => {
                 let at = self.items.partition_point(|e| e.0 <= due);
                 self.items.insert(at, (due, item));
             }
         }
-    }
-
-    fn find(&self, ticket: Option<u64>) -> Option<usize> {
-        self.parked.iter().position(|w| Some(w.ticket) == ticket)
     }
 }
 
@@ -74,9 +64,8 @@ impl<T> HandoffQueue<T> {
     pub fn new(wakeup: Duration) -> Self {
         let state = RefCell::new(State {
             items: VecDeque::new(),
-            parked: Vec::new(),
+            parked: WaitList::default(),
             wakeup,
-            next_ticket: 0,
             closed: false,
         });
         HandoffQueue { state }
@@ -105,17 +94,17 @@ impl<T> HandoffQueue<T> {
     pub fn close(&self) {
         let mut s = self.state.borrow_mut();
         s.closed = true;
-        let (items, parked) = (take(&mut s.items), take(&mut s.parked));
+        let (items, mut parked) = (take(&mut s.items), take(&mut s.parked));
         // Item destructors and the wakes run without the queue borrowed.
         drop(s);
         drop(items);
-        parked.iter().for_each(|w| w.waker.wake_by_ref());
+        parked.wake_all();
     }
 
     /// No item, visible or not, is waiting for a worker to start on it.
     pub fn is_empty(&self) -> bool {
         let s = self.state.borrow();
-        s.items.is_empty() && s.parked.iter().all(|w| w.promise.is_none())
+        s.items.is_empty() && s.parked.iter().all(Option::is_none)
     }
 }
 
@@ -130,19 +119,20 @@ impl<T> Future for Recv<'_, T> {
     type Output = Option<T>;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let mut s = self.queue.state.borrow_mut();
+        let queue = self.queue;
+        let mut s = queue.state.borrow_mut();
         if s.closed {
             return Poll::Ready(None);
         }
         let now = now();
-        if let Some(i) = s.find(self.ticket) {
+        if let Some(ticket) = self.ticket {
             // Parked: only a promise whose wake-up has elapsed ends the wait.
-            if s.parked[i].promise.as_ref().is_none_or(|p| p.0 > now) {
-                s.parked[i].waker.clone_from(cx.waker());
+            let promise = s.parked.repark(ticket, cx.waker()).and_then(|p| p.as_ref());
+            if promise.is_none_or(|p| p.0 > now) {
                 return Poll::Pending;
             }
             self.ticket = None;
-            return Poll::Ready(s.parked.remove(i).promise.map(|p| p.1));
+            return Poll::Ready(s.parked.remove(ticket).flatten().map(|p| p.1));
         }
         if s.items.front().is_some_and(|e| e.0 <= now) {
             // Came back busy to a visible item: no wake-up to pay.
@@ -150,14 +140,7 @@ impl<T> Future for Recv<'_, T> {
         }
         // Nothing visible: park — already promised the earliest item in
         // transfer, if there is one (then nobody else is parked idle).
-        let ticket = s.next_ticket;
-        s.next_ticket += 1;
-        self.ticket = Some(ticket);
-        s.parked.push(Parked {
-            ticket,
-            waker: cx.waker().clone(),
-            promise: None,
-        });
+        self.ticket = Some(s.parked.park(cx.waker(), None));
         if let Some((due, item)) = s.items.pop_front() {
             s.offer(due, item);
         }
@@ -170,9 +153,9 @@ impl<T> Drop for Recv<'_, T> {
     /// it goes to the next worker, `wakeup` after that worker gets it
     /// (nowhere if the runtime itself is being torn down).
     fn drop(&mut self) {
+        let Some(ticket) = self.ticket else { return };
         let mut s = self.queue.state.borrow_mut();
-        let Some(i) = s.find(self.ticket) else { return };
-        let promise = s.parked.remove(i).promise;
+        let promise = s.parked.remove(ticket).flatten();
         if let Some((start, item)) = promise.filter(|_| try_now().is_some()) {
             let due = start - s.wakeup;
             s.offer(due, item);

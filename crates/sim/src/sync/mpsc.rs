@@ -1,6 +1,5 @@
-//! Multi-producer single-consumer channels (bounded and unbounded).
-//!
-//! Most control-plane plumbing uses unbounded channels. (The broker's
+//! Unbounded multi-producer single-consumer channels: the control plane's
+//! plumbing, e.g. a listener's queue of incoming connections. (The broker's
 //! shared request queue is [`HandoffQueue`](super::HandoffQueue).)
 
 use std::cell::RefCell;
@@ -26,33 +25,16 @@ impl<T> fmt::Display for SendError<T> {
     }
 }
 
-/// Error for [`Sender::try_send`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// Bounded channel at capacity.
-    Full(T),
-    /// Receiver dropped.
-    Closed(T),
-}
-
 struct Shared<T> {
     queue: VecDeque<T>,
-    capacity: Option<usize>,
     senders: usize,
     receiver_alive: bool,
     recv_waker: Option<Waker>,
-    send_wakers: VecDeque<Waker>,
 }
 
 impl<T> Shared<T> {
     fn wake_recv(&mut self) {
         if let Some(w) = self.recv_waker.take() {
-            w.wake();
-        }
-    }
-
-    fn wake_one_sender(&mut self) {
-        if let Some(w) = self.send_wakers.pop_front() {
             w.wake();
         }
     }
@@ -70,23 +52,11 @@ pub struct Receiver<T> {
 
 /// Creates an unbounded channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    with_capacity(None)
-}
-
-/// Creates a bounded channel with the given capacity (must be > 0).
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    assert!(capacity > 0, "mpsc capacity must be positive");
-    with_capacity(Some(capacity))
-}
-
-fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let shared = Rc::new(RefCell::new(Shared {
         queue: VecDeque::new(),
-        capacity,
         senders: 1,
         receiver_alive: true,
         recv_waker: None,
-        send_wakers: VecDeque::new(),
     }));
     (
         Sender {
@@ -116,84 +86,21 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Sends, waiting (in virtual time) for space on a bounded channel.
-    pub async fn send(&self, mut value: T) -> Result<(), SendError<T>> {
-        loop {
-            match self.try_send(value) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Closed(v)) => return Err(SendError(v)),
-                Err(TrySendError::Full(v)) => {
-                    value = v;
-                    SendReady {
-                        shared: &self.shared,
-                    }
-                    .await;
-                }
-            }
-        }
-    }
-
-    /// Non-blocking send.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+    /// Queues `value`; fails, returning it, once the receiver is gone.
+    pub fn try_send(&self, value: T) -> Result<(), SendError<T>> {
         let mut s = self.shared.borrow_mut();
         if !s.receiver_alive {
-            return Err(TrySendError::Closed(value));
-        }
-        if let Some(cap) = s.capacity {
-            if s.queue.len() >= cap {
-                return Err(TrySendError::Full(value));
-            }
+            return Err(SendError(value));
         }
         s.queue.push_back(value);
         s.wake_recv();
         Ok(())
     }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.shared.borrow().queue.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if the receiver is gone.
-    pub fn is_closed(&self) -> bool {
-        !self.shared.borrow().receiver_alive
-    }
-}
-
-/// Future that resolves when a bounded channel may have space.
-struct SendReady<'a, T> {
-    shared: &'a Rc<RefCell<Shared<T>>>,
-}
-
-impl<T> Future for SendReady<'_, T> {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut s = self.shared.borrow_mut();
-        if !s.receiver_alive {
-            return Poll::Ready(());
-        }
-        match s.capacity {
-            Some(cap) if s.queue.len() >= cap => {
-                s.send_wakers.push_back(cx.waker().clone());
-                Poll::Pending
-            }
-            _ => Poll::Ready(()),
-        }
-    }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut s = self.shared.borrow_mut();
-        s.receiver_alive = false;
-        // Unblock all pending senders so they observe closure.
-        while let Some(w) = s.send_wakers.pop_front() {
-            w.wake();
-        }
+        self.shared.borrow_mut().receiver_alive = false;
     }
 }
 
@@ -202,24 +109,6 @@ impl<T> Receiver<T> {
     /// queue is drained.
     pub fn recv(&mut self) -> Recv<'_, T> {
         Recv { receiver: self }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&mut self) -> Option<T> {
-        let mut s = self.shared.borrow_mut();
-        let v = s.queue.pop_front();
-        if v.is_some() {
-            s.wake_one_sender();
-        }
-        v
-    }
-
-    pub fn len(&self) -> usize {
-        self.shared.borrow().queue.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -233,7 +122,6 @@ impl<T> Future for Recv<'_, T> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
         let mut s = self.receiver.shared.borrow_mut();
         if let Some(v) = s.queue.pop_front() {
-            s.wake_one_sender();
             return Poll::Ready(Some(v));
         }
         if s.senders == 0 {
@@ -256,7 +144,7 @@ mod tests {
         rt.block_on(async {
             let (tx, mut rx) = unbounded();
             for i in 0..5 {
-                tx.send(i).await.unwrap();
+                tx.try_send(i).unwrap();
             }
             for i in 0..5 {
                 assert_eq!(rx.recv().await, Some(i));
@@ -269,31 +157,10 @@ mod tests {
         let rt = Runtime::new();
         rt.block_on(async {
             let (tx, mut rx) = unbounded::<u8>();
-            tx.send(1).await.unwrap();
+            tx.try_send(1).unwrap();
             drop(tx);
             assert_eq!(rx.recv().await, Some(1));
             assert_eq!(rx.recv().await, None);
-        });
-    }
-
-    #[test]
-    fn bounded_backpressure() {
-        let rt = Runtime::new();
-        rt.block_on(async {
-            let (tx, mut rx) = bounded::<u32>(2);
-            tx.send(1).await.unwrap();
-            tx.send(2).await.unwrap();
-            assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-
-            // A consumer draining after 5us unblocks the async send.
-            crate::spawn(async move {
-                crate::time::sleep(Duration::from_micros(5)).await;
-                assert_eq!(rx.recv().await, Some(1));
-                assert_eq!(rx.recv().await, Some(2));
-                assert_eq!(rx.recv().await, Some(3));
-            });
-            tx.send(3).await.unwrap();
-            assert_eq!(crate::now().as_nanos(), 5_000);
         });
     }
 
@@ -306,7 +173,7 @@ mod tests {
                 let tx = tx.clone();
                 crate::spawn(async move {
                     crate::time::sleep(Duration::from_micros(u64::from(4 - i))).await;
-                    tx.send(i).await.unwrap();
+                    tx.try_send(i).unwrap();
                 });
             }
             drop(tx);
@@ -320,12 +187,8 @@ mod tests {
 
     #[test]
     fn send_to_dropped_receiver_fails() {
-        let rt = Runtime::new();
-        rt.block_on(async {
-            let (tx, rx) = unbounded::<u8>();
-            drop(rx);
-            assert!(tx.is_closed());
-            assert!(tx.send(1).await.is_err());
-        });
+        let (tx, rx) = unbounded::<u8>();
+        drop(rx);
+        assert_eq!(tx.try_send(1).map_err(|e| e.0), Err(1));
     }
 }

@@ -4,51 +4,30 @@
 //! TP file can be accessed by at most one API worker at a time due to
 //! locking"). Because sim tasks only interleave at `.await` points a plain
 //! `RefCell` would often do, but API workers hold the lock *across* modelled
-//! CPU time (`sleep`s), so a real async lock is required.
+//! CPU time (`sleep`s), so a real async lock is required. The lock is one
+//! permit of the semaphore's FIFO: a released lock passes straight to the
+//! longest waiter, even if another task tries to lock first.
 
-use std::cell::{RefCell, UnsafeCell};
-use std::collections::VecDeque;
+use std::cell::UnsafeCell;
 use std::future::Future;
 use std::ops::{Deref, DerefMut};
 use std::pin::Pin;
-use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-struct State {
-    locked: bool,
-    waiters: VecDeque<(u64, Waker)>,
-    next_id: u64,
-}
+use super::semaphore::Permits;
 
-struct Inner<T: ?Sized> {
-    state: RefCell<State>,
-    value: UnsafeCell<T>,
-}
-
-/// An async mutual-exclusion lock with FIFO handoff.
+/// An async mutual-exclusion lock with FIFO handoff. Held inline by its
+/// owner; the [`Lock`] futures and guards borrow it.
 pub struct Mutex<T: ?Sized> {
-    inner: Rc<Inner<T>>,
-}
-
-impl<T> Clone for Mutex<T> {
-    fn clone(&self) -> Self {
-        Mutex {
-            inner: Rc::clone(&self.inner),
-        }
-    }
+    lock: Permits,
+    value: UnsafeCell<T>,
 }
 
 impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex {
-            inner: Rc::new(Inner {
-                state: RefCell::new(State {
-                    locked: false,
-                    waiters: VecDeque::new(),
-                    next_id: 0,
-                }),
-                value: UnsafeCell::new(value),
-            }),
+            lock: Permits::new(1),
+            value: UnsafeCell::new(value),
         }
     }
 
@@ -56,92 +35,32 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> Lock<'_, T> {
         Lock {
             mutex: self,
-            id: None,
+            ticket: None,
         }
-    }
-
-    /// Attempts to lock without waiting.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let mut s = self.inner.state.borrow_mut();
-        if s.locked || !s.waiters.is_empty() {
-            None
-        } else {
-            s.locked = true;
-            Some(MutexGuard { mutex: self })
-        }
-    }
-
-    pub fn is_locked(&self) -> bool {
-        self.inner.state.borrow().locked
     }
 }
 
 /// Future returned by [`Mutex::lock`].
 pub struct Lock<'a, T: ?Sized> {
     mutex: &'a Mutex<T>,
-    id: Option<u64>,
+    ticket: Option<u64>,
 }
 
-impl<'a, T> Future for Lock<'a, T> {
+impl<'a, T: ?Sized> Future for Lock<'a, T> {
     type Output = MutexGuard<'a, T>;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut s = self.mutex.inner.state.borrow_mut();
-        match self.id {
-            None => {
-                if !s.locked && s.waiters.is_empty() {
-                    s.locked = true;
-                    drop(s);
-                    return Poll::Ready(MutexGuard { mutex: self.mutex });
-                }
-                let id = s.next_id;
-                s.next_id += 1;
-                s.waiters.push_back((id, cx.waker().clone()));
-                drop(s);
-                self.id = Some(id);
-                Poll::Pending
-            }
-            Some(id) => {
-                if s.waiters.iter().any(|(wid, _)| *wid == id) {
-                    for (wid, w) in s.waiters.iter_mut() {
-                        if *wid == id {
-                            *w = cx.waker().clone();
-                        }
-                    }
-                    return Poll::Pending;
-                }
-                // Handed the lock by the previous guard's drop.
-                debug_assert!(s.locked);
-                drop(s);
-                self.id = None;
-                Poll::Ready(MutexGuard { mutex: self.mutex })
-            }
-        }
+        let mutex = self.mutex;
+        // Never closed: the one permit is always there to be had.
+        let locked = mutex.lock.poll_acquire(&mut self.ticket, 1, cx);
+        locked.map(|_| MutexGuard { mutex })
     }
 }
 
 impl<T: ?Sized> Drop for Lock<'_, T> {
+    /// Leaves the line, or passes on a lock it was handed and never took.
     fn drop(&mut self) {
-        if let Some(id) = self.id {
-            let mut s = self.mutex.inner.state.borrow_mut();
-            let was_waiting = s.waiters.iter().any(|(wid, _)| *wid == id);
-            s.waiters.retain(|(wid, _)| *wid != id);
-            if !was_waiting {
-                // The lock was handed to us but we never took the guard;
-                // pass it on.
-                release(&mut s);
-            }
-        }
-    }
-}
-
-fn release(s: &mut State) {
-    if let Some((_, w)) = s.waiters.pop_front() {
-        // Keep `locked == true`: ownership transfers directly to the woken
-        // waiter, preserving FIFO even if another task tries to lock first.
-        w.wake();
-    } else {
-        s.locked = false;
+        self.mutex.lock.cancel(self.ticket, 1);
     }
 }
 
@@ -155,21 +74,20 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     fn deref(&self) -> &T {
         // SAFETY: guard existence implies exclusive logical ownership; the
         // runtime is single-threaded so no data race is possible.
-        unsafe { &*self.mutex.inner.value.get() }
+        unsafe { &*self.mutex.value.get() }
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         // SAFETY: as above.
-        unsafe { &mut *self.mutex.inner.value.get() }
+        unsafe { &mut *self.mutex.value.get() }
     }
 }
 
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        let mut s = self.mutex.inner.state.borrow_mut();
-        release(&mut s);
+        self.mutex.lock.release(1);
     }
 }
 
@@ -177,16 +95,17 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use crate::Runtime;
+    use std::rc::Rc;
     use std::time::Duration;
 
     #[test]
     fn exclusive_access() {
         let rt = Runtime::new();
         rt.block_on(async {
-            let m = Mutex::new(0u32);
+            let m = Rc::new(Mutex::new(0u32));
             let mut handles = Vec::new();
             for _ in 0..4 {
-                let m = m.clone();
+                let m = Rc::clone(&m);
                 handles.push(crate::spawn(async move {
                     let mut g = m.lock().await;
                     let v = *g;
@@ -205,25 +124,13 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_contends() {
-        let rt = Runtime::new();
-        rt.block_on(async {
-            let m = Mutex::new(());
-            let g = m.try_lock().unwrap();
-            assert!(m.try_lock().is_none());
-            drop(g);
-            assert!(m.try_lock().is_some());
-        });
-    }
-
-    #[test]
     fn fifo_handoff() {
         let rt = Runtime::new();
         rt.block_on(async {
-            let m = Mutex::new(Vec::new());
+            let m = Rc::new(Mutex::new(Vec::new()));
             let g = m.lock().await;
             for i in 0..3 {
-                let m = m.clone();
+                let m = Rc::clone(&m);
                 crate::spawn(async move {
                     m.lock().await.push(i);
                 });

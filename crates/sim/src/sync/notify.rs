@@ -1,31 +1,29 @@
-//! A notification primitive, modelled on `tokio::sync::Notify`.
+//! A broadcast notification, modelled on `tokio::sync::Notify`.
 //!
-//! Used where one task needs to tell another "state you care about changed":
-//! e.g. the broker's API workers waking the push-replication module when a
-//! record commits.
+//! Used where tasks need to be told "state you care about changed": e.g. a
+//! QP's error state, a broker shutting down, a replication session dying.
+//! There is no stored permit: a waiter re-checks its condition after every
+//! wake, and a broadcast with nobody waiting is lost.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
+
+use super::WaitList;
 
 #[derive(Default)]
 struct State {
-    /// One stored permit, as in tokio: a `notify_one` with no waiter is
-    /// remembered and consumed by the next `notified().await`.
-    permit: bool,
-    waiters: VecDeque<(u64, Waker)>,
-    next_id: u64,
-    /// Ids granted a wakeup by `notify_waiters`.
+    waiters: WaitList<()>,
+    /// Broadcasts so far.
     epoch: u64,
 }
 
-/// Notifies one or many waiting tasks.
-#[derive(Clone, Default)]
+/// Wakes every waiting task at once. Held inline by its owner; the
+/// [`Notified`] futures borrow it.
+#[derive(Default)]
 pub struct Notify {
-    state: Rc<RefCell<State>>,
+    state: RefCell<State>,
 }
 
 impl Notify {
@@ -33,96 +31,52 @@ impl Notify {
         Self::default()
     }
 
-    /// Wakes one waiter, or stores a permit if none is waiting.
-    pub fn notify_one(&self) {
-        let mut s = self.state.borrow_mut();
-        if let Some((_, w)) = s.waiters.pop_front() {
-            drop(s);
-            w.wake();
-        } else {
-            s.permit = true;
-        }
-    }
-
-    /// Wakes all current waiters (does not store a permit).
+    /// Wakes all current waiters.
     pub fn notify_waiters(&self) {
         let mut s = self.state.borrow_mut();
         s.epoch += 1;
-        // Take the deque out of the borrow so wakes can't re-enter the
-        // RefCell, then hand it back afterwards: its capacity is retained,
-        // so steady-state broadcasts never allocate.
-        let mut waiters = std::mem::take(&mut s.waiters);
-        drop(s);
-        for (_, w) in waiters.drain(..) {
-            w.wake();
-        }
-        let mut s = self.state.borrow_mut();
-        if s.waiters.is_empty() {
-            s.waiters = waiters;
-        }
+        s.waiters.wake_all();
     }
 
-    /// Waits for a notification.
-    pub fn notified(&self) -> Notified {
+    /// Waits for the next broadcast after this call.
+    pub fn notified(&self) -> Notified<'_> {
         Notified {
-            state: Rc::clone(&self.state),
-            id: None,
-            start_epoch: self.state.borrow().epoch,
+            notify: self,
+            ticket: None,
+            epoch: self.state.borrow().epoch,
         }
     }
 }
 
 /// Future returned by [`Notify::notified`].
-pub struct Notified {
-    state: Rc<RefCell<State>>,
-    id: Option<u64>,
-    start_epoch: u64,
+pub struct Notified<'a> {
+    notify: &'a Notify,
+    ticket: Option<u64>,
+    epoch: u64,
 }
 
-impl Future for Notified {
+impl Future for Notified<'_> {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut s = self.state.borrow_mut();
-        // A broadcast since we started counts as our notification.
-        if s.epoch != self.start_epoch {
+        let mut s = self.notify.state.borrow_mut();
+        if s.epoch != self.epoch {
             return Poll::Ready(());
         }
-        if self.id.is_none() && s.permit {
-            s.permit = false;
-            return Poll::Ready(());
+        // Only a broadcast unparks a waiter, and it moves the epoch.
+        if self.ticket.and_then(|t| s.waiters.repark(t, cx.waker())).is_none() {
+            let ticket = s.waiters.park(cx.waker(), ());
+            drop(s);
+            self.ticket = Some(ticket);
         }
-        match self.id {
-            Some(id) => {
-                // Were we woken individually (removed from the queue)?
-                if !s.waiters.iter().any(|(wid, _)| *wid == id) {
-                    return Poll::Ready(());
-                }
-                // Refresh the stored waker.
-                for (wid, w) in s.waiters.iter_mut() {
-                    if *wid == id {
-                        *w = cx.waker().clone();
-                    }
-                }
-                Poll::Pending
-            }
-            None => {
-                let id = s.next_id;
-                s.next_id += 1;
-                s.waiters.push_back((id, cx.waker().clone()));
-                drop(s);
-                self.id = Some(id);
-                Poll::Pending
-            }
-        }
+        Poll::Pending
     }
 }
 
-impl Drop for Notified {
+impl Drop for Notified<'_> {
     fn drop(&mut self) {
-        if let Some(id) = self.id {
-            let mut s = self.state.borrow_mut();
-            s.waiters.retain(|(wid, _)| *wid != id);
+        if let Some(ticket) = self.ticket {
+            self.notify.state.borrow_mut().waiters.remove(ticket);
         }
     }
 }
@@ -132,50 +86,17 @@ mod tests {
     use super::*;
     use crate::Runtime;
     use std::cell::Cell;
+    use std::rc::Rc;
     use std::time::Duration;
-
-    #[test]
-    fn permit_is_stored() {
-        let rt = Runtime::new();
-        rt.block_on(async {
-            let n = Notify::new();
-            n.notify_one();
-            n.notified().await; // consumes stored permit, no deadlock
-        });
-    }
-
-    #[test]
-    fn notify_one_wakes_one() {
-        let rt = Runtime::new();
-        rt.block_on(async {
-            let n = Notify::new();
-            let count = Rc::new(Cell::new(0));
-            for _ in 0..2 {
-                let n = n.clone();
-                let count = Rc::clone(&count);
-                crate::spawn(async move {
-                    n.notified().await;
-                    count.set(count.get() + 1);
-                });
-            }
-            crate::time::sleep(Duration::from_micros(1)).await;
-            n.notify_one();
-            crate::time::sleep(Duration::from_micros(1)).await;
-            assert_eq!(count.get(), 1);
-            n.notify_one();
-            crate::time::sleep(Duration::from_micros(1)).await;
-            assert_eq!(count.get(), 2);
-        });
-    }
 
     #[test]
     fn notify_waiters_wakes_all() {
         let rt = Runtime::new();
         rt.block_on(async {
-            let n = Notify::new();
+            let n = Rc::new(Notify::new());
             let count = Rc::new(Cell::new(0));
             for _ in 0..3 {
-                let n = n.clone();
+                let n = Rc::clone(&n);
                 let count = Rc::clone(&count);
                 crate::spawn(async move {
                     n.notified().await;

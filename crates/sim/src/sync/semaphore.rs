@@ -2,76 +2,119 @@
 //!
 //! This backs the credit-based flow control of the RDMA push-replication
 //! module (paper §4.3.2): the follower grants credits; the leader acquires
-//! one per outstanding replicate request.
+//! one per outstanding replicate request. Its FIFO, [`Permits`], is also the
+//! whole of [`Mutex`](super::Mutex)'s locking: a lock is one permit.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-struct State {
-    permits: usize,
-    closed: bool,
-    /// FIFO queue of (waiter id, permits wanted, waker).
-    waiters: VecDeque<(u64, usize, Waker)>,
-    next_id: u64,
-}
+use super::WaitList;
 
 /// The semaphore was closed while waiting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AcquireError;
 
-impl fmt::Display for AcquireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "semaphore closed")
+struct State {
+    permits: usize,
+    closed: bool,
+    /// Parked acquirers with the permits each wants.
+    waiters: WaitList<usize>,
+}
+
+impl State {
+    /// Takes `n` free permits unless somebody is queued for them first.
+    fn take(&mut self, n: usize) -> bool {
+        let free = self.permits >= n && self.waiters.is_empty();
+        if free {
+            self.permits -= n;
+        }
+        free
     }
 }
 
-impl std::error::Error for AcquireError {}
+/// Permits and the FIFO of acquirers parked for them.
+pub(crate) struct Permits {
+    state: RefCell<State>,
+}
 
-/// An async counting semaphore.
+impl Permits {
+    pub(crate) fn new(permits: usize) -> Self {
+        let waiters = WaitList::default();
+        Permits {
+            state: RefCell::new(State { permits, closed: false, waiters }),
+        }
+    }
+
+    /// Polls an acquire of `want` permits; `ticket` is its place in line
+    /// while it waits.
+    pub(crate) fn poll_acquire(
+        &self,
+        ticket: &mut Option<u64>,
+        want: usize,
+        cx: &mut Context<'_>,
+    ) -> Poll<Result<(), AcquireError>> {
+        let mut s = self.state.borrow_mut();
+        if s.closed {
+            return Poll::Ready(Err(AcquireError));
+        }
+        match *ticket {
+            Some(t) if s.waiters.repark(t, cx.waker()).is_some() => return Poll::Pending,
+            // Unparked by `release`, which transferred the permits to it.
+            Some(_) => *ticket = None,
+            None if s.take(want) => {}
+            None => {
+                *ticket = Some(s.waiters.park(cx.waker(), want));
+                return Poll::Pending;
+            }
+        }
+        Poll::Ready(Ok(()))
+    }
+
+    /// Adds permits and transfers them, in FIFO order, to the longest prefix
+    /// of waiters they satisfy — so a `try_acquire` cannot take them before
+    /// the woken waiter polls, and a large acquire is never starved.
+    pub(crate) fn release(&self, n: usize) {
+        let mut s = self.state.borrow_mut();
+        s.permits += n;
+        while let Some(want) = s.waiters.front().copied().filter(|&want| want <= s.permits) {
+            s.permits -= want;
+            if let Some((waker, _)) = s.waiters.pop_front() {
+                waker.wake();
+            }
+        }
+    }
+
+    /// An acquire dropped in line leaves it; one dropped after `release`
+    /// transferred its permits gives them back (unless closed).
+    pub(crate) fn cancel(&self, ticket: Option<u64>, want: usize) {
+        let Some(ticket) = ticket else { return };
+        let mut s = self.state.borrow_mut();
+        if s.waiters.remove(ticket).is_none() && !s.closed {
+            drop(s);
+            self.release(want);
+        }
+    }
+}
+
+/// An async counting semaphore. Clones share the permits.
 #[derive(Clone)]
 pub struct Semaphore {
-    state: Rc<RefCell<State>>,
+    fifo: Rc<Permits>,
 }
 
 impl Semaphore {
     pub fn new(permits: usize) -> Self {
         Semaphore {
-            state: Rc::new(RefCell::new(State {
-                permits,
-                closed: false,
-                waiters: VecDeque::new(),
-                next_id: 0,
-            })),
+            fifo: Rc::new(Permits::new(permits)),
         }
     }
 
-    pub fn available_permits(&self) -> usize {
-        self.state.borrow().permits
-    }
-
-    /// Adds permits, waking eligible waiters in FIFO order. Permits are
-    /// *transferred* to woken waiters immediately so a concurrent
-    /// `try_acquire` cannot steal them before the waiter polls.
+    /// Adds permits, waking eligible waiters in FIFO order.
     pub fn add_permits(&self, n: usize) {
-        self.state.borrow_mut().permits += n;
-        // Wake the longest FIFO prefix that can now be satisfied; holding to
-        // strict FIFO avoids starving large acquisitions. Each waker runs
-        // with the state released.
-        loop {
-            let mut s = self.state.borrow_mut();
-            let Some(want) = s.waiters.front().map(|w| w.1).filter(|&want| want <= s.permits) else {
-                return;
-            };
-            s.permits -= want;
-            let (_, _, waker) = s.waiters.pop_front().expect("peeked above");
-            drop(s);
-            waker.wake();
-        }
+        self.fifo.release(n);
     }
 
     /// Acquires `n` permits, waiting as needed. The returned permit releases
@@ -80,41 +123,28 @@ impl Semaphore {
         Acquire {
             sem: self.clone(),
             want: n,
-            id: None,
+            ticket: None,
         }
     }
 
-    /// Non-blocking acquire.
+    /// Non-blocking acquire; never cuts in front of a waiter.
     pub fn try_acquire(&self, n: usize) -> Option<SemaphorePermit> {
-        let mut s = self.state.borrow_mut();
-        if s.closed {
-            return None;
-        }
-        // Respect FIFO: don't let a try_acquire cut in front of waiters.
-        if s.permits >= n && s.waiters.is_empty() {
-            s.permits -= n;
-            Some(SemaphorePermit {
-                sem: self.clone(),
-                count: n,
-            })
-        } else {
-            None
-        }
+        let mut s = self.fifo.state.borrow_mut();
+        (!s.closed && s.take(n)).then(|| SemaphorePermit {
+            sem: self.clone(),
+            count: n,
+        })
     }
 
     /// Closes the semaphore; all pending and future acquires fail.
     pub fn close(&self) {
-        let mut s = self.state.borrow_mut();
+        let mut s = self.fifo.state.borrow_mut();
         s.closed = true;
-        let waiters: Vec<_> = s.waiters.drain(..).collect();
-        drop(s);
-        for (_, _, w) in waiters {
-            w.wake();
-        }
+        s.waiters.wake_all();
     }
 
     pub fn is_closed(&self) -> bool {
-        self.state.borrow().closed
+        self.fifo.state.borrow().closed
     }
 }
 
@@ -122,70 +152,25 @@ impl Semaphore {
 pub struct Acquire {
     sem: Semaphore,
     want: usize,
-    id: Option<u64>,
+    ticket: Option<u64>,
 }
 
 impl Future for Acquire {
     type Output = Result<SemaphorePermit, AcquireError>;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let want = self.want;
-        let mut s = self.sem.state.borrow_mut();
-        if s.closed {
-            return Poll::Ready(Err(AcquireError));
-        }
-        match self.id {
-            None => {
-                if s.permits >= want && s.waiters.is_empty() {
-                    s.permits -= want;
-                    drop(s);
-                    return Poll::Ready(Ok(SemaphorePermit {
-                        sem: self.sem.clone(),
-                        count: want,
-                    }));
-                }
-                let id = s.next_id;
-                s.next_id += 1;
-                s.waiters.push_back((id, want, cx.waker().clone()));
-                drop(s);
-                self.id = Some(id);
-                Poll::Pending
-            }
-            Some(id) => {
-                if s.waiters.iter().any(|(wid, _, _)| *wid == id) {
-                    for (wid, _, w) in s.waiters.iter_mut() {
-                        if *wid == id {
-                            *w = cx.waker().clone();
-                        }
-                    }
-                    return Poll::Pending;
-                }
-                // We were popped by add_permits, which already transferred
-                // our permits to us.
-                drop(s);
-                self.id = None;
-                Poll::Ready(Ok(SemaphorePermit {
-                    sem: self.sem.clone(),
-                    count: want,
-                }))
-            }
-        }
+        let this = &mut *self;
+        let got = this.sem.fifo.poll_acquire(&mut this.ticket, this.want, cx);
+        got.map_ok(|()| SemaphorePermit {
+            sem: this.sem.clone(),
+            count: this.want,
+        })
     }
 }
 
 impl Drop for Acquire {
     fn drop(&mut self) {
-        if let Some(id) = self.id {
-            let mut s = self.sem.state.borrow_mut();
-            let was_waiting = s.waiters.iter().any(|(wid, _, _)| *wid == id);
-            s.waiters.retain(|(wid, _, _)| *wid != id);
-            if !was_waiting && !s.closed {
-                // Permits were transferred to us by add_permits but we were
-                // dropped before taking them: give them back.
-                drop(s);
-                self.sem.add_permits(self.want);
-            }
-        }
+        self.sem.fifo.cancel(self.ticket, self.want);
     }
 }
 
@@ -196,11 +181,6 @@ pub struct SemaphorePermit {
 }
 
 impl SemaphorePermit {
-    /// Number of permits held.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Leaks the permits (they are not returned on drop).
     pub fn forget(mut self) {
         self.count = 0;
@@ -229,10 +209,9 @@ mod tests {
             let sem = Semaphore::new(2);
             let p1 = sem.acquire(1).await.unwrap();
             let _p2 = sem.acquire(1).await.unwrap();
-            assert_eq!(sem.available_permits(), 0);
             assert!(sem.try_acquire(1).is_none());
             drop(p1);
-            assert_eq!(sem.available_permits(), 1);
+            assert!(sem.try_acquire(1).is_some(), "released on drop");
         });
     }
 

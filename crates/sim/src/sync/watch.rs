@@ -5,14 +5,18 @@
 //! interested tasks (e.g. delayed TCP fetches waiting for new data).
 
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Poll, Waker};
+use std::task::{Context, Poll};
+
+use super::WaitList;
 
 struct Shared<T> {
     value: T,
     version: u64,
     sender_alive: bool,
-    wakers: Vec<Waker>,
+    waiters: WaitList<()>,
 }
 
 /// Sending half: replaces the value and notifies receivers.
@@ -32,7 +36,7 @@ pub fn channel<T>(initial: T) -> (Sender<T>, Receiver<T>) {
         value: initial,
         version: 0,
         sender_alive: true,
-        wakers: Vec::new(),
+        waiters: WaitList::default(),
     }));
     (
         Sender {
@@ -48,28 +52,7 @@ impl<T> Sender<T> {
         let mut s = self.shared.borrow_mut();
         s.value = value;
         s.version += 1;
-        let wakers = std::mem::take(&mut s.wakers);
-        drop(s);
-        for w in wakers {
-            w.wake();
-        }
-    }
-
-    /// Mutates the value in place and notifies.
-    pub fn send_modify(&self, f: impl FnOnce(&mut T)) {
-        let mut s = self.shared.borrow_mut();
-        f(&mut s.value);
-        s.version += 1;
-        let wakers = std::mem::take(&mut s.wakers);
-        drop(s);
-        for w in wakers {
-            w.wake();
-        }
-    }
-
-    /// Reads the current value.
-    pub fn borrow_value<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.shared.borrow().value)
+        s.waiters.wake_all();
     }
 
     /// Creates an additional receiver that has not yet observed the current
@@ -86,20 +69,7 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         let mut s = self.shared.borrow_mut();
         s.sender_alive = false;
-        let wakers = std::mem::take(&mut s.wakers);
-        drop(s);
-        for w in wakers {
-            w.wake();
-        }
-    }
-}
-
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        Receiver {
-            shared: Rc::clone(&self.shared),
-            seen: self.seen,
-        }
+        s.waiters.wake_all();
     }
 }
 
@@ -111,27 +81,48 @@ impl<T> Receiver<T> {
         f(&s.value)
     }
 
-    /// Reads the current value without marking it seen.
-    pub fn borrow_value<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.shared.borrow().value)
-    }
-
     /// Waits until the value changes past the last version this receiver
     /// observed. Returns `Err(())` if the sender is gone.
-    pub async fn changed(&mut self) -> Result<(), ()> {
-        std::future::poll_fn(|cx| {
-            let mut s = self.shared.borrow_mut();
-            if s.version != self.seen {
-                self.seen = s.version;
-                return Poll::Ready(Ok(()));
-            }
-            if !s.sender_alive {
-                return Poll::Ready(Err(()));
-            }
-            s.wakers.push(cx.waker().clone());
-            Poll::Pending
-        })
-        .await
+    pub fn changed(&mut self) -> Changed<'_, T> {
+        Changed {
+            rx: self,
+            ticket: None,
+        }
+    }
+}
+
+/// Future returned by [`Receiver::changed`]: one parked entry per wait,
+/// however often it is polled, and none once it is dropped.
+pub struct Changed<'a, T> {
+    rx: &'a mut Receiver<T>,
+    ticket: Option<u64>,
+}
+
+impl<T> Future for Changed<'_, T> {
+    type Output = Result<(), ()>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Result<(), ()>> {
+        let this = &mut *self;
+        let mut s = this.rx.shared.borrow_mut();
+        if s.version != this.rx.seen {
+            this.rx.seen = s.version;
+            return Poll::Ready(Ok(()));
+        }
+        if !s.sender_alive {
+            return Poll::Ready(Err(()));
+        }
+        if this.ticket.and_then(|t| s.waiters.repark(t, cx.waker())).is_none() {
+            this.ticket = Some(s.waiters.park(cx.waker(), ()));
+        }
+        Poll::Pending
+    }
+}
+
+impl<T> Drop for Changed<'_, T> {
+    fn drop(&mut self) {
+        if let Some(ticket) = self.ticket {
+            self.rx.shared.borrow_mut().waiters.remove(ticket);
+        }
     }
 }
 
@@ -167,7 +158,7 @@ mod tests {
             });
             rx.changed().await.unwrap();
             assert_eq!(crate::now().as_nanos(), 7_000);
-            assert_eq!(rx.borrow_value(|v| *v), 5);
+            assert_eq!(rx.borrow_and_update(|v| *v), 5);
         });
     }
 
@@ -180,5 +171,32 @@ mod tests {
             drop(tx);
             assert_eq!(rx.changed().await, Err(()));
         });
+    }
+
+    #[test]
+    fn a_timed_out_wait_leaves_no_waker() {
+        let rt = Runtime::new();
+        let tx = rt.block_on(async {
+            let (tx, mut rx) = channel(0u64);
+            // The replica long-poll's shape: `timeout` polls the wait on entry
+            // and again when its timer fires, then drops it.
+            crate::spawn_detached(async move {
+                for _ in 0..1_000 {
+                    let waited = crate::time::timeout(Duration::from_micros(1), rx.changed());
+                    assert!(waited.await.is_err());
+                }
+                crate::time::sleep(Duration::from_secs(1)).await;
+                drop(rx);
+            });
+            crate::time::sleep(Duration::from_millis(2)).await;
+            tx
+        });
+        // The waiter is parked in its `sleep`: the send has nobody to wake.
+        let before = rt.poll_count();
+        rt.block_on(async move {
+            tx.send(1);
+            crate::time::yield_now().await;
+        });
+        assert_eq!(rt.poll_count() - before, 2, "root only: start and the yield");
     }
 }

@@ -67,11 +67,9 @@ impl AddAssign<Duration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = Duration;
     fn sub(self, rhs: SimTime) -> Duration {
-        Duration::from_nanos(
-            self.0
-                .checked_sub(rhs.0)
-                .expect("SimTime subtraction underflow"),
-        )
+        // Later minus earlier; `saturating_since` is for any other order.
+        let ns = self.0.checked_sub(rhs.0);
+        Duration::from_nanos(ns.expect("SimTime subtraction underflow"))
     }
 }
 

@@ -146,7 +146,7 @@ impl<T> Wheel<T> {
             // minimum; jump the cursor to its base time and split it.
             let level = (1..LEVELS)
                 .find(|&l| self.occupied[l] != 0)
-                .expect("len > 0 but no occupied slot");
+                .expect("a non-empty wheel has an occupied slot at some level");
             let slot = self.occupied[level].trailing_zeros() as u64;
             let shift = BITS * level as u32;
             let above = if shift + BITS >= 64 {

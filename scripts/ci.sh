@@ -189,6 +189,17 @@ if grep -n "spawn" crates/rnic/src/qp.rs; then
 fi
 cargo test -q --offline -p rnic --test verbs_semantics poll_budget
 
+# One wait list (DESIGN.md §10): every multi-waiter primitive parks on
+# `sim::sync::WaitList`. The golden wake order of Mutex, Semaphore, Notify,
+# HandoffQueue and a shared CQ — 200 seeded schedules with cancellation —
+# must not move. Then the re-fork guard: no second waiter queue, no bounded
+# mpsc mode, no stored notify permit.
+cargo test -q --offline -p sim --test wake_order
+if grep -rnE "struct Waiters|send_wakers|SendReady|TrySendError|pub fn bounded|notify_one|Vec<Waker>" crates/*/src; then
+    echo "ci: a second list of parked tasks or the bounded mpsc reappeared (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # Timer-wheel property tests: exact (deadline, insertion-seq) expiry order
 # under arbitrary interleavings of inserts, bounded probes, and pops — both
 # on the raw wheel and, through `Runtime::block_on`, for timers registered
