@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use kdbroker::Broker;
 use kdclient::Admin;
 use kdstorage::{LogConfig, TopicPartition};
-use kdwire::BrokerAddr;
+use kdwire::{BrokerAddr, PartitionMeta};
 use netsim::profile::Profile;
 use netsim::{Fabric, NodeHandle};
 
@@ -255,35 +255,15 @@ impl SimCluster {
                 let tp = TopicPartition::new(t.name.as_str(), pm.partition);
                 let hosted =
                     pm.leader.node == me || pm.replicas.iter().any(|r| r.node == me);
-                match remnant.remove(&tp) {
-                    Some(bufs) if hosted => {
-                        if pm.leader.node != me {
-                            // Rejoining as a follower: apply the leader-epoch
-                            // truncation rule before recovery (below).
-                            self.truncate_to_leader_prefix(&tp, pm.leader, &bufs);
-                        }
-                        fresh.install_recovered(
-                            t.name.as_str(),
-                            pm.partition,
-                            pm.epoch,
-                            pm.leader,
-                            pm.replicas.clone(),
-                            bufs,
-                        );
-                    }
-                    _ => {
-                        // Metadata-only (or a partition created while this
-                        // broker was down): install fresh.
-                        kdbroker::api::apply_add_partition(
-                            fresh.inner(),
-                            t.name.as_str(),
-                            pm.partition,
-                            pm.epoch,
-                            pm.leader,
-                            pm.replicas.clone(),
-                        );
-                    }
+                // No remnant (metadata only, or a partition created while
+                // this broker was down): install fresh.
+                let recovered = remnant.remove(&tp).filter(|_| hosted);
+                if let Some(bufs) = recovered.as_ref().filter(|_| pm.leader.node != me) {
+                    // Rejoining as a follower: apply the leader-epoch
+                    // truncation rule before recovery (below).
+                    self.truncate_to_leader_prefix(&tp, pm.leader, bufs);
                 }
+                kdbroker::admin::install(fresh.inner(), t.name.as_str(), pm, recovered);
             }
         }
         self.brokers.borrow_mut()[i] = fresh.clone();
@@ -374,14 +354,13 @@ impl SimCluster {
         let epoch = meta.epoch + 1;
         for b in self.brokers() {
             if b.is_alive() {
-                kdbroker::api::apply_add_partition(
-                    b.inner(),
-                    topic,
+                let meta = PartitionMeta {
                     partition,
                     epoch,
-                    new_leader,
-                    replicas.clone(),
-                );
+                    leader: new_leader,
+                    replicas: replicas.clone(),
+                };
+                kdbroker::admin::install(b.inner(), topic, meta, None);
             }
         }
         Some(new_leader)

@@ -5,10 +5,10 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use kdwire::{BrokerAddr, RemoteRegion, RpcClient};
+use kdwire::{BrokerAddr, PartitionMeta, RemoteRegion, RpcClient};
 use netsim::profile::Profile;
 use netsim::NodeHandle;
-use rnic::{CompletionQueue, QpOptions, QueuePair, RNic, ShmBuf};
+use rnic::{CompletionQueue, QpOptions, QueuePair, RNic, SendWr, ShmBuf, WorkRequest};
 use sim::sync::HandoffQueue;
 
 use crate::busy::ServicePool;
@@ -132,7 +132,13 @@ impl BrokerInner {
         let s = self.ensure_self_rdma().await?;
         let _guard = s.lock.lock().await;
         let result = ShmBuf::zeroed(8);
-        crate::api::post_self(&s.qp, result.clone(), region, add).ok()?;
+        let faa = WorkRequest::FetchAdd {
+            local: result.as_slice(),
+            remote_addr: region.addr,
+            rkey: region.rkey,
+            add,
+        };
+        s.qp.post_send(SendWr::new(0, faa)).ok()?;
         let cqe = s.send_cq.next().await?;
         if !cqe.ok() {
             return None;
@@ -163,11 +169,7 @@ impl BrokerInner {
             lock: sim::sync::Mutex::new(()),
         });
         // Another task may have raced us; keep the first.
-        let mut slot = self.self_rdma.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(Rc::clone(&s));
-        }
-        Some(slot.clone().unwrap())
+        Some(Rc::clone(self.self_rdma.borrow_mut().get_or_insert(s)))
     }
 }
 
@@ -184,6 +186,7 @@ impl Broker {
     pub fn start(node: &NodeHandle, config: BrokerConfig, peers: Vec<BrokerAddr>) -> Broker {
         let mut peers = peers;
         peers.sort_by_key(|p| p.node);
+        // The caller's contract: `peers` lists this broker too.
         let me = *peers
             .iter()
             .find(|p| p.node == node.id.0)
@@ -193,13 +196,14 @@ impl Broker {
         let nic = RNic::new(node);
         let recv_cq = nic.create_cq(CQ_CAPACITY);
         let ack_send_cq = nic.create_cq(CQ_CAPACITY);
-        let metrics = Metrics::default();
+        let registry = kdtelem::current();
+        let metrics = Metrics::new(&registry);
         let net_pool = ServicePool::with_counter(
             config.net_threads,
             profile.cpu.wakeup,
             metrics.net_busy_ns.clone(),
         );
-        let telem = BrokerTelem::default();
+        let telem = BrokerTelem::new(&registry);
         // Continuous telemetry rides on the broker's (ambient) registry:
         // the sampler snapshots every instrument on the virtual-time wheel;
         // the watchdog declares a stall when the datapath stops making
@@ -262,14 +266,14 @@ impl Broker {
         // Worker pool.
         for _ in 0..inner.config.api_workers {
             let b = Rc::clone(&inner);
-            sim::spawn(async move { crate::api::worker_loop(b).await });
+            sim::spawn(async move { crate::dispatch::worker_loop(b).await });
         }
         // The file tier's every-N-ms flusher. Memory mode has none —
         // schedules stay bit-identical to the pre-durability broker.
         let sync = inner.config.storage.as_ref().map(|s| s.sync);
         if let Some(kdstorage::SyncMode::EveryMs(ms)) = sync {
             let b = Rc::clone(&inner);
-            sim::spawn(async move { crate::api::flusher_loop(b, ms).await });
+            sim::spawn(async move { crate::common::flusher_loop(b, ms).await });
         }
         Broker { inner }
     }
@@ -282,8 +286,8 @@ impl Broker {
         self.inner.node.id
     }
 
-    /// Creates topic metadata directly (admin path used by the cluster
-    /// harness); equivalent to sending `CreateTopic` to the controller.
+    /// The broker's shared state, for harnesses and tests that install
+    /// partitions directly or inspect the log, the NIC and the queues.
     pub fn inner(&self) -> &Rc<BrokerInner> {
         &self.inner
     }
@@ -291,9 +295,7 @@ impl Broker {
     /// Telemetry snapshot, including network-thread busy time (fed live into
     /// the metrics registry by the broker's `ServicePool`).
     pub fn metrics(&self) -> MetricsSnapshot {
-        let s = self.inner.metrics.snapshot();
-        debug_assert_eq!(s.net_busy_ns, self.inner.net_pool.busy_ns());
-        s
+        self.inner.metrics.snapshot()
     }
 
     /// One-sided RDMA traffic served by this broker's NIC (no CPU).
@@ -423,14 +425,7 @@ impl Broker {
         replicas: Vec<BrokerAddr>,
         buffers: SegmentBuffers,
     ) {
-        crate::api::install_recovered_partition(
-            &self.inner,
-            topic,
-            partition,
-            epoch,
-            leader,
-            replicas,
-            buffers,
-        );
+        let meta = PartitionMeta { partition, epoch, leader, replicas };
+        crate::admin::install(&self.inner, topic, meta, Some(buffers));
     }
 }

@@ -12,32 +12,15 @@ use std::time::Duration;
 
 use sim::SimTime;
 
-/// One logical OS thread shared by many tasks. Busy time is accumulated both
-/// locally (per-thread accounting) and into a shared [`kdtelem::Counter`]
-/// (e.g. the broker's `net_busy_ns`).
+/// One logical OS thread shared by many tasks. Its busy time accumulates
+/// into a counter its pool shares (the broker's `net_busy_ns`).
 pub struct ServiceQueue {
     busy_until: Cell<u64>,
     wakeup: Duration,
-    busy_ns: Cell<u64>,
     busy_total: kdtelem::Counter,
 }
 
 impl ServiceQueue {
-    pub fn new(wakeup: Duration) -> Self {
-        ServiceQueue::with_counter(wakeup, kdtelem::Counter::new())
-    }
-
-    /// As [`new`](Self::new), but busy time also accumulates into `total`
-    /// (shared across the threads of a pool).
-    pub fn with_counter(wakeup: Duration, total: kdtelem::Counter) -> Self {
-        ServiceQueue {
-            busy_until: Cell::new(0),
-            wakeup,
-            busy_ns: Cell::new(0),
-            busy_total: total,
-        }
-    }
-
     /// Occupies the thread for `cost`, waiting behind earlier work. If the
     /// thread was idle, the wakeup latency is paid first (but does not count
     /// as busy time).
@@ -51,14 +34,8 @@ impl ServiceQueue {
         };
         let end = start + cost.as_nanos() as u64;
         self.busy_until.set(end);
-        self.busy_ns.set(self.busy_ns.get() + cost.as_nanos() as u64);
         self.busy_total.add(cost.as_nanos() as u64);
         sim::time::sleep_until(SimTime::from_nanos(end)).await;
-    }
-
-    /// Total virtual time this thread spent doing work (CPU-load metric).
-    pub fn busy_ns(&self) -> u64 {
-        self.busy_ns.get()
     }
 }
 
@@ -70,17 +47,16 @@ pub struct ServicePool {
 }
 
 impl ServicePool {
-    pub fn new(n: usize, wakeup: Duration) -> Self {
-        ServicePool::with_counter(n, wakeup, kdtelem::Counter::new())
-    }
-
-    /// As [`new`](Self::new), but every thread's busy time also accumulates
-    /// into `total` (e.g. the broker's `net_busy_ns` metric).
+    /// `n` threads whose busy time accumulates into `total`.
     pub fn with_counter(n: usize, wakeup: Duration, total: kdtelem::Counter) -> Self {
         assert!(n > 0);
         ServicePool {
             threads: (0..n)
-                .map(|_| ServiceQueue::with_counter(wakeup, total.clone()))
+                .map(|_| ServiceQueue {
+                    busy_until: Cell::new(0),
+                    wakeup,
+                    busy_total: total.clone(),
+                })
                 .collect(),
             next: Cell::new(0),
         }
@@ -96,25 +72,27 @@ impl ServicePool {
     pub fn thread(&self, i: usize) -> &ServiceQueue {
         &self.threads[i]
     }
-
-    pub fn busy_ns(&self) -> u64 {
-        self.threads.iter().map(ServiceQueue::busy_ns).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A pool of one thread with a 10 µs wake-up, and its busy counter.
+    fn one_thread() -> (ServicePool, kdtelem::Counter) {
+        let busy = kdtelem::Counter::new();
+        (ServicePool::with_counter(1, Duration::from_micros(10), busy.clone()), busy)
+    }
+
     #[test]
     fn idle_thread_pays_wakeup() {
         let rt = sim::Runtime::new();
         rt.block_on(async {
-            let q = ServiceQueue::new(Duration::from_micros(10));
+            let (pool, busy) = one_thread();
             let t0 = sim::now();
-            q.run(Duration::from_micros(5)).await;
+            pool.thread(0).run(Duration::from_micros(5)).await;
             assert_eq!((sim::now() - t0).as_nanos(), 15_000);
-            assert_eq!(q.busy_ns(), 5_000);
+            assert_eq!(busy.get(), 5_000);
         });
     }
 
@@ -122,22 +100,23 @@ mod tests {
     fn busy_thread_queues_without_wakeup() {
         let rt = sim::Runtime::new();
         rt.block_on(async {
-            let q = std::rc::Rc::new(ServiceQueue::new(Duration::from_micros(10)));
-            let q2 = std::rc::Rc::clone(&q);
-            let a = sim::spawn(async move { q2.run(Duration::from_micros(5)).await });
-            let q3 = std::rc::Rc::clone(&q);
-            let b = sim::spawn(async move { q3.run(Duration::from_micros(5)).await });
+            let (pool, busy) = one_thread();
+            let pool = std::rc::Rc::new(pool);
+            let p2 = std::rc::Rc::clone(&pool);
+            let a = sim::spawn(async move { p2.thread(0).run(Duration::from_micros(5)).await });
+            let p3 = std::rc::Rc::clone(&pool);
+            let b = sim::spawn(async move { p3.thread(0).run(Duration::from_micros(5)).await });
             a.await.unwrap();
             b.await.unwrap();
             // wakeup(10) + 5 + 5 serialised: done at t=20us.
             assert_eq!(sim::now().as_nanos(), 20_000);
-            assert_eq!(q.busy_ns(), 10_000);
+            assert_eq!(busy.get(), 10_000);
         });
     }
 
     #[test]
     fn pool_round_robin() {
-        let p = ServicePool::new(3, Duration::ZERO);
+        let p = ServicePool::with_counter(3, Duration::ZERO, kdtelem::Counter::new());
         assert_eq!(
             (0..7).map(|_| p.assign()).collect::<Vec<_>>(),
             vec![0, 1, 2, 0, 1, 2, 0]

@@ -4,42 +4,24 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use kdstorage::{Log, LogConfig, TopicPartition};
+use kdstorage::{Log, TopicPartition};
 use kdwire::{BrokerAddr, PartitionMeta, TopicMeta};
 use sim::sync::watch;
 
 /// FIFO ticket chain: lets concurrent workers impose a required processing
 /// order on commits to one file (§4.2.2: "processing RDMA produce requests
 /// in the same order as the corresponding completion events are generated").
+#[derive(Default)]
 pub struct Chain {
     done: Cell<u64>,
     notify: sim::sync::Notify,
 }
 
-impl Default for Chain {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Chain {
-    pub fn new() -> Self {
-        Chain {
-            done: Cell::new(0),
-            notify: sim::sync::Notify::new(),
-        }
-    }
-
     pub async fn wait_turn(&self, ticket: u64) {
         while self.done.get() < ticket {
             self.notify.notified().await;
         }
-    }
-
-    pub fn advance(&self, ticket: u64) {
-        debug_assert_eq!(self.done.get(), ticket);
-        self.done.set(ticket + 1);
-        self.notify.notify_waiters();
     }
 
     /// Advances past a whole run of consecutive tickets in one step (one
@@ -84,13 +66,15 @@ pub struct Partition {
     /// Per-follower acknowledged log-end offsets.
     follower_leo: RefCell<HashMap<u32, u64>>,
     /// RDMA produce acks waiting for the high watermark, in commit (hence
-    /// offset) order; drained by `api::on_hw_advanced`. They die with the
+    /// offset) order; drained by `common::on_hw_advanced`. They die with the
     /// partition if the watermark never gets there (crash, lost leadership).
     pub deferred_acks: RefCell<VecDeque<DeferredAck>>,
     /// Active RDMA produce grant, if any (managed by `rdma_produce`).
     pub grant: RefCell<Option<Rc<crate::rdma_produce::Grant>>>,
-    /// Registered-for-read segments (managed by `rdma_consume`).
-    pub read_regs: RefCell<HashMap<u32, crate::rdma_consume::RegSeg>>,
+    /// Read registrations by `(segment, consumer id)`: the segment's one
+    /// MR and the number of unreleased accesses that consumer holds on it
+    /// (managed by `rdma_consume`).
+    pub read_regs: RefCell<HashMap<(u32, u64), (rnic::MemoryRegion, u32)>>,
     /// Metadata slots tracking this partition's files (Fig 9: "each
     /// registered file has a list of slots associated with it").
     pub slot_refs: RefCell<Vec<crate::rdma_consume::SlotRef>>,
@@ -99,19 +83,8 @@ pub struct Partition {
 }
 
 impl Partition {
-    pub fn new(
-        tp: TopicPartition,
-        log_config: LogConfig,
-        leader: BrokerAddr,
-        replicas: Vec<BrokerAddr>,
-        is_leader: bool,
-        epoch: u64,
-    ) -> Rc<Partition> {
-        Self::with_log(tp, Log::new(log_config), leader, replicas, is_leader, epoch)
-    }
-
-    /// Builds a partition around an existing log — the crash-recovery path,
-    /// where the log was rebuilt from surviving segment buffers.
+    /// Builds a partition around its log: a fresh one, or one rebuilt from
+    /// surviving segment buffers after a crash.
     pub fn with_log(
         tp: TopicPartition,
         log: Log,
@@ -313,6 +286,7 @@ impl PartitionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kdstorage::LogConfig;
 
     fn addr(node: u32) -> BrokerAddr {
         BrokerAddr {
@@ -330,9 +304,9 @@ mod tests {
     fn hw_is_min_over_isr() {
         let rt = sim::Runtime::new();
         rt.block_on(async {
-            let p = Partition::new(
+            let p = Partition::with_log(
                 tp(),
-                LogConfig::default().with_segment_size(1 << 20),
+                Log::new(LogConfig::default().with_segment_size(1 << 20)),
                 addr(0),
                 vec![addr(1), addr(2)],
                 true,
@@ -357,9 +331,9 @@ mod tests {
     fn rf1_hw_tracks_leo() {
         let rt = sim::Runtime::new();
         rt.block_on(async {
-            let p = Partition::new(
+            let p = Partition::with_log(
                 tp(),
-                LogConfig::default().with_segment_size(1 << 20),
+                Log::new(LogConfig::default().with_segment_size(1 << 20)),
                 addr(0),
                 vec![],
                 true,
@@ -375,9 +349,9 @@ mod tests {
     fn wait_committed_resolves_on_hw_advance() {
         let rt = sim::Runtime::new();
         rt.block_on(async {
-            let p = Partition::new(
+            let p = Partition::with_log(
                 tp(),
-                LogConfig::default().with_segment_size(1 << 20),
+                Log::new(LogConfig::default().with_segment_size(1 << 20)),
                 addr(0),
                 vec![addr(1)],
                 true,
@@ -401,7 +375,7 @@ mod tests {
     fn chain_orders_commits() {
         let rt = sim::Runtime::new();
         rt.block_on(async {
-            let chain = Rc::new(Chain::new());
+            let chain = Rc::new(Chain::default());
             let log = Rc::new(RefCell::new(Vec::new()));
             // Spawn out of order: ticket 1 first, then 0.
             for ticket in [1u64, 0] {
@@ -410,7 +384,7 @@ mod tests {
                 sim::spawn(async move {
                     chain.wait_turn(ticket).await;
                     log.borrow_mut().push(ticket);
-                    chain.advance(ticket);
+                    chain.advance_to(ticket + 1);
                 });
             }
             sim::time::sleep(std::time::Duration::from_micros(1)).await;

@@ -19,11 +19,14 @@
 //! the paper's evaluation requires ("KafkaDirect supports enabling only
 //! particular RDMA modules", §5.3).
 
-pub mod api;
+pub mod admin;
 pub mod broker;
 pub mod busy;
+mod common;
 pub mod config;
 pub mod data;
+mod dispatch;
+mod fetch;
 pub mod metrics;
 pub mod rdma_consume;
 pub mod rdma_net;
@@ -33,6 +36,7 @@ pub mod requests;
 pub mod server_osu;
 mod server_rpc;
 pub mod server_tcp;
+mod tcp_produce;
 
 pub use broker::Broker;
 pub use config::{BrokerConfig, ObserveConfig, RdmaToggles, Transport};

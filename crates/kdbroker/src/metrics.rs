@@ -12,119 +12,79 @@
 
 use kdtelem::Counter;
 
-pub struct Metrics {
-    pub produce_requests: Counter,
-    pub produce_bytes: Counter,
-    pub rdma_commits: Counter,
-    pub rdma_commit_bytes: Counter,
-    pub fetch_requests: Counter,
-    pub empty_fetches: Counter,
-    pub fetch_bytes: Counter,
-    pub replica_fetches: Counter,
-    pub push_writes: Counter,
-    pub push_bytes: Counter,
+/// Each counter is one line: `field = "registry.name"`. The table derives
+/// [`Metrics`], its constructor (which registers the counters in table
+/// order), [`MetricsSnapshot`] and [`Metrics::snapshot`].
+macro_rules! counters {
+    ($( $(#[$doc:meta])* $field:ident = $name:literal, )*) => {
+        /// The broker's counters. Registry names follow the
+        /// `subsystem.metric` schema (see the metric inventory in
+        /// DESIGN.md); fields keep flat names for call-site brevity.
+        pub struct Metrics {
+            $( $(#[$doc])* pub $field: Counter, )*
+        }
+
+        impl Metrics {
+            pub fn new(registry: &kdtelem::Registry) -> Self {
+                Metrics {
+                    $( $field: registry.counter("kdbroker", $name), )*
+                }
+            }
+
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $field: self.$field.get(), )*
+                }
+            }
+        }
+
+        /// A point-in-time copy of every counter.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $( $(#[$doc])* pub $field: u64, )*
+        }
+    };
+}
+
+counters! {
+    produce_requests = "produce.requests",
+    produce_bytes = "produce.bytes",
+    rdma_commits = "rdma.commits",
+    rdma_commit_bytes = "rdma.commit_bytes",
+    fetch_requests = "fetch.requests",
+    empty_fetches = "fetch.empty",
+    fetch_bytes = "fetch.bytes",
+    replica_fetches = "fetch.replica",
+    push_writes = "repl.push_writes",
+    push_bytes = "repl.push_bytes",
     /// Bytes moved by broker-CPU copies (network buffer → file buffer).
     /// Zero on the RDMA produce path — the test for "zero copy".
-    pub heap_copied_bytes: Counter,
+    heap_copied_bytes = "copy.heap_bytes",
     /// Virtual nanoseconds API workers spent processing.
-    pub worker_busy_ns: Counter,
+    worker_busy_ns = "cpu.worker_busy_ns",
     /// RDMA writes answered (acks, error acks, credit returns) — not Sends:
     /// one counted ack answers up to `cq_batch` of them.
-    pub acks_sent: Counter,
-    pub slot_updates: Counter,
+    acks_sent = "produce.acks_sent",
+    slot_updates = "rdma.slot_updates",
     /// Bytes currently pinned for RDMA (registered segments + slot regions).
-    pub registered_bytes: Counter,
-    pub produce_aborts: Counter,
-    pub grants_revoked: Counter,
-    /// Virtual nanoseconds network threads spent processing (fed by the
-    /// broker's `ServicePool`).
-    pub net_busy_ns: Counter,
+    registered_bytes = "rdma.registered_bytes",
+    produce_aborts = "produce.aborts",
+    grants_revoked = "rdma.grants_revoked",
+    /// Virtual nanoseconds network threads spent processing (fed live by
+    /// the broker's `ServicePool`).
+    net_busy_ns = "cpu.net_busy_ns",
     /// Bytes written to segment files by the durable tier.
-    pub storage_bytes_flushed: Counter,
+    storage_bytes_flushed = "storage.bytes_flushed",
     /// Fsyncs issued by the durable tier.
-    pub storage_fsyncs: Counter,
+    storage_fsyncs = "storage.fsyncs",
     /// Segments sealed (rotated to a new head file).
-    pub storage_segments_rotated: Counter,
+    storage_segments_rotated = "storage.segments_rotated",
     /// Reads served from the in-memory (hot) tier.
-    pub storage_hot_hits: Counter,
+    storage_hot_hits = "storage.hot_hits",
     /// Reads that had to go to the file (cold) tier.
-    pub storage_hot_misses: Counter,
+    storage_hot_misses = "storage.hot_misses",
     /// Bytes read back from segment files (cold fetches + page-ins).
-    pub storage_cold_read_bytes: Counter,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new(&kdtelem::current())
-    }
-}
-
-impl Metrics {
-    pub fn new(registry: &kdtelem::Registry) -> Self {
-        // Registry names follow the `subsystem.metric` schema (see the
-        // metric inventory in DESIGN.md); struct fields keep their flat
-        // names for call-site brevity.
-        let c = |name| registry.counter("kdbroker", name);
-        Metrics {
-            produce_requests: c("produce.requests"),
-            produce_bytes: c("produce.bytes"),
-            rdma_commits: c("rdma.commits"),
-            rdma_commit_bytes: c("rdma.commit_bytes"),
-            fetch_requests: c("fetch.requests"),
-            empty_fetches: c("fetch.empty"),
-            fetch_bytes: c("fetch.bytes"),
-            replica_fetches: c("fetch.replica"),
-            push_writes: c("repl.push_writes"),
-            push_bytes: c("repl.push_bytes"),
-            heap_copied_bytes: c("copy.heap_bytes"),
-            worker_busy_ns: c("cpu.worker_busy_ns"),
-            acks_sent: c("produce.acks_sent"),
-            slot_updates: c("rdma.slot_updates"),
-            registered_bytes: c("rdma.registered_bytes"),
-            produce_aborts: c("produce.aborts"),
-            grants_revoked: c("rdma.grants_revoked"),
-            net_busy_ns: c("cpu.net_busy_ns"),
-            storage_bytes_flushed: c("storage.bytes_flushed"),
-            storage_fsyncs: c("storage.fsyncs"),
-            storage_segments_rotated: c("storage.segments_rotated"),
-            storage_hot_hits: c("storage.hot_hits"),
-            storage_hot_misses: c("storage.hot_misses"),
-            storage_cold_read_bytes: c("storage.cold_read_bytes"),
-        }
-    }
-
-    pub fn add(&self, counter: &Counter, v: u64) {
-        counter.add(v);
-    }
-
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            produce_requests: self.produce_requests.get(),
-            produce_bytes: self.produce_bytes.get(),
-            rdma_commits: self.rdma_commits.get(),
-            rdma_commit_bytes: self.rdma_commit_bytes.get(),
-            fetch_requests: self.fetch_requests.get(),
-            empty_fetches: self.empty_fetches.get(),
-            fetch_bytes: self.fetch_bytes.get(),
-            replica_fetches: self.replica_fetches.get(),
-            push_writes: self.push_writes.get(),
-            push_bytes: self.push_bytes.get(),
-            heap_copied_bytes: self.heap_copied_bytes.get(),
-            worker_busy_ns: self.worker_busy_ns.get(),
-            acks_sent: self.acks_sent.get(),
-            slot_updates: self.slot_updates.get(),
-            registered_bytes: self.registered_bytes.get(),
-            produce_aborts: self.produce_aborts.get(),
-            grants_revoked: self.grants_revoked.get(),
-            net_busy_ns: self.net_busy_ns.get(),
-            storage_bytes_flushed: self.storage_bytes_flushed.get(),
-            storage_fsyncs: self.storage_fsyncs.get(),
-            storage_segments_rotated: self.storage_segments_rotated.get(),
-            storage_hot_hits: self.storage_hot_hits.get(),
-            storage_hot_misses: self.storage_hot_misses.get(),
-            storage_cold_read_bytes: self.storage_cold_read_bytes.get(),
-        }
-    }
+    storage_cold_read_bytes = "storage.cold_read_bytes",
 }
 
 /// Latency histograms for one broker, registered with the ambient
@@ -148,12 +108,6 @@ pub struct BrokerTelem {
     pub storage_fsync_ns: kdtelem::Histogram,
 }
 
-impl Default for BrokerTelem {
-    fn default() -> Self {
-        BrokerTelem::new(&kdtelem::current())
-    }
-}
-
 impl BrokerTelem {
     pub fn new(registry: &kdtelem::Registry) -> Self {
         let h = |name| registry.histogram("kdbroker", name);
@@ -169,47 +123,16 @@ impl BrokerTelem {
     }
 }
 
-/// A point-in-time copy of every counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    pub produce_requests: u64,
-    pub produce_bytes: u64,
-    pub rdma_commits: u64,
-    pub rdma_commit_bytes: u64,
-    pub fetch_requests: u64,
-    pub empty_fetches: u64,
-    pub fetch_bytes: u64,
-    pub replica_fetches: u64,
-    pub push_writes: u64,
-    pub push_bytes: u64,
-    pub heap_copied_bytes: u64,
-    pub worker_busy_ns: u64,
-    pub acks_sent: u64,
-    pub slot_updates: u64,
-    pub registered_bytes: u64,
-    pub produce_aborts: u64,
-    pub grants_revoked: u64,
-    /// Network-thread busy time (fed live by the broker's `ServicePool`; no
-    /// longer patched in after the fact).
-    pub net_busy_ns: u64,
-    pub storage_bytes_flushed: u64,
-    pub storage_fsyncs: u64,
-    pub storage_segments_rotated: u64,
-    pub storage_hot_hits: u64,
-    pub storage_hot_misses: u64,
-    pub storage_cold_read_bytes: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counters_accumulate() {
-        let m = Metrics::default();
-        m.add(&m.produce_requests, 2);
-        m.add(&m.produce_requests, 3);
-        m.add(&m.heap_copied_bytes, 100);
+        let m = Metrics::new(&kdtelem::Registry::new());
+        m.produce_requests.add(2);
+        m.produce_requests.add(3);
+        m.heap_copied_bytes.add(100);
         let s = m.snapshot();
         assert_eq!(s.produce_requests, 5);
         assert_eq!(s.heap_copied_bytes, 100);
@@ -221,8 +144,8 @@ mod tests {
         let r = kdtelem::Registry::new();
         let a = Metrics::new(&r);
         let b = Metrics::new(&r);
-        a.add(&a.produce_requests, 2);
-        b.add(&b.produce_requests, 5);
+        a.produce_requests.add(2);
+        b.produce_requests.add(5);
         // Per-broker snapshots stay private ...
         assert_eq!(a.snapshot().produce_requests, 2);
         assert_eq!(b.snapshot().produce_requests, 5);

@@ -1,23 +1,29 @@
-//! The RDMA consume module (paper Fig 2 ➑, §4.4.2): read registration of
-//! segment files and the per-consumer metadata-slot regions (Fig 9).
+//! The RDMA consume module (paper Fig 2 ➑, §4.4.2): consume access and
+//! release, read registration of segment files and the per-consumer
+//! metadata-slot regions (Fig 9).
+//!
+//! This module alone edits a partition's read registrations and slot
+//! references and a consumer's slot array, through one [`acquire`] /
+//! [`release`] pair. A registration records which consumers hold it, and a
+//! release drops only what its own consumer holds: a one-sided read's
+//! region is never torn down on another party's word.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use kdstorage::TopicPartition;
+use kdwire::messages::Response;
 use kdwire::slots::{SlotView, SLOTS_PER_CONSUMER, SLOT_SIZE};
+use kdwire::{ConsumeAccessResp, ErrorCode, RemoteRegion, SlotGrant};
 use rnic::{Access, MemoryRegion, RNic, ShmBuf};
 
+use crate::broker::BrokerInner;
+use crate::common::{charge_storage, count_tier_read, maybe_evict};
 use crate::data::Partition;
 use crate::metrics::Metrics;
-
-/// A segment registered for consumer reads, reference-counted across
-/// consumers.
-pub struct RegSeg {
-    pub mr: MemoryRegion,
-    pub refs: Cell<usize>,
-}
+use crate::requests::Reply;
 
 /// Back-reference from a partition's file to a consumer slot tracking it
 /// (Fig 9: "Each registered file has a list of metadata slots").
@@ -33,7 +39,7 @@ pub struct ConsumerSlots {
     pub buf: ShmBuf,
     pub mr: MemoryRegion,
     /// `assigns[i]` = the file slot *i* tracks.
-    pub assigns: RefCell<Vec<Option<(TopicPartition, u32)>>>,
+    assigns: RefCell<Vec<Option<(TopicPartition, u32)>>>,
 }
 
 impl ConsumerSlots {
@@ -56,13 +62,13 @@ pub struct ConsumeModule {
 
 impl ConsumeModule {
     /// Gets (or creates + registers) a consumer's slot region.
-    pub fn consumer(&self, nic: &RNic, metrics: &Metrics, consumer_id: u64) -> Rc<ConsumerSlots> {
+    fn consumer(&self, nic: &RNic, metrics: &Metrics, consumer_id: u64) -> Rc<ConsumerSlots> {
         if let Some(c) = self.consumers.borrow().get(&consumer_id) {
             return Rc::clone(c);
         }
         let buf = ShmBuf::zeroed(SLOTS_PER_CONSUMER * SLOT_SIZE);
         let mr = nic.reg_mr(buf.clone(), Access::REMOTE_READ);
-        metrics.add(&metrics.registered_bytes, buf.len() as u64);
+        metrics.registered_bytes.add(buf.len() as u64);
         let c = Rc::new(ConsumerSlots {
             buf,
             mr,
@@ -77,7 +83,7 @@ impl ConsumeModule {
     /// Allocates the lowest free slot for `(tp, segment)`, keeping active
     /// slots packed toward the front ("the broker tries to keep assigned
     /// slots in close proximity", §4.4.2). Reuses an existing assignment.
-    pub fn alloc_slot(
+    fn alloc_slot(
         &self,
         nic: &RNic,
         metrics: &Metrics,
@@ -101,7 +107,7 @@ impl ConsumeModule {
     }
 
     /// Frees a slot.
-    pub fn free_slot(&self, consumer_id: u64, tp: &TopicPartition, segment: u32) {
+    fn free_slot(&self, consumer_id: u64, tp: &TopicPartition, segment: u32) {
         if let Some(c) = self.consumers.borrow().get(&consumer_id) {
             let mut assigns = c.assigns.borrow_mut();
             for a in assigns.iter_mut() {
@@ -112,8 +118,17 @@ impl ConsumeModule {
         }
     }
 
-    pub fn get(&self, consumer_id: u64) -> Option<Rc<ConsumerSlots>> {
-        self.consumers.borrow().get(&consumer_id).cloned()
+    /// Refreshes every metadata slot attached to `p` (called when the high
+    /// watermark advances or a file seals).
+    pub fn refresh_slots(&self, p: &Partition, metrics: &Metrics) {
+        let consumers = self.consumers.borrow();
+        for r in p.slot_refs.borrow().iter() {
+            if let Some(c) = consumers.get(&r.consumer_id) {
+                let view = slot_view_for(p, r.segment);
+                c.buf.write_at(r.slot * SLOT_SIZE, &view.encode());
+                metrics.slot_updates.add(1);
+            }
+        }
     }
 }
 
@@ -122,6 +137,7 @@ impl ConsumeModule {
 /// become readable in this file.
 pub fn slot_view_for(p: &Partition, segment: u32) -> SlotView {
     let hwp = p.log.high_watermark_position();
+    // Callers name a located or registered segment; a log drops none.
     let seg = p.log.segment(segment).expect("segment exists");
     let last_readable = if segment < hwp.segment {
         seg.committed_pos()
@@ -140,72 +156,197 @@ pub fn slot_view_for(p: &Partition, segment: u32) -> SlotView {
     }
 }
 
-/// Refreshes every metadata slot attached to `p` (called when the high
-/// watermark advances or a file seals).
-pub fn update_partition_slots(p: &Partition, module: &ConsumeModule, metrics: &Metrics) {
-    let refs = p.slot_refs.borrow().clone();
-    for r in refs {
-        if let Some(c) = module.get(r.consumer_id) {
-            let view = slot_view_for(p, r.segment);
-            c.buf.write_at(r.slot * SLOT_SIZE, &view.encode());
-            metrics.add(&metrics.slot_updates, 1);
-        }
-    }
+/// `ConsumeAccess` (§4.4.2 "getting access").
+pub(crate) async fn handle_access(
+    b: &Rc<BrokerInner>,
+    tp: &TopicPartition,
+    offset: u64,
+    consumer_id: u64,
+    reply: Reply,
+) {
+    let resp = access(b, tp, offset, consumer_id)
+        .await
+        .unwrap_or_else(|error| ConsumeAccessResp { error, ..Default::default() });
+    reply.send(Response::ConsumeAccess(resp));
 }
 
-/// Registers `segment` of `p` for RDMA reads (refcounted).
-pub fn register_read(
+/// Grants `consumer_id` the file holding `offset` — the high-watermark file
+/// once `offset` reaches it — with the batch to start reading at.
+async fn access(
+    b: &Rc<BrokerInner>,
+    tp: &TopicPartition,
+    offset: u64,
+    consumer_id: u64,
+) -> Result<ConsumeAccessResp, ErrorCode> {
+    if !b.config.rdma.consume {
+        return Err(ErrorCode::InvalidRequest);
+    }
+    let p = b.store.get(tp).ok_or(ErrorCode::UnknownTopicOrPartition)?;
+    if !p.is_leader() {
+        return Err(ErrorCode::NotLeader);
+    }
+    let hw = p.log.high_watermark();
+    let hwp = p.log.high_watermark_position();
+    let (segment, start_pos, start_offset) = if offset < hw {
+        let (seg, entry) = p.log.locate(offset).ok_or(ErrorCode::InvalidRequest)?;
+        (seg, entry.pos, entry.base_offset)
+    } else {
+        (hwp.segment, hwp.pos, hw)
+    };
+    // Tiered: page a spilled segment back into memory before registering
+    // it — the zero-copy read region must expose real bytes.
+    if b.config.storage.is_some() {
+        let resident = p.log.segment(segment).is_some_and(|s| s.is_resident());
+        count_tier_read(b, resident);
+        if !resident {
+            if !p.log.restore_segment(segment) {
+                return Err(ErrorCode::OffsetOutOfRange);
+            }
+            charge_storage(b, &p).await;
+        }
+    }
+    let (mr, view, slot) = acquire(b, &p, consumer_id, segment)?;
+    Ok(ConsumeAccessResp {
+        error: ErrorCode::None,
+        segment,
+        region: RemoteRegion {
+            addr: mr.addr(),
+            rkey: mr.rkey(),
+            len: mr.len() as u64,
+        },
+        start_pos,
+        start_offset,
+        last_readable: view.last_readable,
+        mutable: view.mutable,
+        slot,
+        high_watermark: hw,
+    })
+}
+
+/// `ConsumeRelease`: the consumer is done with `segment`.
+pub(crate) fn handle_release(
+    b: &BrokerInner,
+    tp: &TopicPartition,
+    consumer_id: u64,
+    segment: u32,
+    reply: Reply,
+) {
+    if let Some(p) = b.store.get(tp) {
+        release(b, &p, consumer_id, segment);
+    }
+    reply.send(Response::ConsumeRelease {
+        error: ErrorCode::None,
+    });
+}
+
+/// Acquires `segment` of `p` for `consumer_id`: a hold on the segment's read
+/// registration and, while the file can still grow, a metadata slot
+/// tracking it. Undone by [`release`].
+fn acquire(
+    b: &BrokerInner,
+    p: &Partition,
+    consumer_id: u64,
+    segment: u32,
+) -> Result<(MemoryRegion, SlotView, Option<SlotGrant>), ErrorCode> {
+    let mr = register_read(&b.nic, &b.metrics, p, consumer_id, segment);
+    let view = slot_view_for(p, segment);
+    if !view.mutable {
+        return Ok((mr, view, None));
+    }
+    let module = &b.consume_module;
+    let Some((slots, index)) = module.alloc_slot(&b.nic, &b.metrics, consumer_id, &p.tp, segment)
+    else {
+        release_read(&b.nic, &b.metrics, p, consumer_id, segment);
+        return Err(ErrorCode::AccessDenied);
+    };
+    let r = SlotRef {
+        consumer_id,
+        slot: index,
+        segment,
+    };
+    if !p.slot_refs.borrow().contains(&r) {
+        p.slot_refs.borrow_mut().push(r);
+    }
+    slots.buf.write_at(index * SLOT_SIZE, &view.encode());
+    let slot = SlotGrant {
+        region: RemoteRegion {
+            addr: slots.mr.addr(),
+            rkey: slots.mr.rkey(),
+            len: slots.mr.len() as u64,
+        },
+        index: index as u32,
+        active_span: slots.active_span(),
+    };
+    Ok((mr, view, Some(slot)))
+}
+
+/// Drops what `consumer_id` holds on `segment` of `p` — one hold on its read
+/// registration and its slot — and nothing another consumer holds. Once the
+/// last reader is gone the sealed segment may spill back out.
+fn release(b: &BrokerInner, p: &Partition, consumer_id: u64, segment: u32) {
+    release_read(&b.nic, &b.metrics, p, consumer_id, segment);
+    b.consume_module.free_slot(consumer_id, &p.tp, segment);
+    p.slot_refs
+        .borrow_mut()
+        .retain(|r| !(r.consumer_id == consumer_id && r.segment == segment));
+    maybe_evict(p, segment);
+}
+
+/// Registers `segment` of `p` for RDMA reads — once, however many consumers
+/// read it — and counts one hold of `consumer_id` on it.
+fn register_read(
     nic: &RNic,
     metrics: &Metrics,
     p: &Partition,
+    consumer_id: u64,
     segment: u32,
 ) -> MemoryRegion {
     let mut regs = p.read_regs.borrow_mut();
-    if let Some(r) = regs.get(&segment) {
-        r.refs.set(r.refs.get() + 1);
-        return r.mr.clone();
-    }
-    let seg = p.log.segment(segment).expect("segment exists");
-    let mr = nic.reg_mr(seg.shared_buf(), Access::REMOTE_READ);
-    metrics.add(&metrics.registered_bytes, seg.capacity() as u64);
-    regs.insert(
-        segment,
-        RegSeg {
-            mr: mr.clone(),
-            refs: Cell::new(1),
-        },
-    );
+    let registered = regs.iter().find(|(&(s, _), _)| s == segment);
+    let mr = match registered {
+        Some((_, (mr, _))) => mr.clone(),
+        None => {
+            // Callers name a located segment; a log drops none.
+            let seg = p.log.segment(segment).expect("segment exists");
+            let mr = nic.reg_mr(seg.shared_buf(), Access::REMOTE_READ);
+            metrics.registered_bytes.add(u64::from(seg.capacity()));
+            mr
+        }
+    };
+    regs.entry((segment, consumer_id)).or_insert_with(|| (mr.clone(), 0)).1 += 1;
     mr
 }
 
-/// Drops one reference to a registered segment, deregistering at zero
-/// ("unregistered from RDMA access to reduce memory usage", §4.4.2).
-pub fn release_read(nic: &RNic, metrics: &Metrics, p: &Partition, segment: u32) {
+/// Drops one hold of `consumer_id` on `segment`, if it has one; the last
+/// hold deregisters the segment ("unregistered from RDMA access to reduce
+/// memory usage", §4.4.2).
+fn release_read(nic: &RNic, metrics: &Metrics, p: &Partition, consumer_id: u64, segment: u32) {
     let mut regs = p.read_regs.borrow_mut();
-    let remove = match regs.get(&segment) {
-        Some(r) => {
-            r.refs.set(r.refs.get().saturating_sub(1));
-            r.refs.get() == 0
-        }
-        None => false,
+    let Entry::Occupied(mut hold) = regs.entry((segment, consumer_id)) else {
+        return;
     };
-    if remove {
-        let r = regs.remove(&segment).unwrap();
-        nic.dereg_mr(&r.mr);
-        let cap = p
-            .log
-            .segment(segment)
-            .map_or(0, |s| u64::from(s.capacity()));
-        metrics
-            .registered_bytes
-            .set(metrics.registered_bytes.get().saturating_sub(cap));
+    hold.get_mut().1 -= 1;
+    if hold.get().1 > 0 {
+        return;
     }
+    let (mr, _) = hold.remove();
+    if regs.keys().any(|&(s, _)| s == segment) {
+        return;
+    }
+    nic.dereg_mr(&mr);
+    let cap = p
+        .log
+        .segment(segment)
+        .map_or(0, |s| u64::from(s.capacity()));
+    metrics
+        .registered_bytes
+        .set(metrics.registered_bytes.get().saturating_sub(cap));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kdstorage::LogConfig;
+    use kdstorage::{Log, LogConfig};
     use kdwire::BrokerAddr;
     use netsim::profile::Profile;
     use netsim::Fabric;
@@ -214,12 +355,12 @@ mod tests {
         let f = Fabric::new(Profile::fast_test());
         let node = f.add_node("b");
         let nic = RNic::new(&node);
-        let p = Partition::new(
+        let p = Partition::with_log(
             TopicPartition::new("t", 0),
-            LogConfig {
+            Log::new(LogConfig {
                 segment_size: 4096,
                 max_batch_size: 2048,
-            },
+            }),
             BrokerAddr {
                 node: 0,
                 port: 1,
@@ -229,7 +370,7 @@ mod tests {
             true,
             0,
         );
-        (nic, Metrics::default(), p)
+        (nic, Metrics::new(&kdtelem::Registry::new()), p)
     }
 
     fn append(p: &Partition, n: usize, size: usize) {
@@ -307,20 +448,28 @@ mod tests {
         });
     }
 
+    /// One registration per segment, however many consumers hold it; it
+    /// goes with its last holder's release, and a release by a consumer
+    /// that holds nothing drops nothing.
     #[test]
     fn register_release_refcount() {
         let rt = sim::Runtime::new();
         rt.block_on(async {
             let (nic, m, p) = setup();
             append(&p, 1, 64);
-            let mr1 = register_read(&nic, &m, &p, 0);
-            let mr2 = register_read(&nic, &m, &p, 0);
+            let mr1 = register_read(&nic, &m, &p, 1, 0);
+            let mr2 = register_read(&nic, &m, &p, 2, 0);
             assert_eq!(mr1.rkey(), mr2.rkey(), "same registration shared");
             assert_eq!(m.registered_bytes.get(), 4096);
-            release_read(&nic, &m, &p, 0);
+            for _ in 0..2 {
+                release_read(&nic, &m, &p, 3, 0);
+            }
+            assert!(mr1.is_valid(), "a stranger's release drops nothing");
+            release_read(&nic, &m, &p, 1, 0);
+            release_read(&nic, &m, &p, 1, 0);
             assert!(mr1.is_valid(), "still one reader");
-            release_read(&nic, &m, &p, 0);
-            assert!(!mr1.is_valid(), "deregistered at zero refs");
+            release_read(&nic, &m, &p, 2, 0);
+            assert!(!mr1.is_valid(), "deregistered with its last holder");
             assert_eq!(m.registered_bytes.get(), 0);
         });
     }
@@ -338,7 +487,7 @@ mod tests {
                 slot: idx,
                 segment: 0,
             });
-            update_partition_slots(&p, &module, &m);
+            module.refresh_slots(&p, &m);
             let view = SlotView::decode(&c.buf.read_at(idx * SLOT_SIZE, SLOT_SIZE));
             assert_eq!(view.high_watermark, 1);
             assert!(view.mutable);

@@ -6,9 +6,10 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use rnic::{CqOpcode, Cqe, MuxPool, QpOptions, QueuePair, RdmaListener, RecvWr, SendWr, Srq, WorkRequest};
+use rnic::{CqOpcode, Cqe, MuxPool, QpOptions, QueuePair, RdmaListener, RecvWr, Srq};
 
 use crate::broker::BrokerInner;
+use crate::common::{send_acks, Ack};
 use crate::rdma_produce::Grant;
 use crate::requests::{AckRoute, CommitItem, CommitRun, WorkItem};
 
@@ -31,6 +32,7 @@ pub fn start(b: &Rc<BrokerInner>) {
         wr_id: i as u64,
         buf: None,
     }))
+    // An SRQ is created with room for exactly `srq_depth` receives.
     .expect("fresh SRQ accepts its initial posting");
     start_produce_listener(b, srq.clone());
     start_consume_listener(b);
@@ -127,7 +129,7 @@ async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogra
     let produced = |cqe: &Cqe| cqe.ok() && cqe.opcode == CqOpcode::RecvRdmaWithImm;
     // Pooled per-poller scratch: steady-state batches allocate nothing.
     let mut batch: Vec<Cqe> = Vec::with_capacity(max_batch);
-    let mut seqs: Vec<Option<u64>> = Vec::with_capacity(max_batch);
+    let mut seqs: Vec<Option<(u64, Rc<Grant>)>> = Vec::with_capacity(max_batch);
     let mut err_acks: Vec<Ack> = Vec::new();
     loop {
         if !b.alive.get() {
@@ -157,7 +159,7 @@ async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogra
                 b.produce_module.lookup(file_id).map(|(_, grant)| {
                     let s = grant.next_seq.get();
                     grant.next_seq.set(s + 1);
-                    s
+                    (s, grant)
                 })
             } else {
                 None
@@ -185,12 +187,12 @@ async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogra
         // Route each completion, still in drained order.
         err_acks.clear();
         let mut open = None;
-        for (cqe, seq) in batch.iter().zip(&seqs) {
+        for (cqe, seq) in batch.iter().zip(seqs.drain(..)) {
             if !produced(cqe) {
                 continue; // flushed recv of a dead QP
             }
-            let (file_id, order) = kdwire::unpack_imm(cqe.imm.unwrap_or(0));
-            let Some(seq) = *seq else {
+            let (_, order) = kdwire::unpack_imm(cqe.imm.unwrap_or(0));
+            let Some((seq, grant)) = seq else {
                 // Unknown file: answer with an error ack (coalesced below).
                 err_acks.push(Ack::one(cqe.qpn, kdwire::ErrorCode::AccessDenied, 0));
                 continue;
@@ -203,7 +205,6 @@ async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogra
                 // context.
                 trace: cqe.trace,
             };
-            let (_, grant) = b.produce_module.lookup(file_id).expect("seq implies grant");
             grant.stage_enqueue(seq, item, &mut |seq, item| {
                 extend_or_hand_off(&b, &mut open, &grant, seq, item)
             });
@@ -282,56 +283,4 @@ pub fn enqueue_in_order(b: &Rc<BrokerInner>, grant: &Grant, seq: u64, item: Comm
         let run = CommitRun::one(item);
         b.hand_off(WorkItem::RdmaCommit { file_id: grant.file_id, seq, run })
     });
-}
-
-/// One ack Send owed on a produce QP: [`kdwire::encode_ack`]'s arguments.
-#[derive(Clone, Copy)]
-pub struct Ack {
-    pub qpn: u32,
-    pub error: kdwire::ErrorCode,
-    pub base_offset: u64,
-    /// Consecutive writes of this QP it answers (1 unless `error` is `None`).
-    pub count: u32,
-}
-
-impl Ack {
-    /// The answer to one write of `qpn`.
-    pub fn one(qpn: u32, error: kdwire::ErrorCode, base_offset: u64) -> Ack {
-        Ack { qpn, error, base_offset, count: 1 }
-    }
-}
-
-/// Sends produce acknowledgments, error acks and replication credit
-/// returns on their client QPs: each a small unsignaled Send of
-/// [`kdwire::encode_ack`] bytes. Consecutive acks of one QP chain into one
-/// `post_send_list` (one doorbell); `acks` order — commit order — is post
-/// order, which producers rely on (acks correlate FIFO per QP).
-pub fn send_acks(b: &Rc<BrokerInner>, acks: &[Ack]) {
-    let mut rest = acks;
-    while let Some(&Ack { qpn, .. }) = rest.first() {
-        let (chain, tail) = rest.split_at(rest.iter().take_while(|a| a.qpn == qpn).count());
-        rest = tail;
-        let Some(qp) = b.produce_qps.borrow().get(&qpn).cloned() else {
-            continue;
-        };
-        // Acks are written through a pre-allocated round-robin ring: a WR
-        // has executed long before the ring wraps, so its slot is free to
-        // reuse.
-        let _ = qp.post_send_list(chain.iter().map(|ack| {
-            let idx = b.ack_ring_next.get();
-            b.ack_ring_next.set((idx + 1) % b.ack_ring.len());
-            let buf = &b.ack_ring[idx];
-            buf.with_mut(0, buf.len(), |s| {
-                kdwire::encode_ack(ack.error, ack.base_offset, ack.count, s)
-            });
-            SendWr::unsignaled(
-                0,
-                WorkRequest::Send {
-                    local: buf.as_slice(),
-                },
-            )
-        }));
-        let answered = chain.iter().map(|a| u64::from(a.count)).sum();
-        b.metrics.add(&b.metrics.acks_sent, answered);
-    }
 }

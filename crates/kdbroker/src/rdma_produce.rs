@@ -17,13 +17,12 @@ use netsim::profile::copy_time;
 use netsim::NodeId;
 use rnic::{Access, MemoryRegion, RNic, ShmBuf};
 
-use crate::api::{
-    after_local_commit, charge_storage, charge_worker, on_hw_advanced, roll_head,
-    trace_commit, CONTROL_COST,
-};
 use crate::broker::BrokerInner;
+use crate::common::{
+    after_local_commit, charge_storage, charge_worker, deliver_ack, on_hw_advanced, roll_head,
+    send_acks, trace_commit, Ack,
+};
 use crate::data::{Chain, DeferredAck, Partition};
-use crate::rdma_net::{send_acks, Ack};
 use crate::requests::{AckRoute, CommitItem, CommitRun, Reply};
 
 /// Shared-mode coordination state.
@@ -39,6 +38,32 @@ pub struct SharedState {
     pub pending: RefCell<HashMap<u16, CommitItem>>,
     /// Bumped on abort so stale timeout watchers do nothing.
     pub generation: Cell<u64>,
+}
+
+impl SharedState {
+    /// Feeds an arriving completion through the Fig 5 reorder buffer. When
+    /// it carries the expected order, it and every parked successor it
+    /// unblocks are appended to `ready`, in order; otherwise it is parked
+    /// and `false` returned. In order with nothing parked — the common case
+    /// — this is one push: no map, no allocation.
+    pub fn on_arrival(&self, item: CommitItem, ready: &mut Vec<CommitItem>) -> bool {
+        let mut pending = self.pending.borrow_mut();
+        let mut next = self.expected_order.get();
+        if item.order != next {
+            // Duplicate / ancient orders are protocol errors; park the rest.
+            pending.insert(item.order, item);
+            return false;
+        }
+        ready.push(item);
+        next = next.wrapping_add(1);
+        while !pending.is_empty() {
+            let Some(item) = pending.remove(&next) else { break };
+            ready.push(item);
+            next = next.wrapping_add(1);
+        }
+        self.expected_order.set(next);
+        true
+    }
 }
 
 /// An active produce grant on one head file.
@@ -84,31 +109,6 @@ impl Grant {
             next += 1;
         }
         self.enqueue_next.set(next);
-    }
-
-    /// Feeds an arriving shared-mode completion through the Fig 5 reorder
-    /// buffer. When it carries the expected order, it and every parked
-    /// successor it unblocks are appended to `ready`, in order; otherwise
-    /// it is parked and `false` returned. In order with nothing parked —
-    /// the common case — this is one push: no map, no allocation.
-    pub fn on_shared_arrival(&self, item: CommitItem, ready: &mut Vec<CommitItem>) -> bool {
-        let shared = self.shared.as_ref().expect("shared grant");
-        let mut pending = shared.pending.borrow_mut();
-        let mut next = shared.expected_order.get();
-        if item.order != next {
-            // Duplicate / ancient orders are protocol errors; park the rest.
-            pending.insert(item.order, item);
-            return false;
-        }
-        ready.push(item);
-        next = next.wrapping_add(1);
-        while !pending.is_empty() {
-            let Some(item) = pending.remove(&next) else { break };
-            ready.push(item);
-            next = next.wrapping_add(1);
-        }
-        shared.expected_order.set(next);
-        true
     }
 
     /// True if `order` is still parked (used by timeout watchers).
@@ -174,7 +174,7 @@ impl ProduceModule {
             mr,
             owner,
             closed: Cell::new(false),
-            chain: Chain::new(),
+            chain: Chain::default(),
             next_seq: Cell::new(0),
             enqueue_next: Cell::new(0),
             enqueue_buf: RefCell::new(HashMap::new()),
@@ -284,6 +284,7 @@ async fn commit_spans(
     };
     // Enforce completion-order processing per file (§4.2.2).
     grant.chain.wait_turn(seq).await;
+    // A grant is only issued for a hosted partition, and none is unhosted.
     let p = b.store.get(&tp).expect("grant partition exists");
     if grant.closed.get() {
         grant.chain.advance_to(next_seq);
@@ -291,14 +292,14 @@ async fn commit_spans(
         return;
     }
     for item in run {
-        if grant.shared.is_none() {
+        let Some(shared) = &grant.shared else {
             spans.push(item);
-        } else {
-            let order = item.order;
-            if !grant.on_shared_arrival(item, spans) {
-                // Parked out-of-order: arm the hole timeout (§4.2.2).
-                arm_order_timeout(b, &p, &grant, order);
-            }
+            continue;
+        };
+        let order = item.order;
+        if !shared.on_arrival(item, spans) {
+            // Parked out-of-order: arm the hole timeout (§4.2.2).
+            arm_order_timeout(b, &p, &grant, order);
         }
     }
     if spans.is_empty() {
@@ -324,9 +325,8 @@ async fn commit_spans(
             match res {
                 Ok(span) => {
                     committed = true;
-                    b.metrics.add(&b.metrics.rdma_commits, 1);
-                    b.metrics
-                        .add(&b.metrics.rdma_commit_bytes, u64::from(it.byte_len));
+                    b.metrics.rdma_commits.add(1);
+                    b.metrics.rdma_commit_bytes.add(u64::from(it.byte_len));
                     trace_commit(b, it.trace, &tp, span.base_offset, span.next_offset);
                     finish_rdma_ack(b, &p, &grant, span, it.ack, &mut owed);
                     after_local_commit(b, &p);
@@ -453,17 +453,6 @@ fn ack_now(
     deliver_ack(b, route, error, base_offset);
 }
 
-pub(crate) fn deliver_ack(b: &Rc<BrokerInner>, route: AckRoute, error: ErrorCode, base_offset: u64) {
-    match route {
-        AckRoute::Qp(qpn) => send_acks(b, &[Ack::one(qpn, error, base_offset)]),
-        AckRoute::Rpc(reply) => reply.send(Response::Produce {
-            error,
-            base_offset,
-        }),
-        AckRoute::None => {}
-    }
-}
-
 /// Arms the §4.2.2 hole watchdog: if `order` is still parked when the
 /// timeout fires, the whole shared session is aborted and access revoked.
 fn arm_order_timeout(b: &Rc<BrokerInner>, p: &Rc<Partition>, grant: &Rc<Grant>, order: u16) {
@@ -479,7 +468,7 @@ fn arm_order_timeout(b: &Rc<BrokerInner>, p: &Rc<Partition>, grant: &Rc<Grant>, 
     sim::spawn(async move {
         sim::time::sleep(timeout).await;
         if grant.is_pending(order, generation) {
-            b.metrics.add(&b.metrics.produce_aborts, 1);
+            b.metrics.produce_aborts.add(1);
             revoke_grant(&b, &p, &grant, ErrorCode::OrderTimeout);
         }
     });
@@ -504,7 +493,7 @@ pub fn revoke_grant(b: &Rc<BrokerInner>, p: &Rc<Partition>, grant: &Rc<Grant>, e
     if cell.as_ref().is_some_and(|g| Rc::ptr_eq(g, grant)) {
         *cell = None;
     }
-    b.metrics.add(&b.metrics.grants_revoked, 1);
+    b.metrics.grants_revoked.add(1);
 }
 
 /// Revokes exclusive/replication grants owned by a disconnected node
@@ -525,7 +514,8 @@ pub fn revoke_grants_of_node(b: &Rc<BrokerInner>, node: NodeId) {
 // Produce access grants (§4.2.2 "Getting RDMA access").
 // ---------------------------------------------------------------------------
 
-pub(crate) async fn handle_produce_access(
+/// `ProduceAccess`: grants `peer` write access to the head file of `tp`.
+pub(crate) fn handle_produce_access(
     b: &Rc<BrokerInner>,
     peer: NodeId,
     tp: &TopicPartition,
@@ -533,47 +523,36 @@ pub(crate) async fn handle_produce_access(
     min_bytes: u32,
     reply: Reply,
 ) {
-    charge_worker(b, CONTROL_COST).await;
-    let fail = |error: ErrorCode| {
-        Response::ProduceAccess(ProduceAccessResp {
-            error,
-            file_id: 0,
-            segment: 0,
-            region: RemoteRegion {
-                addr: 0,
-                rkey: 0,
-                len: 0,
-            },
-            write_pos: 0,
-            next_offset: 0,
-            shared_word: None,
-            credits: 0,
-        })
-    };
-    let Some(p) = b.store.get(tp) else {
-        reply.send(fail(ErrorCode::UnknownTopicOrPartition));
-        return;
-    };
+    let resp = produce_access(b, peer, tp, mode, min_bytes)
+        .unwrap_or_else(|error| ProduceAccessResp { error, ..Default::default() });
+    reply.send(Response::ProduceAccess(resp));
+}
+
+fn produce_access(
+    b: &Rc<BrokerInner>,
+    peer: NodeId,
+    tp: &TopicPartition,
+    mode: ProduceMode,
+    min_bytes: u32,
+) -> Result<ProduceAccessResp, ErrorCode> {
+    let p = b.store.get(tp).ok_or(ErrorCode::UnknownTopicOrPartition)?;
     let allowed = match mode {
         ProduceMode::Replication => {
             if b.config.rdma.replicate && peer.0 != p.leader().node {
                 // A pusher that is not the current leader lost a leadership
                 // election it has not heard about yet: fence it.
-                reply.send(fail(ErrorCode::FencedEpoch));
-                return;
+                return Err(ErrorCode::FencedEpoch);
             }
             b.config.rdma.replicate && !p.is_leader()
         }
         _ => b.config.rdma.produce && p.is_leader(),
     };
     if !allowed {
-        let code = if p.is_leader() || mode == ProduceMode::Replication {
+        return Err(if p.is_leader() || mode == ProduceMode::Replication {
             ErrorCode::AccessDenied
         } else {
             ErrorCode::NotLeader
-        };
-        reply.send(fail(code));
-        return;
+        });
     }
 
     let existing = p.grant.borrow().clone().filter(|g| !g.closed.get());
@@ -583,12 +562,10 @@ pub(crate) async fn handle_produce_access(
         let compatible = g.mode == mode
             && (mode == ProduceMode::Shared || g.owner == peer);
         if !compatible {
-            reply.send(fail(ErrorCode::AccessDenied));
-            return;
+            return Err(ErrorCode::AccessDenied);
         }
         if !needs_roll {
-            reply.send(grant_response(b, &p, &g));
-            return;
+            return Ok(grant_response(b, &p, &g));
         }
         // Roll: retire the old session, seal the file, open a new head.
         revoke_grant(b, &p, &g, ErrorCode::OutOfSpace);
@@ -616,15 +593,15 @@ pub(crate) async fn handle_produce_access(
             }),
         );
     }
-    b.metrics
-        .add(&b.metrics.registered_bytes, u64::from(head.capacity()));
+    b.metrics.registered_bytes.add(u64::from(head.capacity()));
     *p.grant.borrow_mut() = Some(Rc::clone(&grant));
-    reply.send(grant_response(b, &p, &grant));
+    Ok(grant_response(b, &p, &grant))
 }
 
-fn grant_response(b: &Rc<BrokerInner>, p: &Rc<Partition>, g: &Rc<Grant>) -> Response {
+fn grant_response(b: &BrokerInner, p: &Partition, g: &Grant) -> ProduceAccessResp {
+    // A grant names a segment of its partition's log; a log drops none.
     let head = p.log.segment(g.segment).expect("grant segment");
-    Response::ProduceAccess(ProduceAccessResp {
+    ProduceAccessResp {
         error: ErrorCode::None,
         file_id: g.file_id,
         segment: g.segment,
@@ -641,7 +618,7 @@ fn grant_response(b: &Rc<BrokerInner>, p: &Rc<Partition>, g: &Rc<Grant>) -> Resp
             len: 8,
         }),
         credits: b.config.replication_credits,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -691,13 +668,14 @@ mod tests {
             let g = m.create_grant(&nic, &tp, 0, seg_buf(), ProduceMode::Shared, NodeId(5));
             // Orders 1 and 2 arrive before 0.
             let mut ready = Vec::new();
-            assert!(!g.on_shared_arrival(item(1, 10), &mut ready));
-            assert!(!g.on_shared_arrival(item(2, 20), &mut ready));
+            let s = g.shared.as_ref().unwrap();
+            assert!(!s.on_arrival(item(1, 10), &mut ready));
+            assert!(!s.on_arrival(item(2, 20), &mut ready));
             assert!(ready.is_empty());
-            assert!(g.on_shared_arrival(item(0, 5), &mut ready));
+            assert!(s.on_arrival(item(0, 5), &mut ready));
             let lens: Vec<u32> = ready.iter().map(|it| it.byte_len).collect();
             assert_eq!(lens, vec![5, 10, 20]);
-            assert_eq!(g.shared.as_ref().unwrap().expected_order.get(), 3);
+            assert_eq!(s.expected_order.get(), 3);
         });
     }
 
@@ -710,8 +688,8 @@ mod tests {
             let s = g.shared.as_ref().unwrap();
             s.expected_order.set(0xffff);
             let mut ready = Vec::new();
-            assert!(!g.on_shared_arrival(item(0, 8), &mut ready));
-            assert!(g.on_shared_arrival(item(0xffff, 4), &mut ready));
+            assert!(!s.on_arrival(item(0, 8), &mut ready));
+            assert!(s.on_arrival(item(0xffff, 4), &mut ready));
             assert_eq!(ready.len(), 2);
             assert_eq!(s.expected_order.get(), 1);
         });
@@ -723,7 +701,7 @@ mod tests {
         rt.block_on(async {
             let (nic, m, tp) = setup();
             let g = m.create_grant(&nic, &tp, 0, seg_buf(), ProduceMode::Shared, NodeId(5));
-            assert!(!g.on_shared_arrival(item(3, 10), &mut Vec::new()));
+            assert!(!g.shared.as_ref().unwrap().on_arrival(item(3, 10), &mut Vec::new()));
             assert!(g.is_pending(3, 0));
             let failed = m.revoke(&nic, &g);
             assert_eq!(failed.len(), 1);
@@ -810,7 +788,8 @@ mod tests {
             };
             let broker = crate::Broker::start(&bnode, config.clone(), vec![me]);
             let b = broker.inner();
-            crate::api::apply_add_partition(b, "t", 0, 0, me, Vec::new());
+            let meta = kdwire::PartitionMeta { partition: 0, epoch: 0, leader: me, replicas: Vec::new() };
+            crate::admin::install(b, "t", meta, None);
             let tp = TopicPartition::new("t", 0);
             let p = b.store.get(&tp).unwrap();
             let head = p.log.head();

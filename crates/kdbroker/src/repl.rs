@@ -24,6 +24,7 @@ use sim::future::{race, Either};
 use sim::sync::{Notify, Semaphore};
 
 use crate::broker::BrokerInner;
+use crate::common::{charge_storage, charge_worker, on_hw_advanced};
 use crate::data::Partition;
 
 /// Replica fetch size cap.
@@ -72,7 +73,7 @@ async fn pull_loop(b: Rc<BrokerInner>, p: Rc<Partition>) {
             sim::time::sleep(Duration::from_millis(1)).await;
             continue;
         }
-        b.metrics.add(&b.metrics.replica_fetches, 1);
+        b.metrics.replica_fetches.add(1);
         if !resp.bytes.is_empty() {
             apply_replicated(&b, &p, &resp.bytes).await;
             // Replication latency, pull flavour: fetch issued → batches
@@ -80,7 +81,7 @@ async fn pull_loop(b: Rc<BrokerInner>, p: Rc<Partition>) {
             b.telem.replicate_ns.record_since(fetch_start);
         }
         p.follower_set_hw(resp.high_watermark);
-        crate::api::on_hw_advanced(&b, &p);
+        on_hw_advanced(&b, &p);
         // No data → the leader long-polled already; loop immediately.
     }
 }
@@ -98,12 +99,12 @@ async fn apply_replicated(b: &Rc<BrokerInner>, p: &Rc<Partition>, bytes: &[u8]) 
         let cost = cpu.api_produce_base
             + copy_time(total as u64, cpu.crc_bandwidth)
             + copy_time(total as u64, cpu.heap_copy_bandwidth);
-        crate::api::charge_worker(b, cost).await;
-        b.metrics.add(&b.metrics.heap_copied_bytes, total as u64);
+        charge_worker(b, cost).await;
+        b.metrics.heap_copied_bytes.add(total as u64);
         if p.log.append_replica(&bytes[at..at + total]).is_err() {
             return; // offset mismatch: retry from our log end next round
         }
-        crate::api::charge_storage(b, p).await;
+        charge_storage(b, p).await;
         at += total;
     }
     p.announce_leo();
@@ -182,9 +183,7 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         }
         // Wait for new committed-to-leader bytes at the cursor.
         loop {
-            // The cursor always names a segment of this log: it starts at 0,
-            // moves only past a sealed one (the roll that sealed it made the
-            // next), and adopts a follower's only once `aligned` found it.
+            // The cursor starts at 0, passes only sealed segments, and adopts only `aligned` ones.
             let seg = p.log.segment(cursor_seg).expect("cursor segment");
             if seg.committed_pos() > cursor_pos {
                 break;
@@ -218,43 +217,45 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
 
         // Establish the session lazily: "get RDMA produce address" on the
         // follower (§4.3.2), then an RC QP.
-        if session.is_none() {
-            session = establish(&b, &p, follower, just_rolled, &state).await;
-            if session.is_none() {
-                sim::time::sleep(Duration::from_millis(1)).await;
-                continue;
-            }
-            just_rolled = false;
-            resync = false;
-            // Re-sync the cursor to the follower's actual frontier: a
-            // restarted follower can be behind it (recovery truncated its
-            // torn tail) or still on an earlier file. Follower files mirror
-            // leader files byte for byte, so its committed frontier is
-            // always one of our batch boundaries.
-            let g = &session.as_ref().unwrap().grant;
-            if g.segment != cursor_seg || g.write_pos != cursor_pos {
-                cursor_seg = g.segment;
-                cursor_pos = g.write_pos;
-                cursor_idx = batch_index_at(&p, cursor_seg, cursor_pos);
-                // A frontier that is not one of our batch boundaries (or
-                // lies past our end) means the follower recovered a log
-                // that diverged from ours and was never truncated (no live
-                // leader existed at its recovery). Retire rather than
-                // interleave mismatched bytes; a later restart against a
-                // live leader repairs the follower.
-                let aligned = match p.log.segment(cursor_seg) {
-                    Some(seg) => seg
-                        .batch_at(cursor_idx)
-                        .map(|e| e.pos == cursor_pos)
-                        .unwrap_or_else(|| seg.committed_pos() == cursor_pos),
-                    None => false,
+        let s = match session {
+            Some(ref s) => s,
+            None => {
+                let Some(new) = establish(&b, &p, follower, just_rolled, &state).await else {
+                    sim::time::sleep(Duration::from_millis(1)).await;
+                    continue;
                 };
-                if !aligned {
-                    return;
+                just_rolled = false;
+                resync = false;
+                // Re-sync the cursor to the follower's actual frontier: a
+                // restarted follower can be behind it (recovery truncated its
+                // torn tail) or still on an earlier file. Follower files
+                // mirror leader files byte for byte, so its committed
+                // frontier is always one of our batch boundaries.
+                let g = &new.grant;
+                if g.segment != cursor_seg || g.write_pos != cursor_pos {
+                    cursor_seg = g.segment;
+                    cursor_pos = g.write_pos;
+                    cursor_idx = batch_index_at(&p, cursor_seg, cursor_pos);
+                    // A frontier that is not one of our batch boundaries (or
+                    // lies past our end) means the follower recovered a log
+                    // that diverged from ours and was never truncated (no live
+                    // leader existed at its recovery). Retire rather than
+                    // interleave mismatched bytes; a later restart against a
+                    // live leader repairs the follower.
+                    let aligned = match p.log.segment(cursor_seg) {
+                        Some(seg) => seg
+                            .batch_at(cursor_idx)
+                            .map(|e| e.pos == cursor_pos)
+                            .unwrap_or_else(|| seg.committed_pos() == cursor_pos),
+                        None => false,
+                    };
+                    if !aligned {
+                        return;
+                    }
                 }
+                &*session.insert(new)
             }
-        }
-        let s = session.as_ref().unwrap();
+        };
 
         // Opportunistic batching: merge contiguous committed batches up to
         // the configured cap (the paper settles on 1 KiB, Fig 8/17), but
@@ -318,8 +319,8 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         }
         state.inflight.borrow_mut().push_back((last_offset, sim::now()));
         state.lag.set(last_offset.saturating_sub(state.acked.get()));
-        b.metrics.add(&b.metrics.push_writes, 1);
-        b.metrics.add(&b.metrics.push_bytes, u64::from(len));
+        b.metrics.push_writes.add(1);
+        b.metrics.push_bytes.add(u64::from(len));
         cursor_pos = end;
         cursor_idx = next_idx;
     }
@@ -401,7 +402,7 @@ async fn establish(
     let before = p.log.high_watermark();
     p.follower_ack(follower.node, grant.next_offset);
     if p.log.high_watermark() != before {
-        crate::api::on_hw_advanced(b, p);
+        on_hw_advanced(b, p);
     }
     // Writes of a dead session never complete; drop their post times.
     state.inflight.borrow_mut().clear();
@@ -465,13 +466,12 @@ fn spawn_collector(
                     // follower NIC ack (a cumulative ack covers all earlier
                     // writes).
                     let mut q = inflight.borrow_mut();
-                    while q.front().is_some_and(|(off, _)| *off <= cqe.wr_id) {
-                        let (_, posted) = q.pop_front().unwrap();
+                    while let Some((_, posted)) = q.pop_front_if(|(off, _)| *off <= cqe.wr_id) {
                         b2.telem.replicate_ns.record_since(posted);
                     }
                     drop(q);
                     p2.follower_ack(follower_node, cqe.wr_id);
-                    crate::api::on_hw_advanced(&b2, &p2);
+                    on_hw_advanced(&b2, &p2);
                 }
             }
         }

@@ -85,15 +85,17 @@ async fn serve_connection(
             break;
         };
         for cqe in &batch {
-            if !cqe.ok() || cqe.opcode != CqOpcode::Recv || cqe.byte_len < 8 || !b.alive.get() {
+            if !cqe.ok() || cqe.opcode != CqOpcode::Recv || !b.alive.get() {
                 break 'conn;
             }
             // The copy out of the network receive buffer.
             frame.clear();
             bufs[cqe.wr_id as usize].with(|buf| frame.extend_from_slice(&buf[..cqe.byte_len as usize]));
             recycle.push(cqe.wr_id);
-            let (corr, payload) = frame.split_at(8);
-            let corr = u64::from_le_bytes(corr.try_into().expect("split at 8"));
+            let Some((corr, payload)) = frame.split_first_chunk() else {
+                break 'conn; // shorter than its correlation id
+            };
+            let corr = u64::from_le_bytes(*corr);
             // OSU requests arrive as verbs Sends; the WR context (if any)
             // rode in on the receive completion.
             if !conn.route(corr, cqe.trace, payload, cost(frame.len())).await {

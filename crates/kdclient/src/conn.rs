@@ -171,18 +171,6 @@ impl OsuConn {
         })
     }
 
-    pub async fn call(&self, req: &Request) -> Result<Response, ClientError> {
-        self.call_traced(req, None).await
-    }
-
-    pub async fn call_traced(
-        &self,
-        req: &Request,
-        trace: Option<kdtelem::TraceCtx>,
-    ) -> Result<Response, ClientError> {
-        self.call_with(|body| req.encode_into(body), trace).await
-    }
-
     pub async fn call_with(
         &self,
         encode: impl FnOnce(&mut Vec<u8>),
@@ -217,15 +205,4 @@ impl OsuConn {
             .map_err(|_| ClientError::Disconnected)?;
         rx.await.map_err(|_| ClientError::Disconnected)
     }
-}
-
-/// Expects a specific response variant; anything else is a protocol error.
-#[macro_export]
-macro_rules! expect_response {
-    ($resp:expr, $variant:path) => {
-        match $resp {
-            $variant(inner) => Ok(inner),
-            _ => Err($crate::ClientError::Protocol),
-        }
-    };
 }

@@ -150,7 +150,7 @@ impl RdmaProducer {
             topic: topic.to_string(),
             partition,
             mode,
-            grant: empty_grant(),
+            grant: ProduceAccessResp::default(),
             write_pos: 0,
             pending,
             stage_pool,
@@ -687,23 +687,6 @@ struct NeedAccess;
 /// Bytes of a staged run.
 fn run_len(run: &[Staged]) -> u64 {
     run.iter().map(|(buf, _)| buf.len() as u64).sum()
-}
-
-fn empty_grant() -> ProduceAccessResp {
-    ProduceAccessResp {
-        error: ErrorCode::None,
-        file_id: 0,
-        segment: 0,
-        region: kdwire::RemoteRegion {
-            addr: 0,
-            rkey: 0,
-            len: 0,
-        },
-        write_pos: 0,
-        next_offset: 0,
-        shared_word: None,
-        credits: 0,
-    }
 }
 
 #[cfg(test)]

@@ -318,7 +318,7 @@ wire_struct! {
 
     /// `(addr, rkey, len)` of a remotely accessible region — what "get RDMA
     /// access" hands to clients (§4.2.2).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct RemoteRegion {
         pub addr: u64,
         pub rkey: u32,
@@ -326,7 +326,7 @@ wire_struct! {
     }
 
     /// Fetch response payload.
-    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct FetchResp {
         pub error: ErrorCode,
         pub high_watermark: u64,
@@ -339,7 +339,7 @@ wire_struct! {
     }
 
     /// Produce-access grant (§4.2.2).
-    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct ProduceAccessResp {
         pub error: ErrorCode,
         /// 16-bit file id the producer must put in the immediate data (Fig 4).
@@ -371,7 +371,7 @@ wire_struct! {
     }
 
     /// Consume-access grant (§4.4.2).
-    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct ConsumeAccessResp {
         pub error: ErrorCode,
         pub segment: u32,
@@ -392,8 +392,9 @@ wire_struct! {
 
 wire_enum! {
     /// Protocol-level error codes.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub enum ErrorCode: u8 {
+        #[default]
         None = 0,
         UnknownTopicOrPartition = 1,
         NotLeader = 2,

@@ -178,6 +178,19 @@ if grep -rnE "SpanGuard|drain_spans|record_span|with_span_capacity|struct HistDa
     exit 1
 fi
 
+# kdbroker by plane (DESIGN.md §2): each request's handler lives in its
+# plane's file, and the helpers every plane uses live in `common`, which
+# imports no plane. A consume release drops only its own consumer's hold on
+# a read registration (DESIGN.md §9). Then the re-fork guard: no catch-all
+# API file, no `Metrics::add` wrapper, no second count of network-thread
+# busy time.
+cargo test -q --offline --test e2e_failures a_foreign_consume_release_leaves_a_readers_segment_registered
+if [ -e crates/kdbroker/src/api.rs ] ||
+    grep -rnE "crate::api|kdbroker::api|metrics\.add\(|net_pool\.busy_ns" crates/ tests/ examples/; then
+    echo "ci: kdbroker's catch-all api.rs or a twice-stated counter reappeared (see DESIGN.md §2)" >&2
+    exit 1
+fi
+
 # Work-request engine gates: the NIC model must not grow a per-WR task
 # again — no spawn on the post path of qp.rs (connection-manager and test
 # spawns live elsewhere) — and its executor-poll budget must hold: 10 000

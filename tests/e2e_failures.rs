@@ -396,6 +396,62 @@ fn consume_release_unregisters_memory() {
     });
 }
 
+/// A `ConsumeRelease` drops only what the releasing consumer holds: a peer
+/// that never acquired a segment cannot deregister it from under a
+/// consumer reading it, however often it asks (Storm's rule for one-sided
+/// reads: a region is never torn down on another party's word).
+#[test]
+fn a_foreign_consume_release_leaves_a_readers_segment_registered() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+        cluster.create_topic("t", 1, 1).await;
+        let cnode = cluster.add_client_node("c");
+        let mut producer = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, false)
+            .await
+            .unwrap();
+        let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
+            .await
+            .unwrap();
+        let mut got = Vec::new();
+        for i in 0..10u8 {
+            producer.send(&Record::value(vec![i; 64])).await.unwrap();
+        }
+        while got.len() < 10 {
+            got.extend(consumer.next_records().await.unwrap());
+        }
+
+        // The consumer holds segment 0; a stranger releases it twice.
+        let registered = cluster.broker(0).metrics().registered_bytes;
+        let stranger = cluster.add_client_node("stranger");
+        let transport = kdclient::ClientTransport::Tcp;
+        let ctrl = kdclient::Conn::connect(&stranger, cluster.bootstrap(), transport)
+            .await
+            .unwrap();
+        for _ in 0..2 {
+            let release = Request::ConsumeRelease {
+                topic: "t".into(),
+                partition: 0,
+                consumer_id: 7,
+                segment: 0,
+            };
+            let resp = ctrl.call(&release).await.unwrap();
+            assert!(matches!(resp, Response::ConsumeRelease { error: kdwire::ErrorCode::None }));
+        }
+        assert_eq!(cluster.broker(0).metrics().registered_bytes, registered);
+
+        // The reader goes on reading the segment it holds.
+        for i in 10..20u8 {
+            producer.send(&Record::value(vec![i; 64])).await.unwrap();
+        }
+        while got.len() < 20 {
+            got.extend(consumer.next_records().await.expect("the segment is still registered"));
+        }
+        let values: Vec<u8> = got.iter().map(|r| r.record.value[0]).collect();
+        assert_eq!(values, (0..20).collect::<Vec<u8>>());
+    });
+}
+
 /// Overflowing the preallocated shared file triggers OutOfSpace handling:
 /// producers re-request and continue on the new head file.
 #[test]
