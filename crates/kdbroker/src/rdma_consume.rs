@@ -6,12 +6,14 @@
 //! references and a consumer's slot array, through one [`acquire`] /
 //! [`release`] pair. A registration records which consumers hold it, and a
 //! release drops only what its own consumer holds: a one-sided read's
-//! region is never torn down on another party's word.
+//! region is never torn down on another party's word. What a consumer id
+//! holds lives as long as the control connection that first acquired for
+//! it: when that connection closes, [`release_connection`] drops it all.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use kdstorage::TopicPartition;
 use kdwire::messages::Response;
@@ -23,7 +25,7 @@ use crate::broker::BrokerInner;
 use crate::common::{charge_storage, count_tier_read, maybe_evict};
 use crate::data::Partition;
 use crate::metrics::Metrics;
-use crate::requests::Reply;
+use crate::requests::{Reply, ReplyStage};
 
 /// Back-reference from a partition's file to a consumer slot tracking it
 /// (Fig 9: "Each registered file has a list of metadata slots").
@@ -54,10 +56,13 @@ impl ConsumerSlots {
     }
 }
 
-/// The consume module: consumer slot regions.
+/// The consume module: consumer slot regions, and which connection owns
+/// each consumer id.
 #[derive(Default)]
 pub struct ConsumeModule {
     consumers: RefCell<HashMap<u64, Rc<ConsumerSlots>>>,
+    /// The reply stage of the connection that first acquired for each id.
+    owners: RefCell<HashMap<u64, Weak<ReplyStage>>>,
 }
 
 impl ConsumeModule {
@@ -167,7 +172,71 @@ pub(crate) async fn handle_access(
     let resp = access(b, tp, offset, consumer_id)
         .await
         .unwrap_or_else(|error| ConsumeAccessResp { error, ..Default::default() });
+    if resp.error.is_ok() {
+        own(b, consumer_id, &reply.stage);
+    }
     reply.send(Response::ConsumeAccess(resp));
+}
+
+/// Makes `stage`'s connection the owner of `consumer_id` unless another
+/// connection already is. One that closed while its access was in flight
+/// has nothing left to release it later, so it releases now.
+fn own(b: &BrokerInner, consumer_id: u64, stage: &Rc<ReplyStage>) {
+    let mut owners = b.consume_module.owners.borrow_mut();
+    let owner = owners.entry(consumer_id).or_insert_with(|| Rc::downgrade(stage));
+    let owned = std::ptr::eq(owner.as_ptr(), Rc::as_ptr(stage));
+    drop(owners);
+    if owned && stage.is_closed() {
+        release_consumer(b, consumer_id);
+    }
+}
+
+/// `stage`'s connection closed: every consumer id it owns lets go of its
+/// read holds, slot references and slot region. A crashed broker's state
+/// goes with it instead.
+pub(crate) fn release_connection(b: &BrokerInner, stage: &Rc<ReplyStage>) {
+    if !b.alive.get() {
+        return;
+    }
+    let mut ids: Vec<u64> = b
+        .consume_module
+        .owners
+        .borrow()
+        .iter()
+        .filter(|(_, owner)| std::ptr::eq(owner.as_ptr(), Rc::as_ptr(stage)))
+        .map(|(&id, _)| id)
+        .collect();
+    ids.sort_unstable();
+    for id in ids {
+        release_consumer(b, id);
+    }
+}
+
+/// Drops everything `consumer_id` holds, partition by partition in a fixed
+/// order, then deregisters its slot region.
+fn release_consumer(b: &BrokerInner, consumer_id: u64) {
+    b.consume_module.owners.borrow_mut().remove(&consumer_id);
+    for p in b.store.local_partitions() {
+        let mut held: Vec<u32> = p
+            .read_regs
+            .borrow()
+            .keys()
+            .filter(|&&(_, id)| id == consumer_id)
+            .map(|&(segment, _)| segment)
+            .collect();
+        held.sort_unstable();
+        for segment in held {
+            while p.read_regs.borrow().contains_key(&(segment, consumer_id)) {
+                release(b, &p, consumer_id, segment);
+            }
+        }
+    }
+    let slots = b.consume_module.consumers.borrow_mut().remove(&consumer_id);
+    if let Some(c) = slots {
+        b.nic.dereg_mr(&c.mr);
+        let registered = &b.metrics.registered_bytes;
+        registered.set(registered.get().saturating_sub(c.buf.len() as u64));
+    }
 }
 
 /// Grants `consumer_id` the file holding `offset` — the high-watermark file

@@ -20,7 +20,8 @@ use crate::requests::{Reply, ReplyStage, WorkItem};
 
 /// One accepted connection. Dropping it closes the reply stage, which ends
 /// the writer and drops the transport's sending half: with the receiving
-/// half gone too, the peer sees the connection die.
+/// half gone too, the peer sees the connection die. It also releases the
+/// broker state of every consumer id the connection acquired.
 pub(crate) struct Conn {
     b: Rc<BrokerInner>,
     peer: NodeId,
@@ -89,6 +90,7 @@ impl Conn {
 impl Drop for Conn {
     fn drop(&mut self) {
         self.replies.close();
+        crate::rdma_consume::release_connection(&self.b, &self.replies);
     }
 }
 

@@ -26,18 +26,12 @@ impl Admin {
         partitions: u32,
         replication: u32,
     ) -> Result<(), ClientError> {
-        let resp = self
-            .conn
-            .call(&Request::CreateTopic {
-                topic: topic.to_string(),
-                partitions,
-                replication,
-            })
-            .await?;
-        match resp {
-            Response::CreateTopic { error } => check(error),
-            _ => Err(ClientError::Protocol),
-        }
+        let topic = topic.to_string();
+        let request = Request::CreateTopic { topic, partitions, replication };
+        let Response::CreateTopic { error } = self.conn.call(&request).await? else {
+            return Err(ClientError::Protocol);
+        };
+        check(error)
     }
 
     /// Fetches metadata; empty `topics` lists everything.
@@ -45,36 +39,19 @@ impl Admin {
         &self,
         topics: &[&str],
     ) -> Result<(Vec<BrokerAddr>, Vec<TopicMeta>), ClientError> {
-        let resp = self
-            .conn
-            .call(&Request::Metadata {
-                topics: topics.iter().map(|t| t.to_string()).collect(),
-            })
-            .await?;
-        match resp {
-            Response::Metadata {
-                error,
-                brokers,
-                topics,
-            } => {
-                check(error)?;
-                Ok((brokers, topics))
-            }
-            _ => Err(ClientError::Protocol),
-        }
+        let topics = topics.iter().map(|t| t.to_string()).collect();
+        let Response::Metadata { error, brokers, topics } =
+            self.conn.call(&Request::Metadata { topics }).await?
+        else {
+            return Err(ClientError::Protocol);
+        };
+        check(error)?;
+        Ok((brokers, topics))
     }
 
     /// Resolves the leader of a topic partition.
     pub async fn leader_of(&self, topic: &str, partition: u32) -> Result<BrokerAddr, ClientError> {
-        let (_, topics) = self.metadata(&[topic]).await?;
-        topics
-            .iter()
-            .find(|t| t.name == topic)
-            .and_then(|t| t.partitions.iter().find(|p| p.partition == partition))
-            .map(|p| p.leader)
-            .ok_or(ClientError::Broker(
-                kdwire::ErrorCode::UnknownTopicOrPartition,
-            ))
+        crate::data_plane::leader_of(&self.conn, topic, partition).await
     }
 
     /// Commits a consumer-group offset (over TCP, as in §5.4).
@@ -85,19 +62,12 @@ impl Admin {
         partition: u32,
         offset: u64,
     ) -> Result<(), ClientError> {
-        let resp = self
-            .conn
-            .call(&Request::OffsetCommit {
-                group: group.to_string(),
-                topic: topic.to_string(),
-                partition,
-                offset,
-            })
-            .await?;
-        match resp {
-            Response::OffsetCommit { error } => check(error),
-            _ => Err(ClientError::Protocol),
-        }
+        let (group, topic) = (group.to_string(), topic.to_string());
+        let request = Request::OffsetCommit { group, topic, partition, offset };
+        let Response::OffsetCommit { error } = self.conn.call(&request).await? else {
+            return Err(ClientError::Protocol);
+        };
+        check(error)
     }
 
     /// Fetches a committed consumer-group offset (`None` if absent).
@@ -107,35 +77,23 @@ impl Admin {
         topic: &str,
         partition: u32,
     ) -> Result<Option<u64>, ClientError> {
-        let resp = self
-            .conn
-            .call(&Request::OffsetFetch {
-                group: group.to_string(),
-                topic: topic.to_string(),
-                partition,
-            })
-            .await?;
-        match resp {
-            Response::OffsetFetch { error, offset } => {
-                check(error)?;
-                Ok((offset != u64::MAX).then_some(offset))
-            }
-            _ => Err(ClientError::Protocol),
-        }
+        let (group, topic) = (group.to_string(), topic.to_string());
+        let request = Request::OffsetFetch { group, topic, partition };
+        let Response::OffsetFetch { error, offset } = self.conn.call(&request).await? else {
+            return Err(ClientError::Protocol);
+        };
+        check(error)?;
+        Ok((offset != u64::MAX).then_some(offset))
     }
 
     /// Fetches the broker's telemetry snapshot (counters, gauges, latency
     /// histograms) over the admin path as a parsed [`kdtelem::TelemetryReport`].
     pub async fn telemetry(&self) -> Result<kdtelem::TelemetryReport, ClientError> {
-        let resp = self.conn.call(&Request::Telemetry).await?;
-        match resp {
-            Response::Telemetry { error, json } => {
-                check(error)?;
-                kdtelem::TelemetryReport::from_json_lines(&json)
-                    .ok_or(ClientError::Protocol)
-            }
-            _ => Err(ClientError::Protocol),
-        }
+        let Response::Telemetry { error, json } = self.conn.call(&Request::Telemetry).await? else {
+            return Err(ClientError::Protocol);
+        };
+        check(error)?;
+        kdtelem::TelemetryReport::from_json_lines(&json).ok_or(ClientError::Protocol)
     }
 
     /// Fetches the broker's virtual-time time-series recording (every
@@ -144,49 +102,32 @@ impl Admin {
     /// [`ClientError::Broker`] (`NotSupported`) when the broker runs
     /// without a sampler (`BrokerConfig::observe` unset).
     pub async fn series(&self) -> Result<kdtelem::SeriesDump, ClientError> {
-        let resp = self.conn.call(&Request::Series).await?;
-        match resp {
-            Response::Series { error, json } => {
-                check(error)?;
-                kdtelem::SeriesDump::from_json_lines(&json).ok_or(ClientError::Protocol)
-            }
-            _ => Err(ClientError::Protocol),
-        }
+        let Response::Series { error, json } = self.conn.call(&Request::Series).await? else {
+            return Err(ClientError::Protocol);
+        };
+        check(error)?;
+        kdtelem::SeriesDump::from_json_lines(&json).ok_or(ClientError::Protocol)
     }
 
     /// Fetches the broker's health-watchdog event log (stalls, recoveries,
     /// MTTR measurements). Errors with [`ClientError::Broker`]
     /// (`NotSupported`) when the broker runs without a watchdog.
     pub async fn health(&self) -> Result<Vec<kdtelem::HealthEvent>, ClientError> {
-        let resp = self.conn.call(&Request::Health).await?;
-        match resp {
-            Response::Health { error, json } => {
-                check(error)?;
-                kdtelem::health::from_json_lines(&json).ok_or(ClientError::Protocol)
-            }
-            _ => Err(ClientError::Protocol),
-        }
+        let Response::Health { error, json } = self.conn.call(&Request::Health).await? else {
+            return Err(ClientError::Protocol);
+        };
+        check(error)?;
+        kdtelem::health::from_json_lines(&json).ok_or(ClientError::Protocol)
     }
 
     /// Earliest/latest (high watermark) offsets of a partition.
     pub async fn list_offsets(&self, topic: &str, partition: u32) -> Result<(u64, u64), ClientError> {
-        let resp = self
-            .conn
-            .call(&Request::ListOffsets {
-                topic: topic.to_string(),
-                partition,
-            })
-            .await?;
-        match resp {
-            Response::ListOffsets {
-                error,
-                earliest,
-                latest,
-            } => {
-                check(error)?;
-                Ok((earliest, latest))
-            }
-            _ => Err(ClientError::Protocol),
-        }
+        let request = Request::ListOffsets { topic: topic.to_string(), partition };
+        let Response::ListOffsets { error, earliest, latest } = self.conn.call(&request).await?
+        else {
+            return Err(ClientError::Protocol);
+        };
+        check(error)?;
+        Ok((earliest, latest))
     }
 }

@@ -8,8 +8,9 @@ use std::rc::Rc;
 use kdwire::{BrokerAddr, Request, Response, RpcClient};
 use netsim::profile::copy_time;
 use netsim::NodeHandle;
-use rnic::{CqOpcode, QpOptions, QueuePair, RNic, RecvWr, SendWr, ShmBuf, WorkRequest};
+use rnic::{CqOpcode, QueuePair, RecvWr, SendWr, ShmBuf, WorkRequest};
 
+use crate::data_plane::Port;
 use crate::error::ClientError;
 
 /// Which transport a client speaks for request/response RPCs.
@@ -50,21 +51,12 @@ impl Conn {
     }
 
     pub async fn call(&self, req: &Request) -> Result<Response, ClientError> {
-        self.call_traced(req, None).await
+        self.call_with(|body| req.encode_into(body), None).await
     }
 
-    /// As [`call`](Self::call), carrying a trace context across the process
-    /// boundary — in the frame header on TCP, in the Send WR on OSU.
-    pub async fn call_traced(
-        &self,
-        req: &Request,
-        trace: Option<kdtelem::TraceCtx>,
-    ) -> Result<Response, ClientError> {
-        self.call_with(|body| req.encode_into(body), trace).await
-    }
-
-    /// As [`call_traced`](Self::call_traced) for a request `encode` appends
-    /// to the transport's scratch buffer.
+    /// As [`call`](Self::call) for a request `encode` appends to the
+    /// transport's scratch buffer, carrying a trace context across the
+    /// process boundary — in the frame header on TCP, in the Send WR on OSU.
     pub async fn call_with(
         &self,
         encode: impl FnOnce(&mut Vec<u8>),
@@ -96,25 +88,10 @@ impl OsuConn {
         recv_buf: usize,
         recv_depth: usize,
     ) -> Result<OsuConn, ClientError> {
-        let nic = RNic::new(node);
-        let send_cq = nic.create_cq(1024);
-        let recv_cq = nic.create_cq(1024);
-        let qp = nic
-            .connect(
-                netsim::NodeId(broker.node),
-                broker.rdma_port + 1, // OSU_PORT_OFF
-                send_cq.clone(),
-                recv_cq.clone(),
-                QpOptions::default(),
-            )
-            .await
-            .map_err(|_| ClientError::Disconnected)?;
+        let (qp, send_cq, recv_cq) = Port::OSU.open(node, broker).await?;
         let bufs: Vec<ShmBuf> = (0..recv_depth).map(|_| ShmBuf::zeroed(recv_buf)).collect();
         for (i, b) in bufs.iter().enumerate() {
-            let _ = qp.post_recv(RecvWr {
-                wr_id: i as u64,
-                buf: Some(b.as_slice()),
-            });
+            let _ = qp.post_recv(RecvWr { wr_id: i as u64, buf: Some(b.as_slice()) });
         }
         let pending: Rc<RefCell<HashMap<u64, sim::sync::oneshot::Sender<Response>>>> =
             Rc::new(RefCell::new(HashMap::new()));
@@ -138,17 +115,10 @@ impl OsuConn {
                 // Decode in place (before reposting the receive), avoiding a
                 // copy of the frame out of the receive buffer.
                 let decoded = buf.with(|s| {
-                    let frame = &s[..cqe.byte_len as usize];
-                    if frame.len() < 8 {
-                        return None;
-                    }
-                    let corr = u64::from_le_bytes(frame[..8].try_into().unwrap());
-                    Some((corr, Response::decode(&frame[8..])))
+                    let (corr, body) = s[..cqe.byte_len as usize].split_first_chunk::<8>()?;
+                    Some((u64::from_le_bytes(*corr), Response::decode(body)))
                 });
-                let _ = qp2.post_recv(RecvWr {
-                    wr_id: cqe.wr_id,
-                    buf: Some(buf.as_slice()),
-                });
+                let _ = qp2.post_recv(RecvWr { wr_id: cqe.wr_id, buf: Some(buf.as_slice()) });
                 let Some((corr, resp)) = decoded else {
                     continue;
                 };

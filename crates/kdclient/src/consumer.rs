@@ -94,23 +94,14 @@ impl TcpConsumer {
         let cpu = &self.node.profile().cpu;
         sim::time::sleep(cpu.handoff).await;
         self.fetches += 1;
-        let resp = self
-            .conn
-            .call_traced(
-                &Request::Fetch {
-                    topic: self.topic.clone(),
-                    partition: self.partition,
-                    offset: self.offset,
-                    max_bytes: self.max_bytes,
-                    replica_id: u32::MAX,
-                },
-                Some(span.ctx()),
-            )
-            .await?;
+        let (topic, partition, offset) = (self.topic.clone(), self.partition, self.offset);
+        let (max_bytes, replica_id) = (self.max_bytes, u32::MAX);
+        let request = Request::Fetch { topic, partition, offset, max_bytes, replica_id };
+        let encode = |body: &mut Vec<u8>| request.encode_into(body);
+        let resp = self.conn.call_with(encode, Some(span.ctx())).await?;
         sim::time::sleep(cpu.wakeup).await;
-        let f = match resp {
-            Response::Fetch(f) => f,
-            _ => return Err(ClientError::Protocol),
+        let Response::Fetch(f) = resp else {
+            return Err(ClientError::Protocol);
         };
         check(f.error)?;
         if f.bytes.is_empty() {

@@ -14,6 +14,8 @@
 //!   Fig 9): n ≥ 1 subscriptions under one consumer id, RDMA Reads of file
 //!   bytes, one read of the contiguous slot region refreshing all of them,
 //!   partial batch reassembly, file rolling, access release.
+//! * `data_plane` — both RDMA clients underneath: a control connection plus
+//!   one QP, with the one dial, reconnect, leader lookup and closing `Drop`.
 //! * [`conn`] — RPC transports: framed TCP and the OSU-Kafka two-sided
 //!   RDMA Send/Recv transport.
 //! * [`admin`] — topic creation and metadata discovery.
@@ -21,6 +23,7 @@
 pub mod admin;
 pub mod conn;
 pub mod consumer;
+mod data_plane;
 pub mod error;
 pub mod producer;
 pub mod rdma_consumer;

@@ -106,13 +106,11 @@ impl Inner {
 
 /// The offset a produce response assigned.
 fn assigned_offset(resp: Response) -> Result<u64, ClientError> {
-    match resp {
-        Response::Produce { error, base_offset } => {
-            check(error)?;
-            Ok(base_offset)
-        }
-        _ => Err(ClientError::Protocol),
-    }
+    let Response::Produce { error, base_offset } = resp else {
+        return Err(ClientError::Protocol);
+    };
+    check(error)?;
+    Ok(base_offset)
 }
 
 impl TcpProducer {

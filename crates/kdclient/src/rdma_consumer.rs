@@ -26,10 +26,10 @@ use kdwire::slots::{SlotView, SLOTS_PER_CONSUMER, SLOT_SIZE};
 use kdwire::{BrokerAddr, ConsumeAccessResp, RemoteRegion, Request, Response};
 use netsim::profile::copy_time;
 use netsim::NodeHandle;
-use rnic::{CompletionQueue, QpOptions, QueuePair, RNic, SendWr, ShmBuf, WorkRequest};
+use rnic::{SendWr, ShmBuf, WorkRequest};
 
-use crate::conn::{ClientTransport, Conn};
 use crate::consumer::drain_batches;
+use crate::data_plane::{DataPlane, Port};
 use crate::error::{check, ClientError};
 
 /// Default fetch size: "2 KiB as it provides a good trade-off between
@@ -84,12 +84,7 @@ impl Subscription {
 
 /// The RDMA consumer.
 pub struct RdmaConsumer {
-    node: NodeHandle,
-    ctrl: Conn,
-    #[allow(dead_code)] // owns the registrations backing the QP
-    nic: RNic,
-    qp: QueuePair,
-    send_cq: CompletionQueue,
+    plane: DataPlane,
     consumer_id: u64,
     subs: Vec<Subscription>,
     pub fetch_size: u32,
@@ -108,16 +103,6 @@ pub struct RdmaConsumer {
     fetch_e2e_ns: kdtelem::Histogram,
 }
 
-impl Drop for RdmaConsumer {
-    /// A consumer that goes away disconnects, so the broker's end of the QP
-    /// stops occupying a context on its NIC (see `RdmaProducer`'s `Drop`).
-    fn drop(&mut self) {
-        if sim::try_now().is_some() {
-            self.qp.close();
-        }
-    }
-}
-
 impl RdmaConsumer {
     /// Connects to `broker` and subscribes to `topic`/`partition` from
     /// `offset`.
@@ -128,28 +113,11 @@ impl RdmaConsumer {
         partition: u32,
         offset: u64,
     ) -> Result<RdmaConsumer, ClientError> {
-        let ctrl = Conn::connect(node, broker, ClientTransport::Tcp).await?;
-        let nic = RNic::new(node);
-        let send_cq = nic.create_cq(256);
-        let recv_cq = nic.create_cq(16);
-        let qp = nic
-            .connect(
-                netsim::NodeId(broker.node),
-                broker.rdma_port + 2, // CONSUME_PORT_OFF
-                send_cq.clone(),
-                recv_cq,
-                QpOptions::default(),
-            )
-            .await
-            .map_err(|_| ClientError::Disconnected)?;
+        let (plane, _) = DataPlane::open(node, broker, Port::CONSUME).await?;
         let telem = kdtelem::current();
         let fetch_e2e_ns = telem.histogram("kdclient", "fetch.e2e_ns");
         let mut consumer = RdmaConsumer {
-            node: node.clone(),
-            ctrl,
-            nic,
-            qp,
-            send_cq,
+            plane,
             consumer_id: sim::rng::range_u64(1..u64::MAX),
             subs: Vec::new(),
             fetch_size: DEFAULT_FETCH_SIZE,
@@ -184,19 +152,6 @@ impl RdmaConsumer {
         self.subs[0].offset
     }
 
-    /// Posts one signaled work request and awaits its completion (the QP
-    /// never has two in flight).
-    async fn execute(&self, wr: SendWr) -> Result<(), ClientError> {
-        self.qp
-            .post_send(wr)
-            .map_err(|_| ClientError::Disconnected)?;
-        let cqe = self.send_cq.next().await.ok_or(ClientError::Disconnected)?;
-        if !cqe.ok() {
-            return Err(ClientError::Disconnected);
-        }
-        Ok(())
-    }
-
     /// One RDMA Read into `local`, awaiting its completion.
     async fn rdma_read(
         &self,
@@ -205,30 +160,20 @@ impl RdmaConsumer {
         rkey: u32,
         trace: Option<kdtelem::TraceCtx>,
     ) -> Result<(), ClientError> {
-        let read = WorkRequest::Read {
-            local,
-            remote_addr,
-            rkey,
-        };
-        self.execute(SendWr::new(7, read).with_trace(trace)).await
+        let read = WorkRequest::Read { local, remote_addr, rkey };
+        let wr = SendWr::new(7, read).with_trace(trace);
+        self.plane.execute(wr).await.map(drop).ok_or(ClientError::Disconnected)
     }
 
     /// Requests RDMA access to the file containing subscription `i`'s offset.
     async fn acquire_file(&mut self, i: usize) -> Result<(), ClientError> {
         self.stats.access_requests += 1;
         let sub = &mut self.subs[i];
-        let resp = self
-            .ctrl
-            .call(&Request::ConsumeAccess {
-                topic: sub.tp.topic.as_str().to_string(),
-                partition: sub.tp.partition,
-                offset: sub.offset,
-                consumer_id: self.consumer_id,
-            })
-            .await?;
-        let grant = match resp {
-            Response::ConsumeAccess(g) => g,
-            _ => return Err(ClientError::Protocol),
+        let (topic, partition) = (sub.tp.topic.as_str().to_string(), sub.tp.partition);
+        let (offset, consumer_id) = (sub.offset, self.consumer_id);
+        let request = Request::ConsumeAccess { topic, partition, offset, consumer_id };
+        let Response::ConsumeAccess(grant) = self.plane.ctrl.call(&request).await? else {
+            return Err(ClientError::Protocol);
         };
         check(grant.error)?;
         sub.partial.clear();
@@ -259,16 +204,10 @@ impl RdmaConsumer {
             return Ok(());
         };
         self.stats.releases += 1;
-        let _ = self
-            .ctrl
-            .call(&Request::ConsumeRelease {
-                topic: sub.tp.topic.as_str().to_string(),
-                partition: sub.tp.partition,
-                consumer_id: self.consumer_id,
-                segment: f.grant.segment,
-            })
-            .await?;
-        Ok(())
+        let (topic, partition) = (sub.tp.topic.as_str().to_string(), sub.tp.partition);
+        let (consumer_id, segment) = (self.consumer_id, f.grant.segment);
+        let request = Request::ConsumeRelease { topic, partition, consumer_id, segment };
+        self.plane.ctrl.call(&request).await.map(drop)
     }
 
     /// Refreshes `last_readable`/`mutable` of every subscription with a
@@ -374,6 +313,9 @@ impl RdmaConsumer {
     /// One data read for subscription `i`, which has readable bytes.
     async fn fetch(&mut self, i: usize) -> Result<(), ClientError> {
         let sub = &self.subs[i];
+        let Some(f) = &sub.file else {
+            return Ok(()); // nothing to read before access is granted
+        };
         // Fetch up to fetch_size readable bytes; in adaptive mode, size the
         // read from what we already know: the partial batch's own header if
         // fetched, otherwise a moving estimate of recent batch sizes
@@ -392,10 +334,6 @@ impl RdmaConsumer {
         } else {
             self.fetch_size
         };
-        let f = sub
-            .file
-            .as_ref()
-            .expect("a subscription with bytes has a file");
         let n = (f.last_readable - f.read_pos).min(want) as usize;
         let addr = f.grant.region.addr + u64::from(f.read_pos);
         let rkey = f.grant.region.rkey;
@@ -413,10 +351,12 @@ impl RdmaConsumer {
         self.rdma_read(local, addr, rkey, Some(ctx)).await?;
         let sub = &mut self.subs[i];
         self.fetch_buf.with(|b| sub.partial.extend_from_slice(&b[..n]));
-        sub.file.as_mut().expect("checked above").read_pos += n as u32;
+        if let Some(f) = &mut sub.file {
+            f.read_pos += n as u32;
+        }
         // Client-side integrity check + copy into "native" buffers — the
         // 2 µs overhead §5.3 attributes to the consumer API.
-        let cpu = &self.node.profile().cpu;
+        let cpu = &self.plane.node.profile().cpu;
         sim::time::sleep(
             copy_time(n as u64, cpu.crc_bandwidth) + copy_time(n as u64, cpu.memcpy_bandwidth),
         )
@@ -462,8 +402,7 @@ impl RdmaConsumer {
     pub async fn check_new_data(&mut self) -> Result<u32, ClientError> {
         self.acquire_missing().await?;
         self.refresh_metadata().await?;
-        let f = self.subs[0].file.as_ref().expect("acquired above");
-        Ok(f.last_readable)
+        Ok(self.subs[0].file.as_ref().map_or(0, |f| f.last_readable))
     }
 
     /// EXTENSION (§5.4 future work): acquires an RDMA-writable offset slot
@@ -471,21 +410,14 @@ impl RdmaConsumer {
     /// can commit with one-sided writes — no broker CPU, no TCP round trip.
     pub async fn enable_rdma_offset_commit(&mut self, group: &str) -> Result<(), ClientError> {
         for sub in &mut self.subs {
-            let resp = self
-                .ctrl
-                .call(&Request::OffsetSlotAccess {
-                    group: group.to_string(),
-                    topic: sub.tp.topic.as_str().to_string(),
-                    partition: sub.tp.partition,
-                })
-                .await?;
-            match resp {
-                Response::OffsetSlotAccess { error, region } => {
-                    check(error)?;
-                    sub.offset_slot = Some(region);
-                }
-                _ => return Err(ClientError::Protocol),
-            }
+            let (group, topic) = (group.to_string(), sub.tp.topic.as_str().to_string());
+            let request = Request::OffsetSlotAccess { group, topic, partition: sub.tp.partition };
+            let Response::OffsetSlotAccess { error, region } = self.plane.ctrl.call(&request).await?
+            else {
+                return Err(ClientError::Protocol);
+            };
+            check(error)?;
+            sub.offset_slot = Some(region);
         }
         Ok(())
     }
@@ -496,12 +428,10 @@ impl RdmaConsumer {
         for sub in &self.subs {
             let slot = sub.offset_slot.ok_or(ClientError::Protocol)?;
             self.commit_buf.write_u64(0, sub.offset);
-            let write = WorkRequest::Write {
-                local: self.commit_buf.as_slice(),
-                remote_addr: slot.addr,
-                rkey: slot.rkey,
-            };
-            self.execute(SendWr::new(8, write)).await?;
+            let local = self.commit_buf.as_slice();
+            let write = WorkRequest::Write { local, remote_addr: slot.addr, rkey: slot.rkey };
+            let done = self.plane.execute(SendWr::new(8, write)).await;
+            done.ok_or(ClientError::Disconnected)?;
             self.stats.rdma_offset_commits += 1;
         }
         Ok(())
@@ -510,19 +440,13 @@ impl RdmaConsumer {
     /// Commits every subscription's offset for `group` over TCP (§5.4).
     pub async fn commit_offset(&self, group: &str) -> Result<(), ClientError> {
         for sub in &self.subs {
-            let resp = self
-                .ctrl
-                .call(&Request::OffsetCommit {
-                    group: group.to_string(),
-                    topic: sub.tp.topic.as_str().to_string(),
-                    partition: sub.tp.partition,
-                    offset: sub.offset,
-                })
-                .await?;
-            match resp {
-                Response::OffsetCommit { error } => check(error)?,
-                _ => return Err(ClientError::Protocol),
-            }
+            let (group, topic) = (group.to_string(), sub.tp.topic.as_str().to_string());
+            let (partition, offset) = (sub.tp.partition, sub.offset);
+            let request = Request::OffsetCommit { group, topic, partition, offset };
+            let Response::OffsetCommit { error } = self.plane.ctrl.call(&request).await? else {
+                return Err(ClientError::Protocol);
+            };
+            check(error)?;
         }
         Ok(())
     }

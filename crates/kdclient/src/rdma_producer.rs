@@ -12,7 +12,7 @@
 //! QP, so a FIFO of pending completions suffices for correlation; one ack
 //! may answer several consecutive writes (`kdwire::encode_ack`'s count).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
@@ -22,51 +22,38 @@ use kdstorage::Record;
 use kdwire::messages::{ProduceMode, Request, Response};
 use kdwire::{unpack_shared_word, BrokerAddr, ErrorCode, ProduceAccessResp};
 use netsim::profile::copy_time;
-use netsim::NodeHandle;
-use rnic::{CqOpcode, QpOptions, QueuePair, RNic, RecvWr, SendWr, ShmBuf, WorkRequest};
+use rnic::{CompletionQueue, CqOpcode, QueuePair, RecvWr, SendWr, ShmBuf, WorkRequest};
 use sim::sync::oneshot;
 
-use crate::conn::{ClientTransport, Conn};
+use crate::data_plane::{with_backoff, DataPlane, Port};
 use crate::error::{check, ClientError};
 
 const ACK_BUF: usize = 16;
-/// Default ack receive depth. Fan-in sweeps with tens of thousands of
-/// simulated producers shrink this via [`RdmaProducer::connect_with_ack_depth`]
-/// — each pre-posted ack buffer costs real host memory per client.
+/// Default ack receive depth; fan-in sweeps shrink it through
+/// [`RdmaProducer::connect_with_ack_depth`], as each pre-posted ack buffer
+/// costs real host memory per client.
 const ACK_DEPTH: usize = 512;
 /// Bound on the ack reader's task frame, in bytes.
 const ACK_READER_FRAME: usize = 256;
-
-/// Bounded reconnect policy: attempts are spaced by exponential backoff so
-/// a producer rides out a broker restart without hammering the fabric, and
-/// gives up with [`ClientError::RetriesExhausted`] if the outage persists.
-const RECONNECT_ATTEMPTS: u32 = 12;
-const RECONNECT_BASE: Duration = Duration::from_micros(200);
-const RECONNECT_MAX: Duration = Duration::from_millis(10);
 
 /// A pending produce ack: the waiter plus the staging buffer to recycle
 /// once the write is acknowledged (acks arrive strictly in write order, so
 /// by then the WriteImm has long since consumed the bytes).
 type AckWaiter = (oneshot::Sender<(ErrorCode, u64)>, Option<ShmBuf>);
-
-/// Free staging buffers, shared between the producer and its ack reader.
+/// The receiving end of one record's ack.
+type Ack = oneshot::Receiver<(ErrorCode, u64)>;
+/// One QP generation's ack waiters, and whether its reader saw the QP break.
+type Pending = Rc<RefCell<VecDeque<AckWaiter>>>;
+type Dead = Rc<Cell<bool>>;
+/// Free staging buffers, shared between the producer and its ack readers.
 type StagePool = Rc<RefCell<Vec<ShmBuf>>>;
-
 /// A record ready to post: its encoded batch in a staging buffer and the
 /// span rooting its lifeline.
 type Staged = (ShmBuf, kdtelem::TraceSpan);
 
 /// The RDMA producer.
 pub struct RdmaProducer {
-    node: NodeHandle,
-    broker: BrokerAddr,
-    /// First broker we ever dialled; reconnects re-resolve the partition
-    /// leader through it (a failover may have moved leadership).
-    bootstrap: BrokerAddr,
-    ctrl: Conn,
-    nic: RNic,
-    qp: QueuePair,
-    qp_send_cq: rnic::CompletionQueue,
+    plane: DataPlane,
     topic: String,
     partition: u32,
     mode: ProduceMode,
@@ -74,17 +61,20 @@ pub struct RdmaProducer {
     /// Exclusive mode: next write position (producer-tracked). Shared mode
     /// never reads it.
     write_pos: u32,
-    pending: Rc<RefCell<VecDeque<AckWaiter>>>,
+    /// The current QP generation's ack state. Each dial starts a new one, so
+    /// the reader of a closed QP can neither fail the waiters of the QP that
+    /// replaced it nor mark that QP dead.
+    pending: Pending,
+    dead: Dead,
     /// Recycled staging buffers (see [`RdmaProducer::stage`]).
     stage_pool: StagePool,
     producer_id: u64,
-    /// Chain-path scratch (the staged run): recycled across
-    /// `send_pipelined_chain` calls so posting a chain allocates nothing.
+    /// Staging scratch of runs of n > 1, recycled so posting one allocates
+    /// nothing.
     chain: Vec<Staged>,
     faa_result: ShmBuf,
     /// Ack receive buffers posted per data-plane QP (see `ACK_DEPTH`).
     ack_depth: usize,
-    dead: Rc<std::cell::Cell<bool>>,
     telem: kdtelem::Registry,
     /// End-to-end produce latency (record handed to `send` → ack delivered).
     e2e_ns: kdtelem::Histogram,
@@ -94,7 +84,7 @@ impl RdmaProducer {
     /// Connects the control plane, requests produce access, and establishes
     /// the data-plane QP.
     pub async fn connect(
-        node: &NodeHandle,
+        node: &netsim::NodeHandle,
         broker: BrokerAddr,
         topic: &str,
         partition: u32,
@@ -108,7 +98,7 @@ impl RdmaProducer {
     /// stall the pipeline; large fan-in sweeps use a small depth so 100k
     /// simulated clients don't each pin 512 ack buffers.
     pub async fn connect_with_ack_depth(
-        node: &NodeHandle,
+        node: &netsim::NodeHandle,
         broker: BrokerAddr,
         topic: &str,
         partition: u32,
@@ -116,49 +106,27 @@ impl RdmaProducer {
         ack_depth: usize,
     ) -> Result<RdmaProducer, ClientError> {
         assert!(ack_depth >= 1);
-        let ctrl = Conn::connect(node, broker, ClientTransport::Tcp).await?;
-        let mode = if shared {
-            ProduceMode::Shared
-        } else {
-            ProduceMode::Exclusive
-        };
-        let nic = RNic::new(node);
-        let pending: Rc<RefCell<VecDeque<AckWaiter>>> = Rc::new(RefCell::new(VecDeque::new()));
-        let stage_pool: StagePool = Rc::new(RefCell::new(Vec::new()));
-        let dead = Rc::new(std::cell::Cell::new(false));
-        let (qp, send_cq) = Self::setup_data_plane(
-            node,
-            &nic,
-            broker,
-            Rc::clone(&pending),
-            Rc::clone(&stage_pool),
-            Rc::clone(&dead),
-            ack_depth,
-        )
-        .await?;
+        let mode = if shared { ProduceMode::Shared } else { ProduceMode::Exclusive };
+        let (plane, recv_cq) = DataPlane::open(node, broker, Port::produce(ack_depth)).await?;
+        let stage_pool = StagePool::default();
+        let (pending, dead) = start_ack_reader(&plane, recv_cq, ack_depth, &stage_pool);
         let telem = kdtelem::current();
         let e2e_ns = telem.histogram("kdclient", "produce.e2e_ns");
         let producer_id = sim::rng::range_u64(1..u64::MAX);
         let mut producer = RdmaProducer {
-            node: node.clone(),
-            broker,
-            bootstrap: broker,
-            ctrl,
-            nic,
-            qp,
-            qp_send_cq: send_cq,
+            plane,
             topic: topic.to_string(),
             partition,
             mode,
             grant: ProduceAccessResp::default(),
             write_pos: 0,
             pending,
+            dead,
             stage_pool,
             producer_id,
             chain: Vec::new(),
             faa_result: ShmBuf::zeroed(8),
             ack_depth,
-            dead,
             telem,
             e2e_ns,
         };
@@ -166,57 +134,13 @@ impl RdmaProducer {
         Ok(producer)
     }
 
-    /// Creates the data-plane QP and its ack reader task. Used at connect
-    /// time and again when a revoked session broke the previous QP.
-    async fn setup_data_plane(
-        node: &NodeHandle,
-        nic: &RNic,
-        broker: BrokerAddr,
-        pending: Rc<RefCell<VecDeque<AckWaiter>>>,
-        stage_pool: StagePool,
-        dead: Rc<std::cell::Cell<bool>>,
-        ack_depth: usize,
-    ) -> Result<(QueuePair, rnic::CompletionQueue), ClientError> {
-        let send_cq = nic.create_cq(4096);
-        let recv_cq = nic.create_cq(ack_depth * 2);
-        let qp = nic
-            .connect(
-                netsim::NodeId(broker.node),
-                broker.rdma_port, // PRODUCE_PORT_OFF
-                send_cq.clone(),
-                recv_cq.clone(),
-                QpOptions::default(),
-            )
-            .await
-            .map_err(|_| ClientError::Disconnected)?;
-        // Ack receive buffers — one registered region, a slice per receive —
-        // and the reader task: acks resolve pending waiters strictly FIFO
-        // (RC ordering guarantees this matches write order).
-        let bufs = ShmBuf::zeroed(ack_depth * ACK_BUF);
-        let _ = qp.post_recv_list((0..ack_depth).map(|i| ack_recv(&bufs, i as u64)));
-        let wakeup = node.profile().cpu.wakeup;
-        let reader = ack_reader(qp.clone(), recv_cq, bufs, wakeup, pending, stage_pool, dead);
-        // One of these is parked per connected producer.
-        assert!(std::mem::size_of_val(&reader) <= ACK_READER_FRAME);
-        sim::spawn_detached(reader);
-        Ok((qp, send_cq))
-    }
-
     /// Requests (or re-requests) produce access; `min_bytes` forces a roll
     /// when the head cannot fit the next record (§4.2.2).
     async fn acquire_access(&mut self, min_bytes: u32) -> Result<(), ClientError> {
-        let resp = self
-            .ctrl
-            .call(&Request::ProduceAccess {
-                topic: self.topic.clone(),
-                partition: self.partition,
-                mode: self.mode,
-                min_bytes,
-            })
-            .await?;
-        let grant = match resp {
-            Response::ProduceAccess(g) => g,
-            _ => return Err(ClientError::Protocol),
+        let (topic, partition, mode) = (self.topic.clone(), self.partition, self.mode);
+        let request = Request::ProduceAccess { topic, partition, mode, min_bytes };
+        let Response::ProduceAccess(grant) = self.plane.ctrl.call(&request).await? else {
+            return Err(ClientError::Protocol);
         };
         check(grant.error)?;
         self.write_pos = grant.write_pos;
@@ -233,11 +157,8 @@ impl RdmaProducer {
     /// charged by [`charge_copies`](Self::charge_copies).
     fn stage(&mut self, record: &Record) -> Result<Staged, ClientError> {
         let span = self.telem.trace_span("client.produce", None);
-        let staged = self
-            .stage_pool
-            .borrow_mut()
-            .pop()
-            .unwrap_or_else(|| ShmBuf::from_vec(Vec::new()));
+        let pooled = self.stage_pool.borrow_mut().pop();
+        let staged = pooled.unwrap_or_else(|| ShmBuf::from_vec(Vec::new()));
         staged
             .with_vec(|v| {
                 v.clear();
@@ -254,48 +175,38 @@ impl RdmaProducer {
     /// the copy occupies the caller; the API→network thread handoff is
     /// pipeline latency and is charged on the ack path.
     async fn charge_copies(&self, run: &[Staged]) {
-        let cpu = &self.node.profile().cpu;
-        sim::time::sleep(
-            cpu.producer_copy_base * run.len() as u32
-                + copy_time(run_len(run), cpu.memcpy_bandwidth),
-        )
-        .await;
+        let cpu = &self.plane.node.profile().cpu;
+        let copies = copy_time(run_len(run), cpu.memcpy_bandwidth);
+        sim::time::sleep(cpu.producer_copy_base * run.len() as u32 + copies).await;
     }
 
     /// Posts a staged run of n ≥ 1 records as one linked WR list (an
     /// `ibv_post_send` postlist: every WriteWithImm rides a single
     /// doorbell), written contiguously from file position `at`; the
     /// immediate data carries the file ID and `order` (Fig 4). All or
-    /// nothing: `NeedAccess` if the file cannot take the run or the QP
-    /// refuses the post. Each record's ack receiver goes to `acks`, in
-    /// record order. Returns the file position after the run.
+    /// nothing: `None` if the file cannot take the run or the QP refuses
+    /// the post. Each record's ack receiver goes to `acks`, in record
+    /// order. Returns the file position after the run.
     fn post_run(
         &self,
         run: &[Staged],
         at: u64,
         order: u16,
-        mut acks: impl FnMut(oneshot::Receiver<(ErrorCode, u64)>),
-    ) -> Result<u64, NeedAccess> {
+        acks: &mut impl FnMut(Ack),
+    ) -> Option<u64> {
         let end = at + run_len(run);
         if end > self.grant.region.len {
-            return Err(NeedAccess);
+            return None;
         }
         let mut pos = at;
+        let (rkey, imm) = (self.grant.region.rkey, kdwire::pack_imm(self.grant.file_id, order));
         let wrs = run.iter().map(|(buf, span)| {
             let remote_addr = self.grant.region.addr + pos;
             pos += buf.len() as u64;
-            SendWr::unsignaled(
-                0,
-                WorkRequest::WriteImm {
-                    local: buf.as_slice(),
-                    remote_addr,
-                    rkey: self.grant.region.rkey,
-                    imm: kdwire::pack_imm(self.grant.file_id, order),
-                },
-            )
-            .with_trace(Some(span.ctx()))
+            let write = WorkRequest::WriteImm { local: buf.as_slice(), remote_addr, rkey, imm };
+            SendWr::unsignaled(0, write).with_trace(Some(span.ctx()))
         });
-        self.qp.post_send_list(wrs).map_err(|_| NeedAccess)?;
+        self.plane.qp.post_send_list(wrs).ok()?;
         // Acks arrive in write order: one waiter per record, holding the
         // staging buffer its write reads from.
         let mut pending = self.pending.borrow_mut();
@@ -304,7 +215,7 @@ impl RdmaProducer {
             pending.push_back((tx, Some(buf.clone())));
             acks(rx);
         }
-        Ok(end)
+        Some(end)
     }
 
     /// Produces one record, waiting for the broker acknowledgment; returns
@@ -315,40 +226,107 @@ impl RdmaProducer {
         let (error, offset) = ack.await.map_err(|_| ClientError::Disconnected)?;
         // Dispatch chain: API→net handoff on send + CQ poller→API handoff +
         // wakeup on the ack (§5.1's client-side overheads).
-        let cpu = &self.node.profile().cpu;
+        let cpu = &self.plane.node.profile().cpu;
         sim::time::sleep(cpu.handoff + cpu.handoff + cpu.wakeup).await;
         self.e2e_ns.record_since(start);
         check(error)?;
         Ok(offset)
     }
 
-    /// Posts one produce and returns a future resolving with its ack —
-    /// the pipelined path used by the bandwidth experiments.
-    pub async fn send_pipelined(
+    /// Posts one produce — a run of one — and returns a future resolving
+    /// with its ack: the pipelined path of the bandwidth experiments.
+    pub async fn send_pipelined(&mut self, record: &Record) -> Result<Ack, ClientError> {
+        let mut ack = None;
+        self.post(std::slice::from_ref(record), |rx| ack = Some(rx)).await?;
+        ack.ok_or(ClientError::Protocol)
+    }
+
+    /// Posts a run of records (see [`post`](Self::post)); ack receivers are
+    /// appended to `out` in record order.
+    pub async fn send_pipelined_chain(
         &mut self,
-        record: &Record,
-    ) -> Result<oneshot::Receiver<(ErrorCode, u64)>, ClientError> {
-        let run = [self.stage(record)?];
-        self.charge_copies(&run).await;
-        let len = run_len(&run) as u32;
-        for _ in 0..4 {
-            if self.dead.get() && self.reconnect_data_plane().await.is_err() {
-                // The broker itself is gone (crash or failover): full
-                // reconnect through the bootstrap broker.
-                self.reconnect().await?;
+        records: &[Record],
+        out: &mut Vec<Ack>,
+    ) -> Result<(), ClientError> {
+        self.post(records, |rx| out.push(rx)).await
+    }
+
+    /// The one post routine. A run of n > 1 exclusive records is staged
+    /// whole and posted as one linked WR chain (a single doorbell) if the
+    /// QP is up and the head file can take it. Otherwise the records go as
+    /// runs of one, each re-staged and re-charged: a run that falls back
+    /// pays its copies twice, a modelling artefact kept here so that no
+    /// figure moves. Shared mode always posts runs of one — a shared write
+    /// cannot post before its FAA reservation returns.
+    async fn post(
+        &mut self,
+        records: &[Record],
+        mut acks: impl FnMut(Ack),
+    ) -> Result<(), ClientError> {
+        if records.len() > 1 && self.mode != ProduceMode::Shared && !self.dead.get() {
+            let mut run = std::mem::take(&mut self.chain);
+            let posted = async {
+                for r in records {
+                    run.push(self.stage(r)?);
+                }
+                self.charge_copies(&run).await;
+                self.post_staged(&run, false, &mut acks).await
             }
-            // Exclusive mode writes at the producer-tracked position; shared
-            // mode first reserves a region and an order number.
+            .await;
+            // Buffers staged but not posted go back to the pool.
+            if matches!(posted, Ok(true)) {
+                run.clear();
+            } else {
+                self.stage_pool.borrow_mut().extend(run.drain(..).map(|(buf, _)| buf));
+            }
+            self.chain = run;
+            if posted? {
+                return Ok(());
+            }
+        }
+        for record in records {
+            let run = [self.stage(record)?];
+            self.charge_copies(&run).await;
+            self.post_staged(&run, true, &mut acks).await?;
+        }
+        Ok(())
+    }
+
+    /// Posts a staged, charged run at the producer's write position — at an
+    /// FAA-reserved one in shared mode. With `retry`, a dead QP is redialled
+    /// (or the producer reconnected) and a refused post re-requests the head
+    /// file (§4.2.2), up to four attempts; without, either is `Ok(false)`.
+    async fn post_staged(
+        &mut self,
+        run: &[Staged],
+        retry: bool,
+        acks: &mut impl FnMut(Ack),
+    ) -> Result<bool, ClientError> {
+        let len = run_len(run) as u32;
+        for _ in 0..4 {
+            if self.dead.get() {
+                if !retry {
+                    return Ok(false);
+                }
+                if self.redial(self.plane.broker).await.is_err() {
+                    // The broker itself is gone (crash or failover): full
+                    // reconnect through the bootstrap broker.
+                    self.reconnect().await?;
+                }
+            }
             let slot = match self.mode {
-                ProduceMode::Shared => self.reserve_shared(len, run[0].1.ctx()).await,
-                _ => Ok((u64::from(self.write_pos), 0)),
+                ProduceMode::Shared => self.faa(len, Some(run[0].1.ctx())).await.map(|old| {
+                    let word = unpack_shared_word(old);
+                    (word.offset, word.order)
+                }),
+                _ => Some((u64::from(self.write_pos), 0)),
             };
-            let mut ack = None;
-            let posted =
-                slot.and_then(|(at, order)| self.post_run(&run, at, order, |rx| ack = Some(rx)));
-            if let Ok(end) = posted {
+            if let Some(end) = slot.and_then(|(at, order)| self.post_run(run, at, order, acks)) {
                 self.write_pos = end as u32;
-                return Ok(ack.expect("a posted record has a waiter"));
+                return Ok(true);
+            }
+            if !retry {
+                return Ok(false);
             }
             // Out of space (or revoked): wait out our own pipeline, then
             // re-request the head file (§4.2.2).
@@ -368,114 +346,15 @@ impl RdmaProducer {
         Err(ClientError::RetriesExhausted)
     }
 
-    /// Posts a run of records as one linked WR chain: every record is staged
-    /// first, then all WriteImm WRs ride a single doorbell. Ack receivers are
-    /// appended to `out` in record order. Shared mode posts per record — a
-    /// shared write cannot post before its FAA reservation returns — as do
-    /// single records and any run the head file cannot take whole.
-    pub async fn send_pipelined_chain(
-        &mut self,
-        records: &[Record],
-        out: &mut Vec<oneshot::Receiver<(ErrorCode, u64)>>,
-    ) -> Result<(), ClientError> {
-        if records.len() > 1 && self.mode != ProduceMode::Shared && !self.dead.get() {
-            let posted = self.post_chain(records, out).await;
-            // Buffers staged but not posted go back to the pool.
-            let unposted = self.chain.drain(..).map(|(buf, _)| buf);
-            self.stage_pool.borrow_mut().extend(unposted);
-            if posted? {
-                return Ok(());
-            }
-        }
-        // Record by record, re-requesting access or reconnecting where
-        // needed.
-        for r in records {
-            out.push(self.send_pipelined(r).await?);
-        }
-        Ok(())
-    }
-
-    /// Stages, charges and posts `records` as one run. All or nothing:
-    /// `Ok(false)` if the head file cannot take the whole run or the QP died
-    /// under it.
-    async fn post_chain(
-        &mut self,
-        records: &[Record],
-        out: &mut Vec<oneshot::Receiver<(ErrorCode, u64)>>,
-    ) -> Result<bool, ClientError> {
-        for r in records {
-            let staged = self.stage(r)?;
-            self.chain.push(staged);
-        }
-        self.charge_copies(&self.chain).await;
-        if self.dead.get() {
-            return Ok(false);
-        }
-        let at = u64::from(self.write_pos);
-        let Ok(end) = self.post_run(&self.chain, at, 0, |rx| out.push(rx)) else {
-            return Ok(false);
-        };
-        self.write_pos = end as u32;
-        self.chain.clear();
-        Ok(true)
-    }
-
-    /// Shared produce: FAA the order/offset word to reserve `len` bytes;
-    /// returns the reserved file position and the order for the immediate
-    /// data.
-    async fn reserve_shared(
-        &self,
-        len: u32,
-        trace: kdtelem::TraceCtx,
-    ) -> Result<(u64, u16), NeedAccess> {
-        let word = self.grant.shared_word.ok_or(NeedAccess)?;
-        // Reserve: FAA always succeeds (§4.2.2); overflow shows in the
-        // returned offset.
-        let old = self.faa(word.addr, word.rkey, len, Some(trace)).await?;
-        let w = unpack_shared_word(old);
-        Ok((w.offset, w.order))
-    }
-
-    async fn faa(
-        &self,
-        addr: u64,
-        rkey: u32,
-        len: u32,
-        trace: Option<kdtelem::TraceCtx>,
-    ) -> Result<u64, NeedAccess> {
-        let wr = SendWr::new(
-            1,
-            WorkRequest::FetchAdd {
-                local: self.faa_result.as_slice(),
-                remote_addr: addr,
-                rkey,
-                add: kdwire::slots::shared_word_addend(u64::from(len)),
-            },
-        )
-        .with_trace(trace);
-        if self.qp.post_send(wr).is_err() {
-            return Err(NeedAccess);
-        }
-        // FAAs are the only signaled WRs on this QP: the next send
-        // completion is ours.
-        loop {
-            let Some(cqe) = self.send_cq().next().await else {
-                return Err(NeedAccess);
-            };
-            if cqe.opcode == CqOpcode::FetchAdd {
-                if !cqe.ok() {
-                    return Err(NeedAccess);
-                }
-                return cqe.atomic_old.ok_or(NeedAccess);
-            }
-            if !cqe.ok() {
-                return Err(NeedAccess);
-            }
-        }
-    }
-
-    fn send_cq(&self) -> rnic::CompletionQueue {
-        self.qp_send_cq.clone()
+    /// Fetches-and-adds `len` to the shared order/offset word — it always
+    /// succeeds (§4.2.2); overflow shows in the offset — and returns the old
+    /// word. `None` without a shared grant or if the QP failed.
+    async fn faa(&self, len: u32, trace: Option<kdtelem::TraceCtx>) -> Option<u64> {
+        let word = self.grant.shared_word?;
+        let local = self.faa_result.as_slice();
+        let add = kdwire::slots::shared_word_addend(u64::from(len));
+        let faa = WorkRequest::FetchAdd { local, remote_addr: word.addr, rkey: word.rkey, add };
+        self.plane.execute(SendWr::new(1, faa).with_trace(trace)).await?.atomic_old
     }
 
     /// Waits until every in-flight produce is acknowledged (used before
@@ -490,77 +369,30 @@ impl RdmaProducer {
     /// Full reconnect after a broker crash or epoch-fenced failover:
     /// re-resolves the partition leader through the bootstrap broker (a
     /// failover moves it), rebuilds the control and data planes against the
-    /// current leader, and re-acquires produce access. Attempts are bounded
-    /// and exponentially backed off so a producer rides out a broker
-    /// restart but fails cleanly if the outage outlasts the budget.
+    /// current leader, and re-acquires produce access, with the plane's
+    /// bounded backoff between attempts.
     pub async fn reconnect(&mut self) -> Result<(), ClientError> {
-        let mut delay = RECONNECT_BASE;
-        for _ in 0..RECONNECT_ATTEMPTS {
-            if self.try_reconnect().await.is_ok() {
-                return Ok(());
-            }
-            sim::time::sleep(delay).await;
-            delay = (delay * 2).min(RECONNECT_MAX);
-        }
-        Err(ClientError::RetriesExhausted)
+        with_backoff(async || {
+            // Drop the stale data plane first so the (old) broker sees the
+            // disconnect and releases any grant still held by this producer.
+            self.crash();
+            let (leader, ctrl) = self.plane.resolve(&self.topic, self.partition).await?;
+            self.redial(leader).await?;
+            self.plane.ctrl = ctrl;
+            self.acquire_access(0).await
+        })
+        .await
     }
 
-    async fn try_reconnect(&mut self) -> Result<(), ClientError> {
-        // Drop the stale data plane first so the (old) broker sees the
-        // disconnect and releases any grant still held by this producer.
-        self.qp.close();
-        self.dead.set(true);
-        let boot = Conn::connect(&self.node, self.bootstrap, ClientTransport::Tcp).await?;
-        let resp = boot
-            .call(&Request::Metadata {
-                topics: vec![self.topic.clone()],
-            })
-            .await?;
-        let leader = match resp {
-            Response::Metadata { error, topics, .. } => {
-                check(error)?;
-                topics
-                    .iter()
-                    .find(|t| t.name == self.topic)
-                    .and_then(|t| t.partitions.iter().find(|p| p.partition == self.partition))
-                    .map(|p| p.leader)
-                    .ok_or(ClientError::Broker(ErrorCode::UnknownTopicOrPartition))?
-            }
-            _ => return Err(ClientError::Protocol),
-        };
-        let ctrl = if leader.node == self.bootstrap.node {
-            boot
-        } else {
-            Conn::connect(&self.node, leader, ClientTransport::Tcp).await?
-        };
-        self.install_data_plane(leader).await?;
-        self.ctrl = ctrl;
-        self.acquire_access(0).await
-    }
-
-    async fn reconnect_data_plane(&mut self) -> Result<(), ClientError> {
-        self.install_data_plane(self.broker).await
-    }
-
-    /// Dials a fresh data-plane QP (and ack reader) to `broker` and makes it
-    /// this producer's.
-    async fn install_data_plane(&mut self, broker: BrokerAddr) -> Result<(), ClientError> {
-        // The old reader already failed anything pending.
+    /// Dials a fresh data-plane QP to `to` and starts a new ack generation
+    /// on it.
+    async fn redial(&mut self, to: BrokerAddr) -> Result<(), ClientError> {
+        // Waiters the old reader has not failed yet fail now: the QP their
+        // writes went out on is gone.
         self.pending.borrow_mut().clear();
-        let (qp, send_cq) = Self::setup_data_plane(
-            &self.node,
-            &self.nic,
-            broker,
-            Rc::clone(&self.pending),
-            Rc::clone(&self.stage_pool),
-            Rc::clone(&self.dead),
-            self.ack_depth,
-        )
-        .await?;
-        self.broker = broker;
-        self.qp = qp;
-        self.qp_send_cq = send_cq;
-        self.dead.set(false);
+        let recv_cq = self.plane.dial(to).await?;
+        (self.pending, self.dead) =
+            start_ack_reader(&self.plane, recv_cq, self.ack_depth, &self.stage_pool);
         Ok(())
     }
 
@@ -573,7 +405,7 @@ impl RdmaProducer {
     /// release protocol. The broker observes the disconnect and revokes the
     /// grant (§4.2.2 failure handling).
     pub fn crash(&self) {
-        self.qp.close();
+        self.plane.qp.close();
         self.dead.set(true);
     }
 
@@ -581,42 +413,49 @@ impl RdmaProducer {
     /// the FAA word but never writes them — the "hole" of §4.2.2 that the
     /// broker's order timeout must detect and abort.
     pub async fn poison_reservation(&self, len: u32) {
-        if let Some(word) = self.grant.shared_word {
-            let _ = self.faa(word.addr, word.rkey, len, None).await;
-        }
+        let _ = self.faa(len, None).await;
     }
 }
 
-impl Drop for RdmaProducer {
-    /// A producer that goes away disconnects: its ack reader holds the QP
-    /// too, so without this the connection — and with it the broker-side
-    /// grant, exclusive ones included — would outlive the producer for good.
-    /// Outside a runtime there is no instant for the peer to observe it at.
-    fn drop(&mut self) {
-        if sim::try_now().is_some() {
-            self.qp.close();
-        }
-    }
+/// Posts the ack receives of `plane`'s freshly dialled QP — one registered
+/// region, a slice per receive — and spawns its reader over a new
+/// generation of ack state, which it returns.
+fn start_ack_reader(
+    plane: &DataPlane,
+    recv_cq: CompletionQueue,
+    ack_depth: usize,
+    stage_pool: &StagePool,
+) -> (Pending, Dead) {
+    let bufs = ShmBuf::zeroed(ack_depth * ACK_BUF);
+    let _ = plane.qp.post_recv_list((0..ack_depth).map(|i| ack_recv(&bufs, i as u64)));
+    let (pending, dead) = (Pending::default(), Dead::default());
+    let wakeup = plane.node.profile().cpu.wakeup;
+    let (qp, pool) = (plane.qp.clone(), Rc::clone(stage_pool));
+    let reader = ack_reader(qp, recv_cq, bufs, wakeup, Rc::clone(&pending), pool, Rc::clone(&dead));
+    // One of these is parked per connected producer.
+    assert!(std::mem::size_of_val(&reader) <= ACK_READER_FRAME);
+    sim::spawn_detached(reader);
+    (pending, dead)
 }
 
 /// The receive of ack buffer `wr_id`: its slice of the connection's region.
 fn ack_recv(bufs: &ShmBuf, wr_id: u64) -> RecvWr {
-    RecvWr {
-        wr_id,
-        buf: Some(bufs.slice(wr_id as usize * ACK_BUF, ACK_BUF)),
-    }
+    let buf = Some(bufs.slice(wr_id as usize * ACK_BUF, ACK_BUF));
+    RecvWr { wr_id, buf }
 }
 
 /// The ack reader of one data-plane QP: blocks on the receive CQ, retires
-/// what piled up, and fails whatever is still pending once the QP breaks.
+/// what piled up — acks resolve pending waiters strictly FIFO, as RC
+/// ordering matches them to write order — and fails whatever is still
+/// pending once the QP breaks.
 async fn ack_reader(
     qp: QueuePair,
-    recv_cq: rnic::CompletionQueue,
+    recv_cq: CompletionQueue,
     bufs: ShmBuf,
     wakeup: Duration,
-    pending: Rc<RefCell<VecDeque<AckWaiter>>>,
+    pending: Pending,
     stage_pool: StagePool,
-    dead: Rc<std::cell::Cell<bool>>,
+    dead: Dead,
 ) {
     loop {
         // Blocking-poll wakeup (§5.1 client overheads) when the CQ is dry.
@@ -681,9 +520,6 @@ fn resolve_ack(payload: &[u8], pending: &RefCell<VecDeque<AckWaiter>>, pool: &St
     count
 }
 
-/// Internal marker: the producer must (re)acquire access.
-struct NeedAccess;
-
 /// Bytes of a staged run.
 fn run_len(run: &[Staged]) -> u64 {
     run.iter().map(|(buf, _)| buf.len() as u64).sum()
@@ -700,6 +536,15 @@ mod tests {
     use netsim::Fabric;
 
     type Acks = Vec<oneshot::Receiver<(ErrorCode, u64)>>;
+
+    /// The scenarios reach the producer's QP and node through its plane.
+    impl std::ops::Deref for RdmaProducer {
+        type Target = DataPlane;
+
+        fn deref(&self) -> &DataPlane {
+            &self.plane
+        }
+    }
 
     /// What one scenario left behind.
     #[derive(Debug, PartialEq)]
@@ -900,6 +745,25 @@ mod tests {
         assert_eq!(chained.log, one_by_one.log);
         assert_eq!(chained.posts.len(), 13);
         assert!(chained.posts[10..].iter().all(|&t| t == chained.posts[10]));
+    }
+
+    /// Each QP generation has its own ack state. `crash` closes the QP
+    /// under a parked ack reader, which the flush wakes only a `wakeup`
+    /// later; `reconnect` starts right away. Whenever the old reader runs,
+    /// it may fail only its own waiters and mark only its own QP dead: the
+    /// sends that follow go out on the new QP and are answered `Ok`.
+    #[test]
+    fn a_reconnect_under_a_parked_ack_reader_sends_ok() {
+        let outcome = run(1 << 20, |mut p| async move {
+            let records = records(3, 64);
+            let first = p.send(&records[0]).await.unwrap();
+            p.crash();
+            p.reconnect().await.unwrap();
+            assert_eq!(p.send(&records[1]).await, Ok(first + 1));
+            assert_eq!(p.send(&records[2]).await, Ok(first + 2));
+            (p, Vec::new())
+        });
+        assert_eq!(outcome.posts.len(), 3);
     }
 
     #[test]

@@ -189,6 +189,11 @@ impl<T> DueQueue<T> {
         }
     }
 
+    /// Whether [`close`](Self::close) has run.
+    pub fn is_closed(&self) -> bool {
+        self.state.borrow().closed
+    }
+
     /// Items queued, due or not.
     pub fn len(&self) -> usize {
         self.state.borrow().heap.len()

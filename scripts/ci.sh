@@ -10,8 +10,9 @@ cargo test -q --offline
 cargo clippy --all-targets --offline -- -D warnings
 
 # Chaos soak: seeded fault plans over bounded virtual time; fails on any
-# lost/reordered acked record, trace-invariant violation, or replay
-# divergence. Runs in `cargo test` above too — kept explicit here so a
+# lost/reordered acked record, trace-invariant violation, partition-log
+# oracle violation (`tests/common::check_log`, run by all four soaks below),
+# or replay divergence. Runs in `cargo test` above too — kept explicit here so a
 # chaos regression is named in CI output, and so the fixed seed set is
 # pinned even if the default test filter ever changes.
 cargo test -q --offline --test chaos
@@ -51,6 +52,22 @@ fi
 # size a constant both ends share (DESIGN.md §7).
 if grep -rnE "MultiRdmaConsumer|multi_consumer|try_send_exclusive|slots_per_consumer" crates/*/src; then
     echo "ci: a deleted client fork or the slot-count knob reappeared (see DESIGN.md §7)" >&2
+    exit 1
+fi
+
+# One client data plane (DESIGN.md §7, §9): a consumer's broker state — slot
+# region, read holds, slot references — goes with the control connection that
+# acquired it. Then the re-fork guard: the producer's second post routine and
+# its private set-up/redial chain stay deleted, and only data_plane.rs creates
+# a client NIC or CQ (the OSU transport dials through it too).
+cargo test -q --offline --test e2e_failures a_dropped_consumer_releases_its_broker_state
+if grep -rnE "post_chain|setup_data_plane|install_data_plane|reconnect_data_plane|try_reconnect" \
+    crates/kdclient/src ||
+    for f in crates/kdclient/src/*.rs; do
+        [ "$f" = crates/kdclient/src/data_plane.rs ] && continue
+        awk '/#\[cfg\(test\)\]/ { exit } /RNic::new|create_cq/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done | grep .; then
+    echo "ci: kdclient grew a second data-plane set-up or post routine (see DESIGN.md §7)" >&2
     exit 1
 fi
 

@@ -2,15 +2,19 @@
 //! `tests/wheel_determinism.rs` (pre/post timer-wheel golden comparison).
 //!
 //! `run_seed` plays one seeded fault plan against a replicated cluster and
-//! returns everything the invariants and the determinism replay compare.
+//! returns everything the invariants and the determinism replay compare,
+//! the partition-log reference check ([`check_log`]) among its violations.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::time::Duration;
 
 use kafkadirect::{SimCluster, SystemKind};
+use kdbroker::data::Partition;
 use kdclient::{Admin, RdmaConsumer, RdmaProducer};
-use kdstorage::Record;
+use kdstorage::record::{decode_batch, peek_total_len};
+use kdstorage::{Record, TopicPartition};
 
 // batch_determinism uses its own seed subset, so the full pool is dead code
 // from that binary's point of view.
@@ -263,17 +267,19 @@ fn run_seed_opts(seed: u64, opts: kafkadirect::ClusterOptions, torn_writes: bool
         let mut consumer = RdmaConsumer::connect(&cnode, leader, "chaos", 0, 0)
             .await
             .expect("consumer");
-        let mut consumed = Vec::new();
-        while (consumed.len() as u64) < hw {
+        let mut drained = Vec::new();
+        while (drained.len() as u64) < hw {
             for rv in consumer.next_records().await.expect("fetch") {
-                consumed.push(attempt_of(&rv.record.value));
+                drained.push((rv.offset, attempt_of(&rv.record.value)));
             }
         }
 
         let end_ns = sim::now().as_nanos();
         let events = registry.drain_trace_events();
-        let violations = kdtelem::check::check(&events).violations;
+        let mut violations = kdtelem::check::check(&events).violations;
         let acked = acked.borrow().clone();
+        violations.extend(check_log(&cluster, leader, &acked, &drained, &mut consumer).await);
+        let consumed = drained.iter().map(|&(_, attempt)| attempt).collect();
         Outcome {
             acked,
             consumed,
@@ -283,4 +289,71 @@ fn run_seed_opts(seed: u64, opts: kafkadirect::ClusterOptions, torn_writes: bool
             violations,
         }
     })
+}
+
+/// The partition-log reference check of a finished soak. It runs after the
+/// end instant is read and the trace drained, so no digest sees it, reads
+/// the logs of the final leader and of every live in-sync replica directly,
+/// and returns one line per broken rule:
+/// * acked ⊆ committed: every acked attempt is below the leader's HW;
+/// * the drained `(offset, attempt)` sequence is a gap-free, duplicate-free
+///   prefix of the leader's committed log;
+/// * one more poll after the drain delivers nothing;
+/// * every acked attempt is in every live in-sync replica's log.
+async fn check_log(
+    cluster: &SimCluster,
+    leader: kdwire::BrokerAddr,
+    acked: &[u64],
+    drained: &[(u64, u64)],
+    consumer: &mut RdmaConsumer,
+) -> Vec<String> {
+    let tp = TopicPartition::new("chaos", 0);
+    let live = |node: u32| {
+        let broker = cluster.brokers().into_iter().find(|b| b.addr().node == node)?;
+        broker.is_alive().then(|| broker.inner().store.get(&tp)).flatten()
+    };
+    let Some(lead) = live(leader.node) else {
+        return vec![format!("the final leader {} hosts no live partition", leader.node)];
+    };
+    let mut violations = Vec::new();
+    let committed = records_of(&lead, true);
+    let missing = |log: &[(u64, u64)]| {
+        let have: HashSet<u64> = log.iter().map(|&(_, attempt)| attempt).collect();
+        acked.iter().find(|a| !have.contains(a)).copied()
+    };
+    if let Some(a) = missing(&committed) {
+        violations.push(format!("acked attempt {a} is not committed on the leader"));
+    }
+    let gap_free = drained.iter().enumerate().all(|(i, &(offset, _))| offset == i as u64);
+    if !gap_free || !committed.starts_with(drained) {
+        violations.push("the drained sequence is not a gap-free prefix of the leader's log".into());
+    }
+    match consumer.poll().await {
+        Ok(more) if more.is_empty() => {}
+        Ok(more) => violations.push(format!("a poll after the drain delivered {}", more.len())),
+        Err(e) => violations.push(format!("a poll after the drain failed: {e}")),
+    }
+    for replica in lead.replicas() {
+        let log = live(replica.node).map(|p| records_of(&p, false));
+        if let Some(a) = log.and_then(|log| missing(&log)) {
+            violations.push(format!("acked attempt {a} is missing on replica {}", replica.node));
+        }
+    }
+    violations
+}
+
+/// `(offset, attempt)` of every record in `p`'s log: up to the HW when
+/// `committed_only`, else to the log end.
+fn records_of(p: &Partition, committed_only: bool) -> Vec<(u64, u64)> {
+    let bytes = p.log.read_from(0, u32::MAX, committed_only).bytes;
+    let mut rest = &bytes[..];
+    let mut out = Vec::new();
+    while let Ok(len) = peek_total_len(rest) {
+        let Ok(batch) = decode_batch(&rest[..len]) else {
+            break;
+        };
+        out.extend(batch.iter().map(|rv| (rv.offset, attempt_of(&rv.record.value))));
+        rest = &rest[len..];
+    }
+    out
 }

@@ -102,6 +102,66 @@ fn dropped_consumers_unpin_their_broker_contexts() {
     });
 }
 
+/// What a consumer holds on the broker — its slot region, its read holds
+/// and the slot references every HW advance rewrites — lives as long as the
+/// control connection that acquired it. Before, the broker's map of consumer
+/// slot regions was only ever inserted into: each dropped consumer left its
+/// region registered and its slot rewritten on every produce, and a segment
+/// it held could never spill.
+#[test]
+fn a_dropped_consumer_releases_its_broker_state() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+        cluster.create_topic("t", 1, 1).await;
+        let cnode = cluster.add_client_node("c");
+        let bootstrap = cluster.bootstrap();
+        let mut producer = RdmaProducer::connect(&cnode, bootstrap, "t", 0, false)
+            .await
+            .unwrap();
+        producer.send(&Record::value(vec![0u8; 64])).await.unwrap();
+        let baseline = cluster.broker(0).metrics().registered_bytes;
+
+        let mut first = RdmaConsumer::connect(&cnode, bootstrap, "t", 0, 0).await.unwrap();
+        let one_live = slot_updates_per_record(&cluster, &mut producer, &mut first).await;
+        drop(first);
+        for round in 0..50 {
+            let mut consumer = RdmaConsumer::connect(&cnode, bootstrap, "t", 0, 0)
+                .await
+                .unwrap();
+            let read = consumer.next_records().await.unwrap();
+            assert!(!read.is_empty(), "round {round}");
+        }
+        // One more goes away with its access request in flight: the broker
+        // grants it after the connection has closed.
+        let mut doomed = RdmaConsumer::connect(&cnode, bootstrap, "t", 0, 0).await.unwrap();
+        let read = sim::time::timeout(Duration::from_micros(20), doomed.next_records()).await;
+        assert!(read.is_err(), "the access request is still in flight");
+        drop(doomed);
+        sim::time::sleep(Duration::from_millis(1)).await;
+        let registered = cluster.broker(0).metrics().registered_bytes;
+        assert_eq!(registered, baseline, "dropped consumers' regions are still registered");
+
+        let mut live = RdmaConsumer::connect(&cnode, bootstrap, "t", 0, 0).await.unwrap();
+        let per_record = slot_updates_per_record(&cluster, &mut producer, &mut live).await;
+        assert_eq!(per_record, one_live, "dropped consumers' slots are still rewritten");
+    });
+}
+
+/// Slot updates per produced record while `consumer` reads the head file.
+async fn slot_updates_per_record(
+    cluster: &SimCluster,
+    producer: &mut RdmaProducer,
+    consumer: &mut RdmaConsumer,
+) -> u64 {
+    consumer.next_records().await.unwrap();
+    let before = cluster.broker(0).metrics().slot_updates;
+    for i in 0..10u8 {
+        producer.send(&Record::value(vec![i; 64])).await.unwrap();
+    }
+    (cluster.broker(0).metrics().slot_updates - before) / 10
+}
+
 /// A hole in a shared file (reservation whose write never arrives) aborts
 /// the session after the order timeout; other producers recover by
 /// re-requesting access — and no hole ever becomes visible to consumers.
