@@ -7,10 +7,10 @@
 //!   buffer that tracks how much of itself was written and is recycled, its
 //!   pages still mapped, when its last owner drops it (see [`shm`]).
 //! * [`Pool`] / [`Buf`] — a slab of fixed-size chunks handed out as cheaply
-//!   sliceable, reference-counted views (a minimal `Bytes`). Dropping the
-//!   last view of a chunk returns it — *including its `Rc` allocation* — to
-//!   the pool free list, so a steady-state producer/consumer pair performs
-//!   zero allocator traffic per packet.
+//!   sliceable, reference-counted, immutable views (a minimal `Bytes`).
+//!   Dropping the last view of a chunk returns it — *including its `Rc`
+//!   allocation* — to the pool free list, so a steady-state
+//!   producer/consumer pair performs zero allocator traffic per packet.
 //! * [`Scratch`] / [`scratch`] — a thread-local stack of reusable `Vec<u8>`s
 //!   for transient encode/snapshot work (frame building, read staging).
 //!   Dropping a `Scratch` clears the vector but keeps its capacity.
@@ -45,8 +45,11 @@ struct PoolInner {
     stats: PoolStats,
 }
 
+/// A chunk's bytes are written only by [`Pool::copy_in`], and only while no
+/// view of the chunk exists, so views read them without a borrow flag.
 struct ChunkInner {
-    data: RefCell<Box<[u8]>>,
+    data: Box<[u8]>,
+    /// Where the chunk goes back to; dangling for a chunk of its own.
     pool: Weak<PoolInner>,
 }
 
@@ -78,30 +81,29 @@ impl Pool {
     /// dropped (not recycled) when released, so the free list stays
     /// uniform.
     pub fn copy_in(&self, bytes: &[u8]) -> Buf {
-        let chunk = if bytes.len() <= self.inner.chunk_size {
-            match self.inner.free.borrow_mut().pop() {
-                Some(c) => {
-                    debug_assert_eq!(Rc::strong_count(&c), 1);
-                    self.inner.stats.recycled.set(self.inner.stats.recycled.get() + 1);
-                    c
-                }
-                None => self.fresh(self.inner.chunk_size),
+        let n = bytes.len();
+        let free = if n <= self.inner.chunk_size { self.inner.free.borrow_mut().pop() } else { None };
+        // The last view of a free chunk put it there: it has no other owner.
+        let recycled = free.and_then(|mut c| {
+            Rc::get_mut(&mut c)?.data[..n].copy_from_slice(bytes);
+            Some(c)
+        });
+        let chunk = match recycled {
+            Some(c) => {
+                self.inner.stats.recycled.set(self.inner.stats.recycled.get() + 1);
+                c
             }
-        } else {
-            self.fresh(bytes.len())
+            None => self.fresh(bytes),
         };
-        chunk.data.borrow_mut()[..bytes.len()].copy_from_slice(bytes);
-        Buf {
-            chunk,
-            off: 0,
-            len: bytes.len(),
-        }
+        Buf { chunk, off: 0, len: n }
     }
 
-    fn fresh(&self, size: usize) -> Rc<ChunkInner> {
+    fn fresh(&self, bytes: &[u8]) -> Rc<ChunkInner> {
         self.inner.stats.allocated.set(self.inner.stats.allocated.get() + 1);
+        let mut data = vec![0u8; self.inner.chunk_size.max(bytes.len())].into_boxed_slice();
+        data[..bytes.len()].copy_from_slice(bytes);
         Rc::new(ChunkInner {
-            data: RefCell::new(vec![0u8; size].into_boxed_slice()),
+            data,
             pool: Rc::downgrade(&self.inner),
         })
     }
@@ -122,8 +124,9 @@ impl Pool {
     }
 }
 
-/// A reference-counted view into a pooled chunk. Cloning and slicing are
-/// refcount bumps; dropping the last view recycles the chunk.
+/// A reference-counted view into a pooled chunk; derefs to its bytes.
+/// Cloning and slicing are refcount bumps; dropping the last view recycles
+/// the chunk.
 pub struct Buf {
     chunk: Rc<ChunkInner>,
     off: usize,
@@ -131,34 +134,6 @@ pub struct Buf {
 }
 
 impl Buf {
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Borrows the view's bytes.
-    pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        let data = self.chunk.data.borrow();
-        f(&data[self.off..self.off + self.len])
-    }
-
-    /// Copies the view into `dst` (`dst.len()` must equal `self.len()`).
-    pub fn copy_to(&self, dst: &mut [u8]) {
-        self.with(|src| dst.copy_from_slice(src));
-    }
-
-    /// Appends the view's bytes to `dst`.
-    pub fn extend_into(&self, dst: &mut Vec<u8>) {
-        self.with(|src| dst.extend_from_slice(src));
-    }
-
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.with(|src| src.to_vec())
-    }
-
     /// A sub-view sharing the same chunk (refcount bump, no copy).
     pub fn slice(&self, off: usize, len: usize) -> Buf {
         assert!(off + len <= self.len);
@@ -167,6 +142,33 @@ impl Buf {
             off: self.off + off,
             len,
         }
+    }
+
+    /// The sub-view whose bytes are `part`, which must be a subslice of this
+    /// view's bytes (as a parser borrowed it).
+    pub fn slice_ref(&self, part: &[u8]) -> Buf {
+        let off = (part.as_ptr() as usize).wrapping_sub(self.as_ptr() as usize);
+        self.slice(off, part.len())
+    }
+}
+
+/// A view of a copy of `bytes` in a chunk of its own, which no pool takes
+/// back.
+impl<T: AsRef<[u8]> + ?Sized> From<&T> for Buf {
+    fn from(bytes: &T) -> Buf {
+        let bytes = bytes.as_ref();
+        let chunk = Rc::new(ChunkInner {
+            data: bytes.into(),
+            pool: Weak::new(),
+        });
+        Buf { chunk, off: 0, len: bytes.len() }
+    }
+}
+
+impl Deref for Buf {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.chunk.data[self.off..self.off + self.len]
     }
 }
 
@@ -187,11 +189,31 @@ impl Drop for Buf {
         // free).
         if Rc::strong_count(&self.chunk) == 1 {
             if let Some(pool) = self.chunk.pool.upgrade() {
-                if self.chunk.data.borrow().len() == pool.chunk_size {
+                if self.chunk.data.len() == pool.chunk_size {
                     pool.free.borrow_mut().push(Rc::clone(&self.chunk));
                 }
             }
         }
+    }
+}
+
+impl PartialEq for Buf {
+    fn eq(&self, other: &Buf) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Buf {}
+
+impl PartialEq<Vec<u8>> for Buf {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == **other
+    }
+}
+
+impl<const N: usize> PartialEq<&[u8; N]> for Buf {
+    fn eq(&self, other: &&[u8; N]) -> bool {
+        **self == **other
     }
 }
 
@@ -383,7 +405,7 @@ mod tests {
         let pool = Pool::new(64);
         for i in 0..100u8 {
             let b = pool.copy_in(&[i; 64]);
-            b.with(|s| assert!(s.iter().all(|&x| x == i)));
+            assert!(b.iter().all(|&x| x == i));
         }
         // One chunk bounced in and out of the free list the whole time.
         assert_eq!(pool.allocated_chunks(), 1);
@@ -398,9 +420,23 @@ mod tests {
         let tail = b.slice(4, 4);
         drop(b);
         assert_eq!(pool.free_chunks(), 0, "live slice pins the chunk");
-        tail.with(|s| assert_eq!(s, &[5, 6, 7, 8]));
-        drop(tail);
-        assert_eq!(pool.free_chunks(), 1);
+        assert_eq!(*tail, [5, 6, 7, 8]);
+        // A live view keeps its chunk out of the next copy.
+        let next = pool.copy_in(&[9; 8]);
+        assert_eq!(*tail, [5, 6, 7, 8]);
+        assert_eq!(pool.allocated_chunks(), 2);
+        drop((tail, next));
+        assert_eq!(pool.free_chunks(), 2);
+    }
+
+    #[test]
+    fn slice_ref_is_the_view_of_a_parsed_subslice() {
+        let pool = Pool::new(32);
+        let b = pool.copy_in(b"key=value");
+        let value = b.slice_ref(&b[4..]);
+        assert_eq!(value, b"value");
+        assert_eq!(value.slice_ref(&value[1..3]), b"al");
+        assert_eq!(b.slice_ref(&b[9..]), b"");
     }
 
     #[test]
@@ -408,7 +444,6 @@ mod tests {
         let pool = Pool::new(8);
         let b = pool.copy_in(&[9u8; 100]);
         assert_eq!(b.len(), 100);
-        b.with(|s| assert_eq!(s.len(), 100));
         drop(b);
         assert_eq!(pool.free_chunks(), 0, "oversize chunks are not pooled");
         // A uniform-size handout still pools.
@@ -420,15 +455,12 @@ mod tests {
     fn copies_in_and_out_round_trip() {
         let pool = Pool::new(16);
         let b = pool.copy_in(b"hello world");
-        let mut out = vec![0u8; b.len()];
-        b.copy_to(&mut out);
-        assert_eq!(&out, b"hello world");
-        let mut acc = Vec::new();
-        b.extend_into(&mut acc);
-        b.extend_into(&mut acc);
-        assert_eq!(acc.len(), 22);
+        assert_eq!(b, b"hello world".to_vec());
+        assert_eq!(b, Buf::from(b"hello world"));
+        assert_eq!(b.slice(6, 5), b"world");
         assert_eq!(b.to_vec(), b"hello world");
-        assert_eq!(b.slice(6, 5).to_vec(), b"world");
+        drop(Buf::from(&b"hello"[..]));
+        assert_eq!(pool.free_chunks(), 0, "a chunk of its own goes to no pool");
     }
 
     #[test]

@@ -10,25 +10,37 @@ use crate::conn::{ClientTransport, Conn};
 use crate::error::{check, ClientError};
 
 /// Decodes the complete batches at the front of `bytes` — the one batch-drain
-/// loop of both consumers. Records at or after `*next_offset` go to `deliver`
-/// and advance it; `on_batch` sees each decoded batch's length. Returns the
-/// bytes consumed: what follows is an incomplete batch, which the RDMA
-/// consumer keeps for its next read and the fetch consumer rejects. Lengths
-/// come from the wire, so none is trusted past the end of `bytes`.
+/// loop of both consumers. They are copied once, into one chunk of `chunks`,
+/// and records at or after `*next_offset` go to `deliver` as views of that
+/// chunk and advance it; `on_batch` sees each decoded batch's length.
+/// Returns the bytes consumed: what follows is an incomplete batch, which
+/// the RDMA consumer keeps for its next read and the fetch consumer rejects.
+/// Lengths come from the wire, so none is trusted past the end of `bytes`.
 pub(crate) fn drain_batches(
     bytes: &[u8],
+    chunks: &kdbuf::Pool,
     next_offset: &mut u64,
     mut on_batch: impl FnMut(usize),
     mut deliver: impl FnMut(RecordView),
 ) -> Result<usize, ClientError> {
-    let mut at = 0usize;
-    while bytes.len() - at >= LENGTH_PREFIX_LEN {
-        let total = peek_total_len(&bytes[at..]).map_err(|_| ClientError::Corrupt)?;
-        if bytes.len() - at < total {
+    let total_at = |at: usize| peek_total_len(&bytes[at..]).map_err(|_| ClientError::Corrupt);
+    let mut end = 0usize;
+    while bytes.len() - end >= LENGTH_PREFIX_LEN {
+        let total = total_at(end)?;
+        if bytes.len() - end < total {
             break;
         }
+        end += total;
+    }
+    if end == 0 {
+        return Ok(0);
+    }
+    let chunk = chunks.copy_in(&bytes[..end]);
+    let mut at = 0usize;
+    while at < end {
+        let total = total_at(at)?;
         on_batch(total);
-        let records = decode_batch(&bytes[at..at + total]).map_err(|_| ClientError::Corrupt)?;
+        let records = decode_batch(chunk.slice(at, total)).map_err(|_| ClientError::Corrupt)?;
         for rv in records {
             if rv.offset >= *next_offset {
                 *next_offset = rv.offset.saturating_add(1);
@@ -37,7 +49,7 @@ pub(crate) fn drain_batches(
         }
         at += total;
     }
-    Ok(at)
+    Ok(end)
 }
 
 /// A fetch-polling consumer bound to one topic partition.
@@ -56,6 +68,9 @@ pub struct TcpConsumer {
     /// End-to-end fetch latency of data-carrying polls (instrument name
     /// shared with the RDMA consumer for transport comparisons).
     fetch_e2e_ns: kdtelem::Histogram,
+    /// Where delivered records live (see [`drain_batches`]); a response
+    /// larger than a chunk gets one of its own.
+    chunks: kdbuf::Pool,
 }
 
 impl TcpConsumer {
@@ -81,6 +96,7 @@ impl TcpConsumer {
             empty_fetches: 0,
             telem,
             fetch_e2e_ns,
+            chunks: kdbuf::Pool::new(kdbuf::DEFAULT_CHUNK),
         })
     }
 
@@ -117,7 +133,8 @@ impl TcpConsumer {
         // A fetch response carries whole batches only; bytes left over were
         // cut short or mis-framed on the way.
         let mut out = Vec::new();
-        let used = drain_batches(&f.bytes, &mut self.offset, |_| {}, |rv| out.push(rv))?;
+        let used =
+            drain_batches(&f.bytes, &self.chunks, &mut self.offset, |_| {}, |rv| out.push(rv))?;
         if used != f.bytes.len() {
             return Err(ClientError::Corrupt);
         }
@@ -164,6 +181,7 @@ mod tests {
         let (mut next, mut offsets, mut lens) = (0, Vec::new(), Vec::new());
         let used = drain_batches(
             bytes,
+            &kdbuf::Pool::new(64),
             &mut next,
             |n| lens.push(n),
             |rv| offsets.push(rv.offset),
@@ -224,19 +242,20 @@ mod tests {
 
     /// 20 000 mutated batches, CRC re-sealed as a peer could: a complete
     /// batch at the front drains exactly when the broker's check passes it,
-    /// and nothing panics. What `drain_batches` allocates is `decode_batch`'s,
-    /// which `kdstorage`'s `hostile_batches` test bounds.
+    /// and nothing panics. What `drain_batches` allocates is a chunk when the
+    /// pool has none free.
     #[test]
     fn mutated_batches_drain_exactly_when_they_verify() {
         let mut rng = sim::rng::SimRng::seed_from_u64(0x27BA_0003);
         let mut previous = batches::arb_batch(&mut rng);
+        let chunks = kdbuf::Pool::new(kdbuf::DEFAULT_CHUNK);
         for round in 0..20_000 {
             let valid = batches::arb_batch(&mut rng);
             let hostile = batches::mutate(&mut rng, &valid, &previous);
             previous = valid;
             let drain = |bytes: &[u8]| {
                 let (mut next, mut delivered) = (0, 0u32);
-                let used = drain_batches(bytes, &mut next, |_| {}, |_| delivered += 1);
+                let used = drain_batches(bytes, &chunks, &mut next, |_| {}, |_| delivered += 1);
                 (used, delivered)
             };
             let (whole, _) = drain(&hostile);
@@ -261,7 +280,8 @@ mod tests {
     fn records_below_the_next_offset_are_skipped() {
         let (bytes, _) = three_batches();
         let (mut next, mut offsets) = (2, Vec::new());
-        drain_batches(&bytes, &mut next, |_| {}, |rv| offsets.push(rv.offset)).unwrap();
+        let chunks = kdbuf::Pool::new(64);
+        drain_batches(&bytes, &chunks, &mut next, |_| {}, |rv| offsets.push(rv.offset)).unwrap();
         assert_eq!((next, offsets), (3, vec![2]));
     }
 }

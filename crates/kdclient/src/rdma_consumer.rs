@@ -36,6 +36,14 @@ use crate::error::{check, ClientError};
 /// latency ... and bandwidth" (§4.4.2).
 pub const DEFAULT_FETCH_SIZE: u32 = 2048;
 
+/// The chunk one read's complete batches are copied into: the read and the
+/// part of a batch left over from the reads before it, each at most
+/// `fetch_size` while batches are no larger than a read. A larger batch
+/// gets a chunk of its own.
+fn chunk_size(fetch_size: u32) -> usize {
+    2 * (fetch_size as usize).max(1)
+}
+
 /// Telemetry counters of one consumer.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ConsumerStats {
@@ -90,6 +98,9 @@ pub struct RdmaConsumer {
     pub fetch_size: u32,
     /// Parsed records, tagged with their subscription's index.
     ready: VecDeque<(usize, RecordView)>,
+    /// Where delivered records live (see `drain_batches`); the chunk size
+    /// follows `fetch_size` (see [`chunk_size`]).
+    chunks: kdbuf::Pool,
     fetch_buf: ShmBuf,
     /// Local copy of the broker's slot region for this consumer id.
     slot_buf: ShmBuf,
@@ -122,6 +133,7 @@ impl RdmaConsumer {
             subs: Vec::new(),
             fetch_size: DEFAULT_FETCH_SIZE,
             ready: VecDeque::new(),
+            chunks: kdbuf::Pool::new(chunk_size(DEFAULT_FETCH_SIZE)),
             fetch_buf: ShmBuf::zeroed(DEFAULT_FETCH_SIZE as usize),
             slot_buf: ShmBuf::zeroed(SLOTS_PER_CONSUMER * SLOT_SIZE),
             adaptive_fetch: false,
@@ -363,9 +375,13 @@ impl RdmaConsumer {
         .await;
         // Complete batches are delivered; an incomplete tail stays for the
         // next read.
+        if self.chunks.chunk_size() != chunk_size(self.fetch_size) {
+            self.chunks = kdbuf::Pool::new(chunk_size(self.fetch_size));
+        }
         let first_offset = sub.offset;
         let used = drain_batches(
             &sub.partial,
+            &self.chunks,
             &mut sub.offset,
             |total| sub.avg_batch = 0.8 * sub.avg_batch + 0.2 * total as f64,
             |rv| self.ready.push_back((i, rv)),
@@ -449,5 +465,153 @@ impl RdmaConsumer {
             check(error)?;
         }
         Ok(())
+    }
+}
+
+/// Records are views of pooled chunks: each consumer's chunk is reused only
+/// once no view of it is left, whatever the read size.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::future::Future;
+
+    use kdbroker::{Broker, BrokerConfig, RdmaToggles};
+    use kdstorage::{LogConfig, Record};
+    use kdwire::ErrorCode;
+    use netsim::profile::Profile;
+    use netsim::Fabric;
+
+    use crate::{ClientTransport, RdmaProducer, TcpConsumer};
+
+    /// A record's payload length, by its offset.
+    type Len = fn(u64) -> usize;
+
+    /// Record `i`'s payload: `len(i)` bytes, its index in the first eight.
+    fn payload(i: u64, len: Len) -> Vec<u8> {
+        let mut v = vec![i as u8; len(i).max(8)];
+        v[..8].copy_from_slice(&i.to_le_bytes());
+        v
+    }
+
+    /// 64 to 512 bytes.
+    fn small(i: u64) -> usize {
+        64 + (i as usize * 37) % 449
+    }
+
+    /// Runs `consume` against a broker whose partition "t"/0 holds
+    /// `records` records of `len` bytes at offsets `0..records`.
+    fn consume<F, Fut>(records: u64, len: Len, consume: F)
+    where
+        F: FnOnce(NodeHandle, BrokerAddr, Broker) -> Fut + 'static,
+        Fut: Future<Output = ()>,
+    {
+        sim::Runtime::new().block_on(async move {
+            let fabric = Fabric::new(Profile::testbed());
+            let (bnode, cnode) = (fabric.add_node("broker"), fabric.add_node("client"));
+            let log = LogConfig { segment_size: 1 << 20, max_batch_size: 1 << 19 };
+            let config = BrokerConfig::kafkadirect(RdmaToggles::all()).with_log(log);
+            let addr = BrokerAddr { node: bnode.id.0, port: config.tcp_port, rdma_port: config.rdma_port };
+            let broker = Broker::start(&bnode, config, vec![addr]);
+            let admin = crate::Admin::connect(&cnode, addr).await.unwrap();
+            admin.create_topic("t", 1, 1).await.unwrap();
+            let mut producer = RdmaProducer::connect(&cnode, addr, "t", 0, false).await.unwrap();
+            let mut acks = Vec::new();
+            for first in (0..records).step_by(32) {
+                let run: Vec<Record> = (first..records.min(first + 32))
+                    .map(|i| Record::value(payload(i, len)))
+                    .collect();
+                producer.send_pipelined_chain(&run, &mut acks).await.unwrap();
+            }
+            for ack in acks {
+                assert_eq!(ack.await.unwrap().0, ErrorCode::None);
+            }
+            consume(cnode, addr, broker).await;
+        });
+    }
+
+    /// Keeps every record of `held` polls through `more` polls, then checks
+    /// the kept bytes against what was produced. Returns how many records
+    /// were kept and how many came after them.
+    macro_rules! hold_through {
+        ($consumer:expr, $held:expr, $more:expr) => {{
+            let mut held = Vec::new();
+            for _ in 0..$held {
+                held.extend($consumer.poll().await.unwrap());
+            }
+            let mut later = 0;
+            for _ in 0..$more {
+                later += $consumer.poll().await.unwrap().len();
+            }
+            for (i, rv) in held.iter().enumerate() {
+                assert_eq!(rv.offset, i as u64);
+                assert_eq!(rv.record.value, payload(rv.offset, small), "offset {}", rv.offset);
+            }
+            (held.len(), later)
+        }};
+    }
+
+    #[test]
+    fn records_held_across_polls_keep_their_bytes() {
+        consume(4000, small, |node, addr, _broker| async move {
+            let mut c = RdmaConsumer::connect(&node, addr, "t", 0, 0).await.unwrap();
+            let (held, later) = hold_through!(c, 50, 500);
+            assert!(held >= 200 && later >= 2000, "{held} held, {later} after them");
+        });
+    }
+
+    #[test]
+    fn tcp_records_held_across_polls_keep_their_bytes() {
+        consume(1000, small, |node, addr, _broker| async move {
+            let mut c = TcpConsumer::connect(&node, addr, ClientTransport::Tcp, "t", 0, 0)
+                .await
+                .unwrap();
+            c.max_bytes = 2048;
+            let (held, later) = hold_through!(c, 20, 100);
+            assert!(held >= 80 && later >= 400, "{held} held, {later} after them");
+        });
+    }
+
+    /// kdmark's read-back reads 256 KiB at a time, a read sized from batch
+    /// headers can be any size, and a 40 KiB batch read 2 KiB at a time is
+    /// larger than a default chunk: each delivers every record.
+    #[test]
+    fn reads_of_every_size_deliver_every_record() {
+        fn large(_: u64) -> usize {
+            40 << 10
+        }
+        let cases: [(u32, bool, Len); 3] =
+            [(256 << 10, false, small), (DEFAULT_FETCH_SIZE, true, small), (DEFAULT_FETCH_SIZE, false, large)];
+        for (fetch_size, adaptive, len) in cases {
+            consume(400, len, move |node, addr, _broker| async move {
+                let mut c = RdmaConsumer::connect(&node, addr, "t", 0, 0).await.unwrap();
+                (c.fetch_size, c.adaptive_fetch) = (fetch_size, adaptive);
+                let mut got = Vec::new();
+                while got.len() < 400 {
+                    got.extend(c.next_records().await.unwrap());
+                }
+                for (i, rv) in got.iter().enumerate() {
+                    assert_eq!(rv.offset, i as u64, "fetch size {fetch_size}, adaptive {adaptive}");
+                    assert_eq!(rv.record.value, payload(i as u64, len));
+                }
+            });
+        }
+    }
+
+    /// A committed batch garbled behind the broker's back, read in two
+    /// halves: the first read waits for the rest, the second fails the poll.
+    #[test]
+    fn a_garbled_batch_split_across_two_reads_is_corrupt() {
+        consume(1, small, |node, addr, broker| async move {
+            let p = broker.inner().store.get(&TopicPartition::new("t", 0)).unwrap();
+            let segment = p.log.segment(0).unwrap();
+            let batch_len = segment.committed_pos();
+            let at = batch_len - 1;
+            segment.write_at(at, &[!segment.read(at, 1)[0]]);
+            let mut c = RdmaConsumer::connect(&node, addr, "t", 0, 0).await.unwrap();
+            c.fetch_size = batch_len / 2 + 1;
+            assert_eq!(c.poll().await, Ok(Vec::new()), "half a batch waits");
+            assert_eq!(c.poll().await, Err(ClientError::Corrupt));
+            assert_eq!(c.stats.data_reads, 2);
+        });
     }
 }

@@ -68,6 +68,9 @@ pub struct RdmaProducer {
     dead: Dead,
     /// Recycled staging buffers (see [`RdmaProducer::stage`]).
     stage_pool: StagePool,
+    /// Recycled ack channels: a record's cell comes back once its waiter
+    /// has answered and the caller has dropped its [`Ack`].
+    ack_cells: oneshot::Pool<(ErrorCode, u64)>,
     producer_id: u64,
     /// Staging scratch of runs of n > 1, recycled so posting one allocates
     /// nothing.
@@ -123,6 +126,7 @@ impl RdmaProducer {
             pending,
             dead,
             stage_pool,
+            ack_cells: oneshot::Pool::new(),
             producer_id,
             chain: Vec::new(),
             faa_result: ShmBuf::zeroed(8),
@@ -211,7 +215,7 @@ impl RdmaProducer {
         // staging buffer its write reads from.
         let mut pending = self.pending.borrow_mut();
         for (buf, _) in run {
-            let (tx, rx) = oneshot::channel();
+            let (tx, rx) = self.ack_cells.channel();
             pending.push_back((tx, Some(buf.clone())));
             acks(rx);
         }

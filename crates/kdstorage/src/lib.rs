@@ -29,7 +29,7 @@ pub use log::{AppendError, AppendInfo, Log, LogConfig, LogPosition};
 pub use store::{FileStore, IoCharge, StorageConfig, SyncMode};
 pub use record::{
     assign_base_offset, parse_header, verify_batch, BatchBuilder, BatchError, BatchHeader, Record,
-    RecordView, BATCH_HEADER_LEN,
+    RecordRef, RecordView, BATCH_HEADER_LEN,
 };
 pub use segment::Segment;
 pub use topics::{PartitionId, TopicId, TopicPartition};

@@ -24,6 +24,8 @@
 //! Record: `length uvarint | timestamp_delta varint | key opt_bytes |
 //! value opt_bytes | header_count uvarint | (key string, value opt_bytes)*`.
 
+use kdbuf::Buf;
+
 use crate::codec::{uvarint_len, zigzag_encode, Reader, WireError, Writer};
 use crate::crc32c::crc32c;
 
@@ -294,89 +296,62 @@ pub fn peek_total_len(bytes: &[u8]) -> Result<usize, BatchError> {
     Ok(LENGTH_FIELD_AT + 4 + batch_length as usize)
 }
 
-/// The smallest record: a one-byte length prefix and a body of four
-/// one-byte fields (timestamp delta, absent key, absent value, no headers).
-const MIN_RECORD_LEN: usize = 5;
-
-/// One record body, borrowed from its batch and already checked: whatever
-/// [`decode_batch`] reads from it is there.
-struct RecordRef<'a> {
+/// One record body, borrowed from its batch and already checked.
+struct RawRecord<'a> {
     ts_delta: i64,
     key: Option<&'a [u8]>,
     value: Option<&'a [u8]>,
-    /// Positioned at the first of `header_count` well-formed headers.
-    headers: Reader<'a>,
-    header_count: usize,
-}
-
-impl RecordRef<'_> {
-    fn to_view(&self, offset: u64, base_timestamp: i64) -> Result<RecordView, WireError> {
-        let mut r = self.headers.clone();
-        let mut headers = Vec::with_capacity(self.header_count);
-        for _ in 0..self.header_count {
-            let k = r.get_str()?.to_owned();
-            headers.push((k, r.get_opt_bytes()?.unwrap_or_default().to_vec()));
-        }
-        Ok(RecordView {
-            offset,
-            record: Record {
-                key: self.key.map(<[u8]>::to_vec),
-                value: self.value.unwrap_or_default().to_vec(),
-                headers,
-                timestamp: base_timestamp.wrapping_add(self.ts_delta),
-            },
-        })
-    }
+    /// The header count and the well-formed headers behind it.
+    headers: &'a [u8],
 }
 
 /// Parses one record body without allocating.
-fn parse_record(body: &[u8]) -> Result<RecordRef<'_>, WireError> {
+fn parse_record(body: &[u8]) -> Result<RawRecord<'_>, WireError> {
     let mut b = Reader::new(body);
     let ts_delta = b.get_varint()?;
     let key = b.get_opt_bytes()?;
     let value = b.get_opt_bytes()?;
+    let headers_at = b.position();
     let header_count = b.get_uvarint()?;
     // A header is at least two bytes: a count the body cannot hold is
-    // corrupt, and must not size a reservation.
+    // corrupt.
     if header_count > (b.remaining() / 2) as u64 {
         return Err(WireError::BadLength);
     }
-    let headers = b.clone();
     for _ in 0..header_count {
         b.get_str()?;
         b.get_opt_bytes()?;
     }
-    Ok(RecordRef {
-        ts_delta,
-        key,
-        value,
-        headers,
-        header_count: header_count as usize,
-    })
+    let headers = &body[headers_at..b.position()];
+    Ok(RawRecord { ts_delta, key, value, headers })
+}
+
+/// The record at `r`: its length prefix, then its body.
+fn next_record<'a>(r: &mut Reader<'a>) -> Result<RawRecord<'a>, WireError> {
+    let len = r.get_uvarint()? as usize;
+    parse_record(r.take(len)?)
 }
 
 /// Walks a records section — each record's length prefix and body — and
-/// hands every record to `each`. Returns the number of records. The broker's
-/// check and the consumer's decode both go through here, so a batch commits
-/// exactly when a consumer can decode it.
-fn walk_records<'a>(
-    section: &'a [u8],
-    mut each: impl FnMut(RecordRef<'a>) -> Result<(), WireError>,
-) -> Result<u32, WireError> {
+/// returns the number of records. The broker's check goes through here, and
+/// a consumer decodes only what passed it, so a batch commits exactly when a
+/// consumer can decode it.
+fn walk_records(section: &[u8]) -> Result<u32, WireError> {
     let mut r = Reader::new(section);
     let mut count = 0u32;
     while r.remaining() > 0 {
-        let len = r.get_uvarint()? as usize;
-        each(parse_record(r.take(len)?)?)?;
-        // A record takes at least `MIN_RECORD_LEN` bytes of a section
-        // whose length came from a `u32`.
+        next_record(&mut r)?;
+        // A record takes at least five bytes of a section whose length came
+        // from a `u32`.
         count += 1;
     }
     Ok(count)
 }
 
-/// Header and CRC check: the header and the records section it covers.
-fn check_crc(bytes: &[u8]) -> Result<(BatchHeader, &[u8]), BatchError> {
+/// Fully validates the batch at the front of `bytes`: structure, CRC and
+/// every record body. Returns the header. This is the API worker's §4.2.2
+/// integrity check.
+pub fn verify_batch(bytes: &[u8]) -> Result<BatchHeader, BatchError> {
     let header = parse_header(bytes)?;
     let total = header.total_len();
     if bytes.len() < total {
@@ -389,22 +364,9 @@ fn check_crc(bytes: &[u8]) -> Result<(BatchHeader, &[u8]), BatchError> {
             computed,
         });
     }
-    Ok((header, &bytes[BATCH_HEADER_LEN..total]))
-}
-
-fn check_count(header: &BatchHeader, walked: u32) -> Result<(), BatchError> {
-    if walked != header.record_count {
+    if walk_records(&bytes[BATCH_HEADER_LEN..total])? != header.record_count {
         return Err(BatchError::Corrupt(WireError::BadLength));
     }
-    Ok(())
-}
-
-/// Fully validates the batch at the front of `bytes`: structure, CRC and
-/// every record body. Returns the header. This is the API worker's §4.2.2
-/// integrity check.
-pub fn verify_batch(bytes: &[u8]) -> Result<BatchHeader, BatchError> {
-    let (header, section) = check_crc(bytes)?;
-    check_count(&header, walk_records(section, |_| Ok(()))?)?;
     Ok(header)
 }
 
@@ -413,28 +375,109 @@ pub fn assign_base_offset(bytes: &mut [u8], offset: u64) {
     bytes[..8].copy_from_slice(&offset.to_le_bytes());
 }
 
-/// A decoded record plus its absolute offset.
+/// A consumed record: its key, value and header bytes are views of the
+/// buffer its batch was read into, not copies. [`Record`] is what a
+/// producer sends; this is what a consumer reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordRef {
+    pub key: Option<Buf>,
+    /// An absent value reads as empty.
+    pub value: Buf,
+    /// The header count and the headers behind it (see [`RecordRef::headers`]).
+    headers: Buf,
+    pub timestamp: i64,
+}
+
+impl RecordRef {
+    fn view(batch: &Buf, raw: RawRecord<'_>, base_timestamp: i64) -> RecordRef {
+        RecordRef {
+            key: raw.key.map(|k| batch.slice_ref(k)),
+            value: raw.value.map_or_else(|| batch.slice(0, 0), |v| batch.slice_ref(v)),
+            headers: batch.slice_ref(raw.headers),
+            timestamp: base_timestamp.wrapping_add(raw.ts_delta),
+        }
+    }
+
+    /// The headers in order; an absent header value reads as empty.
+    pub fn headers(&self) -> impl Iterator<Item = (&str, &[u8])> + '_ {
+        let mut r = Reader::new(&self.headers);
+        // Checked when the batch was decoded: every header is there.
+        let count = r.get_uvarint().unwrap_or(0);
+        (0..count).map_while(move |_| {
+            Some((r.get_str().ok()?, r.get_opt_bytes().ok()?.unwrap_or_default()))
+        })
+    }
+}
+
+/// A consumed record equals the record that was sent.
+impl PartialEq<Record> for RecordRef {
+    fn eq(&self, sent: &Record) -> bool {
+        let headers = sent.headers.iter().map(|(k, v)| (k.as_str(), v.as_slice()));
+        self.key.as_deref() == sent.key.as_deref()
+            && *self.value == *sent.value
+            && self.headers().eq(headers)
+            && self.timestamp == sent.timestamp
+    }
+}
+
+/// A consumed record plus its absolute offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordView {
     pub offset: u64,
-    pub record: Record,
+    pub record: RecordRef,
 }
 
-/// Decodes every record of the batch at the front of `bytes`. Succeeds
-/// exactly when [`verify_batch`] does.
-pub fn decode_batch(bytes: &[u8]) -> Result<Vec<RecordView>, BatchError> {
-    let (header, section) = check_crc(bytes)?;
-    // The capacity rule: no more records than the section could hold.
-    let records = (header.record_count as usize).min(section.len() / MIN_RECORD_LEN);
-    let mut out = Vec::with_capacity(records);
-    let mut offset = header.base_offset;
-    let walked = walk_records(section, |r| {
-        out.push(r.to_view(offset, header.base_timestamp)?);
-        offset = offset.wrapping_add(1);
-        Ok(())
-    })?;
-    check_count(&header, walked)?;
-    Ok(out)
+/// The records of one decoded batch, in offset order.
+pub struct Records {
+    batch: Buf,
+    /// The next record's length prefix, and the end of the records section.
+    at: usize,
+    end: usize,
+    offset: u64,
+    base_timestamp: i64,
+    left: u32,
+}
+
+impl Iterator for Records {
+    type Item = RecordView;
+
+    fn next(&mut self) -> Option<RecordView> {
+        if self.left == 0 {
+            return None;
+        }
+        let mut r = Reader::new(&self.batch[self.at..self.end]);
+        // `decode_batch` checked every record before handing these out.
+        let raw = next_record(&mut r).ok()?;
+        self.at += r.position();
+        self.left -= 1;
+        let record = RecordRef::view(&self.batch, raw, self.base_timestamp);
+        let offset = self.offset;
+        self.offset = offset.wrapping_add(1);
+        Some(RecordView { offset, record })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl ExactSizeIterator for Records {}
+
+/// Decodes the batch at the front of `batch`. Succeeds exactly when
+/// [`verify_batch`] does, and then hands out the records as views of
+/// `batch`: no key, value or header byte is copied. Plain bytes are copied,
+/// once, into a buffer of their own.
+pub fn decode_batch(batch: impl Into<Buf>) -> Result<Records, BatchError> {
+    let batch = batch.into();
+    let header = verify_batch(&batch)?;
+    Ok(Records {
+        at: BATCH_HEADER_LEN,
+        end: header.total_len(),
+        offset: header.base_offset,
+        base_timestamp: header.base_timestamp,
+        left: header.record_count,
+        batch,
+    })
 }
 
 #[cfg(test)]
@@ -468,10 +511,26 @@ mod tests {
         assert_eq!(header.total_len(), bytes.len());
         let decoded = decode_batch(&bytes).unwrap();
         assert_eq!(decoded.len(), 3);
-        for (i, rv) in decoded.iter().enumerate() {
+        for (i, rv) in decoded.enumerate() {
             assert_eq!(rv.offset, i as u64);
             assert_eq!(rv.record, records[i]);
         }
+        let with_header = decode_batch(&bytes).unwrap().nth(1).unwrap();
+        assert_eq!(with_header.record.headers().collect::<Vec<_>>(), [("trace", &b"abc"[..])]);
+    }
+
+    /// Key, value and headers are views of the buffer the batch sits in: the
+    /// chunk goes back to its pool only when the last record is gone.
+    #[test]
+    fn records_are_views_of_the_batch_buffer() {
+        let bytes = build(&sample_records());
+        let pool = kdbuf::Pool::new(bytes.len());
+        let held = decode_batch(pool.copy_in(&bytes)).unwrap().nth(1).unwrap();
+        assert_eq!(pool.free_chunks(), 0, "a live record pins its chunk");
+        assert_eq!((held.record.key.as_deref(), &*held.record.value), (Some(&b"k1"[..]), &b"v1"[..]));
+        drop(held);
+        assert_eq!(pool.free_chunks(), 1);
+        assert_eq!(pool.allocated_chunks(), 1);
     }
 
     #[test]
@@ -482,7 +541,7 @@ mod tests {
         let header = verify_batch(&bytes).unwrap();
         assert_eq!(header.base_offset, 1_000_000);
         assert_eq!(header.last_offset(), 1_000_002);
-        let decoded = decode_batch(&bytes).unwrap();
+        let decoded: Vec<_> = decode_batch(&bytes).unwrap().collect();
         assert_eq!(decoded[2].offset, 1_000_002);
     }
 
@@ -716,7 +775,7 @@ mod proptests {
             assign_base_offset(&mut bytes, u64::from(offset));
             let decoded = decode_batch(&bytes).unwrap();
             assert_eq!(decoded.len(), records.len(), "case {case}");
-            for (i, rv) in decoded.iter().enumerate() {
+            for (i, rv) in decoded.enumerate() {
                 assert_eq!(rv.offset, u64::from(offset) + i as u64, "case {case}");
                 assert_eq!(&rv.record, &records[i], "case {case}");
             }
@@ -731,7 +790,7 @@ mod proptests {
             let _ = verify_batch(&data);
             let _ = parse_header(&data);
             let _ = peek_total_len(&data);
-            let _ = decode_batch(&data);
+            let _ = decode_batch(&data).map(Iterator::count);
         }
     }
 }

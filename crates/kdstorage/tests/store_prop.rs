@@ -93,7 +93,7 @@ fn check_seed(seed: u64) {
         while at < out.len() {
             let h = kdstorage::verify_batch(&out[at..]).unwrap();
             assert_eq!(h.base_offset, have);
-            for (i, r) in decode_batch(&out[at..]).unwrap().iter().enumerate() {
+            for (i, r) in decode_batch(&out[at..]).unwrap().enumerate() {
                 let o = have + i as u64;
                 if o >= offset && o < end {
                     let got = u64::from_le_bytes(r.record.value[..8].try_into().unwrap());

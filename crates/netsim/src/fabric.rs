@@ -352,8 +352,10 @@ impl Fabric {
     /// depending on them.
     pub fn extension<T: 'static>(&self, init: impl FnOnce() -> T) -> Rc<T> {
         let key = TypeId::of::<T>();
-        if let Some(ext) = self.inner.extensions.borrow().get(&key) {
-            return Rc::clone(ext).downcast::<T>().expect("extension type");
+        // The entry under `TypeId::of::<T>()` is only ever a `T`.
+        let found = self.inner.extensions.borrow().get(&key).cloned();
+        if let Some(ext) = found.and_then(|ext| ext.downcast::<T>().ok()) {
+            return ext;
         }
         let ext: Rc<T> = Rc::new(init());
         self.inner

@@ -375,9 +375,9 @@ impl Drop for ReadHalf {
 }
 
 impl ReadHalf {
-    /// Moves the next chunk into the user buffer. It is readable at
-    /// `max(instant this read began waiting, arrival)` plus the kernel→user
-    /// copy; one timer covers the whole wait.
+    /// Moves the next chunk into the user buffer; `false` at EOF. It is
+    /// readable at `max(instant this read began waiting, arrival)` plus the
+    /// kernel→user copy; one timer covers the whole wait.
     async fn fill(&mut self) -> bool {
         if self.eof {
             return false;
@@ -403,10 +403,13 @@ impl ReadHalf {
         };
         // Already there for a reader the writer's push armed.
         sim::time::sleep_until(ready).await;
-        let chunk = self.pipe.borrow_mut().chunks.pop_front();
-        let chunk = chunk.expect("one reader per pipe");
+        // With one reader per pipe the chunk is still there; without it, the
+        // callers' loops call again.
+        let Some(chunk) = self.pipe.borrow_mut().chunks.pop_front() else {
+            return true;
+        };
         self.window.add_permits(chunk.data.len());
-        chunk.data.with(|s| self.buffer.extend(s));
+        self.buffer.extend(chunk.data.iter());
         true
     }
 

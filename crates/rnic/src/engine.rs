@@ -186,7 +186,10 @@ impl Engine {
                     }
                     Event::Complete { qp } => {
                         let wr = task.wrs.borrow_mut().pop_front(&qp.compq);
-                        emit(&qp, wr.expect("completion event without a queued CQE"));
+                        let Some(wr) = wr else {
+                            unreachable!("each Complete event follows one WR onto its QP's compq");
+                        };
+                        emit(&qp, wr);
                     }
                 }
             }
@@ -230,18 +233,20 @@ impl Engine {
             // CQ overflow fails QPs, all without the slab borrowed.
             let wr = {
                 let mut wrs = self.wrs.borrow_mut();
-                let Some(head) = wrs.front_mut(&qp.sendq) else {
+                if let Some(head) = wrs.front_mut(&qp.sendq) {
+                    let launch = !head.launched && qp.is_alive();
+                    head.launched |= launch;
+                    if head.launched && head.t.deliver > sim::now() {
+                        if launch {
+                            self.arm(qp, head.ticket, head.t.deliver);
+                        }
+                        return;
+                    }
+                }
+                let Some(wr) = wrs.pop_front(&qp.sendq) else {
                     return;
                 };
-                let launch = !head.launched && qp.is_alive();
-                head.launched |= launch;
-                if head.launched && head.t.deliver > sim::now() {
-                    if launch {
-                        self.arm(qp, head.ticket, head.t.deliver);
-                    }
-                    return;
-                }
-                wrs.pop_front(&qp.sendq).unwrap()
+                wr
             };
             let result = if wr.launched {
                 self.execute(qp, &wr)

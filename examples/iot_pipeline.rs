@@ -56,8 +56,8 @@ fn main() {
                 let mut cars_total = 0u64;
                 while delays_us.len() < EVENTS_PER_TOPIC {
                     for rv in consumer.next_records().await.expect("consume") {
-                        let json = String::from_utf8(rv.record.value).expect("utf8");
-                        let event = TrafficEvent::from_json(&json).expect("json");
+                        let json = std::str::from_utf8(&rv.record.value).expect("utf8");
+                        let event = TrafficEvent::from_json(json).expect("json");
                         let now_us = sim::now().as_nanos() / 1000;
                         delays_us.push(now_us.saturating_sub(event.timestamp_us));
                         cars_total += u64::from(event.cars);

@@ -181,6 +181,22 @@ if grep -rnE "SegmentStore|MemStore|StorageMode|RetentionConfig|physical_fsync|a
     exit 1
 fi
 
+# Allocation-free RDMA data planes (DESIGN.md §10 "Hot-datapath allocation
+# inventory"): the producer takes each record's ack channel from a pool of
+# cells that come back once both ends are gone, and both consumers hand out
+# records as views of a pooled chunk that is reused only when no view is
+# left. Then the re-fork guard: no per-record `oneshot::channel` on the
+# producer's post path, no owned copy in the record decoder.
+cargo test -q --offline -p sim --lib oneshot::tests::pool
+cargo test -q --offline -p kdclient --lib rdma_consumer::tests
+if awk '/#\[cfg\(test\)\]/ { exit } /oneshot::channel\(/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/kdclient/src/rdma_producer.rs | grep . ||
+    awk '/#\[cfg\(test\)\]/ { exit } /\.to_vec\(\)/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/kdstorage/src/record.rs | grep .; then
+    echo "ci: a per-record ack channel or an owned record decode reappeared (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # kdtelem says each thing once (DESIGN.md §8): every dump reads back through
 # one JSON codec — hostile names round-trip, 20 000 mutated dumps read as
 # themselves or not at all, within an allocation bound — and the metric

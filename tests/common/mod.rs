@@ -352,7 +352,7 @@ fn records_of(p: &Partition, committed_only: bool) -> Vec<(u64, u64)> {
         let Ok(batch) = decode_batch(&rest[..len]) else {
             break;
         };
-        out.extend(batch.iter().map(|rv| (rv.offset, attempt_of(&rv.record.value))));
+        out.extend(batch.map(|rv| (rv.offset, attempt_of(&rv.record.value))));
         rest = &rest[len..];
     }
     out

@@ -44,7 +44,7 @@ fn kafka_tcp_round_trip() {
         for (i, rv) in got.iter().enumerate() {
             assert_eq!(rv.offset, i as u64);
             assert_eq!(rv.record.value, sent[i].value);
-            assert_eq!(rv.record.key, sent[i].key);
+            assert_eq!(rv.record.key.as_deref(), sent[i].key.as_deref());
         }
     });
 }
