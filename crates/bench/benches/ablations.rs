@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use kafkadirect::{Record, SimCluster, SystemKind};
+use kafkadirect::{ClusterOptions, Record, SimCluster, SystemKind};
 use kdbench::harness::AnyProducer;
 use kdbench::stats::{fmt, size_label, Table};
 use kdclient::{RdmaConsumer, RdmaProducer};
@@ -23,34 +23,13 @@ fn ab_credit_window() {
     for credits in [1u32, 2, 4, 8, 16, 32] {
         let rt = sim::Runtime::new();
         let mibps = rt.block_on(async move {
-            let mut cfg = SystemKind::KafkaDirect.broker_config();
-            cfg.replication_credits = credits;
-            cfg.log = kdstorage::LogConfig {
-                segment_size: 32 * 1024 * 1024,
-                max_batch_size: 1024 * 1024,
-            };
-            let fabric = netsim::Fabric::new(netsim::profile::Profile::testbed());
-            let mut peers = Vec::new();
-            let mut nodes = Vec::new();
-            for i in 0..2 {
-                let node = fabric.add_node(&format!("b{i}"));
-                peers.push(kdwire::BrokerAddr {
-                    node: node.id.0,
-                    port: cfg.tcp_port,
-                    rdma_port: cfg.rdma_port,
-                });
-                nodes.push(node);
-            }
-            let _brokers: Vec<_> = nodes
-                .iter()
-                .map(|n| kdbroker::Broker::start(n, cfg.clone(), peers.clone()))
-                .collect();
-            let admin_node = fabric.add_node("admin");
-            let admin = kdclient::Admin::connect(&admin_node, peers[0]).await.unwrap();
-            admin.create_topic("bench", 1, 2).await.unwrap();
-            let cnode = fabric.add_node("client");
+            let mut opts = ClusterOptions::default();
+            opts.broker.replication_credits = credits;
+            let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 2, opts);
+            cluster.create_topic("bench", 1, 2).await;
+            let cnode = cluster.add_client_node("client");
             let mut producer = AnyProducer::Rdma(
-                RdmaProducer::connect(&cnode, peers[0], "bench", 0, false)
+                RdmaProducer::connect(&cnode, cluster.bootstrap(), "bench", 0, false)
                     .await
                     .unwrap(),
             );
@@ -183,30 +162,17 @@ fn ab_order_timeout() {
     for timeout_us in [200u64, 500, 1000, 2000, 5000] {
         let rt = sim::Runtime::new();
         let recovery = rt.block_on(async move {
-            let mut cfg = SystemKind::KafkaDirect.broker_config();
-            cfg.shared_order_timeout = Duration::from_micros(timeout_us);
-            cfg.log = kdstorage::LogConfig {
-                segment_size: 32 * 1024 * 1024,
-                max_batch_size: 1024 * 1024,
-            };
-            let fabric = netsim::Fabric::new(netsim::profile::Profile::testbed());
-            let node = fabric.add_node("b0");
-            let peers = vec![kdwire::BrokerAddr {
-                node: node.id.0,
-                port: cfg.tcp_port,
-                rdma_port: cfg.rdma_port,
-            }];
-            let _broker = kdbroker::Broker::start(&node, cfg, peers.clone());
-            let admin_node = fabric.add_node("admin");
-            let admin = kdclient::Admin::connect(&admin_node, peers[0]).await.unwrap();
-            admin.create_topic("t", 1, 1).await.unwrap();
-            let cnode = fabric.add_node("client");
-            let mut good = RdmaProducer::connect(&cnode, peers[0], "t", 0, true)
+            let mut opts = ClusterOptions::default();
+            opts.broker.shared_order_timeout = Duration::from_micros(timeout_us);
+            let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
+            cluster.create_topic("t", 1, 1).await;
+            let cnode = cluster.add_client_node("client");
+            let mut good = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, true)
                 .await
                 .unwrap();
             good.send(&Record::value(vec![1u8; 64])).await.unwrap();
             // Poison the order stream: reserve via FAA and never write.
-            let evil = RdmaProducer::connect(&cnode, peers[0], "t", 0, true)
+            let evil = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, true)
                 .await
                 .unwrap();
             evil.poison_reservation(64).await;

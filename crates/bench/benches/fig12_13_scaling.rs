@@ -51,7 +51,7 @@ fn fig13() {
             o.producers = producers;
             o.records = 400;
             o.window = 16;
-            o.api_workers = Some(1);
+            o.cluster.broker.api_workers = 1;
             produce_bandwidth_mibps(&o)
         };
         let kd = mk(SystemKind::KafkaDirect, ProducerMode::RdmaExclusive);

@@ -6,7 +6,7 @@
 //! Fig 17: goodput of 32-byte produces vs the push-replication batch cap.
 //! Run with `cargo bench --bench fig14_17_replication`.
 
-use kafkadirect::{RdmaToggles, SystemKind};
+use kafkadirect::{ClusterOptions, RdmaToggles, SimCluster, SystemKind};
 use kdbench::harness::{
     produce_bandwidth_mibps, produce_latency_us, AnyProducer, ProduceOpts, ProducerMode,
 };
@@ -111,38 +111,15 @@ fn fig17() {
     let mut table = Table::new(&["batch", "2-way repl", "3-way repl"]);
     for batch in [32u32, 64, 128, 256, 512, 1024] {
         let mk = |rf: u32| {
-            let system = kd(true, true);
             let rt = sim::Runtime::new();
             rt.block_on(async move {
-                let mut cfg = system.broker_config();
-                cfg.replication_max_batch = batch;
-                cfg.log = kdstorage::LogConfig {
-                    segment_size: 32 * 1024 * 1024,
-                    max_batch_size: 1024 * 1024,
-                };
-                // Boot a custom cluster with the batch cap.
-                let fabric = netsim::Fabric::new(netsim::profile::Profile::testbed());
-                let mut peers = Vec::new();
-                let mut nodes = Vec::new();
-                for i in 0..rf {
-                    let node = fabric.add_node(&format!("b{i}"));
-                    peers.push(kdwire::BrokerAddr {
-                        node: node.id.0,
-                        port: cfg.tcp_port,
-                        rdma_port: cfg.rdma_port,
-                    });
-                    nodes.push(node);
-                }
-                let _brokers: Vec<_> = nodes
-                    .iter()
-                    .map(|n| kdbroker::Broker::start(n, cfg.clone(), peers.clone()))
-                    .collect();
-                let admin_node = fabric.add_node("admin");
-                let admin = kdclient::Admin::connect(&admin_node, peers[0]).await.unwrap();
-                admin.create_topic("bench", 1, rf).await.unwrap();
-                let cnode = fabric.add_node("client");
+                let mut opts = ClusterOptions::default();
+                opts.broker.replication_max_batch = batch;
+                let cluster = SimCluster::start_with(kd(true, true), rf as usize, opts);
+                cluster.create_topic("bench", 1, rf).await;
+                let cnode = cluster.add_client_node("client");
                 let mut producer = AnyProducer::Rdma(
-                    kdclient::RdmaProducer::connect(&cnode, peers[0], "bench", 0, false)
+                    kdclient::RdmaProducer::connect(&cnode, cluster.bootstrap(), "bench", 0, false)
                         .await
                         .unwrap(),
                 );

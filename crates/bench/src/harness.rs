@@ -8,7 +8,6 @@ use std::collections::VecDeque;
 
 use kafkadirect::{ClusterOptions, Record, SimCluster, SystemKind};
 use kdclient::{RdmaConsumer, RdmaProducer, TcpConsumer, TcpProducer};
-use kdstorage::LogConfig;
 
 use crate::stats::{goodput_mibps, LatencyStats};
 
@@ -38,10 +37,8 @@ pub struct ProduceOpts {
     pub producers: usize,
     pub brokers: usize,
     pub replication: u32,
-    pub api_workers: Option<usize>,
-    pub segment_size: u32,
-    /// Storage backend; `None` = the in-memory default.
-    pub storage: Option<kdstorage::StorageConfig>,
+    /// The fabric and broker template the cluster is booted with.
+    pub cluster: ClusterOptions,
 }
 
 impl ProduceOpts {
@@ -56,22 +53,8 @@ impl ProduceOpts {
             producers: 1,
             brokers: 1,
             replication: 1,
-            api_workers: None,
-            segment_size: 32 * 1024 * 1024,
-            storage: None,
+            cluster: ClusterOptions::default(),
         }
-    }
-}
-
-fn cluster_options(opts: &ProduceOpts) -> ClusterOptions {
-    ClusterOptions {
-        log: LogConfig {
-            segment_size: opts.segment_size,
-            max_batch_size: 1024 * 1024 + 4096,
-        },
-        api_workers: opts.api_workers,
-        storage: opts.storage.clone(),
-        ..Default::default()
     }
 }
 
@@ -214,7 +197,7 @@ fn check_ack(ack: Result<(kdwire::ErrorCode, u64), sim::sync::oneshot::RecvError
 
 /// Boots a cluster + topic for a produce experiment.
 pub async fn setup(opts: &ProduceOpts) -> SimCluster {
-    let cluster = SimCluster::start_with(opts.system, opts.brokers, cluster_options(opts));
+    let cluster = SimCluster::start_with(opts.system, opts.brokers, opts.cluster.clone());
     cluster
         .create_topic("bench", opts.partitions, opts.replication)
         .await;

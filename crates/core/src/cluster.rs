@@ -1,9 +1,14 @@
 //! The cluster harness: a fabric, N broker machines, and client machines,
 //! mirroring the paper's 12-node InfiniBand testbed (§5 "Settings").
+//!
+//! The harness is test and bench scaffolding, so it panics rather than
+//! return errors: an admin RPC that fails (connect, topic creation, a
+//! telemetry dump) panics with the step's name, because no caller can go
+//! on without it.
 
 use std::cell::RefCell;
 
-use kdbroker::Broker;
+use kdbroker::{Broker, BrokerConfig};
 use kdclient::Admin;
 use kdstorage::{LogConfig, TopicPartition};
 use kdwire::{BrokerAddr, PartitionMeta};
@@ -12,32 +17,14 @@ use netsim::{Fabric, NodeHandle};
 
 use crate::systems::SystemKind;
 
-/// Harness options.
+/// Harness options: the fabric's cost profile and the one template every
+/// broker of the cluster is started from. [`SimCluster::start_with`] takes
+/// the template as written, except for the system axis (`transport`,
+/// `rdma`), which comes from the [`SystemKind`].
 #[derive(Debug, Clone)]
 pub struct ClusterOptions {
     pub profile: Profile,
-    pub log: LogConfig,
-    /// Overrides the per-system default broker config modifier.
-    pub api_workers: Option<usize>,
-    /// Overrides the RDMA completion-poller thread count.
-    pub rdma_pollers: Option<usize>,
-    /// Overrides the CQ drain batch size (`1` is the
-    /// one-completion-per-wakeup loop).
-    pub cq_batch: Option<usize>,
-    /// Overrides the depth of the brokers' shared produce receive queue
-    /// (DESIGN.md §13).
-    pub srq_depth: Option<usize>,
-    /// Overrides the multiplexed lending-pool size (`0`, the default:
-    /// every accepted produce QP pins its own NIC context).
-    pub mux_pool: Option<usize>,
-    /// Continuous telemetry for every broker (virtual-time sampler + health
-    /// watchdog); `None` (default) runs brokers exactly as before.
-    pub observe: Option<kdbroker::ObserveConfig>,
-    /// Storage backend for every broker's partition logs; `None` (default)
-    /// keeps the historical in-memory store. `Some(tiered)` spills sealed
-    /// segments to real files under the config's directory, one
-    /// `node<N>/<topic>-<partition>` subtree per broker partition.
-    pub storage: Option<kdstorage::StorageConfig>,
+    pub broker: BrokerConfig,
 }
 
 impl Default for ClusterOptions {
@@ -46,17 +33,13 @@ impl Default for ClusterOptions {
             profile: Profile::testbed(),
             // Experiments default to modest segments so sweeps stay within
             // memory; the paper's 1 GiB is configurable.
-            log: LogConfig {
-                segment_size: 32 * 1024 * 1024,
-                max_batch_size: 1024 * 1024 + 4096,
+            broker: BrokerConfig {
+                log: LogConfig {
+                    segment_size: 32 * 1024 * 1024,
+                    max_batch_size: 1024 * 1024 + 4096,
+                },
+                ..BrokerConfig::default()
             },
-            api_workers: None,
-            rdma_pollers: None,
-            cq_batch: None,
-            srq_depth: None,
-            mux_pool: None,
-            observe: None,
-            storage: None,
         }
     }
 }
@@ -87,31 +70,15 @@ impl SimCluster {
         // Everything the cluster builds from here on (links, NICs, brokers,
         // clients created on this thread) reports into the ambient registry.
         let telemetry = kdtelem::current();
-        let fabric = Fabric::new(opts.profile.clone());
+        let fabric = Fabric::new(opts.profile);
         let mut broker_nodes = Vec::new();
         let mut peers = Vec::new();
-        let mut config = system.broker_config().with_log(opts.log.clone());
-        if let Some(w) = opts.api_workers {
-            config = config.with_workers(w);
-        }
-        if let Some(p) = opts.rdma_pollers {
-            config = config.with_rdma_pollers(p);
-        }
-        if let Some(b) = opts.cq_batch {
-            config = config.with_cq_batch(b);
-        }
-        if let Some(d) = opts.srq_depth {
-            config = config.with_srq_depth(d);
-        }
-        if let Some(p) = opts.mux_pool {
-            config = config.with_mux_pool(p);
-        }
-        if let Some(o) = opts.observe.clone() {
-            config = config.with_observe(o);
-        }
-        if let Some(st) = opts.storage.clone() {
-            config = config.with_storage(st);
-        }
+        let axis = system.broker_config();
+        let config = BrokerConfig {
+            transport: axis.transport,
+            rdma: axis.rdma,
+            ..opts.broker
+        };
         for i in 0..n {
             let node = fabric.add_node(&format!("broker{i}"));
             peers.push(BrokerAddr {
@@ -169,13 +136,18 @@ impl SimCluster {
     /// Creates a topic through the controller and waits until its leaders
     /// are installed.
     pub async fn create_topic(&self, topic: &str, partitions: u32, replication: u32) {
-        let admin = Admin::connect(&self.admin_node, self.bootstrap())
-            .await
-            .expect("admin connect");
+        let admin = self.admin(self.bootstrap()).await;
         admin
             .create_topic(topic, partitions, replication)
             .await
             .expect("create topic");
+    }
+
+    /// An admin client on the cluster's admin machine, connected to `broker`.
+    async fn admin(&self, broker: BrokerAddr) -> Admin {
+        Admin::connect(&self.admin_node, broker)
+            .await
+            .expect("admin connect")
     }
 
     /// The telemetry registry this cluster's components report into.
@@ -192,29 +164,22 @@ impl SimCluster {
     /// Fetches the bootstrap broker's telemetry over the admin wire path —
     /// the remote flavour of [`telemetry_report`](Self::telemetry_report).
     pub async fn broker_telemetry(&self) -> kdtelem::TelemetryReport {
-        let admin = Admin::connect(&self.admin_node, self.bootstrap())
-            .await
-            .expect("admin connect");
+        let admin = self.admin(self.bootstrap()).await;
         admin.telemetry().await.expect("telemetry rpc")
     }
 
     /// Fetches broker `i`'s virtual-time time-series recording over the
-    /// admin wire path. Panics unless the cluster was started with
-    /// [`ClusterOptions::observe`] set.
+    /// admin wire path. Panics unless the cluster's broker template sets
+    /// `observe`.
     pub async fn broker_series(&self, i: usize) -> kdtelem::SeriesDump {
-        let admin = Admin::connect(&self.admin_node, self.broker(i).addr())
-            .await
-            .expect("admin connect");
+        let admin = self.admin(self.broker(i).addr()).await;
         admin.series().await.expect("series rpc")
     }
 
     /// Fetches broker `i`'s health-watchdog event log over the admin wire
-    /// path. Panics unless the cluster was started with
-    /// [`ClusterOptions::observe`] set.
+    /// path. Panics unless the cluster's broker template sets `observe`.
     pub async fn broker_health(&self, i: usize) -> Vec<kdtelem::HealthEvent> {
-        let admin = Admin::connect(&self.admin_node, self.broker(i).addr())
-            .await
-            .expect("admin connect");
+        let admin = self.admin(self.broker(i).addr()).await;
         admin.health().await.expect("health rpc")
     }
 
@@ -368,9 +333,7 @@ impl SimCluster {
 
     /// Address of the leader broker for a partition.
     pub async fn leader_of(&self, topic: &str, partition: u32) -> BrokerAddr {
-        let admin = Admin::connect(&self.admin_node, self.bootstrap())
-            .await
-            .expect("admin connect");
+        let admin = self.admin(self.bootstrap()).await;
         admin.leader_of(topic, partition).await.expect("leader")
     }
 }
@@ -402,9 +365,7 @@ mod tests {
         rt.block_on(async {
             let cluster = SimCluster::start(SystemKind::Kafka, 1);
             cluster.create_topic("t", 1, 1).await;
-            let admin = Admin::connect(&cluster.admin_node, cluster.bootstrap())
-                .await
-                .unwrap();
+            let admin = cluster.admin(cluster.bootstrap()).await;
             let err = admin.create_topic("t", 1, 1).await.err();
             assert_eq!(
                 err,
@@ -413,5 +374,62 @@ mod tests {
                 ))
             );
         });
+    }
+
+    /// `ClusterOptions::default()` is what every figure and kdmark's
+    /// clusters run: pin the exact config each system's brokers start with.
+    /// The destructuring names every field, so a new one must be pinned too.
+    #[test]
+    fn default_template_is_pinned_per_system() {
+        use kdbroker::{RdmaToggles, Transport};
+        use std::time::Duration;
+        let pull = RdmaToggles {
+            replicate: false,
+            ..RdmaToggles::all()
+        };
+        let none = RdmaToggles::none();
+        for (system, want_transport, want_rdma) in [
+            (SystemKind::Kafka, Transport::Tcp, none),
+            (SystemKind::OsuKafka, Transport::RdmaSendRecv, none),
+            (SystemKind::KafkaDirect, Transport::Tcp, RdmaToggles::all()),
+            (SystemKind::KafkaDirectWith(pull), Transport::Tcp, pull),
+        ] {
+            let started = sim::Runtime::new().block_on(async move {
+                let broker = SimCluster::start(system, 1).broker(0);
+                broker.inner().config.clone()
+            });
+            let BrokerConfig {
+                tcp_port,
+                rdma_port,
+                transport,
+                rdma,
+                api_workers,
+                rdma_pollers,
+                log:
+                    LogConfig {
+                        segment_size,
+                        max_batch_size,
+                    },
+                replication_credits,
+                replication_max_batch,
+                shared_order_timeout,
+                cq_batch,
+                srq_depth,
+                mux_pool,
+                observe,
+                storage,
+            } = started;
+            assert_eq!((transport, rdma), (want_transport, want_rdma), "{system:?}");
+            assert_eq!((tcp_port, rdma_port), (9092, 18515));
+            assert_eq!(
+                (api_workers, rdma_pollers, cq_batch, srq_depth),
+                (8, 2, 16, 4096)
+            );
+            assert_eq!((segment_size, max_batch_size), (32 << 20, (1 << 20) + 4096));
+            assert_eq!((replication_credits, replication_max_batch), (16, 1024));
+            assert_eq!(shared_order_timeout, Duration::from_millis(2));
+            assert_eq!(mux_pool, 0);
+            assert!(observe.is_none() && storage.is_none());
+        }
     }
 }

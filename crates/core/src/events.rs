@@ -3,8 +3,8 @@
 //! "The benchmark emulates events generated by an IoT traffic sensor that
 //! measures the number of cars and their average speed for road lanes. The
 //! IoT device publishes these events in JSON format into two separate
-//! topics." The JSON codec is implemented here from scratch (no external
-//! crates) — it is the only serialization format the workload needs.
+//! topics." An event is written by [`TrafficEvent::to_json`] and read back
+//! through kdtelem's JSON reader, the one every telemetry export uses.
 
 use std::fmt::Write as _;
 
@@ -36,115 +36,20 @@ impl TrafficEvent {
         s
     }
 
-    /// Parses the JSON produced by [`Self::to_json`] (tolerant of field order and
-    /// whitespace).
-    pub fn from_json(input: &str) -> Result<TrafficEvent, JsonError> {
-        let obj = parse_object(input)?;
-        Ok(TrafficEvent {
-            sensor_id: obj.get_u64("sensor_id")? as u32,
-            lane: obj.get_u64("lane")? as u8,
-            cars: obj.get_u64("cars")? as u32,
-            avg_speed: obj.get_f64("avg_speed")?,
-            timestamp_us: obj.get_u64("timestamp_us")?,
+    /// Parses one object as [`Self::to_json`] writes it: fields in any
+    /// order, whitespace around them, nothing after the object. `None` if
+    /// the text is anything else or a field is missing.
+    pub fn from_json(input: &str) -> Option<TrafficEvent> {
+        let (obj, rest) = kdtelem::json::Fields::read(input)?;
+        let obj = rest.trim().is_empty().then_some(obj)?;
+        Some(TrafficEvent {
+            sensor_id: obj.u64("sensor_id")? as u32,
+            lane: obj.u64("lane")? as u8,
+            cars: obj.u64("cars")? as u32,
+            avg_speed: obj.f64("avg_speed")?,
+            timestamp_us: obj.u64("timestamp_us")?,
         })
     }
-}
-
-/// Mini-JSON parse error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JsonError {
-    Syntax,
-    MissingField,
-    BadNumber,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JsonError::Syntax => write!(f, "malformed JSON"),
-            JsonError::MissingField => write!(f, "missing field"),
-            JsonError::BadNumber => write!(f, "invalid number"),
-        }
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// A parsed flat JSON object of string/number fields.
-pub struct JsonObject {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObject {
-    fn get(&self, key: &str) -> Result<&str, JsonError> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .ok_or(JsonError::MissingField)
-    }
-
-    pub fn get_u64(&self, key: &str) -> Result<u64, JsonError> {
-        self.get(key)?.parse().map_err(|_| JsonError::BadNumber)
-    }
-
-    pub fn get_f64(&self, key: &str) -> Result<f64, JsonError> {
-        self.get(key)?.parse().map_err(|_| JsonError::BadNumber)
-    }
-
-    pub fn get_str(&self, key: &str) -> Result<&str, JsonError> {
-        self.get(key)
-    }
-}
-
-/// Parses a flat JSON object: string values and bare numbers only — all the
-/// workload emits. Nested objects/arrays are a syntax error by design.
-pub fn parse_object(input: &str) -> Result<JsonObject, JsonError> {
-    let s = input.trim();
-    let bytes = s.as_bytes();
-    if bytes.first() != Some(&b'{') || bytes.last() != Some(&b'}') {
-        return Err(JsonError::Syntax);
-    }
-    let inner = &s[1..s.len() - 1];
-    let mut fields = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        // Key.
-        if !rest.starts_with('"') {
-            return Err(JsonError::Syntax);
-        }
-        let close = rest[1..].find('"').ok_or(JsonError::Syntax)? + 1;
-        let key = rest[1..close].to_string();
-        rest = rest[close + 1..].trim_start();
-        if !rest.starts_with(':') {
-            return Err(JsonError::Syntax);
-        }
-        rest = rest[1..].trim_start();
-        // Value: quoted string or bare token up to ',' at depth 0.
-        let value;
-        if rest.starts_with('"') {
-            let close = rest[1..].find('"').ok_or(JsonError::Syntax)? + 1;
-            value = rest[1..close].to_string();
-            rest = rest[close + 1..].trim_start();
-        } else {
-            let end = rest.find(',').unwrap_or(rest.len());
-            value = rest[..end].trim().to_string();
-            if value.is_empty() || value.contains(['{', '[']) {
-                return Err(JsonError::Syntax);
-            }
-            rest = rest[end..].trim_start();
-        }
-        fields.push((key, value));
-        if rest.starts_with(',') {
-            rest = rest[1..].trim_start();
-            if rest.is_empty() {
-                return Err(JsonError::Syntax);
-            }
-        } else if !rest.is_empty() {
-            return Err(JsonError::Syntax);
-        }
-    }
-    Ok(JsonObject { fields })
 }
 
 /// Deterministic generator of sensor events.
@@ -205,18 +110,21 @@ mod tests {
 
     #[test]
     fn parser_rejects_garbage() {
-        assert!(TrafficEvent::from_json("").is_err());
-        assert!(TrafficEvent::from_json("{}").is_err()); // missing fields
-        assert!(TrafficEvent::from_json(r#"{"sensor_id":}"#).is_err());
-        assert!(TrafficEvent::from_json(r#"{"a":{"nested":1}}"#).is_err());
-        assert!(TrafficEvent::from_json(r#"{"a":1,}"#).is_err());
-    }
-
-    #[test]
-    fn string_values_parse() {
-        let obj = parse_object(r#"{"name":"lane-1","v":3}"#).unwrap();
-        assert_eq!(obj.get_str("name").unwrap(), "lane-1");
-        assert_eq!(obj.get_u64("v").unwrap(), 3);
+        assert!(TrafficEvent::from_json("").is_none());
+        assert!(TrafficEvent::from_json("{}").is_none()); // missing fields
+        assert!(TrafficEvent::from_json(r#"{"sensor_id":}"#).is_none());
+        assert!(TrafficEvent::from_json(r#"{"a":{"nested":1}}"#).is_none());
+        assert!(TrafficEvent::from_json(r#"{"a":1,}"#).is_none());
+        let e = TrafficEvent {
+            sensor_id: 1,
+            lane: 0,
+            cars: 2,
+            avg_speed: 3.0,
+            timestamp_us: 4,
+        };
+        assert!(TrafficEvent::from_json(&e.to_json()).is_some());
+        assert!(TrafficEvent::from_json(&(e.to_json() + " x")).is_none()); // trailing bytes
+        assert!(TrafficEvent::from_json(&(e.to_json() + "}")).is_none());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use kdwire::{BrokerAddr, PartitionMeta, RemoteRegion, RpcClient};
+use kdwire::{BrokerAddr, RemoteRegion, RpcClient};
 use netsim::profile::Profile;
 use netsim::NodeHandle;
 use rnic::{CompletionQueue, QpOptions, QueuePair, RNic, SendWr, ShmBuf, WorkRequest};
@@ -27,6 +27,8 @@ pub type OffsetSlot = (rnic::ShmBuf, rnic::MemoryRegion);
 const ACK_RING_DEPTH: usize = 1024;
 /// Capacity of the produce module's receive CQ and of the ack send CQ.
 const CQ_CAPACITY: usize = 8192;
+/// Network processor threads (§5 "Settings": three).
+const NET_THREADS: usize = 3;
 
 /// One partition's raw segment images as `(base_offset, bytes)` — the
 /// "disk" that survives a broker crash (see [`Broker::durable_state`]). In
@@ -192,17 +194,22 @@ impl Broker {
             .find(|p| p.node == node.id.0)
             .expect("this broker must be in the peer list");
         assert_eq!(me.port, config.tcp_port, "peer list port mismatch");
+        for (field, n) in [
+            ("api_workers", config.api_workers),
+            ("rdma_pollers", config.rdma_pollers),
+            ("cq_batch", config.cq_batch),
+            ("srq_depth", config.srq_depth),
+        ] {
+            assert!(n > 0, "BrokerConfig::{field} must be at least 1");
+        }
         let profile = node.profile();
         let nic = RNic::new(node);
         let recv_cq = nic.create_cq(CQ_CAPACITY);
         let ack_send_cq = nic.create_cq(CQ_CAPACITY);
         let registry = kdtelem::current();
         let metrics = Metrics::new(&registry);
-        let net_pool = ServicePool::with_counter(
-            config.net_threads,
-            profile.cpu.wakeup,
-            metrics.net_busy_ns.clone(),
-        );
+        let net_pool =
+            ServicePool::with_counter(NET_THREADS, profile.cpu.wakeup, metrics.net_busy_ns.clone());
         let telem = BrokerTelem::new(&registry);
         // Continuous telemetry rides on the broker's (ambient) registry:
         // the sampler snapshots every instrument on the virtual-time wheel;
@@ -413,19 +420,51 @@ impl Broker {
             .map(|p| p.log.garble_active_tail(k))
             .sum()
     }
+}
 
-    /// Installs a partition recovered from pre-crash segment buffers; used
-    /// by the harness right after `start` when restarting a crashed broker.
-    pub fn install_recovered(
-        &self,
-        topic: &str,
-        partition: u32,
-        epoch: u64,
-        leader: BrokerAddr,
-        replicas: Vec<BrokerAddr>,
-        buffers: SegmentBuffers,
-    ) {
-        let meta = PartitionMeta { partition, epoch, leader, replicas };
-        crate::admin::install(&self.inner, topic, meta, Some(buffers));
+#[cfg(test)]
+mod tests {
+    use netsim::profile::Profile;
+    use netsim::Fabric;
+
+    use crate::{Broker, BrokerConfig, RdmaToggles};
+
+    /// Starts one KafkaDirect broker whose config `zero` has edited.
+    fn start_with(zero: impl FnOnce(&mut BrokerConfig)) {
+        let mut config = BrokerConfig::kafkadirect(RdmaToggles::all());
+        zero(&mut config);
+        sim::Runtime::new().block_on(async {
+            let node = Fabric::new(Profile::fast_test()).add_node("broker");
+            let me = kdwire::BrokerAddr {
+                node: node.id.0,
+                port: config.tcp_port,
+                rdma_port: config.rdma_port,
+            };
+            Broker::start(&node, config, vec![me]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "BrokerConfig::api_workers must be at least 1")]
+    fn zero_api_workers_is_refused() {
+        start_with(|c| c.api_workers = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "BrokerConfig::rdma_pollers must be at least 1")]
+    fn zero_rdma_pollers_is_refused() {
+        start_with(|c| c.rdma_pollers = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "BrokerConfig::cq_batch must be at least 1")]
+    fn zero_cq_batch_is_refused() {
+        start_with(|c| c.cq_batch = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "BrokerConfig::srq_depth must be at least 1")]
+    fn zero_srq_depth_is_refused() {
+        start_with(|c| c.srq_depth = 0);
     }
 }

@@ -69,7 +69,9 @@ impl Default for ObserveConfig {
 }
 
 /// Full broker configuration. Defaults follow the paper's §5 "Settings":
-/// eight API threads, three network threads, preallocated log files.
+/// eight API threads, preallocated log files (the three network threads are
+/// fixed). [`Broker::start`](crate::Broker::start) refuses a zero
+/// `api_workers`, `rdma_pollers`, `cq_batch` or `srq_depth`.
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
     /// TCP control/data port.
@@ -80,8 +82,6 @@ pub struct BrokerConfig {
     pub rdma_port: u16,
     pub transport: Transport,
     pub rdma: RdmaToggles,
-    /// Network processor threads (default 3).
-    pub net_threads: usize,
     /// API worker threads (default 8).
     pub api_workers: usize,
     /// RDMA completion pollers (threads of the RDMA network module ➋).
@@ -111,7 +111,8 @@ pub struct BrokerConfig {
     /// Continuous telemetry (sampler + watchdog); `None` = off (default).
     pub observe: Option<ObserveConfig>,
     /// The file tier: `None` (default) keeps logs in memory only; `Some`
-    /// spills sealed segments to files behind a zero-copy hot tier.
+    /// spills sealed segments to files behind a zero-copy hot tier, one
+    /// `node<N>/<topic>-<partition>` subtree of its directory per partition.
     pub storage: Option<StorageConfig>,
 }
 
@@ -122,7 +123,6 @@ impl Default for BrokerConfig {
             rdma_port: 18515,
             transport: Transport::Tcp,
             rdma: RdmaToggles::none(),
-            net_threads: 3,
             api_workers: 8,
             rdma_pollers: 2,
             log: LogConfig::default(),
@@ -160,49 +160,6 @@ impl BrokerConfig {
             ..BrokerConfig::default()
         }
     }
-
-    pub fn with_log(mut self, log: LogConfig) -> Self {
-        self.log = log;
-        self
-    }
-
-    pub fn with_workers(mut self, api_workers: usize) -> Self {
-        self.api_workers = api_workers;
-        self
-    }
-
-    pub fn with_cq_batch(mut self, cq_batch: usize) -> Self {
-        assert!(cq_batch >= 1);
-        self.cq_batch = cq_batch;
-        self
-    }
-
-    pub fn with_rdma_pollers(mut self, rdma_pollers: usize) -> Self {
-        assert!(rdma_pollers >= 1);
-        self.rdma_pollers = rdma_pollers;
-        self
-    }
-
-    pub fn with_srq_depth(mut self, srq_depth: usize) -> Self {
-        assert!(srq_depth >= 1);
-        self.srq_depth = srq_depth;
-        self
-    }
-
-    pub fn with_mux_pool(mut self, mux_pool: usize) -> Self {
-        self.mux_pool = mux_pool;
-        self
-    }
-
-    pub fn with_observe(mut self, observe: ObserveConfig) -> Self {
-        self.observe = Some(observe);
-        self
-    }
-
-    pub fn with_storage(mut self, storage: StorageConfig) -> Self {
-        self.storage = Some(storage);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +170,6 @@ mod tests {
     fn defaults_follow_paper_settings() {
         let c = BrokerConfig::default();
         assert_eq!(c.api_workers, 8);
-        assert_eq!(c.net_threads, 3);
         assert_eq!(c.replication_max_batch, 1024);
         assert!(!c.rdma.any());
     }

@@ -125,7 +125,7 @@ fn start_consume_listener(b: &Rc<BrokerInner>) {
 async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogram) {
     let wakeup = b.profile.cpu.wakeup;
     let marginal = b.profile.net.cqe_batch_marginal;
-    let max_batch = b.config.cq_batch.max(1);
+    let max_batch = b.config.cq_batch;
     let produced = |cqe: &Cqe| cqe.ok() && cqe.opcode == CqOpcode::RecvRdmaWithImm;
     // Pooled per-poller scratch: steady-state batches allocate nothing.
     let mut batch: Vec<Cqe> = Vec::with_capacity(max_batch);
@@ -233,7 +233,7 @@ fn extend_or_hand_off(
     seq: u64,
     item: CommitItem,
 ) {
-    let max_run = b.config.cq_batch.max(1);
+    let max_run = b.config.cq_batch;
     match open {
         Some(WorkItem::RdmaCommit { file_id, run, .. })
             if *file_id == grant.file_id && grant.shared.is_none() && run.len() < max_run =>

@@ -436,7 +436,7 @@ fn spawn_collector(
     let b2 = Rc::clone(b);
     let p2 = Rc::clone(p);
     let stream = kdtelem::stream_key(p.tp.topic.as_str(), p.tp.partition);
-    let max_batch = b.config.cq_batch.max(1);
+    let max_batch = b.config.cq_batch;
     let s = Rc::clone(session);
     sim::spawn(async move {
         let PushState { acked, lag, inflight, .. } = &*s.state;

@@ -75,7 +75,7 @@ async fn serve_connection(
     // pollers) and recycle the consumed buffers with one chained
     // `post_recv_list` per batch instead of one doorbell per message. A
     // broker crash races the wait, as on the TCP front.
-    let max_batch = b.config.cq_batch.max(1);
+    let max_batch = b.config.cq_batch;
     let mut batch: Vec<rnic::Cqe> = Vec::with_capacity(max_batch);
     let mut recycle: Vec<u64> = Vec::with_capacity(max_batch);
     let mut frame = Vec::new();

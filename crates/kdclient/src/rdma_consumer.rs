@@ -509,7 +509,10 @@ mod tests {
             let fabric = Fabric::new(Profile::testbed());
             let (bnode, cnode) = (fabric.add_node("broker"), fabric.add_node("client"));
             let log = LogConfig { segment_size: 1 << 20, max_batch_size: 1 << 19 };
-            let config = BrokerConfig::kafkadirect(RdmaToggles::all()).with_log(log);
+            let config = BrokerConfig {
+                log,
+                ..BrokerConfig::kafkadirect(RdmaToggles::all())
+            };
             let addr = BrokerAddr { node: bnode.id.0, port: config.tcp_port, rdma_port: config.rdma_port };
             let broker = Broker::start(&bnode, config, vec![addr]);
             let admin = crate::Admin::connect(&cnode, addr).await.unwrap();

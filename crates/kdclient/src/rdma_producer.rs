@@ -579,7 +579,10 @@ mod tests {
                 segment_size,
                 max_batch_size: segment_size / 2,
             };
-            let config = BrokerConfig::kafkadirect(RdmaToggles::all()).with_log(log);
+            let config = BrokerConfig {
+                log,
+                ..BrokerConfig::kafkadirect(RdmaToggles::all())
+            };
             let addr = BrokerAddr {
                 node: bnode.id.0,
                 port: config.tcp_port,

@@ -231,7 +231,10 @@ fn rdma_consumer_rejects_a_batch_that_outgrows_its_file() {
             segment_size: 4096,
             max_batch_size: 2048,
         };
-        let config = BrokerConfig::kafkadirect(RdmaToggles::all()).with_log(log);
+        let config = BrokerConfig {
+            log,
+            ..BrokerConfig::kafkadirect(RdmaToggles::all())
+        };
         let (b, addr, client) = broker(&fabric, config).await;
         let mut p = RdmaProducer::connect(&client, addr, "t", 0, false)
             .await

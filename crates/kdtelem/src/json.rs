@@ -1,8 +1,9 @@
 //! The one JSON codec of every export. A telemetry report, series or health
 //! line and a Chrome trace event are each one object of string, number and
 //! boolean fields (a Chrome event nests one more object, its `args`):
-//! [`Obj`] writes one and [`Fields`] reads one back. Keys are plain names,
-//! written and matched as they are.
+//! `Obj` writes one and [`Fields`] reads one back. Keys are plain names,
+//! written and matched as they are. `Fields` is public so that other flat
+//! objects (the §5.4 workload's sensor events) are read by this one reader.
 
 use std::fmt::{Display, Write};
 
@@ -73,7 +74,7 @@ impl<'a> Obj<'a> {
 /// escaped) until a field is asked for by key; a nested object is one
 /// value. The first of two fields with one key wins.
 #[derive(Clone, Copy)]
-pub(crate) struct Fields<'a> {
+pub struct Fields<'a> {
     /// The text after the object's `{`, through its `}`.
     body: &'a str,
 }
@@ -82,7 +83,7 @@ impl<'a> Fields<'a> {
     /// The object at the front of `text`, and the text after it. `None`
     /// unless every value is a string, a bare token (a number or boolean),
     /// or — at the top level only — an object.
-    pub(crate) fn read(text: &'a str) -> Option<(Fields<'a>, &'a str)> {
+    pub fn read(text: &'a str) -> Option<(Fields<'a>, &'a str)> {
         let body = text.trim_start().strip_prefix('{')?;
         let rest = scan(body, false, &mut |_, _| {})?;
         Some((Fields { body }, rest))
@@ -125,11 +126,11 @@ impl<'a> Fields<'a> {
         Some(out)
     }
 
-    pub(crate) fn u64(&self, key: &str) -> Option<u64> {
+    pub fn u64(&self, key: &str) -> Option<u64> {
         self.raw(key)?.parse().ok()
     }
 
-    pub(crate) fn f64(&self, key: &str) -> Option<f64> {
+    pub fn f64(&self, key: &str) -> Option<f64> {
         self.raw(key)?.parse().ok()
     }
 }

@@ -44,7 +44,7 @@ pub mod chrome;
 pub mod critpath;
 pub mod health;
 mod hist;
-mod json;
+pub mod json;
 mod registry;
 mod report;
 pub mod series;

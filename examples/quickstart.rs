@@ -39,15 +39,10 @@ fn main() {
         let dir = dir2;
         // A one-broker KafkaDirect cluster on a simulated 56 Gbit/s fabric,
         // sampled continuously at the default observability cadence.
-        let cluster = SimCluster::start_with(
-            SystemKind::KafkaDirect,
-            1,
-            ClusterOptions {
-                observe: Some(ObserveConfig::default()),
-                storage,
-                ..Default::default()
-            },
-        );
+        let mut opts = ClusterOptions::default();
+        opts.broker.observe = Some(ObserveConfig::default());
+        opts.broker.storage = storage;
+        let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
         cluster.create_topic("greetings", 1, 1).await;
         println!("cluster up: broker at node {}", cluster.bootstrap().node);
 

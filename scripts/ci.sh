@@ -71,6 +71,18 @@ if grep -rnE "post_chain|setup_data_plane|install_data_plane|reconnect_data_plan
     exit 1
 fi
 
+# One cluster boot and one broker template (DESIGN.md §9 "Crash recovery &
+# divergence"): `Broker::start` refuses a zero worker, poller, CQ batch or SRQ
+# depth by name; every multi-broker experiment boots and restarts through
+# `SimCluster` from `ClusterOptions::broker`. The per-setting builders, the
+# second restart path and the core crate's own JSON parser stay deleted.
+cargo test -q --offline -p kdbroker --lib broker::tests::zero_
+if grep -rn "Broker::start(" tests/ crates/bench/ ||
+    grep -rnE "with_cq_batch|with_mux_pool|with_rdma_pollers|with_srq_depth|with_workers|install_recovered|parse_object|JsonObject" crates/; then
+    echo "ci: a hand-rolled broker boot, a BrokerConfig builder or a second parser reappeared (see DESIGN.md §9)" >&2
+    exit 1
+fi
+
 # Same for the executor (DESIGN.md §12): `Runtime::block_on` is the one
 # driver of the poll loop. The windowed parallel executor measured <= 1.03x
 # in five recorded sweeps and was deleted with its mailbox router, group

@@ -205,7 +205,7 @@ fn produce(
     record_bytes: usize,
 ) -> (Region, u64) {
     let mut opts = ProduceOpts::new(system, mode, record_bytes);
-    opts.storage = storage;
+    opts.cluster.broker.storage = storage;
     let registry = kdtelem::Registry::new();
     let _telem = kdtelem::enter(&registry);
     let rt = sim::Runtime::new();

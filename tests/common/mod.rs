@@ -124,15 +124,11 @@ pub fn run_seed(seed: u64) -> Outcome {
 /// `cq_batch = 1` reproduces the pre-batching one-completion-per-wakeup
 /// poller bit for bit — the golden-digest test pins it.
 pub fn run_seed_with(seed: u64, rdma_pollers: Option<usize>, cq_batch: Option<usize>) -> Outcome {
-    run_seed_opts(
-        seed,
-        kafkadirect::ClusterOptions {
-            rdma_pollers,
-            cq_batch,
-            ..Default::default()
-        },
-        false,
-    )
+    let mut opts = kafkadirect::ClusterOptions::default();
+    let broker = &mut opts.broker;
+    broker.rdma_pollers = rdma_pollers.unwrap_or(broker.rdma_pollers);
+    broker.cq_batch = cq_batch.unwrap_or(broker.cq_batch);
+    run_seed_opts(seed, opts, false)
 }
 
 /// Runs one seeded fault plan with the brokers' accepted produce QPs
@@ -142,14 +138,9 @@ pub fn run_seed_with(seed: u64, rdma_pollers: Option<usize>, cq_batch: Option<us
 /// acked set — is comparable across pool sizes.
 #[allow(dead_code)]
 pub fn run_seed_mux(seed: u64, mux_pool: usize) -> Outcome {
-    run_seed_opts(
-        seed,
-        kafkadirect::ClusterOptions {
-            mux_pool: Some(mux_pool),
-            ..Default::default()
-        },
-        false,
-    )
+    let mut opts = kafkadirect::ClusterOptions::default();
+    opts.broker.mux_pool = mux_pool;
+    run_seed_opts(seed, opts, false)
 }
 
 /// Runs one seeded fault plan against a **tiered-storage** cluster: every
@@ -166,14 +157,9 @@ pub fn run_seed_durable(seed: u64, tag: &str) -> Outcome {
     std::fs::remove_dir_all(&dir).ok();
     let storage = kdstorage::StorageConfig::tiered(&dir)
         .with_sync(kdstorage::SyncMode::PerCommit);
-    let out = run_seed_opts(
-        seed,
-        kafkadirect::ClusterOptions {
-            storage: Some(storage),
-            ..Default::default()
-        },
-        true,
-    );
+    let mut opts = kafkadirect::ClusterOptions::default();
+    opts.broker.storage = Some(storage);
+    let out = run_seed_opts(seed, opts, true);
     std::fs::remove_dir_all(&dir).ok();
     out
 }

@@ -118,14 +118,9 @@ fn dry_srq_parks_senders_and_loses_nothing() {
     sim::Runtime::with_seed(1).block_on(async {
         let registry = kdtelem::Registry::new();
         let _t = kdtelem::enter(&registry);
-        let cluster = SimCluster::start_with(
-            SystemKind::KafkaDirect,
-            1,
-            ClusterOptions {
-                srq_depth: Some(4),
-                ..Default::default()
-            },
-        );
+        let mut opts = ClusterOptions::default();
+        opts.broker.srq_depth = 4;
+        let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
         cluster.create_topic("dry", PARTITIONS, 1).await;
         let bootstrap = cluster.bootstrap();
         let mut tasks = Vec::new();
@@ -230,14 +225,9 @@ fn fanin_point(mux_pool: usize, clients: usize) -> FaninPoint {
 
     let per_client = (FANIN_RECORDS / clients).max(1);
     let (virtual_ns, recv_peak, contexts_peak) = sim::Runtime::new().block_on(async move {
-        let cluster = SimCluster::start_with(
-            SystemKind::KafkaDirect,
-            1,
-            ClusterOptions {
-                mux_pool: Some(mux_pool),
-                ..Default::default()
-            },
-        );
+        let mut opts = ClusterOptions::default();
+        opts.broker.mux_pool = mux_pool;
+        let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
         cluster.create_topic("fanin", FANIN_PARTITIONS, 1).await;
         let mut leaders = Vec::new();
         for p in 0..FANIN_PARTITIONS {

@@ -108,14 +108,9 @@ fn tiered_rdma_produce_attributes_zero_broker_copies() {
     let events = trace_run(|| {
         let rt = sim::Runtime::new();
         rt.block_on(async move {
-            let cluster = SimCluster::start_with(
-                SystemKind::KafkaDirect,
-                1,
-                ClusterOptions {
-                    storage: Some(storage),
-                    ..Default::default()
-                },
-            );
+            let mut opts = ClusterOptions::default();
+            opts.broker.storage = Some(storage);
+            let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
             cluster.create_topic("t", 1, 1).await;
             let cnode = cluster.add_client_node("c");
             let mut producer = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, false)

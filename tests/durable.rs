@@ -98,20 +98,15 @@ fn rf1_crash_restart(tag: &str, sync: SyncMode, chunks: &[u32], gap_ms: u64) -> 
     let storage = StorageConfig::tiered(&dir).with_sync(sync);
     let rt = sim::Runtime::with_seed(17);
     let out = rt.block_on(async move {
-        let cluster = SimCluster::start_with(
-            SystemKind::KafkaDirect,
-            1,
-            ClusterOptions {
-                // Small segments force rotation, so `Never` still seals —
-                // and therefore flushes — a prefix.
-                log: LogConfig {
-                    segment_size: 2048,
-                    max_batch_size: 1536,
-                },
-                storage: Some(storage),
-                ..Default::default()
-            },
-        );
+        let mut opts = ClusterOptions::default();
+        // Small segments force rotation, so `Never` still seals — and
+        // therefore flushes — a prefix.
+        opts.broker.log = LogConfig {
+            segment_size: 2048,
+            max_batch_size: 1536,
+        };
+        opts.broker.storage = Some(storage);
+        let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
         cluster.create_topic("t", 1, 1).await;
         let cnode = cluster.add_client_node("rf1-client");
         let bootstrap = cluster.bootstrap();

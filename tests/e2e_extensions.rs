@@ -264,12 +264,10 @@ fn multi_consumer_single_slot_read() {
 fn multi_consumer_live_stream_with_rolls() {
     let rt = sim::Runtime::new();
     rt.block_on(async {
-        let opts = kafkadirect::ClusterOptions {
-            log: kdstorage::LogConfig {
-                segment_size: 8 * 1024,
-                max_batch_size: 4 * 1024,
-            },
-            ..Default::default()
+        let mut opts = kafkadirect::ClusterOptions::default();
+        opts.broker.log = kdstorage::LogConfig {
+            segment_size: 8 * 1024,
+            max_batch_size: 4 * 1024,
         };
         let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
         cluster.create_topic("t", 3, 1).await;

@@ -425,12 +425,10 @@ fn follower_crash_during_push_replication() {
 fn consume_release_unregisters_memory() {
     let rt = sim::Runtime::new();
     rt.block_on(async {
-        let opts = kafkadirect::ClusterOptions {
-            log: kdstorage::LogConfig {
-                segment_size: 8 * 1024,
-                max_batch_size: 4 * 1024,
-            },
-            ..Default::default()
+        let mut opts = kafkadirect::ClusterOptions::default();
+        opts.broker.log = kdstorage::LogConfig {
+            segment_size: 8 * 1024,
+            max_batch_size: 4 * 1024,
         };
         let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
         cluster.create_topic("t", 1, 1).await;
@@ -518,12 +516,10 @@ fn a_foreign_consume_release_leaves_a_readers_segment_registered() {
 fn shared_file_overflow_recovers() {
     let rt = sim::Runtime::new();
     rt.block_on(async {
-        let opts = kafkadirect::ClusterOptions {
-            log: kdstorage::LogConfig {
-                segment_size: 4 * 1024,
-                max_batch_size: 2 * 1024,
-            },
-            ..Default::default()
+        let mut opts = kafkadirect::ClusterOptions::default();
+        opts.broker.log = kdstorage::LogConfig {
+            segment_size: 4 * 1024,
+            max_batch_size: 2 * 1024,
         };
         let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
         cluster.create_topic("t", 1, 1).await;

@@ -195,12 +195,10 @@ fn shared_mixed_tcp_and_rdma_producers() {
 fn file_roll_producer_and_consumer_follow() {
     let rt = sim::Runtime::new();
     rt.block_on(async {
-        let opts = kafkadirect::ClusterOptions {
-            log: kdstorage::LogConfig {
-                segment_size: 16 * 1024, // tiny files force rolls
-                max_batch_size: 8 * 1024,
-            },
-            ..Default::default()
+        let mut opts = kafkadirect::ClusterOptions::default();
+        opts.broker.log = kdstorage::LogConfig {
+            segment_size: 16 * 1024, // tiny files force rolls
+            max_batch_size: 8 * 1024,
         };
         let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
         cluster.create_topic("t", 1, 1).await;
@@ -418,12 +416,10 @@ fn pipelined_variable_size_produce_orders_correctly() {
 fn single_subscription_schedule_is_pinned() {
     let rt = sim::Runtime::with_seed(7);
     rt.block_on(async {
-        let opts = kafkadirect::ClusterOptions {
-            log: kdstorage::LogConfig {
-                segment_size: 8 * 1024,
-                max_batch_size: 4 * 1024,
-            },
-            ..Default::default()
+        let mut opts = kafkadirect::ClusterOptions::default();
+        opts.broker.log = kdstorage::LogConfig {
+            segment_size: 8 * 1024,
+            max_batch_size: 4 * 1024,
         };
         let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
         cluster.create_topic("t", 1, 1).await;

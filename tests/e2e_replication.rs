@@ -158,12 +158,10 @@ fn mixed_datapath_combinations() {
 fn push_replication_across_file_rolls() {
     let rt = sim::Runtime::new();
     rt.block_on(async {
-        let opts = kafkadirect::ClusterOptions {
-            log: kdstorage::LogConfig {
-                segment_size: 8 * 1024,
-                max_batch_size: 4 * 1024,
-            },
-            ..Default::default()
+        let mut opts = kafkadirect::ClusterOptions::default();
+        opts.broker.log = kdstorage::LogConfig {
+            segment_size: 8 * 1024,
+            max_batch_size: 4 * 1024,
         };
         let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 2, opts);
         cluster.create_topic("t", 1, 2).await;
@@ -233,75 +231,35 @@ fn consumers_never_see_uncommitted_records() {
     });
 }
 
-/// Two KafkaDirect brokers built directly, the follower granting its push
-/// leader a single credit, with topic `t` (one partition, RF 2) created.
+/// Two KafkaDirect brokers, the follower granting its push leader a single
+/// credit, with topic `t` (one partition, RF 2) created.
 struct OneCreditPair {
-    fabric: netsim::Fabric,
-    cfg: kdbroker::BrokerConfig,
-    peers: Vec<kdwire::BrokerAddr>,
-    nodes: Vec<netsim::NodeHandle>,
-    brokers: Vec<kafkadirect::Broker>,
+    cluster: SimCluster,
     leader: kdwire::BrokerAddr,
 }
 
 async fn one_credit_pair() -> OneCreditPair {
-    let mut cfg = SystemKind::KafkaDirect.broker_config();
-    cfg.replication_credits = 1;
-    cfg.log = kdstorage::LogConfig {
+    let mut opts = kafkadirect::ClusterOptions::default();
+    opts.broker.replication_credits = 1;
+    opts.broker.log = kdstorage::LogConfig {
         segment_size: 1 << 20,
         max_batch_size: 64 * 1024,
     };
-    let fabric = netsim::Fabric::new(netsim::profile::Profile::testbed());
-    let mut peers = Vec::new();
-    let mut nodes = Vec::new();
-    for i in 0..2 {
-        let node = fabric.add_node(&format!("b{i}"));
-        peers.push(kdwire::BrokerAddr {
-            node: node.id.0,
-            port: cfg.tcp_port,
-            rdma_port: cfg.rdma_port,
-        });
-        nodes.push(node);
-    }
-    let brokers: Vec<_> = nodes
-        .iter()
-        .map(|n| kafkadirect::Broker::start(n, cfg.clone(), peers.clone()))
-        .collect();
-    let admin_node = fabric.add_node("admin");
-    let admin = kdclient::Admin::connect(&admin_node, peers[0]).await.unwrap();
-    admin.create_topic("t", 1, 2).await.unwrap();
-    let leader = admin.leader_of("t", 0).await.unwrap();
-    OneCreditPair { fabric, cfg, peers, nodes, brokers, leader }
+    let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 2, opts);
+    cluster.create_topic("t", 1, 2).await;
+    let leader = cluster.leader_of("t", 0).await;
+    OneCreditPair { cluster, leader }
 }
 
 impl OneCreditPair {
-    fn leader_broker(&self) -> &kafkadirect::Broker {
-        &self.brokers[1 - self.follower()]
+    fn leader_broker(&self) -> kafkadirect::Broker {
+        self.cluster.broker(1 - self.follower())
     }
 
     fn follower(&self) -> usize {
-        self.brokers.iter().position(|b| b.addr().node != self.leader.node).unwrap()
-    }
-
-    /// Starts the crashed follower again on its node with what its "disk"
-    /// kept, under the metadata the leader still holds.
-    fn restart_follower(&self) -> kafkadirect::Broker {
-        let fi = self.follower();
-        let (cfg, peers) = (self.cfg.clone(), self.peers.clone());
-        let fresh = kafkadirect::Broker::start(&self.nodes[fi], cfg, peers);
-        let topic = self.leader_broker().inner().store.topic_meta("t").unwrap();
-        let pm = &topic.partitions[0];
-        for (tp, bufs) in self.brokers[fi].durable_state() {
-            fresh.install_recovered(
-                tp.topic.as_str(),
-                tp.partition,
-                pm.epoch,
-                pm.leader,
-                pm.replicas.clone(),
-                bufs,
-            );
-        }
-        fresh
+        (0..2)
+            .find(|&i| self.cluster.broker(i).addr().node != self.leader.node)
+            .unwrap()
     }
 }
 
@@ -312,8 +270,8 @@ impl OneCreditPair {
 fn push_replication_with_one_credit() {
     let rt = sim::Runtime::new();
     rt.block_on(async {
-        let OneCreditPair { fabric, brokers, leader, .. } = one_credit_pair().await;
-        let cnode = fabric.add_node("client");
+        let pair = one_credit_pair().await;
+        let (cnode, leader) = (pair.cluster.add_client_node("client"), pair.leader);
         let mut producer = RdmaProducer::connect(&cnode, leader, "t", 0, false)
             .await
             .unwrap();
@@ -333,8 +291,7 @@ fn push_replication_with_one_credit() {
         for (i, rv) in got.iter().enumerate() {
             assert_eq!(rv.record.value, vec![i as u8; 200]);
         }
-        let leader_broker = brokers.iter().find(|b| b.addr().node == leader.node).unwrap();
-        assert!(leader_broker.metrics().push_writes >= 40);
+        assert!(pair.leader_broker().metrics().push_writes >= 40);
     });
 }
 
@@ -349,8 +306,8 @@ fn push_loop_parked_on_credits_survives_a_follower_restart() {
     let rt = sim::Runtime::new();
     rt.block_on(async {
         let pair = one_credit_pair().await;
-        let (leader, follower) = (pair.leader_broker(), &pair.brokers[pair.follower()]);
-        let cnode = pair.fabric.add_node("client");
+        let (leader, follower) = (pair.leader_broker(), pair.follower());
+        let cnode = pair.cluster.add_client_node("client");
         let mut producer = RdmaProducer::connect(&cnode, pair.leader, "t", 0, false)
             .await
             .unwrap();
@@ -365,10 +322,10 @@ fn push_loop_parked_on_credits_survives_a_follower_restart() {
         while leader.metrics().push_writes == pushed {
             sim::time::sleep(Duration::from_nanos(100)).await;
         }
-        follower.crash();
+        pair.cluster.crash_broker(follower);
         sim::time::sleep(Duration::from_millis(5)).await;
 
-        let fresh = pair.restart_follower();
+        let fresh = pair.cluster.restart_broker(follower);
 
         for (ack, offset) in [(first, 1), (second, 2)] {
             let ack = sim::time::timeout(Duration::from_millis(500), ack).await;
@@ -395,8 +352,8 @@ fn push_loop_parked_on_bytes_survives_a_follower_restart() {
     let rt = sim::Runtime::new();
     rt.block_on(async {
         let pair = one_credit_pair().await;
-        let (leader, follower) = (pair.leader_broker(), &pair.brokers[pair.follower()]);
-        let cnode = pair.fabric.add_node("client");
+        let (leader, follower) = (pair.leader_broker(), pair.follower());
+        let cnode = pair.cluster.add_client_node("client");
         let mut producer = RdmaProducer::connect(&cnode, pair.leader, "t", 0, false)
             .await
             .unwrap();
@@ -409,9 +366,9 @@ fn push_loop_parked_on_bytes_survives_a_follower_restart() {
         while leader.metrics().push_writes == pushed {
             sim::time::sleep(Duration::from_nanos(100)).await;
         }
-        follower.crash();
+        pair.cluster.crash_broker(follower);
         sim::time::sleep(Duration::from_millis(5)).await;
-        let fresh = pair.restart_follower();
+        let fresh = pair.cluster.restart_broker(follower);
 
         let ack = sim::time::timeout(Duration::from_millis(500), ack).await;
         let ack = ack.expect("the produce is acknowledged once re-replicated");

@@ -221,23 +221,18 @@ fn crash_soak_series_shows_dip_recovery_and_finite_mttr() {
     );
 }
 
-/// Broker-owned observability over the admin wire path: a cluster started
-/// with `ClusterOptions::observe` serves its series and health log via the
+/// Broker-owned observability over the admin wire path: a cluster whose
+/// broker template sets `observe` serves its series and health log via the
 /// Series/Health RPCs; a cluster without it answers NotSupported.
 #[test]
 fn observe_rpc_round_trips_series_health_and_repl_lag() {
     let rt = sim::Runtime::new();
     rt.block_on(async {
-        let cluster = SimCluster::start_with(
-            SystemKind::KafkaDirect,
-            2,
-            ClusterOptions {
-                observe: Some(ObserveConfig {
-                    sample_interval: Duration::from_micros(100),
-                }),
-                ..Default::default()
-            },
-        );
+        let mut opts = ClusterOptions::default();
+        opts.broker.observe = Some(ObserveConfig {
+            sample_interval: Duration::from_micros(100),
+        });
+        let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 2, opts);
         cluster.create_topic("t", 1, 2).await;
         let cnode = cluster.add_client_node("c");
         let leader = cluster.leader_of("t", 0).await;
@@ -312,10 +307,8 @@ fn sampler_leaves_replay_digest_bit_identical() {
         let registry = kdtelem::Registry::new();
         let _t = kdtelem::enter(&registry);
         let consumed = rt.block_on(async move {
-            let opts = ClusterOptions {
-                observe: observe.then(ObserveConfig::default),
-                ..Default::default()
-            };
+            let mut opts = ClusterOptions::default();
+            opts.broker.observe = observe.then(ObserveConfig::default);
             let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 2, opts);
             cluster.create_topic("t", 1, 2).await;
             let cnode = cluster.add_client_node("c");

@@ -28,12 +28,10 @@ fn decode(v: &[u8]) -> (u8, u32) {
 fn mixed_workload_soak() {
     let rt = sim::Runtime::with_seed(2024);
     rt.block_on(async {
-        let opts = ClusterOptions {
-            log: kdstorage::LogConfig {
-                segment_size: 64 * 1024, // frequent rolls
-                max_batch_size: 16 * 1024,
-            },
-            ..Default::default()
+        let mut opts = ClusterOptions::default();
+        opts.broker.log = kdstorage::LogConfig {
+            segment_size: 64 * 1024, // frequent rolls
+            max_batch_size: 16 * 1024,
         };
         let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 3, opts);
         cluster.create_topic("shared", 1, 2).await; // shared-mode producers

@@ -287,12 +287,10 @@ fn metric_inventory_matches_design() {
         sim::Runtime::new().block_on(async {
             let injector = kdfault::Injector::new();
             let _faults = kdfault::enter(&injector);
-            let opts = ClusterOptions {
-                mux_pool: Some(8),
-                observe: Some(ObserveConfig::default()),
-                storage: Some(storage),
-                ..Default::default()
-            };
+            let mut opts = ClusterOptions::default();
+            opts.broker.mux_pool = 8;
+            opts.broker.observe = Some(ObserveConfig::default());
+            opts.broker.storage = Some(storage);
             every_client(&SimCluster::start_with(SystemKind::KafkaDirect, 2, opts)).await;
             // Pull replication is a cluster-wide mode: a second cluster runs it.
             let pull = RdmaToggles { replicate: false, ..RdmaToggles::all() };

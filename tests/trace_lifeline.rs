@@ -153,12 +153,10 @@ fn four_subscriptions_one_slot_read_and_a_lifeline_per_data_read() {
     let events = trace_run(|| {
         let rt = sim::Runtime::new();
         data_reads.set(rt.block_on(async {
-            let opts = kafkadirect::ClusterOptions {
-                log: kdstorage::LogConfig {
-                    segment_size: 8 * 1024,
-                    max_batch_size: 4 * 1024,
-                },
-                ..Default::default()
+            let mut opts = kafkadirect::ClusterOptions::default();
+            opts.broker.log = kdstorage::LogConfig {
+                segment_size: 8 * 1024,
+                max_batch_size: 4 * 1024,
             };
             let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
             cluster.create_topic("t", 4, 1).await;
