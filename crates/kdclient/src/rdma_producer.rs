@@ -300,6 +300,9 @@ impl RdmaProducer {
     /// FAA-reserved one in shared mode. With `retry`, a dead QP is redialled
     /// (or the producer reconnected) and a refused post re-requests the head
     /// file (§4.2.2), up to four attempts; without, either is `Ok(false)`.
+    /// The redial and reconnect futures are boxed, and only when taken: a
+    /// healthy QP never needs them, and inline they would widen the frame of
+    /// every task that sends.
     async fn post_staged(
         &mut self,
         run: &[Staged],
@@ -312,10 +315,10 @@ impl RdmaProducer {
                 if !retry {
                     return Ok(false);
                 }
-                if self.redial(self.plane.broker).await.is_err() {
+                if Box::pin(self.redial(self.plane.broker)).await.is_err() {
                     // The broker itself is gone (crash or failover): full
                     // reconnect through the bootstrap broker.
-                    self.reconnect().await?;
+                    Box::pin(self.reconnect()).await?;
                 }
             }
             let slot = match self.mode {
@@ -342,7 +345,7 @@ impl RdmaProducer {
                 Err(ClientError::Disconnected)
                 | Err(ClientError::Broker(ErrorCode::FencedEpoch))
                 | Err(ClientError::Broker(ErrorCode::NotLeader)) => {
-                    self.reconnect().await?;
+                    Box::pin(self.reconnect()).await?;
                 }
                 Err(e) => return Err(e),
             }
@@ -715,6 +718,32 @@ mod tests {
             pending.borrow_mut().clear();
             pool.borrow_mut().clear();
         }
+    }
+
+    /// The futures a sending task awaits, measured plus under 5 %. kdmark's
+    /// fan-in client task is built from the first two and sits about 4 KiB
+    /// under the executor's 16 KiB arena class: if they grew by a third,
+    /// every such client would take a 32 KiB block.
+    #[test]
+    fn send_path_frames_stay_small() {
+        const CONNECT: usize = 1_160; // measured 1 112
+        const SEND: usize = 1_000; // measured 960
+        const CALL: usize = 528; // measured 504
+        fn fits<F: Future>(what: &str, future: F, bound: usize) {
+            let bytes = std::mem::size_of_val(&future);
+            assert!(bytes <= bound, "{what}: a {bytes} B future, bound {bound} B");
+        }
+        run(1 << 20, |mut p| async move {
+            let record = Record::value(vec![1; 8]);
+            p.send(&record).await.unwrap();
+            let (node, broker) = (p.node.clone(), p.broker);
+            let connect = RdmaProducer::connect_with_ack_depth(&node, broker, "t", 0, true, 1);
+            fits("connect_with_ack_depth", connect, CONNECT);
+            let request = Request::Metadata { topics: Vec::new() };
+            fits("Conn::call", p.ctrl.call(&request), CALL);
+            fits("send", p.send(&record), SEND);
+            (p, Vec::new())
+        });
     }
 
     #[test]

@@ -80,8 +80,10 @@ impl Stage {
         }
     }
 
+    /// The stage's position in [`STAGES`], which lists the variants in
+    /// declaration order.
     fn index(self) -> usize {
-        STAGES.iter().position(|&s| s == self).unwrap()
+        self as usize
     }
 }
 
@@ -236,9 +238,10 @@ pub fn analyze(events: &[TraceEvent]) -> CritPathReport {
         // same-timestamp events keep their causal drain order.
         evs.sort_by_key(|e| e.ts_ns);
 
-        let first = evs.first().unwrap().ts_ns;
-        let last = evs.last().unwrap().ts_ns;
-        let total_ns = last.saturating_sub(first);
+        let (Some(first), Some(last)) = (evs.first(), evs.last()) else {
+            continue;
+        };
+        let total_ns = last.ts_ns.saturating_sub(first.ts_ns);
         let mut stage_ns = [0u64; NUM_STAGES];
         let mut broker_copies = 0u64;
         for (i, pair) in evs.windows(2).enumerate() {
@@ -298,6 +301,13 @@ mod tests {
             span_id: trace_id,
             ts_ns,
             kind,
+        }
+    }
+
+    #[test]
+    fn stages_are_listed_in_declaration_order() {
+        for (i, stage) in STAGES.iter().enumerate() {
+            assert_eq!(stage.index(), i, "{}", stage.name());
         }
     }
 

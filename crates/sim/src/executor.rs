@@ -13,7 +13,9 @@
 //! * spawned futures are placed in a size-class **task arena**: completing a
 //!   task returns its memory to a free list keyed by rounded future size, so
 //!   a steady-state workload (e.g. one RPC task per request) re-uses the
-//!   same allocations instead of boxing each future.
+//!   same allocations instead of boxing each future;
+//! * a joined `spawn` and the `block_on` root are one [`Task`] wrapper that
+//!   polls the future in place, so the task stores its frame once.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -119,16 +121,32 @@ fn class_layout(class: usize) -> Layout {
     Layout::from_size_align(bytes, TASK_ALIGN).expect("size classes are valid layouts")
 }
 
-/// Free lists of recycled task allocations, one per size class.
+/// Free lists of recycled task allocations, one per size class. A free
+/// block holds the address of the next one in its first bytes, so
+/// recycling a block allocates nothing.
 struct TaskArena {
-    free: [Vec<NonNull<u8>>; NUM_CLASSES],
+    free: [Option<NonNull<u8>>; NUM_CLASSES],
 }
 
 impl TaskArena {
     fn new() -> Self {
         TaskArena {
-            free: std::array::from_fn(|_| Vec::new()),
+            free: [None; NUM_CLASSES],
         }
+    }
+
+    fn pop(&mut self, class: usize) -> Option<NonNull<u8>> {
+        let block = self.free[class]?;
+        // SAFETY: `push` stored the next free block's address in this one.
+        self.free[class] = unsafe { block.cast::<Option<NonNull<u8>>>().read() };
+        Some(block)
+    }
+
+    /// Takes back a free block of `class_layout(class)`: ≥ 16 B, 16-aligned.
+    fn push(&mut self, class: usize, block: NonNull<u8>) {
+        // SAFETY: the arena owns the free block, which fits an aligned pointer.
+        unsafe { block.cast::<Option<NonNull<u8>>>().write(self.free[class]) };
+        self.free[class] = Some(block);
     }
 
     fn place<F: Future<Output = ()> + 'static>(&mut self, future: F) -> RawTask {
@@ -142,7 +160,7 @@ impl TaskArena {
         } else {
             (UNPOOLED, Layout::new::<F>())
         };
-        let ptr = match (class != UNPOOLED).then(|| self.free[class].pop()).flatten() {
+        let ptr = match (class != UNPOOLED).then(|| self.pop(class)).flatten() {
             Some(p) => p,
             // SAFETY: layout has non-zero size (size >= 1, rounded up).
             None => {
@@ -168,19 +186,18 @@ impl TaskArena {
             // SAFETY: allocated with exactly this layout.
             unsafe { dealloc(task.ptr.as_ptr(), task.layout) };
         } else {
-            self.free[task.class].push(task.ptr);
+            self.push(task.class, task.ptr);
         }
     }
 }
 
 impl Drop for TaskArena {
     fn drop(&mut self) {
-        for (class, list) in self.free.iter_mut().enumerate() {
-            let layout = class_layout(class);
-            for ptr in list.drain(..) {
+        for class in 0..NUM_CLASSES {
+            while let Some(ptr) = self.pop(class) {
                 // SAFETY: free-listed pointers were allocated with their
                 // class layout and hold no live future.
-                unsafe { dealloc(ptr.as_ptr(), layout) };
+                unsafe { dealloc(ptr.as_ptr(), class_layout(class)) };
             }
         }
     }
@@ -204,7 +221,6 @@ pub(crate) struct Inner {
     firing: RefCell<Vec<(u64, u64, Waker)>>,
     arena: RefCell<TaskArena>,
     timer_seq: Cell<u64>,
-    current_task: Cell<usize>,
     polls: Cell<u64>,
     pub(crate) rng: RefCell<SimRng>,
 }
@@ -221,7 +237,6 @@ impl Inner {
             firing: RefCell::new(Vec::new()),
             arena: RefCell::new(TaskArena::new()),
             timer_seq: Cell::new(0),
-            current_task: Cell::new(usize::MAX),
             polls: Cell::new(0),
             rng: RefCell::new(SimRng::seed_from_u64(seed)),
         })
@@ -294,13 +309,9 @@ impl Inner {
             task: Some(task),
         };
         let mut cx = Context::from_waker(&waker);
-        let prev = self.current_task.get();
-        self.current_task.set(id);
         self.polls.set(self.polls.get() + 1);
         let task = guard.task.as_mut().expect("the guard holds the task until it retires");
-        let poll = task.poll(&mut cx);
-        self.current_task.set(prev);
-        match poll {
+        match task.poll(&mut cx) {
             Poll::Ready(()) => {
                 drop(guard); // retires the task
                 self.free.borrow_mut().push(id);
@@ -441,24 +452,11 @@ impl fmt::Display for JoinError {
 
 impl std::error::Error for JoinError {}
 
-/// Error returned by fallible spawn APIs (currently unused; reserved for a
-/// bounded-tasks mode).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpawnError;
-
 /// Handle to a spawned task. Awaiting it yields the task's output.
 ///
 /// Dropping the handle detaches the task (it keeps running).
 pub struct JoinHandle<T> {
     result: crate::sync::oneshot::Receiver<T>,
-    id: usize,
-}
-
-impl<T> JoinHandle<T> {
-    /// The slab id of the task, for debugging.
-    pub fn id(&self) -> u64 {
-        self.id as u64
-    }
 }
 
 impl<T> Future for JoinHandle<T> {
@@ -471,6 +469,34 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
+/// A future and the sink of its output: `spawn`'s oneshot sender or
+/// `block_on`'s result cell. The future is polled in place, stored once, and
+/// dropped as soon as it is ready, so wakes from its destructors reach the
+/// ready queue ahead of its joiner's.
+struct Task<F, D> {
+    future: Option<F>,
+    deliver: Option<D>,
+}
+
+impl<F: Future, D: FnOnce(F::Output)> Future for Task<F, D> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: `future` is structurally pinned and `deliver` is not:
+        // `future` is only reached through the `Pin` below and leaves only by
+        // `Pin::set`, which drops it in place; `Task` has no `Drop` impl and
+        // is `Unpin` only when `F` is.
+        let this = unsafe { self.get_unchecked_mut() };
+        // SAFETY: as above — `this.future` is never moved while pinned.
+        let mut future = unsafe { Pin::new_unchecked(&mut this.future) };
+        let f = future.as_mut().as_pin_mut().expect("a finished task is not polled");
+        let out = std::task::ready!(f.poll(cx));
+        future.set(None);
+        (this.deliver.take().expect("the future was ready once"))(out);
+        Poll::Ready(())
+    }
+}
+
 pub(crate) fn spawn<F>(future: F) -> JoinHandle<F::Output>
 where
     F: Future + 'static,
@@ -478,12 +504,12 @@ where
 {
     with_current(|inner| {
         let (tx, rx) = crate::sync::oneshot::channel();
-        let id = inner.insert_task(async move {
-            let out = future.await;
-            let _ = tx.send(out);
+        let id = inner.insert_task(Task {
+            future: Some(future),
+            deliver: Some(move |out| drop(tx.send(out))),
         });
         inner.schedule(id);
-        JoinHandle { result: rx, id }
+        JoinHandle { result: rx }
     })
 }
 
@@ -498,10 +524,6 @@ where
         let id = inner.insert_task(future);
         inner.schedule(id);
     });
-}
-
-pub(crate) fn current_task_id() -> u64 {
-    with_current(|inner| inner.current_task.get() as u64)
 }
 
 /// A deterministic, single-threaded async runtime with a virtual clock.
@@ -560,9 +582,9 @@ impl Runtime {
         // runtime makes it task 0) scheduled through the ready queue.
         let result: Rc<RefCell<Option<F::Output>>> = Rc::new(RefCell::new(None));
         let result2 = Rc::clone(&result);
-        let root_id = self.inner.insert_task(async move {
-            let out = future.await;
-            *result2.borrow_mut() = Some(out);
+        let root_id = self.inner.insert_task(Task {
+            future: Some(future),
+            deliver: Some(move |out| *result2.borrow_mut() = Some(out)),
         });
         self.inner.schedule(root_id);
         // Returns the moment the root future finishes — remaining tasks are
@@ -678,6 +700,64 @@ mod tests {
             let (_tx, rx) = crate::sync::oneshot::channel::<()>();
             let _ = rx.await;
         });
+    }
+
+    /// A joined task's future is dropped before its output reaches the
+    /// joiner, so a wake its destructor sends is queued ahead of the
+    /// joiner's; a task the runtime drops unfinished fails its handle.
+    #[test]
+    fn a_joined_future_drops_before_its_output_is_delivered() {
+        struct Guard(Option<crate::sync::oneshot::Sender<()>>);
+        impl Drop for Guard {
+            fn drop(&mut self) {
+                let _ = self.0.take().expect("dropped once").send(());
+            }
+        }
+        /// Ready on its second poll, still holding the guard: only dropping
+        /// the future releases it.
+        struct Holds {
+            _guard: Guard,
+            polled: bool,
+        }
+        impl Future for Holds {
+            type Output = u32;
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u32> {
+                if std::mem::replace(&mut self.polled, true) {
+                    return Poll::Ready(7);
+                }
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
+        }
+
+        let order = Runtime::new().block_on(async {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let (tx, rx) = crate::sync::oneshot::channel();
+            let l = Rc::clone(&log);
+            let third = crate::spawn(async move {
+                rx.await.expect("the guard sends");
+                l.borrow_mut().push("third");
+            });
+            let joined = crate::spawn(Holds {
+                _guard: Guard(Some(tx)),
+                polled: false,
+            });
+            let l = Rc::clone(&log);
+            let joiner = crate::spawn(async move {
+                assert_eq!(joined.await, Ok(7));
+                l.borrow_mut().push("joiner");
+            });
+            third.await.unwrap();
+            joiner.await.unwrap();
+            Rc::try_unwrap(log).unwrap().into_inner()
+        });
+        assert_eq!(order, ["third", "joiner"]);
+
+        let rt = Runtime::new();
+        // The root returns before the task is ever polled.
+        let [unfinished] = rt.block_on(async { [crate::spawn(std::future::pending::<u32>())] });
+        drop(rt);
+        assert_eq!(Runtime::new().block_on(unfinished), Err(JoinError));
     }
 
     #[test]

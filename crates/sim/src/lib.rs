@@ -49,7 +49,7 @@ pub mod sync;
 pub mod time;
 mod wheel;
 
-pub use executor::{JoinError, JoinHandle, Runtime, SpawnError};
+pub use executor::{JoinError, JoinHandle, Runtime};
 pub use time::{now, try_now, SimTime};
 
 use std::future::Future;
@@ -77,10 +77,4 @@ where
     F: Future<Output = ()> + 'static,
 {
     executor::spawn_detached(future)
-}
-
-/// Returns a best-effort identifier of the currently running task, useful in
-/// trace output. `0` is the `block_on` root task.
-pub fn current_task_id() -> u64 {
-    executor::current_task_id()
 }

@@ -284,9 +284,24 @@ cargo run -q --release --offline --example quickstart -- --durable
 # across connects, reconnects and drops. Then the first fan-in rung past the
 # NIC cache knee, which is too slow for a debug build and `#[ignore]`d there;
 # alone in its process, it ends by reading its own `VmHWM` and fails above
-# 500 MiB.
+# 354 MiB.
 cargo test -q --offline --release -p kdbench --test budgets
 cargo test -q --offline --release --test conn_scaling -- --ignored fanin_10k
+
+# Every task's future is stored once (DESIGN.md §10 "Timer wheel + ready
+# queue"): a joined `spawn` and the `block_on` root are one hand-written
+# wrapper that polls the future in place and drops it before its output is
+# delivered. The wrapper's wake order, a joined task's arena block, and the
+# futures kdmark's fan-in client task is built from are gated by name. Then
+# the re-fork guard: no `async move { let out = future.await; .. }` wrapper,
+# which lays the future out twice.
+cargo test -q --offline -p sim --lib executor::tests::a_joined_future_drops_before_its_output_is_delivered
+cargo test -q --offline --release -p kdbench --test budgets joined_task_frame_is_stored_once
+cargo test -q --offline -p kdclient --lib rdma_producer::tests::send_path_frames_stay_small
+if grep -n "let out = future.await" crates/sim/src/executor.rs; then
+    echo "ci: a task wrapper that stores its future twice reappeared (see DESIGN.md §10)" >&2
+    exit 1
+fi
 
 # Re-fork guard: there is one wall-clock harness (kdmark, below) and no
 # per-PR report files; what the second harness gated is the tests above.

@@ -586,11 +586,26 @@ async fn fanin_client(cluster: &SimCluster, leaders: &[kdwire::BrokerAddr], i: u
         .expect("connect")
 }
 
+/// The live heap this thread added since `before`: its bytes, and the
+/// blocks and bytes by size class that a failure prints.
+fn held_since(before: &[(i64, i64); CLASSES]) -> (i64, String) {
+    let after = live_by_class();
+    let held: Vec<(usize, i64, i64)> = (0..CLASSES)
+        .map(|c| (c, after[c].0 - before[c].0, after[c].1 - before[c].1))
+        .filter(|&(_, blocks, bytes)| blocks != 0 || bytes != 0)
+        .collect();
+    let rows: Vec<String> = held
+        .iter()
+        .map(|(c, blocks, bytes)| format!("[2^{c}, 2^{}) B: {blocks} blocks, {bytes} B", c + 1))
+        .collect();
+    (held.iter().map(|&(_, _, bytes)| bytes).sum(), rows.join("; "))
+}
+
 /// The heap a parked client pins, everything counted: its node and links,
 /// NIC, control connection and data-plane QP with their tasks, the producer
 /// itself, and what the broker keeps for the two connections. 1000 fan-in
 /// clients connect one after the other, send one record each and stay.
-/// Measured 9 388 B per client in some 60 blocks, 2 944 B of them the five
+/// Measured 9 387 B per client in some 60 blocks, 2 944 B of them the five
 /// task frames (DESIGN.md §13 has the table by owner); 152 B of it are the
 /// producer's ack-cell pool, one parked cell and its free list, without which
 /// it read 9 236. It was 60 741 B while
@@ -615,23 +630,52 @@ fn parked_client_footprint() {
             producer.send(&Record::value(vec![0x6b; 128])).await.expect("send");
             parked.push(producer);
         }
-        let after = live_by_class();
-        let held: Vec<(usize, i64, i64)> = (0..CLASSES)
-            .map(|c| (c, after[c].0 - before[c].0, after[c].1 - before[c].1))
-            .filter(|&(_, blocks, bytes)| blocks != 0 || bytes != 0)
-            .collect();
-        let per_client = held.iter().map(|&(_, _, bytes)| bytes).sum::<i64>() / CLIENTS as i64;
-        let rows: Vec<String> = held
-            .iter()
-            .map(|(c, blocks, bytes)| format!("[2^{c}, 2^{}) B: {blocks} blocks, {bytes} B", c + 1))
-            .collect();
+        let (held, rows) = held_since(&before);
+        let per_client = held / CLIENTS as i64;
         assert!(
             per_client <= BUDGET,
             "a parked fan-in client holds {per_client} B of heap, budget {BUDGET}; live heap of \
-             {CLIENTS} clients by size class: {}",
-            rows.join("; ")
+             {CLIENTS} clients by size class: {rows}"
         );
         drop(parked);
+    });
+}
+
+/// A joined task's future is stored once. 1 000 tasks each park a future
+/// of some 5 000 B across a sleep. Measured 8 402 B per task: the executor's
+/// 8 KiB arena block and 210 B of slot, waker, oneshot cell and handle; the
+/// budget leaves 256 B beside the block. A `spawn` wrapper written as
+/// `async move { let out = future.await; .. }` laid the future out twice, as
+/// captured variable and as awaitee, and took a 16 KiB block per task.
+#[test]
+fn joined_task_frame_is_stored_once() {
+    const TASKS: usize = 1000;
+    const FRAME: usize = 5_000;
+    const BUDGET: i64 = 8 * 1024 + 256;
+    sim::Runtime::new().block_on(async {
+        let before = live_by_class();
+        let mut handles = Vec::with_capacity(TASKS);
+        for i in 0..TASKS {
+            let task = async move {
+                let frame = [i as u8; FRAME];
+                sim::time::sleep(Duration::from_micros(1)).await;
+                std::hint::black_box(&frame)[FRAME - 1]
+            };
+            let size = std::mem::size_of_val(&task);
+            assert!((4096..8192).contains(&size), "a {size} B future");
+            handles.push(sim::spawn(task));
+        }
+        sim::time::yield_now().await;
+        let (held, rows) = held_since(&before);
+        let per_task = held / TASKS as i64;
+        assert!(
+            per_task <= BUDGET,
+            "a parked joined task holds {per_task} B of heap, budget {BUDGET}; live heap of \
+             {TASKS} tasks by size class: {rows}"
+        );
+        for (i, handle) in handles.into_iter().enumerate() {
+            assert_eq!(handle.await, Ok(i as u8));
+        }
     });
 }
 
