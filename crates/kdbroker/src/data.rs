@@ -130,6 +130,11 @@ impl Partition {
         self.replicas.borrow().clone()
     }
 
+    /// True if `node` hosts a follower replica of this partition.
+    pub fn is_follower(&self, node: u32) -> bool {
+        self.replicas.borrow().iter().any(|r| r.node == node)
+    }
+
     /// Installs a newer-epoch leadership view in place (failover).
     pub fn apply_leadership(
         &self,

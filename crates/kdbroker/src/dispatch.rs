@@ -103,13 +103,18 @@ async fn handle_rpc(
             leader,
             replicas,
         } => {
-            let meta = PartitionMeta {
-                partition,
-                epoch,
-                leader,
-                replicas,
+            // Only a broker of the cluster installs partitions.
+            let error = if b.peers.iter().any(|p| p.node == peer.0) {
+                let meta = PartitionMeta {
+                    partition,
+                    epoch,
+                    leader,
+                    replicas,
+                };
+                admin::install(b, &topic, meta, None)
+            } else {
+                ErrorCode::AccessDenied
             };
-            let error = admin::install(b, &topic, meta, None);
             reply.send(Response::InternalAddPartition { error });
         }
         Request::Produce {
@@ -129,7 +134,7 @@ async fn handle_rpc(
             replica_id,
         } => {
             let tp = TopicPartition::new(&*topic, partition);
-            fetch::handle(b, &tp, offset, max_bytes, replica_id, reply, ctx).await
+            fetch::handle(b, peer, &tp, offset, max_bytes, replica_id, reply, ctx).await
         }
         Request::ListOffsets { topic, partition } => {
             let (error, earliest, latest) =

@@ -9,6 +9,7 @@ use kdstorage::log::FetchSlice;
 use kdstorage::TopicPartition;
 use kdwire::messages::Response;
 use kdwire::{ErrorCode, FetchResp};
+use netsim::NodeId;
 
 use crate::broker::BrokerInner;
 use crate::common::{charge_storage, charge_worker, count_tier_read, on_hw_advanced};
@@ -19,9 +20,13 @@ use crate::requests::Reply;
 const REPLICA_FETCH_WAIT: Duration = Duration::from_millis(500);
 
 /// `Fetch`: up to `max_bytes` of `tp` from `offset`; `replica_id` is
-/// `u32::MAX` for a consumer, else the fetching follower's node.
+/// `u32::MAX` for a consumer, else the fetching follower's node. A replica
+/// fetch acknowledges records, so only a follower of `tp` may make one,
+/// from its own node (`peer`); anyone else gets `AccessDenied`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) async fn handle(
     b: &Rc<BrokerInner>,
+    peer: NodeId,
     tp: &TopicPartition,
     offset: u64,
     max_bytes: u32,
@@ -29,10 +34,13 @@ pub(crate) async fn handle(
     reply: Reply,
     ctx: Option<kdtelem::TraceCtx>,
 ) {
+    let replica_ok =
+        |p: &Partition| replica_id == u32::MAX || replica_id == peer.0 && p.is_follower(replica_id);
     let p = match b.store.get(tp) {
-        Some(p) if p.is_leader() => p,
+        Some(p) if p.is_leader() && replica_ok(&p) => p,
         found => {
             let error = match found {
+                Some(p) if p.is_leader() => ErrorCode::AccessDenied,
                 Some(_) => ErrorCode::NotLeader,
                 None => ErrorCode::UnknownTopicOrPartition,
             };

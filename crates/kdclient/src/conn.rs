@@ -1,11 +1,9 @@
 //! Client RPC transports: framed TCP (the Kafka default and KafkaDirect's
 //! control plane) and the OSU-Kafka two-sided RDMA Send/Recv transport.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use kdwire::{BrokerAddr, Request, Response, RpcClient};
+use kdwire::{BrokerAddr, Calls, Request, Response, RpcClient};
 use netsim::profile::copy_time;
 use netsim::NodeHandle;
 use rnic::{CqOpcode, QueuePair, RecvWr, SendWr, ShmBuf, WorkRequest};
@@ -72,13 +70,11 @@ impl Conn {
 /// The OSU-Kafka client transport: requests leave as RDMA Sends, responses
 /// arrive into pre-posted receive buffers. Both directions copy through
 /// those intermediate buffers — this is the "two-sided RDMA messaging"
-/// baseline, not zero copy.
+/// baseline, not zero copy. Correlation is [`Calls`], as on TCP.
 pub struct OsuConn {
     node: NodeHandle,
     qp: QueuePair,
-    pending: Rc<RefCell<HashMap<u64, sim::sync::oneshot::Sender<Response>>>>,
-    next_corr: Cell<u64>,
-    dead: Rc<Cell<bool>>,
+    calls: Rc<Calls>,
 }
 
 impl OsuConn {
@@ -93,13 +89,10 @@ impl OsuConn {
         for (i, b) in bufs.iter().enumerate() {
             let _ = qp.post_recv(RecvWr { wr_id: i as u64, buf: Some(b.as_slice()) });
         }
-        let pending: Rc<RefCell<HashMap<u64, sim::sync::oneshot::Sender<Response>>>> =
-            Rc::new(RefCell::new(HashMap::new()));
-        let dead = Rc::new(Cell::new(false));
+        let calls = Rc::new(Calls::default());
 
         // Response reader.
-        let pending2 = Rc::clone(&pending);
-        let dead2 = Rc::clone(&dead);
+        let calls2 = Rc::clone(&calls);
         let qp2 = qp.clone();
         let node2 = node.clone();
         sim::spawn_detached(async move {
@@ -119,26 +112,16 @@ impl OsuConn {
                     Some((u64::from_le_bytes(*corr), Response::decode(body)))
                 });
                 let _ = qp2.post_recv(RecvWr { wr_id: cqe.wr_id, buf: Some(buf.as_slice()) });
-                let Some((corr, resp)) = decoded else {
-                    continue;
-                };
-                if let (Some(tx), Ok(resp)) = (pending2.borrow_mut().remove(&corr), resp) {
-                    let _ = tx.send(resp);
+                if let Some((corr, resp)) = decoded {
+                    calls2.answer(corr, resp);
                 }
             }
-            dead2.set(true);
-            pending2.borrow_mut().clear();
+            calls2.close();
         });
         // Drain the send CQ (sends are unsignaled; errors only).
         sim::spawn_detached(async move { while send_cq.next().await.is_some() {} });
 
-        Ok(OsuConn {
-            node: node.clone(),
-            qp,
-            pending,
-            next_corr: Cell::new(1),
-            dead,
-        })
+        Ok(OsuConn { node: node.clone(), qp, calls })
     }
 
     pub async fn call_with(
@@ -146,11 +129,7 @@ impl OsuConn {
         encode: impl FnOnce(&mut Vec<u8>),
         trace: Option<kdtelem::TraceCtx>,
     ) -> Result<Response, ClientError> {
-        if self.dead.get() {
-            return Err(ClientError::Disconnected);
-        }
-        let corr = self.next_corr.get();
-        self.next_corr.set(corr + 1);
+        let (corr, rx) = self.calls.open()?;
         let mut body = kdbuf::scratch();
         encode(&mut body);
         // Copy into the send buffer.
@@ -159,20 +138,12 @@ impl OsuConn {
         let mut frame = Vec::with_capacity(8 + body.len());
         frame.extend_from_slice(&corr.to_le_bytes());
         frame.extend_from_slice(&body);
-        let (tx, rx) = sim::sync::oneshot::channel();
-        self.pending.borrow_mut().insert(corr, tx);
         let buf = ShmBuf::from_vec(frame);
-        self.qp
-            .post_send(
-                SendWr::unsignaled(
-                    corr,
-                    WorkRequest::Send {
-                        local: buf.as_slice(),
-                    },
-                )
-                .with_trace(trace),
-            )
-            .map_err(|_| ClientError::Disconnected)?;
-        rx.await.map_err(|_| ClientError::Disconnected)
+        let send = WorkRequest::Send { local: buf.as_slice() };
+        if self.qp.post_send(SendWr::unsignaled(corr, send).with_trace(trace)).is_err() {
+            self.calls.cancel(corr);
+            return Err(ClientError::Disconnected);
+        }
+        Ok(kdwire::frame::reply(rx).await?)
     }
 }

@@ -8,11 +8,15 @@
 //! [`kdtelem::TraceCtx`] across the process boundary so one message's
 //! lifeline is stitched end to end; trace id 0 means "none".
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
+use kdstorage::codec::WireError;
 use netsim::tcp::{Closed, ReadHalf, TcpStream, WriteHalf};
+use sim::sync::oneshot;
 
 use crate::messages::{Request, Response};
 
@@ -106,52 +110,72 @@ pub async fn read_frame_into(
     Ok((correlation, trace))
 }
 
-/// A reusable reply rendezvous: the caller parks here until the demux
-/// reader fulfills it. Slots cycle through a free list so steady-state
-/// `call`s allocate nothing (the per-call `oneshot::channel` this replaces
-/// cost one `Rc` allocation per request).
-struct ReplySlot {
-    value: RefCell<Option<Result<Response, RpcError>>>,
-    waker: RefCell<Option<std::task::Waker>>,
+/// A call's outcome: the decoded response, or why there is none.
+pub type Reply = Result<Response, RpcError>;
+
+/// The client half of correlation, whatever carries the frames (framed TCP
+/// here, OSU Sends in `kdclient`): the next correlation id, the caller
+/// parked on each id in flight, and whether the connection has died. Reply
+/// cells come from a pool, so a steady stream of calls allocates nothing.
+/// The map's hasher is unkeyed — its keys are ids this table hands out, not
+/// a peer's — so a close fails its calls in the same order in every run,
+/// and a connection carries no hasher keys.
+#[derive(Default)]
+pub struct Calls {
+    pending: RefCell<HashMap<u64, oneshot::Sender<Reply>, BuildHasherDefault<DefaultHasher>>>,
+    cells: oneshot::Pool<Reply>,
+    /// The last correlation id handed out; the first call gets 1.
+    last: Cell<u64>,
+    dead: Cell<bool>,
 }
 
-impl ReplySlot {
-    fn fulfill(&self, v: Result<Response, RpcError>) {
-        *self.value.borrow_mut() = Some(v);
-        if let Some(w) = self.waker.borrow_mut().take() {
-            w.wake();
+impl Calls {
+    /// Opens a call: its correlation id and where its reply arrives (await
+    /// it with [`reply`]); dropping the receiver cancels the call. `Closed`
+    /// once the connection has died.
+    pub fn open(&self) -> Result<(u64, oneshot::Receiver<Reply>), RpcError> {
+        if self.dead.get() {
+            return Err(RpcError::Closed);
+        }
+        let correlation = self.last.get() + 1;
+        self.last.set(correlation);
+        let (tx, rx) = self.cells.channel();
+        self.pending.borrow_mut().insert(correlation, tx);
+        Ok((correlation, rx))
+    }
+
+    /// Forgets a call whose request never left (its write or post failed).
+    pub fn cancel(&self, correlation: u64) {
+        drop(self.pending.borrow_mut().remove(&correlation));
+    }
+
+    /// Hands the decoded response body to the caller of `correlation`: an
+    /// undecodable body fails that caller only, with `Protocol`. A response
+    /// to no call in flight is ignored.
+    pub fn answer(&self, correlation: u64, decoded: Result<Response, WireError>) {
+        let waiter = self.pending.borrow_mut().remove(&correlation);
+        if let Some(tx) = waiter {
+            let _ = tx.send(decoded.map_err(|_| RpcError::Protocol));
         }
     }
-}
 
-struct RpcShared {
-    pending: RefCell<HashMap<u64, Rc<ReplySlot>>>,
-    free: RefCell<Vec<Rc<ReplySlot>>>,
-    next_correlation: std::cell::Cell<u64>,
-    dead: std::cell::Cell<bool>,
-}
-
-impl RpcShared {
-    fn take_slot(&self) -> Rc<ReplySlot> {
-        let slot = self.free.borrow_mut().pop().unwrap_or_else(|| {
-            Rc::new(ReplySlot {
-                value: RefCell::new(None),
-                waker: RefCell::new(None),
-            })
-        });
-        *slot.value.borrow_mut() = None;
-        *slot.waker.borrow_mut() = None;
-        slot
+    /// The connection died: every call in flight fails with `Closed`, and so
+    /// does every later [`open`](Self::open).
+    pub fn close(&self) {
+        self.dead.set(true);
+        self.pending.borrow_mut().clear();
     }
 
-    /// Returns a slot to the free list once the caller is its only owner.
-    /// A slot whose caller was cancelled mid-flight still sits in `pending`
-    /// (count > 1) and is simply dropped when the reader fulfills it.
-    fn recycle(&self, slot: Rc<ReplySlot>) {
-        if Rc::strong_count(&slot) == 1 {
-            self.free.borrow_mut().push(slot);
-        }
+    /// True once the connection has died.
+    pub fn is_dead(&self) -> bool {
+        self.dead.get()
     }
+}
+
+/// Waits for a call's reply. Callers hold the receiver (one pointer), not
+/// this future, across the request's write, which keeps their frames small.
+pub async fn reply(rx: oneshot::Receiver<Reply>) -> Reply {
+    rx.await.unwrap_or(Err(RpcError::Closed))
 }
 
 /// A client connection that pipelines requests: `call` may be invoked from
@@ -159,103 +183,73 @@ impl RpcShared {
 /// a background reader task.
 #[derive(Clone)]
 pub struct RpcClient {
-    write: Rc<sim::sync::Mutex<WriteHalf>>,
-    shared: Rc<RpcShared>,
+    inner: Rc<RpcInner>,
+}
+
+/// The write half, whose frames must not interleave, and the calls. The
+/// reader holds it weakly: the last client handle to go closes the stream.
+struct RpcInner {
+    write: sim::sync::Mutex<WriteHalf>,
+    calls: Calls,
 }
 
 impl RpcClient {
     /// Wraps a connected stream, spawning the demux reader task.
     pub fn new(stream: TcpStream) -> RpcClient {
         let (mut read, write) = stream.into_split();
-        let shared = Rc::new(RpcShared {
-            pending: RefCell::new(HashMap::new()),
-            free: RefCell::new(Vec::new()),
-            next_correlation: std::cell::Cell::new(1),
-            dead: std::cell::Cell::new(false),
+        let inner = Rc::new(RpcInner {
+            write: sim::sync::Mutex::new(write),
+            calls: Calls::default(),
         });
-        let shared2 = Rc::clone(&shared);
+        let weak = Rc::downgrade(&inner);
         sim::spawn_detached(async move {
             let mut payload = Vec::new();
             while let Ok((correlation, _trace)) = read_frame_into(&mut read, &mut payload).await {
-                let waiter = shared2.pending.borrow_mut().remove(&correlation);
-                if let Some(slot) = waiter {
-                    slot.fulfill(Response::decode(&payload).map_err(|_| RpcError::Protocol));
+                if let Some(inner) = weak.upgrade() {
+                    inner.calls.answer(correlation, Response::decode(&payload));
                 }
             }
-            // Connection gone: fail everything pending.
-            shared2.dead.set(true);
-            for (_, slot) in shared2.pending.borrow_mut().drain() {
-                slot.fulfill(Err(RpcError::Closed));
+            if let Some(inner) = weak.upgrade() {
+                inner.calls.close();
             }
         });
-        RpcClient {
-            write: Rc::new(sim::sync::Mutex::new(write)),
-            shared,
-        }
+        RpcClient { inner }
     }
 
     /// True once the connection has failed.
     pub fn is_dead(&self) -> bool {
-        self.shared.dead.get()
+        self.inner.calls.is_dead()
     }
 
     /// Sends a request and waits for its response. Multiple `call`s from
     /// different tasks pipeline on the wire.
     pub async fn call(&self, request: &Request) -> Result<Response, RpcError> {
-        self.call_traced(request, None).await
+        self.call_with(|body| request.encode_into(body), None).await
     }
 
-    /// As [`call`](Self::call), stamping the frame with a trace context so
-    /// the broker continues the caller's lifeline.
-    pub async fn call_traced(
-        &self,
-        request: &Request,
-        trace: Option<kdtelem::TraceCtx>,
-    ) -> Result<Response, RpcError> {
-        self.call_with(|body| request.encode_into(body), trace).await
-    }
-
-    /// As [`call_traced`](Self::call_traced) for a request `encode` appends
-    /// to a scratch buffer (e.g. [`Request::encode_produce_into`] over
-    /// borrowed parts); the buffer is released once the frame is written.
+    /// As [`call`](Self::call) for a request `encode` appends to a scratch
+    /// buffer (e.g. [`Request::encode_produce_into`] over borrowed parts),
+    /// stamping the frame with a trace context so the broker continues the
+    /// caller's lifeline; the buffer is released once the frame is written.
     pub async fn call_with(
         &self,
         encode: impl FnOnce(&mut Vec<u8>),
         trace: Option<kdtelem::TraceCtx>,
     ) -> Result<Response, RpcError> {
-        if self.shared.dead.get() {
-            return Err(RpcError::Closed);
-        }
-        let correlation = self.shared.next_correlation.get();
-        self.shared.next_correlation.set(correlation + 1);
-        let slot = self.shared.take_slot();
-        self.shared
-            .pending
-            .borrow_mut()
-            .insert(correlation, Rc::clone(&slot));
+        let (correlation, rx) = self.inner.calls.open()?;
         {
             let mut body = kdbuf::scratch();
             encode(&mut body);
-            let mut w = self.write.lock().await;
+            let mut w = self.inner.write.lock().await;
             if write_frame(&mut w, correlation, trace, &body)
                 .await
                 .is_err()
             {
-                drop(self.shared.pending.borrow_mut().remove(&correlation));
-                self.shared.recycle(slot);
+                self.inner.calls.cancel(correlation);
                 return Err(RpcError::Closed);
             }
         }
-        let res = std::future::poll_fn(|cx| {
-            if let Some(v) = slot.value.borrow_mut().take() {
-                return std::task::Poll::Ready(v);
-            }
-            *slot.waker.borrow_mut() = Some(cx.waker().clone());
-            std::task::Poll::Pending
-        })
-        .await;
-        self.shared.recycle(slot);
-        res
+        reply(rx).await
     }
 }
 

@@ -21,7 +21,7 @@ pub mod frame;
 pub mod messages;
 pub mod slots;
 
-pub use frame::{read_frame, read_frame_into, write_frame, RpcClient, RpcError};
+pub use frame::{read_frame, read_frame_into, write_frame, Calls, RpcClient, RpcError};
 pub use messages::{
     BrokerAddr, ConsumeAccessResp, ErrorCode, FetchResp, PartitionMeta, ProduceAccessResp,
     ProduceMode, RemoteRegion, Request, Response, SlotGrant, TopicMeta, Wire,

@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use sim::SimTime;
 
+use crate::bind::BindTable;
 use crate::link::{Link, LinkTelem};
 use crate::profile::Profile;
 
@@ -40,11 +41,10 @@ pub(crate) struct Node {
 pub(crate) struct FabricInner {
     pub(crate) profile: Rc<Profile>,
     pub(crate) nodes: RefCell<Vec<Rc<Node>>>,
-    pub(crate) tcp_listeners: RefCell<HashMap<(NodeId, u16), crate::tcp::ListenerSlot>>,
+    pub(crate) tcp_listeners: BindTable<crate::tcp::TcpStream>,
     /// Directed node pairs whose TCP traffic is blackholed (network
     /// partition fault injection).
     pub(crate) blocked: RefCell<HashSet<(NodeId, NodeId)>>,
-    pub(crate) next_auto_port: std::cell::Cell<u16>,
     /// Typed extension slots: higher layers (e.g. the RDMA device registry in
     /// the `rnic` crate) attach their fabric-global state here.
     pub(crate) extensions: RefCell<HashMap<TypeId, Rc<dyn Any>>>,
@@ -77,9 +77,8 @@ impl Fabric {
             inner: Rc::new(FabricInner {
                 profile: Rc::new(profile),
                 nodes: RefCell::new(Vec::new()),
-                tcp_listeners: RefCell::new(HashMap::new()),
+                tcp_listeners: BindTable::default(),
                 blocked: RefCell::new(HashSet::new()),
-                next_auto_port: std::cell::Cell::new(40000),
                 extensions: RefCell::new(HashMap::new()),
                 atomic_ops: telem.counter("netsim", "atomic.ops"),
                 atomic_stalls: telem.counter("netsim", "atomic.stalls"),
@@ -131,10 +130,6 @@ impl Fabric {
 
     pub fn node_name(&self, id: NodeId) -> String {
         self.inner.nodes.borrow()[id.0 as usize].name.clone()
-    }
-
-    pub fn node_count(&self) -> usize {
-        self.inner.nodes.borrow().len()
     }
 
     /// Records the enqueue/deliver trace-event pair for one port traversal,
@@ -313,11 +308,6 @@ impl Fabric {
         blocked.remove(&(b, a));
     }
 
-    /// Heals every injected partition.
-    pub fn heal_all(&self) {
-        self.inner.blocked.borrow_mut().clear();
-    }
-
     /// True when src→dst TCP traffic cannot flow: the pair is partitioned,
     /// or an endpoint port on the path is administratively down.
     pub fn path_blocked(&self, src: NodeId, dst: NodeId) -> bool {
@@ -363,12 +353,6 @@ impl Fabric {
             .borrow_mut()
             .insert(key, Rc::clone(&ext) as Rc<dyn Any>);
         ext
-    }
-
-    pub(crate) fn alloc_port(&self) -> u16 {
-        let p = self.inner.next_auto_port.get();
-        self.inner.next_auto_port.set(p + 1);
-        p
     }
 }
 

@@ -1,7 +1,7 @@
 //! Network substrate for the KafkaDirect reproduction.
 //!
 //! Models the paper's testbed (§5, "Settings"): a cluster of machines joined
-//! by a 56 Gbit/s InfiniBand fabric. Three layers:
+//! by a 56 Gbit/s InfiniBand fabric. Its parts:
 //!
 //! * [`profile`] — every calibrated cost constant, each cited to the paper
 //!   section it comes from. Change the profile, change the testbed.
@@ -12,10 +12,13 @@
 //!   kernel-copy and syscall/wakeup costs. This is what "Kafka over IPoIB"
 //!   uses; `rnic` (a separate crate) implements the RDMA verbs over the same
 //!   fabric.
+//! * [`bind`] — the `(node, port)` bind table both transports' listeners
+//!   live in.
 //!
 //! Everything runs on the [`sim`] virtual-time runtime, so all "costs" are
 //! deterministic virtual nanoseconds.
 
+pub mod bind;
 pub mod fabric;
 pub mod link;
 pub mod profile;

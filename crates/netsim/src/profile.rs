@@ -245,13 +245,6 @@ impl NetProfile {
         let total = bytes + self.header_bytes;
         Duration::from_nanos((total as f64 * 1e9 / self.link_bandwidth) as u64)
     }
-
-    /// Wire time at the (slower) TCP goodput.
-    pub fn tcp_wire_time(&self, bytes: u64) -> Duration {
-        let total = bytes + self.header_bytes;
-        let bw = self.link_bandwidth * self.tcp_bandwidth_factor;
-        Duration::from_nanos((total as f64 * 1e9 / bw) as u64)
-    }
 }
 
 /// Cost of copying `bytes` at `bandwidth` bytes/s.

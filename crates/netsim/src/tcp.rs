@@ -21,10 +21,10 @@ use std::rc::Rc;
 use std::task::{Poll, Waker};
 use std::time::Duration;
 
-use sim::sync::mpsc;
 use sim::sync::Semaphore;
 use sim::SimTime;
 
+use crate::bind::Bound;
 use crate::fabric::{Fabric, NodeHandle, NodeId};
 use crate::profile::copy_time;
 
@@ -70,24 +70,6 @@ struct Pipe {
     reader: Option<Waker>,
     writer_gone: bool,
     reader_gone: bool,
-}
-
-/// A bound port's accept channel, stamped with the bind generation so a
-/// stale [`TcpListener`]'s `Drop` (e.g. a crashed broker's accept loop
-/// winding down after the port was force-unbound and rebound) cannot evict
-/// a successor that re-bound the same port.
-pub(crate) type ListenerSlot = (u64, mpsc::Sender<TcpStream>);
-
-thread_local! {
-    static NEXT_BIND_GEN: std::cell::Cell<u64> = const { std::cell::Cell::new(1) };
-}
-
-fn next_bind_gen() -> u64 {
-    NEXT_BIND_GEN.with(|g| {
-        let v = g.get();
-        g.set(v + 1);
-        v
-    })
 }
 
 /// The write side of one direction of a connection.
@@ -147,12 +129,7 @@ fn pipe(fabric: &Fabric, src: NodeId, dst: NodeId) -> (WriteHalf, ReadHalf) {
 }
 
 /// A passive listening socket.
-pub struct TcpListener {
-    node: NodeHandle,
-    port: u16,
-    gen: u64,
-    incoming: mpsc::Receiver<TcpStream>,
-}
+pub struct TcpListener(pub(crate) Bound<TcpStream>);
 
 impl TcpListener {
     /// Binds to an explicit port on `node`.
@@ -161,76 +138,20 @@ impl TcpListener {
     /// Panics if the port is already bound (a configuration bug in a
     /// simulation scenario).
     pub fn bind(node: &NodeHandle, port: u16) -> TcpListener {
-        let (tx, rx) = mpsc::unbounded();
-        let gen = next_bind_gen();
-        let prev = node
-            .fabric
-            .inner
-            .tcp_listeners
-            .borrow_mut()
-            .insert((node.id, port), (gen, tx));
-        assert!(
-            prev.is_none(),
-            "port {port} already bound on {}",
-            node.name()
-        );
-        TcpListener {
-            node: node.clone(),
-            port,
-            gen,
-            incoming: rx,
-        }
+        TcpListener(node.fabric.inner.tcp_listeners.bind(node.id, port))
     }
 
-    /// Binds to a fabric-allocated port.
-    pub fn bind_auto(node: &NodeHandle) -> TcpListener {
-        let port = node.fabric.alloc_port();
-        Self::bind(node, port)
-    }
-
-    pub fn port(&self) -> u16 {
-        self.port
-    }
-
-    pub fn local_addr(&self) -> (NodeId, u16) {
-        (self.node.id, self.port)
-    }
-
-    /// Waits for the next inbound connection. Returns `None` if the fabric
-    /// is being torn down.
+    /// Waits for the next inbound connection. Returns `None` once the port
+    /// was force-unbound.
     pub async fn accept(&mut self) -> Option<TcpStream> {
-        self.incoming.recv().await
+        self.0.accept().await
     }
 }
 
-impl Drop for TcpListener {
-    fn drop(&mut self) {
-        // Remove the slot only if it is still OUR bind: after a force
-        // `unbind` the port may have been re-bound by a fresh process
-        // before this stale listener unwound, and evicting the successor
-        // would refuse every future connect to the port.
-        let mut map = self.node.fabric.inner.tcp_listeners.borrow_mut();
-        if map
-            .get(&(self.node.id, self.port))
-            .is_some_and(|(gen, _)| *gen == self.gen)
-        {
-            map.remove(&(self.node.id, self.port));
-        }
-    }
-}
-
-/// Force-unbinds a listening port from the outside (fault injection: a
-/// crashed process's sockets close even though the accept loop still owns
-/// the `TcpListener`). New connects are refused immediately, and once
-/// transient senders drop, the owner's `accept()` returns `None` so its
-/// loop exits. The eventual `Drop` is an idempotent no-op.
+/// Force-unbinds a listening port from the outside; see
+/// [`BindTable::unbind`](crate::bind::BindTable::unbind).
 pub fn unbind(node: &NodeHandle, port: u16) -> bool {
-    node.fabric
-        .inner
-        .tcp_listeners
-        .borrow_mut()
-        .remove(&(node.id, port))
-        .is_some()
+    node.fabric.inner.tcp_listeners.unbind(node.id, port)
 }
 
 /// Opens a connection from `node` to `(dst, port)`. Pays the handshake cost.
@@ -243,12 +164,7 @@ pub async fn connect(
     if fabric.path_blocked(node.id, dst) || fabric.path_blocked(dst, node.id) {
         return Err(ConnectError::ConnectionRefused);
     }
-    let slot = fabric
-        .inner
-        .tcp_listeners
-        .borrow()
-        .get(&(dst, port))
-        .map(|(_, tx)| tx.clone());
+    let slot = fabric.inner.tcp_listeners.sender(dst, port);
     let slot = slot.ok_or(ConnectError::ConnectionRefused)?;
     sim::time::sleep(fabric.profile().net.tcp_connect).await;
 

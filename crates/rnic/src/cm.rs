@@ -8,8 +8,9 @@ use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
+use netsim::bind::Bound;
 use netsim::NodeId;
-use sim::sync::{mpsc, oneshot};
+use sim::sync::oneshot;
 
 use crate::cq::CompletionQueue;
 use crate::nic::{NicInner, RNic, Registry};
@@ -124,23 +125,19 @@ impl fmt::Display for RdmaConnectError {
 
 impl std::error::Error for RdmaConnectError {}
 
-pub(crate) struct ConnRequest {
-    pub(crate) from: NodeId,
+/// A pending inbound connection; accept it to create the QP pair.
+pub struct IncomingConnection {
+    from: NodeId,
     reply: oneshot::Sender<QueuePair>,
     initiator_cqs: (CompletionQueue, CompletionQueue),
     initiator_opts: QpOptions,
     initiator_nic: RNic,
 }
 
-/// A pending inbound connection; accept it to create the QP pair.
-pub struct IncomingConnection {
-    request: ConnRequest,
-}
-
 impl IncomingConnection {
     /// Node asking to connect.
     pub fn from(&self) -> NodeId {
-        self.request.from
+        self.from
     }
 
     /// Accepts, creating the local endpoint with the given CQs/options. The
@@ -153,54 +150,27 @@ impl IncomingConnection {
         opts: QpOptions,
     ) -> QueuePair {
         let (initiator, acceptor) = QueuePair::create_connected_pair(
-            &self.request.initiator_nic.inner,
+            &self.initiator_nic.inner,
             &nic.inner,
-            self.request.initiator_cqs,
+            self.initiator_cqs,
             (send_cq, recv_cq),
-            self.request.initiator_opts,
+            self.initiator_opts,
             opts,
         );
         // If the initiator vanished, the pair is dropped and the acceptor
         // side observes a dead peer on first use.
-        let _ = self.request.reply.send(initiator);
+        let _ = self.reply.send(initiator);
         acceptor
     }
 
     /// Declines the connection.
     pub fn reject(self) {
-        drop(self.request.reply);
+        drop(self.reply);
     }
 }
 
-/// A rendezvous-table slot: the bind generation that owns the port plus the
-/// accept-queue sender. The generation lets a stale listener's `Drop` detect
-/// that the port has been rebound since (crash + synchronous restart) and
-/// leave the fresh slot alone.
-pub(crate) type ListenerSlot = (u64, sim::sync::mpsc::Sender<ConnRequest>);
-
-// Thread-local, not process-global: `cargo test` runs simulations on
-// parallel threads, and each numbers its own bind generations. Values are
-// only ever compared within one rendezvous table (per-fabric, hence
-// thread-local) and never enter traces.
-thread_local! {
-    static NEXT_BIND_GEN: std::cell::Cell<u64> = const { std::cell::Cell::new(1) };
-}
-
-fn next_bind_gen() -> u64 {
-    NEXT_BIND_GEN.with(|g| {
-        let v = g.get();
-        g.set(v + 1);
-        v
-    })
-}
-
-/// A listening RDMA service id (port).
-pub struct RdmaListener {
-    nic: RNic,
-    port: u16,
-    gen: u64,
-    incoming: mpsc::Receiver<ConnRequest>,
-}
+/// A listening RDMA service id (port) in the fabric's CM bind table.
+pub struct RdmaListener(Bound<IncomingConnection>);
 
 impl RdmaListener {
     /// Binds a service id on the NIC's node.
@@ -209,63 +179,21 @@ impl RdmaListener {
     /// Panics if the port is already bound.
     pub fn bind(nic: &RNic, port: u16) -> RdmaListener {
         let registry = Registry::get(&nic.node().fabric);
-        let (tx, rx) = mpsc::unbounded();
-        let gen = next_bind_gen();
-        let prev = registry
-            .cm_listeners
-            .borrow_mut()
-            .insert((nic.node().id, port), (gen, tx));
-        assert!(prev.is_none(), "rdma port {port} already bound");
-        RdmaListener {
-            nic: nic.clone(),
-            port,
-            gen,
-            incoming: rx,
-        }
-    }
-
-    pub fn port(&self) -> u16 {
-        self.port
+        RdmaListener(registry.cm_listeners.bind(nic.node().id, port))
     }
 
     /// Waits for the next inbound connection request.
     pub async fn accept(&mut self) -> Option<IncomingConnection> {
-        self.incoming
-            .recv()
-            .await
-            .map(|request| IncomingConnection { request })
-    }
-}
-
-impl Drop for RdmaListener {
-    fn drop(&mut self) {
-        // Remove the slot only if it is still OUR bind: after a force
-        // `unbind` the service id may have been re-bound by a restarted
-        // broker before this stale listener unwound, and evicting the
-        // successor would refuse every future connect to the port.
-        let registry = Registry::get(&self.nic.node().fabric);
-        let mut map = registry.cm_listeners.borrow_mut();
-        if map
-            .get(&(self.nic.node().id, self.port))
-            .is_some_and(|(gen, _)| *gen == self.gen)
-        {
-            map.remove(&(self.nic.node().id, self.port));
-        }
+        self.0.accept().await
     }
 }
 
 /// Force-unbinds a listening service id from the outside (fault injection:
-/// a crashed broker's CM teardown happens even though the accept loop still
-/// owns the [`RdmaListener`]). New connects are refused immediately, and
-/// once transient senders drop, the owner's `accept()` returns `None` so
-/// its loop exits. The eventual `Drop` is an idempotent no-op.
+/// a crashed broker's CM teardown); see
+/// [`BindTable::unbind`](netsim::bind::BindTable::unbind).
 pub fn unbind(nic: &RNic, port: u16) -> bool {
     let registry = Registry::get(&nic.node().fabric);
-    let removed = registry
-        .cm_listeners
-        .borrow_mut()
-        .remove(&(nic.node().id, port));
-    removed.is_some()
+    registry.cm_listeners.unbind(nic.node().id, port)
 }
 
 impl RNic {
@@ -280,16 +208,12 @@ impl RNic {
         opts: QpOptions,
     ) -> Result<QueuePair, RdmaConnectError> {
         let registry = Registry::get(&self.node().fabric);
-        let slot = registry
-            .cm_listeners
-            .borrow()
-            .get(&(dst, port))
-            .map(|(_, tx)| tx.clone());
+        let slot = registry.cm_listeners.sender(dst, port);
         let slot = slot.ok_or(RdmaConnectError::ConnectionRefused)?;
         // QP attribute exchange happens over TCP in real deployments.
         sim::time::sleep(self.node().profile().net.tcp_connect).await;
         let (reply_tx, reply_rx) = oneshot::channel();
-        slot.try_send(ConnRequest {
+        slot.try_send(IncomingConnection {
             from: self.node().id,
             reply: reply_tx,
             initiator_cqs: (send_cq, recv_cq),

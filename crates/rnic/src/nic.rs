@@ -6,8 +6,9 @@ use std::rc::{Rc, Weak};
 
 use std::time::Duration;
 
+use netsim::bind::BindTable;
 use netsim::profile::NetProfile;
-use netsim::{Fabric, NodeHandle, NodeId};
+use netsim::{Fabric, NodeHandle};
 
 use crate::cq::CompletionQueue;
 use crate::engine::Engine;
@@ -63,7 +64,7 @@ impl Telem {
 /// a [`Fabric`] extension.
 pub(crate) struct Registry {
     pub(crate) telem: Telem,
-    pub(crate) cm_listeners: RefCell<HashMap<(NodeId, u16), crate::cm::ListenerSlot>>,
+    pub(crate) cm_listeners: BindTable<crate::cm::IncomingConnection>,
     /// The fabric's work-request engine. Weak: the engine's task owns it, so
     /// it (and every WR in flight) goes away with the runtime.
     engine: RefCell<Weak<Engine>>,
@@ -76,7 +77,7 @@ impl Registry {
     fn new(fabric: &Fabric) -> Self {
         Registry {
             telem: Telem::register(fabric.telemetry()),
-            cm_listeners: RefCell::new(HashMap::new()),
+            cm_listeners: BindTable::default(),
             engine: RefCell::new(Weak::new()),
             // Start virtual addresses well away from zero so accidental
             // "offset used as address" bugs fault loudly.

@@ -13,7 +13,6 @@ use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
-use netsim::NodeId;
 use sim::sync::Notify;
 use sim::SimTime;
 
@@ -215,16 +214,6 @@ impl QueuePair {
     /// QP number (used to demultiplex completions on shared CQs).
     pub fn qpn(&self) -> u32 {
         self.shared.qpn
-    }
-
-    /// Node this endpoint lives on.
-    pub fn local_node(&self) -> NodeId {
-        self.shared.nic.node.id
-    }
-
-    /// Node of the remote endpoint (if still connected).
-    pub fn remote_node(&self) -> Option<NodeId> {
-        self.shared.peer().map(|p| p.nic.node.id)
     }
 
     pub fn is_alive(&self) -> bool {

@@ -83,6 +83,26 @@ if grep -rn "Broker::start(" tests/ crates/bench/ ||
     exit 1
 fi
 
+# One RPC client and one bind table (DESIGN.md §10, §9 "Hostile bytes"): the TCP
+# and OSU clients keep their calls in one `kdwire::frame::Calls` on pooled
+# oneshot cells, and TCP ports and RDMA service ids bind through one
+# `netsim::bind::BindTable`. The contract both client transports owe their
+# callers, the bind table's generation rules, and the two broker doors that
+# only a broker (`InternalAddPartition`) or the named follower itself (a
+# replica `Fetch`) may pass, by name. Then the re-fork guard: no private
+# reply slot, no second correlation table in kdclient, no second bind
+# generation counter.
+cargo test -q --offline -p kdclient --test client_contract
+cargo test -q --offline -p netsim --lib bind::tests
+cargo test -q --offline --test e2e_failures a_client_cannot_install_partition_metadata
+cargo test -q --offline --test e2e_failures a_client_cannot_acknowledge_for_a_follower
+if grep -rnE "struct ReplySlot|RpcShared" crates/ ||
+    grep -rni "next_bind_gen" crates/ | grep -v "^crates/netsim/src/bind.rs:" ||
+    grep -rn "HashMap<u64, sim::sync::oneshot::Sender" crates/kdclient/src; then
+    echo "ci: a second RPC correlation table or bind-generation table reappeared (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # Same for the executor (DESIGN.md §12): `Runtime::block_on` is the one
 # driver of the poll loop. The windowed parallel executor measured <= 1.03x
 # in five recorded sweeps and was deleted with its mailbox router, group

@@ -510,6 +510,102 @@ fn a_foreign_consume_release_leaves_a_readers_segment_registered() {
     });
 }
 
+/// Partition metadata is installed only by a broker of the cluster: a
+/// client that sends `InternalAddPartition` for a live partition, with a
+/// newer epoch and another leader, is refused and changes nothing.
+#[test]
+fn a_client_cannot_install_partition_metadata() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::Kafka, 2);
+        cluster.create_topic("t", 1, 2).await;
+        let tp = kdstorage::TopicPartition::new("t", 0);
+        let b0 = cluster.broker(0);
+        let before = b0.inner().store.partition_meta(&tp).unwrap();
+        assert_eq!(before.leader, b0.addr());
+
+        let client = cluster.add_client_node("c");
+        let transport = kdclient::ClientTransport::Tcp;
+        let ctrl = kdclient::Conn::connect(&client, b0.addr(), transport).await.unwrap();
+        let install = Request::InternalAddPartition {
+            topic: "t".into(),
+            partition: 0,
+            epoch: before.epoch + 1,
+            leader: cluster.broker(1).addr(),
+            replicas: vec![b0.addr()],
+        };
+        let resp = ctrl.call(&install).await.unwrap();
+        assert!(matches!(
+            resp,
+            Response::InternalAddPartition { error: kdwire::ErrorCode::AccessDenied }
+        ));
+        let after = b0.inner().store.partition_meta(&tp).unwrap();
+        assert_eq!((after.epoch, after.leader), (before.epoch, before.leader));
+        assert!(b0.inner().store.get(&tp).unwrap().is_leader());
+    });
+}
+
+/// Under pull replication a replica fetch at offset X acknowledges
+/// everything before X for the replica it names. Only that replica's own
+/// node may name it: a client that names the cut-off follower is refused,
+/// the high watermark stays, and an acks=all produce stays parked until
+/// the real follower has the records.
+#[test]
+fn a_client_cannot_acknowledge_for_a_follower() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::Kafka, 2);
+        cluster.create_topic("t", 1, 2).await;
+        let tp = kdstorage::TopicPartition::new("t", 0);
+        let (leader, follower) = (cluster.broker(0), cluster.broker(1));
+        let part = leader.inner().store.get(&tp).unwrap();
+        assert!(part.is_leader() && part.replicas() == [follower.addr()]);
+
+        let client = cluster.add_client_node("c");
+        let transport = kdclient::ClientTransport::Tcp;
+        let mut producer =
+            kdclient::TcpProducer::connect(&client, leader.addr(), transport, "t", 0)
+                .await
+                .unwrap();
+        producer.acks = kdclient::producer::Acks::All;
+        producer.send(&Record::value(vec![1; 64])).await.unwrap();
+
+        let (lnode, fnode) = (cluster.broker_node(0).id, cluster.broker_node(1).id);
+        cluster.fabric.partition_pair(lnode, fnode);
+        let answered = std::rc::Rc::new(std::cell::Cell::new(false));
+        let flag = std::rc::Rc::clone(&answered);
+        let parked = sim::spawn(async move {
+            let acked = producer.send(&Record::value(vec![2; 64])).await;
+            flag.set(true);
+            acked
+        });
+        while part.log.next_offset() < 2 {
+            sim::time::sleep(Duration::from_micros(100)).await;
+        }
+        let hw = part.log.high_watermark();
+        assert_eq!(hw, 1);
+
+        let ctrl = kdclient::Conn::connect(&client, leader.addr(), transport).await.unwrap();
+        let fetch = Request::Fetch {
+            topic: "t".into(),
+            partition: 0,
+            offset: part.log.next_offset(),
+            max_bytes: 1024,
+            replica_id: follower.addr().node,
+        };
+        let resp = ctrl.call(&fetch).await.unwrap();
+        let Response::Fetch(resp) = resp else { panic!("not a fetch response") };
+        assert_eq!(resp.error, kdwire::ErrorCode::AccessDenied);
+        sim::time::sleep(Duration::from_millis(5)).await;
+        assert_eq!(part.log.high_watermark(), hw, "the high watermark moved");
+        assert!(!answered.get(), "acks=all answered before the follower had the record");
+
+        cluster.fabric.heal_pair(lnode, fnode);
+        assert_eq!(parked.await.unwrap(), Ok(1));
+        assert_eq!(part.log.high_watermark(), 2);
+    });
+}
+
 /// Overflowing the preallocated shared file triggers OutOfSpace handling:
 /// producers re-request and continue on the new head file.
 #[test]
