@@ -19,6 +19,13 @@
 //!    posted a WQE) moved zero bytes through a broker CPU copy, while every
 //!    TCP produce lifeline paid exactly two (socket receive + log append),
 //!    the copies Fig 2 attributes to classic Kafka.
+//! 6. **Completion after post** — a successful CQE surfaces strictly after
+//!    its WR was posted (the `WqePosted` of the same lifeline, QP and
+//!    ticket): the request and its ack or response each cross the wire at
+//!    least once. The NIC records `Completion` when it delivers the WR,
+//!    stamped with the instant the CQE surfaces, so this is what pins that
+//!    stamp to the right side of the post. A completion whose post is not in
+//!    the log (drained earlier, or dropped by the ring) is not judged.
 
 use std::collections::HashMap;
 
@@ -98,6 +105,26 @@ pub fn check(events: &[TraceEvent]) -> CheckReport {
                 }
             }
             last_ticket.insert(qpn, ticket);
+        }
+    }
+
+    // (6) Completion after post, matched per lifeline, QP and ticket.
+    let posted: HashMap<(u64, u32, u64), u64> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::WqePosted { qpn, ticket } => Some(((e.trace_id, qpn, ticket), e.ts_ns)),
+            _ => None,
+        })
+        .collect();
+    for e in &by_ts {
+        if let EventKind::Completion { qpn, ticket, ok: true, .. } = e.kind {
+            match posted.get(&(e.trace_id, qpn, ticket)) {
+                Some(&at) if at >= e.ts_ns => report.violations.push(format!(
+                    "completion of qpn {qpn} ticket {ticket} at {} ns does not follow its post at {at} ns",
+                    e.ts_ns
+                )),
+                _ => {}
+            }
         }
     }
 
@@ -266,6 +293,27 @@ mod tests {
         let r = check(&events);
         assert_eq!(r.violations.len(), 1);
         assert!(r.violations[0].contains("qpn 3"));
+    }
+
+    #[test]
+    fn a_completion_must_follow_its_post() {
+        let (a, b) = (TraceCtx::root(), TraceCtx::root());
+        let done = |ctx, ts_ns, qpn, ticket| {
+            ev(ctx, ts_ns, EventKind::Completion { qpn, ticket, opcode: "RdmaRead", ok: true })
+        };
+        let events = vec![
+            ev(a, 10, EventKind::WqePosted { qpn: 7, ticket: 0 }),
+            done(a, 12, 7, 0),
+            // Stamped at its post instant: too early.
+            ev(a, 10, EventKind::WqePosted { qpn: 8, ticket: 0 }),
+            done(a, 10, 8, 0),
+            // Another lifeline's post of the same QP and ticket is not its own.
+            ev(b, 30, EventKind::WqePosted { qpn: 7, ticket: 1 }),
+            done(a, 20, 7, 1),
+        ];
+        let r = check(&events);
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        assert!(r.violations[0].contains("qpn 8 ticket 0 at 10 ns"));
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! The work-request engine: one long-lived task per fabric applies every
-//! posted WR's remote effect and surfaces its completion.
+//! posted WR's remote effect and hands its completion to the send CQ.
 //!
 //! `post_send` parks a WR, with its [`Timing`], on its QP's in-order send
-//! queue. The engine wakes (through a [`DueQueue`]) at two kinds of
-//! instants and handles everything due at an instant in one poll:
-//!
-//! * **delivery** of a QP's head WR at `t.deliver`: validate against the
-//!   responder's regions, move the bytes, consume a receive and push its
-//!   CQE. An unsignaled success ends here, holding nothing alive.
-//! * **completion** of a signaled or failed WR: push the send CQE.
+//! queue. The engine wakes (through a [`DueQueue`]) at one kind of instant,
+//! the **delivery** of a QP's head WR at `t.deliver`, and handles everything
+//! due at an instant in one poll: validate against the responder's regions,
+//! move the bytes, consume a receive and push its CQE. An unsignaled success
+//! ends here, holding nothing alive. A signaled or failed WR's send CQE is
+//! handed to the send CQ with the instant it surfaces,
+//! `max(delivery, t.comp, previous CQE of the QP)`: the CQ keeps it from its
+//! consumers until then ([`crate::cq`]), so no engine poll carries it.
 //!
 //! RC ordering (§4.1, §4.2.2) falls out of the per-QP queue. Delivery is
 //! head-of-line: only the head has an event armed, its successor launches
 //! when it resolves, and a head that finds no receive (RNR) stalls the
 //! queue until `post_recv`, the end of an RNR storm, or its `rnr_timeout`.
-//! A CQE surfaces at `max(delivery, t.comp, previous CQE of the QP)`.
 //!
 //! Errors: the WR that breaks a QP completes with the real status. A WR
 //! already launched when its QP dies fails at its own delivery instant with
@@ -35,7 +35,7 @@ use crate::mr::{Access, BufSlice, MrInner};
 use crate::qp::{QpShared, Timing};
 use crate::verbs::{CqOpcode, CqStatus, Cqe, RecvWr, SendWr, WorkRequest};
 
-/// A posted work request the engine still owes a remote effect or a CQE.
+/// A posted work request the engine still owes a remote effect.
 struct InFlight {
     /// Keeps the responder endpoint alive while the WR is in flight.
     peer: Rc<QpShared>,
@@ -49,9 +49,6 @@ struct InFlight {
     written: Cell<bool>,
     /// First RNR stall: the `rnr_timeout` runs from here.
     stalled_at: Cell<Option<SimTime>>,
-    // Outcome, filled in at delivery for WRs that owe a CQE.
-    status: CqStatus,
-    atomic_old: Option<u64>,
 }
 
 const NIL: u32 = u32::MAX;
@@ -71,7 +68,7 @@ impl Fifo {
     }
 }
 
-/// Shared storage for every QP's send and completion FIFOs. Vacant slots
+/// Shared storage for every QP's send FIFO. Vacant slots
 /// chain through `next` too (the free list).
 struct Slab {
     slots: Vec<(Option<InFlight>, u32)>,
@@ -136,12 +133,11 @@ impl Slab {
     }
 }
 
-enum Event {
-    /// Try to deliver the head of `qp`'s send queue, if it is still `ticket`
-    /// (an RNR retry can outlive the WR it was armed for).
-    Deliver { qp: Rc<QpShared>, ticket: u64 },
-    /// Surface the CQE at the head of `qp`'s completion queue.
-    Complete { qp: Rc<QpShared> },
+/// Try to deliver the head of `qp`'s send queue, if it is still `ticket`
+/// (an RNR retry can outlive the WR it was armed for).
+struct Deliver {
+    qp: Rc<QpShared>,
+    ticket: u64,
 }
 
 /// Why a delivery attempt did not finish.
@@ -158,7 +154,7 @@ impl From<CqStatus> for Stop {
 }
 
 pub(crate) struct Engine {
-    events: DueQueue<Event>,
+    events: DueQueue<Deliver>,
     wrs: RefCell<Slab>,
 }
 
@@ -176,21 +172,10 @@ impl Engine {
         let task = Rc::clone(&engine);
         sim::spawn_detached(async move {
             // Never closed: the loop ends when the runtime drops the task.
-            while let Some(event) = task.events.next().await {
-                match event {
-                    Event::Deliver { qp, ticket } => {
-                        let head = task.wrs.borrow_mut().front_mut(&qp.sendq).map(|w| w.ticket);
-                        if head == Some(ticket) {
-                            task.drive(&qp);
-                        }
-                    }
-                    Event::Complete { qp } => {
-                        let wr = task.wrs.borrow_mut().pop_front(&qp.compq);
-                        let Some(wr) = wr else {
-                            unreachable!("each Complete event follows one WR onto its QP's compq");
-                        };
-                        emit(&qp, wr);
-                    }
+            while let Some(Deliver { qp, ticket }) = task.events.next().await {
+                let head = task.wrs.borrow_mut().front_mut(&qp.sendq).map(|w| w.ticket);
+                if head == Some(ticket) {
+                    task.drive(&qp);
                 }
             }
         });
@@ -213,8 +198,6 @@ impl Engine {
             launched,
             written: Cell::new(false),
             stalled_at: Cell::new(None),
-            status: CqStatus::Success,
-            atomic_old: None,
         };
         self.wrs.borrow_mut().push_back(&qp.sendq, wr);
     }
@@ -222,7 +205,7 @@ impl Engine {
     /// Has `qp`'s head WR `ticket` (re-)attempt delivery at `due`.
     pub(crate) fn arm(&self, qp: &Rc<QpShared>, ticket: u64, due: SimTime) {
         let qp = Rc::clone(qp);
-        self.events.push(due, Event::Deliver { qp, ticket });
+        self.events.push(due, Deliver { qp, ticket });
     }
 
     /// Advances `qp`'s send queue as far as this instant allows: delivers
@@ -264,33 +247,53 @@ impl Engine {
         }
     }
 
-    /// Records the delivery outcome and schedules (or, when nothing is owed
-    /// ahead of it and its time has come, pushes) the CQE.
-    fn resolve(&self, qp: &Rc<QpShared>, mut wr: InFlight, result: Result<Option<u64>, CqStatus>) {
-        match result {
+    /// Hands the send CQE of a delivered (or flushed) WR to the send CQ,
+    /// with the instant it surfaces. An unsignaled success owes none.
+    fn resolve(&self, qp: &Rc<QpShared>, wr: InFlight, result: Result<Option<u64>, CqStatus>) {
+        let (status, atomic_old) = match result {
             Ok(_) if !wr.wr.signaled => return,
-            Ok(old) => wr.atomic_old = old,
+            Ok(old) => (CqStatus::Success, old),
             Err(status) => {
                 // Access/protocol errors break the connection (RC semantics).
                 QpShared::fail(qp);
-                wr.status = status;
+                (status, None)
             }
-        }
-        let now = sim::now();
-        let mut at = now.max(qp.last_cqe_at.get());
+        };
+        let mut at = sim::now().max(qp.last_cqe_at.get());
         if wr.launched {
             // Response / ack travel time. A flushed WR that never launched
             // put nothing on the wire and has none to wait for.
             at = at.max(wr.t.comp);
         }
         qp.last_cqe_at.set(at);
-        if at <= now && qp.compq.get().is_empty() {
-            emit(qp, wr);
-        } else {
-            self.wrs.borrow_mut().push_back(&qp.compq, wr);
-            let qp = Rc::clone(qp);
-            self.events.push(at, Event::Complete { qp });
+        if status.is_ok() {
+            qp.nic
+                .registry
+                .telem
+                .post_to_comp_ns
+                .record(wr.t.comp.saturating_since(wr.t.posted).as_nanos() as u64);
         }
+        if let Some(ctx) = wr.wr.trace {
+            qp.nic.node.fabric.telemetry().record_trace_event(
+                ctx,
+                at.as_nanos(),
+                kdtelem::EventKind::Completion {
+                    qpn: qp.qpn,
+                    ticket: wr.ticket,
+                    opcode: wr.wr.op.opcode_name(),
+                    ok: status.is_ok(),
+                },
+            );
+        }
+        let op = &wr.wr.op;
+        let cqe = Cqe {
+            // A flushed WR that never launched moved nothing.
+            byte_len: if wr.launched { op.request_bytes().max(op.response_bytes()) as u32 } else { 0 },
+            atomic_old,
+            trace: wr.wr.trace,
+            ..Cqe::bare(wr.wr.wr_id, qp.qpn, status, op.opcode())
+        };
+        qp.send_cq.push_at(cqe, at);
     }
 
     /// Validates and applies the remote effect of `wr`. Returns the old
@@ -412,36 +415,6 @@ impl Engine {
         }
         Err(Stop::Stall)
     }
-}
-
-/// Pushes the send CQE of a delivered (or flushed) WR.
-fn emit(qp: &QpShared, wr: InFlight) {
-    if wr.status.is_ok() {
-        qp.nic
-            .registry
-            .telem
-            .post_to_comp_ns
-            .record(wr.t.comp.saturating_since(wr.t.posted).as_nanos() as u64);
-    }
-    if let Some(ctx) = wr.wr.trace {
-        qp.nic.node.fabric.telemetry().trace_event_now(
-            ctx,
-            kdtelem::EventKind::Completion {
-                qpn: qp.qpn,
-                ticket: wr.ticket,
-                opcode: wr.wr.op.opcode_name(),
-                ok: wr.status.is_ok(),
-            },
-        );
-    }
-    let op = &wr.wr.op;
-    qp.send_cq.push(Cqe {
-        // A flushed WR that never launched moved nothing.
-        byte_len: if wr.launched { op.request_bytes().max(op.response_bytes()) as u32 } else { 0 },
-        atomic_old: wr.atomic_old,
-        trace: wr.wr.trace,
-        ..Cqe::bare(wr.wr.wr_id, qp.qpn, wr.status, op.opcode())
-    });
 }
 
 /// One-sided write of `local` into the peer's region.

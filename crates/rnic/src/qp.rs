@@ -73,10 +73,8 @@ pub(crate) struct QpShared {
     /// Posted WRs whose remote effect is still owed, in post order (links
     /// into the engine's slab).
     pub(crate) sendq: Cell<Fifo>,
-    /// Delivered WRs whose CQE is still owed, in post order.
-    pub(crate) compq: Cell<Fifo>,
-    /// When this QP's latest send CQE becomes (or became) visible: no later
-    /// CQE may surface before it.
+    /// When this QP's latest send CQE surfaces (or surfaced): no later CQE
+    /// may surface before it.
     pub(crate) last_cqe_at: Cell<SimTime>,
     /// Ticket of the peer's head WR parked (RNR) on this endpoint's empty
     /// receive queue; a posted receive retries it.
@@ -109,7 +107,6 @@ impl QpShared {
             opts,
             next_ticket: Cell::new(0),
             sendq: Cell::new(Fifo::EMPTY),
-            compq: Cell::new(Fifo::EMPTY),
             last_cqe_at: Cell::new(SimTime::ZERO),
             rnr_waiter: Cell::new(None),
             error_notify: Notify::new(),

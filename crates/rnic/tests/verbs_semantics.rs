@@ -861,6 +861,68 @@ fn overflowed_cq_still_serves_what_it_queued() {
     });
 }
 
+/// A send CQE takes its slot when the engine hands it over, at its WR's
+/// delivery, not when it surfaces: a 4-entry send CQ shared by two QPs
+/// overflows in the instant the fifth of eight signaled writes lands, while
+/// the four it holds are still in flight back to the initiator. Both QPs
+/// fail; the four are served, each at its own instant, after the overflow;
+/// the fifth's completion and the flushes behind it are lost.
+#[test]
+fn send_cq_overflows_when_a_completion_is_handed_over() {
+    sim::Runtime::new().block_on(async {
+        let f = Fabric::new(Profile::testbed());
+        let (na, nb) = (f.add_node("a"), f.add_node("b"));
+        let (nic_a, nic_b) = (RNic::new(&na), RNic::new(&nb));
+        let mut listener = RdmaListener::bind(&nic_b, 1);
+        let nic_b2 = nic_b.clone();
+        let accept = sim::spawn(async move {
+            let mut peers = Vec::new();
+            for _ in 0..2 {
+                let inc = listener.accept().await.unwrap();
+                let (send, recv) = (nic_b2.create_cq(16), nic_b2.create_cq(16));
+                peers.push(inc.accept(&nic_b2, send, recv, QpOptions::default()));
+            }
+            peers
+        });
+        let cq = nic_a.create_cq(4);
+        let mut qps = Vec::new();
+        for _ in 0..2 {
+            let recv = nic_a.create_cq(16);
+            let qp = nic_a.connect(nb.id, 1, cq.clone(), recv, QpOptions::default());
+            qps.push(qp.await.unwrap());
+        }
+        let peers = accept.await.unwrap();
+        let target = ShmBuf::zeroed(64);
+        let mr = nic_b.reg_mr(target.clone(), Access::all());
+        let src = ShmBuf::from_vec(vec![0xAB; 8]);
+        let t0 = sim::now();
+        for i in 0..8 {
+            let wr = write(i, true, &src, mr.addr() + i * 8, mr.rkey());
+            qps[0].post_send(wr).unwrap();
+        }
+        // Nanosecond by nanosecond: the instant the CQ overflows, and what
+        // had landed and surfaced by then.
+        while !cq.overflowed() {
+            sim::time::sleep(Duration::from_nanos(1)).await;
+        }
+        let overflowed = sim::now() - t0;
+        let landed: Vec<bool> = (0..8).map(|i| target.read_u64(i * 8) != 0).collect();
+        assert_eq!(landed, [true, true, true, true, true, false, false, false]);
+        assert_eq!(overflowed, Duration::from_nanos(1_570), "the fifth write's delivery");
+        assert_eq!(cq.len(), 0, "none of the four had surfaced");
+        assert!(qps.iter().chain(&peers).all(|qp| !qp.is_alive()));
+
+        let mut served = Vec::new();
+        while let Some(cqe) = cq.next().await {
+            served.push((cqe.wr_id, cqe.status, (sim::now() - t0).as_nanos()));
+        }
+        let ok = CqStatus::Success;
+        let want = [(0, ok, 2_240), (1, ok, 2_360), (2, ok, 2_480), (3, ok, 2_600)];
+        assert_eq!(served, want, "the four held, at their own instants, then no more");
+        assert!(cq.is_empty());
+    });
+}
+
 /// A blocked consumer's batches, `(instant, immediates)`: three bursts of
 /// WriteImms (2, 3 and 1, the second landing inside the first's wake-up, the
 /// third long after), then the CQ is overflowed. `blocking` waits in

@@ -267,6 +267,21 @@ if grep -n "spawn" crates/rnic/src/qp.rs; then
 fi
 cargo test -q --offline -p rnic --test verbs_semantics poll_budget
 
+# Completions without an engine hop (DESIGN.md §10): the engine hands a send
+# CQE to its CQ at delivery, with the instant it surfaces, and the CQ keeps
+# it from its consumers until then. The timing property (two QPs on one send
+# CQ, RNR stall, mid-run close; `next()`, `wait(wakeup)` and polling
+# consumers), the send-CQ overflow rule, and the trace rule that a
+# completion follows its post, by name. Then the re-fork guard: the engine
+# has no completion event and a QP no completion FIFO.
+cargo test -q --offline -p rnic --test cqe_timing
+cargo test -q --offline -p rnic --test verbs_semantics send_cq_overflows_when_a_completion_is_handed_over
+cargo test -q --offline -p kdtelem --lib check::tests::a_completion_must_follow_its_post
+if grep -rnE "Event::Complete|compq" crates/rnic/src; then
+    echo "ci: the engine's completion relay reappeared (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # One wait list (DESIGN.md §10): every multi-waiter primitive parks on
 # `sim::sync::WaitList`. The golden wake order of Mutex, Semaphore, Notify,
 # HandoffQueue and a shared CQ — 200 seeded schedules with cancellation —

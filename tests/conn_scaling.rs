@@ -293,10 +293,21 @@ fn fanin_point(mux_pool: usize, clients: usize) -> FaninPoint {
 /// is routed after its whole `cqe_batch_marginal` charge where ten drains of
 /// one each paid only their own (+1.0 %); at the larger rungs the batches
 /// were already there and the wake-ups they no longer pay make them faster.
+///
+/// The 100-client rung read 7 204 085 until send CQEs surfaced without an
+/// engine poll. Its first divergent event is a same-instant tie: at
+/// t = 8 033 495 ns client QP 157's FAA completion surfaces in the
+/// nanosecond client QP 161's ack reader ends its wake-up and releases its
+/// sender. The engine used to carry the CQE in its own poll and wake client
+/// 157 from there, behind client 161's sender, so 161's FAA reserved the
+/// broker's ingress link first; client 157's own timer, armed at the FAA's
+/// delivery, now runs ahead of that sender, and its WriteImm goes first
+/// (delivered 120 ns sooner, 161's FAA 120 ns later). Neither order is more
+/// right; the run ends 22 250 ns (0.3 %) sooner.
 #[test]
 fn fanin_memory_is_flat_and_sizings_agree_below_knee() {
     let reference = FANIN_REFERENCE.virtual_ns;
-    for (clients, virtual_ns) in [(10, 71_539_090), (100, 7_204_085), (1000, reference)] {
+    for (clients, virtual_ns) in [(10, 71_539_090), (100, 7_181_835), (1000, reference)] {
         for mux_pool in [0, MUX_POOL] {
             let p = fanin_point(mux_pool, clients);
             assert_eq!(p.virtual_ns, virtual_ns, "{clients} clients, mux_pool {mux_pool}");
