@@ -6,8 +6,9 @@
 //! * [`ShmBuf`] / [`BufSlice`] — registered memory: a shared fixed-size
 //!   buffer that tracks how much of itself was written and is recycled, its
 //!   pages still mapped, when its last owner drops it (see [`shm`]).
-//! * [`Pool`] / [`Buf`] — a slab of fixed-size chunks handed out as cheaply
-//!   sliceable, reference-counted, immutable views (a minimal `Bytes`).
+//! * [`Pool`] / [`Buf`] — a slab of fixed-size chunks, and of small ones for
+//!   payloads that fit them, handed out as cheaply sliceable,
+//!   reference-counted, immutable views (a minimal `Bytes`).
 //!   Dropping the last view of a chunk returns it — *including its `Rc`
 //!   allocation* — to the pool free list, so a steady-state
 //!   producer/consumer pair performs zero allocator traffic per packet.
@@ -31,6 +32,11 @@ use std::rc::{Rc, Weak};
 /// Default chunk size: comfortably a jumbo-ish packet / one MSS segment.
 pub const DEFAULT_CHUNK: usize = 2048;
 
+/// Chunk size of every pool's small class: a payload that fits takes a
+/// chunk of this size instead of one of the pool's, so a control message or
+/// an ack parked in flight does not pin a whole MSS-sized chunk.
+pub const SMALL_CHUNK: usize = 256;
+
 #[derive(Default)]
 struct PoolStats {
     /// Chunks created fresh from the allocator.
@@ -42,7 +48,24 @@ struct PoolStats {
 struct PoolInner {
     chunk_size: usize,
     free: RefCell<Vec<Rc<ChunkInner>>>,
+    /// Free chunks of [`SMALL_CHUNK`] bytes; stays empty unless the pool's
+    /// chunks are larger.
+    small: RefCell<Vec<Rc<ChunkInner>>>,
     stats: PoolStats,
+}
+
+impl PoolInner {
+    /// The chunk size and free list of a payload of `n` bytes; `None` for
+    /// an oversized one, which gets a chunk of its own.
+    fn class(&self, n: usize) -> Option<(usize, &RefCell<Vec<Rc<ChunkInner>>>)> {
+        if n <= SMALL_CHUNK && SMALL_CHUNK < self.chunk_size {
+            Some((SMALL_CHUNK, &self.small))
+        } else if n <= self.chunk_size {
+            Some((self.chunk_size, &self.free))
+        } else {
+            None
+        }
+    }
 }
 
 /// A chunk's bytes are written only by [`Pool::copy_in`], and only while no
@@ -53,7 +76,8 @@ struct ChunkInner {
     pool: Weak<PoolInner>,
 }
 
-/// A pool of fixed-size byte chunks. Clone handles freely; the free list is
+/// A pool of fixed-size byte chunks, plus a class of [`SMALL_CHUNK`]-byte
+/// ones for payloads that fit them. Clone handles freely; the free lists are
 /// shared.
 #[derive(Clone)]
 pub struct Pool {
@@ -67,6 +91,7 @@ impl Pool {
             inner: Rc::new(PoolInner {
                 chunk_size,
                 free: RefCell::new(Vec::new()),
+                small: RefCell::new(Vec::new()),
                 stats: PoolStats::default(),
             }),
         }
@@ -76,13 +101,14 @@ impl Pool {
         self.inner.chunk_size
     }
 
-    /// Copies `bytes` into a pooled chunk and returns a view of exactly that
-    /// prefix. Oversized payloads get a dedicated right-sized chunk that is
-    /// dropped (not recycled) when released, so the free list stays
-    /// uniform.
+    /// Copies `bytes` into a pooled chunk — a small one if they fit — and
+    /// returns a view of exactly that prefix. Oversized payloads get a
+    /// dedicated right-sized chunk that is dropped (not recycled) when
+    /// released, so each free list stays uniform.
     pub fn copy_in(&self, bytes: &[u8]) -> Buf {
         let n = bytes.len();
-        let free = if n <= self.inner.chunk_size { self.inner.free.borrow_mut().pop() } else { None };
+        let class = self.inner.class(n);
+        let free = class.and_then(|(_, free)| free.borrow_mut().pop());
         // The last view of a free chunk put it there: it has no other owner.
         let recycled = free.and_then(|mut c| {
             Rc::get_mut(&mut c)?.data[..n].copy_from_slice(bytes);
@@ -93,14 +119,14 @@ impl Pool {
                 self.inner.stats.recycled.set(self.inner.stats.recycled.get() + 1);
                 c
             }
-            None => self.fresh(bytes),
+            None => self.fresh(class.map_or(n, |(size, _)| size), bytes),
         };
         Buf { chunk, off: 0, len: n }
     }
 
-    fn fresh(&self, bytes: &[u8]) -> Rc<ChunkInner> {
+    fn fresh(&self, size: usize, bytes: &[u8]) -> Rc<ChunkInner> {
         self.inner.stats.allocated.set(self.inner.stats.allocated.get() + 1);
-        let mut data = vec![0u8; self.inner.chunk_size.max(bytes.len())].into_boxed_slice();
+        let mut data = vec![0u8; size].into_boxed_slice();
         data[..bytes.len()].copy_from_slice(bytes);
         Rc::new(ChunkInner {
             data,
@@ -118,9 +144,9 @@ impl Pool {
         self.inner.stats.recycled.get()
     }
 
-    /// Chunks currently parked on the free list.
+    /// Chunks currently parked on the free lists, both classes.
     pub fn free_chunks(&self) -> usize {
-        self.inner.free.borrow().len()
+        self.inner.free.borrow().len() + self.inner.small.borrow().len()
     }
 }
 
@@ -184,13 +210,13 @@ impl Clone for Buf {
 
 impl Drop for Buf {
     fn drop(&mut self) {
-        // Last view out returns the chunk — Rc box and all — to the pool,
-        // provided it is the pool's uniform size (oversized one-offs just
-        // free).
+        // Last view out returns the chunk — Rc box and all — to the free
+        // list of its class (oversized one-offs just free).
         if Rc::strong_count(&self.chunk) == 1 {
             if let Some(pool) = self.chunk.pool.upgrade() {
-                if self.chunk.data.len() == pool.chunk_size {
-                    pool.free.borrow_mut().push(Rc::clone(&self.chunk));
+                let len = self.chunk.data.len();
+                if let Some((_, free)) = pool.class(len).filter(|&(size, _)| size == len) {
+                    free.borrow_mut().push(Rc::clone(&self.chunk));
                 }
             }
         }
@@ -411,6 +437,35 @@ mod tests {
         assert_eq!(pool.allocated_chunks(), 1);
         assert_eq!(pool.recycled_chunks(), 99);
         assert_eq!(pool.free_chunks(), 1);
+    }
+
+    /// A steady stream of small RPCs beside MSS-sized packets, a few of each
+    /// in flight: each class recycles through its own free list, so after
+    /// the first round the pool allocates nothing, and a small payload never
+    /// takes a large chunk.
+    #[test]
+    fn both_classes_recycle_without_new_allocations() {
+        const MSS: usize = 16 * 1024;
+        let pool = Pool::new(MSS);
+        let mut in_flight = std::collections::VecDeque::new();
+        let mut after_warm_up = None;
+        for i in 0..1000usize {
+            let len = if i % 3 == 0 { MSS } else { 60 + i % (SMALL_CHUNK - 59) };
+            let b = pool.copy_in(&vec![i as u8; len]);
+            assert_eq!(b.chunk.data.len(), if len <= SMALL_CHUNK { SMALL_CHUNK } else { MSS });
+            in_flight.push_back(b);
+            if in_flight.len() > 4 {
+                in_flight.pop_front();
+            }
+            if i == 99 {
+                after_warm_up = Some(pool.allocated_chunks());
+            }
+        }
+        assert_eq!(Some(pool.allocated_chunks()), after_warm_up, "a warm pool allocated");
+        assert!(pool.allocated_chunks() <= 10, "{} chunks", pool.allocated_chunks());
+        assert_eq!(pool.recycled_chunks() + pool.allocated_chunks(), 1000);
+        drop(in_flight);
+        assert_eq!(pool.free_chunks() as u64, pool.allocated_chunks());
     }
 
     #[test]

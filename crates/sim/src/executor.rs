@@ -4,12 +4,12 @@
 //! "Performance engineering"):
 //!
 //! * timers live in a hierarchical [`Wheel`](crate::wheel::Wheel), not a
-//!   `BinaryHeap` — O(1) amortised insert/fire, capacity retained;
-//! * the ready queue is a plain `VecDeque` behind an owner-checked
-//!   `UnsafeCell` — the runtime is single-threaded, so the old `Mutex` only
-//!   bought uncontended lock traffic;
-//! * each task slot caches its `Waker` once; `cx.waker().clone()` is a
-//!   refcount bump instead of a fresh `Arc` per poll;
+//!   `BinaryHeap` — O(1) amortised insert/fire, capacity retained, one
+//!   [`pop_next`](crate::wheel::Wheel::pop_next) per fired instant;
+//! * a `Waker` is a plain integer: its data word is the runtime's tag and
+//!   the task id, clone and drop do nothing, and `wake` pushes the id onto
+//!   the ready queue of the runtime it finds by tag among this thread's
+//!   live runtimes — no refcount, no allocation per task slot;
 //! * spawned futures are placed in a size-class **task arena**: completing a
 //!   task returns its memory to a free list keyed by rounded future size, so
 //!   a steady-state workload (e.g. one RPC task per request) re-uses the
@@ -18,61 +18,92 @@
 //!   polls the future in place, so the task stores its frame once.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::ptr::NonNull;
 use std::rc::Rc;
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
-use std::thread::ThreadId;
 
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use crate::wheel::Wheel;
 
-/// Ready queue shared with wakers. Wakers may be stored inside `Send` types,
-/// so the queue is reached through an `Arc`, but the runtime is
-/// single-threaded: instead of a `Mutex` we use an `UnsafeCell` guarded by an
-/// owner-thread check (a waker crossing threads panics instead of racing).
-struct ReadyQueue {
-    owner: ThreadId,
-    queue: UnsafeCell<VecDeque<usize>>,
+/// Task ids of one runtime, in FIFO order of their wakes.
+type ReadyQueue = Rc<RefCell<VecDeque<usize>>>;
+
+/// A waker's data word is `tag << ID_BITS | task id`, and a runtime's tag is
+/// `thread << RUNTIME_BITS | runtime`: the index of the thread that made the
+/// runtime (from 1, in the order threads make their first one) and the
+/// number of runtimes that thread made before it. Tags are never reused.
+const ID_BITS: u32 = 24;
+const RUNTIME_BITS: u32 = 24;
+const THREAD_BITS: u32 = usize::BITS - ID_BITS - RUNTIME_BITS;
+const _: () = assert!(usize::BITS == 64, "a waker's data word packs 64 bits");
+
+thread_local! {
+    /// The ready queue of every runtime of this thread that is not dropped,
+    /// by tag — where a wake finds its runtime, inside `block_on` or not.
+    static LIVE: RefCell<Vec<(usize, ReadyQueue)>> = const { RefCell::new(Vec::new()) };
+    /// This thread's index (0 until its first runtime) and its runtimes made.
+    static TAGS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
 }
 
-// SAFETY: every access goes through `with`, which panics unless called from
-// the thread that created the queue; there is no actual sharing.
-unsafe impl Send for ReadyQueue {}
-unsafe impl Sync for ReadyQueue {}
-
-impl ReadyQueue {
-    fn new() -> Self {
-        ReadyQueue {
-            owner: std::thread::current().id(),
-            queue: UnsafeCell::new(VecDeque::new()),
+/// A fresh tag for a runtime made on this thread.
+fn next_tag() -> usize {
+    static THREADS: AtomicUsize = AtomicUsize::new(0);
+    TAGS.with(|tags| {
+        let (mut thread, made) = tags.get();
+        if thread == 0 {
+            thread = THREADS.fetch_add(1, Ordering::Relaxed) + 1;
+            assert!(
+                thread < 1 << THREAD_BITS,
+                "sim: runtimes on more than 2^{THREAD_BITS} threads"
+            );
         }
-    }
-
-    #[inline]
-    fn with<R>(&self, f: impl FnOnce(&mut VecDeque<usize>) -> R) -> R {
         assert!(
-            std::thread::current().id() == self.owner,
-            "sim: waker used off the runtime thread"
+            made < 1 << RUNTIME_BITS,
+            "sim: more than 2^{RUNTIME_BITS} runtimes on one thread"
         );
-        // SAFETY: single-threaded by the owner check above, and no caller
-        // re-enters `with` from inside the closure.
-        unsafe { f(&mut *self.queue.get()) }
-    }
+        tags.set((thread, made + 1));
+        thread << RUNTIME_BITS | made
+    })
+}
 
-    fn push(&self, id: usize) {
-        self.with(|q| q.push_back(id));
+/// The waker of task `id` of the runtime tagged `tag`.
+fn task_waker(tag: usize, id: usize) -> Waker {
+    unsafe fn clone(data: *const ()) -> RawWaker {
+        RawWaker::new(data, &VTABLE)
     }
+    unsafe fn wake(data: *const ()) {
+        wake_task(data.addr());
+    }
+    unsafe fn drop_waker(_: *const ()) {}
+    static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, wake, wake, drop_waker);
+    let data = std::ptr::without_provenance::<()>(tag << ID_BITS | id);
+    // SAFETY: the vtable never dereferences the data word, an integer; every
+    // function is sound for any value and from any thread.
+    unsafe { Waker::from_raw(RawWaker::new(data, &VTABLE)) }
+}
 
-    fn pop(&self) -> Option<usize> {
-        self.with(|q| q.pop_front())
-    }
+/// Queues the task a waker's data word names on its runtime. A runtime of
+/// this thread that is gone takes no wake; one of another thread panics.
+fn wake_task(data: usize) {
+    let (tag, id) = (data >> ID_BITS, data & ((1 << ID_BITS) - 1));
+    // During thread teardown there is no runtime left to wake.
+    let _ = LIVE.try_with(|live| {
+        let live = live.borrow();
+        match live.iter().rev().find(|(t, _)| *t == tag) {
+            Some((_, ready)) => ready.borrow_mut().push_back(id),
+            None => assert!(
+                tag >> RUNTIME_BITS == TAGS.with(|t| t.get().0),
+                "sim: waker used off the runtime thread"
+            ),
+        }
+    });
 }
 
 /// Pooled task allocations are rounded up to a power-of-two size class:
@@ -203,21 +234,17 @@ impl Drop for TaskArena {
     }
 }
 
-struct Slot {
-    task: Option<RawTask>,
-    /// Created once per slot; slot reuse keeps the same id, so the waker
-    /// stays valid and `clone()` is a refcount bump.
-    waker: Waker,
-}
-
 pub(crate) struct Inner {
     now: Cell<u64>,
-    tasks: RefCell<Vec<Slot>>,
+    /// This runtime's part of its wakers' data word.
+    tag: usize,
+    /// Task slots by id; a finished task's id is reused.
+    tasks: RefCell<Vec<Option<RawTask>>>,
     free: RefCell<Vec<usize>>,
     live_tasks: Cell<usize>,
-    ready: Arc<ReadyQueue>,
+    ready: ReadyQueue,
     timers: RefCell<Wheel<Waker>>,
-    /// Reusable buffer for due-timer batches.
+    /// Reusable buffer for one instant's timers.
     firing: RefCell<Vec<(u64, u64, Waker)>>,
     arena: RefCell<TaskArena>,
     timer_seq: Cell<u64>,
@@ -227,12 +254,16 @@ pub(crate) struct Inner {
 
 impl Inner {
     fn new(seed: u64) -> Rc<Self> {
+        let tag = next_tag();
+        let ready = ReadyQueue::default();
+        LIVE.with(|live| live.borrow_mut().push((tag, Rc::clone(&ready))));
         Rc::new(Inner {
             now: Cell::new(0),
+            tag,
             tasks: RefCell::new(Vec::new()),
             free: RefCell::new(Vec::new()),
             live_tasks: Cell::new(0),
-            ready: Arc::new(ReadyQueue::new()),
+            ready,
             timers: RefCell::new(Wheel::new()),
             firing: RefCell::new(Vec::new()),
             arena: RefCell::new(TaskArena::new()),
@@ -256,40 +287,28 @@ impl Inner {
 
     fn insert_task<F: Future<Output = ()> + 'static>(&self, future: F) -> usize {
         let task = self.arena.borrow_mut().place(future);
+        let mut tasks = self.tasks.borrow_mut();
         let id = match self.free.borrow_mut().pop() {
-            Some(id) => {
-                self.tasks.borrow_mut()[id].task = Some(task);
-                id
-            }
+            Some(id) => id,
             None => {
-                let mut tasks = self.tasks.borrow_mut();
-                let id = tasks.len();
-                tasks.push(Slot {
-                    task: Some(task),
-                    waker: make_waker(id, Arc::downgrade(&self.ready)),
-                });
-                id
+                assert!(tasks.len() < 1 << ID_BITS, "sim: more than 2^{ID_BITS} live tasks");
+                tasks.push(None);
+                tasks.len() - 1
             }
         };
+        tasks[id] = Some(task);
         self.live_tasks.set(self.live_tasks.get() + 1);
         id
     }
 
     fn schedule(&self, id: usize) {
-        self.ready.push(id);
+        self.ready.borrow_mut().push_back(id);
     }
 
     /// Polls one task; returns true if a task existed.
     fn poll_task(self: &Rc<Self>, id: usize) -> bool {
-        let (task, waker) = {
-            let mut tasks = self.tasks.borrow_mut();
-            let Some(slot) = tasks.get_mut(id) else {
-                return false;
-            };
-            match slot.task.take() {
-                Some(t) => (t, slot.waker.clone()),
-                None => return false, // already completed; spurious wake
-            }
+        let Some(task) = self.tasks.borrow_mut().get_mut(id).and_then(Option::take) else {
+            return false; // already completed; spurious wake
         };
         // If the poll panics, the guard still drops the future and recycles
         // its arena memory during unwind.
@@ -308,6 +327,7 @@ impl Inner {
             inner: self,
             task: Some(task),
         };
+        let waker = task_waker(self.tag, id);
         let mut cx = Context::from_waker(&waker);
         self.polls.set(self.polls.get() + 1);
         let task = guard.task.as_mut().expect("the guard holds the task until it retires");
@@ -318,84 +338,50 @@ impl Inner {
                 self.live_tasks.set(self.live_tasks.get() - 1);
             }
             Poll::Pending => {
-                self.tasks.borrow_mut()[id].task = guard.task.take();
+                self.tasks.borrow_mut()[id] = guard.task.take();
             }
         }
         true
     }
 
     /// The poll loop: drains the ready queue, then advances the clock to the
-    /// nearest timer deadline and fires it, until `done()` turns true (checked
-    /// after every poll) or nothing is runnable and no timer is registered.
-    /// The clock only ever advances to *fired* deadlines.
+    /// nearest timer deadline and fires every timer of that instant, until
+    /// `done()` turns true (checked after every poll) or nothing is runnable
+    /// and no timer is registered. The clock only ever advances to *fired*
+    /// deadlines.
     fn run(self: &Rc<Self>, done: &dyn Fn() -> bool) {
         loop {
-            while let Some(id) = self.ready.pop() {
+            // Bound first: a `borrow_mut` in the scrutinee would live across
+            // the poll, and a wake inside it pushes onto this queue.
+            let next = self.ready.borrow_mut().pop_front();
+            if let Some(id) = next {
                 self.poll_task(id);
                 if done() {
                     return;
                 }
+                continue;
             }
-            // Bound first: a `borrow_mut` in the scrutinee would live across
-            // the arms and collide with `fire_due_timers`.
-            let next = self.timers.borrow_mut().next_deadline_bounded(u64::MAX);
-            match next {
-                Some(deadline) => {
-                    debug_assert!(deadline >= self.now.get());
-                    self.now.set(deadline.max(self.now.get()));
-                    self.fire_due_timers();
-                }
-                None => return,
+            let mut firing = self.firing.borrow_mut();
+            let Some(deadline) = self.timers.borrow_mut().pop_next(&mut firing) else {
+                return;
+            };
+            debug_assert!(deadline >= self.now.get());
+            self.now.set(deadline.max(self.now.get()));
+            for (_, _, waker) in firing.drain(..) {
+                // Wakes only push task ids onto a ready queue; they cannot
+                // touch the wheel, so no re-entrancy.
+                waker.wake();
             }
-        }
-    }
-
-    /// Fires every timer whose deadline is `<= now`, in `(deadline, seq)`
-    /// order.
-    fn fire_due_timers(&self) {
-        let mut firing = self.firing.borrow_mut();
-        debug_assert!(firing.is_empty());
-        self.timers.borrow_mut().pop_due(self.now.get(), &mut firing);
-        for (_, _, waker) in firing.drain(..) {
-            // Wakes only push task ids onto the ready queue; they cannot
-            // touch the wheel, so no re-entrancy.
-            waker.wake();
         }
     }
 }
 
-struct WakeEntry {
-    id: usize,
-    queue: Weak<ReadyQueue>,
-}
-
-fn make_waker(id: usize, queue: Weak<ReadyQueue>) -> Waker {
-    let entry = Arc::new(WakeEntry { id, queue });
-    unsafe fn clone(data: *const ()) -> RawWaker {
-        let arc = unsafe { Arc::from_raw(data as *const WakeEntry) };
-        let cloned = Arc::clone(&arc);
-        std::mem::forget(arc);
-        RawWaker::new(Arc::into_raw(cloned) as *const (), &VTABLE)
+impl Drop for Inner {
+    fn drop(&mut self) {
+        // From here on a wake of this runtime's tasks is a no-op. At thread
+        // teardown the list may already be gone, and this runtime with it.
+        let _ = LIVE.try_with(|live| live.borrow_mut().retain(|(tag, _)| *tag != self.tag));
     }
-    unsafe fn wake(data: *const ()) {
-        let arc = unsafe { Arc::from_raw(data as *const WakeEntry) };
-        if let Some(queue) = arc.queue.upgrade() {
-            queue.push(arc.id);
-        }
-    }
-    unsafe fn wake_by_ref(data: *const ()) {
-        let arc = unsafe { Arc::from_raw(data as *const WakeEntry) };
-        if let Some(queue) = arc.queue.upgrade() {
-            queue.push(arc.id);
-        }
-        std::mem::forget(arc);
-    }
-    unsafe fn drop_waker(data: *const ()) {
-        drop(unsafe { Arc::from_raw(data as *const WakeEntry) });
-    }
-    static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, wake, wake_by_ref, drop_waker);
-    let raw = RawWaker::new(Arc::into_raw(entry) as *const (), &VTABLE);
-    unsafe { Waker::from_raw(raw) }
 }
 
 thread_local! {
@@ -609,7 +595,7 @@ impl Drop for Runtime {
         let mut tasks = self.inner.tasks.borrow_mut();
         let mut arena = self.inner.arena.borrow_mut();
         for slot in tasks.iter_mut() {
-            if let Some(task) = slot.task.take() {
+            if let Some(task) = slot.take() {
                 arena.retire(task);
             }
         }
@@ -758,6 +744,101 @@ mod tests {
         let [unfinished] = rt.block_on(async { [crate::spawn(std::future::pending::<u32>())] });
         drop(rt);
         assert_eq!(Runtime::new().block_on(unfinished), Err(JoinError));
+    }
+
+    /// What a [`Parked`] task shows the test: its polls and latest waker.
+    #[derive(Default)]
+    struct Probe {
+        polls: Cell<u32>,
+        waker: RefCell<Option<Waker>>,
+    }
+
+    /// A future that parks until woken and is ready on its second poll.
+    struct Parked(Rc<Probe>);
+
+    impl Future for Parked {
+        type Output = u32;
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u32> {
+            let polls = self.0.polls.get() + 1;
+            self.0.polls.set(polls);
+            if polls > 1 {
+                return Poll::Ready(polls);
+            }
+            *self.0.waker.borrow_mut() = Some(cx.waker().clone());
+            Poll::Pending
+        }
+    }
+
+    /// Spawns a [`Parked`] task and lets it park.
+    async fn spawn_parked() -> (JoinHandle<u32>, Rc<Probe>) {
+        let probe = Rc::new(Probe::default());
+        let handle = crate::spawn(Parked(Rc::clone(&probe)));
+        crate::time::yield_now().await;
+        assert_eq!(probe.polls.get(), 1, "the task parked");
+        (handle, probe)
+    }
+
+    fn waker_of(probe: &Probe) -> Waker {
+        probe.waker.borrow().clone().expect("a parked task left its waker")
+    }
+
+    #[test]
+    fn a_waker_woken_off_the_runtime_thread_panics() {
+        let rt = Runtime::new();
+        let (_handle, probe) = rt.block_on(spawn_parked());
+        let waker = waker_of(&probe);
+        let woken = std::thread::spawn(move || waker.wake()).join();
+        let payload = woken.expect_err("an off-thread wake must panic");
+        let message = payload.downcast_ref::<&str>().expect("a static panic message");
+        assert_eq!(*message, "sim: waker used off the runtime thread");
+        drop(rt);
+    }
+
+    #[test]
+    fn a_waker_of_a_dropped_runtime_is_a_no_op() {
+        let rt = Runtime::new();
+        let (handle, probe) = rt.block_on(spawn_parked());
+        let stale = waker_of(&probe);
+        drop(rt);
+        // A runtime made since has a task of the same id, parked: the stale
+        // wakes must not reach it either.
+        let rt = Runtime::new();
+        let (fresh, fresh_probe) = rt.block_on(spawn_parked());
+        stale.wake_by_ref();
+        stale.wake();
+        rt.block_on(crate::time::yield_now());
+        assert_eq!(fresh_probe.polls.get(), 1, "a stale wake polled the fresh task");
+        waker_of(&fresh_probe).wake();
+        assert_eq!(rt.block_on(fresh), Ok(2));
+        assert_eq!(rt.block_on(handle), Err(JoinError));
+    }
+
+    #[test]
+    fn a_wake_between_two_block_ons_runs_its_task_in_the_second() {
+        let rt = Runtime::new();
+        let (handle, probe) = rt.block_on(spawn_parked());
+        waker_of(&probe).wake();
+        assert_eq!(rt.block_on(handle), Ok(2));
+    }
+
+    #[test]
+    fn nested_runtimes_route_each_wake_to_its_own_queue() {
+        let rt = Runtime::new();
+        let polls = rt.block_on(async {
+            // Task 1 of the outer runtime.
+            let (outer, outer_probe) = spawn_parked().await;
+            let inner = Runtime::new().block_on(async move {
+                // Task 1 of the inner runtime: the same id.
+                let (inner, inner_probe) = spawn_parked().await;
+                waker_of(&outer_probe).wake();
+                crate::time::yield_now().await;
+                assert_eq!(inner_probe.polls.get(), 1, "the outer wake polled the inner task");
+                waker_of(&inner_probe).wake();
+                inner.await.expect("the inner task finishes")
+            });
+            (outer.await.expect("the outer task finishes"), inner)
+        });
+        assert_eq!(polls, (2, 2));
     }
 
     #[test]

@@ -28,19 +28,23 @@
 //!
 //! # Design notes
 //!
-//! * Tasks are `!Send` futures stored in a slab; wakers push task ids onto a
-//!   shared ready queue. Spurious wakeups are allowed, so wakers carry no
-//!   dedup state.
+//! * Tasks are `!Send` futures stored in a slab. A waker is a plain integer
+//!   — its runtime's tag and its task's id — and waking it pushes the id onto
+//!   that runtime's ready queue, found among the live runtimes of the
+//!   current thread. A wake on another thread than the runtime's panics; on
+//!   its own thread after the runtime is dropped, it does nothing. Spurious
+//!   wakeups are allowed, so wakers carry no dedup state.
 //! * The timer queue is a hierarchical timer wheel keyed by
-//!   `(deadline, seq)` — same-deadline timers fire in registration order. A
-//!   dropped sleep leaves a stale entry behind; waking a finished task is a
-//!   no-op.
+//!   `(deadline, seq)` — same-deadline timers fire in registration order,
+//!   one wheel pass per fired instant. A dropped sleep leaves a stale entry
+//!   behind; waking a finished task is a no-op.
 //! * If the ready queue and timer wheel are both empty while the `block_on`
 //!   future is still pending, the runtime panics: in a closed simulation this
 //!   is always a deadlock bug, and failing loudly beats hanging a test.
 //! * The hot path is allocation-free at steady state: task memory is
-//!   recycled through a size-class arena, per-slot wakers are cached, and
-//!   wheel/ready-queue capacity is retained across events.
+//!   recycled through a size-class arena, wakers are integers that clone and
+//!   drop for free, and wheel/ready-queue capacity is retained across
+//!   events.
 
 mod executor;
 pub mod future;

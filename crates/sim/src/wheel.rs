@@ -95,11 +95,15 @@ impl<T> Wheel<T> {
 
     /// Moves the cursor to `to` and restores the level invariant: every slot
     /// whose digit the cursor now matches is pushed down a level (highest
-    /// level first, so entries settle in one sweep).
+    /// level first, so entries settle in one sweep). Only the levels at or
+    /// below the highest digit that changed can hold such a slot: above it
+    /// the cursor's digits stand, and below it nothing is filed, because the
+    /// cursor never passes the minimum pending deadline.
     fn advance_to(&mut self, to: u64) {
         debug_assert!(to >= self.cursor);
+        let changed = self.level_of(to);
         self.cursor = to;
-        for level in (1..LEVELS).rev() {
+        for level in (1..=changed).rev() {
             let slot = ((to >> (BITS * level as u32)) & SLOT_MASK) as usize;
             if self.occupied[level] & (1 << slot) != 0 {
                 self.redistribute(level, slot);
@@ -123,25 +127,19 @@ impl<T> Wheel<T> {
         self.scratch = batch;
     }
 
-    /// The earliest pending deadline, or `None` when it exceeds `bound`.
-    /// Cascades coarse slots down as a side effect; the cursor advances but
-    /// never past the returned deadline nor past `bound`.
+    /// Pops every entry of the earliest pending deadline into `out`, in
+    /// `(deadline, seq)` order (same-deadline entries FIFO), and returns that
+    /// deadline; `None` when the wheel is empty.
     ///
-    /// Only safe to call when the virtual clock is about to jump to the
-    /// result: the cursor may run ahead of the *current* time, so any timer
-    /// registered in between would be misfiled (see [`Wheel::pop_due`]).
-    pub fn next_deadline_bounded(&mut self, bound: u64) -> Option<u64> {
+    /// The cursor ends on the returned deadline, never past it: the caller's
+    /// clock jumps there, and tasks it wakes may register fresh timers for
+    /// deadlines barely after it, which a cursor that had cascaded toward
+    /// some later deadline would misfile.
+    pub fn pop_next(&mut self, out: &mut Vec<(u64, u64, T)>) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
-        loop {
-            if self.occupied[0] != 0 {
-                // Level-0 entries sit in the cursor's 64ns frame; everything
-                // at higher levels is beyond it, so this is the minimum.
-                let slot = self.occupied[0].trailing_zeros() as u64;
-                let d = (self.cursor & !SLOT_MASK) | slot;
-                return (d <= bound).then_some(d);
-            }
+        while self.occupied[0] == 0 {
             // Lowest occupied slot of the lowest occupied level bounds the
             // minimum; jump the cursor to its base time and split it.
             let level = (1..LEVELS)
@@ -156,31 +154,19 @@ impl<T> Wheel<T> {
             };
             let base = (self.cursor & above) | (slot << shift);
             debug_assert!(base > self.cursor);
-            if base > bound {
-                return None;
-            }
             self.advance_to(base);
         }
-    }
-
-    /// Pops every entry with `deadline <= now` into `out`, in
-    /// `(deadline, seq)` order (same-deadline entries FIFO).
-    ///
-    /// The cursor never advances past `now`: tasks woken by the caller may
-    /// register fresh timers for deadlines barely after `now`, and a cursor
-    /// that had cascaded toward some far-future deadline would misfile them.
-    pub fn pop_due(&mut self, now: u64, out: &mut Vec<(u64, u64, T)>) {
-        while let Some(d) = self.next_deadline_bounded(now) {
-            // No pending deadline is below `d`, so the cursor may step onto
-            // it; the sweep funnels every deadline-`d` entry into one
-            // level-0 slot.
-            self.advance_to(d);
-            let slot = (d & SLOT_MASK) as usize;
-            debug_assert!(self.slots[slot].iter().all(|e| e.0 == d));
-            self.len -= self.slots[slot].len();
-            self.occupied[0] &= !(1 << slot);
-            out.append(&mut self.slots[slot]);
-        }
+        // Level-0 entries sit in the cursor's 64 ns frame and everything at
+        // higher levels is beyond it, so the lowest slot is the minimum, and
+        // holds only entries of that exact deadline.
+        let slot = self.occupied[0].trailing_zeros() as usize;
+        let deadline = (self.cursor & !SLOT_MASK) | slot as u64;
+        self.advance_to(deadline);
+        debug_assert!(self.slots[slot].iter().all(|e| e.0 == deadline));
+        self.len -= self.slots[slot].len();
+        self.occupied[0] &= !(1 << slot);
+        out.append(&mut self.slots[slot]);
+        Some(deadline)
     }
 }
 
@@ -188,16 +174,11 @@ impl<T> Wheel<T> {
 mod tests {
     use super::*;
 
-    impl<T> Wheel<T> {
-        fn next_deadline(&mut self) -> Option<u64> {
-            self.next_deadline_bounded(u64::MAX)
-        }
-    }
-
-    fn drain(w: &mut Wheel<u64>, now: u64) -> Vec<(u64, u64)> {
+    /// The next instant's `(deadline, seq)` pairs, or `None` when empty.
+    fn pop(w: &mut Wheel<u64>) -> Option<(u64, Vec<(u64, u64)>)> {
         let mut out = Vec::new();
-        w.pop_due(now, &mut out);
-        out.into_iter().map(|(d, s, _)| (d, s)).collect()
+        let d = w.pop_next(&mut out)?;
+        Some((d, out.into_iter().map(|(d, s, _)| (d, s)).collect()))
     }
 
     #[test]
@@ -207,10 +188,10 @@ mod tests {
             w.insert(1_000, seq, seq);
         }
         assert_eq!(w.len(), 10);
-        assert_eq!(w.next_deadline(), Some(1_000));
-        let fired = drain(&mut w, 1_000);
-        assert_eq!(fired, (0..10).map(|s| (1_000, s)).collect::<Vec<_>>());
+        let fired = (1_000, (0..10).map(|s| (1_000, s)).collect::<Vec<_>>());
+        assert_eq!(pop(&mut w), Some(fired));
         assert!(w.is_empty());
+        assert_eq!(pop(&mut w), None);
     }
 
     #[test]
@@ -237,11 +218,10 @@ mod tests {
         let mut sorted = deadlines.to_vec();
         sorted.sort_unstable();
         let mut got = Vec::new();
-        while let Some(d) = w.next_deadline() {
-            assert_eq!(d, sorted[got.len()], "wheel must report the exact minimum");
-            let mut out = Vec::new();
-            w.pop_due(d, &mut out);
-            for (dd, _, v) in out {
+        let mut out = Vec::new();
+        while let Some(d) = w.pop_next(&mut out) {
+            assert_eq!(d, sorted[got.len()], "wheel must pop the exact minimum");
+            for (dd, _, v) in out.drain(..) {
                 assert_eq!(dd, v);
                 got.push(dd);
             }
@@ -257,11 +237,9 @@ mod tests {
         w.insert(far, 0, 1);
         // A near entry fires first and drags the cursor forward.
         w.insert(10, 1, 2);
-        assert_eq!(w.next_deadline(), Some(10));
-        assert_eq!(drain(&mut w, 10), vec![(10, 1)]);
+        assert_eq!(pop(&mut w), Some((10, vec![(10, 1)])));
         // The far entry must survive every cascade level intact.
-        assert_eq!(w.next_deadline(), Some(far));
-        assert_eq!(drain(&mut w, far), vec![(far, 0)]);
+        assert_eq!(pop(&mut w), Some((far, vec![(far, 0)])));
         assert!(w.is_empty());
     }
 
@@ -275,48 +253,45 @@ mod tests {
         let mut w = Wheel::new();
         w.insert(d, 0, 0); // A, filed at a high level
         w.insert(1 << 18, 1, 1); // intermediate timer pulls the cursor near D
-        assert_eq!(w.next_deadline(), Some(1 << 18));
-        assert_eq!(drain(&mut w, 1 << 18), vec![((1 << 18), 1)]);
+        assert_eq!(pop(&mut w), Some((1 << 18, vec![(1 << 18, 1)])));
         w.insert(d, 2, 2); // B, same deadline, registered later
-        assert_eq!(drain(&mut w, d), vec![(d, 0), (d, 2)]);
+        assert_eq!(pop(&mut w), Some((d, vec![(d, 0), (d, 2)])));
     }
 
     #[test]
-    fn pop_due_never_drags_the_cursor_past_now() {
-        // Regression: with a far-future timer pending, pop_due's final probe
+    fn pop_next_never_drags_the_cursor_past_the_popped_deadline() {
+        // Regression: with a far-future timer pending, popping the near one
         // must not cascade the cursor toward it — a timer registered just
-        // after the pop (deadline barely past `now`) would be misfiled and
-        // fire at the wrong virtual time.
+        // after the pop (deadline barely past it) would be misfiled and fire
+        // at the wrong virtual time.
         let mut w = Wheel::new();
         w.insert(1_000, 0, 0); // near
         w.insert(10_000, 1, 1); // far (different level-1 slot)
-        assert_eq!(drain(&mut w, 1_000), vec![(1_000, 0)]);
+        assert_eq!(pop(&mut w), Some((1_000, vec![(1_000, 0)])));
         // Woken task re-arms for now + 1µs, well before the far timer.
         w.insert(2_000, 2, 2);
-        assert_eq!(w.next_deadline(), Some(2_000));
-        assert_eq!(drain(&mut w, 2_000), vec![(2_000, 2)]);
-        assert_eq!(drain(&mut w, 10_000), vec![(10_000, 1)]);
+        assert_eq!(pop(&mut w), Some((2_000, vec![(2_000, 2)])));
+        assert_eq!(pop(&mut w), Some((10_000, vec![(10_000, 1)])));
     }
 
     #[test]
     fn late_insert_fires_immediately_on_next_pop() {
         let mut w = Wheel::new();
         w.insert(100, 0, 0);
-        assert_eq!(drain(&mut w, 100), vec![(100, 0)]);
+        w.insert(7_000, 1, 1);
+        assert_eq!(pop(&mut w), Some((100, vec![(100, 0)])));
         // Deadline behind the cursor clamps to the cursor and still fires.
-        w.insert(5, 1, 1);
-        assert_eq!(w.next_deadline(), Some(100));
-        assert_eq!(drain(&mut w, 100), vec![(100, 1)]);
+        w.insert(5, 2, 2);
+        assert_eq!(pop(&mut w), Some((100, vec![(100, 2)])));
+        assert_eq!(pop(&mut w), Some((7_000, vec![(7_000, 1)])));
     }
 
-    /// Property: under arbitrary interleavings of inserts, bounded cursor
-    /// walks that stop short of the minimum (`pop_due`'s final probe), and
-    /// pops, the wheel expires entries in exact `(deadline, seq)` order.
-    ///
-    /// Insert deadlines stay at/above a watermark covering every time and
-    /// bound handed to the wheel so far — the executor's guarantee (the
-    /// clock never runs ahead of a registration) — so the cursor never
-    /// clamps; `prop_timer_order` covers late registrations end to end.
+    /// Property: under arbitrary interleavings of inserts and pops, the
+    /// wheel pops the earliest pending deadline each time, with all of its
+    /// entries in insertion order — against a sorted `(deadline, seq)`
+    /// model. Deadlines sit on, just below and just above the boundaries of
+    /// every level, and some are late: behind the cursor, which the wheel
+    /// clamps to the cursor, as the model does.
     #[test]
     fn prop_interleaved_inserts_preserve_deadline_seq_order() {
         let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -331,54 +306,40 @@ mod tests {
         for _case in 0..40 {
             let mut w: Wheel<u64> = Wheel::new();
             let mut model: Vec<(u64, u64)> = Vec::new(); // (deadline, seq)
-            let mut watermark: u64 = 0;
+            let mut now: u64 = 0;
             let mut seq: u64 = 0;
             let mut out = Vec::new();
             for _op in 0..400 {
-                match rng() % 4 {
-                    0 | 1 => {
-                        // A burst of inserts: mixed horizons, frequent ties.
-                        for _ in 0..(rng() % 8 + 1) {
-                            let horizon = match rng() % 4 {
-                                0 => rng() % 64,            // same level-0 frame
-                                1 => rng() % 4_096,         // nearby levels
-                                2 => rng() % 1_000_000,     // mid wheel
-                                _ => rng() % (1 << 40),     // far future
-                            };
-                            let d = watermark + horizon;
-                            w.insert(d, seq, seq);
-                            model.push((d, seq));
-                            seq += 1;
-                        }
-                    }
-                    2 => {
-                        // Bounded probe below the minimum: must not disturb
-                        // expiry order even though the cursor may advance.
-                        if let Some(min) = model.iter().map(|&(d, _)| d).min() {
-                            if min > watermark {
-                                let bound = watermark + rng() % (min - watermark);
-                                assert_eq!(w.next_deadline_bounded(bound), None);
-                                watermark = watermark.max(bound);
+                if rng() % 3 != 0 {
+                    // A burst of inserts: mixed horizons, frequent ties.
+                    for _ in 0..(rng() % 8 + 1) {
+                        let d = match rng() % 5 {
+                            0 => now + rng() % 64,                  // same level-0 frame
+                            1 => now.saturating_sub(rng() % 4_096), // late
+                            2 => now + rng() % 1_000_000,
+                            _ => {
+                                // A level boundary past `now`, give or take 2.
+                                let unit = 1u64 << (BITS * (1 + rng() % 7) as u32);
+                                ((now / unit + 1 + rng() % 3) * unit + rng() % 5).saturating_sub(2)
                             }
-                        }
+                        };
+                        w.insert(d, seq, seq);
+                        model.push((d.max(now), seq));
+                        seq += 1;
                     }
-                    _ => {
-                        // Pop everything due at a random time.
-                        let t = watermark + rng() % 10_000;
-                        out.clear();
-                        w.pop_due(t, &mut out);
-                        let mut expect: Vec<(u64, u64)> = model
-                            .iter()
-                            .copied()
-                            .filter(|&(d, _)| d <= t)
-                            .collect();
-                        expect.sort(); // (deadline, seq): exact expiry order
-                        model.retain(|&(d, _)| d > t);
-                        let got: Vec<(u64, u64)> =
-                            out.iter().map(|&(d, s, _)| (d, s)).collect();
-                        assert_eq!(got, expect, "pop at t={t} diverged from model");
-                        watermark = watermark.max(t);
-                    }
+                } else {
+                    out.clear();
+                    let popped = w.pop_next(&mut out);
+                    let min = model.iter().map(|&(d, _)| d).min();
+                    assert_eq!(popped, min, "the wheel popped another instant");
+                    let Some(min) = min else { continue };
+                    let mut expect: Vec<(u64, u64)> =
+                        model.iter().copied().filter(|&(d, _)| d == min).collect();
+                    expect.sort(); // (deadline, seq): exact expiry order
+                    model.retain(|&(d, _)| d != min);
+                    let got: Vec<(u64, u64)> = out.iter().map(|&(d, s, _)| (d, s)).collect();
+                    assert_eq!(got, expect, "pop at {min} diverged from model");
+                    now = min;
                 }
                 assert_eq!(w.len(), model.len());
             }
@@ -395,7 +356,7 @@ mod tests {
                 w.insert(base + (seq % 4), seq, seq);
             }
             out.clear();
-            w.pop_due(base + 3, &mut out);
+            while w.pop_next(&mut out).is_some() {}
             assert_eq!(out.len(), 32);
             assert!(w.is_empty());
         }

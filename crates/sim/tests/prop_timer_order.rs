@@ -15,7 +15,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::task::Poll;
-use std::time::Duration;
 
 use sim::SimTime;
 
@@ -98,53 +97,106 @@ fn model(case: &[Delivery]) -> Vec<(u64, usize)> {
     expected
 }
 
+/// Deliveries and deadlines on, just below and just above the boundaries of
+/// the timer wheel's levels (`k * 64^L` ns, `L` = 1..=6, `k` = 1..=3), so a
+/// timer is often filed a level or more above the one it fires from and
+/// cascades down through each digit of the clock that changes on the way:
+/// what the wheel's one pass per fired instant has to get right.
+fn gen_boundary_case(seed: u64, n: usize) -> Vec<Delivery> {
+    let mut s = seed;
+    let near_boundary = |s: &mut u64| {
+        let unit = 1u64 << (6 * (1 + splitmix(s) % 6));
+        (1 + splitmix(s) % 3) * unit + splitmix(s) % 5 - 2
+    };
+    (0..n)
+        .map(|_| {
+            let deliver_at = near_boundary(&mut s);
+            let stream = splitmix(&mut s) % 4;
+            let sleepers = (0..(splitmix(&mut s) % 4))
+                .map(|_| near_boundary(&mut s) as i64 - deliver_at as i64)
+                .collect();
+            Delivery {
+                deliver_at,
+                stream,
+                sleepers,
+            }
+        })
+        .collect()
+}
+
+/// Runs `case` on a runtime seeded `seed` and returns the observed wake
+/// sequence: (wake time, insertion index) pairs in the order they happened.
+fn observe(seed: u64, case: Vec<Delivery>) -> Vec<(u64, usize)> {
+    // Outlive every delivery and every (possibly late) sleep.
+    let end = case
+        .iter()
+        .flat_map(|d| d.sleepers.iter().map(|&off| (d.deliver_at as i64 + off) as u64))
+        .chain(case.iter().map(|d| d.deliver_at))
+        .max()
+        .unwrap_or(0)
+        + 1;
+    let rt = sim::Runtime::with_seed(seed);
+    rt.block_on(async move {
+        let wakes: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
+        let mut base_idx = 0usize;
+        for i in canonical_order(&case) {
+            let deliver_at = case[i].deliver_at;
+            let sleepers = case[i].sleepers.clone();
+            let wakes = Rc::clone(&wakes);
+            let base = base_idx;
+            base_idx += sleepers.len();
+            sim::spawn_detached(async move {
+                sim::time::sleep_until(SimTime::from_nanos(deliver_at)).await;
+                for (j, &off) in sleepers.iter().enumerate() {
+                    let target = deliver_at as i64 + off;
+                    let wakes = Rc::clone(&wakes);
+                    sim::spawn_detached(async move {
+                        // Straight to the wheel: `sleep_until` returns at
+                        // once for a late target and never registers it.
+                        let at = SimTime::from_nanos(target.max(0) as u64);
+                        let mut armed = false;
+                        std::future::poll_fn(|cx| {
+                            if std::mem::replace(&mut armed, true) {
+                                return Poll::Ready(());
+                            }
+                            sim::time::wake_at(at, cx.waker());
+                            Poll::Pending
+                        })
+                        .await;
+                        wakes.borrow_mut().push((sim::now().as_nanos(), base + j));
+                    });
+                }
+            });
+        }
+        sim::time::sleep_until(SimTime::from_nanos(end)).await;
+        wakes.take()
+    })
+}
+
 #[test]
 fn timers_registered_at_different_instants_expire_in_deadline_seq_order() {
     for seed in [1u64, 7, 42, 1234, 0xDEAD_BEEF] {
         let case = gen_case(seed, 60);
         let expected = model(&case);
         assert!(!expected.is_empty());
-
-        let rt = sim::Runtime::with_seed(seed);
-        let observed = rt.block_on(async move {
-            let wakes: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
-            let mut base_idx = 0usize;
-            for i in canonical_order(&case) {
-                let deliver_at = case[i].deliver_at;
-                let sleepers = case[i].sleepers.clone();
-                let wakes = Rc::clone(&wakes);
-                let base = base_idx;
-                base_idx += sleepers.len();
-                sim::spawn_detached(async move {
-                    sim::time::sleep_until(SimTime::from_nanos(deliver_at)).await;
-                    for (j, &off) in sleepers.iter().enumerate() {
-                        let target = deliver_at as i64 + off;
-                        let wakes = Rc::clone(&wakes);
-                        sim::spawn_detached(async move {
-                            // Straight to the wheel: `sleep_until` returns at
-                            // once for a late target and never registers it.
-                            let at = SimTime::from_nanos(target.max(0) as u64);
-                            let mut armed = false;
-                            std::future::poll_fn(|cx| {
-                                if std::mem::replace(&mut armed, true) {
-                                    return Poll::Ready(());
-                                }
-                                sim::time::wake_at(at, cx.waker());
-                                Poll::Pending
-                            })
-                            .await;
-                            wakes.borrow_mut().push((sim::now().as_nanos(), base + j));
-                        });
-                    }
-                });
-            }
-            // Outlive every delivery and every (possibly late) sleep.
-            sim::time::sleep(Duration::from_nanos(60 * UNIT_NS)).await;
-            wakes.take()
-        });
         assert_eq!(
-            observed, expected,
+            observe(seed, case),
+            expected,
             "seed {seed}: wake order diverged from (deadline, insertion-seq) model"
+        );
+    }
+}
+
+#[test]
+fn timers_across_wheel_level_boundaries_expire_in_deadline_seq_order() {
+    for seed in [3u64, 11, 99, 4321, 0xFEED_F00D] {
+        let case = gen_boundary_case(seed, 80);
+        let expected = model(&case);
+        assert!(!expected.is_empty());
+        assert_eq!(
+            observe(seed, case),
+            expected,
+            "seed {seed}: wake order across level boundaries diverged from the model"
         );
     }
 }

@@ -293,10 +293,11 @@ if grep -rnE "struct Waiters|send_wakers|SendReady|TrySendError|pub fn bounded|n
     exit 1
 fi
 
-# Timer-wheel property tests: exact (deadline, insertion-seq) expiry order
-# under arbitrary interleavings of inserts, bounded probes, and pops — both
-# on the raw wheel and, through `Runtime::block_on`, for timers registered
-# at different instants (late ones included).
+# Timer-wheel property tests: `Wheel::pop_next` pops exact
+# (deadline, insertion-seq) order under arbitrary interleavings of inserts
+# and pops — both on the raw wheel and, through `Runtime::block_on`, for
+# timers registered at different instants (late ones included) and on every
+# level's boundaries.
 cargo test -q --offline -p sim wheel
 cargo test -q --offline -p sim --test prop_timer_order
 
@@ -316,12 +317,31 @@ cargo run -q --release --offline --example quickstart -- --durable
 # holds rather than what a record costs (DESIGN.md §13):
 # `parked_client_footprint`, the live heap of a parked fan-in client, and
 # `registry_does_not_grow_per_connection`, the registry's instrument vectors
-# across connects, reconnects and drops. Then the first fan-in rung past the
-# NIC cache knee, which is too slow for a debug build and `#[ignore]`d there;
-# alone in its process, it ends by reading its own `VmHWM` and fails above
-# 354 MiB.
+# across connects, reconnects and drops. Then the two fan-in rungs past the
+# NIC cache knee, which are too slow for a debug build and `#[ignore]`d there;
+# each alone in its process, they end by reading their own `VmHWM` and fail
+# above 176 MiB (10k clients) and 2 GiB (100k clients, ~12 s).
 cargo test -q --offline --release -p kdbench --test budgets
 cargo test -q --offline --release --test conn_scaling -- --ignored fanin_10k
+cargo test -q --offline --release --test conn_scaling -- --ignored fanin_100k
+
+# A wake is a queue push (DESIGN.md §10 "Timer wheel + ready queue"): a waker
+# is an integer naming its runtime and task, found through the live runtimes
+# of the current thread. Its contract, one test per rule — an off-thread wake
+# panics, a dropped runtime's waker does nothing, a wake between two
+# `block_on`s runs in the second, nested runtimes keep their own queues —
+# waking allocates nothing, and a small packet takes a small chunk with a free
+# list of its own (§13), by name. Then the re-fork guard: no per-slot waker
+# allocation and no weak handle to the ready queue.
+cargo test -q --offline -p sim --lib executor::tests::a_waker
+cargo test -q --offline -p sim --lib executor::tests::a_wake_between_two_block_ons
+cargo test -q --offline -p sim --lib executor::tests::nested_runtimes_route_each_wake
+cargo test -q --offline --release -p kdbench --test budgets wakers_allocate_nothing
+cargo test -q --offline -p kdbuf --lib tests::both_classes_recycle
+if grep -rnE "WakeEntry|Weak<ReadyQueue>" crates/sim/src; then
+    echo "ci: a refcounted waker reappeared in sim (see DESIGN.md §10)" >&2
+    exit 1
+fi
 
 # Every task's future is stored once (DESIGN.md §10 "Timer wheel + ready
 # queue"): a joined `spawn` and the `block_on` root are one hand-written

@@ -12,7 +12,9 @@
 //! `kdbench`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+use std::task::{Poll, Waker};
 use std::time::Duration;
 
 use kafkadirect::{Record, SimCluster, SystemKind};
@@ -607,10 +609,11 @@ fn held_since(before: &[(i64, i64); CLASSES]) -> (i64, String) {
 /// NIC, control connection and data-plane QP with their tasks, the producer
 /// itself, and what the broker keeps for the two connections. 1000 fan-in
 /// clients connect one after the other, send one record each and stay.
-/// Measured 9 387 B per client in some 60 blocks, 2 944 B of them the five
+/// Measured 9 160 B per client in some 55 blocks, 2 944 B of them the five
 /// task frames (DESIGN.md §13 has the table by owner); 152 B of it are the
-/// producer's ack-cell pool, one parked cell and its free list, without which
-/// it read 9 236. It was 60 741 B while
+/// producer's ack-cell pool, one parked cell and its free list. It read
+/// 9 451 B while each of a client's task slots allocated a 32 B `Arc` for
+/// its waker and kept a `Waker` beside its task. It was 60 741 B while
 /// every client owned four 7.6 KiB histogram cells (two links, NIC, producer)
 /// nobody read through its handle, an ack reader whose frame held two
 /// 64-entry batches across its wait (10.5 KiB, a 16 KiB arena block) and
@@ -620,7 +623,7 @@ fn held_since(before: &[(i64, i64); CLASSES]) -> (i64, String) {
 #[test]
 fn parked_client_footprint() {
     const CLIENTS: usize = 1000;
-    const BUDGET: i64 = 9_900;
+    const BUDGET: i64 = 9_435;
     let registry = kdtelem::Registry::new();
     let _telem = kdtelem::enter(&registry);
     sim::Runtime::new().block_on(async move {
@@ -644,16 +647,18 @@ fn parked_client_footprint() {
 }
 
 /// A joined task's future is stored once. 1 000 tasks each park a future
-/// of some 5 000 B across a sleep. Measured 8 402 B per task: the executor's
-/// 8 KiB arena block and 210 B of slot, waker, oneshot cell and handle; the
-/// budget leaves 256 B beside the block. A `spawn` wrapper written as
-/// `async move { let out = future.await; .. }` laid the future out twice, as
-/// captured variable and as awaitee, and took a 16 KiB block per task.
+/// of some 5 000 B across a sleep. Measured 8 345 B per task: the executor's
+/// 8 KiB arena block and 153 B of slot, oneshot cell and handle (8 394 B
+/// while each slot also allocated an `Arc` for its waker); the budget
+/// leaves 200 B beside the block (256 B while the waker `Arc`s were there).
+/// A `spawn` wrapper written as `async move { let out = future.await; .. }`
+/// laid the future out twice, as captured variable and as awaitee, and took
+/// a 16 KiB block per task.
 #[test]
 fn joined_task_frame_is_stored_once() {
     const TASKS: usize = 1000;
     const FRAME: usize = 5_000;
-    const BUDGET: i64 = 8 * 1024 + 256;
+    const BUDGET: i64 = 8 * 1024 + 200;
     sim::Runtime::new().block_on(async {
         let before = live_by_class();
         let mut handles = Vec::with_capacity(TASKS);
@@ -678,6 +683,44 @@ fn joined_task_frame_is_stored_once() {
         for (i, handle) in handles.into_iter().enumerate() {
             assert_eq!(handle.await, Ok(i as u8));
         }
+    });
+}
+
+/// A wake is a queue push. A waker is an integer — its runtime's tag and
+/// its task's id — so cloning, waking and dropping one allocates nothing:
+/// 100 000 of each here, over 1 000 parked tasks that take a clone of their
+/// waker at every poll, once a first round has grown the ready queue.
+#[test]
+fn wakers_allocate_nothing() {
+    const TASKS: usize = 1000;
+    const ROUNDS: usize = 100;
+    sim::Runtime::new().block_on(async {
+        let wakers: Rc<RefCell<Vec<Option<Waker>>>> = Rc::new(RefCell::new(vec![None; TASKS]));
+        for i in 0..TASKS {
+            let wakers = Rc::clone(&wakers);
+            sim::spawn_detached(std::future::poll_fn(move |cx| {
+                wakers.borrow_mut()[i] = Some(cx.waker().clone());
+                Poll::<()>::Pending
+            }));
+        }
+        let round = || async {
+            for waker in wakers.borrow().iter() {
+                let waker = waker.clone().expect("every task parked");
+                waker.wake_by_ref();
+                drop(waker);
+            }
+            // Every woken task runs before the root does again.
+            sim::time::yield_now().await;
+        };
+        sim::time::yield_now().await;
+        round().await;
+        let before = allocs_by_class();
+        for _ in 0..ROUNDS {
+            round().await;
+        }
+        let after = allocs_by_class();
+        let allocs: u64 = (0..CLASSES).map(|c| after[c] - before[c]).sum();
+        assert_eq!(allocs, 0, "{} waker clones, wakes and drops allocated", TASKS * ROUNDS);
     });
 }
 

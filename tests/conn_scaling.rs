@@ -348,31 +348,36 @@ fn peak_rss_mib() -> u64 {
     kib / 1024
 }
 
-/// Retention 90 %. Release build: 2 s, 308 MiB resident (it was 1045 MiB and
-/// 7 s while every client owned four histogram cells and a 16 KiB ack
-/// reader, and 328 MiB while `sim::spawn` stored each joined future twice,
-/// DESIGN.md §13); the ceiling is that plus 15 %. Re-recorded with the rungs
-/// above (24 023 720 / 8 086 101 until then). The resident-set ceiling is
-/// the process's high-water mark, so it means something only when this test
-/// runs alone in its process, as scripts/ci.sh runs it.
+/// Retention 90 %. Release build: 1.2 s, 153 MiB resident (it was 1045 MiB
+/// and 7 s while every client owned four histogram cells and a 16 KiB ack
+/// reader, 328 MiB while `sim::spawn` stored each joined future twice, and
+/// 309 MiB while a client's 60-byte connect request took a 16 KiB packet
+/// chunk, DESIGN.md §13); the ceiling is that plus 15 %. Re-recorded with the
+/// rungs above (24 023 720 / 8 086 101 until then). The resident-set ceiling
+/// is the process's high-water mark, so it means something only when this
+/// test runs alone in its process, as scripts/ci.sh runs it.
 #[test]
 #[ignore = "10k clients: run with --release (scripts/ci.sh does)"]
 fn fanin_10k_clients_multiplexed_retains_throughput() {
     fanin_past_knee(10_000, Some((24_024_520, 7_772_675)));
     let rss = peak_rss_mib();
-    assert!(rss <= 354, "the 10k rung peaked at {rss} MiB resident (ceiling 354)");
+    assert!(rss <= 176, "the 10k rung peaked at {rss} MiB resident (ceiling 176)");
     println!("fanin_10k: peak RSS {rss} MiB");
 }
 
-/// Release build: 135 s and 3.2 GiB resident (100k nodes, NICs and QPs; it was
-/// 199 s and 10.8 GiB, DESIGN.md §13 says what the remaining 33 KiB per
-/// client are) — still not for a shared host, which is why its two instants
-/// (261 483 830 / 80 072 878, retention 89 %, before the pollers drained after
-/// their wake-up) were dropped rather than re-recorded when that moved every
-/// rung: it holds the retention floor and the knee, the rungs above hold
-/// instants.
+/// Retention 91 %. Release build: 12 s and 1 454 MiB resident (100k nodes,
+/// NICs and QPs; it was 199 s and 10.8 GiB, then 18 s and 3 001 MiB until a
+/// client's 60-byte connect request stopped taking a 16 KiB packet chunk,
+/// DESIGN.md §13). Its two instants were dropped when the pollers started
+/// draining after their wake-up (261 483 830 / 80 072 878 until then) and
+/// re-recorded, equal on the commit before and after the small chunk class.
+/// Like the 10k rung it runs alone in its process (scripts/ci.sh runs it),
+/// and fails if the process peaked above 2 GiB.
 #[test]
-#[ignore = "100k clients: minutes and ~3 GiB even with --release"]
+#[ignore = "100k clients: 12 s and 1.5 GiB with --release (scripts/ci.sh runs it)"]
 fn fanin_100k_clients_multiplexed_retains_throughput() {
-    fanin_past_knee(100_000, None);
+    fanin_past_knee(100_000, Some((261_484_530, 76_975_729)));
+    let rss = peak_rss_mib();
+    assert!(rss <= 2048, "the 100k rung peaked at {rss} MiB resident (ceiling 2048)");
+    println!("fanin_100k: peak RSS {rss} MiB");
 }
