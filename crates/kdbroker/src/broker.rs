@@ -199,9 +199,15 @@ impl Broker {
             ("rdma_pollers", config.rdma_pollers),
             ("cq_batch", config.cq_batch),
             ("srq_depth", config.srq_depth),
+            ("replication_credits", config.replication_credits as usize),
         ] {
             assert!(n > 0, "BrokerConfig::{field} must be at least 1");
         }
+        assert!(
+            config.replication_credits as usize <= crate::repl::CREDIT_CQ_DEPTH,
+            "BrokerConfig::replication_credits must be at most {}",
+            crate::repl::CREDIT_CQ_DEPTH
+        );
         let profile = node.profile();
         let nic = RNic::new(node);
         let recv_cq = nic.create_cq(CQ_CAPACITY);
@@ -466,5 +472,19 @@ mod tests {
     #[should_panic(expected = "BrokerConfig::srq_depth must be at least 1")]
     fn zero_srq_depth_is_refused() {
         start_with(|c| c.srq_depth = 0);
+    }
+
+    /// A push loop with no credit would wait on an empty credit pool forever.
+    #[test]
+    #[should_panic(expected = "BrokerConfig::replication_credits must be at least 1")]
+    fn zero_replication_credits_is_refused() {
+        start_with(|c| c.replication_credits = 0);
+    }
+
+    /// Every credit return can wait in the push session's receive CQ.
+    #[test]
+    #[should_panic(expected = "BrokerConfig::replication_credits must be at most 4096")]
+    fn more_replication_credits_than_the_credit_cq_holds_are_refused() {
+        start_with(|c| c.replication_credits = 4097);
     }
 }

@@ -71,7 +71,9 @@ impl Default for ObserveConfig {
 /// Full broker configuration. Defaults follow the paper's §5 "Settings":
 /// eight API threads, preallocated log files (the three network threads are
 /// fixed). [`Broker::start`](crate::Broker::start) refuses a zero
-/// `api_workers`, `rdma_pollers`, `cq_batch` or `srq_depth`.
+/// `api_workers`, `rdma_pollers`, `cq_batch`, `srq_depth` or
+/// `replication_credits`, and `replication_credits` above 4096 (the depth of
+/// a push session's credit-return CQ).
 #[derive(Debug, Clone)]
 pub struct BrokerConfig {
     /// TCP control/data port.
@@ -87,7 +89,8 @@ pub struct BrokerConfig {
     /// RDMA completion pollers (threads of the RDMA network module ➋).
     pub rdma_pollers: usize,
     pub log: LogConfig,
-    /// Credits a follower grants a push-replication leader (§4.3.2).
+    /// Credits a follower grants a push-replication leader (§4.3.2); the
+    /// leader posts one credit-return receive per credit.
     pub replication_credits: u32,
     /// Maximum bytes merged into one push-replication RDMA Write. The paper
     /// selects 1 KiB from the Fig 8 sweep.

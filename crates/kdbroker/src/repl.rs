@@ -21,7 +21,7 @@ use kdwire::ProduceAccessResp;
 use netsim::profile::copy_time;
 use rnic::{CompletionQueue, CqOpcode, QpOptions, QueuePair, RecvWr, SendWr, ShmBuf, WorkRequest};
 use sim::future::{race, Either};
-use sim::sync::{Notify, Semaphore};
+use sim::sync::Notify;
 
 use crate::broker::BrokerInner;
 use crate::common::{charge_storage, charge_worker, on_hw_advanced};
@@ -137,20 +137,26 @@ struct PushState {
     /// Post times of in-flight writes (wr_id = follower LEO when acked),
     /// consumed by the collector to measure push replication latency.
     inflight: RefCell<VecDeque<(u64, sim::SimTime)>>,
-    /// Wakes a push loop waiting for new bytes when a collector closes its
-    /// session's credits.
+    /// Wakes a push loop waiting for new bytes when the collector closes its
+    /// session.
     died: Notify,
 }
 
-/// One established session, shared by the push loop and its collectors.
+/// One established session, shared by the push loop and its collector.
 struct PushSession {
     qp: QueuePair,
     grant: ProduceAccessResp,
-    /// Closed by a collector that saw the QP die: a push loop parked on it
-    /// wakes up and re-establishes.
-    credits: Semaphore,
-    /// Receive buffers of the follower's credit-return acks.
+    /// Credits in hand: writes the follower can take before it returns one.
+    credits: Cell<usize>,
+    /// The follower's credit returns: one receive completion per credit.
+    recv_cq: CompletionQueue,
+    /// Receive buffers of the credit returns, one per credit of the grant.
     ack_buf: ShmBuf,
+    /// Writes posted on this session, each signaled: its collector runs
+    /// until every one has a completion.
+    posted: Cell<u64>,
+    /// Set by the collector that saw the QP die: a push loop re-establishes.
+    closed: Cell<bool>,
     state: Rc<PushState>,
 }
 
@@ -175,6 +181,8 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         inflight: RefCell::new(VecDeque::new()),
         died: Notify::new(),
     });
+    // Credit returns drained by one take (see `PushSession::take_credit`).
+    let mut returns = Vec::with_capacity(b.config.replication_credits as usize);
 
     loop {
         // A crashed broker or a leadership change retires this pusher.
@@ -201,7 +209,7 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
             // Waiting on bytes alone would strand writes a dead session
             // never acknowledges until the next produce: the new grant
             // rewinds the cursor to what the follower holds.
-            let dead = session.as_ref().is_some_and(|s| s.credits.is_closed());
+            let dead = session.as_ref().is_some_and(|s| s.closed.get());
             resync |= dead && !state.inflight.borrow().is_empty();
             if resync {
                 session = None;
@@ -290,16 +298,15 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         // follower in the WR (its commit lands on this trace) and comes back
         // on the leader's send CQE (the ack edge). It is rooted here, before
         // the credit wait, so that a write a dead session never posts takes
-        // its trace id whether the loop learns of the death from the closed
-        // semaphore or from the failed post (lifelines are numbered in
+        // its trace id whether the loop learns of the death from the credit
+        // returns or from the failed post (lifelines are numbered in
         // allocation order, and the golden chaos digests pin the numbering).
         let trace = kdtelem::TraceCtx::root();
         // Flow control: one credit per outstanding replicate request.
-        let Ok(permit) = s.credits.acquire(1).await else {
+        if !s.take_credit(&mut returns).await {
             session = None;
             continue;
-        };
-        permit.forget(); // returned by the collector on the follower's ack
+        }
 
         let len = end - cursor_pos;
         let local = seg.shared_buf().slice(cursor_pos as usize, len as usize);
@@ -317,6 +324,7 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
             session = None;
             continue;
         }
+        s.posted.set(s.posted.get() + 1);
         state.inflight.borrow_mut().push_back((last_offset, sim::now()));
         state.lag.set(last_offset.saturating_sub(state.acked.get()));
         b.metrics.push_writes.add(1);
@@ -343,7 +351,7 @@ fn batch_index_at(p: &Rc<Partition>, seg_idx: u32, pos: u32) -> usize {
 }
 
 /// Gets produce access on the follower and connects the push QP; spawns the
-/// completion collectors.
+/// write-completion collector.
 async fn establish(
     b: &Rc<BrokerInner>,
     p: &Rc<Partition>,
@@ -372,11 +380,11 @@ async fn establish(
     let Response::ProduceAccess(grant) = resp else {
         return None;
     };
-    if !grant.error.is_ok() {
+    if !grant.error.is_ok() || grant.credits == 0 {
         return None;
     }
     let send_cq = b.nic.create_cq(4096);
-    let recv_cq = b.nic.create_cq(4096);
+    let recv_cq = b.nic.create_cq(CREDIT_CQ_DEPTH);
     let qp = b
         .nic
         .connect(
@@ -388,13 +396,16 @@ async fn establish(
         )
         .await
         .ok()?;
-    // Post receives for the follower's credit-return acks — one chained
-    // post (one doorbell), not 64.
-    let ack_buf = ShmBuf::zeroed(16 * 64);
-    let _ = qp.post_recv_list((0..64).map(|i| RecvWr {
-        wr_id: i,
-        buf: Some(ack_buf.slice(i as usize * 16, 16)),
-    }));
+    // One receive per credit for the follower's credit returns, in one
+    // chained post (one doorbell). A return's receive is re-posted only when
+    // the push loop next takes a credit, so up to `credits` of them can be
+    // consumed and not yet re-posted: the follower never finds the queue
+    // empty, because it returns at most one credit per write in flight.
+    // Taking fewer credits than granted is always safe; more returns than
+    // the receive CQ holds would overflow it.
+    let credits = (grant.credits as usize).min(CREDIT_CQ_DEPTH);
+    let ack_buf = ShmBuf::zeroed(ACK_LEN * credits);
+    let _ = qp.post_recv_list((0..credits).map(|i| ack_recv(&ack_buf, i as u64)));
     b.repl_qps.borrow_mut().push(qp.clone());
     // The grant tells us the follower's recovered log end: treat it as an
     // ack so the high watermark can re-advance after a leader restart even
@@ -406,104 +417,137 @@ async fn establish(
     }
     // Writes of a dead session never complete; drop their post times.
     state.inflight.borrow_mut().clear();
-    let credits = Semaphore::new(grant.credits as usize);
-    let session = Rc::new(PushSession { qp, grant, credits, ack_buf, state: Rc::clone(state) });
-    spawn_collector(b, p, follower.node, &session, send_cq, recv_cq);
+    let session = Rc::new(PushSession {
+        qp,
+        grant,
+        credits: Cell::new(credits),
+        recv_cq,
+        ack_buf,
+        posted: Cell::new(0),
+        closed: Cell::new(false),
+        state: Rc::clone(state),
+    });
+    spawn_collector(b, p, follower.node, &session, send_cq);
     Some(session)
 }
 
+/// Depth of a push session's receive CQ: every credit return can wait there
+/// until the push loop next takes a credit, so it bounds the credits a
+/// session uses (and [`Broker::start`](crate::Broker::start) refuses a
+/// larger `replication_credits`).
+pub(crate) const CREDIT_CQ_DEPTH: usize = 4096;
+
+/// Bytes of one credit-return receive buffer.
+const ACK_LEN: usize = 16;
+
+/// The receive for credit return `i` of a session, into its own buffer.
+fn ack_recv(ack_buf: &ShmBuf, i: u64) -> RecvWr {
+    let buf = ack_buf.slice(i as usize * ACK_LEN, ACK_LEN);
+    RecvWr { wr_id: i, buf: Some(buf) }
+}
+
 impl PushSession {
-    /// Marks the session dead: a push loop parked on its credits or waiting
-    /// for new bytes wakes up.
+    /// Takes one credit. Every credit return that has surfaced is collected
+    /// first, its receive re-posted in one chained post; only with no credit
+    /// left does it wait, on the receive CQ. `false`: the session is dead —
+    /// closed, or a receive was flushed.
+    async fn take_credit(&self, returns: &mut Vec<rnic::Cqe>) -> bool {
+        if self.closed.get() {
+            return false;
+        }
+        let max = self.grant.credits as usize;
+        if self.credits.get() > 0 {
+            returns.clear();
+            self.recv_cq.drain_into(returns, max);
+        } else if !crate::rdma_net::drain_or_wait(&self.recv_cq, returns, max).await {
+            return false;
+        }
+        let ok = returns.iter().take_while(|cqe| cqe.ok()).count();
+        if ok > 0 {
+            self.credits.set(self.credits.get() + ok);
+            let reposts = returns[..ok].iter().map(|cqe| ack_recv(&self.ack_buf, cqe.wr_id));
+            let _ = self.qp.post_recv_list(reposts);
+        }
+        if ok < returns.len() {
+            return false;
+        }
+        self.credits.set(self.credits.get() - 1);
+        true
+    }
+
+    /// Marks the session dead: a push loop waiting for new bytes wakes up.
     fn close(&self) {
-        self.credits.close();
+        self.closed.set(true);
         self.state.died.notify_waiters();
     }
 }
 
-/// Collects completions of one push session: write acks advance the high
-/// watermark; credit-return receives replenish the leader's credits.
+/// Collects the write completions of one push session: the follower's NIC
+/// acks advance the high watermark. The session closes when its QP dies,
+/// whether or not a write was in flight to fail with it; a write the
+/// follower's NIC took before the death still acks after it (its CQE
+/// surfaces at the write's completion instant), so collection goes on until
+/// every posted write has its completion or one has failed.
 fn spawn_collector(
     b: &Rc<BrokerInner>,
     p: &Rc<Partition>,
     follower_node: u32,
     session: &Rc<PushSession>,
     send_cq: CompletionQueue,
-    recv_cq: CompletionQueue,
 ) {
     // Write acks: the record "is fully replicated" once the RDMA write is
     // acknowledged by the follower's NIC.
-    let b2 = Rc::clone(b);
-    let p2 = Rc::clone(p);
+    let b = Rc::clone(b);
+    let p = Rc::clone(p);
     let stream = kdtelem::stream_key(p.tp.topic.as_str(), p.tp.partition);
     let max_batch = b.config.cq_batch;
     let s = Rc::clone(session);
     sim::spawn(async move {
         let PushState { acked, lag, inflight, .. } = &*s.state;
         let mut batch: Vec<rnic::Cqe> = Vec::with_capacity(max_batch);
-        'collect: loop {
-            if !crate::rdma_net::drain_or_wait(&send_cq, &mut batch, max_batch).await {
-                break;
-            }
-            for cqe in &batch {
-                if !cqe.ok() {
-                    break 'collect;
+        let mut completed = 0u64;
+        let collect = async {
+            while s.qp.is_alive() || completed < s.posted.get() {
+                if !crate::rdma_net::drain_or_wait(&send_cq, &mut batch, max_batch).await {
+                    return;
                 }
-                if cqe.opcode == CqOpcode::RdmaWrite && cqe.wr_id > acked.get() {
-                    acked.set(cqe.wr_id);
-                    let posted = inflight.borrow().back().map_or(cqe.wr_id, |(off, _)| *off);
-                    lag.set(posted.saturating_sub(cqe.wr_id));
-                    if let Some(ctx) = cqe.trace {
-                        b2.telem.registry.trace_event_now(
-                            ctx,
-                            kdtelem::EventKind::ReplAck {
-                                stream,
-                                offset: cqe.wr_id,
-                            },
-                        );
+                completed += batch.len() as u64;
+                for cqe in &batch {
+                    if !cqe.ok() {
+                        return;
                     }
-                    // Replication latency, push flavour: write posted →
-                    // follower NIC ack (a cumulative ack covers all earlier
-                    // writes).
-                    let mut q = inflight.borrow_mut();
-                    while let Some((_, posted)) = q.pop_front_if(|(off, _)| *off <= cqe.wr_id) {
-                        b2.telem.replicate_ns.record_since(posted);
+                    if cqe.opcode == CqOpcode::RdmaWrite && cqe.wr_id > acked.get() {
+                        acked.set(cqe.wr_id);
+                        let posted = inflight.borrow().back().map_or(cqe.wr_id, |(off, _)| *off);
+                        lag.set(posted.saturating_sub(cqe.wr_id));
+                        if let Some(ctx) = cqe.trace {
+                            b.telem.registry.trace_event_now(
+                                ctx,
+                                kdtelem::EventKind::ReplAck {
+                                    stream,
+                                    offset: cqe.wr_id,
+                                },
+                            );
+                        }
+                        // Replication latency, push flavour: write posted →
+                        // follower NIC ack (a cumulative ack covers all
+                        // earlier writes).
+                        let mut q = inflight.borrow_mut();
+                        while let Some((_, posted)) = q.pop_front_if(|(off, _)| *off <= cqe.wr_id) {
+                            b.telem.replicate_ns.record_since(posted);
+                        }
+                        drop(q);
+                        p.follower_ack(follower_node, cqe.wr_id);
+                        on_hw_advanced(&b, &p);
                     }
-                    drop(q);
-                    p2.follower_ack(follower_node, cqe.wr_id);
-                    on_hw_advanced(&b2, &p2);
                 }
             }
-        }
+        };
+        let mut collect = std::pin::pin!(collect);
+        let died = race(collect.as_mut(), s.qp.disconnected()).await;
         s.close();
-    });
-    // Credit returns: a drained batch replenishes all its permits and
-    // reposts its recvs through one chained post.
-    let s = Rc::clone(session);
-    sim::spawn(async move {
-        let mut batch: Vec<rnic::Cqe> = Vec::with_capacity(max_batch);
-        'collect: loop {
-            if !crate::rdma_net::drain_or_wait(&recv_cq, &mut batch, max_batch).await {
-                break;
-            }
-            let mut ok = 0;
-            for cqe in &batch {
-                if !cqe.ok() {
-                    break;
-                }
-                ok += 1;
-            }
-            if ok > 0 {
-                s.credits.add_permits(ok);
-                let _ = s.qp.post_recv_list(batch[..ok].iter().map(|cqe| RecvWr {
-                    wr_id: cqe.wr_id,
-                    buf: Some(s.ack_buf.slice(cqe.wr_id as usize * 16, 16)),
-                }));
-            }
-            if ok < batch.len() {
-                break 'collect;
-            }
+        if let Either::Right(()) = died {
+            collect.await;
         }
-        s.close();
     });
 }

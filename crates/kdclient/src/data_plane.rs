@@ -123,10 +123,19 @@ impl DataPlane {
 
     /// Posts one signaled WR and awaits its completion — the next one: a
     /// client never has two in flight, and unsignaled WRs complete only on
-    /// error. `None` if the post was refused or the WR failed.
-    pub(crate) async fn execute(&self, wr: SendWr) -> Option<Cqe> {
+    /// error. A nonzero `charge` is CPU the caller spends on the completion:
+    /// it returns that long after the CQE surfaces, on the CQ's one timer
+    /// (`CompletionQueue::wait`). `None` if the post was refused or the WR
+    /// failed.
+    pub(crate) async fn execute(&self, wr: SendWr, charge: Duration) -> Option<Cqe> {
         self.qp.post_send(wr).ok()?;
-        self.send_cq.next().await.filter(Cqe::ok)
+        let cqe = if charge.is_zero() {
+            self.send_cq.next().await
+        } else {
+            self.send_cq.wait(charge).await;
+            self.send_cq.poll()
+        };
+        cqe.filter(Cqe::ok)
     }
 }
 

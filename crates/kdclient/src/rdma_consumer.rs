@@ -19,6 +19,7 @@
 //!   the consumer releases it and requests access to the next file.
 
 use std::collections::VecDeque;
+use std::time::Duration;
 
 use kdstorage::record::{peek_total_len, RecordView, LENGTH_PREFIX_LEN};
 use kdstorage::TopicPartition;
@@ -164,17 +165,20 @@ impl RdmaConsumer {
         self.subs[0].offset
     }
 
-    /// One RDMA Read into `local`, awaiting its completion.
+    /// One RDMA Read into `local`, awaiting its completion and then
+    /// `charge` of CPU spent on what it read.
     async fn rdma_read(
         &self,
         local: rnic::BufSlice,
         remote_addr: u64,
         rkey: u32,
         trace: Option<kdtelem::TraceCtx>,
+        charge: Duration,
     ) -> Result<(), ClientError> {
         let read = WorkRequest::Read { local, remote_addr, rkey };
         let wr = SendWr::new(7, read).with_trace(trace);
-        self.plane.execute(wr).await.map(drop).ok_or(ClientError::Disconnected)
+        let done = self.plane.execute(wr, charge).await;
+        done.map(drop).ok_or(ClientError::Disconnected)
     }
 
     /// Requests RDMA access to the file containing subscription `i`'s offset.
@@ -241,7 +245,7 @@ impl RdmaConsumer {
         let span = (span_slots as usize * SLOT_SIZE).min(self.slot_buf.len());
         self.stats.slot_reads += 1;
         let local = self.slot_buf.slice(0, span);
-        self.rdma_read(local, region.addr, region.rkey, None)
+        self.rdma_read(local, region.addr, region.rkey, None, Duration::ZERO)
             .await?;
         for f in self.subs.iter_mut().filter_map(|s| s.file.as_mut()) {
             // A slot outside what was read keeps its last known state.
@@ -360,19 +364,18 @@ impl RdmaConsumer {
         let tspan = self.telem.trace_span("client.fetch", None);
         let ctx = tspan.ctx();
         let local = self.fetch_buf.slice(0, n);
-        self.rdma_read(local, addr, rkey, Some(ctx)).await?;
+        // Client-side integrity check + copy into "native" buffers — the
+        // 2 µs overhead §5.3 attributes to the consumer API — paid on the
+        // read's completion.
+        let cpu = &self.plane.node.profile().cpu;
+        let charge =
+            copy_time(n as u64, cpu.crc_bandwidth) + copy_time(n as u64, cpu.memcpy_bandwidth);
+        self.rdma_read(local, addr, rkey, Some(ctx), charge).await?;
         let sub = &mut self.subs[i];
         self.fetch_buf.with(|b| sub.partial.extend_from_slice(&b[..n]));
         if let Some(f) = &mut sub.file {
             f.read_pos += n as u32;
         }
-        // Client-side integrity check + copy into "native" buffers — the
-        // 2 µs overhead §5.3 attributes to the consumer API.
-        let cpu = &self.plane.node.profile().cpu;
-        sim::time::sleep(
-            copy_time(n as u64, cpu.crc_bandwidth) + copy_time(n as u64, cpu.memcpy_bandwidth),
-        )
-        .await;
         // Complete batches are delivered; an incomplete tail stays for the
         // next read.
         if self.chunks.chunk_size() != chunk_size(self.fetch_size) {
@@ -446,7 +449,7 @@ impl RdmaConsumer {
             self.commit_buf.write_u64(0, sub.offset);
             let local = self.commit_buf.as_slice();
             let write = WorkRequest::Write { local, remote_addr: slot.addr, rkey: slot.rkey };
-            let done = self.plane.execute(SendWr::new(8, write)).await;
+            let done = self.plane.execute(SendWr::new(8, write), Duration::ZERO).await;
             done.ok_or(ClientError::Disconnected)?;
             self.stats.rdma_offset_commits += 1;
         }

@@ -227,11 +227,12 @@ impl RdmaProducer {
     pub async fn send(&mut self, record: &Record) -> Result<u64, ClientError> {
         let start = sim::now();
         let ack = self.send_pipelined(record).await?;
-        let (error, offset) = ack.await.map_err(|_| ClientError::Disconnected)?;
         // Dispatch chain: API→net handoff on send + CQ poller→API handoff +
-        // wakeup on the ack (§5.1's client-side overheads).
+        // wakeup on the ack (§5.1's client-side overheads), paid on the
+        // ack's own wake.
         let cpu = &self.plane.node.profile().cpu;
-        sim::time::sleep(cpu.handoff + cpu.handoff + cpu.wakeup).await;
+        let chain = ack.charged(cpu.handoff + cpu.handoff + cpu.wakeup);
+        let (error, offset) = chain.await.map_err(|_| ClientError::Disconnected)?;
         self.e2e_ns.record_since(start);
         check(error)?;
         Ok(offset)
@@ -361,7 +362,8 @@ impl RdmaProducer {
         let local = self.faa_result.as_slice();
         let add = kdwire::slots::shared_word_addend(u64::from(len));
         let faa = WorkRequest::FetchAdd { local, remote_addr: word.addr, rkey: word.rkey, add };
-        self.plane.execute(SendWr::new(1, faa).with_trace(trace)).await?.atomic_old
+        let wr = SendWr::new(1, faa).with_trace(trace);
+        self.plane.execute(wr, Duration::ZERO).await?.atomic_old
     }
 
     /// Waits until every in-flight produce is acknowledged (used before

@@ -40,6 +40,7 @@ pub(crate) struct Telem {
     pub(crate) srq_stolen: kdtelem::Counter,
     pub(crate) srq_rnr_dry: kdtelem::Counter,
     pub(crate) srq_depth: kdtelem::Gauge,
+    pub(crate) qp_rnr_dry: kdtelem::Counter,
 }
 
 impl Telem {
@@ -55,6 +56,7 @@ impl Telem {
             srq_stolen: telem.counter("rnic", "srq.stolen_by_qp"),
             srq_rnr_dry: telem.counter("rnic", "srq.rnr_dry"),
             srq_depth: telem.gauge("rnic", "srq.depth"),
+            qp_rnr_dry: telem.counter("rnic", "qp.rnr_dry"),
         }
     }
 }

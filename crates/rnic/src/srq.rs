@@ -26,8 +26,8 @@ pub(crate) struct RecvQueue {
     parked: RefCell<Vec<Weak<QpShared>>>,
     /// Device the queue's buffers are accounted against.
     nic: Rc<NicInner>,
-    /// Shared queues count into `rnic srq.*`; a private queue counts
-    /// nothing.
+    /// Shared queues count into `rnic srq.*`; a private queue counts only
+    /// its RNR parks, into `rnic qp.rnr_dry`.
     shared: bool,
 }
 
@@ -74,10 +74,12 @@ impl RecvQueue {
         }
     }
 
-    /// Remembers that `qp`'s peer has a sender waiting on this (dry) queue.
+    /// Remembers that `qp`'s peer has a sender waiting on this (dry) queue,
+    /// counted into `srq.rnr_dry` or, on a private queue, `qp.rnr_dry`.
     pub(crate) fn park(&self, qp: &Rc<QpShared>) {
-        if let Some(t) = self.telem() {
-            t.srq_rnr_dry.inc();
+        match self.telem() {
+            Some(t) => t.srq_rnr_dry.inc(),
+            None => self.nic.registry.telem.qp_rnr_dry.inc(),
         }
         self.parked.borrow_mut().push(Rc::downgrade(qp));
     }

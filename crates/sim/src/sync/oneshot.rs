@@ -5,6 +5,10 @@
 //! goes back to its pool, emptied, once both of its ends have dropped, so a
 //! steady stream of channels with a bounded number in flight allocates
 //! nothing.
+//!
+//! [`Receiver::charged`] receives as a thread that pays a CPU cost once the
+//! value arrives: the send arms the parked receiver's timer for the instant
+//! the cost is paid, so the wake and the charge are one event.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -12,11 +16,25 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
+use std::time::Duration;
+
+use crate::time::{now, wake_at, SimTime};
 
 struct State<T> {
     value: Option<T>,
     closed: bool,
     waker: Option<Waker>,
+    charge: Charge,
+}
+
+/// What a [`Charged`] receive pays on top of the send.
+#[derive(Clone, Copy)]
+enum Charge {
+    Free,
+    /// A charged receive is parked: the send arms it this long after.
+    Cost(Duration),
+    /// The value is in and the charged receive returns it at this instant.
+    Due(SimTime),
 }
 
 struct Chan<T> {
@@ -50,7 +68,12 @@ impl fmt::Display for RecvError {
 impl std::error::Error for RecvError {}
 
 fn pair<T>(pool: Weak<FreeList<T>>) -> (Sender<T>, Receiver<T>) {
-    let state = RefCell::new(State { value: None, closed: false, waker: None });
+    let state = RefCell::new(State {
+        value: None,
+        closed: false,
+        waker: None,
+        charge: Charge::Free,
+    });
     on(Rc::new(Chan { state, pool }))
 }
 
@@ -104,6 +127,7 @@ fn release<T>(chan: &Rc<Chan<T>>) {
     let leftovers = {
         let mut s = chan.state.borrow_mut();
         s.closed = false;
+        s.charge = Charge::Free;
         (s.value.take(), s.waker.take())
     };
     drop(leftovers);
@@ -112,17 +136,24 @@ fn release<T>(chan: &Rc<Chan<T>>) {
 
 impl<T> Sender<T> {
     /// Sends the value. Fails (returning it) if the receiver was dropped.
+    /// A parked [`Charged`] receive is armed for its cost after now.
     pub fn send(self, value: T) -> Result<(), T> {
         if self.is_closed() {
             return Err(value);
         }
-        let waker = {
+        let (waker, charge) = {
             let mut s = self.chan.state.borrow_mut();
             s.value = Some(value);
-            s.waker.take()
+            let waker = s.waker.take();
+            if let (Some(_), Charge::Cost(cost)) = (&waker, s.charge) {
+                s.charge = Charge::Due(now() + cost);
+            }
+            (waker, s.charge)
         };
-        if let Some(w) = waker {
-            w.wake();
+        match (waker, charge) {
+            (Some(w), Charge::Due(at)) => wake_at(at, &w),
+            (Some(w), _) => w.wake(),
+            (None, _) => {}
         }
         Ok(())
     }
@@ -170,6 +201,15 @@ impl<T> Future for Receiver<T> {
 }
 
 impl<T> Receiver<T> {
+    /// Receives as a thread that pays `cost` of CPU once the value is in: a
+    /// send at T wakes a receive parked on it once, at T + cost, where a
+    /// plain receive and a sleep after it are two events. A value sent
+    /// before the first poll is charged from that poll; a dropped sender
+    /// fails the receive at once. A zero cost is a plain receive.
+    pub fn charged(self, cost: Duration) -> Charged<T> {
+        Charged { rx: self, cost }
+    }
+
     /// Non-blocking check: `Some(Ok(v))` if the value has arrived,
     /// `Some(Err(_))` if the sender is gone, `None` if still pending.
     pub fn try_recv(&mut self) -> Option<Result<T, RecvError>> {
@@ -181,6 +221,48 @@ impl<T> Receiver<T> {
         } else {
             None
         }
+    }
+}
+
+/// Future returned by [`Receiver::charged`].
+pub struct Charged<T> {
+    rx: Receiver<T>,
+    cost: Duration,
+}
+
+impl<T> Future for Charged<T> {
+    type Output = Result<T, RecvError>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let mut s = self.rx.chan.state.borrow_mut();
+        if s.value.is_some() {
+            let now = now();
+            let due = match s.charge {
+                Charge::Due(at) => at,
+                // Sent before this receive parked: charged from now.
+                _ => {
+                    let at = now + self.cost;
+                    if at > now {
+                        wake_at(at, cx.waker());
+                    }
+                    at
+                }
+            };
+            if due > now {
+                s.charge = Charge::Due(due);
+                return Poll::Pending;
+            }
+            s.charge = Charge::Free;
+            return Poll::Ready(s.value.take().ok_or(RecvError));
+        }
+        if s.closed {
+            return Poll::Ready(Err(RecvError));
+        }
+        s.waker = Some(cx.waker().clone());
+        if !self.cost.is_zero() {
+            s.charge = Charge::Cost(self.cost);
+        }
+        Poll::Pending
     }
 }
 
@@ -260,7 +342,7 @@ mod tests {
         }
 
         /// Polls `rx` once on this waker; `true` if it was still pending.
-        fn park(self: &Arc<Self>, rx: &mut Receiver<u32>) -> bool {
+        fn park<F: Future + Unpin>(self: &Arc<Self>, rx: &mut F) -> bool {
             let waker = Waker::from(Arc::clone(self));
             Pin::new(rx).poll(&mut Context::from_waker(&waker)).is_pending()
         }
@@ -349,6 +431,120 @@ mod tests {
         }
         drop(in_flight);
         assert_eq!((cells.len(), pool.idle()), (4, 4));
+    }
+
+    /// Polls the root takes to receive on `rx`, and the instant it got it.
+    async fn receive<F: Future>(rx: F) -> (F::Output, u32, SimTime) {
+        let mut rx = std::pin::pin!(rx);
+        let mut polls = 0;
+        let out = std::future::poll_fn(|cx| {
+            polls += 1;
+            rx.as_mut().poll(cx)
+        })
+        .await;
+        (out, polls, crate::now())
+    }
+
+    fn micros(us: u64) -> SimTime {
+        SimTime::from_nanos(us * 1_000)
+    }
+
+    fn pending_timers() -> usize {
+        crate::executor::with_current(|inner| inner.pending_timers())
+    }
+
+    #[test]
+    fn charged_returns_exactly_its_cost_after_the_send_on_one_wake() {
+        let rt = Runtime::new();
+        rt.block_on(async {
+            let (tx, rx) = channel();
+            crate::spawn(async move {
+                crate::time::sleep(Duration::from_micros(3)).await;
+                tx.send(4u8).unwrap();
+            });
+            let got = receive(rx.charged(Duration::from_micros(5))).await;
+            assert_eq!(got, (Ok(4), 2, micros(8)), "parked once, woken once, at send + cost");
+        });
+    }
+
+    #[test]
+    fn charged_value_sent_before_the_first_poll_is_charged_from_that_poll() {
+        let rt = Runtime::new();
+        rt.block_on(async {
+            let (tx, rx) = channel();
+            tx.send(4u8).unwrap();
+            crate::time::sleep(Duration::from_micros(2)).await;
+            let got = receive(rx.charged(Duration::from_micros(5))).await;
+            assert_eq!(got, (Ok(4), 2, micros(7)));
+            let (tx, rx) = channel();
+            tx.send(5u8).unwrap();
+            assert_eq!(receive(rx.charged(Duration::ZERO)).await, (Ok(5), 1, micros(7)));
+        });
+    }
+
+    #[test]
+    fn charged_fails_at_once_when_the_sender_drops() {
+        let rt = Runtime::new();
+        rt.block_on(async {
+            let (tx, rx) = channel::<u8>();
+            crate::spawn(async move {
+                crate::time::sleep(Duration::from_micros(3)).await;
+                drop(tx);
+            });
+            let got = receive(rx.charged(Duration::from_micros(5))).await;
+            assert_eq!(got, (Err(RecvError), 2, micros(3)));
+        });
+    }
+
+    #[test]
+    fn charged_receive_dropped_before_the_send_arms_no_timer() {
+        let rt = Runtime::new();
+        rt.block_on(async {
+            let waker = CountingWaker::new();
+            let (tx, rx) = channel::<u32>();
+            let mut charged = rx.charged(Duration::from_micros(5));
+            assert!(waker.park(&mut charged));
+            drop(charged);
+            assert_eq!(tx.send(1), Err(1));
+            // The failed send's drop wakes the waker left in the cell at
+            // once, as for a plain receive; nothing is armed for later.
+            assert_eq!((pending_timers(), waker.wakes()), (0, 1));
+        });
+    }
+
+    #[test]
+    fn a_recycled_cell_carries_no_stale_charge() {
+        let rt = Runtime::new();
+        rt.block_on(async {
+            let pool = Pool::new();
+            // Parked, sent to, and dropped before its instant: the cell
+            // recycles holding a due instant.
+            let (tx, rx) = pool.channel();
+            let cell = Rc::as_ptr(&tx.chan);
+            let mut charged = rx.charged(Duration::from_micros(5));
+            let waker = CountingWaker::new();
+            assert!(waker.park(&mut charged));
+            tx.send(1u32).unwrap();
+            drop(charged);
+            // Parked and dropped unsent: it recycles holding a cost.
+            let (tx, rx) = pool.channel();
+            assert_eq!(Rc::as_ptr(&tx.chan), cell);
+            let mut charged = rx.charged(Duration::from_micros(5));
+            assert!(waker.park(&mut charged));
+            drop(charged);
+            drop(tx);
+            for _ in 0..2 {
+                let (tx, rx) = pool.channel();
+                assert_eq!(Rc::as_ptr(&tx.chan), cell);
+                let start = crate::now();
+                crate::spawn(async move {
+                    crate::time::sleep(Duration::from_micros(1)).await;
+                    tx.send(2).unwrap();
+                });
+                let (got, _, at) = receive(rx).await;
+                assert_eq!((got, at - start), (Ok(2), Duration::from_micros(1)));
+            }
+        });
     }
 
     #[test]

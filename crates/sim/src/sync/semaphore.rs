@@ -1,9 +1,8 @@
 //! A counting semaphore with FIFO fairness.
 //!
-//! This backs the credit-based flow control of the RDMA push-replication
-//! module (paper §4.3.2): the follower grants credits; the leader acquires
-//! one per outstanding replicate request. Its FIFO, [`Permits`], is also the
-//! whole of [`Mutex`](super::Mutex)'s locking: a lock is one permit.
+//! This backs the send window of the simulated TCP stream (`netsim::tcp`).
+//! Its FIFO, [`Permits`], is also the whole of [`Mutex`](super::Mutex)'s
+//! locking: a lock is one permit.
 
 use std::cell::RefCell;
 use std::future::Future;

@@ -358,6 +358,32 @@ if grep -n "let out = future.await" crates/sim/src/executor.rs; then
     exit 1
 fi
 
+# A charge rides its wake (DESIGN.md §10 "One replicated RDMA produce, task by
+# task"): CPU a task spends on a completion is armed with the completion's
+# wake — `oneshot::Receiver::charged`, `CompletionQueue::wait(charge)` — not
+# slept after it, and a push loop collects its own credit returns. The
+# charged receive's contract, the oracle on what an ack and a delivered
+# record mean under RF 3 push replication, the credit receives a push session
+# posts and their bound, a write acked after its session's QP died, and
+# charged round trips allocating nothing, by name. Then the re-fork
+# guard: no sleep after the consumer's data read or the producer's ack, and
+# repl.rs spawns one collector per push session (three spawns in all: pull
+# fetcher, push loop, collector).
+cargo test -q --offline -p sim --lib oneshot::tests::charged
+cargo test -q --offline -p sim --lib oneshot::tests::a_recycled_cell_carries_no_stale_charge
+cargo test -q --offline --test e2e_replication acks_and_deliveries_stay_below_the_high_watermark
+cargo test -q --offline --test e2e_replication a_flood_with_128_credits_never_finds_the_credit_receives_empty
+cargo test -q --offline --test e2e_replication a_write_delivered_before_the_push_qp_dies_still_acks
+cargo test -q --offline -p kdbroker --lib broker::tests::more_replication_credits_than_the_credit_cq_holds_are_refused
+cargo test -q --offline --release -p kdbench --test budgets charged_round_trips_allocate_nothing
+if awk '/#\[cfg\(test\)\]/ { exit } /sleep/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/kdclient/src/rdma_consumer.rs | grep . ||
+    awk '/pub async fn send\(/, /^    }/' crates/kdclient/src/rdma_producer.rs | grep -n "sleep" ||
+    [ "$(grep -c "sim::spawn" crates/kdbroker/src/repl.rs)" != 3 ]; then
+    echo "ci: a charge is slept after its wake again, or repl.rs grew a second collector (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # Re-fork guard: there is one wall-clock harness (kdmark, below) and no
 # per-PR report files; what the second harness gated is the tests above.
 if grep -rnE "kdperf|KDPERF_|KD_BENCH_TAG|BENCH_PR|PERF_PR|criterion_substrate" \

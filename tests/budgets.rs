@@ -457,9 +457,11 @@ fn warm_1mib_tcp_send_allocates_o1() {
 
 /// One RDMA consumer drains a partition preloaded through the Fig 10/11
 /// loop; the broker serves no fetch. The first [`WARMUP`] records pay for
-/// the connection, the access grant and the fetch buffers. Measured 0.8307
-/// polls per record (3321 in 3998; 1.1071 while the NIC engine spent a poll
-/// surfacing each read's CQE) and 0.2776 allocations (1110 in 3998: the `Vec` each
+/// the connection, the access grant and the fetch buffers. Measured 0.5543
+/// polls per record (2216 in 3998; 0.8307 while each data read's CRC + copy
+/// was a sleep after the read's completion, a second event, and 1.1071
+/// while the NIC engine spent a poll surfacing each read's CQE) and 0.2776
+/// allocations (1110 in 3998: the `Vec` each
 /// data-carrying `poll` returns). Delivered records are views of a pooled
 /// chunk; decoding each into an owned `Record` (a `Vec` per batch and per
 /// value) read 2.2769, and 2.5533 while `fetch` appended each data read to
@@ -503,22 +505,25 @@ fn rdma_consume_catchup_per_record() {
         drop(consumer);
         drop(cluster);
     });
-    r.check_polls("rdma_consume", 0.849);
+    r.check_polls("rdma_consume", 0.57);
     r.check_allocs("rdma_consume", 0.30);
 }
 
 /// A fully replicated RDMA produce: 3 brokers, RF 3, push replication, one
 /// exclusive producer at window 1 (every `send` waits for its acks=all
 /// acknowledgment). Measured 0.148 allocations (74 in 500; 1.148 with an ack
-/// channel allocated per record) and 30.0 polls
+/// channel allocated per record) and 27.0 polls
 /// per record: one event per term of the §5.1 cost model on the commit path
 /// — CQ poll, request-queue hand-over, worker charge — at the leader and
 /// both followers, plus the NIC engine's deliveries, the push loops and
-/// their collectors (DESIGN.md §10 has the per-task table). It was 32.0
-/// while the engine spent a poll surfacing each push write's CQE (two per
-/// record) and 42.0 with the hand-off as three pieces (stage task, permit
-/// wake, wake-up sleep) and the pollers' and the ack task's wake-then-sleep
-/// pairs: ten more, one per piece per broker plus the producer's.
+/// their write-completion collectors (DESIGN.md §10 has the per-task
+/// table). It was 30.0 while the producer slept its dispatch chain after
+/// the ack's wake and each push session had a second collector, woken by
+/// every credit return (one per record per follower); 32.0 while the engine
+/// spent a poll surfacing each push write's CQE (two per record); and 42.0
+/// with the hand-off as three pieces (stage task, permit wake, wake-up
+/// sleep) and the pollers' and the ack task's wake-then-sleep pairs: ten
+/// more, one per piece per broker plus the producer's.
 #[test]
 fn replicated_rdma_produce_polls_per_record() {
     const WARMUP: u8 = 32;
@@ -548,7 +553,7 @@ fn replicated_rdma_produce_polls_per_record() {
     let r = Region::since(&start, &rt, RECORDS);
     let pushed: u64 = cluster.brokers().iter().map(|b| b.metrics().push_writes).sum();
     assert!(pushed >= 2 * RECORDS, "every record was pushed to both followers");
-    r.check_polls("replicated rdma produce", 30.5);
+    r.check_polls("replicated rdma produce", 27.5);
     r.check_allocs("replicated rdma produce", 0.16);
 }
 
@@ -609,10 +614,11 @@ fn held_since(before: &[(i64, i64); CLASSES]) -> (i64, String) {
 /// NIC, control connection and data-plane QP with their tasks, the producer
 /// itself, and what the broker keeps for the two connections. 1000 fan-in
 /// clients connect one after the other, send one record each and stay.
-/// Measured 9 160 B per client in some 55 blocks, 2 944 B of them the five
-/// task frames (DESIGN.md §13 has the table by owner); 152 B of it are the
+/// Measured 9 192 B per client in some 55 blocks, 2 944 B of them the five
+/// task frames (DESIGN.md §13 has the table by owner); 168 B of it are the
 /// producer's ack-cell pool, one parked cell and its free list. It read
-/// 9 451 B while each of a client's task slots allocated a 32 B `Arc` for
+/// 9 160 B before a oneshot cell carried a 16 B receive charge (two cells
+/// here), 9 451 B while each of a client's task slots allocated a 32 B `Arc` for
 /// its waker and kept a `Waker` beside its task. It was 60 741 B while
 /// every client owned four 7.6 KiB histogram cells (two links, NIC, producer)
 /// nobody read through its handle, an ack reader whose frame held two
@@ -647,9 +653,10 @@ fn parked_client_footprint() {
 }
 
 /// A joined task's future is stored once. 1 000 tasks each park a future
-/// of some 5 000 B across a sleep. Measured 8 345 B per task: the executor's
-/// 8 KiB arena block and 153 B of slot, oneshot cell and handle (8 394 B
-/// while each slot also allocated an `Arc` for its waker); the budget
+/// of some 5 000 B across a sleep. Measured 8 361 B per task: the executor's
+/// 8 KiB arena block and 169 B of slot, oneshot cell and handle (8 345 B
+/// before the cell carried a 16 B receive charge, 8 394 B while each slot
+/// also allocated an `Arc` for its waker); the budget
 /// leaves 200 B beside the block (256 B while the waker `Arc`s were there).
 /// A `spawn` wrapper written as `async move { let out = future.await; .. }`
 /// laid the future out twice, as captured variable and as awaitee, and took
@@ -721,6 +728,49 @@ fn wakers_allocate_nothing() {
         let after = allocs_by_class();
         let allocs: u64 = (0..CLASSES).map(|c| after[c] - before[c]).sum();
         assert_eq!(allocs, 0, "{} waker clones, wakes and drops allocated", TASKS * ROUNDS);
+    });
+}
+
+/// A charge rides its wake. A charged receive is one timer armed by the
+/// send, so 10 000 round trips — a responder task sends on each pooled
+/// channel 100 ns after the receiver parks, and the receiver returns 200 ns
+/// after that — allocate nothing. The warm-up runs rounds until the clock
+/// passes 2^24 ns (16.8 ms), a full turn of the timer wheel's level of
+/// 262 µs slots: every wheel slot the 3 ms measured here file a timer in
+/// has held one before, and so has the pool cell.
+#[test]
+fn charged_round_trips_allocate_nothing() {
+    const WARM_NS: u64 = 1 << 24;
+    const ROUNDS: u64 = 10_000;
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let pool = Rc::new(sim::sync::oneshot::Pool::<u64>::new());
+        let parked: Rc<Cell<Option<sim::sync::oneshot::Sender<u64>>>> = Rc::default();
+        let responder = Rc::clone(&parked);
+        sim::spawn_detached(async move {
+            loop {
+                sim::time::sleep(Duration::from_nanos(100)).await;
+                if let Some(tx) = responder.take() {
+                    let _ = tx.send(sim::now().as_nanos());
+                }
+            }
+        });
+        let round = async || {
+            let (tx, rx) = pool.channel();
+            parked.set(Some(tx));
+            let sent = rx.charged(Duration::from_nanos(200)).await.expect("sent");
+            assert_eq!(sim::now().as_nanos(), sent + 200, "returned at send + charge");
+        };
+        while sim::now().as_nanos() < WARM_NS {
+            round().await;
+        }
+        let before = allocs_by_class();
+        for _ in 0..ROUNDS {
+            round().await;
+        }
+        let after = allocs_by_class();
+        let allocs: u64 = (0..CLASSES).map(|c| after[c] - before[c]).sum();
+        assert_eq!(allocs, 0, "{ROUNDS} charged round trips allocated");
     });
 }
 
