@@ -6,33 +6,7 @@ use std::rc::Rc;
 
 use kdstorage::{Log, TopicPartition};
 use kdwire::{BrokerAddr, PartitionMeta, TopicMeta};
-use sim::sync::watch;
-
-/// FIFO ticket chain: lets concurrent workers impose a required processing
-/// order on commits to one file (§4.2.2: "processing RDMA produce requests
-/// in the same order as the corresponding completion events are generated").
-#[derive(Default)]
-pub struct Chain {
-    done: Cell<u64>,
-    notify: sim::sync::Notify,
-}
-
-impl Chain {
-    pub async fn wait_turn(&self, ticket: u64) {
-        while self.done.get() < ticket {
-            self.notify.notified().await;
-        }
-    }
-
-    /// Advances past a whole run of consecutive tickets in one step (one
-    /// broadcast instead of one per ticket). The caller must own every
-    /// ticket in `done..next`, i.e. have passed `wait_turn` for the first.
-    pub fn advance_to(&self, next: u64) {
-        debug_assert!(next > self.done.get());
-        self.done.set(next);
-        self.notify.notify_waiters();
-    }
-}
+use sim::sync::{watch, Frontier};
 
 /// A produce ack held back until the high watermark covers its records
 /// (RDMA produce into a replicated partition acks on full replication).
@@ -61,8 +35,9 @@ pub struct Partition {
     /// Log-end-offset announcements (wakes push replication / long-poll
     /// replica fetches).
     pub leo_tx: watch::Sender<u64>,
-    /// High-watermark announcements (completes acks, updates slots).
-    pub hw_tx: watch::Sender<u64>,
+    /// The high watermark, as TCP acks=all produces wait for it; equal to
+    /// `log.high_watermark()` at every instant.
+    hw: Frontier,
     /// Per-follower acknowledged log-end offsets.
     follower_leo: RefCell<HashMap<u32, u64>>,
     /// RDMA produce acks waiting for the high watermark, in commit (hence
@@ -94,7 +69,7 @@ impl Partition {
         epoch: u64,
     ) -> Rc<Partition> {
         let (leo_tx, _) = watch::channel(0u64);
-        let (hw_tx, _) = watch::channel(0u64);
+        let hw = Frontier::new(log.high_watermark());
         Rc::new(Partition {
             tp,
             log,
@@ -104,7 +79,7 @@ impl Partition {
             is_leader: Cell::new(is_leader),
             epoch: Cell::new(epoch),
             leo_tx,
-            hw_tx,
+            hw,
             follower_leo: RefCell::new(HashMap::new()),
             deferred_acks: RefCell::new(VecDeque::new()),
             grant: RefCell::new(None),
@@ -187,7 +162,7 @@ impl Partition {
         };
         if hw > self.log.high_watermark() {
             self.log.set_high_watermark(hw);
-            self.hw_tx.send(hw);
+            self.hw.advance_to(hw);
         }
         self.log.high_watermark()
     }
@@ -198,24 +173,13 @@ impl Partition {
         let hw = leader_hw.min(self.log.next_offset());
         if hw > self.log.high_watermark() {
             self.log.set_high_watermark(hw);
-            self.hw_tx.send(hw);
+            self.hw.advance_to(hw);
         }
     }
 
     /// Waits until records below `offset` are committed (acks=all).
     pub async fn wait_committed(&self, offset: u64) {
-        if self.log.high_watermark() >= offset {
-            return;
-        }
-        let mut rx = self.hw_tx.subscribe();
-        loop {
-            if rx.borrow_and_update(|hw| *hw) >= offset {
-                return;
-            }
-            if rx.changed().await.is_err() {
-                return;
-            }
-        }
+        self.hw.reached(offset).await
     }
 }
 
@@ -376,20 +340,22 @@ mod tests {
         });
     }
 
+    /// The per-file commit turn (`Grant::turn`) as the commit path takes
+    /// it: wait for the ticket, commit, advance past it.
     #[test]
     fn chain_orders_commits() {
         let rt = sim::Runtime::new();
         rt.block_on(async {
-            let chain = Rc::new(Chain::default());
+            let turn = Rc::new(Frontier::default());
             let log = Rc::new(RefCell::new(Vec::new()));
             // Spawn out of order: ticket 1 first, then 0.
             for ticket in [1u64, 0] {
-                let chain = Rc::clone(&chain);
+                let turn = Rc::clone(&turn);
                 let log = Rc::clone(&log);
                 sim::spawn(async move {
-                    chain.wait_turn(ticket).await;
+                    turn.reached(ticket).await;
                     log.borrow_mut().push(ticket);
-                    chain.advance_to(ticket + 1);
+                    turn.advance_to(ticket + 1);
                 });
             }
             sim::time::sleep(std::time::Duration::from_micros(1)).await;

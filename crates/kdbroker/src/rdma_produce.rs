@@ -16,13 +16,14 @@ use kdwire::{ErrorCode, ProduceAccessResp, RemoteRegion};
 use netsim::profile::copy_time;
 use netsim::NodeId;
 use rnic::{Access, MemoryRegion, RNic, ShmBuf};
+use sim::sync::Frontier;
 
 use crate::broker::BrokerInner;
 use crate::common::{
     after_local_commit, charge_storage, charge_worker, deliver_ack, on_hw_advanced, roll_head,
     send_acks, trace_commit, Ack,
 };
-use crate::data::{Chain, DeferredAck, Partition};
+use crate::data::{DeferredAck, Partition};
 use crate::requests::{AckRoute, CommitItem, CommitRun, Reply};
 
 /// Shared-mode coordination state.
@@ -77,9 +78,11 @@ pub struct Grant {
     pub owner: NodeId,
     /// Set when the grant is revoked/rolled; late completions get errors.
     pub closed: Cell<bool>,
-    /// Completion-order processing chain (§4.2.2: requests are processed
-    /// "in the same order as the corresponding completion events").
-    pub chain: Chain,
+    /// Completion-order commit turn (§4.2.2: requests are processed "in the
+    /// same order as the corresponding completion events"): the first
+    /// sequence not yet committed. A worker waits until it reaches its run's
+    /// first sequence, and only that worker is woken when it does.
+    pub turn: Frontier,
     /// Ticket counter used by the CQ pollers.
     pub next_seq: Cell<u64>,
     /// Reorder stage: commit items enter the shared request queue strictly
@@ -174,7 +177,7 @@ impl ProduceModule {
             mr,
             owner,
             closed: Cell::new(false),
-            chain: Chain::default(),
+            turn: Frontier::default(),
             next_seq: Cell::new(0),
             enqueue_next: Cell::new(0),
             enqueue_buf: RefCell::new(HashMap::new()),
@@ -259,7 +262,7 @@ pub(crate) async fn commit_run(
     scratch.traced.drain(..).for_each(kdtelem::TraceSpan::end);
 }
 
-/// The one commit path (§4.2.2): the per-file chain is claimed once for the
+/// The one commit path (§4.2.2): the per-file turn is claimed once for the
 /// whole run `seq..next_seq` (its sequences are consecutive, so passing the
 /// first ticket owns them all), shared-mode completions pass through the
 /// Fig 5 reorder buffer and the write lock is taken once. Under it every
@@ -283,11 +286,12 @@ async fn commit_spans(
         return;
     };
     // Enforce completion-order processing per file (§4.2.2).
-    grant.chain.wait_turn(seq).await;
+    grant.turn.reached(seq).await;
+    debug_assert_eq!(grant.turn.get(), seq, "only the owner of the turn advances it");
     // A grant is only issued for a hosted partition, and none is unhosted.
     let p = b.store.get(&tp).expect("grant partition exists");
     if grant.closed.get() {
-        grant.chain.advance_to(next_seq);
+        grant.turn.advance_to(next_seq);
         run.for_each(|it| deliver_ack(b, it.ack, ErrorCode::OutOfSpace, 0));
         return;
     }
@@ -303,7 +307,7 @@ async fn commit_spans(
         }
     }
     if spans.is_empty() {
-        grant.chain.advance_to(next_seq);
+        grant.turn.advance_to(next_seq);
         return;
     }
     let mut owed = None;
@@ -335,7 +339,7 @@ async fn commit_spans(
             }
         }
     }
-    grant.chain.advance_to(next_seq);
+    grant.turn.advance_to(next_seq);
     send_owed(b, &mut owed);
     if committed {
         charge_storage(b, &p).await;

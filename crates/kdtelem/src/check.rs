@@ -26,6 +26,11 @@
 //!    stamped with the instant the CQE surfaces, so this is what pins that
 //!    stamp to the right side of the post. A completion whose post is not in
 //!    the log (drained earlier, or dropped by the ring) is not judged.
+//! 7. **Commit order is post order** (§4.2.2: commits to a file follow
+//!    their completions, which follow their posts) — among the lifelines
+//!    that posted on one QP (last `WqePosted` there) and committed to one
+//!    stream (first `Commit`), base offsets strictly increase with the
+//!    ticket. Others are not judged; `order_pairs` counts the pairs that were.
 
 use std::collections::HashMap;
 
@@ -40,6 +45,8 @@ pub struct CheckReport {
     pub commits: usize,
     pub fetches: usize,
     pub repl_acks: usize,
+    /// Pairs of lifelines rule 7 compared.
+    pub order_pairs: usize,
     pub violations: Vec<String>,
 }
 
@@ -193,6 +200,43 @@ pub fn check(events: &[TraceEvent]) -> CheckReport {
         }
     }
 
+    // (7) Commit order is post order, per QP and stream.
+    let mut last_post: HashMap<(u64, u32), u64> = HashMap::new(); // (trace, qpn) -> ticket
+    let mut first_commits: HashMap<u64, Vec<(u64, u64)>> = HashMap::new(); // trace -> (stream, base)
+    for e in &by_ts {
+        match e.kind {
+            EventKind::WqePosted { qpn, ticket } => {
+                let last = last_post.entry((e.trace_id, qpn)).or_insert(ticket);
+                *last = ticket.max(*last);
+            }
+            EventKind::Commit { stream, base_offset, .. } => {
+                let firsts = first_commits.entry(e.trace_id).or_default();
+                if firsts.iter().all(|&(s, _)| s != stream) {
+                    firsts.push((stream, base_offset));
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut judged: Vec<(u32, u64, u64, u64)> = Vec::new(); // (qpn, stream, ticket, base)
+    for (&(trace, qpn), &ticket) in &last_post {
+        for &(stream, base) in first_commits.get(&trace).into_iter().flatten() {
+            judged.push((qpn, stream, ticket, base));
+        }
+    }
+    judged.sort_unstable();
+    for w in judged.windows(2) {
+        let ((qpn, stream, t0, b0), (q1, s1, t1, b1)) = (w[0], w[1]);
+        if (qpn, stream) == (q1, s1) {
+            report.order_pairs += 1;
+            if b1 <= b0 {
+                report.violations.push(format!(
+                    "commit order violated on qpn {qpn}, stream {stream:#x}: ticket {t1} committed at offset {b1}, after ticket {t0} at {b0}"
+                ));
+            }
+        }
+    }
+
     // (4) Span nesting sanity.
     let mut open: HashMap<u64, u64> = HashMap::new(); // span_id -> begin ts
     for e in &by_ts {
@@ -314,6 +358,37 @@ mod tests {
         let r = check(&events);
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert!(r.violations[0].contains("qpn 8 ticket 0 at 10 ns"));
+    }
+
+    #[test]
+    fn commits_follow_post_order_per_qp_and_stream() {
+        let lifeline = |ts_ns, qpn, ticket, stream, base_offset| {
+            let ctx = TraceCtx::root();
+            [
+                ev(ctx, ts_ns, EventKind::WqePosted { qpn, ticket }),
+                ev(ctx, ts_ns + 50, EventKind::Commit { stream, base_offset, next_offset: base_offset + 1 }),
+            ]
+        };
+        let mut events: Vec<TraceEvent> = [
+            lifeline(10, 1, 0, 9, 0),
+            lifeline(11, 1, 1, 9, 1),
+            lifeline(12, 1, 2, 9, 2),
+            // Another QP's tickets, and another stream, are judged apart.
+            lifeline(13, 2, 0, 9, 3),
+            lifeline(14, 1, 3, 8, 0),
+        ]
+        .concat();
+        // Posted, never committed: not judged.
+        events.push(ev(TraceCtx::root(), 15, EventKind::WqePosted { qpn: 1, ticket: 4 }));
+        let r = check(&events);
+        assert!(r.ok(), "{:?}", r.violations);
+        assert_eq!(r.order_pairs, 2);
+        // Ticket 5 commits below ticket 2's offset.
+        events.extend(lifeline(16, 1, 5, 9, 1));
+        let r = check(&events);
+        assert_eq!(r.order_pairs, 3);
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        assert!(r.violations[0].contains("ticket 5 committed at offset 1, after ticket 2 at 2"));
     }
 
     #[test]

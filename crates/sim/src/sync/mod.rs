@@ -6,6 +6,7 @@
 //! Every one that parks more than one task parks them on a [`WaitList`].
 
 pub mod due_queue;
+pub mod frontier;
 pub mod handoff;
 pub mod mpsc;
 pub mod mutex;
@@ -16,6 +17,7 @@ pub mod wait_list;
 pub mod watch;
 
 pub use due_queue::DueQueue;
+pub use frontier::Frontier;
 pub use handoff::HandoffQueue;
 pub use mutex::{Mutex, MutexGuard};
 pub use notify::Notify;

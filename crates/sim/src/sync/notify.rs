@@ -3,27 +3,18 @@
 //! Used where tasks need to be told "state you care about changed": e.g. a
 //! QP's error state, a broker shutting down, a replication session dying.
 //! There is no stored permit: a waiter re-checks its condition after every
-//! wake, and a broadcast with nobody waiting is lost.
+//! wake, and a broadcast with nobody waiting is lost. It is a [`Frontier`]
+//! of broadcasts: `notified()` waits for the count to pass the one it read,
+//! so every broadcast passes every waiter.
 
-use std::cell::RefCell;
-use std::future::Future;
-use std::pin::Pin;
-use std::task::{Context, Poll};
+use super::frontier::{Frontier, Reached};
 
-use super::WaitList;
-
-#[derive(Default)]
-struct State {
-    waiters: WaitList<()>,
-    /// Broadcasts so far.
-    epoch: u64,
-}
-
-/// Wakes every waiting task at once. Held inline by its owner; the
-/// [`Notified`] futures borrow it.
+/// Wakes every waiting task at once. Held inline by its owner; the futures
+/// [`notified`](Self::notified) returns borrow it.
 #[derive(Default)]
 pub struct Notify {
-    state: RefCell<State>,
+    /// Broadcasts so far.
+    epoch: Frontier,
 }
 
 impl Notify {
@@ -31,53 +22,14 @@ impl Notify {
         Self::default()
     }
 
-    /// Wakes all current waiters.
+    /// Wakes all current waiters, longest parked first.
     pub fn notify_waiters(&self) {
-        let mut s = self.state.borrow_mut();
-        s.epoch += 1;
-        s.waiters.wake_all();
+        self.epoch.advance_to(self.epoch.get() + 1);
     }
 
     /// Waits for the next broadcast after this call.
-    pub fn notified(&self) -> Notified<'_> {
-        Notified {
-            notify: self,
-            ticket: None,
-            epoch: self.state.borrow().epoch,
-        }
-    }
-}
-
-/// Future returned by [`Notify::notified`].
-pub struct Notified<'a> {
-    notify: &'a Notify,
-    ticket: Option<u64>,
-    epoch: u64,
-}
-
-impl Future for Notified<'_> {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut s = self.notify.state.borrow_mut();
-        if s.epoch != self.epoch {
-            return Poll::Ready(());
-        }
-        // Only a broadcast unparks a waiter, and it moves the epoch.
-        if self.ticket.and_then(|t| s.waiters.repark(t, cx.waker())).is_none() {
-            let ticket = s.waiters.park(cx.waker(), ());
-            drop(s);
-            self.ticket = Some(ticket);
-        }
-        Poll::Pending
-    }
-}
-
-impl Drop for Notified<'_> {
-    fn drop(&mut self) {
-        if let Some(ticket) = self.ticket {
-            self.notify.state.borrow_mut().waiters.remove(ticket);
-        }
+    pub fn notified(&self) -> Reached<'_> {
+        self.epoch.reached(self.epoch.get() + 1)
     }
 }
 

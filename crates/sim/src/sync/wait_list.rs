@@ -53,7 +53,7 @@ impl<P> WaitList<P> {
     }
 
     /// Re-parks `ticket` in place with `waker`: its payload, or `None` if it
-    /// was unparked (popped, removed or woken by [`wake_all`](Self::wake_all)).
+    /// was unparked (popped, removed or woken by [`wake_where`](Self::wake_where)).
     pub fn repark(&mut self, ticket: u64, waker: &Waker) -> Option<&mut P> {
         let entry = if self.first.as_ref().is_some_and(|e| e.ticket == ticket) {
             self.first.as_mut()
@@ -108,14 +108,28 @@ impl<P> WaitList<P> {
             .for_each(|e| e.waker.wake_by_ref());
     }
 
+    /// Unparks and wakes, longest parked first, every entry `pick` accepts;
+    /// the others keep their places. The list keeps its capacity.
+    pub fn wake_where(&mut self, pick: impl Fn(&P) -> bool) {
+        if let Some(e) = self.first.take_if(|e| pick(&e.payload)) {
+            e.waker.wake();
+        }
+        self.rest.retain(|e| {
+            let picked = pick(&e.payload);
+            if picked {
+                e.waker.wake_by_ref();
+            }
+            !picked
+        });
+        if self.first.is_none() {
+            self.first = self.rest.pop_front();
+        }
+    }
+
     /// Unparks and wakes every entry, longest parked first. The list keeps
     /// its capacity: steady-state broadcasts allocate nothing.
     pub fn wake_all(&mut self) {
-        let first = self.first.take();
-        first
-            .into_iter()
-            .chain(self.rest.drain(..))
-            .for_each(|e| e.waker.wake());
+        self.wake_where(|_| true);
     }
 }
 

@@ -1,43 +1,42 @@
 //! A single-value broadcast channel ("watch"), modelled on
 //! `tokio::sync::watch`.
 //!
-//! The broker uses this to publish per-partition high-watermark changes to
-//! interested tasks (e.g. delayed TCP fetches waiting for new data).
+//! The broker uses this to publish per-partition log-end-offset changes to
+//! interested tasks (push replication, replica long-poll fetches). A
+//! receiver waits on a [`Frontier`] of sends for the one after the last it
+//! has seen.
 
-use std::cell::RefCell;
-use std::future::Future;
-use std::pin::Pin;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::task::{Context, Poll};
 
-use super::WaitList;
+use super::Frontier;
 
 struct Shared<T> {
-    value: T,
-    version: u64,
-    sender_alive: bool,
-    waiters: WaitList<()>,
+    value: RefCell<T>,
+    /// Sends so far.
+    version: Cell<u64>,
+    /// `version` while the sender lives, `u64::MAX` once it is gone.
+    wake: Frontier,
 }
 
 /// Sending half: replaces the value and notifies receivers.
 pub struct Sender<T> {
-    shared: Rc<RefCell<Shared<T>>>,
+    shared: Rc<Shared<T>>,
 }
 
 /// Receiving half: observes the latest value and awaits changes.
 pub struct Receiver<T> {
-    shared: Rc<RefCell<Shared<T>>>,
+    shared: Rc<Shared<T>>,
     seen: u64,
 }
 
 /// Creates a watch channel with an initial value.
 pub fn channel<T>(initial: T) -> (Sender<T>, Receiver<T>) {
-    let shared = Rc::new(RefCell::new(Shared {
-        value: initial,
-        version: 0,
-        sender_alive: true,
-        waiters: WaitList::default(),
-    }));
+    let shared = Rc::new(Shared {
+        value: RefCell::new(initial),
+        version: Cell::new(0),
+        wake: Frontier::default(),
+    });
     (
         Sender {
             shared: Rc::clone(&shared),
@@ -49,10 +48,10 @@ pub fn channel<T>(initial: T) -> (Sender<T>, Receiver<T>) {
 impl<T> Sender<T> {
     /// Replaces the value and wakes all waiting receivers.
     pub fn send(&self, value: T) {
-        let mut s = self.shared.borrow_mut();
-        s.value = value;
-        s.version += 1;
-        s.waiters.wake_all();
+        let s = &self.shared;
+        *s.value.borrow_mut() = value;
+        s.version.set(s.version.get() + 1);
+        s.wake.advance_to(s.version.get());
     }
 
     /// Creates an additional receiver that has not yet observed the current
@@ -67,62 +66,28 @@ impl<T> Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut s = self.shared.borrow_mut();
-        s.sender_alive = false;
-        s.waiters.wake_all();
+        self.shared.wake.advance_to(u64::MAX);
     }
 }
 
 impl<T> Receiver<T> {
     /// Reads the current value (marking it seen).
     pub fn borrow_and_update<R>(&mut self, f: impl FnOnce(&T) -> R) -> R {
-        let s = self.shared.borrow();
-        self.seen = s.version;
-        f(&s.value)
+        self.seen = self.shared.version.get();
+        f(&self.shared.value.borrow())
     }
 
     /// Waits until the value changes past the last version this receiver
-    /// observed. Returns `Err(())` if the sender is gone.
-    pub fn changed(&mut self) -> Changed<'_, T> {
-        Changed {
-            rx: self,
-            ticket: None,
+    /// observed: one parked entry per wait, however often it is polled, and
+    /// none once it is dropped. `Err(())` if the sender is gone.
+    pub async fn changed(&mut self) -> Result<(), ()> {
+        let s = &self.shared;
+        s.wake.reached(self.seen + 1).await;
+        if s.version.get() == self.seen {
+            return Err(()); // woken by the sender's drop
         }
-    }
-}
-
-/// Future returned by [`Receiver::changed`]: one parked entry per wait,
-/// however often it is polled, and none once it is dropped.
-pub struct Changed<'a, T> {
-    rx: &'a mut Receiver<T>,
-    ticket: Option<u64>,
-}
-
-impl<T> Future for Changed<'_, T> {
-    type Output = Result<(), ()>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Result<(), ()>> {
-        let this = &mut *self;
-        let mut s = this.rx.shared.borrow_mut();
-        if s.version != this.rx.seen {
-            this.rx.seen = s.version;
-            return Poll::Ready(Ok(()));
-        }
-        if !s.sender_alive {
-            return Poll::Ready(Err(()));
-        }
-        if this.ticket.and_then(|t| s.waiters.repark(t, cx.waker())).is_none() {
-            this.ticket = Some(s.waiters.park(cx.waker(), ()));
-        }
-        Poll::Pending
-    }
-}
-
-impl<T> Drop for Changed<'_, T> {
-    fn drop(&mut self) {
-        if let Some(ticket) = self.ticket {
-            self.rx.shared.borrow_mut().waiters.remove(ticket);
-        }
+        self.seen = s.version.get();
+        Ok(())
     }
 }
 

@@ -384,6 +384,25 @@ if awk '/#\[cfg\(test\)\]/ { exit } /sleep/ { print FILENAME ":" FNR ": " $0 }' 
     exit 1
 fi
 
+# A turn wakes its owner (DESIGN.md §10 "One wait list"): "wait until a
+# counter reaches x" is one primitive, `sim::sync::Frontier`, under the
+# per-file commit turn and the acks=all wait. Its contract and its
+# differential against the broadcast loop it replaced, checker rule 7 (commit
+# order is post order, §4.2.2) at `produce_large`'s shape, the 32 KiB budget
+# and park/advance rounds allocating nothing, by name. Then the re-fork
+# guard: no broadcast chain or high-watermark watch in the partition module,
+# and no broadcast in the commit path.
+cargo test -q --offline -p sim --lib sync::frontier::tests
+cargo test -q --offline -p kdtelem --lib check::tests::commits_follow_post_order_per_qp_and_stream
+cargo test -q --offline --test trace_lifeline commits_follow_post_order_at_the_large_produce_shape
+cargo test -q --offline --release -p kdbench --test budgets rdma_exclusive_large_produce_per_record
+cargo test -q --offline --release -p kdbench --test budgets frontier_rounds_allocate_nothing
+if grep -nE "struct Chain|hw_tx|notify_waiters" crates/kdbroker/src/data.rs ||
+    grep -n "notify_waiters" crates/kdbroker/src/rdma_produce.rs; then
+    echo "ci: the broadcast commit chain or the high-watermark watch reappeared (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # Re-fork guard: there is one wall-clock harness (kdmark, below) and no
 # per-PR report files; what the second harness gated is the tests above.
 if grep -rnE "kdperf|KDPERF_|KD_BENCH_TAG|BENCH_PR|PERF_PR|criterion_substrate" \

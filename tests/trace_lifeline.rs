@@ -251,3 +251,53 @@ fn trace_export_round_trips_chrome_json() {
     // Truncated input is rejected, not mis-parsed.
     assert!(kdtelem::chrome::parse_chrome_json(&json[..json.len() / 2]).is_none());
 }
+
+/// §4.2.2 at kdmark's `produce_large` shape — 32 KiB records of one size,
+/// window 32, the broker's default 8 API workers: commits to the file run
+/// in the order of the WriteImm completions, which is post order, so rule 7
+/// holds and judges every neighbouring pair of lifelines. The records are of
+/// one size so that a commit taken out of turn still verifies — it commits
+/// another lifeline's bytes at the frontier — and shows only as base offsets
+/// out of ticket order.
+#[test]
+fn commits_follow_post_order_at_the_large_produce_shape() {
+    const RECORDS: usize = 1_200;
+    const WINDOW: usize = 32;
+    let registry = kdtelem::Registry::new();
+    registry.set_event_capacity(1 << 20);
+    let _scope = kdtelem::enter(&registry);
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+        cluster.create_topic("t", 1, 1).await;
+        let cnode = cluster.add_client_node("c");
+        let leader = cluster.leader_of("t", 0).await;
+        let mut producer = RdmaProducer::connect(&cnode, leader, "t", 0, false)
+            .await
+            .unwrap();
+        // The kdmark loop: when the window is full, retire acks down to half
+        // of it and refill the freed slots as one WR chain.
+        let chunk = vec![Record::value(vec![0xA5; 32 * 1024]); WINDOW];
+        type Ack = sim::sync::oneshot::Receiver<(kdwire::ErrorCode, u64)>;
+        let (mut inflight, mut posted) = (std::collections::VecDeque::<Ack>::new(), Vec::new());
+        let mut sent = 0;
+        while sent < RECORDS {
+            while inflight.len() > WINDOW / 2 {
+                assert!(inflight.pop_front().unwrap().await.unwrap().0.is_ok());
+            }
+            let n = (WINDOW - inflight.len()).min(RECORDS - sent);
+            producer.send_pipelined_chain(&chunk[..n], &mut posted).await.unwrap();
+            inflight.extend(posted.drain(..));
+            sent += n;
+        }
+        for ack in inflight {
+            assert!(ack.await.unwrap().0.is_ok());
+        }
+    });
+    assert_eq!(registry.trace_events_dropped(), 0, "event ring overflowed");
+    let events = registry.drain_trace_events();
+    let report = check(&events);
+    assert!(report.ok(), "invariant violations: {:?}", &report.violations[..report.violations.len().min(5)]);
+    assert_eq!(report.commits, RECORDS);
+    assert!(report.order_pairs > 1_000, "rule 7 judged {} pairs", report.order_pairs);
+}
