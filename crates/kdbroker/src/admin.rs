@@ -89,7 +89,7 @@ pub fn install(
     meta: PartitionMeta,
     recovered: Option<SegmentBuffers>,
 ) -> ErrorCode {
-    let tp = TopicPartition::new(topic, meta.partition);
+    let tp = b.store.topic_partition(topic, meta.partition);
     if b.store
         .partition_meta(&tp)
         .is_some_and(|known| meta.epoch < known.epoch)

@@ -25,6 +25,13 @@ impl ServiceQueue {
     /// thread was idle, the wakeup latency is paid first (but does not count
     /// as busy time).
     pub async fn run(&self, cost: Duration) {
+        sim::time::sleep_until(self.reserve(cost)).await;
+    }
+
+    /// Books the thread for `cost` exactly as [`run`](Self::run) does and
+    /// returns the instant the work ends, for a caller whose next step
+    /// starts there and can take that instant in its own timer.
+    pub fn reserve(&self, cost: Duration) -> SimTime {
         let now = sim::now().as_nanos();
         let busy = self.busy_until.get();
         let start = if busy <= now {
@@ -35,7 +42,7 @@ impl ServiceQueue {
         let end = start + cost.as_nanos() as u64;
         self.busy_until.set(end);
         self.busy_total.add(cost.as_nanos() as u64);
-        sim::time::sleep_until(SimTime::from_nanos(end)).await;
+        SimTime::from_nanos(end)
     }
 }
 

@@ -4,7 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use kdstorage::{Log, TopicPartition};
+use kdstorage::{Log, TopicId, TopicPartition};
 use kdwire::{BrokerAddr, PartitionMeta, TopicMeta};
 use sim::sync::{watch, Frontier};
 
@@ -189,12 +189,23 @@ pub struct PartitionStore {
     partitions: RefCell<HashMap<TopicPartition, Rc<Partition>>>,
     /// Cluster-wide metadata view (also covers partitions this broker does
     /// not host).
-    topics: RefCell<HashMap<String, Vec<PartitionMeta>>>,
+    topics: RefCell<HashMap<TopicId, Vec<PartitionMeta>>>,
 }
 
 impl PartitionStore {
     pub fn get(&self, tp: &TopicPartition) -> Option<Rc<Partition>> {
         self.partitions.borrow().get(tp).cloned()
+    }
+
+    /// Partition `partition` of the topic a request names: a known topic is
+    /// named by the id this store holds (no allocation), an unknown one by a
+    /// fresh id, which finds no partition.
+    pub fn topic_partition(&self, topic: &str, partition: u32) -> TopicPartition {
+        let known = self.topics.borrow().get_key_value(topic).map(|(id, _)| id.clone());
+        TopicPartition {
+            topic: known.unwrap_or_else(|| TopicId::new(topic)),
+            partition,
+        }
     }
 
     pub fn insert(&self, p: Rc<Partition>) {
@@ -207,7 +218,7 @@ impl PartitionStore {
 
     pub fn record_meta(&self, topic: &str, meta: PartitionMeta) {
         let mut topics = self.topics.borrow_mut();
-        let parts = topics.entry(topic.to_string()).or_default();
+        let parts = topics.entry(TopicId::new(topic)).or_default();
         parts.retain(|p| p.partition != meta.partition);
         parts.push(meta);
         parts.sort_by_key(|p| p.partition);
@@ -222,13 +233,13 @@ impl PartitionStore {
 
     pub fn all_topics(&self) -> Vec<TopicMeta> {
         let topics = self.topics.borrow();
-        let mut names: Vec<_> = topics.keys().cloned().collect();
+        let mut names: Vec<&TopicId> = topics.keys().collect();
         names.sort();
         names
             .into_iter()
             .map(|name| TopicMeta {
-                partitions: topics[&name].clone(),
-                name,
+                name: name.to_string(),
+                partitions: topics[name].clone(),
             })
             .collect()
     }

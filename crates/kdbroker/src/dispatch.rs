@@ -4,7 +4,6 @@
 
 use std::rc::Rc;
 
-use kdstorage::TopicPartition;
 use kdwire::messages::{ProduceMode, Request, Response};
 use kdwire::{ErrorCode, PartitionMeta, RemoteRegion};
 use netsim::NodeId;
@@ -123,7 +122,7 @@ async fn handle_rpc(
             acks,
             batch,
         } => {
-            let tp = TopicPartition::new(&*topic, partition);
+            let tp = b.store.topic_partition(&topic, partition);
             tcp_produce::handle(b, &tp, acks, batch, reply, ctx).await
         }
         Request::Fetch {
@@ -133,12 +132,12 @@ async fn handle_rpc(
             max_bytes,
             replica_id,
         } => {
-            let tp = TopicPartition::new(&*topic, partition);
+            let tp = b.store.topic_partition(&topic, partition);
             fetch::handle(b, peer, &tp, offset, max_bytes, replica_id, reply, ctx).await
         }
         Request::ListOffsets { topic, partition } => {
             let (error, earliest, latest) =
-                match b.store.get(&TopicPartition::new(&*topic, partition)) {
+                match b.store.get(&b.store.topic_partition(&topic, partition)) {
                     Some(p) if p.is_leader() => (
                         ErrorCode::None,
                         p.log.start_offset(),
@@ -233,11 +232,11 @@ async fn handle_rpc(
             mode,
             min_bytes,
         } => {
-            let tp = TopicPartition::new(&*topic, partition);
+            let tp = b.store.topic_partition(&topic, partition);
             handle_produce_access(b, peer, &tp, mode, min_bytes, reply)
         }
         Request::ProduceRelease { topic, partition } => {
-            if let Some(p) = b.store.get(&TopicPartition::new(&*topic, partition)) {
+            if let Some(p) = b.store.get(&b.store.topic_partition(&topic, partition)) {
                 let grant = p.grant.borrow().clone();
                 if let Some(g) = grant {
                     if g.owner == peer || g.mode == ProduceMode::Shared {
@@ -255,7 +254,7 @@ async fn handle_rpc(
             offset,
             consumer_id,
         } => {
-            let tp = TopicPartition::new(&*topic, partition);
+            let tp = b.store.topic_partition(&topic, partition);
             rdma_consume::handle_access(b, &tp, offset, consumer_id, reply).await
         }
         Request::ConsumeRelease {
@@ -264,7 +263,7 @@ async fn handle_rpc(
             consumer_id,
             segment,
         } => {
-            let tp = TopicPartition::new(&*topic, partition);
+            let tp = b.store.topic_partition(&topic, partition);
             rdma_consume::handle_release(b, &tp, consumer_id, segment, reply)
         }
         Request::Telemetry => {

@@ -469,8 +469,7 @@ fn arm_order_timeout(b: &Rc<BrokerInner>, p: &Rc<Partition>, grant: &Rc<Grant>, 
     let b = Rc::clone(b);
     let p = Rc::clone(p);
     let grant = Rc::clone(grant);
-    sim::spawn(async move {
-        sim::time::sleep(timeout).await;
+    sim::spawn_at(sim::now() + timeout, async move {
         if grant.is_pending(order, generation) {
             b.metrics.produce_aborts.add(1);
             revoke_grant(&b, &p, &grant, ErrorCode::OrderTimeout);

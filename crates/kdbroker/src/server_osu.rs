@@ -61,15 +61,19 @@ async fn serve_connection(
     // Either way a message is parsed or serialised and copied through its
     // network buffer on the network thread.
     let cost = move |len| OSU_REQUEST_COST + copy_time(len as u64, kcopy);
-    // Response path: copy into a send buffer, post a Send.
+    // Response path: once the network thread is done, copy into a send
+    // buffer and post a Send.
     let qp_resp = qp.clone();
-    let conn = Conn::open(&b, peer, cost, async move |corr, body: &[u8]| {
+    let respond = async move |corr: u64, frame: &mut [u8], done| {
+        sim::time::sleep_until(done).await;
+        let body = &frame[kdwire::HEADER_LEN..];
         let buf = ShmBuf::from_vec([&corr.to_le_bytes(), body].concat());
         let send = WorkRequest::Send {
             local: buf.as_slice(),
         };
         qp_resp.post_send(SendWr::unsignaled(0, send)).is_ok()
-    });
+    };
+    let conn = Conn::open(&b, peer, cost, respond);
 
     // Request path: drain the CQ in batches (pooled, like the produce
     // pollers) and recycle the consumed buffers with one chained

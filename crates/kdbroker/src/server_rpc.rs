@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use kdwire::Request;
 use netsim::NodeId;
+use sim::SimTime;
 
 use crate::broker::BrokerInner;
 use crate::requests::{Reply, ReplyStage, WorkItem};
@@ -32,25 +33,31 @@ pub(crate) struct Conn {
 impl Conn {
     /// Assigns the connection its network thread and starts its response
     /// writer: per response, the worker → network thread handoff elapses in
-    /// the stage, then the writer occupies the thread for `cost(encoded
-    /// length)` to serialise and `send`s `(correlation id, encoded
-    /// response)` on the transport — `false` once the connection is gone.
+    /// the stage, then the writer books the thread for `cost(encoded
+    /// length)` to serialise and `send`s `(correlation id, frame, the
+    /// instant the thread is done)` on the transport — `false` once the
+    /// connection is gone. The frame is the encoded response behind
+    /// [`kdwire::HEADER_LEN`] reserved bytes, in one buffer the writer keeps
+    /// for the connection's life. The transport starts at the instant it is
+    /// given: TCP writes the frame as it is, its syscall beginning there, so
+    /// the thread's time and the write are one timer.
     pub(crate) fn open(
         b: &Rc<BrokerInner>,
         peer: NodeId,
         cost: impl Fn(usize) -> Duration + 'static,
-        mut send: impl AsyncFnMut(u64, &[u8]) -> bool + 'static,
+        mut send: impl AsyncFnMut(u64, &mut [u8], SimTime) -> bool + 'static,
     ) -> Conn {
         let net_idx = b.net_pool.assign();
         let replies = Rc::new(ReplyStage::new());
         let (bw, stage) = (Rc::clone(b), Rc::clone(&replies));
         sim::spawn_detached(async move {
-            let mut body = Vec::new();
+            let mut frame = Vec::new();
             while let Some((corr, resp)) = stage.next().await {
-                body.clear();
-                resp.encode_into(&mut body);
-                bw.net_pool.thread(net_idx).run(cost(body.len())).await;
-                if !send(corr, &body).await {
+                kdwire::begin_frame(&mut frame);
+                resp.encode_into(&mut frame);
+                let len = frame.len() - kdwire::HEADER_LEN;
+                let done = bw.net_pool.thread(net_idx).reserve(cost(len));
+                if !send(corr, &mut frame, done).await {
                     break;
                 }
             }
@@ -126,10 +133,12 @@ mod tests {
             let log = Rc::new(RefCell::new(Vec::new()));
             let sent = Rc::clone(&log);
             let cost = |_len| Duration::from_micros(2);
-            let conn = Conn::open(b, NodeId(99), cost, async move |corr, _body: &[u8]| {
+            let send = async move |corr, _frame: &mut [u8], done: SimTime| {
+                sim::time::sleep_until(done).await;
                 sent.borrow_mut().push((sim::now().as_nanos(), corr));
                 true
-            });
+            };
+            let conn = Conn::open(b, NodeId(99), cost, send);
             let stage = Rc::clone(&conn.replies);
             let reply = |corr, handoff_us| Reply {
                 stage: Rc::clone(&stage),

@@ -27,9 +27,10 @@ async fn serve_connection(b: Rc<BrokerInner>, stream: TcpStream) {
     let cost = b.profile.cpu.net_request_cost;
     let peer = stream.peer();
     let (mut read, mut write) = stream.into_split();
-    let conn = Conn::open(&b, peer, move |_len| cost, async move |corr, body: &[u8]| {
-        kdwire::write_frame(&mut write, corr, None, body).await.is_ok()
-    });
+    let send = async move |corr, frame: &mut [u8], done| {
+        kdwire::write_frame_from(&mut write, done, corr, None, frame).await.is_ok()
+    };
+    let conn = Conn::open(&b, peer, move |_len| cost, send);
     // The processor thread's receive side. A broker crash races the read:
     // the shutdown broadcast wins and the loop breaks.
     let mut payload = Vec::new();

@@ -2,6 +2,7 @@
 //! control plane) and the OSU-Kafka two-sided RDMA Send/Recv transport.
 
 use std::rc::Rc;
+use std::time::Duration;
 
 use kdwire::{BrokerAddr, Calls, Request, Response, RpcClient};
 use netsim::profile::copy_time;
@@ -49,20 +50,26 @@ impl Conn {
     }
 
     pub async fn call(&self, req: &Request) -> Result<Response, ClientError> {
-        self.call_with(|body| req.encode_into(body), None).await
+        match self {
+            Conn::Tcp(c) => c.call(req).await.map_err(ClientError::from),
+            Conn::Osu(c) => c.call_with(|body| req.encode_into(body), None, Duration::ZERO).await,
+        }
     }
 
     /// As [`call`](Self::call) for a request `encode` appends to the
     /// transport's scratch buffer, carrying a trace context across the
-    /// process boundary — in the frame header on TCP, in the Send WR on OSU.
+    /// process boundary — in the frame header on TCP, in the Send WR on OSU
+    /// — and paying `charge` of caller CPU on the reply's wake
+    /// ([`kdwire::frame::reply`]).
     pub async fn call_with(
         &self,
         encode: impl FnOnce(&mut Vec<u8>),
         trace: Option<kdtelem::TraceCtx>,
+        charge: Duration,
     ) -> Result<Response, ClientError> {
         match self {
-            Conn::Tcp(c) => c.call_with(encode, trace).await.map_err(ClientError::from),
-            Conn::Osu(c) => c.call_with(encode, trace).await,
+            Conn::Tcp(c) => c.call_with(encode, trace, charge).await.map_err(ClientError::from),
+            Conn::Osu(c) => c.call_with(encode, trace, charge).await,
         }
     }
 }
@@ -128,6 +135,7 @@ impl OsuConn {
         &self,
         encode: impl FnOnce(&mut Vec<u8>),
         trace: Option<kdtelem::TraceCtx>,
+        charge: Duration,
     ) -> Result<Response, ClientError> {
         let (corr, rx) = self.calls.open()?;
         let mut body = kdbuf::scratch();
@@ -144,6 +152,6 @@ impl OsuConn {
             self.calls.cancel(corr);
             return Err(ClientError::Disconnected);
         }
-        Ok(kdwire::frame::reply(rx).await?)
+        Ok(kdwire::frame::reply(rx, charge).await?)
     }
 }

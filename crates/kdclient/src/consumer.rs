@@ -114,8 +114,9 @@ impl TcpConsumer {
         let (max_bytes, replica_id) = (self.max_bytes, u32::MAX);
         let request = Request::Fetch { topic, partition, offset, max_bytes, replica_id };
         let encode = |body: &mut Vec<u8>| request.encode_into(body);
-        let resp = self.conn.call_with(encode, Some(span.ctx())).await?;
-        sim::time::sleep(cpu.wakeup).await;
+        // The response's dispatch back to the caller thread is paid on its
+        // wake.
+        let resp = self.conn.call_with(encode, Some(span.ctx()), cpu.wakeup).await?;
         let Response::Fetch(f) = resp else {
             return Err(ClientError::Protocol);
         };
@@ -125,11 +126,8 @@ impl TcpConsumer {
             return Ok(Vec::new());
         }
         // Client-side integrity check + copy into application records.
-        sim::time::sleep(
-            copy_time(f.bytes.len() as u64, cpu.crc_bandwidth)
-                + copy_time(f.bytes.len() as u64, cpu.memcpy_bandwidth),
-        )
-        .await;
+        let len = f.bytes.len() as u64;
+        sim::time::sleep(copy_time(len, cpu.crc_bandwidth) + copy_time(len, cpu.memcpy_bandwidth)).await;
         // A fetch response carries whole batches only; bytes left over were
         // cut short or mis-framed on the way.
         let mut out = Vec::new();

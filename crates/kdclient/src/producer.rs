@@ -4,6 +4,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::Duration;
 
 use kdstorage::record::BatchBuilder;
 use kdstorage::Record;
@@ -75,28 +76,31 @@ impl Inner {
         Ok(batch)
     }
 
-    /// One produce RPC: the client-side cost of preparing the request — the
-    /// defensive copy plus the Java producer pipeline (accumulator, sender
-    /// thread, selector — §5.1) — then the call. The request is encoded
-    /// straight from the borrowed topic and batch.
+    /// The client-side cost of preparing a produce request for an encoded
+    /// batch of `len` bytes: the defensive copy plus the Java producer
+    /// pipeline (accumulator, sender thread, selector — §5.1).
+    fn send_cost(&self, len: usize) -> Duration {
+        let cpu = &self.node.profile().cpu;
+        cpu.producer_copy_base
+            + copy_time(len as u64, cpu.memcpy_bandwidth)
+            + cpu.tcp_client_extra
+            + cpu.handoff
+    }
+
+    /// One produce RPC, its preparation paid: the request is encoded
+    /// straight from the borrowed topic and batch, and `charge` is paid on
+    /// the reply's wake.
     async fn produce(
         &self,
         batch: Vec<u8>,
         acks: Acks,
         trace: kdtelem::TraceCtx,
+        charge: Duration,
     ) -> Result<Response, ClientError> {
-        let cpu = &self.node.profile().cpu;
-        sim::time::sleep(
-            cpu.producer_copy_base
-                + copy_time(batch.len() as u64, cpu.memcpy_bandwidth)
-                + cpu.tcp_client_extra
-                + cpu.handoff,
-        )
-        .await;
         let encode = |out: &mut Vec<u8>| {
             Request::encode_produce_into(out, &self.topic, self.partition, acks.wire(), &batch)
         };
-        let resp = self.conn.call_with(encode, Some(trace)).await;
+        let resp = self.conn.call_with(encode, Some(trace), charge).await;
         // The encoded bytes were copied into the frame; reclaim the buffer
         // before surfacing any RPC error.
         self.batch_pool.borrow_mut().push(batch);
@@ -153,9 +157,12 @@ impl TcpProducer {
         // Root of this produce's lifeline; the ctx crosses to the broker in
         // the RPC frame header.
         let span = p.telem.trace_span("client.produce", None);
-        let resp = p.produce(p.build(records)?, self.acks, span.ctx()).await?;
-        // Response dispatch back to the caller thread.
-        sim::time::sleep(p.node.profile().cpu.wakeup).await;
+        let batch = p.build(records)?;
+        sim::time::sleep(p.send_cost(batch.len())).await;
+        // The response's dispatch back to the caller thread is paid on its
+        // wake.
+        let wakeup = p.node.profile().cpu.wakeup;
+        let resp = p.produce(batch, self.acks, span.ctx(), wakeup).await?;
         p.e2e_ns.record_since(start);
         span.end();
         assigned_offset(resp)
@@ -163,15 +170,19 @@ impl TcpProducer {
 
     /// Fires a produce without waiting; the returned handle resolves with
     /// the assigned offset. Used to pipeline requests ("the producer
-    /// dispatches as many requests as possible", §5.1).
+    /// dispatches as many requests as possible", §5.1). The send's
+    /// client-side cost is known here, so its task starts once it is paid
+    /// (`sim::spawn_at`) rather than starting only to sleep it.
     pub fn send_pipelined(&self, record: &Record) -> sim::JoinHandle<Result<u64, ClientError>> {
+        let p = &self.inner;
+        let span = p.telem.trace_span("client.produce", None);
         // Encoded here, while `record` is borrowed: the task owns only the
         // pooled batch.
-        let batch = self.inner.build(std::slice::from_ref(record));
-        let (p, acks) = (Rc::clone(&self.inner), self.acks);
-        sim::spawn(async move {
-            let span = p.telem.trace_span("client.produce", None);
-            let resp = p.produce(batch?, acks, span.ctx()).await?;
+        let batch = p.build(std::slice::from_ref(record));
+        let cost = batch.as_ref().map_or(Duration::ZERO, |b| p.send_cost(b.len()));
+        let (p, acks) = (Rc::clone(p), self.acks);
+        sim::spawn_at(sim::now() + cost, async move {
+            let resp = p.produce(batch?, acks, span.ctx(), Duration::ZERO).await?;
             span.end();
             assigned_offset(resp)
         })

@@ -1,5 +1,6 @@
 //! Topic and partition naming.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::rc::Rc;
 
@@ -20,6 +21,14 @@ impl TopicId {
 impl fmt::Display for TopicId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
+    }
+}
+
+/// A map keyed by topic id is looked up by name: the id hashes and compares
+/// as its string.
+impl Borrow<str> for TopicId {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 

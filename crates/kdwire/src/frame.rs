@@ -13,10 +13,12 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::rc::Rc;
+use std::time::Duration;
 
 use kdstorage::codec::WireError;
 use netsim::tcp::{Closed, ReadHalf, TcpStream, WriteHalf};
 use sim::sync::oneshot;
+use sim::SimTime;
 
 use crate::messages::{Request, Response};
 
@@ -50,30 +52,61 @@ impl From<Closed> for RpcError {
     }
 }
 
-/// Writes one `(correlation, trace, payload)` frame. The trace context also
-/// scopes the write's wire reservations, so link enqueue/deliver events land
-/// on the message's lifeline.
+/// Bytes of a frame ahead of its payload: the length, the correlation id and
+/// the trace pair.
+pub const HEADER_LEN: usize = 28;
+
+/// Empties `frame` and reserves its header: append the payload, then hand
+/// it to [`write_frame_from`], which fills the header in. A frame assembled
+/// this way is written as it is, with no copy into a second buffer.
+pub fn begin_frame(frame: &mut Vec<u8>) {
+    frame.clear();
+    frame.resize(HEADER_LEN, 0);
+}
+
+/// Writes the `(correlation, trace, payload)` frame `frame` holds behind the
+/// header [`begin_frame`] reserved, filling that header in. The write's
+/// syscall begins at `start`, or now if that has passed
+/// ([`WriteHalf::write_all_from`]). The trace context also scopes the
+/// write's wire reservations, so link enqueue/deliver events land on the
+/// message's lifeline.
+///
+/// # Panics
+/// Panics if `frame` is shorter than its header.
+pub async fn write_frame_from(
+    w: &mut WriteHalf,
+    start: SimTime,
+    correlation: u64,
+    trace: Option<kdtelem::TraceCtx>,
+    frame: &mut [u8],
+) -> Result<(), Closed> {
+    let total = frame.len().saturating_sub(4) as u32;
+    let (trace_id, span_id) = trace.map_or((0, 0), |t| (t.trace_id, t.span_id));
+    let (head, _) = frame
+        .split_first_chunk_mut::<HEADER_LEN>()
+        .expect("a frame begins with its header");
+    head[..4].copy_from_slice(&total.to_le_bytes());
+    head[4..12].copy_from_slice(&correlation.to_le_bytes());
+    head[12..20].copy_from_slice(&trace_id.to_le_bytes());
+    head[20..].copy_from_slice(&span_id.to_le_bytes());
+    w.set_trace(trace);
+    let res = w.write_all_from(start, frame).await;
+    w.set_trace(None);
+    res
+}
+
+/// Writes one `(correlation, trace, payload)` frame now, assembled in a
+/// recycled scratch buffer.
 pub async fn write_frame(
     w: &mut WriteHalf,
     correlation: u64,
     trace: Option<kdtelem::TraceCtx>,
     payload: &[u8],
 ) -> Result<(), Closed> {
-    let total = 24 + payload.len();
-    // Assembled in a recycled scratch buffer: steady-state framing does not
-    // allocate.
     let mut frame = kdbuf::scratch();
-    frame.reserve(4 + total);
-    frame.extend_from_slice(&(total as u32).to_le_bytes());
-    frame.extend_from_slice(&correlation.to_le_bytes());
-    let (trace_id, span_id) = trace.map_or((0, 0), |t| (t.trace_id, t.span_id));
-    frame.extend_from_slice(&trace_id.to_le_bytes());
-    frame.extend_from_slice(&span_id.to_le_bytes());
+    begin_frame(&mut frame);
     frame.extend_from_slice(payload);
-    w.set_trace(trace);
-    let res = w.write_all(&frame).await;
-    w.set_trace(None);
-    res
+    write_frame_from(w, SimTime::ZERO, correlation, trace, &mut frame).await
 }
 
 /// Reads one `(correlation, trace, payload)` frame.
@@ -87,25 +120,26 @@ pub async fn read_frame(
 
 /// Reads one frame, replacing `out`'s contents with the payload. Returns
 /// `(correlation, trace)`. Allocation-free when `out` already has capacity,
-/// so decode loops can reuse one buffer across frames.
+/// so decode loops can reuse one buffer across frames; the header is read
+/// onto the stack.
 pub async fn read_frame_into(
     r: &mut ReadHalf,
     out: &mut Vec<u8>,
 ) -> Result<(u64, Option<kdtelem::TraceCtx>), Closed> {
-    let mut head = kdbuf::scratch();
-    r.read_exact_into(4, &mut head).await?;
-    let total = head.first_chunk().map_or(0, |b| u32::from_le_bytes(*b)) as usize;
-    if !(24..=MAX_FRAME).contains(&total) {
+    let mut len = [0u8; 4];
+    r.read_exact_to(&mut len).await?;
+    let total = u32::from_le_bytes(len) as usize;
+    if !(HEADER_LEN - 4..=MAX_FRAME).contains(&total) {
         return Err(Closed);
     }
-    head.clear();
-    r.read_exact_into(24, &mut head).await?;
+    let mut head = [0u8; HEADER_LEN - 4];
+    r.read_exact_to(&mut head).await?;
     let (&[correlation, trace_id, span_id], []) = head.as_chunks() else {
         return Err(Closed);
     };
     let [correlation, trace_id, span_id] = [correlation, trace_id, span_id].map(u64::from_le_bytes);
     out.clear();
-    r.read_exact_into(total - 24, out).await?;
+    r.read_exact_into(total - (HEADER_LEN - 4), out).await?;
     let trace = (trace_id != 0).then_some(kdtelem::TraceCtx { trace_id, span_id });
     Ok((correlation, trace))
 }
@@ -172,10 +206,14 @@ impl Calls {
     }
 }
 
-/// Waits for a call's reply. Callers hold the receiver (one pointer), not
-/// this future, across the request's write, which keeps their frames small.
-pub async fn reply(rx: oneshot::Receiver<Reply>) -> Reply {
-    rx.await.unwrap_or(Err(RpcError::Closed))
+/// Waits for a call's reply as a thread that pays `charge` of CPU once it
+/// is in: the reply's arrival arms the caller's timer for that much later,
+/// so the wake and the charge are one event (`oneshot::Receiver::charged`;
+/// a zero charge is a plain receive). Callers hold the receiver (one
+/// pointer), not this future, across the request's write, which keeps their
+/// frames small.
+pub async fn reply(rx: oneshot::Receiver<Reply>, charge: Duration) -> Reply {
+    rx.charged(charge).await.unwrap_or(Err(RpcError::Closed))
 }
 
 /// A client connection that pipelines requests: `call` may be invoked from
@@ -224,24 +262,28 @@ impl RpcClient {
     /// Sends a request and waits for its response. Multiple `call`s from
     /// different tasks pipeline on the wire.
     pub async fn call(&self, request: &Request) -> Result<Response, RpcError> {
-        self.call_with(|body| request.encode_into(body), None).await
+        self.call_with(|body| request.encode_into(body), None, Duration::ZERO).await
     }
 
     /// As [`call`](Self::call) for a request `encode` appends to a scratch
     /// buffer (e.g. [`Request::encode_produce_into`] over borrowed parts),
     /// stamping the frame with a trace context so the broker continues the
-    /// caller's lifeline; the buffer is released once the frame is written.
+    /// caller's lifeline, and paying `charge` on the reply's wake
+    /// ([`reply`]). The request is encoded once, behind its frame header,
+    /// and the buffer is released once the frame is written.
     pub async fn call_with(
         &self,
         encode: impl FnOnce(&mut Vec<u8>),
         trace: Option<kdtelem::TraceCtx>,
+        charge: Duration,
     ) -> Result<Response, RpcError> {
         let (correlation, rx) = self.inner.calls.open()?;
         {
-            let mut body = kdbuf::scratch();
-            encode(&mut body);
+            let mut frame = kdbuf::scratch();
+            begin_frame(&mut frame);
+            encode(&mut frame);
             let mut w = self.inner.write.lock().await;
-            if write_frame(&mut w, correlation, trace, &body)
+            if write_frame_from(&mut w, SimTime::ZERO, correlation, trace, &mut frame)
                 .await
                 .is_err()
             {
@@ -249,7 +291,7 @@ impl RpcClient {
                 return Err(RpcError::Closed);
             }
         }
-        reply(rx).await
+        reply(rx, charge).await
     }
 }
 

@@ -21,7 +21,10 @@ pub mod frame;
 pub mod messages;
 pub mod slots;
 
-pub use frame::{read_frame, read_frame_into, write_frame, Calls, RpcClient, RpcError};
+pub use frame::{
+    begin_frame, read_frame, read_frame_into, write_frame, write_frame_from, Calls, RpcClient, RpcError,
+    HEADER_LEN,
+};
 pub use messages::{
     BrokerAddr, ConsumeAccessResp, ErrorCode, FetchResp, PartitionMeta, ProduceAccessResp,
     ProduceMode, RemoteRegion, Request, Response, SlotGrant, TopicMeta, Wire,

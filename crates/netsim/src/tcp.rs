@@ -17,6 +17,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::future::Future;
 use std::rc::Rc;
 use std::task::{Poll, Waker};
 use std::time::Duration;
@@ -191,25 +192,38 @@ impl WriteHalf {
     /// Writes the whole buffer, respecting flow control. Charges the
     /// sender's syscall once plus the user→kernel copy per MSS chunk, and
     /// reserves wire time on the path.
-    pub async fn write_all(&mut self, data: &[u8]) -> Result<(), Closed> {
+    pub fn write_all<'a>(&'a mut self, data: &'a [u8]) -> impl Future<Output = Result<(), Closed>> + 'a {
+        self.write_all_from(SimTime::ZERO, data)
+    }
+
+    /// [`write_all`](Self::write_all) with the syscall beginning at `start`
+    /// (now, if that has passed): the write of a thread that is busy until
+    /// `start` first, in one timer where a sleep until `start` and the
+    /// write would be two. It returns and delivers at the instants of that
+    /// pair: before its first sleep a write only reads the path and takes
+    /// socket-buffer room, and this half is the pipe's only writer and only
+    /// its reader gives room back, so room now is room at `start`. A path
+    /// read now is the path at `start` unless its state changes in between.
+    pub async fn write_all_from(&mut self, start: SimTime, data: &[u8]) -> Result<(), Closed> {
         let profile = self.fabric.profile();
         let net = &profile.net;
+        let start = start.max(sim::now());
         if data.is_empty() {
+            sim::time::sleep_until(start).await;
             return if self.is_closed() { Err(Closed) } else { Ok(()) };
         }
         let copy = |len: usize| copy_time(len as u64, net.kernel_copy_bandwidth);
         let mss = net.tcp_mss as usize;
         // The syscall and the first chunk's copy are one stretch of CPU
         // time, hence one timer, when nothing can come between them: the
-        // path is up and the socket buffer has room now — and this half is
-        // the pipe's only writer, so room now is room then.
+        // path is up and the socket buffer has room now.
         let first = data.len().min(mss);
         let mut granted = None;
         if !self.fabric.path_blocked(self.src, self.dst) {
             granted = self.window.try_acquire(first);
         }
         let first_copy = if granted.is_some() { copy(first) } else { Duration::ZERO };
-        sim::time::sleep(net.tcp_syscall + first_copy).await;
+        sim::time::sleep_until(start + net.tcp_syscall + first_copy).await;
         // Injected-fault handling: a blocked path (partition / link down)
         // resets the connection; a drop costs one retransmission timeout
         // per dropped attempt.
@@ -349,6 +363,21 @@ impl ReadHalf {
             }
         }
         out.extend(self.buffer.drain(..n));
+        Ok(())
+    }
+
+    /// Fills `out` with the next `out.len()` bytes; `Err(Closed)` on EOF
+    /// before them. For fixed-size headers read onto the stack.
+    pub async fn read_exact_to(&mut self, out: &mut [u8]) -> Result<(), Closed> {
+        while self.buffer.len() < out.len() {
+            if !self.fill().await {
+                return Err(Closed);
+            }
+        }
+        let n = out.len();
+        for (to, from) in out.iter_mut().zip(self.buffer.drain(..n)) {
+            *to = from;
+        }
         Ok(())
     }
 
@@ -684,14 +713,13 @@ mod tests {
         (t, began)
     }
 
-    #[test]
-    fn read_and_write_instants_equal_the_per_step_timeline() {
+    /// The transfers both timeline tests run: (case, bytes, when the reader
+    /// starts: `None` = parked before the write, `Some(k)` = k first-chunk
+    /// copy times after the first chunk's arrival).
+    fn timeline_cases() -> [(&'static str, usize, Option<f64>); 7] {
         const MSS: usize = 16 * 1024;
         const MIB_AND_3_MSS: usize = 1024 * 1024 + 3 * MSS;
-        // (case, bytes, when the reader starts: `None` = parked before the
-        // write, `Some(k)` = k first-chunk copy times after the first
-        // chunk's arrival)
-        let cases: [(&str, usize, Option<f64>); 7] = [
+        [
             ("parked reader", 512, None),
             ("reader arrives during the copy window", 512, Some(0.5)),
             ("reader arrives after arrival + copy", 512, Some(40.0)),
@@ -699,8 +727,28 @@ mod tests {
             ("late reader, three chunks and a tail", 3 * MSS + 100, Some(3.0)),
             ("reader waiting since just before arrival, three chunks", 3 * MSS, Some(-2.0)),
             ("writer blocked on the socket buffer", MIB_AND_3_MSS, Some(2_000.0)),
-        ];
-        for (case, len, reader) in cases {
+        ]
+    }
+
+    /// The instant a case's reader starts for a write whose syscall begins
+    /// at `t0`: where the first chunk arrives on an idle fabric, offset by
+    /// `reader` first-chunk copy times.
+    fn reader_start(t0: u64, len: usize, reader: Option<f64>) -> u64 {
+        reader.map_or(t0, |k| {
+            let (probe, pa, pb) = fabric2();
+            let net = &probe.profile().net;
+            let first = len.min(net.tcp_mss as usize) as u64;
+            let copy = copy_time(first, net.kernel_copy_bandwidth);
+            let sent = SimTime::from_nanos(t0) + net.tcp_syscall + copy;
+            let wire = probe.reserve_tcp_path(sent, pa.id, pb.id, first);
+            let arrival = (wire + net.tcp_stack_oneway).as_nanos() as f64;
+            (arrival + k * copy.as_nanos() as f64) as u64
+        })
+    }
+
+    #[test]
+    fn read_and_write_instants_equal_the_per_step_timeline() {
+        for (case, len, reader) in timeline_cases() {
             let rt = sim::Runtime::new();
             let (got, want) = rt.block_on(async move {
                 let (_f, a, b) = fabric2();
@@ -711,17 +759,7 @@ mod tests {
                 // Away from t = 0 and off any round number.
                 sim::time::sleep(Duration::from_nanos(12_345)).await;
                 let t0 = sim::now().as_nanos();
-                let read_at = reader.map_or(t0, |k| {
-                    // Where the first chunk arrives on an idle fabric.
-                    let (probe, pa, pb) = fabric2();
-                    let net = &probe.profile().net;
-                    let first = len.min(MSS) as u64;
-                    let copy = copy_time(first, net.kernel_copy_bandwidth);
-                    let sent = SimTime::from_nanos(t0) + net.tcp_syscall + copy;
-                    let wire = probe.reserve_tcp_path(sent, pa.id, pb.id, first);
-                    let arrival = (wire + net.tcp_stack_oneway).as_nanos() as f64;
-                    (arrival + k * copy.as_nanos() as f64) as u64
-                });
+                let read_at = reader_start(t0, len, reader);
                 let want = reference_timeline(&twin, ta.id, tb.id, t0, len, read_at);
                 let reader = sim::spawn(async move {
                     sim::time::sleep_until(SimTime::from_nanos(read_at)).await;
@@ -735,6 +773,63 @@ mod tests {
                 ((wrote, read), want)
             });
             assert_eq!(got, want, "{case}: (write_all, read_exact) return instants");
+        }
+    }
+
+    /// `write_all_from(start)` booked at `t0` against `sleep_until(start)`
+    /// and `write_all`: for every timeline case the write returns and the
+    /// read completes at the same instants, with one poll fewer — and
+    /// equal polls when the path is blocked at the booking and healed
+    /// before `start`, where the write takes the not-granted route.
+    #[test]
+    fn write_all_from_keeps_the_instants_of_a_sleep_and_a_write() {
+        const BOOKED: u64 = 17_000; // a network thread's serialisation
+        // (write return, read return, polls) of one transfer.
+        let run = |len: usize, reader: Option<f64>, folded: bool, blocked: bool| {
+            let rt = sim::Runtime::new();
+            let instants = rt.block_on(async move {
+                let (f, a, b) = fabric2();
+                let mut listener = TcpListener::bind(&b, 9092);
+                let (_r, mut w) = connect(&a, b.id, 9092).await.unwrap().into_split();
+                let mut s = listener.accept().await.unwrap();
+                sim::time::sleep(Duration::from_nanos(12_345)).await;
+                let t0 = sim::now().as_nanos();
+                let start = SimTime::from_nanos(t0 + BOOKED);
+                let read_at = reader_start(start.as_nanos(), len, reader);
+                let reader = sim::spawn(async move {
+                    sim::time::sleep_until(SimTime::from_nanos(read_at)).await;
+                    s.read_exact(len).await.unwrap();
+                    (sim::now().as_nanos(), s)
+                });
+                if blocked {
+                    f.partition_pair(a.id, b.id);
+                    let (f, a, b) = (f.clone(), a.id, b.id);
+                    sim::spawn_detached(async move {
+                        sim::time::sleep(Duration::from_nanos(BOOKED / 2)).await;
+                        f.heal_pair(a, b);
+                    });
+                }
+                sim::time::yield_now().await; // a `None` reader is parked now
+                if folded {
+                    w.write_all_from(start, &vec![7u8; len]).await.unwrap();
+                } else {
+                    sim::time::sleep_until(start).await;
+                    w.write_all(&vec![7u8; len]).await.unwrap();
+                }
+                let wrote = sim::now().as_nanos();
+                let (read, _s) = reader.await.unwrap();
+                (wrote, read)
+            });
+            (instants, rt.poll_count())
+        };
+        for (case, len, reader) in timeline_cases() {
+            for blocked in [false, true] {
+                let (want, slept) = run(len, reader, false, blocked);
+                let (got, polls) = run(len, reader, true, blocked);
+                assert_eq!(got, want, "{case}, blocked {blocked}: (write_all, read_exact) return instants");
+                let fewer = if blocked { 0 } else { 1 };
+                assert_eq!(polls + fewer, slept, "{case}, blocked {blocked}: polls");
+            }
         }
     }
 

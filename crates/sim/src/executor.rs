@@ -499,6 +499,49 @@ where
     })
 }
 
+/// A future held back until the instant its task's timer fires. A poll
+/// before then — a stale timer of the task that held the slot before —
+/// finds it not yet due and leaves it unpolled.
+struct At<F> {
+    start: u64,
+    future: F,
+}
+
+impl<F: Future> Future for At<F> {
+    type Output = F::Output;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+        // SAFETY: `future` is structurally pinned: it is only reached through
+        // the `Pin` below, never moved out, and `At` has no `Drop` impl.
+        let this = unsafe { self.get_unchecked_mut() };
+        if with_current(|inner| inner.now_nanos()) < this.start {
+            return Poll::Pending;
+        }
+        // SAFETY: as above.
+        unsafe { Pin::new_unchecked(&mut this.future) }.poll(cx)
+    }
+}
+
+pub(crate) fn spawn_at<F>(start: SimTime, future: F) -> JoinHandle<F::Output>
+where
+    F: Future + 'static,
+    F::Output: 'static,
+{
+    let start = start.as_nanos();
+    if start <= with_current(|inner| inner.now_nanos()) {
+        return spawn(future);
+    }
+    with_current(|inner| {
+        let (tx, rx) = crate::sync::oneshot::channel();
+        let id = inner.insert_task(Task {
+            future: Some(At { start, future }),
+            deliver: Some(move |out| drop(tx.send(out))),
+        });
+        inner.register_timer(start, task_waker(inner.tag, id));
+        JoinHandle { result: rx }
+    })
+}
+
 /// Spawns a task with no [`JoinHandle`]: no completion channel is allocated.
 /// The choice for fire-and-forget tasks whose handle would be dropped
 /// anyway.
@@ -839,6 +882,117 @@ mod tests {
             (outer.await.expect("the outer task finishes"), inner)
         });
         assert_eq!(polls, (2, 2));
+    }
+
+    /// What a [`Stamps`] future shows the test: the instant of each poll,
+    /// and whether it was dropped.
+    #[derive(Default)]
+    struct StampLog {
+        polls: RefCell<Vec<u64>>,
+        dropped: Cell<bool>,
+    }
+
+    /// A future that logs each poll and is ready on its first.
+    struct Stamps(Rc<StampLog>);
+
+    impl Future for Stamps {
+        type Output = ();
+        fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+            self.0.polls.borrow_mut().push(crate::now().as_nanos());
+            Poll::Ready(())
+        }
+    }
+
+    impl Drop for Stamps {
+        fn drop(&mut self) {
+            self.0.dropped.set(true);
+        }
+    }
+
+    #[test]
+    fn spawn_at_polls_first_at_its_start_once() {
+        let rt = Runtime::new();
+        let polls = rt.block_on(async {
+            // A task that finishes at 1 µs leaves its 2 µs timer behind; the
+            // task spawned next takes its slot, and the stale timer wakes it
+            // before its start.
+            let early = crate::spawn(crate::time::timeout(
+                Duration::from_micros(1),
+                sleep(Duration::from_micros(2)),
+            ));
+            assert!(early.await.unwrap().is_err(), "the timeout fired first");
+            let log = Rc::new(StampLog::default());
+            let start = crate::now() + Duration::from_micros(4);
+            crate::spawn_at(start, Stamps(Rc::clone(&log))).await.unwrap();
+            assert_eq!(crate::now(), start);
+            log.polls.take()
+        });
+        assert_eq!(polls, [5_000], "polled once, at its start");
+    }
+
+    #[test]
+    fn spawn_at_a_past_start_runs_in_spawn_order_beside_plain_spawns() {
+        let rt = Runtime::new();
+        let order = rt.block_on(async {
+            sleep(Duration::from_micros(3)).await;
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let entry = |name: &'static str| {
+                let log = Rc::clone(&log);
+                async move { log.borrow_mut().push((name, crate::now().as_nanos())) }
+            };
+            let now = crate::now();
+            let handles = [
+                crate::spawn(entry("spawn 1")),
+                crate::spawn_at(now, entry("at now")),
+                crate::spawn(entry("spawn 2")),
+                crate::spawn_at(SimTime::ZERO, entry("at zero")),
+            ];
+            for h in handles {
+                h.await.unwrap();
+            }
+            Rc::try_unwrap(log).unwrap().into_inner()
+        });
+        let at = 3_000;
+        assert_eq!(order, [("spawn 1", at), ("at now", at), ("spawn 2", at), ("at zero", at)]);
+    }
+
+    #[test]
+    fn spawn_at_a_runtime_dropped_before_start_drops_the_future_unpolled() {
+        let rt = Runtime::new();
+        let log = Rc::new(StampLog::default());
+        let future = Stamps(Rc::clone(&log));
+        let [handle] = rt.block_on(async { [crate::spawn_at(SimTime::from_nanos(10_000), future)] });
+        assert!(!log.dropped.get(), "held until its start");
+        drop(rt);
+        assert!(log.dropped.get(), "dropped with the runtime");
+        assert!(log.polls.borrow().is_empty(), "never polled");
+        assert_eq!(Runtime::new().block_on(handle), Err(JoinError));
+    }
+
+    #[test]
+    fn spawn_at_timer_fires_ahead_of_a_same_instant_timer_registered_later() {
+        let rt = Runtime::new();
+        let order = rt.block_on(async {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let start = SimTime::from_nanos(5_000);
+            let sleeper = |name: &'static str| {
+                let log = Rc::clone(&log);
+                crate::spawn(async move {
+                    crate::time::sleep_until(start).await;
+                    log.borrow_mut().push(name);
+                })
+            };
+            let before = sleeper("armed before");
+            crate::time::yield_now().await; // its timer is registered now
+            let l = Rc::clone(&log);
+            let at = crate::spawn_at(start, async move { l.borrow_mut().push("spawn_at") });
+            let after = sleeper("armed after");
+            for h in [before, at, after] {
+                h.await.unwrap();
+            }
+            Rc::try_unwrap(log).unwrap().into_inner()
+        });
+        assert_eq!(order, ["armed before", "spawn_at", "armed after"]);
     }
 
     #[test]

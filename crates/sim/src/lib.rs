@@ -70,6 +70,22 @@ where
     executor::spawn(future)
 }
 
+/// Spawns a task that is first polled at `start`: a task whose first act
+/// would be to sleep until then, without the poll that arms the sleep. The
+/// task is stored now and its timer registered now, so it fires ahead of a
+/// timer for the same instant registered later. A `start` at or before now
+/// is [`spawn`].
+///
+/// # Panics
+/// Panics if called outside of [`Runtime::block_on`].
+pub fn spawn_at<F>(start: SimTime, future: F) -> JoinHandle<F::Output>
+where
+    F: Future + 'static,
+    F::Output: 'static,
+{
+    executor::spawn_at(start, future)
+}
+
 /// Spawns a fire-and-forget task without allocating a [`JoinHandle`]
 /// completion channel. Prefer this on hot paths where the handle from
 /// [`spawn`] would be dropped anyway.

@@ -403,6 +403,26 @@ if grep -nE "struct Chain|hw_tx|notify_waiters" crates/kdbroker/src/data.rs ||
     exit 1
 fi
 
+# A TCP hop pays its thread time in its write (DESIGN.md §10 "One TCP
+# produce, hop by hop"): the broker's reply writer books its network thread
+# (`ServiceQueue::reserve`) and hands the end instant to the write, whose
+# syscall starts there (`WriteHalf::write_all_from`), and a pipelined Kafka
+# send is spawned at the instant its client-side cost is paid
+# (`sim::spawn_at`). The folded write against a sleep and a write on every
+# timeline case, `spawn_at`'s contract and the TCP produce budget, by name.
+# Then the re-fork guard: no sleep on the network thread in `Conn::open`'s
+# writer, no spawn-then-sleep in `send_pipelined`, no pooled scratch held
+# across a frame header read.
+cargo test -q --offline -p netsim --lib tcp::tests::write_all_from_keeps_the_instants_of_a_sleep_and_a_write
+cargo test -q --offline -p sim --lib executor::tests::spawn_at_
+cargo test -q --offline --release -p kdbench --test budgets tcp_produce_per_record
+if awk '/pub\(crate\) fn open/, /^    }/' crates/kdbroker/src/server_rpc.rs | grep -n "\.run(" ||
+    awk '/pub fn send_pipelined/, /^    }/' crates/kdclient/src/producer.rs | grep -n "sim::spawn(" ||
+    awk '/pub async fn read_frame_into/, /^}/' crates/kdwire/src/frame.rs | grep -n "kdbuf::scratch"; then
+    echo "ci: a TCP hop sleeps twice for one stretch of CPU time again (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # Re-fork guard: there is one wall-clock harness (kdmark, below) and no
 # per-PR report files; what the second harness gated is the tests above.
 if grep -rnE "kdperf|KDPERF_|KD_BENCH_TAG|BENCH_PR|PERF_PR|criterion_substrate" \

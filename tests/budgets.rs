@@ -381,15 +381,19 @@ fn a_second_cluster_allocates_no_segment_memory() {
     assert_eq!(large_allocs(), 0, "the second cluster allocated in the >= 1 MiB classes");
 }
 
-/// Kafka produce RPCs over TCP. Measured 12.0085 polls and 4.0135
-/// allocations per record (16 054 in 4000, some runs one more — the one count
+/// Kafka produce RPCs over TCP. Measured 10.0085 polls and 3.0122
+/// allocations per record (12 049 in 4000, some runs one more — the one count
 /// here that is not exact); the task-per-hop RPC plane needed 21.0 / 10.0,
-/// the three-piece hand-off 14.0 polls (DESIGN.md §10).
+/// the three-piece hand-off 14.0 polls, and 12.0085 / 4.0135 while the reply
+/// writer slept its network thread before the write, a pipelined send's task
+/// woke only to sleep its client-side cost, and each request's topic was a
+/// fresh `Rc<str>` (DESIGN.md §10). Restoring either sleep is one more poll
+/// per record.
 #[test]
 fn tcp_produce_per_record() {
     let (r, _) = produce(SystemKind::Kafka, ProducerMode::Rpc, None, None, RECORDS, RECORD_BYTES);
-    r.check_polls("tcp", 12.25);
-    r.check_allocs("tcp", 4.10);
+    r.check_polls("tcp", 10.25);
+    r.check_allocs("tcp", 3.05);
     assert_eq!(r.virtual_ns, 136_213_080, "tcp: the virtual timeline moved");
 }
 
