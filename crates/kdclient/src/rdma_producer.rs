@@ -17,12 +17,12 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
-use kdstorage::record::BatchBuilder;
+use kdstorage::record::{single_record_batch_len, BatchBuilder};
 use kdstorage::Record;
 use kdwire::messages::{ProduceMode, Request, Response};
 use kdwire::{unpack_shared_word, BrokerAddr, ErrorCode, ProduceAccessResp};
 use netsim::profile::copy_time;
-use rnic::{CompletionQueue, CqOpcode, QueuePair, RecvWr, SendWr, ShmBuf, WorkRequest};
+use rnic::{BufSlice, CompletionQueue, CqOpcode, QueuePair, RecvWr, SendWr, ShmBuf, WorkRequest};
 use sim::sync::oneshot;
 
 use crate::data_plane::{with_backoff, DataPlane, Port};
@@ -42,11 +42,46 @@ const ACK_READER_FRAME: usize = 256;
 type AckWaiter = (oneshot::Sender<(ErrorCode, u64)>, Option<ShmBuf>);
 /// The receiving end of one record's ack.
 type Ack = oneshot::Receiver<(ErrorCode, u64)>;
-/// One QP generation's ack waiters, and whether its reader saw the QP break.
-type Pending = Rc<RefCell<VecDeque<AckWaiter>>>;
-type Dead = Rc<Cell<bool>>;
-/// Free staging buffers, shared between the producer and its ack readers.
-type StagePool = Rc<RefCell<Vec<ShmBuf>>>;
+
+/// One QP generation's state, in one block shared by the producer and the
+/// generation's ack reader. Each dial starts a new one, so the reader of a
+/// closed QP can neither fail the waiters of the QP that replaced it nor
+/// mark that QP dead.
+struct Generation {
+    /// The waiters of the writes in flight, in write order.
+    pending: RefCell<VecDeque<AckWaiter>>,
+    /// Set once the reader saw the QP break, or the producer crashed it.
+    dead: Cell<bool>,
+    /// Free staging buffers: an acked write returns its buffer here (see
+    /// [`RdmaProducer::stage`]); a redial hands them to the next generation.
+    stage_pool: RefCell<Vec<ShmBuf>>,
+    /// The ack receives' region, a slice of `ACK_BUF` bytes per receive, and
+    /// behind them the 8-byte word FAA results land in.
+    bufs: ShmBuf,
+}
+
+impl Generation {
+    fn new(ack_depth: usize) -> Generation {
+        Generation {
+            pending: RefCell::default(),
+            dead: Cell::new(false),
+            stage_pool: RefCell::default(),
+            bufs: ShmBuf::zeroed(ack_depth * ACK_BUF + 8),
+        }
+    }
+
+    /// The receive of ack buffer `wr_id`: its slice of the region.
+    fn ack_recv(&self, wr_id: u64) -> RecvWr {
+        let buf = Some(self.bufs.slice(wr_id as usize * ACK_BUF, ACK_BUF));
+        RecvWr { wr_id, buf }
+    }
+
+    /// Where an FAA writes the word it read: the region's last 8 bytes.
+    fn faa_result(&self) -> BufSlice {
+        self.bufs.slice(self.bufs.len() - 8, 8)
+    }
+}
+
 /// A record ready to post: its encoded batch in a staging buffer and the
 /// span rooting its lifeline.
 type Staged = (ShmBuf, kdtelem::TraceSpan);
@@ -54,20 +89,17 @@ type Staged = (ShmBuf, kdtelem::TraceSpan);
 /// The RDMA producer.
 pub struct RdmaProducer {
     plane: DataPlane,
-    topic: String,
-    partition: u32,
+    /// The produce-access request (§4.2.2), kept to be sent again: it holds
+    /// the topic. [`acquire_access`](Self::acquire_access) sets its
+    /// `min_bytes`.
+    access: Request,
     mode: ProduceMode,
     grant: ProduceAccessResp,
     /// Exclusive mode: next write position (producer-tracked). Shared mode
     /// never reads it.
     write_pos: u32,
-    /// The current QP generation's ack state. Each dial starts a new one, so
-    /// the reader of a closed QP can neither fail the waiters of the QP that
-    /// replaced it nor mark that QP dead.
-    pending: Pending,
-    dead: Dead,
-    /// Recycled staging buffers (see [`RdmaProducer::stage`]).
-    stage_pool: StagePool,
+    /// The current QP generation.
+    gen: Rc<Generation>,
     /// Recycled ack channels: a record's cell comes back once its waiter
     /// has answered and the caller has dropped its [`Ack`].
     ack_cells: oneshot::Pool<(ErrorCode, u64)>,
@@ -75,7 +107,6 @@ pub struct RdmaProducer {
     /// Staging scratch of runs of n > 1, recycled so posting one allocates
     /// nothing.
     chain: Vec<Staged>,
-    faa_result: ShmBuf,
     /// Ack receive buffers posted per data-plane QP (see `ACK_DEPTH`).
     ack_depth: usize,
     telem: kdtelem::Registry,
@@ -111,25 +142,25 @@ impl RdmaProducer {
         assert!(ack_depth >= 1);
         let mode = if shared { ProduceMode::Shared } else { ProduceMode::Exclusive };
         let (plane, recv_cq) = DataPlane::open(node, broker, Port::produce(ack_depth)).await?;
-        let stage_pool = StagePool::default();
-        let (pending, dead) = start_ack_reader(&plane, recv_cq, ack_depth, &stage_pool);
+        let gen = start_ack_reader(&plane, recv_cq, ack_depth);
         let telem = kdtelem::current();
         let e2e_ns = telem.histogram("kdclient", "produce.e2e_ns");
         let producer_id = sim::rng::range_u64(1..u64::MAX);
         let mut producer = RdmaProducer {
             plane,
-            topic: topic.to_string(),
-            partition,
+            access: Request::ProduceAccess {
+                topic: topic.to_string(),
+                partition,
+                mode,
+                min_bytes: 0,
+            },
             mode,
             grant: ProduceAccessResp::default(),
             write_pos: 0,
-            pending,
-            dead,
-            stage_pool,
+            gen,
             ack_cells: oneshot::Pool::new(),
             producer_id,
             chain: Vec::new(),
-            faa_result: ShmBuf::zeroed(8),
             ack_depth,
             telem,
             e2e_ns,
@@ -141,9 +172,10 @@ impl RdmaProducer {
     /// Requests (or re-requests) produce access; `min_bytes` forces a roll
     /// when the head cannot fit the next record (§4.2.2).
     async fn acquire_access(&mut self, min_bytes: u32) -> Result<(), ClientError> {
-        let (topic, partition, mode) = (self.topic.clone(), self.partition, self.mode);
-        let request = Request::ProduceAccess { topic, partition, mode, min_bytes };
-        let Response::ProduceAccess(grant) = self.plane.ctrl.call(&request).await? else {
+        if let Request::ProduceAccess { min_bytes: m, .. } = &mut self.access {
+            *m = min_bytes;
+        }
+        let Response::ProduceAccess(grant) = self.plane.ctrl.call(&self.access).await? else {
             return Err(ClientError::Protocol);
         };
         check(grant.error)?;
@@ -156,13 +188,16 @@ impl RdmaProducer {
     /// (registered) staging buffer — the producer's defensive copy of user
     /// data (§5.1). The span's ctx rides the data-plane WRs (FAA, WriteImm)
     /// to the broker, so the whole commit chain is stitched to it. Staging
-    /// buffers are recycled through [`StagePool`] as acks retire them, so
-    /// the steady-state produce path allocates nothing here. The copy is
-    /// charged by [`charge_copies`](Self::charge_copies).
+    /// buffers are recycled through the generation's pool as acks retire
+    /// them, so the steady-state produce path allocates nothing here; a new
+    /// one is allocated at the size of its batch. The copy is charged by
+    /// [`charge_copies`](Self::charge_copies).
     fn stage(&mut self, record: &Record) -> Result<Staged, ClientError> {
         let span = self.telem.trace_span("client.produce", None);
-        let pooled = self.stage_pool.borrow_mut().pop();
-        let staged = pooled.unwrap_or_else(|| ShmBuf::from_vec(Vec::new()));
+        let pooled = self.gen.stage_pool.borrow_mut().pop();
+        let staged = pooled.unwrap_or_else(|| {
+            ShmBuf::from_vec(Vec::with_capacity(single_record_batch_len(record)))
+        });
         staged
             .with_vec(|v| {
                 v.clear();
@@ -213,7 +248,7 @@ impl RdmaProducer {
         self.plane.qp.post_send_list(wrs).ok()?;
         // Acks arrive in write order: one waiter per record, holding the
         // staging buffer its write reads from.
-        let mut pending = self.pending.borrow_mut();
+        let mut pending = self.gen.pending.borrow_mut();
         for (buf, _) in run {
             let (tx, rx) = self.ack_cells.channel();
             pending.push_back((tx, Some(buf.clone())));
@@ -268,7 +303,7 @@ impl RdmaProducer {
         records: &[Record],
         mut acks: impl FnMut(Ack),
     ) -> Result<(), ClientError> {
-        if records.len() > 1 && self.mode != ProduceMode::Shared && !self.dead.get() {
+        if records.len() > 1 && self.mode != ProduceMode::Shared && !self.gen.dead.get() {
             let mut run = std::mem::take(&mut self.chain);
             let posted = async {
                 for r in records {
@@ -282,7 +317,7 @@ impl RdmaProducer {
             if matches!(posted, Ok(true)) {
                 run.clear();
             } else {
-                self.stage_pool.borrow_mut().extend(run.drain(..).map(|(buf, _)| buf));
+                self.gen.stage_pool.borrow_mut().extend(run.drain(..).map(|(buf, _)| buf));
             }
             self.chain = run;
             if posted? {
@@ -312,7 +347,7 @@ impl RdmaProducer {
     ) -> Result<bool, ClientError> {
         let len = run_len(run) as u32;
         for _ in 0..4 {
-            if self.dead.get() {
+            if self.gen.dead.get() {
                 if !retry {
                     return Ok(false);
                 }
@@ -359,7 +394,7 @@ impl RdmaProducer {
     /// word. `None` without a shared grant or if the QP failed.
     async fn faa(&self, len: u32, trace: Option<kdtelem::TraceCtx>) -> Option<u64> {
         let word = self.grant.shared_word?;
-        let local = self.faa_result.as_slice();
+        let local = self.gen.faa_result();
         let add = kdwire::slots::shared_word_addend(u64::from(len));
         let faa = WorkRequest::FetchAdd { local, remote_addr: word.addr, rkey: word.rkey, add };
         let wr = SendWr::new(1, faa).with_trace(trace);
@@ -369,7 +404,7 @@ impl RdmaProducer {
     /// Waits until every in-flight produce is acknowledged (used before
     /// re-requesting access so error acks don't interleave with new writes).
     pub async fn drain_pending(&self) {
-        while !self.pending.borrow().is_empty() && !self.dead.get() {
+        while !self.gen.pending.borrow().is_empty() && !self.gen.dead.get() {
             sim::time::yield_now().await;
             sim::time::sleep(std::time::Duration::from_micros(1)).await;
         }
@@ -385,7 +420,10 @@ impl RdmaProducer {
             // Drop the stale data plane first so the (old) broker sees the
             // disconnect and releases any grant still held by this producer.
             self.crash();
-            let (leader, ctrl) = self.plane.resolve(&self.topic, self.partition).await?;
+            let Request::ProduceAccess { topic, partition, .. } = &self.access else {
+                unreachable!("the access request is a produce-access request")
+            };
+            let (leader, ctrl) = self.plane.resolve(topic, *partition).await?;
             self.redial(leader).await?;
             self.plane.ctrl = ctrl;
             self.acquire_access(0).await
@@ -393,15 +431,16 @@ impl RdmaProducer {
         .await
     }
 
-    /// Dials a fresh data-plane QP to `to` and starts a new ack generation
-    /// on it.
+    /// Dials a fresh data-plane QP to `to` and starts a new generation on
+    /// it, which takes over the free staging buffers.
     async fn redial(&mut self, to: BrokerAddr) -> Result<(), ClientError> {
         // Waiters the old reader has not failed yet fail now: the QP their
         // writes went out on is gone.
-        self.pending.borrow_mut().clear();
+        self.gen.pending.borrow_mut().clear();
         let recv_cq = self.plane.dial(to).await?;
-        (self.pending, self.dead) =
-            start_ack_reader(&self.plane, recv_cq, self.ack_depth, &self.stage_pool);
+        let gen = start_ack_reader(&self.plane, recv_cq, self.ack_depth);
+        gen.stage_pool.swap(&self.gen.stage_pool);
+        self.gen = gen;
         Ok(())
     }
 
@@ -415,7 +454,7 @@ impl RdmaProducer {
     /// grant (§4.2.2 failure handling).
     pub fn crash(&self) {
         self.plane.qp.close();
-        self.dead.set(true);
+        self.gen.dead.set(true);
     }
 
     /// Failure-injection helper (shared mode): reserves `len` bytes through
@@ -426,31 +465,22 @@ impl RdmaProducer {
     }
 }
 
-/// Posts the ack receives of `plane`'s freshly dialled QP — one registered
-/// region, a slice per receive — and spawns its reader over a new
-/// generation of ack state, which it returns.
+/// Starts a new generation on `plane`'s freshly dialled QP: posts its ack
+/// receives — one registered region, a slice per receive — and spawns its
+/// reader.
 fn start_ack_reader(
     plane: &DataPlane,
     recv_cq: CompletionQueue,
     ack_depth: usize,
-    stage_pool: &StagePool,
-) -> (Pending, Dead) {
-    let bufs = ShmBuf::zeroed(ack_depth * ACK_BUF);
-    let _ = plane.qp.post_recv_list((0..ack_depth).map(|i| ack_recv(&bufs, i as u64)));
-    let (pending, dead) = (Pending::default(), Dead::default());
+) -> Rc<Generation> {
+    let gen = Rc::new(Generation::new(ack_depth));
+    let _ = plane.qp.post_recv_list((0..ack_depth).map(|i| gen.ack_recv(i as u64)));
     let wakeup = plane.node.profile().cpu.wakeup;
-    let (qp, pool) = (plane.qp.clone(), Rc::clone(stage_pool));
-    let reader = ack_reader(qp, recv_cq, bufs, wakeup, Rc::clone(&pending), pool, Rc::clone(&dead));
+    let reader = ack_reader(plane.qp.clone(), recv_cq, wakeup, Rc::clone(&gen));
     // One of these is parked per connected producer.
     assert!(std::mem::size_of_val(&reader) <= ACK_READER_FRAME);
     sim::spawn_detached(reader);
-    (pending, dead)
-}
-
-/// The receive of ack buffer `wr_id`: its slice of the connection's region.
-fn ack_recv(bufs: &ShmBuf, wr_id: u64) -> RecvWr {
-    let buf = Some(bufs.slice(wr_id as usize * ACK_BUF, ACK_BUF));
-    RecvWr { wr_id, buf }
+    gen
 }
 
 /// The ack reader of one data-plane QP: blocks on the receive CQ, retires
@@ -460,24 +490,21 @@ fn ack_recv(bufs: &ShmBuf, wr_id: u64) -> RecvWr {
 async fn ack_reader(
     qp: QueuePair,
     recv_cq: CompletionQueue,
-    bufs: ShmBuf,
     wakeup: Duration,
-    pending: Pending,
-    stage_pool: StagePool,
-    dead: Dead,
+    gen: Rc<Generation>,
 ) {
     loop {
         // Blocking-poll wakeup (§5.1 client overheads) when the CQ is dry.
         if recv_cq.is_empty() && !recv_cq.wait(wakeup).await {
             break;
         }
-        if !drain_acks(&qp, &recv_cq, &bufs, &pending, &stage_pool) {
+        if !drain_acks(&qp, &recv_cq, &gen) {
             break;
         }
     }
-    dead.set(true);
+    gen.dead.set(true);
     // Fail anything still pending.
-    for (w, _) in pending.borrow_mut().drain(..) {
+    for (w, _) in gen.pending.borrow_mut().drain(..) {
         let _ = w.send((ErrorCode::Internal, 0));
     }
 }
@@ -485,13 +512,7 @@ async fn ack_reader(
 /// Retires one stack-space batch of acks (`ibv_poll_cq` style) and puts the
 /// consumed receives back through one chained post. Not part of the reader's
 /// future, so a parked reader holds no batch. `false`: the connection broke.
-fn drain_acks(
-    qp: &QueuePair,
-    recv_cq: &rnic::CompletionQueue,
-    bufs: &ShmBuf,
-    pending: &RefCell<VecDeque<AckWaiter>>,
-    stage_pool: &StagePool,
-) -> bool {
+fn drain_acks(qp: &QueuePair, recv_cq: &rnic::CompletionQueue, gen: &Generation) -> bool {
     let mut batch: kdbuf::ArrayVec<rnic::Cqe, 64> = kdbuf::ArrayVec::new();
     let mut recycle: kdbuf::ArrayVec<u64, 64> = kdbuf::ArrayVec::new();
     recv_cq.poll_batch(&mut batch);
@@ -503,11 +524,11 @@ fn drain_acks(
         // steady state.
         let n = (cqe.byte_len as usize).min(ACK_BUF);
         let mut payload = [0u8; ACK_BUF];
-        bufs.read_into(cqe.wr_id as usize * ACK_BUF, &mut payload[..n]);
+        gen.bufs.read_into(cqe.wr_id as usize * ACK_BUF, &mut payload[..n]);
         let _ = recycle.push(cqe.wr_id);
-        resolve_ack(&payload[..n], pending, stage_pool);
+        resolve_ack(&payload[..n], gen);
     }
-    let _ = qp.post_recv_list(recycle.drain().map(|wr_id| ack_recv(bufs, wr_id)));
+    let _ = qp.post_recv_list(recycle.drain().map(|wr_id| gen.ack_recv(wr_id)));
     true
 }
 
@@ -515,15 +536,15 @@ fn drain_acks(
 /// the i-th with offset `base_offset + i`; returns how many there were. The
 /// count is the peer's word, so the loop ends with the queue, not with the
 /// count — an ack for more writes than are in flight answers those that are.
-fn resolve_ack(payload: &[u8], pending: &RefCell<VecDeque<AckWaiter>>, pool: &StagePool) -> u32 {
+fn resolve_ack(payload: &[u8], gen: &Generation) -> u32 {
     let (error, base_offset, count) = kdwire::decode_ack(payload);
     for i in 0..count {
-        let Some((waiter, staged)) = pending.borrow_mut().pop_front() else {
+        let Some((waiter, staged)) = gen.pending.borrow_mut().pop_front() else {
             return i;
         };
         // The acked write has consumed its staging buffer; recycle it for a
         // future produce.
-        pool.borrow_mut().extend(staged);
+        gen.stage_pool.borrow_mut().extend(staged);
         let _ = waiter.send((error, base_offset.wrapping_add(u64::from(i))));
     }
     count
@@ -607,9 +628,9 @@ mod tests {
             }
             // Nothing is left waiting, staged or half-posted; acked writes
             // gave their staging buffers back.
-            assert!(producer.pending.borrow().is_empty());
+            assert!(producer.gen.pending.borrow().is_empty());
             assert!(producer.chain.is_empty());
-            assert!(!producer.stage_pool.borrow().is_empty());
+            assert!(!producer.gen.stage_pool.borrow().is_empty());
             let p = broker
                 .inner()
                 .store
@@ -688,8 +709,8 @@ mod tests {
     #[test]
     fn hostile_ack_bytes_resolve_only_what_is_in_flight() {
         let mut rng = sim::rng::SimRng::seed_from_u64(0xacc);
-        let pending = RefCell::new(VecDeque::new());
-        let pool: StagePool = Rc::new(RefCell::new(Vec::new()));
+        let gen = Generation::new(1);
+        let (pending, pool) = (&gen.pending, &gen.stage_pool);
         for round in 0..20_000 {
             let in_flight = rng.below(6) as u32;
             let mut rxs = Vec::new();
@@ -709,7 +730,7 @@ mod tests {
                 _ => rng.fill(&mut wire),
             }
             let (error, base_offset, count) = kdwire::decode_ack(&wire[..len]);
-            let resolved = resolve_ack(&wire[..len], &pending, &pool);
+            let resolved = resolve_ack(&wire[..len], &gen);
             assert_eq!(resolved, count.min(in_flight), "round {round}: {:?}", &wire[..len]);
             for (i, rx) in rxs.iter_mut().enumerate() {
                 let answer = (i < resolved as usize).then(|| (error, base_offset.wrapping_add(i as u64)));

@@ -154,6 +154,27 @@ fn opt_bytes_len(v: Option<&[u8]>) -> usize {
     v.map_or(1, |b| uvarint_len(b.len() as u64 + 1) + b.len())
 }
 
+/// Bytes of `record`'s body — everything behind its length prefix — at
+/// zigzag-encoded timestamp delta `ts_delta`.
+fn body_len(record: &Record, ts_delta: u64) -> usize {
+    uvarint_len(ts_delta)
+        + opt_bytes_len(record.key.as_deref())
+        + opt_bytes_len(Some(&record.value))
+        + uvarint_len(record.headers.len() as u64)
+        + record
+            .headers
+            .iter()
+            .map(|(k, v)| uvarint_len(k.len() as u64) + k.len() + opt_bytes_len(Some(v)))
+            .sum::<usize>()
+}
+
+/// Bytes of the batch [`single_record_batch`] encodes for `record`, without
+/// encoding it: what a staging buffer for it needs.
+pub fn single_record_batch_len(record: &Record) -> usize {
+    let body = body_len(record, 0);
+    BATCH_HEADER_LEN + uvarint_len(body as u64) + body
+}
+
 impl<'a> BatchBuilder<'a> {
     /// Starts a batch behind whatever `out` already holds.
     pub fn begin(producer_id: u64, out: &'a mut Vec<u8>) -> Self {
@@ -179,16 +200,15 @@ impl<'a> BatchBuilder<'a> {
         self.max_timestamp = self.max_timestamp.max(record.timestamp);
         let ts_delta = zigzag_encode(record.timestamp - base);
         // The uvarint length prefix precedes the body, so the body's length
-        // is computed, not measured.
-        let body_len = uvarint_len(ts_delta)
-            + opt_bytes_len(record.key.as_deref())
-            + opt_bytes_len(Some(&record.value))
-            + uvarint_len(record.headers.len() as u64)
-            + record
-                .headers
-                .iter()
-                .map(|(k, v)| uvarint_len(k.len() as u64) + k.len() + opt_bytes_len(Some(v)))
-                .sum::<usize>();
+        // is computed, not measured — and the record grows `out` at most
+        // once, to a power of two, so that a buffer reused for batches of
+        // varying sizes seldom grows again.
+        let body_len = body_len(record, ts_delta);
+        let need = uvarint_len(body_len as u64) + body_len;
+        if self.out.capacity() - self.out.len() < need {
+            let len = self.out.len();
+            self.out.reserve((len + need).next_power_of_two() - len);
+        }
         let mut w = Writer::from_vec(std::mem::take(self.out));
         w.put_uvarint(body_len as u64);
         let body_at = w.len();
@@ -779,6 +799,49 @@ mod proptests {
                 assert_eq!(rv.offset, u64::from(offset) + i as u64, "case {case}");
                 assert_eq!(&rv.record, &records[i], "case {case}");
             }
+        }
+    }
+
+    /// A one-record batch is as long as [`single_record_batch_len`] says,
+    /// and a buffer of that capacity takes it without growing: seeded
+    /// records, keyed or not, with and without headers, with values, keys
+    /// and header values on either side of each uvarint boundary (a length
+    /// is written plus one, so 126/127 B and 16 382/16 383 B straddle one),
+    /// and record bodies of 127/128 and 16 383/16 384 B (an unkeyed value of
+    /// 123/124 or 16 378/16 379 B without headers).
+    #[test]
+    fn one_record_batch_len_is_its_encoded_len() {
+        let edges = [
+            0, 1, 123, 124, 126, 127, 128, 16_378, 16_379, 16_382, 16_383, 16_384,
+        ];
+        let mut rng = SimRng::seed_from_u64(0x4EC_0004);
+        let mut bodies = Vec::new();
+        for case in 0..2_000u64 {
+            let len = |rng: &mut SimRng| match rng.below(3) {
+                0 => edges[rng.below(edges.len() as u64) as usize],
+                1 => rng.below(300) as usize,
+                _ => rng.below(17_000) as usize,
+            };
+            let value = vec![0xA5; len(&mut rng)];
+            let mut record = Record::value(value).with_timestamp(rng.next_u64() as i64);
+            if rng.random_bool(0.5) {
+                record = record.with_key(vec![0x5A; len(&mut rng)]);
+            }
+            for h in 0..rng.below(3) {
+                let name = "h".repeat(1 + h as usize * 127);
+                record = record.with_header(&name, vec![1; len(&mut rng)]);
+            }
+            let want = single_record_batch_len(&record);
+            assert_eq!(single_record_batch(7, &record).len(), want, "case {case}");
+            let mut staging = Vec::with_capacity(want);
+            let mut b = BatchBuilder::begin(7, &mut staging);
+            b.append(&record);
+            b.finish().unwrap();
+            assert_eq!((staging.len(), staging.capacity()), (want, want), "case {case}");
+            bodies.push(body_len(&record, 0));
+        }
+        for body in [127, 128, 16_383, 16_384] {
+            assert!(bodies.contains(&body), "no record body of {body} B");
         }
     }
 

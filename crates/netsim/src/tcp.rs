@@ -22,7 +22,7 @@ use std::rc::Rc;
 use std::task::{Poll, Waker};
 use std::time::Duration;
 
-use sim::sync::Semaphore;
+use sim::sync::Frontier;
 use sim::SimTime;
 
 use crate::bind::Bound;
@@ -61,10 +61,12 @@ struct Chunk {
     data: kdbuf::Buf,
 }
 
-/// One direction of a connection: the chunks sent and not yet read, in send
-/// order (a late chunk holds back the ones behind it, as in TCP).
-struct Pipe {
-    chunks: VecDeque<Chunk>,
+/// What one direction of a connection holds between its two halves: the
+/// chunks sent and not yet read, in send order (a late chunk holds back the
+/// ones behind it, as in TCP).
+#[derive(Default)]
+struct Chunks {
+    queue: VecDeque<Chunk>,
     /// The reader's waker while it is parked on an empty pipe. The push
     /// that ends the wait arms it for the instant the chunk is readable, so
     /// a parked reader is polled once per chunk.
@@ -73,24 +75,48 @@ struct Pipe {
     reader_gone: bool,
 }
 
+/// One direction of a connection.
+#[derive(Default)]
+struct Pipe {
+    chunks: RefCell<Chunks>,
+    /// The send window: bytes the reader has taken. The one writer may have
+    /// `socket_buffer` bytes beyond it written. A reader that goes away
+    /// releases it to the end, so a writer parked on it wakes.
+    released: Frontier,
+}
+
+/// Both directions of a connection, in one block its four halves share.
+#[derive(Default)]
+struct Connection {
+    pipes: [Pipe; 2],
+}
+
 /// The write side of one direction of a connection.
 pub struct WriteHalf {
     fabric: Fabric,
     src: NodeId,
     dst: NodeId,
-    pipe: Rc<RefCell<Pipe>>,
-    window: Semaphore,
+    conn: Rc<Connection>,
+    /// Which of `conn`'s pipes this half writes.
+    dir: usize,
+    /// Bytes this half has taken window for.
+    written: u64,
     /// Trace context applied to wire reservations of subsequent writes, so a
     /// framing layer can attribute link traversals to one message's lifeline.
     trace: Option<kdtelem::TraceCtx>,
 }
 
-/// The read side of one direction of a connection.
+/// The read side of one direction of a connection. A read hands over bytes
+/// as it takes them, so one dropped before it returns loses what it took,
+/// as a frame read dropped between its header and body always did: drop
+/// the stream with it.
 pub struct ReadHalf {
     fabric: Fabric,
-    pipe: Rc<RefCell<Pipe>>,
-    window: Semaphore,
-    buffer: VecDeque<u8>,
+    conn: Rc<Connection>,
+    /// Which of `conn`'s pipes this half reads.
+    dir: usize,
+    /// The chunk being read, taken from the pipe, and how much of it is read.
+    head: Option<(kdbuf::Buf, usize)>,
     eof: bool,
 }
 
@@ -102,28 +128,29 @@ pub struct TcpStream {
     local: NodeId,
 }
 
-fn pipe(fabric: &Fabric, src: NodeId, dst: NodeId) -> (WriteHalf, ReadHalf) {
-    let pipe = Rc::new(RefCell::new(Pipe {
-        chunks: VecDeque::new(),
-        reader: None,
-        writer_gone: false,
-        reader_gone: false,
-    }));
-    let window = Semaphore::new(fabric.profile().net.socket_buffer as usize);
+/// The halves of `conn`'s pipe `dir`, which carries `src`'s bytes to `dst`.
+fn pipe(
+    fabric: &Fabric,
+    conn: &Rc<Connection>,
+    dir: usize,
+    src: NodeId,
+    dst: NodeId,
+) -> (WriteHalf, ReadHalf) {
     (
         WriteHalf {
             fabric: fabric.clone(),
             src,
             dst,
-            pipe: Rc::clone(&pipe),
-            window: window.clone(),
+            conn: Rc::clone(conn),
+            dir,
+            written: 0,
             trace: None,
         },
         ReadHalf {
             fabric: fabric.clone(),
-            pipe,
-            window,
-            buffer: VecDeque::new(),
+            conn: Rc::clone(conn),
+            dir,
+            head: None,
             eof: false,
         },
     )
@@ -169,8 +196,9 @@ pub async fn connect(
     let slot = slot.ok_or(ConnectError::ConnectionRefused)?;
     sim::time::sleep(fabric.profile().net.tcp_connect).await;
 
-    let (w_cs, r_cs) = pipe(fabric, node.id, dst); // client -> server
-    let (w_sc, r_sc) = pipe(fabric, dst, node.id); // server -> client
+    let conn = Rc::default();
+    let (w_cs, r_cs) = pipe(fabric, &conn, 0, node.id, dst); // client -> server
+    let (w_sc, r_sc) = pipe(fabric, &conn, 1, dst, node.id); // server -> client
     let server = TcpStream {
         read: r_cs,
         write: w_sc,
@@ -218,11 +246,8 @@ impl WriteHalf {
         // time, hence one timer, when nothing can come between them: the
         // path is up and the socket buffer has room now.
         let first = data.len().min(mss);
-        let mut granted = None;
-        if !self.fabric.path_blocked(self.src, self.dst) {
-            granted = self.window.try_acquire(first);
-        }
-        let first_copy = if granted.is_some() { copy(first) } else { Duration::ZERO };
+        let mut granted = !self.fabric.path_blocked(self.src, self.dst) && self.has_room(first);
+        let first_copy = if granted { copy(first) } else { Duration::ZERO };
         sim::time::sleep_until(start + net.tcp_syscall + first_copy).await;
         // Injected-fault handling: a blocked path (partition / link down)
         // resets the connection; a drop costs one retransmission timeout
@@ -232,17 +257,22 @@ impl WriteHalf {
             if self.fabric.path_blocked(self.src, self.dst) {
                 return Err(Closed);
             }
-            // The permit is returned by the reader once the chunk is
-            // consumed. The user→kernel copy really happens (into a pooled
+            // The window this takes comes back as the reader takes the
+            // chunk. The user→kernel copy really happens (into a pooled
             // MSS-sized packet buffer) and is charged at kernel copy
-            // bandwidth.
-            match granted.take() {
-                Some(permit) => permit.forget(),
-                None => {
-                    let permit = self.window.acquire(chunk.len()).await;
-                    permit.map_err(|_| Closed)?.forget();
-                    sim::time::sleep(copy(chunk.len())).await;
+            // bandwidth: a granted first chunk's was charged above.
+            let charged = std::mem::take(&mut granted);
+            if !charged && !self.has_room(chunk.len()) {
+                let released = &self.conn.pipes[self.dir].released;
+                released.reached(self.room_needed(chunk.len())).await;
+                // Woken by the reader going away: nothing to copy for.
+                if self.is_closed() {
+                    return Err(Closed);
                 }
+            }
+            self.written += chunk.len() as u64;
+            if !charged {
+                sim::time::sleep(copy(chunk.len())).await;
             }
             let (fault_delay, retransmits) = self
                 .fabric
@@ -257,7 +287,7 @@ impl WriteHalf {
                     .reserve_tcp_path(sim::now(), self.src, self.dst, chunk.len() as u64)
             };
             let arrival = wire_arrival + net.tcp_stack_oneway + fault_delay + rto * retransmits;
-            let mut pipe = self.pipe.borrow_mut();
+            let mut pipe = self.conn.pipes[self.dir].chunks.borrow_mut();
             if pipe.reader_gone {
                 return Err(Closed);
             }
@@ -266,7 +296,7 @@ impl WriteHalf {
                 // kernel→user copy, which is when the reader runs next.
                 sim::time::wake_at(arrival + copy(chunk.len()), &reader);
             }
-            pipe.chunks.push_back(Chunk {
+            pipe.queue.push_back(Chunk {
                 arrival,
                 data: self.fabric.packet_pool().copy_in(chunk),
             });
@@ -276,7 +306,19 @@ impl WriteHalf {
 
     /// True once the peer's read half is gone.
     pub fn is_closed(&self) -> bool {
-        self.pipe.borrow().reader_gone
+        self.conn.pipes[self.dir].chunks.borrow().reader_gone
+    }
+
+    /// What the reader must have taken for `n` more bytes to fit the
+    /// socket buffer.
+    fn room_needed(&self, n: usize) -> u64 {
+        let buffer = self.fabric.profile().net.socket_buffer;
+        (self.written + n as u64).saturating_sub(buffer)
+    }
+
+    /// True if `n` more bytes fit the socket buffer now.
+    fn has_room(&self, n: usize) -> bool {
+        self.conn.pipes[self.dir].released.get() >= self.room_needed(n)
     }
 
     /// Sets (or clears) the trace context attributed to subsequent writes.
@@ -288,7 +330,7 @@ impl WriteHalf {
 impl Drop for WriteHalf {
     /// The reader drains what was sent, then sees EOF.
     fn drop(&mut self) {
-        let mut pipe = self.pipe.borrow_mut();
+        let mut pipe = self.conn.pipes[self.dir].chunks.borrow_mut();
         pipe.writer_gone = true;
         if let Some(reader) = pipe.reader.take() {
             reader.wake();
@@ -297,37 +339,30 @@ impl Drop for WriteHalf {
 }
 
 impl Drop for ReadHalf {
+    /// Unread bytes are dropped, and the window opens all the way: a writer
+    /// parked on it wakes now and fails.
     fn drop(&mut self) {
-        let mut pipe = self.pipe.borrow_mut();
-        pipe.reader_gone = true;
-        pipe.chunks.clear();
+        let pipe = &self.conn.pipes[self.dir];
+        {
+            let mut chunks = pipe.chunks.borrow_mut();
+            chunks.reader_gone = true;
+            chunks.queue.clear();
+        }
+        pipe.released.advance_to(u64::MAX);
     }
 }
 
 impl ReadHalf {
-    /// Moves the next chunk into the user buffer; `false` at EOF. It is
-    /// readable at `max(instant this read began waiting, arrival)` plus the
-    /// kernel→user copy; one timer covers the whole wait.
+    /// Takes the next chunk as the head, to be read in place; `false` at
+    /// EOF. It is readable at `max(instant this read began waiting,
+    /// arrival)` plus the kernel→user copy; one timer covers the whole
+    /// wait. Called with the head read to its end.
     async fn fill(&mut self) -> bool {
         if self.eof {
             return false;
         }
         let began = sim::now();
-        let bw = self.fabric.profile().net.kernel_copy_bandwidth;
-        let ready = std::future::poll_fn(|cx| {
-            let mut pipe = self.pipe.borrow_mut();
-            if let Some(chunk) = pipe.chunks.front() {
-                let copy = copy_time(chunk.data.len() as u64, bw);
-                return Poll::Ready(Some(began.max(chunk.arrival) + copy));
-            }
-            if pipe.writer_gone {
-                return Poll::Ready(None);
-            }
-            pipe.reader = Some(cx.waker().clone());
-            Poll::Pending
-        })
-        .await;
-        let Some(ready) = ready else {
+        let Some(ready) = std::future::poll_fn(|cx| self.poll_ready(began, cx)).await else {
             self.eof = true;
             return false;
         };
@@ -335,48 +370,83 @@ impl ReadHalf {
         sim::time::sleep_until(ready).await;
         // With one reader per pipe the chunk is still there; without it, the
         // callers' loops call again.
-        let Some(chunk) = self.pipe.borrow_mut().chunks.pop_front() else {
+        let pipe = &self.conn.pipes[self.dir];
+        let Some(chunk) = pipe.chunks.borrow_mut().queue.pop_front() else {
             return true;
         };
-        self.window.add_permits(chunk.data.len());
-        self.buffer.extend(chunk.data.iter());
+        // The chunk's window returns as it is taken.
+        let released = &pipe.released;
+        released.advance_to(released.get() + chunk.data.len() as u64);
+        self.head = Some((chunk.data, 0));
         true
+    }
+
+    /// The instant the next chunk is readable for a read that began waiting
+    /// at `began`, `None` at EOF; parks the reader on an empty pipe.
+    fn poll_ready(&self, began: SimTime, cx: &mut std::task::Context<'_>) -> Poll<Option<SimTime>> {
+        let mut chunks = self.conn.pipes[self.dir].chunks.borrow_mut();
+        if let Some(chunk) = chunks.queue.front() {
+            let bw = self.fabric.profile().net.kernel_copy_bandwidth;
+            let copy = copy_time(chunk.data.len() as u64, bw);
+            return Poll::Ready(Some(began.max(chunk.arrival) + copy));
+        }
+        if chunks.writer_gone {
+            return Poll::Ready(None);
+        }
+        chunks.reader = Some(cx.waker().clone());
+        Poll::Pending
+    }
+
+    /// Hands up to `max` unread bytes of the head to `take` and marks them
+    /// read; returns how many.
+    fn read_head(&mut self, max: usize, take: impl FnOnce(&[u8])) -> usize {
+        let Some((chunk, at)) = &mut self.head else {
+            return 0;
+        };
+        let n = max.min(chunk.len() - *at);
+        take(&chunk[*at..*at + n]);
+        *at += n;
+        if *at == chunk.len() {
+            self.head = None;
+        }
+        n
+    }
+
+    /// Waits for unread bytes: `false` at EOF.
+    async fn await_unread(&mut self) -> bool {
+        self.head.is_some() || self.fill().await
     }
 
     /// Reads exactly `n` bytes; `Err(Closed)` on EOF before `n` bytes.
     pub async fn read_exact(&mut self, n: usize) -> Result<Vec<u8>, Closed> {
-        while self.buffer.len() < n {
-            if !self.fill().await {
-                return Err(Closed);
-            }
-        }
-        Ok(self.buffer.drain(..n).collect())
+        let mut out = Vec::new();
+        self.read_exact_into(n, &mut out).await?;
+        Ok(out)
     }
 
     /// Reads exactly `n` bytes, appending them to `out`. Avoids the
     /// intermediate allocation of [`read_exact`] when the caller owns a
     /// reusable buffer (e.g. a frame decoder's scratch).
-    pub async fn read_exact_into(&mut self, n: usize, out: &mut Vec<u8>) -> Result<(), Closed> {
-        while self.buffer.len() < n {
-            if !self.fill().await {
+    pub async fn read_exact_into(&mut self, mut n: usize, out: &mut Vec<u8>) -> Result<(), Closed> {
+        out.reserve(n);
+        while n > 0 {
+            if !self.await_unread().await {
                 return Err(Closed);
             }
+            n -= self.read_head(n, |piece| out.extend_from_slice(piece));
         }
-        out.extend(self.buffer.drain(..n));
         Ok(())
     }
 
     /// Fills `out` with the next `out.len()` bytes; `Err(Closed)` on EOF
     /// before them. For fixed-size headers read onto the stack.
-    pub async fn read_exact_to(&mut self, out: &mut [u8]) -> Result<(), Closed> {
-        while self.buffer.len() < out.len() {
-            if !self.fill().await {
+    pub async fn read_exact_to(&mut self, mut out: &mut [u8]) -> Result<(), Closed> {
+        while !out.is_empty() {
+            if !self.await_unread().await {
                 return Err(Closed);
             }
-        }
-        let n = out.len();
-        for (to, from) in out.iter_mut().zip(self.buffer.drain(..n)) {
-            *to = from;
+            let n = self.read_head(out.len(), |piece| out[..piece.len()].copy_from_slice(piece));
+            out = &mut out[n..];
         }
         Ok(())
     }
@@ -384,13 +454,12 @@ impl ReadHalf {
     /// Reads whatever is available (up to `max`), waiting for at least one
     /// byte. `Ok(empty)` is never returned; EOF is `Err(Closed)`.
     pub async fn read_some(&mut self, max: usize) -> Result<Vec<u8>, Closed> {
-        while self.buffer.is_empty() {
-            if !self.fill().await {
-                return Err(Closed);
-            }
+        if !self.await_unread().await {
+            return Err(Closed);
         }
-        let n = self.buffer.len().min(max);
-        Ok(self.buffer.drain(..n).collect())
+        let mut out = Vec::new();
+        self.read_head(max, |piece| out.extend_from_slice(piece));
+        Ok(out)
     }
 }
 
@@ -534,6 +603,33 @@ mod tests {
             // 4 MiB through a 1 MiB socket buffer against a reader that
             // starts at t=10ms: writer must have blocked past that point.
             assert!(sim::now().as_nanos() > 10_000_000);
+        });
+    }
+
+    /// A writer parked on a full window wakes when its peer drops the
+    /// stream unread, and fails at that instant: it copies nothing more
+    /// and puts nothing more on the wire.
+    #[test]
+    fn a_writer_parked_on_the_window_fails_when_the_reader_goes() {
+        let rt = sim::Runtime::new();
+        rt.block_on(async {
+            let (f, a, b) = fabric2();
+            let mut listener = TcpListener::bind(&b, 9092);
+            let mut c = connect(&a, b.id, 9092).await.unwrap();
+            let s = listener.accept().await.unwrap();
+            let gone = sim::now() + Duration::from_millis(1);
+            let f2 = f.clone();
+            let dropped = sim::spawn(async move {
+                sim::time::sleep_until(gone).await;
+                drop(s);
+                f2.node_bytes(a.id).0
+            });
+            let write = c.write_all(&[7u8; 4 << 20]);
+            let wrote = sim::time::timeout(Duration::from_millis(50), write).await;
+            assert_eq!(wrote, Ok(Err(Closed)), "the write returns, failed");
+            assert_eq!(sim::now(), gone, "at the instant the reader went");
+            let sent_by_then = dropped.await.unwrap();
+            assert_eq!(f.node_bytes(a.id).0, sent_by_then, "nothing sent after");
         });
     }
 

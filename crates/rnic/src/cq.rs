@@ -95,6 +95,10 @@ fn unclaimed<'a>(
     })
 }
 
+/// The QPs a poison fails, in attach order: the first inline — a client's
+/// CQs serve one QP each — and any others behind it.
+type Attached = (Option<Weak<QpShared>>, Vec<Weak<QpShared>>);
+
 pub(crate) struct CqInner {
     /// Visible CQEs, then the `scheduled` ones, in `(instant, push)` order.
     queue: RefCell<VecDeque<Slot>>,
@@ -104,7 +108,7 @@ pub(crate) struct CqInner {
     capacity: usize,
     waiters: RefCell<WaitList<Parked>>,
     overflowed: Cell<bool>,
-    attached: RefCell<Vec<Weak<QpShared>>>,
+    attached: RefCell<Attached>,
     /// Holds the `rnic cq.*` cells every CQ of the fabric records into.
     fabric: Rc<Registry>,
 }
@@ -125,14 +129,18 @@ impl CompletionQueue {
                 capacity,
                 waiters: RefCell::new(WaitList::default()),
                 overflowed: Cell::new(false),
-                attached: RefCell::new(Vec::new()),
+                attached: RefCell::default(),
                 fabric,
             }),
         }
     }
 
     pub(crate) fn attach(&self, qp: &Rc<QpShared>) {
-        self.inner.attached.borrow_mut().push(Rc::downgrade(qp));
+        let (first, rest) = &mut *self.inner.attached.borrow_mut();
+        match first {
+            None => *first = Some(Rc::downgrade(qp)),
+            Some(_) => rest.push(Rc::downgrade(qp)),
+        }
     }
 
     /// Poisons the CQ as a hardware overflow would: every attached QP
@@ -140,7 +148,10 @@ impl CompletionQueue {
     fn poison(&self) {
         self.inner.overflowed.set(true);
         self.inner.fabric.telem.cq_overflows.inc();
-        let attached: Vec<_> = self.inner.attached.borrow().clone();
+        let attached: Vec<_> = {
+            let (first, rest) = &*self.inner.attached.borrow();
+            first.iter().chain(rest).cloned().collect()
+        };
         for qp in attached.into_iter().filter_map(|w| w.upgrade()) {
             QpShared::fail(&qp);
         }

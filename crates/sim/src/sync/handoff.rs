@@ -167,7 +167,7 @@ impl<T> Drop for Recv<'_, T> {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-    use crate::sync::{DueQueue, Semaphore};
+    use crate::sync::{DueQueue, Frontier};
     use crate::time::{sleep, sleep_until};
     use crate::Runtime;
     use std::cell::Cell;
@@ -210,11 +210,15 @@ mod tests {
     /// The three pieces this queue replaced, as the broker had them: a
     /// `DueQueue` whose stage task moved items at their due instant into a
     /// FIFO guarded by a FIFO-fair permit semaphore, and workers that slept
-    /// the wake-up whenever they had to wait for a permit.
+    /// the wake-up whenever they had to wait for a permit. The permits of
+    /// one each are tickets: the k-th taken (from 0) is there once k + 1
+    /// were added, so they go in the order they were asked for.
     struct Reference {
         stage: Rc<DueQueue<usize>>,
         fifo: RefCell<VecDeque<usize>>,
-        permits: Semaphore,
+        /// Permits added (all of them once closed), and permits taken.
+        added: Frontier,
+        taken: Cell<u64>,
         closed: Cell<bool>,
     }
 
@@ -223,7 +227,8 @@ mod tests {
             let r = Rc::new(Reference {
                 stage: Rc::new(DueQueue::new()),
                 fifo: RefCell::new(VecDeque::new()),
-                permits: Semaphore::new(0),
+                added: Frontier::default(),
+                taken: Cell::new(0),
                 closed: Cell::new(false),
             });
             let r2 = Rc::clone(&r);
@@ -232,17 +237,18 @@ mod tests {
                     // A closed request queue refused the send: item dropped.
                     if !r2.closed.get() {
                         r2.fifo.borrow_mut().push_back(item);
-                        r2.permits.add_permits(1);
+                        r2.added.advance_to(r2.added.get() + 1);
                     }
                 }
             });
             r
         }
 
-        fn try_recv(&self) -> Option<usize> {
-            let permit = self.permits.try_acquire(1)?;
-            permit.forget();
-            self.fifo.borrow_mut().pop_front()
+        /// Takes a permit's ticket; `true` if the permit is there now.
+        fn take(&self) -> (u64, bool) {
+            let ticket = self.taken.get();
+            self.taken.set(ticket + 1);
+            (ticket, ticket < self.added.get())
         }
     }
 
@@ -252,14 +258,19 @@ mod tests {
         }
         fn close(&self) {
             self.closed.set(true);
-            self.permits.close();
+            self.added.advance_to(u64::MAX);
         }
         async fn next(&self) -> Option<usize> {
-            let item = match self.try_recv() {
-                Some(item) => item,
-                None => {
-                    let permit = self.permits.acquire(1).await.ok()?;
-                    permit.forget();
+            if self.closed.get() {
+                return None;
+            }
+            let item = match self.take() {
+                (_, true) => self.fifo.borrow_mut().pop_front()?,
+                (ticket, false) => {
+                    self.added.reached(ticket + 1).await;
+                    if self.closed.get() {
+                        return None;
+                    }
                     let item = self.fifo.borrow_mut().pop_front();
                     sleep(WAKEUP).await;
                     item?

@@ -12,7 +12,6 @@ pub mod mpsc;
 pub mod mutex;
 pub mod notify;
 pub mod oneshot;
-pub mod semaphore;
 pub mod wait_list;
 pub mod watch;
 
@@ -21,5 +20,4 @@ pub use frontier::Frontier;
 pub use handoff::HandoffQueue;
 pub use mutex::{Mutex, MutexGuard};
 pub use notify::Notify;
-pub use semaphore::{AcquireError, Semaphore, SemaphorePermit};
 pub use wait_list::WaitList;

@@ -4,29 +4,74 @@
 //! TP file can be accessed by at most one API worker at a time due to
 //! locking"). Because sim tasks only interleave at `.await` points a plain
 //! `RefCell` would often do, but API workers hold the lock *across* modelled
-//! CPU time (`sleep`s), so a real async lock is required. The lock is one
-//! permit of the semaphore's FIFO: a released lock passes straight to the
-//! longest waiter, even if another task tries to lock first.
+//! CPU time (`sleep`s), so a real async lock is required. A released lock
+//! passes straight to the longest waiter, even if another task tries to lock
+//! first.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, RefCell, UnsafeCell};
 use std::future::Future;
 use std::ops::{Deref, DerefMut};
 use std::pin::Pin;
 use std::task::{Context, Poll};
 
-use super::semaphore::Permits;
+use super::WaitList;
+
+/// Whether the lock is held, and the tasks parked for it in FIFO order.
+#[derive(Default)]
+struct Fifo {
+    held: Cell<bool>,
+    waiters: RefCell<WaitList<()>>,
+}
+
+impl Fifo {
+    /// Polls a lock; `ticket` is its place in line while it waits.
+    fn poll_lock(&self, ticket: &mut Option<u64>, cx: &mut Context<'_>) -> Poll<()> {
+        let mut waiters = self.waiters.borrow_mut();
+        match *ticket {
+            Some(t) if waiters.repark(t, cx.waker()).is_some() => return Poll::Pending,
+            // Unparked by `release`, which handed it the lock.
+            Some(_) => *ticket = None,
+            // Free: nobody is in line (a release with a waiter hands over).
+            None if !self.held.get() => self.held.set(true),
+            None => {
+                *ticket = Some(waiters.park(cx.waker(), ()));
+                return Poll::Pending;
+            }
+        }
+        Poll::Ready(())
+    }
+
+    /// Hands the lock to the longest waiter, or frees it if there is none.
+    fn release(&self) {
+        let next = self.waiters.borrow_mut().pop_front();
+        match next {
+            Some((waker, ())) => waker.wake(),
+            None => self.held.set(false),
+        }
+    }
+
+    /// A lock dropped in line leaves it; one dropped after `release` handed
+    /// it the lock passes it on.
+    fn cancel(&self, ticket: Option<u64>) {
+        let Some(ticket) = ticket else { return };
+        let left = self.waiters.borrow_mut().remove(ticket);
+        if left.is_none() {
+            self.release();
+        }
+    }
+}
 
 /// An async mutual-exclusion lock with FIFO handoff. Held inline by its
 /// owner; the [`Lock`] futures and guards borrow it.
 pub struct Mutex<T: ?Sized> {
-    lock: Permits,
+    lock: Fifo,
     value: UnsafeCell<T>,
 }
 
 impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex {
-            lock: Permits::new(1),
+            lock: Fifo::default(),
             value: UnsafeCell::new(value),
         }
     }
@@ -51,16 +96,15 @@ impl<'a, T: ?Sized> Future for Lock<'a, T> {
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mutex = self.mutex;
-        // Never closed: the one permit is always there to be had.
-        let locked = mutex.lock.poll_acquire(&mut self.ticket, 1, cx);
-        locked.map(|_| MutexGuard { mutex })
+        let locked = mutex.lock.poll_lock(&mut self.ticket, cx);
+        locked.map(|()| MutexGuard { mutex })
     }
 }
 
 impl<T: ?Sized> Drop for Lock<'_, T> {
     /// Leaves the line, or passes on a lock it was handed and never took.
     fn drop(&mut self) {
-        self.mutex.lock.cancel(self.ticket, 1);
+        self.mutex.lock.cancel(self.ticket);
     }
 }
 
@@ -87,7 +131,7 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        self.mutex.lock.release(1);
+        self.mutex.lock.release();
     }
 }
 

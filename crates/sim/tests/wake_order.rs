@@ -1,6 +1,9 @@
 //! Golden wake order of every multi-waiter primitive: `sim::sync`'s `Mutex`,
-//! `Semaphore`, `Notify` and `HandoffQueue`, and the RNIC's
-//! `CompletionQueue` with one `next()` consumer and two `wait()` consumers.
+//! `Notify` and `HandoffQueue`, a counting semaphore on `WaitList`, and the
+//! RNIC's `CompletionQueue` with one `next()` consumer and two `wait()`
+//! consumers. The semaphore is this file's own: `sim::sync::Semaphore`, the
+//! TCP window's until that became a `Frontier`, was deleted, and the same
+//! code on the same wait list keeps its schedules, and so the digests.
 //!
 //! 200 seeded schedules of 32 tasks each park, give up (through `timeout`,
 //! and by losing a `race` to a sleep), take what they waited for or drop it
@@ -20,9 +23,11 @@
 //! (the NIC engine stopped spending one on each send CQE, flushed ones
 //! included).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
+use std::pin::Pin;
 use std::rc::{Rc, Weak};
+use std::task::{Context, Poll};
 use std::time::Duration;
 
 use netsim::profile::Profile;
@@ -33,7 +38,7 @@ use rnic::{
 };
 use sim::future::{race, Either};
 use sim::rng::SimRng;
-use sim::sync::{HandoffQueue, Mutex, Notify, Semaphore};
+use sim::sync::{HandoffQueue, Mutex, Notify, WaitList};
 use sim::time::{sleep, timeout};
 use sim::Runtime;
 
@@ -48,6 +53,140 @@ const WAKEUP: Duration = Duration::from_micros(3);
 const GOLDEN: &str = "bca9bbaf7e3c2cba";
 /// The digest of all 200 schedules with every poll count logged as 0.
 const GOLDEN_ORDER: &str = "149358901e9e4791";
+
+/// A counting semaphore with FIFO fairness: a release hands its permits, in
+/// park order, to the longest prefix of waiters they satisfy, so a
+/// `try_acquire` cannot take them first and a large acquire never starves.
+struct Semaphore(RefCell<Permits>);
+
+struct Permits {
+    free: usize,
+    closed: bool,
+    /// Parked acquirers with the permits each wants.
+    waiters: WaitList<usize>,
+}
+
+impl Permits {
+    /// Takes `n` free permits unless somebody is queued for them first.
+    fn take(&mut self, n: usize) -> bool {
+        let free = self.free >= n && self.waiters.is_empty();
+        if free {
+            self.free -= n;
+        }
+        free
+    }
+}
+
+/// Permits held; released on drop unless forgotten.
+struct Permit<'a> {
+    sem: &'a Semaphore,
+    count: usize,
+}
+
+impl Permit<'_> {
+    fn forget(mut self) {
+        self.count = 0;
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        if self.count > 0 {
+            self.sem.add_permits(self.count);
+        }
+    }
+}
+
+/// An acquire of `want` permits; `ticket` is its place in line.
+struct Acquire<'a> {
+    sem: &'a Semaphore,
+    want: usize,
+    ticket: Option<u64>,
+}
+
+impl Semaphore {
+    fn new(free: usize) -> Semaphore {
+        let waiters = WaitList::default();
+        Semaphore(RefCell::new(Permits {
+            free,
+            closed: false,
+            waiters,
+        }))
+    }
+
+    fn add_permits(&self, n: usize) {
+        let mut s = self.0.borrow_mut();
+        s.free += n;
+        while let Some(want) = s.waiters.front().copied().filter(|&want| want <= s.free) {
+            s.free -= want;
+            if let Some((waker, _)) = s.waiters.pop_front() {
+                waker.wake();
+            }
+        }
+    }
+
+    fn acquire(&self, want: usize) -> Acquire<'_> {
+        Acquire {
+            sem: self,
+            want,
+            ticket: None,
+        }
+    }
+
+    fn try_acquire(&self, n: usize) -> Option<Permit<'_>> {
+        let mut s = self.0.borrow_mut();
+        (!s.closed && s.take(n)).then(|| Permit {
+            sem: self,
+            count: n,
+        })
+    }
+
+    fn close(&self) {
+        let mut s = self.0.borrow_mut();
+        s.closed = true;
+        s.waiters.wake_all();
+    }
+}
+
+impl<'a> Future for Acquire<'a> {
+    /// `None`: closed while waiting.
+    type Output = Option<Permit<'a>>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = &mut *self;
+        let mut s = this.sem.0.borrow_mut();
+        if s.closed {
+            return Poll::Ready(None);
+        }
+        match this.ticket {
+            Some(t) if s.waiters.repark(t, cx.waker()).is_some() => return Poll::Pending,
+            // Unparked by `add_permits`, which transferred the permits to it.
+            Some(_) => this.ticket = None,
+            None if s.take(this.want) => {}
+            None => {
+                this.ticket = Some(s.waiters.park(cx.waker(), this.want));
+                return Poll::Pending;
+            }
+        }
+        Poll::Ready(Some(Permit {
+            sem: this.sem,
+            count: this.want,
+        }))
+    }
+}
+
+impl Drop for Acquire<'_> {
+    /// Leaves the line, or gives back permits it was handed and never took
+    /// (unless closed).
+    fn drop(&mut self) {
+        let Some(ticket) = self.ticket else { return };
+        let mut s = self.sem.0.borrow_mut();
+        if s.waiters.remove(ticket).is_none() && !s.closed {
+            drop(s);
+            self.sem.add_permits(self.want);
+        }
+    }
+}
 
 #[derive(Clone, Copy)]
 enum Kind {
@@ -187,11 +326,11 @@ async fn semaphore_task(w: Rc<World>, t: u64, mut rng: SimRng) {
                     w.log(t, GAVE_UP, 0);
                     None
                 }
-                Some(Err(_)) => {
+                Some(None) => {
                     w.log(t, CLOSED, 0);
                     return;
                 }
-                Some(Ok(permit)) => {
+                Some(Some(permit)) => {
                     w.log(t, ACQUIRED, n as u64);
                     Some(permit)
                 }

@@ -16,10 +16,12 @@
 # allocations per record, trace digest). A host metric (wall time) of one
 # pair is only a reading, not a verdict: its row says whether it fell in the
 # benchmark's bound, marked "(one pair)". A kdmark run or compare that fails
-# is a FAILED row, and the script then exits non-zero. Then: the figure
-# ledger this tree prints against the one checked in at REV,
-# `wheel_determinism`, and `scripts/loc.sh` on both trees. Runs offline and
-# writes nothing under benchmark/.
+# is a FAILED row, and the script then exits non-zero. So is a golden test of
+# this tree that fails: `wheel_determinism`, the chaos and durable soaks and
+# `sim`'s `wake_order` digests each add a row (passed / FAILED), so that the
+# table alone answers "did anything move". Then: the figure ledger this tree
+# prints against the one checked in at REV, and `scripts/loc.sh` on both
+# trees. Runs offline and writes nothing under benchmark/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -83,6 +85,24 @@ for seed in 1 2 3 "$unseen"; do
         }' "$work/cmp-$seed" >>"$table"
 done
 
+# The golden tests of this tree: each a row of the table.
+golden() { # name cargo-test-arguments...
+    local name=$1
+    shift
+    echo "ab: golden $name" >&2
+    if cargo test -q --offline --release "$@" >"$work/golden-$name.log" 2>&1; then
+        row - golden "$name" - - passed >>"$table"
+    else
+        tail -n 20 "$work/golden-$name.log" >&2
+        row - golden "$name" - - FAILED >>"$table"
+        failed=1
+    fi
+}
+golden wheel_determinism --test wheel_determinism
+golden chaos --test chaos
+golden durable --test durable
+golden wake_order -p sim --test wake_order
+
 echo
 row seed workload metric A B verdict
 sort -s -k2,2 -k3,3 "$table"
@@ -95,15 +115,11 @@ if diff "$work/a/results/figures-latest.txt" "$work/ledger.txt"; then
 fi
 
 echo
-echo "== wheel_determinism (this tree)"
-cargo test -q --offline --release --test wheel_determinism 2>&1 | grep "test result"
-
-echo
 echo "== non-test lines (scripts/loc.sh): A, B, B - A"
 LC_ALL=C join <(bash scripts/loc.sh "$work/a") <(bash scripts/loc.sh .) |
     awk '{ printf "%-10s %6d %6d %+6d\n", $1, $2, $3, $3 - $2 }'
 
 if [ "$failed" = 1 ]; then
-    echo "ab: a kdmark run or compare FAILED (rows above)" >&2
+    echo "ab: a kdmark run, compare or golden test FAILED (rows above)" >&2
     exit 1
 fi

@@ -283,9 +283,9 @@ if grep -rnE "Event::Complete|compq" crates/rnic/src; then
 fi
 
 # One wait list (DESIGN.md §10): every multi-waiter primitive parks on
-# `sim::sync::WaitList`. The golden wake order of Mutex, Semaphore, Notify,
-# HandoffQueue and a shared CQ — 200 seeded schedules with cancellation —
-# must not move. Then the re-fork guard: no second waiter queue, no bounded
+# `sim::sync::WaitList`. The golden wake order of Mutex, a counting
+# semaphore on the wait list, Notify, HandoffQueue and a shared CQ — 200
+# seeded schedules with cancellation — must not move. Then the re-fork guard: no second waiter queue, no bounded
 # mpsc mode, no stored notify permit.
 cargo test -q --offline -p sim --test wake_order
 if grep -rnE "struct Waiters|send_wakers|SendReady|TrySendError|pub fn bounded|notify_one|Vec<Waker>" crates/*/src; then
@@ -420,6 +420,27 @@ if awk '/pub\(crate\) fn open/, /^    }/' crates/kdbroker/src/server_rpc.rs | gr
     awk '/pub fn send_pipelined/, /^    }/' crates/kdclient/src/producer.rs | grep -n "sim::spawn(" ||
     awk '/pub async fn read_frame_into/, /^}/' crates/kdwire/src/frame.rs | grep -n "kdbuf::scratch"; then
     echo "ci: a TCP hop sleeps twice for one stretch of CPU time again (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
+# A connect builds each layer's state once (DESIGN.md §13 "What a connection
+# holds"): a TCP connection is one block whose two pipes each keep their
+# window as a `Frontier` of released bytes and are read in place, a producer
+# generation is one block whose ack-receive region also takes the FAA
+# result, a CQ keeps its first QP inline, and a staging buffer is allocated
+# at its batch's size. A writer parked on the window fails when its reader
+# goes; the one-record batch length, the connect's allocations and the
+# parked client's heap, by name. Then the re-fork guard: no semaphore or
+# copy buffer in the TCP stream (`sim::sync::Semaphore` is gone), no FAA
+# buffer of its own or per-request topic copy in the producer.
+cargo test -q --offline -p netsim --lib tcp::tests::a_writer_parked_on_the_window_fails_when_the_reader_goes
+cargo test -q --offline -p kdstorage --lib record::proptests::one_record_batch_len_is_its_encoded_len
+cargo test -q --offline --release -p kdbench --test budgets fanin_client_connect_allocations
+cargo test -q --offline --release -p kdbench --test budgets parked_client_footprint
+if grep -nE "Semaphore|VecDeque<u8>" crates/netsim/src/tcp.rs ||
+    grep -rn "struct Semaphore" crates/*/src ||
+    grep -nE "ShmBuf::zeroed\(8\)|topic\.clone\(\)" crates/kdclient/src/rdma_producer.rs; then
+    echo "ci: a connection's state is built piecemeal again (see DESIGN.md §13)" >&2
     exit 1
 fi
 

@@ -628,16 +628,40 @@ fn held_since(before: &[(i64, i64); CLASSES]) -> (i64, String) {
     (held.iter().map(|&(_, _, bytes)| bytes).sum(), rows.join("; "))
 }
 
+/// The scenario of the two tests below: `clients` fan-in clients connect one
+/// after the other, send one record each and stay. Returns the live heap
+/// they added, as [`held_since`] gives it, and the allocations they made.
+fn park_fanin_clients(clients: usize) -> ((i64, String), u64) {
+    let registry = kdtelem::Registry::new();
+    let _telem = kdtelem::enter(&registry);
+    sim::Runtime::new().block_on(async move {
+        let (cluster, leaders) = fanin_cluster(&registry).await;
+        let mut parked = Vec::with_capacity(clients);
+        let (before, allocs) = (live_by_class(), allocs_by_class());
+        for i in 1..=clients {
+            let mut producer = fanin_client(&cluster, &leaders, i).await;
+            producer.send(&Record::value(vec![0x6b; 128])).await.expect("send");
+            parked.push(producer);
+        }
+        let held = held_since(&before);
+        let after = allocs_by_class();
+        drop(parked);
+        (held, (0..CLASSES).map(|c| after[c] - allocs[c]).sum())
+    })
+}
+
 /// The heap a parked client pins, everything counted: its node and links,
 /// NIC, control connection and data-plane QP with their tasks, the producer
 /// itself, and what the broker keeps for the two connections. 1000 fan-in
 /// clients connect one after the other, send one record each and stay.
-/// Measured 9 192 B per client in some 55 blocks, 2 944 B of them the five
-/// task frames (DESIGN.md §13 has the table by owner); 168 B of it are the
-/// producer's ack-cell pool, one parked cell and its free list. It read
-/// 9 160 B before a oneshot cell carried a 16 B receive charge (two cells
-/// here), 9 451 B while each of a client's task slots allocated a 32 B `Arc` for
-/// its waker and kept a `Waker` beside its task. It was 60 741 B while
+/// Measured 8 585 B per client in some 45 blocks (DESIGN.md §13 has the
+/// table by owner); 168 B of it are the producer's ack-cell pool, one parked
+/// cell and its free list. It read 9 063 B while a TCP connection kept two
+/// pipes, two window semaphores and two receive buffers apart, a producer
+/// generation three `Rc`s and an 8 B FAA result buffer, and a CQ its one QP
+/// in a vector, and 9 192 B earlier than that; 9 160 B before a oneshot cell carried a 16 B receive charge (two
+/// cells here), 9 451 B while each of a client's task slots allocated a 32 B
+/// `Arc` for its waker and kept a `Waker` beside its task. It was 60 741 B while
 /// every client owned four 7.6 KiB histogram cells (two links, NIC, producer)
 /// nobody read through its handle, an ack reader whose frame held two
 /// 64-entry batches across its wait (10.5 KiB, a 16 KiB arena block) and
@@ -647,27 +671,34 @@ fn held_since(before: &[(i64, i64); CLASSES]) -> (i64, String) {
 #[test]
 fn parked_client_footprint() {
     const CLIENTS: usize = 1000;
-    const BUDGET: i64 = 9_435;
-    let registry = kdtelem::Registry::new();
-    let _telem = kdtelem::enter(&registry);
-    sim::Runtime::new().block_on(async move {
-        let (cluster, leaders) = fanin_cluster(&registry).await;
-        let mut parked = Vec::with_capacity(CLIENTS);
-        let before = live_by_class();
-        for i in 1..=CLIENTS {
-            let mut producer = fanin_client(&cluster, &leaders, i).await;
-            producer.send(&Record::value(vec![0x6b; 128])).await.expect("send");
-            parked.push(producer);
-        }
-        let (held, rows) = held_since(&before);
-        let per_client = held / CLIENTS as i64;
-        assert!(
-            per_client <= BUDGET,
-            "a parked fan-in client holds {per_client} B of heap, budget {BUDGET}; live heap of \
-             {CLIENTS} clients by size class: {rows}"
-        );
-        drop(parked);
-    });
+    const BUDGET: i64 = 8_840;
+    let ((held, rows), _) = park_fanin_clients(CLIENTS);
+    let per_client = held / CLIENTS as i64;
+    assert!(
+        per_client <= BUDGET,
+        "a parked fan-in client holds {per_client} B of heap, budget {BUDGET}; live heap of \
+         {CLIENTS} clients by size class: {rows}"
+    );
+}
+
+/// What a connect allocates: the allocations per window-1 shared-mode
+/// producer of the `parked_client_footprint` scenario — its connect and its
+/// first send, everything counted. Measured 48.283 per client; the budget is
+/// 2 % above. It was 62.281 while a TCP connection built two pipes, two
+/// window semaphores and two receive buffers, a producer generation three
+/// `Rc`s and an 8 B FAA result buffer, a CQ a vector for its one QP, and the
+/// first staging buffer grew from empty (kdmark's `fanin_2k` read 7.479
+/// allocations per record then, 5.711 since).
+#[test]
+fn fanin_client_connect_allocations() {
+    const CLIENTS: usize = 1000;
+    const BUDGET: f64 = 49.25;
+    let (_, allocs) = park_fanin_clients(CLIENTS);
+    let per_client = allocs as f64 / CLIENTS as f64;
+    assert!(
+        per_client <= BUDGET,
+        "a fan-in client's connect and first send made {per_client:.3} allocations, budget {BUDGET}"
+    );
 }
 
 /// A joined task's future is stored once. 1 000 tasks each park a future
