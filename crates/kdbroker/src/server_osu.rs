@@ -102,7 +102,8 @@ async fn serve_connection(
             let corr = u64::from_le_bytes(*corr);
             // OSU requests arrive as verbs Sends; the WR context (if any)
             // rode in on the receive completion.
-            if !conn.route(corr, cqe.trace, payload, cost(frame.len())).await {
+            conn.net_thread().run(cost(frame.len())).await;
+            if !conn.route(corr, cqe.trace, kdwire::Request::decode(payload).ok()) {
                 break 'conn;
             }
         }

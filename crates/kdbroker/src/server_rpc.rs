@@ -17,6 +17,7 @@ use netsim::NodeId;
 use sim::SimTime;
 
 use crate::broker::BrokerInner;
+use crate::busy::ServiceQueue;
 use crate::requests::{Reply, ReplyStage, WorkItem};
 
 /// One accepted connection. Dropping it closes the reply stage, which ends
@@ -38,9 +39,10 @@ impl Conn {
     /// instant the thread is done)` on the transport — `false` once the
     /// connection is gone. The frame is the encoded response behind
     /// [`kdwire::HEADER_LEN`] reserved bytes, in one buffer the writer keeps
-    /// for the connection's life. The transport starts at the instant it is
-    /// given: TCP writes the frame as it is, its syscall beginning there, so
-    /// the thread's time and the write are one timer.
+    /// for the connection's life, sized by the first response. The
+    /// transport starts at the instant it is given: TCP writes the frame as
+    /// it is, its syscall beginning there, so the thread's time and the
+    /// write are one timer.
     pub(crate) fn open(
         b: &Rc<BrokerInner>,
         peer: NodeId,
@@ -53,8 +55,7 @@ impl Conn {
         sim::spawn_detached(async move {
             let mut frame = Vec::new();
             while let Some((corr, resp)) = stage.next().await {
-                kdwire::begin_frame(&mut frame);
-                resp.encode_into(&mut frame);
+                encode_reply(&mut frame, &resp);
                 let len = frame.len() - kdwire::HEADER_LEN;
                 let done = bw.net_pool.thread(net_idx).reserve(cost(len));
                 if !send(corr, &mut frame, done).await {
@@ -67,20 +68,24 @@ impl Conn {
         Conn { b: Rc::clone(b), peer, net_idx, replies }
     }
 
-    /// Occupies the network thread for `cost` (the transport's price of
-    /// taking the request off the wire), decodes `payload` and hands the
-    /// request to the API workers (➊→queue, overlapped across requests).
-    /// `false` on a protocol error: drop the connection.
-    pub(crate) async fn route(
+    /// The connection's network thread. A transport occupies it for the
+    /// price of taking a request off the wire and decoding it, then
+    /// [`route`](Self::route)s the request.
+    pub(crate) fn net_thread(&self) -> &ServiceQueue {
+        self.b.net_pool.thread(self.net_idx)
+    }
+
+    /// Hands a decoded request to the API workers (➊→queue, overlapped
+    /// across requests). `false` on a protocol error (`None`): drop the
+    /// connection.
+    pub(crate) fn route(
         &self,
         corr: u64,
         trace: Option<kdtelem::TraceCtx>,
-        payload: &[u8],
-        cost: Duration,
+        request: Option<Request>,
     ) -> bool {
         let b = &self.b;
-        b.net_pool.thread(self.net_idx).run(cost).await;
-        let Ok(request) = Request::decode(payload) else {
+        let Some(request) = request else {
             return false;
         };
         // Routes the eventual response back through this connection.
@@ -91,6 +96,19 @@ impl Conn {
         };
         b.hand_off(WorkItem::Rpc { peer: self.peer, request, reply, trace });
         true
+    }
+}
+
+/// Encodes `resp` into `frame` behind its header. An empty frame is sized
+/// to fit in one allocation: the first response is encoded in a scratch
+/// buffer and copied, rather than growing the frame field by field.
+fn encode_reply(frame: &mut Vec<u8>, resp: &kdwire::Response) {
+    let mut staged = (frame.capacity() == 0).then(kdbuf::scratch);
+    let out = staged.as_deref_mut().unwrap_or(&mut *frame);
+    kdwire::begin_frame(out);
+    resp.encode_into(out);
+    if let Some(staged) = staged {
+        *frame = staged.to_vec();
     }
 }
 

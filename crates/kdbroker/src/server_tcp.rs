@@ -33,13 +33,21 @@ async fn serve_connection(b: Rc<BrokerInner>, stream: TcpStream) {
     let conn = Conn::open(&b, peer, move |_len| cost, send);
     // The processor thread's receive side. A broker crash races the read:
     // the shutdown broadcast wins and the loop breaks.
-    let mut payload = Vec::new();
+    let mut copied = Vec::new();
     while b.alive.get() {
-        let frame = kdwire::read_frame_into(&mut read, &mut payload);
-        let Either::Left(Ok((corr, trace))) = race(frame, b.shutdown.notified()).await else {
+        let frame = kdwire::read_frame_into(&mut read, &mut copied);
+        let Either::Left(Ok((corr, trace, payload))) = race(frame, b.shutdown.notified()).await else {
             break; // connection closed or broker crashed
         };
-        if !b.alive.get() || !conn.route(corr, trace, &payload, cost).await {
+        if !b.alive.get() {
+            break;
+        }
+        // Decoded before the network thread's wait, which then holds no
+        // view of the received chunk.
+        let request = kdwire::Request::decode(&payload).ok();
+        drop(payload);
+        conn.net_thread().run(cost).await;
+        if !conn.route(corr, trace, request) {
             break;
         }
     }

@@ -13,7 +13,6 @@
 //! may answer several consecutive writes (`kdwire::encode_ack`'s count).
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -24,6 +23,7 @@ use kdwire::{unpack_shared_word, BrokerAddr, ErrorCode, ProduceAccessResp};
 use netsim::profile::copy_time;
 use rnic::{BufSlice, CompletionQueue, CqOpcode, QueuePair, RecvWr, SendWr, ShmBuf, WorkRequest};
 use sim::sync::oneshot;
+use sim::InlineDeque;
 
 use crate::data_plane::{with_backoff, DataPlane, Port};
 use crate::error::{check, ClientError};
@@ -49,12 +49,13 @@ type Ack = oneshot::Receiver<(ErrorCode, u64)>;
 /// mark that QP dead.
 struct Generation {
     /// The waiters of the writes in flight, in write order.
-    pending: RefCell<VecDeque<AckWaiter>>,
+    pending: RefCell<InlineDeque<AckWaiter>>,
     /// Set once the reader saw the QP break, or the producer crashed it.
     dead: Cell<bool>,
     /// Free staging buffers: an acked write returns its buffer here (see
     /// [`RdmaProducer::stage`]); a redial hands them to the next generation.
-    stage_pool: RefCell<Vec<ShmBuf>>,
+    /// Last in, first out.
+    stage_pool: RefCell<InlineDeque<ShmBuf>>,
     /// The ack receives' region, a slice of `ACK_BUF` bytes per receive, and
     /// behind them the 8-byte word FAA results land in.
     bufs: ShmBuf,
@@ -194,7 +195,7 @@ impl RdmaProducer {
     /// [`charge_copies`](Self::charge_copies).
     fn stage(&mut self, record: &Record) -> Result<Staged, ClientError> {
         let span = self.telem.trace_span("client.produce", None);
-        let pooled = self.gen.stage_pool.borrow_mut().pop();
+        let pooled = self.gen.stage_pool.borrow_mut().pop_back();
         let staged = pooled.unwrap_or_else(|| {
             ShmBuf::from_vec(Vec::with_capacity(single_record_batch_len(record)))
         });
@@ -504,7 +505,8 @@ async fn ack_reader(
     }
     gen.dead.set(true);
     // Fail anything still pending.
-    for (w, _) in gen.pending.borrow_mut().drain(..) {
+    let mut pending = gen.pending.borrow_mut();
+    while let Some((w, _)) = pending.pop_front() {
         let _ = w.send((ErrorCode::Internal, 0));
     }
 }

@@ -9,16 +9,13 @@
 //! lifeline is stitched end to end; trace id 0 means "none".
 
 use std::cell::{Cell, RefCell};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 use std::time::Duration;
 
 use kdstorage::codec::WireError;
 use netsim::tcp::{Closed, ReadHalf, TcpStream, WriteHalf};
 use sim::sync::oneshot;
-use sim::SimTime;
+use sim::{InlineDeque, SimTime};
 
 use crate::messages::{Request, Response};
 
@@ -109,23 +106,51 @@ pub async fn write_frame(
     write_frame_from(w, SimTime::ZERO, correlation, trace, &mut frame).await
 }
 
-/// Reads one `(correlation, trace, payload)` frame.
+/// Reads one `(correlation, trace, payload)` frame into a vector of its own.
 pub async fn read_frame(
     r: &mut ReadHalf,
 ) -> Result<(u64, Option<kdtelem::TraceCtx>, Vec<u8>), Closed> {
-    let mut payload = Vec::new();
-    let (correlation, trace) = read_frame_into(r, &mut payload).await?;
+    let mut copied = Vec::new();
+    let (correlation, trace, payload) = read_frame_into(r, &mut copied).await?;
+    let payload = match payload {
+        Payload::View(view) => view.to_vec(),
+        Payload::Copied(_) => copied,
+    };
     Ok((correlation, trace, payload))
 }
 
-/// Reads one frame, replacing `out`'s contents with the payload. Returns
-/// `(correlation, trace)`. Allocation-free when `out` already has capacity,
-/// so decode loops can reuse one buffer across frames; the header is read
-/// onto the stack.
-pub async fn read_frame_into(
+/// A frame's payload, as [`read_frame_into`] hands it up; derefs to its
+/// bytes.
+#[derive(Debug)]
+pub enum Payload<'a> {
+    /// The payload lay in one received chunk: a view of it, which keeps the
+    /// chunk from its pool until dropped, so hold it across no wait.
+    View(kdbuf::Buf),
+    /// The payload spanned chunks and was copied into the reader's buffer.
+    Copied(&'a [u8]),
+}
+
+impl std::ops::Deref for Payload<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::View(view) => view,
+            Payload::Copied(bytes) => bytes,
+        }
+    }
+}
+
+/// Reads one frame: `(correlation, trace, payload)`. A payload that lies
+/// whole in the received chunk its header ended in is a view of that chunk
+/// (a frame written in one write of at most an MSS always is); any other
+/// replaces `copied`'s contents, which is allocation-free once `copied` has
+/// the capacity, so a decode loop reuses one buffer across frames. The
+/// header is read onto the stack.
+pub async fn read_frame_into<'a>(
     r: &mut ReadHalf,
-    out: &mut Vec<u8>,
-) -> Result<(u64, Option<kdtelem::TraceCtx>), Closed> {
+    copied: &'a mut Vec<u8>,
+) -> Result<(u64, Option<kdtelem::TraceCtx>, Payload<'a>), Closed> {
     let mut len = [0u8; 4];
     r.read_exact_to(&mut len).await?;
     let total = u32::from_le_bytes(len) as usize;
@@ -138,10 +163,14 @@ pub async fn read_frame_into(
         return Err(Closed);
     };
     let [correlation, trace_id, span_id] = [correlation, trace_id, span_id].map(u64::from_le_bytes);
-    out.clear();
-    r.read_exact_into(total - (HEADER_LEN - 4), out).await?;
-    let trace = (trace_id != 0).then_some(kdtelem::TraceCtx { trace_id, span_id });
-    Ok((correlation, trace))
+    let trace = move || (trace_id != 0).then_some(kdtelem::TraceCtx { trace_id, span_id });
+    let len = total - (HEADER_LEN - 4);
+    if let Some(view) = r.read_view(len) {
+        return Ok((correlation, trace(), Payload::View(view)));
+    }
+    copied.clear();
+    r.read_exact_into(len, copied).await?;
+    Ok((correlation, trace(), Payload::Copied(copied)))
 }
 
 /// A call's outcome: the decoded response, or why there is none.
@@ -151,12 +180,12 @@ pub type Reply = Result<Response, RpcError>;
 /// here, OSU Sends in `kdclient`): the next correlation id, the caller
 /// parked on each id in flight, and whether the connection has died. Reply
 /// cells come from a pool, so a steady stream of calls allocates nothing.
-/// The map's hasher is unkeyed — its keys are ids this table hands out, not
-/// a peer's — so a close fails its calls in the same order in every run,
-/// and a connection carries no hasher keys.
+/// Ids are handed out in increasing order, so the calls in flight are a
+/// deque sorted by id, searched by binary search; a connection with one
+/// call at a time keeps it inline, and a close fails its calls in id order.
 #[derive(Default)]
 pub struct Calls {
-    pending: RefCell<HashMap<u64, oneshot::Sender<Reply>, BuildHasherDefault<DefaultHasher>>>,
+    pending: RefCell<InlineDeque<(u64, oneshot::Sender<Reply>)>>,
     cells: oneshot::Pool<Reply>,
     /// The last correlation id handed out; the first call gets 1.
     last: Cell<u64>,
@@ -174,21 +203,27 @@ impl Calls {
         let correlation = self.last.get() + 1;
         self.last.set(correlation);
         let (tx, rx) = self.cells.channel();
-        self.pending.borrow_mut().insert(correlation, tx);
+        self.pending.borrow_mut().push_back((correlation, tx));
         Ok((correlation, rx))
     }
 
     /// Forgets a call whose request never left (its write or post failed).
     pub fn cancel(&self, correlation: u64) {
-        drop(self.pending.borrow_mut().remove(&correlation));
+        drop(self.take(correlation));
+    }
+
+    /// Takes the caller of `correlation` off the calls in flight.
+    fn take(&self, correlation: u64) -> Option<oneshot::Sender<Reply>> {
+        let mut pending = self.pending.borrow_mut();
+        let at = pending.binary_search_by_key(&correlation, |call| call.0).ok()?;
+        pending.remove(at).map(|(_, tx)| tx)
     }
 
     /// Hands the decoded response body to the caller of `correlation`: an
     /// undecodable body fails that caller only, with `Protocol`. A response
     /// to no call in flight is ignored.
     pub fn answer(&self, correlation: u64, decoded: Result<Response, WireError>) {
-        let waiter = self.pending.borrow_mut().remove(&correlation);
-        if let Some(tx) = waiter {
+        if let Some(tx) = self.take(correlation) {
             let _ = tx.send(decoded.map_err(|_| RpcError::Protocol));
         }
     }
@@ -241,8 +276,8 @@ impl RpcClient {
         });
         let weak = Rc::downgrade(&inner);
         sim::spawn_detached(async move {
-            let mut payload = Vec::new();
-            while let Ok((correlation, _trace)) = read_frame_into(&mut read, &mut payload).await {
+            let mut copied = Vec::new();
+            while let Ok((correlation, _trace, payload)) = read_frame_into(&mut read, &mut copied).await {
                 if let Some(inner) = weak.upgrade() {
                     inner.calls.answer(correlation, Response::decode(&payload));
                 }
@@ -302,6 +337,45 @@ mod tests {
     use netsim::profile::Profile;
     use netsim::tcp::TcpListener;
     use netsim::Fabric;
+
+    /// A frame whose payload lies in one received chunk comes up as a view
+    /// of that chunk; one that spans chunks is copied into the reader's
+    /// buffer. Either way the bytes are the frame's.
+    #[test]
+    fn a_frame_in_one_chunk_is_a_view_of_it() {
+        let rt = sim::Runtime::new();
+        rt.block_on(async {
+            let f = Fabric::new(Profile::fast_test());
+            let mss = f.profile().net.tcp_mss as usize;
+            let (a, b) = (f.add_node("a"), f.add_node("b"));
+            let mut l = TcpListener::bind(&b, 1);
+            let (_, mut w) = netsim::tcp::connect(&a, b.id, 1).await.unwrap().into_split();
+            let (mut r, _w) = l.accept().await.unwrap().into_split();
+            let small: Vec<u8> = (0..40).collect();
+            let large: Vec<u8> = (0..3 * mss).map(|i| i as u8).collect();
+            // Two small frames in one chunk, then one across four.
+            let mut two = Vec::new();
+            for corr in [1u64, 2] {
+                two.extend_from_slice(&((HEADER_LEN - 4 + small.len()) as u32).to_le_bytes());
+                two.extend_from_slice(&corr.to_le_bytes());
+                two.extend_from_slice(&[0; 16]);
+                two.extend_from_slice(&small);
+            }
+            w.write_all(&two).await.unwrap();
+            write_frame(&mut w, 3, None, &large).await.unwrap();
+            let mut copied = Vec::new();
+            for corr in [1, 2] {
+                let (got, _, payload) = read_frame_into(&mut r, &mut copied).await.unwrap();
+                assert_eq!(got, corr);
+                assert!(matches!(payload, Payload::View(_)), "frame {corr} is a view");
+                assert_eq!(*payload, small[..]);
+            }
+            let (got, _, payload) = read_frame_into(&mut r, &mut copied).await.unwrap();
+            assert_eq!(got, 3);
+            assert!(matches!(payload, Payload::Copied(_)), "a frame across chunks is copied");
+            assert_eq!(*payload, large[..]);
+        });
+    }
 
     #[test]
     fn frame_round_trip() {
@@ -366,10 +440,10 @@ mod tests {
                 w.write_all(&wire).await.unwrap();
                 drop(w);
                 let (mut r, _w) = l.accept().await.unwrap().into_split();
-                let (mut at, mut payload) = (0, Vec::new());
-                while let Ok((correlation, _)) = read_frame_into(&mut r, &mut payload).await {
+                let (mut at, mut copied) = (0, Vec::new());
+                while let Ok((correlation, _, payload)) = read_frame_into(&mut r, &mut copied).await {
                     assert_eq!(wire[at + 4..at + 12], correlation.to_le_bytes(), "round {round}");
-                    assert_eq!(wire[at + 28..at + 28 + payload.len()], payload, "round {round}");
+                    assert_eq!(wire[at + 28..at + 28 + payload.len()], *payload, "round {round}");
                     at += 28 + payload.len();
                 }
             }

@@ -22,7 +22,7 @@ pub mod messages;
 pub mod slots;
 
 pub use frame::{
-    begin_frame, read_frame, read_frame_into, write_frame, write_frame_from, Calls, RpcClient, RpcError,
+    begin_frame, read_frame, read_frame_into, write_frame, write_frame_from, Calls, Payload, RpcClient, RpcError,
     HEADER_LEN,
 };
 pub use messages::{

@@ -15,7 +15,6 @@
 //! code must do its own framing exactly as it would over real sockets.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::rc::Rc;
@@ -23,7 +22,7 @@ use std::task::{Poll, Waker};
 use std::time::Duration;
 
 use sim::sync::Frontier;
-use sim::SimTime;
+use sim::{InlineDeque, SimTime};
 
 use crate::bind::Bound;
 use crate::fabric::{Fabric, NodeHandle, NodeId};
@@ -63,10 +62,11 @@ struct Chunk {
 
 /// What one direction of a connection holds between its two halves: the
 /// chunks sent and not yet read, in send order (a late chunk holds back the
-/// ones behind it, as in TCP).
+/// ones behind it, as in TCP). The first is inline: a request-reply
+/// connection rarely has two in flight.
 #[derive(Default)]
 struct Chunks {
-    queue: VecDeque<Chunk>,
+    queue: InlineDeque<Chunk>,
     /// The reader's waker while it is parked on an empty pipe. The push
     /// that ends the wait arms it for the instant the chunk is readable, so
     /// a parked reader is polled once per chunk.
@@ -232,11 +232,13 @@ impl WriteHalf {
     /// socket-buffer room, and this half is the pipe's only writer and only
     /// its reader gives room back, so room now is room at `start`. A path
     /// read now is the path at `start` unless its state changes in between.
+    /// A write that finds the reader gone fails at `start`: it copies
+    /// nothing and puts nothing on the wire.
     pub async fn write_all_from(&mut self, start: SimTime, data: &[u8]) -> Result<(), Closed> {
         let profile = self.fabric.profile();
         let net = &profile.net;
         let start = start.max(sim::now());
-        if data.is_empty() {
+        if data.is_empty() || self.is_closed() {
             sim::time::sleep_until(start).await;
             return if self.is_closed() { Err(Closed) } else { Ok(()) };
         }
@@ -412,6 +414,21 @@ impl ReadHalf {
         n
     }
 
+    /// Reads the next `n` bytes without waiting, as a view of the chunk
+    /// being read, if they lie unread in it; the view keeps the chunk from
+    /// its pool until dropped. `None` reads nothing. A framing layer that
+    /// has just read a header takes the body this way when it came in the
+    /// same chunk.
+    pub fn read_view(&mut self, n: usize) -> Option<kdbuf::Buf> {
+        let (chunk, at) = self.head.as_mut().filter(|(chunk, at)| chunk.len() - at >= n)?;
+        let bytes = chunk.slice(*at, n);
+        *at += n;
+        if *at == chunk.len() {
+            self.head = None;
+        }
+        Some(bytes)
+    }
+
     /// Waits for unread bytes: `false` at EOF.
     async fn await_unread(&mut self) -> bool {
         self.head.is_some() || self.fill().await
@@ -499,6 +516,7 @@ impl TcpStream {
 mod tests {
     use super::*;
     use crate::profile::Profile;
+    use std::collections::VecDeque;
 
     fn fabric2() -> (Fabric, NodeHandle, NodeHandle) {
         let f = Fabric::new(Profile::testbed());
@@ -630,6 +648,28 @@ mod tests {
             assert_eq!(sim::now(), gone, "at the instant the reader went");
             let sent_by_then = dropped.await.unwrap();
             assert_eq!(f.node_bytes(a.id).0, sent_by_then, "nothing sent after");
+        });
+    }
+
+    /// A write that begins after its peer dropped the stream fails at its
+    /// start, the syscall's instant: no copy is slept and no byte reaches
+    /// the wire.
+    #[test]
+    fn a_write_after_the_reader_went_fails_at_its_start() {
+        let rt = sim::Runtime::new();
+        rt.block_on(async {
+            let (f, a, b) = fabric2();
+            let mut listener = TcpListener::bind(&b, 9092);
+            let c = connect(&a, b.id, 9092).await.unwrap();
+            drop(listener.accept().await.unwrap());
+            let (_read, mut write) = c.into_split();
+            let sent = f.node_bytes(a.id).0;
+            let start = sim::now() + Duration::from_micros(5);
+            assert_eq!(write.write_all_from(start, &[7u8; 100_000]).await, Err(Closed));
+            assert_eq!(sim::now(), start, "at its start");
+            assert_eq!(f.node_bytes(a.id).0, sent, "nothing on the wire");
+            assert_eq!(write.write_all(b"x").await, Err(Closed));
+            assert_eq!(sim::now(), start, "a write now fails now");
         });
     }
 

@@ -25,7 +25,6 @@
 //! at their instants; every later one is lost.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
@@ -33,7 +32,7 @@ use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use sim::sync::WaitList;
-use sim::SimTime;
+use sim::{InlineDeque, SimTime};
 
 use crate::nic::Registry;
 use crate::qp::QpShared;
@@ -95,20 +94,19 @@ fn unclaimed<'a>(
     })
 }
 
-/// The QPs a poison fails, in attach order: the first inline — a client's
-/// CQs serve one QP each — and any others behind it.
-type Attached = (Option<Weak<QpShared>>, Vec<Weak<QpShared>>);
-
 pub(crate) struct CqInner {
     /// Visible CQEs, then the `scheduled` ones, in `(instant, push)` order.
-    queue: RefCell<VecDeque<Slot>>,
+    /// The first is inline: a window-1 client's CQs never hold two.
+    queue: RefCell<InlineDeque<Slot>>,
     /// How many CQEs at the back of `queue` had not surfaced when it was
     /// last looked at.
     scheduled: Cell<usize>,
     capacity: usize,
     waiters: RefCell<WaitList<Parked>>,
     overflowed: Cell<bool>,
-    attached: RefCell<Attached>,
+    /// The QPs a poison fails, in attach order (a client's CQs serve one
+    /// QP each).
+    attached: RefCell<InlineDeque<Weak<QpShared>>>,
     /// Holds the `rnic cq.*` cells every CQ of the fabric records into.
     fabric: Rc<Registry>,
 }
@@ -124,7 +122,7 @@ impl CompletionQueue {
         assert!(capacity > 0);
         CompletionQueue {
             inner: Rc::new(CqInner {
-                queue: RefCell::new(VecDeque::new()),
+                queue: RefCell::default(),
                 scheduled: Cell::new(0),
                 capacity,
                 waiters: RefCell::new(WaitList::default()),
@@ -136,11 +134,7 @@ impl CompletionQueue {
     }
 
     pub(crate) fn attach(&self, qp: &Rc<QpShared>) {
-        let (first, rest) = &mut *self.inner.attached.borrow_mut();
-        match first {
-            None => *first = Some(Rc::downgrade(qp)),
-            Some(_) => rest.push(Rc::downgrade(qp)),
-        }
+        self.inner.attached.borrow_mut().push_back(Rc::downgrade(qp));
     }
 
     /// Poisons the CQ as a hardware overflow would: every attached QP
@@ -148,10 +142,7 @@ impl CompletionQueue {
     fn poison(&self) {
         self.inner.overflowed.set(true);
         self.inner.fabric.telem.cq_overflows.inc();
-        let attached: Vec<_> = {
-            let (first, rest) = &*self.inner.attached.borrow();
-            first.iter().chain(rest).cloned().collect()
-        };
+        let attached: Vec<_> = self.inner.attached.borrow().iter().cloned().collect();
         for qp in attached.into_iter().filter_map(|w| w.upgrade()) {
             QpShared::fail(&qp);
         }
@@ -199,7 +190,7 @@ impl CompletionQueue {
                 q.insert(visible, (cqe, at));
             } else {
                 // Behind every scheduled CQE due no later.
-                let later = q.range(visible..).rev().take_while(|s| s.1 > at).count();
+                let later = q.iter_from(visible).rev().take_while(|s| s.1 > at).count();
                 let index = q.len() - later;
                 q.insert(index, (cqe, at));
                 self.inner.scheduled.set(self.inner.scheduled.get() + 1);
@@ -214,14 +205,14 @@ impl CompletionQueue {
 
     /// How many CQEs of `q` are visible: scheduled ones whose instant has
     /// come join them. Free while nothing is scheduled.
-    fn visible(&self, q: &VecDeque<Slot>) -> usize {
+    fn visible(&self, q: &InlineDeque<Slot>) -> usize {
         let scheduled = self.inner.scheduled.get();
         if scheduled == 0 {
             return q.len();
         }
         let now = sim::time::try_now().unwrap_or(SimTime::ZERO);
         let visible = q.len() - scheduled;
-        let surfaced = q.range(visible..).take_while(|s| s.1 <= now).count();
+        let surfaced = q.iter_from(visible).take_while(|s| s.1 <= now).count();
         self.inner.scheduled.set(scheduled - surfaced);
         visible + surfaced
     }
@@ -256,7 +247,9 @@ impl CompletionQueue {
     fn take(&self, max: usize, mut put: impl FnMut(Cqe)) -> usize {
         let mut q = self.inner.queue.borrow_mut();
         let n = max.min(self.visible(&q));
-        q.drain(..n).for_each(|(cqe, _)| put(cqe));
+        for (cqe, _) in std::iter::from_fn(|| q.pop_front()).take(n) {
+            put(cqe);
+        }
         self.inner.fabric.telem.cq_depth.sub(n as u64);
         n
     }
@@ -304,9 +297,9 @@ impl CompletionQueue {
     fn arm_parked(&self, waiters: &mut WaitList<Parked>, ticket: u64, waker: &Waker) {
         let q = self.inner.queue.borrow();
         let visible = self.visible(&q);
-        let scheduled = q.range(visible..);
+        let mut scheduled = q.iter_from(visible);
         let Some(at) = unclaimed(scheduled.clone(), waiters)
-            .or_else(|| scheduled.last().filter(|_| self.overflowed()).map(|s| s.1))
+            .or_else(|| scheduled.next_back().filter(|_| self.overflowed()).map(|s| s.1))
         else {
             return;
         };

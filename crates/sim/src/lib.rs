@@ -48,12 +48,14 @@
 
 mod executor;
 pub mod future;
+pub mod inline_deque;
 pub mod rng;
 pub mod sync;
 pub mod time;
 mod wheel;
 
 pub use executor::{JoinError, JoinHandle, Runtime};
+pub use inline_deque::InlineDeque;
 pub use time::{now, try_now, SimTime};
 
 use std::future::Future;

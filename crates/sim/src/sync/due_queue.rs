@@ -76,8 +76,47 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// The queued entries, the earliest inline: a connection's reply stage,
+/// which rarely holds two, allocates nothing.
+struct Entries<T> {
+    earliest: Option<Entry<T>>,
+    /// The others; empty while `earliest` is.
+    later: BinaryHeap<Entry<T>>,
+}
+
+impl<T> Default for Entries<T> {
+    fn default() -> Self {
+        Entries {
+            earliest: None,
+            later: BinaryHeap::new(),
+        }
+    }
+}
+
+impl<T> Entries<T> {
+    fn push(&mut self, entry: Entry<T>) {
+        match &mut self.earliest {
+            None => self.earliest = Some(entry),
+            // `Ord` is reversed: greater is earlier.
+            Some(earliest) if entry > *earliest => {
+                self.later.push(std::mem::replace(earliest, entry));
+            }
+            Some(_) => self.later.push(entry),
+        }
+    }
+
+    fn pop(&mut self) -> Option<Entry<T>> {
+        let next = self.later.pop();
+        std::mem::replace(&mut self.earliest, next)
+    }
+
+    fn len(&self) -> usize {
+        self.earliest.is_some() as usize + self.later.len()
+    }
+}
+
 struct State<T> {
-    heap: BinaryHeap<Entry<T>>,
+    entries: Entries<T>,
     next_seq: u64,
     /// The consumer's waker while it is parked in `next()`.
     parked: Option<Waker>,
@@ -115,7 +154,7 @@ impl<T> DueQueue<T> {
     pub fn new() -> Self {
         DueQueue {
             state: RefCell::new(State {
-                heap: BinaryHeap::new(),
+                entries: Entries::default(),
                 next_seq: 0,
                 parked: None,
                 last_armed: None,
@@ -135,7 +174,7 @@ impl<T> DueQueue<T> {
         let armed = s.arm(due);
         let seq = s.next_seq;
         s.next_seq += 1;
-        s.heap.push(Entry { due, seq, armed, item });
+        s.entries.push(Entry { due, seq, armed, item });
     }
 
     /// Pops the earliest item if it is due; otherwise parks the consumer
@@ -149,16 +188,16 @@ impl<T> DueQueue<T> {
         if s.last_armed.is_some_and(|due| due <= now) {
             s.last_armed = None;
         }
-        if s.heap.peek().is_some_and(|e| e.due <= now) {
+        if s.entries.earliest.as_ref().is_some_and(|e| e.due <= now) {
             s.parked = None;
-            return Poll::Ready(s.heap.pop().map(|e| e.item));
+            return Poll::Ready(s.entries.pop().map(|e| e.item));
         }
         match &mut s.parked {
             Some(w) => w.clone_from(cx.waker()),
             None => s.parked = Some(cx.waker().clone()),
         }
         // What was pushed while the consumer was away has no timer yet.
-        let unarmed = s.heap.peek_mut().filter(|e| !e.armed).map(|mut e| {
+        let unarmed = s.entries.earliest.as_mut().filter(|e| !e.armed).map(|e| {
             e.armed = true;
             e.due
         });
@@ -179,7 +218,7 @@ impl<T> DueQueue<T> {
     pub fn close(&self) {
         let mut s = self.state.borrow_mut();
         s.closed = true;
-        let dropped = std::mem::take(&mut s.heap);
+        let dropped = std::mem::take(&mut s.entries);
         let parked = s.parked.take();
         // Item destructors and the wake run without the queue borrowed.
         drop(s);
@@ -196,7 +235,7 @@ impl<T> DueQueue<T> {
 
     /// Items queued, due or not.
     pub fn len(&self) -> usize {
-        self.state.borrow().heap.len()
+        self.state.borrow().entries.len()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -19,6 +19,7 @@ use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use crate::time::{now, wake_at, SimTime};
+use crate::InlineDeque;
 
 struct State<T> {
     value: Option<T>,
@@ -43,7 +44,9 @@ struct Chan<T> {
     pool: Weak<FreeList<T>>,
 }
 
-type FreeList<T> = RefCell<Vec<Rc<Chan<T>>>>;
+/// Last in, first out; the first inline, so a pool that never has two cells
+/// free at once never allocates a list.
+type FreeList<T> = RefCell<InlineDeque<Rc<Chan<T>>>>;
 
 /// Sending half; consumed by [`Sender::send`].
 pub struct Sender<T> {
@@ -99,7 +102,7 @@ impl<T> Pool<T> {
 
     /// A connected pair on a recycled cell, or on a new one if none is free.
     pub fn channel(&self) -> (Sender<T>, Receiver<T>) {
-        let recycled = self.free.borrow_mut().pop();
+        let recycled = self.free.borrow_mut().pop_back();
         match recycled {
             Some(chan) => on(chan),
             None => pair(Rc::downgrade(&self.free)),
@@ -131,7 +134,7 @@ fn release<T>(chan: &Rc<Chan<T>>) {
         (s.value.take(), s.waker.take())
     };
     drop(leftovers);
-    free.borrow_mut().push(Rc::clone(chan));
+    free.borrow_mut().push_back(Rc::clone(chan));
 }
 
 impl<T> Sender<T> {

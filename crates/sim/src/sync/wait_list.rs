@@ -8,12 +8,13 @@
 //!   records that in its payload;
 //! * a future dropped while armed has its primitive arm the next in line.
 //!
-//! The first entry is held inline, so a list that never has two waiters at
-//! once never allocates. Tickets grow in park order: the rest are found by
-//! binary search.
+//! The entries are an [`InlineDeque`]: a list that never has two waiters
+//! at once never allocates. Tickets grow in park order, so an entry is
+//! found by binary search.
 
-use std::collections::VecDeque;
 use std::task::Waker;
+
+use crate::InlineDeque;
 
 struct Entry<P> {
     ticket: u64,
@@ -22,88 +23,83 @@ struct Entry<P> {
 }
 
 /// See the [module docs](self).
-#[derive(Default)]
 pub struct WaitList<P> {
-    /// The longest-parked entry.
-    first: Option<Entry<P>>,
-    /// The others, in park (hence ticket) order; empty while `first` is.
-    rest: VecDeque<Entry<P>>,
+    /// In park (hence ticket) order.
+    entries: InlineDeque<Entry<P>>,
     next_ticket: u64,
+}
+
+impl<P> Default for WaitList<P> {
+    fn default() -> Self {
+        WaitList {
+            entries: InlineDeque::new(),
+            next_ticket: 0,
+        }
+    }
 }
 
 impl<P> WaitList<P> {
     pub fn is_empty(&self) -> bool {
-        self.first.is_none()
+        self.entries.is_empty()
     }
 
     /// Parks a task behind every other; the ticket names it from now on.
     pub fn park(&mut self, waker: &Waker, payload: P) -> u64 {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        let entry = Entry {
+        self.entries.push_back(Entry {
             ticket,
             waker: waker.clone(),
             payload,
-        };
-        match self.first {
-            None => self.first = Some(entry),
-            Some(_) => self.rest.push_back(entry),
-        }
+        });
         ticket
+    }
+
+    /// Where `ticket` is parked.
+    fn find(&self, ticket: u64) -> Option<usize> {
+        self.entries.binary_search_by_key(&ticket, |e| e.ticket).ok()
     }
 
     /// Re-parks `ticket` in place with `waker`: its payload, or `None` if it
     /// was unparked (popped, removed or woken by [`wake_where`](Self::wake_where)).
     pub fn repark(&mut self, ticket: u64, waker: &Waker) -> Option<&mut P> {
-        let entry = if self.first.as_ref().is_some_and(|e| e.ticket == ticket) {
-            self.first.as_mut()
-        } else {
-            let at = self.rest.binary_search_by_key(&ticket, |e| e.ticket).ok()?;
-            self.rest.get_mut(at)
-        }?;
+        let entry = self.entries.get_mut(self.find(ticket)?)?;
         entry.waker.clone_from(waker);
         Some(&mut entry.payload)
     }
 
     /// Unparks `ticket`: its payload, or `None` if it was not parked.
     pub fn remove(&mut self, ticket: u64) -> Option<P> {
-        if self.first.as_ref().is_some_and(|e| e.ticket == ticket) {
-            return self.pop_front().map(|(_, payload)| payload);
-        }
-        let at = self.rest.binary_search_by_key(&ticket, |e| e.ticket).ok()?;
-        self.rest.remove(at).map(|e| e.payload)
+        self.entries.remove(self.find(ticket)?).map(|e| e.payload)
     }
 
     /// The longest-parked entry's payload.
     pub fn front(&self) -> Option<&P> {
-        self.first.as_ref().map(|e| &e.payload)
+        self.entries.front().map(|e| &e.payload)
     }
 
     /// Unparks the longest-parked entry: its waker, to wake, and payload.
     pub fn pop_front(&mut self) -> Option<(Waker, P)> {
-        let next = self.rest.pop_front();
-        let first = std::mem::replace(&mut self.first, next)?;
-        Some((first.waker, first.payload))
+        self.entries.pop_front().map(|e| (e.waker, e.payload))
     }
 
     /// The longest-parked entry that `unarmed` accepts, to arm: its waker,
     /// for a timer or a direct wake, and its payload, to record that in.
     pub fn arm(&mut self, mut unarmed: impl FnMut(&P) -> bool) -> Option<(&Waker, &mut P)> {
-        let mut entries = self.first.iter_mut().chain(&mut self.rest);
-        let e = entries.find(|e| unarmed(&e.payload))?;
+        let e = self.entries.iter_mut().find(|e| unarmed(&e.payload))?;
         Some((&e.waker, &mut e.payload))
     }
 
     /// Payloads, longest parked first.
     pub fn iter(&self) -> impl Iterator<Item = &P> {
-        self.first.iter().chain(&self.rest).map(|e| &e.payload)
+        self.entries.iter().map(|e| &e.payload)
     }
 
     /// Wakes, longest parked first, every entry `pick` accepts, leaving it
     /// parked: each re-polls and sees for itself what changed.
     pub fn wake_in_place(&self, pick: impl Fn(&P) -> bool) {
-        let entries = self.first.iter().chain(&self.rest);
-        entries
+        self.entries
+            .iter()
             .filter(|e| pick(&e.payload))
             .for_each(|e| e.waker.wake_by_ref());
     }
@@ -111,19 +107,13 @@ impl<P> WaitList<P> {
     /// Unparks and wakes, longest parked first, every entry `pick` accepts;
     /// the others keep their places. The list keeps its capacity.
     pub fn wake_where(&mut self, pick: impl Fn(&P) -> bool) {
-        if let Some(e) = self.first.take_if(|e| pick(&e.payload)) {
-            e.waker.wake();
-        }
-        self.rest.retain(|e| {
+        self.entries.retain(|e| {
             let picked = pick(&e.payload);
             if picked {
                 e.waker.wake_by_ref();
             }
             !picked
         });
-        if self.first.is_none() {
-            self.first = self.rest.pop_front();
-        }
     }
 
     /// Unparks and wakes every entry, longest parked first. The list keeps

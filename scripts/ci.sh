@@ -444,6 +444,29 @@ if grep -nE "Semaphore|VecDeque<u8>" crates/netsim/src/tcp.rs ||
     exit 1
 fi
 
+# A connection's first messages grow nothing (DESIGN.md §10 "A connect builds
+# each layer's state once"): every per-connection queue a window-1 client
+# holds one entry in — a CQ's ring and attached QPs, a TCP pipe's chunks, a
+# producer generation's ack waiters and staging buffers, a oneshot pool's
+# free cells, a wait list's parked tasks, an RPC client's calls in flight —
+# is a `sim::InlineDeque`, the broker's reply stage keeps its earliest entry
+# inline, and a frame that lies in one received TCP chunk is handed up as a
+# view of it. The deque against `VecDeque`, a write to a gone reader failing
+# at its start, and the allocation-site report (one backtrace per counted
+# allocation), by name. Then the re-fork guard: no `VecDeque` ring in the
+# CQ or chunk queue in the TCP pipe, and no hand-rolled inline first entry
+# in the wait list.
+cargo test -q --offline -p sim --lib inline_deque::tests
+cargo test -q --offline -p netsim --lib tcp::tests::a_write_after_the_reader_went_fails_at_its_start
+cargo test -q --offline -p kdwire --lib frame::tests::a_frame_in_one_chunk_is_a_view_of_it
+cargo test -q --offline --release -p kdbench --test budgets -- --ignored fanin_connect_allocation_sites
+if grep -n "VecDeque<Slot>" crates/rnic/src/cq.rs ||
+    grep -n "VecDeque<Chunk>" crates/netsim/src/tcp.rs ||
+    grep -n "first: Option<Entry" crates/sim/src/sync/wait_list.rs; then
+    echo "ci: a per-connection queue grows from empty at its first entry again (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # Re-fork guard: there is one wall-clock harness (kdmark, below) and no
 # per-PR report files; what the second harness gated is the tests above.
 if grep -rnE "kdperf|KDPERF_|KD_BENCH_TAG|BENCH_PR|PERF_PR|criterion_substrate" \
