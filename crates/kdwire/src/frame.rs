@@ -215,7 +215,7 @@ impl Calls {
     /// Takes the caller of `correlation` off the calls in flight.
     fn take(&self, correlation: u64) -> Option<oneshot::Sender<Reply>> {
         let mut pending = self.pending.borrow_mut();
-        let at = pending.binary_search_by_key(&correlation, |call| call.0).ok()?;
+        let at = pending.find_by_key(correlation, |call| call.0)?;
         pending.remove(at).map(|(_, tx)| tx)
     }
 

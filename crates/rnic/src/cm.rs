@@ -212,7 +212,7 @@ impl RNic {
         let slot = slot.ok_or(RdmaConnectError::ConnectionRefused)?;
         // QP attribute exchange happens over TCP in real deployments.
         sim::time::sleep(self.node().profile().net.tcp_connect).await;
-        let (reply_tx, reply_rx) = oneshot::channel();
+        let (reply_tx, reply_rx) = registry.cm_replies.channel();
         slot.try_send(IncomingConnection {
             from: self.node().id,
             reply: reply_tx,

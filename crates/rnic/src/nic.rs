@@ -61,12 +61,13 @@ impl Telem {
     }
 }
 
-/// Fabric-global RDMA state: the connection-manager rendezvous table, the
-/// work-request engine, the id allocators and the telemetry cells. Stored as
-/// a [`Fabric`] extension.
+/// Fabric-global RDMA state: the connection-manager rendezvous table and
+/// the cells a connect's reply comes back in, the work-request engine, the
+/// id allocators and the telemetry cells. Stored as a [`Fabric`] extension.
 pub(crate) struct Registry {
     pub(crate) telem: Telem,
     pub(crate) cm_listeners: BindTable<crate::cm::IncomingConnection>,
+    pub(crate) cm_replies: sim::sync::oneshot::Pool<crate::qp::QueuePair>,
     /// The fabric's work-request engine. Weak: the engine's task owns it, so
     /// it (and every WR in flight) goes away with the runtime.
     engine: RefCell<Weak<Engine>>,
@@ -80,6 +81,7 @@ impl Registry {
         Registry {
             telem: Telem::register(fabric.telemetry()),
             cm_listeners: BindTable::default(),
+            cm_replies: Default::default(),
             engine: RefCell::new(Weak::new()),
             // Start virtual addresses well away from zero so accidental
             // "offset used as address" bugs fault loudly.

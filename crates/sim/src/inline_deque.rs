@@ -1,18 +1,21 @@
 //! A double-ended queue that holds its first element inline.
 //!
 //! Most per-connection queues of a simulated cluster — a client's CQ ring,
-//! a TCP pipe's chunks, a producer's ack waiters, a wait list's parked
-//! tasks, a pool's free cells — never hold more than one entry at a time
-//! for a window-1 connection. An [`InlineDeque`] stores its front element
-//! in the block that already holds the deque, so such a queue allocates
-//! nothing; a second element spills into a `VecDeque` behind it, which
-//! keeps its capacity when emptied, so a warm queue allocates nothing
-//! either.
+//! a TCP pipe's chunks, a wait list's parked tasks, a pool's free cells —
+//! never hold two entries at once for a window-1 connection. Such a queue
+//! keeps its front element in the block that already holds it and
+//! allocates nothing; a second element spills into a `VecDeque` behind it,
+//! which keeps its capacity when emptied. Invariant: `rest` is empty while
+//! `first` is; every method that takes the front moves the spill's up.
 //!
-//! Invariant: `rest` is empty while `first` is. Every method that takes
-//! the front moves the spill's front up.
+//! A deque of `(instant, value)` is the one due-ordered store under
+//! `sim::sync` and the RNIC's CQs: [`push_due`](InlineDeque::push_due)
+//! keeps it in `(instant, push)` order, [`due`](InlineDeque::due) counts the
+//! entries due by an instant.
 
 use std::collections::VecDeque;
+
+use crate::SimTime;
 
 /// See the [module docs](self).
 pub struct InlineDeque<T> {
@@ -64,6 +67,10 @@ impl<T> InlineDeque<T> {
         self.first.as_ref()
     }
 
+    pub fn back(&self) -> Option<&T> {
+        self.rest.back().or(self.first.as_ref())
+    }
+
     pub fn get_mut(&mut self, index: usize) -> Option<&mut T> {
         match index {
             0 => self.first.as_mut(),
@@ -107,23 +114,20 @@ impl<T> InlineDeque<T> {
         self.rest.clear();
     }
 
-    /// The index of the element whose key is `key`, in a deque sorted by
-    /// key, or where one would be inserted to keep it sorted — as
-    /// [`VecDeque::binary_search_by_key`].
-    pub fn binary_search_by_key<K: Ord>(
-        &self,
-        key: &K,
-        mut f: impl FnMut(&T) -> K,
-    ) -> Result<usize, usize> {
-        use std::cmp::Ordering::*;
-        match self.first.as_ref().map(|e| f(e).cmp(key)) {
-            None | Some(Greater) => Err(0),
-            Some(Equal) => Ok(0),
-            Some(Less) => match self.rest.binary_search_by_key(key, f) {
-                Ok(at) => Ok(at + 1),
-                Err(at) => Err(at + 1),
-            },
+    /// How many elements, from the front, `pred` accepts, in a deque where
+    /// it accepts a prefix — as [`VecDeque::partition_point`].
+    pub fn partition_point(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
+        match &self.first {
+            Some(first) if pred(first) => 1 + self.rest.partition_point(pred),
+            _ => 0,
         }
+    }
+
+    /// The index of the element whose key is `key`, in a deque sorted by key.
+    pub fn find_by_key<K: Ord>(&self, key: K, f: impl Fn(&T) -> K) -> Option<usize> {
+        let at = self.partition_point(|e| f(e) < key);
+        let found = self.iter_from(at).next().is_some_and(|e| f(e) == key);
+        found.then_some(at)
     }
 
     /// Front to back.
@@ -131,16 +135,10 @@ impl<T> InlineDeque<T> {
         self.iter_from(0)
     }
 
-    /// Front to back from `start`, as `VecDeque::range(start..)`.
-    ///
-    /// # Panics
-    /// Panics if `start` is greater than the length.
+    /// Front to back from `start`, as `VecDeque::range(start..)`: panics if
+    /// `start` is past the end.
     pub fn iter_from(&self, start: usize) -> impl DoubleEndedIterator<Item = &T> + Clone {
-        assert!(
-            start <= self.len(),
-            "range start {start} out of bounds (len {})",
-            self.len()
-        );
+        assert!(start <= self.len(), "range start {start} out of bounds");
         let (first, rest) = match start {
             0 => (self.first.as_ref(), self.rest.range(..)),
             _ => (None, self.rest.range(start - 1..)),
@@ -151,6 +149,23 @@ impl<T> InlineDeque<T> {
     /// Front to back, mutably.
     pub fn iter_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut T> {
         self.first.iter_mut().chain(&mut self.rest)
+    }
+}
+
+impl<T> InlineDeque<(SimTime, T)> {
+    /// Queues `value` for `at`, behind every entry due no later: the deque
+    /// stays in `(instant, push order)` order. O(1) when `at` is the latest.
+    pub fn push_due(&mut self, at: SimTime, value: T) {
+        self.insert(self.due(at), (at, value));
+    }
+
+    /// How many entries, from the front, are due by `now`. O(1) when the
+    /// back one is.
+    pub fn due(&self, now: SimTime) -> usize {
+        match self.back() {
+            Some(back) if back.0 > now => self.partition_point(|e| e.0 <= now),
+            _ => self.len(),
+        }
     }
 }
 
@@ -270,8 +285,12 @@ mod tests {
                         search.extend(sorted.iter().copied());
                         let probe = rng.below(400);
                         assert_eq!(
-                            search.binary_search_by_key(&probe, |&id| id),
-                            sorted.binary_search(&probe)
+                            search.find_by_key(probe, |&id| id),
+                            sorted.binary_search(&probe).ok()
+                        );
+                        assert_eq!(
+                            search.partition_point(|&id| id < probe),
+                            sorted.partition_point(|&id| id < probe)
                         );
                         if let Some(t) = deque.get_mut(rng.below(len as u64 + 1) as usize) {
                             assert!(model.contains(&t.id));
@@ -312,6 +331,56 @@ mod tests {
                 "seed {seed}: every element dropped exactly once"
             );
         }
+    }
+
+    /// The due store against the heap `DueQueue` kept before it: the same
+    /// pushes — out of order, ties at one instant, some already due — into
+    /// `push_due` and into a `BinaryHeap` of `(due, push order)`, popped
+    /// while `now` advances, come out in the same sequence, and `due(now)`
+    /// counts exactly the heap's entries due by then.
+    #[test]
+    fn the_due_store_pops_as_the_heap_it_replaced() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let (mut out_of_order, mut ties, mut pops) = (0, 0, 0);
+        for seed in 0..200u64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut store = InlineDeque::new();
+            let mut heap = BinaryHeap::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            let (mut from_store, mut from_heap) = (Vec::new(), Vec::new());
+            for _ in 0..400 {
+                match rng.below(8) {
+                    // A push on a 10 ns grid, from 20 ns past to 60 ns ahead.
+                    0..=3 => {
+                        let due = (now + rng.below(9) * 10).saturating_sub(20);
+                        out_of_order += store.back().is_some_and(|b: &(SimTime, u64)| b.0.as_nanos() > due) as u32;
+                        ties += heap.iter().any(|e: &Reverse<(u64, u64)>| e.0 .0 == due) as u32;
+                        store.push_due(SimTime::from_nanos(due), seq);
+                        heap.push(Reverse((due, seq)));
+                        seq += 1;
+                    }
+                    4 | 5 => now += rng.below(3) * 5,
+                    _ => {
+                        if store.front().is_some_and(|e| e.0.as_nanos() <= now) {
+                            from_store.extend(store.pop_front().map(|e| e.1));
+                        }
+                        if heap.peek().is_some_and(|e| e.0 .0 <= now) {
+                            from_heap.extend(heap.pop().map(|e| e.0 .1));
+                            pops += 1;
+                        }
+                    }
+                }
+                let due = heap.iter().filter(|e| e.0 .0 <= now).count();
+                assert_eq!(store.due(SimTime::from_nanos(now)), due, "seed {seed}");
+                assert_eq!(store.len(), heap.len());
+            }
+            assert_eq!(from_store, from_heap, "seed {seed}: the pop sequence");
+        }
+        assert!(
+            out_of_order > 5_000 && ties > 5_000 && pops > 5_000,
+            "out of order {out_of_order}, ties {ties}, pops {pops}"
+        );
     }
 
     /// One element never allocates; a warm deque keeps its spill through

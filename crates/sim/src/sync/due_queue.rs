@@ -1,16 +1,10 @@
 //! A single-consumer due-time queue: items become available when the
-//! virtual clock reaches their due instant.
+//! virtual clock reaches their due instant, in `(due, push)` order.
 //!
-//! This is the substrate for long-lived *stages* that replace "one task per
-//! delayed item" — the NIC model's work-request engine, the broker's request
-//! hand-off and each RPC connection's reply writer. A producer calls
-//! [`DueQueue::push`] from synchronous code; the consumer task loops on
-//! [`DueQueue::next`]. The queue arms wheel timers for the consumer's stored
-//! waker itself, so pushing into a parked consumer costs no "arm" poll, and
-//! the consumer drains everything due at an instant in one poll (each
-//! `next().await` that finds a due item returns without yielding).
-//!
-//! Items with equal due times come out in push order.
+//! The substrate of long-lived *stages* in place of a task per delayed item
+//! (the NIC engine, each RPC connection's reply writer): producers
+//! [`push`](DueQueue::push) from synchronous code, one consumer task loops
+//! on [`next`](DueQueue::next), draining an instant's items in one poll.
 //!
 //! # Consumer contract
 //!
@@ -18,122 +12,44 @@
 //! including sleep: the queue only ever wakes a consumer that is *parked in
 //! `next()`*.
 //!
-//! * A push that finds the consumer parked registers the item's wheel timer
-//!   right then — exactly when a task spawned for the item would have
-//!   started its sleep. Among the timers of one instant the wheel fires in
-//!   registration order, so the stage keeps the place in that instant's
-//!   schedule the per-item task had: replacing tasks by a stage does not
-//!   re-order same-instant events elsewhere in the simulation. Consecutive
-//!   pushes for one instant share a timer (one poll for the burst).
-//! * A push that finds the consumer busy registers nothing. When the
-//!   consumer comes back it takes what is due without yielding, and if
-//!   nothing is, parks and arms the earliest item. So a consumer that sleeps
-//!   between `next()` calls (a writer occupying a network thread) is never
-//!   polled on behalf of the queue while it does, however many items pile
-//!   up; the price is that an item pushed at a busy consumer takes its place
-//!   among an instant's timers when the consumer parks, not when it was
-//!   pushed.
-//! * [`close`](DueQueue::close) ends the stage: queued items are dropped,
-//!   later pushes are ignored, `next()` returns `None` (waking the consumer
-//!   if it is parked).
-//!
-//! Timers cannot be cancelled, so a consumer that was armed and then went
-//! off to work is polled once for nothing when the timer fires.
+//! * A push that finds the consumer parked arms its timer for the item's
+//!   instant right then — when a task spawned for the item would have
+//!   started its sleep — so the stage keeps that task's place among the
+//!   instant's timers. Consecutive pushes for one instant share a timer.
+//! * A push that finds the consumer busy arms nothing; when it parks again
+//!   it arms the earliest item. A consumer that sleeps between `next()`
+//!   calls is never polled on the queue's behalf (but a timer armed before
+//!   it went off to work, which cannot be cancelled, still fires).
+//! * [`close`](DueQueue::close) drops the queued items, ignores later
+//!   pushes and makes `next()` return `None`.
 
 use std::cell::RefCell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
+use std::time::Duration;
 
-use crate::time::{now, wake_at, SimTime};
-
-struct Entry<T> {
-    due: SimTime,
-    seq: u64,
-    /// A wheel timer for `due` was registered on this entry's behalf.
-    armed: bool,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    /// Reversed: `BinaryHeap` is a max-heap and the earliest `(due, seq)`
-    /// must surface first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-/// The queued entries, the earliest inline: a connection's reply stage,
-/// which rarely holds two, allocates nothing.
-struct Entries<T> {
-    earliest: Option<Entry<T>>,
-    /// The others; empty while `earliest` is.
-    later: BinaryHeap<Entry<T>>,
-}
-
-impl<T> Default for Entries<T> {
-    fn default() -> Self {
-        Entries {
-            earliest: None,
-            later: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<T> Entries<T> {
-    fn push(&mut self, entry: Entry<T>) {
-        match &mut self.earliest {
-            None => self.earliest = Some(entry),
-            // `Ord` is reversed: greater is earlier.
-            Some(earliest) if entry > *earliest => {
-                self.later.push(std::mem::replace(earliest, entry));
-            }
-            Some(_) => self.later.push(entry),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry<T>> {
-        let next = self.later.pop();
-        std::mem::replace(&mut self.earliest, next)
-    }
-
-    fn len(&self) -> usize {
-        self.earliest.is_some() as usize + self.later.len()
-    }
-}
+use super::wait_list::Arm;
+use crate::time::{now, SimTime};
+use crate::InlineDeque;
 
 struct State<T> {
-    entries: Entries<T>,
-    next_seq: u64,
+    /// Queued items, each with whether a timer was armed for its instant.
+    items: InlineDeque<(SimTime, (bool, T))>,
     /// The consumer's waker while it is parked in `next()`.
     parked: Option<Waker>,
-    /// Deadline of the most recent timer, while it is still pending: a
-    /// burst of pushes for one instant arms one timer.
-    last_armed: Option<SimTime>,
+    /// The consumer's timers; `at` is the most recent one's instant while
+    /// it is pending: a burst of pushes for one instant arms one timer.
+    arm: Arm,
     closed: bool,
 }
 
 impl<T> State<T> {
-    /// Registers a timer for `due` if the consumer is parked, unless the
-    /// previous one was for the same instant. Whether it is parked.
+    /// Arms a parked consumer for `due`, once per instant: whether it is.
     fn arm(&mut self, due: SimTime) -> bool {
         let Some(waker) = &self.parked else { return false };
-        if self.last_armed != Some(due) {
-            wake_at(due, waker);
-            self.last_armed = Some(due);
+        if self.arm.at != Some(due) {
+            self.arm.set(due, waker);
         }
         true
     }
@@ -154,57 +70,22 @@ impl<T> DueQueue<T> {
     pub fn new() -> Self {
         DueQueue {
             state: RefCell::new(State {
-                entries: Entries::default(),
-                next_seq: 0,
+                items: InlineDeque::new(),
                 parked: None,
-                last_armed: None,
+                arm: Arm::new(Some(Duration::ZERO)),
                 closed: false,
             }),
         }
     }
 
-    /// Queues `item` to be handed to the consumer at `due` (immediately, in
-    /// the consumer's next poll, if `due` is not in the future). Dropped if
-    /// the queue is closed.
+    /// Queues `item` for the consumer at `due` (its next poll, if that is
+    /// past); dropped if the queue is closed.
     pub fn push(&self, due: SimTime, item: T) {
         let mut s = self.state.borrow_mut();
-        if s.closed {
-            return;
+        if !s.closed {
+            let armed = s.arm(due);
+            s.items.push_due(due, (armed, item));
         }
-        let armed = s.arm(due);
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        s.entries.push(Entry { due, seq, armed, item });
-    }
-
-    /// Pops the earliest item if it is due; otherwise parks the consumer
-    /// until the earliest due instant. `None` once the queue is closed.
-    pub fn poll_next(&self, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let mut s = self.state.borrow_mut();
-        if s.closed {
-            return Poll::Ready(None);
-        }
-        let now = now();
-        if s.last_armed.is_some_and(|due| due <= now) {
-            s.last_armed = None;
-        }
-        if s.entries.earliest.as_ref().is_some_and(|e| e.due <= now) {
-            s.parked = None;
-            return Poll::Ready(s.entries.pop().map(|e| e.item));
-        }
-        match &mut s.parked {
-            Some(w) => w.clone_from(cx.waker()),
-            None => s.parked = Some(cx.waker().clone()),
-        }
-        // What was pushed while the consumer was away has no timer yet.
-        let unarmed = s.entries.earliest.as_mut().filter(|e| !e.armed).map(|e| {
-            e.armed = true;
-            e.due
-        });
-        if let Some(due) = unarmed {
-            s.arm(due);
-        }
-        Poll::Pending
     }
 
     /// Waits for the next due item; `None` once the queue is closed. Single
@@ -213,13 +94,11 @@ impl<T> DueQueue<T> {
         Next { queue: self }
     }
 
-    /// Ends the stage: drops what is queued, ignores later pushes and makes
-    /// `next()` return `None`, waking the consumer if it is parked.
+    /// Ends the stage (see the module docs), waking a parked consumer.
     pub fn close(&self) {
         let mut s = self.state.borrow_mut();
         s.closed = true;
-        let dropped = std::mem::take(&mut s.entries);
-        let parked = s.parked.take();
+        let (dropped, parked) = (std::mem::take(&mut s.items), s.parked.take());
         // Item destructors and the wake run without the queue borrowed.
         drop(s);
         drop(dropped);
@@ -233,13 +112,9 @@ impl<T> DueQueue<T> {
         self.state.borrow().closed
     }
 
-    /// Items queued, due or not.
-    pub fn len(&self) -> usize {
-        self.state.borrow().entries.len()
-    }
-
+    /// No item is queued, due or not.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.state.borrow().items.is_empty()
     }
 }
 
@@ -251,8 +126,32 @@ pub struct Next<'a, T> {
 impl<T> Future for Next<'_, T> {
     type Output = Option<T>;
 
+    /// Pops the earliest item if it is due; otherwise parks the consumer
+    /// until the earliest due instant.
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        self.queue.poll_next(cx)
+        let mut s = self.queue.state.borrow_mut();
+        if s.closed {
+            return Poll::Ready(None);
+        }
+        let now = now();
+        if s.arm.at.is_some_and(|due| due <= now) {
+            s.arm.at = None;
+        }
+        if s.items.front().is_some_and(|e| e.0 <= now) {
+            s.parked = None;
+            return Poll::Ready(s.items.pop_front().map(|(_, (_, item))| item));
+        }
+        s.parked = Some(cx.waker().clone());
+        // What was pushed while the consumer was away has no timer yet.
+        let front = s.items.get_mut(0).filter(|e| !e.1 .0);
+        let unarmed = front.map(|(due, (armed, _))| {
+            *armed = true;
+            *due
+        });
+        if let Some(due) = unarmed {
+            s.arm(due);
+        }
+        Poll::Pending
     }
 }
 

@@ -1,14 +1,13 @@
 //! A counter that only goes up, and tasks waiting for it to reach a
 //! threshold (DESIGN.md §10 "One wait list"). An advance unparks and wakes
-//! exactly the waiters whose thresholds it passed, longest parked first; the
-//! rest stay parked in place. Nobody wakes only to wait again, or twice.
+//! exactly the waiters whose thresholds it passed, longest parked first.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 
-use super::WaitList;
+use super::wait_list::{WaitList, FRONTIER};
 
 /// See the [module docs](self). Held inline by its owner; the [`Reached`]
 /// futures borrow it.
@@ -16,7 +15,7 @@ use super::WaitList;
 pub struct Frontier {
     value: Cell<u64>,
     /// Parked waiters, each with its threshold.
-    waiters: RefCell<WaitList<u64>>,
+    waiters: RefCell<WaitList<u64, FRONTIER>>,
 }
 
 impl Frontier {

@@ -4,52 +4,40 @@
 //! processors and RDMA pollers [`push`](HandoffQueue::push) an item that
 //! becomes visible at its due instant (the queue transfer), the API workers
 //! loop on [`recv`](HandoffQueue::recv). A worker that comes back from its
-//! previous item takes the earliest *visible* item at once; one that was
-//! parked starts `wakeup` after its item became visible (the blocking-poll
-//! wake-up of §5.1), the longest-parked worker first.
-//!
-//! Due times do not decrease from one push to the next, so the k-th item
-//! meets the k-th parked worker whatever happens in between. The queue
-//! matches them eagerly — at push time if a worker is parked, at park time
-//! if an item is already on its way — and registers the worker's timer for
-//! `due + wakeup` right then: a hand-over costs that one executor event,
-//! none at `due` and none to put the worker to sleep.
+//! previous item takes the earliest *visible* item at once; a parked one
+//! starts `wakeup` after its item became visible (§5.1's blocking-poll
+//! wake-up). Due times do not decrease, so the k-th item meets the k-th
+//! parked worker: the queue arms them eagerly, at push or at park, for
+//! `due + wakeup` — one executor event per hand-over.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::future::Future;
 use std::mem::take;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
-use super::WaitList;
-use crate::time::{now, try_now, wake_at, SimTime};
+use super::wait_list::{Arm, WaitList, HANDOFF};
+use crate::time::{now, SimTime};
+use crate::InlineDeque;
 
 struct State<T> {
     /// Items nobody has claimed, in due order.
-    items: VecDeque<(SimTime, T)>,
-    /// Parked workers, each with the item it starts on and when, once it is
-    /// promised one (its timer is registered then).
-    parked: WaitList<Option<(SimTime, T)>>,
+    items: InlineDeque<(SimTime, T)>,
+    /// Parked workers; once promised an item, one is armed for the instant
+    /// the item is there for it (it starts `wakeup` later) and holds it.
+    parked: WaitList<(Arm, Option<T>), HANDOFF>,
     wakeup: Duration,
     closed: bool,
 }
 
 impl<T> State<T> {
-    /// Promises `item` to the longest-parked worker without one, arming its
-    /// timer; queues it if there is none.
+    /// Promises `item` to the longest-parked worker without one, arming it;
+    /// queues it if there is none.
     fn offer(&mut self, due: SimTime, item: T) {
-        match self.parked.arm(Option::is_none) {
-            Some((waker, promise)) => {
-                let start = due.max(now()) + self.wakeup;
-                wake_at(start, waker);
-                *promise = Some((start, item));
-            }
-            None => {
-                let at = self.items.partition_point(|e| e.0 <= due);
-                self.items.insert(at, (due, item));
-            }
+        match self.parked.arm(due.max(now()), |p| p.0.at.is_none()) {
+            Some((promise, _)) => promise.1 = Some(item),
+            None => self.items.push_due(due, item),
         }
     }
 }
@@ -63,7 +51,7 @@ impl<T> HandoffQueue<T> {
     /// A queue whose parked workers take `wakeup` to start on an item.
     pub fn new(wakeup: Duration) -> Self {
         let state = RefCell::new(State {
-            items: VecDeque::new(),
+            items: InlineDeque::new(),
             parked: WaitList::default(),
             wakeup,
             closed: false,
@@ -104,7 +92,7 @@ impl<T> HandoffQueue<T> {
     /// No item, visible or not, is waiting for a worker to start on it.
     pub fn is_empty(&self) -> bool {
         let s = self.state.borrow();
-        s.items.is_empty() && s.parked.iter().all(Option::is_none)
+        s.items.is_empty() && s.parked.iter().all(|p| p.1.is_none())
     }
 }
 
@@ -127,12 +115,13 @@ impl<T> Future for Recv<'_, T> {
         let now = now();
         if let Some(ticket) = self.ticket {
             // Parked: only a promise whose wake-up has elapsed ends the wait.
-            let promise = s.parked.repark(ticket, cx.waker()).and_then(|p| p.as_ref());
-            if promise.is_none_or(|p| p.0 > now) {
+            let start = s.parked.get_mut(ticket).and_then(|p| p.0.due());
+            if start.is_none_or(|start| start > now) {
+                s.parked.repark(ticket, cx.waker());
                 return Poll::Pending;
             }
             self.ticket = None;
-            return Poll::Ready(s.parked.remove(ticket).flatten().map(|p| p.1));
+            return Poll::Ready(s.parked.remove(ticket).and_then(|p| p.1));
         }
         if s.items.front().is_some_and(|e| e.0 <= now) {
             // Came back busy to a visible item: no wake-up to pay.
@@ -140,7 +129,8 @@ impl<T> Future for Recv<'_, T> {
         }
         // Nothing visible: park — already promised the earliest item in
         // transfer, if there is one (then nobody else is parked idle).
-        self.ticket = Some(s.parked.park(cx.waker(), None));
+        let arm = Arm::new(Some(s.wakeup));
+        self.ticket = Some(s.parked.park(cx.waker(), (arm, None)));
         if let Some((due, item)) = s.items.pop_front() {
             s.offer(due, item);
         }
@@ -150,14 +140,11 @@ impl<T> Future for Recv<'_, T> {
 
 impl<T> Drop for Recv<'_, T> {
     /// A worker that gives up waiting leaves the pool; an item promised to
-    /// it goes to the next worker, `wakeup` after that worker gets it
-    /// (nowhere if the runtime itself is being torn down).
+    /// it goes to the next worker, `wakeup` after that worker gets it.
     fn drop(&mut self) {
         let Some(ticket) = self.ticket else { return };
         let mut s = self.queue.state.borrow_mut();
-        let promise = s.parked.remove(ticket).flatten();
-        if let Some((start, item)) = promise.filter(|_| try_now().is_some()) {
-            let due = start - s.wakeup;
+        if let Some(((_, Some(item)), due)) = s.parked.leave(ticket) {
             s.offer(due, item);
         }
     }
@@ -171,6 +158,7 @@ mod tests {
     use crate::time::{sleep, sleep_until};
     use crate::Runtime;
     use std::cell::Cell;
+    use std::collections::VecDeque;
     use std::rc::Rc;
 
     const TRANSFER: Duration = Duration::from_micros(11);

@@ -3,7 +3,10 @@
 //! All primitives here are `!Send`: tasks on the sim runtime live on one
 //! thread and interleave only at `.await` points, so interior mutability via
 //! `RefCell` is sound and cheap. The APIs mirror tokio's where practical.
-//! Every one that parks more than one task parks them on a [`WaitList`].
+//! Every one that parks more than one task parks them on a [`WaitList`];
+//! every timed wake is one [`wait_list::Arm`], and every queue of items due
+//! at instants is one [`InlineDeque`](crate::InlineDeque) in `(instant,
+//! push)` order.
 
 pub mod due_queue;
 pub mod frontier;

@@ -1,86 +1,62 @@
 //! Unbounded multi-producer single-consumer channels: the control plane's
-//! plumbing, e.g. a listener's queue of incoming connections. (The broker's
-//! shared request queue is [`HandoffQueue`](super::HandoffQueue).)
+//! plumbing, e.g. a listener's queue of incoming connections. The receiver
+//! waits on a [`Frontier`] of sends for the one after the last it took.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::fmt;
-use std::future::Future;
-use std::pin::Pin;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+
+use super::Frontier;
+use crate::InlineDeque;
 
 /// The receiver was dropped; contains the rejected value.
+#[derive(Debug)]
 pub struct SendError<T>(pub T);
 
-impl<T> fmt::Debug for SendError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SendError(..)")
-    }
-}
-
-impl<T> fmt::Display for SendError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "channel closed")
-    }
-}
-
 struct Shared<T> {
-    queue: VecDeque<T>,
-    senders: usize,
-    receiver_alive: bool,
-    recv_waker: Option<Waker>,
-}
-
-impl<T> Shared<T> {
-    fn wake_recv(&mut self) {
-        if let Some(w) = self.recv_waker.take() {
-            w.wake();
-        }
-    }
+    queue: RefCell<InlineDeque<T>>,
+    /// Sends so far while a sender lives, `u64::MAX` once the last is gone.
+    sent: Frontier,
+    /// Senders alive: the receiver is gone once they are all there is.
+    senders: Cell<usize>,
 }
 
 /// Sending half; cloneable.
 pub struct Sender<T> {
-    shared: Rc<RefCell<Shared<T>>>,
+    shared: Rc<Shared<T>>,
 }
 
 /// Receiving half.
 pub struct Receiver<T> {
-    shared: Rc<RefCell<Shared<T>>>,
+    shared: Rc<Shared<T>>,
+    /// Values taken so far.
+    taken: u64,
 }
 
 /// Creates an unbounded channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    let shared = Rc::new(RefCell::new(Shared {
-        queue: VecDeque::new(),
-        senders: 1,
-        receiver_alive: true,
-        recv_waker: None,
-    }));
-    (
-        Sender {
-            shared: Rc::clone(&shared),
-        },
-        Receiver { shared },
-    )
+    let shared = Rc::new(Shared {
+        queue: RefCell::default(),
+        sent: Frontier::default(),
+        senders: Cell::new(1),
+    });
+    let tx = Rc::clone(&shared);
+    (Sender { shared: tx }, Receiver { shared, taken: 0 })
 }
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.shared.borrow_mut().senders += 1;
-        Sender {
-            shared: Rc::clone(&self.shared),
-        }
+        self.shared.senders.set(self.shared.senders.get() + 1);
+        let shared = Rc::clone(&self.shared);
+        Sender { shared }
     }
 }
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut s = self.shared.borrow_mut();
-        s.senders -= 1;
-        if s.senders == 0 {
-            s.wake_recv();
+        let s = &self.shared;
+        s.senders.set(s.senders.get() - 1);
+        if s.senders.get() == 0 {
+            s.sent.advance_to(u64::MAX);
         }
     }
 }
@@ -88,47 +64,24 @@ impl<T> Drop for Sender<T> {
 impl<T> Sender<T> {
     /// Queues `value`; fails, returning it, once the receiver is gone.
     pub fn try_send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut s = self.shared.borrow_mut();
-        if !s.receiver_alive {
+        let s = &self.shared;
+        if Rc::strong_count(s) == s.senders.get() {
             return Err(SendError(value));
         }
-        s.queue.push_back(value);
-        s.wake_recv();
+        s.queue.borrow_mut().push_back(value);
+        s.sent.advance_to(s.sent.get() + 1);
         Ok(())
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        self.shared.borrow_mut().receiver_alive = false;
     }
 }
 
 impl<T> Receiver<T> {
     /// Receives the next value, or `None` once all senders are gone and the
     /// queue is drained.
-    pub fn recv(&mut self) -> Recv<'_, T> {
-        Recv { receiver: self }
-    }
-}
-
-/// Future returned by [`Receiver::recv`].
-pub struct Recv<'a, T> {
-    receiver: &'a mut Receiver<T>,
-}
-
-impl<T> Future for Recv<'_, T> {
-    type Output = Option<T>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let mut s = self.receiver.shared.borrow_mut();
-        if let Some(v) = s.queue.pop_front() {
-            return Poll::Ready(Some(v));
-        }
-        if s.senders == 0 {
-            return Poll::Ready(None);
-        }
-        s.recv_waker = Some(cx.waker().clone());
-        Poll::Pending
+    pub async fn recv(&mut self) -> Option<T> {
+        self.shared.sent.reached(self.taken + 1).await;
+        let value = self.shared.queue.borrow_mut().pop_front();
+        self.taken += value.is_some() as u64;
+        value
     }
 }
 

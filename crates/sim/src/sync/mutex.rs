@@ -1,11 +1,8 @@
 //! An asynchronous FIFO mutex.
 //!
-//! Models Kafka's per-topic-partition write lock (paper §5.1, Fig 12: "each
-//! TP file can be accessed by at most one API worker at a time due to
-//! locking"). Because sim tasks only interleave at `.await` points a plain
-//! `RefCell` would often do, but API workers hold the lock *across* modelled
-//! CPU time (`sleep`s), so a real async lock is required. A released lock
-//! passes straight to the longest waiter, even if another task tries to lock
+//! Models Kafka's per-topic-partition write lock (paper §5.1, Fig 12), which
+//! API workers hold *across* modelled CPU time. A released lock passes
+//! straight to the longest waiter, even if another task tries to lock
 //! first.
 
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -14,16 +11,18 @@ use std::ops::{Deref, DerefMut};
 use std::pin::Pin;
 use std::task::{Context, Poll};
 
-use super::WaitList;
+use super::wait_list::{WaitList, MUTEX};
 
-/// Whether the lock is held, and the tasks parked for it in FIFO order.
-#[derive(Default)]
-struct Fifo {
+/// An async mutual-exclusion lock with FIFO handoff. Held inline by its
+/// owner; the [`Lock`] futures and guards borrow it.
+pub struct Mutex<T: ?Sized> {
     held: Cell<bool>,
-    waiters: RefCell<WaitList<()>>,
+    /// The tasks parked for the lock, in FIFO order.
+    waiters: RefCell<WaitList<(), MUTEX>>,
+    value: UnsafeCell<T>,
 }
 
-impl Fifo {
+impl<T: ?Sized> Mutex<T> {
     /// Polls a lock; `ticket` is its place in line while it waits.
     fn poll_lock(&self, ticket: &mut Option<u64>, cx: &mut Context<'_>) -> Poll<()> {
         let mut waiters = self.waiters.borrow_mut();
@@ -61,17 +60,11 @@ impl Fifo {
     }
 }
 
-/// An async mutual-exclusion lock with FIFO handoff. Held inline by its
-/// owner; the [`Lock`] futures and guards borrow it.
-pub struct Mutex<T: ?Sized> {
-    lock: Fifo,
-    value: UnsafeCell<T>,
-}
-
 impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex {
-            lock: Fifo::default(),
+            held: Cell::new(false),
+            waiters: RefCell::default(),
             value: UnsafeCell::new(value),
         }
     }
@@ -96,7 +89,7 @@ impl<'a, T: ?Sized> Future for Lock<'a, T> {
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mutex = self.mutex;
-        let locked = mutex.lock.poll_lock(&mut self.ticket, cx);
+        let locked = mutex.poll_lock(&mut self.ticket, cx);
         locked.map(|()| MutexGuard { mutex })
     }
 }
@@ -104,7 +97,7 @@ impl<'a, T: ?Sized> Future for Lock<'a, T> {
 impl<T: ?Sized> Drop for Lock<'_, T> {
     /// Leaves the line, or passes on a lock it was handed and never took.
     fn drop(&mut self) {
-        self.mutex.lock.cancel(self.ticket);
+        self.mutex.cancel(self.ticket);
     }
 }
 
@@ -131,7 +124,7 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        self.mutex.lock.release();
+        self.mutex.release();
     }
 }
 

@@ -1,11 +1,9 @@
 //! A broadcast notification, modelled on `tokio::sync::Notify`.
 //!
-//! Used where tasks need to be told "state you care about changed": e.g. a
-//! QP's error state, a broker shutting down, a replication session dying.
-//! There is no stored permit: a waiter re-checks its condition after every
-//! wake, and a broadcast with nobody waiting is lost. It is a [`Frontier`]
-//! of broadcasts: `notified()` waits for the count to pass the one it read,
-//! so every broadcast passes every waiter.
+//! Tells tasks "state you care about changed" (a QP's error state, a broker
+//! shutting down). No permit is stored: a broadcast with nobody waiting is
+//! lost. It is a [`Frontier`] of broadcasts: `notified()` waits for the
+//! count to pass the one it read.
 
 use super::frontier::{Frontier, Reached};
 

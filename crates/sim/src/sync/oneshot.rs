@@ -2,13 +2,9 @@
 //! consumer.
 //!
 //! [`channel`] allocates a cell per channel. A [`Pool`] recycles them: a cell
-//! goes back to its pool, emptied, once both of its ends have dropped, so a
-//! steady stream of channels with a bounded number in flight allocates
-//! nothing.
-//!
+//! goes back to its pool, emptied, once both of its ends have dropped.
 //! [`Receiver::charged`] receives as a thread that pays a CPU cost once the
-//! value arrives: the send arms the parked receiver's timer for the instant
-//! the cost is paid, so the wake and the charge are one event.
+//! value arrives: the wake and the charge are one event.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -18,24 +14,16 @@ use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use crate::time::{now, wake_at, SimTime};
+use super::wait_list::Arm;
+use crate::time::{now, try_now, SimTime};
 use crate::InlineDeque;
 
 struct State<T> {
     value: Option<T>,
     closed: bool,
     waker: Option<Waker>,
-    charge: Charge,
-}
-
-/// What a [`Charged`] receive pays on top of the send.
-#[derive(Clone, Copy)]
-enum Charge {
-    Free,
-    /// A charged receive is parked: the send arms it this long after.
-    Cost(Duration),
-    /// The value is in and the charged receive returns it at this instant.
-    Due(SimTime),
+    /// A parked [`Charged`] receive's cost, and the instant it was armed at.
+    arm: Arm,
 }
 
 struct Chan<T> {
@@ -44,8 +32,7 @@ struct Chan<T> {
     pool: Weak<FreeList<T>>,
 }
 
-/// Last in, first out; the first inline, so a pool that never has two cells
-/// free at once never allocates a list.
+/// Last in, first out; a pool that never has two cells free allocates none.
 type FreeList<T> = RefCell<InlineDeque<Rc<Chan<T>>>>;
 
 /// Sending half; consumed by [`Sender::send`].
@@ -75,7 +62,7 @@ fn pair<T>(pool: Weak<FreeList<T>>) -> (Sender<T>, Receiver<T>) {
         value: None,
         closed: false,
         waker: None,
-        charge: Charge::Free,
+        arm: Arm::default(),
     });
     on(Rc::new(Chan { state, pool }))
 }
@@ -117,9 +104,8 @@ impl<T> Default for Pool<T> {
 }
 
 /// Run by each end as it drops: the last one out returns the cell, emptied,
-/// to its pool. The caller holds no borrow of the cell, and none is held
-/// while the leftovers drop or the free list is borrowed — either may run
-/// code that reaches this pool again.
+/// to its pool. No borrow of the cell is held while the leftovers drop or
+/// the free list is borrowed — either may reach this pool again.
 fn release<T>(chan: &Rc<Chan<T>>) {
     if Rc::strong_count(chan) != 1 {
         return;
@@ -130,7 +116,7 @@ fn release<T>(chan: &Rc<Chan<T>>) {
     let leftovers = {
         let mut s = chan.state.borrow_mut();
         s.closed = false;
-        s.charge = Charge::Free;
+        s.arm = Arm::default();
         (s.value.take(), s.waker.take())
     };
     drop(leftovers);
@@ -138,25 +124,16 @@ fn release<T>(chan: &Rc<Chan<T>>) {
 }
 
 impl<T> Sender<T> {
-    /// Sends the value. Fails (returning it) if the receiver was dropped.
-    /// A parked [`Charged`] receive is armed for its cost after now.
+    /// Sends the value, arming a parked receive. Fails (returning it) if
+    /// the receiver was dropped.
     pub fn send(self, value: T) -> Result<(), T> {
         if self.is_closed() {
             return Err(value);
         }
-        let (waker, charge) = {
-            let mut s = self.chan.state.borrow_mut();
-            s.value = Some(value);
-            let waker = s.waker.take();
-            if let (Some(_), Charge::Cost(cost)) = (&waker, s.charge) {
-                s.charge = Charge::Due(now() + cost);
-            }
-            (waker, s.charge)
-        };
-        match (waker, charge) {
-            (Some(w), Charge::Due(at)) => wake_at(at, &w),
-            (Some(w), _) => w.wake(),
-            (None, _) => {}
+        let mut s = self.chan.state.borrow_mut();
+        s.value = Some(value);
+        if let Some(waker) = s.waker.take() {
+            s.arm.set(try_now().unwrap_or(SimTime::ZERO), &waker);
         }
         Ok(())
     }
@@ -169,14 +146,12 @@ impl<T> Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let waker = {
-            let mut s = self.chan.state.borrow_mut();
-            s.closed = true;
-            s.waker.take()
-        };
-        if let Some(w) = waker {
+        let mut s = self.chan.state.borrow_mut();
+        s.closed = true;
+        if let Some(w) = s.waker.take() {
             w.wake();
         }
+        drop(s);
         release(&self.chan);
     }
 }
@@ -191,39 +166,50 @@ impl<T> Future for Receiver<T> {
     type Output = Result<T, RecvError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut s = self.chan.state.borrow_mut();
-        if let Some(v) = s.value.take() {
-            return Poll::Ready(Ok(v));
-        }
-        if s.closed {
-            return Poll::Ready(Err(RecvError));
-        }
-        s.waker = Some(cx.waker().clone());
-        Poll::Pending
+        self.poll_charged(cx, Duration::ZERO)
     }
 }
 
 impl<T> Receiver<T> {
     /// Receives as a thread that pays `cost` of CPU once the value is in: a
-    /// send at T wakes a receive parked on it once, at T + cost, where a
-    /// plain receive and a sleep after it are two events. A value sent
-    /// before the first poll is charged from that poll; a dropped sender
-    /// fails the receive at once. A zero cost is a plain receive.
+    /// send at T wakes a receive parked on it once, at T + cost. A value
+    /// sent before the first poll is charged from that poll; a dropped
+    /// sender fails the receive at once. A zero cost is a plain receive.
     pub fn charged(self, cost: Duration) -> Charged<T> {
         Charged { rx: self, cost }
+    }
+
+    fn poll_charged(&self, cx: &mut Context<'_>, cost: Duration) -> Poll<Result<T, RecvError>> {
+        let mut s = self.chan.state.borrow_mut();
+        let cost = Some(cost).filter(|c| !c.is_zero());
+        if s.value.is_some() {
+            if cost.is_some() {
+                if s.arm.at.is_none() || s.arm.cost != cost {
+                    // Sent before this receive parked: charged from now.
+                    s.arm = Arm::new(cost);
+                    s.arm.set(now(), cx.waker());
+                }
+                if s.arm.due().is_some_and(|due| due > now()) {
+                    return Poll::Pending;
+                }
+            }
+            s.arm = Arm::default();
+            return Poll::Ready(s.value.take().ok_or(RecvError));
+        }
+        if s.closed {
+            return Poll::Ready(Err(RecvError));
+        }
+        s.waker = Some(cx.waker().clone());
+        s.arm = Arm::new(cost);
+        Poll::Pending
     }
 
     /// Non-blocking check: `Some(Ok(v))` if the value has arrived,
     /// `Some(Err(_))` if the sender is gone, `None` if still pending.
     pub fn try_recv(&mut self) -> Option<Result<T, RecvError>> {
         let mut s = self.chan.state.borrow_mut();
-        if let Some(v) = s.value.take() {
-            Some(Ok(v))
-        } else if s.closed {
-            Some(Err(RecvError))
-        } else {
-            None
-        }
+        let value = s.value.take().map(Ok);
+        value.or_else(|| s.closed.then_some(Err(RecvError)))
     }
 }
 
@@ -237,35 +223,7 @@ impl<T> Future for Charged<T> {
     type Output = Result<T, RecvError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut s = self.rx.chan.state.borrow_mut();
-        if s.value.is_some() {
-            let now = now();
-            let due = match s.charge {
-                Charge::Due(at) => at,
-                // Sent before this receive parked: charged from now.
-                _ => {
-                    let at = now + self.cost;
-                    if at > now {
-                        wake_at(at, cx.waker());
-                    }
-                    at
-                }
-            };
-            if due > now {
-                s.charge = Charge::Due(due);
-                return Poll::Pending;
-            }
-            s.charge = Charge::Free;
-            return Poll::Ready(s.value.take().ok_or(RecvError));
-        }
-        if s.closed {
-            return Poll::Ready(Err(RecvError));
-        }
-        s.waker = Some(cx.waker().clone());
-        if !self.cost.is_zero() {
-            s.charge = Charge::Cost(self.cost);
-        }
-        Poll::Pending
+        self.rx.poll_charged(cx, self.cost)
     }
 }
 

@@ -1,20 +1,89 @@
-//! The one list of parked tasks under every multi-waiter primitive
-//! (DESIGN.md §10 "One wait list"). A waiting future parks its waker with a
-//! payload — what it waits for, or has been promised — and keeps the ticket
-//! until it returns or is dropped:
+//! The one list of parked tasks under every multi-waiter primitive, and the
+//! one timed wake (DESIGN.md §10 "One wait list"). A waiting future parks
+//! its waker with a payload — what it waits for, or has been promised — and
+//! keeps the ticket until it returns or is dropped:
 //!
-//! * FIFO by first park; a re-poll re-parks in place (one wait, one entry);
-//! * a producer arms the longest-parked entry that is not armed yet, and
-//!   records that in its payload;
-//! * a future dropped while armed has its primitive arm the next in line.
+//! * FIFO by first park; a re-poll re-parks in place (one wait, one entry).
+//! * A producer arms the longest-parked entry its primitive's predicate
+//!   accepts ([`WaitList::arm`]). The entry's [`Arm`] records the instant,
+//!   and registers one wheel timer for it plus the waiter's cost (a thread's
+//!   wake-up, a CPU charge) — or, with no cost, wakes it directly if the
+//!   instant is now. Every timed wake under `sync` is [`Arm::set`].
+//! * A future dropped while armed leaves with its arm unspent
+//!   ([`WaitList::leave`]); its primitive arms the next in line with it.
 //!
-//! The entries are an [`InlineDeque`]: a list that never has two waiters
-//! at once never allocates. Tickets grow in park order, so an entry is
-//! found by binary search.
+//! The entries are an [`InlineDeque`], found by ticket (tickets grow in
+//! park order). A re-poll that leaves an entry parked — a wake that did
+//! nothing — is a *re-park*, counted per thread and `KIND` ([`reparks`]).
 
+use std::cell::Cell;
 use std::task::Waker;
+use std::time::Duration;
 
+use crate::time::{try_now, wake_at, SimTime};
 use crate::InlineDeque;
+
+/// The kinds of list a re-park is counted under, by index.
+pub const KINDS: [&str; 5] = ["other", "frontier", "mutex", "handoff", "cq"];
+pub const OTHER: usize = 0;
+pub const FRONTIER: usize = 1;
+pub const MUTEX: usize = 2;
+pub const HANDOFF: usize = 3;
+pub const CQ: usize = 4;
+
+thread_local! {
+    static REPARKS: [Cell<u64>; KINDS.len()] = const { [const { Cell::new(0) }; KINDS.len()] };
+}
+
+/// Re-parks on this thread so far, by kind (indexed as [`KINDS`]).
+pub fn reparks() -> [u64; KINDS.len()] {
+    REPARKS.with(|r| r.each_ref().map(Cell::get))
+}
+
+/// A waiter's timed wake: what it pays on top of the instant it is handed
+/// what it waits for (`None`: a task woken at that instant directly), and
+/// that instant once it is armed.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Arm {
+    pub cost: Option<Duration>,
+    pub at: Option<SimTime>,
+}
+
+impl Arm {
+    pub fn new(cost: Option<Duration>) -> Arm {
+        Arm { cost, at: None }
+    }
+
+    /// When an armed waiter returns: its instant plus its cost.
+    pub fn due(&self) -> Option<SimTime> {
+        self.at.map(|at| at + self.cost.unwrap_or_default())
+    }
+
+    /// Arms `waker`'s task for `at` (see the [module docs](self)): the
+    /// instant it was armed for before, if any.
+    pub fn set(&mut self, at: SimTime, waker: &Waker) -> Option<SimTime> {
+        let displaced = self.at.replace(at);
+        if self.cost.is_none() && try_now().is_none_or(|now| at <= now) {
+            waker.wake_by_ref();
+        } else {
+            wake_at(at + self.cost.unwrap_or_default(), waker);
+        }
+        displaced
+    }
+}
+
+impl AsMut<Arm> for Arm {
+    fn as_mut(&mut self) -> &mut Arm {
+        self
+    }
+}
+
+/// An arm and what it was armed with.
+impl<T> AsMut<Arm> for (Arm, T) {
+    fn as_mut(&mut self) -> &mut Arm {
+        &mut self.0
+    }
+}
 
 struct Entry<P> {
     ticket: u64,
@@ -23,13 +92,13 @@ struct Entry<P> {
 }
 
 /// See the [module docs](self).
-pub struct WaitList<P> {
+pub struct WaitList<P, const KIND: usize = OTHER> {
     /// In park (hence ticket) order.
     entries: InlineDeque<Entry<P>>,
     next_ticket: u64,
 }
 
-impl<P> Default for WaitList<P> {
+impl<P, const KIND: usize> Default for WaitList<P, KIND> {
     fn default() -> Self {
         WaitList {
             entries: InlineDeque::new(),
@@ -38,7 +107,7 @@ impl<P> Default for WaitList<P> {
     }
 }
 
-impl<P> WaitList<P> {
+impl<P, const KIND: usize> WaitList<P, KIND> {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -57,15 +126,23 @@ impl<P> WaitList<P> {
 
     /// Where `ticket` is parked.
     fn find(&self, ticket: u64) -> Option<usize> {
-        self.entries.binary_search_by_key(&ticket, |e| e.ticket).ok()
+        self.entries.find_by_key(ticket, |e| e.ticket)
     }
 
-    /// Re-parks `ticket` in place with `waker`: its payload, or `None` if it
-    /// was unparked (popped, removed or woken by [`wake_where`](Self::wake_where)).
+    /// Re-parks `ticket` in place with `waker`, counting a re-park: its
+    /// payload, or `None` if it was unparked (popped, removed or woken by
+    /// [`wake_where`](Self::wake_where)).
     pub fn repark(&mut self, ticket: u64, waker: &Waker) -> Option<&mut P> {
         let entry = self.entries.get_mut(self.find(ticket)?)?;
         entry.waker.clone_from(waker);
+        REPARKS.with(|r| r[KIND].set(r[KIND].get() + 1));
         Some(&mut entry.payload)
+    }
+
+    /// `ticket`'s payload, `None` if it is not parked.
+    pub fn get_mut(&mut self, ticket: u64) -> Option<&mut P> {
+        let at = self.find(ticket)?;
+        self.entries.get_mut(at).map(|e| &mut e.payload)
     }
 
     /// Unparks `ticket`: its payload, or `None` if it was not parked.
@@ -81,13 +158,6 @@ impl<P> WaitList<P> {
     /// Unparks the longest-parked entry: its waker, to wake, and payload.
     pub fn pop_front(&mut self) -> Option<(Waker, P)> {
         self.entries.pop_front().map(|e| (e.waker, e.payload))
-    }
-
-    /// The longest-parked entry that `unarmed` accepts, to arm: its waker,
-    /// for a timer or a direct wake, and its payload, to record that in.
-    pub fn arm(&mut self, mut unarmed: impl FnMut(&P) -> bool) -> Option<(&Waker, &mut P)> {
-        let e = self.entries.iter_mut().find(|e| unarmed(&e.payload))?;
-        Some((&e.waker, &mut e.payload))
     }
 
     /// Payloads, longest parked first.
@@ -123,6 +193,30 @@ impl<P> WaitList<P> {
     }
 }
 
+impl<P: AsMut<Arm>, const KIND: usize> WaitList<P, KIND> {
+    /// Arms the longest-parked entry `pick` accepts for `at` ([`Arm::set`]):
+    /// its payload, to record what it was armed with, and the instant it was
+    /// armed for before, if any, to hand on. `None` if `pick` accepts none.
+    pub fn arm(
+        &mut self,
+        at: SimTime,
+        mut pick: impl FnMut(&P) -> bool,
+    ) -> Option<(&mut P, Option<SimTime>)> {
+        let e = self.entries.iter_mut().find(|e| pick(&e.payload))?;
+        let displaced = e.payload.as_mut().set(at, &e.waker);
+        Some((&mut e.payload, displaced))
+    }
+
+    /// Unparks `ticket`, whose future gave up: its payload and the instant
+    /// it was armed for, for its primitive to hand on — `None` if it was not
+    /// armed, or the runtime itself is going away.
+    pub fn leave(&mut self, ticket: u64) -> Option<(P, SimTime)> {
+        let mut payload = self.remove(ticket)?;
+        let at = payload.as_mut().at.filter(|_| try_now().is_some())?;
+        Some((payload, at))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +244,7 @@ mod tests {
     #[test]
     fn fifo_by_first_park_with_removal_from_anywhere() {
         let (_, w) = counter();
-        let mut list = WaitList::default();
+        let mut list: WaitList<_> = WaitList::default();
         let t: Vec<u64> = (0..6).map(|i| list.park(&w, i)).collect();
         assert_eq!(list.remove(t[3]), Some(3));
         assert_eq!(list.remove(t[3]), None, "removed once");
@@ -170,26 +264,31 @@ mod tests {
     #[test]
     fn re_park_refreshes_the_waker_in_place_and_arm_takes_the_oldest_unarmed() {
         let ((a, wa), (b, wb)) = (counter(), counter());
-        let mut list = WaitList::default();
-        let t: Vec<u64> = (0..3).map(|_| list.park(&wa, false)).collect();
-        *list.repark(t[1], &wb).unwrap() = false;
+        let mut list: WaitList<Arm> = WaitList::default();
+        let t: Vec<u64> = (0..3).map(|_| list.park(&wa, Arm::default())).collect();
+        let before = reparks()[OTHER];
+        assert!(list.repark(t[1], &wb).is_some());
         assert!(list.repark(99, &wb).is_none());
+        assert_eq!(reparks()[OTHER], before + 1, "one re-park");
+        let at = SimTime::from_nanos(7);
         for expect in [0, 1, 2] {
-            let (waker, armed) = list.arm(|armed| !armed).unwrap();
-            waker.wake_by_ref();
-            *armed = true;
-            assert_eq!(list.iter().filter(|&&armed| armed).count(), expect + 1);
+            // No cost and no runtime: a direct wake.
+            let (armed, displaced) = list.arm(at, |p| p.at.is_none()).unwrap();
+            assert_eq!((armed.due(), displaced), (Some(at), None));
+            assert_eq!(list.iter().filter(|p| p.at.is_some()).count(), expect + 1);
         }
-        assert!(list.arm(|armed| !armed).is_none());
+        assert!(list.arm(at, |p| p.at.is_none()).is_none());
         assert_eq!(
             (wakes(&a), wakes(&b)),
             (2, 1),
             "the middle one re-parked with b"
         );
+        assert_eq!(list.get_mut(t[2]).unwrap().at, Some(at));
+        assert!(list.leave(t[2]).is_none(), "no runtime: nothing to hand on");
         list.wake_in_place(|_| true);
-        assert_eq!((wakes(&a), wakes(&b)), (4, 2));
+        assert_eq!((wakes(&a), wakes(&b)), (3, 2));
         list.wake_all();
-        assert_eq!((wakes(&a), wakes(&b)), (6, 3));
+        assert_eq!((wakes(&a), wakes(&b)), (4, 3));
         assert!(list.is_empty() && list.repark(t[0], &wa).is_none());
     }
 }

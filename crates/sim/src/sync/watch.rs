@@ -1,8 +1,7 @@
 //! A single-value broadcast channel ("watch"), modelled on
 //! `tokio::sync::watch`.
 //!
-//! The broker uses this to publish per-partition log-end-offset changes to
-//! interested tasks (push replication, replica long-poll fetches). A
+//! The broker publishes per-partition log-end-offset changes on it. A
 //! receiver waits on a [`Frontier`] of sends for the one after the last it
 //! has seen.
 

@@ -293,6 +293,29 @@ if grep -rnE "struct Waiters|send_wakers|SendReady|TrySendError|pub fn bounded|n
     exit 1
 fi
 
+# One timed wake (DESIGN.md §10 "One wait list"): every timed wake under
+# `sim::sync` and in the RNIC's CQs is `wait_list::Arm::set`, and every queue
+# of items due at instants is one `sim::InlineDeque` kept by `push_due`. The
+# due store against the heap it replaced, and the exact re-park counts of a
+# replicated RDMA produce (a TCP produce's are gated by the budgets run
+# below), by name. Then the re-fork guards: no heap in the due queue, no
+# scheduled-CQE counter in the CQ, no `VecDeque` in `sim::sync` above its
+# tests, and `wake_at(` once, in the one arm operation.
+cargo test -q --offline -p sim --lib inline_deque::tests::the_due_store_pops_as_the_heap_it_replaced
+cargo test -q --offline --release -p kdbench --test budgets replicated_rdma_produce_polls_per_record
+wake_ats="$(grep -n "wake_at(" crates/sim/src/sync/*.rs crates/rnic/src/cq.rs || true)"
+if grep -n "BinaryHeap" crates/sim/src/sync/due_queue.rs ||
+    grep -nE "scheduled: Cell|inner\.scheduled" crates/rnic/src/cq.rs ||
+    for f in crates/sim/src/sync/*.rs; do
+        awk '/#\[cfg\(test\)\]/ { exit } /VecDeque/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done | grep . ||
+    [ "$(printf '%s\n' "$wake_ats" | grep -c "^crates/sim/src/sync/wait_list.rs:")" != 1 ] ||
+    [ "$(printf '%s\n' "$wake_ats" | grep -c .)" != 1 ]; then
+    echo "ci: a second due-ordered store or a second timed-wake rule reappeared (see DESIGN.md §10)" >&2
+    printf '%s\n' "$wake_ats" >&2
+    exit 1
+fi
+
 # Timer-wheel property tests: `Wheel::pop_next` pops exact
 # (deadline, insertion-seq) order under arbitrary interleavings of inserts
 # and pops — both on the raw wheel and, through `Runtime::block_on`, for

@@ -155,7 +155,12 @@ struct Mark {
     polls: u64,
     by_class: [u64; CLASSES],
     now: sim::SimTime,
+    reparks: [u64; REPARK_KINDS],
 }
+
+/// `sim::sync::wait_list::KINDS`: the kinds of wait list a re-park (a
+/// re-poll that leaves a waiter parked) is counted under.
+const REPARK_KINDS: usize = sim::sync::wait_list::KINDS.len();
 
 impl Mark {
     fn take(rt: &sim::Runtime) -> Mark {
@@ -163,6 +168,7 @@ impl Mark {
             polls: rt.poll_count(),
             by_class: allocs_by_class(),
             now: rt.now(),
+            reparks: sim::sync::wait_list::reparks(),
         }
     }
 }
@@ -174,6 +180,8 @@ struct Region {
     /// Allocations, by size class.
     by_class: [u64; CLASSES],
     virtual_ns: u64,
+    /// Re-parks, by wait-list kind.
+    reparks: [u64; REPARK_KINDS],
 }
 
 impl Region {
@@ -184,7 +192,19 @@ impl Region {
             polls: end.polls - start.polls,
             by_class: std::array::from_fn(|i| end.by_class[i] - start.by_class[i]),
             virtual_ns: (end.now - start.now).as_nanos() as u64,
+            reparks: std::array::from_fn(|i| end.reparks[i] - start.reparks[i]),
         }
+    }
+
+    /// Re-parks are exact: a wake that does nothing, added or removed,
+    /// moves one of them.
+    fn check_reparks(&self, what: &str, expected: [u64; REPARK_KINDS]) {
+        let kinds = sim::sync::wait_list::KINDS;
+        let named = |counts: [u64; REPARK_KINDS]| -> Vec<(&str, u64)> {
+            kinds.into_iter().zip(counts).collect()
+        };
+        let (got, expected) = (named(self.reparks), named(expected));
+        assert_eq!(got, expected, "{what}: re-parks by wait-list kind");
     }
 
     fn allocs(&self) -> u64 {
@@ -428,12 +448,13 @@ fn a_second_cluster_allocates_no_segment_memory() {
 /// writer slept its network thread before the write, a pipelined send's task
 /// woke only to sleep its client-side cost, and each request's topic was a
 /// fresh `Rc<str>` (DESIGN.md §10). Restoring either sleep is one more poll
-/// per record.
+/// per record. No waiter of any kind is woken to park again: zero re-parks.
 #[test]
 fn tcp_produce_per_record() {
     let (r, _) = produce(SystemKind::Kafka, ProducerMode::Rpc, None, None, RECORDS, RECORD_BYTES);
     r.check_polls("tcp", 10.25);
     r.check_allocs("tcp", 3.05);
+    r.check_reparks("tcp", [0; REPARK_KINDS]);
     assert_eq!(r.virtual_ns, 136_213_080, "tcp: the virtual timeline moved");
 }
 
@@ -569,9 +590,10 @@ fn rdma_consume_catchup_per_record() {
 
 /// A fully replicated RDMA produce: 3 brokers, RF 3, push replication, one
 /// exclusive producer at window 1 (every `send` waits for its acks=all
-/// acknowledgment). Measured 0.148 allocations (74 in 500; 1.148 with an ack
-/// channel allocated per record) and 27.0 polls
-/// per record: one event per term of the §5.1 cost model on the commit path
+/// acknowledgment). Measured 0.134 allocations (67 in 500; 0.148 while the
+/// producer was dropped inside the region and its QP close grew its CQ by
+/// the 512 flushed ack receives, 1.148 with an ack channel allocated per
+/// record) and 27.0 polls per record: one event per term of the §5.1 cost model on the commit path
 /// — CQ poll, request-queue hand-over, worker charge — at the leader and
 /// both followers, plus the NIC engine's deliveries, the push loops and
 /// their write-completion collectors (DESIGN.md §10 has the per-task
@@ -581,7 +603,11 @@ fn rdma_consume_catchup_per_record() {
 /// spent a poll surfacing each push write's CQE (two per record); and 42.0
 /// with the hand-off as three pieces (stage task, permit wake, wake-up
 /// sleep) and the pollers' and the ack task's wake-then-sleep pairs: ten
-/// more, one per piece per broker plus the producer's.
+/// more, one per piece per broker plus the producer's. Re-parks: 1 000 on a
+/// `Frontier`, two per record — each push session's write-completion
+/// collector races its QP's disconnect wait, which every completion's wake
+/// polls again — and none on a CQ (a poller armed for a CQE another poller
+/// drained first would be one).
 #[test]
 fn replicated_rdma_produce_polls_per_record() {
     const WARMUP: u8 = 32;
@@ -601,18 +627,25 @@ fn replicated_rdma_produce_polls_per_record() {
         (cluster, producer)
     });
     let start = Mark::take(&rt);
-    let cluster = rt.block_on(async move {
+    let producer = rt.block_on(async move {
         let record = Record::value(vec![7; 512]);
         for i in 0..RECORDS {
             assert_eq!(producer.send(&record).await.unwrap(), u64::from(WARMUP) + i);
         }
-        cluster
+        producer
     });
     let r = Region::since(&start, &rt, RECORDS);
     let pushed: u64 = cluster.brokers().iter().map(|b| b.metrics().push_writes).sum();
     assert!(pushed >= 2 * RECORDS, "every record was pushed to both followers");
     r.check_polls("replicated rdma produce", 27.5);
-    r.check_allocs("replicated rdma produce", 0.16);
+    r.check_reparks("replicated rdma produce", [0, 1000, 0, 0, 0]);
+    r.check_allocs("replicated rdma produce", 0.137);
+    // Closing the QP flushes the ack receives into the producer's CQ: that
+    // is teardown, outside the measured region.
+    rt.block_on(async move {
+        drop(producer);
+        drop(cluster);
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -731,9 +764,10 @@ fn parked_client_footprint() {
 
 /// What a connect allocates: the allocations per window-1 shared-mode
 /// producer of the `parked_client_footprint` scenario — its connect and its
-/// first send, everything counted. Measured 34.282 per client; the budget is
+/// first send, everything counted. Measured 33.282 per client; the budget is
 /// 2 % above (`fanin_connect_allocation_sites` names the lines). It was
-/// 48.283 while the per-connection queues a window-1 client holds one entry
+/// 34.282 while `RNic::connect` allocated a oneshot cell for its reply
+/// (now one of its fabric's recycled cells), 48.283 while the per-connection queues a window-1 client holds one entry
 /// in grew from empty at their first one (two CQ rings, two TCP chunk
 /// queues, two oneshot free lists, the producer's ack waiters and staging
 /// buffers, the RPC client's calls, the broker's reply stage), each side
@@ -746,7 +780,7 @@ fn parked_client_footprint() {
 #[test]
 fn fanin_client_connect_allocations() {
     const CLIENTS: usize = 1000;
-    const BUDGET: f64 = 35.0;
+    const BUDGET: f64 = 34.0;
     let (_, allocs, _) = park_fanin_clients(CLIENTS, false);
     let per_client = allocs as f64 / CLIENTS as f64;
     assert!(
