@@ -43,7 +43,7 @@ pub fn reparks() -> [u64; KINDS.len()] {
 /// A waiter's timed wake: what it pays on top of the instant it is handed
 /// what it waits for (`None`: a task woken at that instant directly), and
 /// that instant once it is armed.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Arm {
     pub cost: Option<Duration>,
     pub at: Option<SimTime>,

@@ -731,10 +731,12 @@ fn park_fanin_clients(clients: usize, sites: bool) -> ((i64, String), u64, Vec<B
 /// NIC, control connection and data-plane QP with their tasks, the producer
 /// itself, and what the broker keeps for the two connections. 1000 fan-in
 /// clients connect one after the other, send one record each and stay.
-/// Measured 7 282 B per client in some 35 blocks (DESIGN.md §13 has the
-/// table by owner); 192 B of it are the producer's ack-cell pool, whose
+/// Measured 7 306 B per client in some 35 blocks (DESIGN.md §13 has the
+/// table by owner); the producer's ack-cell pool is one of them, whose
 /// block holds the one parked cell's place in its free list, and that cell.
-/// It read 8 585 B while each CQ grew a 320 B ring at its first CQE, each
+/// It read 7 282 B while a oneshot cell's receive charge was a 16 B enum
+/// where it is now a 32 B `sim::sync::wait_list::Arm` (and the broker's
+/// reply stage 8 B smaller), 8 585 B while each CQ grew a 320 B ring at its first CQE, each
 /// TCP pipe a 128 B chunk queue at its first chunk, the broker's reply stage
 /// a 512 B heap at its first reply, and the RPC client a map at its first
 /// call (each now holds its first entry inline), and 9 063 B while a TCP connection kept two
@@ -849,9 +851,10 @@ fn workspace_frames(trace: &str, root: &str) -> Vec<String> {
 }
 
 /// A joined task's future is stored once. 1 000 tasks each park a future
-/// of some 5 000 B across a sleep. Measured 8 361 B per task: the executor's
-/// 8 KiB arena block and 169 B of slot, oneshot cell and handle (8 345 B
-/// before the cell carried a 16 B receive charge, 8 394 B while each slot
+/// of some 5 000 B across a sleep. Measured 8 377 B per task: the executor's
+/// 8 KiB arena block and 185 B of slot, oneshot cell and handle (8 361 B
+/// while the cell's receive charge was a 16 B enum, not a 32 B `Arm`;
+/// 8 345 B before the cell carried a receive charge, 8 394 B while each slot
 /// also allocated an `Arc` for its waker); the budget
 /// leaves 200 B beside the block (256 B while the waker `Arc`s were there).
 /// A `spawn` wrapper written as `async move { let out = future.await; .. }`
