@@ -1,7 +1,7 @@
 //! One client data plane (§4.2.2, §4.4.2): a TCP control connection plus
 //! one RC QP to a broker — what both RDMA clients are underneath; the OSU
 //! transport is the QP alone. Only this module creates client NICs, CQs and
-//! QPs; it also redials, re-resolves a partition leader and closes the QP.
+//! QPs, closes the QP, and knows how a client recovers ([`recover`]).
 
 use std::time::Duration;
 
@@ -12,7 +12,7 @@ use rnic::{CompletionQueue, Cqe, QpOptions, QueuePair, RNic, SendWr};
 use crate::conn::{ClientTransport, Conn};
 use crate::error::{check, ClientError};
 
-/// Bounded reconnect: exponential backoff rides out a broker restart without
+/// Bounded recovery: exponential backoff rides out a broker restart without
 /// hammering the fabric and gives up if the outage persists.
 const RECONNECT_ATTEMPTS: u32 = 12;
 const RECONNECT_BASE: Duration = Duration::from_micros(200);
@@ -60,7 +60,7 @@ impl Port {
 /// A control connection and one QP to the same broker.
 pub struct DataPlane {
     pub(crate) node: NodeHandle,
-    /// The first broker dialled: [`resolve`](Self::resolve) asks it.
+    /// The first broker dialled: [`recover`] asks it for the leader.
     bootstrap: BrokerAddr,
     pub(crate) broker: BrokerAddr,
     pub(crate) ctrl: Conn,
@@ -95,32 +95,6 @@ impl DataPlane {
         Ok((plane, recv_cq))
     }
 
-    /// Replaces the QP with a fresh one to `to` (the control connection
-    /// stays) and returns its receive CQ; on failure nothing changes.
-    pub(crate) async fn dial(&mut self, to: BrokerAddr) -> Result<CompletionQueue, ClientError> {
-        let recv_cq;
-        (self.qp, self.send_cq, recv_cq) = self.port.dial(&self.nic, to).await?;
-        self.broker = to;
-        Ok(recv_cq)
-    }
-
-    /// The leader of `topic`/`partition` by the bootstrap broker's metadata,
-    /// with a control connection to it.
-    pub(crate) async fn resolve(
-        &self,
-        topic: &str,
-        partition: u32,
-    ) -> Result<(BrokerAddr, Conn), ClientError> {
-        let boot = Conn::connect(&self.node, self.bootstrap, ClientTransport::Tcp).await?;
-        let leader = leader_of(&boot, topic, partition).await?;
-        let ctrl = if leader.node == self.bootstrap.node {
-            boot
-        } else {
-            Conn::connect(&self.node, leader, ClientTransport::Tcp).await?
-        };
-        Ok((leader, ctrl))
-    }
-
     /// Posts one signaled WR and awaits its completion — the next one: a
     /// client never has two in flight, and unsignaled WRs complete only on
     /// error. A nonzero `charge` is CPU the caller spends on the completion:
@@ -150,20 +124,77 @@ impl Drop for DataPlane {
     }
 }
 
-/// Runs `attempt` until it succeeds, at most `RECONNECT_ATTEMPTS` times,
-/// backing off exponentially after each failure.
-pub(crate) async fn with_backoff(
-    mut attempt: impl AsyncFnMut() -> Result<(), ClientError>,
-) -> Result<(), ClientError> {
+/// What broke under a client: its QP, or a control call, with its error.
+pub(crate) enum Broke {
+    Qp,
+    Call(ClientError),
+}
+
+/// What a client brings to [`recover`]: its plane and the partition it
+/// serves, what it does around a redial — `None` just before the dial, the
+/// new QP's receive CQ after it — and how it takes the partition up again
+/// over a new control connection and QP.
+pub(crate) trait Rejoin {
+    fn parts(&mut self) -> (&mut DataPlane, &str, u32);
+    fn replug(&mut self, _recv_cq: Option<CompletionQueue>) {}
+    async fn rejoin(&mut self) -> Result<(), ClientError>;
+}
+
+/// The one recovery ladder of both RDMA clients (DESIGN.md §7). A dead QP
+/// is first redialled to the same broker, keeping the control connection.
+/// If that fails, or a control call found the connection lost or the
+/// partition moved, [`reconnect`] is retried with exponential backoff, at
+/// most `RECONNECT_ATTEMPTS` times. Any other error is the caller's.
+pub(crate) async fn recover(client: &mut impl Rejoin, broke: Broke) -> Result<(), ClientError> {
+    match broke {
+        Broke::Qp => {
+            let broker = client.parts().0.broker;
+            if redial(client, broker).await.is_ok() {
+                return Ok(());
+            }
+        }
+        Broke::Call(ClientError::Disconnected)
+        | Broke::Call(ClientError::Broker(ErrorCode::FencedEpoch | ErrorCode::NotLeader)) => {}
+        Broke::Call(e) => return Err(e),
+    }
     let mut delay = RECONNECT_BASE;
     for _ in 0..RECONNECT_ATTEMPTS {
-        if attempt().await.is_ok() {
+        if reconnect(client).await.is_ok() {
             return Ok(());
         }
         sim::time::sleep(delay).await;
         delay = (delay * 2).min(RECONNECT_MAX);
     }
     Err(ClientError::RetriesExhausted)
+}
+
+/// One try of the second rung: the old broker sees the disconnect first, then
+/// the leader by the bootstrap broker gets a new control connection and QP.
+async fn reconnect(client: &mut impl Rejoin) -> Result<(), ClientError> {
+    let (plane, topic, partition) = client.parts();
+    plane.qp.close();
+    let (node, bootstrap) = (&plane.node, plane.bootstrap);
+    let boot = Conn::connect(node, bootstrap, ClientTransport::Tcp).await?;
+    let leader = leader_of(&boot, topic, partition).await?;
+    let ctrl = if leader.node == bootstrap.node {
+        boot
+    } else {
+        Conn::connect(node, leader, ClientTransport::Tcp).await?
+    };
+    redial(client, leader).await?;
+    client.parts().0.ctrl = ctrl;
+    client.rejoin().await
+}
+
+/// Replaces the client's QP with one to `to`; the control connection stays.
+async fn redial(client: &mut impl Rejoin, to: BrokerAddr) -> Result<(), ClientError> {
+    client.replug(None);
+    let plane = client.parts().0;
+    let recv_cq;
+    (plane.qp, plane.send_cq, recv_cq) = plane.port.dial(&plane.nic, to).await?;
+    plane.broker = to;
+    client.replug(Some(recv_cq));
+    Ok(())
 }
 
 /// The leader of `topic`/`partition` by `conn`'s broker's metadata.

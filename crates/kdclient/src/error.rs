@@ -5,7 +5,10 @@ use kdwire::{ErrorCode, RpcError};
 /// Anything that can go wrong on a client datapath.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientError {
-    /// Transport-level failure (connection closed, QP broken).
+    /// Transport-level failure (connection closed, QP broken). An RDMA
+    /// client that has held a grant recovers from it through its data plane
+    /// instead; it surfaces from a TCP client, a refused first access, or a
+    /// call that does not recover (an offset commit).
     Disconnected,
     /// The broker answered with an error code.
     Broker(ErrorCode),

@@ -19,6 +19,8 @@
 //!   the consumer releases it and requests access to the next file.
 
 use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
 use std::time::Duration;
 
 use kdstorage::record::{peek_total_len, RecordView, LENGTH_PREFIX_LEN};
@@ -29,8 +31,9 @@ use netsim::profile::copy_time;
 use netsim::NodeHandle;
 use rnic::{SendWr, ShmBuf, WorkRequest};
 
+use crate::conn::Conn;
 use crate::consumer::drain_batches;
-use crate::data_plane::{DataPlane, Port};
+use crate::data_plane::{recover, Broke, DataPlane, Port, Rejoin};
 use crate::error::{check, ClientError};
 
 /// Default fetch size: "2 KiB as it provides a good trade-off between
@@ -95,6 +98,10 @@ impl Subscription {
 pub struct RdmaConsumer {
     plane: DataPlane,
     consumer_id: u64,
+    /// Set by the first access granted (every first access is requested by
+    /// `acquire_missing`): a failure before it is the caller's (a refused
+    /// first access), one after it is recovered from.
+    joined: bool,
     subs: Vec<Subscription>,
     pub fetch_size: u32,
     /// Parsed records, tagged with their subscription's index.
@@ -131,6 +138,7 @@ impl RdmaConsumer {
         let mut consumer = RdmaConsumer {
             plane,
             consumer_id: sim::rng::range_u64(1..u64::MAX),
+            joined: false,
             subs: Vec::new(),
             fetch_size: DEFAULT_FETCH_SIZE,
             ready: VecDeque::new(),
@@ -207,6 +215,7 @@ impl RdmaConsumer {
         for i in 0..self.subs.len() {
             if self.subs[i].file.is_none() {
                 self.acquire_file(i).await?;
+                self.joined = true;
             }
         }
         Ok(())
@@ -265,14 +274,20 @@ impl RdmaConsumer {
     /// became ready; an empty result means no new committed data was
     /// visible.
     pub async fn poll(&mut self) -> Result<Vec<RecordView>, ClientError> {
-        self.poll_round().await?;
+        if let Err(e) = self.round().await {
+            let recovering = self.recovery(e)?;
+            recovering.await?;
+        }
         Ok(self.ready.drain(..).map(|(_, rv)| rv).collect())
     }
 
     /// As [`poll`](Self::poll), with every record tagged with the partition
     /// it came from.
     pub async fn poll_tagged(&mut self) -> Result<Vec<(TopicPartition, RecordView)>, ClientError> {
-        self.poll_round().await?;
+        if let Err(e) = self.round().await {
+            let recovering = self.recovery(e)?;
+            recovering.await?;
+        }
         let subs = &self.subs;
         Ok(self
             .ready
@@ -281,10 +296,30 @@ impl RdmaConsumer {
             .collect())
     }
 
+    /// The recovery from a failure `e` (`recover`, boxed: built only on a
+    /// failure, it widens no polling task's frame), or `e` itself before
+    /// the first grant. A dead QP under a live control connection, whose
+    /// grants still hold, redials the same broker.
+    fn recovery(
+        &mut self,
+        e: ClientError,
+    ) -> Result<Pin<Box<impl Future<Output = Result<(), ClientError>> + '_>>, ClientError> {
+        if !self.joined {
+            return Err(e);
+        }
+        let ctrl_lives = matches!(&self.plane.ctrl, Conn::Tcp(c) if !c.is_dead());
+        let broke = if ctrl_lives && !self.plane.qp.is_alive() {
+            Broke::Qp
+        } else {
+            Broke::Call(e)
+        };
+        Ok(Box::pin(recover(self, broke)))
+    }
+
     /// Fills `ready`: rolls fully read files, or else refreshes the slots if
     /// some subscription has run dry and reads from every subscription that
     /// has bytes.
-    async fn poll_round(&mut self) -> Result<(), ClientError> {
+    async fn round(&mut self) -> Result<(), ClientError> {
         let start = sim::now();
         if !self.ready.is_empty() {
             return Ok(());
@@ -419,8 +454,14 @@ impl RdmaConsumer {
     /// fetch" of §5.3, fully offloaded to the NICs. Returns the last
     /// readable byte currently visible to the first subscription.
     pub async fn check_new_data(&mut self) -> Result<u32, ClientError> {
-        self.acquire_missing().await?;
-        self.refresh_metadata().await?;
+        let checked = match self.acquire_missing().await {
+            Ok(()) => self.refresh_metadata().await,
+            failed => failed,
+        };
+        if let Err(e) = checked {
+            let recovering = self.recovery(e)?;
+            recovering.await?;
+        }
         Ok(self.subs[0].file.as_ref().map_or(0, |f| f.last_readable))
     }
 
@@ -468,6 +509,24 @@ impl RdmaConsumer {
             check(error)?;
         }
         Ok(())
+    }
+}
+
+impl Rejoin for RdmaConsumer {
+    fn parts(&mut self) -> (&mut DataPlane, &str, u32) {
+        let tp = &self.subs[0].tp;
+        (&mut self.plane, tp.topic.as_str(), tp.partition)
+    }
+
+    /// A new consumer id, so that the old connection's release (DESIGN.md §9)
+    /// drops only the old id's holds; access from each offset, `ready` kept.
+    async fn rejoin(&mut self) -> Result<(), ClientError> {
+        self.consumer_id = sim::rng::range_u64(1..u64::MAX);
+        for sub in &mut self.subs {
+            sub.file = None;
+            sub.partial.clear();
+        }
+        self.acquire_missing().await
     }
 }
 

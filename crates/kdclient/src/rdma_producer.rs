@@ -25,7 +25,7 @@ use rnic::{BufSlice, CompletionQueue, CqOpcode, QueuePair, RecvWr, SendWr, ShmBu
 use sim::sync::oneshot;
 use sim::InlineDeque;
 
-use crate::data_plane::{with_backoff, DataPlane, Port};
+use crate::data_plane::{recover, Broke, DataPlane, Port, Rejoin};
 use crate::error::{check, ClientError};
 
 const ACK_BUF: usize = 16;
@@ -306,57 +306,49 @@ impl RdmaProducer {
     ) -> Result<(), ClientError> {
         if records.len() > 1 && self.mode != ProduceMode::Shared && !self.gen.dead.get() {
             let mut run = std::mem::take(&mut self.chain);
-            let posted = async {
+            let posted: Result<_, ClientError> = async {
                 for r in records {
                     run.push(self.stage(r)?);
                 }
                 self.charge_copies(&run).await;
-                self.post_staged(&run, false, &mut acks).await
+                Ok(self.post_run(&run, self.write_pos.into(), 0, &mut acks))
             }
             .await;
             // Buffers staged but not posted go back to the pool.
-            if matches!(posted, Ok(true)) {
+            if matches!(posted, Ok(Some(_))) {
                 run.clear();
             } else {
                 self.gen.stage_pool.borrow_mut().extend(run.drain(..).map(|(buf, _)| buf));
             }
             self.chain = run;
-            if posted? {
+            if let Some(end) = posted? {
+                self.write_pos = end as u32;
                 return Ok(());
             }
         }
         for record in records {
             let run = [self.stage(record)?];
             self.charge_copies(&run).await;
-            self.post_staged(&run, true, &mut acks).await?;
+            self.post_staged(&run, &mut acks).await?;
         }
         Ok(())
     }
 
     /// Posts a staged, charged run at the producer's write position — at an
-    /// FAA-reserved one in shared mode. With `retry`, a dead QP is redialled
-    /// (or the producer reconnected) and a refused post re-requests the head
-    /// file (§4.2.2), up to four attempts; without, either is `Ok(false)`.
-    /// The redial and reconnect futures are boxed, and only when taken: a
-    /// healthy QP never needs them, and inline they would widen the frame of
-    /// every task that sends.
+    /// FAA-reserved one in shared mode. A dead QP, and a failed re-request of
+    /// the head file after a refused post (§4.2.2), go through the data
+    /// plane's recovery; four attempts. The recovery future is boxed, and
+    /// only when taken: a healthy QP never needs it, and inline it would
+    /// widen the frame of every task that sends.
     async fn post_staged(
         &mut self,
         run: &[Staged],
-        retry: bool,
         acks: &mut impl FnMut(Ack),
-    ) -> Result<bool, ClientError> {
+    ) -> Result<(), ClientError> {
         let len = run_len(run) as u32;
         for _ in 0..4 {
             if self.gen.dead.get() {
-                if !retry {
-                    return Ok(false);
-                }
-                if Box::pin(self.redial(self.plane.broker)).await.is_err() {
-                    // The broker itself is gone (crash or failover): full
-                    // reconnect through the bootstrap broker.
-                    Box::pin(self.reconnect()).await?;
-                }
+                Box::pin(recover(self, Broke::Qp)).await?;
             }
             let slot = match self.mode {
                 ProduceMode::Shared => self.faa(len, Some(run[0].1.ctx())).await.map(|old| {
@@ -367,24 +359,13 @@ impl RdmaProducer {
             };
             if let Some(end) = slot.and_then(|(at, order)| self.post_run(run, at, order, acks)) {
                 self.write_pos = end as u32;
-                return Ok(true);
-            }
-            if !retry {
-                return Ok(false);
+                return Ok(());
             }
             // Out of space (or revoked): wait out our own pipeline, then
             // re-request the head file (§4.2.2).
             self.drain_pending().await;
-            match self.acquire_access(len).await {
-                Ok(()) => {}
-                // Leadership moved (epoch fenced us out) or the broker died
-                // under us: re-resolve and redial.
-                Err(ClientError::Disconnected)
-                | Err(ClientError::Broker(ErrorCode::FencedEpoch))
-                | Err(ClientError::Broker(ErrorCode::NotLeader)) => {
-                    Box::pin(self.reconnect()).await?;
-                }
-                Err(e) => return Err(e),
+            if let Err(e) = self.acquire_access(len).await {
+                Box::pin(recover(self, Broke::Call(e))).await?;
             }
         }
         Err(ClientError::RetriesExhausted)
@@ -411,38 +392,10 @@ impl RdmaProducer {
         }
     }
 
-    /// Full reconnect after a broker crash or epoch-fenced failover:
-    /// re-resolves the partition leader through the bootstrap broker (a
-    /// failover moves it), rebuilds the control and data planes against the
-    /// current leader, and re-acquires produce access, with the plane's
-    /// bounded backoff between attempts.
+    /// Full reconnect after a broker crash or epoch-fenced failover: the data
+    /// plane's recovery from a lost control connection (`recover`).
     pub async fn reconnect(&mut self) -> Result<(), ClientError> {
-        with_backoff(async || {
-            // Drop the stale data plane first so the (old) broker sees the
-            // disconnect and releases any grant still held by this producer.
-            self.crash();
-            let Request::ProduceAccess { topic, partition, .. } = &self.access else {
-                unreachable!("the access request is a produce-access request")
-            };
-            let (leader, ctrl) = self.plane.resolve(topic, *partition).await?;
-            self.redial(leader).await?;
-            self.plane.ctrl = ctrl;
-            self.acquire_access(0).await
-        })
-        .await
-    }
-
-    /// Dials a fresh data-plane QP to `to` and starts a new generation on
-    /// it, which takes over the free staging buffers.
-    async fn redial(&mut self, to: BrokerAddr) -> Result<(), ClientError> {
-        // Waiters the old reader has not failed yet fail now: the QP their
-        // writes went out on is gone.
-        self.gen.pending.borrow_mut().clear();
-        let recv_cq = self.plane.dial(to).await?;
-        let gen = start_ack_reader(&self.plane, recv_cq, self.ack_depth);
-        gen.stage_pool.swap(&self.gen.stage_pool);
-        self.gen = gen;
-        Ok(())
+        recover(self, Broke::Call(ClientError::Disconnected)).await
     }
 
     /// Current file-id / segment of the grant (diagnostics).
@@ -463,6 +416,32 @@ impl RdmaProducer {
     /// broker's order timeout must detect and abort.
     pub async fn poison_reservation(&self, len: u32) {
         let _ = self.faa(len, None).await;
+    }
+}
+
+impl Rejoin for RdmaProducer {
+    fn parts(&mut self) -> (&mut DataPlane, &str, u32) {
+        let Request::ProduceAccess { topic, partition, .. } = &self.access else {
+            unreachable!("the access request is a produce-access request")
+        };
+        (&mut self.plane, topic, *partition)
+    }
+
+    /// Before the dial, waiters the old reader has not failed yet fail; the
+    /// new QP's generation takes over the free staging buffers.
+    fn replug(&mut self, recv_cq: Option<CompletionQueue>) {
+        match recv_cq {
+            None => self.gen.pending.borrow_mut().clear(),
+            Some(recv_cq) => {
+                let gen = start_ack_reader(&self.plane, recv_cq, self.ack_depth);
+                gen.stage_pool.swap(&self.gen.stage_pool);
+                self.gen = gen;
+            }
+        }
+    }
+
+    async fn rejoin(&mut self) -> Result<(), ClientError> {
+        self.acquire_access(0).await
     }
 }
 

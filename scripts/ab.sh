@@ -13,7 +13,10 @@
 #
 # Each pair goes through `kdmark compare`. The table printed at the end says
 # "identical" or "moved" for the exact metrics (virtual time, polls and
-# allocations per record, trace digest). A host metric (wall time) of one
+# allocations per record, trace digest); a number that moved is printed at
+# full precision, read from the two runs' `<workload>.e2e.json`, with its
+# signed difference B - A (compare's own table rounds to four places, so a
+# one-allocation move would read as no move at all). A host metric (wall time) of one
 # pair is only a reading, not a verdict: its row says whether it fell in the
 # benchmark's bound, marked "(one pair)". A kdmark run or compare that fails
 # is a FAILED row, and the script then exits non-zero. So is a golden test of
@@ -42,10 +45,13 @@ build "$work/a" "$targets/a"
 build . "$targets/b"
 
 row() { # seed workload metric A B verdict
-    printf "%-5s %-16s %-20s %18s %18s  %s\n" "$@"
+    printf "%-5s %-16s %-20s %20s %20s  %s\n" "$@"
 }
 failed=0
 table="$work/table.txt"
+exact() { # seed side workload metric: the value that run's e2e.json holds, as written
+    sed -n "s/.*\"$4\":{\"value\":\([^,}]*\).*/\1/p" "$work/$2-$1/$3.e2e.json" 2>/dev/null || true
+}
 for seed in 1 2 3 "$unseen"; do
     order="a b"
     [ $((seed % 2)) = 1 ] && order="b a"
@@ -73,7 +79,7 @@ for seed in 1 2 3 "$unseen"; do
     fi
     grep -q "^run " "$work/cmp-$seed" && failed=1
     awk -v seed="$seed" '/^run / {
-            printf "%-5s %-16s %-20s %18s %18s  %s\n", seed, "all", "run " $2 " correct", "-", "-", "FAILED"
+            printf "%-5s %-16s %-20s %20s %20s  %s\n", seed, "all", "run " $2 " correct", "-", "-", "FAILED"
         }
         NF >= 7 && $1 != "workload" {
             verdict = $0; sub(/.*  /, "", verdict)
@@ -81,8 +87,17 @@ for seed in 1 2 3 "$unseen"; do
             else if (verdict ~ /^DIFFERS/) verdict = "moved"
             else if (verdict ~ /^within bound/) verdict = "in bound (one pair)"
             else if (verdict ~ /^OUT OF BOUND/) verdict = "OUT OF BOUND (one pair)"
-            printf "%-5s %-16s %-20s %18s %18s  %s\n", seed, $1, $2, $3, $4, verdict
-        }' "$work/cmp-$seed" >>"$table"
+            printf "%-5s %-16s %-20s %20s %20s  %s\n", seed, $1, $2, $3, $4, verdict
+        }' "$work/cmp-$seed" |
+        while IFS= read -r line; do
+            set -- $line
+            a="$(exact "$1" a "$2" "$3")" b="$(exact "$1" b "$2" "$3")"
+            if [ "${6:-}" = moved ] && [ -n "$a" ] && [ -n "$b" ]; then
+                line="$(row "$1" "$2" "$3" "$a" "$b" \
+                    "moved by $(awk -v a="$a" -v b="$b" 'BEGIN { printf "%+.6g", b - a }')")"
+            fi
+            printf '%s\n' "$line"
+        done >>"$table"
 done
 
 # The golden tests of this tree: each a row of the table.

@@ -71,6 +71,28 @@ if grep -rnE "post_chain|setup_data_plane|install_data_plane|reconnect_data_plan
     exit 1
 fi
 
+# One recovery path (DESIGN.md §7 "One data plane"): both RDMA clients
+# recover through `data_plane::recover`. A tailing consumer through a QP error
+# under it, two leader crashes with fail-over at RF 2 and a restart of its
+# RF 1 leader (or `RetriesExhausted` past the backoff); a producer past a
+# failed redial and past a refused re-request; a consumer tailing every chaos
+# seed, by name. Then the re-fork guard: no leader lookup, backoff or dial
+# outside data_plane.rs (`Admin::leader_of` delegates), and no redial or
+# backoff loop of the producer's own.
+cargo test -q --offline --test e2e_failures a_tailing_consumer_
+cargo test -q --offline --test e2e_failures a_producer_whose_broker_is_down_redials_then_reconnects
+cargo test -q --offline --test e2e_failures a_fenced_shared_producer_re_requests_then_reconnects
+cargo test -q --offline --test chaos a_tailing_consumer_rides_out_every_chaos_seed
+if for f in crates/kdclient/src/*.rs; do
+        [ "$f" = crates/kdclient/src/data_plane.rs ] && continue
+        awk '/#\[cfg\(test\)\]/ { exit } /with_backoff\(|leader_of\(|\.dial\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done | grep -vE "^crates/kdclient/src/admin.rs:[0-9]+: +(pub async fn leader_of\(|crate::data_plane::leader_of\()" | grep . ||
+    awk '/#\[cfg\(test\)\]/ { exit } /async fn redial|RECONNECT_|sleep\(delay/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/kdclient/src/rdma_producer.rs | grep .; then
+    echo "ci: a client recovers outside its data plane again (see DESIGN.md §7 \"One data plane\")" >&2
+    exit 1
+fi
+
 # One cluster boot and one broker template (DESIGN.md §9 "Crash recovery &
 # divergence"): `Broker::start` refuses a zero worker, poller, CQ batch or SRQ
 # depth by name; every multi-broker experiment boots and restarts through

@@ -13,13 +13,14 @@
 //!
 //! Plus a targeted proof that a stale-epoch producer's one-sided RDMA
 //! write is fenced after a failover: the revoked rkey faults at the NIC
-//! and the bytes never become consumer-visible.
+//! and the bytes never become consumer-visible; and the same seeds with a
+//! consumer tailing the partition through the faults.
 
 mod common;
 
 use std::time::Duration;
 
-use common::{run_seed, seeds_under_test, Outcome, SEEDS};
+use common::{run_seed, run_seed_tailed, seeds_under_test, Outcome, SEEDS};
 use kafkadirect::{SimCluster, SystemKind};
 use kdclient::{Admin, RdmaConsumer, RdmaProducer};
 use kdstorage::record::single_record_batch;
@@ -58,6 +59,38 @@ fn chaos_soak_holds_invariants_across_seeds() {
             "seed {seed}: no attempt survived the faults"
         );
         assert_no_loss(seed, &o);
+    }
+}
+
+/// The soak's seeds with one more client: an `RdmaConsumer` tailing the
+/// partition from the bootstrap broker while the plan plays, recovering
+/// through its data plane. Everything it delivered is a gap-free,
+/// duplicate-free prefix of the final leader's committed log (the soak's
+/// own checks hold too), and it ends caught up to the final HW or with
+/// `RetriesExhausted` after an outage longer than its backoff.
+#[test]
+fn a_tailing_consumer_rides_out_every_chaos_seed() {
+    for seed in seeds_under_test(&SEEDS) {
+        let o = run_seed_tailed(seed);
+        assert!(o.violations.is_empty(), "seed {seed}: {:?}", o.violations);
+        assert_no_loss(seed, &o);
+        let tail = o.tail.expect("a tailed run");
+        let caught_up = tail.delivered.len() as u64 == tail.hw;
+        match tail.end {
+            Some(Ok(())) => assert!(caught_up, "seed {seed}"),
+            Some(Err(kdclient::ClientError::RetriesExhausted)) => {}
+            end => panic!(
+                "seed {seed}: the tailing consumer ended {end:?} at {} of {}",
+                tail.delivered.len(),
+                tail.hw
+            ),
+        }
+        eprintln!(
+            "seed {seed}: tail delivered {} of HW {}, ended {:?}",
+            tail.delivered.len(),
+            tail.hw,
+            tail.end
+        );
     }
 }
 

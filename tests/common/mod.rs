@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use kafkadirect::{SimCluster, SystemKind};
 use kdbroker::data::Partition;
-use kdclient::{Admin, RdmaConsumer, RdmaProducer};
+use kdclient::{Admin, ClientError, RdmaConsumer, RdmaProducer};
 use kdstorage::record::{decode_batch, peek_total_len};
 use kdstorage::{Record, TopicPartition};
 
@@ -54,6 +54,22 @@ pub struct Outcome {
     pub end_ns: u64,
     pub events: Vec<kdtelem::TraceEvent>,
     pub violations: Vec<String>,
+    /// What a consumer tailing the partition through the faults did, in
+    /// runs that start one ([`run_seed_tailed`]).
+    pub tail: Option<Tail>,
+}
+
+/// A consumer that tailed `chaos`/0 from the bootstrap broker through the
+/// whole run.
+#[derive(PartialEq)]
+pub struct Tail {
+    /// `(offset, attempt)` of every record it delivered, in order.
+    pub delivered: Vec<(u64, u64)>,
+    /// `Some(Ok(()))` once it delivered up to the final HW, `Some(Err)` if
+    /// a poll failed, `None` if it was still polling at the deadline.
+    pub end: Option<Result<(), ClientError>>,
+    /// The final HW it was to catch up to.
+    pub hw: u64,
 }
 
 impl Outcome {
@@ -128,7 +144,7 @@ pub fn run_seed_with(seed: u64, rdma_pollers: Option<usize>, cq_batch: Option<us
     let broker = &mut opts.broker;
     broker.rdma_pollers = rdma_pollers.unwrap_or(broker.rdma_pollers);
     broker.cq_batch = cq_batch.unwrap_or(broker.cq_batch);
-    run_seed_opts(seed, opts, false)
+    run_seed_opts(seed, opts, false, false)
 }
 
 /// Runs one seeded fault plan with the brokers' accepted produce QPs
@@ -140,7 +156,7 @@ pub fn run_seed_with(seed: u64, rdma_pollers: Option<usize>, cq_batch: Option<us
 pub fn run_seed_mux(seed: u64, mux_pool: usize) -> Outcome {
     let mut opts = kafkadirect::ClusterOptions::default();
     opts.broker.mux_pool = mux_pool;
-    run_seed_opts(seed, opts, false)
+    run_seed_opts(seed, opts, false, false)
 }
 
 /// Runs one seeded fault plan against a **tiered-storage** cluster: every
@@ -159,12 +175,26 @@ pub fn run_seed_durable(seed: u64, tag: &str) -> Outcome {
         .with_sync(kdstorage::SyncMode::PerCommit);
     let mut opts = kafkadirect::ClusterOptions::default();
     opts.broker.storage = Some(storage);
-    let out = run_seed_opts(seed, opts, true);
+    let out = run_seed_opts(seed, opts, true, false);
     std::fs::remove_dir_all(&dir).ok();
     out
 }
 
-fn run_seed_opts(seed: u64, opts: kafkadirect::ClusterOptions, torn_writes: bool) -> Outcome {
+/// [`run_seed`] with one more client: an [`RdmaConsumer`] that tails
+/// `chaos`/0 from the bootstrap broker while the plan plays, and after it
+/// until it has delivered up to the final HW, a poll fails, or 200 ms of
+/// virtual time pass. Its deliveries join the partition-log check.
+#[allow(dead_code)]
+pub fn run_seed_tailed(seed: u64) -> Outcome {
+    run_seed_opts(seed, kafkadirect::ClusterOptions::default(), false, true)
+}
+
+fn run_seed_opts(
+    seed: u64,
+    opts: kafkadirect::ClusterOptions,
+    torn_writes: bool,
+    tailed: bool,
+) -> Outcome {
     // Trace ids come from a thread-local allocator; reset it so replays of
     // the same seed produce bit-identical event logs.
     kdtelem::reset_trace_ids();
@@ -222,6 +252,35 @@ fn run_seed_opts(seed: u64, opts: kafkadirect::ClusterOptions, torn_writes: bool
             });
         }
 
+        // The tailing consumer polls until it has reached `target` (set once
+        // the HW has settled) or a poll fails.
+        let tail = Rc::new(RefCell::new((Vec::new(), None)));
+        let target = Rc::new(Cell::new(u64::MAX));
+        if tailed {
+            let (tail, target) = (Rc::clone(&tail), Rc::clone(&target));
+            let tnode = cluster.add_client_node("chaos-tail");
+            sim::spawn(async move {
+                let mut consumer = RdmaConsumer::connect(&tnode, bootstrap, "chaos", 0, 0)
+                    .await
+                    .expect("a lazy connect to a live broker");
+                let end = loop {
+                    if tail.borrow().0.len() as u64 >= target.get() {
+                        break Ok(());
+                    }
+                    match consumer.poll().await {
+                        Ok(records) => {
+                            let delivered = &mut tail.borrow_mut().0;
+                            for rv in records {
+                                delivered.push((rv.offset, attempt_of(&rv.record.value)));
+                            }
+                        }
+                        Err(e) => break Err(e),
+                    }
+                };
+                tail.borrow_mut().1 = Some(end);
+            });
+        }
+
         // Play the fault plan to completion, then wait the workload out.
         kafkadirect::chaos::run_plan(&cluster, &plan).await;
         while !done.get() {
@@ -249,6 +308,14 @@ fn run_seed_opts(seed: u64, opts: kafkadirect::ClusterOptions, torn_writes: bool
             sim::time::sleep(Duration::from_micros(500)).await;
         }
 
+        if tailed {
+            target.set(hw);
+            let deadline = sim::now() + Duration::from_millis(200);
+            while tail.borrow().1.is_none() && sim::now() < deadline {
+                sim::time::sleep(Duration::from_millis(1)).await;
+            }
+        }
+
         // Drain the full committed stream from the final leader.
         let mut consumer = RdmaConsumer::connect(&cnode, leader, "chaos", 0, 0)
             .await
@@ -266,6 +333,16 @@ fn run_seed_opts(seed: u64, opts: kafkadirect::ClusterOptions, torn_writes: bool
         let acked = acked.borrow().clone();
         violations.extend(check_log(&cluster, leader, &acked, &drained, &mut consumer).await);
         let consumed = drained.iter().map(|&(_, attempt)| attempt).collect();
+        let tail = tailed.then(|| {
+            let (delivered, end) = tail.take();
+            if let Some(lead) = live_partition(&cluster, leader.node) {
+                if !is_log_prefix(&records_of(&lead, true), &delivered) {
+                    let broken = "the tailed sequence is not a gap-free prefix of the leader's log";
+                    violations.push(broken.into());
+                }
+            }
+            Tail { delivered, end, hw }
+        });
         Outcome {
             acked,
             consumed,
@@ -273,6 +350,7 @@ fn run_seed_opts(seed: u64, opts: kafkadirect::ClusterOptions, torn_writes: bool
             end_ns,
             events,
             violations,
+            tail,
         }
     })
 }
@@ -293,11 +371,7 @@ async fn check_log(
     drained: &[(u64, u64)],
     consumer: &mut RdmaConsumer,
 ) -> Vec<String> {
-    let tp = TopicPartition::new("chaos", 0);
-    let live = |node: u32| {
-        let broker = cluster.brokers().into_iter().find(|b| b.addr().node == node)?;
-        broker.is_alive().then(|| broker.inner().store.get(&tp)).flatten()
-    };
+    let live = |node: u32| live_partition(cluster, node);
     let Some(lead) = live(leader.node) else {
         return vec![format!("the final leader {} hosts no live partition", leader.node)];
     };
@@ -310,8 +384,7 @@ async fn check_log(
     if let Some(a) = missing(&committed) {
         violations.push(format!("acked attempt {a} is not committed on the leader"));
     }
-    let gap_free = drained.iter().enumerate().all(|(i, &(offset, _))| offset == i as u64);
-    if !gap_free || !committed.starts_with(drained) {
+    if !is_log_prefix(&committed, drained) {
         violations.push("the drained sequence is not a gap-free prefix of the leader's log".into());
     }
     match consumer.poll().await {
@@ -326,6 +399,29 @@ async fn check_log(
         }
     }
     violations
+}
+
+/// `chaos`/0 on the broker of fabric node `node`, if that broker is alive.
+fn live_partition(cluster: &SimCluster, node: u32) -> Option<Rc<Partition>> {
+    let broker = cluster
+        .brokers()
+        .into_iter()
+        .find(|b| b.addr().node == node)?;
+    let tp = TopicPartition::new("chaos", 0);
+    broker
+        .is_alive()
+        .then(|| broker.inner().store.get(&tp))
+        .flatten()
+}
+
+/// Whether a consumer's `(offset, attempt)` deliveries are a gap-free,
+/// duplicate-free prefix of the `committed` log.
+fn is_log_prefix(committed: &[(u64, u64)], delivered: &[(u64, u64)]) -> bool {
+    let gap_free = delivered
+        .iter()
+        .enumerate()
+        .all(|(i, &(offset, _))| offset == i as u64);
+    gap_free && committed.starts_with(delivered)
 }
 
 /// `(offset, attempt)` of every record in `p`'s log: up to the HW when

@@ -641,3 +641,230 @@ fn shared_file_overflow_recovers() {
         assert!(consumer.stats.access_requests >= 2);
     });
 }
+
+/// The producer's ladder past its first rung: its QP died with its broker,
+/// so redialling the same broker fails, and the producer reconnects through
+/// the bootstrap broker under the backoff, which outlasts a 1 ms restart.
+#[test]
+fn a_producer_whose_broker_is_down_redials_then_reconnects() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+        cluster.create_topic("t", 1, 1).await;
+        let cnode = cluster.add_client_node("c");
+        let mut producer = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, false)
+            .await
+            .unwrap();
+        for i in 0..3u64 {
+            assert_eq!(producer.send(&Record::value(vec![1; 32])).await, Ok(i));
+        }
+        cluster.crash_broker(0);
+        let sending = sim::spawn(async move {
+            // The ack reader sees the QP break; the next send finds it dead.
+            sim::time::sleep(Duration::from_micros(50)).await;
+            producer.send(&Record::value(vec![2; 32])).await
+        });
+        sim::time::sleep(Duration::from_millis(1)).await;
+        cluster.restart_broker(0);
+        assert_eq!(sending.await.unwrap(), Ok(3));
+    });
+}
+
+/// The producer's ladder from a refused post: a fail-over fences the shared
+/// producer's grant, so its FAA fails, the head-file re-request is refused
+/// by the ex-leader, and the producer reconnects to the promoted follower.
+#[test]
+fn a_fenced_shared_producer_re_requests_then_reconnects() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 2);
+        cluster.create_topic("t", 1, 2).await;
+        let cnode = cluster.add_client_node("c");
+        let mut producer = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, true)
+            .await
+            .unwrap();
+        for i in 0..3u64 {
+            assert_eq!(producer.send(&Record::value(vec![1; 32])).await, Ok(i));
+        }
+        let promoted = cluster.fail_over("t", 0).expect("a live follower");
+        assert_ne!(promoted.node, cluster.bootstrap().node);
+        sim::time::sleep(Duration::from_millis(1)).await;
+        assert_eq!(producer.send(&Record::value(vec![2; 32])).await, Ok(3));
+    });
+}
+
+/// Tails `t`/0 from `bootstrap` until `want` records have arrived; returns
+/// the consumer and the offsets it delivered, in delivery order.
+async fn tail(
+    node: netsim::NodeHandle,
+    bootstrap: kdwire::BrokerAddr,
+    want: usize,
+) -> Result<(RdmaConsumer, Vec<u64>), kdclient::ClientError> {
+    let mut consumer = RdmaConsumer::connect(&node, bootstrap, "t", 0, 0).await?;
+    let mut offsets = Vec::new();
+    while offsets.len() < want {
+        offsets.extend(consumer.next_records().await?.iter().map(|rv| rv.offset));
+    }
+    Ok((consumer, offsets))
+}
+
+/// `n` acked records from `producer`, reconnecting it once if a send fails.
+async fn produce(producer: &mut RdmaProducer, n: usize) {
+    for _ in 0..n {
+        if producer.send(&Record::value(vec![3; 32])).await.is_err() {
+            producer.reconnect().await.unwrap();
+            producer.send(&Record::value(vec![3; 32])).await.unwrap();
+        }
+    }
+}
+
+/// Broker `i` holds no consumer state on `t`/0: no read hold, no slot
+/// reference that an HW advance would rewrite.
+fn holds_no_consumer_state(cluster: &SimCluster, i: usize) {
+    let p = cluster
+        .broker(i)
+        .inner()
+        .store
+        .get(&kdstorage::TopicPartition::new("t", 0));
+    let p = p.expect("the broker hosts t/0");
+    assert!(
+        p.read_regs.borrow().is_empty(),
+        "broker {i} keeps read holds"
+    );
+    assert!(
+        p.slot_refs.borrow().is_empty(),
+        "broker {i} keeps slot references"
+    );
+}
+
+/// A QP error on the broker's end of a parked tailing consumer's QP: the
+/// consumer redials the same broker over its control connection, keeps its
+/// grants, and delivers from its offset with no gap and no duplicate. Once
+/// dropped it leaves the broker as it found it.
+#[test]
+fn a_tailing_consumer_survives_a_qp_error_under_it() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+        cluster.create_topic("t", 1, 1).await;
+        let cnode = cluster.add_client_node("c");
+        let mut producer = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, false)
+            .await
+            .unwrap();
+        produce(&mut producer, 5).await;
+        let baseline = cluster.broker(0).metrics().registered_bytes;
+        let mut first = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
+            .await
+            .unwrap();
+        let one_live = slot_updates_per_record(&cluster, &mut producer, &mut first).await;
+        drop(first);
+
+        let tailing = sim::spawn(tail(cnode.clone(), cluster.bootstrap(), 25));
+        sim::time::sleep(Duration::from_millis(1)).await;
+        let qps = cluster.broker(0).inner().consume_qps.borrow().clone();
+        let live: Vec<_> = qps.iter().filter(|qp| qp.is_alive()).collect();
+        assert_eq!(live.len(), 1, "the tailing consumer's QP");
+        live[0].close();
+        sim::time::sleep(Duration::from_micros(300)).await;
+        produce(&mut producer, 10).await;
+        let (consumer, offsets) = tailing.await.unwrap().unwrap();
+        assert_eq!(offsets, (0..25).collect::<Vec<_>>());
+        assert_eq!(
+            consumer.stats.access_requests, 1,
+            "the grant outlived the QP"
+        );
+
+        drop(consumer);
+        sim::time::sleep(Duration::from_millis(1)).await;
+        assert_eq!(cluster.broker(0).metrics().registered_bytes, baseline);
+        holds_no_consumer_state(&cluster, 0);
+        let mut live = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
+            .await
+            .unwrap();
+        let per_record = slot_updates_per_record(&cluster, &mut producer, &mut live).await;
+        assert_eq!(
+            per_record, one_live,
+            "the recovered consumer's slot is still rewritten"
+        );
+    });
+}
+
+/// The leader of a parked tailing consumer crashes and its follower is
+/// promoted (RF 2). First the consumer's bootstrap broker itself: it
+/// recovers once that broker is back and names the promoted leader. Then
+/// the promoted leader, with the bootstrap broker up all along. Each time
+/// the consumer delivers from its offset with no gap and no duplicate.
+#[test]
+fn a_tailing_consumer_follows_its_partition_through_crashes_and_failovers() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 3);
+        cluster.create_topic("t", 1, 2).await;
+        let bootstrap = cluster.bootstrap();
+        assert_eq!(cluster.leader_of("t", 0).await.node, bootstrap.node);
+        let (cnode, pnode) = (cluster.add_client_node("c"), cluster.add_client_node("p"));
+        let mut producer = RdmaProducer::connect(&pnode, bootstrap, "t", 0, false)
+            .await
+            .unwrap();
+        produce(&mut producer, 5).await;
+        let tailing = sim::spawn(tail(cnode, bootstrap, 15));
+        sim::time::sleep(Duration::from_millis(1)).await;
+
+        for (crashed, promoted) in [(0, 1), (1, 0)] {
+            cluster.crash_broker(crashed);
+            let leader = cluster.fail_over("t", 0).expect("a live follower");
+            assert_eq!(leader.node, cluster.broker(promoted).addr().node);
+            sim::time::sleep(Duration::from_millis(2)).await;
+            cluster.restart_broker(crashed);
+            producer.reconnect().await.unwrap();
+            produce(&mut producer, 5).await;
+            sim::time::sleep(Duration::from_millis(1)).await;
+        }
+        let (consumer, offsets) = tailing.await.unwrap().unwrap();
+        assert_eq!(offsets, (0..15).collect::<Vec<_>>());
+        drop(consumer);
+        sim::time::sleep(Duration::from_millis(1)).await;
+        for i in 0..2 {
+            holds_no_consumer_state(&cluster, i);
+        }
+    });
+}
+
+/// The consumer's RF 1 bootstrap leader crashes and comes back 2 ms later:
+/// the parked consumer rejoins it and delivers from its offset with no gap
+/// and no duplicate. An outage longer than the backoff is `RetriesExhausted`.
+#[test]
+fn a_tailing_consumer_rejoins_its_restarted_leader_or_gives_up() {
+    for outage_ms in [2, 200] {
+        let rt = sim::Runtime::new();
+        rt.block_on(async move {
+            let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+            cluster.create_topic("t", 1, 1).await;
+            let cnode = cluster.add_client_node("c");
+            let mut producer = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, false)
+                .await
+                .unwrap();
+            produce(&mut producer, 5).await;
+            let tailing = sim::spawn(tail(cnode.clone(), cluster.bootstrap(), 10));
+            sim::time::sleep(Duration::from_millis(1)).await;
+            cluster.crash_broker(0);
+            sim::time::sleep(Duration::from_millis(outage_ms)).await;
+            cluster.restart_broker(0);
+            producer.reconnect().await.unwrap();
+            produce(&mut producer, 5).await;
+            let tailed = tailing.await.unwrap();
+            if outage_ms > 100 {
+                assert!(matches!(
+                    tailed,
+                    Err(kdclient::ClientError::RetriesExhausted)
+                ));
+                return;
+            }
+            let (consumer, offsets) = tailed.unwrap();
+            assert_eq!(offsets, (0..10).collect::<Vec<_>>());
+            drop(consumer);
+            sim::time::sleep(Duration::from_millis(1)).await;
+            holds_no_consumer_state(&cluster, 0);
+        });
+    }
+}
