@@ -12,7 +12,9 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::future::Future;
 use std::rc::Rc;
+use std::task::Poll;
 use std::time::Duration;
 
 use kdstorage::record::verify_batch;
@@ -544,9 +546,24 @@ fn spawn_collector(
             }
         };
         let mut collect = std::pin::pin!(collect);
-        let died = race(collect.as_mut(), s.qp.disconnected()).await;
+        // The death wait is polled to park once, and again only once the QP
+        // is dead: a completion's wake leaves it parked as it is, since a
+        // `sim` task's waker never changes. On the death's wake, `collect`
+        // is polled first, as in a race.
+        let mut disconnected = std::pin::pin!(s.qp.disconnected());
+        let mut parked = false;
+        let died = std::future::poll_fn(|cx| {
+            if collect.as_mut().poll(cx).is_ready() {
+                return Poll::Ready(false);
+            }
+            if std::mem::replace(&mut parked, true) && s.qp.is_alive() {
+                return Poll::Pending;
+            }
+            disconnected.as_mut().poll(cx).map(|()| true)
+        })
+        .await;
         s.close();
-        if let Either::Right(()) = died {
+        if died {
             collect.await;
         }
     });

@@ -11,8 +11,11 @@
 //! Acks arrive as small Sends from the broker, strictly in write order per
 //! QP, so a FIFO of pending completions suffices for correlation; one ack
 //! may answer several consecutive writes (`kdwire::encode_ack`'s count).
+//! A window-1 [`send`](RdmaProducer::send) reads its own ack off the receive
+//! CQ; the first pipelined post of a QP generation spawns that generation's
+//! ack reader, which answers each write through a channel from then on.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -36,22 +39,29 @@ const ACK_DEPTH: usize = 512;
 /// Bound on the ack reader's task frame, in bytes.
 const ACK_READER_FRAME: usize = 256;
 
-/// A pending produce ack: the waiter plus the staging buffer to recycle
-/// once the write is acknowledged (acks arrive strictly in write order, so
-/// by then the WriteImm has long since consumed the bytes).
-type AckWaiter = (oneshot::Sender<(ErrorCode, u64)>, Option<ShmBuf>);
+/// A pending produce ack: the waiter — a pipelined write's channel, or none
+/// for a window-1 send's — plus the staging buffer to recycle once the write
+/// is acknowledged (acks arrive strictly in write order, so by then the
+/// WriteImm has long since consumed the bytes).
+type AckWaiter = (Option<AckSender>, Option<ShmBuf>);
+type AckSender = oneshot::Sender<(ErrorCode, u64)>;
 /// The receiving end of one record's ack.
 type Ack = oneshot::Receiver<(ErrorCode, u64)>;
 
 /// One QP generation's state, in one block shared by the producer and the
-/// generation's ack reader. Each dial starts a new one, so the reader of a
-/// closed QP can neither fail the waiters of the QP that replaced it nor
-/// mark that QP dead.
+/// generation's ack reader, if it has one. Each dial starts a new one, so the
+/// reader of a closed QP can neither fail the waiters of the QP that
+/// replaced it nor mark that QP dead.
 struct Generation {
     /// The waiters of the writes in flight, in write order.
     pending: RefCell<InlineDeque<AckWaiter>>,
-    /// Set once the reader saw the QP break, or the producer crashed it.
+    /// Set once the acks' reader — the spawned one, or the producer itself —
+    /// saw the QP break, or the producer crashed it.
     dead: Cell<bool>,
+    /// Whether a pipelined post has spawned this generation's ack reader.
+    reader: Cell<bool>,
+    /// The latest answer to a write with no channel: a window-1 send's.
+    answer: Cell<(ErrorCode, u64)>,
     /// Free staging buffers: an acked write returns its buffer here (see
     /// [`RdmaProducer::stage`]); a redial hands them to the next generation.
     /// Last in, first out.
@@ -66,8 +76,35 @@ impl Generation {
         Generation {
             pending: RefCell::default(),
             dead: Cell::new(false),
+            reader: Cell::new(false),
+            answer: Cell::default(),
             stage_pool: RefCell::default(),
             bufs: ShmBuf::zeroed(ack_depth * ACK_BUF + 8),
+        }
+    }
+
+    /// A new generation on a freshly dialled QP, its ack receives posted:
+    /// one registered region, a slice per receive.
+    fn start(qp: &QueuePair, ack_depth: usize) -> Rc<Generation> {
+        let gen = Rc::new(Generation::new(ack_depth));
+        let _ = qp.post_recv_list((0..ack_depth).map(|i| gen.ack_recv(i as u64)));
+        gen
+    }
+
+    /// Hands a write its answer: through its channel, or into `answer`.
+    fn reply(&self, waiter: Option<AckSender>, answer: (ErrorCode, u64)) {
+        match waiter {
+            Some(tx) => drop(tx.send(answer)),
+            None => self.answer.set(answer),
+        }
+    }
+
+    /// The QP broke: the generation is dead, and what is still pending fails.
+    fn fail(&self) {
+        self.dead.set(true);
+        let mut pending = self.pending.borrow_mut();
+        while let Some((w, _)) = pending.pop_front() {
+            self.reply(w, (ErrorCode::Internal, 0));
         }
     }
 
@@ -99,11 +136,13 @@ pub struct RdmaProducer {
     /// Exclusive mode: next write position (producer-tracked). Shared mode
     /// never reads it.
     write_pos: u32,
-    /// The current QP generation.
+    /// The current QP generation, and its QP's receive CQ.
     gen: Rc<Generation>,
-    /// Recycled ack channels: a record's cell comes back once its waiter
-    /// has answered and the caller has dropped its [`Ack`].
-    ack_cells: oneshot::Pool<(ErrorCode, u64)>,
+    recv_cq: CompletionQueue,
+    /// Recycled ack channels of pipelined writes, made at the first: a
+    /// record's cell comes back once its waiter has answered and the caller
+    /// has dropped its [`Ack`].
+    ack_cells: OnceCell<oneshot::Pool<(ErrorCode, u64)>>,
     producer_id: u64,
     /// Staging scratch of runs of n > 1, recycled so posting one allocates
     /// nothing.
@@ -143,7 +182,7 @@ impl RdmaProducer {
         assert!(ack_depth >= 1);
         let mode = if shared { ProduceMode::Shared } else { ProduceMode::Exclusive };
         let (plane, recv_cq) = DataPlane::open(node, broker, Port::produce(ack_depth)).await?;
-        let gen = start_ack_reader(&plane, recv_cq, ack_depth);
+        let gen = Generation::start(&plane.qp, ack_depth);
         let telem = kdtelem::current();
         let e2e_ns = telem.histogram("kdclient", "produce.e2e_ns");
         let producer_id = sim::rng::range_u64(1..u64::MAX);
@@ -159,7 +198,8 @@ impl RdmaProducer {
             grant: ProduceAccessResp::default(),
             write_pos: 0,
             gen,
-            ack_cells: oneshot::Pool::new(),
+            recv_cq,
+            ack_cells: OnceCell::new(),
             producer_id,
             chain: Vec::new(),
             ack_depth,
@@ -225,14 +265,16 @@ impl RdmaProducer {
     /// doorbell), written contiguously from file position `at`; the
     /// immediate data carries the file ID and `order` (Fig 4). All or
     /// nothing: `None` if the file cannot take the run or the QP refuses
-    /// the post. Each record's ack receiver goes to `acks`, in record
-    /// order. Returns the file position after the run.
+    /// the post. With `acks`, a pipelined post, each record's ack receiver
+    /// goes there, in record order; without, the writes are a window-1
+    /// send's, whose ack [`own_ack`](Self::own_ack) reads. Returns the file
+    /// position after the run.
     fn post_run(
         &self,
         run: &[Staged],
         at: u64,
         order: u16,
-        acks: &mut impl FnMut(Ack),
+        mut acks: Option<&mut (dyn FnMut(Ack) + '_)>,
     ) -> Option<u64> {
         let end = at + run_len(run);
         if end > self.grant.region.len {
@@ -247,28 +289,81 @@ impl RdmaProducer {
             SendWr::unsignaled(0, write).with_trace(Some(span.ctx()))
         });
         self.plane.qp.post_send_list(wrs).ok()?;
+        if acks.is_some() {
+            self.spawn_reader();
+        }
         // Acks arrive in write order: one waiter per record, holding the
         // staging buffer its write reads from.
         let mut pending = self.gen.pending.borrow_mut();
         for (buf, _) in run {
-            let (tx, rx) = self.ack_cells.channel();
+            let tx = acks.as_deref_mut().map(|acks| {
+                let (tx, rx) = self.ack_cells.get_or_init(oneshot::Pool::new).channel();
+                acks(rx);
+                tx
+            });
             pending.push_back((tx, Some(buf.clone())));
-            acks(rx);
         }
         Some(end)
     }
 
+    /// Spawns the current generation's ack reader, unless it has one.
+    fn spawn_reader(&self) {
+        if self.gen.reader.replace(true) {
+            return;
+        }
+        let wakeup = self.plane.node.profile().cpu.wakeup;
+        let (qp, recv_cq) = (self.plane.qp.clone(), self.recv_cq.clone());
+        let reader = ack_reader(qp, recv_cq, wakeup, Rc::clone(&self.gen));
+        // One of these is parked per producer that pipelines.
+        assert!(std::mem::size_of_val(&reader) <= ACK_READER_FRAME);
+        sim::spawn_detached(reader);
+    }
+
+    /// Whether the current QP generation is up, as its ack reader knows it
+    /// by now. With no reader, the producer reads the receive CQ itself: the
+    /// acks it holds are retired, and a flushed receive is the QP's death.
+    fn alive(&self) -> bool {
+        while !self.gen.reader.get() && !self.gen.dead.get() && !self.recv_cq.is_empty() {
+            if !drain_acks(&self.plane.qp, &self.recv_cq, &self.gen) {
+                self.gen.fail();
+            }
+        }
+        !self.gen.dead.get()
+    }
+
+    /// A window-1 send's ack, read off the receive CQ by the sender: it
+    /// wakes `charge` after the ack surfaced, on the CQ's one timer, and
+    /// retires what the CQ holds — an ack left by a send given up on first.
+    /// A dead QP fails the send.
+    async fn own_ack(&self, charge: Duration) -> (ErrorCode, u64) {
+        loop {
+            let alive = self.alive();
+            if self.gen.pending.borrow().is_empty() {
+                return self.gen.answer.get();
+            }
+            if !alive || !self.recv_cq.wait(charge).await {
+                self.gen.fail();
+            }
+        }
+    }
+
     /// Produces one record, waiting for the broker acknowledgment; returns
-    /// the assigned base offset.
+    /// the assigned base offset. The ack's wake pays the reader's blocking-
+    /// poll wake-up and the dispatch chain — API→net handoff on send + CQ
+    /// poller→API handoff + wakeup on the ack (§5.1's client-side
+    /// overheads): with no reader, as one charged wait on the receive CQ;
+    /// behind a reader, as a charged receive of the channel it answers.
     pub async fn send(&mut self, record: &Record) -> Result<u64, ClientError> {
         let start = sim::now();
-        let ack = self.send_pipelined(record).await?;
-        // Dispatch chain: API→net handoff on send + CQ poller→API handoff +
-        // wakeup on the ack (§5.1's client-side overheads), paid on the
-        // ack's own wake.
         let cpu = &self.plane.node.profile().cpu;
-        let chain = ack.charged(cpu.handoff + cpu.handoff + cpu.wakeup);
-        let (error, offset) = chain.await.map_err(|_| ClientError::Disconnected)?;
+        let (wakeup, chain) = (cpu.wakeup, cpu.handoff + cpu.handoff + cpu.wakeup);
+        let (error, offset) = if self.gen.reader.get() {
+            let ack = self.send_pipelined(record).await?.charged(chain);
+            ack.await.map_err(|_| ClientError::Disconnected)?
+        } else {
+            self.post(std::slice::from_ref(record), None).await?;
+            self.own_ack(wakeup + chain).await
+        };
         self.e2e_ns.record_since(start);
         check(error)?;
         Ok(offset)
@@ -278,7 +373,8 @@ impl RdmaProducer {
     /// with its ack: the pipelined path of the bandwidth experiments.
     pub async fn send_pipelined(&mut self, record: &Record) -> Result<Ack, ClientError> {
         let mut ack = None;
-        self.post(std::slice::from_ref(record), |rx| ack = Some(rx)).await?;
+        let record = std::slice::from_ref(record);
+        self.post(record, Some(&mut |rx| ack = Some(rx))).await?;
         ack.ok_or(ClientError::Protocol)
     }
 
@@ -289,7 +385,7 @@ impl RdmaProducer {
         records: &[Record],
         out: &mut Vec<Ack>,
     ) -> Result<(), ClientError> {
-        self.post(records, |rx| out.push(rx)).await
+        self.post(records, Some(&mut |rx| out.push(rx))).await
     }
 
     /// The one post routine. A run of n > 1 exclusive records is staged
@@ -302,16 +398,16 @@ impl RdmaProducer {
     async fn post(
         &mut self,
         records: &[Record],
-        mut acks: impl FnMut(Ack),
+        mut acks: Option<&mut (dyn FnMut(Ack) + '_)>,
     ) -> Result<(), ClientError> {
-        if records.len() > 1 && self.mode != ProduceMode::Shared && !self.gen.dead.get() {
+        if records.len() > 1 && self.mode != ProduceMode::Shared && self.alive() {
             let mut run = std::mem::take(&mut self.chain);
             let posted: Result<_, ClientError> = async {
                 for r in records {
                     run.push(self.stage(r)?);
                 }
                 self.charge_copies(&run).await;
-                Ok(self.post_run(&run, self.write_pos.into(), 0, &mut acks))
+                Ok(self.post_run(&run, self.write_pos.into(), 0, acks.as_deref_mut()))
             }
             .await;
             // Buffers staged but not posted go back to the pool.
@@ -329,7 +425,7 @@ impl RdmaProducer {
         for record in records {
             let run = [self.stage(record)?];
             self.charge_copies(&run).await;
-            self.post_staged(&run, &mut acks).await?;
+            self.post_staged(&run, acks.as_deref_mut()).await?;
         }
         Ok(())
     }
@@ -343,11 +439,11 @@ impl RdmaProducer {
     async fn post_staged(
         &mut self,
         run: &[Staged],
-        acks: &mut impl FnMut(Ack),
+        mut acks: Option<&mut (dyn FnMut(Ack) + '_)>,
     ) -> Result<(), ClientError> {
         let len = run_len(run) as u32;
         for _ in 0..4 {
-            if self.gen.dead.get() {
+            if !self.alive() {
                 Box::pin(recover(self, Broke::Qp)).await?;
             }
             let slot = match self.mode {
@@ -357,6 +453,7 @@ impl RdmaProducer {
                 }),
                 _ => Some((u64::from(self.write_pos), 0)),
             };
+            let acks = acks.as_deref_mut();
             if let Some(end) = slot.and_then(|(at, order)| self.post_run(run, at, order, acks)) {
                 self.write_pos = end as u32;
                 return Ok(());
@@ -384,11 +481,18 @@ impl RdmaProducer {
     }
 
     /// Waits until every in-flight produce is acknowledged (used before
-    /// re-requesting access so error acks don't interleave with new writes).
+    /// re-requesting access so error acks don't interleave with new writes):
+    /// behind a reader, by looking every microsecond; without, on the
+    /// receive CQ, waking when the reader would have.
     pub async fn drain_pending(&self) {
-        while !self.gen.pending.borrow().is_empty() && !self.gen.dead.get() {
-            sim::time::yield_now().await;
-            sim::time::sleep(std::time::Duration::from_micros(1)).await;
+        let wakeup = self.plane.node.profile().cpu.wakeup;
+        while !self.gen.pending.borrow().is_empty() && self.alive() {
+            if self.gen.reader.get() {
+                sim::time::yield_now().await;
+                sim::time::sleep(Duration::from_micros(1)).await;
+            } else if !self.recv_cq.wait(wakeup).await {
+                self.gen.fail();
+            }
         }
     }
 
@@ -428,14 +532,21 @@ impl Rejoin for RdmaProducer {
     }
 
     /// Before the dial, waiters the old reader has not failed yet fail; the
-    /// new QP's generation takes over the free staging buffers.
+    /// new QP's generation takes over the free staging buffers. An exclusive
+    /// grant died with the old QP (the broker revokes it at the disconnect),
+    /// so it is dropped: the next post is refused and re-requests the head
+    /// file (§4.2.2), unless a rejoin has requested it first. A shared grant
+    /// is the partition's, not the QP's, and stays.
     fn replug(&mut self, recv_cq: Option<CompletionQueue>) {
         match recv_cq {
             None => self.gen.pending.borrow_mut().clear(),
             Some(recv_cq) => {
-                let gen = start_ack_reader(&self.plane, recv_cq, self.ack_depth);
+                let gen = Generation::start(&self.plane.qp, self.ack_depth);
                 gen.stage_pool.swap(&self.gen.stage_pool);
-                self.gen = gen;
+                (self.gen, self.recv_cq) = (gen, recv_cq);
+                if self.mode == ProduceMode::Exclusive {
+                    self.grant = ProduceAccessResp::default();
+                }
             }
         }
     }
@@ -443,24 +554,6 @@ impl Rejoin for RdmaProducer {
     async fn rejoin(&mut self) -> Result<(), ClientError> {
         self.acquire_access(0).await
     }
-}
-
-/// Starts a new generation on `plane`'s freshly dialled QP: posts its ack
-/// receives — one registered region, a slice per receive — and spawns its
-/// reader.
-fn start_ack_reader(
-    plane: &DataPlane,
-    recv_cq: CompletionQueue,
-    ack_depth: usize,
-) -> Rc<Generation> {
-    let gen = Rc::new(Generation::new(ack_depth));
-    let _ = plane.qp.post_recv_list((0..ack_depth).map(|i| gen.ack_recv(i as u64)));
-    let wakeup = plane.node.profile().cpu.wakeup;
-    let reader = ack_reader(plane.qp.clone(), recv_cq, wakeup, Rc::clone(&gen));
-    // One of these is parked per connected producer.
-    assert!(std::mem::size_of_val(&reader) <= ACK_READER_FRAME);
-    sim::spawn_detached(reader);
-    gen
 }
 
 /// The ack reader of one data-plane QP: blocks on the receive CQ, retires
@@ -482,12 +575,7 @@ async fn ack_reader(
             break;
         }
     }
-    gen.dead.set(true);
-    // Fail anything still pending.
-    let mut pending = gen.pending.borrow_mut();
-    while let Some((w, _)) = pending.pop_front() {
-        let _ = w.send((ErrorCode::Internal, 0));
-    }
+    gen.fail();
 }
 
 /// Retires one stack-space batch of acks (`ibv_poll_cq` style) and puts the
@@ -526,7 +614,7 @@ fn resolve_ack(payload: &[u8], gen: &Generation) -> u32 {
         // The acked write has consumed its staging buffer; recycle it for a
         // future produce.
         gen.stage_pool.borrow_mut().extend(staged);
-        let _ = waiter.send((error, base_offset.wrapping_add(u64::from(i))));
+        gen.reply(waiter, (error, base_offset.wrapping_add(u64::from(i))));
     }
     count
 }
@@ -697,7 +785,7 @@ mod tests {
             let mut rxs = Vec::new();
             for _ in 0..in_flight {
                 let (tx, rx) = oneshot::channel();
-                pending.borrow_mut().push_back((tx, Some(ShmBuf::zeroed(1))));
+                pending.borrow_mut().push_back((Some(tx), Some(ShmBuf::zeroed(1))));
                 rxs.push(rx);
             }
             let mut wire = [0u8; ACK_BUF];
@@ -788,15 +876,18 @@ mod tests {
     }
 
     /// Each QP generation has its own ack state. `crash` closes the QP
-    /// under a parked ack reader, which the flush wakes only a `wakeup`
-    /// later; `reconnect` starts right away. Whenever the old reader runs,
-    /// it may fail only its own waiters and mark only its own QP dead: the
-    /// sends that follow go out on the new QP and are answered `Ok`.
+    /// under a parked ack reader (the first write is pipelined, so there is
+    /// one), which the flush wakes only a `wakeup` later; `reconnect` starts
+    /// right away. Whenever the old reader runs, it may fail only its own
+    /// waiters and mark only its own QP dead: the sends that follow go out
+    /// on the new QP, which has no reader, and are answered `Ok`.
     #[test]
     fn a_reconnect_under_a_parked_ack_reader_sends_ok() {
         let outcome = run(1 << 20, |mut p| async move {
             let records = records(3, 64);
-            let first = p.send(&records[0]).await.unwrap();
+            let ack = p.send_pipelined(&records[0]).await.unwrap();
+            let first = ack.await.unwrap().1;
+            assert!(p.gen.reader.get());
             p.crash();
             p.reconnect().await.unwrap();
             assert_eq!(p.send(&records[1]).await, Ok(first + 1));
@@ -804,6 +895,105 @@ mod tests {
             (p, Vec::new())
         });
         assert_eq!(outcome.posts.len(), 3);
+    }
+
+    /// A window-1 producer reads its own acks. Counted by spawn site over
+    /// five sends, the tasks of this file are the sending one alone, woken
+    /// twice a send (its copy charge, its ack); behind a reader, spawned by
+    /// a pipelined write first, the reader adds one wake per ack. Each send
+    /// takes as long either way: the CQ arms the sender for the instant the
+    /// reader's wake plus the charged channel did.
+    #[test]
+    fn a_window_1_producer_spawns_no_task_and_wakes_once_per_ack() {
+        const SENDS: u64 = 5;
+        let sends = |pipeline_first: bool| {
+            let seen = Rc::new(RefCell::new((Vec::new(), Vec::new())));
+            let out = Rc::clone(&seen);
+            run(1 << 20, move |mut p| async move {
+                let first = Record::value(vec![9; 64]);
+                if pipeline_first {
+                    p.send_pipelined(&first).await.unwrap().await.unwrap();
+                } else {
+                    p.send(&first).await.unwrap();
+                }
+                sim::count_polls_by_site();
+                let mut times = Vec::new();
+                for (i, r) in records(SENDS as u8, 64).iter().enumerate() {
+                    let start = sim::now();
+                    assert_eq!(p.send(r).await, Ok(1 + i as u64));
+                    times.push(sim::now() - start);
+                }
+                let ours = sim::take_polls_by_site().into_iter();
+                let ours = ours.filter(|(site, _)| site.file() == file!());
+                *out.borrow_mut() = (times, ours.map(|(_, n)| n).collect());
+                (p, Vec::new())
+            });
+            seen.take()
+        };
+        let (own, read) = (sends(false), sends(true));
+        assert_eq!(own.1, [2 * SENDS], "the sending task alone");
+        assert_eq!(read.1, [2 * SENDS, SENDS], "the sender and the reader");
+        assert_eq!(own.0, read.0);
+    }
+
+    /// A send given up on mid-wait (a timeout drops it) leaves its write in
+    /// flight. The next send retires the stale ack before its own and takes
+    /// no longer for it, whether that ack is queued before the send starts
+    /// or, 64 KiB records apart, surfaces after its post and wakes it once
+    /// before its own ack surfaces; it re-posts the stale ack's receive,
+    /// without which, with one ack buffer, the sends after it would stall.
+    #[test]
+    fn a_send_given_up_on_leaves_the_next_send_correct() {
+        run(1 << 20, |p| async move {
+            let (node, broker) = (p.node.clone(), p.broker);
+            drop(p); // its exclusive grant goes with its QP
+            sim::time::sleep(Duration::from_millis(1)).await;
+            let mut one = RdmaProducer::connect_with_ack_depth(&node, broker, "t", 0, false, 1)
+                .await
+                .unwrap();
+            let records = records(6, 64 << 10);
+            let start = sim::now();
+            assert_eq!(one.send(&records[0]).await, Ok(0));
+            let rtt = sim::now() - start;
+            for (i, gap) in [Duration::ZERO, rtt * 2].into_iter().enumerate() {
+                let given_up = sim::time::timeout(rtt / 2, one.send(&records[1 + 2 * i])).await;
+                assert!(given_up.is_err(), "the send was dropped in flight");
+                sim::time::sleep(gap).await;
+                let queued = !one.recv_cq.is_empty();
+                assert_eq!(queued, !gap.is_zero(), "the stale ack is queued");
+                let start = sim::now();
+                let next = one.send(&records[2 + 2 * i]).await;
+                let stale = 1 + 2 * i as u64;
+                assert_eq!(next, Ok(stale + 1), "the stale write has the offset before");
+                assert_eq!(sim::now() - start, rtt, "the stale ack delays nothing");
+                assert!(one.gen.pending.borrow().is_empty() && one.recv_cq.is_empty());
+            }
+            let start = sim::now();
+            assert_eq!(one.send(&records[5]).await, Ok(5));
+            assert_eq!(sim::now() - start, rtt, "no receive was left unposted");
+            (one, Vec::new())
+        });
+    }
+
+    /// The QP of an idle window-1 producer dies: nobody reads the flushed
+    /// receives until the next send, which finds them, redials and sends
+    /// `Ok` — still without a reader task.
+    #[test]
+    fn an_idle_window_1_producer_recovers_at_its_next_send() {
+        run(1 << 20, |mut p| async move {
+            let records = records(3, 64);
+            assert_eq!(p.send(&records[0]).await, Ok(0));
+            p.qp.close();
+            sim::time::sleep(Duration::from_millis(1)).await;
+            assert!(!p.gen.dead.get(), "nothing read the flush yet");
+            let old = Rc::clone(&p.gen);
+            assert_eq!(p.send(&records[1]).await, Ok(1));
+            let replaced = old.dead.get() && !Rc::ptr_eq(&old, &p.gen);
+            assert!(replaced, "a new QP generation");
+            assert_eq!(p.send(&records[2]).await, Ok(2));
+            assert!(!p.gen.reader.get());
+            (p, Vec::new())
+        });
     }
 
     #[test]

@@ -19,9 +19,10 @@
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::future::Future;
+use std::panic::Location;
 use std::pin::Pin;
 use std::ptr::NonNull;
 use std::rc::Rc;
@@ -124,7 +125,12 @@ struct RawTask {
     /// Size-class index, or [`UNPOOLED`] for exact-layout one-offs.
     class: usize,
     layout: Layout,
+    /// The `spawn*`/`block_on` call that made the task.
+    site: Site,
 }
+
+/// Where a task was spawned.
+pub type Site = &'static Location<'static>;
 
 impl RawTask {
     fn poll(&mut self, cx: &mut Context<'_>) -> Poll<()> {
@@ -180,7 +186,7 @@ impl TaskArena {
         self.free[class] = Some(block);
     }
 
-    fn place<F: Future<Output = ()> + 'static>(&mut self, future: F) -> RawTask {
+    fn place<F: Future<Output = ()> + 'static>(&mut self, future: F, site: Site) -> RawTask {
         let size = std::mem::size_of::<F>().max(1);
         let (class, layout) = if std::mem::align_of::<F>() <= TASK_ALIGN
             && size <= (1usize << MIN_CLASS_SHIFT) << (NUM_CLASSES - 1)
@@ -206,6 +212,7 @@ impl TaskArena {
             drop_fn: drop_raw::<F>,
             class,
             layout,
+            site,
         }
     }
 
@@ -249,6 +256,8 @@ pub(crate) struct Inner {
     arena: RefCell<TaskArena>,
     timer_seq: Cell<u64>,
     polls: Cell<u64>,
+    /// Polls by spawn site, counted only while this is `Some`.
+    polls_by_site: RefCell<Option<HashMap<Site, u64>>>,
     pub(crate) rng: RefCell<SimRng>,
 }
 
@@ -269,6 +278,7 @@ impl Inner {
             arena: RefCell::new(TaskArena::new()),
             timer_seq: Cell::new(0),
             polls: Cell::new(0),
+            polls_by_site: RefCell::new(None),
             rng: RefCell::new(SimRng::seed_from_u64(seed)),
         })
     }
@@ -285,8 +295,8 @@ impl Inner {
         self.timers.borrow_mut().insert(deadline, seq, waker);
     }
 
-    fn insert_task<F: Future<Output = ()> + 'static>(&self, future: F) -> usize {
-        let task = self.arena.borrow_mut().place(future);
+    fn insert_task<F: Future<Output = ()> + 'static>(&self, future: F, site: Site) -> usize {
+        let task = self.arena.borrow_mut().place(future, site);
         let mut tasks = self.tasks.borrow_mut();
         let id = match self.free.borrow_mut().pop() {
             Some(id) => id,
@@ -331,6 +341,9 @@ impl Inner {
         let mut cx = Context::from_waker(&waker);
         self.polls.set(self.polls.get() + 1);
         let task = guard.task.as_mut().expect("the guard holds the task until it retires");
+        if let Some(by_site) = &mut *self.polls_by_site.borrow_mut() {
+            *by_site.entry(task.site).or_default() += 1;
+        }
         match task.poll(&mut cx) {
             Poll::Ready(()) => {
                 drop(guard); // retires the task
@@ -483,17 +496,18 @@ impl<F: Future, D: FnOnce(F::Output)> Future for Task<F, D> {
     }
 }
 
-pub(crate) fn spawn<F>(future: F) -> JoinHandle<F::Output>
+pub(crate) fn spawn<F>(future: F, site: Site) -> JoinHandle<F::Output>
 where
     F: Future + 'static,
     F::Output: 'static,
 {
     with_current(|inner| {
         let (tx, rx) = crate::sync::oneshot::channel();
-        let id = inner.insert_task(Task {
+        let task = Task {
             future: Some(future),
             deliver: Some(move |out| drop(tx.send(out))),
-        });
+        };
+        let id = inner.insert_task(task, site);
         inner.schedule(id);
         JoinHandle { result: rx }
     })
@@ -522,21 +536,22 @@ impl<F: Future> Future for At<F> {
     }
 }
 
-pub(crate) fn spawn_at<F>(start: SimTime, future: F) -> JoinHandle<F::Output>
+pub(crate) fn spawn_at<F>(start: SimTime, future: F, site: Site) -> JoinHandle<F::Output>
 where
     F: Future + 'static,
     F::Output: 'static,
 {
     let start = start.as_nanos();
     if start <= with_current(|inner| inner.now_nanos()) {
-        return spawn(future);
+        return spawn(future, site);
     }
     with_current(|inner| {
         let (tx, rx) = crate::sync::oneshot::channel();
-        let id = inner.insert_task(Task {
+        let task = Task {
             future: Some(At { start, future }),
             deliver: Some(move |out| drop(tx.send(out))),
-        });
+        };
+        let id = inner.insert_task(task, site);
         inner.register_timer(start, task_waker(inner.tag, id));
         JoinHandle { result: rx }
     })
@@ -545,14 +560,27 @@ where
 /// Spawns a task with no [`JoinHandle`]: no completion channel is allocated.
 /// The choice for fire-and-forget tasks whose handle would be dropped
 /// anyway.
-pub(crate) fn spawn_detached<F>(future: F)
+pub(crate) fn spawn_detached<F>(future: F, site: Site)
 where
     F: Future<Output = ()> + 'static,
 {
     with_current(|inner| {
-        let id = inner.insert_task(future);
+        let id = inner.insert_task(future, site);
         inner.schedule(id);
     });
+}
+
+/// Starts counting the current runtime's polls by spawn site, from zero.
+pub(crate) fn count_polls_by_site() {
+    with_current(|inner| *inner.polls_by_site.borrow_mut() = Some(HashMap::new()));
+}
+
+/// Stops counting polls by spawn site; the counts, most polls first.
+pub(crate) fn take_polls_by_site() -> Vec<(Site, u64)> {
+    let counted = with_current(|inner| inner.polls_by_site.borrow_mut().take());
+    let mut rows: Vec<_> = counted.unwrap_or_default().into_iter().collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+    rows
 }
 
 /// A deterministic, single-threaded async runtime with a virtual clock.
@@ -601,20 +629,23 @@ impl Runtime {
     /// # Panics
     /// Panics if the simulation deadlocks: the root future is pending but no
     /// task is runnable and no timer is registered.
+    #[track_caller]
     pub fn block_on<F>(&self, future: F) -> F::Output
     where
         F: Future + 'static,
         F::Output: 'static,
     {
+        let site = Location::caller();
         let _guard = EnterGuard::new(Rc::clone(&self.inner));
         // The root future is an ordinary task (the first `block_on` of a
         // runtime makes it task 0) scheduled through the ready queue.
         let result: Rc<RefCell<Option<F::Output>>> = Rc::new(RefCell::new(None));
         let result2 = Rc::clone(&result);
-        let root_id = self.inner.insert_task(Task {
+        let root = Task {
             future: Some(future),
             deliver: Some(move |out| *result2.borrow_mut() = Some(out)),
-        });
+        };
+        let root_id = self.inner.insert_task(root, site);
         self.inner.schedule(root_id);
         // Returns the moment the root future finishes — remaining tasks are
         // detached and dropped with the runtime state.
@@ -719,6 +750,38 @@ mod tests {
             Rc::try_unwrap(log).unwrap().into_inner()
         });
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    /// Each `spawn*` and `block_on` call site is a row of its own, counted
+    /// only between `count_polls_by_site` and `take_polls_by_site`.
+    #[test]
+    fn polls_are_counted_by_spawn_site_only_while_asked() {
+        let us = Duration::from_micros;
+        let rt = Runtime::new();
+        let root = line!() + 1;
+        let (rows, sites) = rt.block_on(async move {
+            crate::spawn_detached(async move { sleep(us(1)).await });
+            sleep(us(2)).await;
+            crate::count_polls_by_site();
+            let detached = line!() + 1;
+            crate::spawn_detached(async move { sleep(us(1)).await });
+            let joined = line!() + 1;
+            let handle = crate::spawn(async move { sleep(us(1)).await });
+            let at = line!() + 1;
+            let later = crate::spawn_at(crate::now() + us(5), async {});
+            handle.await.unwrap();
+            later.await.unwrap();
+            let rows = crate::take_polls_by_site();
+            assert!(crate::take_polls_by_site().is_empty(), "the count stopped");
+            (rows, [detached, joined, at])
+        });
+        let rows: Vec<_> = rows.iter().map(|(site, n)| (site.line(), *n)).collect();
+        // Two polls each: the first parks on a sleep, the second ends; the
+        // `spawn_at` task is first polled when it is due. The task spawned
+        // before the count is not there; the root is, under its `block_on`,
+        // woken by the two joins.
+        let [detached, joined, at] = sites;
+        assert_eq!(rows, [(root, 2), (detached, 2), (joined, 2), (at, 1)]);
     }
 
     #[test]

@@ -54,22 +54,24 @@ pub mod sync;
 pub mod time;
 mod wheel;
 
-pub use executor::{JoinError, JoinHandle, Runtime};
+pub use executor::{JoinError, JoinHandle, Runtime, Site};
 pub use inline_deque::InlineDeque;
 pub use time::{now, try_now, SimTime};
 
 use std::future::Future;
+use std::panic::Location;
 
 /// Spawns a task onto the current runtime.
 ///
 /// # Panics
 /// Panics if called outside of [`Runtime::block_on`].
+#[track_caller]
 pub fn spawn<F>(future: F) -> JoinHandle<F::Output>
 where
     F: Future + 'static,
     F::Output: 'static,
 {
-    executor::spawn(future)
+    executor::spawn(future, Location::caller())
 }
 
 /// Spawns a task that is first polled at `start`: a task whose first act
@@ -80,12 +82,13 @@ where
 ///
 /// # Panics
 /// Panics if called outside of [`Runtime::block_on`].
+#[track_caller]
 pub fn spawn_at<F>(start: SimTime, future: F) -> JoinHandle<F::Output>
 where
     F: Future + 'static,
     F::Output: 'static,
 {
-    executor::spawn_at(start, future)
+    executor::spawn_at(start, future, Location::caller())
 }
 
 /// Spawns a fire-and-forget task without allocating a [`JoinHandle`]
@@ -94,9 +97,30 @@ where
 ///
 /// # Panics
 /// Panics if called outside of [`Runtime::block_on`].
+#[track_caller]
 pub fn spawn_detached<F>(future: F)
 where
     F: Future<Output = ()> + 'static,
 {
-    executor::spawn_detached(future)
+    executor::spawn_detached(future, Location::caller())
+}
+
+/// Starts counting the current runtime's executor polls by the site of the
+/// `spawn*` or `block_on` call that made the polled task (each of those
+/// records its caller's `file:line:column`). Uncounted, a poll pays one
+/// branch.
+///
+/// # Panics
+/// Panics if called outside of [`Runtime::block_on`].
+pub fn count_polls_by_site() {
+    executor::count_polls_by_site()
+}
+
+/// Stops the count [`count_polls_by_site`] started and returns it: polls
+/// per spawn site, most first. Empty if nothing was counting.
+///
+/// # Panics
+/// Panics if called outside of [`Runtime::block_on`].
+pub fn take_polls_by_site() -> Vec<(Site, u64)> {
+    executor::take_polls_by_site()
 }

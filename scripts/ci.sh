@@ -512,6 +512,31 @@ if grep -n "VecDeque<Slot>" crates/rnic/src/cq.rs ||
     exit 1
 fi
 
+# A window-1 producer reads its own ack (DESIGN.md §10 "Polls by spawn
+# site", §13 "What a connection holds"): a producer spawns its ack reader at
+# its first pipelined post, and a window-1 send waits on its own receive CQ,
+# armed for the instant the reader's wake plus the charged channel were. The
+# polls-by-spawn-site count, the reader-less path (no task, one wake per ack;
+# a send given up on; a QP that dies under an idle producer), rung 1's
+# re-request of the head file, the fan-in client's exact polls and the
+# per-site report, by name. Then the re-fork guards: one spawn in the
+# producer, by the pipelined post alone, and no push collector that re-polls
+# its QP's disconnect wait on every completion.
+cargo test -q --offline -p sim --lib executor::tests::polls_are_counted_by_spawn_site_only_while_asked
+cargo test -q --offline -p kdclient --lib rdma_producer::tests::a_window_1_producer_spawns_no_task_and_wakes_once_per_ack
+cargo test -q --offline -p kdclient --lib rdma_producer::tests::a_send_given_up_on_leaves_the_next_send_correct
+cargo test -q --offline -p kdclient --lib rdma_producer::tests::an_idle_window_1_producer_recovers_at_its_next_send
+cargo test -q --offline --test e2e_failures a_producer_redialled_to_its_broker_requests_its_grant_again
+cargo test -q --offline --release -p kdbench --test budgets fanin_client_polls
+cargo test -q --offline --release -p kdbench --test budgets -- --ignored poll_sites
+producer=crates/kdclient/src/rdma_producer.rs
+if [ "$(awk '/#\[cfg\(test\)\]/ { exit } /sim::spawn/' $producer | wc -l)" != 1 ] ||
+    [ "$(awk '/#\[cfg\(test\)\]/ { exit } /spawn_reader\(\)/' $producer | wc -l)" != 1 ] ||
+    grep -n "race(collect" crates/kdbroker/src/repl.rs; then
+    echo "ci: a producer spawns its ack reader before it pipelines, or a push collector races its disconnect wait again (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # Re-fork guard: there is one wall-clock harness (kdmark, below) and no
 # per-PR report files; what the second harness gated is the tests above.
 if grep -rnE "kdperf|KDPERF_|KD_BENCH_TAG|BENCH_PR|PERF_PR|criterion_substrate" \

@@ -9,13 +9,13 @@
 # seed 1 and kdmark's own run length, in pairs whose order alternates: this
 # tree runs first in odd pairs, REV first in even ones.
 #
-# Prints every run's `host_ns_per_record`, each side's median and quartiles
-# (linear interpolation), how many pairs this tree won (lower host time; a
-# tie counts for neither side), and the verdict of the `choosing-metrics`
-# guide (§8): "gain" or "loss" when one side won at least 9 of the 10 pairs
-# and the medians differ by more than REV's interquartile range, else
-# "unresolved". A kdmark run that fails, or reports no host time, stops the
-# script with a non-zero exit.
+# Prints every run's `host_ns_per_record` and `setup_s`, and for each of the
+# two each side's median and quartiles (linear interpolation), how many
+# pairs this tree won (the lower value; a tie counts for neither side), and
+# the verdict of the `choosing-metrics` guide (§8): "gain" or "loss" when
+# one side won at least 9 of the 10 pairs and the medians differ by more
+# than REV's interquartile range, else "unresolved". A kdmark run that
+# fails, or reports no host time, stops the script with a non-zero exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,7 +38,7 @@ build() { # tree target
 build "$work/a" "$targets/a"
 build . "$targets/b"
 
-run() { # side -> host_ns_per_record on stdout
+run() { # side -> "host_ns_per_record setup_s" on stdout
     local tree=.
     [ "$1" = a ] && tree="$work/a"
     local out
@@ -48,27 +48,33 @@ run() { # side -> host_ns_per_record on stdout
     fi
     local host
     host="$(sed -n 's/.*"host_ns_per_record":{"value":\([0-9.eE+-]*\).*/\1/p' <<<"$out")"
-    if [ -z "$host" ] || ! grep -q '"correct":true' <<<"$out"; then
+    local setup
+    setup="$(sed -n 's/.*"setup_s":{"value":\([0-9.eE+-]*\).*/\1/p' <<<"$out")"
+    if [ -z "$host" ] || [ -z "$setup" ] || ! grep -q '"correct":true' <<<"$out"; then
         echo "pairs: kdmark $1 FAILED: $out" >&2
         return 1
     fi
-    echo "$host"
+    echo "$host $setup"
 }
 
-printf "%-5s %-6s %18s %18s\n" pair first A B
+printf "%-5s %-6s %18s %18s %12s %12s\n" pair first A B "A setup_s" "B setup_s"
 for i in $(seq 1 "$pairs"); do
     order="a b"
     [ $((i % 2)) = 1 ] && order="b a"
     for side in $order; do
-        host="$(run "$side")"
+        out="$(run "$side")"
+        read -r host setup <<<"$out"
         printf -v "$side" '%s' "$host"
+        printf -v "${side}_setup" '%s' "$setup"
     done
-    printf "%-5s %-6s %18s %18s\n" "$i" "${order%% *}" "$a" "$b"
-    echo "$a $b" >>"$work/pairs.txt"
+    printf "%-5s %-6s %18s %18s %12s %12s\n" "$i" "${order%% *}" "$a" "$b" "$a_setup" "$b_setup"
+    echo "$a $b $a_setup $b_setup" >>"$work/pairs.txt"
 done
 
+verdict() { # column of A, column of B, metric name
 echo
-awk -v pairs="$pairs" '
+echo "$3:"
+awk -v pairs="$pairs" -v ca="$1" -v cb="$2" '
     function q(x, n, p,    h, lo) { # linear-interpolation quantile of sorted x[1..n]
         h = (n - 1) * p + 1; lo = int(h)
         return lo >= n ? x[n] : x[lo] + (h - lo) * (x[lo + 1] - x[lo])
@@ -77,18 +83,21 @@ awk -v pairs="$pairs" '
         for (i = 2; i <= n; i++)
             for (j = i; j > 1 && x[j - 1] > x[j]; j--) { t = x[j]; x[j] = x[j - 1]; x[j - 1] = t }
     }
-    { a[NR] = $1; b[NR] = $2; if ($2 < $1) wins++; else if ($1 < $2) losses++ }
+    { a[NR] = $ca; b[NR] = $cb; if ($cb < $ca) wins++; else if ($ca < $cb) losses++ }
     END {
         sort(a, NR); sort(b, NR)
         printf "%-5s %14s %14s %14s\n", "side", "q1", "median", "q3"
-        printf "%-5s %14.1f %14.1f %14.1f\n", "A", q(a, NR, .25), q(a, NR, .5), q(a, NR, .75)
-        printf "%-5s %14.1f %14.1f %14.1f\n", "B", q(b, NR, .25), q(b, NR, .5), q(b, NR, .75)
+        printf "%-5s %14.6g %14.6g %14.6g\n", "A", q(a, NR, .25), q(a, NR, .5), q(a, NR, .75)
+        printf "%-5s %14.6g %14.6g %14.6g\n", "B", q(b, NR, .25), q(b, NR, .5), q(b, NR, .75)
         iqr = q(a, NR, .75) - q(a, NR, .25)
         gap = q(a, NR, .5) - q(b, NR, .5)
-        printf "\nB won %d of %d pairs (A won %d); median gap A - B %.1f ns, A interquartile range %.1f ns\n",
+        printf "\nB won %d of %d pairs (A won %d); median gap A - B %.6g, A interquartile range %.6g\n",
             wins, pairs, losses, gap, iqr
         verdict = "unresolved"
         if (wins >= 0.9 * pairs && gap > iqr) verdict = "gain"
         if (losses >= 0.9 * pairs && -gap > iqr) verdict = "loss"
         print "verdict: " verdict
     }' "$work/pairs.txt"
+}
+verdict 1 2 "host_ns_per_record (ns)"
+verdict 3 4 "setup_s (s)"

@@ -593,23 +593,33 @@ fn rdma_consume_catchup_per_record() {
 /// acknowledgment). Measured 0.134 allocations (67 in 500; 0.148 while the
 /// producer was dropped inside the region and its QP close grew its CQ by
 /// the 512 flushed ack receives, 1.148 with an ack channel allocated per
-/// record) and 27.0 polls per record: one event per term of the §5.1 cost model on the commit path
+/// record) and 26.0 polls per record: one event per term of the §5.1 cost model on the commit path
 /// — CQ poll, request-queue hand-over, worker charge — at the leader and
 /// both followers, plus the NIC engine's deliveries, the push loops and
 /// their write-completion collectors (DESIGN.md §10 has the per-task
-/// table). It was 30.0 while the producer slept its dispatch chain after
+/// table; `poll_sites` prints it). It was 27.0 while the producer's ack
+/// reader woke for each ack before the sender did, 30.0 while the producer slept its dispatch chain after
 /// the ack's wake and each push session had a second collector, woken by
 /// every credit return (one per record per follower); 32.0 while the engine
 /// spent a poll surfacing each push write's CQE (two per record); and 42.0
 /// with the hand-off as three pieces (stage task, permit wake, wake-up
 /// sleep) and the pollers' and the ack task's wake-then-sleep pairs: ten
-/// more, one per piece per broker plus the producer's. Re-parks: 1 000 on a
-/// `Frontier`, two per record — each push session's write-completion
-/// collector races its QP's disconnect wait, which every completion's wake
-/// polls again — and none on a CQ (a poller armed for a CQE another poller
-/// drained first would be one).
+/// more, one per piece per broker plus the producer's. Re-parks: none (a
+/// poller armed for a CQE another poller drained first would be one on a
+/// CQ); 1 000 on a `Frontier`, two per record, while each push session's
+/// write-completion collector re-polled its QP's disconnect wait at every
+/// completion's wake.
 #[test]
 fn replicated_rdma_produce_polls_per_record() {
+    let (r, _) = replicated_produce(false);
+    r.check_polls("replicated rdma produce", 26.5);
+    r.check_reparks("replicated rdma produce", [0; REPARK_KINDS]);
+    r.check_allocs("replicated rdma produce", 0.137);
+}
+
+/// The scenario of `replicated_rdma_produce_polls_per_record`, its measured
+/// region, and — if `poll_sites` — that region's polls by spawn site.
+fn replicated_produce(poll_sites: bool) -> (Region, Vec<(sim::Site, u64)>) {
     const WARMUP: u8 = 32;
     const RECORDS: u64 = 500;
 
@@ -627,25 +637,26 @@ fn replicated_rdma_produce_polls_per_record() {
         (cluster, producer)
     });
     let start = Mark::take(&rt);
-    let producer = rt.block_on(async move {
+    let (producer, by_site) = rt.block_on(async move {
+        if poll_sites {
+            sim::count_polls_by_site();
+        }
         let record = Record::value(vec![7; 512]);
         for i in 0..RECORDS {
             assert_eq!(producer.send(&record).await.unwrap(), u64::from(WARMUP) + i);
         }
-        producer
+        (producer, sim::take_polls_by_site())
     });
     let r = Region::since(&start, &rt, RECORDS);
     let pushed: u64 = cluster.brokers().iter().map(|b| b.metrics().push_writes).sum();
     assert!(pushed >= 2 * RECORDS, "every record was pushed to both followers");
-    r.check_polls("replicated rdma produce", 27.5);
-    r.check_reparks("replicated rdma produce", [0, 1000, 0, 0, 0]);
-    r.check_allocs("replicated rdma produce", 0.137);
     // Closing the QP flushes the ack receives into the producer's CQ: that
     // is teardown, outside the measured region.
     rt.block_on(async move {
         drop(producer);
         drop(cluster);
     });
+    (r, by_site)
 }
 
 // ---------------------------------------------------------------------------
@@ -701,40 +712,78 @@ fn held_since(before: &[(i64, i64); CLASSES]) -> (i64, String) {
     (held.iter().map(|&(_, _, bytes)| bytes).sum(), rows.join("; "))
 }
 
-/// The scenario of the three tests below: `clients` fan-in clients connect
-/// one after the other, send one record each and stay. Returns the live heap
-/// they added, as [`held_since`] gives it, and the allocations they made —
-/// with a backtrace of each if `sites`.
-fn park_fanin_clients(clients: usize, sites: bool) -> ((i64, String), u64, Vec<Backtrace>) {
+/// What the clients of [`park_fanin_clients`] added.
+struct Parked {
+    /// Their live heap, as [`held_since`] gives it.
+    held: (i64, String),
+    allocs: u64,
+    /// Executor polls, theirs and the broker's.
+    polls: u64,
+    /// A backtrace of each allocation, if asked for.
+    traces: Vec<Backtrace>,
+    /// Polls by spawn site, if asked for.
+    poll_sites: Vec<(sim::Site, u64)>,
+}
+
+/// What [`park_fanin_clients`] attributes to call sites. Either costs
+/// allocations of its own.
+#[derive(Clone, Copy, PartialEq)]
+enum Attribute {
+    Nothing,
+    Allocations,
+    Polls,
+}
+
+/// The scenario of the tests below: `clients` fan-in clients connect one
+/// after the other, send `sends` records each at window 1 and stay.
+fn park_fanin_clients(clients: usize, sends: usize, attribute: Attribute) -> Parked {
     let registry = kdtelem::Registry::new();
     let _telem = kdtelem::enter(&registry);
-    sim::Runtime::new().block_on(async move {
-        let (cluster, leaders) = fanin_cluster(&registry).await;
+    let rt = sim::Runtime::new();
+    let (cluster, leaders) = rt.block_on(async move { fanin_cluster(&registry).await });
+    let polls = rt.poll_count();
+    let (held, allocs, traces, poll_sites, kept) = rt.block_on(async move {
         let mut parked = Vec::with_capacity(clients);
         let (before, allocs) = (live_by_class(), allocs_by_class());
-        SITES.with(|s| s.on.set(sites));
+        SITES.with(|s| s.on.set(attribute == Attribute::Allocations));
+        if attribute == Attribute::Polls {
+            sim::count_polls_by_site();
+        }
         for i in 1..=clients {
             let mut producer = fanin_client(&cluster, &leaders, i).await;
-            producer.send(&Record::value(vec![0x6b; 128])).await.expect("send");
+            for _ in 0..sends {
+                let record = Record::value(vec![0x6b; 128]);
+                producer.send(&record).await.expect("send");
+            }
             parked.push(producer);
         }
         let held = held_since(&before);
         let after = allocs_by_class();
         SITES.with(|s| s.on.set(false));
-        drop(parked);
         let traces = SITES.with(|s| s.traces.take());
-        (held, (0..CLASSES).map(|c| after[c] - allocs[c]).sum(), traces)
-    })
+        let allocs = (0..CLASSES).map(|c| after[c] - allocs[c]).sum();
+        let poll_sites = sim::take_polls_by_site();
+        (held, allocs, traces, poll_sites, (cluster, parked))
+    });
+    let polls = rt.poll_count() - polls;
+    rt.block_on(async move { drop(kept) });
+    Parked {
+        held,
+        allocs,
+        polls,
+        traces,
+        poll_sites,
+    }
 }
 
 /// The heap a parked client pins, everything counted: its node and links,
 /// NIC, control connection and data-plane QP with their tasks, the producer
 /// itself, and what the broker keeps for the two connections. 1000 fan-in
 /// clients connect one after the other, send one record each and stay.
-/// Measured 7 306 B per client in some 35 blocks (DESIGN.md §13 has the
-/// table by owner); the producer's ack-cell pool is one of them, whose
-/// block holds the one parked cell's place in its free list, and that cell.
-/// It read 7 282 B while a oneshot cell's receive charge was a 16 B enum
+/// Measured 6 872 B per client in some 32 blocks (DESIGN.md §13 has the
+/// table by owner). It read 7 306 B while every producer spawned an ack
+/// reader at connect and made the ack-cell pool it answers through, with a
+/// parked cell: a window-1 client reads its own ack. It read 7 282 B while a oneshot cell's receive charge was a 16 B enum
 /// where it is now a 32 B `sim::sync::wait_list::Arm` (and the broker's
 /// reply stage 8 B smaller), 8 585 B while each CQ grew a 320 B ring at its first CQE, each
 /// TCP pipe a 128 B chunk queue at its first chunk, the broker's reply stage
@@ -750,12 +799,12 @@ fn park_fanin_clients(clients: usize, sites: bool) -> ((i64, String), u64, Vec<B
 /// 64-entry batches across its wait (10.5 KiB, a 16 KiB arena block) and
 /// `spawn` wrappers that doubled the frames of tasks nobody joins. The heap is
 /// byte-exact and the same in debug and release (a future's layout is fixed
-/// before optimisation), so the budget sits 2.7 % above the measurement.
+/// before optimisation), so the budget sits 2 % above the measurement.
 #[test]
 fn parked_client_footprint() {
     const CLIENTS: usize = 1000;
-    const BUDGET: i64 = 7_480;
-    let ((held, rows), ..) = park_fanin_clients(CLIENTS, false);
+    const BUDGET: i64 = 7_009;
+    let (held, rows) = park_fanin_clients(CLIENTS, 1, Attribute::Nothing).held;
     let per_client = held / CLIENTS as i64;
     assert!(
         per_client <= BUDGET,
@@ -766,9 +815,10 @@ fn parked_client_footprint() {
 
 /// What a connect allocates: the allocations per window-1 shared-mode
 /// producer of the `parked_client_footprint` scenario — its connect and its
-/// first send, everything counted. Measured 33.282 per client; the budget is
+/// first send, everything counted. Measured 30.280 per client; the budget is
 /// 2 % above (`fanin_connect_allocation_sites` names the lines). It was
-/// 34.282 while `RNic::connect` allocated a oneshot cell for its reply
+/// 33.282 while every producer spawned an ack reader at connect and made an
+/// ack-cell pool and its first cell, 34.282 while `RNic::connect` allocated a oneshot cell for its reply
 /// (now one of its fabric's recycled cells), 48.283 while the per-connection queues a window-1 client holds one entry
 /// in grew from empty at their first one (two CQ rings, two TCP chunk
 /// queues, two oneshot free lists, the producer's ack waiters and staging
@@ -778,17 +828,31 @@ fn parked_client_footprint() {
 /// window semaphores and two receive buffers, a producer generation three
 /// `Rc`s and an 8 B FAA result buffer, a CQ a vector for its one QP, and the
 /// first staging buffer grew from empty (kdmark's `fanin_2k` read 7.479
-/// allocations per record then, 5.711 next, 3.961 since).
+/// allocations per record then, 5.711 next, 3.961, 3.836 and 3.461 since).
 #[test]
 fn fanin_client_connect_allocations() {
     const CLIENTS: usize = 1000;
-    const BUDGET: f64 = 34.0;
-    let (_, allocs, _) = park_fanin_clients(CLIENTS, false);
+    const BUDGET: f64 = 30.88;
+    let allocs = park_fanin_clients(CLIENTS, 1, Attribute::Nothing).allocs;
     let per_client = allocs as f64 / CLIENTS as f64;
     assert!(
         per_client <= BUDGET,
         "a fan-in client's connect and first send made {per_client:.3} allocations, budget {BUDGET}"
     );
+}
+
+/// What a connect costs the executor: every poll of the
+/// `parked_client_footprint` scenario, client and broker side, exactly. It
+/// was 30 006 while every producer's ack reader parked at connect and woke
+/// for the ack before the sender did: two polls per client.
+#[test]
+fn fanin_client_polls() {
+    const CLIENTS: usize = 1000;
+    const POLLS: u64 = 28_005;
+    let polls = park_fanin_clients(CLIENTS, 1, Attribute::Nothing).polls;
+    let per_client = polls as f64 / CLIENTS as f64;
+    let what = format!("{CLIENTS} fan-in clients' connects and first sends");
+    assert_eq!(polls, POLLS, "{what}: {per_client:.3} polls each");
 }
 
 /// Where a connect allocates (DESIGN.md §10's owner table): the scenario of
@@ -801,7 +865,7 @@ fn fanin_client_connect_allocations() {
 #[ignore]
 fn fanin_connect_allocation_sites() {
     const CLIENTS: usize = 200;
-    let (_, allocs, traces) = park_fanin_clients(CLIENTS, true);
+    let Parked { allocs, traces, .. } = park_fanin_clients(CLIENTS, 1, Attribute::Allocations);
     assert_eq!(traces.len() as u64, allocs, "one backtrace per allocation");
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let mut by_site = std::collections::BTreeMap::<(String, String), u64>::new();
@@ -817,6 +881,33 @@ fn fanin_connect_allocation_sites() {
     for ((site, caller), n) in rows {
         println!("{:>8.3}  {site}  <- {caller}", n as f64 / CLIENTS as f64);
     }
+}
+
+/// Where the polls go (DESIGN.md §10): executor polls per record by the
+/// site of the `sim::spawn*` or `block_on` call that made the polled task,
+/// for the fan-in scenario at kdmark `fanin_2k`'s shape (window-1 clients
+/// that connect and send 8 records each, here 200 of them one after the
+/// other) and for `replicated_rdma_produce_polls_per_record`'s region. A
+/// report, not a gate; run it with
+/// `cargo test --release -p kdbench --test budgets -- --ignored --nocapture poll_sites`.
+#[test]
+#[ignore]
+fn poll_sites() {
+    const CLIENTS: usize = 200;
+    const SENDS: usize = 8;
+    let print = |what: &str, records: u64, rows: &[(sim::Site, u64)]| {
+        let per_record = rows.iter().map(|(_, p)| p).sum::<u64>() as f64 / records as f64;
+        println!("{what}: {per_record:.3} polls per record");
+        for (site, p) in rows {
+            let per_record = *p as f64 / records as f64;
+            println!("{per_record:>10.3}  {}:{}", site.file(), site.line());
+        }
+    };
+    let fanin = park_fanin_clients(CLIENTS, SENDS, Attribute::Polls);
+    let what = format!("fan-in, {CLIENTS} clients x {SENDS} records");
+    print(&what, (CLIENTS * SENDS) as u64, &fanin.poll_sites);
+    let (r, rows) = replicated_produce(true);
+    print("replicated rdma produce", r.records, &rows);
 }
 
 /// The `file:line` of each frame of a backtrace's `Debug` text that lies in
@@ -851,9 +942,9 @@ fn workspace_frames(trace: &str, root: &str) -> Vec<String> {
 }
 
 /// A joined task's future is stored once. 1 000 tasks each park a future
-/// of some 5 000 B across a sleep. Measured 8 377 B per task: the executor's
-/// 8 KiB arena block and 185 B of slot, oneshot cell and handle (8 361 B
-/// while the cell's receive charge was a 16 B enum, not a 32 B `Arm`;
+/// of some 5 000 B across a sleep. Measured 8 386 B per task: the executor's
+/// 8 KiB arena block and 194 B of slot, oneshot cell and handle (8 377 B
+/// before a slot kept its spawn site, 8 361 B while the cell's receive charge was a 16 B enum, not a 32 B `Arm`;
 /// 8 345 B before the cell carried a receive charge, 8 394 B while each slot
 /// also allocated an `Arc` for its waker); the budget
 /// leaves 200 B beside the block (256 B while the waker `Arc`s were there).

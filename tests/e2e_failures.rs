@@ -660,7 +660,7 @@ fn a_producer_whose_broker_is_down_redials_then_reconnects() {
         }
         cluster.crash_broker(0);
         let sending = sim::spawn(async move {
-            // The ack reader sees the QP break; the next send finds it dead.
+            // The next send finds the QP's flushed receives: it is dead.
             sim::time::sleep(Duration::from_micros(50)).await;
             producer.send(&Record::value(vec![2; 32])).await
         });
@@ -691,6 +691,50 @@ fn a_fenced_shared_producer_re_requests_then_reconnects() {
         sim::time::sleep(Duration::from_millis(1)).await;
         assert_eq!(producer.send(&Record::value(vec![2; 32])).await, Ok(3));
     });
+}
+
+/// Rung 1 of the ladder keeps the broker but not an exclusive grant: the
+/// broker closes a producer's QP under it, revoking the grant, and the next
+/// send redials the same broker and requests the head file again (a shared
+/// grant is not revoked, and the redialled producer keeps it). Every send
+/// after the close is answered `Ok`, at the next offset, in both modes
+/// (while a redial kept the revoked grant, each exclusive one failed with
+/// `Broker(Internal)` until the caller reconnected).
+#[test]
+fn a_producer_redialled_to_its_broker_requests_its_grant_again() {
+    for shared in [false, true] {
+        let rt = sim::Runtime::new();
+        rt.block_on(async move {
+            let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+            cluster.create_topic("t", 1, 1).await;
+            let cnode = cluster.add_client_node("c");
+            let mut producer = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, shared)
+                .await
+                .unwrap();
+            assert_eq!(producer.send(&Record::value(vec![1; 32])).await, Ok(0));
+            let qps: Vec<_> = cluster
+                .broker(0)
+                .inner()
+                .produce_qps
+                .borrow()
+                .values()
+                .cloned()
+                .collect();
+            assert_eq!(qps.len(), 1, "the producer's QP");
+            qps[0].close();
+            sim::time::sleep(Duration::from_micros(100)).await;
+            let revoked = cluster.broker(0).metrics().grants_revoked;
+            assert_eq!(
+                revoked,
+                u64::from(!shared),
+                "an exclusive grant goes with its QP"
+            );
+            for i in 1..=4u64 {
+                let sent = producer.send(&Record::value(vec![2; 32])).await;
+                assert_eq!(sent, Ok(i), "send {i} after the close (shared: {shared})");
+            }
+        });
+    }
 }
 
 /// Tails `t`/0 from `bootstrap` until `want` records have arrived; returns
