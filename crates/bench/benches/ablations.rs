@@ -36,7 +36,9 @@ fn ab_credit_window() {
             let record = Record::value(vec![7u8; 4096]);
             let count = 1500usize;
             let t0 = sim::now();
-            producer.send_burst(std::iter::repeat_n(&record, count), 32).await;
+            producer
+                .send_burst(std::iter::repeat_n(&record, count), 32)
+                .await;
             (count * 4096) as f64 / (sim::now() - t0).as_secs_f64() / (1024.0 * 1024.0)
         });
         table.row(vec![credits.to_string(), fmt(mibps)]);
@@ -63,7 +65,9 @@ fn ab_fetch_size() {
             );
             let count = 3000usize;
             let record = Record::value(vec![9u8; 1024]);
-            producer.send_burst(std::iter::repeat_n(&record, count), 32).await;
+            producer
+                .send_burst(std::iter::repeat_n(&record, count), 32)
+                .await;
             let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
                 .await
                 .unwrap();
@@ -235,7 +239,11 @@ fn ab_offset_commit() {
     });
     let mut table = Table::new(&["commit path", "latency_us", "broker_cpu_ns"]);
     table.row(vec!["TCP request".into(), fmt(tcp_us), tcp_cpu.to_string()]);
-    table.row(vec!["RDMA write".into(), fmt(rdma_us), rdma_cpu.to_string()]);
+    table.row(vec![
+        "RDMA write".into(),
+        fmt(rdma_us),
+        rdma_cpu.to_string(),
+    ]);
     table.print();
     println!("# speedup: {:.0}x, broker CPU eliminated", tcp_us / rdma_us);
 }
@@ -245,7 +253,13 @@ fn ab_offset_commit() {
 fn ab_adaptive_fetch() {
     println!();
     println!("# Extension — adaptive fetch sizing (reads per 100 records, goodput MiB/s)");
-    let mut table = Table::new(&["record", "fixed_reads", "fixed_MiB/s", "adaptive_reads", "adaptive_MiB/s"]);
+    let mut table = Table::new(&[
+        "record",
+        "fixed_reads",
+        "fixed_MiB/s",
+        "adaptive_reads",
+        "adaptive_MiB/s",
+    ]);
     for size in [256usize, 4096, 65536] {
         let run = |adaptive: bool| {
             let rt = sim::Runtime::new();
@@ -264,10 +278,9 @@ fn ab_adaptive_fetch() {
                         .await
                         .unwrap();
                 }
-                let mut consumer =
-                    RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
-                        .await
-                        .unwrap();
+                let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
+                    .await
+                    .unwrap();
                 consumer.adaptive_fetch = adaptive;
                 let t0 = sim::now();
                 let mut seen = 0;

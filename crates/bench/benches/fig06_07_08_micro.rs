@@ -2,7 +2,9 @@
 //! verbs: RDMA produce coordination, notification approaches, and write
 //! batching. Run with `cargo bench --bench fig06_07_08_micro`.
 
-use kdbench::micro::{fig6_goodput_gibps, fig7_bandwidth_gibps, fig7_latency_us, fig8_batching, MicroMode, NotifyMode};
+use kdbench::micro::{
+    fig6_goodput_gibps, fig7_bandwidth_gibps, fig7_latency_us, fig8_batching, MicroMode, NotifyMode,
+};
 use kdbench::stats::{fmt, size_label, Table};
 
 fn fig6() {
@@ -10,15 +12,11 @@ fn fig6() {
     println!("# Fig 6 — Aggregated Write goodput of RDMA produce approaches (GiB/s)");
     println!("# paper: exclusive highest; atomics-based reach it only >= ~32 KiB;");
     println!("#        FAA beats CAS under contention (atomic cap 2.68 Mops/s).");
-    let sizes = [64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, 262144];
+    let sizes = [
+        64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, 262144,
+    ];
     let mut table = Table::new(&[
-        "size",
-        "Excl 1P",
-        "FAA 1P",
-        "FAA 2P",
-        "FAA 5P",
-        "CAS 1P",
-        "CAS 5P",
+        "size", "Excl 1P", "FAA 1P", "FAA 2P", "FAA 5P", "CAS 1P", "CAS 5P",
     ]);
     for size in sizes {
         // Enough bytes for a steady-state measurement, capped for tiny sizes.
@@ -42,7 +40,14 @@ fn fig7() {
     println!("# Fig 7 (left) — Notification latency (us), one-way to receiver completion");
     println!("# paper: WriteWithImm ~1.5 us small; Write+Send ~1 us slower.");
     let sizes = [8, 16, 32, 64, 128, 256, 512, 1024];
-    let mut table = Table::new(&["size", "WriteWithImm", "W+S 4B", "W+S 16B", "W+S 128B", "W+S 512B"]);
+    let mut table = Table::new(&[
+        "size",
+        "WriteWithImm",
+        "W+S 4B",
+        "W+S 16B",
+        "W+S 128B",
+        "W+S 512B",
+    ]);
     for size in sizes {
         table.row(vec![
             size_label(size),
@@ -66,8 +71,16 @@ fn fig7() {
             size_label(size),
             fmt(fig7_bandwidth_gibps(NotifyMode::WriteWithImm, size, count)),
             fmt(fig7_bandwidth_gibps(NotifyMode::WriteSend(4), size, count)),
-            fmt(fig7_bandwidth_gibps(NotifyMode::WriteSend(128), size, count)),
-            fmt(fig7_bandwidth_gibps(NotifyMode::WriteSend(512), size, count)),
+            fmt(fig7_bandwidth_gibps(
+                NotifyMode::WriteSend(128),
+                size,
+                count,
+            )),
+            fmt(fig7_bandwidth_gibps(
+                NotifyMode::WriteSend(512),
+                size,
+                count,
+            )),
         ]);
     }
     table.print();
@@ -75,7 +88,9 @@ fn fig7() {
 
 fn fig8() {
     println!();
-    println!("# Fig 8 — Batching 64-byte writes: latency (us, log-scale in paper) and goodput (GiB/s)");
+    println!(
+        "# Fig 8 — Batching 64-byte writes: latency (us, log-scale in paper) and goodput (GiB/s)"
+    );
     println!("# paper: no batching ~2.4 us / ~0.5 GiB/s; goodput grows to 6 GiB/s;");
     println!("#        latency flat for small batches then rises past ~1-2 KiB.");
     let batches = [64, 128, 256, 512, 1024, 2048, 4096];

@@ -127,7 +127,9 @@ fn fig17() {
                 // Windowed pipelined produce of unbatched 32-byte records.
                 let count = 4000;
                 let t0 = sim::now();
-                producer.send_burst(std::iter::repeat_n(&record, count), 32).await;
+                producer
+                    .send_burst(std::iter::repeat_n(&record, count), 32)
+                    .await;
                 (count * 32) as f64 / (sim::now() - t0).as_secs_f64() / (1024.0 * 1024.0)
             })
         };

@@ -126,7 +126,11 @@ fn fig20() {
             size_label(size),
             fmt(consume_bandwidth_mibps(SystemKind::Kafka, size, count)),
             fmt(consume_bandwidth_mibps(SystemKind::OsuKafka, size, count)),
-            fmt(consume_bandwidth_mibps(SystemKind::KafkaDirect, size, count)),
+            fmt(consume_bandwidth_mibps(
+                SystemKind::KafkaDirect,
+                size,
+                count,
+            )),
         ]);
     }
     table.print();
@@ -204,10 +208,7 @@ fn empty_fetch_throughput() {
             let m = cluster.broker(0).metrics();
             m.worker_busy_ns + m.net_busy_ns
         };
-        (
-            reads as f64 / (sim::now() - t0).as_secs_f64(),
-            busy - busy0,
-        )
+        (reads as f64 / (sim::now() - t0).as_secs_f64(), busy - busy0)
     });
     let mut table = Table::new(&["system", "empty_fetches_per_s", "broker_cpu_ns"]);
     table.row(vec![

@@ -107,10 +107,9 @@ fn run_cell(system: SystemKind, workload: Workload, replicated: bool) -> (f64, f
                         }
                     }
                 } else {
-                    let mut consumer =
-                        TcpConsumer::connect(&node, leader, transport, &topic, 0, 0)
-                            .await
-                            .expect("consumer");
+                    let mut consumer = TcpConsumer::connect(&node, leader, transport, &topic, 0, 0)
+                        .await
+                        .expect("consumer");
                     while sim::now() < deadline {
                         let records = consumer.poll().await.expect("poll");
                         if records.is_empty() {

@@ -69,7 +69,10 @@ fn main() {
         loop {
             if let Some(d) = load(&p) {
                 // Clear screen + home, then the frame.
-                print!("\x1b[2J\x1b[H{}", kdtop::render_filtered(&d, width, filter.as_deref()));
+                print!(
+                    "\x1b[2J\x1b[H{}",
+                    kdtop::render_filtered(&d, width, filter.as_deref())
+                );
                 use std::io::Write as _;
                 std::io::stdout().flush().ok();
             }
@@ -95,5 +98,8 @@ fn main() {
             )
         }
     };
-    print!("{}", kdtop::render_filtered(&dump, width, filter.as_deref()));
+    print!(
+        "{}",
+        kdtop::render_filtered(&dump, width, filter.as_deref())
+    );
 }

@@ -78,15 +78,9 @@ impl AnyProducer {
     ) -> AnyProducer {
         match mode {
             ProducerMode::Rpc => AnyProducer::Rpc(
-                TcpProducer::connect(
-                    node,
-                    leader,
-                    system.client_transport(),
-                    topic,
-                    partition,
-                )
-                .await
-                .expect("rpc producer"),
+                TcpProducer::connect(node, leader, system.client_transport(), topic, partition)
+                    .await
+                    .expect("rpc producer"),
             ),
             ProducerMode::RdmaExclusive => AnyProducer::Rdma(
                 RdmaProducer::connect(node, leader, topic, partition, false)
@@ -122,7 +116,12 @@ impl AnyProducer {
                     VecDeque::new();
                 for r in records {
                     if inflight.len() >= window {
-                        inflight.pop_front().unwrap().await.unwrap().expect("produce");
+                        inflight
+                            .pop_front()
+                            .unwrap()
+                            .await
+                            .unwrap()
+                            .expect("produce");
                     }
                     inflight.push_back(p.send_pipelined(r));
                 }
@@ -150,7 +149,9 @@ impl AnyProducer {
     pub async fn send_windowed(&mut self, record: &Record, count: usize, window: usize) {
         let AnyProducer::Rdma(p) = self else {
             // RPCs do not chain: one pipelined request per record.
-            return self.send_burst(std::iter::repeat_n(record, count), window).await;
+            return self
+                .send_burst(std::iter::repeat_n(record, count), window)
+                .await;
         };
         // Freed window slots refill as one linked WR chain: when the awaited
         // ack returns, every ack that landed behind it (acks are FIFO per
@@ -376,7 +377,11 @@ pub fn maybe_print_telemetry(label: &str, report: &kdtelem::TelemetryReport) {
 
 /// Captures every trace event of one end-to-end produce→fetch run on
 /// `system`'s preferred datapaths and returns the drained event log.
-pub fn capture_trace(system: SystemKind, record_size: usize, samples: usize) -> Vec<kdtelem::TraceEvent> {
+pub fn capture_trace(
+    system: SystemKind,
+    record_size: usize,
+    samples: usize,
+) -> Vec<kdtelem::TraceEvent> {
     let registry = kdtelem::Registry::new();
     let _scope = kdtelem::enter(&registry);
     let _ = end_to_end_latency_us(system, record_size, samples);
@@ -482,11 +487,7 @@ async fn preload(
 
 /// End-to-end latency (Fig 19): one client produces a record then fetches
 /// it; per-datapath toggles choose the produce/consume paths.
-pub fn end_to_end_latency_us(
-    system: SystemKind,
-    record_size: usize,
-    samples: usize,
-) -> f64 {
+pub fn end_to_end_latency_us(system: SystemKind, record_size: usize, samples: usize) -> f64 {
     let rt = sim::Runtime::new();
     rt.block_on(async move {
         let opts = ProduceOpts::new(system, preferred_mode(system), record_size);

@@ -5,7 +5,6 @@
 //! The goal of this experiment is to show the performance upper-bound
 //! achieved by RDMA networking." (§4.2.2)
 
-
 use netsim::profile::Profile;
 use netsim::Fabric;
 use rnic::{
@@ -51,7 +50,12 @@ impl MicroRig {
             let send_cq = nic2.create_cq(4096);
             while let Some(inc) = listener.accept().await {
                 let recv_cq = nic2.create_cq(SERVER_RECV_DEPTH * 2);
-                let qp = inc.accept(&nic2, send_cq.clone(), recv_cq.clone(), QpOptions::default());
+                let qp = inc.accept(
+                    &nic2,
+                    send_cq.clone(),
+                    recv_cq.clone(),
+                    QpOptions::default(),
+                );
                 let bufs: Vec<ShmBuf> = (0..SERVER_RECV_DEPTH)
                     .map(|_| ShmBuf::zeroed(SERVER_RECV_BUF))
                     .collect();
@@ -146,7 +150,12 @@ pub enum MicroMode {
 
 /// Fig 6: aggregated WriteWithImm goodput for `producers` concurrent
 /// producers in the given mode. Returns GiB/s.
-pub fn fig6_goodput_gibps(mode: MicroMode, producers: usize, msg_size: usize, total_bytes: usize) -> f64 {
+pub fn fig6_goodput_gibps(
+    mode: MicroMode,
+    producers: usize,
+    msg_size: usize,
+    total_bytes: usize,
+) -> f64 {
     let rt = sim::Runtime::new();
     rt.block_on(async move {
         let rig = MicroRig::new().await;
@@ -431,7 +440,8 @@ pub fn fig8_batching(batch_size: usize, records: usize) -> (f64, f64) {
                 WorkRequest::WriteImm {
                     local: payload.slice(0, n * RECORD),
                     remote_addr: region.addr
-                        + ((batch_index * per_batch * RECORD) % (REGION_LEN - batch_size.max(RECORD)))
+                        + ((batch_index * per_batch * RECORD)
+                            % (REGION_LEN - batch_size.max(RECORD)))
                             as u64,
                     rkey: region.rkey,
                     imm: batch_index as u32,
@@ -467,7 +477,10 @@ mod tests {
     fn fig6_shared_faa_small_messages_rate_limited() {
         // 64 B × 2.68 Mops/s ≈ 0.16 GiB/s ceiling for FAA-bound produce.
         let g = fig6_goodput_gibps(MicroMode::SharedFaa, 5, 64, 1 << 20);
-        assert!(g < 0.3, "shared FAA 64B goodput {g} GiB/s exceeds atomic cap");
+        assert!(
+            g < 0.3,
+            "shared FAA 64B goodput {g} GiB/s exceeds atomic cap"
+        );
     }
 
     #[test]

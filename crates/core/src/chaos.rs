@@ -53,9 +53,7 @@ pub fn apply_fault(cluster: &SimCluster, kind: &FaultKind) -> bool {
             cluster.restart_broker(*broker as usize);
             true
         }
-        FaultKind::FailOver { topic, partition } => {
-            cluster.fail_over(topic, *partition).is_some()
-        }
+        FaultKind::FailOver { topic, partition } => cluster.fail_over(topic, *partition).is_some(),
         FaultKind::LinkDown { node } => {
             cluster.fabric.set_node_down(node_of(*node));
             true
@@ -98,7 +96,10 @@ pub fn apply_fault(cluster: &SimCluster, kind: &FaultKind) -> bool {
             let b = cluster.broker(*broker as usize);
             let qp = {
                 let qps = b.inner().produce_qps.borrow();
-                qps.keys().min().copied().and_then(|qpn| qps.get(&qpn).cloned())
+                qps.keys()
+                    .min()
+                    .copied()
+                    .and_then(|qpn| qps.get(&qpn).cloned())
             };
             match qp {
                 Some(qp) => {
@@ -123,7 +124,10 @@ pub fn apply_fault(cluster: &SimCluster, kind: &FaultKind) -> bool {
             let b = cluster.broker(*broker as usize);
             let qp = {
                 let qps = b.inner().produce_qps.borrow();
-                qps.keys().min().copied().and_then(|qpn| qps.get(&qpn).cloned())
+                qps.keys()
+                    .min()
+                    .copied()
+                    .and_then(|qpn| qps.get(&qpn).cloned())
             };
             match qp {
                 Some(qp) => {

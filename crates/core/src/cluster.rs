@@ -198,7 +198,11 @@ impl SimCluster {
         let old = self.broker(i);
         assert!(!old.is_alive(), "restart_broker({i}) on a live broker");
         let remnants = old.durable_state();
-        let fresh = Broker::start(&self.broker_nodes[i], self.config.clone(), self.peers.clone());
+        let fresh = Broker::start(
+            &self.broker_nodes[i],
+            self.config.clone(),
+            self.peers.clone(),
+        );
         // Authoritative metadata: the lowest-indexed live broker's view —
         // usually broker 0, the controller, which generated plans never
         // crash. A stale restarting ex-leader must NOT trust its own
@@ -218,8 +222,7 @@ impl SimCluster {
             parts.sort_by_key(|p| p.partition);
             for pm in parts {
                 let tp = TopicPartition::new(t.name.as_str(), pm.partition);
-                let hosted =
-                    pm.leader.node == me || pm.replicas.iter().any(|r| r.node == me);
+                let hosted = pm.leader.node == me || pm.replicas.iter().any(|r| r.node == me);
                 // No remnant (metadata only, or a partition created while
                 // this broker was down): install fresh.
                 let recovered = remnant.remove(&tp).filter(|_| hosted);
@@ -272,7 +275,11 @@ impl SimCluster {
                     let common = |lbytes: &[u8]| {
                         let lim = (ls.committed_pos() as usize).min(lbytes.len());
                         let same = |fseg: &[u8]| {
-                            lbytes[..lim].iter().zip(fseg).take_while(|(a, b)| a == b).count()
+                            lbytes[..lim]
+                                .iter()
+                                .zip(fseg)
+                                .take_while(|(a, b)| a == b)
+                                .count()
                         };
                         buf.with(same)
                     };

@@ -108,7 +108,8 @@ impl BrokerInner {
     /// The 11 µs queue transfer to the API workers, overlapped across
     /// requests: the workers see `item` `cpu.handoff` from now.
     pub fn hand_off(&self, item: WorkItem) {
-        self.requests.push(sim::now() + self.profile.cpu.handoff, item);
+        self.requests
+            .push(sim::now() + self.profile.cpu.handoff, item);
     }
 
     /// Lazily connects (and caches) an RPC client to a peer broker.
@@ -254,7 +255,9 @@ impl Broker {
             consume_qps: RefCell::new(Vec::new()),
             recv_cq,
             ack_send_cq,
-            ack_ring: (0..ACK_RING_DEPTH).map(|_| ShmBuf::zeroed(kdwire::ACK_SIZE)).collect(),
+            ack_ring: (0..ACK_RING_DEPTH)
+                .map(|_| ShmBuf::zeroed(kdwire::ACK_SIZE))
+                .collect(),
             ack_ring_next: Cell::new(0),
             run_pool: RefCell::new(Vec::new()),
             produce_module: ProduceModule::default(),
@@ -401,11 +404,7 @@ impl Broker {
                         .map(|(base, bytes)| (base, ShmBuf::from_vec(bytes)))
                         .collect(),
                     None => (0..=p.log.head_index())
-                        .filter_map(|i| {
-                            p.log
-                                .segment(i)
-                                .map(|s| (s.base_offset(), s.shared_buf()))
-                        })
+                        .filter_map(|i| p.log.segment(i).map(|s| (s.base_offset(), s.shared_buf())))
                         .collect(),
                 };
                 (p.tp.clone(), bufs)

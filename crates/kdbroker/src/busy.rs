@@ -88,7 +88,10 @@ mod tests {
     /// A pool of one thread with a 10 µs wake-up, and its busy counter.
     fn one_thread() -> (ServicePool, kdtelem::Counter) {
         let busy = kdtelem::Counter::new();
-        (ServicePool::with_counter(1, Duration::from_micros(10), busy.clone()), busy)
+        (
+            ServicePool::with_counter(1, Duration::from_micros(10), busy.clone()),
+            busy,
+        )
     }
 
     #[test]

@@ -201,7 +201,11 @@ impl PartitionStore {
     /// named by the id this store holds (no allocation), an unknown one by a
     /// fresh id, which finds no partition.
     pub fn topic_partition(&self, topic: &str, partition: u32) -> TopicPartition {
-        let known = self.topics.borrow().get_key_value(topic).map(|(id, _)| id.clone());
+        let known = self
+            .topics
+            .borrow()
+            .get_key_value(topic)
+            .map(|(id, _)| id.clone());
         TopicPartition {
             topic: known.unwrap_or_else(|| TopicId::new(topic)),
             partition,
@@ -319,7 +323,8 @@ mod tests {
                 true,
                 0,
             );
-            let b = kdstorage::record::single_record_batch(1, &kdstorage::Record::value(b"x".to_vec()));
+            let b =
+                kdstorage::record::single_record_batch(1, &kdstorage::Record::value(b"x".to_vec()));
             p.log.append_batch(&b).unwrap();
             assert_eq!(p.recompute_hw(), 1);
         });
@@ -337,7 +342,8 @@ mod tests {
                 true,
                 0,
             );
-            let b = kdstorage::record::single_record_batch(1, &kdstorage::Record::value(b"x".to_vec()));
+            let b =
+                kdstorage::record::single_record_batch(1, &kdstorage::Record::value(b"x".to_vec()));
             p.log.append_batch(&b).unwrap();
             let p2 = Rc::clone(&p);
             let waiter = sim::spawn(async move {

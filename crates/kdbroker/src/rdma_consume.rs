@@ -153,7 +153,8 @@ pub fn slot_view_for(p: &Partition, segment: u32) -> SlotView {
     };
     // The file stops changing once it is sealed AND the high watermark has
     // passed its end.
-    let finished = seg.is_sealed() && segment <= hwp.segment && last_readable >= seg.committed_pos();
+    let finished =
+        seg.is_sealed() && segment <= hwp.segment && last_readable >= seg.committed_pos();
     SlotView {
         last_readable,
         mutable: !finished,
@@ -171,7 +172,10 @@ pub(crate) async fn handle_access(
 ) {
     let resp = access(b, tp, offset, consumer_id)
         .await
-        .unwrap_or_else(|error| ConsumeAccessResp { error, ..Default::default() });
+        .unwrap_or_else(|error| ConsumeAccessResp {
+            error,
+            ..Default::default()
+        });
     if resp.error.is_ok() {
         own(b, consumer_id, &reply.stage);
     }
@@ -183,7 +187,9 @@ pub(crate) async fn handle_access(
 /// has nothing left to release it later, so it releases now.
 fn own(b: &BrokerInner, consumer_id: u64, stage: &Rc<ReplyStage>) {
     let mut owners = b.consume_module.owners.borrow_mut();
-    let owner = owners.entry(consumer_id).or_insert_with(|| Rc::downgrade(stage));
+    let owner = owners
+        .entry(consumer_id)
+        .or_insert_with(|| Rc::downgrade(stage));
     let owned = std::ptr::eq(owner.as_ptr(), Rc::as_ptr(stage));
     drop(owners);
     if owned && stage.is_closed() {
@@ -382,7 +388,9 @@ fn register_read(
             mr
         }
     };
-    regs.entry((segment, consumer_id)).or_insert_with(|| (mr.clone(), 0)).1 += 1;
+    regs.entry((segment, consumer_id))
+        .or_insert_with(|| (mr.clone(), 0))
+        .1 += 1;
     mr
 }
 

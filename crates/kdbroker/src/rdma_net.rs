@@ -245,7 +245,11 @@ fn extend_or_hand_off(
         }
         _ => {
             let run = CommitRun::one(item);
-            let next = WorkItem::RdmaCommit { file_id: grant.file_id, seq, run };
+            let next = WorkItem::RdmaCommit {
+                file_id: grant.file_id,
+                seq,
+                run,
+            };
             if let Some(done) = open.replace(next) {
                 b.hand_off(done);
             }
@@ -258,7 +262,11 @@ fn extend_or_hand_off(
 /// a sweep of whatever piled up behind it. For the OSU front and the
 /// replication collectors, which charge no wake-up. `false` once the CQ has
 /// overflowed. With `max == 1` this is exactly `cq.next().await`.
-pub(crate) async fn drain_or_wait(cq: &rnic::CompletionQueue, out: &mut Vec<Cqe>, max: usize) -> bool {
+pub(crate) async fn drain_or_wait(
+    cq: &rnic::CompletionQueue,
+    out: &mut Vec<Cqe>,
+    max: usize,
+) -> bool {
     out.clear();
     if cq.drain_into(out, max) > 0 {
         return true;
@@ -281,6 +289,10 @@ pub(crate) async fn drain_or_wait(cq: &rnic::CompletionQueue, out: &mut Vec<Cqe>
 pub fn enqueue_in_order(b: &Rc<BrokerInner>, grant: &Grant, seq: u64, item: CommitItem) {
     grant.stage_enqueue(seq, item, &mut |seq, item| {
         let run = CommitRun::one(item);
-        b.hand_off(WorkItem::RdmaCommit { file_id: grant.file_id, seq, run })
+        b.hand_off(WorkItem::RdmaCommit {
+            file_id: grant.file_id,
+            seq,
+            run,
+        })
     });
 }

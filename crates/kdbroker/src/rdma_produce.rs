@@ -58,7 +58,9 @@ impl SharedState {
         ready.push(item);
         next = next.wrapping_add(1);
         while !pending.is_empty() {
-            let Some(item) = pending.remove(&next) else { break };
+            let Some(item) = pending.remove(&next) else {
+                break;
+            };
             ready.push(item);
             next = next.wrapping_add(1);
         }
@@ -287,7 +289,11 @@ async fn commit_spans(
     };
     // Enforce completion-order processing per file (§4.2.2).
     grant.turn.reached(seq).await;
-    debug_assert_eq!(grant.turn.get(), seq, "only the owner of the turn advances it");
+    debug_assert_eq!(
+        grant.turn.get(),
+        seq,
+        "only the owner of the turn advances it"
+    );
     // A grant is only issued for a hosted partition, and none is unhosted.
     let p = b.store.get(&tp).expect("grant partition exists");
     if grant.closed.get() {
@@ -488,9 +494,12 @@ pub fn revoke_grant(b: &Rc<BrokerInner>, p: &Rc<Partition>, grant: &Rc<Grant>, e
         if !seg.is_sealed() {
             seg.truncate_to_committed();
         }
-        b.metrics
-            .registered_bytes
-            .set(b.metrics.registered_bytes.get().saturating_sub(u64::from(seg.capacity())));
+        b.metrics.registered_bytes.set(
+            b.metrics
+                .registered_bytes
+                .get()
+                .saturating_sub(u64::from(seg.capacity())),
+        );
     }
     let mut cell = p.grant.borrow_mut();
     if cell.as_ref().is_some_and(|g| Rc::ptr_eq(g, grant)) {
@@ -526,8 +535,11 @@ pub(crate) fn handle_produce_access(
     min_bytes: u32,
     reply: Reply,
 ) {
-    let resp = produce_access(b, peer, tp, mode, min_bytes)
-        .unwrap_or_else(|error| ProduceAccessResp { error, ..Default::default() });
+    let resp =
+        produce_access(b, peer, tp, mode, min_bytes).unwrap_or_else(|error| ProduceAccessResp {
+            error,
+            ..Default::default()
+        });
     reply.send(Response::ProduceAccess(resp));
 }
 
@@ -560,10 +572,8 @@ fn produce_access(
 
     let existing = p.grant.borrow().clone().filter(|g| !g.closed.get());
     if let Some(g) = existing {
-        let needs_roll =
-            g.segment != p.log.head_index() || p.log.head().remaining() < min_bytes;
-        let compatible = g.mode == mode
-            && (mode == ProduceMode::Shared || g.owner == peer);
+        let needs_roll = g.segment != p.log.head_index() || p.log.head().remaining() < min_bytes;
+        let compatible = g.mode == mode && (mode == ProduceMode::Shared || g.owner == peer);
         if !compatible {
             return Err(ErrorCode::AccessDenied);
         }
@@ -634,7 +644,11 @@ mod tests {
     fn setup() -> (RNic, ProduceModule, TopicPartition) {
         let f = Fabric::new(Profile::fast_test());
         let node = f.add_node("b");
-        (RNic::new(&node), ProduceModule::default(), TopicPartition::new("t", 0))
+        (
+            RNic::new(&node),
+            ProduceModule::default(),
+            TopicPartition::new("t", 0),
+        )
     }
 
     fn item(order: u16, byte_len: u32) -> CommitItem {
@@ -704,7 +718,11 @@ mod tests {
         rt.block_on(async {
             let (nic, m, tp) = setup();
             let g = m.create_grant(&nic, &tp, 0, seg_buf(), ProduceMode::Shared, NodeId(5));
-            assert!(!g.shared.as_ref().unwrap().on_arrival(item(3, 10), &mut Vec::new()));
+            assert!(!g
+                .shared
+                .as_ref()
+                .unwrap()
+                .on_arrival(item(3, 10), &mut Vec::new()));
             assert!(g.is_pending(3, 0));
             let failed = m.revoke(&nic, &g);
             assert_eq!(failed.len(), 1);
@@ -725,7 +743,10 @@ mod tests {
             let s = g.shared.as_ref().unwrap();
             s.word_buf.write_u64(
                 0,
-                pack_shared_word(SharedWord { order: 2, offset: 64 }),
+                pack_shared_word(SharedWord {
+                    order: 2,
+                    offset: 64,
+                }),
             );
             assert_eq!(s.word_buf.read_u64(0) & ((1 << 48) - 1), 64);
         });
@@ -791,7 +812,12 @@ mod tests {
             };
             let broker = crate::Broker::start(&bnode, config.clone(), vec![me]);
             let b = broker.inner();
-            let meta = kdwire::PartitionMeta { partition: 0, epoch: 0, leader: me, replicas: Vec::new() };
+            let meta = kdwire::PartitionMeta {
+                partition: 0,
+                epoch: 0,
+                leader: me,
+                replicas: Vec::new(),
+            };
             crate::admin::install(b, "t", meta, None);
             let tp = TopicPartition::new("t", 0);
             let p = b.store.get(&tp).unwrap();
@@ -810,7 +836,13 @@ mod tests {
             let nic = RNic::new(&cnode);
             let acks_cq = nic.create_cq(16);
             let qp = nic
-                .connect(bnode.id, config.rdma_port, nic.create_cq(16), acks_cq.clone(), QpOptions::default())
+                .connect(
+                    bnode.id,
+                    config.rdma_port,
+                    nic.create_cq(16),
+                    acks_cq.clone(),
+                    QpOptions::default(),
+                )
                 .await
                 .unwrap();
             let ack_bufs: Vec<ShmBuf> = (0..5).map(|_| ShmBuf::zeroed(16)).collect();
@@ -844,14 +876,25 @@ mod tests {
                 });
             }
 
-            let lock = if revoke_parked { Some(p.write_lock.lock().await) } else { None };
+            let lock = if revoke_parked {
+                Some(p.write_lock.lock().await)
+            } else {
+                None
+            };
             let t0 = sim::now();
             let mut items = items.into_iter();
             let mut seq = 0;
             for n in runs {
                 let mut run = CommitRun::one(items.next().unwrap());
-                items.by_ref().take(n - 1).for_each(|it| run.push(it, Vec::new));
-                let item = WorkItem::RdmaCommit { file_id: grant.file_id, seq, run };
+                items
+                    .by_ref()
+                    .take(n - 1)
+                    .for_each(|it| run.push(it, Vec::new));
+                let item = WorkItem::RdmaCommit {
+                    file_id: grant.file_id,
+                    seq,
+                    run,
+                };
                 b.hand_off(item);
                 seq += n as u64;
             }
@@ -913,9 +956,18 @@ mod tests {
         };
         let (clean, sends) = exclusive(&[5], None, false);
         assert_eq!(clean.acks, (0..5).map(|i| (Ok, i)).collect::<Vec<_>>());
-        assert_eq!(clean.commits, (0..5).map(|i| (i as u64, commit_at(i))).collect::<Vec<_>>());
-        assert_eq!((clean.rdma_commits, clean.next_offset, clean.revoked), (5, 5, false));
-        assert_eq!(clean.acks_sent, 5, "the metric counts writes answered, not Sends");
+        assert_eq!(
+            clean.commits,
+            (0..5).map(|i| (i as u64, commit_at(i))).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            (clean.rdma_commits, clean.next_offset, clean.revoked),
+            (5, 5, false)
+        );
+        assert_eq!(
+            clean.acks_sent, 5,
+            "the metric counts writes answered, not Sends"
+        );
         assert_eq!(sends, 1, "a run's successes to one QP are one Send");
         // Mid-sized runs, the kind a poller forms, too: same answers, commit
         // instants, counters and log, one Send per run.
@@ -929,10 +981,19 @@ mod tests {
         let (corrupt, sends) = exclusive(&[5], Some(2), false);
         assert_eq!(
             corrupt.acks,
-            [(Ok, 0), (Ok, 1), (CorruptBatch, 0), (OutOfSpace, 0), (OutOfSpace, 0)]
+            [
+                (Ok, 0),
+                (Ok, 1),
+                (CorruptBatch, 0),
+                (OutOfSpace, 0),
+                (OutOfSpace, 0)
+            ]
         );
         assert_eq!(corrupt.commits, [(0, commit_at(0)), (1, commit_at(1))]);
-        assert_eq!((corrupt.rdma_commits, corrupt.next_offset, corrupt.revoked), (2, 2, true));
+        assert_eq!(
+            (corrupt.rdma_commits, corrupt.next_offset, corrupt.revoked),
+            (2, 2, true)
+        );
         assert_eq!(sends, 4);
         let (mixed, sends) = exclusive(&[1, 3, 1], Some(2), false);
         assert_eq!((&mixed, sends), (&corrupt, 5));
@@ -952,9 +1013,18 @@ mod tests {
         // ack: each leaves when its span commits, a Send of its own — the
         // run does not hold it, so they arrive when k runs of one send them.
         let (pushed, credits_at) = deliver(ProduceMode::Replication, &[5], None, false);
-        assert_eq!(pushed.acks, (1..=5).map(|next| (Ok, next)).collect::<Vec<_>>());
-        assert_eq!(pushed.commits, (0..5).map(|i| (i as u64, commit_at(i))).collect::<Vec<_>>());
+        assert_eq!(
+            pushed.acks,
+            (1..=5).map(|next| (Ok, next)).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            pushed.commits,
+            (0..5).map(|i| (i as u64, commit_at(i))).collect::<Vec<_>>()
+        );
         assert!(credits_at[0] > commit_at(0) && credits_at[0] < commit_at(1));
-        assert_eq!(deliver(ProduceMode::Replication, &[1, 1, 1, 1, 1], None, false), (pushed, credits_at));
+        assert_eq!(
+            deliver(ProduceMode::Replication, &[1, 1, 1, 1, 1], None, false),
+            (pushed, credits_at)
+        );
     }
 }

@@ -327,7 +327,10 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
             continue;
         }
         s.posted.set(s.posted.get() + 1);
-        state.inflight.borrow_mut().push_back((last_offset, sim::now()));
+        state
+            .inflight
+            .borrow_mut()
+            .push_back((last_offset, sim::now()));
         state.lag.set(last_offset.saturating_sub(state.acked.get()));
         b.metrics.push_writes.add(1);
         b.metrics.push_bytes.add(u64::from(len));
@@ -445,7 +448,10 @@ const ACK_LEN: usize = 16;
 /// The receive for credit return `i` of a session, into its own buffer.
 fn ack_recv(ack_buf: &ShmBuf, i: u64) -> RecvWr {
     let buf = ack_buf.slice(i as usize * ACK_LEN, ACK_LEN);
-    RecvWr { wr_id: i, buf: Some(buf) }
+    RecvWr {
+        wr_id: i,
+        buf: Some(buf),
+    }
 }
 
 impl PushSession {
@@ -467,7 +473,9 @@ impl PushSession {
         let ok = returns.iter().take_while(|cqe| cqe.ok()).count();
         if ok > 0 {
             self.credits.set(self.credits.get() + ok);
-            let reposts = returns[..ok].iter().map(|cqe| ack_recv(&self.ack_buf, cqe.wr_id));
+            let reposts = returns[..ok]
+                .iter()
+                .map(|cqe| ack_recv(&self.ack_buf, cqe.wr_id));
             let _ = self.qp.post_recv_list(reposts);
         }
         if ok < returns.len() {
@@ -505,7 +513,12 @@ fn spawn_collector(
     let max_batch = b.config.cq_batch;
     let s = Rc::clone(session);
     sim::spawn(async move {
-        let PushState { acked, lag, inflight, .. } = &*s.state;
+        let PushState {
+            acked,
+            lag,
+            inflight,
+            ..
+        } = &*s.state;
         let mut batch: Vec<rnic::Cqe> = Vec::with_capacity(max_batch);
         let mut completed = 0u64;
         let collect = async {

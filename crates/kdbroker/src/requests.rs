@@ -26,7 +26,8 @@ impl Reply {
     /// Hands `resp` to the connection's writer, which has it `handoff` from
     /// now. A response for a connection that has closed is dropped.
     pub fn send(self, resp: Response) {
-        self.stage.push(sim::now() + self.handoff, (self.corr, resp));
+        self.stage
+            .push(sim::now() + self.handoff, (self.corr, resp));
     }
 }
 

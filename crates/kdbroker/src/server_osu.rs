@@ -27,14 +27,20 @@ const RECV_BUF: usize = 1200 * 1024;
 const RECV_DEPTH: usize = 8;
 
 pub fn start(b: &Rc<BrokerInner>) {
-    let mut listener = RdmaListener::bind(&b.nic, b.config.rdma_port + crate::rdma_net::OSU_PORT_OFF);
+    let mut listener =
+        RdmaListener::bind(&b.nic, b.config.rdma_port + crate::rdma_net::OSU_PORT_OFF);
     let b = Rc::clone(b);
     sim::spawn(async move {
         while let Some(inc) = listener.accept().await {
             let from = inc.from();
             let send_cq = b.nic.create_cq(1024);
             let recv_cq = b.nic.create_cq(1024);
-            let qp = inc.accept(&b.nic, send_cq.clone(), recv_cq.clone(), QpOptions::default());
+            let qp = inc.accept(
+                &b.nic,
+                send_cq.clone(),
+                recv_cq.clone(),
+                QpOptions::default(),
+            );
             sim::spawn_detached(serve_connection(Rc::clone(&b), qp, recv_cq, from));
             // Drain send completions (responses are unsignaled; errors only).
             sim::spawn_detached(async move { while send_cq.next().await.is_some() {} });
@@ -94,7 +100,8 @@ async fn serve_connection(
             }
             // The copy out of the network receive buffer.
             frame.clear();
-            bufs[cqe.wr_id as usize].with(|buf| frame.extend_from_slice(&buf[..cqe.byte_len as usize]));
+            bufs[cqe.wr_id as usize]
+                .with(|buf| frame.extend_from_slice(&buf[..cqe.byte_len as usize]));
             recycle.push(cqe.wr_id);
             let Some((corr, payload)) = frame.split_first_chunk() else {
                 break 'conn; // shorter than its correlation id

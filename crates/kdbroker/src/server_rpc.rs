@@ -65,7 +65,12 @@ impl Conn {
             // A writer that lost its connection takes no more responses.
             stage.close();
         });
-        Conn { b: Rc::clone(b), peer, net_idx, replies }
+        Conn {
+            b: Rc::clone(b),
+            peer,
+            net_idx,
+            replies,
+        }
     }
 
     /// The connection's network thread. A transport occupies it for the
@@ -94,7 +99,12 @@ impl Conn {
             corr,
             handoff: b.profile.cpu.handoff,
         };
-        b.hand_off(WorkItem::Rpc { peer: self.peer, request, reply, trace });
+        b.hand_off(WorkItem::Rpc {
+            peer: self.peer,
+            request,
+            reply,
+            trace,
+        });
         true
     }
 }
@@ -128,7 +138,9 @@ mod tests {
     use netsim::profile::Profile;
     use netsim::tcp::{ReadHalf, WriteHalf};
     use netsim::{Fabric, NodeHandle};
-    use rnic::{CompletionQueue, CqOpcode, QpOptions, QueuePair, RNic, RecvWr, SendWr, ShmBuf, WorkRequest};
+    use rnic::{
+        CompletionQueue, CqOpcode, QpOptions, QueuePair, RNic, RecvWr, SendWr, ShmBuf, WorkRequest,
+    };
 
     use crate::{Broker, BrokerConfig, Transport};
 
@@ -204,13 +216,23 @@ mod tests {
             let recv_cq = nic.create_cq(16);
             let port = config.rdma_port + crate::rdma_net::OSU_PORT_OFF;
             let qp = nic
-                .connect(broker.id, port, nic.create_cq(16), recv_cq.clone(), QpOptions::default())
+                .connect(
+                    broker.id,
+                    port,
+                    nic.create_cq(16),
+                    recv_cq.clone(),
+                    QpOptions::default(),
+                )
                 .await
                 .unwrap();
             let bufs: Vec<ShmBuf> = (0..4).map(|_| ShmBuf::zeroed(4096)).collect();
             for (i, buf) in bufs.iter().enumerate() {
                 let buf = Some(buf.as_slice());
-                qp.post_recv(RecvWr { wr_id: i as u64, buf }).unwrap();
+                qp.post_recv(RecvWr {
+                    wr_id: i as u64,
+                    buf,
+                })
+                .unwrap();
             }
             Wire::Osu(qp, recv_cq, bufs)
         }
@@ -235,7 +257,10 @@ mod tests {
             match self {
                 Wire::Tcp(r, _) => {
                     let (corr, _, payload) = kdwire::read_frame(r).await.ok()?;
-                    assert!(matches!(Response::decode(&payload), Ok(Response::Metadata { .. })));
+                    assert!(matches!(
+                        Response::decode(&payload),
+                        Ok(Response::Metadata { .. })
+                    ));
                     Some(corr)
                 }
                 Wire::Osu(qp, recv_cq, bufs) => {
@@ -245,9 +270,16 @@ mod tests {
                     }
                     let buf = &bufs[cqe.wr_id as usize];
                     let frame = buf.read_at(0, cqe.byte_len as usize);
-                    assert!(matches!(Response::decode(&frame[8..]), Ok(Response::Metadata { .. })));
+                    assert!(matches!(
+                        Response::decode(&frame[8..]),
+                        Ok(Response::Metadata { .. })
+                    ));
                     let buf = Some(buf.as_slice());
-                    qp.post_recv(RecvWr { wr_id: cqe.wr_id, buf }).unwrap();
+                    qp.post_recv(RecvWr {
+                        wr_id: cqe.wr_id,
+                        buf,
+                    })
+                    .unwrap();
                     Some(u64::from_le_bytes(frame[..8].try_into().unwrap()))
                 }
             }

@@ -28,7 +28,9 @@ async fn serve_connection(b: Rc<BrokerInner>, stream: TcpStream) {
     let peer = stream.peer();
     let (mut read, mut write) = stream.into_split();
     let send = async move |corr, frame: &mut [u8], done| {
-        kdwire::write_frame_from(&mut write, done, corr, None, frame).await.is_ok()
+        kdwire::write_frame_from(&mut write, done, corr, None, frame)
+            .await
+            .is_ok()
     };
     let conn = Conn::open(&b, peer, move |_len| cost, send);
     // The processor thread's receive side. A broker crash races the read:
@@ -36,7 +38,8 @@ async fn serve_connection(b: Rc<BrokerInner>, stream: TcpStream) {
     let mut copied = Vec::new();
     while b.alive.get() {
         let frame = kdwire::read_frame_into(&mut read, &mut copied);
-        let Either::Left(Ok((corr, trace, payload))) = race(frame, b.shutdown.notified()).await else {
+        let Either::Left(Ok((corr, trace, payload))) = race(frame, b.shutdown.notified()).await
+        else {
             break; // connection closed or broker crashed
         };
         if !b.alive.get() {

@@ -116,16 +116,26 @@ impl Pool {
         });
         let chunk = match recycled {
             Some(c) => {
-                self.inner.stats.recycled.set(self.inner.stats.recycled.get() + 1);
+                self.inner
+                    .stats
+                    .recycled
+                    .set(self.inner.stats.recycled.get() + 1);
                 c
             }
             None => self.fresh(class.map_or(n, |(size, _)| size), bytes),
         };
-        Buf { chunk, off: 0, len: n }
+        Buf {
+            chunk,
+            off: 0,
+            len: n,
+        }
     }
 
     fn fresh(&self, size: usize, bytes: &[u8]) -> Rc<ChunkInner> {
-        self.inner.stats.allocated.set(self.inner.stats.allocated.get() + 1);
+        self.inner
+            .stats
+            .allocated
+            .set(self.inner.stats.allocated.get() + 1);
         let mut data = vec![0u8; size].into_boxed_slice();
         data[..bytes.len()].copy_from_slice(bytes);
         Rc::new(ChunkInner {
@@ -187,7 +197,11 @@ impl<T: AsRef<[u8]> + ?Sized> From<&T> for Buf {
             data: bytes.into(),
             pool: Weak::new(),
         });
-        Buf { chunk, off: 0, len: bytes.len() }
+        Buf {
+            chunk,
+            off: 0,
+            len: bytes.len(),
+        }
     }
 }
 
@@ -262,7 +276,9 @@ pub struct Scratch {
 /// Takes a cleared scratch vector from the thread-local stack (or a fresh
 /// one the first few times).
 pub fn scratch() -> Scratch {
-    let vec = SCRATCH_STACK.with(|s| s.borrow_mut().pop()).unwrap_or_default();
+    let vec = SCRATCH_STACK
+        .with(|s| s.borrow_mut().pop())
+        .unwrap_or_default();
     Scratch { vec }
 }
 
@@ -450,9 +466,16 @@ mod tests {
         let mut in_flight = std::collections::VecDeque::new();
         let mut after_warm_up = None;
         for i in 0..1000usize {
-            let len = if i % 3 == 0 { MSS } else { 60 + i % (SMALL_CHUNK - 59) };
+            let len = if i % 3 == 0 {
+                MSS
+            } else {
+                60 + i % (SMALL_CHUNK - 59)
+            };
             let b = pool.copy_in(&vec![i as u8; len]);
-            assert_eq!(b.chunk.data.len(), if len <= SMALL_CHUNK { SMALL_CHUNK } else { MSS });
+            assert_eq!(
+                b.chunk.data.len(),
+                if len <= SMALL_CHUNK { SMALL_CHUNK } else { MSS }
+            );
             in_flight.push_back(b);
             if in_flight.len() > 4 {
                 in_flight.pop_front();
@@ -461,8 +484,16 @@ mod tests {
                 after_warm_up = Some(pool.allocated_chunks());
             }
         }
-        assert_eq!(Some(pool.allocated_chunks()), after_warm_up, "a warm pool allocated");
-        assert!(pool.allocated_chunks() <= 10, "{} chunks", pool.allocated_chunks());
+        assert_eq!(
+            Some(pool.allocated_chunks()),
+            after_warm_up,
+            "a warm pool allocated"
+        );
+        assert!(
+            pool.allocated_chunks() <= 10,
+            "{} chunks",
+            pool.allocated_chunks()
+        );
         assert_eq!(pool.recycled_chunks() + pool.allocated_chunks(), 1000);
         drop(in_flight);
         assert_eq!(pool.free_chunks() as u64, pool.allocated_chunks());

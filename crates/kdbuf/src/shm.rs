@@ -82,7 +82,9 @@ fn park(mut buf: ParkedBuf, dirty: usize) {
         }
         buf.data[..dirty].fill(0);
         debug_assert!(
-            buf.data[dirty..].chunks(4096).all(|c| c == &[0u8; 4096][..c.len()]),
+            buf.data[dirty..]
+                .chunks(4096)
+                .all(|c| c == &[0u8; 4096][..c.len()]),
             "a write past the dirty mark ({dirty} of {len} B) bypassed ShmBuf's accessors"
         );
         buf.mapped = buf.mapped.max(dirty);
@@ -271,7 +273,8 @@ impl BufSlice {
     /// Runs `f` over the slice's bytes without copying (no `.await` while
     /// inside).
     pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        self.buf.with(|s| f(&s[self.offset..self.offset + self.len]))
+        self.buf
+            .with(|s| f(&s[self.offset..self.offset + self.len]))
     }
 
     pub fn copy_from(&self, src: &[u8]) {
@@ -352,7 +355,11 @@ mod tests {
         drop(ShmBuf::from_vec(vec![0x5A; LEN]));
         assert_eq!(parked_bytes(), before + LEN);
         drop(ShmBuf::zeroed(LEN + 1));
-        assert_eq!(parked_bytes(), before + 2 * LEN + 1, "a longer request missed");
+        assert_eq!(
+            parked_bytes(),
+            before + 2 * LEN + 1,
+            "a longer request missed"
+        );
         let hit = ShmBuf::zeroed(LEN);
         assert_eq!(parked_bytes(), before + LEN + 1);
         assert!(hit.with(|b| b.iter().all(|&x| x == 0)));
@@ -362,7 +369,11 @@ mod tests {
     fn the_furthest_written_buffer_goes_out_first() {
         const LEN: usize = PARK_MIN_LEN + 3 * 4096;
         let addr = |b: &ShmBuf| b.with(|s| s.as_ptr() as usize);
-        let bufs = [ShmBuf::zeroed(LEN), ShmBuf::zeroed(LEN), ShmBuf::zeroed(LEN)];
+        let bufs = [
+            ShmBuf::zeroed(LEN),
+            ShmBuf::zeroed(LEN),
+            ShmBuf::zeroed(LEN),
+        ];
         let [little, most, none] = [addr(&bufs[0]), addr(&bufs[1]), addr(&bufs[2])];
         bufs[0].write_at(0, &[1; 8]);
         bufs[1].write_at(100_000, &[1; 8]);
@@ -370,8 +381,15 @@ mod tests {
         // A life that writes less does not forget the pages an earlier one
         // mapped.
         for _ in 0..2 {
-            let again = [ShmBuf::zeroed(LEN), ShmBuf::zeroed(LEN), ShmBuf::zeroed(LEN)];
-            assert_eq!([addr(&again[0]), addr(&again[1]), addr(&again[2])], [most, little, none]);
+            let again = [
+                ShmBuf::zeroed(LEN),
+                ShmBuf::zeroed(LEN),
+                ShmBuf::zeroed(LEN),
+            ];
+            assert_eq!(
+                [addr(&again[0]), addr(&again[1]), addr(&again[2])],
+                [most, little, none]
+            );
         }
     }
 
@@ -384,7 +402,11 @@ mod tests {
         drop(bufs);
         assert_eq!(parked_bytes(), before + fit * LEN, "one too many was freed");
         // Take them back so the list is as this test found it.
-        drop((0..fit).map(|_| ShmBuf::zeroed(LEN).with_vec(std::mem::take)).collect::<Vec<_>>());
+        drop(
+            (0..fit)
+                .map(|_| ShmBuf::zeroed(LEN).with_vec(std::mem::take))
+                .collect::<Vec<_>>(),
+        );
         assert_eq!(parked_bytes(), before);
     }
 
@@ -403,11 +425,17 @@ mod tests {
         // Loopback copy inside one buffer, and a copy from another.
         b.slice(20, 4).copy_to(&b.slice(30, 4));
         assert_eq!((dirty(&b), b.read_at(30, 4)), (34, vec![7; 4]));
-        ShmBuf::from_vec(vec![8; 2]).as_slice().copy_to(&b.slice(40, 2));
+        ShmBuf::from_vec(vec![8; 2])
+            .as_slice()
+            .copy_to(&b.slice(40, 2));
         assert_eq!(dirty(&b), 42);
         b.zero_from(6);
         assert_eq!(dirty(&b), 6);
-        assert_eq!(b.read_at(0, 8), [1, 0, 0, 0, 0, 0, 0, 0], "below `from`: kept");
+        assert_eq!(
+            b.read_at(0, 8),
+            [1, 0, 0, 0, 0, 0, 0, 0],
+            "below `from`: kept"
+        );
         assert!(b.with(|s| s[6..].iter().all(|&x| x == 0)));
         b.with_vec(|v| v.truncate(16));
         assert_eq!((dirty(&b), b.len()), (16, 16));

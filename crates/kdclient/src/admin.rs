@@ -27,7 +27,11 @@ impl Admin {
         replication: u32,
     ) -> Result<(), ClientError> {
         let topic = topic.to_string();
-        let request = Request::CreateTopic { topic, partitions, replication };
+        let request = Request::CreateTopic {
+            topic,
+            partitions,
+            replication,
+        };
         let Response::CreateTopic { error } = self.conn.call(&request).await? else {
             return Err(ClientError::Protocol);
         };
@@ -40,8 +44,11 @@ impl Admin {
         topics: &[&str],
     ) -> Result<(Vec<BrokerAddr>, Vec<TopicMeta>), ClientError> {
         let topics = topics.iter().map(|t| t.to_string()).collect();
-        let Response::Metadata { error, brokers, topics } =
-            self.conn.call(&Request::Metadata { topics }).await?
+        let Response::Metadata {
+            error,
+            brokers,
+            topics,
+        } = self.conn.call(&Request::Metadata { topics }).await?
         else {
             return Err(ClientError::Protocol);
         };
@@ -63,7 +70,12 @@ impl Admin {
         offset: u64,
     ) -> Result<(), ClientError> {
         let (group, topic) = (group.to_string(), topic.to_string());
-        let request = Request::OffsetCommit { group, topic, partition, offset };
+        let request = Request::OffsetCommit {
+            group,
+            topic,
+            partition,
+            offset,
+        };
         let Response::OffsetCommit { error } = self.conn.call(&request).await? else {
             return Err(ClientError::Protocol);
         };
@@ -78,7 +90,11 @@ impl Admin {
         partition: u32,
     ) -> Result<Option<u64>, ClientError> {
         let (group, topic) = (group.to_string(), topic.to_string());
-        let request = Request::OffsetFetch { group, topic, partition };
+        let request = Request::OffsetFetch {
+            group,
+            topic,
+            partition,
+        };
         let Response::OffsetFetch { error, offset } = self.conn.call(&request).await? else {
             return Err(ClientError::Protocol);
         };
@@ -121,9 +137,20 @@ impl Admin {
     }
 
     /// Earliest/latest (high watermark) offsets of a partition.
-    pub async fn list_offsets(&self, topic: &str, partition: u32) -> Result<(u64, u64), ClientError> {
-        let request = Request::ListOffsets { topic: topic.to_string(), partition };
-        let Response::ListOffsets { error, earliest, latest } = self.conn.call(&request).await?
+    pub async fn list_offsets(
+        &self,
+        topic: &str,
+        partition: u32,
+    ) -> Result<(u64, u64), ClientError> {
+        let request = Request::ListOffsets {
+            topic: topic.to_string(),
+            partition,
+        };
+        let Response::ListOffsets {
+            error,
+            earliest,
+            latest,
+        } = self.conn.call(&request).await?
         else {
             return Err(ClientError::Protocol);
         };

@@ -37,10 +37,9 @@ impl Conn {
     ) -> Result<Conn, ClientError> {
         match transport {
             ClientTransport::Tcp => {
-                let stream =
-                    netsim::tcp::connect(node, netsim::NodeId(broker.node), broker.port)
-                        .await
-                        .map_err(|_| ClientError::Disconnected)?;
+                let stream = netsim::tcp::connect(node, netsim::NodeId(broker.node), broker.port)
+                    .await
+                    .map_err(|_| ClientError::Disconnected)?;
                 Ok(Conn::Tcp(RpcClient::new(stream)))
             }
             ClientTransport::Osu => Ok(Conn::Osu(Rc::new(
@@ -52,7 +51,10 @@ impl Conn {
     pub async fn call(&self, req: &Request) -> Result<Response, ClientError> {
         match self {
             Conn::Tcp(c) => c.call(req).await.map_err(ClientError::from),
-            Conn::Osu(c) => c.call_with(|body| req.encode_into(body), None, Duration::ZERO).await,
+            Conn::Osu(c) => {
+                c.call_with(|body| req.encode_into(body), None, Duration::ZERO)
+                    .await
+            }
         }
     }
 
@@ -68,7 +70,10 @@ impl Conn {
         charge: Duration,
     ) -> Result<Response, ClientError> {
         match self {
-            Conn::Tcp(c) => c.call_with(encode, trace, charge).await.map_err(ClientError::from),
+            Conn::Tcp(c) => c
+                .call_with(encode, trace, charge)
+                .await
+                .map_err(ClientError::from),
             Conn::Osu(c) => c.call_with(encode, trace, charge).await,
         }
     }
@@ -94,7 +99,10 @@ impl OsuConn {
         let (qp, send_cq, recv_cq) = Port::OSU.open(node, broker).await?;
         let bufs: Vec<ShmBuf> = (0..recv_depth).map(|_| ShmBuf::zeroed(recv_buf)).collect();
         for (i, b) in bufs.iter().enumerate() {
-            let _ = qp.post_recv(RecvWr { wr_id: i as u64, buf: Some(b.as_slice()) });
+            let _ = qp.post_recv(RecvWr {
+                wr_id: i as u64,
+                buf: Some(b.as_slice()),
+            });
         }
         let calls = Rc::new(Calls::default());
 
@@ -104,7 +112,9 @@ impl OsuConn {
         let node2 = node.clone();
         sim::spawn_detached(async move {
             loop {
-                let Some(cqe) = recv_cq.next().await else { break };
+                let Some(cqe) = recv_cq.next().await else {
+                    break;
+                };
                 if !cqe.ok() || cqe.opcode != CqOpcode::Recv {
                     break;
                 }
@@ -118,7 +128,10 @@ impl OsuConn {
                     let (corr, body) = s[..cqe.byte_len as usize].split_first_chunk::<8>()?;
                     Some((u64::from_le_bytes(*corr), Response::decode(body)))
                 });
-                let _ = qp2.post_recv(RecvWr { wr_id: cqe.wr_id, buf: Some(buf.as_slice()) });
+                let _ = qp2.post_recv(RecvWr {
+                    wr_id: cqe.wr_id,
+                    buf: Some(buf.as_slice()),
+                });
                 if let Some((corr, resp)) = decoded {
                     calls2.answer(corr, resp);
                 }
@@ -128,7 +141,11 @@ impl OsuConn {
         // Drain the send CQ (sends are unsignaled; errors only).
         sim::spawn_detached(async move { while send_cq.next().await.is_some() {} });
 
-        Ok(OsuConn { node: node.clone(), qp, calls })
+        Ok(OsuConn {
+            node: node.clone(),
+            qp,
+            calls,
+        })
     }
 
     pub async fn call_with(
@@ -147,8 +164,14 @@ impl OsuConn {
         frame.extend_from_slice(&corr.to_le_bytes());
         frame.extend_from_slice(&body);
         let buf = ShmBuf::from_vec(frame);
-        let send = WorkRequest::Send { local: buf.as_slice() };
-        if self.qp.post_send(SendWr::unsignaled(corr, send).with_trace(trace)).is_err() {
+        let send = WorkRequest::Send {
+            local: buf.as_slice(),
+        };
+        if self
+            .qp
+            .post_send(SendWr::unsignaled(corr, send).with_trace(trace))
+            .is_err()
+        {
             self.calls.cancel(corr);
             return Err(ClientError::Disconnected);
         }

@@ -112,11 +112,20 @@ impl TcpConsumer {
         self.fetches += 1;
         let (topic, partition, offset) = (self.topic.clone(), self.partition, self.offset);
         let (max_bytes, replica_id) = (self.max_bytes, u32::MAX);
-        let request = Request::Fetch { topic, partition, offset, max_bytes, replica_id };
+        let request = Request::Fetch {
+            topic,
+            partition,
+            offset,
+            max_bytes,
+            replica_id,
+        };
         let encode = |body: &mut Vec<u8>| request.encode_into(body);
         // The response's dispatch back to the caller thread is paid on its
         // wake.
-        let resp = self.conn.call_with(encode, Some(span.ctx()), cpu.wakeup).await?;
+        let resp = self
+            .conn
+            .call_with(encode, Some(span.ctx()), cpu.wakeup)
+            .await?;
         let Response::Fetch(f) = resp else {
             return Err(ClientError::Protocol);
         };
@@ -127,12 +136,18 @@ impl TcpConsumer {
         }
         // Client-side integrity check + copy into application records.
         let len = f.bytes.len() as u64;
-        sim::time::sleep(copy_time(len, cpu.crc_bandwidth) + copy_time(len, cpu.memcpy_bandwidth)).await;
+        sim::time::sleep(copy_time(len, cpu.crc_bandwidth) + copy_time(len, cpu.memcpy_bandwidth))
+            .await;
         // A fetch response carries whole batches only; bytes left over were
         // cut short or mis-framed on the way.
         let mut out = Vec::new();
-        let used =
-            drain_batches(&f.bytes, &self.chunks, &mut self.offset, |_| {}, |rv| out.push(rv))?;
+        let used = drain_batches(
+            &f.bytes,
+            &self.chunks,
+            &mut self.offset,
+            |_| {},
+            |rv| out.push(rv),
+        )?;
         if used != f.bytes.len() {
             return Err(ClientError::Corrupt);
         }
@@ -157,8 +172,8 @@ impl TcpConsumer {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use super::batches;
+    use super::*;
     use kdstorage::record::single_record_batch;
     use kdstorage::Record;
 
@@ -257,7 +272,10 @@ mod tests {
                 (used, delivered)
             };
             let (whole, _) = drain(&hostile);
-            let Some(total) = peek_total_len(&hostile).ok().filter(|&t| t <= hostile.len()) else {
+            let Some(total) = peek_total_len(&hostile)
+                .ok()
+                .filter(|&t| t <= hostile.len())
+            else {
                 assert_eq!(whole, Ok(0), "round {round}: an incomplete batch waits");
                 continue;
             };
@@ -265,7 +283,10 @@ mod tests {
                 Ok(h) => {
                     let (used, delivered) = drain(&hostile[..total]);
                     assert_eq!(used, Ok(total), "round {round}");
-                    if h.base_offset.checked_add(u64::from(h.record_count)).is_some() {
+                    if h.base_offset
+                        .checked_add(u64::from(h.record_count))
+                        .is_some()
+                    {
                         assert_eq!(delivered, h.record_count, "round {round}");
                     }
                 }
@@ -279,7 +300,14 @@ mod tests {
         let (bytes, _) = three_batches();
         let (mut next, mut offsets) = (2, Vec::new());
         let chunks = kdbuf::Pool::new(64);
-        drain_batches(&bytes, &chunks, &mut next, |_| {}, |rv| offsets.push(rv.offset)).unwrap();
+        drain_batches(
+            &bytes,
+            &chunks,
+            &mut next,
+            |_| {},
+            |rv| offsets.push(rv.offset),
+        )
+        .unwrap();
         assert_eq!((next, offsets), (3, vec![2]));
     }
 }

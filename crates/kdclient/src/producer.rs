@@ -179,7 +179,9 @@ impl TcpProducer {
         // Encoded here, while `record` is borrowed: the task owns only the
         // pooled batch.
         let batch = p.build(std::slice::from_ref(record));
-        let cost = batch.as_ref().map_or(Duration::ZERO, |b| p.send_cost(b.len()));
+        let cost = batch
+            .as_ref()
+            .map_or(Duration::ZERO, |b| p.send_cost(b.len()));
         let (p, acks) = (Rc::clone(p), self.acks);
         sim::spawn_at(sim::now() + cost, async move {
             let resp = p.produce(batch?, acks, span.ctx(), Duration::ZERO).await?;

@@ -183,7 +183,11 @@ impl RdmaConsumer {
         trace: Option<kdtelem::TraceCtx>,
         charge: Duration,
     ) -> Result<(), ClientError> {
-        let read = WorkRequest::Read { local, remote_addr, rkey };
+        let read = WorkRequest::Read {
+            local,
+            remote_addr,
+            rkey,
+        };
         let wr = SendWr::new(7, read).with_trace(trace);
         let done = self.plane.execute(wr, charge).await;
         done.map(drop).ok_or(ClientError::Disconnected)
@@ -195,7 +199,12 @@ impl RdmaConsumer {
         let sub = &mut self.subs[i];
         let (topic, partition) = (sub.tp.topic.as_str().to_string(), sub.tp.partition);
         let (offset, consumer_id) = (sub.offset, self.consumer_id);
-        let request = Request::ConsumeAccess { topic, partition, offset, consumer_id };
+        let request = Request::ConsumeAccess {
+            topic,
+            partition,
+            offset,
+            consumer_id,
+        };
         let Response::ConsumeAccess(grant) = self.plane.ctrl.call(&request).await? else {
             return Err(ClientError::Protocol);
         };
@@ -231,7 +240,12 @@ impl RdmaConsumer {
         self.stats.releases += 1;
         let (topic, partition) = (sub.tp.topic.as_str().to_string(), sub.tp.partition);
         let (consumer_id, segment) = (self.consumer_id, f.grant.segment);
-        let request = Request::ConsumeRelease { topic, partition, consumer_id, segment };
+        let request = Request::ConsumeRelease {
+            topic,
+            partition,
+            consumer_id,
+            segment,
+        };
         self.plane.ctrl.call(&request).await.map(drop)
     }
 
@@ -407,7 +421,8 @@ impl RdmaConsumer {
             copy_time(n as u64, cpu.crc_bandwidth) + copy_time(n as u64, cpu.memcpy_bandwidth);
         self.rdma_read(local, addr, rkey, Some(ctx), charge).await?;
         let sub = &mut self.subs[i];
-        self.fetch_buf.with(|b| sub.partial.extend_from_slice(&b[..n]));
+        self.fetch_buf
+            .with(|b| sub.partial.extend_from_slice(&b[..n]));
         if let Some(f) = &mut sub.file {
             f.read_pos += n as u32;
         }
@@ -471,8 +486,13 @@ impl RdmaConsumer {
     pub async fn enable_rdma_offset_commit(&mut self, group: &str) -> Result<(), ClientError> {
         for sub in &mut self.subs {
             let (group, topic) = (group.to_string(), sub.tp.topic.as_str().to_string());
-            let request = Request::OffsetSlotAccess { group, topic, partition: sub.tp.partition };
-            let Response::OffsetSlotAccess { error, region } = self.plane.ctrl.call(&request).await?
+            let request = Request::OffsetSlotAccess {
+                group,
+                topic,
+                partition: sub.tp.partition,
+            };
+            let Response::OffsetSlotAccess { error, region } =
+                self.plane.ctrl.call(&request).await?
             else {
                 return Err(ClientError::Protocol);
             };
@@ -489,8 +509,15 @@ impl RdmaConsumer {
             let slot = sub.offset_slot.ok_or(ClientError::Protocol)?;
             self.commit_buf.write_u64(0, sub.offset);
             let local = self.commit_buf.as_slice();
-            let write = WorkRequest::Write { local, remote_addr: slot.addr, rkey: slot.rkey };
-            let done = self.plane.execute(SendWr::new(8, write), Duration::ZERO).await;
+            let write = WorkRequest::Write {
+                local,
+                remote_addr: slot.addr,
+                rkey: slot.rkey,
+            };
+            let done = self
+                .plane
+                .execute(SendWr::new(8, write), Duration::ZERO)
+                .await;
             done.ok_or(ClientError::Disconnected)?;
             self.stats.rdma_offset_commits += 1;
         }
@@ -502,7 +529,12 @@ impl RdmaConsumer {
         for sub in &self.subs {
             let (group, topic) = (group.to_string(), sub.tp.topic.as_str().to_string());
             let (partition, offset) = (sub.tp.partition, sub.offset);
-            let request = Request::OffsetCommit { group, topic, partition, offset };
+            let request = Request::OffsetCommit {
+                group,
+                topic,
+                partition,
+                offset,
+            };
             let Response::OffsetCommit { error } = self.plane.ctrl.call(&request).await? else {
                 return Err(ClientError::Protocol);
             };
@@ -570,22 +602,34 @@ mod tests {
         sim::Runtime::new().block_on(async move {
             let fabric = Fabric::new(Profile::testbed());
             let (bnode, cnode) = (fabric.add_node("broker"), fabric.add_node("client"));
-            let log = LogConfig { segment_size: 1 << 20, max_batch_size: 1 << 19 };
+            let log = LogConfig {
+                segment_size: 1 << 20,
+                max_batch_size: 1 << 19,
+            };
             let config = BrokerConfig {
                 log,
                 ..BrokerConfig::kafkadirect(RdmaToggles::all())
             };
-            let addr = BrokerAddr { node: bnode.id.0, port: config.tcp_port, rdma_port: config.rdma_port };
+            let addr = BrokerAddr {
+                node: bnode.id.0,
+                port: config.tcp_port,
+                rdma_port: config.rdma_port,
+            };
             let broker = Broker::start(&bnode, config, vec![addr]);
             let admin = crate::Admin::connect(&cnode, addr).await.unwrap();
             admin.create_topic("t", 1, 1).await.unwrap();
-            let mut producer = RdmaProducer::connect(&cnode, addr, "t", 0, false).await.unwrap();
+            let mut producer = RdmaProducer::connect(&cnode, addr, "t", 0, false)
+                .await
+                .unwrap();
             let mut acks = Vec::new();
             for first in (0..records).step_by(32) {
                 let run: Vec<Record> = (first..records.min(first + 32))
                     .map(|i| Record::value(payload(i, len)))
                     .collect();
-                producer.send_pipelined_chain(&run, &mut acks).await.unwrap();
+                producer
+                    .send_pipelined_chain(&run, &mut acks)
+                    .await
+                    .unwrap();
             }
             for ack in acks {
                 assert_eq!(ack.await.unwrap().0, ErrorCode::None);
@@ -609,7 +653,12 @@ mod tests {
             }
             for (i, rv) in held.iter().enumerate() {
                 assert_eq!(rv.offset, i as u64);
-                assert_eq!(rv.record.value, payload(rv.offset, small), "offset {}", rv.offset);
+                assert_eq!(
+                    rv.record.value,
+                    payload(rv.offset, small),
+                    "offset {}",
+                    rv.offset
+                );
             }
             (held.len(), later)
         }};
@@ -620,7 +669,10 @@ mod tests {
         consume(4000, small, |node, addr, _broker| async move {
             let mut c = RdmaConsumer::connect(&node, addr, "t", 0, 0).await.unwrap();
             let (held, later) = hold_through!(c, 50, 500);
-            assert!(held >= 200 && later >= 2000, "{held} held, {later} after them");
+            assert!(
+                held >= 200 && later >= 2000,
+                "{held} held, {later} after them"
+            );
         });
     }
 
@@ -632,7 +684,10 @@ mod tests {
                 .unwrap();
             c.max_bytes = 2048;
             let (held, later) = hold_through!(c, 20, 100);
-            assert!(held >= 80 && later >= 400, "{held} held, {later} after them");
+            assert!(
+                held >= 80 && later >= 400,
+                "{held} held, {later} after them"
+            );
         });
     }
 
@@ -644,8 +699,11 @@ mod tests {
         fn large(_: u64) -> usize {
             40 << 10
         }
-        let cases: [(u32, bool, Len); 3] =
-            [(256 << 10, false, small), (DEFAULT_FETCH_SIZE, true, small), (DEFAULT_FETCH_SIZE, false, large)];
+        let cases: [(u32, bool, Len); 3] = [
+            (256 << 10, false, small),
+            (DEFAULT_FETCH_SIZE, true, small),
+            (DEFAULT_FETCH_SIZE, false, large),
+        ];
         for (fetch_size, adaptive, len) in cases {
             consume(400, len, move |node, addr, _broker| async move {
                 let mut c = RdmaConsumer::connect(&node, addr, "t", 0, 0).await.unwrap();
@@ -655,7 +713,10 @@ mod tests {
                     got.extend(c.next_records().await.unwrap());
                 }
                 for (i, rv) in got.iter().enumerate() {
-                    assert_eq!(rv.offset, i as u64, "fetch size {fetch_size}, adaptive {adaptive}");
+                    assert_eq!(
+                        rv.offset, i as u64,
+                        "fetch size {fetch_size}, adaptive {adaptive}"
+                    );
                     assert_eq!(rv.record.value, payload(i as u64, len));
                 }
             });
@@ -667,7 +728,11 @@ mod tests {
     #[test]
     fn a_garbled_batch_split_across_two_reads_is_corrupt() {
         consume(1, small, |node, addr, broker| async move {
-            let p = broker.inner().store.get(&TopicPartition::new("t", 0)).unwrap();
+            let p = broker
+                .inner()
+                .store
+                .get(&TopicPartition::new("t", 0))
+                .unwrap();
             let segment = p.log.segment(0).unwrap();
             let batch_len = segment.committed_pos();
             let at = batch_len - 1;

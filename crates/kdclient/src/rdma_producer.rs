@@ -180,7 +180,11 @@ impl RdmaProducer {
         ack_depth: usize,
     ) -> Result<RdmaProducer, ClientError> {
         assert!(ack_depth >= 1);
-        let mode = if shared { ProduceMode::Shared } else { ProduceMode::Exclusive };
+        let mode = if shared {
+            ProduceMode::Shared
+        } else {
+            ProduceMode::Exclusive
+        };
         let (plane, recv_cq) = DataPlane::open(node, broker, Port::produce(ack_depth)).await?;
         let gen = Generation::start(&plane.qp, ack_depth);
         let telem = kdtelem::current();
@@ -281,11 +285,19 @@ impl RdmaProducer {
             return None;
         }
         let mut pos = at;
-        let (rkey, imm) = (self.grant.region.rkey, kdwire::pack_imm(self.grant.file_id, order));
+        let (rkey, imm) = (
+            self.grant.region.rkey,
+            kdwire::pack_imm(self.grant.file_id, order),
+        );
         let wrs = run.iter().map(|(buf, span)| {
             let remote_addr = self.grant.region.addr + pos;
             pos += buf.len() as u64;
-            let write = WorkRequest::WriteImm { local: buf.as_slice(), remote_addr, rkey, imm };
+            let write = WorkRequest::WriteImm {
+                local: buf.as_slice(),
+                remote_addr,
+                rkey,
+                imm,
+            };
             SendWr::unsignaled(0, write).with_trace(Some(span.ctx()))
         });
         self.plane.qp.post_send_list(wrs).ok()?;
@@ -414,7 +426,10 @@ impl RdmaProducer {
             if matches!(posted, Ok(Some(_))) {
                 run.clear();
             } else {
-                self.gen.stage_pool.borrow_mut().extend(run.drain(..).map(|(buf, _)| buf));
+                self.gen
+                    .stage_pool
+                    .borrow_mut()
+                    .extend(run.drain(..).map(|(buf, _)| buf));
             }
             self.chain = run;
             if let Some(end) = posted? {
@@ -475,7 +490,12 @@ impl RdmaProducer {
         let word = self.grant.shared_word?;
         let local = self.gen.faa_result();
         let add = kdwire::slots::shared_word_addend(u64::from(len));
-        let faa = WorkRequest::FetchAdd { local, remote_addr: word.addr, rkey: word.rkey, add };
+        let faa = WorkRequest::FetchAdd {
+            local,
+            remote_addr: word.addr,
+            rkey: word.rkey,
+            add,
+        };
         let wr = SendWr::new(1, faa).with_trace(trace);
         self.plane.execute(wr, Duration::ZERO).await?.atomic_old
     }
@@ -525,7 +545,10 @@ impl RdmaProducer {
 
 impl Rejoin for RdmaProducer {
     fn parts(&mut self) -> (&mut DataPlane, &str, u32) {
-        let Request::ProduceAccess { topic, partition, .. } = &self.access else {
+        let Request::ProduceAccess {
+            topic, partition, ..
+        } = &self.access
+        else {
             unreachable!("the access request is a produce-access request")
         };
         (&mut self.plane, topic, *partition)
@@ -593,7 +616,8 @@ fn drain_acks(qp: &QueuePair, recv_cq: &rnic::CompletionQueue, gen: &Generation)
         // steady state.
         let n = (cqe.byte_len as usize).min(ACK_BUF);
         let mut payload = [0u8; ACK_BUF];
-        gen.bufs.read_into(cqe.wr_id as usize * ACK_BUF, &mut payload[..n]);
+        gen.bufs
+            .read_into(cqe.wr_id as usize * ACK_BUF, &mut payload[..n]);
         let _ = recycle.push(cqe.wr_id);
         resolve_ack(&payload[..n], gen);
     }
@@ -785,28 +809,50 @@ mod tests {
             let mut rxs = Vec::new();
             for _ in 0..in_flight {
                 let (tx, rx) = oneshot::channel();
-                pending.borrow_mut().push_back((Some(tx), Some(ShmBuf::zeroed(1))));
+                pending
+                    .borrow_mut()
+                    .push_back((Some(tx), Some(ShmBuf::zeroed(1))));
                 rxs.push(rx);
             }
             let mut wire = [0u8; ACK_BUF];
-            kdwire::encode_ack(ErrorCode::None, rng.next_u64(), rng.below(8) as u32, &mut wire);
+            kdwire::encode_ack(
+                ErrorCode::None,
+                rng.next_u64(),
+                rng.below(8) as u32,
+                &mut wire,
+            );
             let mut len = kdwire::ACK_SIZE;
             match rng.below(5) {
                 0 => {}
-                1 => (0..=rng.below(4)).for_each(|_| wire[rng.below(16) as usize] ^= 1 << rng.below(8)),
+                1 => (0..=rng.below(4))
+                    .for_each(|_| wire[rng.below(16) as usize] ^= 1 << rng.below(8)),
                 2 => len = rng.below(ACK_BUF as u64 + 1) as usize,
                 3 => wire[9..13].fill(0xff),
                 _ => rng.fill(&mut wire),
             }
             let (error, base_offset, count) = kdwire::decode_ack(&wire[..len]);
             let resolved = resolve_ack(&wire[..len], &gen);
-            assert_eq!(resolved, count.min(in_flight), "round {round}: {:?}", &wire[..len]);
+            assert_eq!(
+                resolved,
+                count.min(in_flight),
+                "round {round}: {:?}",
+                &wire[..len]
+            );
             for (i, rx) in rxs.iter_mut().enumerate() {
-                let answer = (i < resolved as usize).then(|| (error, base_offset.wrapping_add(i as u64)));
-                assert_eq!(rx.try_recv().map(|got| got.ok()), answer.map(Some), "round {round}");
+                let answer =
+                    (i < resolved as usize).then(|| (error, base_offset.wrapping_add(i as u64)));
+                assert_eq!(
+                    rx.try_recv().map(|got| got.ok()),
+                    answer.map(Some),
+                    "round {round}"
+                );
             }
             assert_eq!(pending.borrow().len() as u32, in_flight - resolved);
-            assert_eq!(pool.borrow().len() as u32, resolved, "acked writes return their buffers");
+            assert_eq!(
+                pool.borrow().len() as u32,
+                resolved,
+                "acked writes return their buffers"
+            );
             pending.borrow_mut().clear();
             pool.borrow_mut().clear();
         }
@@ -823,7 +869,10 @@ mod tests {
         const CALL: usize = 528; // measured 504
         fn fits<F: Future>(what: &str, future: F, bound: usize) {
             let bytes = std::mem::size_of_val(&future);
-            assert!(bytes <= bound, "{what}: a {bytes} B future, bound {bound} B");
+            assert!(
+                bytes <= bound,
+                "{what}: a {bytes} B future, bound {bound} B"
+            );
         }
         run(1 << 20, |mut p| async move {
             let record = Record::value(vec![1; 8]);

@@ -103,7 +103,9 @@ fn rdma_producer_grant_reflects_broker_state() {
         let fabric = Fabric::new(Profile::testbed());
         let (_b, addr, client) =
             broker(&fabric, BrokerConfig::kafkadirect(RdmaToggles::all())).await;
-        let mut p = RdmaProducer::connect(&client, addr, "t", 0, false).await.unwrap();
+        let mut p = RdmaProducer::connect(&client, addr, "t", 0, false)
+            .await
+            .unwrap();
         assert_eq!(p.grant().segment, 0);
         assert_eq!(p.grant().write_pos, 0);
         assert_eq!(p.grant().next_offset, 0);
@@ -113,7 +115,9 @@ fn rdma_producer_grant_reflects_broker_state() {
         let shared = RdmaProducer::connect(&client, addr, "t", 0, true).await;
         assert!(matches!(
             shared,
-            Err(kdclient::ClientError::Broker(kdwire::ErrorCode::AccessDenied))
+            Err(kdclient::ClientError::Broker(
+                kdwire::ErrorCode::AccessDenied
+            ))
         ));
     });
 }
@@ -152,7 +156,9 @@ fn rdma_disabled_broker_rejects_produce_access() {
         let denied = RdmaProducer::connect(&client, addr, "t", 0, false).await;
         assert!(matches!(
             denied,
-            Err(kdclient::ClientError::Broker(kdwire::ErrorCode::AccessDenied))
+            Err(kdclient::ClientError::Broker(
+                kdwire::ErrorCode::AccessDenied
+            ))
         ));
     });
 }
@@ -171,7 +177,10 @@ fn fetch_server(node: &NodeHandle, port: u16, bytes: Vec<u8>) {
                 next_offset: 2,
                 bytes: bytes.clone(),
             });
-            if kdwire::frame::write_frame(&mut w, corr, None, &resp.encode()).await.is_err() {
+            if kdwire::frame::write_frame(&mut w, corr, None, &resp.encode())
+                .await
+                .is_err()
+            {
                 break;
             }
         }
@@ -199,11 +208,20 @@ fn tcp_consumer_rejects_a_mis_framed_fetch_response() {
         let mut oversized = whole.clone();
         let at = batch.len() + LENGTH_PREFIX_LEN - 4;
         oversized[at..at + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
-        let cases = [(whole, Ok(2)), (cut, Err(())), (cut_in_prefix, Err(())), (oversized, Err(()))];
+        let cases = [
+            (whole, Ok(2)),
+            (cut, Err(())),
+            (cut_in_prefix, Err(())),
+            (oversized, Err(())),
+        ];
         for (i, (bytes, want)) in cases.into_iter().enumerate() {
             let port = 9000 + i as u16;
             fetch_server(&server, port, bytes);
-            let addr = BrokerAddr { node: server.id.0, port, rdma_port: 0 };
+            let addr = BrokerAddr {
+                node: server.id.0,
+                port,
+                rdma_port: 0,
+            };
             let mut c = TcpConsumer::connect(&client, addr, ClientTransport::Tcp, "t", 0, 0)
                 .await
                 .unwrap();
@@ -247,15 +265,25 @@ fn rdma_consumer_rejects_a_batch_that_outgrows_its_file() {
         let part = b.inner().store.get(&tp).unwrap();
         let file = part.log.segment(0).unwrap();
         let third = file.batch_at(2).unwrap();
-        file.write_at(third.pos + LENGTH_PREFIX_LEN as u32 - 4, &(1u32 << 20).to_le_bytes());
+        file.write_at(
+            third.pos + LENGTH_PREFIX_LEN as u32 - 4,
+            &(1u32 << 20).to_le_bytes(),
+        );
 
         let mut c = kdclient::RdmaConsumer::connect(&client, addr, "t", 0, 0)
             .await
             .unwrap();
         c.fetch_size = 4096;
-        assert_eq!(c.poll().await.unwrap().len(), 2, "the batches in front are fine");
+        assert_eq!(
+            c.poll().await.unwrap().len(),
+            2,
+            "the batches in front are fine"
+        );
         for _ in 0..3 {
-            assert!(c.poll().await.unwrap().is_empty(), "the tail waits for its bytes");
+            assert!(
+                c.poll().await.unwrap().is_empty(),
+                "the tail waits for its bytes"
+            );
         }
         // More records seal the file: the tail can no longer complete.
         for i in 3..9u8 {

@@ -59,7 +59,11 @@ pub enum FaultKind {
     NetHeal { a: u32, b: u32 },
     /// Drop each TCP chunk leaving `node` with probability
     /// `drop_permille/1000`, from a private RNG stream seeded with `seed`.
-    TcpDrop { node: u32, drop_permille: u16, seed: u64 },
+    TcpDrop {
+        node: u32,
+        drop_permille: u16,
+        seed: u64,
+    },
     /// Add a fixed extra delay to every TCP chunk leaving `node`.
     TcpDelay { node: u32, delay_us: u32 },
     /// Clear drop/delay faults on `node`.
@@ -204,7 +208,10 @@ impl FaultPlan {
                     let topic = topic.clone();
                     faults.push(ScheduledFault {
                         at_ns: at,
-                        kind: FaultKind::FailOver { topic, partition: 0 },
+                        kind: FaultKind::FailOver {
+                            topic,
+                            partition: 0,
+                        },
                     });
                 }
                 (2, _) if cfg.brokers > 1 => {
@@ -225,7 +232,11 @@ impl FaultPlan {
                     let link_seed = rng.next_u64();
                     faults.push(ScheduledFault {
                         at_ns: at,
-                        kind: FaultKind::TcpDrop { node, drop_permille, seed: link_seed },
+                        kind: FaultKind::TcpDrop {
+                            node,
+                            drop_permille,
+                            seed: link_seed,
+                        },
                     });
                     faults.push(ScheduledFault {
                         at_ns: heal_at,
@@ -370,7 +381,8 @@ thread_local! {
 
 /// The ambient injector: the innermost [`enter`]ed one, else the default.
 pub fn current() -> Injector {
-    STACK.with(|s| s.borrow().last().cloned())
+    STACK
+        .with(|s| s.borrow().last().cloned())
         .unwrap_or_else(|| DEFAULT.with(Clone::clone))
 }
 
@@ -430,7 +442,10 @@ mod tests {
             let mut last = 0;
             for f in &p.faults {
                 assert!(f.at_ns >= last, "unsorted at seed {seed}");
-                assert!(f.at_ns <= cfg().horizon_ns, "outside horizon at seed {seed}");
+                assert!(
+                    f.at_ns <= cfg().horizon_ns,
+                    "outside horizon at seed {seed}"
+                );
                 last = f.at_ns;
             }
         }
@@ -444,21 +459,22 @@ mod tests {
                 let later = &p.faults[i + 1..];
                 match &f.kind {
                     FaultKind::BrokerCrash { broker } => assert!(
-                        later.iter().any(|g| g.kind
-                            == FaultKind::BrokerRestart { broker: *broker }),
+                        later
+                            .iter()
+                            .any(|g| g.kind == FaultKind::BrokerRestart { broker: *broker }),
                         "unrecovered crash at seed {seed}"
                     ),
                     FaultKind::NetPartition { a, b } => assert!(
-                        later.iter().any(
-                            |g| g.kind == FaultKind::NetHeal { a: *a, b: *b }
-                        ),
+                        later
+                            .iter()
+                            .any(|g| g.kind == FaultKind::NetHeal { a: *a, b: *b }),
                         "unhealed partition at seed {seed}"
                     ),
                     FaultKind::TcpDrop { node, .. } | FaultKind::TcpDelay { node, .. } => {
                         assert!(
-                            later.iter().any(
-                                |g| g.kind == FaultKind::LinkClear { node: *node }
-                            ),
+                            later
+                                .iter()
+                                .any(|g| g.kind == FaultKind::LinkClear { node: *node }),
                             "uncleared link fault at seed {seed}"
                         );
                     }
@@ -490,13 +506,15 @@ mod tests {
                     saw_torn = true;
                     assert!(bytes >= 1);
                     assert!(
-                        b.faults[..i].iter().any(|g| g.kind
-                            == FaultKind::BrokerCrash { broker }),
+                        b.faults[..i]
+                            .iter()
+                            .any(|g| g.kind == FaultKind::BrokerCrash { broker }),
                         "torn write before its crash at seed {seed}"
                     );
                     assert!(
-                        b.faults[i + 1..].iter().any(|g| g.kind
-                            == FaultKind::BrokerRestart { broker }),
+                        b.faults[i + 1..]
+                            .iter()
+                            .any(|g| g.kind == FaultKind::BrokerRestart { broker }),
                         "torn write without later restart at seed {seed}"
                     );
                 }
@@ -526,8 +544,14 @@ mod tests {
         let inj = current();
         inj.record(&FaultKind::BrokerCrash { broker: 1 });
         inj.record(&FaultKind::BrokerRestart { broker: 1 });
-        inj.record(&FaultKind::TcpDelay { node: 0, delay_us: 10 });
-        inj.record(&FaultKind::FailOver { topic: "t".into(), partition: 0 });
+        inj.record(&FaultKind::TcpDelay {
+            node: 0,
+            delay_us: 10,
+        });
+        inj.record(&FaultKind::FailOver {
+            topic: "t".into(),
+            partition: 0,
+        });
 
         let snap = registry.snapshot();
         assert_eq!(snap.counter("kdfault", "inject.total"), Some(4));

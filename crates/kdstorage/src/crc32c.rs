@@ -22,7 +22,11 @@ fn build_tables() -> Tables {
     for (i, entry) in t[0].iter_mut().enumerate() {
         let mut crc = i as u32;
         for _ in 0..8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
         }
         *entry = crc;
     }
@@ -133,7 +137,13 @@ mod hw {
             let (b, rest) = rest.split_at(block);
             let (c, rest) = rest.split_at(block);
             let (mut crc_b, mut crc_c) = (0, 0);
-            for ((a, b), c) in a.as_chunks().0.iter().zip(b.as_chunks().0).zip(c.as_chunks().0) {
+            for ((a, b), c) in a
+                .as_chunks()
+                .0
+                .iter()
+                .zip(b.as_chunks().0)
+                .zip(c.as_chunks().0)
+            {
                 crc = _mm_crc32_u64(crc, u64::from_le_bytes(*a));
                 crc_b = _mm_crc32_u64(crc_b, u64::from_le_bytes(*b));
                 crc_c = _mm_crc32_u64(crc_c, u64::from_le_bytes(*c));
@@ -210,7 +220,11 @@ pub fn crc32c_reference(data: &[u8]) -> u32 {
     for &b in data {
         crc ^= b as u32;
         for _ in 0..8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
         }
     }
     !crc
@@ -333,7 +347,11 @@ mod differential {
         const MAX: usize = 4096 + 1;
         let buf = random(0xCC_0101, MAX + 16);
         for len in 0..=MAX {
-            assert_eq!(table(&buf[..len]), crc32c_reference(&buf[..len]), "len {len}");
+            assert_eq!(
+                table(&buf[..len]),
+                crc32c_reference(&buf[..len]),
+                "len {len}"
+            );
             for align in 0..16 {
                 let data = &buf[align..align + len];
                 assert_eq!(crc32c(data), table(data), "len {len} at alignment {align}");
@@ -343,7 +361,13 @@ mod differential {
 
     #[test]
     fn lengths_straddling_every_interleave_boundary() {
-        let blocks = [3 * SHORT, 6 * SHORT, 3 * LONG, 3 * LONG + 3 * SHORT, 6 * LONG];
+        let blocks = [
+            3 * SHORT,
+            6 * SHORT,
+            3 * LONG,
+            3 * LONG + 3 * SHORT,
+            6 * LONG,
+        ];
         let buf = random(0xCC_0102, 6 * LONG + 16);
         for block in blocks {
             for delta in [-8i64, -1, 0, 1, 8] {
@@ -376,8 +400,15 @@ mod differential {
                 by_table = update_table(by_table, &data[w[0]..w[1]]);
             }
             let want = table(&data);
-            assert_eq!(dispatched.finalize(), want, "case {case}: len {len} cut at {cuts:?}");
-            assert_eq!(!by_table, want, "case {case}: table kernel, cut at {cuts:?}");
+            assert_eq!(
+                dispatched.finalize(),
+                want,
+                "case {case}: len {len} cut at {cuts:?}"
+            );
+            assert_eq!(
+                !by_table, want,
+                "case {case}: table kernel, cut at {cuts:?}"
+            );
             assert_eq!(crc32c(&data), want, "case {case}: one shot, len {len}");
         }
     }

@@ -26,10 +26,10 @@ pub mod topics;
 
 pub use codec::{Reader, WireError, Writer};
 pub use log::{AppendError, AppendInfo, Log, LogConfig, LogPosition};
-pub use store::{FileStore, IoCharge, StorageConfig, SyncMode};
 pub use record::{
     assign_base_offset, parse_header, verify_batch, BatchBuilder, BatchError, BatchHeader, Record,
     RecordRef, RecordView, BATCH_HEADER_LEN,
 };
 pub use segment::Segment;
+pub use store::{FileStore, IoCharge, StorageConfig, SyncMode};
 pub use topics::{PartitionId, TopicId, TopicPartition};

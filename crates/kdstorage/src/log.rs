@@ -207,7 +207,9 @@ impl Log {
     /// Drains the file tier's accumulated I/O cost and counters. Always
     /// zero in memory mode — callers skip charging entirely then.
     pub fn take_io(&self) -> IoCharge {
-        self.store.as_ref().map_or_else(IoCharge::default, |s| s.take_charge())
+        self.store
+            .as_ref()
+            .map_or_else(IoCharge::default, |s| s.take_charge())
     }
 
     /// The mutable head file.
@@ -286,10 +288,7 @@ impl Log {
         let Some(seg) = self.segment(index) else {
             return false;
         };
-        if !seg.is_sealed()
-            || !seg.is_resident()
-            || store.synced_pos(index) < seg.committed_pos()
-        {
+        if !seg.is_sealed() || !seg.is_resident() || store.synced_pos(index) < seg.committed_pos() {
             return false;
         }
         seg.evict();
@@ -313,10 +312,7 @@ impl Log {
     }
 
     fn check_size(&self, len: usize) -> Result<(), AppendError> {
-        let max = self
-            .config
-            .max_batch_size
-            .min(self.config.segment_size) as usize;
+        let max = self.config.max_batch_size.min(self.config.segment_size) as usize;
         if len > max {
             return Err(AppendError::TooLarge { len, max });
         }
@@ -389,7 +385,11 @@ impl Log {
         self.check_size(total)?;
         let total = match u32::try_from(total) {
             Ok(total) if total <= avail => total,
-            _ => return Err(AppendError::Batch(BatchError::Corrupt(WireError::BadLength))),
+            _ => {
+                return Err(AppendError::Batch(BatchError::Corrupt(
+                    WireError::BadLength,
+                )))
+            }
         };
         let header = head.with_slice(pos, total, record::verify_batch)?;
         Ok(self.commit_at_unchecked(&head, pos, header.record_count, total))
@@ -678,7 +678,10 @@ mod tests {
         head.write_at(100, &bytes);
         assert!(matches!(
             log.commit_in_place(100),
-            Err(AppendError::NonContiguousCommit { expected: 0, got: 100 })
+            Err(AppendError::NonContiguousCommit {
+                expected: 0,
+                got: 100
+            })
         ));
     }
 

@@ -56,7 +56,10 @@ impl std::fmt::Display for BatchError {
         match self {
             BatchError::Corrupt(e) => write!(f, "corrupt batch: {e}"),
             BatchError::BadCrc { stored, computed } => {
-                write!(f, "crc mismatch: stored {stored:#x}, computed {computed:#x}")
+                write!(
+                    f,
+                    "crc mismatch: stored {stored:#x}, computed {computed:#x}"
+                )
             }
             BatchError::TooLarge { len, max } => write!(f, "batch of {len} B exceeds {max} B"),
             BatchError::Empty => write!(f, "batch contains no records"),
@@ -343,7 +346,12 @@ fn parse_record(body: &[u8]) -> Result<RawRecord<'_>, WireError> {
         b.get_opt_bytes()?;
     }
     let headers = &body[headers_at..b.position()];
-    Ok(RawRecord { ts_delta, key, value, headers })
+    Ok(RawRecord {
+        ts_delta,
+        key,
+        value,
+        headers,
+    })
 }
 
 /// The record at `r`: its length prefix, then its body.
@@ -412,7 +420,9 @@ impl RecordRef {
     fn view(batch: &Buf, raw: RawRecord<'_>, base_timestamp: i64) -> RecordRef {
         RecordRef {
             key: raw.key.map(|k| batch.slice_ref(k)),
-            value: raw.value.map_or_else(|| batch.slice(0, 0), |v| batch.slice_ref(v)),
+            value: raw
+                .value
+                .map_or_else(|| batch.slice(0, 0), |v| batch.slice_ref(v)),
             headers: batch.slice_ref(raw.headers),
             timestamp: base_timestamp.wrapping_add(raw.ts_delta),
         }
@@ -424,7 +434,10 @@ impl RecordRef {
         // Checked when the batch was decoded: every header is there.
         let count = r.get_uvarint().unwrap_or(0);
         (0..count).map_while(move |_| {
-            Some((r.get_str().ok()?, r.get_opt_bytes().ok()?.unwrap_or_default()))
+            Some((
+                r.get_str().ok()?,
+                r.get_opt_bytes().ok()?.unwrap_or_default(),
+            ))
         })
     }
 }
@@ -536,7 +549,10 @@ mod tests {
             assert_eq!(rv.record, records[i]);
         }
         let with_header = decode_batch(&bytes).unwrap().nth(1).unwrap();
-        assert_eq!(with_header.record.headers().collect::<Vec<_>>(), [("trace", &b"abc"[..])]);
+        assert_eq!(
+            with_header.record.headers().collect::<Vec<_>>(),
+            [("trace", &b"abc"[..])]
+        );
     }
 
     /// Key, value and headers are views of the buffer the batch sits in: the
@@ -547,7 +563,10 @@ mod tests {
         let pool = kdbuf::Pool::new(bytes.len());
         let held = decode_batch(pool.copy_in(&bytes)).unwrap().nth(1).unwrap();
         assert_eq!(pool.free_chunks(), 0, "a live record pins its chunk");
-        assert_eq!((held.record.key.as_deref(), &*held.record.value), (Some(&b"k1"[..]), &b"v1"[..]));
+        assert_eq!(
+            (held.record.key.as_deref(), &*held.record.value),
+            (Some(&b"k1"[..]), &b"v1"[..])
+        );
         drop(held);
         assert_eq!(pool.free_chunks(), 1);
         assert_eq!(pool.allocated_chunks(), 1);
@@ -660,7 +679,9 @@ mod golden {
     }
 
     fn key() -> Record {
-        Record::value(b"v1".to_vec()).with_key(b"k1".to_vec()).with_timestamp(1005)
+        Record::value(b"v1".to_vec())
+            .with_key(b"k1".to_vec())
+            .with_timestamp(1005)
     }
 
     fn headers() -> Record {
@@ -687,7 +708,8 @@ mod golden {
             assert_eq!(hex(&encode_batch(42, &records).unwrap()), want, "{name}");
         }
         // A value long enough for a three-byte length prefix.
-        let long = encode_batch(42, &[Record::value(vec![0xA5u8; 40_000]).with_timestamp(1)]).unwrap();
+        let long =
+            encode_batch(42, &[Record::value(vec![0xA5u8; 40_000]).with_timestamp(1)]).unwrap();
         assert_eq!((long.len(), crc32c_reference(&long)), (40_056, 0xb0a8_c3a7));
     }
 
@@ -837,7 +859,11 @@ mod proptests {
             let mut b = BatchBuilder::begin(7, &mut staging);
             b.append(&record);
             b.finish().unwrap();
-            assert_eq!((staging.len(), staging.capacity()), (want, want), "case {case}");
+            assert_eq!(
+                (staging.len(), staging.capacity()),
+                (want, want),
+                "case {case}"
+            );
             bodies.push(body_len(&record, 0));
         }
         for body in [127, 128, 16_383, 16_384] {

@@ -427,11 +427,19 @@ mod tests {
         assert!(filled > 200 && old.remaining() < batch.len() as u32);
         drop(old);
         let addr = buf.with(|b| b.as_ptr() as usize);
-        assert_eq!(Segment::recover(0, buf).batch_count(), filled, "the bytes were live");
+        assert_eq!(
+            Segment::recover(0, buf).batch_count(),
+            filled,
+            "the bytes were live"
+        );
         assert_eq!(kdbuf::shm::parked_bytes(), parked + CAPACITY as usize);
 
         let fresh = Segment::new(500, CAPACITY);
-        assert_eq!(kdbuf::shm::parked_bytes(), parked, "taken from the free list");
+        assert_eq!(
+            kdbuf::shm::parked_bytes(),
+            parked,
+            "taken from the free list"
+        );
         fresh.with_slice(0, CAPACITY, |b| {
             assert_eq!(b.as_ptr() as usize, addr, "the same memory");
             assert!(b.iter().all(|&x| x == 0), "reads all-zero");

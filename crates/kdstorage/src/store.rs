@@ -481,16 +481,18 @@ impl FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
     use crate::log::{Log, LogConfig};
     use crate::record::{encode_batch, Record};
+    use std::rc::Rc;
 
     fn temp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("kdstore-{}-{}", tag, std::process::id()))
     }
 
     fn batch(n: usize, size: usize) -> Vec<u8> {
-        let records: Vec<Record> = (0..n).map(|i| Record::value(vec![(i % 251) as u8; size])).collect();
+        let records: Vec<Record> = (0..n)
+            .map(|i| Record::value(vec![(i % 251) as u8; size]))
+            .collect();
         encode_batch(1, &records).unwrap()
     }
 
@@ -533,7 +535,10 @@ mod tests {
         assert_eq!(files(&log).synced_pos(0), 0);
         // Sealing forces the flush.
         log.roll();
-        assert_eq!(files(&log).synced_pos(0), log.segment(0).unwrap().committed_pos());
+        assert_eq!(
+            files(&log).synced_pos(0),
+            log.segment(0).unwrap().committed_pos()
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 

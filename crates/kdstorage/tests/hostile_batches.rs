@@ -115,9 +115,16 @@ fn mutated_batches_commit_exactly_when_they_decode() {
 
         let (verified, bytes) = allocated(|| verify_batch(&hostile));
         assert_eq!(bytes, 0, "verify allocated, {}", what());
-        let (decoded, bytes) = allocated(|| decode_batch(&hostile).map(Iterator::collect::<Vec<_>>));
-        let views = decoded.as_ref().map_or(0, |records| records.capacity() * size_of::<RecordView>());
-        assert!(bytes <= hostile.len() + views + SLACK, "decode allocated {bytes}, {}", what());
+        let (decoded, bytes) =
+            allocated(|| decode_batch(&hostile).map(Iterator::collect::<Vec<_>>));
+        let views = decoded
+            .as_ref()
+            .map_or(0, |records| records.capacity() * size_of::<RecordView>());
+        assert!(
+            bytes <= hostile.len() + views + SLACK,
+            "decode allocated {bytes}, {}",
+            what()
+        );
         assert_eq!(verified.is_ok(), decoded.is_ok(), "{}", what());
         if let (Ok(h), Ok(records)) = (&verified, &decoded) {
             assert_eq!(records.len(), h.record_count as usize, "{}", what());

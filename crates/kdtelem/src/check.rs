@@ -103,7 +103,13 @@ pub fn check(events: &[TraceEvent]) -> CheckReport {
     // (3) RC completion order per QP.
     let mut last_ticket: HashMap<u32, u64> = HashMap::new();
     for e in &by_ts {
-        if let EventKind::Completion { qpn, ticket, ok: true, .. } = e.kind {
+        if let EventKind::Completion {
+            qpn,
+            ticket,
+            ok: true,
+            ..
+        } = e.kind
+        {
             if let Some(&prev) = last_ticket.get(&qpn) {
                 if ticket <= prev {
                     report.violations.push(format!(
@@ -124,7 +130,13 @@ pub fn check(events: &[TraceEvent]) -> CheckReport {
         })
         .collect();
     for e in &by_ts {
-        if let EventKind::Completion { qpn, ticket, ok: true, .. } = e.kind {
+        if let EventKind::Completion {
+            qpn,
+            ticket,
+            ok: true,
+            ..
+        } = e.kind
+        {
             match posted.get(&(e.trace_id, qpn, ticket)) {
                 Some(&at) if at >= e.ts_ns => report.violations.push(format!(
                     "completion of qpn {qpn} ticket {ticket} at {} ns does not follow its post at {at} ns",
@@ -138,13 +150,27 @@ pub fn check(events: &[TraceEvent]) -> CheckReport {
     // (1) Fetch-after-commit, matched per stream across lifelines.
     let mut commits: HashMap<u64, Vec<(u64, u64, u64)>> = HashMap::new(); // stream -> (base, next, ts)
     for e in &by_ts {
-        if let EventKind::Commit { stream, base_offset, next_offset } = e.kind {
+        if let EventKind::Commit {
+            stream,
+            base_offset,
+            next_offset,
+        } = e.kind
+        {
             report.commits += 1;
-            commits.entry(stream).or_default().push((base_offset, next_offset, e.ts_ns));
+            commits
+                .entry(stream)
+                .or_default()
+                .push((base_offset, next_offset, e.ts_ns));
         }
     }
     for e in &by_ts {
-        if let EventKind::FetchServed { stream, start_offset, next_offset, .. } = e.kind {
+        if let EventKind::FetchServed {
+            stream,
+            start_offset,
+            next_offset,
+            ..
+        } = e.kind
+        {
             report.fetches += 1;
             if next_offset <= start_offset {
                 continue; // empty fetch
@@ -188,7 +214,11 @@ pub fn check(events: &[TraceEvent]) -> CheckReport {
                     && c.ts_ns <= e.ts_ns
                     && matches!(
                         c.kind,
-                        EventKind::Completion { opcode: "RdmaWrite", ok: true, .. }
+                        EventKind::Completion {
+                            opcode: "RdmaWrite",
+                            ok: true,
+                            ..
+                        }
                     )
             });
             if !completed {
@@ -209,7 +239,11 @@ pub fn check(events: &[TraceEvent]) -> CheckReport {
                 let last = last_post.entry((e.trace_id, qpn)).or_insert(ticket);
                 *last = ticket.max(*last);
             }
-            EventKind::Commit { stream, base_offset, .. } => {
+            EventKind::Commit {
+                stream,
+                base_offset,
+                ..
+            } => {
                 let firsts = first_commits.entry(e.trace_id).or_default();
                 if firsts.iter().all(|&(s, _)| s != stream) {
                     firsts.push((stream, base_offset));
@@ -247,9 +281,10 @@ pub fn check(events: &[TraceEvent]) -> CheckReport {
             EventKind::SpanEnd { name } => {
                 if let Some(begin) = open.remove(&e.span_id) {
                     if e.ts_ns < begin {
-                        report
-                            .violations
-                            .push(format!("span {name} ends at {} before its begin {begin}", e.ts_ns));
+                        report.violations.push(format!(
+                            "span {name} ends at {} before its begin {begin}",
+                            e.ts_ns
+                        ));
                     }
                 }
             }
@@ -303,9 +338,35 @@ mod tests {
         let f = TraceCtx::root();
         let events = vec![
             ev(p, 10, EventKind::WqePosted { qpn: 1, ticket: 0 }),
-            ev(p, 20, EventKind::Completion { qpn: 1, ticket: 0, opcode: "RdmaWriteImm", ok: true }),
-            ev(p, 30, EventKind::Commit { stream: 9, base_offset: 0, next_offset: 1 }),
-            ev(f, 40, EventKind::FetchServed { stream: 9, start_offset: 0, next_offset: 1, bytes: 64 }),
+            ev(
+                p,
+                20,
+                EventKind::Completion {
+                    qpn: 1,
+                    ticket: 0,
+                    opcode: "RdmaWriteImm",
+                    ok: true,
+                },
+            ),
+            ev(
+                p,
+                30,
+                EventKind::Commit {
+                    stream: 9,
+                    base_offset: 0,
+                    next_offset: 1,
+                },
+            ),
+            ev(
+                f,
+                40,
+                EventKind::FetchServed {
+                    stream: 9,
+                    start_offset: 0,
+                    next_offset: 1,
+                    bytes: 64,
+                },
+            ),
         ];
         let r = check(&events);
         assert!(r.ok(), "{:?}", r.violations);
@@ -317,8 +378,25 @@ mod tests {
         let p = TraceCtx::root();
         let f = TraceCtx::root();
         let events = vec![
-            ev(p, 50, EventKind::Commit { stream: 9, base_offset: 0, next_offset: 1 }),
-            ev(f, 40, EventKind::FetchServed { stream: 9, start_offset: 0, next_offset: 1, bytes: 64 }),
+            ev(
+                p,
+                50,
+                EventKind::Commit {
+                    stream: 9,
+                    base_offset: 0,
+                    next_offset: 1,
+                },
+            ),
+            ev(
+                f,
+                40,
+                EventKind::FetchServed {
+                    stream: 9,
+                    start_offset: 0,
+                    next_offset: 1,
+                    bytes: 64,
+                },
+            ),
         ];
         let r = check(&events);
         assert_eq!(r.violations.len(), 1);
@@ -329,10 +407,37 @@ mod tests {
     fn out_of_order_completions_are_flagged() {
         let c = TraceCtx::root();
         let events = vec![
-            ev(c, 10, EventKind::Completion { qpn: 3, ticket: 1, opcode: "Send", ok: true }),
-            ev(c, 20, EventKind::Completion { qpn: 3, ticket: 0, opcode: "Send", ok: true }),
+            ev(
+                c,
+                10,
+                EventKind::Completion {
+                    qpn: 3,
+                    ticket: 1,
+                    opcode: "Send",
+                    ok: true,
+                },
+            ),
+            ev(
+                c,
+                20,
+                EventKind::Completion {
+                    qpn: 3,
+                    ticket: 0,
+                    opcode: "Send",
+                    ok: true,
+                },
+            ),
             // A different QP may interleave freely.
-            ev(c, 15, EventKind::Completion { qpn: 4, ticket: 0, opcode: "Send", ok: true }),
+            ev(
+                c,
+                15,
+                EventKind::Completion {
+                    qpn: 4,
+                    ticket: 0,
+                    opcode: "Send",
+                    ok: true,
+                },
+            ),
         ];
         let r = check(&events);
         assert_eq!(r.violations.len(), 1);
@@ -343,7 +448,16 @@ mod tests {
     fn a_completion_must_follow_its_post() {
         let (a, b) = (TraceCtx::root(), TraceCtx::root());
         let done = |ctx, ts_ns, qpn, ticket| {
-            ev(ctx, ts_ns, EventKind::Completion { qpn, ticket, opcode: "RdmaRead", ok: true })
+            ev(
+                ctx,
+                ts_ns,
+                EventKind::Completion {
+                    qpn,
+                    ticket,
+                    opcode: "RdmaRead",
+                    ok: true,
+                },
+            )
         };
         let events = vec![
             ev(a, 10, EventKind::WqePosted { qpn: 7, ticket: 0 }),
@@ -366,7 +480,15 @@ mod tests {
             let ctx = TraceCtx::root();
             [
                 ev(ctx, ts_ns, EventKind::WqePosted { qpn, ticket }),
-                ev(ctx, ts_ns + 50, EventKind::Commit { stream, base_offset, next_offset: base_offset + 1 }),
+                ev(
+                    ctx,
+                    ts_ns + 50,
+                    EventKind::Commit {
+                        stream,
+                        base_offset,
+                        next_offset: base_offset + 1,
+                    },
+                ),
             ]
         };
         let mut events: Vec<TraceEvent> = [
@@ -379,7 +501,11 @@ mod tests {
         ]
         .concat();
         // Posted, never committed: not judged.
-        events.push(ev(TraceCtx::root(), 15, EventKind::WqePosted { qpn: 1, ticket: 4 }));
+        events.push(ev(
+            TraceCtx::root(),
+            15,
+            EventKind::WqePosted { qpn: 1, ticket: 4 },
+        ));
         let r = check(&events);
         assert!(r.ok(), "{:?}", r.violations);
         assert_eq!(r.order_pairs, 2);
@@ -394,11 +520,34 @@ mod tests {
     #[test]
     fn repl_ack_requires_prior_write_completion() {
         let t = TraceCtx::root();
-        let bad = vec![ev(t, 10, EventKind::ReplAck { stream: 9, offset: 5 })];
+        let bad = vec![ev(
+            t,
+            10,
+            EventKind::ReplAck {
+                stream: 9,
+                offset: 5,
+            },
+        )];
         assert!(!check(&bad).ok());
         let good = vec![
-            ev(t, 5, EventKind::Completion { qpn: 2, ticket: 0, opcode: "RdmaWrite", ok: true }),
-            ev(t, 10, EventKind::ReplAck { stream: 9, offset: 5 }),
+            ev(
+                t,
+                5,
+                EventKind::Completion {
+                    qpn: 2,
+                    ticket: 0,
+                    opcode: "RdmaWrite",
+                    ok: true,
+                },
+            ),
+            ev(
+                t,
+                10,
+                EventKind::ReplAck {
+                    stream: 9,
+                    offset: 5,
+                },
+            ),
         ];
         assert!(check(&good).ok());
     }
@@ -408,17 +557,54 @@ mod tests {
         // TCP lifeline: no WQE, exactly two broker copies — fine.
         let tcp = TraceCtx::root();
         let mut events = vec![
-            ev(tcp, 10, EventKind::CpuCopy { site: "broker.net_to_user", bytes: 64 }),
-            ev(tcp, 11, EventKind::CpuCopy { site: "broker.log_append", bytes: 64 }),
-            ev(tcp, 12, EventKind::Commit { stream: 1, base_offset: 0, next_offset: 1 }),
+            ev(
+                tcp,
+                10,
+                EventKind::CpuCopy {
+                    site: "broker.net_to_user",
+                    bytes: 64,
+                },
+            ),
+            ev(
+                tcp,
+                11,
+                EventKind::CpuCopy {
+                    site: "broker.log_append",
+                    bytes: 64,
+                },
+            ),
+            ev(
+                tcp,
+                12,
+                EventKind::Commit {
+                    stream: 1,
+                    base_offset: 0,
+                    next_offset: 1,
+                },
+            ),
         ];
         assert!(check(&events).ok(), "{:?}", check(&events).violations);
         // An RDMA lifeline with a broker copy is a zero-copy violation.
         let rdma = TraceCtx::root();
         events.extend([
             ev(rdma, 20, EventKind::WqePosted { qpn: 1, ticket: 0 }),
-            ev(rdma, 25, EventKind::CpuCopy { site: "broker.log_append", bytes: 64 }),
-            ev(rdma, 30, EventKind::Commit { stream: 1, base_offset: 1, next_offset: 2 }),
+            ev(
+                rdma,
+                25,
+                EventKind::CpuCopy {
+                    site: "broker.log_append",
+                    bytes: 64,
+                },
+            ),
+            ev(
+                rdma,
+                30,
+                EventKind::Commit {
+                    stream: 1,
+                    base_offset: 1,
+                    next_offset: 2,
+                },
+            ),
         ]);
         let r = check(&events);
         assert_eq!(r.violations.len(), 1);

@@ -44,20 +44,23 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
                 Phase::End => o.str("ph", "e").str("id", &id()),
                 Phase::Instant => o.str("ph", "i").str("s", "t"),
             };
-            o.num("ts", format_args!("{}.{:03}", e.ts_ns / 1_000, e.ts_ns % 1_000))
-                .num("pid", PID)
-                .num("tid", e.trace_id)
-                .obj("args", |mut args| {
-                    for &(key, field) in fields {
-                        args = match field {
-                            Field::Num(v) | Field::Parent(v) => args.num(key, v),
-                            Field::Flag(b) => args.num(key, b),
-                            Field::Text(s) => args.str(key, s),
-                        };
-                    }
-                    args
-                })
-                .end();
+            o.num(
+                "ts",
+                format_args!("{}.{:03}", e.ts_ns / 1_000, e.ts_ns % 1_000),
+            )
+            .num("pid", PID)
+            .num("tid", e.trace_id)
+            .obj("args", |mut args| {
+                for &(key, field) in fields {
+                    args = match field {
+                        Field::Num(v) | Field::Parent(v) => args.num(key, v),
+                        Field::Flag(b) => args.num(key, b),
+                        Field::Text(s) => args.str(key, s),
+                    };
+                }
+                args
+            })
+            .end();
         });
     }
     out.push_str("\n]}\n");
@@ -157,7 +160,10 @@ mod tests {
         assert_eq!(parsed[0].name, "process_name");
         assert_eq!(parsed[1].ph, "b");
         assert_eq!(parsed[1].ts_ns, 1_500);
-        assert_eq!(parsed[1].id.as_deref(), Some(&*format!("0x{:x}", events[0].span_id)));
+        assert_eq!(
+            parsed[1].id.as_deref(),
+            Some(&*format!("0x{:x}", events[0].span_id))
+        );
         assert_eq!(parsed[2].name, "WqePosted");
         assert_eq!(parsed[2].ph, "i");
         assert_eq!(parsed[4].ph, "e");

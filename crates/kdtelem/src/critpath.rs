@@ -316,17 +316,60 @@ mod tests {
         // SpanBegin(0) → WqePosted(100) → PacketEnqueued(150, 20 queued) →
         // PacketDelivered(400) → Completion(450) → Commit(500) → SpanEnd(600)
         let events = vec![
-            ev(1, 0, EventKind::SpanBegin { name: "client.produce", parent: 0 }),
+            ev(
+                1,
+                0,
+                EventKind::SpanBegin {
+                    name: "client.produce",
+                    parent: 0,
+                },
+            ),
             ev(1, 100, EventKind::WqePosted { qpn: 1, ticket: 1 }),
             ev(
                 1,
                 150,
-                EventKind::PacketEnqueued { node: 0, egress: true, bytes: 64, queue_ns: 20 },
+                EventKind::PacketEnqueued {
+                    node: 0,
+                    egress: true,
+                    bytes: 64,
+                    queue_ns: 20,
+                },
             ),
-            ev(1, 400, EventKind::PacketDelivered { node: 1, egress: false, bytes: 64 }),
-            ev(1, 450, EventKind::Completion { qpn: 1, ticket: 1, opcode: "write", ok: true }),
-            ev(1, 500, EventKind::Commit { stream: 9, base_offset: 0, next_offset: 1 }),
-            ev(1, 600, EventKind::SpanEnd { name: "client.produce" }),
+            ev(
+                1,
+                400,
+                EventKind::PacketDelivered {
+                    node: 1,
+                    egress: false,
+                    bytes: 64,
+                },
+            ),
+            ev(
+                1,
+                450,
+                EventKind::Completion {
+                    qpn: 1,
+                    ticket: 1,
+                    opcode: "write",
+                    ok: true,
+                },
+            ),
+            ev(
+                1,
+                500,
+                EventKind::Commit {
+                    stream: 9,
+                    base_offset: 0,
+                    next_offset: 1,
+                },
+            ),
+            ev(
+                1,
+                600,
+                EventKind::SpanEnd {
+                    name: "client.produce",
+                },
+            ),
         ];
         let r = analyze(&events);
         assert!(r.ok(), "{:?}", r.errors);
@@ -348,11 +391,46 @@ mod tests {
     #[test]
     fn tcp_copies_are_attributed() {
         let events = vec![
-            ev(2, 0, EventKind::SpanBegin { name: "client.produce", parent: 0 }),
-            ev(2, 50, EventKind::CpuCopy { site: "broker.net_recv", bytes: 64 }),
-            ev(2, 80, EventKind::CpuCopy { site: "broker.log_append", bytes: 64 }),
-            ev(2, 120, EventKind::Commit { stream: 9, base_offset: 0, next_offset: 1 }),
-            ev(2, 200, EventKind::SpanEnd { name: "client.produce" }),
+            ev(
+                2,
+                0,
+                EventKind::SpanBegin {
+                    name: "client.produce",
+                    parent: 0,
+                },
+            ),
+            ev(
+                2,
+                50,
+                EventKind::CpuCopy {
+                    site: "broker.net_recv",
+                    bytes: 64,
+                },
+            ),
+            ev(
+                2,
+                80,
+                EventKind::CpuCopy {
+                    site: "broker.log_append",
+                    bytes: 64,
+                },
+            ),
+            ev(
+                2,
+                120,
+                EventKind::Commit {
+                    stream: 9,
+                    base_offset: 0,
+                    next_offset: 1,
+                },
+            ),
+            ev(
+                2,
+                200,
+                EventKind::SpanEnd {
+                    name: "client.produce",
+                },
+            ),
         ];
         let r = analyze(&events);
         assert!(r.ok(), "{:?}", r.errors);
@@ -366,8 +444,21 @@ mod tests {
     #[test]
     fn non_committing_lifelines_are_ignored() {
         let events = vec![
-            ev(3, 0, EventKind::SpanBegin { name: "client.fetch", parent: 0 }),
-            ev(3, 100, EventKind::SpanEnd { name: "client.fetch" }),
+            ev(
+                3,
+                0,
+                EventKind::SpanBegin {
+                    name: "client.fetch",
+                    parent: 0,
+                },
+            ),
+            ev(
+                3,
+                100,
+                EventKind::SpanEnd {
+                    name: "client.fetch",
+                },
+            ),
         ];
         let r = analyze(&events);
         assert!(r.lifelines.is_empty());
@@ -380,18 +471,42 @@ mod tests {
         // Link reservation recorded "in the future" before the commit event
         // lands in the ring.
         let events = vec![
-            ev(4, 0, EventKind::SpanBegin { name: "p", parent: 0 }),
+            ev(
+                4,
+                0,
+                EventKind::SpanBegin {
+                    name: "p",
+                    parent: 0,
+                },
+            ),
             ev(
                 4,
                 300,
-                EventKind::PacketDelivered { node: 1, egress: false, bytes: 8 },
+                EventKind::PacketDelivered {
+                    node: 1,
+                    egress: false,
+                    bytes: 8,
+                },
             ),
             ev(
                 4,
                 100,
-                EventKind::PacketEnqueued { node: 0, egress: true, bytes: 8, queue_ns: 0 },
+                EventKind::PacketEnqueued {
+                    node: 0,
+                    egress: true,
+                    bytes: 8,
+                    queue_ns: 0,
+                },
             ),
-            ev(4, 400, EventKind::Commit { stream: 1, base_offset: 0, next_offset: 1 }),
+            ev(
+                4,
+                400,
+                EventKind::Commit {
+                    stream: 1,
+                    base_offset: 0,
+                    next_offset: 1,
+                },
+            ),
         ];
         let r = analyze(&events);
         assert!(r.ok(), "{:?}", r.errors);
@@ -403,10 +518,28 @@ mod tests {
 
     #[test]
     fn folded_and_table_render() {
-        let ctx = TraceCtx { trace_id: 5, span_id: 5 };
+        let ctx = TraceCtx {
+            trace_id: 5,
+            span_id: 5,
+        };
         let events = vec![
-            ev(ctx.trace_id, 0, EventKind::SpanBegin { name: "p", parent: 0 }),
-            ev(ctx.trace_id, 70, EventKind::Commit { stream: 1, base_offset: 0, next_offset: 1 }),
+            ev(
+                ctx.trace_id,
+                0,
+                EventKind::SpanBegin {
+                    name: "p",
+                    parent: 0,
+                },
+            ),
+            ev(
+                ctx.trace_id,
+                70,
+                EventKind::Commit {
+                    stream: 1,
+                    base_offset: 0,
+                    next_offset: 1,
+                },
+            ),
             ev(ctx.trace_id, 100, EventKind::SpanEnd { name: "p" }),
         ];
         let r = analyze(&events);

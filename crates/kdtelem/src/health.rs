@@ -45,7 +45,10 @@ pub fn to_json_lines(events: &[HealthEvent]) -> String {
     for e in events {
         let o = Obj::new(&mut out);
         match e.kind {
-            HealthKind::Stall { since_ns, budget_ns } => o
+            HealthKind::Stall {
+                since_ns,
+                budget_ns,
+            } => o
                 .str("kind", "stall")
                 .num("ts_ns", e.ts_ns)
                 .num("since_ns", since_ns)
@@ -112,7 +115,10 @@ impl Default for WatchdogOptions {
 const EVENT_CAPACITY: usize = 1024;
 
 /// Counters whose summed increase counts as progress: the broker's commits.
-const PROGRESS: [Key; 2] = [("kdbroker", "rdma.commits"), ("kdbroker", "produce.requests")];
+const PROGRESS: [Key; 2] = [
+    ("kdbroker", "rdma.commits"),
+    ("kdbroker", "produce.requests"),
+];
 
 /// Counters whose increase marks a crash, for MTTR: kdfault's broker crashes.
 const CRASHES: [Key; 1] = [("kdfault", "inject.broker_crashes")];
@@ -202,7 +208,10 @@ impl Watchdog {
         let (progress, crashes) = {
             let entries = self.registry.entries();
             let total = |keys: &[Key]| -> u64 {
-                let watched = entries.counters.iter().filter(|(key, _)| keys.contains(key));
+                let watched = entries
+                    .counters
+                    .iter()
+                    .filter(|(key, _)| keys.contains(key));
                 watched.map(|(_, cells)| counter_total(cells)).sum()
             };
             (total(&PROGRESS), total(&CRASHES))
@@ -248,7 +257,10 @@ impl Watchdog {
                     &mut inner,
                     HealthEvent {
                         ts_ns: now,
-                        kind: HealthKind::Stall { since_ns, budget_ns },
+                        kind: HealthKind::Stall {
+                            since_ns,
+                            budget_ns,
+                        },
                     },
                 );
             }
@@ -390,7 +402,9 @@ mod tests {
             // Crash observed at the 300us poll, recovery at the 1000us poll.
             assert!((600_000..=900_000).contains(&mttr), "mttr={mttr}");
             let evs = dog.events();
-            assert!(evs.iter().any(|e| matches!(e.kind, HealthKind::Mttr { .. })));
+            assert!(evs
+                .iter()
+                .any(|e| matches!(e.kind, HealthKind::Mttr { .. })));
             dog.stop();
         });
     }
@@ -418,7 +432,10 @@ mod tests {
         let events = vec![
             HealthEvent {
                 ts_ns: 1_000,
-                kind: HealthKind::Stall { since_ns: 500, budget_ns: 400 },
+                kind: HealthKind::Stall {
+                    since_ns: 500,
+                    budget_ns: 400,
+                },
             },
             HealthEvent {
                 ts_ns: 2_000,
@@ -426,7 +443,10 @@ mod tests {
             },
             HealthEvent {
                 ts_ns: 3_000,
-                kind: HealthKind::Mttr { crash_ns: 800, mttr_ns: 2_200 },
+                kind: HealthKind::Mttr {
+                    crash_ns: 800,
+                    mttr_ns: 2_200,
+                },
             },
         ];
         let json = to_json_lines(&events);
@@ -456,7 +476,11 @@ mod tests {
                 dog.poll_now(); // recover
             }
             assert_eq!(dog.stall_count(), rounds as u64);
-            assert_eq!(dog.events().len(), EVENT_CAPACITY, "ring bounded at capacity");
+            assert_eq!(
+                dog.events().len(),
+                EVENT_CAPACITY,
+                "ring bounded at capacity"
+            );
             assert_eq!(dog.dropped(), 6);
         });
     }

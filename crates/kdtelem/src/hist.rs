@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 const SUB_BITS: u32 = 4;
 const SUB: usize = 1 << SUB_BITS; // 16 sub-buckets per power of two
-// Max index is (63 - SUB_BITS + 1) * SUB + (SUB - 1) = 975 for u64::MAX.
+                                  // Max index is (63 - SUB_BITS + 1) * SUB + (SUB - 1) = 975 for u64::MAX.
 const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB;
 
 /// Maps a value to its bucket index. Values below 16 get exact buckets;
@@ -331,7 +331,10 @@ mod tests {
         for &v in &[17u64, 100, 1_000, 123_456, 7_890_123, u64::MAX / 3] {
             let high = bucket_high(bucket_index(v));
             assert!(high >= v);
-            assert!((high - v) as f64 <= v as f64 / 16.0 + 1.0, "v={v} high={high}");
+            assert!(
+                (high - v) as f64 <= v as f64 / 16.0 + 1.0,
+                "v={v} high={high}"
+            );
         }
     }
 
@@ -390,7 +393,11 @@ mod tests {
             let h = Histogram::new();
             h.record(v);
             for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-                assert_eq!(h.quantile(q), v.min(bucket_high(bucket_index(v))), "v={v} q={q}");
+                assert_eq!(
+                    h.quantile(q),
+                    v.min(bucket_high(bucket_index(v))),
+                    "v={v} q={q}"
+                );
             }
             let s = h.stats();
             assert_eq!((s.min, s.max, s.count), (v, v, 1));
@@ -424,7 +431,9 @@ mod tests {
         let h = Histogram::new();
         let mut x = 42u64;
         for _ in 0..500 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             h.record(x >> 44);
         }
         let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
@@ -442,7 +451,9 @@ mod tests {
             let h = Histogram::new();
             let mut x = seed;
             for _ in 0..n {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 h.record(x >> 40);
             }
             h
@@ -493,7 +504,9 @@ mod tests {
             if interval != 3 && interval != 7 {
                 // Intervals 3 and 7 record nothing — empty-delta edge case.
                 for _ in 0..50 {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     h.record(x >> 40);
                 }
             }

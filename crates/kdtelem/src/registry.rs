@@ -89,7 +89,9 @@ impl Gauge {
     }
 
     pub fn sub(&self, v: u64) {
-        self.inner.value.set(self.inner.value.get().saturating_sub(v));
+        self.inner
+            .value
+            .set(self.inner.value.get().saturating_sub(v));
     }
 
     pub fn get(&self) -> u64 {
@@ -108,7 +110,9 @@ pub(crate) fn counter_total(cells: &[Counter]) -> u64 {
 
 /// An entry's gauge cells as `(value, peak)`: values sum, peaks max.
 pub(crate) fn gauge_level(cells: &[Gauge]) -> (u64, u64) {
-    cells.iter().fold((0, 0), |(v, p), g| (v + g.get(), p.max(g.peak())))
+    cells
+        .iter()
+        .fold((0, 0), |(v, p), g| (v + g.get(), p.max(g.peak())))
 }
 
 pub(crate) type Key = (&'static str, &'static str);
@@ -308,7 +312,10 @@ impl Registry {
     /// distribution ([`HistSnapshot::delta_since`]).
     pub fn merged_histograms(&self) -> Vec<(Key, HistSnapshot)> {
         let entries = self.entries();
-        sorted(&entries.histograms).into_iter().map(|(key, h)| (*key, h.snapshot())).collect()
+        sorted(&entries.histograms)
+            .into_iter()
+            .map(|(key, h)| (*key, h.snapshot()))
+            .collect()
     }
 
     /// Aggregated point-in-time report, one row per entry (see the module
@@ -321,7 +328,11 @@ impl Registry {
                 .into_iter()
                 .map(|(key, cells)| {
                     let (component, name) = names(key);
-                    CounterRow { component, name, value: counter_total(cells) }
+                    CounterRow {
+                        component,
+                        name,
+                        value: counter_total(cells),
+                    }
                 })
                 .collect(),
             gauges: sorted(&entries.gauges)
@@ -329,14 +340,23 @@ impl Registry {
                 .map(|(key, cells)| {
                     let (component, name) = names(key);
                     let (value, peak) = gauge_level(cells);
-                    GaugeRow { component, name, value, peak }
+                    GaugeRow {
+                        component,
+                        name,
+                        value,
+                        peak,
+                    }
                 })
                 .collect(),
             histograms: sorted(&entries.histograms)
                 .into_iter()
                 .map(|(key, h)| {
                     let (component, name) = names(key);
-                    HistRow { component, name, stats: h.stats() }
+                    HistRow {
+                        component,
+                        name,
+                        stats: h.stats(),
+                    }
                 })
                 .collect(),
         }
@@ -400,7 +420,8 @@ thread_local! {
 /// thread, or a shared thread-local default. Instrumented components
 /// (links, NICs, brokers) grab their handles from here at construction time.
 pub fn current() -> Registry {
-    STACK.with(|s| s.borrow().last().cloned())
+    STACK
+        .with(|s| s.borrow().last().cloned())
         .unwrap_or_else(|| DEFAULT.with(Registry::clone))
 }
 
@@ -512,7 +533,9 @@ mod tests {
         for tick in 0..6u64 {
             // A quiet tick, then growing bursts split unevenly over the two.
             for i in 0..tick * 37 {
-                v = v.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                v = v
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let ns = (v >> 40) % 5_000_000;
                 let (shared, private) = if i % 3 == 0 { (&h1, &a) } else { (&h2, &b) };
                 shared.record(ns);
@@ -529,7 +552,11 @@ mod tests {
             });
             last = cur;
         }
-        assert_eq!(h1.count(), a.count() + b.count(), "both handles record into one cell");
+        assert_eq!(
+            h1.count(),
+            a.count() + b.count(),
+            "both handles record into one cell"
+        );
 
         let snap = r.snapshot();
         let row = snap.histogram("netsim", "link.queue_delay_ns").unwrap();
@@ -538,7 +565,10 @@ mod tests {
         reference.merge_from(&b);
         assert_eq!(row.stats, reference.stats());
         let dump = series.dump();
-        let points = &dump.histogram("netsim", "link.queue_delay_ns").unwrap().points;
+        let points = &dump
+            .histogram("netsim", "link.queue_delay_ns")
+            .unwrap()
+            .points;
         assert_eq!(points, &expected);
     }
 
@@ -576,7 +606,13 @@ mod tests {
         });
         let ev = r.drain_trace_events();
         assert_eq!(ev.len(), 2);
-        assert_eq!(ev[0].kind, EventKind::SpanBegin { name: "produce", parent: 0 });
+        assert_eq!(
+            ev[0].kind,
+            EventKind::SpanBegin {
+                name: "produce",
+                parent: 0
+            }
+        );
         assert_eq!(ev[1].kind, EventKind::SpanEnd { name: "produce" });
         assert_eq!(ev[1].ts_ns - ev[0].ts_ns, 5_000);
     }
@@ -594,7 +630,14 @@ mod tests {
         r.set_event_capacity(4);
         let ctx = TraceCtx::root();
         for i in 0..6u64 {
-            r.record_trace_event(ctx, i, EventKind::CpuCopy { site: "t", bytes: i });
+            r.record_trace_event(
+                ctx,
+                i,
+                EventKind::CpuCopy {
+                    site: "t",
+                    bytes: i,
+                },
+            );
         }
         assert_eq!(r.trace_events_dropped(), 2);
         let ev = r.drain_trace_events();
@@ -628,7 +671,12 @@ mod tests {
             ref k => panic!("expected child SpanBegin, got {k:?}"),
         }
         assert!(ev.iter().all(|e| e.trace_id == ev[0].trace_id));
-        assert_eq!(ev[2].kind, EventKind::SpanEnd { name: "broker.commit" });
+        assert_eq!(
+            ev[2].kind,
+            EventKind::SpanEnd {
+                name: "broker.commit"
+            }
+        );
         assert_eq!(ev[2].ts_ns - ev[1].ts_ns, 3_000);
     }
 

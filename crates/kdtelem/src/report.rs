@@ -63,10 +63,17 @@ impl TelemetryReport {
     /// in microseconds since every latency instrument records nanoseconds.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
-        let counters = self.counters.iter().map(|r| (&r.component, &r.name, r.value.to_string()));
+        let counters = self
+            .counters
+            .iter()
+            .map(|r| (&r.component, &r.name, r.value.to_string()));
         section(&mut out, "counters", None, counters);
         let gauges = self.gauges.iter().map(|r| {
-            (&r.component, &r.name, format!("{} (peak {})", r.value, r.peak))
+            (
+                &r.component,
+                &r.name,
+                format!("{} (peak {})", r.value, r.peak),
+            )
         });
         section(&mut out, "gauges", None, gauges);
         let us = |ns: u64| ns as f64 / 1_000.0;
@@ -166,7 +173,10 @@ impl TelemetryReport {
 
 /// A metric's line, up to its values.
 fn metric<'a>(out: &'a mut String, kind: &str, component: &str, name: &str) -> Obj<'a> {
-    Obj::new(out).str("kind", kind).str("component", component).str("name", name)
+    Obj::new(out)
+        .str("kind", kind)
+        .str("component", component)
+        .str("name", name)
 }
 
 /// One table section: its title, an optional column header, and a
@@ -177,7 +187,9 @@ fn section<'a>(
     header: Option<&str>,
     rows: impl Iterator<Item = (&'a String, &'a String, String)>,
 ) {
-    let rows: Vec<(String, String)> = rows.map(|(c, n, text)| (format!("{c}.{n}"), text)).collect();
+    let rows: Vec<(String, String)> = rows
+        .map(|(c, n, text)| (format!("{c}.{n}"), text))
+        .collect();
     if rows.is_empty() {
         return;
     }
@@ -239,8 +251,14 @@ mod tests {
     #[test]
     fn json_escaping_survives_quotes() {
         let mut line = String::new();
-        Obj::new(&mut line).str("kind", "counter").str("component", "a\"b\\c\nd").line();
-        assert_eq!(line, "{\"kind\":\"counter\",\"component\":\"a\\\"b\\\\c\\nd\"}\n");
+        Obj::new(&mut line)
+            .str("kind", "counter")
+            .str("component", "a\"b\\c\nd")
+            .line();
+        assert_eq!(
+            line,
+            "{\"kind\":\"counter\",\"component\":\"a\\\"b\\\\c\\nd\"}\n"
+        );
         let f = json::lines(&line).next().flatten().unwrap();
         assert_eq!(f.str("component").as_deref(), Some("a\"b\\c\nd"));
     }

@@ -84,12 +84,18 @@ impl Point for CounterPoint {
     const KIND: &'static str = "cpoint";
 
     fn write<'a>(&self, o: Obj<'a>) -> Obj<'a> {
-        o.num("ts_ns", self.ts_ns).num("value", self.value).num("delta", self.delta)
+        o.num("ts_ns", self.ts_ns)
+            .num("value", self.value)
+            .num("delta", self.delta)
     }
 
     fn read(f: &Fields) -> Option<Self> {
         let (ts_ns, value, delta) = (f.u64("ts_ns")?, f.u64("value")?, f.u64("delta")?);
-        Some(CounterPoint { ts_ns, value, delta })
+        Some(CounterPoint {
+            ts_ns,
+            value,
+            delta,
+        })
     }
 }
 
@@ -97,7 +103,9 @@ impl Point for GaugePoint {
     const KIND: &'static str = "gpoint";
 
     fn write<'a>(&self, o: Obj<'a>) -> Obj<'a> {
-        o.num("ts_ns", self.ts_ns).num("value", self.value).num("peak", self.peak)
+        o.num("ts_ns", self.ts_ns)
+            .num("value", self.value)
+            .num("peak", self.peak)
     }
 
     fn read(f: &Fields) -> Option<Self> {
@@ -144,7 +152,11 @@ fn slot<P, L>(
     last: impl FnOnce() -> L,
 ) -> &mut Slot<P, L> {
     if i == slots.len() {
-        slots.push(Slot { key, points: VecDeque::new(), last: last() });
+        slots.push(Slot {
+            key,
+            points: VecDeque::new(),
+            last: last(),
+        });
     }
     debug_assert_eq!(slots[i].key, key, "a series log samples one registry");
     &mut slots[i]
@@ -212,7 +224,14 @@ impl SeriesLog {
             let s = slot(&mut inner.counters, i, *key, || 0);
             let delta = value.saturating_sub(s.last);
             s.last = value;
-            inner.dropped += s.push(cap, CounterPoint { ts_ns, value, delta });
+            inner.dropped += s.push(
+                cap,
+                CounterPoint {
+                    ts_ns,
+                    value,
+                    delta,
+                },
+            );
         }
         for (i, (key, cells)) in entries.gauges.iter().enumerate() {
             let (value, peak) = gauge_level(cells);
@@ -226,7 +245,13 @@ impl SeriesLog {
                 // An unchanged count means no recordings this interval: the
                 // point is empty without a walk of the buckets.
                 if now.count() == last.count() {
-                    return HistPoint { ts_ns, count: 0, sum: 0, p50: 0, p99: 0 };
+                    return HistPoint {
+                        ts_ns,
+                        count: 0,
+                        sum: 0,
+                        p50: 0,
+                        p99: 0,
+                    };
                 }
                 let point = HistPoint {
                     ts_ns,
@@ -347,7 +372,8 @@ pub struct SeriesDump {
 }
 
 fn find<'a, P>(list: &'a [Series<P>], component: &str, name: &str) -> Option<&'a Series<P>> {
-    list.iter().find(|s| s.component == component && s.name == name)
+    list.iter()
+        .find(|s| s.component == component && s.name == name)
 }
 
 impl SeriesDump {
@@ -406,7 +432,9 @@ impl SeriesDump {
 fn write_points<P: Point>(out: &mut String, list: &[Series<P>]) {
     for s in list {
         for p in &s.points {
-            let o = Obj::new(out).str("kind", P::KIND).str("component", &s.component);
+            let o = Obj::new(out)
+                .str("kind", P::KIND)
+                .str("component", &s.component);
             p.write(o.str("name", &s.name)).line();
         }
     }
@@ -415,9 +443,16 @@ fn write_points<P: Point>(out: &mut String, list: &[Series<P>]) {
 fn read_point<P: Point>(list: &mut Vec<Series<P>>, f: &Fields) -> Option<()> {
     let (component, name) = (f.str("component")?, f.str("name")?);
     let point = P::read(f)?;
-    match list.iter_mut().find(|s| s.component == component && s.name == name) {
+    match list
+        .iter_mut()
+        .find(|s| s.component == component && s.name == name)
+    {
         Some(s) => s.points.push(point),
-        None => list.push(Series { component, name, points: vec![point] }),
+        None => list.push(Series {
+            component,
+            name,
+            points: vec![point],
+        }),
     }
     Some(())
 }
@@ -453,7 +488,10 @@ mod tests {
         assert_eq!(cs.points[2].value, 15);
         let gs = dump.gauge("rnic", "cq.depth").unwrap();
         assert_eq!(
-            gs.points.iter().map(|p| (p.value, p.peak)).collect::<Vec<_>>(),
+            gs.points
+                .iter()
+                .map(|p| (p.value, p.peak))
+                .collect::<Vec<_>>(),
             vec![(3, 3), (3, 3), (1, 3)]
         );
         let hs = dump.histogram("kdclient", "produce.e2e_ns").unwrap();

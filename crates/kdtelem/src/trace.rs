@@ -124,45 +124,100 @@ impl EventKind {
         let row: Row<'_> = match *self {
             SpanBegin { name, parent } => (1, name, Begin, &[("parent", Parent(parent))]),
             SpanEnd { name } => (2, name, End, &[]),
-            WqePosted { qpn, ticket } => {
-                (3, "WqePosted", Instant, &[("qpn", Num(qpn.into())), ("ticket", Num(ticket))])
-            }
-            PacketEnqueued { node, egress, bytes, queue_ns } => (4, "PacketEnqueued", Instant, &[
-                ("node", Num(node.into())),
-                ("egress", Flag(egress)),
-                ("bytes", Num(bytes)),
-                ("queue_ns", Num(queue_ns)),
-            ]),
-            PacketDelivered { node, egress, bytes } => (5, "PacketDelivered", Instant, &[
-                ("node", Num(node.into())),
-                ("egress", Flag(egress)),
-                ("bytes", Num(bytes)),
-            ]),
-            Completion { qpn, ticket, opcode, ok } => (6, "Completion", Instant, &[
-                ("qpn", Num(qpn.into())),
-                ("ticket", Num(ticket)),
-                ("opcode", Text(opcode)),
-                ("ok", Flag(ok)),
-            ]),
-            CpuCopy { site, bytes } => {
-                (7, "CpuCopy", Instant, &[("site", Text(site)), ("bytes", Num(bytes))])
-            }
-            Commit { stream, base_offset, next_offset } => (8, "Commit", Instant, &[
-                ("stream", Num(stream)),
-                ("base_offset", Num(base_offset)),
-                ("next_offset", Num(next_offset)),
-            ]),
-            ReplAck { stream, offset } => {
-                (9, "ReplAck", Instant, &[("stream", Num(stream)), ("offset", Num(offset))])
-            }
-            FetchServed { stream, start_offset, next_offset, bytes } => {
-                (10, "FetchServed", Instant, &[
+            WqePosted { qpn, ticket } => (
+                3,
+                "WqePosted",
+                Instant,
+                &[("qpn", Num(qpn.into())), ("ticket", Num(ticket))],
+            ),
+            PacketEnqueued {
+                node,
+                egress,
+                bytes,
+                queue_ns,
+            } => (
+                4,
+                "PacketEnqueued",
+                Instant,
+                &[
+                    ("node", Num(node.into())),
+                    ("egress", Flag(egress)),
+                    ("bytes", Num(bytes)),
+                    ("queue_ns", Num(queue_ns)),
+                ],
+            ),
+            PacketDelivered {
+                node,
+                egress,
+                bytes,
+            } => (
+                5,
+                "PacketDelivered",
+                Instant,
+                &[
+                    ("node", Num(node.into())),
+                    ("egress", Flag(egress)),
+                    ("bytes", Num(bytes)),
+                ],
+            ),
+            Completion {
+                qpn,
+                ticket,
+                opcode,
+                ok,
+            } => (
+                6,
+                "Completion",
+                Instant,
+                &[
+                    ("qpn", Num(qpn.into())),
+                    ("ticket", Num(ticket)),
+                    ("opcode", Text(opcode)),
+                    ("ok", Flag(ok)),
+                ],
+            ),
+            CpuCopy { site, bytes } => (
+                7,
+                "CpuCopy",
+                Instant,
+                &[("site", Text(site)), ("bytes", Num(bytes))],
+            ),
+            Commit {
+                stream,
+                base_offset,
+                next_offset,
+            } => (
+                8,
+                "Commit",
+                Instant,
+                &[
+                    ("stream", Num(stream)),
+                    ("base_offset", Num(base_offset)),
+                    ("next_offset", Num(next_offset)),
+                ],
+            ),
+            ReplAck { stream, offset } => (
+                9,
+                "ReplAck",
+                Instant,
+                &[("stream", Num(stream)), ("offset", Num(offset))],
+            ),
+            FetchServed {
+                stream,
+                start_offset,
+                next_offset,
+                bytes,
+            } => (
+                10,
+                "FetchServed",
+                Instant,
+                &[
                     ("stream", Num(stream)),
                     ("start_offset", Num(start_offset)),
                     ("next_offset", Num(next_offset)),
                     ("bytes", Num(bytes)),
-                ])
-            }
+                ],
+            ),
         };
         f(row)
     }
@@ -345,16 +400,92 @@ mod tests {
             kind,
         };
         vec![
-            ev(5, 5, 100, SpanBegin { name: "client.produce", parent: 0 }),
+            ev(
+                5,
+                5,
+                100,
+                SpanBegin {
+                    name: "client.produce",
+                    parent: 0,
+                },
+            ),
             ev(5, 5, 110, WqePosted { qpn: 3, ticket: 0 }),
-            ev(5, 9, 120, SpanBegin { name: "broker.commit", parent: 5 }),
-            ev(8, 8, 120, SpanBegin { name: "client.fetch", parent: 0 }),
-            ev(8, 12, 125, SpanBegin { name: "client.read", parent: 11 }),
-            ev(8, 11, 126, SpanBegin { name: "client.round", parent: 8 }),
-            ev(5, 9, 130, Commit { stream: 77, base_offset: 0, next_offset: 1 }),
-            ev(5, 9, 140, SpanEnd { name: "broker.commit" }),
-            ev(8, 8, 150, FetchServed { stream: 77, start_offset: 0, next_offset: 1, bytes: 64 }),
-            ev(5, 5, 160, Completion { qpn: 3, ticket: 0, opcode: "write_imm", ok: true }),
+            ev(
+                5,
+                9,
+                120,
+                SpanBegin {
+                    name: "broker.commit",
+                    parent: 5,
+                },
+            ),
+            ev(
+                8,
+                8,
+                120,
+                SpanBegin {
+                    name: "client.fetch",
+                    parent: 0,
+                },
+            ),
+            ev(
+                8,
+                12,
+                125,
+                SpanBegin {
+                    name: "client.read",
+                    parent: 11,
+                },
+            ),
+            ev(
+                8,
+                11,
+                126,
+                SpanBegin {
+                    name: "client.round",
+                    parent: 8,
+                },
+            ),
+            ev(
+                5,
+                9,
+                130,
+                Commit {
+                    stream: 77,
+                    base_offset: 0,
+                    next_offset: 1,
+                },
+            ),
+            ev(
+                5,
+                9,
+                140,
+                SpanEnd {
+                    name: "broker.commit",
+                },
+            ),
+            ev(
+                8,
+                8,
+                150,
+                FetchServed {
+                    stream: 77,
+                    start_offset: 0,
+                    next_offset: 1,
+                    bytes: 64,
+                },
+            ),
+            ev(
+                5,
+                5,
+                160,
+                Completion {
+                    qpn: 3,
+                    ticket: 0,
+                    opcode: "write_imm",
+                    ok: true,
+                },
+            ),
         ]
     }
 
@@ -368,9 +499,10 @@ mod tests {
                 span_id: f(e.span_id),
                 ts_ns: e.ts_ns,
                 kind: match e.kind {
-                    EventKind::SpanBegin { name, parent } if parent != 0 => {
-                        EventKind::SpanBegin { name, parent: f(parent) }
-                    }
+                    EventKind::SpanBegin { name, parent } if parent != 0 => EventKind::SpanBegin {
+                        name,
+                        parent: f(parent),
+                    },
                     kind => kind,
                 },
             })
@@ -400,10 +532,17 @@ mod tests {
         let mutations: [(&str, Mutation); 4] = [
             ("one timestamp", |e| e[6].ts_ns += 1),
             ("one payload field", |e| {
-                e[6].kind = EventKind::Commit { stream: 77, base_offset: 0, next_offset: 2 }
+                e[6].kind = EventKind::Commit {
+                    stream: 77,
+                    base_offset: 0,
+                    next_offset: 2,
+                }
             }),
             ("one parent link", |e| {
-                e[2].kind = EventKind::SpanBegin { name: "broker.commit", parent: 8 }
+                e[2].kind = EventKind::SpanBegin {
+                    name: "broker.commit",
+                    parent: 8,
+                }
             }),
             ("the order of two same-instant events", |e| e.swap(2, 3)),
         ];

@@ -277,7 +277,9 @@ impl RpcClient {
         let weak = Rc::downgrade(&inner);
         sim::spawn_detached(async move {
             let mut copied = Vec::new();
-            while let Ok((correlation, _trace, payload)) = read_frame_into(&mut read, &mut copied).await {
+            while let Ok((correlation, _trace, payload)) =
+                read_frame_into(&mut read, &mut copied).await
+            {
                 if let Some(inner) = weak.upgrade() {
                     inner.calls.answer(correlation, Response::decode(&payload));
                 }
@@ -297,7 +299,8 @@ impl RpcClient {
     /// Sends a request and waits for its response. Multiple `call`s from
     /// different tasks pipeline on the wire.
     pub async fn call(&self, request: &Request) -> Result<Response, RpcError> {
-        self.call_with(|body| request.encode_into(body), None, Duration::ZERO).await
+        self.call_with(|body| request.encode_into(body), None, Duration::ZERO)
+            .await
     }
 
     /// As [`call`](Self::call) for a request `encode` appends to a scratch
@@ -349,7 +352,10 @@ mod tests {
             let mss = f.profile().net.tcp_mss as usize;
             let (a, b) = (f.add_node("a"), f.add_node("b"));
             let mut l = TcpListener::bind(&b, 1);
-            let (_, mut w) = netsim::tcp::connect(&a, b.id, 1).await.unwrap().into_split();
+            let (_, mut w) = netsim::tcp::connect(&a, b.id, 1)
+                .await
+                .unwrap()
+                .into_split();
             let (mut r, _w) = l.accept().await.unwrap().into_split();
             let small: Vec<u8> = (0..40).collect();
             let large: Vec<u8> = (0..3 * mss).map(|i| i as u8).collect();
@@ -367,12 +373,18 @@ mod tests {
             for corr in [1, 2] {
                 let (got, _, payload) = read_frame_into(&mut r, &mut copied).await.unwrap();
                 assert_eq!(got, corr);
-                assert!(matches!(payload, Payload::View(_)), "frame {corr} is a view");
+                assert!(
+                    matches!(payload, Payload::View(_)),
+                    "frame {corr} is a view"
+                );
                 assert_eq!(*payload, small[..]);
             }
             let (got, _, payload) = read_frame_into(&mut r, &mut copied).await.unwrap();
             assert_eq!(got, 3);
-            assert!(matches!(payload, Payload::Copied(_)), "a frame across chunks is copied");
+            assert!(
+                matches!(payload, Payload::Copied(_)),
+                "a frame across chunks is copied"
+            );
             assert_eq!(*payload, large[..]);
         });
     }
@@ -436,14 +448,26 @@ mod tests {
                     1 => wire.truncate(rng.below(wire.len() as u64) as usize),
                     _ => wire[..4].copy_from_slice(&rng.next_u32().to_le_bytes()),
                 }
-                let (_, mut w) = netsim::tcp::connect(&a, b.id, 1).await.unwrap().into_split();
+                let (_, mut w) = netsim::tcp::connect(&a, b.id, 1)
+                    .await
+                    .unwrap()
+                    .into_split();
                 w.write_all(&wire).await.unwrap();
                 drop(w);
                 let (mut r, _w) = l.accept().await.unwrap().into_split();
                 let (mut at, mut copied) = (0, Vec::new());
-                while let Ok((correlation, _, payload)) = read_frame_into(&mut r, &mut copied).await {
-                    assert_eq!(wire[at + 4..at + 12], correlation.to_le_bytes(), "round {round}");
-                    assert_eq!(wire[at + 28..at + 28 + payload.len()], *payload, "round {round}");
+                while let Ok((correlation, _, payload)) = read_frame_into(&mut r, &mut copied).await
+                {
+                    assert_eq!(
+                        wire[at + 4..at + 12],
+                        correlation.to_le_bytes(),
+                        "round {round}"
+                    );
+                    assert_eq!(
+                        wire[at + 28..at + 28 + payload.len()],
+                        *payload,
+                        "round {round}"
+                    );
                     at += 28 + payload.len();
                 }
             }
@@ -478,7 +502,9 @@ mod tests {
                         earliest: 0,
                         latest: u64::from(partition),
                     };
-                    write_frame(&mut w, corr, None, &resp.encode()).await.unwrap();
+                    write_frame(&mut w, corr, None, &resp.encode())
+                        .await
+                        .unwrap();
                 }
             });
             let s = netsim::tcp::connect(&a, b.id, 1).await.unwrap();
@@ -544,7 +570,9 @@ mod tests {
                 let (mut r, mut w) = s.into_split();
                 // First answer: a well-framed payload that is no Response.
                 let (corr, ..) = read_frame(&mut r).await.unwrap();
-                write_frame(&mut w, corr, None, &[200, 1, 2, 3]).await.unwrap();
+                write_frame(&mut w, corr, None, &[200, 1, 2, 3])
+                    .await
+                    .unwrap();
                 let (corr, ..) = read_frame(&mut r).await.unwrap();
                 let ok = Response::CreateTopic {
                     error: ErrorCode::None,

@@ -22,8 +22,8 @@ pub mod messages;
 pub mod slots;
 
 pub use frame::{
-    begin_frame, read_frame, read_frame_into, write_frame, write_frame_from, Calls, Payload, RpcClient, RpcError,
-    HEADER_LEN,
+    begin_frame, read_frame, read_frame_into, write_frame, write_frame_from, Calls, Payload,
+    RpcClient, RpcError, HEADER_LEN,
 };
 pub use messages::{
     BrokerAddr, ConsumeAccessResp, ErrorCode, FetchResp, PartitionMeta, ProduceAccessResp,

@@ -552,7 +552,13 @@ impl Request {
     /// Appends the encoding of a [`Request::Produce`] built from borrowed
     /// parts: a producer's send path owns neither a `String` nor the batch
     /// per request. `produce_parts_encode_as_produce` holds it to the table.
-    pub fn encode_produce_into(out: &mut Vec<u8>, topic: &str, partition: u32, acks: u8, batch: &[u8]) {
+    pub fn encode_produce_into(
+        out: &mut Vec<u8>,
+        topic: &str,
+        partition: u32,
+        acks: u8,
+        batch: &[u8],
+    ) {
         let mut w = Writer::from_vec(std::mem::take(out));
         w.put_u8(2);
         w.put_string(topic);

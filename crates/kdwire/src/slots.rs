@@ -80,7 +80,11 @@ pub fn decode_ack(bytes: &[u8]) -> (ErrorCode, u64, u32) {
         .get(ACK_COUNT_AT..)
         .and_then(<[u8]>::first_chunk)
         .map_or(1, |b| u32::from_le_bytes(*b));
-    (error.unwrap_or(ErrorCode::Internal), base_offset, count.max(1))
+    (
+        error.unwrap_or(ErrorCode::Internal),
+        base_offset,
+        count.max(1),
+    )
 }
 
 /// Size of one RDMA-readable metadata slot (§4.4.2). A consumer fetches the
@@ -126,7 +130,9 @@ impl SlotView {
     /// Decodes the first [`SLOT_SIZE`] bytes of `b`, which callers size
     /// themselves (a slot of their own local copy); panics if `b` is shorter.
     pub fn decode(b: &[u8]) -> SlotView {
-        let Some(&[r0, r1, r2, r3, flags, _, _, _, ref high_watermark @ ..]) = b.first_chunk::<SLOT_SIZE>() else {
+        let Some(&[r0, r1, r2, r3, flags, _, _, _, ref high_watermark @ ..]) =
+            b.first_chunk::<SLOT_SIZE>()
+        else {
             panic!("a slot is {SLOT_SIZE} bytes, got {}", b.len());
         };
         SlotView {
@@ -168,15 +174,25 @@ mod tests {
         assert_eq!(decode_ack(&[]), (ErrorCode::Internal, 0, 1));
         assert_eq!(decode_ack(&wire[..3]), (ErrorCode::None, 0, 1));
         for len in 9..ACK_SIZE {
-            assert_eq!(decode_ack(&wire[..len]), (ErrorCode::None, 77, 1), "{len} bytes");
+            assert_eq!(
+                decode_ack(&wire[..len]),
+                (ErrorCode::None, 77, 1),
+                "{len} bytes"
+            );
         }
         assert_eq!(decode_ack(&wire), (ErrorCode::None, 77, 5));
         // What follows the count is not the codec's.
-        assert_eq!(decode_ack(&[&wire[..], &[0xff; 3]].concat()), (ErrorCode::None, 77, 5));
+        assert_eq!(
+            decode_ack(&[&wire[..], &[0xff; 3]].concat()),
+            (ErrorCode::None, 77, 5)
+        );
         encode_ack(ErrorCode::None, 77, 0, &mut wire);
         assert_eq!(decode_ack(&wire), (ErrorCode::None, 77, 1));
         encode_ack(ErrorCode::OutOfSpace, u64::MAX, u32::MAX, &mut wire);
-        assert_eq!(decode_ack(&wire), (ErrorCode::OutOfSpace, u64::MAX, u32::MAX));
+        assert_eq!(
+            decode_ack(&wire),
+            (ErrorCode::OutOfSpace, u64::MAX, u32::MAX)
+        );
     }
 
     #[test]
@@ -189,9 +205,18 @@ mod tests {
     #[test]
     fn shared_word_round_trip() {
         for w in [
-            SharedWord { order: 0, offset: 0 },
-            SharedWord { order: 0xffff, offset: OFFSET_MASK },
-            SharedWord { order: 7, offset: 4 * 1024 * 1024 * 1024 }, // past 4 GiB file: overflow detectable
+            SharedWord {
+                order: 0,
+                offset: 0,
+            },
+            SharedWord {
+                order: 0xffff,
+                offset: OFFSET_MASK,
+            },
+            SharedWord {
+                order: 7,
+                offset: 4 * 1024 * 1024 * 1024,
+            }, // past 4 GiB file: overflow detectable
         ] {
             assert_eq!(unpack_shared_word(pack_shared_word(w)), w);
         }
@@ -199,14 +224,26 @@ mod tests {
 
     #[test]
     fn faa_addend_increments_order_and_offset() {
-        let w0 = pack_shared_word(SharedWord { order: 9, offset: 1000 });
+        let w0 = pack_shared_word(SharedWord {
+            order: 9,
+            offset: 1000,
+        });
         let w1 = unpack_shared_word(w0.wrapping_add(shared_word_addend(512)));
-        assert_eq!(w1, SharedWord { order: 10, offset: 1512 });
+        assert_eq!(
+            w1,
+            SharedWord {
+                order: 10,
+                offset: 1512
+            }
+        );
     }
 
     #[test]
     fn order_wraps_without_touching_offset() {
-        let w0 = pack_shared_word(SharedWord { order: 0xffff, offset: 42 });
+        let w0 = pack_shared_word(SharedWord {
+            order: 0xffff,
+            offset: 42,
+        });
         let w1 = unpack_shared_word(w0.wrapping_add(shared_word_addend(8)));
         assert_eq!(w1.order, 0);
         assert_eq!(w1.offset, 50);
@@ -217,7 +254,10 @@ mod tests {
         // Paper §4.2.2: the 6-byte offset lets producers detect running past
         // the (≤4 GiB) file without corrupting the order field.
         let file_len = 1u64 << 32;
-        let w0 = pack_shared_word(SharedWord { order: 3, offset: file_len - 100 });
+        let w0 = pack_shared_word(SharedWord {
+            order: 3,
+            offset: file_len - 100,
+        });
         let w1 = unpack_shared_word(w0.wrapping_add(shared_word_addend(4096)));
         assert_eq!(w1.order, 4);
         assert!(w1.offset > file_len, "reservation beyond file is visible");
@@ -232,7 +272,10 @@ mod tests {
         };
         let enc = s.encode();
         assert_eq!(SlotView::decode(&enc), s);
-        let sealed = SlotView { mutable: false, ..s };
+        let sealed = SlotView {
+            mutable: false,
+            ..s
+        };
         assert_eq!(SlotView::decode(&sealed.encode()), sealed);
     }
 }

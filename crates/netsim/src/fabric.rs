@@ -219,13 +219,7 @@ impl Fabric {
     }
 
     /// As [`reserve_path`](Self::reserve_path) but at TCP goodput.
-    pub fn reserve_tcp_path(
-        &self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-    ) -> SimTime {
+    pub fn reserve_tcp_path(&self, now: SimTime, src: NodeId, dst: NodeId, bytes: u64) -> SimTime {
         let p = &self.inner.profile.net;
         let bw = p.link_bandwidth * p.tcp_bandwidth_factor;
         let total = bytes + p.header_bytes;
@@ -263,7 +257,9 @@ impl Fabric {
         self.inner.atomic_ops.inc();
         if start > arrival.as_nanos() {
             self.inner.atomic_stalls.inc();
-            self.inner.atomic_stall_ns.record(start - arrival.as_nanos());
+            self.inner
+                .atomic_stall_ns
+                .record(start - arrival.as_nanos());
         }
         SimTime::from_nanos(exec_done)
     }

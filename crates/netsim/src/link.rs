@@ -322,10 +322,7 @@ mod tests {
             assert_eq!(l.sample_tcp_faults(), Some((Duration::ZERO, 0)));
         }
         l.set_delay(Duration::from_micros(50));
-        assert_eq!(
-            l.sample_tcp_faults(),
-            Some((Duration::from_micros(50), 0))
-        );
+        assert_eq!(l.sample_tcp_faults(), Some((Duration::from_micros(50), 0)));
         l.clear_faults();
         assert_eq!(l.sample_tcp_faults(), Some((Duration::ZERO, 0)));
     }

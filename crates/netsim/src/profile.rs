@@ -261,7 +261,10 @@ mod tests {
         let p = Profile::testbed();
         // 6 GiB/s, ~1 KiB: ~160 ns
         let t = p.net.wire_time(1000);
-        assert!(t > Duration::from_nanos(140) && t < Duration::from_nanos(200), "{t:?}");
+        assert!(
+            t > Duration::from_nanos(140) && t < Duration::from_nanos(200),
+            "{t:?}"
+        );
         // The atomic rate limit is the paper's 2.68 Mops/s.
         let rate = 1e9 / p.net.atomic_same_addr_gap.as_nanos() as f64;
         assert!((rate / 1e6 - 2.68).abs() < 0.02, "rate={rate}");

@@ -183,11 +183,7 @@ pub fn unbind(node: &NodeHandle, port: u16) -> bool {
 }
 
 /// Opens a connection from `node` to `(dst, port)`. Pays the handshake cost.
-pub async fn connect(
-    node: &NodeHandle,
-    dst: NodeId,
-    port: u16,
-) -> Result<TcpStream, ConnectError> {
+pub async fn connect(node: &NodeHandle, dst: NodeId, port: u16) -> Result<TcpStream, ConnectError> {
     let fabric = &node.fabric;
     if fabric.path_blocked(node.id, dst) || fabric.path_blocked(dst, node.id) {
         return Err(ConnectError::ConnectionRefused);
@@ -220,7 +216,10 @@ impl WriteHalf {
     /// Writes the whole buffer, respecting flow control. Charges the
     /// sender's syscall once plus the user→kernel copy per MSS chunk, and
     /// reserves wire time on the path.
-    pub fn write_all<'a>(&'a mut self, data: &'a [u8]) -> impl Future<Output = Result<(), Closed>> + 'a {
+    pub fn write_all<'a>(
+        &'a mut self,
+        data: &'a [u8],
+    ) -> impl Future<Output = Result<(), Closed>> + 'a {
         self.write_all_from(SimTime::ZERO, data)
     }
 
@@ -240,7 +239,11 @@ impl WriteHalf {
         let start = start.max(sim::now());
         if data.is_empty() || self.is_closed() {
             sim::time::sleep_until(start).await;
-            return if self.is_closed() { Err(Closed) } else { Ok(()) };
+            return if self.is_closed() {
+                Err(Closed)
+            } else {
+                Ok(())
+            };
         }
         let copy = |len: usize| copy_time(len as u64, net.kernel_copy_bandwidth);
         let mss = net.tcp_mss as usize;
@@ -420,7 +423,10 @@ impl ReadHalf {
     /// has just read a header takes the body this way when it came in the
     /// same chunk.
     pub fn read_view(&mut self, n: usize) -> Option<kdbuf::Buf> {
-        let (chunk, at) = self.head.as_mut().filter(|(chunk, at)| chunk.len() - at >= n)?;
+        let (chunk, at) = self
+            .head
+            .as_mut()
+            .filter(|(chunk, at)| chunk.len() - at >= n)?;
         let bytes = chunk.slice(*at, n);
         *at += n;
         if *at == chunk.len() {
@@ -665,7 +671,10 @@ mod tests {
             let (_read, mut write) = c.into_split();
             let sent = f.node_bytes(a.id).0;
             let start = sim::now() + Duration::from_micros(5);
-            assert_eq!(write.write_all_from(start, &[7u8; 100_000]).await, Err(Closed));
+            assert_eq!(
+                write.write_all_from(start, &[7u8; 100_000]).await,
+                Err(Closed)
+            );
             assert_eq!(sim::now(), start, "at its start");
             assert_eq!(f.node_bytes(a.id).0, sent, "nothing on the wire");
             assert_eq!(write.write_all(b"x").await, Err(Closed));
@@ -822,7 +831,14 @@ mod tests {
     /// consumed chunk frees its room. Wire times come from reserving the
     /// same sends on `twin`, an idle fabric of the same profile. Returns
     /// the instants `write_all` and `read_exact(len)` return.
-    fn reference_timeline(twin: &Fabric, a: NodeId, b: NodeId, t0: u64, len: usize, read_at: u64) -> (u64, u64) {
+    fn reference_timeline(
+        twin: &Fabric,
+        a: NodeId,
+        b: NodeId,
+        t0: u64,
+        len: usize,
+        read_at: u64,
+    ) -> (u64, u64) {
         let profile = twin.profile();
         let net = &profile.net;
         let copy = |n: usize| copy_time(n as u64, net.kernel_copy_bandwidth).as_nanos() as u64;
@@ -860,9 +876,21 @@ mod tests {
             ("reader arrives during the copy window", 512, Some(0.5)),
             ("reader arrives after arrival + copy", 512, Some(40.0)),
             ("parked reader, three chunks", 3 * MSS, None),
-            ("late reader, three chunks and a tail", 3 * MSS + 100, Some(3.0)),
-            ("reader waiting since just before arrival, three chunks", 3 * MSS, Some(-2.0)),
-            ("writer blocked on the socket buffer", MIB_AND_3_MSS, Some(2_000.0)),
+            (
+                "late reader, three chunks and a tail",
+                3 * MSS + 100,
+                Some(3.0),
+            ),
+            (
+                "reader waiting since just before arrival, three chunks",
+                3 * MSS,
+                Some(-2.0),
+            ),
+            (
+                "writer blocked on the socket buffer",
+                MIB_AND_3_MSS,
+                Some(2_000.0),
+            ),
         ]
     }
 
@@ -920,7 +948,7 @@ mod tests {
     #[test]
     fn write_all_from_keeps_the_instants_of_a_sleep_and_a_write() {
         const BOOKED: u64 = 17_000; // a network thread's serialisation
-        // (write return, read return, polls) of one transfer.
+                                    // (write return, read return, polls) of one transfer.
         let run = |len: usize, reader: Option<f64>, folded: bool, blocked: bool| {
             let rt = sim::Runtime::new();
             let instants = rt.block_on(async move {
@@ -962,7 +990,10 @@ mod tests {
             for blocked in [false, true] {
                 let (want, slept) = run(len, reader, false, blocked);
                 let (got, polls) = run(len, reader, true, blocked);
-                assert_eq!(got, want, "{case}, blocked {blocked}: (write_all, read_exact) return instants");
+                assert_eq!(
+                    got, want,
+                    "{case}, blocked {blocked}: (write_all, read_exact) return instants"
+                );
                 let fewer = if blocked { 0 } else { 1 };
                 assert_eq!(polls + fewer, slept, "{case}, blocked {blocked}: polls");
             }
@@ -1004,6 +1035,9 @@ mod tests {
         // Reader and writer: their first poll, then one per chunk (the
         // per-step stack took three and two). Root: its first poll and one
         // per join.
-        assert!(polls <= 2 * (1 + CHUNKS) + 3, "{polls} polls for {CHUNKS} chunks");
+        assert!(
+            polls <= 2 * (1 + CHUNKS) + 3,
+            "{polls} polls for {CHUNKS} chunks"
+        );
     }
 }

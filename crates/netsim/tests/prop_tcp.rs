@@ -62,7 +62,12 @@ fn link_reservations_monotonic() {
         let mut rng = SimRng::seed_from_u64(0x7C9_0002 ^ case);
         let n_ops = rng.random_range(1usize..64);
         let ops: Vec<(u64, u64)> = (0..n_ops)
-            .map(|_| (rng.random_range(0u64..10_000), rng.random_range(1u64..100_000)))
+            .map(|_| {
+                (
+                    rng.random_range(0u64..10_000),
+                    rng.random_range(1u64..100_000),
+                )
+            })
             .collect();
         let l = Link::new(1e9);
         let mut last_end = 0u64;

@@ -100,7 +100,9 @@ pub struct MuxLease {
 impl Drop for MuxLease {
     fn drop(&mut self) {
         self.pool.releases.inc();
-        self.pool.active.set(self.pool.active.get().saturating_sub(1));
+        self.pool
+            .active
+            .set(self.pool.active.get().saturating_sub(1));
         self.pool.gauge.sub(1);
     }
 }
@@ -469,7 +471,11 @@ mod tests {
             let (_qp_a, qp_b, _a_send, _b_recv) =
                 connected_pair(&f, QpOptions::default(), opts).await;
             for i in 0..3 {
-                qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+                qp_b.post_recv(RecvWr {
+                    wr_id: i,
+                    buf: None,
+                })
+                .unwrap();
             }
         });
     }
@@ -488,8 +494,11 @@ mod tests {
                 connected_pair(&f, QpOptions::default(), opts).await;
             // A chained list must hit exactly the bound a loop of single
             // posts would: the third WR overflows.
-            qp_b.post_recv_list((0..3).map(|i| RecvWr { wr_id: i, buf: None }))
-                .unwrap();
+            qp_b.post_recv_list((0..3).map(|i| RecvWr {
+                wr_id: i,
+                buf: None,
+            }))
+            .unwrap();
         });
     }
 

@@ -93,7 +93,10 @@ impl CompletionQueue {
     }
 
     pub(crate) fn attach(&self, qp: &Rc<QpShared>) {
-        self.inner.attached.borrow_mut().push_back(Rc::downgrade(qp));
+        self.inner
+            .attached
+            .borrow_mut()
+            .push_back(Rc::downgrade(qp));
     }
 
     /// Poisons the CQ as a hardware overflow would: every attached QP

@@ -61,7 +61,10 @@ pub(crate) struct Fifo {
 }
 
 impl Fifo {
-    pub(crate) const EMPTY: Fifo = Fifo { head: NIL, tail: NIL };
+    pub(crate) const EMPTY: Fifo = Fifo {
+        head: NIL,
+        tail: NIL,
+    };
 
     fn is_empty(self) -> bool {
         self.head == NIL
@@ -185,7 +188,14 @@ impl Engine {
     /// Queues a prepared WR behind everything `qp` (alive) posted before.
     /// The head of an idle queue is launched here; its successors when they
     /// reach the head.
-    pub(crate) fn post(&self, qp: &Rc<QpShared>, peer: Rc<QpShared>, wr: SendWr, ticket: u64, t: Timing) {
+    pub(crate) fn post(
+        &self,
+        qp: &Rc<QpShared>,
+        peer: Rc<QpShared>,
+        wr: SendWr,
+        ticket: u64,
+        t: Timing,
+    ) {
         let launched = qp.sendq.get().is_empty();
         if launched {
             self.arm(qp, ticket, t.deliver);
@@ -288,7 +298,11 @@ impl Engine {
         let op = &wr.wr.op;
         let cqe = Cqe {
             // A flushed WR that never launched moved nothing.
-            byte_len: if wr.launched { op.request_bytes().max(op.response_bytes()) as u32 } else { 0 },
+            byte_len: if wr.launched {
+                op.request_bytes().max(op.response_bytes()) as u32
+            } else {
+                0
+            },
             atomic_old,
             trace: wr.wr.trace,
             ..Cqe::bare(wr.wr.wr_id, qp.qpn, status, op.opcode())
@@ -326,7 +340,12 @@ impl Engine {
                         byte_len: local.len() as u32,
                         imm: Some(*imm),
                         trace: wr.wr.trace,
-                        ..Cqe::bare(recv.wr_id, peer.qpn, CqStatus::Success, CqOpcode::RecvRdmaWithImm)
+                        ..Cqe::bare(
+                            recv.wr_id,
+                            peer.qpn,
+                            CqStatus::Success,
+                            CqOpcode::RecvRdmaWithImm,
+                        )
                     });
                 }
                 Ok(None)
@@ -356,7 +375,13 @@ impl Engine {
                 remote_addr,
                 rkey,
             } => {
-                let mr = check_remote(peer, *rkey, *remote_addr, local.len() as u64, Access::REMOTE_READ)?;
+                let mr = check_remote(
+                    peer,
+                    *rkey,
+                    *remote_addr,
+                    local.len() as u64,
+                    Access::REMOTE_READ,
+                )?;
                 // Snapshot at request arrival; the initiator sees it at `comp`.
                 let offset = (*remote_addr - mr.addr) as usize;
                 peer.nic.reads_served.set(peer.nic.reads_served.get() + 1);
@@ -418,8 +443,19 @@ impl Engine {
 }
 
 /// One-sided write of `local` into the peer's region.
-fn write_region(peer: &QpShared, rkey: u32, remote_addr: u64, local: &BufSlice) -> Result<(), CqStatus> {
-    let mr = check_remote(peer, rkey, remote_addr, local.len() as u64, Access::REMOTE_WRITE)?;
+fn write_region(
+    peer: &QpShared,
+    rkey: u32,
+    remote_addr: u64,
+    local: &BufSlice,
+) -> Result<(), CqStatus> {
+    let mr = check_remote(
+        peer,
+        rkey,
+        remote_addr,
+        local.len() as u64,
+        Access::REMOTE_WRITE,
+    )?;
     let offset = (remote_addr - mr.addr) as usize;
     // Borrowed-slice copy straight into the region; alias-safe when the
     // source slice lives in the same ShmBuf (loopback writes).
@@ -447,7 +483,9 @@ fn atomic(
     if let Some(new) = update(old) {
         mr.buf.write_u64(offset, new);
     }
-    peer.nic.atomics_served.set(peer.nic.atomics_served.get() + 1);
+    peer.nic
+        .atomics_served
+        .set(peer.nic.atomics_served.get() + 1);
     peer.nic.registry.telem.one_sided_in.inc();
     local.copy_from(&old.to_le_bytes());
     Ok(old)

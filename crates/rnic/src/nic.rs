@@ -173,7 +173,8 @@ impl NicInner {
 
     /// Releases `n` pinned QP contexts (QP teardown).
     pub(crate) fn unpin_contexts(&self, n: u64) {
-        self.qp_contexts.set(self.qp_contexts.get().saturating_sub(n));
+        self.qp_contexts
+            .set(self.qp_contexts.get().saturating_sub(n));
     }
 
     /// NIC memory one posted receive holds: its WQE plus its data buffer.
@@ -190,8 +191,11 @@ impl NicInner {
     }
 
     pub(crate) fn recv_buf_sub(&self, wr: &RecvWr) {
-        self.recv_wr_bytes
-            .set(self.recv_wr_bytes.get().saturating_sub(Self::recv_footprint(wr)));
+        self.recv_wr_bytes.set(
+            self.recv_wr_bytes
+                .get()
+                .saturating_sub(Self::recv_footprint(wr)),
+        );
     }
 
     /// Fraction of this device's ops that miss the QP-context cache:

@@ -141,8 +141,12 @@ impl QpShared {
         // the SRQ and stay available to every other attached QP — an error
         // flush must not strand them.
         while let Some(wr) = qp.own_rq.pop() {
-            qp.recv_cq
-                .push(Cqe::bare(wr.wr_id, qp.qpn, CqStatus::FlushError, CqOpcode::Recv));
+            qp.recv_cq.push(Cqe::bare(
+                wr.wr_id,
+                qp.qpn,
+                CqStatus::FlushError,
+                CqOpcode::Recv,
+            ));
         }
         // A sender parked on this endpoint's receive queue observes the
         // disconnect instead.
@@ -330,14 +334,8 @@ impl QueuePair {
         let src_gap = net.rdma_min_op_gap + qp.nic.cache_penalty(net);
         let dst_gap = net.rdma_min_op_gap + peer.nic.cache_penalty(net);
         let post_done = sim::now() + net.rdma_post_overhead + extra_post;
-        let req_arrival = fabric.reserve_path_with(
-            post_done,
-            src,
-            dst,
-            wr.op.request_bytes(),
-            src_gap,
-            dst_gap,
-        );
+        let req_arrival =
+            fabric.reserve_path_with(post_done, src, dst, wr.op.request_bytes(), src_gap, dst_gap);
         // When the remote effect applies and, for operations that return
         // data, when the response leaves the responder.
         let (deliver, response_at) = match &wr.op {
@@ -349,16 +347,27 @@ impl QueuePair {
                 (exec, Some(exec))
             }
             // The responder snapshots at arrival and pays the DMA fetch.
-            WorkRequest::Read { .. } => (req_arrival, Some(req_arrival + net.read_response_overhead)),
+            WorkRequest::Read { .. } => {
+                (req_arrival, Some(req_arrival + net.read_response_overhead))
+            }
             _ => (req_arrival, None),
         };
         let acked = match response_at {
-            Some(at) => fabric.reserve_path_with(at, dst, src, wr.op.response_bytes(), dst_gap, src_gap),
+            Some(at) => {
+                fabric.reserve_path_with(at, dst, src, wr.op.response_bytes(), dst_gap, src_gap)
+            }
             // Hardware ack.
             None => req_arrival + net.propagation,
         };
         let comp = acked + net.rdma_completion_overhead;
-        (ticket, Timing { posted, deliver, comp })
+        (
+            ticket,
+            Timing {
+                posted,
+                deliver,
+                comp,
+            },
+        )
     }
 }
 

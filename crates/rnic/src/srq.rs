@@ -36,7 +36,13 @@ impl RecvQueue {
     /// private queue.
     pub(crate) fn new(nic: Rc<NicInner>, max_wr: usize, shared: bool) -> RecvQueue {
         let (queue, parked) = Default::default();
-        RecvQueue { queue, max_wr, parked, nic, shared }
+        RecvQueue {
+            queue,
+            max_wr,
+            parked,
+            nic,
+            shared,
+        }
     }
 
     /// The `rnic srq.*` cells, on a shared queue.
@@ -57,7 +63,11 @@ impl RecvQueue {
         {
             let mut q = self.queue.borrow_mut();
             for wr in wrs {
-                assert!(q.len() < self.max_wr, "{kind} queue overflow ({bound}={})", self.max_wr);
+                assert!(
+                    q.len() < self.max_wr,
+                    "{kind} queue overflow ({bound}={})",
+                    self.max_wr
+                );
                 self.nic.recv_buf_add(&wr);
                 q.push_back(wr);
                 posted += 1;
@@ -69,7 +79,12 @@ impl RecvQueue {
         }
         // A retry only arms an engine event, so nothing parks while the
         // list is borrowed; draining in place keeps its capacity.
-        for qp in self.parked.borrow_mut().drain(..).filter_map(|qp| qp.upgrade()) {
+        for qp in self
+            .parked
+            .borrow_mut()
+            .drain(..)
+            .filter_map(|qp| qp.upgrade())
+        {
             qp.retry_rnr_waiter();
         }
     }
@@ -433,8 +448,11 @@ mod tests {
             let n = f.add_node("a");
             let nic = RNic::new(&n);
             let srq = nic.create_srq(2);
-            srq.post_recv_list((0..3).map(|i| RecvWr { wr_id: i, buf: None }))
-                .unwrap();
+            srq.post_recv_list((0..3).map(|i| RecvWr {
+                wr_id: i,
+                buf: None,
+            }))
+            .unwrap();
         });
     }
 
@@ -482,8 +500,16 @@ mod tests {
             drop(lease);
             assert_eq!(pool.active(), 0);
             srv.close();
-            assert_eq!(nic_s.qp_contexts(), 4, "teardown releases nothing it never pinned");
-            assert_eq!(nic_c.qp_contexts(), 0, "client context released on disconnect");
+            assert_eq!(
+                nic_s.qp_contexts(),
+                4,
+                "teardown releases nothing it never pinned"
+            );
+            assert_eq!(
+                nic_c.qp_contexts(),
+                0,
+                "client context released on disconnect"
+            );
             drop(client);
         });
     }

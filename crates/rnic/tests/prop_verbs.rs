@@ -82,43 +82,63 @@ fn one_sided_ops_match_sequential_model() {
                 match op {
                     Op::Write { offset, len, fill } => {
                         let src = ShmBuf::from_vec(vec![*fill; *len]);
-                        qp.post_send(SendWr::new(i as u64, WorkRequest::Write {
-                            local: src.as_slice(),
-                            remote_addr: mr.addr() + *offset as u64,
-                            rkey: mr.rkey(),
-                        })).unwrap();
+                        qp.post_send(SendWr::new(
+                            i as u64,
+                            WorkRequest::Write {
+                                local: src.as_slice(),
+                                remote_addr: mr.addr() + *offset as u64,
+                                rkey: mr.rkey(),
+                            },
+                        ))
+                        .unwrap();
                         assert!(send_cq.next().await.unwrap().ok());
                         model[*offset..*offset + *len].fill(*fill);
                     }
                     Op::Read { offset, len } => {
-                        qp.post_send(SendWr::new(i as u64, WorkRequest::Read {
-                            local: read_dst.slice(0, *len),
-                            remote_addr: mr.addr() + *offset as u64,
-                            rkey: mr.rkey(),
-                        })).unwrap();
+                        qp.post_send(SendWr::new(
+                            i as u64,
+                            WorkRequest::Read {
+                                local: read_dst.slice(0, *len),
+                                remote_addr: mr.addr() + *offset as u64,
+                                rkey: mr.rkey(),
+                            },
+                        ))
+                        .unwrap();
                         assert!(send_cq.next().await.unwrap().ok());
                         sim_reads.push(read_dst.read_at(0, *len));
                         model_reads.push(model[*offset..*offset + *len].to_vec());
                     }
                     Op::Faa { word, add } => {
-                        qp.post_send(SendWr::new(i as u64, WorkRequest::FetchAdd {
-                            local: faa_dst.as_slice(),
-                            remote_addr: mr.addr() + *word as u64,
-                            rkey: mr.rkey(),
-                            add: *add,
-                        })).unwrap();
+                        qp.post_send(SendWr::new(
+                            i as u64,
+                            WorkRequest::FetchAdd {
+                                local: faa_dst.as_slice(),
+                                remote_addr: mr.addr() + *word as u64,
+                                rkey: mr.rkey(),
+                                add: *add,
+                            },
+                        ))
+                        .unwrap();
                         let cqe = send_cq.next().await.unwrap();
                         assert!(cqe.ok());
                         sim_faas.push(cqe.atomic_old.unwrap());
                         let old = u64::from_le_bytes(model[*word..*word + 8].try_into().unwrap());
                         model_faas.push(old);
-                        model[*word..*word + 8].copy_from_slice(&old.wrapping_add(*add).to_le_bytes());
+                        model[*word..*word + 8]
+                            .copy_from_slice(&old.wrapping_add(*add).to_le_bytes());
                     }
                 }
             }
-            assert_eq!(remote.read_at(0, 1024), model, "case {case}: final memory differs");
+            assert_eq!(
+                remote.read_at(0, 1024),
+                model,
+                "case {case}: final memory differs"
+            );
             assert_eq!(sim_reads, model_reads, "case {case}: read results differ");
-            assert_eq!(sim_faas, model_faas, "case {case}: atomic old values differ");
+            assert_eq!(
+                sim_faas, model_faas,
+                "case {case}: atomic old values differ"
+            );
         });
     }
 }
@@ -176,7 +196,8 @@ fn pipelined_writes_apply_in_post_order() {
                     },
                     signaled: i == last,
                     trace: None,
-                }).unwrap();
+                })
+                .unwrap();
                 model[*offset..*offset + *len].fill(*fill);
             }
             assert!(send_cq.next().await.unwrap().ok());
@@ -225,7 +246,11 @@ fn run_batch(ops: Vec<(Op, bool)>, as_list: bool) -> BatchOutcome {
             .unwrap();
         let qp_b = accept.await.unwrap();
         for i in 0..ops.len() as u64 {
-            qp_b.post_recv(rnic::RecvWr { wr_id: i, buf: None }).unwrap();
+            qp_b.post_recv(rnic::RecvWr {
+                wr_id: i,
+                buf: None,
+            })
+            .unwrap();
         }
         let remote = ShmBuf::zeroed(1024);
         let mr = nic_b.reg_mr(remote.clone(), Access::all());
@@ -237,14 +262,20 @@ fn run_batch(ops: Vec<(Op, bool)>, as_list: bool) -> BatchOutcome {
         let (cq, log) = (send_cq.clone(), send_log.clone());
         sim::spawn(async move {
             while let Some(c) = cq.next().await {
-                log.borrow_mut()
-                    .push((c.wr_id, c.status, c.opcode, c.atomic_old, sim::now().as_nanos()));
+                log.borrow_mut().push((
+                    c.wr_id,
+                    c.status,
+                    c.opcode,
+                    c.atomic_old,
+                    sim::now().as_nanos(),
+                ));
             }
         });
         let (cq, log) = (b_recv.clone(), recv_log.clone());
         sim::spawn(async move {
             while let Some(c) = cq.next().await {
-                log.borrow_mut().push((c.wr_id, c.imm, c.byte_len, sim::now().as_nanos()));
+                log.borrow_mut()
+                    .push((c.wr_id, c.imm, c.byte_len, sim::now().as_nanos()));
             }
         });
 

@@ -68,7 +68,12 @@ fn write_with_imm_delivers_imm_and_bytes() {
         let p = setup().await;
         let target = ShmBuf::zeroed(128);
         let mr = p.nic_b.reg_mr(target.clone(), Access::all());
-        p.qp_b.post_recv(RecvWr { wr_id: 1, buf: None }).unwrap();
+        p.qp_b
+            .post_recv(RecvWr {
+                wr_id: 1,
+                buf: None,
+            })
+            .unwrap();
         let payload = ShmBuf::from_vec(vec![0xAB; 32]);
         p.qp_a
             .post_send(SendWr::new(
@@ -316,7 +321,10 @@ fn permission_denied_without_remote_write() {
                 },
             ))
             .unwrap();
-        assert_eq!(p.a_send.next().await.unwrap().status, CqStatus::RemoteAccessError);
+        assert_eq!(
+            p.a_send.next().await.unwrap().status,
+            CqStatus::RemoteAccessError
+        );
     });
 }
 
@@ -341,7 +349,10 @@ fn deregistered_mr_faults_inflight_access() {
                 },
             ))
             .unwrap();
-        assert_eq!(p.a_send.next().await.unwrap().status, CqStatus::RemoteAccessError);
+        assert_eq!(
+            p.a_send.next().await.unwrap().status,
+            CqStatus::RemoteAccessError
+        );
     });
 }
 
@@ -356,7 +367,12 @@ fn rnr_timeout_fails_when_no_recv_posted() {
         let p = setup_with(Profile::testbed(), opts, 1024).await;
         let buf = ShmBuf::from_vec(vec![1; 4]);
         p.qp_a
-            .post_send(SendWr::new(1, WorkRequest::Send { local: buf.as_slice() }))
+            .post_send(SendWr::new(
+                1,
+                WorkRequest::Send {
+                    local: buf.as_slice(),
+                },
+            ))
             .unwrap();
         let cqe = p.a_send.next().await.unwrap();
         assert_eq!(cqe.status, CqStatus::RnrRetryExceeded);
@@ -372,12 +388,20 @@ fn rnr_infinite_waits_for_late_recv() {
         let qp_b = p.qp_b.clone();
         sim::spawn(async move {
             sim::time::sleep(Duration::from_micros(30)).await;
-            qp_b.post_recv(RecvWr { wr_id: 5, buf: Some(ShmBuf::zeroed(8).as_slice()) })
-                .unwrap();
+            qp_b.post_recv(RecvWr {
+                wr_id: 5,
+                buf: Some(ShmBuf::zeroed(8).as_slice()),
+            })
+            .unwrap();
         });
         let buf = ShmBuf::from_vec(vec![1; 4]);
         p.qp_a
-            .post_send(SendWr::new(1, WorkRequest::Send { local: buf.as_slice() }))
+            .post_send(SendWr::new(
+                1,
+                WorkRequest::Send {
+                    local: buf.as_slice(),
+                },
+            ))
             .unwrap();
         let rc = p.b_recv.next().await.unwrap();
         assert!(rc.ok());
@@ -395,7 +419,12 @@ fn cq_overflow_disconnects_attached_qps() {
         let target = ShmBuf::zeroed(64);
         let mr = p.nic_b.reg_mr(target, Access::all());
         for i in 0..16 {
-            p.qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+            p.qp_b
+                .post_recv(RecvWr {
+                    wr_id: i,
+                    buf: None,
+                })
+                .unwrap();
         }
         let buf = ShmBuf::zeroed(4);
         for i in 0..16 {
@@ -443,7 +472,12 @@ fn timing_small_write_latency_matches_paper_order() {
         let p = setup().await;
         let target = ShmBuf::zeroed(64);
         let mr = p.nic_b.reg_mr(target, Access::all());
-        p.qp_b.post_recv(RecvWr { wr_id: 0, buf: None }).unwrap();
+        p.qp_b
+            .post_recv(RecvWr {
+                wr_id: 0,
+                buf: None,
+            })
+            .unwrap();
         let t0 = sim::now();
         let buf = ShmBuf::zeroed(16);
         p.qp_a
@@ -493,8 +527,14 @@ fn timing_atomics_are_rate_limited_per_word() {
         assert!(last.ok());
         let secs = (sim::now() - t0).as_secs_f64();
         let mops = n as f64 / secs / 1e6;
-        assert!(mops < 2.75, "pipelined atomic rate {mops} Mops/s exceeds cap");
-        assert!(mops > 2.3, "pipelined atomic rate {mops} Mops/s far below cap");
+        assert!(
+            mops < 2.75,
+            "pipelined atomic rate {mops} Mops/s exceeds cap"
+        );
+        assert!(
+            mops > 2.3,
+            "pipelined atomic rate {mops} Mops/s far below cap"
+        );
     });
 }
 
@@ -535,7 +575,10 @@ fn recv_flush_on_error() {
     rt.block_on(async {
         let p = setup().await;
         p.qp_b
-            .post_recv(RecvWr { wr_id: 42, buf: None })
+            .post_recv(RecvWr {
+                wr_id: 42,
+                buf: None,
+            })
             .unwrap();
         p.qp_a.close();
         let cqe = p.b_recv.next().await.unwrap();
@@ -560,7 +603,8 @@ fn log_cq(cq: &CompletionQueue) -> CqeLog {
     let (cq, log2) = (cq.clone(), log.clone());
     sim::spawn(async move {
         while let Some(cqe) = cq.next().await {
-            log2.borrow_mut().push((cqe.wr_id, cqe.status, sim::now().as_nanos()));
+            log2.borrow_mut()
+                .push((cqe.wr_id, cqe.status, sim::now().as_nanos()));
         }
     });
     log
@@ -618,8 +662,13 @@ fn list_differs_from_singles_by_exactly_the_doorbell_term() {
             }
             sim::time::sleep(Duration::from_micros(100)).await;
             let log = log.borrow();
-            assert!(log.iter().all(|&(_, status, _)| status == CqStatus::Success));
-            assert_eq!(log.iter().map(|c| c.0).collect::<Vec<_>>(), (0..8).collect::<Vec<_>>());
+            assert!(log
+                .iter()
+                .all(|&(_, status, _)| status == CqStatus::Success));
+            assert_eq!(
+                log.iter().map(|c| c.0).collect::<Vec<_>>(),
+                (0..8).collect::<Vec<_>>()
+            );
             log.iter().map(|c| c.2 - t0).collect()
         })
     }
@@ -639,19 +688,33 @@ async fn rnr_blocks_successors(p: &Pair, post: impl FnOnce(RecvWr)) {
     let (first, second) = (ShmBuf::from_vec(vec![1; 8]), ShmBuf::from_vec(vec![2; 8]));
     let sends = log_cq(&p.a_send);
     let t0 = sim::now().as_nanos();
-    p.qp_a.post_send(write_imm(0, true, &first, mr.addr(), mr.rkey())).unwrap();
-    p.qp_a.post_send(write(1, true, &second, mr.addr() + 8, mr.rkey())).unwrap();
+    p.qp_a
+        .post_send(write_imm(0, true, &first, mr.addr(), mr.rkey()))
+        .unwrap();
+    p.qp_a
+        .post_send(write(1, true, &second, mr.addr() + 8, mr.rkey()))
+        .unwrap();
     sim::time::sleep(Duration::from_micros(50)).await;
     assert!(p.b_recv.is_empty() && sends.borrow().is_empty());
-    assert_eq!(target.read_at(8, 8), vec![0; 8], "Write overtook the stalled WriteImm");
-    post(RecvWr { wr_id: 77, buf: None });
+    assert_eq!(
+        target.read_at(8, 8),
+        vec![0; 8],
+        "Write overtook the stalled WriteImm"
+    );
+    post(RecvWr {
+        wr_id: 77,
+        buf: None,
+    });
     let rc = p.b_recv.next().await.unwrap();
     let unblocked = sim::now().as_nanos() - t0;
     assert_eq!((rc.wr_id, rc.imm, unblocked), (77, Some(0), 50_000));
     sim::time::sleep(Duration::from_micros(10)).await;
     assert_eq!(target.read_at(0, 16), [[1u8; 8], [2u8; 8]].concat());
     // Both CQEs were long due: they surface the instant the stall clears.
-    let want = vec![(0, CqStatus::Success, t0 + 50_000), (1, CqStatus::Success, t0 + 50_000)];
+    let want = vec![
+        (0, CqStatus::Success, t0 + 50_000),
+        (1, CqStatus::Success, t0 + 50_000),
+    ];
     assert_eq!(*sends.borrow(), want);
 }
 
@@ -686,7 +749,13 @@ fn rnr_is_head_of_line_on_a_shared_receive_queue() {
         });
         let (a_send, a_recv) = (nic_a.create_cq(64), nic_a.create_cq(64));
         let qp_a = nic_a
-            .connect(nb.id, 1, a_send.clone(), a_recv.clone(), QpOptions::default())
+            .connect(
+                nb.id,
+                1,
+                a_send.clone(),
+                a_recv.clone(),
+                QpOptions::default(),
+            )
             .await
             .unwrap();
         let qp_b = accept.await.unwrap();
@@ -716,10 +785,20 @@ fn rnr_timeout_and_storm_fail_at_the_retry_deadline() {
         // Reference: how long a Send takes to reach a ready receiver.
         let one_way = {
             let p = setup_with(Profile::testbed(), opts.clone(), 64).await;
-            p.qp_b.post_recv(RecvWr { wr_id: 0, buf: None }).unwrap();
+            p.qp_b
+                .post_recv(RecvWr {
+                    wr_id: 0,
+                    buf: None,
+                })
+                .unwrap();
             let t0 = sim::now();
             p.qp_a
-                .post_send(SendWr::new(0, WorkRequest::Send { local: ShmBuf::zeroed(0).as_slice() }))
+                .post_send(SendWr::new(
+                    0,
+                    WorkRequest::Send {
+                        local: ShmBuf::zeroed(0).as_slice(),
+                    },
+                ))
                 .unwrap();
             p.b_recv.next().await.unwrap();
             sim::now() - t0
@@ -728,12 +807,22 @@ fn rnr_timeout_and_storm_fail_at_the_retry_deadline() {
             let p = setup_with(Profile::testbed(), opts.clone(), 64).await;
             if storm {
                 // A receive is posted, but the storm outlasts the retries.
-                p.qp_b.post_recv(RecvWr { wr_id: 0, buf: None }).unwrap();
+                p.qp_b
+                    .post_recv(RecvWr {
+                        wr_id: 0,
+                        buf: None,
+                    })
+                    .unwrap();
                 p.qp_b.inject_rnr_storm(Duration::from_millis(1));
             }
             let t0 = sim::now();
             p.qp_a
-                .post_send(SendWr::new(0, WorkRequest::Send { local: ShmBuf::zeroed(0).as_slice() }))
+                .post_send(SendWr::new(
+                    0,
+                    WorkRequest::Send {
+                        local: ShmBuf::zeroed(0).as_slice(),
+                    },
+                ))
                 .unwrap();
             let cqe = p.a_send.next().await.unwrap();
             assert_eq!(cqe.status, CqStatus::RnrRetryExceeded);
@@ -742,11 +831,21 @@ fn rnr_timeout_and_storm_fail_at_the_retry_deadline() {
         }
         // A storm shorter than the retry budget only delays delivery.
         let p = setup_with(Profile::testbed(), opts, 64).await;
-        p.qp_b.post_recv(RecvWr { wr_id: 0, buf: None }).unwrap();
+        p.qp_b
+            .post_recv(RecvWr {
+                wr_id: 0,
+                buf: None,
+            })
+            .unwrap();
         p.qp_b.inject_rnr_storm(Duration::from_micros(20));
         let t0 = sim::now();
         p.qp_a
-            .post_send(SendWr::new(0, WorkRequest::Send { local: ShmBuf::zeroed(0).as_slice() }))
+            .post_send(SendWr::new(
+                0,
+                WorkRequest::Send {
+                    local: ShmBuf::zeroed(0).as_slice(),
+                },
+            ))
             .unwrap();
         assert!(p.b_recv.next().await.unwrap().ok());
         assert_eq!(sim::now() - t0, Duration::from_micros(20));
@@ -776,7 +875,10 @@ fn flush_window(kill: impl FnOnce(&Pair) + 'static) -> (Vec<(u64, CqStatus, u64)
         sim::time::sleep(Duration::from_micros(11)).await;
         let killed = sim::now().as_nanos();
         kill(&p);
-        assert!(p.qp_a.post_send(write(9, true, &src, mr.addr(), mr.rkey())).is_err());
+        assert!(p
+            .qp_a
+            .post_send(write(9, true, &src, mr.addr(), mr.rkey()))
+            .is_err());
         sim::time::sleep(Duration::from_millis(1)).await;
         let log = log.borrow().clone();
         (log, killed)
@@ -812,15 +914,27 @@ fn breaking_wr_keeps_its_status_and_both_directions_flush() {
         let mr_a = p.nic_a.reg_mr(ShmBuf::zeroed(64), Access::all());
         let src = ShmBuf::zeroed(8);
         let (a_log, b_log) = (log_cq(&p.a_send), log_cq(&p.b_send));
-        p.qp_a.post_send(write(0, false, &src, mr.addr(), mr.rkey())).unwrap();
-        p.qp_a.post_send(write(1, false, &src, mr.addr() + 60, mr.rkey())).unwrap(); // out of bounds
-        p.qp_a.post_send(write(2, false, &src, mr.addr(), mr.rkey())).unwrap();
-        p.qp_a.post_send(write(3, true, &src, mr.addr(), mr.rkey())).unwrap();
+        p.qp_a
+            .post_send(write(0, false, &src, mr.addr(), mr.rkey()))
+            .unwrap();
+        p.qp_a
+            .post_send(write(1, false, &src, mr.addr() + 60, mr.rkey()))
+            .unwrap(); // out of bounds
+        p.qp_a
+            .post_send(write(2, false, &src, mr.addr(), mr.rkey()))
+            .unwrap();
+        p.qp_a
+            .post_send(write(3, true, &src, mr.addr(), mr.rkey()))
+            .unwrap();
         // The other direction gets work in flight before the bad write lands.
         sim::time::sleep(Duration::from_nanos(500)).await;
         assert!(p.qp_b.is_alive());
-        p.qp_b.post_send(write(10, false, &src, mr_a.addr(), mr_a.rkey())).unwrap();
-        p.qp_b.post_send(write(11, false, &src, mr_a.addr(), mr_a.rkey())).unwrap();
+        p.qp_b
+            .post_send(write(10, false, &src, mr_a.addr(), mr_a.rkey()))
+            .unwrap();
+        p.qp_b
+            .post_send(write(11, false, &src, mr_a.addr(), mr_a.rkey()))
+            .unwrap();
         sim::time::sleep(Duration::from_micros(100)).await;
         let statuses = |log: &CqeLog| log.borrow().iter().map(|c| (c.0, c.1)).collect::<Vec<_>>();
         let want = [
@@ -829,7 +943,10 @@ fn breaking_wr_keeps_its_status_and_both_directions_flush() {
             (3, CqStatus::FlushError),
         ];
         assert_eq!(statuses(&a_log), want);
-        assert_eq!(statuses(&b_log), [(10, CqStatus::FlushError), (11, CqStatus::FlushError)]);
+        assert_eq!(
+            statuses(&b_log),
+            [(10, CqStatus::FlushError), (11, CqStatus::FlushError)]
+        );
         assert!(!p.qp_a.is_alive() && !p.qp_b.is_alive());
     });
 }
@@ -841,11 +958,18 @@ fn overflowed_cq_still_serves_what_it_queued() {
         let p = setup_with(Profile::testbed(), QpOptions::default(), 4).await;
         let mr = p.nic_b.reg_mr(ShmBuf::zeroed(64), Access::all());
         for i in 0..8 {
-            p.qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+            p.qp_b
+                .post_recv(RecvWr {
+                    wr_id: i,
+                    buf: None,
+                })
+                .unwrap();
         }
         let src = ShmBuf::zeroed(4);
         for i in 0..8 {
-            let _ = p.qp_a.post_send(write_imm(i, false, &src, mr.addr(), mr.rkey()));
+            let _ = p
+                .qp_a
+                .post_send(write_imm(i, false, &src, mr.addr(), mr.rkey()));
         }
         sim::time::sleep(Duration::from_millis(1)).await;
         assert!(p.b_recv.overflowed());
@@ -855,7 +979,10 @@ fn overflowed_cq_still_serves_what_it_queued() {
         assert_eq!(p.b_recv.poll().unwrap().imm, Some(0));
         let mut out = Vec::new();
         assert_eq!(p.b_recv.drain_into(&mut out, 2), 2);
-        assert_eq!(out.iter().map(|c| c.imm).collect::<Vec<_>>(), vec![Some(1), Some(2)]);
+        assert_eq!(
+            out.iter().map(|c| c.imm).collect::<Vec<_>>(),
+            vec![Some(1), Some(2)]
+        );
         assert_eq!(p.b_recv.next().await.unwrap().imm, Some(3));
         assert!(p.b_recv.next().await.is_none());
     });
@@ -908,7 +1035,11 @@ fn send_cq_overflows_when_a_completion_is_handed_over() {
         let overflowed = sim::now() - t0;
         let landed: Vec<bool> = (0..8).map(|i| target.read_u64(i * 8) != 0).collect();
         assert_eq!(landed, [true, true, true, true, true, false, false, false]);
-        assert_eq!(overflowed, Duration::from_nanos(1_570), "the fifth write's delivery");
+        assert_eq!(
+            overflowed,
+            Duration::from_nanos(1_570),
+            "the fifth write's delivery"
+        );
         assert_eq!(cq.len(), 0, "none of the four had surfaced");
         assert!(qps.iter().chain(&peers).all(|qp| !qp.is_alive()));
 
@@ -917,8 +1048,16 @@ fn send_cq_overflows_when_a_completion_is_handed_over() {
             served.push((cqe.wr_id, cqe.status, (sim::now() - t0).as_nanos()));
         }
         let ok = CqStatus::Success;
-        let want = [(0, ok, 2_240), (1, ok, 2_360), (2, ok, 2_480), (3, ok, 2_600)];
-        assert_eq!(served, want, "the four held, at their own instants, then no more");
+        let want = [
+            (0, ok, 2_240),
+            (1, ok, 2_360),
+            (2, ok, 2_480),
+            (3, ok, 2_600),
+        ];
+        assert_eq!(
+            served, want,
+            "the four held, at their own instants, then no more"
+        );
         assert!(cq.is_empty());
     });
 }
@@ -935,7 +1074,12 @@ fn blocked_consumer_batches(blocking: bool) -> (Vec<(u64, Vec<u32>)>, u64) {
     let log = rt.block_on(async move {
         let mr = p.nic_b.reg_mr(ShmBuf::zeroed(64), Access::all());
         for i in 0..8 {
-            p.qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+            p.qp_b
+                .post_recv(RecvWr {
+                    wr_id: i,
+                    buf: None,
+                })
+                .unwrap();
         }
         let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let (cq, log2) = (p.b_recv.clone(), log.clone());
@@ -959,7 +1103,9 @@ fn blocked_consumer_batches(blocking: bool) -> (Vec<(u64, Vec<u32>)>, u64) {
         let src = ShmBuf::zeroed(4);
         for (burst, gap_us) in [(0..2, 4), (2..5, 100), (5..6, 100)] {
             for i in burst {
-                p.qp_a.post_send(write_imm(i, false, &src, mr.addr(), mr.rkey())).unwrap();
+                p.qp_a
+                    .post_send(write_imm(i, false, &src, mr.addr(), mr.rkey()))
+                    .unwrap();
             }
             sim::time::sleep(Duration::from_micros(gap_us)).await;
         }
@@ -993,7 +1139,12 @@ fn shared_cq_batches(consumers: usize, bursts: &[u32]) -> Vec<(u64, usize, Vec<u
         let p = setup_with(Profile::testbed(), QpOptions::default(), 64).await;
         let mr = p.nic_b.reg_mr(ShmBuf::zeroed(64), Access::all());
         for i in 0..u64::from(bursts.iter().sum::<u32>()) {
-            p.qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+            p.qp_b
+                .post_recv(RecvWr {
+                    wr_id: i,
+                    buf: None,
+                })
+                .unwrap();
         }
         let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let tasks: Vec<_> = (0..consumers)
@@ -1041,7 +1192,9 @@ fn blocked_cq_consumers_take_turns_and_wake_to_nothing_for_free() {
     // empty queue and is parked again at no charge: between them the two
     // take exactly the batches one takes, at the instants it takes them.
     let unnamed = |log: &[(u64, usize, Vec<u32>)]| -> Vec<(u64, Vec<u32>)> {
-        log.iter().map(|(at, _, imms)| (*at, imms.clone())).collect()
+        log.iter()
+            .map(|(at, _, imms)| (*at, imms.clone()))
+            .collect()
     };
     assert_eq!(unnamed(&two), unnamed(&one));
     // Longest parked first — and waking to nothing does not cost the turn.
@@ -1057,7 +1210,12 @@ fn a_cq_consumer_that_stops_waiting_never_swallows_a_wake() {
         let p = setup_with(Profile::testbed(), QpOptions::default(), 64).await;
         let mr = p.nic_b.reg_mr(ShmBuf::zeroed(64), Access::all());
         for i in 0..2 {
-            p.qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+            p.qp_b
+                .post_recv(RecvWr {
+                    wr_id: i,
+                    buf: None,
+                })
+                .unwrap();
         }
         let src = ShmBuf::zeroed(4);
         let t0 = sim::now();
@@ -1086,21 +1244,32 @@ fn a_cq_consumer_that_stops_waiting_never_swallows_a_wake() {
         // push arms the patient one behind it.
         assert_eq!(first.await.unwrap(), Either::Right(()));
         sim::time::sleep_until(at(6)).await;
-        p.qp_a.post_send(write_imm(0, false, &src, mr.addr(), mr.rkey())).unwrap();
+        p.qp_a
+            .post_send(write_imm(0, false, &src, mr.addr(), mr.rkey()))
+            .unwrap();
         // The second parks while the patient one is busy, so it is ahead of
         // it when the next push arms it — and gives up inside its wake-up,
         // with the completion still queued: the wake passes on, and the
         // patient one runs its own wake-up from that instant.
         sim::time::sleep_until(at(60)).await;
-        p.qp_a.post_send(write_imm(1, false, &src, mr.addr(), mr.rkey())).unwrap();
+        p.qp_a
+            .post_send(write_imm(1, false, &src, mr.addr(), mr.rkey()))
+            .unwrap();
         assert_eq!(second.await.unwrap(), Either::Right(()));
         sim::time::sleep_until(at(200)).await;
         p.b_recv.inject_overflow();
 
         let taken = patient.await.unwrap();
         assert_eq!(taken.iter().map(|t| t.1).collect::<Vec<_>>(), [0, 1]);
-        assert!(at(16) < taken[0].0 && taken[0].0 < at(18), "armed by the push: {taken:?}");
-        assert_eq!(taken[1].0, at(70 + 10), "armed by the one that gave up: {taken:?}");
+        assert!(
+            at(16) < taken[0].0 && taken[0].0 < at(18),
+            "armed by the push: {taken:?}"
+        );
+        assert_eq!(
+            taken[1].0,
+            at(70 + 10),
+            "armed by the one that gave up: {taken:?}"
+        );
     });
 }
 
@@ -1116,12 +1285,20 @@ fn poll_budget_two_polls_per_small_write() {
     let p = rt.block_on(async {
         let p = setup_with(Profile::testbed(), QpOptions::default(), 1024).await;
         for i in 0..256 {
-            p.qp_b.post_recv(RecvWr { wr_id: i, buf: None }).unwrap();
+            p.qp_b
+                .post_recv(RecvWr {
+                    wr_id: i,
+                    buf: None,
+                })
+                .unwrap();
         }
         let (qp_b, b_recv) = (p.qp_b.clone(), p.b_recv.clone());
         sim::spawn(async move {
             while let Some(cqe) = b_recv.next().await {
-                let _ = qp_b.post_recv(RecvWr { wr_id: cqe.wr_id, buf: None });
+                let _ = qp_b.post_recv(RecvWr {
+                    wr_id: cqe.wr_id,
+                    buf: None,
+                });
             }
         });
         p
@@ -1133,7 +1310,13 @@ fn poll_budget_two_polls_per_small_write() {
         for i in 0..N {
             let signaled = (i + 1) % WINDOW == 0;
             p.qp_a
-                .post_send(write_imm(i, signaled, &src, mr.addr() + (i % 64) * 64, mr.rkey()))
+                .post_send(write_imm(
+                    i,
+                    signaled,
+                    &src,
+                    mr.addr() + (i % 64) * 64,
+                    mr.rkey(),
+                ))
                 .unwrap();
             if signaled {
                 assert!(p.a_send.next().await.unwrap().ok());
@@ -1141,5 +1324,8 @@ fn poll_budget_two_polls_per_small_write() {
         }
     });
     let per_wr = (rt.poll_count() - before) as f64 / N as f64;
-    assert!(per_wr <= 2.0 + 2.0 / WINDOW as f64 + 0.01, "{per_wr} polls per WR");
+    assert!(
+        per_wr <= 2.0 + 2.0 / WINDOW as f64 + 0.01,
+        "{per_wr} polls per WR"
+    );
 }

@@ -191,7 +191,10 @@ impl TaskArena {
         let (class, layout) = if std::mem::align_of::<F>() <= TASK_ALIGN
             && size <= (1usize << MIN_CLASS_SHIFT) << (NUM_CLASSES - 1)
         {
-            let class = (size.next_power_of_two().trailing_zeros().max(MIN_CLASS_SHIFT)
+            let class = (size
+                .next_power_of_two()
+                .trailing_zeros()
+                .max(MIN_CLASS_SHIFT)
                 - MIN_CLASS_SHIFT) as usize;
             (class, class_layout(class))
         } else {
@@ -301,7 +304,10 @@ impl Inner {
         let id = match self.free.borrow_mut().pop() {
             Some(id) => id,
             None => {
-                assert!(tasks.len() < 1 << ID_BITS, "sim: more than 2^{ID_BITS} live tasks");
+                assert!(
+                    tasks.len() < 1 << ID_BITS,
+                    "sim: more than 2^{ID_BITS} live tasks"
+                );
                 tasks.push(None);
                 tasks.len() - 1
             }
@@ -340,7 +346,10 @@ impl Inner {
         let waker = task_waker(self.tag, id);
         let mut cx = Context::from_waker(&waker);
         self.polls.set(self.polls.get() + 1);
-        let task = guard.task.as_mut().expect("the guard holds the task until it retires");
+        let task = guard
+            .task
+            .as_mut()
+            .expect("the guard holds the task until it retires");
         if let Some(by_site) = &mut *self.polls_by_site.borrow_mut() {
             *by_site.entry(task.site).or_default() += 1;
         }
@@ -488,7 +497,10 @@ impl<F: Future, D: FnOnce(F::Output)> Future for Task<F, D> {
         let this = unsafe { self.get_unchecked_mut() };
         // SAFETY: as above — `this.future` is never moved while pinned.
         let mut future = unsafe { Pin::new_unchecked(&mut this.future) };
-        let f = future.as_mut().as_pin_mut().expect("a finished task is not polled");
+        let f = future
+            .as_mut()
+            .as_pin_mut()
+            .expect("a finished task is not polled");
         let out = std::task::ready!(f.poll(cx));
         future.set(None);
         (this.deliver.take().expect("the future was ready once"))(out);
@@ -885,7 +897,11 @@ mod tests {
     }
 
     fn waker_of(probe: &Probe) -> Waker {
-        probe.waker.borrow().clone().expect("a parked task left its waker")
+        probe
+            .waker
+            .borrow()
+            .clone()
+            .expect("a parked task left its waker")
     }
 
     #[test]
@@ -895,7 +911,9 @@ mod tests {
         let waker = waker_of(&probe);
         let woken = std::thread::spawn(move || waker.wake()).join();
         let payload = woken.expect_err("an off-thread wake must panic");
-        let message = payload.downcast_ref::<&str>().expect("a static panic message");
+        let message = payload
+            .downcast_ref::<&str>()
+            .expect("a static panic message");
         assert_eq!(*message, "sim: waker used off the runtime thread");
         drop(rt);
     }
@@ -913,7 +931,11 @@ mod tests {
         stale.wake_by_ref();
         stale.wake();
         rt.block_on(crate::time::yield_now());
-        assert_eq!(fresh_probe.polls.get(), 1, "a stale wake polled the fresh task");
+        assert_eq!(
+            fresh_probe.polls.get(),
+            1,
+            "a stale wake polled the fresh task"
+        );
         waker_of(&fresh_probe).wake();
         assert_eq!(rt.block_on(fresh), Ok(2));
         assert_eq!(rt.block_on(handle), Err(JoinError));
@@ -938,7 +960,11 @@ mod tests {
                 let (inner, inner_probe) = spawn_parked().await;
                 waker_of(&outer_probe).wake();
                 crate::time::yield_now().await;
-                assert_eq!(inner_probe.polls.get(), 1, "the outer wake polled the inner task");
+                assert_eq!(
+                    inner_probe.polls.get(),
+                    1,
+                    "the outer wake polled the inner task"
+                );
                 waker_of(&inner_probe).wake();
                 inner.await.expect("the inner task finishes")
             });
@@ -986,7 +1012,9 @@ mod tests {
             assert!(early.await.unwrap().is_err(), "the timeout fired first");
             let log = Rc::new(StampLog::default());
             let start = crate::now() + Duration::from_micros(4);
-            crate::spawn_at(start, Stamps(Rc::clone(&log))).await.unwrap();
+            crate::spawn_at(start, Stamps(Rc::clone(&log)))
+                .await
+                .unwrap();
             assert_eq!(crate::now(), start);
             log.polls.take()
         });
@@ -1016,7 +1044,15 @@ mod tests {
             Rc::try_unwrap(log).unwrap().into_inner()
         });
         let at = 3_000;
-        assert_eq!(order, [("spawn 1", at), ("at now", at), ("spawn 2", at), ("at zero", at)]);
+        assert_eq!(
+            order,
+            [
+                ("spawn 1", at),
+                ("at now", at),
+                ("spawn 2", at),
+                ("at zero", at)
+            ]
+        );
     }
 
     #[test]
@@ -1024,7 +1060,8 @@ mod tests {
         let rt = Runtime::new();
         let log = Rc::new(StampLog::default());
         let future = Stamps(Rc::clone(&log));
-        let [handle] = rt.block_on(async { [crate::spawn_at(SimTime::from_nanos(10_000), future)] });
+        let [handle] =
+            rt.block_on(async { [crate::spawn_at(SimTime::from_nanos(10_000), future)] });
         assert!(!log.dropped.get(), "held until its start");
         drop(rt);
         assert!(log.dropped.get(), "dropped with the runtime");

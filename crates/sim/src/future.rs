@@ -16,10 +16,7 @@ pub enum Either<A, B> {
 ///
 /// Both futures are pinned on the caller's stack frame (`pin!`), so racing
 /// costs zero heap allocations — this sits on the broker's per-request path.
-pub async fn race<A, B>(
-    a: impl Future<Output = A>,
-    b: impl Future<Output = B>,
-) -> Either<A, B> {
+pub async fn race<A, B>(a: impl Future<Output = A>, b: impl Future<Output = B>) -> Either<A, B> {
     let mut a = std::pin::pin!(a);
     let mut b = std::pin::pin!(b);
     std::future::poll_fn(move |cx| {

@@ -354,7 +354,10 @@ mod tests {
                     // A push on a 10 ns grid, from 20 ns past to 60 ns ahead.
                     0..=3 => {
                         let due = (now + rng.below(9) * 10).saturating_sub(20);
-                        out_of_order += store.back().is_some_and(|b: &(SimTime, u64)| b.0.as_nanos() > due) as u32;
+                        out_of_order += store
+                            .back()
+                            .is_some_and(|b: &(SimTime, u64)| b.0.as_nanos() > due)
+                            as u32;
                         ties += heap.iter().any(|e: &Reverse<(u64, u64)>| e.0 .0 == due) as u32;
                         store.push_due(SimTime::from_nanos(due), seq);
                         heap.push(Reverse((due, seq)));

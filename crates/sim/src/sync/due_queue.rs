@@ -47,7 +47,9 @@ struct State<T> {
 impl<T> State<T> {
     /// Arms a parked consumer for `due`, once per instant: whether it is.
     fn arm(&mut self, due: SimTime) -> bool {
-        let Some(waker) = &self.parked else { return false };
+        let Some(waker) = &self.parked else {
+            return false;
+        };
         if self.arm.at != Some(due) {
             self.arm.set(due, waker);
         }
@@ -335,11 +337,19 @@ mod tests {
             q.push(at(10_000), Rc::clone(&witness));
             crate::time::sleep(Duration::from_nanos(200)).await;
             q.close();
-            assert_eq!(Rc::strong_count(&witness), 1, "queued item dropped at close");
+            assert_eq!(
+                Rc::strong_count(&witness),
+                1,
+                "queued item dropped at close"
+            );
             q.push(at(300), Rc::clone(&witness));
             assert!(q.is_empty(), "pushes after close are ignored");
             assert_eq!(consumer.await.unwrap(), 1);
-            assert_eq!(crate::now().as_nanos(), 200, "woken by close, not by a timer");
+            assert_eq!(
+                crate::now().as_nanos(),
+                200,
+                "woken by close, not by a timer"
+            );
         });
     }
 }

@@ -35,7 +35,9 @@ impl Frontier {
     pub fn advance_to(&self, value: u64) {
         if value > self.value.get() {
             self.value.set(value);
-            self.waiters.borrow_mut().wake_where(|&threshold| threshold <= value);
+            self.waiters
+                .borrow_mut()
+                .wake_where(|&threshold| threshold <= value);
         }
     }
 
@@ -68,7 +70,11 @@ impl Future for Reached<'_> {
             return Poll::Ready(());
         }
         let mut waiters = this.frontier.waiters.borrow_mut();
-        if this.ticket.and_then(|t| waiters.repark(t, cx.waker())).is_none() {
+        if this
+            .ticket
+            .and_then(|t| waiters.repark(t, cx.waker()))
+            .is_none()
+        {
             this.ticket = Some(waiters.park(cx.waker(), this.threshold));
         }
         Poll::Pending
@@ -130,7 +136,11 @@ mod tests {
         });
         assert_eq!(*log.borrow(), [(0, 0), (1, 0), (3, 0)]);
         assert_eq!(parked(&f), [4, 5], "the others keep their places");
-        assert_eq!(rt.poll_count() - before, 2 + 3, "root twice, the three passed once each");
+        assert_eq!(
+            rt.poll_count() - before,
+            2 + 3,
+            "root twice, the three passed once each"
+        );
     }
 
     #[test]
@@ -314,7 +324,10 @@ mod tests {
             let mut thresholds: Vec<u64> = waits.iter().map(|w| w.threshold).collect();
             thresholds.sort_unstable();
             waits.sort_by_key(|w| w.at);
-            waits.iter_mut().zip(thresholds).for_each(|(w, t)| w.threshold = t);
+            waits
+                .iter_mut()
+                .zip(thresholds)
+                .for_each(|(w, t)| w.threshold = t);
         }
         let mut value = 0;
         let mut advances = Vec::new();
@@ -337,7 +350,11 @@ mod tests {
             let (theirs, their_polls, reference) = run::<Broadcast>(&waits, &advances);
             assert_eq!(ours, theirs, "seed {seed}");
             let wasted = reference.reparks.get();
-            assert_eq!(our_polls, their_polls - wasted, "seed {seed}: the re-parks go, nothing else");
+            assert_eq!(
+                our_polls,
+                their_polls - wasted,
+                "seed {seed}: the re-parks go, nothing else"
+            );
             reparks += wasted;
             proceeded += ours.iter().filter(|o| o.1).count();
             gave_up += ours.iter().filter(|o| !o.1).count();

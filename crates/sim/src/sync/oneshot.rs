@@ -68,7 +68,12 @@ fn pair<T>(pool: Weak<FreeList<T>>) -> (Sender<T>, Receiver<T>) {
 }
 
 fn on<T>(chan: Rc<Chan<T>>) -> (Sender<T>, Receiver<T>) {
-    (Sender { chan: Rc::clone(&chan) }, Receiver { chan })
+    (
+        Sender {
+            chan: Rc::clone(&chan),
+        },
+        Receiver { chan },
+    )
 }
 
 /// Creates a connected sender/receiver pair.
@@ -84,7 +89,9 @@ pub struct Pool<T> {
 
 impl<T> Pool<T> {
     pub fn new() -> Self {
-        Pool { free: Rc::default() }
+        Pool {
+            free: Rc::default(),
+        }
     }
 
     /// A connected pair on a recycled cell, or on a new one if none is free.
@@ -305,7 +312,9 @@ mod tests {
         /// Polls `rx` once on this waker; `true` if it was still pending.
         fn park<F: Future + Unpin>(self: &Arc<Self>, rx: &mut F) -> bool {
             let waker = Waker::from(Arc::clone(self));
-            Pin::new(rx).poll(&mut Context::from_waker(&waker)).is_pending()
+            Pin::new(rx)
+                .poll(&mut Context::from_waker(&waker))
+                .is_pending()
         }
     }
 
@@ -424,7 +433,11 @@ mod tests {
                 tx.send(4u8).unwrap();
             });
             let got = receive(rx.charged(Duration::from_micros(5))).await;
-            assert_eq!(got, (Ok(4), 2, micros(8)), "parked once, woken once, at send + cost");
+            assert_eq!(
+                got,
+                (Ok(4), 2, micros(8)),
+                "parked once, woken once, at send + cost"
+            );
         });
     }
 
@@ -439,7 +452,10 @@ mod tests {
             assert_eq!(got, (Ok(4), 2, micros(7)));
             let (tx, rx) = channel();
             tx.send(5u8).unwrap();
-            assert_eq!(receive(rx.charged(Duration::ZERO)).await, (Ok(5), 1, micros(7)));
+            assert_eq!(
+                receive(rx.charged(Duration::ZERO)).await,
+                (Ok(5), 1, micros(7))
+            );
         });
     }
 

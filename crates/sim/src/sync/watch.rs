@@ -161,6 +161,10 @@ mod tests {
             tx.send(1);
             crate::time::yield_now().await;
         });
-        assert_eq!(rt.poll_count() - before, 2, "root only: start and the yield");
+        assert_eq!(
+            rt.poll_count() - before,
+            2,
+            "root only: start and the yield"
+        );
     }
 }

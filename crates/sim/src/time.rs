@@ -240,11 +240,11 @@ mod tests {
     fn simtime_arithmetic() {
         let t = SimTime::from_nanos(1_000);
         assert_eq!(t + Duration::from_nanos(500), SimTime::from_nanos(1_500));
+        assert_eq!(SimTime::from_nanos(1_500) - t, Duration::from_nanos(500));
         assert_eq!(
-            SimTime::from_nanos(1_500) - t,
-            Duration::from_nanos(500)
+            t.saturating_since(SimTime::from_nanos(2_000)),
+            Duration::ZERO
         );
-        assert_eq!(t.saturating_since(SimTime::from_nanos(2_000)), Duration::ZERO);
         assert_eq!(format!("{}", SimTime::from_nanos(1_500)), "1.500us");
     }
 
@@ -317,7 +317,11 @@ mod tests {
             with_current(|inner| inner.pending_timers())
         });
         assert_eq!(timers, 1, "a pending Sleep owns exactly one timer");
-        assert_eq!(rt.poll_count() - before, 2 + N, "root 2 + one per spurious wake");
+        assert_eq!(
+            rt.poll_count() - before,
+            2 + N,
+            "root 2 + one per spurious wake"
+        );
         // No timer is left behind to come back as a wake of the next sleep:
         // the sleeper is polled once per deadline.
         let before = rt.poll_count();

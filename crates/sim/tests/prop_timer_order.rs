@@ -130,7 +130,11 @@ fn observe(seed: u64, case: Vec<Delivery>) -> Vec<(u64, usize)> {
     // Outlive every delivery and every (possibly late) sleep.
     let end = case
         .iter()
-        .flat_map(|d| d.sleepers.iter().map(|&off| (d.deliver_at as i64 + off) as u64))
+        .flat_map(|d| {
+            d.sleepers
+                .iter()
+                .map(|&off| (d.deliver_at as i64 + off) as u64)
+        })
         .chain(case.iter().map(|d| d.deliver_at))
         .max()
         .unwrap_or(0)

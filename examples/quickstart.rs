@@ -48,9 +48,10 @@ fn main() {
 
         // Produce: WriteWithImm straight into the topic-partition file.
         let client = cluster.add_client_node("client");
-        let mut producer = RdmaProducer::connect(&client, cluster.bootstrap(), "greetings", 0, false)
-            .await
-            .expect("producer connect");
+        let mut producer =
+            RdmaProducer::connect(&client, cluster.bootstrap(), "greetings", 0, false)
+                .await
+                .expect("producer connect");
         for i in 0..5 {
             let t0 = sim::now();
             let offset = producer
@@ -84,7 +85,10 @@ fn main() {
         println!();
         println!("broker-side accounting:");
         println!("  rdma produce commits : {}", m.rdma_commits);
-        println!("  broker CPU copies    : {} bytes (zero copy!)", m.heap_copied_bytes);
+        println!(
+            "  broker CPU copies    : {} bytes (zero copy!)",
+            m.heap_copied_bytes
+        );
         println!("  NIC-served reads     : {}", nic.reads_served);
         println!("  TCP fetch requests   : {}", m.fetch_requests);
         if durable {
@@ -102,9 +106,10 @@ fn main() {
             cluster.restart_broker(0);
             println!();
             println!("durable tier: broker crashed and restarted from {dir:?}");
-            let mut consumer = RdmaConsumer::connect(&client, cluster.bootstrap(), "greetings", 0, 0)
-                .await
-                .expect("post-restart consumer connect");
+            let mut consumer =
+                RdmaConsumer::connect(&client, cluster.bootstrap(), "greetings", 0, 0)
+                    .await
+                    .expect("post-restart consumer connect");
             let mut recovered = Vec::new();
             while recovered.len() < 5 {
                 for rv in consumer.next_records().await.expect("post-restart consume") {
@@ -118,7 +123,10 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            println!("durable tier: all {} records re-read after restart", recovered.len());
+            println!(
+                "durable tier: all {} records re-read after restart",
+                recovered.len()
+            );
         }
 
         // Continuous telemetry: the broker sampled itself the whole run.
@@ -159,7 +167,10 @@ fn main() {
         None => println!("critical path: no lifelines recorded"),
     }
     if !report.ok() {
-        eprintln!("quickstart: critical-path checker errors: {:?}", report.errors);
+        eprintln!(
+            "quickstart: critical-path checker errors: {:?}",
+            report.errors
+        );
         std::process::exit(1);
     }
     if durable {

@@ -8,6 +8,9 @@ cargo build --release --offline
 cargo build --examples --offline
 cargo test -q --offline
 cargo clippy --all-targets --offline -- -D warnings
+# One layout: the workspace is what `cargo fmt` prints (kdmark under
+# benchmark/ is its own package and is not checked here).
+cargo fmt --check
 
 # Chaos soak: seeded fault plans over bounded virtual time; fails on any
 # lost/reordered acked record, trace-invariant violation, partition-log

@@ -330,7 +330,10 @@ fn rdma_exclusive_produce_per_record() {
     let (r, _) = produce(system, mode, None, None, RECORDS, RECORD_BYTES);
     r.check_polls("rdma_exclusive", 2.62);
     r.check_allocs("rdma_exclusive", 0.05);
-    assert_eq!(r.virtual_ns, 20_776_198, "rdma_exclusive: the virtual timeline moved");
+    assert_eq!(
+        r.virtual_ns, 20_776_198,
+        "rdma_exclusive: the virtual timeline moved"
+    );
 }
 
 /// The same loop at kdmark's `produce_large` shape: 2000 records of 32 KiB.
@@ -344,7 +347,10 @@ fn rdma_exclusive_large_produce_per_record() {
     let (r, _) = produce(system, mode, None, None, 2_000, 32 * 1024);
     r.check_polls("rdma_exclusive_large", 6.61);
     r.check_allocs("rdma_exclusive_large", 0.079);
-    assert_eq!(r.virtual_ns, 30_285_986, "rdma_exclusive_large: the virtual timeline moved");
+    assert_eq!(
+        r.virtual_ns, 30_285_986,
+        "rdma_exclusive_large: the virtual timeline moved"
+    );
 }
 
 /// The same loop over the file-backed tiered store, flushing every 5 ms: the
@@ -357,8 +363,7 @@ fn rdma_exclusive_large_produce_per_record() {
 fn rdma_tiered_produce_per_record() {
     let dir = std::env::temp_dir().join(format!("kd-budgets-tiered-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let storage =
-        kdstorage::StorageConfig::tiered(&dir).with_sync(kdstorage::SyncMode::EveryMs(5));
+    let storage = kdstorage::StorageConfig::tiered(&dir).with_sync(kdstorage::SyncMode::EveryMs(5));
     let (r, _) = produce(
         SystemKind::KafkaDirect,
         ProducerMode::RdmaExclusive,
@@ -370,7 +375,10 @@ fn rdma_tiered_produce_per_record() {
     std::fs::remove_dir_all(&dir).ok();
     r.check_polls("rdma_tiered", 2.62);
     r.check_allocs("rdma_tiered", 0.05);
-    assert_eq!(r.virtual_ns, 20_776_198, "rdma_tiered: the virtual timeline moved");
+    assert_eq!(
+        r.virtual_ns, 20_776_198,
+        "rdma_tiered: the virtual timeline moved"
+    );
 }
 
 /// The exclusive windowed loop is limited by one API worker and nothing
@@ -390,7 +398,8 @@ fn exclusive_windowed_produce_is_worker_bound() {
         let (r, _) = produce(system, mode, None, None, RECORDS, record_bytes);
         let record = Record::value(vec![0xA5u8; record_bytes]);
         let batch_len = kdstorage::record::single_record_batch(1, &record).len() as u64;
-        let verify = cpu.api_produce_base + netsim::profile::copy_time(batch_len, cpu.crc_bandwidth);
+        let verify =
+            cpu.api_produce_base + netsim::profile::copy_time(batch_len, cpu.crc_bandwidth);
         let worker_ns = verify.as_nanos() as u64 * RECORDS as u64;
         assert!(
             r.virtual_ns as f64 <= 1.02 * worker_ns as f64,
@@ -425,20 +434,30 @@ fn a_second_cluster_allocates_no_segment_memory() {
             let record = Record::value(vec![0xA5u8; RECORD_BYTES]);
             for partition in 0..2 {
                 let leader = cluster.leader_of("t", partition).await;
-                let mut producer =
-                    RdmaProducer::connect(&node, leader, "t", partition, false).await.unwrap();
+                let mut producer = RdmaProducer::connect(&node, leader, "t", partition, false)
+                    .await
+                    .unwrap();
                 for _ in 0..64 {
                     producer.send(&record).await.unwrap();
                 }
             }
         });
         let after = allocs_by_class();
-        (MIB_CLASS..CLASSES).map(|c| after[c] - before[c]).sum::<u64>()
+        (MIB_CLASS..CLASSES)
+            .map(|c| after[c] - before[c])
+            .sum::<u64>()
     };
     // Six — 2 partitions x 3 replicas, a segment each — unless this thread
     // already ran a cluster (`--test-threads=1`) and parked some.
-    assert!(large_allocs() <= 6, "the first cluster allocates its segments and nothing else");
-    assert_eq!(large_allocs(), 0, "the second cluster allocated in the >= 1 MiB classes");
+    assert!(
+        large_allocs() <= 6,
+        "the first cluster allocates its segments and nothing else"
+    );
+    assert_eq!(
+        large_allocs(),
+        0,
+        "the second cluster allocated in the >= 1 MiB classes"
+    );
 }
 
 /// Kafka produce RPCs over TCP. Measured 10.0085 polls and 3.0122
@@ -451,7 +470,14 @@ fn a_second_cluster_allocates_no_segment_memory() {
 /// per record. No waiter of any kind is woken to park again: zero re-parks.
 #[test]
 fn tcp_produce_per_record() {
-    let (r, _) = produce(SystemKind::Kafka, ProducerMode::Rpc, None, None, RECORDS, RECORD_BYTES);
+    let (r, _) = produce(
+        SystemKind::Kafka,
+        ProducerMode::Rpc,
+        None,
+        None,
+        RECORDS,
+        RECORD_BYTES,
+    );
     r.check_polls("tcp", 10.25);
     r.check_allocs("tcp", 3.05);
     r.check_reparks("tcp", [0; REPARK_KINDS]);
@@ -482,8 +508,15 @@ fn sampler_ticks_do_not_allocate() {
     let (base, idle_samples) = run(Duration::from_secs(3600));
     let (sampled, samples) = run(Duration::from_micros(100));
     assert_eq!(idle_samples, 0, "the unsampled twin took samples");
-    assert!(samples >= 400, "only {samples} samples in {} virtual ns", sampled.virtual_ns);
-    assert_eq!(sampled.virtual_ns, base.virtual_ns, "sampling moved the virtual timeline");
+    assert!(
+        samples >= 400,
+        "only {samples} samples in {} virtual ns",
+        sampled.virtual_ns
+    );
+    assert_eq!(
+        sampled.virtual_ns, base.virtual_ns,
+        "sampling moved the virtual timeline"
+    );
     let extra = sampled.allocs().saturating_sub(base.allocs());
     let allowance = samples / 4 + 256;
     assert!(
@@ -513,10 +546,15 @@ fn warm_1mib_tcp_send_allocates_o1() {
             let mut sink = Vec::with_capacity(PAYLOAD);
             for _ in 0..3 {
                 sink.clear();
-                stream.read_exact_into(PAYLOAD, &mut sink).await.expect("read");
+                stream
+                    .read_exact_into(PAYLOAD, &mut sink)
+                    .await
+                    .expect("read");
             }
         });
-        let mut stream = netsim::tcp::connect(&src, dst_id, 7000).await.expect("connect");
+        let mut stream = netsim::tcp::connect(&src, dst_id, 7000)
+            .await
+            .expect("connect");
         let payload = vec![0xEEu8; PAYLOAD];
         for _ in 0..2 {
             stream.write_all(&payload).await.expect("warm-up write");
@@ -527,7 +565,10 @@ fn warm_1mib_tcp_send_allocates_o1() {
         reader.await.expect("reader");
         allocs
     });
-    assert!(allocs <= 4, "a warm 1 MiB TCP send allocated {allocs} times (budget 4)");
+    assert!(
+        allocs <= 4,
+        "a warm 1 MiB TCP send allocated {allocs} times (budget 4)"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -549,7 +590,11 @@ fn warm_1mib_tcp_send_allocates_o1() {
 /// buffer.
 #[test]
 fn rdma_consume_catchup_per_record() {
-    let opts = ProduceOpts::new(SystemKind::KafkaDirect, ProducerMode::RdmaExclusive, RECORD_BYTES);
+    let opts = ProduceOpts::new(
+        SystemKind::KafkaDirect,
+        ProducerMode::RdmaExclusive,
+        RECORD_BYTES,
+    );
     let rt = sim::Runtime::new();
     let (cluster, mut consumer, warm) = rt.block_on(async move {
         let cluster = setup(&opts).await;
@@ -558,7 +603,9 @@ fn rdma_consume_catchup_per_record() {
         let mut producer =
             AnyProducer::connect(cluster.system, &node, leader, "bench", 0, opts.mode).await;
         let record = Record::value(vec![0x5Au8; RECORD_BYTES]);
-        producer.send_windowed(&record, WARMUP + RECORDS, WINDOW).await;
+        producer
+            .send_windowed(&record, WARMUP + RECORDS, WINDOW)
+            .await;
         let mut consumer = RdmaConsumer::connect(&node, leader, "bench", 0, 0)
             .await
             .expect("consumer");
@@ -629,7 +676,9 @@ fn replicated_produce(poll_sites: bool) -> (Region, Vec<(sim::Site, u64)>) {
         cluster.create_topic("t", 1, 3).await;
         let node = cluster.add_client_node("producer");
         let leader = cluster.leader_of("t", 0).await;
-        let mut producer = RdmaProducer::connect(&node, leader, "t", 0, false).await.unwrap();
+        let mut producer = RdmaProducer::connect(&node, leader, "t", 0, false)
+            .await
+            .unwrap();
         // Sessions, grants and pools are set up by the first records.
         for i in 0..WARMUP {
             producer.send(&Record::value(vec![i; 512])).await.unwrap();
@@ -648,8 +697,15 @@ fn replicated_produce(poll_sites: bool) -> (Region, Vec<(sim::Site, u64)>) {
         (producer, sim::take_polls_by_site())
     });
     let r = Region::since(&start, &rt, RECORDS);
-    let pushed: u64 = cluster.brokers().iter().map(|b| b.metrics().push_writes).sum();
-    assert!(pushed >= 2 * RECORDS, "every record was pushed to both followers");
+    let pushed: u64 = cluster
+        .brokers()
+        .iter()
+        .map(|b| b.metrics().push_writes)
+        .sum();
+    assert!(
+        pushed >= 2 * RECORDS,
+        "every record was pushed to both followers"
+    );
     // Closing the QP flushes the ack receives into the producer's CQ: that
     // is teardown, outside the measured region.
     rt.block_on(async move {
@@ -681,14 +737,20 @@ async fn fanin_cluster(registry: &kdtelem::Registry) -> (SimCluster, Vec<kdwire:
     }
     let mut warm = fanin_client(&cluster, &leaders, 0).await;
     for _ in 0..64 {
-        warm.send(&Record::value(vec![0x6b; 128])).await.expect("warm-up send");
+        warm.send(&Record::value(vec![0x6b; 128]))
+            .await
+            .expect("warm-up send");
     }
     (cluster, leaders)
 }
 
 /// Client `i` of the fan-in ladder: a node, a NIC and a shared-mode producer
 /// of its own.
-async fn fanin_client(cluster: &SimCluster, leaders: &[kdwire::BrokerAddr], i: usize) -> RdmaProducer {
+async fn fanin_client(
+    cluster: &SimCluster,
+    leaders: &[kdwire::BrokerAddr],
+    i: usize,
+) -> RdmaProducer {
     let node = cluster.add_client_node(&format!("f{i}"));
     let p = i as u32 % FANIN_PARTITIONS;
     let leader = leaders[p as usize];
@@ -709,7 +771,10 @@ fn held_since(before: &[(i64, i64); CLASSES]) -> (i64, String) {
         .iter()
         .map(|(c, blocks, bytes)| format!("[2^{c}, 2^{}) B: {blocks} blocks, {bytes} B", c + 1))
         .collect();
-    (held.iter().map(|&(_, _, bytes)| bytes).sum(), rows.join("; "))
+    (
+        held.iter().map(|&(_, _, bytes)| bytes).sum(),
+        rows.join("; "),
+    )
 }
 
 /// What the clients of [`park_fanin_clients`] added.
@@ -871,13 +936,18 @@ fn fanin_connect_allocation_sites() {
     let mut by_site = std::collections::BTreeMap::<(String, String), u64>::new();
     for trace in &traces {
         let mut frames = workspace_frames(&format!("{trace:?}"), root).into_iter();
-        let site = frames.next().unwrap_or_else(|| "(outside the workspace)".into());
+        let site = frames
+            .next()
+            .unwrap_or_else(|| "(outside the workspace)".into());
         let caller = frames.find(|f| *f != site).unwrap_or_default();
         *by_site.entry((site, caller)).or_default() += 1;
     }
     let mut rows: Vec<_> = by_site.into_iter().collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    println!("{:.3} allocations per client", allocs as f64 / CLIENTS as f64);
+    println!(
+        "{:.3} allocations per client",
+        allocs as f64 / CLIENTS as f64
+    );
     for ((site, caller), n) in rows {
         println!("{:>8.3}  {site}  <- {caller}", n as f64 / CLIENTS as f64);
     }
@@ -933,9 +1003,16 @@ fn workspace_frames(trace: &str, root: &str) -> Vec<String> {
         .filter(|frame| !frame.contains("budgets::capture_site"))
         .filter_map(|frame| {
             let file = frame.split("file: \"").nth(1)?.split('"').next()?;
-            let line = frame.split("line: ").nth(1)?.split(|c: char| !c.is_ascii_digit()).next()?;
+            let line = frame
+                .split("line: ")
+                .nth(1)?
+                .split(|c: char| !c.is_ascii_digit())
+                .next()?;
             let file = normal(file);
-            let file = file.strip_prefix(&root)?.trim_start_matches('/').to_string();
+            let file = file
+                .strip_prefix(&root)?
+                .trim_start_matches('/')
+                .to_string();
             Some(format!("{file}:{line}"))
         })
         .collect()
@@ -1017,7 +1094,12 @@ fn wakers_allocate_nothing() {
         }
         let after = allocs_by_class();
         let allocs: u64 = (0..CLASSES).map(|c| after[c] - before[c]).sum();
-        assert_eq!(allocs, 0, "{} waker clones, wakes and drops allocated", TASKS * ROUNDS);
+        assert_eq!(
+            allocs,
+            0,
+            "{} waker clones, wakes and drops allocated",
+            TASKS * ROUNDS
+        );
     });
 }
 
@@ -1049,7 +1131,11 @@ fn charged_round_trips_allocate_nothing() {
             let (tx, rx) = pool.channel();
             parked.set(Some(tx));
             let sent = rx.charged(Duration::from_nanos(200)).await.expect("sent");
-            assert_eq!(sim::now().as_nanos(), sent + 200, "returned at send + charge");
+            assert_eq!(
+                sim::now().as_nanos(),
+                sent + 200,
+                "returned at send + charge"
+            );
         };
         while sim::now().as_nanos() < WARM_NS {
             round().await;
@@ -1096,7 +1182,11 @@ fn frontier_rounds_allocate_nothing() {
         }
         let after = allocs_by_class();
         sim::time::yield_now().await;
-        assert_eq!(taken.get(), 100 + ROUNDS, "every advance handed a turn over");
+        assert_eq!(
+            taken.get(),
+            100 + ROUNDS,
+            "every advance handed a turn over"
+        );
         let allocs: u64 = (0..CLASSES).map(|c| after[c] - before[c]).sum();
         assert_eq!(allocs, 0, "{ROUNDS} park/advance rounds allocated");
     });
@@ -1134,7 +1224,11 @@ fn registry_does_not_grow_per_connection() {
             producer.send(&record).await.expect("send");
             drop(producer);
             let after_one = *after_one.get_or_insert_with(&cells);
-            assert_eq!(cells(), after_one, "connect/send/drop cycle {cycle} registered cells");
+            assert_eq!(
+                cells(),
+                after_one,
+                "connect/send/drop cycle {cycle} registered cells"
+            );
         }
 
         // A crashed data plane is redialled by the next send.
@@ -1142,8 +1236,15 @@ fn registry_does_not_grow_per_connection() {
         let before = cells();
         for _ in 0..20 {
             producer.crash();
-            producer.send(&record).await.expect("send over a fresh data plane");
+            producer
+                .send(&record)
+                .await
+                .expect("send over a fresh data plane");
         }
-        assert_eq!(cells(), before, "reconnecting the data plane registered cells");
+        assert_eq!(
+            cells(),
+            before,
+            "reconnecting the data plane registered cells"
+        );
     });
 }

@@ -166,13 +166,9 @@ pub fn run_seed_mux(seed: u64, mux_pool: usize) -> Outcome {
 /// active segment file before recovery reads it back.
 #[allow(dead_code)]
 pub fn run_seed_durable(seed: u64, tag: &str) -> Outcome {
-    let dir = std::env::temp_dir().join(format!(
-        "kd-chaos-{tag}-{seed}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("kd-chaos-{tag}-{seed}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let storage = kdstorage::StorageConfig::tiered(&dir)
-        .with_sync(kdstorage::SyncMode::PerCommit);
+    let storage = kdstorage::StorageConfig::tiered(&dir).with_sync(kdstorage::SyncMode::PerCommit);
     let mut opts = kafkadirect::ClusterOptions::default();
     opts.broker.storage = Some(storage);
     let out = run_seed_opts(seed, opts, true, false);
@@ -237,8 +233,7 @@ fn run_seed_opts(
                 };
                 for attempt in 0..ATTEMPTS {
                     let rec = Record::value(payload(attempt));
-                    match sim::time::timeout(Duration::from_millis(40), producer.send(&rec)).await
-                    {
+                    match sim::time::timeout(Duration::from_millis(40), producer.send(&rec)).await {
                         Ok(Ok(_off)) => acked.borrow_mut().push(attempt),
                         _ => {
                             // Broker down or leadership moved: redial (bounded
@@ -373,7 +368,10 @@ async fn check_log(
 ) -> Vec<String> {
     let live = |node: u32| live_partition(cluster, node);
     let Some(lead) = live(leader.node) else {
-        return vec![format!("the final leader {} hosts no live partition", leader.node)];
+        return vec![format!(
+            "the final leader {} hosts no live partition",
+            leader.node
+        )];
     };
     let mut violations = Vec::new();
     let committed = records_of(&lead, true);
@@ -395,7 +393,10 @@ async fn check_log(
     for replica in lead.replicas() {
         let log = live(replica.node).map(|p| records_of(&p, false));
         if let Some(a) = log.and_then(|log| missing(&log)) {
-            violations.push(format!("acked attempt {a} is missing on replica {}", replica.node));
+            violations.push(format!(
+                "acked attempt {a} is missing on replica {}",
+                replica.node
+            ));
         }
     }
     violations

@@ -62,7 +62,10 @@ fn dedicated_and_multiplexed_bit_identical_below_cache_knee() {
                 o.violations
             );
         }
-        assert_eq!(muxed.acked, dedicated.acked, "seed {seed}: acked set diverged");
+        assert_eq!(
+            muxed.acked, dedicated.acked,
+            "seed {seed}: acked set diverged"
+        );
         assert_eq!(
             muxed.consumed, dedicated.consumed,
             "seed {seed}: consumed stream diverged"
@@ -85,7 +88,10 @@ fn chaos_soak_stays_green_multiplexed() {
             "seed {seed}: trace invariants violated: {:?}",
             o.violations
         );
-        assert!(!o.acked.is_empty(), "seed {seed}: no attempt survived the faults");
+        assert!(
+            !o.acked.is_empty(),
+            "seed {seed}: no attempt survived the faults"
+        );
         assert_no_loss(seed, &o);
     }
 }
@@ -95,7 +101,11 @@ fn multiplexed_replays_bit_identically() {
     let seed = SEEDS[2];
     let a = common::run_seed_mux(seed, MUX_POOL);
     let b = common::run_seed_mux(seed, MUX_POOL);
-    assert_eq!(a.digest(), b.digest(), "seed {seed}: multiplexed replay diverged");
+    assert_eq!(
+        a.digest(),
+        b.digest(),
+        "seed {seed}: multiplexed replay diverged"
+    );
     assert_eq!(a.acked, b.acked);
     assert_eq!(a.consumed, b.consumed);
 }
@@ -166,7 +176,10 @@ fn dry_srq_parks_senders_and_loses_nothing() {
                 for rv in consumer.next_records().await.expect("fetch") {
                     let tag = common::attempt_of(&rv.record.value);
                     assert_eq!(acked.get(&tag), Some(&rv.offset), "record {tag}");
-                    assert_eq!((tag / RECORDS) % u64::from(PARTITIONS), u64::from(partition));
+                    assert_eq!(
+                        (tag / RECORDS) % u64::from(PARTITIONS),
+                        u64::from(partition)
+                    );
                     got += 1;
                 }
             }
@@ -175,10 +188,16 @@ fn dry_srq_parks_senders_and_loses_nothing() {
         }
         assert_eq!(seen, PRODUCERS * RECORDS);
 
-        let dry = registry.snapshot().counter("rnic", "srq.rnr_dry").unwrap_or(0);
+        let dry = registry
+            .snapshot()
+            .counter("rnic", "srq.rnr_dry")
+            .unwrap_or(0);
         assert!(dry > 0, "a depth-4 SRQ under 64 producers never ran dry");
         let violations = kdtelem::check::check(&registry.drain_trace_events()).violations;
-        assert!(violations.is_empty(), "trace invariants violated: {violations:?}");
+        assert!(
+            violations.is_empty(),
+            "trace invariants violated: {violations:?}"
+        );
     });
 }
 
@@ -271,14 +290,24 @@ fn fanin_point(mux_pool: usize, clients: usize) -> FaninPoint {
         }
         let virtual_ns = (sim::now() - t0).as_nanos() as u64;
         let nic = cluster.broker(0).inner().nic.clone();
-        (virtual_ns, nic.recv_buffer_bytes_peak(), nic.qp_contexts_peak())
+        (
+            virtual_ns,
+            nic.recv_buffer_bytes_peak(),
+            nic.qp_contexts_peak(),
+        )
     });
 
     let what = format!("{clients} clients, mux_pool {mux_pool}");
     let srq_bytes = BrokerConfig::default().srq_depth as u64 * rnic::WQE_BYTES;
-    assert_eq!(recv_peak, srq_bytes, "{what}: broker receive memory is not the SRQ's");
+    assert_eq!(
+        recv_peak, srq_bytes,
+        "{what}: broker receive memory is not the SRQ's"
+    );
     let contexts = if mux_pool == 0 { clients } else { mux_pool };
-    assert_eq!(contexts_peak, contexts as u64, "{what}: NIC contexts pinned");
+    assert_eq!(
+        contexts_peak, contexts as u64,
+        "{what}: NIC contexts pinned"
+    );
     FaninPoint {
         records: (clients * per_client) as u64,
         virtual_ns,
@@ -310,7 +339,10 @@ fn fanin_memory_is_flat_and_sizings_agree_below_knee() {
     for (clients, virtual_ns) in [(10, 71_539_090), (100, 7_181_835), (1000, reference)] {
         for mux_pool in [0, MUX_POOL] {
             let p = fanin_point(mux_pool, clients);
-            assert_eq!(p.virtual_ns, virtual_ns, "{clients} clients, mux_pool {mux_pool}");
+            assert_eq!(
+                p.virtual_ns, virtual_ns,
+                "{clients} clients, mux_pool {mux_pool}"
+            );
         }
     }
 }
@@ -322,7 +354,10 @@ fn fanin_past_knee(clients: usize, pinned: Option<(u64, u64)>) {
     let dedicated = fanin_point(0, clients);
     let muxed = fanin_point(MUX_POOL, clients);
     if let Some((dedicated_ns, muxed_ns)) = pinned {
-        assert_eq!(dedicated.virtual_ns, dedicated_ns, "{clients} clients, a context each");
+        assert_eq!(
+            dedicated.virtual_ns, dedicated_ns,
+            "{clients} clients, a context each"
+        );
         assert_eq!(muxed.virtual_ns, muxed_ns, "{clients} clients, multiplexed");
     }
     let retention = muxed.records_per_sec() / FANIN_REFERENCE.records_per_sec();
@@ -343,8 +378,15 @@ fn fanin_past_knee(clients: usize, pinned: Option<(u64, u64)>) {
 /// This process's peak resident set so far (`VmHWM`), in MiB.
 fn peak_rss_mib() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
-    let line = status.lines().find(|l| l.starts_with("VmHWM:")).expect("a VmHWM line");
-    let kib: u64 = line.split_whitespace().nth(1).and_then(|v| v.parse().ok()).expect("VmHWM in kB");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("VmHWM:"))
+        .expect("a VmHWM line");
+    let kib: u64 = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|v| v.parse().ok())
+        .expect("VmHWM in kB");
     kib / 1024
 }
 
@@ -361,7 +403,10 @@ fn peak_rss_mib() -> u64 {
 fn fanin_10k_clients_multiplexed_retains_throughput() {
     fanin_past_knee(10_000, Some((24_024_520, 7_772_675)));
     let rss = peak_rss_mib();
-    assert!(rss <= 176, "the 10k rung peaked at {rss} MiB resident (ceiling 176)");
+    assert!(
+        rss <= 176,
+        "the 10k rung peaked at {rss} MiB resident (ceiling 176)"
+    );
     println!("fanin_10k: peak RSS {rss} MiB");
 }
 
@@ -378,6 +423,9 @@ fn fanin_10k_clients_multiplexed_retains_throughput() {
 fn fanin_100k_clients_multiplexed_retains_throughput() {
     fanin_past_knee(100_000, Some((261_484_530, 76_975_729)));
     let rss = peak_rss_mib();
-    assert!(rss <= 2048, "the 100k rung peaked at {rss} MiB resident (ceiling 2048)");
+    assert!(
+        rss <= 2048,
+        "the 100k rung peaked at {rss} MiB resident (ceiling 2048)"
+    );
     println!("fanin_100k: peak RSS {rss} MiB");
 }

@@ -51,8 +51,16 @@ fn rdma_stage_sums_reconcile_with_measured_e2e() {
     });
 
     let report = analyze(&events);
-    assert!(report.ok(), "stage sums must reconcile: {:?}", report.errors);
-    assert_eq!(report.lifelines.len(), 8, "one committing lifeline per send");
+    assert!(
+        report.ok(),
+        "stage sums must reconcile: {:?}",
+        report.errors
+    );
+    assert_eq!(
+        report.lifelines.len(),
+        8,
+        "one committing lifeline per send"
+    );
 
     for l in &report.lifelines {
         // The reconciliation invariant, asserted independently of ok().
@@ -75,7 +83,9 @@ fn rdma_stage_sums_reconcile_with_measured_e2e() {
         assert!(
             0 < l.total_ns && l.total_ns < e2e,
             "lifeline {} total {} vs measured e2e {}",
-            l.trace_id, l.total_ns, e2e
+            l.trace_id,
+            l.total_ns,
+            e2e
         );
     }
     // Identical spaced-out sends on a deterministic fabric: every lifeline
@@ -125,8 +135,16 @@ fn tiered_rdma_produce_attributes_zero_broker_copies() {
     std::fs::remove_dir_all(&dir).ok();
 
     let report = analyze(&events);
-    assert!(report.ok(), "stage sums must reconcile: {:?}", report.errors);
-    assert_eq!(report.lifelines.len(), 8, "one committing lifeline per send");
+    assert!(
+        report.ok(),
+        "stage sums must reconcile: {:?}",
+        report.errors
+    );
+    assert_eq!(
+        report.lifelines.len(),
+        8,
+        "one committing lifeline per send"
+    );
     for l in &report.lifelines {
         assert_eq!(
             l.broker_copies, 0,
@@ -159,7 +177,11 @@ fn tcp_attribution_charges_exactly_two_copies() {
     });
 
     let report = analyze(&events);
-    assert!(report.ok(), "stage sums must reconcile: {:?}", report.errors);
+    assert!(
+        report.ok(),
+        "stage sums must reconcile: {:?}",
+        report.errors
+    );
     assert_eq!(report.lifelines.len(), 6);
     for l in &report.lifelines {
         assert_eq!(

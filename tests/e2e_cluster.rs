@@ -151,15 +151,10 @@ fn unknown_topic_errors() {
         let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
         cluster.create_topic("t", 1, 1).await;
         let cnode = cluster.add_client_node("c");
-        let producer = TcpProducer::connect(
-            &cnode,
-            cluster.bootstrap(),
-            ClientTransport::Tcp,
-            "nope",
-            0,
-        )
-        .await
-        .unwrap();
+        let producer =
+            TcpProducer::connect(&cnode, cluster.bootstrap(), ClientTransport::Tcp, "nope", 0)
+                .await
+                .unwrap();
         assert_eq!(
             producer.send(&Record::value(b"x".to_vec())).await.err(),
             Some(kdclient::ClientError::Broker(
@@ -178,7 +173,10 @@ fn unknown_topic_errors() {
         // CreateTopic validation.
         let admin = Admin::connect(&cnode, cluster.bootstrap()).await.unwrap();
         assert!(admin.create_topic("bad", 0, 1).await.is_err());
-        assert!(admin.create_topic("bad", 1, 5).await.is_err(), "RF > brokers");
+        assert!(
+            admin.create_topic("bad", 1, 5).await.is_err(),
+            "RF > brokers"
+        );
     });
 }
 
@@ -203,10 +201,9 @@ fn topic_isolation_on_one_broker() {
             py.send(&Record::value(vec![b'y', i])).await.unwrap();
         }
         for (topic, tag) in [("x", b'x'), ("y", b'y')] {
-            let mut consumer =
-                RdmaConsumer::connect(&cnode, cluster.bootstrap(), topic, 0, 0)
-                    .await
-                    .unwrap();
+            let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), topic, 0, 0)
+                .await
+                .unwrap();
             let mut got = Vec::new();
             while got.len() < 8 {
                 got.extend(consumer.next_records().await.unwrap());

@@ -30,7 +30,10 @@ fn rdma_offset_commit_round_trip() {
         let busy_before = cluster.broker(0).metrics().worker_busy_ns;
         consumer.commit_offset_rdma().await.unwrap();
         let busy_after = cluster.broker(0).metrics().worker_busy_ns;
-        assert_eq!(busy_after, busy_before, "one-sided commit costs no broker CPU");
+        assert_eq!(
+            busy_after, busy_before,
+            "one-sided commit costs no broker CPU"
+        );
         assert_eq!(consumer.stats.rdma_offset_commits, 1);
 
         // The committed offset is visible over the normal TCP API.
@@ -94,13 +97,10 @@ fn offset_slot_requires_rdma_consume() {
         let cluster = SimCluster::start(SystemKind::Kafka, 1);
         cluster.create_topic("t", 1, 1).await;
         let cnode = cluster.add_client_node("c");
-        let conn = kdclient::Conn::connect(
-            &cnode,
-            cluster.bootstrap(),
-            kdclient::ClientTransport::Tcp,
-        )
-        .await
-        .unwrap();
+        let conn =
+            kdclient::Conn::connect(&cnode, cluster.bootstrap(), kdclient::ClientTransport::Tcp)
+                .await
+                .unwrap();
         let resp = conn
             .call(&kdwire::Request::OffsetSlotAccess {
                 group: "g".into(),

@@ -29,7 +29,9 @@ fn exclusive_grant_revoked_on_disconnect() {
         let denied = RdmaProducer::connect(&cnode2, cluster.bootstrap(), "t", 0, false).await;
         assert!(matches!(
             denied,
-            Err(kdclient::ClientError::Broker(kdwire::ErrorCode::AccessDenied))
+            Err(kdclient::ClientError::Broker(
+                kdwire::ErrorCode::AccessDenied
+            ))
         ));
 
         // p1 "crashes": drop it (QPs close on drop of the last handle).
@@ -98,7 +100,10 @@ fn dropped_consumers_unpin_their_broker_contexts() {
             assert_eq!(broker.nic.qp_contexts(), idle, "round {round}");
         }
         let kept = broker.consume_qps.borrow().len();
-        assert!(kept <= 16, "the broker still holds {kept} consumer QPs, 24 of 24 dead");
+        assert!(
+            kept <= 16,
+            "the broker still holds {kept} consumer QPs, 24 of 24 dead"
+        );
     });
 }
 
@@ -122,7 +127,9 @@ fn a_dropped_consumer_releases_its_broker_state() {
         producer.send(&Record::value(vec![0u8; 64])).await.unwrap();
         let baseline = cluster.broker(0).metrics().registered_bytes;
 
-        let mut first = RdmaConsumer::connect(&cnode, bootstrap, "t", 0, 0).await.unwrap();
+        let mut first = RdmaConsumer::connect(&cnode, bootstrap, "t", 0, 0)
+            .await
+            .unwrap();
         let one_live = slot_updates_per_record(&cluster, &mut producer, &mut first).await;
         drop(first);
         for round in 0..50 {
@@ -134,17 +141,27 @@ fn a_dropped_consumer_releases_its_broker_state() {
         }
         // One more goes away with its access request in flight: the broker
         // grants it after the connection has closed.
-        let mut doomed = RdmaConsumer::connect(&cnode, bootstrap, "t", 0, 0).await.unwrap();
+        let mut doomed = RdmaConsumer::connect(&cnode, bootstrap, "t", 0, 0)
+            .await
+            .unwrap();
         let read = sim::time::timeout(Duration::from_micros(20), doomed.next_records()).await;
         assert!(read.is_err(), "the access request is still in flight");
         drop(doomed);
         sim::time::sleep(Duration::from_millis(1)).await;
         let registered = cluster.broker(0).metrics().registered_bytes;
-        assert_eq!(registered, baseline, "dropped consumers' regions are still registered");
+        assert_eq!(
+            registered, baseline,
+            "dropped consumers' regions are still registered"
+        );
 
-        let mut live = RdmaConsumer::connect(&cnode, bootstrap, "t", 0, 0).await.unwrap();
+        let mut live = RdmaConsumer::connect(&cnode, bootstrap, "t", 0, 0)
+            .await
+            .unwrap();
         let per_record = slot_updates_per_record(&cluster, &mut producer, &mut live).await;
-        assert_eq!(per_record, one_live, "dropped consumers' slots are still rewritten");
+        assert_eq!(
+            per_record, one_live,
+            "dropped consumers' slots are still rewritten"
+        );
     });
 }
 
@@ -450,7 +467,10 @@ fn consume_release_unregisters_memory() {
         assert!(consumer.stats.releases >= 1);
         // Registered bytes went up for reading and back down on release.
         let now = cluster.broker(0).metrics().registered_bytes;
-        assert!(now <= peak + 2 * 8 * 1024 + 64 * 16, "stale registrations left behind");
+        assert!(
+            now <= peak + 2 * 8 * 1024 + 64 * 16,
+            "stale registrations left behind"
+        );
     });
 }
 
@@ -494,7 +514,12 @@ fn a_foreign_consume_release_leaves_a_readers_segment_registered() {
                 segment: 0,
             };
             let resp = ctrl.call(&release).await.unwrap();
-            assert!(matches!(resp, Response::ConsumeRelease { error: kdwire::ErrorCode::None }));
+            assert!(matches!(
+                resp,
+                Response::ConsumeRelease {
+                    error: kdwire::ErrorCode::None
+                }
+            ));
         }
         assert_eq!(cluster.broker(0).metrics().registered_bytes, registered);
 
@@ -503,7 +528,12 @@ fn a_foreign_consume_release_leaves_a_readers_segment_registered() {
             producer.send(&Record::value(vec![i; 64])).await.unwrap();
         }
         while got.len() < 20 {
-            got.extend(consumer.next_records().await.expect("the segment is still registered"));
+            got.extend(
+                consumer
+                    .next_records()
+                    .await
+                    .expect("the segment is still registered"),
+            );
         }
         let values: Vec<u8> = got.iter().map(|r| r.record.value[0]).collect();
         assert_eq!(values, (0..20).collect::<Vec<u8>>());
@@ -526,7 +556,9 @@ fn a_client_cannot_install_partition_metadata() {
 
         let client = cluster.add_client_node("c");
         let transport = kdclient::ClientTransport::Tcp;
-        let ctrl = kdclient::Conn::connect(&client, b0.addr(), transport).await.unwrap();
+        let ctrl = kdclient::Conn::connect(&client, b0.addr(), transport)
+            .await
+            .unwrap();
         let install = Request::InternalAddPartition {
             topic: "t".into(),
             partition: 0,
@@ -537,7 +569,9 @@ fn a_client_cannot_install_partition_metadata() {
         let resp = ctrl.call(&install).await.unwrap();
         assert!(matches!(
             resp,
-            Response::InternalAddPartition { error: kdwire::ErrorCode::AccessDenied }
+            Response::InternalAddPartition {
+                error: kdwire::ErrorCode::AccessDenied
+            }
         ));
         let after = b0.inner().store.partition_meta(&tp).unwrap();
         assert_eq!((after.epoch, after.leader), (before.epoch, before.leader));
@@ -585,7 +619,9 @@ fn a_client_cannot_acknowledge_for_a_follower() {
         let hw = part.log.high_watermark();
         assert_eq!(hw, 1);
 
-        let ctrl = kdclient::Conn::connect(&client, leader.addr(), transport).await.unwrap();
+        let ctrl = kdclient::Conn::connect(&client, leader.addr(), transport)
+            .await
+            .unwrap();
         let fetch = Request::Fetch {
             topic: "t".into(),
             partition: 0,
@@ -594,11 +630,16 @@ fn a_client_cannot_acknowledge_for_a_follower() {
             replica_id: follower.addr().node,
         };
         let resp = ctrl.call(&fetch).await.unwrap();
-        let Response::Fetch(resp) = resp else { panic!("not a fetch response") };
+        let Response::Fetch(resp) = resp else {
+            panic!("not a fetch response")
+        };
         assert_eq!(resp.error, kdwire::ErrorCode::AccessDenied);
         sim::time::sleep(Duration::from_millis(5)).await;
         assert_eq!(part.log.high_watermark(), hw, "the high watermark moved");
-        assert!(!answered.get(), "acks=all answered before the follower had the record");
+        assert!(
+            !answered.get(),
+            "acks=all answered before the follower had the record"
+        );
 
         cluster.fabric.heal_pair(lnode, fnode);
         assert_eq!(parked.await.unwrap(), Ok(1));

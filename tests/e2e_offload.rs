@@ -112,7 +112,10 @@ fn produce_copy_accounting() {
                 .await
                 .unwrap();
         for _ in 0..50 {
-            producer.send(&Record::value(vec![7u8; 4096])).await.unwrap();
+            producer
+                .send(&Record::value(vec![7u8; 4096]))
+                .await
+                .unwrap();
         }
         let m = cluster.broker(0).metrics();
         (m.heap_copied_bytes, m.worker_busy_ns)
@@ -127,7 +130,10 @@ fn produce_copy_accounting() {
             .await
             .unwrap();
         for _ in 0..50 {
-            producer.send(&Record::value(vec![7u8; 4096])).await.unwrap();
+            producer
+                .send(&Record::value(vec![7u8; 4096]))
+                .await
+                .unwrap();
         }
         let m = cluster.broker(0).metrics();
         (m.heap_copied_bytes, m.worker_busy_ns)

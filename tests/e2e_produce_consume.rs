@@ -223,7 +223,10 @@ fn file_roll_producer_and_consumer_follow() {
             assert_eq!(rv.record.value[0], i as u8);
         }
         // Rolling really happened and the consumer walked multiple files.
-        assert!(consumer.stats.access_requests >= 2, "consumer must re-request files");
+        assert!(
+            consumer.stats.access_requests >= 2,
+            "consumer must re-request files"
+        );
         assert!(consumer.stats.releases >= 1, "consumer must release files");
     });
 }
@@ -343,7 +346,10 @@ fn large_records_round_trip() {
         for (i, b) in payload.iter_mut().enumerate() {
             *b = (i % 255) as u8;
         }
-        producer.send(&Record::value(payload.clone())).await.unwrap();
+        producer
+            .send(&Record::value(payload.clone()))
+            .await
+            .unwrap();
         let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
             .await
             .unwrap();

@@ -85,7 +85,11 @@ fn push_replication_three_way() {
         // replication was RDMA push, commits were in place.
         for b in cluster.brokers() {
             assert_eq!(b.metrics().heap_copied_bytes, 0, "zero-copy replication");
-            assert_eq!(b.metrics().replica_fetches, 0, "no pull fetchers in push mode");
+            assert_eq!(
+                b.metrics().replica_fetches,
+                0,
+                "no pull fetchers in push mode"
+            );
         }
         // Followers committed identical bytes: their logs answer reads.
         let mut consumer = RdmaConsumer::connect(&cnode, leader, "t", 0, 0)
@@ -318,13 +322,22 @@ fn push_loop_parked_on_credits_survives_a_follower_restart() {
             .await
             .unwrap();
         // One replicated record first, so the push session exists.
-        assert_eq!(producer.send(&Record::value(vec![0; 700])).await.unwrap(), 0);
+        assert_eq!(
+            producer.send(&Record::value(vec![0; 700])).await.unwrap(),
+            0
+        );
         let pushed = leader.metrics().push_writes;
         // Two pipelined produces, too large to share one push write: pushing
         // the first takes the only credit, the second parks the push loop on
         // the credit return. The follower dies as the first write is posted.
-        let first = producer.send_pipelined(&Record::value(vec![1; 700])).await.unwrap();
-        let second = producer.send_pipelined(&Record::value(vec![2; 700])).await.unwrap();
+        let first = producer
+            .send_pipelined(&Record::value(vec![1; 700]))
+            .await
+            .unwrap();
+        let second = producer
+            .send_pipelined(&Record::value(vec![2; 700]))
+            .await
+            .unwrap();
         while leader.metrics().push_writes == pushed {
             sim::time::sleep(Duration::from_nanos(100)).await;
         }
@@ -363,12 +376,18 @@ fn push_loop_parked_on_bytes_survives_a_follower_restart() {
         let mut producer = RdmaProducer::connect(&cnode, pair.leader, "t", 0, false)
             .await
             .unwrap();
-        assert_eq!(producer.send(&Record::value(vec![0; 700])).await.unwrap(), 0);
+        assert_eq!(
+            producer.send(&Record::value(vec![0; 700])).await.unwrap(),
+            0
+        );
         let pushed = leader.metrics().push_writes;
         // One pipelined produce and nothing after it: once its push write is
         // posted the loop has no bytes left to push. The follower dies as
         // that write is posted.
-        let ack = producer.send_pipelined(&Record::value(vec![1; 700])).await.unwrap();
+        let ack = producer
+            .send_pipelined(&Record::value(vec![1; 700]))
+            .await
+            .unwrap();
         while leader.metrics().push_writes == pushed {
             sim::time::sleep(Duration::from_nanos(100)).await;
         }
@@ -404,7 +423,10 @@ fn a_write_delivered_before_the_push_qp_dies_still_acks() {
             .await
             .unwrap();
         // One replicated record first, so the push session exists.
-        assert_eq!(producer.send(&Record::value(vec![0; 700])).await.unwrap(), 0);
+        assert_eq!(
+            producer.send(&Record::value(vec![0; 700])).await.unwrap(),
+            0
+        );
         let tp = TopicPartition::new("t", 0);
         let lead = leader.inner().store.get(&tp).unwrap();
         let foll = follower.inner().store.get(&tp).unwrap();
@@ -412,7 +434,10 @@ fn a_write_delivered_before_the_push_qp_dies_still_acks() {
         let replicated = registry.histogram("kdbroker", "repl.replicate_ns");
         let before = replicated.count();
 
-        let ack = producer.send_pipelined(&Record::value(vec![0xAB; 700])).await.unwrap();
+        let ack = producer
+            .send_pipelined(&Record::value(vec![0xAB; 700]))
+            .await
+            .unwrap();
         // The write lands in the follower's file at its delivery.
         let mirrored = || {
             let (l, f) = (lead.log.segment(0).unwrap(), foll.log.segment(0).unwrap());
@@ -422,7 +447,11 @@ fn a_write_delivered_before_the_push_qp_dies_still_acks() {
         while !mirrored() {
             sim::time::sleep(Duration::from_nanos(10)).await;
         }
-        assert_eq!(lead.log.high_watermark(), 1, "the write's NIC ack is still on its way");
+        assert_eq!(
+            lead.log.high_watermark(),
+            1,
+            "the write's NIC ack is still on its way"
+        );
         session.close();
 
         while lead.log.high_watermark() < 2 {
@@ -433,7 +462,11 @@ fn a_write_delivered_before_the_push_qp_dies_still_acks() {
             1,
             "the write's own completion acked it, not a new session's grant"
         );
-        assert_eq!(replicated.count(), before + 1, "the write's replication latency");
+        assert_eq!(
+            replicated.count(),
+            before + 1,
+            "the write's replication latency"
+        );
         let ack = sim::time::timeout(Duration::from_millis(1), ack).await;
         assert_eq!(ack.expect("acked").unwrap(), (kdwire::ErrorCode::None, 1));
     });
@@ -458,15 +491,28 @@ fn acks_and_deliveries_stay_below_the_high_watermark() {
         cluster.create_topic("t", 1, 3).await;
         let leader = cluster.leader_of("t", 0).await;
         let brokers = cluster.brokers();
-        let broker = brokers.iter().find(|b| b.addr().node == leader.node).unwrap();
-        let part = broker.inner().store.get(&TopicPartition::new("t", 0)).unwrap();
+        let broker = brokers
+            .iter()
+            .find(|b| b.addr().node == leader.node)
+            .unwrap();
+        let part = broker
+            .inner()
+            .store
+            .get(&TopicPartition::new("t", 0))
+            .unwrap();
         let hw = Rc::new(move || part.log.high_watermark());
         let acked = |what: &str, offset: u64, hw: &dyn Fn() -> u64| {
-            assert!(offset < hw(), "{what} ack of offset {offset} at HW {}", hw());
+            assert!(
+                offset < hw(),
+                "{what} ack of offset {offset} at HW {}",
+                hw()
+            );
         };
 
         let node = cluster.add_client_node("window-1");
-        let mut w1 = RdmaProducer::connect(&node, leader, "t", 0, true).await.unwrap();
+        let mut w1 = RdmaProducer::connect(&node, leader, "t", 0, true)
+            .await
+            .unwrap();
         let check = Rc::clone(&hw);
         let w1 = sim::spawn(async move {
             for i in 0..W1 {
@@ -475,7 +521,9 @@ fn acks_and_deliveries_stay_below_the_high_watermark() {
             }
         });
         let node = cluster.add_client_node("pipelined");
-        let mut pipelined = RdmaProducer::connect(&node, leader, "t", 0, true).await.unwrap();
+        let mut pipelined = RdmaProducer::connect(&node, leader, "t", 0, true)
+            .await
+            .unwrap();
         let check = Rc::clone(&hw);
         let pipelined = sim::spawn(async move {
             let mut window = VecDeque::<Ack>::new();
@@ -496,12 +544,19 @@ fn acks_and_deliveries_stay_below_the_high_watermark() {
         });
 
         let cnode = cluster.add_client_node("consumer");
-        let mut consumer = RdmaConsumer::connect(&cnode, leader, "t", 0, 0).await.unwrap();
+        let mut consumer = RdmaConsumer::connect(&cnode, leader, "t", 0, 0)
+            .await
+            .unwrap();
         let mut next = 0;
         while next < W1 + PIPELINED {
             for rv in consumer.poll().await.unwrap() {
                 assert_eq!(rv.offset, next, "delivered in order, once");
-                assert!(rv.offset < hw(), "delivered offset {} at HW {}", rv.offset, hw());
+                assert!(
+                    rv.offset < hw(),
+                    "delivered offset {} at HW {}",
+                    rv.offset,
+                    hw()
+                );
                 next += 1;
             }
         }
@@ -535,9 +590,14 @@ fn a_flood_with_128_credits_never_finds_the_credit_receives_empty() {
         cluster.create_topic("t", 1, 2).await;
         let leader = cluster.leader_of("t", 0).await;
         let brokers = cluster.brokers();
-        let broker = brokers.iter().find(|b| b.addr().node == leader.node).unwrap();
+        let broker = brokers
+            .iter()
+            .find(|b| b.addr().node == leader.node)
+            .unwrap();
         let node = cluster.add_client_node("flood");
-        let mut producer = RdmaProducer::connect(&node, leader, "t", 0, false).await.unwrap();
+        let mut producer = RdmaProducer::connect(&node, leader, "t", 0, false)
+            .await
+            .unwrap();
         // The first record establishes the push session.
         assert_eq!(producer.send(&Record::value(vec![0; 64])).await.unwrap(), 0);
         let session = broker.inner().repl_qps.borrow()[0].clone();
@@ -555,14 +615,25 @@ fn a_flood_with_128_credits_never_finds_the_credit_receives_empty() {
         let storm_end = sim::now() + storm;
         session.inject_rnr_storm(storm);
         flood(&mut producer).await;
-        assert!(sim::now() < storm_end, "the first flood is over inside the storm");
+        assert!(
+            sim::now() < storm_end,
+            "the first flood is over inside the storm"
+        );
         sim::time::sleep(Duration::from_millis(6)).await;
         flood(&mut producer).await;
         sim::time::sleep(Duration::from_millis(1)).await;
 
-        let part = broker.inner().store.get(&TopicPartition::new("t", 0)).unwrap();
+        let part = broker
+            .inner()
+            .store
+            .get(&TopicPartition::new("t", 0))
+            .unwrap();
         assert_eq!(part.log.high_watermark(), 1 + 2 * FLOOD);
-        assert_eq!(broker.metrics().push_writes, 1 + 2 * FLOOD, "one write per record");
+        assert_eq!(
+            broker.metrics().push_writes,
+            1 + 2 * FLOOD,
+            "one write per record"
+        );
         let rnr = |name| registry.snapshot().counter("rnic", name).unwrap_or(0);
         assert_eq!((rnr("qp.rnr_dry"), rnr("srq.rnr_dry")), (0, 0), "RNR parks");
     });

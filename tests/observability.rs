@@ -152,7 +152,9 @@ fn crash_soak_series_shows_dip_recovery_and_finite_mttr() {
     let crash_ts = plan_start + CRASH_NS;
     let failover_ts = plan_start + FAILOVER_NS;
     let restart_ts = plan_start + RESTART_NS;
-    let commits = dump.counter("kdbroker", "rdma.commits").expect("commit series");
+    let commits = dump
+        .counter("kdbroker", "rdma.commits")
+        .expect("commit series");
     assert!(
         commits
             .points
@@ -267,7 +269,9 @@ fn observe_rpc_round_trips_series_health_and_repl_lag() {
         );
         // Per-partition replication lag gauge: push replication ran, so the
         // (partition, follower) lag cell must have peaked above zero.
-        let lag = series.gauge("kdbroker", "repl.lag").expect("repl.lag series");
+        let lag = series
+            .gauge("kdbroker", "repl.lag")
+            .expect("repl.lag series");
         assert!(
             lag.points.last().unwrap().peak > 0,
             "replication lag never observed in flight"

@@ -49,15 +49,10 @@ fn shared_partition_linearizes() {
             let mut rdma1 = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, true)
                 .await
                 .unwrap();
-            let tcp = TcpProducer::connect(
-                &cnode,
-                cluster.bootstrap(),
-                ClientTransport::Tcp,
-                "t",
-                0,
-            )
-            .await
-            .unwrap();
+            let tcp =
+                TcpProducer::connect(&cnode, cluster.bootstrap(), ClientTransport::Tcp, "t", 0)
+                    .await
+                    .unwrap();
             let mut sent = Vec::new();
             for (i, op) in ops.iter().enumerate() {
                 let payload = vec![(i % 251) as u8; op.size];
@@ -72,7 +67,11 @@ fn shared_partition_linearizes() {
             // Offsets are dense and unique.
             let mut offsets: Vec<u64> = sent.iter().map(|(o, _)| *o).collect();
             offsets.sort_unstable();
-            assert_eq!(offsets, (0..total as u64).collect::<Vec<_>>(), "case {case}");
+            assert_eq!(
+                offsets,
+                (0..total as u64).collect::<Vec<_>>(),
+                "case {case}"
+            );
 
             // Read everything back over RDMA and compare payload by offset.
             let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
@@ -115,15 +114,9 @@ fn replicated_reads_match_writes() {
                     }
                 }
                 _ => {
-                    let p = TcpProducer::connect(
-                        &cnode,
-                        leader,
-                        ClientTransport::Tcp,
-                        "t",
-                        0,
-                    )
-                    .await
-                    .unwrap();
+                    let p = TcpProducer::connect(&cnode, leader, ClientTransport::Tcp, "t", 0)
+                        .await
+                        .unwrap();
                     for (i, size) in sizes.iter().enumerate() {
                         let v = vec![(i % 250) as u8 + 1; *size];
                         p.send(&Record::value(v.clone())).await.unwrap();
@@ -143,22 +136,18 @@ fn replicated_reads_match_writes() {
                     }
                 }
                 _ => {
-                    let mut c = TcpConsumer::connect(
-                        &cnode,
-                        leader,
-                        ClientTransport::Tcp,
-                        "t",
-                        0,
-                        0,
-                    )
-                    .await
-                    .unwrap();
+                    let mut c =
+                        TcpConsumer::connect(&cnode, leader, ClientTransport::Tcp, "t", 0, 0)
+                            .await
+                            .unwrap();
                     while got.len() < payloads.len() {
                         got.extend(c.next_records().await.unwrap());
                     }
                 }
             }
-            got.into_iter().map(|rv| rv.record.value).collect::<Vec<_>>()
+            got.into_iter()
+                .map(|rv| rv.record.value)
+                .collect::<Vec<_>>()
         })
     };
     for case in 0..12u64 {
@@ -168,6 +157,9 @@ fn replicated_reads_match_writes() {
         let kafka = run(SystemKind::Kafka, sizes.clone());
         let kd = run(SystemKind::KafkaDirect, sizes.clone());
         assert_eq!(kafka.len(), sizes.len(), "case {case}");
-        assert_eq!(&kafka, &kd, "case {case}: both systems must deliver identical data");
+        assert_eq!(
+            &kafka, &kd,
+            "case {case}: both systems must deliver identical data"
+        );
     }
 }

@@ -55,7 +55,10 @@ fn mixed_workload_soak() {
                         Err(_) => {
                             // Aborted by a session revoke: retry once after
                             // the implicit re-grant.
-                            if p.send(&Record::value(payload(actor, seq, size))).await.is_ok() {
+                            if p.send(&Record::value(payload(actor, seq, size)))
+                                .await
+                                .is_ok()
+                            {
                                 sent += 1;
                             }
                         }
@@ -67,9 +70,10 @@ fn mixed_workload_soak() {
         {
             let node = cluster.add_client_node("sharedtcp");
             producer_handles.push(sim::spawn(async move {
-                let p = TcpProducer::connect(&node, shared_leader, ClientTransport::Tcp, "shared", 0)
-                    .await
-                    .unwrap();
+                let p =
+                    TcpProducer::connect(&node, shared_leader, ClientTransport::Tcp, "shared", 0)
+                        .await
+                        .unwrap();
                 let mut sent = 0u32;
                 for seq in 0..120u32 {
                     let size = 32 + (seq as usize * 7) % 600;
@@ -102,7 +106,10 @@ fn mixed_workload_soak() {
                             .unwrap();
                     }
                     let size = 16 + (seq as usize * 31) % 2000;
-                    if p.send(&Record::value(payload(actor, seq, size))).await.is_ok() {
+                    if p.send(&Record::value(payload(actor, seq, size)))
+                        .await
+                        .is_ok()
+                    {
                         sent += 1;
                     }
                 }
@@ -124,7 +131,9 @@ fn mixed_workload_soak() {
         let mut sc = RdmaConsumer::connect(&cnode, shared_leader, "shared", 0, 0)
             .await
             .unwrap();
-        let admin = kdclient::Admin::connect(&cnode, cluster.bootstrap()).await.unwrap();
+        let admin = kdclient::Admin::connect(&cnode, cluster.bootstrap())
+            .await
+            .unwrap();
         let (_, shared_hw) = admin.list_offsets("shared", 0).await.unwrap();
         let mut n = 0;
         while n < shared_hw {
@@ -178,7 +187,11 @@ fn mixed_workload_soak() {
                 prev = Some(*s);
             }
         }
-        assert!(got.is_empty(), "records from unknown actors: {:?}", got.keys());
+        assert!(
+            got.is_empty(),
+            "records from unknown actors: {:?}",
+            got.keys()
+        );
 
         // Broker invariants: zero CPU copies anywhere (all-RDMA datapaths,
         // except the one TCP producer's bytes).

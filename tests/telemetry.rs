@@ -63,10 +63,7 @@ fn e2e_run_exports_critical_path_percentiles() {
             .unwrap_or_else(|| panic!("{component}.{name} missing"));
         assert!(h.stats.count > 0, "{component}.{name} recorded nothing");
         assert!(h.stats.p50 > 0, "{component}.{name} p50 = 0");
-        assert!(
-            h.stats.p99 >= h.stats.p50,
-            "{component}.{name} p99 < p50"
-        );
+        assert!(h.stats.p99 >= h.stats.p50, "{component}.{name} p99 < p50");
         assert!(h.stats.max >= h.stats.p99, "{component}.{name} max < p99");
     }
     // Broker-side commit service latency is a separate instrument from the
@@ -93,7 +90,9 @@ fn e2e_run_exports_critical_path_percentiles() {
         assert!(begun.contains(want), "span {want} missing (got {begun:?})");
     }
     assert!(
-        events.iter().any(|e| matches!(e.kind, kdtelem::EventKind::ReplAck { .. })),
+        events
+            .iter()
+            .any(|e| matches!(e.kind, kdtelem::EventKind::ReplAck { .. })),
         "no replication ack in the trace"
     );
     // ... and its duration in its histogram.
@@ -103,7 +102,10 @@ fn e2e_run_exports_critical_path_percentiles() {
         ("kdbroker", "repl.replicate_ns"),
         ("kdclient", "fetch.e2e_ns"),
     ] {
-        assert!(report.histogram(component, name).unwrap().stats.count > 0, "{component}.{name}");
+        assert!(
+            report.histogram(component, name).unwrap().stats.count > 0,
+            "{component}.{name}"
+        );
     }
 }
 
@@ -159,7 +161,10 @@ fn tcp_produce_copies_on_the_broker() {
         .snapshot()
         .counter("kdbroker", "copy.heap_bytes")
         .unwrap();
-    assert!(copied > 10 * 256, "TCP produce must copy every batch: {copied}");
+    assert!(
+        copied > 10 * 256,
+        "TCP produce must copy every batch: {copied}"
+    );
 }
 
 /// The report survives the admin wire path: `Request::Telemetry` ships the
@@ -219,7 +224,13 @@ fn net_busy_time_is_accounted() {
             assert!(m.worker_busy_ns > 0);
         });
     });
-    assert!(registry.snapshot().counter("kdbroker", "cpu.net_busy_ns").unwrap() > 0);
+    assert!(
+        registry
+            .snapshot()
+            .counter("kdbroker", "cpu.net_busy_ns")
+            .unwrap()
+            > 0
+    );
 }
 
 /// One `(component, name, kind)` of the metric inventory.
@@ -229,11 +240,18 @@ type Metric = (String, String, &'static str);
 /// column they sit in.
 fn documented_inventory() -> BTreeSet<Metric> {
     let design = include_str!("../DESIGN.md");
-    let section = design.split("### Metric inventory").nth(1).expect("DESIGN §8 inventory");
+    let section = design
+        .split("### Metric inventory")
+        .nth(1)
+        .expect("DESIGN §8 inventory");
     let table = section.lines().skip_while(|l| !l.starts_with('|'));
     let rows = table.take_while(|l| l.starts_with('|'));
     let ticked = |cell: &str| -> Vec<String> {
-        cell.split('`').skip(1).step_by(2).map(str::to_string).collect()
+        cell.split('`')
+            .skip(1)
+            .step_by(2)
+            .map(str::to_string)
+            .collect()
     };
     let mut inventory = BTreeSet::new();
     // The header row and its rule name nothing.
@@ -264,12 +282,18 @@ async fn every_client(cluster: &SimCluster) {
     }
     let leader = cluster.leader_of("t", 2).await;
     let tcp = ClientTransport::Tcp;
-    let producer = TcpProducer::connect(&node, leader, tcp, "t", 2).await.unwrap();
+    let producer = TcpProducer::connect(&node, leader, tcp, "t", 2)
+        .await
+        .unwrap();
     producer.send(&record).await.unwrap();
-    let mut consumer = TcpConsumer::connect(&node, leader, tcp, "t", 2, 0).await.unwrap();
+    let mut consumer = TcpConsumer::connect(&node, leader, tcp, "t", 2, 0)
+        .await
+        .unwrap();
     while consumer.next_records().await.unwrap().is_empty() {}
     let leader = cluster.leader_of("t", 0).await;
-    let mut consumer = RdmaConsumer::connect(&node, leader, "t", 0, 0).await.unwrap();
+    let mut consumer = RdmaConsumer::connect(&node, leader, "t", 0, 0)
+        .await
+        .unwrap();
     while consumer.next_records().await.unwrap().is_empty() {}
 }
 
@@ -293,7 +317,10 @@ fn metric_inventory_matches_design() {
             opts.broker.storage = Some(storage);
             every_client(&SimCluster::start_with(SystemKind::KafkaDirect, 2, opts)).await;
             // Pull replication is a cluster-wide mode: a second cluster runs it.
-            let pull = RdmaToggles { replicate: false, ..RdmaToggles::all() };
+            let pull = RdmaToggles {
+                replicate: false,
+                ..RdmaToggles::all()
+            };
             every_client(&SimCluster::start(SystemKind::KafkaDirectWith(pull), 2)).await;
         })
     });

@@ -74,15 +74,22 @@ fn tcp_lifeline_passes_checker_with_two_copies() {
     for id in &commits {
         assert_eq!(broker_copies(&events, *id), 2, "trace {id}");
         assert!(
-            events.iter().any(|e| e.trace_id == *id
-                && matches!(e.kind, EventKind::PacketEnqueued { .. })),
+            events
+                .iter()
+                .any(|e| e.trace_id == *id && matches!(e.kind, EventKind::PacketEnqueued { .. })),
             "TCP lifeline {id} never touched a link"
         );
     }
     // No lifeline posted a WQE: this is the pure-TCP system.
-    assert!(!has_kind(&events, |k| matches!(k, EventKind::WqePosted { .. })));
+    assert!(!has_kind(&events, |k| matches!(
+        k,
+        EventKind::WqePosted { .. }
+    )));
     // The fetch lifeline carries the broker's FetchServed event.
-    assert!(has_kind(&events, |k| matches!(k, EventKind::FetchServed { .. })));
+    assert!(has_kind(&events, |k| matches!(
+        k,
+        EventKind::FetchServed { .. }
+    )));
 }
 
 /// RDMA datapath with push replication (RF=2): zero broker copies on every
@@ -124,10 +131,15 @@ fn rdma_lifeline_passes_checker_with_zero_copies() {
     // The zero-copy claim, from trace events alone: every committing
     // lifeline posted a WQE and moved nothing through a broker CPU copy.
     for id in commit_traces(&events) {
-        assert_eq!(broker_copies(&events, id), 0, "trace {id} copied on the broker");
+        assert_eq!(
+            broker_copies(&events, id),
+            0,
+            "trace {id} copied on the broker"
+        );
         assert!(
-            events.iter().any(|e| e.trace_id == id
-                && matches!(e.kind, EventKind::WqePosted { .. })),
+            events
+                .iter()
+                .any(|e| e.trace_id == id && matches!(e.kind, EventKind::WqePosted { .. })),
             "committing lifeline {id} has no posted WQE"
         );
     }
@@ -167,7 +179,10 @@ fn four_subscriptions_one_slot_read_and_a_lifeline_per_data_read() {
                         .await
                         .unwrap();
                 for i in 0..*n {
-                    producer.send(&Record::value(vec![i as u8; 700])).await.unwrap();
+                    producer
+                        .send(&Record::value(vec![i as u8; 700]))
+                        .await
+                        .unwrap();
                 }
             }
             let mut consumer = RdmaConsumer::connect(&cnode, cluster.bootstrap(), "t", 0, 0)
@@ -206,8 +221,16 @@ fn four_subscriptions_one_slot_read_and_a_lifeline_per_data_read() {
     let mut served = [0u64; 4];
     let mut lifelines = std::collections::HashSet::new();
     for e in &events {
-        if let EventKind::FetchServed { stream, start_offset, next_offset, .. } = e.kind {
-            let p = (0..4).find(|&p| kdtelem::stream_key("t", p) == stream).unwrap();
+        if let EventKind::FetchServed {
+            stream,
+            start_offset,
+            next_offset,
+            ..
+        } = e.kind
+        {
+            let p = (0..4)
+                .find(|&p| kdtelem::stream_key("t", p) == stream)
+                .unwrap();
             assert_eq!(start_offset, served[p as usize], "partition {p}");
             served[p as usize] = next_offset;
             assert!(lifelines.insert(e.trace_id), "two reads on one lifeline");
@@ -240,7 +263,11 @@ fn trace_export_round_trips_chrome_json() {
     let json = kdtelem::chrome::to_chrome_json(&events);
     let parsed = kdtelem::chrome::parse_chrome_json(&json).expect("exporter emits parseable JSON");
     // One process_name metadata record precedes the events.
-    assert_eq!(parsed.len(), events.len() + 1, "event count changed in export");
+    assert_eq!(
+        parsed.len(),
+        events.len() + 1,
+        "event count changed in export"
+    );
 
     // Async span begin/end phases pair up.
     let begins = parsed.iter().filter(|e| e.ph == "b").count();
@@ -286,7 +313,10 @@ fn commits_follow_post_order_at_the_large_produce_shape() {
                 assert!(inflight.pop_front().unwrap().await.unwrap().0.is_ok());
             }
             let n = (WINDOW - inflight.len()).min(RECORDS - sent);
-            producer.send_pipelined_chain(&chunk[..n], &mut posted).await.unwrap();
+            producer
+                .send_pipelined_chain(&chunk[..n], &mut posted)
+                .await
+                .unwrap();
             inflight.extend(posted.drain(..));
             sent += n;
         }
@@ -297,7 +327,15 @@ fn commits_follow_post_order_at_the_large_produce_shape() {
     assert_eq!(registry.trace_events_dropped(), 0, "event ring overflowed");
     let events = registry.drain_trace_events();
     let report = check(&events);
-    assert!(report.ok(), "invariant violations: {:?}", &report.violations[..report.violations.len().min(5)]);
+    assert!(
+        report.ok(),
+        "invariant violations: {:?}",
+        &report.violations[..report.violations.len().min(5)]
+    );
     assert_eq!(report.commits, RECORDS);
-    assert!(report.order_pairs > 1_000, "rule 7 judged {} pairs", report.order_pairs);
+    assert!(
+        report.order_pairs > 1_000,
+        "rule 7 judged {} pairs",
+        report.order_pairs
+    );
 }
