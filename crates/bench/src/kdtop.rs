@@ -1,8 +1,8 @@
 //! `kdtop` — an ASCII view of a recorded virtual-time telemetry series.
 //!
-//! Renders a [`kdtelem::SeriesDump`] (the `KD_SERIES=<path>` export or the
-//! broker's `Request::Series` dump) as per-instrument sparklines over
-//! virtual time: counter *rates*, gauge values, and histogram p99 trends.
+//! Renders a [`kdtelem::SeriesDump`] (the `KD_SERIES=<path>` export) as
+//! per-instrument sparklines over virtual time: counter *rates*, gauge
+//! values, and histogram p99 trends.
 //! Pure string formatting — no terminal control, so output pipes cleanly
 //! into files and test assertions.
 

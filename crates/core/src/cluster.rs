@@ -161,28 +161,6 @@ impl SimCluster {
         self.telemetry.snapshot()
     }
 
-    /// Fetches the bootstrap broker's telemetry over the admin wire path —
-    /// the remote flavour of [`telemetry_report`](Self::telemetry_report).
-    pub async fn broker_telemetry(&self) -> kdtelem::TelemetryReport {
-        let admin = self.admin(self.bootstrap()).await;
-        admin.telemetry().await.expect("telemetry rpc")
-    }
-
-    /// Fetches broker `i`'s virtual-time time-series recording over the
-    /// admin wire path. Panics unless the cluster's broker template sets
-    /// `observe`.
-    pub async fn broker_series(&self, i: usize) -> kdtelem::SeriesDump {
-        let admin = self.admin(self.broker(i).addr()).await;
-        admin.series().await.expect("series rpc")
-    }
-
-    /// Fetches broker `i`'s health-watchdog event log over the admin wire
-    /// path. Panics unless the cluster's broker template sets `observe`.
-    pub async fn broker_health(&self, i: usize) -> Vec<kdtelem::HealthEvent> {
-        let admin = self.admin(self.broker(i).addr()).await;
-        admin.health().await.expect("health rpc")
-    }
-
     /// Crashes broker `i` (see [`Broker::crash`]). Idempotent.
     pub fn crash_broker(&self, i: usize) {
         self.broker(i).crash();
@@ -423,7 +401,6 @@ mod tests {
                 cq_batch,
                 srq_depth,
                 mux_pool,
-                observe,
                 storage,
             } = started;
             assert_eq!((transport, rdma), (want_transport, want_rdma), "{system:?}");
@@ -436,7 +413,7 @@ mod tests {
             assert_eq!((replication_credits, replication_max_batch), (16, 1024));
             assert_eq!(shared_order_timeout, Duration::from_millis(2));
             assert_eq!(mux_pool, 0);
-            assert!(observe.is_none() && storage.is_none());
+            assert!(storage.is_none());
         }
     }
 }

@@ -38,7 +38,7 @@ pub use cluster::{ClusterOptions, SimCluster};
 pub use systems::SystemKind;
 
 // Re-export the component crates under one roof.
-pub use kdbroker::{Broker, BrokerConfig, ObserveConfig, RdmaToggles, Transport};
+pub use kdbroker::{Broker, BrokerConfig, RdmaToggles, Transport};
 pub use kdclient::{Admin, ClientTransport, RdmaConsumer, RdmaProducer, TcpConsumer, TcpProducer};
 pub use kdstorage::{Record, RecordView};
 pub use netsim::profile::Profile;

@@ -96,12 +96,6 @@ pub struct BrokerInner {
     /// Leader-side push-replication QPs (failed on crash so followers see
     /// the disconnect).
     pub repl_qps: RefCell<Vec<QueuePair>>,
-    /// Virtual-time time-series recorder; `Some` only when
-    /// `config.observe` is set. Served over `Request::Series`.
-    pub series: Option<kdtelem::SeriesLog>,
-    /// Health watchdog (stall / MTTR detection); `Some` only when
-    /// `config.observe` is set. Served over `Request::Health`.
-    pub watchdog: Option<kdtelem::Watchdog>,
 }
 
 impl BrokerInner {
@@ -218,25 +212,6 @@ impl Broker {
         let net_pool =
             ServicePool::with_counter(NET_THREADS, profile.cpu.wakeup, metrics.net_busy_ns.clone());
         let telem = BrokerTelem::new(&registry);
-        // Continuous telemetry rides on the broker's (ambient) registry:
-        // the sampler snapshots every instrument on the virtual-time wheel;
-        // the watchdog declares a stall when the datapath stops making
-        // progress for a budget of virtual time. Both default OFF — a
-        // broker without `observe` runs bit-identically to before.
-        let (series, watchdog) = match &config.observe {
-            Some(o) => {
-                let series = kdtelem::Sampler::start(
-                    &telem.registry,
-                    kdtelem::SeriesOptions {
-                        interval: o.sample_interval,
-                        ..Default::default()
-                    },
-                );
-                let watchdog = kdtelem::Watchdog::start(&telem.registry, Default::default());
-                (Some(series), Some(watchdog))
-            }
-            None => (None, None),
-        };
         let inner = Rc::new(BrokerInner {
             node: node.clone(),
             me,
@@ -266,8 +241,6 @@ impl Broker {
             alive: Cell::new(true),
             shutdown: sim::sync::Notify::new(),
             repl_qps: RefCell::new(Vec::new()),
-            series,
-            watchdog,
             config,
         });
 
@@ -336,14 +309,6 @@ impl Broker {
             return;
         }
         b.alive.set(false);
-        // The observability tasks belong to this broker process: they die
-        // with it (a restarted broker starts fresh ones).
-        if let Some(s) = &b.series {
-            s.stop();
-        }
-        if let Some(w) = &b.watchdog {
-            w.stop();
-        }
         // Stop accepting new connections on every front end.
         netsim::tcp::unbind(&b.node, b.config.tcp_port);
         for off in [

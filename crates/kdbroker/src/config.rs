@@ -48,26 +48,6 @@ impl RdmaToggles {
     }
 }
 
-/// Continuous-observability switches. `None` (the default) runs the broker
-/// exactly as before — no sampler task, no watchdog task, bit-identical
-/// schedules. When set, the broker starts a [`kdtelem::Sampler`] (default
-/// ring capacity) and a [`kdtelem::Watchdog`] (default poll and budget) on
-/// its registry and serves their dumps over the admin path
-/// (`Request::Series` / `Request::Health`).
-#[derive(Debug, Clone)]
-pub struct ObserveConfig {
-    /// Virtual-time sampling interval for the time-series recorder.
-    pub sample_interval: Duration,
-}
-
-impl Default for ObserveConfig {
-    fn default() -> Self {
-        ObserveConfig {
-            sample_interval: Duration::from_millis(1),
-        }
-    }
-}
-
 /// Full broker configuration. Defaults follow the paper's §5 "Settings":
 /// eight API threads, preallocated log files (the three network threads are
 /// fixed). [`Broker::start`](crate::Broker::start) refuses a zero
@@ -111,8 +91,6 @@ pub struct BrokerConfig {
     /// multiplex over. `0` (the paper's configuration) has every accepted
     /// QP pin its own context instead.
     pub mux_pool: usize,
-    /// Continuous telemetry (sampler + watchdog); `None` = off (default).
-    pub observe: Option<ObserveConfig>,
     /// The file tier: `None` (default) keeps logs in memory only; `Some`
     /// spills sealed segments to files behind a zero-copy hot tier, one
     /// `node<N>/<topic>-<partition>` subtree of its directory per partition.
@@ -135,7 +113,6 @@ impl Default for BrokerConfig {
             cq_batch: 16,
             srq_depth: 4096,
             mux_pool: 0,
-            observe: None,
             storage: None,
         }
     }

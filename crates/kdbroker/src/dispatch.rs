@@ -266,26 +266,5 @@ async fn handle_rpc(
             let tp = b.store.topic_partition(&topic, partition);
             rdma_consume::handle_release(b, &tp, consumer_id, segment, reply)
         }
-        Request::Telemetry => {
-            let json = b.telem.registry.snapshot().to_json_lines();
-            reply.send(Response::Telemetry {
-                error: ErrorCode::None,
-                json,
-            });
-        }
-        Request::Series => {
-            let (error, json) = match &b.series {
-                Some(s) => (ErrorCode::None, s.dump().to_json_lines()),
-                None => (ErrorCode::NotSupported, String::new()),
-            };
-            reply.send(Response::Series { error, json });
-        }
-        Request::Health => {
-            let (error, json) = match &b.watchdog {
-                Some(w) => (ErrorCode::None, kdtelem::health::to_json_lines(&w.events())),
-                None => (ErrorCode::NotSupported, String::new()),
-            };
-            reply.send(Response::Health { error, json });
-        }
     }
 }

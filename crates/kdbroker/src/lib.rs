@@ -39,5 +39,5 @@ pub mod server_tcp;
 mod tcp_produce;
 
 pub use broker::Broker;
-pub use config::{BrokerConfig, ObserveConfig, RdmaToggles, Transport};
+pub use config::{BrokerConfig, RdmaToggles, Transport};
 pub use metrics::MetricsSnapshot;

@@ -75,14 +75,14 @@ fn start_produce_listener(b: &Rc<BrokerInner>, srq: Srq) {
             let lease = mux_pool.as_ref().map(|pool| pool.lease());
             let qpn = qp.qpn();
             b.produce_qps.borrow_mut().insert(qpn, qp.clone());
-            // Watch for client failure: revoke produce grants held by that
-            // node (§4.2.2 failure handling).
+            // Watch for client failure: revoke the produce grants held
+            // through this QP (§4.2.2 failure handling).
             let b2 = Rc::clone(&b);
             sim::spawn_detached(async move {
                 qp.disconnected().await;
                 drop(lease);
                 b2.produce_qps.borrow_mut().remove(&qpn);
-                crate::rdma_produce::revoke_grants_of_node(&b2, from);
+                crate::rdma_produce::revoke_grants_of_qp(&b2, qpn, from);
             });
         }
     });
@@ -157,6 +157,7 @@ async fn poller_loop(b: Rc<BrokerInner>, srq: Srq, batch_hist: kdtelem::Histogra
             let seq = if produced(cqe) {
                 let (file_id, _) = kdwire::unpack_imm(cqe.imm.unwrap_or(0));
                 b.produce_module.lookup(file_id).map(|(_, grant)| {
+                    grant.qpn.set(Some(cqe.qpn));
                     let s = grant.next_seq.get();
                     grant.next_seq.set(s + 1);
                     (s, grant)

@@ -78,6 +78,8 @@ pub struct Grant {
     /// Node the grant was issued to (exclusive/replication revocation on
     /// disconnect).
     pub owner: NodeId,
+    /// The produce QP its last write arrived on: the producer that holds it.
+    pub qpn: Cell<Option<u32>>,
     /// Set when the grant is revoked/rolled; late completions get errors.
     pub closed: Cell<bool>,
     /// Completion-order commit turn (§4.2.2: requests are processed "in the
@@ -178,6 +180,7 @@ impl ProduceModule {
             mode,
             mr,
             owner,
+            qpn: Cell::new(None),
             closed: Cell::new(false),
             turn: Frontier::default(),
             next_seq: Cell::new(0),
@@ -508,14 +511,22 @@ pub fn revoke_grant(b: &Rc<BrokerInner>, p: &Rc<Partition>, grant: &Rc<Grant>, e
     b.metrics.grants_revoked.add(1);
 }
 
-/// Revokes exclusive/replication grants owned by a disconnected node
-/// (§4.2.2: "If the RDMA producer fails, its exclusive RDMA access will be
-/// revoked").
-pub fn revoke_grants_of_node(b: &Rc<BrokerInner>, node: NodeId) {
+/// Revokes the exclusive/replication grants held through produce QP `qpn`
+/// of `node`, which disconnected (§4.2.2: "If the RDMA producer fails, its
+/// exclusive RDMA access will be revoked"). A grant is held through the QP
+/// its writes arrive on; one that has carried no write yet goes once no
+/// other produce QP of its node is up.
+pub fn revoke_grants_of_qp(b: &Rc<BrokerInner>, qpn: u32, node: NodeId) {
+    let node_gone = || {
+        let qps = b.produce_qps.borrow();
+        !qps.values()
+            .any(|qp| qp.is_alive() && qp.peer_node() == Some(node))
+    };
     for p in b.store.local_partitions() {
         let grant = p.grant.borrow().clone();
         if let Some(g) = grant {
-            if g.owner == node && g.mode != ProduceMode::Shared && !g.closed.get() {
+            let held = g.owner == node && g.mode != ProduceMode::Shared && !g.closed.get();
+            if held && g.qpn.get().map_or_else(node_gone, |q| q == qpn) {
                 revoke_grant(b, &p, &g, ErrorCode::AccessDenied);
             }
         }

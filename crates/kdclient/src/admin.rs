@@ -102,40 +102,6 @@ impl Admin {
         Ok((offset != u64::MAX).then_some(offset))
     }
 
-    /// Fetches the broker's telemetry snapshot (counters, gauges, latency
-    /// histograms) over the admin path as a parsed [`kdtelem::TelemetryReport`].
-    pub async fn telemetry(&self) -> Result<kdtelem::TelemetryReport, ClientError> {
-        let Response::Telemetry { error, json } = self.conn.call(&Request::Telemetry).await? else {
-            return Err(ClientError::Protocol);
-        };
-        check(error)?;
-        kdtelem::TelemetryReport::from_json_lines(&json).ok_or(ClientError::Protocol)
-    }
-
-    /// Fetches the broker's virtual-time time-series recording (every
-    /// counter/gauge/histogram sampled on a fixed virtual-time grid) as a
-    /// parsed [`kdtelem::SeriesDump`]. Errors with
-    /// [`ClientError::Broker`] (`NotSupported`) when the broker runs
-    /// without a sampler (`BrokerConfig::observe` unset).
-    pub async fn series(&self) -> Result<kdtelem::SeriesDump, ClientError> {
-        let Response::Series { error, json } = self.conn.call(&Request::Series).await? else {
-            return Err(ClientError::Protocol);
-        };
-        check(error)?;
-        kdtelem::SeriesDump::from_json_lines(&json).ok_or(ClientError::Protocol)
-    }
-
-    /// Fetches the broker's health-watchdog event log (stalls, recoveries,
-    /// MTTR measurements). Errors with [`ClientError::Broker`]
-    /// (`NotSupported`) when the broker runs without a watchdog.
-    pub async fn health(&self) -> Result<Vec<kdtelem::HealthEvent>, ClientError> {
-        let Response::Health { error, json } = self.conn.call(&Request::Health).await? else {
-            return Err(ClientError::Protocol);
-        };
-        check(error)?;
-        kdtelem::health::from_json_lines(&json).ok_or(ClientError::Protocol)
-    }
-
     /// Earliest/latest (high watermark) offsets of a partition.
     pub async fn list_offsets(
         &self,

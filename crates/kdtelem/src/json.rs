@@ -1,5 +1,5 @@
-//! The one JSON codec of every export. A telemetry report, series or health
-//! line and a Chrome trace event are each one object of string, number and
+//! The one JSON codec of every export. A telemetry report or series line
+//! and a Chrome trace event are each one object of string, number and
 //! boolean fields (a Chrome event nests one more object, its `args`):
 //! `Obj` writes one and [`Fields`] reads one back. Keys are plain names,
 //! written and matched as they are. `Fields` is public so that other flat
@@ -99,7 +99,7 @@ impl<'a> Fields<'a> {
         found
     }
 
-    pub(crate) fn str(&self, key: &str) -> Option<String> {
+    pub fn str(&self, key: &str) -> Option<String> {
         let raw = self.raw(key)?.strip_prefix('"')?.strip_suffix('"')?;
         let mut out = String::with_capacity(raw.len());
         let mut chars = raw.chars();
@@ -137,7 +137,7 @@ impl<'a> Fields<'a> {
 
 /// The objects of a JSON-lines text, one per non-blank line: `None` for a
 /// line that is not exactly one object.
-pub(crate) fn lines(text: &str) -> impl Iterator<Item = Option<Fields<'_>>> {
+pub fn lines(text: &str) -> impl Iterator<Item = Option<Fields<'_>>> {
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty())

@@ -25,11 +25,12 @@
 //!   exactly with end-to-end latency, a Perfetto-loadable exporter
 //!   ([`chrome`]) and [`canonical_trace_digest`].
 //! * Continuous telemetry: a wheel-driven sampler cutting one point per
-//!   registry entry per tick into bounded rings ([`series`]) and a health
-//!   watchdog (stall detection, failover MTTR — [`health`]).
+//!   registry entry per tick into bounded rings ([`series`]), and stall
+//!   detection and failover MTTR read from the recorded series
+//!   ([`health()`]).
 //! * Export: [`TelemetryReport`] (text table or JSON lines), the series dump
-//!   and the health log — shipped over the admin path — and the Chrome
-//!   trace all write and read through one JSON codec.
+//!   (`KD_SERIES`, read back by `kdtop`) and the Chrome trace all write
+//!   through one JSON codec, which reads the series and the trace back.
 //!
 //! The ambient registry ([`current`] / [`enter`]) lets deeply buried
 //! components (a `netsim` link, an rnic CQ) pick up instruments without
@@ -42,7 +43,7 @@
 pub mod check;
 pub mod chrome;
 pub mod critpath;
-pub mod health;
+mod health;
 mod hist;
 pub mod json;
 mod registry;
@@ -50,7 +51,7 @@ mod report;
 pub mod series;
 pub mod trace;
 
-pub use health::{HealthEvent, HealthKind, Watchdog, WatchdogOptions};
+pub use health::{health, Health, HealthEvent, HealthKind};
 pub use hist::{HistSnapshot, HistStats, Histogram};
 pub use registry::{current, enter, Counter, Gauge, Registry, ScopeGuard, TraceSpan};
 pub use report::{CounterRow, GaugeRow, HistRow, TelemetryReport};

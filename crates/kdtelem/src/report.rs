@@ -3,7 +3,7 @@
 //! metric per line) with no external dependencies.
 
 use crate::hist::HistStats;
-use crate::json::{self, Obj};
+use crate::json::Obj;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterRow {
@@ -128,47 +128,6 @@ impl TelemetryReport {
         }
         out
     }
-
-    /// Parses the output of [`to_json_lines`](TelemetryReport::to_json_lines)
-    /// back into a report (histograms come back as summary stats only). Used
-    /// by the admin path: a broker ships its report over the wire as JSON
-    /// lines.
-    pub fn from_json_lines(text: &str) -> Option<TelemetryReport> {
-        let mut report = TelemetryReport::default();
-        for f in json::lines(text) {
-            let f = f?;
-            let (component, name) = (f.str("component")?, f.str("name")?);
-            match f.str("kind")?.as_str() {
-                "counter" => report.counters.push(CounterRow {
-                    component,
-                    name,
-                    value: f.u64("value")?,
-                }),
-                "gauge" => report.gauges.push(GaugeRow {
-                    component,
-                    name,
-                    value: f.u64("value")?,
-                    peak: f.u64("peak")?,
-                }),
-                "histogram" => report.histograms.push(HistRow {
-                    component,
-                    name,
-                    stats: HistStats {
-                        count: f.u64("count")?,
-                        sum: f.u64("sum")?,
-                        min: f.u64("min")?,
-                        max: f.u64("max")?,
-                        mean: f.f64("mean")?,
-                        p50: f.u64("p50")?,
-                        p90: f.u64("p90")?,
-                        p99: f.u64("p99")?,
-                    },
-                }),
-                _ => return None,
-            }
-        }
-        Some(report)
-    }
 }
 
 /// A metric's line, up to its values.
@@ -206,6 +165,7 @@ fn section<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use crate::Registry;
 
     fn sample_report() -> TelemetryReport {
@@ -238,14 +198,20 @@ mod tests {
         for line in json.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
-        let back = TelemetryReport::from_json_lines(&json).expect("parse");
-        assert_eq!(back.counter("kdbroker", "produce.requests"), Some(12));
-        assert_eq!(back.counter("rnic", "qp.posts"), Some(99));
-        let g = back.gauge("rnic", "cq.depth").unwrap();
-        assert_eq!((g.value, g.peak), (3, 5));
-        let h = back.histogram("kdclient", "produce.e2e_ns").unwrap();
-        assert_eq!(h.stats.count, 5);
-        assert_eq!(h.stats.min, 1_000);
+        // Each line reads back through the one JSON reader.
+        let lines: Vec<_> = json::lines(&json).map(Option::unwrap).collect();
+        let find = |name: &str| {
+            lines
+                .iter()
+                .find(|f| f.str("name").as_deref() == Some(name))
+        };
+        assert_eq!(find("produce.requests").unwrap().u64("value"), Some(12));
+        assert_eq!(find("qp.posts").unwrap().u64("value"), Some(99));
+        let g = find("cq.depth").unwrap();
+        assert_eq!((g.u64("value"), g.u64("peak")), (Some(3), Some(5)));
+        let h = find("produce.e2e_ns").unwrap();
+        assert_eq!(h.str("kind").as_deref(), Some("histogram"));
+        assert_eq!((h.u64("count"), h.u64("min")), (Some(5), Some(1_000)));
     }
 
     #[test]
@@ -261,12 +227,5 @@ mod tests {
         );
         let f = json::lines(&line).next().flatten().unwrap();
         assert_eq!(f.str("component").as_deref(), Some("a\"b\\c\nd"));
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(TelemetryReport::from_json_lines("{\"kind\":\"wat\"}").is_none());
-        // Blank input parses to an empty report.
-        assert!(TelemetryReport::from_json_lines("").is_some());
     }
 }

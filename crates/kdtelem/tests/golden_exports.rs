@@ -1,13 +1,11 @@
 //! Golden bytes of every export format for a fixed input: the telemetry
-//! report (JSON lines and text table), the series dump, the health log, the
-//! Chrome trace and the canonical digest of one event log. Tools and the
-//! admin wire path read these bytes, so a refactor of the writers must leave
-//! them exactly as they are; a deliberate format change re-records the
-//! string here and says why.
+//! report (JSON lines and text table), the series dump, the Chrome trace and
+//! the canonical digest of one event log. Tools read these bytes, so a
+//! refactor of the writers must leave them exactly as they are; a deliberate
+//! format change re-records the string here and says why.
 
 use std::time::Duration;
 
-use kdtelem::health::{self, HealthEvent, HealthKind};
 use kdtelem::{EventKind, Registry, SeriesLog, SeriesOptions, TraceEvent};
 
 /// A registry with two cells of one counter name, a shared and a per-owner
@@ -129,38 +127,6 @@ fn series_json_lines_are_pinned() {
         log.dump().to_json_lines()
     });
     assert_eq!(json, SERIES_JSON, "{json}");
-}
-
-const HEALTH_JSON: &str = "\
-{\"kind\":\"stall\",\"ts_ns\":1000,\"since_ns\":500,\"budget_ns\":400}\n\
-{\"kind\":\"recovered\",\"ts_ns\":2000,\"stalled_ns\":1500}\n\
-{\"kind\":\"mttr\",\"ts_ns\":3000,\"crash_ns\":800,\"mttr_ns\":2200}\n\
-";
-
-#[test]
-fn health_json_lines_are_pinned() {
-    let events = [
-        HealthEvent {
-            ts_ns: 1_000,
-            kind: HealthKind::Stall {
-                since_ns: 500,
-                budget_ns: 400,
-            },
-        },
-        HealthEvent {
-            ts_ns: 2_000,
-            kind: HealthKind::Recovered { stalled_ns: 1_500 },
-        },
-        HealthEvent {
-            ts_ns: 3_000,
-            kind: HealthKind::Mttr {
-                crash_ns: 800,
-                mttr_ns: 2_200,
-            },
-        },
-    ];
-    let json = health::to_json_lines(&events);
-    assert_eq!(json, HEALTH_JSON, "{json}");
 }
 
 /// One event of every kind, on two lifelines.

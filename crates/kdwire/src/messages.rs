@@ -411,9 +411,6 @@ wire_enum! {
         /// The request carries (or the broker holds) a stale leader epoch: a
         /// failover happened and the caller must refresh metadata.
         FencedEpoch = 10,
-        /// The broker is not running the requested optional facility (e.g. a
-        /// `Series`/`Health` request against a broker with no sampler/watchdog).
-        NotSupported = 11,
         /// The requested offset precedes the retention floor: its segment was
         /// reclaimed from every storage tier.
         OffsetOutOfRange = 12,
@@ -503,17 +500,6 @@ wire_enum! {
             leader: BrokerAddr,
             replicas: Vec<BrokerAddr>,
         } = 11,
-        /// Admin: dump the broker's telemetry registry (counters, gauges,
-        /// latency histograms) as JSON lines.
-        Telemetry = 13,
-        /// Admin: dump the broker's virtual-time time-series recorder
-        /// (`kdtelem::SeriesDump`) as JSON lines. Errors with
-        /// [`ErrorCode::NotSupported`] when the broker runs without a sampler.
-        Series = 14,
-        /// Admin: dump the broker's health-watchdog event log
-        /// (`kdtelem::HealthEvent`s) as JSON lines. Errors with
-        /// [`ErrorCode::NotSupported`] when the broker runs without a watchdog.
-        Health = 15,
     }
 }
 
@@ -539,12 +525,6 @@ wire_enum! {
         /// EXTENSION: the 8-byte RDMA-writable offset slot.
         OffsetSlotAccess { error: ErrorCode, region: RemoteRegion } = 12,
         InternalAddPartition { error: ErrorCode } = 11,
-        /// JSON-lines encoding of a `kdtelem::TelemetryReport`.
-        Telemetry { error: ErrorCode, json: String } = 13,
-        /// JSON-lines encoding of a `kdtelem::SeriesDump`.
-        Series { error: ErrorCode, json: String } = 14,
-        /// JSON-lines encoding of the watchdog's `kdtelem::HealthEvent` log.
-        Health { error: ErrorCode, json: String } = 15,
     }
 }
 
@@ -763,9 +743,6 @@ mod tests {
                 },
                 "0b0174010000000300000000000000000000008423534800",
             ),
-            (Request::Telemetry, "0d"),
-            (Request::Series, "0e"),
-            (Request::Health, "0f"),
         ];
         assert_golden(&cases, Request::encode, Request::decode);
     }
@@ -963,27 +940,6 @@ mod tests {
                 },
                 "0b0a",
             ),
-            (
-                Response::Telemetry {
-                    error: ErrorCode::None,
-                    json: "{\"kind\":\"counter\"}\n".into(),
-                },
-                "0d00137b226b696e64223a22636f756e746572227d0a",
-            ),
-            (
-                Response::Series {
-                    error: ErrorCode::None,
-                    json: "{\"kind\":\"series\",\"interval_ns\":1000000}\n".into(),
-                },
-                "0e00287b226b696e64223a22736572696573222c22696e74657276616c5f6e73223a313030303030307d0a",
-            ),
-            (
-                Response::Health {
-                    error: ErrorCode::NotSupported,
-                    json: String::new(),
-                },
-                "0f0b00",
-            ),
         ];
         assert_golden(&cases, Response::encode, Response::decode);
     }
@@ -1002,14 +958,15 @@ mod tests {
             ErrorCode::OrderTimeout,
             ErrorCode::Internal,
             ErrorCode::FencedEpoch,
-            ErrorCode::NotSupported,
             ErrorCode::OffsetOutOfRange,
         ];
-        for (byte, error) in codes.into_iter().enumerate() {
+        // Byte 11 belonged to a deleted code and stays unassigned.
+        for (byte, error) in (0..=10).chain([12]).zip(codes) {
             let resp = Response::CreateTopic { error };
             assert_eq!(resp.encode(), [1, byte as u8], "{error:?}");
             assert_eq!(Response::decode(&[1, byte as u8]), Ok(resp));
         }
+        assert_eq!(Response::decode(&[1, 11]), Err(WireError::BadValue));
         assert_eq!(Response::decode(&[1, 13]), Err(WireError::BadValue));
     }
 

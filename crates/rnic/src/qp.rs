@@ -221,6 +221,11 @@ impl QueuePair {
         self.shared.is_alive()
     }
 
+    /// The node of the other endpoint, while that endpoint exists.
+    pub fn peer_node(&self) -> Option<netsim::NodeId> {
+        self.shared.peer().map(|p| p.nic.node.id)
+    }
+
     /// Resolves when the QP enters the error state (peer failure/close) —
     /// §4.2.2: "Client failure can be detected from QP disconnection
     /// events."

@@ -16,14 +16,15 @@
 //! every record is read back again — exiting non-zero if the recovered log
 //! differs.
 //!
-//! The broker runs under its continuous-telemetry sampler and health
-//! watchdog; at the end the example pulls the recorded time-series and
-//! health log over the admin wire path and runs the critical-path checker
-//! over the run's trace lifelines. Any watchdog stall or critpath
-//! reconciliation error exits non-zero — CI runs this as a live
+//! A continuous-telemetry sampler records the produce/consume round; the
+//! example reads stalls from that series (`kdtelem::health`) and runs the
+//! critical-path checker over the run's trace lifelines. Any stall or
+//! critpath reconciliation error exits non-zero — CI runs this as a live
 //! observability gate.
 
-use kafkadirect::{ClusterOptions, ObserveConfig, Record, SimCluster, SystemKind};
+use std::time::Duration;
+
+use kafkadirect::{ClusterOptions, Record, SimCluster, SystemKind};
 use kdclient::{RdmaConsumer, RdmaProducer};
 
 fn main() {
@@ -38,9 +39,15 @@ fn main() {
     rt.block_on(async move {
         let dir = dir2;
         // A one-broker KafkaDirect cluster on a simulated 56 Gbit/s fabric,
-        // sampled continuously at the default observability cadence.
+        // sampled every 100 µs of virtual time from its start.
+        let sampler = kdtelem::Sampler::start(
+            &kdtelem::current(),
+            kdtelem::SeriesOptions {
+                interval: Duration::from_micros(100),
+                ..Default::default()
+            },
+        );
         let mut opts = ClusterOptions::default();
-        opts.broker.observe = Some(ObserveConfig::default());
         opts.broker.storage = storage;
         let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 1, opts);
         cluster.create_topic("greetings", 1, 1).await;
@@ -96,6 +103,8 @@ fn main() {
             println!("  fsyncs               : {}", m.storage_fsyncs);
         }
         println!("  virtual time elapsed : {}", sim::now());
+        sampler.stop();
+        let series = sampler.dump();
 
         // Durability drill: kill the broker process, recover from the
         // segment files, and prove every acked record survived.
@@ -129,9 +138,9 @@ fn main() {
             );
         }
 
-        // Continuous telemetry: the broker sampled itself the whole run.
-        let series = cluster.broker_series(0).await;
-        let health = cluster.broker_health(0).await;
+        // Continuous telemetry: the series of the produce/consume round, and
+        // any stretch of 5 ms without a commit in it.
+        let health = kdtelem::health(&series, Duration::from_millis(5));
         println!();
         println!("observability:");
         println!(
@@ -143,12 +152,13 @@ fn main() {
             println!("  commit deltas        : {:?}", c.deltas());
         }
         let stalls = health
+            .events
             .iter()
             .filter(|e| matches!(e.kind, kdtelem::HealthKind::Stall { .. }))
             .count();
-        println!("  watchdog stalls      : {stalls}");
+        println!("  stalls               : {stalls}");
         if stalls > 0 {
-            eprintln!("quickstart: health watchdog reported {stalls} stall event(s)");
+            eprintln!("quickstart: the series shows {stalls} stall(s)");
             std::process::exit(1);
         }
     });

@@ -322,7 +322,8 @@ fi
 # `sim::sync` and in the RNIC's CQs is `wait_list::Arm::set`, and every queue
 # of items due at instants is one `sim::InlineDeque` kept by `push_due`. The
 # due store against the heap it replaced, and the exact re-park counts of a
-# replicated RDMA produce (a TCP produce's are gated by the budgets run
+# replicated RDMA produce (a TCP produce's, an exclusive RDMA produce's, a
+# consume catch-up's and a fan-in connect's are gated by the budgets run
 # below), by name. Then the re-fork guards: no heap in the due queue, no
 # scheduled-CQE counter in the CQ, no `VecDeque` in `sim::sync` above its
 # tests, and `wake_at(` once, in the one arm operation.
@@ -349,10 +350,9 @@ fi
 cargo test -q --offline -p sim wheel
 cargo test -q --offline -p sim --test prop_timer_order
 
-# Smoke-run the quickstart example end to end. It runs the broker under the
-# continuous-telemetry sampler and health watchdog and exits non-zero on any
-# watchdog stall event or critical-path checker error, so this doubles as
-# the live observability gate. The --durable variant reruns it over the
+# Smoke-run the quickstart example end to end. It samples the run's registry
+# and exits non-zero on any stall read from the series or critical-path
+# checker error, so this doubles as the live observability gate. The --durable variant reruns it over the
 # file-backed tier and re-reads every record after a crash + restart.
 cargo run -q --release --offline --example quickstart
 cargo run -q --release --offline --example quickstart -- --durable
@@ -539,6 +539,24 @@ if [ "$(awk '/#\[cfg\(test\)\]/ { exit } /sim::spawn/' $producer | wc -l)" != 1 
     echo "ci: a producer spawns its ack reader before it pipelines, or a push collector races its disconnect wait again (see DESIGN.md §10)" >&2
     exit 1
 fi
+
+# One way to read telemetry (DESIGN.md §8): every registry lives in the
+# harness's process, which reads it directly, and stalls and failover MTTR
+# are a function of a recorded series (`kdtelem::health`). The function's
+# rules and the crash soak that reads them from its series, by name. Then the
+# re-fork guard: no broker-side sampler or watchdog, no watchdog task and no
+# telemetry RPC or its error code.
+cargo test -q --offline -p kdtelem --lib health::tests
+cargo test -q --offline --test observability
+if grep -rnE "ObserveConfig|WatchdogOptions|struct Watchdog|Request::(Telemetry|Series|Health)|broker_(telemetry|series|health)|NotSupported" \
+    crates/ tests/ examples/; then
+    echo "ci: the admin telemetry path or the watchdog task reappeared (see DESIGN.md §8)" >&2
+    exit 1
+fi
+
+# A produce grant goes with the QP that holds it (§4.2.2 failure handling):
+# one producer's crash leaves its node neighbour's grant, by name.
+cargo test -q --offline --test e2e_failures a_producer_crash_leaves_its_node_neighbours_grant
 
 # Re-fork guard: there is one wall-clock harness (kdmark, below) and no
 # per-PR report files; what the second harness gated is the tests above.

@@ -162,6 +162,19 @@ struct Mark {
 /// re-poll that leaves a waiter parked) is counted under.
 const REPARK_KINDS: usize = sim::sync::wait_list::KINDS.len();
 
+/// Re-parks are exact: a wake that does nothing, added or removed, moves
+/// one of them.
+fn check_reparks(what: &str, got: [u64; REPARK_KINDS], expected: [u64; REPARK_KINDS]) {
+    let named = |counts: [u64; REPARK_KINDS]| -> Vec<(&str, u64)> {
+        sim::sync::wait_list::KINDS
+            .into_iter()
+            .zip(counts)
+            .collect()
+    };
+    let (got, expected) = (named(got), named(expected));
+    assert_eq!(got, expected, "{what}: re-parks by wait-list kind");
+}
+
 impl Mark {
     fn take(rt: &sim::Runtime) -> Mark {
         Mark {
@@ -194,17 +207,6 @@ impl Region {
             virtual_ns: (end.now - start.now).as_nanos() as u64,
             reparks: std::array::from_fn(|i| end.reparks[i] - start.reparks[i]),
         }
-    }
-
-    /// Re-parks are exact: a wake that does nothing, added or removed,
-    /// moves one of them.
-    fn check_reparks(&self, what: &str, expected: [u64; REPARK_KINDS]) {
-        let kinds = sim::sync::wait_list::KINDS;
-        let named = |counts: [u64; REPARK_KINDS]| -> Vec<(&str, u64)> {
-            kinds.into_iter().zip(counts).collect()
-        };
-        let (got, expected) = (named(self.reparks), named(expected));
-        assert_eq!(got, expected, "{what}: re-parks by wait-list kind");
     }
 
     fn allocs(&self) -> u64 {
@@ -330,6 +332,11 @@ fn rdma_exclusive_produce_per_record() {
     let (r, _) = produce(system, mode, None, None, RECORDS, RECORD_BYTES);
     r.check_polls("rdma_exclusive", 2.62);
     r.check_allocs("rdma_exclusive", 0.05);
+    // A poller armed for a CQE that another poller drained first parks on
+    // the CQ again.
+    let mut reparks = [0; REPARK_KINDS];
+    reparks[sim::sync::wait_list::CQ] = 248;
+    check_reparks("rdma_exclusive", r.reparks, reparks);
     assert_eq!(
         r.virtual_ns, 20_776_198,
         "rdma_exclusive: the virtual timeline moved"
@@ -480,7 +487,7 @@ fn tcp_produce_per_record() {
     );
     r.check_polls("tcp", 10.25);
     r.check_allocs("tcp", 3.05);
-    r.check_reparks("tcp", [0; REPARK_KINDS]);
+    check_reparks("tcp", r.reparks, [0; REPARK_KINDS]);
     assert_eq!(r.virtual_ns, 136_213_080, "tcp: the virtual timeline moved");
 }
 
@@ -633,6 +640,7 @@ fn rdma_consume_catchup_per_record() {
     });
     r.check_polls("rdma_consume", 0.57);
     r.check_allocs("rdma_consume", 0.30);
+    check_reparks("rdma_consume", r.reparks, [0; REPARK_KINDS]);
 }
 
 /// A fully replicated RDMA produce: 3 brokers, RF 3, push replication, one
@@ -660,7 +668,7 @@ fn rdma_consume_catchup_per_record() {
 fn replicated_rdma_produce_polls_per_record() {
     let (r, _) = replicated_produce(false);
     r.check_polls("replicated rdma produce", 26.5);
-    r.check_reparks("replicated rdma produce", [0; REPARK_KINDS]);
+    check_reparks("replicated rdma produce", r.reparks, [0; REPARK_KINDS]);
     r.check_allocs("replicated rdma produce", 0.137);
 }
 
@@ -788,6 +796,8 @@ struct Parked {
     traces: Vec<Backtrace>,
     /// Polls by spawn site, if asked for.
     poll_sites: Vec<(sim::Site, u64)>,
+    /// Re-parks, by wait-list kind, theirs and the broker's.
+    reparks: [u64; REPARK_KINDS],
 }
 
 /// What [`park_fanin_clients`] attributes to call sites. Either costs
@@ -806,7 +816,7 @@ fn park_fanin_clients(clients: usize, sends: usize, attribute: Attribute) -> Par
     let _telem = kdtelem::enter(&registry);
     let rt = sim::Runtime::new();
     let (cluster, leaders) = rt.block_on(async move { fanin_cluster(&registry).await });
-    let polls = rt.poll_count();
+    let (polls, reparks) = (rt.poll_count(), sim::sync::wait_list::reparks());
     let (held, allocs, traces, poll_sites, kept) = rt.block_on(async move {
         let mut parked = Vec::with_capacity(clients);
         let (before, allocs) = (live_by_class(), allocs_by_class());
@@ -831,6 +841,8 @@ fn park_fanin_clients(clients: usize, sends: usize, attribute: Attribute) -> Par
         (held, allocs, traces, poll_sites, (cluster, parked))
     });
     let polls = rt.poll_count() - polls;
+    let after = sim::sync::wait_list::reparks();
+    let reparks = std::array::from_fn(|i| after[i] - reparks[i]);
     rt.block_on(async move { drop(kept) });
     Parked {
         held,
@@ -838,6 +850,7 @@ fn park_fanin_clients(clients: usize, sends: usize, attribute: Attribute) -> Par
         polls,
         traces,
         poll_sites,
+        reparks,
     }
 }
 
@@ -914,10 +927,11 @@ fn fanin_client_connect_allocations() {
 fn fanin_client_polls() {
     const CLIENTS: usize = 1000;
     const POLLS: u64 = 28_005;
-    let polls = park_fanin_clients(CLIENTS, 1, Attribute::Nothing).polls;
-    let per_client = polls as f64 / CLIENTS as f64;
+    let parked = park_fanin_clients(CLIENTS, 1, Attribute::Nothing);
+    let per_client = parked.polls as f64 / CLIENTS as f64;
     let what = format!("{CLIENTS} fan-in clients' connects and first sends");
-    assert_eq!(polls, POLLS, "{what}: {per_client:.3} polls each");
+    assert_eq!(parked.polls, POLLS, "{what}: {per_client:.3} polls each");
+    check_reparks(&what, parked.reparks, [0; REPARK_KINDS]);
 }
 
 /// Where a connect allocates (DESIGN.md §10's owner table): the scenario of

@@ -76,6 +76,40 @@ fn dropped_exclusive_producer_releases_its_grant() {
     });
 }
 
+/// One producer's crash revokes its own grant, not its node's: two
+/// exclusive producers on one node write partitions 0 and 1, the first
+/// crashes, and the second keeps its grant and its offsets (when a QP's
+/// disconnect revoked every grant of its node, both went and the second's
+/// next send failed with `Broker(Internal)`).
+#[test]
+fn a_producer_crash_leaves_its_node_neighbours_grant() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+        cluster.create_topic("t", 2, 1).await;
+        let cnode = cluster.add_client_node("c");
+        let mut p0 = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, false)
+            .await
+            .unwrap();
+        let mut p1 = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 1, false)
+            .await
+            .unwrap();
+        assert_eq!(p0.send(&Record::value(vec![0; 32])).await, Ok(0));
+        assert_eq!(p1.send(&Record::value(vec![1; 32])).await, Ok(0));
+
+        p0.crash();
+        sim::time::sleep(Duration::from_millis(1)).await;
+        for i in 1..=3u64 {
+            assert_eq!(
+                p1.send(&Record::value(vec![1; 32])).await,
+                Ok(i),
+                "send {i}"
+            );
+        }
+        assert_eq!(cluster.broker(0).metrics().grants_revoked, 1);
+    });
+}
+
 /// Consumers that go out of scope disconnect: the broker's ends of their QPs
 /// stop occupying contexts on its NIC (the cache knee counts those) and are
 /// let go of, instead of accumulating for as long as the broker lives.

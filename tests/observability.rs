@@ -1,50 +1,43 @@
 //! Continuous-telemetry integration: a chaos soak whose time-series shows
 //! the throughput dip and recovery around an injected broker crash with a
-//! finite failover MTTR, the admin wire path for series/health dumps, and
-//! the determinism guarantee (sampling on/off leaves the trace-event log
-//! bit-identical).
+//! finite failover MTTR read from it (`kdtelem::health`), replication lag
+//! in a harness-sampled series, and the determinism guarantee (sampling
+//! on/off leaves the trace-event log bit-identical).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use kafkadirect::{ClusterOptions, ObserveConfig, SimCluster, SystemKind};
-use kdclient::{Admin, ClientError, RdmaConsumer, RdmaProducer};
+use kafkadirect::{SimCluster, SystemKind};
+use kdclient::{RdmaConsumer, RdmaProducer};
 use kdstorage::Record;
-use kdtelem::{HealthKind, Sampler, SeriesOptions, Watchdog, WatchdogOptions};
+use kdtelem::{HealthKind, Sampler, SeriesOptions};
 
 const CRASH_NS: u64 = 500_000;
 const FAILOVER_NS: u64 = 700_000;
 const RESTART_NS: u64 = 3_000_000;
 
-/// Chaos soak under an ambient sampler + watchdog: crash the partition
-/// leader mid-stream, fail over, restart. The exported series must show
-/// commit throughput dip to zero across the outage and recover after the
+/// Chaos soak under an ambient sampler: crash the partition leader
+/// mid-stream, fail over, restart. The exported series must show commit
+/// throughput dip to zero across the outage and recover after the
 /// failover, the fault injection must be visible in the same series, and
-/// the watchdog must report a stall and a finite MTTR.
+/// `kdtelem::health` must read a stall and a finite MTTR from it.
 #[test]
 fn crash_soak_series_shows_dip_recovery_and_finite_mttr() {
     let rt = sim::Runtime::with_seed(7);
     let registry = kdtelem::Registry::new();
     let _t = kdtelem::enter(&registry);
     let reg = registry.clone();
-    let (dump, dog_events, mttr, plan_start) = rt.block_on(async move {
+    let (dump, plan_start) = rt.block_on(async move {
         let injector = kdfault::Injector::new();
         let _i = kdfault::enter(&injector);
-        // Ambient (cluster-wide) observability: unlike the broker-owned
-        // sampler, this one survives the crash and records across it.
+        // Ambient (cluster-wide) observability: the harness's sampler
+        // belongs to no broker, so it records across the crash.
         let log = Sampler::start(
             &reg,
             SeriesOptions {
                 interval: Duration::from_micros(50),
                 capacity: 1 << 14,
-            },
-        );
-        let dog = Watchdog::start(
-            &reg,
-            WatchdogOptions {
-                poll: Duration::from_micros(50),
-                budget: Duration::from_micros(150),
             },
         );
 
@@ -60,7 +53,8 @@ fn crash_soak_series_shows_dip_recovery_and_finite_mttr() {
         // recovery. On failure the loop redials every broker directly (the
         // usual bootstrap re-resolve would dial the crashed leader), so it
         // finds the promoted follower as soon as the failover lands — the
-        // watchdog's MTTR then measures the failover, not the restart.
+        // MTTR read from the series then measures the failover, not the
+        // restart.
         let pnode = cluster.add_client_node("p");
         let addrs: Vec<_> = (0..cluster.broker_count())
             .map(|i| cluster.broker(i).addr())
@@ -139,8 +133,7 @@ fn crash_soak_series_shows_dip_recovery_and_finite_mttr() {
             acked.borrow().len()
         );
         log.stop();
-        dog.stop();
-        (log.dump(), dog.events(), dog.mttr_ns(), plan_start)
+        (log.dump(), plan_start)
     });
 
     // The series export round-trips (this is what KD_SERIES writes to disk).
@@ -199,23 +192,25 @@ fn crash_soak_series_shows_dip_recovery_and_finite_mttr() {
         "link backlog gauge missing from the series"
     );
 
-    // Watchdog: the outage exceeded the 150us budget → stall; commits after
+    // Health: the outage exceeded the 150us budget → stall; commits after
     // failover → recovery; crash counter + first post-crash progress → a
     // finite MTTR spanning the outage.
+    let health = kdtelem::health(&dump, Duration::from_micros(150));
+    let events = &health.events;
     assert!(
-        dog_events
+        events
             .iter()
             .any(|e| matches!(e.kind, HealthKind::Stall { .. })),
-        "no stall event for a {}ns outage: {dog_events:?}",
+        "no stall event for a {}ns outage: {events:?}",
         FAILOVER_NS - CRASH_NS
     );
     assert!(
-        dog_events
+        events
             .iter()
             .any(|e| matches!(e.kind, HealthKind::Recovered { .. })),
-        "stall never recovered: {dog_events:?}"
+        "stall never recovered: {events:?}"
     );
-    let mttr = mttr.expect("failover MTTR measured");
+    let mttr = health.mttr_ns.expect("failover MTTR measured");
     assert!(
         (100_000..RESTART_NS).contains(&mttr),
         "MTTR {mttr}ns implausible for a {}ns failover",
@@ -223,18 +218,23 @@ fn crash_soak_series_shows_dip_recovery_and_finite_mttr() {
     );
 }
 
-/// Broker-owned observability over the admin wire path: a cluster whose
-/// broker template sets `observe` serves its series and health log via the
-/// Series/Health RPCs; a cluster without it answers NotSupported.
+/// A harness-started sampler over a replicated run: the series shows the
+/// cluster's commits and the replication lag in flight, and a healthy run
+/// reads no stall.
 #[test]
-fn observe_rpc_round_trips_series_health_and_repl_lag() {
+fn harness_series_shows_repl_lag_and_no_stall() {
     let rt = sim::Runtime::new();
-    rt.block_on(async {
-        let mut opts = ClusterOptions::default();
-        opts.broker.observe = Some(ObserveConfig {
-            sample_interval: Duration::from_micros(100),
-        });
-        let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 2, opts);
+    let registry = kdtelem::Registry::new();
+    let _t = kdtelem::enter(&registry);
+    let series = rt.block_on(async move {
+        let sampler = Sampler::start(
+            &registry,
+            SeriesOptions {
+                interval: Duration::from_micros(100),
+                ..SeriesOptions::default()
+            },
+        );
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 2);
         cluster.create_topic("t", 1, 2).await;
         let cnode = cluster.add_client_node("c");
         let leader = cluster.leader_of("t", 0).await;
@@ -251,58 +251,49 @@ fn observe_rpc_round_trips_series_health_and_repl_lag() {
         while got < 10 {
             got += consumer.next_records().await.unwrap().len();
         }
-
-        let leader_i = (0..cluster.broker_count())
-            .find(|&i| cluster.broker_node(i).id.0 == leader.node)
-            .unwrap();
-        let series = cluster.broker_series(leader_i).await;
-        assert!(series.samples > 0, "sampler never ticked");
-        assert_eq!(series.interval_ns, 100_000);
-        // Both brokers share the ambient registry, so the sampled series
-        // aggregates by key across the cluster: 10 leader commits plus the
-        // same 10 appends replicated onto the RF=2 follower.
-        let commits = series.counter("kdbroker", "rdma.commits").expect("commits");
-        assert_eq!(
-            commits.points.last().unwrap().value,
-            20,
-            "cumulative commits over the wire"
-        );
-        // Per-partition replication lag gauge: push replication ran, so the
-        // (partition, follower) lag cell must have peaked above zero.
-        let lag = series
-            .gauge("kdbroker", "repl.lag")
-            .expect("repl.lag series");
-        assert!(
-            lag.points.last().unwrap().peak > 0,
-            "replication lag never observed in flight"
-        );
-        assert_eq!(lag.points.last().unwrap().value, 0, "lag drained at rest");
-
-        // Health: watchdog alive, no stalls in a healthy run.
-        let health = cluster.broker_health(leader_i).await;
-        assert!(
-            health
-                .iter()
-                .all(|e| !matches!(e.kind, HealthKind::Stall { .. })),
-            "healthy run stalled: {health:?}"
-        );
+        // One more interval, so a tick follows the last commit.
+        sim::time::sleep(Duration::from_micros(100)).await;
+        sampler.stop();
+        sampler.dump()
     });
 
-    // Observability off (the default): the RPCs answer NotSupported.
-    let rt = sim::Runtime::new();
-    rt.block_on(async {
-        let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
-        cluster.create_topic("t", 1, 1).await;
-        let cnode = cluster.add_client_node("c");
-        let admin = Admin::connect(&cnode, cluster.bootstrap()).await.unwrap();
-        assert!(matches!(admin.series().await, Err(ClientError::Broker(_))));
-        assert!(matches!(admin.health().await, Err(ClientError::Broker(_))));
-    });
+    assert!(series.samples > 0, "sampler never ticked");
+    assert_eq!(series.interval_ns, 100_000);
+    // Both brokers share the ambient registry, so the sampled series
+    // aggregates by key across the cluster: 10 leader commits plus the
+    // same 10 appends replicated onto the RF=2 follower.
+    let commits = series.counter("kdbroker", "rdma.commits").expect("commits");
+    assert_eq!(
+        commits.points.last().unwrap().value,
+        20,
+        "cumulative commits"
+    );
+    // Per-partition replication lag gauge: push replication ran, so the
+    // (partition, follower) lag cell must have peaked above zero.
+    let lag = series
+        .gauge("kdbroker", "repl.lag")
+        .expect("repl.lag series");
+    assert!(
+        lag.points.last().unwrap().peak > 0,
+        "replication lag never observed in flight"
+    );
+    assert_eq!(lag.points.last().unwrap().value, 0, "lag drained at rest");
+
+    // Health at the old broker default budget: no stalls in a healthy run.
+    let health = kdtelem::health(&series, Duration::from_millis(5));
+    assert!(
+        health
+            .events
+            .iter()
+            .all(|e| !matches!(e.kind, HealthKind::Stall { .. })),
+        "healthy run stalled: {:?}",
+        health.events
+    );
 }
 
-/// Sampling must be a pure observer: the same seeded workload run with the
-/// broker sampler + watchdog on and off yields a bit-identical trace-event
-/// log, the same final virtual time, and the same committed stream.
+/// Sampling must be a pure observer: the same seeded workload run with a
+/// sampler on and off yields a bit-identical trace-event log, the same
+/// final virtual time, and the same committed stream.
 #[test]
 fn sampler_leaves_replay_digest_bit_identical() {
     fn run(observe: bool) -> (u64, Vec<kdtelem::TraceEvent>, Vec<u8>) {
@@ -310,10 +301,10 @@ fn sampler_leaves_replay_digest_bit_identical() {
         let rt = sim::Runtime::with_seed(11);
         let registry = kdtelem::Registry::new();
         let _t = kdtelem::enter(&registry);
+        let reg = registry.clone();
         let consumed = rt.block_on(async move {
-            let mut opts = ClusterOptions::default();
-            opts.broker.observe = observe.then(ObserveConfig::default);
-            let cluster = SimCluster::start_with(SystemKind::KafkaDirect, 2, opts);
+            let sampler = observe.then(|| Sampler::start(&reg, SeriesOptions::default()));
+            let cluster = SimCluster::start(SystemKind::KafkaDirect, 2);
             cluster.create_topic("t", 1, 2).await;
             let cnode = cluster.add_client_node("c");
             let leader = cluster.leader_of("t", 0).await;
@@ -332,6 +323,9 @@ fn sampler_leaves_replay_digest_bit_identical() {
                 for rv in consumer.next_records().await.unwrap() {
                     seen.push(rv.record.value[0]);
                 }
+            }
+            if let Some(sampler) = sampler {
+                assert!(sampler.samples() > 0, "the sampler never ticked");
             }
             seen
         });

@@ -5,13 +5,11 @@
 //!   p50/p99 latency for the produce, replicate, and fetch paths.
 //! * §4.2.2 zero copy: the RDMA produce path moves no bytes through a
 //!   broker-CPU copy (`heap_copied_bytes == 0`), while the TCP path does.
-//! * The report survives the admin wire path (`Request::Telemetry`) as
-//!   JSON lines.
 //! * DESIGN.md §8's metric inventory is exactly what a run registers.
 
 use std::collections::BTreeSet;
 
-use kafkadirect::{ClusterOptions, ObserveConfig, RdmaToggles, SimCluster, SystemKind};
+use kafkadirect::{ClusterOptions, RdmaToggles, SimCluster, SystemKind};
 use kdclient::{ClientTransport, RdmaConsumer, RdmaProducer, TcpConsumer, TcpProducer};
 use kdstorage::Record;
 
@@ -167,41 +165,6 @@ fn tcp_produce_copies_on_the_broker() {
     );
 }
 
-/// The report survives the admin wire path: `Request::Telemetry` ships the
-/// broker's snapshot as JSON lines and the client parses it back.
-#[test]
-fn telemetry_rpc_round_trips_over_admin_path() {
-    let registry = with_registry(|| {
-        let rt = sim::Runtime::new();
-        rt.block_on(async {
-            let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
-            cluster.create_topic("t", 1, 1).await;
-            let cnode = cluster.add_client_node("c");
-            let mut producer = RdmaProducer::connect(&cnode, cluster.bootstrap(), "t", 0, false)
-                .await
-                .unwrap();
-            for i in 0..5u8 {
-                producer.send(&Record::value(vec![i; 64])).await.unwrap();
-            }
-            let wire = cluster.broker_telemetry().await;
-            // Counter values as seen from the wire match the local registry.
-            assert_eq!(wire.counter("kdbroker", "rdma.commits"), Some(5));
-            assert_eq!(wire.counter("kdbroker", "copy.heap_bytes"), Some(0));
-            let h = wire.histogram("kdbroker", "rdma.commit_ns").unwrap();
-            assert!(h.stats.count >= 5 && h.stats.p99 >= h.stats.p50);
-            // The text table renders every section.
-            let table = wire.to_table();
-            assert!(table.contains("kdbroker.rdma.commits"));
-            assert!(table.contains("p99"));
-        });
-    });
-    // And the same counters are visible locally.
-    assert_eq!(
-        registry.snapshot().counter("kdbroker", "rdma.commits"),
-        Some(5)
-    );
-}
-
 /// Network-thread busy time flows into `MetricsSnapshot::net_busy_ns`
 /// (regression: it was hardcoded to zero) and into the registry.
 #[test]
@@ -299,9 +262,9 @@ async fn every_client(cluster: &SimCluster) {
 
 /// The metric inventory in DESIGN §8 is checked, not kept by hand: a run
 /// that reaches every registering site — every client datapath, push and
-/// pull replication, the file tier, a lending pool of 8, a fault injector
-/// and the broker watchdog — registers exactly the instruments the table
-/// names, under the kind whose column names them.
+/// pull replication, the file tier, a lending pool of 8 and a fault
+/// injector — registers exactly the instruments the table names, under the
+/// kind whose column names them.
 #[test]
 fn metric_inventory_matches_design() {
     let dir = std::env::temp_dir().join(format!("kd-inventory-{}", std::process::id()));
@@ -313,7 +276,6 @@ fn metric_inventory_matches_design() {
             let _faults = kdfault::enter(&injector);
             let mut opts = ClusterOptions::default();
             opts.broker.mux_pool = 8;
-            opts.broker.observe = Some(ObserveConfig::default());
             opts.broker.storage = Some(storage);
             every_client(&SimCluster::start_with(SystemKind::KafkaDirect, 2, opts)).await;
             // Pull replication is a cluster-wide mode: a second cluster runs it.
