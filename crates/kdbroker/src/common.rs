@@ -93,7 +93,7 @@ pub(crate) fn trace_commit(
 
 /// Post-commit bookkeeping shared by every produce path.
 pub(crate) fn after_local_commit(b: &BrokerInner, p: &Partition) {
-    p.announce_leo();
+    p.announce_commit();
     advance_rf1_hw(b, p);
 }
 

@@ -130,9 +130,17 @@ impl Partition {
         self.replicas.borrow().len() + 1
     }
 
-    /// Announces new committed-to-log records (wakes replication).
+    /// Announces the log end (wakes replication at once).
     pub fn announce_leo(&self) {
         self.leo_tx.send(self.log.next_offset());
+    }
+
+    /// Announces records just committed to the head: a push loop waiting
+    /// for bytes of the head with a session to post them on is woken once
+    /// it has paid its post cost, the others at once.
+    pub fn announce_commit(&self) {
+        let head = u64::from(self.log.head_index());
+        self.leo_tx.send_charged(self.log.next_offset(), head);
     }
 
     /// Records a follower's acknowledged log-end offset and recomputes the

@@ -3,12 +3,12 @@
 //! metadata-slot regions (Fig 9).
 //!
 //! This module alone edits a partition's read registrations and slot
-//! references and a consumer's slot array, through one [`acquire`] /
-//! [`release`] pair. A registration records which consumers hold it, and a
+//! references and a consumer's slot array, through one `acquire` /
+//! `release` pair. A registration records which consumers hold it, and a
 //! release drops only what its own consumer holds: a one-sided read's
 //! region is never torn down on another party's word. What a consumer id
 //! holds lives as long as the control connection that first acquired for
-//! it: when that connection closes, [`release_connection`] drops it all.
+//! it: when that connection closes, `release_connection` drops it all.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;

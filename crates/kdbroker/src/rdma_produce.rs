@@ -225,7 +225,7 @@ struct SpanInfo {
     next_offset: u64,
 }
 
-/// Worker-owned scratch of [`commit_run`]; capacity is retained, so a run
+/// Worker-owned scratch of `commit_run`; capacity is retained, so a run
 /// allocates nothing.
 #[derive(Default)]
 pub struct CommitScratch {

@@ -22,8 +22,8 @@ use kdwire::messages::{ProduceMode, Request, Response};
 use kdwire::ProduceAccessResp;
 use netsim::profile::copy_time;
 use rnic::{CompletionQueue, CqOpcode, QpOptions, QueuePair, RecvWr, SendWr, ShmBuf, WorkRequest};
-use sim::future::{race, Either};
-use sim::sync::Notify;
+use sim::future::Either;
+use sim::sync::{watch, Notify};
 
 use crate::broker::BrokerInner;
 use crate::common::{charge_storage, charge_worker, on_hw_advanced};
@@ -191,7 +191,10 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         if !b.alive.get() || !p.is_leader() || p.epoch() != my_epoch {
             return;
         }
-        // Wait for new committed-to-leader bytes at the cursor.
+        // Wait for new committed-to-leader bytes at the cursor. A wait with a
+        // live session is charged: a commit to the cursor's segment wakes it
+        // once its post cost is paid, with the log end it committed.
+        let mut charged = None;
         loop {
             // The cursor starts at 0, passes only sealed segments, and adopts only `aligned` ones.
             let seg = p.log.segment(cursor_seg).expect("cursor segment");
@@ -217,8 +220,16 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
                 session = None;
                 break;
             }
-            if let Either::Left(Err(())) = race(leo_rx.changed(), state.died.notified()).await {
-                return;
+            let live = session.is_some() && !dead;
+            let cost = live.then_some(b.profile.cpu.repl_post_cost);
+            let leo = leo_rx.changed_charged(cost, u64::from(cursor_seg));
+            match leo_or_death(leo, state.died.notified()).await {
+                Either::Left(Err(())) => return,
+                Either::Left(Ok(Some(leo))) => {
+                    charged = Some(leo);
+                    break;
+                }
+                _ => {}
             }
             if !b.alive.get() || !p.is_leader() || p.epoch() != my_epoch {
                 return;
@@ -281,7 +292,10 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         while let Some(entry) = seg.batch_at(next_idx) {
             debug_assert_eq!(entry.pos, end, "push cursor at batch boundary");
             let new_end = entry.end_pos();
-            if end > cursor_pos && new_end - cursor_pos > b.config.replication_max_batch {
+            // A charged wake merges what was committed when it was armed.
+            if charged.is_some_and(|leo| entry.next_offset() > leo)
+                || (end > cursor_pos && new_end - cursor_pos > b.config.replication_max_batch)
+            {
                 break;
             }
             end = new_end;
@@ -294,8 +308,11 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         }
 
         // The replication worker pays a per-post cost (the reason batching
-        // matters for floods of small records, §4.3.2 / Fig 17).
-        sim::time::sleep(b.profile.cpu.repl_post_cost).await;
+        // matters for floods of small records, §4.3.2 / Fig 17); a charged
+        // wake has paid it.
+        if charged.is_none() {
+            sim::time::sleep(b.profile.cpu.repl_post_cost).await;
+        }
         // Each push write is its own lifeline: the context crosses to the
         // follower in the WR (its commit lands on this trace) and comes back
         // on the leader's send CQE (the ack edge). It is rooted here, before
@@ -337,6 +354,26 @@ async fn push_loop(b: Rc<BrokerInner>, p: Rc<Partition>, follower: kdwire::Broke
         cursor_pos = end;
         cursor_idx = next_idx;
     }
+}
+
+/// Waits for a log-end change or the session's death, whichever comes
+/// first — except that a change whose charge is being paid is not cut short
+/// by a death: the loop is busy posting then, not waiting.
+async fn leo_or_death<B: Future>(
+    leo: watch::Changed<'_, u64>,
+    death: B,
+) -> Either<Result<Option<u64>, ()>, B::Output> {
+    let (mut leo, mut death) = (std::pin::pin!(leo), std::pin::pin!(death));
+    std::future::poll_fn(|cx| {
+        if let Poll::Ready(changed) = leo.as_mut().poll(cx) {
+            return Poll::Ready(Either::Left(changed));
+        }
+        if leo.armed() {
+            return Poll::Pending;
+        }
+        death.as_mut().poll(cx).map(Either::Right)
+    })
+    .await
 }
 
 /// Index of the batch starting at byte `pos` of leader segment `seg_idx`

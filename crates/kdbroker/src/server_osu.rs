@@ -5,7 +5,7 @@
 //! obstructed by the need to copy messages from and to network buffers of
 //! the multipurpose request processing module". Frames are `u64 LE
 //! correlation id | payload`; past the framing it is the shared RPC front
-//! ([`crate::server_rpc`]).
+//! (`server_rpc`).
 
 use std::rc::Rc;
 use std::time::Duration;

@@ -1,7 +1,7 @@
 //! The TCP network module (paper Fig 2 ➊): the unmodified-Kafka front end,
 //! fully reused by KafkaDirect for its control plane (§4.1). Framed requests
 //! over `netsim::tcp`; past the framing it is the shared RPC front
-//! ([`crate::server_rpc`]).
+//! (`server_rpc`).
 
 use std::rc::Rc;
 

@@ -11,11 +11,17 @@ use crate::error::{check, ClientError};
 
 /// Decodes the complete batches at the front of `bytes` — the one batch-drain
 /// loop of both consumers. They are copied once, into one chunk of `chunks`,
-/// and records at or after `*next_offset` go to `deliver` as views of that
-/// chunk and advance it; `on_batch` sees each decoded batch's length.
+/// and records from `*next_offset` on go to `deliver` as views of that chunk
+/// and advance it; `on_batch` sees each decoded batch's length.
 /// Returns the bytes consumed: what follows is an incomplete batch, which
 /// the RDMA consumer keeps for its next read and the fetch consumer rejects.
 /// Lengths come from the wire, so none is trusted past the end of `bytes`.
+///
+/// A read is checked against the offsets it claims: the first record
+/// delivered is `*next_offset` and every later one its predecessor's
+/// successor. Records below the offset are skipped only up to the first
+/// one delivered (the prefix of the batch that holds the offset, as a read
+/// starts at that batch). Any other jump is [`ClientError::Corrupt`].
 pub(crate) fn drain_batches(
     bytes: &[u8],
     chunks: &kdbuf::Pool,
@@ -36,15 +42,18 @@ pub(crate) fn drain_batches(
         return Ok(0);
     }
     let chunk = chunks.copy_in(&bytes[..end]);
-    let mut at = 0usize;
+    let (mut at, mut delivered) = (0usize, false);
     while at < end {
         let total = total_at(at)?;
         on_batch(total);
         let records = decode_batch(chunk.slice(at, total)).map_err(|_| ClientError::Corrupt)?;
         for rv in records {
-            if rv.offset >= *next_offset {
+            if rv.offset == *next_offset {
                 *next_offset = rv.offset.saturating_add(1);
+                delivered = true;
                 deliver(rv);
+            } else if delivered || rv.offset > *next_offset {
+                return Err(ClientError::Corrupt);
             }
         }
         at += total;
@@ -266,8 +275,12 @@ mod tests {
             let valid = batches::arb_batch(&mut rng);
             let hostile = batches::mutate(&mut rng, &valid, &previous);
             previous = valid;
+            // Read at the offset the batch claims to start at.
             let drain = |bytes: &[u8]| {
-                let (mut next, mut delivered) = (0, 0u32);
+                let base = bytes
+                    .get(..8)
+                    .map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()));
+                let (mut next, mut delivered) = (base, 0u32);
                 let used = drain_batches(bytes, &chunks, &mut next, |_| {}, |_| delivered += 1);
                 (used, delivered)
             };
@@ -282,12 +295,13 @@ mod tests {
             match kdstorage::record::verify_batch(&hostile[..total]) {
                 Ok(h) => {
                     let (used, delivered) = drain(&hostile[..total]);
-                    assert_eq!(used, Ok(total), "round {round}");
-                    if h.base_offset
-                        .checked_add(u64::from(h.record_count))
-                        .is_some()
-                    {
+                    let last = h.base_offset.checked_add(u64::from(h.record_count) - 1);
+                    if last.is_some() {
+                        assert_eq!(used, Ok(total), "round {round}");
                         assert_eq!(delivered, h.record_count, "round {round}");
+                    } else {
+                        // Its offsets wrap: a jump.
+                        assert_eq!(used, Err(ClientError::Corrupt), "round {round}");
                     }
                 }
                 Err(_) => assert_eq!(whole, Err(ClientError::Corrupt), "round {round}"),
@@ -309,6 +323,65 @@ mod tests {
         )
         .unwrap();
         assert_eq!((next, offsets), (3, vec![2]));
+    }
+
+    /// Single-record batches at `offsets`, back to back.
+    fn batches_at(offsets: &[u64]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for &offset in offsets {
+            let mut batch = single_record_batch(1, &Record::value(vec![offset as u8; 40]));
+            kdstorage::record::assign_base_offset(&mut batch, offset);
+            bytes.extend_from_slice(&batch);
+        }
+        bytes
+    }
+
+    /// Drains `bytes` from `next`: the offsets delivered, or the error.
+    fn drain_from(bytes: &[u8], mut next: u64) -> Result<Vec<u64>, ClientError> {
+        let mut offsets = Vec::new();
+        let chunks = kdbuf::Pool::new(64);
+        drain_batches(
+            bytes,
+            &chunks,
+            &mut next,
+            |_| {},
+            |rv| offsets.push(rv.offset),
+        )?;
+        Ok(offsets)
+    }
+
+    #[test]
+    fn a_gap_inside_a_read_is_corrupt() {
+        assert_eq!(drain_from(&batches_at(&[0, 1, 2]), 0), Ok(vec![0, 1, 2]));
+        assert_eq!(
+            drain_from(&batches_at(&[0, 1, 3]), 0),
+            Err(ClientError::Corrupt)
+        );
+        // Nor may a read go back once it has delivered.
+        assert_eq!(
+            drain_from(&batches_at(&[0, 1, 1]), 0),
+            Err(ClientError::Corrupt)
+        );
+    }
+
+    #[test]
+    fn a_read_whose_first_batch_starts_past_the_offset_is_corrupt() {
+        assert_eq!(
+            drain_from(&batches_at(&[5, 6]), 4),
+            Err(ClientError::Corrupt)
+        );
+        assert_eq!(drain_from(&batches_at(&[5, 6]), 5), Ok(vec![5, 6]));
+    }
+
+    #[test]
+    fn the_prefix_of_the_batch_that_holds_the_offset_is_skipped() {
+        let mut bytes = Vec::new();
+        let records: Vec<Record> = (0..4u8).map(|i| Record::value(vec![i; 16])).collect();
+        let mut batch = kdstorage::record::encode_batch(1, &records).unwrap();
+        kdstorage::record::assign_base_offset(&mut batch, 10);
+        bytes.extend_from_slice(&batch);
+        bytes.extend_from_slice(&batches_at(&[14]));
+        assert_eq!(drain_from(&bytes, 12), Ok(vec![12, 13, 14]));
     }
 }
 

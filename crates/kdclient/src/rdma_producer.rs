@@ -390,7 +390,7 @@ impl RdmaProducer {
         ack.ok_or(ClientError::Protocol)
     }
 
-    /// Posts a run of records (see [`post`](Self::post)); ack receivers are
+    /// Posts a run of records (see `post`); ack receivers are
     /// appended to `out` in record order.
     pub async fn send_pipelined_chain(
         &mut self,

@@ -1,7 +1,7 @@
-//! The file tier: preallocated segment files behind a [`Log`].
+//! The file tier: preallocated segment files behind a [`Log`](crate::Log).
 //!
 //! The paper runs Kafka's logs on tmpfs-backed, preallocated segment files
-//! (§4.2.2, Fig 1). A tiered [`Log`] holds a [`FileStore`] and notifies it
+//! (§4.2.2, Fig 1). A tiered [`Log`](crate::Log) holds a [`FileStore`] and notifies it
 //! at the storage-relevant points of its lifecycle — segment creation, batch
 //! commit, seal — so the log stays a data structure while the store decides
 //! what reaches a file. A log without a store is memory mode: nothing
@@ -262,7 +262,7 @@ impl FileStore {
         });
     }
 
-    /// Parses a sidecar produced by [`write_index_sidecar`] (test/tooling
+    /// Parses a sidecar produced by `write_index_sidecar` (test/tooling
     /// aid): `(base_offset, entries)`.
     pub fn read_index_sidecar(path: &Path) -> io::Result<(u64, Vec<(u64, u32)>)> {
         let bytes = std::fs::read(path)?;

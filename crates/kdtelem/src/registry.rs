@@ -416,7 +416,7 @@ thread_local! {
     static DEFAULT: Registry = Registry::new();
 }
 
-/// The ambient registry: the innermost [`Registry::enter`] scope on this
+/// The ambient registry: the innermost [`enter`] scope on this
 /// thread, or a shared thread-local default. Instrumented components
 /// (links, NICs, brokers) grab their handles from here at construction time.
 pub fn current() -> Registry {

@@ -448,7 +448,7 @@ impl ReadHalf {
     }
 
     /// Reads exactly `n` bytes, appending them to `out`. Avoids the
-    /// intermediate allocation of [`read_exact`] when the caller owns a
+    /// intermediate allocation of [`read_exact`](Self::read_exact) when the caller owns a
     /// reusable buffer (e.g. a frame decoder's scratch).
     pub async fn read_exact_into(&mut self, mut n: usize, out: &mut Vec<u8>) -> Result<(), Closed> {
         out.reserve(n);

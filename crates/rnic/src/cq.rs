@@ -6,11 +6,17 @@
 //!
 //! A send CQE is *scheduled*: when the NIC engine delivers a signaled WR it
 //! already knows the instant its completion surfaces, and hands it over with
-//! that instant ([`CompletionQueue::push_at`]). The queue is one due-ordered
+//! that instant (`CompletionQueue::push_at`). The queue is one due-ordered
 //! store: a CQE is visible to `poll`, `drain_into`, `len` and the waiters
 //! once its instant is due, with no task running. The hand-over arms the
 //! consumer a push at that instant would arm; a consumer that parks while a
 //! scheduled CQE nobody is armed for is queued arms itself for it.
+//!
+//! A consumer armed for a CQE that somebody else takes first would wake to
+//! an empty queue and park again. Its timer is taken back instead
+//! ([`Arm::take_back`]) as soon as that wake would find nothing and leave it
+//! unarmed, and given back, to fire where it would have, as soon as it would
+//! not (see `restate`).
 //!
 //! Overflow is decided when a CQE is handed over, never when it surfaces: a
 //! scheduled CQE takes its slot at once (`cq.depth` counts it), and a
@@ -42,13 +48,24 @@ type Waiters = WaitList<Arm, CQ>;
 /// that surfaces then, else — if `next_too` — such a `next()` one. One taken
 /// from a later CQE hands that one on.
 fn arm(waiters: &mut Waiters, at: SimTime, next_too: bool) {
-    let free = |blocked| move |p: &Arm| p.cost.is_some() == blocked && p.at.is_none_or(|a| a > at);
+    let free =
+        |blocked| move |p: &Arm| p.cost().is_some() == blocked && p.at.is_none_or(|a| a > at);
     let displaced = match waiters.arm(at, free(true)).map(|(_, d)| d) {
         None if next_too => waiters.arm(at, free(false)).map(|(_, d)| d),
         armed => armed,
     };
     if let Some(Some(later)) = displaced {
         arm(waiters, later, true);
+    }
+}
+
+/// Where every wake taken back whose turn has come would have left its
+/// consumer: parked, unarmed.
+fn settle(waiters: &mut Waiters) {
+    for (p, _) in waiters.iter_mut() {
+        if p.held() && !p.pending() {
+            *p = Arm::new(p.cost());
+        }
     }
 }
 
@@ -110,15 +127,17 @@ impl CompletionQueue {
         }
         // `next()` consumers not yet armed first, then every blocked one: an
         // armed one still returns at its instant, the others now.
-        let waiters = self.inner.waiters.borrow();
-        waiters.wake_in_place(|p| p.cost.is_none() && p.at.is_none());
-        waiters.wake_in_place(|p| p.cost.is_some());
+        let mut waiters = self.inner.waiters.borrow_mut();
+        waiters.wake_in_place(|p| p.cost().is_none() && p.at.is_none());
+        waiters.wake_in_place(|p| p.cost().is_some());
+        self.give_back(&mut waiters);
     }
 
     /// Fault injection: overflows this CQ now, regardless of occupancy —
     /// the §4.3.2 slow-follower disaster on demand.
     pub fn inject_overflow(&self) {
         if !self.inner.overflowed.get() {
+            settle(&mut self.inner.waiters.borrow_mut());
             self.poison();
         }
     }
@@ -135,6 +154,7 @@ impl CompletionQueue {
             return; // poisoned: completions are lost
         }
         let at = at.max(now());
+        settle(&mut self.inner.waiters.borrow_mut());
         {
             let mut q = self.inner.queue.borrow_mut();
             if q.len() >= self.inner.capacity {
@@ -148,7 +168,9 @@ impl CompletionQueue {
         }
         // A blocked consumer first; a `next()` one only once every blocked
         // one is armed.
-        arm(&mut self.inner.waiters.borrow_mut(), at, true);
+        let mut waiters = self.inner.waiters.borrow_mut();
+        arm(&mut waiters, at, true);
+        self.give_back(&mut waiters);
     }
 
     /// Non-blocking poll, like `ibv_poll_cq`.
@@ -179,8 +201,51 @@ impl CompletionQueue {
         for (_, cqe) in std::iter::from_fn(|| q.pop_front()).take(n) {
             put(cqe);
         }
+        drop(q);
         self.inner.fabric.telem.cq_depth.sub(n as u64);
+        if n > 0 {
+            self.restate(&mut self.inner.waiters.borrow_mut());
+        }
         n
+    }
+
+    /// [`restate`](Self::restate) after a change that can only make a wake
+    /// find something — a hand-over, a consumer leaving, a poison — where
+    /// only a wake taken back can change.
+    fn give_back(&self, waiters: &mut Waiters) {
+        if waiters.iter().any(Arm::held) {
+            self.restate(waiters);
+        }
+    }
+
+    /// Restates every armed consumer's wake after a change. One whose wake
+    /// would find no CQE and leave it unarmed has its timer taken back: no
+    /// CQE surfaces by its due instant, and each one queued has as many
+    /// consumers armed for its instant as that instant has CQEs. One taken
+    /// back that a change made otherwise — a CQE to find, one to be armed
+    /// for, a poisoned CQ — has it given back. The rest are settled: a wake
+    /// taken back whose turn has come left its consumer parked, unarmed.
+    fn restate(&self, waiters: &mut Waiters) {
+        settle(waiters);
+        if !waiters.iter().any(Arm::pending) {
+            return;
+        }
+        let q = self.inner.queue.borrow();
+        let mut run = (SimTime::ZERO, 0);
+        let claimed = !self.overflowed()
+            && q.iter().all(|&(at, _)| {
+                run = (at, if run.0 == at { run.1 + 1 } else { 1 });
+                waiters.iter().filter(|p| p.at == Some(at)).count() >= run.1
+            });
+        let first = q.front().map(|&(at, _)| at);
+        drop(q);
+        for (p, waker) in waiters.iter_mut().filter(|(p, _)| p.pending()) {
+            if claimed && first.is_none_or(|at| p.due().is_some_and(|due| at > due)) {
+                p.take_back();
+            } else {
+                p.give_back(waker);
+            }
+        }
     }
 
     /// Waits for the next completion; `None` — the CQ is dead — only once an
@@ -213,9 +278,10 @@ impl CompletionQueue {
     /// Arms the consumer `ticket`, woken and parked again, for the earliest
     /// scheduled CQE nobody is armed for (CQEs of one instant are
     /// interchangeable) — on a dead CQ, for the last scheduled one if every
-    /// one is taken, so that it sees the queue run dry.
-    fn arm_parked(&self, waiters: &mut Waiters, ticket: u64, waker: &Waker) {
-        waiters.get_mut(ticket).expect("parked").at = None;
+    /// one is taken, so that it sees the queue run dry. Whether it armed it.
+    fn arm_parked(&self, waiters: &mut Waiters, ticket: u64, waker: &Waker) -> bool {
+        let parked = waiters.get_mut(ticket).expect("parked");
+        *parked = Arm::new(parked.cost());
         let q = self.inner.queue.borrow();
         let mut scheduled = q.iter_from(q.due(now()));
         let mut run = (SimTime::ZERO, 0);
@@ -224,9 +290,11 @@ impl CompletionQueue {
             (waiters.iter().filter(|p| p.at == Some(at)).count() < run.1).then_some(at)
         });
         let dry = scheduled.next_back().filter(|_| self.overflowed());
-        if let Some(at) = unclaimed.or(dry.map(|s| s.0)) {
+        let at = unclaimed.or(dry.map(|s| s.0));
+        if let Some(at) = at {
             waiters.get_mut(ticket).expect("parked").set(at, waker);
         }
+        at.is_some()
     }
 
     pub fn len(&self) -> usize {
@@ -258,6 +326,7 @@ impl Future for Wait<'_> {
         let cq = self.cq;
         let dead = cq.overflowed();
         let mut waiters = cq.inner.waiters.borrow_mut();
+        settle(&mut waiters);
         // A parked consumer is listed until it returns or is dropped. Armed:
         // only its instant ends the wait. Not armed: only poisoning.
         let parked = self.ticket.and_then(|t| waiters.get_mut(t));
@@ -277,7 +346,11 @@ impl Future for Wait<'_> {
         if woken {
             // Parked again, unarmed: the next push arms it, or a scheduled
             // CQE nobody is armed for does now.
-            cq.arm_parked(&mut waiters, ticket.expect("parked"), cx.waker());
+            // A CQE it claims may be what another consumer's wake would
+            // have found unclaimed.
+            if cq.arm_parked(&mut waiters, ticket.expect("parked"), cx.waker()) {
+                cq.restate(&mut waiters);
+            }
         }
         Poll::Pending
     }
@@ -290,14 +363,16 @@ impl Drop for Wait<'_> {
     fn drop(&mut self) {
         let Some(ticket) = self.ticket else { return };
         let mut waiters = self.cq.inner.waiters.borrow_mut();
+        settle(&mut waiters);
         let Some((parked, at)) = waiters.leave(ticket) else {
             return;
         };
         let now = sim::now();
         if at > now {
             arm(&mut waiters, at, true);
-        } else if parked.cost.is_some() && !self.cq.is_empty() {
+        } else if parked.cost().is_some() && !self.cq.is_empty() {
             arm(&mut waiters, now, false);
         }
+        self.cq.give_back(&mut waiters);
     }
 }

@@ -1,9 +1,9 @@
 //! Reliably-connected queue pairs.
 //!
 //! A QP endpoint is state, not a task. `post_send` / `post_send_list`
-//! compute each work request's [`Timing`] against the fabric — all link
+//! compute each work request's `Timing` against the fabric — all link
 //! reservations commit at post time (the NIC pipelines; the link model
-//! serialises) — and queue it for the fabric's [engine](crate::engine),
+//! serialises) — and queue it for the fabric's engine (`engine`),
 //! which applies remote effects and delivers completions strictly in post
 //! order: the RC guarantees the paper's protocols depend on (§4.1, §4.2.2).
 //! A posted list differs from the same WRs posted singly only in timing:

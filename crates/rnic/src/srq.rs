@@ -1,6 +1,6 @@
 //! Receive queues.
 //!
-//! [`RecvQueue`] holds every posted receive WR: a depth-bounded FIFO with
+//! `RecvQueue` holds every posted receive WR: a depth-bounded FIFO with
 //! buffer accounting and RNR parking. A QP's private queue is the
 //! single-attachee case, embedded in the endpoint; a shared receive queue
 //! ([`Srq`], `ibv_create_srq`) is the same queue behind an `Rc`, consumed

@@ -26,6 +26,7 @@
 //! off it, so no check depends on the order of tasks within an instant.
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -377,4 +378,108 @@ fn send_cqes_surface_at_their_instant() {
     // The cases exercise what they are meant to.
     assert!(stalled >= CASES as usize / 2, "{stalled} RNR-stalled Sends");
     assert!(flushed >= CASES as usize, "{flushed} flushed WRs");
+}
+
+/// A consumer's `(instant, CQEs drained)` per return, and its polls.
+type Returns = (Vec<(u64, usize)>, u32);
+
+/// Two consumers blocked in `wait(W)` on one send CQ. Writes posted at 0
+/// and 300 ns surface at 2 700 and 3 000: `a` is armed for the first, due at
+/// 3 700, `b` for the second, due at 4 000. `a` wakes first and drains both.
+/// So `b` would wake to an empty queue: it is not polled at all. With a
+/// third write posted at `third`, its CQE surfaces by `b`'s old due instant,
+/// so `b` wakes then and takes it, exactly as if nothing had been taken back;
+/// `a`, parked again and armed for that CQE, is then not polled either.
+fn two_consumers(third: Option<u64>) -> [Returns; 2] {
+    const W: Duration = Duration::from_nanos(1_000);
+    sim::Runtime::new().block_on(async move {
+        let f = Fabric::new(profile());
+        let (na, nb) = (f.add_node("a"), f.add_node("b"));
+        let (nic_a, nic_b) = (RNic::new(&na), RNic::new(&nb));
+        let mut listener = RdmaListener::bind(&nic_b, 1);
+        let nic_b2 = nic_b.clone();
+        let accept = sim::spawn(async move {
+            let inc = listener.accept().await.unwrap();
+            let cqs = (nic_b2.create_cq(64), nic_b2.create_cq(64));
+            inc.accept(&nic_b2, cqs.0, cqs.1, QpOptions::default())
+        });
+        let cq = nic_a.create_cq(64);
+        let qp = nic_a
+            .connect(
+                nb.id,
+                1,
+                cq.clone(),
+                nic_a.create_cq(64),
+                QpOptions::default(),
+            )
+            .await
+            .unwrap();
+        let _peer = accept.await.unwrap();
+        let mr = nic_b.reg_mr(ShmBuf::zeroed(64), Access::all());
+        let start = (sim::now().as_nanos() / 1_000 + 1) * 1_000;
+        let seen: [Rc<RefCell<Returns>>; 2] = Default::default();
+        for consumer in &seen {
+            let (cq, consumer) = (cq.clone(), Rc::clone(consumer));
+            sim::spawn_detached(async move {
+                let mut batch = Vec::new();
+                loop {
+                    let mut wait = std::pin::pin!(cq.wait(W));
+                    let alive = std::future::poll_fn(|cx| {
+                        consumer.borrow_mut().1 += 1;
+                        wait.as_mut().poll(cx)
+                    })
+                    .await;
+                    if !alive {
+                        return;
+                    }
+                    let n = cq.drain_into(&mut batch, usize::MAX);
+                    consumer
+                        .borrow_mut()
+                        .0
+                        .push((sim::now().as_nanos() - start, n));
+                }
+            });
+        }
+        let local = ShmBuf::zeroed(8);
+        for (id, at) in [Some(0), Some(300), third]
+            .into_iter()
+            .flatten()
+            .enumerate()
+        {
+            sim::time::sleep_until(SimTime::from_nanos(start + at)).await;
+            let op = WorkRequest::Write {
+                local: local.as_slice(),
+                remote_addr: mr.addr(),
+                rkey: mr.rkey(),
+            };
+            let wr = SendWr {
+                wr_id: id as u64,
+                op,
+                signaled: true,
+                trace: None,
+            };
+            qp.post_send(wr).unwrap();
+        }
+        sim::time::sleep_until(SimTime::from_nanos(start + 20_000)).await;
+        seen.map(|s| s.take())
+    })
+}
+
+#[test]
+fn a_consumer_whose_cqe_another_took_is_not_woken() {
+    // `a`: parked, woken at 3 700 (both CQEs), parked again: three polls.
+    // `b`: parked, one.
+    let [a, b] = two_consumers(None);
+    assert_eq!(a, (vec![(3_700, 2)], 3));
+    assert_eq!(b, (vec![], 1), "b is not polled for the CQE a took");
+    // The third CQE surfaces at 3 800, by b's due instant: b wakes at 4 000,
+    // as it would have, takes it and parks again; a, armed for it since its
+    // re-park at 3 700, is not polled for it.
+    let [a, b] = two_consumers(Some(1_100));
+    assert_eq!(
+        a,
+        (vec![(3_700, 2)], 3),
+        "a is not polled for the CQE b took"
+    );
+    assert_eq!(b, (vec![(4_000, 1)], 3));
 }

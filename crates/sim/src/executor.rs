@@ -3,7 +3,7 @@
 //! Engineered for an allocation-free steady state (see DESIGN.md,
 //! "Performance engineering"):
 //!
-//! * timers live in a hierarchical [`Wheel`](crate::wheel::Wheel), not a
+//! * timers live in a hierarchical [`Wheel`], not a
 //!   `BinaryHeap` — O(1) amortised insert/fire, capacity retained, one
 //!   [`pop_next`](crate::wheel::Wheel::pop_next) per fired instant;
 //! * a `Waker` is a plain integer: its data word is the runtime's tag and
@@ -74,8 +74,8 @@ fn next_tag() -> usize {
     })
 }
 
-/// The waker of task `id` of the runtime tagged `tag`.
-fn task_waker(tag: usize, id: usize) -> Waker {
+/// The vtable of every task waker: its data word is an integer.
+static VTABLE: RawWakerVTable = {
     unsafe fn clone(data: *const ()) -> RawWaker {
         RawWaker::new(data, &VTABLE)
     }
@@ -83,7 +83,11 @@ fn task_waker(tag: usize, id: usize) -> Waker {
         wake_task(data.addr());
     }
     unsafe fn drop_waker(_: *const ()) {}
-    static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, wake, wake, drop_waker);
+    RawWakerVTable::new(clone, wake, wake, drop_waker)
+};
+
+/// The waker of task `id` of the runtime tagged `tag`.
+fn task_waker(tag: usize, id: usize) -> Waker {
     let data = std::ptr::without_provenance::<()>(tag << ID_BITS | id);
     // SAFETY: the vtable never dereferences the data word, an integer; every
     // function is sound for any value and from any thread.
@@ -254,10 +258,17 @@ pub(crate) struct Inner {
     live_tasks: Cell<usize>,
     ready: ReadyQueue,
     timers: RefCell<Wheel<Waker>>,
-    /// Reusable buffer for one instant's timers.
-    firing: RefCell<Vec<(u64, u64, Waker)>>,
+    /// The fired timers of this instant whose tasks are not polled yet, in
+    /// `(deadline, seq)` order; the buffer is reused.
+    firing: RefCell<VecDeque<(u64, u64, Waker)>>,
     arena: RefCell<TaskArena>,
     timer_seq: Cell<u64>,
+    /// `timer_seq` at the last fired instant: the timers below it that are
+    /// due now fired then.
+    fired_below: Cell<u64>,
+    /// The seq of the fired timer whose task is being polled; `u64::MAX`
+    /// once they are all polled and the ready queue is.
+    turn: Cell<u64>,
     polls: Cell<u64>,
     /// Polls by spawn site, counted only while this is `Some`.
     polls_by_site: RefCell<Option<HashMap<Site, u64>>>,
@@ -277,9 +288,11 @@ impl Inner {
             live_tasks: Cell::new(0),
             ready,
             timers: RefCell::new(Wheel::new()),
-            firing: RefCell::new(Vec::new()),
+            firing: RefCell::new(VecDeque::new()),
             arena: RefCell::new(TaskArena::new()),
             timer_seq: Cell::new(0),
+            fired_below: Cell::new(0),
+            turn: Cell::new(u64::MAX),
             polls: Cell::new(0),
             polls_by_site: RefCell::new(None),
             rng: RefCell::new(SimRng::seed_from_u64(seed)),
@@ -291,11 +304,52 @@ impl Inner {
     }
 
     /// Registers `waker` to be woken once the virtual clock reaches
-    /// `deadline` (in nanoseconds).
-    pub(crate) fn register_timer(&self, deadline: u64, waker: Waker) {
+    /// `deadline` (in nanoseconds): the timer's seq, its place among the
+    /// timers of that deadline.
+    pub(crate) fn register_timer(&self, deadline: u64, waker: Waker) -> u64 {
         let seq = self.timer_seq.get();
         self.timer_seq.set(seq + 1);
         self.timers.borrow_mut().insert(deadline, seq, waker);
+        seq
+    }
+
+    /// Whether the turn of timer `(deadline, seq)` has come: its task was
+    /// polled (or, cancelled, would have been) at its place in its instant.
+    pub(crate) fn timer_passed(&self, deadline: u64, seq: u64) -> bool {
+        let now = self.now.get();
+        deadline < now
+            || (deadline == now && seq < self.fired_below.get() && seq <= self.turn.get())
+    }
+
+    /// Takes timer `(deadline, seq)` back, from the wheel or from the fired
+    /// ones still waiting for their turn: `false` if its turn has come.
+    pub(crate) fn cancel_timer(&self, deadline: u64, seq: u64) -> bool {
+        if self.timers.borrow_mut().remove(deadline, seq).is_some() {
+            return true;
+        }
+        let mut firing = self.firing.borrow_mut();
+        let at = firing.iter().position(|e| e.1 == seq);
+        at.and_then(|at| firing.remove(at)).is_some()
+    }
+
+    /// Puts back a timer [`cancel_timer`](Self::cancel_timer) took, whose
+    /// turn has not come: it fires where it would have.
+    pub(crate) fn restore_timer(&self, deadline: u64, seq: u64, waker: Waker) {
+        debug_assert!(!self.timer_passed(deadline, seq));
+        if deadline == self.now.get() && seq < self.fired_below.get() {
+            let mut firing = self.firing.borrow_mut();
+            let at = firing.partition_point(|e| e.1 < seq);
+            firing.insert(at, (deadline, seq, waker));
+        } else {
+            self.timers.borrow_mut().reinsert(deadline, seq, waker);
+        }
+    }
+
+    /// The id of the task `waker` wakes, if it is one of this runtime's.
+    fn own_task(&self, waker: &Waker) -> Option<usize> {
+        let data = waker.data().addr();
+        (std::ptr::eq(waker.vtable(), &VTABLE) && data >> ID_BITS == self.tag)
+            .then_some(data & ((1 << ID_BITS) - 1))
     }
 
     fn insert_task<F: Future<Output = ()> + 'static>(&self, future: F, site: Site) -> usize {
@@ -371,11 +425,30 @@ impl Inner {
     /// `done()` turns true (checked after every poll) or nothing is runnable
     /// and no timer is registered. The clock only ever advances to *fired*
     /// deadlines.
+    ///
+    /// The tasks of an instant's timers are polled first, each at its turn,
+    /// in `(deadline, seq)` order, then what they woke, in wake order — as if
+    /// every timer's wake had been queued when the instant began, except
+    /// that a timer can still be taken back until its turn comes.
     fn run(self: &Rc<Self>, done: &dyn Fn() -> bool) {
         loop {
             // Bound first: a `borrow_mut` in the scrutinee would live across
             // the poll, and a wake inside it pushes onto this queue.
-            let next = self.ready.borrow_mut().pop_front();
+            let fired = self.firing.borrow_mut().pop_front();
+            let next = match fired {
+                Some((_, seq, waker)) => {
+                    self.turn.set(seq);
+                    let Some(id) = self.own_task(&waker) else {
+                        waker.wake();
+                        continue;
+                    };
+                    Some(id)
+                }
+                None => {
+                    self.turn.set(u64::MAX);
+                    self.ready.borrow_mut().pop_front()
+                }
+            };
             if let Some(id) = next {
                 self.poll_task(id);
                 if done() {
@@ -389,11 +462,7 @@ impl Inner {
             };
             debug_assert!(deadline >= self.now.get());
             self.now.set(deadline.max(self.now.get()));
-            for (_, _, waker) in firing.drain(..) {
-                // Wakes only push task ids onto a ready queue; they cannot
-                // touch the wheel, so no re-entrancy.
-                waker.wake();
-            }
+            self.fired_below.set(self.timer_seq.get());
         }
     }
 }

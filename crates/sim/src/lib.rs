@@ -36,8 +36,10 @@
 //!   wakeups are allowed, so wakers carry no dedup state.
 //! * The timer queue is a hierarchical timer wheel keyed by
 //!   `(deadline, seq)` — same-deadline timers fire in registration order,
-//!   one wheel pass per fired instant. A dropped sleep leaves a stale entry
-//!   behind; waking a finished task is a no-op.
+//!   one wheel pass per fired instant, each fired timer's task polled at its
+//!   turn. Until then a timer can be taken back and put back in its place
+//!   ([`time::Timer`]). A dropped sleep leaves a stale entry behind; waking
+//!   a finished task is a no-op.
 //! * If the ready queue and timer wheel are both empty while the `block_on`
 //!   future is still pending, the runtime panics: in a closed simulation this
 //!   is always a deadlock bug, and failing loudly beats hanging a test.

@@ -191,7 +191,7 @@ impl<T> Receiver<T> {
         let cost = Some(cost).filter(|c| !c.is_zero());
         if s.value.is_some() {
             if cost.is_some() {
-                if s.arm.at.is_none() || s.arm.cost != cost {
+                if s.arm.at.is_none() || s.arm.cost() != cost {
                     // Sent before this receive parked: charged from now.
                     s.arm = Arm::new(cost);
                     s.arm.set(now(), cx.waker());

@@ -8,7 +8,9 @@
 //!   accepts ([`WaitList::arm`]). The entry's [`Arm`] records the instant,
 //!   and registers one wheel timer for it plus the waiter's cost (a thread's
 //!   wake-up, a CPU charge) — or, with no cost, wakes it directly if the
-//!   instant is now. Every timed wake under `sync` is [`Arm::set`].
+//!   instant is now. Every timed wake under `sync` is [`Arm::set`]. Until
+//!   its turn comes the timer can be taken back ([`Arm::take_back`]), to cost
+//!   no poll, and given back ([`Arm::give_back`]) to fire where it would have.
 //! * A future dropped while armed leaves with its arm unspent
 //!   ([`WaitList::leave`]); its primitive arms the next in line with it.
 //!
@@ -17,10 +19,11 @@
 //! nothing — is a *re-park*, counted per thread and `KIND` ([`reparks`]).
 
 use std::cell::Cell;
+use std::num::NonZeroU64;
 use std::task::Waker;
 use std::time::Duration;
 
-use crate::time::{try_now, wake_at, SimTime};
+use crate::time::{try_now, wake_at, SimTime, Timer};
 use crate::InlineDeque;
 
 /// The kinds of list a re-park is counted under, by index.
@@ -42,33 +45,93 @@ pub fn reparks() -> [u64; KINDS.len()] {
 
 /// A waiter's timed wake: what it pays on top of the instant it is handed
 /// what it waits for (`None`: a task woken at that instant directly), and
-/// that instant once it is armed.
+/// that instant once it is armed — with the wheel timer [`set`](Self::set)
+/// registered for it, which can be taken back ([`take_back`](Self::take_back))
+/// and given back ([`give_back`](Self::give_back)) until its turn comes.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Arm {
-    pub cost: Option<Duration>,
     pub at: Option<SimTime>,
+    /// The cost in nanoseconds, plus one.
+    cost: Option<NonZeroU64>,
+    /// The seq of the timer `set` registered, plus one (`0`: none), with
+    /// [`HELD`] set while it is taken back.
+    timer: u64,
 }
+
+/// The bit of [`Arm::timer`] that marks a timer taken back.
+const HELD: u64 = 1 << 63;
+
+// An arm sits in every oneshot cell and in every CQ's inline waiter.
+const _: () = assert!(std::mem::size_of::<Arm>() == 32);
 
 impl Arm {
     pub fn new(cost: Option<Duration>) -> Arm {
-        Arm { cost, at: None }
+        let nanos = |c: Duration| u64::try_from(c.as_nanos()).expect("a cost in u64 ns");
+        Arm {
+            at: None,
+            cost: cost.and_then(|c| NonZeroU64::new(nanos(c) + 1)),
+            timer: 0,
+        }
+    }
+
+    /// What the waiter pays on top of its instant; `None`: woken directly.
+    pub fn cost(&self) -> Option<Duration> {
+        self.cost.map(|c| Duration::from_nanos(c.get() - 1))
     }
 
     /// When an armed waiter returns: its instant plus its cost.
     pub fn due(&self) -> Option<SimTime> {
-        self.at.map(|at| at + self.cost.unwrap_or_default())
+        let cost = self.cost.map_or(0, |c| c.get() - 1);
+        self.at.map(|at| SimTime::from_nanos(at.as_nanos() + cost))
     }
 
     /// Arms `waker`'s task for `at` (see the [module docs](self)): the
-    /// instant it was armed for before, if any.
+    /// instant it was armed for before, if any. A timer set before is left
+    /// to fire.
     pub fn set(&mut self, at: SimTime, waker: &Waker) -> Option<SimTime> {
         let displaced = self.at.replace(at);
-        if self.cost.is_none() && try_now().is_none_or(|now| at <= now) {
+        self.timer = if self.cost.is_none() && try_now().is_none_or(|now| at <= now) {
             waker.wake_by_ref();
+            0
         } else {
-            wake_at(at + self.cost.unwrap_or_default(), waker);
-        }
+            wake_at(at + self.cost().unwrap_or_default(), waker).seq() + 1
+        };
         displaced
+    }
+
+    /// The timer of this arm, taken back or not.
+    fn timer(&self) -> Option<Timer> {
+        let seq = (self.timer & !HELD).checked_sub(1)?;
+        Some(Timer::new(self.due()?, seq))
+    }
+
+    /// Whether its timer's turn has not come: the arm's wake is ahead, on
+    /// that timer or, taken back, on nothing.
+    pub fn pending(&self) -> bool {
+        self.timer().is_some_and(|t| !t.passed())
+    }
+
+    /// Whether its timer is taken back.
+    pub fn held(&self) -> bool {
+        self.timer & HELD != 0
+    }
+
+    /// Takes back its timer, if its turn has not come: the task is not woken
+    /// for it, and the arm keeps its instant.
+    pub fn take_back(&mut self) {
+        if !self.held() && self.timer().is_some_and(|t| t.cancel()) {
+            self.timer |= HELD;
+        }
+    }
+
+    /// Gives back to `waker`'s task the timer [`take_back`](Self::take_back)
+    /// took, whose turn has not come: the task wakes as if it had never been
+    /// taken.
+    pub fn give_back(&mut self, waker: &Waker) {
+        if let Some(timer) = self.timer().filter(|_| self.held()) {
+            timer.restore(waker);
+            self.timer &= !HELD;
+        }
     }
 }
 
@@ -165,6 +228,11 @@ impl<P, const KIND: usize> WaitList<P, KIND> {
         self.entries.iter().map(|e| &e.payload)
     }
 
+    /// Payloads with the wakers of their tasks, longest parked first.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&mut P, &Waker)> {
+        self.entries.iter_mut().map(|e| (&mut e.payload, &e.waker))
+    }
+
     /// Wakes, longest parked first, every entry `pick` accepts, leaving it
     /// parked: each re-polls and sees for itself what changed.
     pub fn wake_in_place(&self, pick: impl Fn(&P) -> bool) {
@@ -209,10 +277,18 @@ impl<P: AsMut<Arm>, const KIND: usize> WaitList<P, KIND> {
 
     /// Unparks `ticket`, whose future gave up: its payload and the instant
     /// it was armed for, for its primitive to hand on — `None` if it was not
-    /// armed, or the runtime itself is going away.
+    /// armed, or the runtime itself is going away. A timer of its arm that
+    /// was taken back is given back: its task still gets that wake, as it
+    /// would have had the timer never been taken.
     pub fn leave(&mut self, ticket: u64) -> Option<(P, SimTime)> {
-        let mut payload = self.remove(ticket)?;
-        let at = payload.as_mut().at.filter(|_| try_now().is_some())?;
+        let Entry {
+            waker, mut payload, ..
+        } = self.entries.remove(self.find(ticket)?)?;
+        let arm = payload.as_mut();
+        if arm.held() && arm.pending() {
+            arm.give_back(&waker);
+        }
+        let at = arm.at.filter(|_| try_now().is_some())?;
         Some((payload, at))
     }
 }

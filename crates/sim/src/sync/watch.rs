@@ -2,20 +2,45 @@
 //! `tokio::sync::watch`.
 //!
 //! The broker publishes per-partition log-end-offset changes on it. A
-//! receiver waits on a [`Frontier`] of sends for the one after the last it
-//! has seen.
+//! receiver parks on one [`WaitList`] until a send after the last it has
+//! seen. A send wakes every parked receiver at once — except that a
+//! *charged* send ([`Sender::send_charged`]) arms each receiver waiting with
+//! its key in [`Receiver::changed_charged`] for the send's instant plus that
+//! receiver's cost instead, the way a charged oneshot receive is armed: the
+//! wake and the CPU cost paid on it are one event, and the receiver gets the
+//! value the send carried.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
+use std::time::Duration;
 
-use super::Frontier;
+use super::wait_list::{Arm, WaitList, FRONTIER};
+use crate::time::now;
+
+/// A parked receiver: its charge and key, and — once a charged send armed
+/// it — the value and version that send carried.
+struct Parked<T> {
+    arm: Arm,
+    key: u64,
+    sent: Option<(T, u64)>,
+}
+
+impl<T> AsMut<Arm> for Parked<T> {
+    fn as_mut(&mut self) -> &mut Arm {
+        &mut self.arm
+    }
+}
 
 struct Shared<T> {
     value: RefCell<T>,
     /// Sends so far.
     version: Cell<u64>,
-    /// `version` while the sender lives, `u64::MAX` once it is gone.
-    wake: Frontier,
+    /// Set once the sender is gone.
+    closed: Cell<bool>,
+    receivers: RefCell<WaitList<Parked<T>, FRONTIER>>,
 }
 
 /// Sending half: replaces the value and notifies receivers.
@@ -34,7 +59,8 @@ pub fn channel<T>(initial: T) -> (Sender<T>, Receiver<T>) {
     let shared = Rc::new(Shared {
         value: RefCell::new(initial),
         version: Cell::new(0),
-        wake: Frontier::default(),
+        closed: Cell::new(false),
+        receivers: RefCell::default(),
     });
     (
         Sender {
@@ -45,12 +71,13 @@ pub fn channel<T>(initial: T) -> (Sender<T>, Receiver<T>) {
 }
 
 impl<T> Sender<T> {
-    /// Replaces the value and wakes all waiting receivers.
+    /// Replaces the value and wakes every waiting receiver, longest parked
+    /// first; one a charged send armed keeps its wake.
     pub fn send(&self, value: T) {
         let s = &self.shared;
         *s.value.borrow_mut() = value;
         s.version.set(s.version.get() + 1);
-        s.wake.advance_to(s.version.get());
+        s.receivers.borrow_mut().wake_where(|r| r.arm.at.is_none());
     }
 
     /// Creates an additional receiver that has not yet observed the current
@@ -63,9 +90,30 @@ impl<T> Sender<T> {
     }
 }
 
+impl<T: Clone> Sender<T> {
+    /// As [`send`](Self::send), except that a receiver waiting in
+    /// [`Receiver::changed_charged`] with a cost and with `key` is armed for
+    /// now plus its cost, and returns then with `value`.
+    pub fn send_charged(&self, value: T, key: u64) {
+        let s = &self.shared;
+        let version = s.version.get() + 1;
+        let mut receivers = s.receivers.borrow_mut();
+        let due = |r: &Parked<T>| r.arm.at.is_none() && r.key == key && r.arm.cost().is_some();
+        while let Some((r, _)) = receivers.arm(now(), due) {
+            r.sent = Some((value.clone(), version));
+        }
+        drop(receivers);
+        self.send(value);
+    }
+}
+
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        self.shared.wake.advance_to(u64::MAX);
+        self.shared.closed.set(true);
+        self.shared
+            .receivers
+            .borrow_mut()
+            .wake_where(|r| r.arm.at.is_none());
     }
 }
 
@@ -80,13 +128,90 @@ impl<T> Receiver<T> {
     /// observed: one parked entry per wait, however often it is polled, and
     /// none once it is dropped. `Err(())` if the sender is gone.
     pub async fn changed(&mut self) -> Result<(), ()> {
-        let s = &self.shared;
-        s.wake.reached(self.seen + 1).await;
-        if s.version.get() == self.seen {
-            return Err(()); // woken by the sender's drop
+        self.changed_charged(None, 0).await.map(drop)
+    }
+
+    /// As [`changed`](Self::changed), as a task that pays `cost` once a
+    /// charged send with `key` arrives: such a send at T returns
+    /// `Ok(Some(value))` at T + cost, with the value it sent and the version
+    /// it made seen, whatever is sent meanwhile. Any other send returns
+    /// `Ok(None)` at once, as does a change made before the first poll.
+    pub fn changed_charged(&mut self, cost: Option<Duration>, key: u64) -> Changed<'_, T> {
+        Changed {
+            rx: self,
+            cost,
+            key,
+            ticket: None,
         }
-        self.seen = s.version.get();
-        Ok(())
+    }
+}
+
+/// Future returned by [`Receiver::changed_charged`].
+pub struct Changed<'a, T> {
+    rx: &'a mut Receiver<T>,
+    cost: Option<Duration>,
+    key: u64,
+    ticket: Option<u64>,
+}
+
+impl<T> Changed<'_, T> {
+    /// Whether a charged send armed it: it returns at that send's instant
+    /// plus its cost.
+    pub fn armed(&self) -> bool {
+        let mut receivers = self.rx.shared.receivers.borrow_mut();
+        let parked = self.ticket.and_then(|t| receivers.get_mut(t));
+        parked.is_some_and(|r| r.arm.at.is_some())
+    }
+}
+
+impl<T> Future for Changed<'_, T> {
+    type Output = Result<Option<T>, ()>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = &mut *self;
+        let s = Rc::clone(&this.rx.shared);
+        let mut receivers = s.receivers.borrow_mut();
+        if let Some(ticket) = this.ticket {
+            match receivers.get_mut(ticket) {
+                // Armed by a charged send: only its instant ends the wait.
+                Some(r) if r.arm.due().is_some_and(|due| due <= now()) => {
+                    let (value, version) = r.sent.take().expect("armed by a charged send");
+                    receivers.remove(ticket);
+                    this.ticket = None;
+                    this.rx.seen = version;
+                    return Poll::Ready(Ok(Some(value)));
+                }
+                Some(_) => {
+                    receivers.repark(ticket, cx.waker());
+                    return Poll::Pending;
+                }
+                // Unparked by a send, or by the sender's drop.
+                None => this.ticket = None,
+            }
+        }
+        let version = s.version.get();
+        if version > this.rx.seen {
+            this.rx.seen = version;
+            return Poll::Ready(Ok(None));
+        }
+        if s.closed.get() {
+            return Poll::Ready(Err(()));
+        }
+        let parked = Parked {
+            arm: Arm::new(this.cost),
+            key: this.key,
+            sent: None,
+        };
+        this.ticket = Some(receivers.park(cx.waker(), parked));
+        Poll::Pending
+    }
+}
+
+impl<T> Drop for Changed<'_, T> {
+    fn drop(&mut self) {
+        if let Some(ticket) = self.ticket {
+            self.rx.shared.receivers.borrow_mut().remove(ticket);
+        }
     }
 }
 

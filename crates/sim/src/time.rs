@@ -92,13 +92,61 @@ pub fn try_now() -> Option<SimTime> {
 }
 
 /// Wakes `waker` once the virtual clock reaches `deadline` (at the next
-/// scheduling point if it already has). The timer cannot be cancelled: a
-/// task that stopped waiting gets one spurious poll. This is how a
-/// synchronous producer arms a parked consumer for the instant its input
-/// becomes usable — [`DueQueue`](crate::sync::DueQueue) and the simulated
-/// TCP pipe do — instead of waking it now only to have it go to sleep.
-pub fn wake_at(deadline: SimTime, waker: &Waker) {
-    with_current(|inner| inner.register_timer(deadline.as_nanos(), waker.clone()));
+/// scheduling point if it already has). This is how a synchronous producer
+/// arms a parked consumer for the instant its input becomes usable —
+/// [`DueQueue`](crate::sync::DueQueue) and the simulated TCP pipe do —
+/// instead of waking it now only to have it go to sleep.
+///
+/// The timers of an instant wake their tasks in `(deadline, seq)` order,
+/// each polled at its turn. Until its turn the timer can be taken back
+/// ([`Timer::cancel`]), and then costs no poll, and put back
+/// ([`Timer::restore`]) where it was; a timer nobody takes back wakes its
+/// task even if that task stopped waiting (one spurious poll).
+pub fn wake_at(deadline: SimTime, waker: &Waker) -> Timer {
+    let deadline = deadline.as_nanos();
+    let seq = with_current(|inner| inner.register_timer(deadline, waker.clone()));
+    Timer { deadline, seq }
+}
+
+/// A timer set by [`wake_at`]: its deadline and its place among the
+/// timers of that deadline.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Timer {
+    deadline: u64,
+    seq: u64,
+}
+
+impl Timer {
+    pub(crate) fn new(deadline: SimTime, seq: u64) -> Timer {
+        Timer {
+            deadline: deadline.as_nanos(),
+            seq,
+        }
+    }
+
+    pub(crate) fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Whether its turn has come: its task was polled for it, or would have
+    /// been had it not been taken back. True outside a runtime.
+    pub fn passed(&self) -> bool {
+        try_with_current(|inner| inner.timer_passed(self.deadline, self.seq)).unwrap_or(true)
+    }
+
+    /// Takes the timer back if its turn has not come: it wakes nobody, and
+    /// the timers around it keep their order. `false` if its turn has come
+    /// (or no runtime is active). Allocates nothing.
+    pub fn cancel(&self) -> bool {
+        try_with_current(|inner| inner.cancel_timer(self.deadline, self.seq)).unwrap_or(false)
+    }
+
+    /// Puts back a timer [`cancel`](Self::cancel) took, for `waker`'s task:
+    /// it fires at its deadline, at its old place among the timers of that
+    /// instant. Its turn must not have come.
+    pub fn restore(&self, waker: &Waker) {
+        with_current(|inner| inner.restore_timer(self.deadline, self.seq, waker.clone()));
+    }
 }
 
 /// Future returned by [`sleep`] / [`sleep_until`].
@@ -327,6 +375,78 @@ mod tests {
         let before = rt.poll_count();
         rt.block_on(async { sleep(Duration::from_millis(3)).await });
         assert_eq!(rt.poll_count() - before, 2 + 2);
+    }
+
+    /// Timers of one instant, their tasks polled at their turns: one taken
+    /// back by a task whose turn comes first wakes nobody; put back by a
+    /// later one, its task is polled at its old place — after the timers
+    /// before it, ahead of the ones after it and of every direct wake.
+    #[test]
+    fn a_timer_taken_back_in_its_instant_costs_no_poll_and_keeps_its_place() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        type Log = Rc<RefCell<Vec<&'static str>>>;
+        // Tasks "a".."d" each wait on one timer at 1 µs, set in that order;
+        // `a` takes back `c`'s, and — if `put_back` — `b` puts it back; `a`
+        // also wakes `e` directly.
+        fn run(put_back: bool) -> (Vec<&'static str>, u64) {
+            let rt = Runtime::new();
+            let log: Log = Rc::default();
+            let timers: Rc<RefCell<Vec<(Timer, Waker)>>> = Rc::default();
+            let parked: Rc<RefCell<Option<Waker>>> = Rc::default();
+            let at = SimTime::from_nanos(1_000);
+            let log2 = Rc::clone(&log);
+            rt.block_on(async move {
+                for name in ["a", "b", "c", "d"] {
+                    let (log, timers, parked) =
+                        (Rc::clone(&log2), Rc::clone(&timers), Rc::clone(&parked));
+                    crate::spawn_detached(async move {
+                        let mut set = false;
+                        std::future::poll_fn(|cx| {
+                            if std::mem::replace(&mut set, true) {
+                                return Poll::Ready(());
+                            }
+                            let timer = wake_at(at, cx.waker());
+                            timers.borrow_mut().push((timer, cx.waker().clone()));
+                            Poll::Pending
+                        })
+                        .await;
+                        log.borrow_mut().push(name);
+                        let (c, waker) = timers.borrow()[2].clone();
+                        match name {
+                            "a" => {
+                                assert!(!c.passed() && c.cancel(), "c's turn is ahead");
+                                assert!(!c.cancel(), "taken once");
+                                parked.borrow_mut().take().unwrap().wake();
+                            }
+                            "b" if put_back => c.restore(&waker),
+                            "d" => assert!(c.passed(), "c's turn is behind"),
+                            _ => {}
+                        }
+                    });
+                }
+                let log = Rc::clone(&log2);
+                crate::spawn_detached(async move {
+                    let mut set = false;
+                    std::future::poll_fn(|cx| {
+                        if std::mem::replace(&mut set, true) {
+                            return Poll::Ready(());
+                        }
+                        *parked.borrow_mut() = Some(cx.waker().clone());
+                        Poll::Pending
+                    })
+                    .await;
+                    log.borrow_mut().push("e");
+                });
+                yield_now().await;
+            });
+            let before = rt.poll_count();
+            rt.block_on(async { sleep(Duration::from_micros(2)).await });
+            (log.take(), rt.poll_count() - before)
+        }
+        // The root twice, then a, b, d and e: c's task is not polled.
+        assert_eq!(run(false), (vec!["a", "b", "d", "e"], 6));
+        assert_eq!(run(true), (vec!["a", "b", "c", "d", "e"], 7));
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! deadline, which keeps every occupied slot's absolute time reconstructible
 //! from the cursor's upper digits.
 
+use std::collections::VecDeque;
+
 /// Bits per wheel level: 64 slots each.
 const BITS: u32 = 6;
 /// Slots per level.
@@ -93,6 +95,43 @@ impl<T> Wheel<T> {
         self.len += 1;
     }
 
+    /// Puts back an entry [`remove`](Self::remove) took out, at its place
+    /// among the entries of its deadline: by `seq`, not behind them.
+    pub fn reinsert(&mut self, deadline: u64, seq: u64, value: T) {
+        let deadline = deadline.max(self.cursor);
+        let level = self.level_of(deadline);
+        let slot = ((deadline >> (BITS * level as u32)) & SLOT_MASK) as usize;
+        let entries = &mut self.slots[level * SLOTS + slot];
+        let at = entries
+            .iter()
+            .position(|e| e.0 == deadline && e.1 > seq)
+            .unwrap_or(entries.len());
+        entries.insert(at, (deadline, seq, value));
+        self.occupied[level] |= 1 << slot;
+        self.len += 1;
+    }
+
+    /// Takes out the pending entry `(deadline, seq)` (a deadline that was
+    /// late when it was inserted is found at the cursor, where it was filed):
+    /// `None` if it has fired, or never was. The others keep their order.
+    pub fn remove(&mut self, deadline: u64, seq: u64) -> Option<T> {
+        // A pending entry stays at the level of its highest digit that
+        // differs from the cursor: the cursor never passes it, so it only
+        // moves below that digit, and a sweep re-files the entry when the
+        // digit itself comes to match.
+        let deadline = deadline.max(self.cursor);
+        let level = self.level_of(deadline);
+        let slot = ((deadline >> (BITS * level as u32)) & SLOT_MASK) as usize;
+        let entries = &mut self.slots[level * SLOTS + slot];
+        let at = entries.iter().position(|e| e.0 == deadline && e.1 == seq)?;
+        let (_, _, value) = entries.remove(at);
+        if entries.is_empty() {
+            self.occupied[level] &= !(1 << slot);
+        }
+        self.len -= 1;
+        Some(value)
+    }
+
     /// Moves the cursor to `to` and restores the level invariant: every slot
     /// whose digit the cursor now matches is pushed down a level (highest
     /// level first, so entries settle in one sweep). Only the levels at or
@@ -135,7 +174,7 @@ impl<T> Wheel<T> {
     /// clock jumps there, and tasks it wakes may register fresh timers for
     /// deadlines barely after it, which a cursor that had cascaded toward
     /// some later deadline would misfile.
-    pub fn pop_next(&mut self, out: &mut Vec<(u64, u64, T)>) -> Option<u64> {
+    pub fn pop_next(&mut self, out: &mut VecDeque<(u64, u64, T)>) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -165,7 +204,7 @@ impl<T> Wheel<T> {
         debug_assert!(self.slots[slot].iter().all(|e| e.0 == deadline));
         self.len -= self.slots[slot].len();
         self.occupied[0] &= !(1 << slot);
-        out.append(&mut self.slots[slot]);
+        out.extend(self.slots[slot].drain(..));
         Some(deadline)
     }
 }
@@ -176,7 +215,7 @@ mod tests {
 
     /// The next instant's `(deadline, seq)` pairs, or `None` when empty.
     fn pop(w: &mut Wheel<u64>) -> Option<(u64, Vec<(u64, u64)>)> {
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         let d = w.pop_next(&mut out)?;
         Some((d, out.into_iter().map(|(d, s, _)| (d, s)).collect()))
     }
@@ -218,7 +257,7 @@ mod tests {
         let mut sorted = deadlines.to_vec();
         sorted.sort_unstable();
         let mut got = Vec::new();
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         while let Some(d) = w.pop_next(&mut out) {
             assert_eq!(d, sorted[got.len()], "wheel must pop the exact minimum");
             for (dd, _, v) in out.drain(..) {
@@ -286,12 +325,13 @@ mod tests {
         assert_eq!(pop(&mut w), Some((7_000, vec![(7_000, 1)])));
     }
 
-    /// Property: under arbitrary interleavings of inserts and pops, the
-    /// wheel pops the earliest pending deadline each time, with all of its
-    /// entries in insertion order — against a sorted `(deadline, seq)`
-    /// model. Deadlines sit on, just below and just above the boundaries of
-    /// every level, and some are late: behind the cursor, which the wheel
-    /// clamps to the cursor, as the model does.
+    /// Property: under arbitrary interleavings of inserts, removals,
+    /// re-inserts of removed entries not yet due and pops, the wheel pops the
+    /// earliest pending deadline each time, with all of its entries in
+    /// insertion order — against a sorted `(deadline, seq)` model. Deadlines
+    /// sit on, just below and just above the boundaries of every level, and
+    /// some are late: behind the cursor, which the wheel clamps to the
+    /// cursor, as the model does.
     #[test]
     fn prop_interleaved_inserts_preserve_deadline_seq_order() {
         let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -306,11 +346,28 @@ mod tests {
         for _case in 0..40 {
             let mut w: Wheel<u64> = Wheel::new();
             let mut model: Vec<(u64, u64)> = Vec::new(); // (deadline, seq)
+                                                         // Removed entries, as the wheel was handed them.
+            let mut removed: Vec<(u64, u64)> = Vec::new();
             let mut now: u64 = 0;
             let mut seq: u64 = 0;
-            let mut out = Vec::new();
+            let mut out = VecDeque::new();
             for _op in 0..400 {
-                if rng() % 3 != 0 {
+                if rng() % 4 == 0 && !model.is_empty() {
+                    // Take one out, by the deadline it was inserted with
+                    // (a late one's is behind the cursor); put back one
+                    // taken out before, if it is not yet due.
+                    let (d, s) = model.swap_remove((rng() % model.len() as u64) as usize);
+                    let asked = if d == now { now - rng() % (now + 1) } else { d };
+                    assert_eq!(w.remove(asked, s), Some(s));
+                    assert_eq!(w.remove(d, s), None, "removed once");
+                    removed.push((d, s));
+                    let back = (rng() % removed.len() as u64) as usize;
+                    if rng() % 2 == 0 && removed[back].0 >= now {
+                        let (d, s) = removed.swap_remove(back);
+                        w.reinsert(d, s, s);
+                        model.push((d, s));
+                    }
+                } else if rng() % 3 != 0 {
                     // A burst of inserts: mixed horizons, frequent ties.
                     for _ in 0..(rng() % 8 + 1) {
                         let d = match rng() % 5 {
@@ -349,7 +406,7 @@ mod tests {
     #[test]
     fn slot_capacity_is_reused_across_rounds() {
         let mut w = Wheel::new();
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         for round in 0..50u64 {
             let base = round * 1000;
             for seq in 0..32u64 {

@@ -11,12 +11,20 @@
 //! effective deadline is `max(target, deliver_at)` — the wheel clamps late
 //! timers to "now" — and the observed wake order must equal the model's
 //! stable sort by `(effective deadline, global insertion index)`.
+//!
+//! With cancels, each delivery first takes back some timers registered
+//! before it that are not yet due, and puts back some it took, and the
+//! model drops the timers that stay taken: a taken timer wakes nobody (its
+//! task is never polled again) and the others keep their order.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::task::Poll;
 
+use sim::time::Timer;
 use sim::SimTime;
+
+type Timers = Rc<RefCell<Vec<(Timer, std::task::Waker)>>>;
 
 /// Time unit of the generator: deliveries spread over 20 of these, sleep
 /// offsets over 3.
@@ -124,9 +132,76 @@ fn gen_boundary_case(seed: u64, n: usize) -> Vec<Delivery> {
         .collect()
 }
 
+/// Which timers stay cancelled when `observe` runs `case` with cancels
+/// from `seed`, by insertion index. Each delivery, before it registers its
+/// own, cancels each pending timer set at an earlier instant (effective
+/// deadline past its own)
+/// with probability 1/4 and restores each cancelled one still pending with
+/// probability 1/3, in insertion order.
+fn cancels(case: &[Delivery], seed: u64) -> Vec<(usize, Vec<usize>, Vec<usize>)> {
+    let mut s = seed;
+    // (registered at, effective deadline) by insertion index.
+    let mut registered: Vec<(u64, u64)> = Vec::new();
+    let mut taken: Vec<bool> = Vec::new();
+    let mut plan = Vec::new();
+    for i in canonical_order(case) {
+        let at = case[i].deliver_at;
+        let (mut cancel, mut restore) = (Vec::new(), Vec::new());
+        for (idx, &(set_at, deadline)) in registered.iter().enumerate() {
+            // Timers set in this instant are not set yet when it runs.
+            if set_at == at || deadline <= at {
+                continue;
+            }
+            if !taken[idx] && splitmix(&mut s).is_multiple_of(4) {
+                cancel.push(idx);
+            } else if taken[idx] && splitmix(&mut s).is_multiple_of(3) {
+                restore.push(idx);
+            }
+        }
+        cancel.iter().for_each(|&idx| taken[idx] = true);
+        restore.iter().for_each(|&idx| taken[idx] = false);
+        plan.push((i, cancel, restore));
+        for &off in &case[i].sleepers {
+            registered.push((at, (at as i64 + off).max(at as i64) as u64));
+            taken.push(false);
+        }
+    }
+    plan
+}
+
+/// The model with `cancels` applied: the timers still taken at the end
+/// never fire.
+fn model_with_cancels(case: &[Delivery], seed: u64) -> Vec<(u64, usize)> {
+    let mut taken = std::collections::HashSet::new();
+    for (_, cancel, restore) in cancels(case, seed) {
+        taken.extend(cancel);
+        restore.iter().for_each(|idx| {
+            taken.remove(idx);
+        });
+    }
+    let mut expected = model(case);
+    expected.retain(|(_, idx)| !taken.contains(idx));
+    expected
+}
+
 /// Runs `case` on a runtime seeded `seed` and returns the observed wake
 /// sequence: (wake time, insertion index) pairs in the order they happened.
 fn observe(seed: u64, case: Vec<Delivery>) -> Vec<(u64, usize)> {
+    observe_with(seed, case, None)
+}
+
+/// As [`observe`], with the cancels of [`cancels`] drawn from
+/// `cancel_seed`, if given.
+fn observe_with(seed: u64, case: Vec<Delivery>, cancel_seed: Option<u64>) -> Vec<(u64, usize)> {
+    let plan: Vec<(Vec<usize>, Vec<usize>)> = {
+        let mut plan = vec![(Vec::new(), Vec::new()); case.len()];
+        if let Some(cancel_seed) = cancel_seed {
+            for (i, cancel, restore) in cancels(&case, cancel_seed) {
+                plan[i] = (cancel, restore);
+            }
+        }
+        plan
+    };
     // Outlive every delivery and every (possibly late) sleep.
     let end = case
         .iter()
@@ -142,18 +217,29 @@ fn observe(seed: u64, case: Vec<Delivery>) -> Vec<(u64, usize)> {
     let rt = sim::Runtime::with_seed(seed);
     rt.block_on(async move {
         let wakes: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
+        // Every timer set so far, by insertion index, with its task's waker.
+        let timers: Timers = Rc::default();
         let mut base_idx = 0usize;
         for i in canonical_order(&case) {
             let deliver_at = case[i].deliver_at;
             let sleepers = case[i].sleepers.clone();
-            let wakes = Rc::clone(&wakes);
+            let (cancel, restore) = plan[i].clone();
+            let (wakes, timers) = (Rc::clone(&wakes), Rc::clone(&timers));
             let base = base_idx;
             base_idx += sleepers.len();
             sim::spawn_detached(async move {
                 sim::time::sleep_until(SimTime::from_nanos(deliver_at)).await;
+                for idx in cancel {
+                    let (timer, _) = &timers.borrow()[idx];
+                    assert!(timer.cancel(), "timer {idx} is not due yet");
+                }
+                for idx in restore {
+                    let (timer, waker) = &timers.borrow()[idx];
+                    timer.restore(waker);
+                }
                 for (j, &off) in sleepers.iter().enumerate() {
                     let target = deliver_at as i64 + off;
-                    let wakes = Rc::clone(&wakes);
+                    let (wakes, timers) = (Rc::clone(&wakes), Rc::clone(&timers));
                     sim::spawn_detached(async move {
                         // Straight to the wheel: `sleep_until` returns at
                         // once for a late target and never registers it.
@@ -163,7 +249,8 @@ fn observe(seed: u64, case: Vec<Delivery>) -> Vec<(u64, usize)> {
                             if std::mem::replace(&mut armed, true) {
                                 return Poll::Ready(());
                             }
-                            sim::time::wake_at(at, cx.waker());
+                            let timer = sim::time::wake_at(at, cx.waker());
+                            timers.borrow_mut().push((timer, cx.waker().clone()));
                             Poll::Pending
                         })
                         .await;
@@ -201,6 +288,29 @@ fn timers_across_wheel_level_boundaries_expire_in_deadline_seq_order() {
             observe(seed, case),
             expected,
             "seed {seed}: wake order across level boundaries diverged from the model"
+        );
+    }
+}
+
+#[test]
+fn cancelled_timers_wake_nobody_and_the_others_keep_their_order() {
+    for (seed, boundary) in [(5u64, false), (17, false), (2024, true), (0xC0FFEE, true)] {
+        let make = |seed| {
+            if boundary {
+                gen_boundary_case(seed, 80)
+            } else {
+                gen_case(seed, 60)
+            }
+        };
+        let expected = model_with_cancels(&make(seed), seed ^ 0x5EED);
+        assert!(
+            expected.len() < model(&make(seed)).len(),
+            "seed {seed}: some stay cancelled"
+        );
+        assert_eq!(
+            observe_with(seed, make(seed), Some(seed ^ 0x5EED)),
+            expected,
+            "seed {seed}: wake order with cancels diverged from the model"
         );
     }
 }

@@ -50,9 +50,12 @@ const TRANSFER: Duration = Duration::from_micros(2);
 const WAKEUP: Duration = Duration::from_micros(3);
 
 /// The digest of all 200 schedules.
-const GOLDEN: &str = "bca9bbaf7e3c2cba";
+const GOLDEN: &str = "e79913d62a757f15";
 /// The digest of all 200 schedules with every poll count logged as 0.
 const GOLDEN_ORDER: &str = "149358901e9e4791";
+/// The executor polls all 200 schedules cost (111 153 while a CQ consumer
+/// armed for a CQE another one took was woken to find the queue empty).
+const POLLS: u64 = 110_473;
 
 /// A counting semaphore with FIFO fairness: a release hands its permits, in
 /// park order, to the longest prefix of waiters they satisfy, so a
@@ -460,8 +463,9 @@ async fn cq_post_task(w: Rc<World>, t: u64, mut rng: SimRng) {
     }
 }
 
-/// One schedule: the digests of its log, chained onto `digest`.
-fn schedule(seed: u64, digest: (u64, u64)) -> (u64, u64) {
+/// One schedule: the digests of its log, chained onto `digest`, and the
+/// executor polls it cost.
+fn schedule(seed: u64, digest: (u64, u64)) -> ((u64, u64), u64) {
     let rt = Rc::new(Runtime::with_seed(seed));
     let weak = Rc::downgrade(&rt);
     rt.block_on(async move {
@@ -527,14 +531,21 @@ fn schedule(seed: u64, digest: (u64, u64)) -> (u64, u64) {
         w.log(u64::MAX, END, 0);
         sleep(Duration::from_micros(20)).await;
         w.log(u64::MAX, END, 1);
-        w.digest.get()
+        (
+            w.digest.get(),
+            w.rt.upgrade().expect("inside block_on").poll_count(),
+        )
     })
 }
 
 #[test]
 fn wake_order_of_every_wait_list_is_pinned() {
     const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    let (all, order) = (0..SCHEDULES).fold((BASIS, BASIS), |d, seed| schedule(seed, d));
+    let ((all, order), polls) = (0..SCHEDULES).fold(((BASIS, BASIS), 0), |(d, polls), seed| {
+        let (d, more) = schedule(seed, d);
+        (d, polls + more)
+    });
+    assert_eq!(polls, POLLS, "the executor polls all schedules cost moved");
     assert_eq!(
         format!("{order:016x}"),
         GOLDEN_ORDER,

@@ -11,6 +11,11 @@ cargo clippy --all-targets --offline -- -D warnings
 # One layout: the workspace is what `cargo fmt` prints (kdmark under
 # benchmark/ is its own package and is not checked here).
 cargo fmt --check
+# The docs build without a warning, the public and the private items'
+# alike: an intra-doc link that names nothing, or a public doc that links a
+# private item, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace --document-private-items
 
 # Chaos soak: seeded fault plans over bounded virtual time; fails on any
 # lost/reordered acked record, trace-invariant violation, partition-log
@@ -341,6 +346,23 @@ if grep -n "BinaryHeap" crates/sim/src/sync/due_queue.rs ||
     printf '%s\n' "$wake_ats" >&2
     exit 1
 fi
+
+# Wakes that do nothing, taken back (DESIGN.md §10 "Wakes that do
+# nothing"): a timer can be taken back until its turn comes, at no poll, and
+# put back where it was; a CQ takes back the wake of a consumer whose CQE
+# another one took, and a push loop's post cost rides its log-end wake. The
+# timer in its instant and under random cancels, the two blocked consumers,
+# the exclusive produce's and the pipelined RF 3 scenario's exact polls and
+# re-parks, by name. Then a read is checked against the offsets it claims
+# (`drain_batches`), by name.
+cargo test -q --offline -p sim --lib time::tests::a_timer_taken_back_in_its_instant_costs_no_poll_and_keeps_its_place
+cargo test -q --offline -p sim --test prop_timer_order cancelled_timers_wake_nobody_and_the_others_keep_their_order
+cargo test -q --offline -p rnic --test cqe_timing a_consumer_whose_cqe_another_took_is_not_woken
+cargo test -q --offline --release -p kdbench --test budgets rdma_exclusive_produce_per_record
+cargo test -q --offline --release -p kdbench --test budgets pipelined_replicated_produce_and_tail_polls
+cargo test -q --offline -p kdclient --lib consumer::tests::a_gap_inside_a_read_is_corrupt
+cargo test -q --offline -p kdclient --lib consumer::tests::a_read_whose_first_batch_starts_past_the_offset_is_corrupt
+cargo test -q --offline -p kdclient --lib consumer::tests::the_prefix_of_the_batch_that_holds_the_offset_is_skipped
 
 # Timer-wheel property tests: `Wheel::pop_next` pops exact
 # (deadline, insertion-seq) order under arbitrary interleavings of inserts

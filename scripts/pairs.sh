@@ -9,8 +9,8 @@
 # seed 1 and kdmark's own run length, in pairs whose order alternates: this
 # tree runs first in odd pairs, REV first in even ones.
 #
-# Prints every run's `host_ns_per_record` and `setup_s`, and for each of the
-# two each side's median and quartiles (linear interpolation), how many
+# Prints every run's `host_ns_per_record`, `setup_s` and `peak_rss_mib`, and
+# for each of the three each side's median and quartiles (linear interpolation), how many
 # pairs this tree won (the lower value; a tie counts for neither side), and
 # the verdict of the `choosing-metrics` guide (§8): "gain" or "loss" when
 # one side won at least 9 of the 10 pairs and the medians differ by more
@@ -38,7 +38,7 @@ build() { # tree target
 build "$work/a" "$targets/a"
 build . "$targets/b"
 
-run() { # side -> "host_ns_per_record setup_s" on stdout
+run() { # side -> "host_ns_per_record setup_s peak_rss_mib" on stdout
     local tree=.
     [ "$1" = a ] && tree="$work/a"
     local out
@@ -50,25 +50,28 @@ run() { # side -> "host_ns_per_record setup_s" on stdout
     host="$(sed -n 's/.*"host_ns_per_record":{"value":\([0-9.eE+-]*\).*/\1/p' <<<"$out")"
     local setup
     setup="$(sed -n 's/.*"setup_s":{"value":\([0-9.eE+-]*\).*/\1/p' <<<"$out")"
-    if [ -z "$host" ] || [ -z "$setup" ] || ! grep -q '"correct":true' <<<"$out"; then
+    local rss
+    rss="$(sed -n 's/.*"peak_rss_mib":{"value":\([0-9.eE+-]*\).*/\1/p' <<<"$out")"
+    if [ -z "$host" ] || [ -z "$setup" ] || [ -z "$rss" ] || ! grep -q '"correct":true' <<<"$out"; then
         echo "pairs: kdmark $1 FAILED: $out" >&2
         return 1
     fi
-    echo "$host $setup"
+    echo "$host $setup $rss"
 }
 
-printf "%-5s %-6s %18s %18s %12s %12s\n" pair first A B "A setup_s" "B setup_s"
+printf "%-5s %-6s %18s %18s %12s %12s %10s %10s\n" pair first A B "A setup_s" "B setup_s" "A rss" "B rss"
 for i in $(seq 1 "$pairs"); do
     order="a b"
     [ $((i % 2)) = 1 ] && order="b a"
     for side in $order; do
         out="$(run "$side")"
-        read -r host setup <<<"$out"
+        read -r host setup rss <<<"$out"
         printf -v "$side" '%s' "$host"
         printf -v "${side}_setup" '%s' "$setup"
+        printf -v "${side}_rss" '%s' "$rss"
     done
-    printf "%-5s %-6s %18s %18s %12s %12s\n" "$i" "${order%% *}" "$a" "$b" "$a_setup" "$b_setup"
-    echo "$a $b $a_setup $b_setup" >>"$work/pairs.txt"
+    printf "%-5s %-6s %18s %18s %12s %12s %10s %10s\n" "$i" "${order%% *}" "$a" "$b" "$a_setup" "$b_setup" "$a_rss" "$b_rss"
+    echo "$a $b $a_setup $b_setup $a_rss $b_rss" >>"$work/pairs.txt"
 done
 
 verdict() { # column of A, column of B, metric name
@@ -101,3 +104,4 @@ awk -v pairs="$pairs" -v ca="$1" -v cb="$2" '
 }
 verdict 1 2 "host_ns_per_record (ns)"
 verdict 3 4 "setup_s (s)"
+verdict 5 6 "peak_rss_mib (MiB)"
