@@ -108,8 +108,7 @@ impl MicroRig {
 
     /// Connects one producer QP from the client machine.
     pub async fn connect_producer(&self) -> (QueuePair, CompletionQueue) {
-        let send_cq = self.client_nic.create_cq(8192);
-        let recv_cq = self.client_nic.create_cq(64);
+        let (send_cq, recv_cq) = self.client_nic.create_cq_pair(8192, 64);
         let qp = self
             .client_nic
             .connect(

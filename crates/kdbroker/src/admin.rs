@@ -30,7 +30,7 @@ pub(crate) async fn create_topic(
         };
         return match client
             .call(&Request::CreateTopic {
-                topic: topic.to_string(),
+                topic: topic.into(),
                 partitions,
                 replication,
             })
@@ -62,7 +62,7 @@ pub(crate) async fn create_topic(
                 install(b, topic, meta.clone(), None);
             } else if let Some(client) = b.peer_client(target).await {
                 let req = Request::InternalAddPartition {
-                    topic: topic.to_string(),
+                    topic: topic.into(),
                     partition: pt,
                     epoch: 0,
                     leader: meta.leader,
@@ -169,6 +169,9 @@ fn apply_leadership_change(
         revoke_grant(b, p, &g, ErrorCode::FencedEpoch);
     }
     p.apply_leadership(epoch, leader, followers, is_leader);
+    // Demotion sets every consumer slot's demoted bit and promotion clears
+    // it: a consumer's next slot read, which it makes anyway, learns of it.
+    b.consume_module.refresh_slots(p, &b.metrics);
     if is_leader {
         // Promoted follower: serve from the local log. The HW learned from
         // the old leader stays put until the new ISR acks past it.

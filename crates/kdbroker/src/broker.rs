@@ -5,7 +5,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use kdwire::{BrokerAddr, RemoteRegion, RpcClient};
+use kdwire::{BrokerAddr, RemoteRegion, RpcClient, TopicName};
 use netsim::profile::Profile;
 use netsim::NodeHandle;
 use rnic::{CompletionQueue, QpOptions, QueuePair, RNic, SendWr, ShmBuf, WorkRequest};
@@ -63,10 +63,10 @@ pub struct BrokerInner {
     /// the controller.
     pub peers: Vec<BrokerAddr>,
     peer_clients: RefCell<HashMap<u32, RpcClient>>,
-    pub offsets: RefCell<HashMap<(String, String, u32), u64>>,
+    pub offsets: RefCell<HashMap<(String, TopicName, u32), u64>>,
     /// EXTENSION (§5.4 future work): RDMA-writable offset slots keyed by
     /// (group, topic, partition). `u64::MAX` = nothing committed.
-    pub offset_slots: RefCell<HashMap<(String, String, u32), OffsetSlot>>,
+    pub offset_slots: RefCell<HashMap<(String, TopicName, u32), OffsetSlot>>,
     /// Accepted produce/replication QPs by QP number (ack routing).
     pub produce_qps: RefCell<HashMap<u32, QueuePair>>,
     /// Consumer QPs are held only to keep them alive; they never generate
@@ -147,8 +147,7 @@ impl BrokerInner {
         if let Some(s) = self.self_rdma.borrow().clone() {
             return Some(s);
         }
-        let send_cq = self.nic.create_cq(64);
-        let recv_cq = self.nic.create_cq(64);
+        let (send_cq, recv_cq) = self.nic.create_cq_pair(64, 64);
         let qp = self
             .nic
             .connect(
@@ -205,8 +204,7 @@ impl Broker {
         );
         let profile = node.profile();
         let nic = RNic::new(node);
-        let recv_cq = nic.create_cq(CQ_CAPACITY);
-        let ack_send_cq = nic.create_cq(CQ_CAPACITY);
+        let (ack_send_cq, recv_cq) = nic.create_cq_pair(CQ_CAPACITY, CQ_CAPACITY);
         let registry = kdtelem::current();
         let metrics = Metrics::new(&registry);
         let net_pool =

@@ -124,7 +124,8 @@ impl ConsumeModule {
     }
 
     /// Refreshes every metadata slot attached to `p` (called when the high
-    /// watermark advances or a file seals).
+    /// watermark advances, a file seals, or the broker's leadership of `p`
+    /// changes).
     pub fn refresh_slots(&self, p: &Partition, metrics: &Metrics) {
         let consumers = self.consumers.borrow();
         for r in p.slot_refs.borrow().iter() {
@@ -138,8 +139,8 @@ impl ConsumeModule {
 }
 
 /// Computes the slot contents for `segment` of `p`: the last readable byte
-/// (replication high watermark position) and whether more bytes may still
-/// become readable in this file.
+/// (replication high watermark position), whether more bytes may still
+/// become readable in this file, and whether this broker was demoted.
 pub fn slot_view_for(p: &Partition, segment: u32) -> SlotView {
     let hwp = p.log.high_watermark_position();
     // Callers name a located or registered segment; a log drops none.
@@ -159,6 +160,7 @@ pub fn slot_view_for(p: &Partition, segment: u32) -> SlotView {
         last_readable,
         mutable: !finished,
         high_watermark: p.log.high_watermark(),
+        demoted: !p.is_leader(),
     }
 }
 

@@ -96,8 +96,7 @@ fn start_consume_listener(b: &Rc<BrokerInner>) {
     let b = Rc::clone(b);
     sim::spawn(async move {
         while let Some(inc) = listener.accept().await {
-            let send_cq = b.nic.create_cq(64);
-            let recv_cq = b.nic.create_cq(64);
+            let (send_cq, recv_cq) = b.nic.create_cq_pair(64, 64);
             let qp = inc.accept(&b.nic, send_cq, recv_cq, QpOptions::default());
             // Nobody watches these for disconnects: the ends of consumers
             // that left go whenever the list would otherwise grow.

@@ -56,7 +56,7 @@ async fn pull_loop(b: Rc<BrokerInner>, p: Rc<Partition>) {
             }
         };
         let req = Request::Fetch {
-            topic: p.tp.topic.as_str().to_string(),
+            topic: p.tp.topic.as_str().into(),
             partition: p.tp.partition,
             offset: p.log.next_offset(),
             max_bytes: REPLICA_FETCH_MAX_BYTES,
@@ -412,7 +412,7 @@ async fn establish(
     };
     let resp = client
         .call(&Request::ProduceAccess {
-            topic: p.tp.topic.as_str().to_string(),
+            topic: p.tp.topic.as_str().into(),
             partition: p.tp.partition,
             mode: ProduceMode::Replication,
             min_bytes,
@@ -425,8 +425,7 @@ async fn establish(
     if !grant.error.is_ok() || grant.credits == 0 {
         return None;
     }
-    let send_cq = b.nic.create_cq(4096);
-    let recv_cq = b.nic.create_cq(CREDIT_CQ_DEPTH);
+    let (send_cq, recv_cq) = b.nic.create_cq_pair(4096, CREDIT_CQ_DEPTH);
     let qp = b
         .nic
         .connect(

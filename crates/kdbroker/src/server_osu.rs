@@ -33,8 +33,7 @@ pub fn start(b: &Rc<BrokerInner>) {
     sim::spawn(async move {
         while let Some(inc) = listener.accept().await {
             let from = inc.from();
-            let send_cq = b.nic.create_cq(1024);
-            let recv_cq = b.nic.create_cq(1024);
+            let (send_cq, recv_cq) = b.nic.create_cq_pair(1024, 1024);
             let qp = inc.accept(
                 &b.nic,
                 send_cq.clone(),

@@ -26,9 +26,8 @@ impl Admin {
         partitions: u32,
         replication: u32,
     ) -> Result<(), ClientError> {
-        let topic = topic.to_string();
         let request = Request::CreateTopic {
-            topic,
+            topic: topic.into(),
             partitions,
             replication,
         };
@@ -69,10 +68,9 @@ impl Admin {
         partition: u32,
         offset: u64,
     ) -> Result<(), ClientError> {
-        let (group, topic) = (group.to_string(), topic.to_string());
         let request = Request::OffsetCommit {
-            group,
-            topic,
+            group: group.to_string(),
+            topic: topic.into(),
             partition,
             offset,
         };
@@ -89,10 +87,9 @@ impl Admin {
         topic: &str,
         partition: u32,
     ) -> Result<Option<u64>, ClientError> {
-        let (group, topic) = (group.to_string(), topic.to_string());
         let request = Request::OffsetFetch {
-            group,
-            topic,
+            group: group.to_string(),
+            topic: topic.into(),
             partition,
         };
         let Response::OffsetFetch { error, offset } = self.conn.call(&request).await? else {
@@ -109,7 +106,7 @@ impl Admin {
         partition: u32,
     ) -> Result<(u64, u64), ClientError> {
         let request = Request::ListOffsets {
-            topic: topic.to_string(),
+            topic: topic.into(),
             partition,
         };
         let Response::ListOffsets {

@@ -2,7 +2,7 @@
 //! regardless of data availability — the CPU burden §5.3 quantifies.
 
 use kdstorage::record::{decode_batch, peek_total_len, RecordView, LENGTH_PREFIX_LEN};
-use kdwire::{BrokerAddr, Request, Response};
+use kdwire::{BrokerAddr, Request, Response, TopicName};
 use netsim::profile::copy_time;
 use netsim::NodeHandle;
 
@@ -65,7 +65,7 @@ pub(crate) fn drain_batches(
 pub struct TcpConsumer {
     node: NodeHandle,
     conn: Conn,
-    topic: String,
+    topic: TopicName,
     partition: u32,
     /// Next record offset to deliver.
     pub offset: u64,
@@ -97,7 +97,7 @@ impl TcpConsumer {
         Ok(TcpConsumer {
             node: node.clone(),
             conn,
-            topic: topic.to_string(),
+            topic: topic.into(),
             partition,
             offset,
             max_bytes: 1024 * 1024,

@@ -37,7 +37,7 @@ impl Port {
     /// The one dial: a send CQ, a receive CQ and an RC QP over them.
     async fn dial(self, nic: &RNic, broker: BrokerAddr) -> Result<Link, ClientError> {
         let Port(off, send_depth, recv_depth) = self;
-        let (send_cq, recv_cq) = (nic.create_cq(send_depth), nic.create_cq(recv_depth));
+        let (send_cq, recv_cq) = nic.create_cq_pair(send_depth, recv_depth);
         let qp = nic
             .connect(
                 netsim::NodeId(broker.node),

@@ -26,7 +26,7 @@ use std::time::Duration;
 use kdstorage::record::{peek_total_len, RecordView, LENGTH_PREFIX_LEN};
 use kdstorage::TopicPartition;
 use kdwire::slots::{SlotView, SLOTS_PER_CONSUMER, SLOT_SIZE};
-use kdwire::{BrokerAddr, ConsumeAccessResp, RemoteRegion, Request, Response};
+use kdwire::{BrokerAddr, ConsumeAccessResp, ErrorCode, RemoteRegion, Request, Response};
 use netsim::profile::copy_time;
 use netsim::NodeHandle;
 use rnic::{SendWr, ShmBuf, WorkRequest};
@@ -57,6 +57,8 @@ pub struct ConsumerStats {
     pub access_requests: u64,
     pub releases: u64,
     pub rdma_offset_commits: u64,
+    /// Failures recovered from (`data_plane::recover` runs).
+    pub recoveries: u64,
 }
 
 struct FileState {
@@ -197,7 +199,7 @@ impl RdmaConsumer {
     async fn acquire_file(&mut self, i: usize) -> Result<(), ClientError> {
         self.stats.access_requests += 1;
         let sub = &mut self.subs[i];
-        let (topic, partition) = (sub.tp.topic.as_str().to_string(), sub.tp.partition);
+        let (topic, partition) = (sub.tp.topic.as_str().into(), sub.tp.partition);
         let (offset, consumer_id) = (sub.offset, self.consumer_id);
         let request = Request::ConsumeAccess {
             topic,
@@ -238,7 +240,7 @@ impl RdmaConsumer {
             return Ok(());
         };
         self.stats.releases += 1;
-        let (topic, partition) = (sub.tp.topic.as_str().to_string(), sub.tp.partition);
+        let (topic, partition) = (sub.tp.topic.as_str().into(), sub.tp.partition);
         let (consumer_id, segment) = (self.consumer_id, f.grant.segment);
         let request = Request::ConsumeRelease {
             topic,
@@ -277,6 +279,9 @@ impl RdmaConsumer {
                 let mut slot = [0u8; SLOT_SIZE];
                 self.slot_buf.read_into(at, &mut slot);
                 let view = SlotView::decode(&slot);
+                if view.demoted {
+                    return Err(ClientError::Broker(ErrorCode::NotLeader));
+                }
                 f.last_readable = view.last_readable;
                 f.mutable = view.mutable;
             }
@@ -321,6 +326,7 @@ impl RdmaConsumer {
         if !self.joined {
             return Err(e);
         }
+        self.stats.recoveries += 1;
         let ctrl_lives = matches!(&self.plane.ctrl, Conn::Tcp(c) if !c.is_dead());
         let broke = if ctrl_lives && !self.plane.qp.is_alive() {
             Broke::Qp
@@ -485,7 +491,7 @@ impl RdmaConsumer {
     /// can commit with one-sided writes — no broker CPU, no TCP round trip.
     pub async fn enable_rdma_offset_commit(&mut self, group: &str) -> Result<(), ClientError> {
         for sub in &mut self.subs {
-            let (group, topic) = (group.to_string(), sub.tp.topic.as_str().to_string());
+            let (group, topic) = (group.to_string(), sub.tp.topic.as_str().into());
             let request = Request::OffsetSlotAccess {
                 group,
                 topic,
@@ -527,7 +533,7 @@ impl RdmaConsumer {
     /// Commits every subscription's offset for `group` over TCP (§5.4).
     pub async fn commit_offset(&self, group: &str) -> Result<(), ClientError> {
         for sub in &self.subs {
-            let (group, topic) = (group.to_string(), sub.tp.topic.as_str().to_string());
+            let (group, topic) = (group.to_string(), sub.tp.topic.as_str().into());
             let (partition, offset) = (sub.tp.partition, sub.offset);
             let request = Request::OffsetCommit {
                 group,
@@ -571,7 +577,6 @@ mod tests {
 
     use kdbroker::{Broker, BrokerConfig, RdmaToggles};
     use kdstorage::{LogConfig, Record};
-    use kdwire::ErrorCode;
     use netsim::profile::Profile;
     use netsim::Fabric;
 

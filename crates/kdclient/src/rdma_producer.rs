@@ -193,7 +193,7 @@ impl RdmaProducer {
         let mut producer = RdmaProducer {
             plane,
             access: Request::ProduceAccess {
-                topic: topic.to_string(),
+                topic: topic.into(),
                 partition,
                 mode,
                 min_bytes: 0,
@@ -235,13 +235,15 @@ impl RdmaProducer {
     /// to the broker, so the whole commit chain is stitched to it. Staging
     /// buffers are recycled through the generation's pool as acks retire
     /// them, so the steady-state produce path allocates nothing here; a new
-    /// one is allocated at the size of its batch. The copy is charged by
-    /// [`charge_copies`](Self::charge_copies).
+    /// one is allocated at the power of two `BatchBuilder::append` would
+    /// grow it to, so that a later record of up to that size reuses it as
+    /// it is. The copy is charged by [`charge_copies`](Self::charge_copies).
     fn stage(&mut self, record: &Record) -> Result<Staged, ClientError> {
         let span = self.telem.trace_span("client.produce", None);
         let pooled = self.gen.stage_pool.borrow_mut().pop_back();
         let staged = pooled.unwrap_or_else(|| {
-            ShmBuf::from_vec(Vec::with_capacity(single_record_batch_len(record)))
+            let len = single_record_batch_len(record).next_power_of_two();
+            ShmBuf::from_vec(Vec::with_capacity(len))
         });
         staged
             .with_vec(|v| {
@@ -883,6 +885,31 @@ mod tests {
             let request = Request::Metadata { topics: Vec::new() };
             fits("Conn::call", p.ctrl.call(&request), CALL);
             fits("send", p.send(&record), SEND);
+            (p, Vec::new())
+        });
+    }
+
+    /// A window-1 producer's staging buffer is made once, at the power of
+    /// two its first batch would grow to: records of varying size below it
+    /// all reuse those bytes, neither reallocated nor moved.
+    #[test]
+    fn a_window_1_producer_allocates_its_staging_bytes_once() {
+        run(1 << 20, |mut p| async move {
+            let staging = |p: &RdmaProducer| {
+                let pool = p.gen.stage_pool.borrow();
+                assert_eq!(pool.len(), 1, "one staging buffer, back in the pool");
+                let buf = pool.iter().next().expect("one buffer");
+                buf.with_vec(|v| (v.as_ptr(), v.capacity()))
+            };
+            let mut first = None;
+            for len in [100, 180, 120, 190, 140] {
+                let record = Record::value(vec![7; len]);
+                assert!((129..=256).contains(&single_record_batch_len(&record)));
+                p.send(&record).await.unwrap();
+                let bytes = staging(&p);
+                assert_eq!(*first.get_or_insert(bytes), bytes, "a {len} B record");
+            }
+            assert_eq!(first.map(|(_, capacity)| capacity), Some(256));
             (p, Vec::new())
         });
     }

@@ -6,12 +6,13 @@
 //! files and metadata slots. Data-plane bytes (record batches) are opaque
 //! payloads produced by `kdstorage`.
 //!
-//! Three modules:
+//! Four modules:
 //! * [`messages`] — typed requests/responses, each described once in a
 //!   table whose encode, decode, size bound and generator are derived
 //!   ([`Wire`]),
 //! * [`frame`] — length-prefixed framing over `netsim::tcp`, plus a
 //!   pipelining RPC client,
+//! * [`topic`] — [`TopicName`], a request's topic, inline up to 22 bytes,
 //! * [`slots`] — the shared binary layouts both ends must agree on without
 //!   an RPC: the 32-bit immediate value (Fig 4), the 64-bit shared
 //!   order/offset word (Fig 5), the 9-byte produce ack (Fig 3), and the
@@ -20,6 +21,7 @@
 pub mod frame;
 pub mod messages;
 pub mod slots;
+pub mod topic;
 
 pub use frame::{
     begin_frame, read_frame, read_frame_into, write_frame, write_frame_from, Calls, Payload,
@@ -33,3 +35,4 @@ pub use slots::{
     decode_ack, encode_ack, pack_imm, pack_shared_word, unpack_imm, unpack_shared_word, SharedWord,
     SlotView, ACK_SIZE, SLOT_SIZE,
 };
+pub use topic::TopicName;

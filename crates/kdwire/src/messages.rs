@@ -12,6 +12,8 @@
 use kdstorage::codec::{Reader, WireError, Writer};
 use sim::rng::SimRng;
 
+use crate::TopicName;
+
 /// A type with one wire encoding.
 pub trait Wire: Sized {
     /// No encoding of the type is shorter: how a count read off the wire is
@@ -443,8 +445,9 @@ wire_enum! {
     pub enum Request {
         /// Topic/partition discovery; empty list = all topics.
         Metadata { topics: Vec<String> } = 0,
-        CreateTopic { topic: String, partitions: u32, replication: u32 } = 1,
-        /// The original TCP produce datapath (§4.2.1).
+        CreateTopic { topic: TopicName, partitions: u32, replication: u32 } = 1,
+        /// The original TCP produce datapath (§4.2.1). Its topic stays a
+        /// `String`, the type kdmark's wire layer builds it with.
         Produce {
             topic: String,
             partition: u32,
@@ -455,20 +458,20 @@ wire_enum! {
         /// Consumer fetch, or follower pull-replication fetch when `replica_id`
         /// is set (§4.3.1).
         Fetch {
-            topic: String,
+            topic: TopicName,
             partition: u32,
             offset: u64,
             max_bytes: u32,
             /// `u32::MAX` = a consumer; otherwise the fetching follower's node.
             replica_id: u32,
         } = 3,
-        ListOffsets { topic: String, partition: u32 } = 4,
-        OffsetCommit { group: String, topic: String, partition: u32, offset: u64 } = 5,
-        OffsetFetch { group: String, topic: String, partition: u32 } = 6,
+        ListOffsets { topic: TopicName, partition: u32 } = 4,
+        OffsetCommit { group: String, topic: TopicName, partition: u32, offset: u64 } = 5,
+        OffsetFetch { group: String, topic: TopicName, partition: u32 } = 6,
         /// "Get RDMA produce address" (§4.2.2 / §4.3.2): map + register the head
         /// file and return its region.
         ProduceAccess {
-            topic: String,
+            topic: TopicName,
             partition: u32,
             mode: ProduceMode,
             /// Roll to a new head file unless this many bytes are still free —
@@ -477,22 +480,22 @@ wire_enum! {
             min_bytes: u32,
         } = 7,
         /// Voluntarily drop a produce grant.
-        ProduceRelease { topic: String, partition: u32 } = 8,
+        ProduceRelease { topic: TopicName, partition: u32 } = 8,
         /// Get RDMA read access to the file containing `offset` (§4.4.2).
-        ConsumeAccess { topic: String, partition: u32, offset: u64, consumer_id: u64 } = 9,
+        ConsumeAccess { topic: TopicName, partition: u32, offset: u64, consumer_id: u64 } = 9,
         /// Tell the broker a fully-read file can be unregistered (§4.4.2:
         /// "notifies the broker about the files that can be unregistered").
-        ConsumeRelease { topic: String, partition: u32, consumer_id: u64, segment: u32 } = 10,
+        ConsumeRelease { topic: TopicName, partition: u32, consumer_id: u64, segment: u32 } = 10,
         /// EXTENSION (paper §5.4 future work): get an RDMA-writable offset slot
         /// so the consumer can commit its offset with a one-sided write instead
         /// of a TCP request ("KafkaDirect could implement an accelerated commit
         /// offset request with the use of RDMA").
-        OffsetSlotAccess { group: String, topic: String, partition: u32 } = 12,
+        OffsetSlotAccess { group: String, topic: TopicName, partition: u32 } = 12,
         /// Controller→broker: install a partition with its leader/replica
         /// assignment (stands in for Kafka's ZooKeeper-driven state, which the
         /// paper does not exercise).
         InternalAddPartition {
-            topic: String,
+            topic: TopicName,
             partition: u32,
             /// Leader epoch of this assignment; installs with a stale epoch are
             /// rejected with [`ErrorCode::FencedEpoch`].

@@ -103,6 +103,7 @@ pub const SLOTS_PER_CONSUMER: usize = 64;
 /// ```text
 /// 0..4   last_readable: u32   -- first byte a consumer may NOT read
 /// 4      flags: u8            -- bit0: file still mutable
+///                             -- bit1: the broker is no longer the leader
 /// 5..8   padding
 /// 8..16  high_watermark: u64  -- committed record offset (lag accounting)
 /// ```
@@ -116,13 +117,17 @@ pub struct SlotView {
     pub mutable: bool,
     /// Record-offset high watermark, for consumer lag metrics.
     pub high_watermark: u64,
+    /// The broker was demoted: a consumer reading this slot must find the
+    /// partition's new leader (§4.4.2's slot, telling the truth about a
+    /// fail-over without a crash).
+    pub demoted: bool,
 }
 
 impl SlotView {
     pub fn encode(&self) -> [u8; SLOT_SIZE] {
         let mut b = [0u8; SLOT_SIZE];
         b[0..4].copy_from_slice(&self.last_readable.to_le_bytes());
-        b[4] = u8::from(self.mutable);
+        b[4] = u8::from(self.mutable) | u8::from(self.demoted) << 1;
         b[8..16].copy_from_slice(&self.high_watermark.to_le_bytes());
         b
     }
@@ -139,6 +144,7 @@ impl SlotView {
             last_readable: u32::from_le_bytes([r0, r1, r2, r3]),
             mutable: flags & 1 != 0,
             high_watermark: u64::from_le_bytes(*high_watermark),
+            demoted: flags & 2 != 0,
         }
     }
 }
@@ -269,13 +275,18 @@ mod tests {
             last_readable: 123_456,
             mutable: true,
             high_watermark: 99,
+            demoted: false,
         };
         let enc = s.encode();
+        assert_eq!(enc[4], 1);
         assert_eq!(SlotView::decode(&enc), s);
         let sealed = SlotView {
             mutable: false,
             ..s
         };
         assert_eq!(SlotView::decode(&sealed.encode()), sealed);
+        let demoted = SlotView { demoted: true, ..s };
+        assert_eq!(demoted.encode()[4], 3);
+        assert_eq!(SlotView::decode(&demoted.encode()), demoted);
     }
 }

@@ -88,25 +88,59 @@ pub(crate) struct CqInner {
     fabric: Rc<Registry>,
 }
 
+impl CqInner {
+    fn new(capacity: usize, fabric: &Rc<Registry>) -> Self {
+        assert!(capacity > 0);
+        CqInner {
+            queue: RefCell::default(),
+            capacity,
+            waiters: RefCell::new(WaitList::default()),
+            overflowed: Cell::new(false),
+            attached: RefCell::default(),
+            fabric: Rc::clone(fabric),
+        }
+    }
+}
+
+/// A handle on a CQ's state: a lone CQ's own allocation, or one of the two
+/// a QP's send and receive CQs share.
+#[derive(Clone)]
+pub(crate) enum CqRef {
+    Lone(Rc<CqInner>),
+    /// The pair, and whether this is its receive CQ.
+    Pair(Rc<[CqInner; 2]>, bool),
+}
+
+impl std::ops::Deref for CqRef {
+    type Target = CqInner;
+
+    fn deref(&self) -> &CqInner {
+        match self {
+            CqRef::Lone(cq) => cq,
+            CqRef::Pair(cqs, recv) => &cqs[usize::from(*recv)],
+        }
+    }
+}
+
 /// A completion queue shared by one or more QPs.
 #[derive(Clone)]
 pub struct CompletionQueue {
-    pub(crate) inner: Rc<CqInner>,
+    pub(crate) inner: CqRef,
 }
 
 impl CompletionQueue {
-    pub(crate) fn with_capacity(capacity: usize, fabric: Rc<Registry>) -> Self {
-        assert!(capacity > 0);
-        CompletionQueue {
-            inner: Rc::new(CqInner {
-                queue: RefCell::default(),
-                capacity,
-                waiters: RefCell::new(WaitList::default()),
-                overflowed: Cell::new(false),
-                attached: RefCell::default(),
-                fabric,
-            }),
-        }
+    pub(crate) fn with_capacity(capacity: usize, fabric: &Rc<Registry>) -> Self {
+        let inner = CqRef::Lone(Rc::new(CqInner::new(capacity, fabric)));
+        CompletionQueue { inner }
+    }
+
+    /// A QP's send and receive CQs, in one allocation.
+    pub(crate) fn pair(send: usize, recv: usize, fabric: &Rc<Registry>) -> (Self, Self) {
+        let cqs = Rc::new([CqInner::new(send, fabric), CqInner::new(recv, fabric)]);
+        let half = |recv| CompletionQueue {
+            inner: CqRef::Pair(Rc::clone(&cqs), recv),
+        };
+        (half(false), half(true))
     }
 
     pub(crate) fn attach(&self, qp: &Rc<QpShared>) {

@@ -297,7 +297,13 @@ impl RNic {
 
     /// Creates a completion queue of the given capacity.
     pub fn create_cq(&self, capacity: usize) -> CompletionQueue {
-        CompletionQueue::with_capacity(capacity, Rc::clone(&self.inner.registry))
+        CompletionQueue::with_capacity(capacity, &self.inner.registry)
+    }
+
+    /// Creates a QP's send and receive CQs, of the given capacities, in one
+    /// allocation: what [`create_cq`](Self::create_cq) twice makes in two.
+    pub fn create_cq_pair(&self, send: usize, recv: usize) -> (CompletionQueue, CompletionQueue) {
+        CompletionQueue::pair(send, recv, &self.inner.registry)
     }
 
     /// Resident QP contexts on this device right now (multiplexed QPs
@@ -342,6 +348,7 @@ impl RNic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verbs::{CqOpcode, CqStatus, Cqe};
     use netsim::profile::Profile;
 
     #[test]
@@ -370,6 +377,31 @@ mod tests {
             nic.dereg_mr(&m);
             assert!(!m.is_valid());
             assert!(nic.inner.find_mr(m.rkey()).is_none());
+        });
+    }
+
+    /// A QP's two CQs share an allocation, not a queue or a capacity, and
+    /// each outlives the other's handles.
+    #[test]
+    fn a_cq_pair_is_two_queues() {
+        let rt = sim::Runtime::new();
+        rt.block_on(async {
+            let f = Fabric::new(Profile::fast_test());
+            let nic = RNic::new(&f.add_node("a"));
+            let (send, recv) = nic.create_cq_pair(1, 2);
+            let cqe = |wr_id| Cqe::bare(wr_id, 0, CqStatus::Success, CqOpcode::Send);
+            send.push(cqe(1));
+            drop(send);
+            recv.push(cqe(2));
+            recv.push(cqe(3));
+            assert!(!recv.overflowed(), "the receive CQ holds two");
+            assert_eq!(recv.len(), 2);
+            assert_eq!(recv.poll().map(|c| c.wr_id), Some(2));
+            let (send, recv) = nic.create_cq_pair(1, 1);
+            drop(recv);
+            send.push(cqe(4));
+            send.push(cqe(5));
+            assert!(send.overflowed(), "the send CQ holds one");
         });
     }
 }

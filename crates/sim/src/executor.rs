@@ -13,7 +13,9 @@
 //! * spawned futures are placed in a size-class **task arena**: completing a
 //!   task returns its memory to a free list keyed by rounded future size, so
 //!   a steady-state workload (e.g. one RPC task per request) re-uses the
-//!   same allocations instead of boxing each future;
+//!   same allocations instead of boxing each future, and a class of at most
+//!   1 KiB refills from a 16 KiB slab, so a burst of small tasks (a
+//!   connection's serving tasks) allocates a slab per 16 KiB of them;
 //! * a joined `spawn` and the `block_on` root are one [`Task`] wrapper that
 //!   polls the future in place, so the task stores its frame once.
 
@@ -118,6 +120,17 @@ const TASK_ALIGN: usize = 16;
 const MIN_CLASS_SHIFT: u32 = 4; // 16 bytes
 const NUM_CLASSES: usize = 13; // up to 16 << 12 = 64 KiB
 const UNPOOLED: usize = usize::MAX;
+/// The classes up to 1 KiB (16 << 6) refill from a slab: one allocation
+/// carved into [`SLAB_BYTES`] of blocks, where a larger class allocates a
+/// block per refill.
+const SLAB_CLASSES: usize = 7;
+const SLAB_BYTES: usize = 16 * 1024;
+/// A slab: a [`TASK_ALIGN`] header holding the address of the slab made
+/// before it, then its blocks.
+const SLAB_LAYOUT: Layout = match Layout::from_size_align(TASK_ALIGN + SLAB_BYTES, TASK_ALIGN) {
+    Ok(layout) => layout,
+    Err(_) => panic!("a slab is a valid layout"),
+};
 
 /// A spawned future placed in arena memory, with monomorphised poll/drop
 /// thunks — a manually laid-out `Box<dyn Future>` whose allocation can be
@@ -162,17 +175,28 @@ fn class_layout(class: usize) -> Layout {
     Layout::from_size_align(bytes, TASK_ALIGN).expect("size classes are valid layouts")
 }
 
+/// Allocates `layout`, which is not zero-sized.
+fn alloc_block(layout: Layout) -> NonNull<u8> {
+    // SAFETY: every layout asked for here has a non-zero size.
+    NonNull::new(unsafe { alloc(layout) }).unwrap_or_else(|| handle_alloc_error(layout))
+}
+
 /// Free lists of recycled task allocations, one per size class. A free
 /// block holds the address of the next one in its first bytes, so
-/// recycling a block allocates nothing.
+/// recycling a block allocates nothing. A slab class's blocks belong to the
+/// arena's slabs, which it frees when it drops; a larger class's blocks are
+/// freed one by one.
 struct TaskArena {
     free: [Option<NonNull<u8>>; NUM_CLASSES],
+    /// The slab made last; each slab's header links the one before.
+    slabs: Option<NonNull<u8>>,
 }
 
 impl TaskArena {
     fn new() -> Self {
         TaskArena {
             free: [None; NUM_CLASSES],
+            slabs: None,
         }
     }
 
@@ -190,6 +214,26 @@ impl TaskArena {
         self.free[class] = Some(block);
     }
 
+    /// A block of the empty class `class`: one of a new slab's, the others
+    /// free-listed, or a block of its own above the slab classes.
+    fn refill(&mut self, class: usize) -> NonNull<u8> {
+        if class >= SLAB_CLASSES {
+            return alloc_block(class_layout(class));
+        }
+        let slab = alloc_block(SLAB_LAYOUT);
+        // SAFETY: the header is the slab's first 16-aligned bytes.
+        unsafe { slab.cast::<Option<NonNull<u8>>>().write(self.slabs) };
+        self.slabs = Some(slab);
+        let size = class_layout(class).size();
+        // SAFETY: every block lies inside the slab, after its header, at a
+        // multiple of its 16-aligned size.
+        let block = |i: usize| unsafe { slab.add(TASK_ALIGN + i * size) };
+        for i in (1..SLAB_BYTES / size).rev() {
+            self.push(class, block(i));
+        }
+        block(0)
+    }
+
     fn place<F: Future<Output = ()> + 'static>(&mut self, future: F, site: Site) -> RawTask {
         let size = std::mem::size_of::<F>().max(1);
         let (class, layout) = if std::mem::align_of::<F>() <= TASK_ALIGN
@@ -204,12 +248,9 @@ impl TaskArena {
         } else {
             (UNPOOLED, Layout::new::<F>())
         };
-        let ptr = match (class != UNPOOLED).then(|| self.pop(class)).flatten() {
-            Some(p) => p,
-            // SAFETY: layout has non-zero size (size >= 1, rounded up).
-            None => {
-                NonNull::new(unsafe { alloc(layout) }).unwrap_or_else(|| handle_alloc_error(layout))
-            }
+        let ptr = match class {
+            UNPOOLED => alloc_block(layout),
+            _ => self.pop(class).unwrap_or_else(|| self.refill(class)),
         };
         // SAFETY: `ptr` is valid for `layout` which covers `F`'s size/align.
         unsafe { ptr.as_ptr().cast::<F>().write(future) };
@@ -238,11 +279,19 @@ impl TaskArena {
 
 impl Drop for TaskArena {
     fn drop(&mut self) {
-        for class in 0..NUM_CLASSES {
+        for class in SLAB_CLASSES..NUM_CLASSES {
             while let Some(ptr) = self.pop(class) {
                 // SAFETY: free-listed pointers were allocated with their
                 // class layout and hold no live future.
                 unsafe { dealloc(ptr.as_ptr(), class_layout(class)) };
+            }
+        }
+        while let Some(slab) = self.slabs {
+            // SAFETY: `refill` linked the slab made before this one in its
+            // header, and allocated it with `SLAB_LAYOUT`.
+            unsafe {
+                self.slabs = slab.cast::<Option<NonNull<u8>>>().read();
+                dealloc(slab.as_ptr(), SLAB_LAYOUT);
             }
         }
     }

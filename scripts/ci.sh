@@ -228,6 +228,29 @@ if grep -rnE "match tag|get_broker|put_region|get_bytes_field|put_produce" crate
     exit 1
 fi
 
+# A connect allocates its state, not its scaffolding (DESIGN.md §10
+# "Allocations of a connect", §13): a task frame of at most 1 KiB comes
+# from a slab of its size class, one allocation per refill, and a dropped
+# runtime drops each live task once and frees each slab once; a request's
+# topic is a `kdwire::TopicName`, inline up to 22 bytes; a QP's two CQs are
+# one allocation; a window-1 producer makes its staging buffer once, at the
+# power of two its records grow it to; and a fan-in connect stays under its
+# allocation budget. Then the slot's demoted bit (DESIGN.md §9): a tailing
+# consumer leaves a leader demoted without a crash. Each by name; then the
+# re-fork guard: no request's topic is a `String` but the TCP produce's,
+# the type kdmark's wire layer builds it with.
+cargo test -q --offline -p sim --test task_slabs
+cargo test -q --offline -p kdwire --lib topic::tests
+cargo test -q --offline -p rnic --lib nic::tests::a_cq_pair_is_two_queues
+cargo test -q --offline -p kdclient --lib rdma_producer::tests::a_window_1_producer_allocates_its_staging_bytes_once
+cargo test -q --offline --release -p kdbench --test budgets fanin_client_connect_allocations
+cargo test -q --offline --test e2e_failures a_tailing_consumer_leaves_a_leader_demoted_without_a_crash
+if awk '/topic: String([^:]|$)/ && prev !~ /^ *Produce \{$/ { print FILENAME ":" FNR ": " $0 } { prev = $0 }' \
+    crates/kdwire/src/messages.rs | grep .; then
+    echo "ci: a request's topic is a String again (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # Hostile bytes in kdstorage (DESIGN.md §9): 20 000 mutated record batches
 # through the broker's check, the decoder and an in-place commit (a batch
 # commits exactly when it decodes), the same through the consumers' drain

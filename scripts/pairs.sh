@@ -9,8 +9,16 @@
 # seed 1 and kdmark's own run length, in pairs whose order alternates: this
 # tree runs first in odd pairs, REV first in even ones.
 #
-# Prints every run's `host_ns_per_record`, `setup_s` and `peak_rss_mib`, and
-# for each of the three each side's median and quartiles (linear interpolation), how many
+# Each pair also runs both sides once more, in the same order, with glibc's
+# malloc thresholds pinned (`MALLOC_MMAP_THRESHOLD_=131072
+# MALLOC_TRIM_THRESHOLD_=131072`, the same on both sides) and keeps that
+# run's `peak_rss_mib`: glibc moves its mmap threshold as large blocks are
+# freed, and where that leaves a tree's blocks moves its RSS by about
+# 1.4 MiB on `fanin_2k` whatever the tree allocates.
+#
+# Prints every run's `host_ns_per_record`, `setup_s` and `peak_rss_mib` (and
+# the pinned run's), and for each of the four each side's median and
+# quartiles (linear interpolation), how many
 # pairs this tree won (the lower value; a tie counts for neither side), and
 # the verdict of the `choosing-metrics` guide (§8): "gain" or "loss" when
 # one side won at least 9 of the 10 pairs and the medians differ by more
@@ -38,11 +46,11 @@ build() { # tree target
 build "$work/a" "$targets/a"
 build . "$targets/b"
 
-run() { # side -> "host_ns_per_record setup_s peak_rss_mib" on stdout
+run() { # side [VAR=value...] -> "host_ns_per_record setup_s peak_rss_mib" on stdout
     local tree=.
     [ "$1" = a ] && tree="$work/a"
     local out
-    if ! out="$(cd "$tree" && "$targets/$1/release/kdmark" --workload "$workload" --seed 1 --trace 0 | tail -n 1)"; then
+    if ! out="$(cd "$tree" && env "${@:2}" "$targets/$1/release/kdmark" --workload "$workload" --seed 1 --trace 0 | tail -n 1)"; then
         echo "pairs: kdmark $1 FAILED" >&2
         return 1
     fi
@@ -59,7 +67,9 @@ run() { # side -> "host_ns_per_record setup_s peak_rss_mib" on stdout
     echo "$host $setup $rss"
 }
 
-printf "%-5s %-6s %18s %18s %12s %12s %10s %10s\n" pair first A B "A setup_s" "B setup_s" "A rss" "B rss"
+pinned=(MALLOC_MMAP_THRESHOLD_=131072 MALLOC_TRIM_THRESHOLD_=131072)
+printf "%-5s %-6s %18s %18s %12s %12s %10s %10s %12s %12s\n" pair first A B "A setup_s" "B setup_s" \
+    "A rss" "B rss" "A rss pinned" "B rss pinned"
 for i in $(seq 1 "$pairs"); do
     order="a b"
     [ $((i % 2)) = 1 ] && order="b a"
@@ -70,8 +80,14 @@ for i in $(seq 1 "$pairs"); do
         printf -v "${side}_setup" '%s' "$setup"
         printf -v "${side}_rss" '%s' "$rss"
     done
-    printf "%-5s %-6s %18s %18s %12s %12s %10s %10s\n" "$i" "${order%% *}" "$a" "$b" "$a_setup" "$b_setup" "$a_rss" "$b_rss"
-    echo "$a $b $a_setup $b_setup $a_rss $b_rss" >>"$work/pairs.txt"
+    for side in $order; do
+        out="$(run "$side" "${pinned[@]}")"
+        read -r _ _ rss <<<"$out"
+        printf -v "${side}_pinned" '%s' "$rss"
+    done
+    printf "%-5s %-6s %18s %18s %12s %12s %10s %10s %12s %12s\n" "$i" "${order%% *}" "$a" "$b" \
+        "$a_setup" "$b_setup" "$a_rss" "$b_rss" "$a_pinned" "$b_pinned"
+    echo "$a $b $a_setup $b_setup $a_rss $b_rss $a_pinned $b_pinned" >>"$work/pairs.txt"
 done
 
 verdict() { # column of A, column of B, metric name
@@ -105,3 +121,4 @@ awk -v pairs="$pairs" -v ca="$1" -v cb="$2" '
 verdict 1 2 "host_ns_per_record (ns)"
 verdict 3 4 "setup_s (s)"
 verdict 5 6 "peak_rss_mib (MiB)"
+verdict 7 8 "peak_rss_mib with ${pinned[*]} (MiB)"

@@ -951,8 +951,11 @@ fn park_fanin_clients(clients: usize, sends: usize, attribute: Attribute) -> Par
 /// NIC, control connection and data-plane QP with their tasks, the producer
 /// itself, and what the broker keeps for the two connections. 1000 fan-in
 /// clients connect one after the other, send one record each and stay.
-/// Measured 6 872 B per client in some 32 blocks (DESIGN.md §13 has the
-/// table by owner). It read 7 306 B while every producer spawned an ack
+/// Measured 6 889 B per client (DESIGN.md §13 has the table by owner). It
+/// read 6 872 B while the staging buffer was its first batch's exact size,
+/// not the power of two a larger later record would grow it to, and while
+/// small task frames, topic names and a QP's two CQs were blocks of their
+/// own. It read 7 306 B while every producer spawned an ack
 /// reader at connect and made the ack-cell pool it answers through, with a
 /// parked cell: a window-1 client reads its own ack. It read 7 282 B while a oneshot cell's receive charge was a 16 B enum
 /// where it is now a 32 B `sim::sync::wait_list::Arm` (and the broker's
@@ -986,9 +989,14 @@ fn parked_client_footprint() {
 
 /// What a connect allocates: the allocations per window-1 shared-mode
 /// producer of the `parked_client_footprint` scenario — its connect and its
-/// first send, everything counted. Measured 30.280 per client; the budget is
+/// first send, everything counted. Measured 23.447 per client; the budget is
 /// 2 % above (`fanin_connect_allocation_sites` names the lines). It was
-/// 33.282 while every producer spawned an ack reader at connect and made an
+/// 30.280 while the executor allocated a block per small task frame where
+/// it now carves a 16 KiB slab (four per client, three of them the
+/// broker's), the broker decoded each request's topic into a `String` and
+/// the producer kept one in its `ProduceAccess` request (both now a
+/// `kdwire::TopicName`, inline up to 22 bytes), and a QP's two CQs were two
+/// allocations; 33.282 while every producer spawned an ack reader at connect and made an
 /// ack-cell pool and its first cell, 34.282 while `RNic::connect` allocated a oneshot cell for its reply
 /// (now one of its fabric's recycled cells), 48.283 while the per-connection queues a window-1 client holds one entry
 /// in grew from empty at their first one (two CQ rings, two TCP chunk
@@ -999,11 +1007,12 @@ fn parked_client_footprint() {
 /// window semaphores and two receive buffers, a producer generation three
 /// `Rc`s and an 8 B FAA result buffer, a CQ a vector for its one QP, and the
 /// first staging buffer grew from empty (kdmark's `fanin_2k` read 7.479
-/// allocations per record then, 5.711 next, 3.961, 3.836 and 3.461 since).
+/// allocations per record then, 5.711 next, 3.961, 3.836, 3.461 and 2.501
+/// since).
 #[test]
 fn fanin_client_connect_allocations() {
     const CLIENTS: usize = 1000;
-    const BUDGET: f64 = 30.88;
+    const BUDGET: f64 = 23.92;
     let allocs = park_fanin_clients(CLIENTS, 1, Attribute::Nothing).allocs;
     let per_client = allocs as f64 / CLIENTS as f64;
     assert!(
@@ -1027,11 +1036,20 @@ fn fanin_client_polls() {
     check_reparks(&what, parked.reparks, [0; REPARK_KINDS]);
 }
 
-/// Where a connect allocates (DESIGN.md §10's owner table): the scenario of
-/// `fanin_client_connect_allocations` at 200 clients with a backtrace of
-/// every allocation, printed as allocations per client by the workspace
-/// source line that made it and that line's nearest workspace caller. A
-/// report, not a gate; run it with
+/// Where a connect allocates (DESIGN.md §10's owner table), in two
+/// scenarios, with a backtrace of every allocation:
+/// - the scenario of `fanin_client_connect_allocations`, 200 clients one
+///   after the other, one send each;
+/// - kdmark `fanin_2k`'s measured region in its shape
+///   ([`fanin_2k_region`]): 2 000 clients connecting concurrently within
+///   1 ms, 8 sends each, whose total per client reads what kdmark's
+///   `allocs_per_record` times 8 does.
+///
+/// Each prints allocations per client by the workspace source line that
+/// made them and that line's nearest workspace caller; a task block (the
+/// executor's arena placing a spawned future, or refilling a slab for it)
+/// by the line that spawned the task, its `sim::Site`; and the scenario's
+/// own allocations apart. A report, not a gate; run it with
 /// `cargo test --release -p kdbench --test budgets -- --ignored --nocapture fanin_connect_allocation_sites`.
 #[test]
 #[ignore]
@@ -1039,24 +1057,147 @@ fn fanin_connect_allocation_sites() {
     const CLIENTS: usize = 200;
     let Parked { allocs, traces, .. } = park_fanin_clients(CLIENTS, 1, Attribute::Allocations);
     assert_eq!(traces.len() as u64, allocs, "one backtrace per allocation");
+    print_sites(
+        &format!("{CLIENTS} clients one after the other, 1 send each"),
+        traces,
+        CLIENTS,
+    );
+    let (allocs, traces) = fanin_2k_region(true);
+    assert_eq!(traces.len() as u64, allocs, "one backtrace per allocation");
+    print_sites(
+        &format!("kdmark fanin_2k's region: {FANIN_2K_CLIENTS} clients within 1 ms, {FANIN_2K_SENDS} sends each"),
+        traces,
+        FANIN_2K_CLIENTS,
+    );
+}
+
+const FANIN_2K_CLIENTS: usize = 2000;
+const FANIN_2K_SENDS: usize = 8;
+
+/// kdmark `fanin_2k`'s measured region at seed 1, as kdmark builds it
+/// (`benchmark/src/workloads/fanin.rs`): a fresh one-broker cluster with 16
+/// shared partitions and a node per client made beforehand; the region
+/// spawns a joined task per client that sleeps to its seeded start inside
+/// 1 ms, connects at ack depth 4 and sends 8 records of 96..=160 B at
+/// window 1, then joins them in order. Its allocations, and a backtrace of
+/// each if `traced`.
+fn fanin_2k_region(traced: bool) -> (u64, Vec<Backtrace>) {
+    const TOPIC: &str = "kdmark";
+    let registry = kdtelem::Registry::new();
+    let _telem = kdtelem::enter(&registry);
+    let rt = sim::Runtime::with_seed(1);
+    let (cluster, leaders, nodes, start_ns, pool) = rt.block_on(async {
+        // kdmark's draws: the record pool, then the start instants.
+        let mut rng = sim::rng::SimRng::seed_from_u64(1);
+        let pool: Vec<Record> = (0..1024)
+            .map(|_| {
+                let mut payload = vec![0u8; 96 + rng.below(65) as usize];
+                rng.fill(&mut payload);
+                Record::value(payload)
+            })
+            .collect();
+        let start_ns: Vec<u64> = (0..FANIN_2K_CLIENTS)
+            .map(|_| rng.below(1_000_000))
+            .collect();
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 1);
+        cluster.create_topic(TOPIC, FANIN_PARTITIONS, 1).await;
+        let mut leaders = Vec::new();
+        for p in 0..FANIN_PARTITIONS {
+            leaders.push(cluster.leader_of(TOPIC, p).await);
+        }
+        let nodes: Vec<_> = (0..FANIN_2K_CLIENTS)
+            .map(|i| cluster.add_client_node(&format!("c{i}")))
+            .collect();
+        (cluster, leaders, nodes, start_ns, Rc::new(pool))
+    });
+    let allocs = allocs_by_class();
+    SITES.with(|s| s.on.set(traced));
+    let producers = rt.block_on(async move {
+        let mut tasks = Vec::with_capacity(FANIN_2K_CLIENTS);
+        for (i, node) in nodes.into_iter().enumerate() {
+            let partition = i as u32 % FANIN_PARTITIONS;
+            let leader = leaders[partition as usize];
+            let (pool, delay) = (Rc::clone(&pool), Duration::from_nanos(start_ns[i]));
+            tasks.push(sim::spawn(async move {
+                sim::time::sleep(delay).await;
+                let mut producer = RdmaProducer::connect_with_ack_depth(
+                    &node,
+                    leader,
+                    TOPIC,
+                    partition,
+                    true,
+                    FANIN_ACK_DEPTH,
+                )
+                .await
+                .expect("fan-in connect");
+                let mut acked = Vec::with_capacity(FANIN_2K_SENDS);
+                for seq in i * FANIN_2K_SENDS..(i + 1) * FANIN_2K_SENDS {
+                    acked.push(producer.send(&pool[seq % pool.len()]).await.ok());
+                }
+                (producer, acked)
+            }));
+        }
+        let mut producers = Vec::new();
+        for task in tasks {
+            let (producer, acked) = task.await.expect("client task");
+            assert!(acked.iter().all(Option::is_some), "every send acked");
+            producers.push(producer);
+        }
+        producers
+    });
+    SITES.with(|s| s.on.set(false));
+    let after = allocs_by_class();
+    let allocs = (0..CLASSES).map(|c| after[c] - allocs[c]).sum();
+    let traces = SITES.with(|s| s.traces.take());
+    rt.block_on(async move { drop((producers, cluster)) });
+    (allocs, traces)
+}
+
+/// Prints `traces` as allocations per client by site (see
+/// [`fanin_connect_allocation_sites`]), most first.
+fn print_sites(what: &str, traces: Vec<Backtrace>, clients: usize) {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let total = traces.len();
+    let (mut blocks, mut harness) = (0, 0);
     let mut by_site = std::collections::BTreeMap::<(String, String), u64>::new();
-    for trace in &traces {
-        let mut frames = workspace_frames(&format!("{trace:?}"), root).into_iter();
-        let site = frames
-            .next()
-            .unwrap_or_else(|| "(outside the workspace)".into());
-        let caller = frames.find(|f| *f != site).unwrap_or_default();
-        *by_site.entry((site, caller)).or_default() += 1;
+    for trace in traces {
+        let frames = workspace_frames(&format!("{trace:?}"), root);
+        let in_sim = |(_, at): &&(String, String)| at.starts_with("crates/sim/src/");
+        let placed = frames
+            .iter()
+            .take_while(in_sim)
+            .any(|(f, at)| at.starts_with("crates/sim/src/executor.rs:") && f.starts_with("place"));
+        let key = match frames.first() {
+            _ if placed => {
+                blocks += 1;
+                let site = frames.iter().find(|f| !in_sim(f)).map(|(_, at)| at);
+                ("task block".into(), site.cloned().unwrap_or_default())
+            }
+            Some((_, at)) if at.starts_with("tests/") => {
+                harness += 1;
+                (format!("(scenario) {at}"), String::new())
+            }
+            Some((_, site)) => {
+                let caller = frames.iter().map(|(_, at)| at).find(|at| *at != site);
+                (site.clone(), caller.cloned().unwrap_or_default())
+            }
+            None => ("(outside the workspace)".into(), String::new()),
+        };
+        *by_site.entry(key).or_default() += 1;
     }
+    let per_client = |n: usize| n as f64 / clients as f64;
+    println!(
+        "{what}: {:.3} allocations per client: {:.3} task blocks, {:.3} the scenario's own, \
+         {:.3} the rest",
+        per_client(total),
+        per_client(blocks),
+        per_client(harness),
+        per_client(total - blocks - harness),
+    );
     let mut rows: Vec<_> = by_site.into_iter().collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    println!(
-        "{:.3} allocations per client",
-        allocs as f64 / CLIENTS as f64
-    );
     for ((site, caller), n) in rows {
-        println!("{:>8.3}  {site}  <- {caller}", n as f64 / CLIENTS as f64);
+        println!("{:>8.3}  {site}  <- {caller}", per_client(n as usize));
     }
 }
 
@@ -1089,10 +1230,10 @@ fn poll_sites() {
     print("pipelined replicated produce and tail", r.records, &rows);
 }
 
-/// The `file:line` of each frame of a backtrace's `Debug` text that lies in
-/// the workspace at `root`, innermost first, relative to it, leaving out the
-/// counting allocator's own frames.
-fn workspace_frames(trace: &str, root: &str) -> Vec<String> {
+/// The function and `file:line` of each frame of a backtrace's `Debug` text
+/// that lies in the workspace at `root`, innermost first, relative to it,
+/// from the allocator's caller on. A relative file is this crate's.
+fn workspace_frames(trace: &str, root: &str) -> Vec<(String, String)> {
     let normal = |path: &str| {
         let mut parts: Vec<&str> = Vec::new();
         for part in path.split('/') {
@@ -1105,24 +1246,29 @@ fn workspace_frames(trace: &str, root: &str) -> Vec<String> {
         parts.join("/")
     };
     let root = normal(root);
-    trace
-        .split("{ fn: ")
-        .skip(1)
-        .filter(|frame| !frame.contains("CountingAlloc") && !frame.contains("budgets::count"))
-        .filter(|frame| !frame.contains("budgets::capture_site"))
+    let frames: Vec<&str> = trace.split("{ fn: \"").skip(1).collect();
+    // The counting allocator's frames: up to `count`, then its entries.
+    let entry = frames.iter().rposition(|f| f.starts_with("count\""));
+    let allocator = ["alloc", "alloc_zeroed", "realloc"];
+    frames[entry.map_or(0, |at| at + 1)..]
+        .iter()
         .filter_map(|frame| {
+            let function = frame.split('"').next()?;
+            if allocator.contains(&function) || function.starts_with("__rust_") {
+                return None;
+            }
             let file = frame.split("file: \"").nth(1)?.split('"').next()?;
             let line = frame
                 .split("line: ")
                 .nth(1)?
                 .split(|c: char| !c.is_ascii_digit())
                 .next()?;
-            let file = normal(file);
-            let file = file
-                .strip_prefix(&root)?
-                .trim_start_matches('/')
-                .to_string();
-            Some(format!("{file}:{line}"))
+            let file = match file.starts_with('/') {
+                true => normal(file),
+                false => normal(&format!("{}/{file}", env!("CARGO_MANIFEST_DIR"))),
+            };
+            let file = file.strip_prefix(&root)?.trim_start_matches('/');
+            Some((function.to_string(), format!("{file}:{line}")))
         })
         .collect()
 }

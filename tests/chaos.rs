@@ -86,10 +86,11 @@ fn a_tailing_consumer_rides_out_every_chaos_seed() {
             ),
         }
         eprintln!(
-            "seed {seed}: tail delivered {} of HW {}, ended {:?}",
+            "seed {seed}: tail delivered {} of HW {}, ended {:?}, after {} recoveries",
             tail.delivered.len(),
             tail.hw,
-            tail.end
+            tail.end,
+            tail.recoveries
         );
     }
 }

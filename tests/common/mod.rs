@@ -70,6 +70,8 @@ pub struct Tail {
     pub end: Option<Result<(), ClientError>>,
     /// The final HW it was to catch up to.
     pub hw: u64,
+    /// The failures it recovered from by the time it stopped.
+    pub recoveries: u64,
 }
 
 impl Outcome {
@@ -249,7 +251,7 @@ fn run_seed_opts(
 
         // The tailing consumer polls until it has reached `target` (set once
         // the HW has settled) or a poll fails.
-        let tail = Rc::new(RefCell::new((Vec::new(), None)));
+        let tail = Rc::new(RefCell::new((Vec::new(), None, 0)));
         let target = Rc::new(Cell::new(u64::MAX));
         if tailed {
             let (tail, target) = (Rc::clone(&tail), Rc::clone(&target));
@@ -272,7 +274,8 @@ fn run_seed_opts(
                         Err(e) => break Err(e),
                     }
                 };
-                tail.borrow_mut().1 = Some(end);
+                let mut tail = tail.borrow_mut();
+                (tail.1, tail.2) = (Some(end), consumer.stats.recoveries);
             });
         }
 
@@ -329,14 +332,19 @@ fn run_seed_opts(
         violations.extend(check_log(&cluster, leader, &acked, &drained, &mut consumer).await);
         let consumed = drained.iter().map(|&(_, attempt)| attempt).collect();
         let tail = tailed.then(|| {
-            let (delivered, end) = tail.take();
+            let (delivered, end, recoveries) = tail.take();
             if let Some(lead) = live_partition(&cluster, leader.node) {
                 if !is_log_prefix(&records_of(&lead, true), &delivered) {
                     let broken = "the tailed sequence is not a gap-free prefix of the leader's log";
                     violations.push(broken.into());
                 }
             }
-            Tail { delivered, end, hw }
+            Tail {
+                delivered,
+                end,
+                hw,
+                recoveries,
+            }
         });
         Outcome {
             acked,

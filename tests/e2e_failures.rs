@@ -949,6 +949,45 @@ fn a_tailing_consumer_follows_its_partition_through_crashes_and_failovers() {
     });
 }
 
+/// A fail-over with no crash under a parked tailing consumer (RF 2): its
+/// leader stays up as a follower, and the demoted bit in the slot it reads
+/// anyway sends it to the promoted leader. It delivers from its offset with
+/// no gap and no duplicate, and ends on the new leader, having recovered
+/// once.
+#[test]
+fn a_tailing_consumer_leaves_a_leader_demoted_without_a_crash() {
+    let rt = sim::Runtime::new();
+    rt.block_on(async {
+        let cluster = SimCluster::start(SystemKind::KafkaDirect, 3);
+        cluster.create_topic("t", 1, 2).await;
+        let bootstrap = cluster.bootstrap();
+        assert_eq!(cluster.leader_of("t", 0).await.node, bootstrap.node);
+        let (cnode, pnode) = (cluster.add_client_node("c"), cluster.add_client_node("p"));
+        let mut producer = RdmaProducer::connect(&pnode, bootstrap, "t", 0, false)
+            .await
+            .unwrap();
+        produce(&mut producer, 5).await;
+        let tailing = sim::spawn(tail(cnode, bootstrap, 15));
+        sim::time::sleep(Duration::from_millis(1)).await;
+
+        let leader = cluster.fail_over("t", 0).expect("a live follower");
+        assert_eq!(leader.node, cluster.broker(1).addr().node);
+        producer.reconnect().await.unwrap();
+        produce(&mut producer, 10).await;
+        let (consumer, offsets) = tailing.await.unwrap().unwrap();
+        assert_eq!(offsets, (0..15).collect::<Vec<_>>());
+        assert_eq!(consumer.stats.recoveries, 1);
+        // Its state is on the new leader only.
+        holds_no_consumer_state(&cluster, 0);
+        let p = cluster.broker(1).inner().store.get(&("t", 0).into());
+        let slots = p.expect("the leader hosts t/0").slot_refs.borrow().len();
+        assert_eq!(slots, 1, "the consumer reads the new leader's slot");
+        drop(consumer);
+        sim::time::sleep(Duration::from_millis(1)).await;
+        holds_no_consumer_state(&cluster, 1);
+    });
+}
+
 /// The consumer's RF 1 bootstrap leader crashes and comes back 2 ms later:
 /// the parked consumer rejoins it and delivers from its offset with no gap
 /// and no duplicate. An outage longer than the backoff is `RetriesExhausted`.
