@@ -12,7 +12,7 @@ use rnic::ShmBuf;
 use crate::broker::BrokerInner;
 use crate::common::{charge_worker, CONTROL_COST};
 use crate::rdma_produce::{commit_run, handle_produce_access, revoke_grant, CommitScratch};
-use crate::requests::{Reply, WorkItem};
+use crate::requests::{Decoded, Reply, WorkItem};
 use crate::{admin, fetch, rdma_consume, tcp_produce};
 
 /// One API worker thread. The queue charges a parked worker its wake-up
@@ -37,14 +37,28 @@ async fn dispatch(b: &Rc<BrokerInner>, item: WorkItem, scratch: &mut CommitScrat
             // deferred); long-poll/replication waits run off-worker and are
             // deliberately excluded.
             let (hist, span_name) = match &request {
-                Request::Produce { .. } => (&b.telem.api_produce_ns, "broker.api.produce"),
-                Request::Fetch { .. } => (&b.telem.api_fetch_ns, "broker.api.fetch"),
-                _ => (&b.telem.api_control_ns, "broker.api.control"),
+                Decoded::Produce { .. } => (&b.telem.api_produce_ns, "broker.api.produce"),
+                Decoded::Request(Request::Fetch { .. }) => {
+                    (&b.telem.api_fetch_ns, "broker.api.fetch")
+                }
+                Decoded::Request(_) => (&b.telem.api_control_ns, "broker.api.control"),
             };
             let hist = hist.clone();
             // A traced RPC continues the caller's lifeline in a child span.
             let span = trace.map(|ctx| b.telem.registry.trace_span(span_name, Some(ctx)));
-            handle_rpc(b, peer, request, reply, span.as_ref().map(|s| s.ctx())).await;
+            let ctx = span.as_ref().map(|s| s.ctx());
+            match request {
+                Decoded::Produce {
+                    topic,
+                    partition,
+                    acks,
+                    batch,
+                } => {
+                    let tp = b.store.topic_partition(&topic, partition);
+                    tcp_produce::handle(b, &tp, acks, &batch, reply, ctx).await
+                }
+                Decoded::Request(request) => handle_rpc(b, peer, request, reply, ctx).await,
+            }
             hist.record_since(start);
             if let Some(s) = span {
                 s.end();
@@ -63,7 +77,7 @@ async fn handle_rpc(
     reply: Reply,
     ctx: Option<kdtelem::TraceCtx>,
 ) {
-    if !matches!(request, Request::Produce { .. } | Request::Fetch { .. }) {
+    if !matches!(request, Request::Fetch { .. }) {
         // Every control-plane request costs its worker the same, first.
         charge_worker(b, CONTROL_COST).await;
     }
@@ -116,15 +130,7 @@ async fn handle_rpc(
             };
             reply.send(Response::InternalAddPartition { error });
         }
-        Request::Produce {
-            topic,
-            partition,
-            acks,
-            batch,
-        } => {
-            let tp = b.store.topic_partition(&topic, partition);
-            tcp_produce::handle(b, &tp, acks, batch, reply, ctx).await
-        }
+        Request::Produce { .. } => unreachable!("`server_rpc::decode` decodes a produce in place"),
         Request::Fetch {
             topic,
             partition,

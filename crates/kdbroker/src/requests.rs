@@ -3,7 +3,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use kdwire::{Request, Response};
+use kdwire::{Request, Response, TopicName};
 use netsim::NodeId;
 use sim::sync::DueQueue;
 
@@ -44,12 +44,29 @@ pub enum AckRoute {
     None,
 }
 
+/// A request as the API workers take it, decoded by `server_rpc::decode`.
+pub enum Decoded {
+    /// A produce, decoded in place: its topic inline (up to
+    /// [`TopicName::INLINE`] bytes), its batch copied once out of the frame
+    /// into a pooled scratch vector — the receive buffer → request heap copy
+    /// of §4.2.1 — which goes back to the pool once the worker has appended
+    /// it.
+    Produce {
+        topic: TopicName,
+        partition: u32,
+        acks: u8,
+        batch: kdbuf::Scratch,
+    },
+    /// Any other request, owned.
+    Request(Request),
+}
+
 /// A unit of work for the API worker pool.
 pub enum WorkItem {
     /// A decoded RPC from the TCP or OSU transport.
     Rpc {
         peer: NodeId,
-        request: Request,
+        request: Decoded,
         reply: Reply,
         /// Caller's lifeline, carried in by the frame header.
         trace: Option<kdtelem::TraceCtx>,

@@ -15,7 +15,7 @@ use rnic::{CqOpcode, QpOptions, QueuePair, RdmaListener, RecvWr, SendWr, ShmBuf,
 use sim::future::{race, Either};
 
 use crate::broker::BrokerInner;
-use crate::server_rpc::Conn;
+use crate::server_rpc::{decode, Conn};
 
 /// Per-message processing cost of the OSU network module: no kernel stack,
 /// but still parse/serialize on a network thread.
@@ -109,7 +109,7 @@ async fn serve_connection(
             // OSU requests arrive as verbs Sends; the WR context (if any)
             // rode in on the receive completion.
             conn.net_thread().run(cost(frame.len())).await;
-            if !conn.route(corr, cqe.trace, kdwire::Request::decode(payload).ok()) {
+            if !conn.route(corr, cqe.trace, decode(payload)) {
                 break 'conn;
             }
         }

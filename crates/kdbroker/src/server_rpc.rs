@@ -1,13 +1,13 @@
 //! The RPC front shared by the network modules (paper Fig 2 ➊): what the
 //! TCP processor threads and the OSU Send/Recv transport do with a request
 //! once it is off the wire, and with its response until it is back on. A
-//! request is decoded and pushed into the broker's request queue, where the
-//! API workers see it `cpu.handoff` later; its response comes back through
-//! the request's [`Reply`] into the connection's [`ReplyStage`], due
-//! `cpu.handoff` after the worker sent it, and the connection's one writer
-//! task takes responses from there in due order. Nothing runs per request:
-//! it is two pushes into due-time queues, so each hop costs one executor
-//! event (DESIGN.md §10).
+//! request is decoded ([`decode`], a produce in place) and pushed into the
+//! broker's request queue, where the API workers see it `cpu.handoff`
+//! later; its response comes back through the request's [`Reply`] into the
+//! connection's [`ReplyStage`], due `cpu.handoff` after the worker sent it,
+//! and the connection's one writer task takes responses from there in due
+//! order. Nothing runs per request: it is two pushes into due-time queues,
+//! so each hop costs one executor event (DESIGN.md §10).
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -18,7 +18,7 @@ use sim::SimTime;
 
 use crate::broker::BrokerInner;
 use crate::busy::ServiceQueue;
-use crate::requests::{Reply, ReplyStage, WorkItem};
+use crate::requests::{Decoded, Reply, ReplyStage, WorkItem};
 
 /// One accepted connection. Dropping it closes the reply stage, which ends
 /// the writer and drops the transport's sending half: with the receiving
@@ -80,14 +80,14 @@ impl Conn {
         self.b.net_pool.thread(self.net_idx)
     }
 
-    /// Hands a decoded request to the API workers (➊→queue, overlapped
+    /// Hands a [`decode`]d request to the API workers (➊→queue, overlapped
     /// across requests). `false` on a protocol error (`None`): drop the
     /// connection.
     pub(crate) fn route(
         &self,
         corr: u64,
         trace: Option<kdtelem::TraceCtx>,
-        request: Option<Request>,
+        request: Option<Decoded>,
     ) -> bool {
         let b = &self.b;
         let Some(request) = request else {
@@ -107,6 +107,25 @@ impl Conn {
         });
         true
     }
+}
+
+/// Decodes a request payload for [`Conn::route`]; `None` if it is not a
+/// well-formed request. A produce is decoded in place and only its batch is
+/// copied, into a pooled scratch vector: once the pool is warm, decoding it
+/// allocates nothing.
+pub(crate) fn decode(payload: &[u8]) -> Option<Decoded> {
+    let Some(produce) = Request::decode_produce(payload) else {
+        return Request::decode(payload).ok().map(Decoded::Request);
+    };
+    let produce = produce.ok()?;
+    let mut batch = kdbuf::scratch();
+    batch.extend_from_slice(produce.batch);
+    Some(Decoded::Produce {
+        topic: produce.topic.into(),
+        partition: produce.partition,
+        acks: produce.acks,
+        batch,
+    })
 }
 
 /// Encodes `resp` into `frame` behind its header. An empty frame is sized
@@ -239,10 +258,14 @@ mod tests {
 
         async fn send(&mut self, corr: u64) {
             let body = Request::Metadata { topics: vec![] }.encode();
+            self.send_body(corr, &body).await;
+        }
+
+        async fn send_body(&mut self, corr: u64, body: &[u8]) {
             match self {
-                Wire::Tcp(_, w) => kdwire::write_frame(w, corr, None, &body).await.unwrap(),
+                Wire::Tcp(_, w) => kdwire::write_frame(w, corr, None, body).await.unwrap(),
                 Wire::Osu(qp, ..) => {
-                    let frame = ShmBuf::from_vec([&corr.to_le_bytes()[..], &body].concat());
+                    let frame = ShmBuf::from_vec([&corr.to_le_bytes()[..], body].concat());
                     let send = WorkRequest::Send {
                         local: frame.as_slice(),
                     };
@@ -251,17 +274,21 @@ mod tests {
             }
         }
 
-        /// The next response's correlation id; `None` once the connection
-        /// is dead (EOF on TCP, a broken QP on OSU).
+        /// The next response's correlation id, of a `Metadata` response;
+        /// `None` once the connection is dead.
         async fn recv(&mut self) -> Option<u64> {
+            let (corr, resp) = self.recv_response().await?;
+            assert!(matches!(resp, Response::Metadata { .. }), "{resp:?}");
+            Some(corr)
+        }
+
+        /// The next response and its correlation id; `None` once the
+        /// connection is dead (EOF on TCP, a broken QP on OSU).
+        async fn recv_response(&mut self) -> Option<(u64, Response)> {
             match self {
                 Wire::Tcp(r, _) => {
                     let (corr, _, payload) = kdwire::read_frame(r).await.ok()?;
-                    assert!(matches!(
-                        Response::decode(&payload),
-                        Ok(Response::Metadata { .. })
-                    ));
-                    Some(corr)
+                    Some((corr, Response::decode(&payload).unwrap()))
                 }
                 Wire::Osu(qp, recv_cq, bufs) => {
                     let cqe = recv_cq.next().await?;
@@ -270,17 +297,14 @@ mod tests {
                     }
                     let buf = &bufs[cqe.wr_id as usize];
                     let frame = buf.read_at(0, cqe.byte_len as usize);
-                    assert!(matches!(
-                        Response::decode(&frame[8..]),
-                        Ok(Response::Metadata { .. })
-                    ));
                     let buf = Some(buf.as_slice());
                     qp.post_recv(RecvWr {
                         wr_id: cqe.wr_id,
                         buf,
                     })
                     .unwrap();
-                    Some(u64::from_le_bytes(frame[..8].try_into().unwrap()))
+                    let corr = u64::from_le_bytes(frame[..8].try_into().unwrap());
+                    Some((corr, Response::decode(&frame[8..]).unwrap()))
                 }
             }
         }
@@ -315,6 +339,43 @@ mod tests {
             }
             for corr in [7, 8, 9] {
                 assert_eq!(conn.recv().await, Some(corr));
+            }
+
+            // A produce, decoded in place, is appended and acked.
+            let me = kdwire::BrokerAddr {
+                node: bnode.id.0,
+                port: config.tcp_port,
+                rdma_port: config.rdma_port,
+            };
+            let meta = kdwire::PartitionMeta {
+                partition: 0,
+                epoch: 0,
+                leader: me,
+                replicas: Vec::new(),
+            };
+            crate::admin::install(b, "t", meta, None);
+            let record = kdstorage::record::Record::value(vec![7u8; 100]);
+            let batch = kdstorage::record::single_record_batch(1, &record);
+            let mut produce = Vec::new();
+            Request::encode_produce_into(&mut produce, "t", 0, 1, &batch);
+            conn.send_body(20, &produce).await;
+            let acked = Response::Produce {
+                error: kdwire::ErrorCode::None,
+                base_offset: 0,
+            };
+            assert_eq!(conn.recv_response().await, Some((20, acked)));
+
+            // A produce that does not decode — its topic not UTF-8, its
+            // batch running past the frame — drops its connection, as any
+            // request that does not decode does.
+            let bad_topic = [2, 1, 0xff, 0, 0, 0, 0, 1, 0];
+            let bad_batch = [2, 1, b't', 0, 0, 0, 0, 1, 5, 1, 2];
+            for body in [&bad_topic[..], &bad_batch[..]] {
+                assert!(Request::decode(body).is_err());
+                let mut bad = Wire::connect(&cnode, &bnode, &config).await;
+                bad.send_body(1, body).await;
+                let end = sim::time::timeout(Duration::from_millis(10), bad.recv_response()).await;
+                assert_eq!(end, Ok(None), "{body:02x?}: peer reads EOF");
             }
 
             // The connection closes under a request: its reply has nowhere

@@ -9,7 +9,7 @@ use netsim::tcp::{TcpListener, TcpStream};
 use sim::future::{race, Either};
 
 use crate::broker::BrokerInner;
-use crate::server_rpc::Conn;
+use crate::server_rpc::{decode, Conn};
 
 pub fn start(b: &Rc<BrokerInner>) {
     let mut listener = TcpListener::bind(&b.node, b.config.tcp_port);
@@ -47,7 +47,7 @@ async fn serve_connection(b: Rc<BrokerInner>, stream: TcpStream) {
         }
         // Decoded before the network thread's wait, which then holds no
         // view of the received chunk.
-        let request = kdwire::Request::decode(&payload).ok();
+        let request = decode(&payload);
         drop(payload);
         conn.net_thread().run(cost).await;
         if !conn.route(corr, trace, request) {

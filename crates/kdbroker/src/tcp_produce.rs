@@ -24,7 +24,7 @@ pub(crate) async fn handle(
     b: &Rc<BrokerInner>,
     tp: &TopicPartition,
     acks: u8,
-    batch: Vec<u8>,
+    batch: &[u8],
     reply: Reply,
     ctx: Option<kdtelem::TraceCtx>,
 ) {
@@ -53,7 +53,7 @@ pub(crate) async fn handle(
             return produce_via_shared(b, &p, &g, shared, batch, reply, ctx).await;
         }
     }
-    append_and_ack(b, &p, acks, &batch, reply, ctx).await;
+    append_and_ack(b, &p, acks, batch, reply, ctx).await;
 }
 
 /// Trace the two broker CPU copies the TCP produce path pays (§4.2.1):
@@ -158,7 +158,7 @@ async fn produce_via_shared(
     p: &Rc<Partition>,
     g: &Rc<Grant>,
     shared: &SharedState,
-    batch: Vec<u8>,
+    batch: &[u8],
     reply: Reply,
     ctx: Option<kdtelem::TraceCtx>,
 ) {
@@ -183,7 +183,7 @@ async fn produce_via_shared(
         // append on the fresh head file.
         revoke_grant(b, p, g, ErrorCode::OutOfSpace);
         roll_head(b, p);
-        append_and_ack(b, p, 2, &batch, reply, ctx).await;
+        append_and_ack(b, p, 2, batch, reply, ctx).await;
         return;
     }
     // Copy the records into the reserved region (this path still copies —
@@ -192,7 +192,7 @@ async fn produce_via_shared(
     charge_worker(b, copy_time(len, cpu.heap_copy_bandwidth)).await;
     b.metrics.heap_copied_bytes.add(len);
     trace_tcp_copies(b, ctx, len);
-    seg.write_at(w.offset as u32, &batch);
+    seg.write_at(w.offset as u32, batch);
     seg.advance_write_pos(w.offset as u32 + len as u32);
     // Join the completion-ordered commit stream at the current sequence.
     let seq = g.next_seq.get();
@@ -272,7 +272,7 @@ mod tests {
                 handoff: Duration::ZERO,
             };
             let batch = single_record_batch(1, &Record::value(vec![7u8; 100]));
-            handle(b, &tp, 1, batch.clone(), reply, None).await;
+            handle(b, &tp, 1, &batch, reply, None).await;
             let (_, resp) = stage.next().await.unwrap();
             assert!(matches!(
                 resp,

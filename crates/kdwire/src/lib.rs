@@ -29,7 +29,7 @@ pub use frame::{
 };
 pub use messages::{
     BrokerAddr, ConsumeAccessResp, ErrorCode, FetchResp, PartitionMeta, ProduceAccessResp,
-    ProduceMode, RemoteRegion, Request, Response, SlotGrant, TopicMeta, Wire,
+    ProduceMode, ProduceRef, RemoteRegion, Request, Response, SlotGrant, TopicMeta, Wire,
 };
 pub use slots::{
     decode_ack, encode_ack, pack_imm, pack_shared_word, unpack_imm, unpack_shared_word, SharedWord,

@@ -447,7 +447,9 @@ wire_enum! {
         Metadata { topics: Vec<String> } = 0,
         CreateTopic { topic: TopicName, partitions: u32, replication: u32 } = 1,
         /// The original TCP produce datapath (§4.2.1). Its topic stays a
-        /// `String`, the type kdmark's wire layer builds it with.
+        /// `String`, the type kdmark's wire layer builds it with. Clients
+        /// build and encode it; the broker never decodes one owned, but in
+        /// place ([`Request::decode_produce`]).
         Produce {
             topic: String,
             partition: u32,
@@ -531,6 +533,34 @@ wire_enum! {
     }
 }
 
+/// [`Request::Produce`]'s tag in the table.
+const PRODUCE_TAG: u8 = 2;
+
+/// A [`Request::Produce`] decoded in place: topic and batch borrow the
+/// bytes it was decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProduceRef<'a> {
+    pub topic: &'a str,
+    pub partition: u32,
+    pub acks: u8,
+    pub batch: &'a [u8],
+}
+
+impl<'a> ProduceRef<'a> {
+    /// The fields after the tag, read as the table reads them.
+    fn get(r: &mut Reader<'a>) -> Result<Self, WireError> {
+        Ok(ProduceRef {
+            topic: r.get_str()?,
+            partition: r.get_u32()?,
+            acks: r.get_u8()?,
+            batch: {
+                let len = r.get_uvarint()? as usize;
+                r.take(len)?
+            },
+        })
+    }
+}
+
 impl Request {
     /// Appends the encoding of a [`Request::Produce`] built from borrowed
     /// parts: a producer's send path owns neither a `String` nor the batch
@@ -543,12 +573,23 @@ impl Request {
         batch: &[u8],
     ) {
         let mut w = Writer::from_vec(std::mem::take(out));
-        w.put_u8(2);
+        w.put_u8(PRODUCE_TAG);
         w.put_string(topic);
         partition.put(&mut w);
         acks.put(&mut w);
         u8::put_vec(batch, &mut w);
         *out = w.into_vec();
+    }
+
+    /// Decodes a produce without copying it: `None` unless `bytes` starts
+    /// with [`Request::Produce`]'s tag, else what [`Request::decode`]
+    /// returns, its fields borrowed. `tests/hostile_bytes.rs` holds the two
+    /// decoders to each other.
+    pub fn decode_produce(bytes: &[u8]) -> Option<Result<ProduceRef<'_>, WireError>> {
+        let (&PRODUCE_TAG, fields) = bytes.split_first()? else {
+            return None;
+        };
+        Some(ProduceRef::get(&mut Reader::new(fields)))
     }
 }
 

@@ -1,5 +1,5 @@
-//! Peer bytes reach `Request::decode` first on every broker connection and
-//! `Response::decode` on every client. Whatever arrives, decoding returns a
+//! Peer bytes reach `Request::decode_produce`, then `Request::decode`, first
+//! on every broker connection and `Response::decode` on every client. Whatever arrives, decoding returns a
 //! typed `WireError` or a value that encodes and decodes back to itself; it
 //! never panics, its work is bounded by the input (every element a count
 //! admits consumes at least one byte), and it allocates at most `C` bytes
@@ -9,8 +9,10 @@
 //! The inputs are the derived generator's values (`Wire::arb`, all 32
 //! messages) and mutations of their encodings: bit flips, truncation,
 //! insertion, splicing two encodings, and a huge varint written over a
-//! byte — a count or length when it lands on one. Allocation is measured by
-//! a per-thread counting allocator, as in `tests/budgets.rs`.
+//! byte — a count or length when it lands on one. The in-place produce
+//! decode answers for those inputs exactly as the owned decode does, and
+//! allocates nothing. Allocation is measured by a per-thread counting
+//! allocator, as in `tests/budgets.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -168,6 +170,57 @@ fn mutate(rng: &mut SimRng, valid: &[u8], other: &[u8]) -> Vec<u8> {
         }
     }
     b
+}
+
+/// Decodes `bytes` both ways. The in-place decode answers exactly when the
+/// tag is Produce's, then with the owned decode's fields or its error, and
+/// allocates nothing; `Some(decoded)` if it answered.
+fn produce_decodes_agree(bytes: &[u8], what: &str) -> Option<bool> {
+    let before = ALLOCATED.with(Cell::get);
+    let borrowed = Request::decode_produce(bytes);
+    let allocated = ALLOCATED.with(Cell::get) - before;
+    assert_eq!(allocated, 0, "{what}: the in-place decode allocated");
+    assert_eq!(
+        borrowed.is_some(),
+        bytes.first() == Some(&2),
+        "{what}: {bytes:02x?}"
+    );
+    let borrowed = borrowed?.map(|p| (p.topic.to_string(), p.partition, p.acks, p.batch.to_vec()));
+    let owned = Request::decode(bytes).map(|request| match request {
+        Request::Produce {
+            topic,
+            partition,
+            acks,
+            batch,
+        } => (topic, partition, acks, batch),
+        other => panic!("{what}: tag 2 decoded as {other:?}"),
+    });
+    assert_eq!(borrowed, owned, "{what}: {bytes:02x?}");
+    Some(borrowed.is_ok())
+}
+
+/// Every generated request, each of its truncations and mutations of it,
+/// decoded in place and owned.
+#[test]
+fn the_in_place_produce_decode_agrees_with_the_owned_one() {
+    let mut rng = SimRng::seed_from_u64(0x33A6_0003);
+    let mut answered = [0u32; 2];
+    let mut previous = Request::arb(&mut rng).encode();
+    for round in 0..ROUNDS / 4 {
+        let valid = Request::arb(&mut rng).encode();
+        let mut inputs: Vec<Vec<u8>> = (0..=valid.len()).map(|n| valid[..n].to_vec()).collect();
+        inputs.extend((0..4).map(|_| mutate(&mut rng, &valid, &previous)));
+        for bytes in &inputs {
+            if let Some(ok) = produce_decodes_agree(bytes, &format!("round {round}")) {
+                answered[usize::from(ok)] += 1;
+            }
+        }
+        previous = valid;
+    }
+    assert!(
+        answered.iter().all(|&n| n > 100),
+        "failed and decoded produces: {answered:?}"
+    );
 }
 
 /// The two payloads that used to reserve a fixed cap whatever the input

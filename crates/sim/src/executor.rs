@@ -17,9 +17,14 @@
 //!   1 KiB refills from a 16 KiB slab, so a burst of small tasks (a
 //!   connection's serving tasks) allocates a slab per 16 KiB of them;
 //! * a joined `spawn` and the `block_on` root are one [`Task`] wrapper that
-//!   polls the future in place, so the task stores its frame once.
+//!   polls the future in place, so the task stores its frame once;
+//! * a joined `spawn`/`spawn_at` draws its completion cell from the
+//!   runtime's [`oneshot::Pool`] for its output type, and the cell goes back
+//!   once task and handle are both gone, so a warm runtime's joined spawns
+//!   allocate nothing.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -32,6 +37,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::rng::SimRng;
+use crate::sync::oneshot;
 use crate::time::SimTime;
 use crate::wheel::Wheel;
 
@@ -311,6 +317,9 @@ pub(crate) struct Inner {
     /// `(deadline, seq)` order; the buffer is reused.
     firing: RefCell<VecDeque<(u64, u64, Waker)>>,
     arena: RefCell<TaskArena>,
+    /// The completion cells of joined tasks: a `oneshot::Pool<T>` per
+    /// output type `T`.
+    join_cells: RefCell<HashMap<TypeId, Box<dyn Any>>>,
     timer_seq: Cell<u64>,
     /// `timer_seq` at the last fired instant: the timers below it that are
     /// due now fired then.
@@ -339,6 +348,7 @@ impl Inner {
             timers: RefCell::new(Wheel::new()),
             firing: RefCell::new(VecDeque::new()),
             arena: RefCell::new(TaskArena::new()),
+            join_cells: RefCell::new(HashMap::new()),
             timer_seq: Cell::new(0),
             fired_below: Cell::new(0),
             turn: Cell::new(u64::MAX),
@@ -418,6 +428,17 @@ impl Inner {
         tasks[id] = Some(task);
         self.live_tasks.set(self.live_tasks.get() + 1);
         id
+    }
+
+    /// A joined task's completion cell, from the pool for its output type.
+    fn join_cell<T: 'static>(&self) -> (oneshot::Sender<T>, oneshot::Receiver<T>) {
+        let mut pools = self.join_cells.borrow_mut();
+        let pool = pools
+            .entry(TypeId::of::<T>())
+            .or_insert_with(|| Box::new(oneshot::Pool::<T>::new()));
+        pool.downcast_ref::<oneshot::Pool<T>>()
+            .expect("a pool is keyed by its output type")
+            .channel()
     }
 
     fn schedule(&self, id: usize) {
@@ -582,7 +603,7 @@ impl std::error::Error for JoinError {}
 ///
 /// Dropping the handle detaches the task (it keeps running).
 pub struct JoinHandle<T> {
-    result: crate::sync::oneshot::Receiver<T>,
+    result: oneshot::Receiver<T>,
 }
 
 impl<T> Future for JoinHandle<T> {
@@ -595,7 +616,7 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
-/// A future and the sink of its output: `spawn`'s oneshot sender or
+/// A future and the sink of its output: `spawn`'s pooled oneshot sender or
 /// `block_on`'s result cell. The future is polled in place, stored once, and
 /// dropped as soon as it is ready, so wakes from its destructors reach the
 /// ready queue ahead of its joiner's.
@@ -632,7 +653,7 @@ where
     F::Output: 'static,
 {
     with_current(|inner| {
-        let (tx, rx) = crate::sync::oneshot::channel();
+        let (tx, rx) = inner.join_cell();
         let task = Task {
             future: Some(future),
             deliver: Some(move |out| drop(tx.send(out))),
@@ -676,7 +697,7 @@ where
         return spawn(future, site);
     }
     with_current(|inner| {
-        let (tx, rx) = crate::sync::oneshot::channel();
+        let (tx, rx) = inner.join_cell();
         let task = Task {
             future: Some(At { start, future }),
             deliver: Some(move |out| drop(tx.send(out))),
@@ -687,7 +708,7 @@ where
     })
 }
 
-/// Spawns a task with no [`JoinHandle`]: no completion channel is allocated.
+/// Spawns a task with no [`JoinHandle`]: no completion cell is taken.
 /// The choice for fire-and-forget tasks whose handle would be dropped
 /// anyway.
 pub(crate) fn spawn_detached<F>(future: F, site: Site)

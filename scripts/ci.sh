@@ -516,6 +516,24 @@ if awk '/pub\(crate\) fn open/, /^    }/' crates/kdbroker/src/server_rpc.rs | gr
     exit 1
 fi
 
+# A TCP produce allocates nothing (DESIGN.md §10 "One TCP produce, hop by
+# hop"): a joined task's completion cell comes from its runtime's pool for
+# the task's output type, and both broker front ends decode through
+# `server_rpc::decode`, which decodes a produce in place — its topic inline,
+# its batch copied once into a pooled scratch vector. The warm joined-spawn
+# budget and the in-place decode against the owned one, by name. Then the
+# re-fork guard: no owned request decode in either front end, no fresh
+# `oneshot::channel` per joined task.
+cargo test -q --offline --release -p kdbench --test budgets warm_joined_spawns_allocate_nothing
+cargo test -q --offline -p kdwire --test hostile_bytes the_in_place_produce_decode_agrees_with_the_owned_one
+if awk '/#\[cfg\(test\)\]/ { nextfile } /Request::decode\(/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/kdbroker/src/server_tcp.rs crates/kdbroker/src/server_osu.rs | grep . ||
+    awk '/#\[cfg\(test\)\]/ { exit } /oneshot::channel\(/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/sim/src/executor.rs | grep .; then
+    echo "ci: a front end decodes requests owned again, or a joined task makes its own cell (see DESIGN.md §10)" >&2
+    exit 1
+fi
+
 # A connect builds each layer's state once (DESIGN.md §13 "What a connection
 # holds"): a TCP connection is one block whose two pipes each keep their
 # window as a `Frontier` of released bytes and are read in place, a producer

@@ -463,14 +463,19 @@ fn a_second_cluster_allocates_no_segment_memory() {
     );
 }
 
-/// Kafka produce RPCs over TCP. Measured 10.0085 polls and 3.0122
-/// allocations per record (12 049 in 4000, some runs one more — the one count
+/// Kafka produce RPCs over TCP. Measured 10.0085 polls and 0.0123
+/// allocations per record (49 in 4000, some runs one more — the one count
 /// here that is not exact); the task-per-hop RPC plane needed 21.0 / 10.0,
 /// the three-piece hand-off 14.0 polls, and 12.0085 / 4.0135 while the reply
 /// writer slept its network thread before the write, a pipelined send's task
 /// woke only to sleep its client-side cost, and each request's topic was a
 /// fresh `Rc<str>` (DESIGN.md §10). Restoring either sleep is one more poll
-/// per record. No waiter of any kind is woken to park again: zero re-parks.
+/// per record. 3.0122 allocations (12 049) while each pipelined send's
+/// `JoinHandle` made its own completion cell and the broker decoded each
+/// request owned, its topic into a `String` and its batch into a `Vec`
+/// (DESIGN.md §10 "One TCP produce, hop by hop"): any one of the three back
+/// is +1.0 per record. No waiter of any kind is woken to park again: zero
+/// re-parks.
 #[test]
 fn tcp_produce_per_record() {
     let (r, _) = produce(
@@ -482,7 +487,7 @@ fn tcp_produce_per_record() {
         RECORD_BYTES,
     );
     r.check_polls("tcp", 10.25);
-    r.check_allocs("tcp", 3.05);
+    r.check_allocs("tcp", 0.0125);
     check_reparks("tcp", r.reparks, [0; REPARK_KINDS]);
     assert_eq!(r.virtual_ns, 136_213_080, "tcp: the virtual timeline moved");
 }
@@ -1355,6 +1360,38 @@ fn wakers_allocate_nothing() {
             "{} waker clones, wakes and drops allocated",
             TASKS * ROUNDS
         );
+    });
+}
+
+/// A joined spawn allocates nothing in a warm runtime: its future takes a
+/// recycled arena block, and its completion cell comes from the runtime's
+/// pool for its output type, back there once the join has returned. 1 000
+/// rounds of a `spawn` + `await` and a `spawn_at` + `await` here, 64 ns of
+/// virtual time apart, made 2 000 allocations (one cell per join) while
+/// each joined task made its own `oneshot::channel`. The warm-up runs
+/// rounds until the clock passes 2^18 ns (262 µs), a full turn of the timer
+/// wheel's level of 4 µs slots, so every wheel slot a `spawn_at` files its
+/// timer in here has held one before.
+#[test]
+fn warm_joined_spawns_allocate_nothing() {
+    const WARM_NS: u64 = 1 << 18;
+    const ROUNDS: u64 = 1000;
+    sim::Runtime::new().block_on(async {
+        let round = |i: u64| async move {
+            assert_eq!(sim::spawn(async move { i + 1 }).await, Ok(i + 1));
+            let start = sim::now() + Duration::from_nanos(64);
+            assert_eq!(sim::spawn_at(start, async move { i + 2 }).await, Ok(i + 2));
+        };
+        while sim::now().as_nanos() <= WARM_NS {
+            round(0).await;
+        }
+        let before = allocs_by_class();
+        for i in 0..ROUNDS {
+            round(i).await;
+        }
+        let after = allocs_by_class();
+        let allocs: u64 = (0..CLASSES).map(|c| after[c] - before[c]).sum();
+        assert_eq!(allocs, 0, "{ROUNDS} rounds of joined spawns allocated");
     });
 }
 
