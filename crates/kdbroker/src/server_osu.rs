@@ -87,7 +87,6 @@ async fn serve_connection(
     let max_batch = b.config.cq_batch;
     let mut batch: Vec<rnic::Cqe> = Vec::with_capacity(max_batch);
     let mut recycle: Vec<u64> = Vec::with_capacity(max_batch);
-    let mut frame = Vec::new();
     'conn: while b.alive.get() {
         let drained = crate::rdma_net::drain_or_wait(&recv_cq, &mut batch, max_batch);
         let Either::Left(true) = race(drained, b.shutdown.notified()).await else {
@@ -97,19 +96,22 @@ async fn serve_connection(
             if !cqe.ok() || cqe.opcode != CqOpcode::Recv || !b.alive.get() {
                 break 'conn;
             }
-            // The copy out of the network receive buffer.
-            frame.clear();
-            bufs[cqe.wr_id as usize]
-                .with(|buf| frame.extend_from_slice(&buf[..cqe.byte_len as usize]));
+            let len = cqe.byte_len as usize;
             recycle.push(cqe.wr_id);
-            let Some((corr, payload)) = frame.split_first_chunk() else {
+            if len < 8 {
                 break 'conn; // shorter than its correlation id
-            };
-            let corr = u64::from_le_bytes(*corr);
+            }
             // OSU requests arrive as verbs Sends; the WR context (if any)
-            // rode in on the receive completion.
-            conn.net_thread().run(cost(frame.len())).await;
-            if !conn.route(corr, cqe.trace, decode(payload)) {
+            // rode in on the receive completion. The buffer is posted again
+            // only after the batch, so it is decoded in place after the
+            // network thread's parse and copy.
+            conn.net_thread().run(cost(len)).await;
+            let (corr, request) = bufs[cqe.wr_id as usize].with(|buf| {
+                let (corr, payload) = buf[..len].split_at(8);
+                let corr = u64::from_le_bytes(corr.try_into().expect("8 bytes"));
+                (corr, decode(payload))
+            });
+            if !conn.route(corr, cqe.trace, request) {
                 break 'conn;
             }
         }

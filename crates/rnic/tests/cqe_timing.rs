@@ -391,7 +391,12 @@ type Returns = (Vec<(u64, usize)>, u32);
 /// so `b` wakes then and takes it, exactly as if nothing had been taken back;
 /// `a`, parked again and armed for that CQE, is then not polled either.
 fn two_consumers(third: Option<u64>) -> [Returns; 2] {
-    const W: Duration = Duration::from_nanos(1_000);
+    consumers(Duration::from_nanos(1_000), [0, 300], third)
+}
+
+/// As [`two_consumers`], blocked in `wait(w)`, with the first two writes
+/// posted at `posts`.
+fn consumers(w: Duration, posts: [u64; 2], third: Option<u64>) -> [Returns; 2] {
     sim::Runtime::new().block_on(async move {
         let f = Fabric::new(profile());
         let (na, nb) = (f.add_node("a"), f.add_node("b"));
@@ -423,7 +428,7 @@ fn two_consumers(third: Option<u64>) -> [Returns; 2] {
             sim::spawn_detached(async move {
                 let mut batch = Vec::new();
                 loop {
-                    let mut wait = std::pin::pin!(cq.wait(W));
+                    let mut wait = std::pin::pin!(cq.wait(w));
                     let alive = std::future::poll_fn(|cx| {
                         consumer.borrow_mut().1 += 1;
                         wait.as_mut().poll(cx)
@@ -441,7 +446,7 @@ fn two_consumers(third: Option<u64>) -> [Returns; 2] {
             });
         }
         let local = ShmBuf::zeroed(8);
-        for (id, at) in [Some(0), Some(300), third]
+        for (id, at) in [Some(posts[0]), Some(posts[1]), third]
             .into_iter()
             .flatten()
             .enumerate()
@@ -482,4 +487,17 @@ fn a_consumer_whose_cqe_another_took_is_not_woken() {
         "a is not polled for the CQE b took"
     );
     assert_eq!(b, (vec![(4_000, 1)], 3));
+}
+
+#[test]
+fn a_cqe_handed_over_after_another_took_wakes_the_consumer_where_it_would_have() {
+    // Blocked in `wait(2 000)`: writes posted at 0 and 1 800 surface at
+    // 2 700 and 4 500; `a` is armed for the first, due at 4 700, `b` for the
+    // second, due at 6 500. `a` wakes and drains both. A third write posted
+    // at 3 600 is handed over at 4 800, after that take, and surfaces at
+    // 6 300, by `b`'s due instant: `b` wakes at 6 500, where it would have,
+    // and takes it; `a`, armed for it at the hand-over, is not polled.
+    let [a, b] = consumers(Duration::from_nanos(2_000), [0, 1_800], Some(3_600));
+    assert_eq!(a, (vec![(4_700, 2)], 3));
+    assert_eq!(b, (vec![(6_500, 1)], 3));
 }
