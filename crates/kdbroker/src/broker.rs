@@ -63,10 +63,10 @@ pub struct BrokerInner {
     /// the controller.
     pub peers: Vec<BrokerAddr>,
     peer_clients: RefCell<HashMap<u32, RpcClient>>,
-    pub offsets: RefCell<HashMap<(String, TopicName, u32), u64>>,
+    pub offsets: RefCell<HashMap<(TopicName, TopicName, u32), u64>>,
     /// EXTENSION (§5.4 future work): RDMA-writable offset slots keyed by
     /// (group, topic, partition). `u64::MAX` = nothing committed.
-    pub offset_slots: RefCell<HashMap<(String, TopicName, u32), OffsetSlot>>,
+    pub offset_slots: RefCell<HashMap<(TopicName, TopicName, u32), OffsetSlot>>,
     /// Accepted produce/replication QPs by QP number (ack routing).
     pub produce_qps: RefCell<HashMap<u32, QueuePair>>,
     /// Consumer QPs are held only to keep them alive; they never generate

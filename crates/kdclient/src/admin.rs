@@ -69,7 +69,7 @@ impl Admin {
         offset: u64,
     ) -> Result<(), ClientError> {
         let request = Request::OffsetCommit {
-            group: group.to_string(),
+            group: group.into(),
             topic: topic.into(),
             partition,
             offset,
@@ -88,7 +88,7 @@ impl Admin {
         partition: u32,
     ) -> Result<Option<u64>, ClientError> {
         let request = Request::OffsetFetch {
-            group: group.to_string(),
+            group: group.into(),
             topic: topic.into(),
             partition,
         };

@@ -1,6 +1,11 @@
 //! The original Kafka consumer (§4.4.1): periodic fetch requests,
 //! regardless of data availability — the CPU burden §5.3 quantifies.
 
+use std::cell::Cell;
+use std::fmt;
+use std::ops::Deref;
+use std::rc::Rc;
+
 use kdstorage::record::{decode_batch, peek_total_len, RecordView, LENGTH_PREFIX_LEN};
 use kdwire::{BrokerAddr, Request, Response, TopicName};
 use netsim::profile::copy_time;
@@ -61,6 +66,90 @@ pub(crate) fn drain_batches(
     Ok(end)
 }
 
+/// Where a consumer keeps the vector its polls fill, between a batch's drop
+/// and the next poll.
+pub(crate) type Spare = Rc<Cell<Vec<RecordView>>>;
+
+/// The records one poll returned, in offset order. The batch owns its
+/// vector and hands it back to its consumer when dropped, so a warm
+/// consumer's polls allocate nothing; a batch still alive at the next poll
+/// makes that poll fill a vector of its own.
+pub struct Polled {
+    pub(crate) records: Vec<RecordView>,
+    spare: Spare,
+}
+
+impl Polled {
+    /// An empty batch on the consumer's spare vector.
+    pub(crate) fn new(spare: &Spare) -> Polled {
+        Polled {
+            records: spare.take(),
+            spare: Rc::clone(spare),
+        }
+    }
+}
+
+impl Drop for Polled {
+    /// Gives the vector back, empty.
+    fn drop(&mut self) {
+        let mut records = std::mem::take(&mut self.records);
+        records.clear();
+        self.spare.set(records);
+    }
+}
+
+impl Deref for Polled {
+    type Target = [RecordView];
+
+    fn deref(&self) -> &[RecordView] {
+        &self.records
+    }
+}
+
+impl fmt::Debug for Polled {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Polled {
+    type Item = &'a RecordView;
+    type IntoIter = std::slice::Iter<'a, RecordView>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.records.iter()
+    }
+}
+
+impl IntoIterator for Polled {
+    type Item = RecordView;
+    type IntoIter = PolledIter;
+
+    fn into_iter(mut self) -> PolledIter {
+        // Reversed, so that each record is popped off the end in order.
+        self.records.reverse();
+        PolledIter(self)
+    }
+}
+
+/// A batch's records by value, in offset order; the vector goes back to the
+/// consumer when the iterator is dropped.
+pub struct PolledIter(Polled);
+
+impl Iterator for PolledIter {
+    type Item = RecordView;
+
+    fn next(&mut self) -> Option<RecordView> {
+        self.0.records.pop()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.0.records.len(), Some(self.0.records.len()))
+    }
+}
+
+impl ExactSizeIterator for PolledIter {}
+
 /// A fetch-polling consumer bound to one topic partition.
 pub struct TcpConsumer {
     node: NodeHandle,
@@ -80,6 +169,7 @@ pub struct TcpConsumer {
     /// Where delivered records live (see [`drain_batches`]); a response
     /// larger than a chunk gets one of its own.
     chunks: kdbuf::Pool,
+    spare: Spare,
 }
 
 impl TcpConsumer {
@@ -106,12 +196,13 @@ impl TcpConsumer {
             telem,
             fetch_e2e_ns,
             chunks: kdbuf::Pool::new(kdbuf::DEFAULT_CHUNK),
+            spare: Spare::default(),
         })
     }
 
     /// Issues one fetch request; returns the decoded records at/after the
     /// current offset (possibly empty).
-    pub async fn poll(&mut self) -> Result<Vec<RecordView>, ClientError> {
+    pub async fn poll(&mut self) -> Result<Polled, ClientError> {
         let start = sim::now();
         // Root of this fetch's lifeline; the ctx crosses to the broker in
         // the RPC frame header so its FetchServed event lands on this trace.
@@ -141,7 +232,7 @@ impl TcpConsumer {
         check(f.error)?;
         if f.bytes.is_empty() {
             self.empty_fetches += 1;
-            return Ok(Vec::new());
+            return Ok(Polled::new(&self.spare));
         }
         // Client-side integrity check + copy into application records.
         let len = f.bytes.len() as u64;
@@ -149,13 +240,13 @@ impl TcpConsumer {
             .await;
         // A fetch response carries whole batches only; bytes left over were
         // cut short or mis-framed on the way.
-        let mut out = Vec::new();
+        let mut out = Polled::new(&self.spare);
         let used = drain_batches(
             &f.bytes,
             &self.chunks,
             &mut self.offset,
             |_| {},
-            |rv| out.push(rv),
+            |rv| out.records.push(rv),
         )?;
         if used != f.bytes.len() {
             return Err(ClientError::Corrupt);
@@ -169,7 +260,7 @@ impl TcpConsumer {
     }
 
     /// Polls until at least one record arrives.
-    pub async fn next_records(&mut self) -> Result<Vec<RecordView>, ClientError> {
+    pub async fn next_records(&mut self) -> Result<Polled, ClientError> {
         loop {
             let records = self.poll().await?;
             if !records.is_empty() {

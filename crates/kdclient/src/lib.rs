@@ -31,7 +31,7 @@ pub mod rdma_producer;
 
 pub use admin::Admin;
 pub use conn::{ClientTransport, Conn};
-pub use consumer::TcpConsumer;
+pub use consumer::{Polled, TcpConsumer};
 pub use error::ClientError;
 pub use producer::TcpProducer;
 pub use rdma_consumer::RdmaConsumer;

@@ -32,7 +32,7 @@ use netsim::NodeHandle;
 use rnic::{SendWr, ShmBuf, WorkRequest};
 
 use crate::conn::Conn;
-use crate::consumer::drain_batches;
+use crate::consumer::{drain_batches, Polled, Spare};
 use crate::data_plane::{recover, Broke, DataPlane, Port, Rejoin};
 use crate::error::{check, ClientError};
 
@@ -108,6 +108,8 @@ pub struct RdmaConsumer {
     pub fetch_size: u32,
     /// Parsed records, tagged with their subscription's index.
     ready: VecDeque<(usize, RecordView)>,
+    /// The vector `poll` hands `ready` out in.
+    spare: Spare,
     /// Where delivered records live (see `drain_batches`); the chunk size
     /// follows `fetch_size` (see [`chunk_size`]).
     chunks: kdbuf::Pool,
@@ -144,6 +146,7 @@ impl RdmaConsumer {
             subs: Vec::new(),
             fetch_size: DEFAULT_FETCH_SIZE,
             ready: VecDeque::new(),
+            spare: Spare::default(),
             chunks: kdbuf::Pool::new(chunk_size(DEFAULT_FETCH_SIZE)),
             fetch_buf: ShmBuf::zeroed(DEFAULT_FETCH_SIZE as usize),
             slot_buf: ShmBuf::zeroed(SLOTS_PER_CONSUMER * SLOT_SIZE),
@@ -292,12 +295,14 @@ impl RdmaConsumer {
     /// One fetch iteration over every subscription. Returns any records that
     /// became ready; an empty result means no new committed data was
     /// visible.
-    pub async fn poll(&mut self) -> Result<Vec<RecordView>, ClientError> {
+    pub async fn poll(&mut self) -> Result<Polled, ClientError> {
         if let Err(e) = self.round().await {
             let recovering = self.recovery(e)?;
             recovering.await?;
         }
-        Ok(self.ready.drain(..).map(|(_, rv)| rv).collect())
+        let mut batch = Polled::new(&self.spare);
+        batch.records.extend(self.ready.drain(..).map(|(_, rv)| rv));
+        Ok(batch)
     }
 
     /// As [`poll`](Self::poll), with every record tagged with the partition
@@ -462,7 +467,7 @@ impl RdmaConsumer {
     }
 
     /// Polls until at least one record is available.
-    pub async fn next_records(&mut self) -> Result<Vec<RecordView>, ClientError> {
+    pub async fn next_records(&mut self) -> Result<Polled, ClientError> {
         loop {
             let records = self.poll().await?;
             if !records.is_empty() {
@@ -491,7 +496,7 @@ impl RdmaConsumer {
     /// can commit with one-sided writes — no broker CPU, no TCP round trip.
     pub async fn enable_rdma_offset_commit(&mut self, group: &str) -> Result<(), ClientError> {
         for sub in &mut self.subs {
-            let (group, topic) = (group.to_string(), sub.tp.topic.as_str().into());
+            let (group, topic) = (group.into(), sub.tp.topic.as_str().into());
             let request = Request::OffsetSlotAccess {
                 group,
                 topic,
@@ -533,7 +538,7 @@ impl RdmaConsumer {
     /// Commits every subscription's offset for `group` over TCP (§5.4).
     pub async fn commit_offset(&self, group: &str) -> Result<(), ClientError> {
         for sub in &self.subs {
-            let (group, topic) = (group.to_string(), sub.tp.topic.as_str().into());
+            let (group, topic) = (group.into(), sub.tp.topic.as_str().into());
             let (partition, offset) = (sub.tp.partition, sub.offset);
             let request = Request::OffsetCommit {
                 group,
@@ -696,6 +701,45 @@ mod tests {
         });
     }
 
+    /// Holds batch A while B is polled, drops A, then polls C: each batch
+    /// owns its records, whichever vector it was filled in, so every record
+    /// arrives in offset order with its bytes — A's by value, B's by
+    /// reference, C's through the slice.
+    macro_rules! hold_a_batch_across_the_next_poll {
+        ($consumer:expr) => {{
+            let a = $consumer.next_records().await.unwrap();
+            let b = $consumer.next_records().await.unwrap();
+            let mut got: Vec<RecordView> = a.into_iter().collect();
+            let c = $consumer.next_records().await.unwrap();
+            assert!(!got.is_empty() && !b.is_empty() && !c.is_empty());
+            got.extend((&b).into_iter().cloned());
+            got.extend(c.iter().cloned());
+            for (i, rv) in got.iter().enumerate() {
+                assert_eq!(rv.offset, i as u64);
+                assert_eq!(rv.record.value, payload(rv.offset, small));
+            }
+        }};
+    }
+
+    #[test]
+    fn a_batch_held_across_the_next_poll_keeps_its_records() {
+        consume(200, small, |node, addr, _broker| async move {
+            let mut c = RdmaConsumer::connect(&node, addr, "t", 0, 0).await.unwrap();
+            hold_a_batch_across_the_next_poll!(c);
+        });
+    }
+
+    #[test]
+    fn a_tcp_batch_held_across_the_next_poll_keeps_its_records() {
+        consume(200, small, |node, addr, _broker| async move {
+            let mut c = TcpConsumer::connect(&node, addr, ClientTransport::Tcp, "t", 0, 0)
+                .await
+                .unwrap();
+            c.max_bytes = 2048;
+            hold_a_batch_across_the_next_poll!(c);
+        });
+    }
+
     /// kdmark's read-back reads 256 KiB at a time, a read sized from batch
     /// headers can be any size, and a 40 KiB batch read 2 KiB at a time is
     /// larger than a default chunk: each delivers every record.
@@ -744,8 +788,12 @@ mod tests {
             segment.write_at(at, &[!segment.read(at, 1)[0]]);
             let mut c = RdmaConsumer::connect(&node, addr, "t", 0, 0).await.unwrap();
             c.fetch_size = batch_len / 2 + 1;
-            assert_eq!(c.poll().await, Ok(Vec::new()), "half a batch waits");
-            assert_eq!(c.poll().await, Err(ClientError::Corrupt));
+            let polled = c.poll().await.map(|batch| batch.len());
+            assert_eq!(polled, Ok(0), "half a batch waits");
+            assert_eq!(
+                c.poll().await.map(|batch| batch.len()),
+                Err(ClientError::Corrupt)
+            );
             assert_eq!(c.stats.data_reads, 2);
         });
     }

@@ -468,8 +468,8 @@ wire_enum! {
             replica_id: u32,
         } = 3,
         ListOffsets { topic: TopicName, partition: u32 } = 4,
-        OffsetCommit { group: String, topic: TopicName, partition: u32, offset: u64 } = 5,
-        OffsetFetch { group: String, topic: TopicName, partition: u32 } = 6,
+        OffsetCommit { group: TopicName, topic: TopicName, partition: u32, offset: u64 } = 5,
+        OffsetFetch { group: TopicName, topic: TopicName, partition: u32 } = 6,
         /// "Get RDMA produce address" (§4.2.2 / §4.3.2): map + register the head
         /// file and return its region.
         ProduceAccess {
@@ -492,7 +492,7 @@ wire_enum! {
         /// so the consumer can commit its offset with a one-sided write instead
         /// of a TCP request ("KafkaDirect could implement an accelerated commit
         /// offset request with the use of RDMA").
-        OffsetSlotAccess { group: String, topic: TopicName, partition: u32 } = 12,
+        OffsetSlotAccess { group: TopicName, topic: TopicName, partition: u32 } = 12,
         /// Controller→broker: install a partition with its leader/replica
         /// assignment (stands in for Kafka's ZooKeeper-driven state, which the
         /// paper does not exercise).

@@ -11,9 +11,9 @@ use sim::rng::SimRng;
 
 use crate::messages::Wire;
 
-/// A topic name, no bigger than the `String` it replaces. Equal names have
-/// equal representations: the variant follows from the length, and inline
-/// bytes past it are zero.
+/// A topic or consumer-group name, no bigger than the `String` it replaces.
+/// Equal names have equal representations: the variant follows from the
+/// length, and inline bytes past it are zero.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct TopicName(Repr);
 

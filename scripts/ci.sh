@@ -238,16 +238,16 @@ fi
 # allocation budget. Then the slot's demoted bit (DESIGN.md §9): a tailing
 # consumer leaves a leader demoted without a crash. Each by name; then the
 # re-fork guard: no request's topic is a `String` but the TCP produce's,
-# the type kdmark's wire layer builds it with.
+# the type kdmark's wire layer builds it with, and no consumer group is one.
 cargo test -q --offline -p sim --test task_slabs
 cargo test -q --offline -p kdwire --lib topic::tests
 cargo test -q --offline -p rnic --lib nic::tests::a_cq_pair_is_two_queues
 cargo test -q --offline -p kdclient --lib rdma_producer::tests::a_window_1_producer_allocates_its_staging_bytes_once
 cargo test -q --offline --release -p kdbench --test budgets fanin_client_connect_allocations
 cargo test -q --offline --test e2e_failures a_tailing_consumer_leaves_a_leader_demoted_without_a_crash
-if awk '/topic: String([^:]|$)/ && prev !~ /^ *Produce \{$/ { print FILENAME ":" FNR ": " $0 } { prev = $0 }' \
+if awk '(/topic: String([^:]|$)/ && prev !~ /^ *Produce \{$/) || /group: String([^:]|$)/ { print FILENAME ":" FNR ": " $0 } { prev = $0 }' \
     crates/kdwire/src/messages.rs | grep .; then
-    echo "ci: a request's topic is a String again (see DESIGN.md §10)" >&2
+    echo "ci: a request's topic or group is a String again (see DESIGN.md §10)" >&2
     exit 1
 fi
 
@@ -270,15 +270,24 @@ fi
 # inventory"): the producer takes each record's ack channel from a pool of
 # cells that come back once both ends are gone, and both consumers hand out
 # records as views of a pooled chunk that is reused only when no view is
-# left. Then the re-fork guard: no per-record `oneshot::channel` on the
-# producer's post path, no owned copy in the record decoder.
+# left, in a batch (`kdclient::Polled`) whose vector goes back to its
+# consumer when it drops. A batch held across the next poll, on both
+# consumers, and a warm RDMA consumer's polls allocating nothing, by name.
+# Then the re-fork guard: no per-record `oneshot::channel` on the
+# producer's post path, no owned copy in the record decoder, and no poll
+# that returns a fresh `Vec`.
 cargo test -q --offline -p sim --lib oneshot::tests::pool
 cargo test -q --offline -p kdclient --lib rdma_consumer::tests
+cargo test -q --offline -p kdclient --lib held_across_the_next_poll_keeps_its_records
+cargo test -q --offline --release -p kdbench --test budgets warm_rdma_consumer_polls_allocate_nothing
 if awk '/#\[cfg\(test\)\]/ { exit } /oneshot::channel\(/ { print FILENAME ":" FNR ": " $0 }' \
     crates/kdclient/src/rdma_producer.rs | grep . ||
     awk '/#\[cfg\(test\)\]/ { exit } /\.to_vec\(\)/ { print FILENAME ":" FNR ": " $0 }' \
-        crates/kdstorage/src/record.rs | grep .; then
-    echo "ci: a per-record ack channel or an owned record decode reappeared (see DESIGN.md §10)" >&2
+        crates/kdstorage/src/record.rs | grep . ||
+    for f in crates/kdclient/src/consumer.rs crates/kdclient/src/rdma_consumer.rs; do
+        awk '/#\[cfg\(test\)\]/ { exit } /Result<Vec<RecordView>/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done | grep .; then
+    echo "ci: a per-record ack channel, an owned record decode or a poll's fresh Vec reappeared (see DESIGN.md §10)" >&2
     exit 1
 fi
 
